@@ -1,4 +1,4 @@
-//! The shared backtracking **chain-search engine** behind both checkers.
+//! The **chain-search kernel**: the one search behind every checker.
 //!
 //! The paper's two decision procedures — plain linearizability
 //! ([`crate::lin::LinChecker`], Section 4) and speculative linearizability
@@ -13,7 +13,29 @@
 //!    response never commits, or a duplicated occurrence — the definitions
 //!    permit repeated events).
 //!
-//! The two checkers differ only in their **parameters**, not in the search:
+//! # One kernel, three visitors
+//!
+//! There is exactly one recursion implementing that search (`Search::dfs`).
+//! It owns, once, everything a chain search needs: node counting and the
+//! [`SearchBudget`] trip, the dead-end memo on `(remaining commits, ADT
+//! state, consumed-input multiset, visitor tag)`, the validity-bound prune,
+//! the commit move, the sorted extra-input move, the history cap, and the
+//! [`SearchStats`] it returns on **both** sides of the verdict. What differs
+//! between its uses is a small `Visitor`:
+//!
+//! | use                      | visitor            | tag      | at a leaf                         |
+//! |--------------------------|--------------------|----------|-----------------------------------|
+//! | stop at first            | `FirstSolution`    | `()`     | ask the [`LeafOracle`]; a witness stops the search, a veto backtracks |
+//! | enumerate, capped        | the shard's collector | symbolic completions | record the terminal configuration; stop at the cap |
+//! | extend past one commit   | the same collector | the same | the same, over the one-commit problem `commits = [new]` seeded from a frontier configuration |
+//!
+//! The first is [`CheckerEngine::run`], the batch checkers' entry point; the
+//! other two live with the streaming frontier in `stream/shard.rs`
+//! (fallback re-search and epoch-cut summaries; tail extension).
+//!
+//! # Parameters
+//!
+//! The two checkers differ only in the engine's **parameters**:
 //!
 //! | parameter            | `lin`                          | `slin`                                   |
 //! |----------------------|--------------------------------|------------------------------------------|
@@ -22,18 +44,17 @@
 //! | extra-input cap      | `t.len()`                      | none (pool-bounded)                      |
 //! | leaf oracle          | trivially succeeds             | abort feasibility (Abort-Order, Def. 28) |
 //!
-//! [`CheckerEngine::run`] performs the search with memoisation on the
-//! reached ADT state and consumed-input multiset, under an explicit
-//! [`SearchBudget`], and reports [`SearchStats`] either way. The *leaf
-//! oracle* decides what "success" means once every commit is placed: it
-//! receives the completed chain and the longest history and may veto the
-//! leaf (forcing further backtracking), which is how `slin` grafts the
-//! existential over abort interpretations onto the shared search.
+//! The *leaf oracle* decides what "success" means once every commit is
+//! placed: it receives the completed chain and the longest history and may
+//! veto the leaf (forcing further backtracking), which is how `slin` grafts
+//! the existential over abort interpretations onto the shared search.
 //!
 //! Keeping the search in one place is what makes the two checkers provably
 //! comparable (Theorem 2 equates them on switch-free traces — see the
-//! `theorem_2_slin_equals_lin_on_switch_free_traces` test) and gives every
-//! frontend the same budget/statistics surface.
+//! `theorem_2_slin_equals_lin_on_switch_free_traces` test), gives every
+//! frontend and every streaming site the same budget/statistics surface,
+//! and means constant-factor work on the search is done — and proven —
+//! once.
 
 use crate::ops::Commit;
 use slin_adt::Adt;
@@ -41,6 +62,8 @@ use slin_trace::PersistentMultiset;
 use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
+use std::hash::Hash;
+use std::ops::ControlFlow;
 
 /// A set of commit indices, one bit per commit.
 ///
@@ -305,17 +328,91 @@ pub struct CheckerEngine<'s, T: Adt> {
     budget: SearchBudget,
 }
 
-/// Memoisation key: committed set, ADT state, consumed-input multiset.
-///
-/// [`PersistentMultiset`] hashes through its incrementally-maintained
-/// commutative fingerprint and clones in O(1), so building this key is
-/// O(1) — the former representation re-collected and re-sorted the full
-/// multiset into a canonical `Vec` on every node.
-type MemoKey<T> = (
-    CommitMask,
-    <T as Adt>::State,
-    PersistentMultiset<<T as Adt>::Input>,
-);
+/// What distinguishes one use of the kernel from another (see the module
+/// docs): what rides along in the memo key, what an interleaved extra
+/// records, whether the chain is kept, and what a leaf means.
+pub(crate) trait Visitor<T: Adt> {
+    /// Extra memo-key component, threaded down the search beside `(state,
+    /// used)`.
+    ///
+    /// # Soundness
+    ///
+    /// The kernel memoises dead ends — subtrees explored to the end without
+    /// the visitor stopping — on `(remaining, state, used, tag)`, not on
+    /// the ordered history. Anything [`Visitor::leaf`] distinguishes that
+    /// `(state, used)` does not determine must therefore be in the tag, or
+    /// the memo conflates configurations with different futures. The
+    /// enumeration visitor's symbolic completions are the case in point:
+    /// two paths placing extras the ADT answered differently reach the same
+    /// `(state, used)` yet absorb different future responses, so its tag is
+    /// the completion multiset. A visitor whose leaves depend on the key
+    /// alone (see [`LeafOracle`]) uses `()`.
+    type Tag: Clone + Eq + Hash;
+
+    /// The tag below an interleaved extra `input`, to which the ADT
+    /// answered `output`.
+    fn extra(&mut self, tag: &Self::Tag, input: &T::Input, output: T::Output) -> Self::Tag;
+
+    /// The response at trace index `index` was committed; `hist` is the
+    /// chain's new longest history.
+    fn commit(&mut self, _index: usize, _hist: &[T::Input]) {}
+
+    /// The latest commit was backtracked over. Not called once the search
+    /// has stopped: the commits on the stopping path stay.
+    fn uncommit(&mut self) {}
+
+    /// Every commit is placed. `Break` stops the whole search; `Continue`
+    /// backtracks for the next leaf.
+    fn leaf(
+        &mut self,
+        hist: &[T::Input],
+        state: T::State,
+        used: PersistentMultiset<T::Input>,
+        tag: Self::Tag,
+    ) -> ControlFlow<()>;
+}
+
+/// The stop-at-first visitor behind [`CheckerEngine::run`]: keeps the chain
+/// and lets the [`LeafOracle`] accept or veto each leaf.
+struct FirstSolution<'l, I, W> {
+    leaf: &'l mut LeafOracle<'l, I, W>,
+    /// Length of the seed history — the longest history of an empty chain.
+    seed_len: usize,
+    chain: Chain<I>,
+    witness: Option<W>,
+}
+
+impl<T: Adt, W> Visitor<T> for FirstSolution<'_, T::Input, W> {
+    type Tag = ();
+
+    fn extra(&mut self, _: &(), _: &T::Input, _: T::Output) {}
+
+    fn commit(&mut self, index: usize, hist: &[T::Input]) {
+        self.chain.push((index, hist.to_vec()));
+    }
+
+    fn uncommit(&mut self) {
+        self.chain.pop();
+    }
+
+    fn leaf(
+        &mut self,
+        hist: &[T::Input],
+        _: T::State,
+        _: PersistentMultiset<T::Input>,
+        (): (),
+    ) -> ControlFlow<()> {
+        let longest = self
+            .chain
+            .last()
+            .map_or(&hist[..self.seed_len], |(_, h)| h.as_slice());
+        self.witness = (self.leaf)(&self.chain, longest);
+        match self.witness {
+            Some(_) => ControlFlow::Break(()),
+            None => ControlFlow::Continue(()),
+        }
+    }
+}
 
 impl<'s, T: Adt> CheckerEngine<'s, T>
 where
@@ -359,69 +456,100 @@ where
         seed: SearchSeed<T>,
         leaf: &mut LeafOracle<'_, T::Input, W>,
     ) -> Result<SearchOutcome<T::Input, W>, EngineError> {
-        let remaining = CommitMask::full(self.commits.len());
-        let mut dfs = Dfs {
-            engine: self,
-            seed_history: seed.history.clone(),
+        let (solution, stats) = self.first_solution(seed, leaf);
+        Ok(SearchOutcome {
+            solution: solution?,
+            stats,
+        })
+    }
+
+    /// [`CheckerEngine::run`] with the counters on both sides of the
+    /// verdict: a budget-exhausted search reports the work it did.
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn first_solution<W>(
+        &self,
+        seed: SearchSeed<T>,
+        leaf: &mut LeafOracle<'_, T::Input, W>,
+    ) -> (
+        Result<Option<(Chain<T::Input>, W)>, EngineError>,
+        SearchStats,
+    ) {
+        let mut first = FirstSolution {
             leaf,
+            seed_len: seed.history.len(),
+            chain: Vec::new(),
+            witness: None,
+        };
+        let (flow, stats) = self.search(seed, (), &mut first);
+        (flow.map(|_| first.witness.map(|w| (first.chain, w))), stats)
+    }
+
+    /// The kernel's entry point: searches from `seed` (carrying `tag`)
+    /// under `visitor`. Returns whether the visitor stopped the search
+    /// (`Break`) or the space below the seed was exhausted (`Continue`) —
+    /// or the budget error — and the counters either way.
+    pub(crate) fn search<V: Visitor<T>>(
+        &self,
+        seed: SearchSeed<T>,
+        tag: V::Tag,
+        visitor: &mut V,
+    ) -> (Result<ControlFlow<()>, EngineError>, SearchStats) {
+        let mut search = Search {
+            engine: self,
+            visitor,
             memo: HashSet::new(),
             stats: SearchStats {
                 interpretations: 1,
                 ..SearchStats::default()
             },
         };
-        let mut chain: Chain<T::Input> = Vec::new();
         let mut hist = seed.history;
-        let solution = dfs
-            .dfs(seed.state, seed.used, &mut hist, remaining, &mut chain)?
-            .map(|w| (chain, w));
-        let mut stats = dfs.stats;
-        stats.memo_entries = dfs.memo.len();
-        Ok(SearchOutcome { solution, stats })
+        let remaining = CommitMask::full(self.commits.len());
+        let flow = search.dfs(seed.state, seed.used, tag, &mut hist, remaining);
+        search.stats.memo_entries = search.memo.len();
+        (flow, search.stats)
     }
 }
 
-struct Dfs<'e, 's, T: Adt, W> {
+/// Memoisation key: committed set, ADT state, consumed-input multiset, and
+/// the visitor's tag (see [`Visitor::Tag`]).
+///
+/// [`PersistentMultiset`] hashes through its incrementally-maintained
+/// commutative fingerprint and clones in O(1), so building this key is
+/// O(1) — the former representation re-collected and re-sorted the full
+/// multiset into a canonical `Vec` on every node.
+type MemoKey<T, G> = (
+    CommitMask,
+    <T as Adt>::State,
+    PersistentMultiset<<T as Adt>::Input>,
+    G,
+);
+
+/// One run of the kernel.
+struct Search<'e, 's, T: Adt, V: Visitor<T>> {
     engine: &'e CheckerEngine<'s, T>,
-    seed_history: Vec<T::Input>,
-    leaf: &'e mut LeafOracle<'e, T::Input, W>,
-    memo: HashSet<MemoKey<T>>,
+    visitor: &'e mut V,
+    memo: HashSet<MemoKey<T, V::Tag>>,
     stats: SearchStats,
 }
 
-impl<T: Adt, W> Dfs<'_, '_, T, W>
+impl<T: Adt, V: Visitor<T>> Search<'_, '_, T, V>
 where
     T::Input: Ord,
 {
-    fn memo_key(
-        &self,
-        remaining: &CommitMask,
-        state: &T::State,
-        used: &PersistentMultiset<T::Input>,
-    ) -> MemoKey<T> {
-        (remaining.clone(), state.clone(), used.clone())
-    }
-
     fn dfs(
         &mut self,
         state: T::State,
         used: PersistentMultiset<T::Input>,
+        tag: V::Tag,
         hist: &mut Vec<T::Input>,
         remaining: CommitMask,
-        chain: &mut Chain<T::Input>,
-    ) -> Result<Option<W>, EngineError> {
+    ) -> Result<ControlFlow<()>, EngineError> {
         let eng = self.engine;
         self.stats.max_history_len = self.stats.max_history_len.max(hist.len());
         if remaining.is_empty() {
-            // Every commit is placed: consult the leaf oracle with the
-            // longest history on the chain (the seed history when the trace
-            // has no commits at all).
             self.stats.leaf_checks += 1;
-            let longest = chain
-                .last()
-                .map(|(_, h)| h.as_slice())
-                .unwrap_or(&self.seed_history);
-            return Ok((self.leaf)(chain, longest));
+            return Ok(self.visitor.leaf(hist, state, used, tag));
         }
         self.stats.nodes += 1;
         if self.stats.nodes > eng.budget.max_nodes {
@@ -429,10 +557,10 @@ where
                 nodes: self.stats.nodes,
             });
         }
-        let key = self.memo_key(&remaining, &state, &used);
+        let key = (remaining.clone(), state.clone(), used.clone(), tag.clone());
         if self.memo.contains(&key) {
             self.stats.memo_hits += 1;
-            return Ok(None);
+            return Ok(ControlFlow::Continue(()));
         }
 
         // Prune: a remaining commit whose validity bound no longer contains
@@ -440,7 +568,7 @@ where
         for (k, c) in eng.commits.iter().enumerate() {
             if remaining.contains(k) && !used.is_subset_of(&eng.bounds[c.index]) {
                 self.memo.insert(key);
-                return Ok(None);
+                return Ok(ControlFlow::Continue(()));
             }
         }
 
@@ -459,12 +587,12 @@ where
                 continue;
             }
             hist.push(c.input.clone());
-            chain.push((c.index, hist.clone()));
-            let r = self.dfs(state2, used2, hist, remaining.without(k), chain)?;
-            if r.is_some() {
-                return Ok(r);
+            self.visitor.commit(c.index, hist);
+            let below = self.dfs(state2, used2, tag.clone(), hist, remaining.without(k))?;
+            if below.is_break() {
+                return Ok(below);
             }
-            chain.pop();
+            self.visitor.uncommit();
             hist.pop();
         }
 
@@ -484,18 +612,19 @@ where
             for e in candidates {
                 let mut used2 = used.clone();
                 used2.insert(e.clone());
-                let (state2, _) = eng.adt.apply(&state, &e);
+                let (state2, out) = eng.adt.apply(&state, &e);
+                let tag2 = self.visitor.extra(&tag, &e, out);
                 hist.push(e);
-                let r = self.dfs(state2, used2, hist, remaining.clone(), chain)?;
-                if r.is_some() {
-                    return Ok(r);
+                let below = self.dfs(state2, used2, tag2, hist, remaining.clone())?;
+                if below.is_break() {
+                    return Ok(below);
                 }
                 hist.pop();
             }
         }
 
         self.memo.insert(key);
-        Ok(None)
+        Ok(ControlFlow::Continue(()))
     }
 }
 

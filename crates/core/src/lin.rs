@@ -319,16 +319,14 @@ where
         .with_extra_cap(t.len());
         // The leaf oracle is trivial: a completed chain *is* a linearization
         // function (speculative checking grafts abort feasibility here).
-        match engine.run(SearchSeed::initial(&*self.adt), &mut |_, _| Some(())) {
-            Ok(outcome) => {
-                let stats = outcome.stats;
-                match outcome.solution {
-                    Some((chain, ())) => (Ok(LinWitness { assignments: chain }), stats),
-                    None => (Err(LinError::NotLinearizable), stats),
-                }
-            }
-            Err(e) => (Err(e.into()), SearchStats::default()),
-        }
+        let (solution, stats) =
+            engine.first_solution(SearchSeed::initial(&*self.adt), &mut |_, _| Some(()));
+        let verdict = match solution {
+            Ok(Some((chain, ()))) => Ok(LinWitness { assignments: chain }),
+            Ok(None) => Err(LinError::NotLinearizable),
+            Err(e) => Err(e.into()),
+        };
+        (verdict, stats)
     }
 
     /// Boolean form of [`LinChecker::check`]; treats a budget exhaustion as

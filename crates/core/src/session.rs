@@ -565,6 +565,17 @@ where
     Transitioning,
 }
 
+/// Whether a batch outcome is a tripped node budget: the model maps the
+/// error to [`MonitorStatus::Unknown`] and — unlike the interpretation-cap
+/// rejection, which shares that status but is decided before any search —
+/// the engine expanded nodes.
+fn budget_tripped<M: StreamModel<V>, V>(
+    outcome: &Result<M::Witness, M::Error>,
+    stats: &SearchStats,
+) -> bool {
+    stats.nodes > 0 && matches!(outcome, Err(e) if M::status_of_error(e) == MonitorStatus::Unknown)
+}
+
 /// A configured checking session over one [`ConsistencyModel`]: the
 /// unified entry point for monolithic, partitioned, and streaming
 /// checking. Owns its model, so it is free of borrows (`'static` when the
@@ -630,7 +641,7 @@ where
                         site: "session.check",
                         nodes: stats.nodes as u64,
                         memo_hits: stats.memo_hits as u64,
-                        budget_exhausted: outcome.is_err() && stats.nodes >= model.budget(),
+                        budget_exhausted: budget_tripped::<M, V>(&outcome, &stats),
                         t0,
                     });
                     return Verdict {
@@ -649,7 +660,7 @@ where
                             site: "session.check",
                             nodes: sv.report.stats.nodes as u64,
                             memo_hits: sv.report.stats.memo_hits as u64,
-                            budget_exhausted: false,
+                            budget_exhausted: budget_tripped::<M, V>(&sv.verdict, &sv.report.stats),
                             t0,
                         });
                         return Verdict {
@@ -670,7 +681,7 @@ where
                     site: "session.check",
                     nodes: sv.report.stats.nodes as u64,
                     memo_hits: sv.report.stats.memo_hits as u64,
-                    budget_exhausted: false,
+                    budget_exhausted: budget_tripped::<M, V>(&sv.verdict, &sv.report.stats),
                     t0,
                 });
                 Verdict {

@@ -291,7 +291,8 @@ where
     /// are the counters of the earliest failing interpretation's
     /// (exhaustive) search — the cost of proving no chain exists,
     /// deterministic and byte-identical between the sequential and
-    /// parallel paths. Structural rejections (ill-formed traces,
+    /// parallel paths — and on a budget trip those of the search that
+    /// tripped. Structural rejections (ill-formed traces,
     /// interpretation-space blowups) report zero stats: no search ran.
     pub(crate) fn check_with_stats_impl(
         &self,
@@ -538,14 +539,14 @@ where
         for idx in 0..prep.combos {
             let finit = self.finit_at(prep, idx);
             match self.check_one_interpretation(prep, &finit) {
-                Ok((Some(w), s)) => {
+                (Ok(Some(w)), s) => {
                     stats.absorb(&s);
                     if first_witness.is_none() {
                         first_witness = Some(w);
                     }
                 }
-                Ok((None, s)) => return (Err(Self::fail_error(&finit)), s),
-                Err(e) => return (Err(e), SearchStats::default()),
+                (Ok(None), s) => return (Err(Self::fail_error(&finit)), s),
+                (Err(e), s) => return (Err(e), s),
             }
         }
         let report = SlinReport {
@@ -599,20 +600,20 @@ where
                             }
                             let finit = self.finit_at(prep, idx);
                             match self.check_one_interpretation(prep, &finit) {
-                                Ok((Some(w), s)) => {
+                                (Ok(Some(w)), s) => {
                                     out.stats.absorb(&s);
                                     if idx == 0 {
                                         out.witness0 = Some(w);
                                     }
                                 }
-                                Ok((None, s)) => {
+                                (Ok(None), s) => {
                                     best_abnormal.fetch_min(idx, Ordering::Relaxed);
                                     out.abnormal = Some((idx, Self::fail_error(&finit), s));
                                     break;
                                 }
-                                Err(e) => {
+                                (Err(e), s) => {
                                     best_abnormal.fetch_min(idx, Ordering::Relaxed);
-                                    out.abnormal = Some((idx, e, SearchStats::default()));
+                                    out.abnormal = Some((idx, e, s));
                                     break;
                                 }
                             }
@@ -698,7 +699,7 @@ where
         &self,
         prep: &Prepared<T, R::Value>,
         finit: &[(usize, &Vec<T::Input>)],
-    ) -> Result<InterpretationOutcome<T>, SlinError> {
+    ) -> InterpretationOutcome<T> {
         let vi = self.valid_inputs(prep, finit);
 
         // The longest common prefix of the init histories seeds the chain.
@@ -738,17 +739,18 @@ where
                 &extend,
             )
         };
-        let outcome = engine.run(SearchSeed::from_history(&*self.adt, lcp.clone()), &mut leaf)?;
-        Ok((
-            outcome
-                .solution
-                .map(|(chain, abort_histories)| SlinWitness {
+        let (solution, stats) =
+            engine.first_solution(SearchSeed::from_history(&*self.adt, lcp.clone()), &mut leaf);
+        let witness = solution
+            .map(|found| {
+                found.map(|(chain, abort_histories)| SlinWitness {
                     init_histories: finit.iter().map(|(i, h)| (*i, (*h).clone())).collect(),
                     commit_histories: chain,
                     abort_histories,
-                }),
-            outcome.stats,
-        ))
+                })
+            })
+            .map_err(SlinError::from);
+        (witness, stats)
     }
 }
 
@@ -1010,13 +1012,11 @@ where
                     })
                     .then_some(())
             };
-            match engine.run(
+            let (solution, stats) = engine.first_solution(
                 SearchSeed::from_history(&*self.adt, w.lcp.clone()),
                 &mut leaf,
-            ) {
-                Ok(out) => (Ok(out.solution.map(|(chain, ())| chain)), out.stats),
-                Err(e) => (Err(e), SearchStats::default()),
-            }
+            );
+            (solution.map(|found| found.map(|(chain, ())| chain)), stats)
         });
 
         let mut stats = SearchStats::default();
@@ -1346,9 +1346,13 @@ struct Prepared<T: Adt, V> {
 /// The found abort interpretations: `(trace index, history)` pairs.
 type AbortWitness<T> = Vec<(usize, Vec<<T as Adt>::Input>)>;
 
-/// One interpretation's verdict (a witness, or `None` for "no speculative
-/// linearization exists under this `finit`") plus its engine stats.
-type InterpretationOutcome<T> = (Option<SlinWitness<<T as Adt>::Input>>, SearchStats);
+/// One interpretation's verdict (a witness, `None` for "no speculative
+/// linearization exists under this `finit`", or the budget error) plus its
+/// engine stats — the work done, on every side of the verdict.
+type InterpretationOutcome<T> = (
+    Result<Option<SlinWitness<<T as Adt>::Input>>, SlinError>,
+    SearchStats,
+);
 
 /// Enumerator of `rinit` members extending a prefix (the ∃ `fabort` side).
 type ExtendFn<'a, I, V> = dyn Fn(&V, &[I]) -> Vec<Vec<I>> + 'a;

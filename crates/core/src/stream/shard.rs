@@ -16,10 +16,16 @@
 //!   symbolic straggler completion recorded at an earlier epoch cut (see
 //!   below) or extends each configuration *at the tail* of its chain: a
 //!   direct-commit pass first (the common case), then a bounded search
-//!   interleaving extra inputs from the pool, collecting the surviving
-//!   configurations deduplicated on the engine's own memo key — reached
-//!   ADT state, consumed-input multiset and remaining symbolic completions
-//!   — so interchangeable configurations never crowd the frontier.
+//!   interleaving extra inputs from the pool before the commit.
+//!
+//! Every search here — tail extension, the fallback re-search, the
+//! epoch-cut summary — is the chain-search kernel of [`crate::engine`]
+//! driven by one enumeration visitor (`Collect`): it gathers the distinct
+//! terminal configurations, deduplicated on the kernel's own memo key
+//! (reached ADT state, consumed-input multiset, remaining symbolic
+//! completions) so interchangeable configurations never crowd the
+//! frontier. Tail extension is that enumeration over the one-commit
+//! problem, seeded from each frontier configuration.
 //!
 //! Tail extension is *sound* (a surviving configuration is a witness) but
 //! deliberately not complete: the first monolithic witness of the longer
@@ -87,7 +93,7 @@
 //! completion still proves "ok".
 
 use crate::engine::{
-    Chain, CheckerEngine, CommitMask, EngineError, SearchBudget, SearchSeed, SearchStats,
+    Chain, CheckerEngine, EngineError, SearchBudget, SearchSeed, SearchStats, Visitor,
 };
 use crate::ops::Commit;
 use crate::ObjAction;
@@ -96,6 +102,7 @@ use slin_obs::{CutOutcome, GcCutEvent, Obs, ShardIngestEvent};
 use slin_trace::{Action, PersistentMultiset, Trace};
 use std::collections::{HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// Symbolic straggler completions: the multiset of `(input, output)` pairs
@@ -176,15 +183,15 @@ pub(crate) struct ShardCounters {
     pub search_nodes: usize,
 }
 
-/// One complete chain-search configuration: the terminal history of a
-/// witness chain for everything committed so far (window-relative), with
-/// its replayed ADT state, consumed-input multiset and remaining symbolic
-/// completions (the memo key data).
+/// One complete chain-search configuration: where a search may resume —
+/// the terminal history of a witness chain for everything committed so far
+/// (window-relative) with its replayed ADT state and consumed-input
+/// multiset — plus the remaining symbolic completions. Frontier entries
+/// and the retained seeds (the summary of the retired prefix, histories
+/// dropped) are both configurations.
 #[derive(Debug)]
 struct FrontierCfg<T: Adt> {
-    hist: Vec<T::Input>,
-    state: T::State,
-    used: PersistentMultiset<T::Input>,
+    seed: SearchSeed<T>,
     sym: SymSet<T>,
 }
 
@@ -192,30 +199,23 @@ struct FrontierCfg<T: Adt> {
 impl<T: Adt> Clone for FrontierCfg<T> {
     fn clone(&self) -> Self {
         FrontierCfg {
-            hist: self.hist.clone(),
-            state: self.state.clone(),
-            used: self.used.clone(),
+            seed: self.seed.clone(),
             sym: self.sym.clone(),
         }
     }
 }
 
 impl<T: Adt> FrontierCfg<T> {
-    fn from_seed(seed: &ShardSeed<T>) -> Self {
-        FrontierCfg {
-            hist: seed.seed.history.clone(),
-            state: seed.seed.state.clone(),
-            used: seed.seed.used.clone(),
-            sym: seed.sym.clone(),
-        }
-    }
-
     /// The deduplication key: two configurations agreeing on it are
     /// interchangeable for every future event. O(1) — three
     /// structure-sharing clones (the former representation re-collected
     /// and re-sorted the full `used` multiset per lookup).
     fn memo_key(&self) -> (T::State, PersistentMultiset<T::Input>, SymSet<T>) {
-        (self.state.clone(), self.used.clone(), self.sym.clone())
+        (
+            self.seed.state.clone(),
+            self.seed.used.clone(),
+            self.sym.clone(),
+        )
     }
 
     /// Deterministic order rank for configurations sharing a history
@@ -225,22 +225,6 @@ impl<T: Adt> FrontierCfg<T> {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         self.sym.hash(&mut h);
         (self.sym.len(), h.finish())
-    }
-}
-
-/// A retained search seed: the engine seed plus the symbolic straggler
-/// completions recorded when its epoch was cut.
-pub(crate) struct ShardSeed<T: Adt> {
-    pub seed: SearchSeed<T>,
-    pub sym: SymSet<T>,
-}
-
-impl<T: Adt> Clone for ShardSeed<T> {
-    fn clone(&self) -> Self {
-        ShardSeed {
-            seed: self.seed.clone(),
-            sym: self.sym.clone(),
-        }
     }
 }
 
@@ -271,6 +255,29 @@ fn absorb_commits<T: Adt>(
     (kept, sym, absorbed)
 }
 
+/// Deterministic frontier order: lexicographic by history, then by the
+/// symbolic-completion rank (absorption preserves histories, so histories
+/// alone do not discriminate).
+fn sort_frontier<T: Adt>(configs: &mut [FrontierCfg<T>])
+where
+    T::Input: Ord,
+{
+    configs.sort_by(|a, b| {
+        (a.seed.history.cmp(&b.seed.history)).then_with(|| a.sym_rank().cmp(&b.sym_rank()))
+    });
+}
+
+/// What one [`ShardState::enumerate`] call found.
+struct Enumeration<T: Adt> {
+    /// The distinct terminal configurations, in frontier order. Each is a
+    /// genuine witness even when a budget tripped mid-enumeration.
+    configs: Vec<FrontierCfg<T>>,
+    /// Whether any problem's search ran out of budget.
+    budget_tripped: bool,
+    /// The kernel's counters, absorbed over every problem.
+    stats: SearchStats,
+}
+
 /// The incremental per-shard checker state. See the module docs.
 pub(crate) struct ShardState<T: Adt, V> {
     adt: Arc<T>,
@@ -291,7 +298,7 @@ pub(crate) struct ShardState<T: Adt, V> {
     /// terminal configurations at the last retirement cut (one empty seed
     /// before any retirement). Seed histories are always empty — the
     /// retired events are dropped; only `(state, used, sym)` survives.
-    seeds: Vec<ShardSeed<T>>,
+    seeds: Vec<FrontierCfg<T>>,
     frontier: Vec<FrontierCfg<T>>,
     status: ShardStatus,
     /// Invocations (ever) still awaiting a response. Unlike the window
@@ -345,9 +352,9 @@ where
         base: PersistentMultiset<T::Input>,
     ) -> Self {
         assert!(!seeds.is_empty(), "a shard needs at least one seed");
-        let seeds: Vec<ShardSeed<T>> = seeds
+        let seeds: Vec<FrontierCfg<T>> = seeds
             .into_iter()
-            .map(|seed| ShardSeed {
+            .map(|seed| FrontierCfg {
                 seed,
                 sym: PersistentMultiset::new(),
             })
@@ -359,7 +366,7 @@ where
             index_map: Vec::new(),
             input_ms: vec![base],
             commits: Vec::new(),
-            frontier: seeds.iter().map(FrontierCfg::from_seed).collect(),
+            frontier: seeds.clone(),
             seeds,
             status: ShardStatus::Ok,
             pending: 0,
@@ -444,13 +451,9 @@ where
         for m in &self.input_ms {
             m.mark_nodes(seen);
         }
-        for cfg in &self.frontier {
-            cfg.used.mark_nodes(seen);
+        for cfg in self.frontier.iter().chain(&self.seeds) {
+            cfg.seed.used.mark_nodes(seen);
             cfg.sym.mark_nodes(seen);
-        }
-        for s in &self.seeds {
-            s.seed.used.mark_nodes(seen);
-            s.sym.mark_nodes(seen);
         }
     }
 
@@ -528,8 +531,6 @@ where
         let commit = self.commits.last().expect("just pushed").clone();
         debug_assert_eq!(commit.index, window_index);
         let bound = self.input_ms[window_index].clone();
-        let pool = self.pool().clone();
-        let hist_cap = self.sub.len();
         let pair = (commit.input.clone(), commit.output.clone());
 
         let mut next: Vec<FrontierCfg<T>> = Vec::new();
@@ -547,9 +548,7 @@ where
                 let mut sym2 = cfg.sym.clone();
                 sym2.remove(&pair);
                 let done = FrontierCfg {
-                    hist: cfg.hist.clone(),
-                    state: cfg.state.clone(),
-                    used: cfg.used.clone(),
+                    seed: cfg.seed.clone(),
                     sym: sym2,
                 };
                 if seen.insert(done.memo_key()) {
@@ -559,17 +558,19 @@ where
                     break;
                 }
             }
-            let mut used2 = cfg.used.clone();
-            used2.insert(commit.input.clone());
-            if used2.is_subset_of(&bound) {
-                let (state2, output) = self.adt.apply(&cfg.state, &commit.input);
+            let mut used = cfg.seed.used.clone();
+            used.insert(commit.input.clone());
+            if used.is_subset_of(&bound) {
+                let (state, output) = self.adt.apply(&cfg.seed.state, &commit.input);
                 if output == commit.output {
-                    let mut hist = cfg.hist.clone();
-                    hist.push(commit.input.clone());
+                    let mut history = cfg.seed.history.clone();
+                    history.push(commit.input.clone());
                     let done = FrontierCfg {
-                        hist,
-                        state: state2,
-                        used: used2,
+                        seed: SearchSeed {
+                            history,
+                            state,
+                            used,
+                        },
                         sym: cfg.sym.clone(),
                     };
                     if seen.insert(done.memo_key()) {
@@ -582,39 +583,30 @@ where
             }
         }
         // Pass 2 — only when neither cheap case survives: interleave
-        // extras from the pool under the bounded extension budget.
+        // extras from the pool before the commit. This is the enumeration
+        // over the one-commit problem, seeded from each configuration, all
+        // of them sharing the bounded extension budget.
         if next.is_empty() {
-            let mut nodes_left = self.cfg.extension_budget;
-            for cfg in &self.frontier {
-                if !extend_tail(
-                    &*self.adt,
-                    cfg,
-                    &commit,
-                    &bound,
-                    &pool,
-                    hist_cap,
-                    &mut nodes_left,
-                    &mut next,
-                    &mut seen,
-                    self.cfg.frontier_cap,
-                ) {
-                    exhausted = true;
-                    break;
-                }
-                if next.len() >= self.cfg.frontier_cap {
-                    break;
-                }
-            }
-            self.counters.search_nodes += self.cfg.extension_budget - nodes_left;
+            let problems = self
+                .frontier
+                .iter()
+                .map(|cfg| (vec![commit.clone()], cfg.clone()));
+            let pass = self.enumerate(
+                problems,
+                self.cfg.frontier_cap,
+                false,
+                Some(self.cfg.extension_budget),
+            );
+            self.counters.search_nodes += pass.stats.nodes;
+            exhausted = pass.budget_tripped;
+            next = pass.configs;
+        } else {
+            sort_frontier(&mut next);
+            next.truncate(self.cfg.frontier_cap);
         }
         if absorbed_any {
             self.cfg.obs.gc_absorption();
         }
-        // Deterministic frontier order: lexicographic by history, then by
-        // the symbolic-completion rank (absorption preserves histories, so
-        // histories alone no longer discriminate).
-        next.sort_by(|a, b| a.hist.cmp(&b.hist).then(a.sym_rank().cmp(&b.sym_rank())));
-        next.truncate(self.cfg.frontier_cap);
 
         if next.is_empty() || exhausted {
             self.fallback_research();
@@ -623,23 +615,6 @@ where
         self.frontier = next;
         self.status = ShardStatus::Ok;
         false
-    }
-
-    /// Enumerates the terminal configurations of the retained window from
-    /// the retained seeds (each seed's commits greedily absorbed first),
-    /// deduplicated on the memo key, up to `cap` of them. With
-    /// `record_extras`, every interleaved extra is recorded as a symbolic
-    /// completion in its configuration (epoch-cut mode). Returns the
-    /// configurations, whether any budget tripped, and the nodes expanded.
-    fn enumerate_completions(
-        &self,
-        cap: usize,
-        record_extras: bool,
-    ) -> (Vec<FrontierCfg<T>>, bool, usize) {
-        // Verdict-deciding searches give every seed the full budget (the
-        // engine's per-run unit); only opportunistic retirement shares a
-        // bounded slice across seeds.
-        self.enumerate_completions_with(cap, record_extras, None)
     }
 
     /// The node budget of one opportunistic retirement attempt. Cuts are
@@ -659,57 +634,78 @@ where
         }
     }
 
-    /// [`ShardState::enumerate_completions`] under an optional shared
-    /// node budget: `Some(n)` caps the *total* nodes across all seeds
-    /// (the retirement path), `None` gives each seed the full fallback
-    /// budget (the verdict path, the engine's historical semantics).
+    /// Enumerates the terminal configurations of the retained window from
+    /// the retained seeds (each seed's commits greedily absorbed first).
+    /// See [`ShardState::enumerate`] for the parameters.
     fn enumerate_completions_with(
         &self,
         cap: usize,
         record_extras: bool,
         shared_budget: Option<usize>,
-    ) -> (Vec<FrontierCfg<T>>, bool, usize) {
-        let mut out: Vec<FrontierCfg<T>> = Vec::new();
+    ) -> Enumeration<T> {
+        let problems = self.seeds.iter().map(|seed| {
+            let (kept, sym, _) = absorb_commits(&self.commits, &seed.sym);
+            let start = FrontierCfg {
+                seed: seed.seed.clone(),
+                sym,
+            };
+            (kept, start)
+        });
+        self.enumerate(problems, cap, record_extras, shared_budget)
+    }
+
+    /// Drives the kernel's enumeration over `problems` — each a commit list
+    /// (window indices) and the configuration to search from — collecting
+    /// the distinct terminal configurations, deduplicated on the memo key
+    /// across problems, up to `cap` of them, in frontier order. With
+    /// `record_extras`, every interleaved extra is recorded as a symbolic
+    /// completion in its configuration (epoch-cut mode). `shared_budget`
+    /// `Some(n)` caps the *total* nodes across all problems (retirement,
+    /// tail extension); `None` gives each problem the full fallback budget
+    /// (the verdict path, the engine's per-run unit).
+    fn enumerate(
+        &self,
+        problems: impl Iterator<Item = (Vec<Commit<T>>, FrontierCfg<T>)>,
+        cap: usize,
+        record_extras: bool,
+        shared_budget: Option<usize>,
+    ) -> Enumeration<T> {
+        let mut configs: Vec<FrontierCfg<T>> = Vec::new();
         let mut seen: MemoKeySet<T> = HashSet::new();
         let mut budget_tripped = false;
-        let mut nodes_total = 0usize;
-        for shard_seed in &self.seeds {
-            let (kept, sym, _) = absorb_commits(&self.commits, &shard_seed.sym);
-            let mut dfs = EnumDfs {
-                adt: &*self.adt,
-                commits: &kept,
-                bounds: &self.input_ms,
-                pool: self.pool(),
-                hist_cap: self.sub.len(),
+        let mut stats = SearchStats::default();
+        for (commits, start) in problems {
+            let max_nodes = match shared_budget {
+                Some(total) => total.saturating_sub(stats.nodes),
+                None => self.cfg.budget,
+            };
+            let engine = CheckerEngine::new(
+                &*self.adt,
+                &commits,
+                &self.input_ms,
+                self.pool().clone(),
+                SearchBudget::new(max_nodes),
+            )
+            .with_extra_cap(self.sub.len());
+            let mut collect = Collect {
                 record_extras,
                 cap,
-                max_nodes: match shared_budget {
-                    Some(total) => total.saturating_sub(nodes_total),
-                    None => self.cfg.budget,
-                },
-                nodes: 0,
-                memo: HashSet::new(),
                 seen: &mut seen,
-                out: &mut out,
-                budget_tripped: false,
+                out: &mut configs,
             };
-            let mut hist = shard_seed.seed.history.clone();
-            let remaining = CommitMask::full(kept.len());
-            dfs.dfs(
-                shard_seed.seed.state.clone(),
-                shard_seed.seed.used.clone(),
-                sym,
-                &mut hist,
-                remaining,
-            );
-            budget_tripped |= dfs.budget_tripped;
-            nodes_total += dfs.nodes;
-            if out.len() >= cap {
+            let (flow, run_stats) = engine.search(start.seed, start.sym, &mut collect);
+            budget_tripped |= flow.is_err();
+            stats.absorb(&run_stats);
+            if configs.len() >= cap {
                 break;
             }
         }
-        out.sort_by(|a, b| a.hist.cmp(&b.hist).then(a.sym_rank().cmp(&b.sym_rank())));
-        (out, budget_tripped, nodes_total)
+        sort_frontier(&mut configs);
+        Enumeration {
+            configs,
+            budget_tripped,
+            stats,
+        }
     }
 
     /// The documented fallback: bounded re-searches of the retained window
@@ -719,13 +715,17 @@ where
     fn fallback_research(&mut self) {
         self.counters.fallback_searches += 1;
         let t0 = self.cfg.obs.t0();
-        let (configs, budget_tripped, nodes) =
-            self.enumerate_completions(self.cfg.frontier_cap, false);
-        self.counters.search_nodes += nodes;
+        // Verdict-deciding: every seed gets the full budget.
+        let Enumeration {
+            configs,
+            budget_tripped,
+            stats,
+        } = self.enumerate_completions_with(self.cfg.frontier_cap, false, None);
+        self.counters.search_nodes += stats.nodes;
         self.cfg.obs.engine_search(slin_obs::EngineSearchEvent {
             site: "shard.fallback",
-            nodes: nodes as u64,
-            memo_hits: 0,
+            nodes: stats.nodes as u64,
+            memo_hits: stats.memo_hits as u64,
             budget_exhausted: budget_tripped,
             t0,
         });
@@ -880,9 +880,12 @@ where
         } else {
             Some(self.retire_budget())
         };
-        let (configs, budget_tripped, nodes) =
-            self.enumerate_completions_with(cap + 1, true, shared);
-        self.counters.search_nodes += nodes;
+        let Enumeration {
+            configs,
+            budget_tripped,
+            stats,
+        } = self.enumerate_completions_with(cap + 1, true, shared);
+        self.counters.search_nodes += stats.nodes;
         let window_events = self.sub.len() as u64;
         let truncated = budget_tripped || configs.is_empty() || configs.len() > cap;
         if !truncated {
@@ -961,276 +964,69 @@ where
             // O(window + alphabet)); the seeds keep only the state, the
             // consumed-input multiset and the symbolic completions, which
             // is all the engine's moves and bounds consult.
-            self.seeds = configs
-                .iter()
-                .map(|cfg| ShardSeed {
-                    seed: SearchSeed {
-                        history: Vec::new(),
-                        state: cfg.state.clone(),
-                        used: cfg.used.clone(),
-                    },
-                    sym: cfg.sym.clone(),
-                })
-                .collect();
-            self.frontier = self.seeds.iter().map(FrontierCfg::from_seed).collect();
+            self.seeds = configs;
+            for cfg in &mut self.seeds {
+                cfg.seed.history = Vec::new();
+            }
+            self.frontier = self.seeds.clone();
         }
         retired
     }
 }
 
-/// The sym-aware enumeration worker behind
-/// [`ShardState::enumerate_completions`]: the engine's search moves
-/// (commit / interleave-extra) with dead-end memoisation on `(remaining,
-/// state, used, sym)` — the engine's own key *plus* the symbolic
-/// completions, which the engine's memo would conflate (two paths placing
-/// extras with different outputs reach the same `(state, used)` but
-/// absorb different future responses).
-struct EnumDfs<'e, T: Adt> {
-    adt: &'e T,
-    commits: &'e [Commit<T>],
-    bounds: &'e [PersistentMultiset<T::Input>],
-    pool: &'e PersistentMultiset<T::Input>,
-    hist_cap: usize,
+/// The kernel visitor behind every shard enumeration (fallback re-search,
+/// epoch-cut summary, tail extension): collects each distinct terminal
+/// configuration, in search order, until `cap` of them are held. Its tag is
+/// the configuration's symbolic completions — see
+/// [`Visitor::Tag`] for why they must ride in the memo key.
+struct Collect<'a, T: Adt> {
+    /// Epoch-cut mode: record every interleaved extra, with the output the
+    /// ADT produced for it, as a symbolic completion. In-window searches
+    /// carry `sym` through unchanged.
     record_extras: bool,
     cap: usize,
-    max_nodes: usize,
-    nodes: usize,
-    #[allow(clippy::type_complexity)]
-    memo: HashSet<(
-        CommitMask,
-        <T as Adt>::State,
-        PersistentMultiset<<T as Adt>::Input>,
-        SymSet<T>,
-    )>,
-    seen: &'e mut MemoKeySet<T>,
-    out: &'e mut Vec<FrontierCfg<T>>,
-    budget_tripped: bool,
+    seen: &'a mut MemoKeySet<T>,
+    out: &'a mut Vec<FrontierCfg<T>>,
 }
 
-impl<T: Adt> EnumDfs<'_, T>
-where
-    T::Input: Ord,
-{
-    /// Explores every completion below the node; `false` stops the whole
-    /// enumeration (budget tripped or `cap` configurations collected).
-    fn dfs(
+impl<T: Adt> Visitor<T> for Collect<'_, T> {
+    type Tag = SymSet<T>;
+
+    fn extra(&mut self, sym: &SymSet<T>, input: &T::Input, output: T::Output) -> SymSet<T> {
+        let mut sym = sym.clone();
+        if self.record_extras {
+            sym.insert((input.clone(), output));
+        }
+        sym
+    }
+
+    fn leaf(
         &mut self,
+        hist: &[T::Input],
         state: T::State,
         used: PersistentMultiset<T::Input>,
         sym: SymSet<T>,
-        hist: &mut Vec<T::Input>,
-        remaining: CommitMask,
-    ) -> bool {
-        if remaining.is_empty() {
-            // Terminal: record the configuration (deduplicated *before*
-            // counting toward the cap — commuting chains revisit the same
-            // terminal key, and counting raw visits would let a caller
-            // mistake a truncated enumeration for a complete one).
-            let cfg = FrontierCfg {
-                hist: hist.clone(),
+    ) -> ControlFlow<()> {
+        // Deduplicated *before* counting toward the cap — commuting chains
+        // revisit the same terminal key, and counting raw visits would let
+        // a caller mistake a truncated enumeration for a complete one. The
+        // history is materialised only for configurations that survive.
+        let mut cfg = FrontierCfg {
+            seed: SearchSeed {
+                history: Vec::new(),
                 state,
                 used,
-                sym,
-            };
-            if self.seen.insert(cfg.memo_key()) {
-                self.out.push(cfg);
-            }
-            return self.out.len() < self.cap;
+            },
+            sym,
+        };
+        if self.seen.insert(cfg.memo_key()) {
+            cfg.seed.history = hist.to_vec();
+            self.out.push(cfg);
         }
-        self.nodes += 1;
-        if self.nodes > self.max_nodes {
-            self.budget_tripped = true;
-            return false;
-        }
-        let key = (remaining.clone(), state.clone(), used.clone(), sym.clone());
-        if self.memo.contains(&key) {
-            return true;
-        }
-
-        // Prune: a remaining commit whose validity bound no longer
-        // contains the consumed inputs can never be committed from here.
-        for (k, c) in self.commits.iter().enumerate() {
-            if remaining.contains(k) && !used.is_subset_of(&self.bounds[c.index]) {
-                self.memo.insert(key);
-                return true;
-            }
-        }
-
-        // Move 1: commit one of the remaining responses next on the chain.
-        for (k, c) in self.commits.iter().enumerate() {
-            if !remaining.contains(k) {
-                continue;
-            }
-            let mut used2 = used.clone();
-            used2.insert(c.input.clone());
-            if !used2.is_subset_of(&self.bounds[c.index]) {
-                continue;
-            }
-            let (state2, out) = self.adt.apply(&state, &c.input);
-            if out != c.output {
-                continue;
-            }
-            hist.push(c.input.clone());
-            let alive = self.dfs(state2, used2, sym.clone(), hist, remaining.without(k));
-            hist.pop();
-            if !alive {
-                return false;
-            }
-        }
-
-        // Move 2: interleave an extra input from the pool (sorted: the
-        // enumeration order is a pure function of the inputs). In
-        // epoch-cut mode the extra is recorded as a symbolic completion
-        // with the output the ADT produced for it.
-        if hist.len() < self.hist_cap {
-            let mut candidates: Vec<T::Input> = self
-                .pool
-                .iter()
-                .filter(|(e, c)| used.count(e) < *c)
-                .map(|(e, _)| e.clone())
-                .collect();
-            candidates.sort();
-            for e in candidates {
-                let mut used2 = used.clone();
-                used2.insert(e.clone());
-                let (state2, out) = self.adt.apply(&state, &e);
-                let mut sym2 = sym.clone();
-                if self.record_extras {
-                    sym2.insert((e.clone(), out));
-                }
-                hist.push(e);
-                let alive = self.dfs(state2, used2, sym2, hist, remaining.clone());
-                hist.pop();
-                if !alive {
-                    return false;
-                }
-            }
-        }
-
-        self.memo.insert(key);
-        true
-    }
-}
-
-/// Tail extension of one configuration past a new commit: interleave extra
-/// inputs (ascending, the engine's move order) and place the commit,
-/// collecting every distinct surviving configuration. Returns `false` when
-/// the node budget ran dry (the caller must fall back).
-#[allow(clippy::too_many_arguments)]
-fn extend_tail<T: Adt>(
-    adt: &T,
-    cfg: &FrontierCfg<T>,
-    commit: &Commit<T>,
-    bound: &PersistentMultiset<T::Input>,
-    pool: &PersistentMultiset<T::Input>,
-    hist_cap: usize,
-    nodes_left: &mut usize,
-    out: &mut Vec<FrontierCfg<T>>,
-    seen: &mut MemoKeySet<T>,
-    cap: usize,
-) -> bool
-where
-    T::Input: Ord,
-{
-    let mut extras: Vec<T::Input> = Vec::new();
-    extend_dfs(
-        adt,
-        cfg,
-        &mut extras,
-        &cfg.state.clone(),
-        &cfg.used.clone(),
-        commit,
-        bound,
-        pool,
-        hist_cap,
-        nodes_left,
-        out,
-        seen,
-        cap,
-    )
-}
-
-/// The recursive worker behind [`extend_tail`]: `extras` accumulates the
-/// interleaved inputs in place (histories are materialised only for the
-/// configurations that actually survive, keeping per-node work
-/// history-length-free). In-window extras are *not* recorded as symbolic
-/// completions — the configuration's `sym` carries through unchanged;
-/// only epoch cuts record completions (see the module docs).
-#[allow(clippy::too_many_arguments)]
-fn extend_dfs<T: Adt>(
-    adt: &T,
-    base: &FrontierCfg<T>,
-    extras: &mut Vec<T::Input>,
-    state: &T::State,
-    used: &PersistentMultiset<T::Input>,
-    commit: &Commit<T>,
-    bound: &PersistentMultiset<T::Input>,
-    pool: &PersistentMultiset<T::Input>,
-    hist_cap: usize,
-    nodes_left: &mut usize,
-    out: &mut Vec<FrontierCfg<T>>,
-    seen: &mut MemoKeySet<T>,
-    cap: usize,
-) -> bool
-where
-    T::Input: Ord,
-{
-    if *nodes_left == 0 {
-        return false;
-    }
-    *nodes_left -= 1;
-    if out.len() >= cap {
-        return true;
-    }
-
-    // Move 1: place the commit now.
-    let mut used2 = used.clone();
-    used2.insert(commit.input.clone());
-    if used2.is_subset_of(bound) {
-        let (state2, output) = adt.apply(state, &commit.input);
-        if output == commit.output {
-            let done = FrontierCfg {
-                hist: Vec::new(),
-                state: state2,
-                used: used2,
-                sym: base.sym.clone(),
-            };
-            if seen.insert(done.memo_key()) {
-                let mut hist = base.hist.clone();
-                hist.extend(extras.iter().cloned());
-                hist.push(commit.input.clone());
-                out.push(FrontierCfg { hist, ..done });
-            }
+        if self.out.len() < self.cap {
+            ControlFlow::Continue(())
+        } else {
+            ControlFlow::Break(())
         }
     }
-
-    // Move 2: interleave an extra input first. Extras escaping the new
-    // commit's bound are pruned (the commit could never be placed after
-    // them — the engine's own prune).
-    if base.hist.len() + extras.len() < hist_cap {
-        let mut candidates: Vec<T::Input> = pool
-            .iter()
-            .filter(|(e, c)| used.count(e) < *c)
-            .map(|(e, _)| e.clone())
-            .collect();
-        candidates.sort();
-        for e in candidates {
-            let mut used2 = used.clone();
-            used2.insert(e.clone());
-            if !used2.is_subset_of(bound) {
-                continue;
-            }
-            let (state2, _) = adt.apply(state, &e);
-            extras.push(e);
-            let alive = extend_dfs(
-                adt, base, extras, &state2, &used2, commit, bound, pool, hist_cap, nodes_left, out,
-                seen, cap,
-            );
-            extras.pop();
-            if !alive {
-                return false;
-            }
-        }
-    }
-    true
 }

@@ -1,0 +1,462 @@
+//! Refinement pins for the chain-search kernel.
+//!
+//! Every number below was captured at the commit *before* the three
+//! search loops (`Dfs`, `EnumDfs`, `extend_dfs`) collapsed into the one
+//! kernel in `slin_core::engine`. The old loops are the abstract spec, the
+//! kernel refines them: same tree, same order, same counters, same
+//! witnesses. A pin that moves means the kernel explores a different tree
+//! — the constant-factor work planned on top of it must keep all of these
+//! byte-identical.
+
+use slin_adt::{ConsInput, ConsOutput, Consensus, KvKeyPartitioner, KvStore, Value};
+use slin_core::engine::SearchStats;
+use slin_core::gen::{
+    phase_trace_bounds, random_hostile_kv_trace, random_multikey_kv_trace, random_phase_kv_trace,
+    HostileConfig, MultiKeyConfig, PhaseConfig,
+};
+use slin_core::initrel::{ConsensusInit, ExactInit};
+use slin_core::lin::{LinChecker, LinError};
+use slin_core::session::{Checker, Strategy};
+use slin_core::slin::{SlinChecker, SlinError};
+use slin_core::stream::{LinMonitor, MonitorConfig};
+use slin_core::ObjAction;
+use slin_obs::{EngineSearchEvent, Obs, Observer};
+use slin_trace::{Action, ClientId, PhaseId, Trace};
+use std::sync::{Arc, Mutex};
+
+/// 64-bit FNV-1a over a `Debug` rendering: the "byte-identical" check.
+fn fnv(h: &mut u64, bytes: &[u8]) {
+    for b in bytes {
+        *h ^= u64::from(*b);
+        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// What a first-solution corpus pins: the summed engine counters and a
+/// digest of every verdict (witness or error) in corpus order.
+#[derive(Debug, PartialEq, Eq)]
+struct SearchPin {
+    nodes: usize,
+    memo_entries: usize,
+    memo_hits: usize,
+    leaf_checks: usize,
+    max_history_len: usize,
+    verdicts: u64,
+}
+
+struct SearchAcc {
+    stats: SearchStats,
+    digest: u64,
+}
+
+impl SearchAcc {
+    fn new() -> Self {
+        SearchAcc {
+            stats: SearchStats::default(),
+            digest: FNV_SEED,
+        }
+    }
+
+    fn add(&mut self, stats: &SearchStats, outcome: &dyn std::fmt::Debug) {
+        self.stats.absorb(stats);
+        fnv(&mut self.digest, format!("{outcome:?}\n").as_bytes());
+    }
+
+    fn pin(self) -> SearchPin {
+        SearchPin {
+            nodes: self.stats.nodes,
+            memo_entries: self.stats.memo_entries,
+            memo_hits: self.stats.memo_hits,
+            leaf_checks: self.stats.leaf_checks,
+            max_history_len: self.stats.max_history_len,
+            verdicts: self.digest,
+        }
+    }
+}
+
+#[test]
+fn first_solution_kv_multikey() {
+    let mut acc = SearchAcc::new();
+    for (seed, error_prob) in (0..12u64).map(|s| (s, [0.0, 0.35][(s % 2) as usize])) {
+        let t = random_multikey_kv_trace(&MultiKeyConfig {
+            clients: 3,
+            steps: 26,
+            keys: 3,
+            skew: 0.7,
+            contention: 0.3,
+            error_prob,
+            seed,
+        });
+        let v = Checker::builder(LinChecker::owned(KvStore))
+            .strategy(Strategy::Monolithic)
+            .build()
+            .check(&t);
+        acc.add(&v.stats, &v.outcome);
+    }
+    assert_eq!(
+        acc.pin(),
+        SearchPin {
+            nodes: 539,
+            memo_entries: 403,
+            memo_hits: 52,
+            leaf_checks: 11,
+            max_history_len: 9,
+            verdicts: 16_733_320_725_229_023_926,
+        }
+    );
+}
+
+type CA = ObjAction<Consensus, Value>;
+
+/// A deterministic `(1, 2)` consensus phase trace: every client proposes,
+/// then decides, switches out, or stays pending, as drawn from `seed`.
+fn consensus_phase_trace(seed: u64) -> Trace<CA> {
+    let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
+    let mut draw = |n: u64| {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (x >> 33) % n
+    };
+    let clients = 3 + draw(2) as u32;
+    let mut invokes = Vec::new();
+    let mut closes = Vec::new();
+    for k in 0..clients {
+        let c = ClientId::new(k + 1);
+        let input = ConsInput::propose(1 + draw(3));
+        invokes.push(Action::invoke(c, PhaseId::new(1), input));
+        let v = 1 + draw(3);
+        match draw(4) {
+            0 => {}
+            1 | 2 => closes.push(Action::respond(
+                c,
+                PhaseId::new(1),
+                input,
+                ConsOutput::decide(v),
+            )),
+            _ => closes.push(Action::switch(c, PhaseId::new(2), input, Value::new(v))),
+        }
+    }
+    // Two invocations, then closes and the remaining invocations alternate.
+    let mut out: Vec<CA> = invokes.drain(..2).collect();
+    let mut closes = closes.into_iter();
+    let mut invokes = invokes.into_iter();
+    loop {
+        match (invokes.next(), closes.next()) {
+            (None, None) => break,
+            (i, c) => {
+                out.extend(i);
+                out.extend(c);
+            }
+        }
+    }
+    Trace::from_actions(out)
+}
+
+#[test]
+fn first_solution_consensus_slin() {
+    let mut acc = SearchAcc::new();
+    for seed in 0..200u64 {
+        let t = consensus_phase_trace(seed);
+        let model = SlinChecker::owned(
+            Consensus,
+            ConsensusInit::new(),
+            PhaseId::new(1),
+            PhaseId::new(2),
+        );
+        let v = Checker::builder(model)
+            .strategy(Strategy::Monolithic)
+            .threads(1)
+            .build()
+            .check(&t);
+        acc.add(&v.stats, &v.outcome);
+    }
+    assert_eq!(
+        acc.pin(),
+        SearchPin {
+            nodes: 3469,
+            memo_entries: 2641,
+            memo_hits: 775,
+            leaf_checks: 135,
+            max_history_len: 4,
+            verdicts: 4_672_119_937_643_186_660,
+        }
+    );
+}
+
+#[test]
+fn first_solution_faulty_phase_corpus() {
+    let (m, n) = phase_trace_bounds();
+    let mut acc = SearchAcc::new();
+    for seed in 0..10u64 {
+        let t = random_phase_kv_trace(&PhaseConfig {
+            clients: 4,
+            steps: 30,
+            keys: [1, 2, 4][(seed % 3) as usize],
+            skew: 0.3,
+            prefix_ops: 4,
+            aborts: 2,
+            error_prob: 0.4,
+            seed,
+        });
+        let v = Checker::builder(SlinChecker::owned(KvStore, ExactInit::new(), m, n))
+            .strategy(Strategy::Monolithic)
+            .threads(1)
+            .build()
+            .check(&t);
+        acc.add(&v.stats, &v.outcome);
+    }
+    assert_eq!(
+        acc.pin(),
+        SearchPin {
+            nodes: 44276,
+            memo_entries: 26829,
+            memo_hits: 17447,
+            leaf_checks: 28,
+            max_history_len: 17,
+            verdicts: 15_655_020_362_760_195_675,
+        }
+    );
+}
+
+/// What a stream pins: the shard-machinery counters, a digest of every
+/// per-event outcome (frontier length, fallback flag, rolling status) and
+/// a digest of the final report's verdict.
+#[derive(Debug, PartialEq, Eq)]
+struct StreamPin {
+    search_nodes: usize,
+    extension_searches: usize,
+    fallback_searches: usize,
+    frontier_peak: usize,
+    epoch_cuts: usize,
+    retired_events: usize,
+    outcomes: u64,
+    verdict: u64,
+}
+
+/// Drains `t` through a fresh monitor and checks it against `pin`.
+///
+/// Everything but `search_nodes` is the pre-collapse value. Tail extension
+/// used to be a memo-less third copy of the search; as a kernel call it
+/// shares the dead-end memo and stops at the frontier cap, so its share of
+/// `search_nodes` may only fall: `pre_collapse_nodes` is what the old
+/// loops spent on the same stream, `pin.search_nodes` what the kernel does.
+fn assert_stream(
+    t: &Trace<ObjAction<KvStore, ()>>,
+    cfg: MonitorConfig,
+    pre_collapse_nodes: usize,
+    pin: StreamPin,
+) {
+    let mut mon: LinMonitor<KvStore, KvKeyPartitioner> =
+        LinMonitor::owned_with_config(KvStore, KvKeyPartitioner, cfg);
+    let mut outcomes = FNV_SEED;
+    for a in t.iter() {
+        let o = mon.ingest(a.clone());
+        fnv(
+            &mut outcomes,
+            format!("{} {} {:?}\n", o.frontier_len, o.fell_back, o.status).as_bytes(),
+        );
+    }
+    let report = mon.report();
+    let mut verdict = FNV_SEED;
+    fnv(&mut verdict, format!("{:?}", report.verdict).as_bytes());
+    let got = StreamPin {
+        search_nodes: report.shard.search_nodes,
+        extension_searches: report.shard.extension_searches,
+        fallback_searches: report.shard.fallback_searches,
+        frontier_peak: report.shard.frontier_peak,
+        epoch_cuts: report.shard.epoch_cuts,
+        retired_events: report.shard.retired_events,
+        outcomes,
+        verdict,
+    };
+    assert_eq!(got, pin);
+    assert!(pin.search_nodes <= pre_collapse_nodes);
+}
+
+fn hotkey_stream(clients: u32, steps: usize, seed: u64) -> Trace<ObjAction<KvStore, ()>> {
+    random_multikey_kv_trace(&MultiKeyConfig {
+        clients,
+        steps,
+        keys: 1,
+        skew: 0.0,
+        contention: 0.0,
+        error_prob: 0.0,
+        seed,
+    })
+}
+
+fn straggler_stream(
+    clients: u32,
+    steps: usize,
+    never_frac: f64,
+    seed: u64,
+) -> Trace<ObjAction<KvStore, ()>> {
+    random_hostile_kv_trace(&HostileConfig {
+        clients,
+        steps,
+        keys: 1,
+        skew: 0.7,
+        never_frac,
+        stuck_applies: true,
+        delay_zipf: 1.3,
+        max_delay: 12,
+        error_prob: 0.0,
+        seed,
+    })
+}
+
+#[test]
+fn stream_hotkey_w32() {
+    assert_stream(
+        &hotkey_stream(3, 200, 7),
+        MonitorConfig {
+            window: Some(32),
+            ..Default::default()
+        },
+        67_296,
+        StreamPin {
+            search_nodes: 67_293,
+            extension_searches: 66,
+            fallback_searches: 4,
+            frontier_peak: 3,
+            epoch_cuts: 4,
+            retired_events: 128,
+            outcomes: 5_551_940_265_456_177_429,
+            verdict: 4_126_513_742_314_756_226,
+        },
+    );
+}
+
+#[test]
+fn stream_hostile_stragglers_w16() {
+    assert_stream(
+        &straggler_stream(3, 300, 0.005, 3),
+        MonitorConfig {
+            window: Some(16),
+            ..Default::default()
+        },
+        21_683,
+        StreamPin {
+            search_nodes: 21_677,
+            extension_searches: 139,
+            fallback_searches: 12,
+            frontier_peak: 4,
+            epoch_cuts: 10,
+            retired_events: 272,
+            outcomes: 15_225_207_924_412_238_523,
+            verdict: 12_274_530_455_667_272_225,
+        },
+    );
+}
+
+/// `frontier_cap = 2` drives pass-2 tail extension (interleave extras,
+/// then place the new commit) *to the cap* — no other test or benchmark
+/// workload reaches that path. Where `extend_dfs` kept paying one node per
+/// remaining sibling once the cap was reached, the kernel stops.
+#[test]
+fn tail_extension_reaches_a_tiny_frontier_cap() {
+    let cfg = MonitorConfig {
+        frontier_cap: 2,
+        window: Some(16),
+        ..Default::default()
+    };
+    assert_stream(
+        &hotkey_stream(4, 60, 20),
+        cfg,
+        88_638,
+        StreamPin {
+            search_nodes: 88_636,
+            extension_searches: 18,
+            fallback_searches: 0,
+            frontier_peak: 2,
+            epoch_cuts: 1,
+            retired_events: 35,
+            outcomes: 8_625_585_686_834_570_319,
+            verdict: 15_994_890_632_968_525_845,
+        },
+    );
+    assert_stream(
+        &straggler_stream(4, 60, 0.01, 26),
+        cfg,
+        6_512,
+        StreamPin {
+            search_nodes: 6_508,
+            extension_searches: 28,
+            fallback_searches: 6,
+            frontier_peak: 3,
+            epoch_cuts: 2,
+            retired_events: 48,
+            outcomes: 8_000_433_408_145_955_105,
+            verdict: 13_257_915_500_970_795_381,
+        },
+    );
+}
+
+/// Records every engine search a session reports.
+#[derive(Default)]
+struct Searches(Mutex<Vec<EngineSearchEvent>>);
+
+impl Observer for Searches {
+    fn engine_search(&self, ev: &EngineSearchEvent) {
+        self.0.lock().expect("no panic holds it").push(ev.clone());
+    }
+}
+
+/// One stats surface: a search that trips its budget reports the work it
+/// did, beside the error and to the observer.
+#[test]
+fn budget_tripped_checks_report_their_work() {
+    let expect_event = |seen: &Searches, nodes: u64| {
+        let evs = seen.0.lock().unwrap();
+        assert_eq!(evs.len(), 1);
+        assert_eq!(evs[0].site, "session.check");
+        assert_eq!(evs[0].nodes, nodes);
+        assert!(evs[0].budget_exhausted);
+    };
+
+    let lin_trace = hotkey_stream(3, 60, 1);
+    for strategy in [Strategy::Monolithic, Strategy::Partitioned] {
+        let seen = Arc::new(Searches::default());
+        let v = Checker::builder(LinChecker::owned(KvStore))
+            .partitioner(KvKeyPartitioner)
+            .strategy(strategy)
+            .budget(3)
+            .observer(Obs::new(seen.clone()))
+            .build()
+            .check(&lin_trace);
+        let Err(LinError::BudgetExhausted { nodes }) = v.outcome else {
+            panic!("a 3-node budget cannot decide this trace: {:?}", v.outcome);
+        };
+        assert_eq!((nodes, v.stats.nodes), (4, 4));
+        assert_eq!(
+            v.stats.memo_entries + v.stats.memo_hits + v.stats.leaf_checks,
+            0
+        );
+        assert!(v.stats.max_history_len > 0);
+        expect_event(&seen, 4);
+    }
+
+    let (m, n) = phase_trace_bounds();
+    let phase_trace = random_phase_kv_trace(&PhaseConfig {
+        keys: 1,
+        ..Default::default()
+    });
+    for threads in [1, 4] {
+        let seen = Arc::new(Searches::default());
+        let v = Checker::builder(SlinChecker::owned(KvStore, ExactInit::new(), m, n))
+            .strategy(Strategy::Monolithic)
+            .threads(threads)
+            .budget(3)
+            .observer(Obs::new(seen.clone()))
+            .build()
+            .check(&phase_trace);
+        let Err(SlinError::BudgetExhausted { nodes }) = v.outcome else {
+            panic!("a 3-node budget cannot decide this trace: {:?}", v.outcome);
+        };
+        assert_eq!((nodes, v.stats.nodes), (4, 4));
+        expect_event(&seen, 4);
+    }
+}
