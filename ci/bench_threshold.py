@@ -4,20 +4,21 @@
 Usage: bench_threshold.py <baseline.json> <current.json>
 
 Both files are `slin-bench/v2` reports (see `cargo bench -p slin-bench
---bench report -- --json`, which writes BENCH_PR10.json). The sections
-checked:
+--bench report -- --json`, which writes BENCH.json). The sections checked:
 
 B5 (partition speedups) — pure node counts (pinned seeds, no timing), so
 regressions are deterministic, not flaky:
   * every row must keep byte-identical partitioned/monolithic verdicts;
-  * every baseline row must keep at least 80% of its baseline node-count
-    reduction ratio (fail on a >20% regression);
+  * on every baseline row, each side's node count (monolithic and
+    partitioned) may exceed its own baseline by at most 20%. The sides are
+    gated separately, not through their ratio: a kernel change that makes
+    the *monolithic* search cheaper shrinks the ratio while both counts
+    fall, and must not read as a regression;
   * rows new to the current report are allowed.
 
-B4c (engine counters) — memoisation effectiveness is tracked per scenario:
-  memo_hits / memo_entries deltas are printed, and a scenario whose
-  memo_hits fall below 80% of a non-zero baseline fails the build (the
-  memo stopped firing).
+B4c (engine counters) — nodes / memo_hits / memo_entries / pruned deltas
+  are printed per scenario; a scenario that stops verifying, or whose node
+  count exceeds its baseline by more than 20%, fails the build.
 
 B6 (streaming monitor throughput) — events/sec is wall-clock and varies
 across machines, so rows are compared *normalised by the report's own
@@ -68,7 +69,7 @@ under pinned seeds, gated hard:
     trace (a non-zero count means the certificate plumbing broke);
   * every multi-key `faulty` row must keep an absolute node-count
     reduction ratio above 2x (refutation localized to the violating
-    class), plus the same 80%-of-baseline ratio floor as B5.
+    class), plus the same per-side 20% node ceilings as B5.
 
 B9 (observability tax + witness-archive bound) — each row reports the
 wall-clock ratio of an instrumented (full StackObserver) ingest loop to a
@@ -76,8 +77,10 @@ no-op-observer loop over identical pinned streams, as the median of
 adjacently-paired per-rep ratios (pairing cancels clock drift, the median
 kills scheduler outliers), so the ratio is machine-independent to first
 order:
-  * overhead_frac must stay at or below the 5% zero-cost budget on every
-    row (the observer hooks must stay out of the hot path's way);
+  * the observer hooks must stay out of the hot path's way: a row fails
+    when overhead_frac exceeds the 5% budget AND the hooks cost more than
+    a fixed number of nanoseconds per event (the fraction alone also rises
+    when ingest itself gets cheaper under an unchanged observer);
   * rows with archival off must report no archived events and no
     reconstruction (archival really is opt-in);
   * the archival row must reconstruct (the deep archive held every
@@ -91,13 +94,44 @@ import sys
 ALLOWED_REGRESSION = 0.20
 
 
+def over_ceiling(name, what, value, base, failures):
+    """Fails `name` when `value` exceeds its baseline by more than the
+    allowed regression; returns whether it did."""
+    ceiling = (1.0 + ALLOWED_REGRESSION) * base
+    if base > 0 and value > ceiling:
+        failures.append(
+            f"{name}: {what} {value} exceeds {ceiling:.0f} "
+            f"(baseline {base}, >{ALLOWED_REGRESSION:.0%} regression)"
+        )
+        return True
+    return False
+
+
+def check_side_nodes(name, row, base, failures):
+    """Gates each side's node count against its own baseline; returns the
+    row's status for the printed table."""
+    over = [
+        over_ceiling(name, f"{side} nodes", row[side]["nodes"], base[side]["nodes"], failures)
+        for side in ("mono", "part")
+    ]
+    return "REGRESSED" if any(over) else "ok"
+
+
+def side_nodes(row, base):
+    return (
+        f"mono {base['mono']['nodes']} -> {row['mono']['nodes']}, "
+        f"part {base['part']['nodes']} -> {row['part']['nodes']}, "
+        f"ratio {base['node_ratio']:.2f} -> {row['node_ratio']:.2f}"
+    )
+
+
 def check_b5(baseline, current, failures):
     base_rows = {row["scenario"]: row for row in baseline.get("b5_partition", [])}
     cur_rows = current.get("b5_partition", [])
     if not cur_rows:
         failures.append("current report has no b5_partition rows")
 
-    print("B5 — partition node-ratio check")
+    print("B5 — partition node-count check (each side vs its own baseline)")
     for row in cur_rows:
         name = row["scenario"]
         if not row.get("verdicts_agree", False):
@@ -106,18 +140,8 @@ def check_b5(baseline, current, failures):
         if base is None:
             print(f"  new row (no baseline): {name}: ratio {row['node_ratio']:.2f}")
             continue
-        floor = (1.0 - ALLOWED_REGRESSION) * base["node_ratio"]
-        status = "ok" if row["node_ratio"] >= floor else "REGRESSED"
-        print(
-            f"  {name}: ratio {row['node_ratio']:.2f} "
-            f"(baseline {base['node_ratio']:.2f}, floor {floor:.2f}) {status}"
-        )
-        if row["node_ratio"] < floor:
-            failures.append(
-                f"{name}: node ratio {row['node_ratio']:.2f} fell below "
-                f"{floor:.2f} (baseline {base['node_ratio']:.2f}, "
-                f">{ALLOWED_REGRESSION:.0%} regression)"
-            )
+        status = check_side_nodes(name, row, base, failures)
+        print(f"  {name}: {side_nodes(row, base)} {status}")
 
     dropped = sorted(set(base_rows) - {row["scenario"] for row in cur_rows})
     for name in dropped:
@@ -136,7 +160,7 @@ def check_b10(baseline, current, failures):
     if not cur_rows:
         failures.append("current report has no b10_phase_partition rows")
 
-    print("B10 — switch-certified phase-trace check (node ratios + zero fallbacks)")
+    print("B10 — switch-certified phase-trace check (node counts + zero fallbacks)")
     for row in cur_rows:
         name = row["scenario"]
         if not row.get("verdicts_agree", False):
@@ -161,19 +185,8 @@ def check_b10(baseline, current, failures):
                 f"fallbacks {row['fallbacks']}"
             )
             continue
-        floor = (1.0 - ALLOWED_REGRESSION) * base["node_ratio"]
-        status = "ok" if row["node_ratio"] >= floor else "REGRESSED"
-        print(
-            f"  {name}: ratio {row['node_ratio']:.2f} "
-            f"(baseline {base['node_ratio']:.2f}, floor {floor:.2f}) "
-            f"fallbacks {row['fallbacks']} {status}"
-        )
-        if row["node_ratio"] < floor:
-            failures.append(
-                f"{name}: node ratio {row['node_ratio']:.2f} fell below "
-                f"{floor:.2f} (baseline {base['node_ratio']:.2f}, "
-                f">{ALLOWED_REGRESSION:.0%} regression)"
-            )
+        status = check_side_nodes(name, row, base, failures)
+        print(f"  {name}: {side_nodes(row, base)}, fallbacks {row['fallbacks']} {status}")
 
     dropped = sorted(set(base_rows) - {row["scenario"] for row in cur_rows})
     for name in dropped:
@@ -183,7 +196,7 @@ def check_b10(baseline, current, failures):
 def check_b4c(baseline, current, failures):
     base_rows = {row["scenario"]: row for row in baseline.get("b4c_checker_stats", [])}
     cur_rows = current.get("b4c_checker_stats", [])
-    print("B4c — engine counter tracking (memo_hits / memo_entries / nodes)")
+    print("B4c — engine counter tracking (nodes / memo_hits / memo_entries / pruned)")
     for row in cur_rows:
         name = row["scenario"]
         stats = row["stats"]
@@ -191,25 +204,19 @@ def check_b4c(baseline, current, failures):
         if base is None:
             print(
                 f"  new row (no baseline): {name}: "
-                f"hits {stats['memo_hits']} entries {stats['memo_entries']}"
+                f"nodes {stats['nodes']} hits {stats['memo_hits']}"
             )
             continue
         bstats = base["stats"]
         print(
-            f"  {name}: hits {bstats['memo_hits']} -> {stats['memo_hits']}, "
+            f"  {name}: nodes {bstats['nodes']} -> {stats['nodes']}, "
+            f"hits {bstats['memo_hits']} -> {stats['memo_hits']}, "
             f"entries {bstats['memo_entries']} -> {stats['memo_entries']}, "
-            f"nodes {bstats['nodes']} -> {stats['nodes']}"
+            f"pruned {bstats.get('pruned', 0)} -> {stats.get('pruned', 0)}"
         )
         if not row.get("ok", False):
             failures.append(f"{name}: b4c scenario no longer verifies")
-        if bstats["memo_hits"] > 0:
-            floor = (1.0 - ALLOWED_REGRESSION) * bstats["memo_hits"]
-            if stats["memo_hits"] < floor:
-                failures.append(
-                    f"{name}: memo_hits {stats['memo_hits']} fell below "
-                    f"{floor:.0f} (baseline {bstats['memo_hits']}, "
-                    f">{ALLOWED_REGRESSION:.0%} memoisation regression)"
-                )
+        over_ceiling(name, "nodes", stats["nodes"], bstats["nodes"], failures)
     dropped = sorted(set(base_rows) - {row["scenario"] for row in cur_rows})
     for name in dropped:
         failures.append(f"b4c baseline row disappeared: {name}")
@@ -267,12 +274,14 @@ def check_b6(baseline, current, failures):
         failures.append(f"b6 baseline row disappeared: {name}")
 
 
-# B6h bounds, calibrated on the committed BENCH_PR6.json (max observed:
-# ~830 nodes/event, 7.6x small->large window work growth, 1.1x memory
-# growth, 63ms p99): generous enough for machine jitter and bench
-# retuning, tight enough that a stalled epoch GC (which showed up as
-# ~19k nodes/event and multi-second p99s during development) fails.
-B6H_MAX_NODES_PER_EVENT = 2500.0
+# B6h bounds. The flatness, memory and p99 bounds were calibrated on
+# BENCH_PR6.json (7.6x small->large window work growth, 1.1x memory growth,
+# 63ms p99) and are generous enough for machine jitter and bench retuning.
+# The per-event work cap is calibrated on BENCH.json with the feasibility
+# prune in the kernel (worst row: stragglers w=24 at 38 nodes/event): before
+# the prune the same rows cost 44-830, and a stalled epoch GC ~19k, so a
+# lost prune and a stalled GC both fail it.
+B6H_MAX_NODES_PER_EVENT = 120.0
 B6H_FLATNESS_FACTOR = 12.0
 B6H_MEMORY_SLACK = 1.5
 B6H_ALPHABET_SLACK = 16.0
@@ -318,13 +327,7 @@ def check_b6h(baseline, current, failures):
         base = base_rows.get(name)
         if base is not None:
             for col in ("search_nodes", "peak_multiset_nodes"):
-                ceiling = (1.0 + ALLOWED_REGRESSION) * base[col]
-                if base[col] > 0 and row[col] > ceiling:
-                    failures.append(
-                        f"{name}: {col} {row[col]} exceeds {ceiling:.0f} "
-                        f"(baseline {base[col]}, >{ALLOWED_REGRESSION:.0%} "
-                        f"regression)"
-                    )
+                over_ceiling(name, col, row[col], base[col], failures)
 
     # Flatness in window size, per workload family: amortised work and the
     # memory proxy at the largest window vs the smallest.
@@ -421,6 +424,11 @@ def check_b8(baseline, current, failures):
 # ratios, which filters drift and scheduler noise; anything past 5%
 # means the hooks left the cold path.
 B9_MAX_OVERHEAD = 0.05
+# ...and, since the fraction's denominator is the ingest cost itself, only
+# when the hooks also cost more than this per event in absolute terms
+# (measured: ~0.25-0.3 us/event for the full StackObserver, 3 us/event
+# when ingest ran at 4k events/s).
+B9_MAX_OVERHEAD_NS_PER_EVENT = 1000.0
 
 
 def check_b9(baseline, current, failures):
@@ -432,18 +440,21 @@ def check_b9(baseline, current, failures):
     print("B9 — observer overhead (median paired ratio) + witness-archive bound")
     for row in cur_rows:
         name = row["scenario"]
+        hooks_ns = 1e9 / row["instrumented_events_per_sec"] - 1e9 / row["noop_events_per_sec"]
         print(
-            f"  {name}: overhead {row['overhead_frac']:+.2%}, "
+            f"  {name}: overhead {row['overhead_frac']:+.2%} ({hooks_ns:.0f} ns/event), "
             f"archived {row['archived_events']}/{row['archive_event_bound']} "
             f"(depth {row['archive_windows']}), "
             f"reconstructed {row['reconstructed']}"
         )
         if not row.get("ok", False):
             failures.append(f"{name}: instrumented streams stopped verifying")
-        if row["overhead_frac"] > B9_MAX_OVERHEAD:
+        if row["overhead_frac"] > B9_MAX_OVERHEAD and hooks_ns > B9_MAX_OVERHEAD_NS_PER_EVENT:
             failures.append(
-                f"{name}: observer overhead {row['overhead_frac']:.2%} exceeds "
-                f"the {B9_MAX_OVERHEAD:.0%} zero-cost budget"
+                f"{name}: observer overhead {row['overhead_frac']:.2%} "
+                f"({hooks_ns:.0f} ns/event) exceeds both the "
+                f"{B9_MAX_OVERHEAD:.0%} budget and the "
+                f"{B9_MAX_OVERHEAD_NS_PER_EVENT:.0f} ns/event cap"
             )
         if row["archive_windows"] == 0:
             if row["reconstructed"] or row["archived_events"] != 0:

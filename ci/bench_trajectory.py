@@ -3,10 +3,12 @@
 
 Usage: bench_trajectory.py [snapshot.json ...]
 
-With no arguments, globs `BENCH_PR*.json` in the repository root (the
-directory above this script). Each snapshot is one committed
+With no arguments, reads the committed snapshots in the repository root
+(the directory above this script): the per-PR history `BENCH_PR*.json`,
+ordered by PR number, then `BENCH.json`, the current baseline every later
+PR regenerates in place (column `head`). Each snapshot is one
 machine-readable bench report (`cargo bench -p slin-bench --bench report
--- --json`); snapshots are ordered by their PR number.
+-- --json`).
 
 Unlike `bench_threshold.py` — which *gates* a build against the latest
 committed baseline — this report is **non-gating**: it exists to make the
@@ -42,14 +44,18 @@ import sys
 
 def pr_number(path):
     m = re.search(r"BENCH_PR(\d+)\.json$", os.path.basename(path))
-    return int(m.group(1)) if m else -1
+    if m:
+        return int(m.group(1))
+    # `BENCH.json`, the current baseline, sorts after the numbered history.
+    return float("inf") if os.path.basename(path) == "BENCH.json" else -1
 
 
 def load_snapshots(paths):
     snaps = []
     for path in sorted(paths, key=pr_number):
         with open(path) as f:
-            snaps.append((f"PR{pr_number(path)}", json.load(f)))
+            n = pr_number(path)
+            snaps.append(("head" if n == float("inf") else f"PR{n}", json.load(f)))
     return snaps
 
 
@@ -229,8 +235,9 @@ def main() -> int:
     if not paths:
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         paths = glob.glob(os.path.join(root, "BENCH_PR*.json"))
+        paths += glob.glob(os.path.join(root, "BENCH.json"))
     if not paths:
-        print("no BENCH_PR*.json snapshots found")
+        print("no BENCH*.json snapshots found")
         return 0
     try:
         snaps = load_snapshots(paths)

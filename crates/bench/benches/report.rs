@@ -2,7 +2,7 @@
 //!
 //! `cargo bench -p slin-bench --bench report -- --json` (or setting
 //! `BENCH_OUT=<path>`) writes the full B-series report as JSON —
-//! `BENCH_PR10.json` at the repository root by default — for CI to upload
+//! `BENCH.json` at the repository root by default — for CI to upload
 //! as an artifact and diff against the committed baseline
 //! (`ci/bench_threshold.py`). Without `--json`/`BENCH_OUT` it prints the
 //! B5 partition-speedup and B10 phase-trace tables for humans.
@@ -10,11 +10,11 @@
 use slin_bench::{bench_report_json, partition_speedup_rows, phase_partition_rows, render_table};
 use slin_bench::{PARTITION_HEADER, PARTITION_SEEDS, PHASE_PARTITION_HEADER, PHASE_SEEDS};
 
-/// `BENCH_PR10.json` at the repository root, resolved relative to this
+/// `BENCH.json` at the repository root, resolved relative to this
 /// crate so the artifact lands in the same place no matter where cargo
 /// runs the bench from.
 fn default_out_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_PR10.json")
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH.json")
 }
 
 fn main() {

@@ -42,7 +42,7 @@
 //! regenerated (`cargo bench -p slin-bench`) and asserted on in tests.
 //! [`bench_report_json`] assembles every B-series table into one
 //! machine-readable artifact (`cargo bench -p slin-bench --bench report --
-//! --json` writes it to `BENCH_PR10.json` at the repo root) so CI can track
+//! --json` writes it to `BENCH.json` at the repo root) so CI can track
 //! the numbers across commits.
 
 #![forbid(unsafe_code)]
@@ -264,14 +264,15 @@ impl CheckerStatsRow {
             self.stats.nodes.to_string(),
             self.stats.memo_entries.to_string(),
             self.stats.memo_hits.to_string(),
+            self.stats.pruned.to_string(),
             self.stats.leaf_checks.to_string(),
         ]
     }
 }
 
 /// The header matching [`CheckerStatsRow::cells`].
-pub const CHECKER_STATS_HEADER: [&str; 7] = [
-    "scenario", "verdict", "interps", "nodes", "memo", "hits", "leaves",
+pub const CHECKER_STATS_HEADER: [&str; 8] = [
+    "scenario", "verdict", "interps", "nodes", "memo", "hits", "pruned", "leaves",
 ];
 
 /// B4c: engine statistics for verifying contended runs (3 servers, the
@@ -1438,6 +1439,7 @@ fn stats_json(s: &SearchStats) -> Json {
         ("nodes", Json::count(s.nodes)),
         ("memo_entries", Json::count(s.memo_entries)),
         ("memo_hits", Json::count(s.memo_hits)),
+        ("pruned", Json::count(s.pruned)),
         ("leaf_checks", Json::count(s.leaf_checks)),
         ("max_history_len", Json::count(s.max_history_len)),
         ("interpretations", Json::count(s.interpretations)),

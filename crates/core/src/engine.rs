@@ -18,10 +18,10 @@
 //! There is exactly one recursion implementing that search (`Search::dfs`).
 //! It owns, once, everything a chain search needs: node counting and the
 //! [`SearchBudget`] trip, the dead-end memo on `(remaining commits, ADT
-//! state, consumed-input multiset, visitor tag)`, the validity-bound prune,
-//! the commit move, the sorted extra-input move, the history cap, and the
-//! [`SearchStats`] it returns on **both** sides of the verdict. What differs
-//! between its uses is a small `Visitor`:
+//! state, consumed-input multiset, visitor tag)`, the feasibility prune
+//! (below), the commit move, the sorted extra-input move, the history cap,
+//! and the [`SearchStats`] it returns on **both** sides of the verdict. What
+//! differs between its uses is a small `Visitor`:
 //!
 //! | use                      | visitor            | tag      | at a leaf                         |
 //! |--------------------------|--------------------|----------|-----------------------------------|
@@ -32,6 +32,52 @@
 //! The first is [`CheckerEngine::run`], the batch checkers' entry point; the
 //! other two live with the streaming frontier in `stream/shard.rs`
 //! (fallback re-search and epoch-cut summaries; tail extension).
+//!
+//! # Feasibility prune
+//!
+//! Validity (Definition 10; Definition 26 for `vi`) is stated on
+//! **multisets**: three clients' `get(k)` are three interchangeable
+//! occurrences of one input. A search that only asks "do the inputs
+//! consumed so far fit the bound?" happily spends an occurrence early —
+//! commits the `get` that responds last first, or interleaves a `get` as an
+//! extra — and finds out many levels later that an earlier `get` commit is
+//! starved. The kernel instead keeps, at every node `(used, remaining)`, a
+//! **necessary condition** for a leaf below it, and checks it on a child
+//! *before* descending:
+//!
+//! * **Floor.** `used ⊆ bounds[c.index]` for every remaining commit `c`: a
+//!   history only grows, and committing `c` needs it inside `c`'s bound.
+//!   Bounds are monotone along the commits (the contract of
+//!   [`CheckerEngine::new`]), so the earliest remaining commit — the
+//!   *floor* — carries the tightest one.
+//! * **Hall count.** For every input `e`, with `c₁ < … < c_m` the remaining
+//!   commits on `e` in trace order: `used(e) + j ≤ bounds[c_j.index](e)`
+//!   for every `j`. Whichever of `c₁..c_j` is committed last is committed
+//!   with all `j` of them — `used(e) + j` occurrences of `e` at least — in
+//!   its history, and its bound is at most `c_j`'s. (Hall's condition for
+//!   matching the commits on `e` to the occurrences their bounds admit.)
+//!
+//! A node failing either has no leaf below it. Both are inductive: given
+//! them at a node, a child adding one occurrence of `e` satisfies them iff
+//! `e` still fits the floor and every remaining commit on `e` *before* the
+//! one being committed (every one, for an extra) keeps `used(e) + 1 + j ≤
+//! bounds[c_j.index](e)` — and then the commit's own validity bound holds
+//! too. So the seed is checked once, each child costs a few integer
+//! comparisons on per-class counters, and a dead child costs no node, no
+//! memo key, no ADT step: an extra that would starve a later commit is
+//! never offered. The counters live in a per-engine table built once
+//! (inputs grouped into dense class ids, each commit's own
+//! `bounds[c.index](c.input)`, the sorted extras list).
+//!
+//! **Leaf-order invariance.** Only leafless subtrees are removed and no
+//! move is reordered, so the sequence of leaves the visitor sees is exactly
+//! that of the unpruned tree: first witnesses, enumeration order, the point
+//! a capped enumeration stops at, and every verdict are unchanged for all
+//! callers; only `nodes`, `memo_*` and the longest history tried fall
+//! ([`SearchStats::pruned`] counts the rejected moves), and budgets trip
+//! less often. `crates/core/tests/kernel_pins.rs` pins both halves;
+//! `crates/core/tests/prune_soundness.rs` checks the prune exhaustively at
+//! small scope against a brute-force reading of Definition 10.
 //!
 //! # Parameters
 //!
@@ -135,6 +181,23 @@ impl CommitMask {
             CommitMask::Large(ws) => ws.iter().map(|w| w.count_ones() as usize).sum(),
         }
     }
+
+    /// The set bits in ascending order — one step per set bit, not per
+    /// commit of the trace.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        let words = match self {
+            CommitMask::Small(w) => std::slice::from_ref(w),
+            CommitMask::Large(ws) => ws.as_slice(),
+        };
+        words.iter().enumerate().flat_map(|(i, &word)| {
+            // Clearing the lowest set bit walks the word's bits upward.
+            std::iter::successors((word != 0).then_some(word), |w| {
+                let rest = w & (w - 1);
+                (rest != 0).then_some(rest)
+            })
+            .map(move |w| i * 64 + w.trailing_zeros() as usize)
+        })
+    }
 }
 
 /// The word with its lowest `n <= 64` bits set.
@@ -184,6 +247,10 @@ pub struct SearchStats {
     pub memo_hits: usize,
     /// Completed chains handed to the leaf oracle.
     pub leaf_checks: usize,
+    /// Moves the feasibility prune rejected before expansion: each would
+    /// have been a leafless subtree, and cost no node, no memo key and no
+    /// ADT step.
+    pub pruned: usize,
     /// Longest history built during the search.
     pub max_history_len: usize,
     /// Init interpretations aggregated into these counters (1 for a plain
@@ -199,6 +266,7 @@ impl SearchStats {
         self.memo_entries += other.memo_entries;
         self.memo_hits += other.memo_hits;
         self.leaf_checks += other.leaf_checks;
+        self.pruned += other.pruned;
         self.max_history_len = self.max_history_len.max(other.max_history_len);
         self.interpretations += other.interpretations;
     }
@@ -320,8 +388,15 @@ pub struct CheckerEngine<'s, T: Adt> {
     /// Per-trace-index multiset bound on the inputs a history reaching that
     /// index may consume (`elems(inputs(t, i))` for `lin`, `vi` for `slin`).
     bounds: &'s [PersistentMultiset<T::Input>],
-    /// Pool bounding the extra inputs the chain may interleave.
-    pool: PersistentMultiset<T::Input>,
+    /// Every input a move can consume — the commits' inputs and the pool
+    /// bounding the extras — with its pool multiplicity, sorted by input:
+    /// positions are the dense **class ids** of the feasibility prune, and
+    /// extras are offered in this order.
+    classes: Vec<(T::Input, usize)>,
+    /// Per commit `c`: the class of its input, and
+    /// `bounds[c.index].count(c.input)` — how many occurrences of its own
+    /// input a history committing it may hold.
+    commit_classes: Vec<(usize, usize)>,
     /// Cap on the total history length when interleaving extras (`None`:
     /// pool-bounded only).
     extra_cap: Option<usize>,
@@ -420,6 +495,12 @@ where
 {
     /// Creates an engine over the given commits and validity bounds. Any
     /// commit count is accepted ([`CommitMask`] has no ceiling).
+    ///
+    /// `commits` must ascend in trace index and `bounds` must be monotone
+    /// along them (`bounds[c.index] ⊆ bounds[c'.index]` for `c` before
+    /// `c'`), as the cumulative bounds of Definitions 10 and 26 are; the
+    /// feasibility prune reads "the tightest bound among the remaining
+    /// commits" off the earliest one. Debug builds assert it.
     pub fn new(
         adt: &'s T,
         commits: &'s [Commit<T>],
@@ -427,11 +508,37 @@ where
         pool: PersistentMultiset<T::Input>,
         budget: SearchBudget,
     ) -> Self {
+        debug_assert!(
+            commits
+                .windows(2)
+                .all(|w| w[0].index < w[1].index
+                    && bounds[w[0].index].is_subset_of(&bounds[w[1].index])),
+            "commits must ascend in trace index with monotone bounds along them"
+        );
+        // Classes: pool inputs with their multiplicity, commit inputs the
+        // pool lacks with none. Sorting puts the pool's entry first.
+        let mut classes: Vec<(T::Input, usize)> = pool
+            .iter()
+            .map(|(e, n)| (e.clone(), n))
+            .chain(commits.iter().map(|c| (c.input.clone(), 0)))
+            .collect();
+        classes.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
+        classes.dedup_by(|later, first| later.0 == first.0);
+        let commit_classes = commits
+            .iter()
+            .map(|c| {
+                let class = classes
+                    .binary_search_by(|(e, _)| e.cmp(&c.input))
+                    .expect("every commit input is a class");
+                (class, bounds[c.index].count(&c.input))
+            })
+            .collect();
         CheckerEngine {
             adt,
             commits,
             bounds,
-            pool,
+            classes,
+            commit_classes,
             extra_cap: None,
             budget,
         }
@@ -494,6 +601,14 @@ where
         tag: V::Tag,
         visitor: &mut V,
     ) -> (Result<ControlFlow<()>, EngineError>, SearchStats) {
+        let mut counts = vec![ClassCount::default(); self.classes.len()];
+        for (e, n) in seed.used.iter() {
+            // A seed input no move can add keeps its count for the whole
+            // search: `seed_feasible` checks it once.
+            if let Ok(class) = self.classes.binary_search_by(|(c, _)| c.cmp(e)) {
+                counts[class].used = n;
+            }
+        }
         let mut search = Search {
             engine: self,
             visitor,
@@ -502,7 +617,19 @@ where
                 interpretations: 1,
                 ..SearchStats::default()
             },
+            // Consumption only grows: a class with no spare pool occurrence
+            // at the seed never offers an extra.
+            spare: (0..counts.len())
+                .filter(|&e| counts[e].used < self.classes[e].1)
+                .collect(),
+            counts,
+            floor_counts: vec![Vec::new(); self.commits.len()],
+            moves: Vec::new(),
         };
+        if !search.seed_feasible(&seed.used) {
+            search.stats.pruned = 1;
+            return (Ok(ControlFlow::Continue(())), search.stats);
+        }
         let mut hist = seed.history;
         let remaining = CommitMask::full(self.commits.len());
         let flow = search.dfs(seed.state, seed.used, tag, &mut hist, remaining);
@@ -525,18 +652,144 @@ type MemoKey<T, G> = (
     G,
 );
 
+/// A child the feasibility prune admits, queued on [`Search::moves`].
+#[derive(Clone, Copy)]
+enum Move {
+    /// Commit the response at this position of the commit list.
+    Commit(usize),
+    /// Interleave one more occurrence of this class's input.
+    Extra(usize),
+}
+
+/// One class's counters during a search.
+#[derive(Clone)]
+struct ClassCount {
+    /// Occurrences consumed on the current path: `used`, restricted to the
+    /// inputs moves can add, as an integer.
+    used: usize,
+    /// Scratch of one node's walk over `remaining`, reset before the node
+    /// recurses: remaining commits on the class seen so far, and the least
+    /// `own bound − rank − used` among them — how many more occurrences the
+    /// class can lose before one of those commits starves.
+    rank: usize,
+    slack: usize,
+}
+
+impl Default for ClassCount {
+    fn default() -> Self {
+        ClassCount {
+            used: 0,
+            rank: 0,
+            slack: usize::MAX,
+        }
+    }
+}
+
 /// One run of the kernel.
 struct Search<'e, 's, T: Adt, V: Visitor<T>> {
     engine: &'e CheckerEngine<'s, T>,
     visitor: &'e mut V,
     memo: HashSet<MemoKey<T, V::Tag>>,
     stats: SearchStats,
+    /// Per class (see [`CheckerEngine::classes`]).
+    counts: Vec<ClassCount>,
+    /// The classes that had a spare pool occurrence at the seed, ascending.
+    spare: Vec<usize>,
+    /// `bounds[commits[p].index].count(class e's input)` at `[p][e]`,
+    /// looked up on first use (`usize::MAX`: not yet); a row is allocated
+    /// when commit `p` first becomes the earliest remaining one.
+    floor_counts: Vec<Vec<usize>>,
+    /// The admitted children of every node on the current path, innermost
+    /// last (a stack: a node truncates back to its own start).
+    moves: Vec<Move>,
 }
 
 impl<T: Adt, V: Visitor<T>> Search<'_, '_, T, V>
 where
     T::Input: Ord,
 {
+    /// The feasibility conditions at the seed, which every admitted child
+    /// then preserves (module docs, "Feasibility prune"): the consumed
+    /// inputs fit the tightest remaining bound, and no class is already too
+    /// consumed for its commits' own bounds.
+    fn seed_feasible(&mut self, used: &PersistentMultiset<T::Input>) -> bool {
+        let eng = self.engine;
+        let Some(first) = eng.commits.first() else {
+            return true;
+        };
+        let mut feasible = used.is_subset_of(&eng.bounds[first.index]);
+        for &(e, own_bound) in &eng.commit_classes {
+            let class = &mut self.counts[e];
+            class.rank += 1;
+            feasible &= class.used + class.rank <= own_bound;
+        }
+        for &(e, _) in &eng.commit_classes {
+            self.counts[e].rank = 0;
+        }
+        feasible
+    }
+
+    /// Whether one more occurrence of class `e` still fits the bound of
+    /// commit `floor`, the earliest remaining one (the tightest, by
+    /// monotonicity).
+    fn fits_floor(&mut self, floor: usize, e: usize) -> bool {
+        let eng = self.engine;
+        let row = &mut self.floor_counts[floor];
+        if row.is_empty() {
+            row.resize(eng.classes.len(), usize::MAX);
+        }
+        if row[e] == usize::MAX {
+            row[e] = eng.bounds[eng.commits[floor].index].count(&eng.classes[e].0);
+        }
+        self.counts[e].used < row[e]
+    }
+
+    /// Queues the children of the current node that pass the feasibility
+    /// prune: commit moves in trace order, then extras in input order. One
+    /// walk over the set bits of `remaining`.
+    fn admit_moves(&mut self, remaining: &CommitMask, extras: bool) {
+        let eng = self.engine;
+        let floor = remaining
+            .iter()
+            .next()
+            .expect("a node has a remaining commit");
+        for k in remaining.iter() {
+            let (e, own_bound) = eng.commit_classes[k];
+            // Committing `k` takes an occurrence from under the earlier
+            // remaining commits on its input, and from under the floor.
+            if self.counts[e].slack > 0 && (k == floor || self.fits_floor(floor, e)) {
+                self.moves.push(Move::Commit(k));
+            } else {
+                self.stats.pruned += 1;
+            }
+            let class = &mut self.counts[e];
+            class.rank += 1;
+            class.slack = class
+                .slack
+                .min(own_bound.saturating_sub(class.rank + class.used));
+        }
+        if extras {
+            for at in 0..self.spare.len() {
+                let e = self.spare[at];
+                if self.counts[e].used >= eng.classes[e].1 {
+                    continue;
+                }
+                // An extra takes an occurrence from under every remaining
+                // commit on its input, and from under the floor.
+                if self.counts[e].slack > 0 && self.fits_floor(floor, e) {
+                    self.moves.push(Move::Extra(e));
+                } else {
+                    self.stats.pruned += 1;
+                }
+            }
+        }
+        for k in remaining.iter() {
+            let class = &mut self.counts[eng.commit_classes[k].0];
+            class.rank = 0;
+            class.slack = usize::MAX;
+        }
+    }
+
     fn dfs(
         &mut self,
         state: T::State,
@@ -563,65 +816,55 @@ where
             return Ok(ControlFlow::Continue(()));
         }
 
-        // Prune: a remaining commit whose validity bound no longer contains
-        // the consumed inputs can never be committed from here.
-        for (k, c) in eng.commits.iter().enumerate() {
-            if remaining.contains(k) && !used.is_subset_of(&eng.bounds[c.index]) {
-                self.memo.insert(key);
-                return Ok(ControlFlow::Continue(()));
-            }
-        }
-
-        // Move 1: commit one of the remaining responses next on the chain.
-        for (k, c) in eng.commits.iter().enumerate() {
-            if !remaining.contains(k) {
-                continue;
-            }
-            let mut used2 = used.clone();
-            used2.insert(c.input.clone());
-            if !used2.is_subset_of(&eng.bounds[c.index]) {
-                continue;
-            }
-            let (state2, out) = eng.adt.apply(&state, &c.input);
-            if out != c.output {
-                continue;
-            }
-            hist.push(c.input.clone());
-            self.visitor.commit(c.index, hist);
-            let below = self.dfs(state2, used2, tag.clone(), hist, remaining.without(k))?;
-            if below.is_break() {
-                return Ok(below);
-            }
-            self.visitor.uncommit();
-            hist.pop();
-        }
-
-        // Move 2: interleave an extra input from the pool. The candidates
-        // are sorted so the search order — and with it every witness and
-        // statistic — is a pure function of the inputs, not of hash-map
+        // The moves are queued up front — commits, then extras in sorted
+        // input order — so the search order, and with it every witness and
+        // statistic, is a pure function of the inputs, not of hash-map
         // iteration order (the parallel/sequential parity of the
         // speculative checker depends on this).
-        if eng.extra_cap.is_none_or(|cap| hist.len() < cap) {
-            let mut candidates: Vec<T::Input> = eng
-                .pool
-                .iter()
-                .filter(|(e, c)| used.count(e) < *c)
-                .map(|(e, _)| e.clone())
-                .collect();
-            candidates.sort();
-            for e in candidates {
-                let mut used2 = used.clone();
-                used2.insert(e.clone());
-                let (state2, out) = eng.adt.apply(&state, &e);
-                let tag2 = self.visitor.extra(&tag, &e, out);
-                hist.push(e);
-                let below = self.dfs(state2, used2, tag2, hist, remaining.clone())?;
-                if below.is_break() {
-                    return Ok(below);
+        let start = self.moves.len();
+        self.admit_moves(&remaining, eng.extra_cap.is_none_or(|cap| hist.len() < cap));
+        for at in start..self.moves.len() {
+            match self.moves[at] {
+                // Move 1: commit one of the remaining responses next on the
+                // chain. The prune already vouches for its validity bound.
+                Move::Commit(k) => {
+                    let c = &eng.commits[k];
+                    let (state2, out) = eng.adt.apply(&state, &c.input);
+                    if out != c.output {
+                        continue;
+                    }
+                    let mut used2 = used.clone();
+                    used2.insert(c.input.clone());
+                    self.counts[eng.commit_classes[k].0].used += 1;
+                    hist.push(c.input.clone());
+                    self.visitor.commit(c.index, hist);
+                    let below = self.dfs(state2, used2, tag.clone(), hist, remaining.without(k))?;
+                    if below.is_break() {
+                        return Ok(below);
+                    }
+                    self.visitor.uncommit();
+                    hist.pop();
+                    self.counts[eng.commit_classes[k].0].used -= 1;
                 }
-                hist.pop();
+                // Move 2: interleave an extra input from the pool.
+                Move::Extra(e) => {
+                    let input = &eng.classes[e].0;
+                    let mut used2 = used.clone();
+                    used2.insert(input.clone());
+                    let (state2, out) = eng.adt.apply(&state, input);
+                    let tag2 = self.visitor.extra(&tag, input, out);
+                    self.counts[e].used += 1;
+                    hist.push(input.clone());
+                    let below = self.dfs(state2, used2, tag2, hist, remaining.clone())?;
+                    if below.is_break() {
+                        return Ok(below);
+                    }
+                    hist.pop();
+                    self.counts[e].used -= 1;
+                }
             }
         }
+        self.moves.truncate(start);
 
         self.memo.insert(key);
         Ok(ControlFlow::Continue(()))
@@ -633,7 +876,7 @@ mod tests {
     use super::*;
     use crate::ops;
     use crate::ObjAction;
-    use slin_adt::{ConsInput, ConsOutput, Consensus};
+    use slin_adt::{ConsInput, ConsOutput, Consensus, KvInput, KvOutput, KvStore};
     use slin_trace::{Action, ClientId, PhaseId, Trace};
 
     type CA = ObjAction<Consensus, ()>;
@@ -725,6 +968,100 @@ mod tests {
         }
         assert!(matches!(CommitMask::full(64), CommitMask::Small(u64::MAX)));
         assert!(matches!(CommitMask::full(65), CommitMask::Large(_)));
+    }
+
+    #[test]
+    fn commit_mask_iterates_its_set_bits_in_order() {
+        for n in [0usize, 1, 64, 65, 130] {
+            let all: Vec<usize> = CommitMask::full(n).iter().collect();
+            assert_eq!(all, (0..n).collect::<Vec<_>>(), "n={n}");
+        }
+        let sparse = CommitMask::full(130).without(0).without(64).without(129);
+        let expect: Vec<usize> = (0..130).filter(|k| ![0, 64, 129].contains(k)).collect();
+        assert_eq!(sparse.iter().collect::<Vec<_>>(), expect);
+    }
+
+    type KA = ObjAction<KvStore, ()>;
+
+    /// A plain-linearizability search over `actions`; `veto` rejects every
+    /// leaf, forcing the search to visit its whole tree.
+    fn kv_lin_search(actions: Vec<KA>, veto: bool) -> SearchOutcome<KvInput, ()> {
+        let t: Trace<KA> = Trace::from_actions(actions);
+        let commits = ops::commits::<KvStore, ()>(&t);
+        let bounds = ops::input_multisets::<KvStore, ()>(&t);
+        let pool = bounds.last().cloned().unwrap();
+        CheckerEngine::new(&KvStore, &commits, &bounds, pool, SearchBudget::default())
+            .with_extra_cap(t.len())
+            .run(SearchSeed::initial(&KvStore), &mut |_, _| {
+                (!veto).then_some(())
+            })
+            .unwrap()
+    }
+
+    fn client(n: u32) -> ClientId {
+        ClientId::new(n)
+    }
+
+    #[test]
+    fn a_late_get_that_would_starve_an_early_one_is_cut_at_depth_one() {
+        // Two `get`s answered `∅`: the first responds when one `get` has
+        // been invoked, the second after a never-answered `put` that feeds
+        // the extras. Committing the late `get` first consumes the only
+        // occurrence the early one may use. The bound-only search took
+        // that move at the root — `{get}` fits both bounds — and learnt it
+        // was dead one extra at a time: 14 nodes to exhaust this tree.
+        let (get, none) = (KvInput::Get(0), KvOutput::Found(None));
+        let out = kv_lin_search(
+            vec![
+                Action::invoke(client(1), PhaseId::FIRST, get),
+                Action::respond(client(1), PhaseId::FIRST, get, none),
+                Action::invoke(client(2), PhaseId::FIRST, get),
+                Action::invoke(client(3), PhaseId::FIRST, KvInput::Put(0, 1)),
+                Action::respond(client(2), PhaseId::FIRST, get, none),
+            ],
+            true,
+        );
+        assert!(out.solution.is_none());
+        // The one leaf (early, then late) is still reached. Besides it:
+        // the root, where the late commit and both extras are cut (`put`
+        // is not yet invoked at the floor); the node under the early
+        // commit, where the `get` extra would starve the late one; and the
+        // node under its `put` extra, where `get` reads 1.
+        assert_eq!(out.stats.leaf_checks, 1);
+        assert_eq!((out.stats.nodes, out.stats.pruned), (3, 5));
+    }
+
+    #[test]
+    fn a_never_answered_put_is_still_interleaved_for_the_get_that_reads_it() {
+        // The prune must not remove extras a later commit needs: the `put`
+        // never responds, so only an extra can explain `get = 7`.
+        let (put, get) = (KvInput::Put(0, 7), KvInput::Get(0));
+        let out = kv_lin_search(
+            vec![
+                Action::invoke(client(1), PhaseId::FIRST, put),
+                Action::invoke(client(2), PhaseId::FIRST, get),
+                Action::respond(client(2), PhaseId::FIRST, get, KvOutput::Found(Some(7))),
+            ],
+            false,
+        );
+        let (chain, ()) = out.solution.expect("the pending put explains the read");
+        assert_eq!(chain, vec![(2, vec![put, get])]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "monotone bounds")]
+    fn bounds_that_shrink_along_the_commits_are_refused() {
+        // The prune reads the tightest remaining bound off the earliest
+        // remaining commit, which is only right for monotone bounds: a
+        // slice whose later bound lacks an input the earlier one has is a
+        // caller bug, caught in debug builds.
+        let t = sample();
+        let commits = ops::commits::<Consensus, ()>(&t);
+        let mut bounds = ops::input_multisets::<Consensus, ()>(&t);
+        let pool = bounds.last().cloned().unwrap();
+        bounds[commits[1].index] = PersistentMultiset::new();
+        let _ = CheckerEngine::new(&Consensus, &commits, &bounds, pool, SearchBudget::default());
     }
 
     #[test]

@@ -27,6 +27,22 @@
 //! frontier. Tail extension is that enumeration over the one-commit
 //! problem, seeded from each frontier configuration.
 //!
+//! **What a search costs.** A shard is one independence class — on the
+//! hostile streams a single key, where every client's `get(k)` is an
+//! interchangeable occurrence of one input. That is exactly where a
+//! bound-only search thrashes (it spends an occurrence early and learns
+//! levels later that an earlier commit is starved), and exactly what the
+//! kernel's feasibility prune cuts before descending (see
+//! [`crate::engine`]): an enumeration here visits the configurations it
+//! returns and little else. Measured on the B6h sweep, per ingested event:
+//! 5–9 search nodes on zipf-delay streams and 14–38 on stragglers across
+//! `w = 8..24` (44–313 and 108–824 with the bound-only prune); a cut whose
+//! complete summary is 1–10 configurations costs tens of nodes, not
+//! thousands. GC-cut enumeration and fallback re-search are still the two
+//! largest terms of a hostile stream's wall time (about half and a third
+//! on the `stream-hotkey` benchmark workload), of a total ~70x smaller
+//! than under the bound-only prune.
+//!
 //! Tail extension is *sound* (a surviving configuration is a witness) but
 //! deliberately not complete: the first monolithic witness of the longer
 //! prefix may place the new commit *earlier* in the chain than every

@@ -1,12 +1,23 @@
 //! Refinement pins for the chain-search kernel.
 //!
-//! Every number below was captured at the commit *before* the three
-//! search loops (`Dfs`, `EnumDfs`, `extend_dfs`) collapsed into the one
-//! kernel in `slin_core::engine`. The old loops are the abstract spec, the
-//! kernel refines them: same tree, same order, same counters, same
-//! witnesses. A pin that moves means the kernel explores a different tree
-//! — the constant-factor work planned on top of it must keep all of these
-//! byte-identical.
+//! Every pin has two halves.
+//!
+//! The **tree-invariant** half — leaves handed to the visitor, verdict and
+//! witness digests, per-event stream outcomes, frontier traffic
+//! (`extension_searches`, `fallback_searches`, `frontier_peak`,
+//! `epoch_cuts`, `retired_events`) — was captured at the commit *before*
+//! the three search loops (`Dfs`, `EnumDfs`, `extend_dfs`) collapsed into
+//! the one kernel in `slin_core::engine`, and has not moved since. The old
+//! loops are the abstract spec; the kernel, and every prune added to it,
+//! refines them: same leaves, same order. A value of this half that moves
+//! means the kernel visits different leaves — work on the kernel must keep
+//! all of them byte-identical. Witnesses are digested with their embedded
+//! `SearchStats` projected out, so that stays true when only work changes.
+//!
+//! The **work** half — nodes expanded, memo traffic, moves pruned, longest
+//! history tried — is what such work is *for*. It is pinned to its current
+//! value (so a lost prune shows) and asserted `≤` the value of the kernel
+//! before the feasibility prune, kept beside it: work may only fall.
 
 use slin_adt::{ConsInput, ConsOutput, Consensus, KvKeyPartitioner, KvStore, Value};
 use slin_core::engine::SearchStats;
@@ -17,7 +28,7 @@ use slin_core::gen::{
 use slin_core::initrel::{ConsensusInit, ExactInit};
 use slin_core::lin::{LinChecker, LinError};
 use slin_core::session::{Checker, Strategy};
-use slin_core::slin::{SlinChecker, SlinError};
+use slin_core::slin::{SlinChecker, SlinError, SlinReport, SlinWitness};
 use slin_core::stream::{LinMonitor, MonitorConfig};
 use slin_core::ObjAction;
 use slin_obs::{EngineSearchEvent, Obs, Observer};
@@ -34,16 +45,23 @@ fn fnv(h: &mut u64, bytes: &[u8]) {
 
 const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// What a first-solution corpus pins: the summed engine counters and a
-/// digest of every verdict (witness or error) in corpus order.
+/// The tree-invariant half of a first-solution corpus: the leaves reached
+/// and a digest of every verdict (witness or error) in corpus order.
 #[derive(Debug, PartialEq, Eq)]
 struct SearchPin {
+    leaf_checks: usize,
+    verdicts: u64,
+}
+
+/// The work half: the summed engine counters. `pruned` is zero before the
+/// feasibility prune.
+#[derive(Debug, PartialEq, Eq)]
+struct SearchWork {
     nodes: usize,
     memo_entries: usize,
     memo_hits: usize,
-    leaf_checks: usize,
+    pruned: usize,
     max_history_len: usize,
-    verdicts: u64,
 }
 
 struct SearchAcc {
@@ -59,21 +77,43 @@ impl SearchAcc {
         }
     }
 
+    /// `outcome` must not embed counters: see [`sans_stats`].
     fn add(&mut self, stats: &SearchStats, outcome: &dyn std::fmt::Debug) {
         self.stats.absorb(stats);
         fnv(&mut self.digest, format!("{outcome:?}\n").as_bytes());
     }
 
-    fn pin(self) -> SearchPin {
-        SearchPin {
+    /// Checks both halves; `pre_prune` is what the kernel spent on the
+    /// same corpus before the feasibility prune.
+    fn assert(self, pin: SearchPin, work: SearchWork, pre_prune: SearchWork) {
+        let got = SearchPin {
+            leaf_checks: self.stats.leaf_checks,
+            verdicts: self.digest,
+        };
+        assert_eq!(got, pin, "the tree moved");
+        let spent = SearchWork {
             nodes: self.stats.nodes,
             memo_entries: self.stats.memo_entries,
             memo_hits: self.stats.memo_hits,
-            leaf_checks: self.stats.leaf_checks,
+            pruned: self.stats.pruned,
             max_history_len: self.stats.max_history_len,
-            verdicts: self.digest,
-        }
+        };
+        assert_eq!(spent, work);
+        assert!(
+            work.nodes <= pre_prune.nodes
+                && work.memo_entries <= pre_prune.memo_entries
+                && work.memo_hits <= pre_prune.memo_hits
+                && work.max_history_len <= pre_prune.max_history_len,
+            "work may only fall: {work:?} vs {pre_prune:?}"
+        );
     }
+}
+
+/// A speculative verdict without the `SearchStats` its report embeds.
+fn sans_stats<I, E>(outcome: &Result<SlinReport<I>, E>) -> Result<(usize, &SlinWitness<I>), &E> {
+    outcome
+        .as_ref()
+        .map(|r| (r.interpretations_checked, &r.witness))
 }
 
 #[test]
@@ -95,16 +135,25 @@ fn first_solution_kv_multikey() {
             .check(&t);
         acc.add(&v.stats, &v.outcome);
     }
-    assert_eq!(
-        acc.pin(),
+    acc.assert(
         SearchPin {
+            leaf_checks: 11,
+            verdicts: 16_733_320_725_229_023_926,
+        },
+        SearchWork {
+            nodes: 119,
+            memo_entries: 25,
+            memo_hits: 10,
+            pruned: 644,
+            max_history_len: 8,
+        },
+        SearchWork {
             nodes: 539,
             memo_entries: 403,
             memo_hits: 52,
-            leaf_checks: 11,
+            pruned: 0,
             max_history_len: 9,
-            verdicts: 16_733_320_725_229_023_926,
-        }
+        },
     );
 }
 
@@ -171,18 +220,27 @@ fn first_solution_consensus_slin() {
             .threads(1)
             .build()
             .check(&t);
-        acc.add(&v.stats, &v.outcome);
+        acc.add(&v.stats, &sans_stats(&v.outcome));
     }
-    assert_eq!(
-        acc.pin(),
+    acc.assert(
         SearchPin {
+            leaf_checks: 135,
+            verdicts: 10_126_815_132_921_989_961,
+        },
+        SearchWork {
+            nodes: 888,
+            memo_entries: 761,
+            memo_hits: 74,
+            pruned: 985,
+            max_history_len: 4,
+        },
+        SearchWork {
             nodes: 3469,
             memo_entries: 2641,
             memo_hits: 775,
-            leaf_checks: 135,
+            pruned: 0,
             max_history_len: 4,
-            verdicts: 4_672_119_937_643_186_660,
-        }
+        },
     );
 }
 
@@ -206,27 +264,35 @@ fn first_solution_faulty_phase_corpus() {
             .threads(1)
             .build()
             .check(&t);
-        acc.add(&v.stats, &v.outcome);
+        acc.add(&v.stats, &sans_stats(&v.outcome));
     }
-    assert_eq!(
-        acc.pin(),
+    acc.assert(
         SearchPin {
+            leaf_checks: 28,
+            verdicts: 15_655_020_362_760_195_675,
+        },
+        SearchWork {
+            nodes: 1189,
+            memo_entries: 572,
+            memo_hits: 617,
+            pruned: 4318,
+            max_history_len: 16,
+        },
+        SearchWork {
             nodes: 44276,
             memo_entries: 26829,
             memo_hits: 17447,
-            leaf_checks: 28,
+            pruned: 0,
             max_history_len: 17,
-            verdicts: 15_655_020_362_760_195_675,
-        }
+        },
     );
 }
 
-/// What a stream pins: the shard-machinery counters, a digest of every
-/// per-event outcome (frontier length, fallback flag, rolling status) and
-/// a digest of the final report's verdict.
+/// The tree-invariant half of a stream: the shard-machinery counters, a
+/// digest of every per-event outcome (frontier length, fallback flag,
+/// rolling status) and a digest of the final report's verdict.
 #[derive(Debug, PartialEq, Eq)]
 struct StreamPin {
-    search_nodes: usize,
     extension_searches: usize,
     fallback_searches: usize,
     frontier_peak: usize,
@@ -236,18 +302,17 @@ struct StreamPin {
     verdict: u64,
 }
 
-/// Drains `t` through a fresh monitor and checks it against `pin`.
-///
-/// Everything but `search_nodes` is the pre-collapse value. Tail extension
-/// used to be a memo-less third copy of the search; as a kernel call it
-/// shares the dead-end memo and stops at the frontier cap, so its share of
-/// `search_nodes` may only fall: `pre_collapse_nodes` is what the old
-/// loops spent on the same stream, `pin.search_nodes` what the kernel does.
+/// Drains `t` through a fresh monitor and checks it against `pin` and the
+/// work half: `search_nodes` is what the kernel spends on the stream now,
+/// `pre_prune_nodes` what it spent before the feasibility prune (itself
+/// within a few nodes below the three pre-collapse loops, whose memo-less
+/// tail extension kept paying past the frontier cap).
 fn assert_stream(
     t: &Trace<ObjAction<KvStore, ()>>,
     cfg: MonitorConfig,
-    pre_collapse_nodes: usize,
     pin: StreamPin,
+    search_nodes: usize,
+    pre_prune_nodes: usize,
 ) {
     let mut mon: LinMonitor<KvStore, KvKeyPartitioner> =
         LinMonitor::owned_with_config(KvStore, KvKeyPartitioner, cfg);
@@ -263,7 +328,6 @@ fn assert_stream(
     let mut verdict = FNV_SEED;
     fnv(&mut verdict, format!("{:?}", report.verdict).as_bytes());
     let got = StreamPin {
-        search_nodes: report.shard.search_nodes,
         extension_searches: report.shard.extension_searches,
         fallback_searches: report.shard.fallback_searches,
         frontier_peak: report.shard.frontier_peak,
@@ -272,8 +336,9 @@ fn assert_stream(
         outcomes,
         verdict,
     };
-    assert_eq!(got, pin);
-    assert!(pin.search_nodes <= pre_collapse_nodes);
+    assert_eq!(got, pin, "the tree moved");
+    assert_eq!(report.shard.search_nodes, search_nodes);
+    assert!(search_nodes <= pre_prune_nodes, "work may only fall");
 }
 
 fn hotkey_stream(clients: u32, steps: usize, seed: u64) -> Trace<ObjAction<KvStore, ()>> {
@@ -316,9 +381,7 @@ fn stream_hotkey_w32() {
             window: Some(32),
             ..Default::default()
         },
-        67_296,
         StreamPin {
-            search_nodes: 67_293,
             extension_searches: 66,
             fallback_searches: 4,
             frontier_peak: 3,
@@ -327,6 +390,8 @@ fn stream_hotkey_w32() {
             outcomes: 5_551_940_265_456_177_429,
             verdict: 4_126_513_742_314_756_226,
         },
+        1_013,
+        67_293,
     );
 }
 
@@ -338,9 +403,7 @@ fn stream_hostile_stragglers_w16() {
             window: Some(16),
             ..Default::default()
         },
-        21_683,
         StreamPin {
-            search_nodes: 21_677,
             extension_searches: 139,
             fallback_searches: 12,
             frontier_peak: 4,
@@ -349,6 +412,8 @@ fn stream_hostile_stragglers_w16() {
             outcomes: 15_225_207_924_412_238_523,
             verdict: 12_274_530_455_667_272_225,
         },
+        1_138,
+        21_677,
     );
 }
 
@@ -366,9 +431,7 @@ fn tail_extension_reaches_a_tiny_frontier_cap() {
     assert_stream(
         &hotkey_stream(4, 60, 20),
         cfg,
-        88_638,
         StreamPin {
-            search_nodes: 88_636,
             extension_searches: 18,
             fallback_searches: 0,
             frontier_peak: 2,
@@ -377,13 +440,13 @@ fn tail_extension_reaches_a_tiny_frontier_cap() {
             outcomes: 8_625_585_686_834_570_319,
             verdict: 15_994_890_632_968_525_845,
         },
+        787,
+        88_636,
     );
     assert_stream(
         &straggler_stream(4, 60, 0.01, 26),
         cfg,
-        6_512,
         StreamPin {
-            search_nodes: 6_508,
             extension_searches: 28,
             fallback_searches: 6,
             frontier_peak: 3,
@@ -392,6 +455,8 @@ fn tail_extension_reaches_a_tiny_frontier_cap() {
             outcomes: 8_000_433_408_145_955_105,
             verdict: 13_257_915_500_970_795_381,
         },
+        231,
+        6_508,
     );
 }
 
