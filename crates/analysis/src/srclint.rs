@@ -12,15 +12,12 @@
 //! * `forbid-unsafe` — every crate root (`crates/**/src/lib.rs`) carries
 //!   `#![forbid(unsafe_code)]`;
 //! * `hot-path-unwrap` — no `.unwrap()` and no non-literal `.expect(`
-//!   in the ingest hot paths (`crates/daemon/src`, `crates/monitor/src`,
+//!   in the ingest hot paths (`crates/daemon/src`,
 //!   `crates/core/src/stream`) outside test regions;
 //! * `lock-order` — the workspace's known mutexes are acquired in one
 //!   global order within any function (registry shards → span ring →
 //!   monitor status cache → recorder events), so lock cycles cannot be
 //!   introduced silently;
-//! * `deprecated-gate` — calls to the legacy `check_*`/`metrics_json`
-//!   wrapper methods outside tests must sit under an explicit
-//!   `#[allow(deprecated)]`, keeping migrations one-way;
 //! * `no-debug-macros` — `dbg!`, `todo!`, and `unimplemented!` never ship
 //!   outside `#[cfg(test)]` regions (stderr noise in daemons; reachable
 //!   panics in checkers).
@@ -37,15 +34,11 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "hot-path-unwrap",
-        "no .unwrap() / non-literal .expect( in daemon, monitor, or streaming ingest paths",
+        "no .unwrap() / non-literal .expect( in daemon or streaming ingest paths",
     ),
     (
         "lock-order",
         "known mutex families must be acquired in the global order within a function",
-    ),
-    (
-        "deprecated-gate",
-        "legacy wrapper-method calls outside tests require #[allow(deprecated)]",
     ),
     (
         "no-debug-macros",
@@ -60,11 +53,7 @@ pub const RULES: &[(&str, &str)] = &[
 const DEBUG_MACROS: &[&str] = &["dbg", "todo", "unimplemented"];
 
 /// Directories whose non-test code is an ingest hot path.
-const HOT_PATHS: &[&str] = &[
-    "crates/daemon/src/",
-    "crates/monitor/src/",
-    "crates/core/src/stream/",
-];
+const HOT_PATHS: &[&str] = &["crates/daemon/src/", "crates/core/src/stream/"];
 
 /// Known mutex families, in their global acquisition order. A `.lock()`
 /// whose receiver window matches `pattern` belongs to the family.
@@ -73,16 +62,6 @@ const LOCK_ORDER: &[(&str, &str)] = &[
     ("span-ring", "self.ring"),
     ("status-cache", "status_cache"),
     ("recorder-events", "self.events"),
-];
-
-/// Legacy wrapper methods kept only as `#[deprecated]` shims.
-const LEGACY_METHODS: &[&str] = &[
-    "check_with_stats",
-    "check_sequential",
-    "check_partitioned_with_report",
-    "check_partitioned",
-    "check_split_with_report",
-    "metrics_json",
 ];
 
 /// One lint violation.
@@ -154,15 +133,14 @@ fn rust_sources(dir: &Path) -> io::Result<Vec<PathBuf>> {
 
 /// Per-line facts computed in one pass: comment-stripped text and whether
 /// the line sits inside a `#[cfg(test)]` region.
-struct Line<'a> {
+struct Line {
     code: String,
-    raw: &'a str,
     in_test: bool,
 }
 
 /// Strips `//` comments (string-literal aware, heuristically) and marks
 /// `#[cfg(test)]`-gated regions by brace tracking.
-fn preprocess(source: &str) -> Vec<Line<'_>> {
+fn preprocess(source: &str) -> Vec<Line> {
     let mut lines = Vec::new();
     let mut test_depth: Option<usize> = None; // brace depth where the region opened
     let mut depth = 0usize;
@@ -188,7 +166,7 @@ fn preprocess(source: &str) -> Vec<Line<'_>> {
                 test_depth = None;
             }
         }
-        lines.push(Line { code, raw, in_test });
+        lines.push(Line { code, in_test });
     }
     lines
 }
@@ -360,38 +338,6 @@ fn lint_file(rel: &str, source: &str, hits: &mut Vec<LintHit>) {
             }
         }
     }
-
-    // Rule: deprecated-gate — legacy wrapper-method calls outside tests
-    // must carry #[allow(deprecated)] within the preceding lines.
-    for (idx, l) in lines.iter().enumerate() {
-        if l.in_test {
-            continue;
-        }
-        // Skip definitions (the shims themselves) and attributes.
-        if l.code.contains("fn ") || l.code.trim_start().starts_with("#[") {
-            continue;
-        }
-        for name in LEGACY_METHODS {
-            if !l.code.contains(&format!(".{name}(")) {
-                continue;
-            }
-            let lo = idx.saturating_sub(30);
-            let gated = lines[lo..idx]
-                .iter()
-                .any(|w| w.raw.contains("allow(deprecated)"));
-            if !gated {
-                hits.push(LintHit {
-                    rule: "deprecated-gate",
-                    file: rel.to_string(),
-                    line: idx + 1,
-                    message: format!(
-                        "call to legacy `.{name}(` without a nearby #[allow(deprecated)]"
-                    ),
-                });
-            }
-            break; // one hit per line is enough
-        }
-    }
 }
 
 #[cfg(test)]
@@ -431,9 +377,9 @@ mod tests {
     #[test]
     fn expect_requires_a_literal_message_in_hot_paths() {
         let ok = "fn f() {\n    m.lock().expect(\"poisoned\");\n}\n";
-        assert!(lint_str("crates/monitor/src/foo.rs", ok).is_empty());
+        assert!(lint_str("crates/core/src/stream/foo.rs", ok).is_empty());
         let bad = "fn f() {\n    m.lock().expect(msg);\n}\n";
-        let hits = lint_str("crates/monitor/src/foo.rs", bad);
+        let hits = lint_str("crates/core/src/stream/foo.rs", bad);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].rule, "hot-path-unwrap");
     }
@@ -450,20 +396,6 @@ mod tests {
                   self.events.lock();\n}\nfn g(&self) {\n    let a = self.events.lock();\n}\n\
                   fn h(&self) {\n    let b = self.shards[0].lock();\n}\n";
         assert!(lint_str("crates/obs/src/foo.rs", ok).is_empty());
-    }
-
-    #[test]
-    fn deprecated_gate_requires_allow_near_legacy_calls() {
-        let bad = "fn caller(c: &C) {\n    let v = c.check_sequential(&t);\n}\n";
-        let hits = lint_str("crates/core/src/foo.rs", bad);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].rule, "deprecated-gate");
-        let ok = "#[allow(deprecated)] // oracle\nfn caller(c: &C) {\n    let v = \
-                  c.check_sequential(&t);\n}\n";
-        assert!(lint_str("crates/core/src/foo.rs", ok).is_empty());
-        // Free functions with the same name are not the legacy methods.
-        let free = "fn caller(c: &C) {\n    let v = model::check_partitioned(c, p, t);\n}\n";
-        assert!(lint_str("crates/core/src/foo.rs", free).is_empty());
     }
 
     #[test]

@@ -63,8 +63,9 @@ use slin_core::initrel::ExactInit;
 use slin_core::lin::LinChecker;
 use slin_core::session::{Checker, Strategy};
 use slin_core::slin::SlinChecker;
+use slin_core::stream::{LinMonitor, MonitorConfig, MonitorStatus, SlinMonitor};
 use slin_daemon::{Daemon, DaemonConfig, LoadConfig, TenantPolicy};
-use slin_monitor::{LinMonitor, MonitorConfig, MonitorStatus, Obs, SlinMonitor, StackObserver};
+use slin_obs::{Obs, StackObserver};
 use slin_sim::Time;
 
 /// One row of the fast-path latency table (B1).

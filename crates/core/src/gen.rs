@@ -294,13 +294,16 @@ where
 /// use slin_adt::{KvKeyPartitioner, KvStore};
 /// use slin_core::gen::{random_multikey_kv_trace, MultiKeyConfig};
 /// use slin_core::lin::LinChecker;
+/// use slin_core::session::{Checker, Strategy};
 ///
 /// let t = random_multikey_kv_trace(&MultiKeyConfig { keys: 8, ..Default::default() });
 /// let chk = LinChecker::owned(KvStore);
-/// assert_eq!(
-///     chk.check_partitioned(&KvKeyPartitioner, &t),
-///     chk.check(&t), // byte-identical, fewer nodes
-/// );
+/// let mut partitioned = Checker::builder(chk.clone())
+///     .partitioner(KvKeyPartitioner)
+///     .strategy(Strategy::Partitioned)
+///     .build();
+/// // Byte-identical, fewer nodes.
+/// assert_eq!(partitioned.check(&t).outcome, chk.check(&t));
 /// ```
 pub fn random_multikey_kv_trace(cfg: &MultiKeyConfig) -> Trace<ObjAction<KvStore, ()>> {
     multikey_trace(&KvStore, cfg, sample_keyed::<KvStore>)

@@ -37,8 +37,7 @@
 //!   one [`session::Verdict`] report type;
 //! * [`stream`] — the **online streaming monitor**: per-key sharded
 //!   incremental checking of live event streams, generic over any
-//!   [`ConsistencyModel`] (re-exported by the `slin-monitor` facade
-//!   crate);
+//!   [`ConsistencyModel`];
 //! * [`compose`] — phase projection and the apparatus of the
 //!   **intra-object composition theorem** (Theorems 2, 3 and 5);
 //! * [`gen`] — seeded random generators of well-formed (and adversarial)
@@ -62,8 +61,7 @@
 //!     Action::respond(c2, ph, ConsInput::propose(2), ConsOutput::decide(2)),
 //!     Action::respond(c1, ph, ConsInput::propose(1), ConsOutput::decide(2)),
 //! ]);
-//! let cons = Consensus::new();
-//! let mut session = Checker::builder(LinChecker::new(&cons)).build();
+//! let mut session = Checker::builder(LinChecker::owned(Consensus::new())).build();
 //! assert!(session.check(&t).is_ok());
 //! ```
 

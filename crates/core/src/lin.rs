@@ -20,11 +20,11 @@
 //! [`crate::engine`] for the search itself.
 
 use crate::engine::{Chain, CheckerEngine, EngineError, SearchBudget, SearchSeed, SearchStats};
-use crate::model::{self, ConsistencyModel};
-use crate::partition::{self, PartitionReport};
+use crate::model::ConsistencyModel;
+use crate::partition::PartitionReport;
 use crate::stream::{MonitorStatus, StreamFailure, StreamModel};
 use crate::{ops, ObjAction};
-use slin_adt::{Adt, Partitioner};
+use slin_adt::Adt;
 use slin_trace::wf::{self, WellFormednessError};
 use slin_trace::{PersistentMultiset, PhaseId, Trace};
 use std::error::Error;
@@ -102,7 +102,7 @@ pub struct LinWitness<I> {
 
 impl<I> LinWitness<I> {
     /// Assembles a witness from `(commit index, history)` pairs in chain
-    /// order — how the online monitor (`slin-monitor`) packages its
+    /// order — how the online monitor ([`crate::stream`]) packages its
     /// window-relative merged chains.
     pub fn from_assignments(assignments: Vec<(usize, Vec<I>)>) -> Self {
         LinWitness { assignments }
@@ -212,20 +212,6 @@ where
         }
     }
 
-    /// Creates a checker for a borrowed ADT by cloning it (every repo ADT
-    /// is a zero-sized unit struct, so the clone is free).
-    #[deprecated(
-        since = "0.1.0",
-        note = "checkers own their model now: use `LinChecker::owned(adt)` \
-                (or `shared(Arc<T>)` to share one allocation)"
-    )]
-    pub fn new(adt: &T) -> Self
-    where
-        T: Clone,
-    {
-        Self::owned(adt.clone())
-    }
-
     /// Overrides the search node budget (per partition on the partitioned
     /// path).
     pub fn with_budget(mut self, budget: usize) -> Self {
@@ -233,9 +219,9 @@ where
         self
     }
 
-    /// Overrides the number of worker threads used by
-    /// [`LinChecker::check_partitioned`] to fan partitions out (0 = one per
-    /// available core; 1 = sequential). Verdicts and witnesses are
+    /// Overrides the number of worker threads a partitioned
+    /// [`crate::session`] fans partitions out on (0 = one per available
+    /// core; 1 = sequential). Verdicts and witnesses are
     /// byte-identical at every thread count.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -259,24 +245,6 @@ where
         V: Clone + PartialEq,
     {
         self.check_with_stats_impl(t).0
-    }
-
-    /// Like [`LinChecker::check`], also reporting the engine's
-    /// [`SearchStats`] (all-zero when the trace is rejected before the
-    /// search starts).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the `Session` facade: `Checker::builder(model).build().check(&t)` \
-                returns a `Verdict` carrying the stats — see `slin_core::session`"
-    )]
-    pub fn check_with_stats<V>(
-        &self,
-        t: &Trace<ObjAction<T, V>>,
-    ) -> (Result<LinWitness<T::Input>, LinError>, SearchStats)
-    where
-        V: Clone + PartialEq,
-    {
-        self.check_with_stats_impl(t)
     }
 
     /// The monolithic check: signature gate, well-formedness, engine
@@ -336,91 +304,6 @@ where
         V: Clone + PartialEq,
     {
         self.check(t).is_ok()
-    }
-
-    /// P-compositional form of [`LinChecker::check`]: splits the trace into
-    /// independent sub-histories along `partitioner`, checks them across
-    /// scoped worker threads, and merges the results.
-    ///
-    /// Verdicts and witnesses are **byte-identical** to [`LinChecker::check`]
-    /// (see [`crate::partition`] for the argument), while the expanded node
-    /// count drops from the product to the sum of the per-partition search
-    /// spaces. The one caveat is [`LinError::BudgetExhausted`]: the node
-    /// budget applies per partition, so a trace the monolithic search gives
-    /// up on may well be decided here (that is the point).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the `Session` facade: `Checker::builder(model).partitioner(p).build()` \
-                — see `slin_core::session`"
-    )]
-    pub fn check_partitioned<V, P>(
-        &self,
-        partitioner: &P,
-        t: &Trace<ObjAction<T, V>>,
-    ) -> Result<LinWitness<T::Input>, LinError>
-    where
-        V: Clone + PartialEq + Sync,
-        P: Partitioner<T>,
-        T: Send + Sync,
-        T::Input: Send + Sync,
-        T::Output: Sync,
-    {
-        model::check_partitioned(self, partitioner, t).verdict
-    }
-
-    /// Like [`LinChecker::check_partitioned`], also reporting the
-    /// [`PartitionReport`] (partition count, fallback engagement, merged
-    /// [`SearchStats`]).
-    ///
-    /// One report-shape change versus the historical implementation: on a
-    /// trace rejected before the search (switch action, ill-formed), the
-    /// report now carries the split's actual `partitions`/`fallback`
-    /// values instead of the former `partitions: 0, fallback: true`
-    /// placeholder. Verdicts and witnesses are unchanged.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the `Session` facade: the returned `Verdict` carries the \
-                `PartitionReport` — see `slin_core::session`"
-    )]
-    pub fn check_partitioned_with_report<V, P>(
-        &self,
-        partitioner: &P,
-        t: &Trace<ObjAction<T, V>>,
-    ) -> (Result<LinWitness<T::Input>, LinError>, PartitionReport)
-    where
-        V: Clone + PartialEq + Sync,
-        P: Partitioner<T>,
-        T: Send + Sync,
-        T::Input: Send + Sync,
-        T::Output: Sync,
-    {
-        let sv = model::check_partitioned(self, partitioner, t);
-        (sv.verdict, sv.report)
-    }
-
-    /// Like [`LinChecker::check_partitioned_with_report`], but over an
-    /// already-computed [`partition::SplitOutcome`] maintained incrementally
-    /// by the caller. (Same pre-search report-shape change as that
-    /// method.)
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the generic `slin_core::model::check_split` — one code path \
-                for every `ConsistencyModel`"
-    )]
-    pub fn check_split_with_report<V, K>(
-        &self,
-        split: &partition::SplitOutcome<T, V, K>,
-        t: &Trace<ObjAction<T, V>>,
-    ) -> (Result<LinWitness<T::Input>, LinError>, PartitionReport)
-    where
-        V: Clone + PartialEq + Sync,
-        K: Sync,
-        T: Send + Sync,
-        T::Input: Send + Sync,
-        T::Output: Sync,
-    {
-        let sv = model::check_split(self, split, t);
-        (sv.verdict, sv.report)
     }
 }
 
@@ -482,13 +365,6 @@ where
         sub: &Trace<ObjAction<T, V>>,
     ) -> (Result<LinWitness<T::Input>, LinError>, SearchStats) {
         self.engine_search(sub)
-    }
-
-    fn check_remerge(
-        &self,
-        t: &Trace<ObjAction<T, V>>,
-    ) -> (Result<LinWitness<T::Input>, LinError>, SearchStats) {
-        self.engine_search(t)
     }
 
     fn commit_chain(w: &LinWitness<T::Input>) -> &[(usize, Vec<T::Input>)] {

@@ -28,8 +28,7 @@
 //! hands a plain borrow back for transient use, and
 //! [`ConsistencyModel::adt_shared`] clones the `Arc` so long-lived
 //! consumers (the monitor's shard table) hold their own handle without
-//! borrowing the model itself. The pre-PR-7 borrow-based constructors
-//! survive as `#[deprecated]` cloning wrappers.
+//! borrowing the model itself.
 
 use crate::engine::{Chain, SearchStats};
 use crate::ops;
@@ -48,16 +47,15 @@ use std::sync::Arc;
 /// value type). Implementations: [`crate::lin::LinChecker`] and
 /// [`crate::slin::SlinChecker`].
 ///
-/// The contract every implementation upholds: [`check_monolithic`],
-/// [`check_partition`] and [`check_remerge`] agree with the model's
-/// canonical monolithic verdict, and the witness-assembly hooks
+/// The contract every implementation upholds: [`check_monolithic`] and
+/// [`check_partition`] agree with the model's canonical monolithic
+/// verdict, and the witness-assembly hooks
 /// reconstruct **byte-identical** witnesses when fed the merged chain the
 /// engine-order replay produces (see [`crate::partition`] for why the
 /// merge is exact).
 ///
 /// [`check_monolithic`]: ConsistencyModel::check_monolithic
 /// [`check_partition`]: ConsistencyModel::check_partition
-/// [`check_remerge`]: ConsistencyModel::check_remerge
 pub trait ConsistencyModel<V>: Sized {
     /// The abstract data type whose outputs the criterion must explain.
     type Adt: Adt;
@@ -113,25 +111,20 @@ pub trait ConsistencyModel<V>: Sized {
     fn validate(&self, t: &Trace<ObjAction<Self::Adt, V>>) -> Result<(), Self::Error>;
 
     /// The canonical monolithic check (validation included), with the
-    /// engine counters the model's legacy entry point reported.
+    /// engine counters of the search.
     fn check_monolithic(
         &self,
         t: &Trace<ObjAction<Self::Adt, V>>,
     ) -> (Result<Self::Witness, Self::Error>, SearchStats);
 
     /// The per-partition unit of work on one sub-trace of an
-    /// already-validated trace.
+    /// already-validated trace. Run on the whole trace, it is also the
+    /// monolithic re-derivation when the witness merge bails
+    /// (cross-partition bound coupling; the verdict is already decided by
+    /// the partition verdicts).
     fn check_partition(
         &self,
         sub: &Trace<ObjAction<Self::Adt, V>>,
-    ) -> (Result<Self::Witness, Self::Error>, SearchStats);
-
-    /// The monolithic re-derivation run when the witness merge bails
-    /// (cross-partition bound coupling); the verdict is already decided by
-    /// the partition verdicts.
-    fn check_remerge(
-        &self,
-        t: &Trace<ObjAction<Self::Adt, V>>,
     ) -> (Result<Self::Witness, Self::Error>, SearchStats);
 
     /// Projects a witness onto its commit chain (sub-trace indices) — the
@@ -146,8 +139,9 @@ pub trait ConsistencyModel<V>: Sized {
         report: &PartitionReport,
     ) -> Self::Witness;
 
-    /// Re-wraps the witness produced by [`ConsistencyModel::check_remerge`]
-    /// with the partitioned path's accounting (`interpretations_pre` is the
+    /// Re-wraps the witness of the merge-bail re-derivation
+    /// ([`ConsistencyModel::check_partition`] on the whole trace) with the
+    /// partitioned path's accounting (`interpretations_pre` is the
     /// interpretation counter before the re-run's counters were absorbed).
     fn witness_from_remerge(
         &self,
@@ -211,9 +205,8 @@ pub struct SplitVerdict<W, E> {
 }
 
 /// P-compositional checking over an already-computed [`SplitOutcome`] —
-/// the one generic code path behind `LinChecker::check_partitioned`,
-/// `SlinChecker::check_partitioned` and the streaming monitor's report
-/// derivation.
+/// the one generic code path behind every partitioned [`crate::session`]
+/// and the streaming monitor's report derivation.
 ///
 /// `split.parts` must partition `t`'s actions in trace order with correct
 /// `index_map`s, exactly as [`partition::split_trace`] produces; verdicts
@@ -298,7 +291,7 @@ where
             // monolithic first witness is not predictable from the
             // partition witnesses, so re-derive it (the verdict — all
             // partitions passing — is already decided).
-            let (rerun, rerun_stats) = model.check_remerge(t);
+            let (rerun, rerun_stats) = model.check_partition(t);
             report.remerged = true;
             report.stats.absorb(&rerun_stats);
             SplitVerdict {
@@ -309,25 +302,4 @@ where
             }
         }
     }
-}
-
-/// [`check_split`] over a fresh split along `partitioner` — the generic
-/// form of the legacy `check_partitioned_with_report` pair.
-pub fn check_partitioned<V, M, P>(
-    model: &M,
-    partitioner: &P,
-    t: &Trace<ObjAction<M::Adt, V>>,
-) -> SplitVerdict<M::Witness, M::Error>
-where
-    M: ConsistencyModel<V> + Sync,
-    M::Adt: Sync,
-    <M::Adt as Adt>::Input: Ord + Send + Sync,
-    <M::Adt as Adt>::Output: Sync,
-    M::Witness: Send,
-    M::Error: Send,
-    V: Clone + Sync,
-    P: slin_adt::Partitioner<M::Adt>,
-{
-    let split = partition::split_trace(partitioner, t);
-    check_split(model, &split, t)
 }

@@ -279,8 +279,8 @@ pub(crate) type SearchVerdict<I, E> = Result<Option<Chain<I>>, E>;
 /// every partition's counters in key order, resolves the verdict exactly
 /// like a sequential partition loop would (the first failing partition in
 /// key order wins), and merges the partition witnesses in engine order —
-/// the orchestration shared by `LinChecker::check_partitioned` and
-/// `SlinChecker::check_partitioned`.
+/// the orchestration behind [`crate::model::check_split`] for every
+/// [`crate::model::ConsistencyModel`].
 ///
 /// `finding` projects one per-partition result onto the engine counters
 /// plus either the commit chain (in sub-trace indices) or the partition's
@@ -352,8 +352,8 @@ where
 /// histories: either an interleaved extra input or a commit (with its
 /// original trace index and the committed input).
 ///
-/// Public for the online monitor (`slin-monitor`), which replays the same
-/// merge over its shard witnesses.
+/// Public for the online monitor ([`crate::stream`]), which replays the
+/// same merge over its shard witnesses.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Step<I> {
     /// An extra input interleaved before the next commit.

@@ -1,14 +1,12 @@
 //! The unified checker surface: one builder, one [`Session`], one
 //! [`Verdict`] — strategy is configuration, not a method-name matrix.
 //!
-//! Three PRs of growth scattered the checking surface over
-//! `check`/`check_with_stats`/`check_sequential`/`check_partitioned{,_with_report}`/
-//! `check_split_with_report` — twice, once per checker — plus a separate
-//! monitor pair. This module replaces that matrix with a builder-style
-//! facade over any [`ConsistencyModel`]: pick a [`Strategy`], get a
-//! [`Session`], call [`Session::check`] for closed traces or
-//! [`Session::ingest`] for live streams, and read one [`Verdict`] type
-//! either way.
+//! A builder-style facade over any [`ConsistencyModel`] — the one way to
+//! pick between monolithic, partitioned and streaming checking (the
+//! checkers themselves expose only the direct `check`): pick a
+//! [`Strategy`], get a [`Session`], call [`Session::check`] for closed
+//! traces or [`Session::ingest`] for live streams, and read one
+//! [`Verdict`] type either way.
 //!
 //! * [`Strategy::Monolithic`] — one chain search over the whole trace;
 //! * [`Strategy::Partitioned`] — P-compositional checking along the

@@ -30,9 +30,9 @@
 //! Because the init interpretations are **independent** (the universal
 //! quantifier of Definition 19 factors over them), [`SlinChecker::check`]
 //! enumerates them **in parallel** across threads. Verdicts are
-//! deterministic and identical to [`SlinChecker::check_sequential`]: on
-//! failure, the *earliest* interpretation in enumeration order wins — the
-//! same one the sequential loop would report.
+//! deterministic and identical at every thread count: on failure, the
+//! *earliest* interpretation in enumeration order wins — the same one the
+//! single-threaded loop (`with_threads(1)`) reports.
 
 use crate::engine::{Chain, CheckerEngine, EngineError, SearchBudget, SearchSeed, SearchStats};
 use crate::initrel::{CandidateContext, InitRelation};
@@ -225,24 +225,6 @@ where
         }
     }
 
-    /// Creates a checker for a borrowed ADT by cloning it (every repo ADT
-    /// is a zero-sized unit struct, so the clone is free).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `m < n`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "checkers own their model now: use `SlinChecker::owned(adt, rinit, m, n)` \
-                (or `shared(Arc<T>, ..)` to share one allocation)"
-    )]
-    pub fn new(adt: &T, rinit: R, m: PhaseId, n: PhaseId) -> Self
-    where
-        T: Clone,
-    {
-        Self::owned(adt.clone(), rinit, m, n)
-    }
-
     /// Overrides the per-interpretation search node budget.
     pub fn with_budget(mut self, budget: usize) -> Self {
         self.budget = budget;
@@ -316,40 +298,6 @@ where
         self.run_parallel(&prep, threads)
     }
 
-    /// Single-threaded form of [`SlinChecker::check`]; byte-identical
-    /// verdicts (the parallel path resolves races by enumeration order).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the `Session` facade with `.threads(1)` — see `slin_core::session`"
-    )]
-    pub fn check_sequential(
-        &self,
-        t: &Trace<ObjAction<T, R::Value>>,
-    ) -> Result<SlinReport<T::Input>, SlinError> {
-        self.check_sequential_impl(t)
-    }
-
-    /// The single-threaded enumeration loop (the partitioned path's
-    /// per-partition unit of work, and the merge-bail re-derivation).
-    fn check_sequential_impl(
-        &self,
-        t: &Trace<ObjAction<T, R::Value>>,
-    ) -> Result<SlinReport<T::Input>, SlinError> {
-        self.check_sequential_stats(t).0
-    }
-
-    /// [`SlinChecker::check_sequential_impl`] with the refutation-side
-    /// stats of `check_with_stats_impl`.
-    fn check_sequential_stats(
-        &self,
-        t: &Trace<ObjAction<T, R::Value>>,
-    ) -> (Result<SlinReport<T::Input>, SlinError>, SearchStats) {
-        match self.prepare(t) {
-            Ok(prep) => self.run_sequential(&prep),
-            Err(e) => (Err(e), SearchStats::default()),
-        }
-    }
-
     /// Boolean form of [`SlinChecker::check`].
     pub fn is_speculatively_linearizable(&self, t: &Trace<ObjAction<T, R::Value>>) -> bool
     where
@@ -360,92 +308,6 @@ where
         R::Value: Sync,
     {
         self.check(t).is_ok()
-    }
-
-    /// P-compositional form of [`SlinChecker::check`]: splits the trace
-    /// into independent sub-histories along `partitioner`, checks them
-    /// across scoped worker threads, and merges the results.
-    ///
-    /// Any trace containing a **switch action** engages the identity
-    /// fallback (one monolithic check): switch values are interpreted
-    /// through the common relation `rinit`, whose candidate histories may
-    /// couple independence classes. On switch-free traces — where the
-    /// speculative search coincides with the plain one (Theorem 2) —
-    /// verdicts and witnesses are byte-identical to [`SlinChecker::check`];
-    /// see [`crate::partition`] for the argument. `interpretations_checked`
-    /// and [`SlinReport::stats`] measure *work*, which partitioning reduces
-    /// by design, so they differ from the monolithic path.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the `Session` facade: `Checker::builder(model).partitioner(p).build()` \
-                — see `slin_core::session`"
-    )]
-    pub fn check_partitioned<P>(
-        &self,
-        partitioner: &P,
-        t: &Trace<ObjAction<T, R::Value>>,
-    ) -> Result<SlinReport<T::Input>, SlinError>
-    where
-        P: Partitioner<T>,
-        T: Send + Sync,
-        T::Input: Send + Sync,
-        T::Output: Sync,
-        R: Sync,
-        R::Value: Sync,
-    {
-        model::check_partitioned(self, partitioner, t).verdict
-    }
-
-    /// Like [`SlinChecker::check_partitioned`], also reporting the
-    /// [`PartitionReport`] (partition count, fallback engagement, merged
-    /// [`SearchStats`]). When the single-partition fallback path *fails*,
-    /// the report carries the refutation-side counters of the monolithic
-    /// check (the earliest failing interpretation's own search).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the `Session` facade: the returned `Verdict` carries the \
-                `PartitionReport` — see `slin_core::session`"
-    )]
-    pub fn check_partitioned_with_report<P>(
-        &self,
-        partitioner: &P,
-        t: &Trace<ObjAction<T, R::Value>>,
-    ) -> (Result<SlinReport<T::Input>, SlinError>, PartitionReport)
-    where
-        P: Partitioner<T>,
-        T: Send + Sync,
-        T::Input: Send + Sync,
-        T::Output: Sync,
-        R: Sync,
-        R::Value: Sync,
-    {
-        let sv = model::check_partitioned(self, partitioner, t);
-        (sv.verdict, sv.report)
-    }
-
-    /// Like [`SlinChecker::check_partitioned_with_report`], but over an
-    /// already-computed [`partition::SplitOutcome`] maintained incrementally
-    /// by the caller.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the generic `slin_core::model::check_split` — one code path \
-                for every `ConsistencyModel`"
-    )]
-    pub fn check_split_with_report<K>(
-        &self,
-        split: &partition::SplitOutcome<T, R::Value, K>,
-        t: &Trace<ObjAction<T, R::Value>>,
-    ) -> (Result<SlinReport<T::Input>, SlinError>, PartitionReport)
-    where
-        K: Sync,
-        T: Send + Sync,
-        T::Input: Send + Sync,
-        T::Output: Sync,
-        R: Sync,
-        R::Value: Sync,
-    {
-        let sv = model::check_split(self, split, t);
-        (sv.verdict, sv.report)
     }
 
     /// Validates the trace against the phase signature and well-formedness,
@@ -816,7 +678,7 @@ where
     {
         // Switch-free traces partition without any of the keyed machinery.
         if !t.iter().any(|a| a.is_switch()) {
-            return model::check_partitioned(self, partitioner, t);
+            return model::check_split(self, &partition::split_trace(partitioner, t), t);
         }
         // Full validation first: rejection errors and indices must be the
         // monolithic ones.
@@ -1207,14 +1069,13 @@ where
         &self,
         sub: &Trace<ObjAction<T, R::Value>>,
     ) -> (Result<SlinReport<T::Input>, SlinError>, SearchStats) {
-        self.check_sequential_stats(sub)
-    }
-
-    fn check_remerge(
-        &self,
-        t: &Trace<ObjAction<T, R::Value>>,
-    ) -> (Result<SlinReport<T::Input>, SlinError>, SearchStats) {
-        self.check_sequential_stats(t)
+        // The single-threaded enumeration loop (the partition fan-out
+        // already owns the worker threads), with the refutation-side stats
+        // of `check_with_stats_impl`.
+        match self.prepare(sub) {
+            Ok(prep) => self.run_sequential(&prep),
+            Err(e) => (Err(e), SearchStats::default()),
+        }
     }
 
     fn commit_chain(w: &SlinReport<T::Input>) -> &[(usize, Vec<T::Input>)] {
@@ -1594,7 +1455,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // compat: the deprecated sequential wrapper is the differential oracle
     fn parallel_and_sequential_verdicts_are_identical() {
         // Every test trace in this module, under forced multi-threading:
         // the parallel enumeration must reproduce the sequential verdict
@@ -1628,10 +1488,9 @@ mod tests {
         ];
         for t in &traces {
             for (m, n) in [(1, 2), (2, 3)] {
-                let chk = SlinChecker::owned(Consensus, ConsensusInit::new(), ph(m), ph(n))
-                    .with_threads(4);
-                let par = chk.check(t);
-                let seq = chk.check_sequential(t);
+                let chk = SlinChecker::owned(Consensus, ConsensusInit::new(), ph(m), ph(n));
+                let par = chk.clone().with_threads(4).check(t);
+                let seq = chk.with_threads(1).check(t);
                 assert_eq!(par, seq, "phase ({m}, {n}) on {t:?}");
                 assert_eq!(format!("{par:?}"), format!("{seq:?}"));
             }
@@ -1639,7 +1498,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // compat: the deprecated sequential wrapper is the differential oracle
     fn backup_parallel_enumeration_matches_interpretation_count() {
         // The backup phase enumerates > 1 interpretation (adversarial
         // candidate sets); parallel and sequential must count identically.
@@ -1649,9 +1507,8 @@ mod tests {
             Action::respond(c(1), ph(2), p(1), d(5)),
             Action::respond(c(2), ph(2), p(2), d(5)),
         ]);
-        let chk = backup_checker().with_threads(3);
-        let par = chk.check(&t).unwrap();
-        let seq = chk.check_sequential(&t).unwrap();
+        let par = backup_checker().with_threads(3).check(&t).unwrap();
+        let seq = backup_checker().with_threads(1).check(&t).unwrap();
         assert!(par.interpretations_checked > 1);
         assert_eq!(par.interpretations_checked, seq.interpretations_checked);
         assert_eq!(par.stats, seq.stats);
@@ -1660,7 +1517,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // compat: the deprecated sequential wrapper is the differential oracle
     fn budget_exhaustion_reports_node_count() {
         let t: Trace<CA> = Trace::from_actions(vec![
             Action::invoke(c(1), ph(1), p(1)),
@@ -1669,7 +1525,7 @@ mod tests {
             Action::respond(c(2), ph(1), p(2), d(1)),
         ]);
         let chk = quorum_checker().with_budget(1);
-        match chk.check_sequential(&t) {
+        match chk.clone().with_threads(1).check(&t) {
             Err(SlinError::BudgetExhausted { nodes }) => assert!(nodes > 0),
             other => panic!("expected budget exhaustion, got {other:?}"),
         }

@@ -22,10 +22,28 @@
 //! There is **one** monitor: [`Monitor`] is parameterized by a
 //! [`StreamModel`] (the [`ConsistencyModel`] sub-trait adding the few
 //! stream-specific hooks — what a switch action means, and how window
-//! verdicts map onto the model's witness/error types). The historical
-//! `LinMonitor`/`SlinMonitor` pair are type aliases instantiating it with
+//! verdicts map onto the model's witness/error types).
+//! [`LinMonitor`]/[`SlinMonitor`] are type aliases instantiating it with
 //! [`crate::lin::LinChecker`] and [`crate::slin::SlinChecker`]; the
-//! `slin-monitor` crate re-exports this module unchanged.
+//! [`crate::session::Checker`] builder reaches the same monitor through
+//! `Strategy::Streaming { window }`.
+//!
+//! # Quickstart
+//!
+//! ```
+//! use slin_adt::{KvKeyPartitioner, KvStore};
+//! use slin_core::gen::{random_multikey_kv_trace, MultiKeyConfig};
+//! use slin_core::stream::{LinMonitor, MonitorStatus};
+//!
+//! let trace = random_multikey_kv_trace(&MultiKeyConfig::default());
+//! let mut mon: LinMonitor<KvStore, KvKeyPartitioner> =
+//!     LinMonitor::owned(KvStore, KvKeyPartitioner);
+//! for action in trace.iter() {
+//!     let outcome = mon.ingest(action.clone());
+//!     assert_eq!(outcome.status, MonitorStatus::Ok); // rolling, exact
+//! }
+//! assert!(mon.report().verdict.is_ok()); // identical to the batch checker
+//! ```
 //!
 //! # Architecture
 //!

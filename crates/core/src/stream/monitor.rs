@@ -1111,33 +1111,6 @@ where
             .with_threads(config.threads);
         Monitor::from_model(model, Some(partitioner), config)
     }
-
-    /// Creates a plain-linearizability monitor for a borrowed ADT by
-    /// cloning it, with the default configuration.
-    #[deprecated(
-        since = "0.1.0",
-        note = "monitors own their model now: use `LinMonitor::owned(adt, partitioner)`"
-    )]
-    pub fn new(adt: &T, partitioner: P) -> Self
-    where
-        T: Clone,
-    {
-        Self::owned(adt.clone(), partitioner)
-    }
-
-    /// Creates a plain-linearizability monitor for a borrowed ADT by
-    /// cloning it, with an explicit configuration.
-    #[deprecated(
-        since = "0.1.0",
-        note = "monitors own their model now: use \
-                `LinMonitor::owned_with_config(adt, partitioner, config)`"
-    )]
-    pub fn with_config(adt: &T, partitioner: P, config: MonitorConfig) -> Self
-    where
-        T: Clone,
-    {
-        Self::owned_with_config(adt.clone(), partitioner, config)
-    }
 }
 
 impl<T, R, P> Monitor<SlinChecker<T, R>, R::Value, P>
@@ -1153,38 +1126,5 @@ where
     /// batch checker (which owns the ADT and fixes the phase bounds).
     pub fn from_checker(checker: SlinChecker<T, R>, partitioner: P, config: MonitorConfig) -> Self {
         Monitor::from_model(checker, Some(partitioner), config)
-    }
-
-    /// Creates a speculative-linearizability monitor around a configured
-    /// batch checker for phase `(m, n)`.
-    ///
-    /// The `adt` and `(m, n)` arguments are redundant with the checker's
-    /// own configuration (kept for signature compatibility); mismatched
-    /// phase bounds panic rather than silently letting the checker's
-    /// bounds win.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `(m, n)` differs from the checker's configured phase
-    /// bounds.
-    #[deprecated(
-        since = "0.1.0",
-        note = "monitors own their model now: use \
-                `SlinMonitor::from_checker(checker, partitioner, config)`"
-    )]
-    pub fn new(
-        checker: SlinChecker<T, R>,
-        _adt: &T,
-        m: PhaseId,
-        n: PhaseId,
-        partitioner: P,
-        config: MonitorConfig,
-    ) -> Self {
-        assert_eq!(
-            checker.phase_bounds(),
-            Some((m, n)),
-            "the monitor's phase bounds come from the checker"
-        );
-        Self::from_checker(checker, partitioner, config)
     }
 }

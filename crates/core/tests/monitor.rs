@@ -10,9 +10,10 @@ use slin_adt::{
 use slin_core::gen::{random_multikey_kv_trace, MultiKeyConfig};
 use slin_core::initrel::ConsensusInit;
 use slin_core::lin::{witness_is_valid, LinChecker, LinError};
+use slin_core::session::{Checker, Strategy};
 use slin_core::slin::SlinChecker;
+use slin_core::stream::{LinMonitor, MonitorConfig, MonitorStatus, SlinMonitor};
 use slin_core::ObjAction;
-use slin_monitor::{LinMonitor, MonitorConfig, MonitorStatus, SlinMonitor};
 use slin_trace::{Action, ClientId, PhaseId, Trace};
 
 fn c(n: u32) -> ClientId {
@@ -221,10 +222,9 @@ fn violations_are_still_caught_after_gc() {
 }
 
 #[test]
-#[allow(deprecated)] // compat: the deprecated partitioned wrapper is the differential oracle
 fn slin_monitor_matches_partitioned_checker_on_switch_free_streams() {
-    let chk = SlinChecker::new(
-        &KvStore,
+    let chk = SlinChecker::owned(
+        KvStore,
         slin_core::initrel::ExactInit::new(),
         PhaseId::new(1),
         PhaseId::new(2),
@@ -255,20 +255,18 @@ fn slin_monitor_matches_partitioned_checker_on_switch_free_streams() {
                 })
                 .collect(),
         );
-        let mut mon = SlinMonitor::new(
-            chk.clone(),
-            &KvStore,
-            PhaseId::new(1),
-            PhaseId::new(2),
-            KvKeyPartitioner,
-            MonitorConfig::default(),
-        );
+        let mut mon =
+            SlinMonitor::from_checker(chk.clone(), KvKeyPartitioner, MonitorConfig::default());
         for a in t.iter() {
             mon.ingest(a.clone());
         }
         let report = mon.report();
-        let batch = chk.check_partitioned(&KvKeyPartitioner, &t);
-        assert_eq!(report.verdict, batch, "seed {seed}");
+        let batch = Checker::builder(chk.clone())
+            .partitioner(KvKeyPartitioner)
+            .strategy(Strategy::Partitioned)
+            .build()
+            .check(&t);
+        assert_eq!(report.verdict, batch.outcome, "seed {seed}");
     }
 }
 

@@ -173,14 +173,13 @@ proptest! {
     /// stats, and error payloads) to a single-threaded run, on both the
     /// first-phase and backup-phase checkers.
     #[test]
-    #[allow(deprecated)] // compat: the deprecated sequential wrapper is the differential oracle
     fn parallel_slin_matches_sequential(t in phase_trace()) {
         for (m, n) in [(1u32, 2u32), (2, 3)] {
-            let chk = SlinChecker::new(
-                &Consensus, ConsensusInit::new(), PhaseId::new(m), PhaseId::new(n),
-            ).with_threads(4);
-            let par = chk.check(&t);
-            let seq = chk.check_sequential(&t);
+            let chk = SlinChecker::owned(
+                Consensus, ConsensusInit::new(), PhaseId::new(m), PhaseId::new(n),
+            );
+            let par = chk.clone().with_threads(4).check(&t);
+            let seq = chk.with_threads(1).check(&t);
             prop_assert_eq!(&par, &seq, "phase ({}, {}) on {:?}", m, n, t);
             prop_assert_eq!(format!("{:?}", par), format!("{:?}", seq));
         }
@@ -189,12 +188,11 @@ proptest! {
     /// Successful checks aggregate engine stats over exactly the enumerated
     /// interpretations, identically on both execution paths.
     #[test]
-    #[allow(deprecated)] // compat: the deprecated sequential wrapper is the differential oracle
     fn slin_stats_cover_all_interpretations(t in phase_trace()) {
-        let chk = SlinChecker::new(
-            &Consensus, ConsensusInit::new(), PhaseId::new(1), PhaseId::new(2),
+        let chk = SlinChecker::owned(
+            Consensus, ConsensusInit::new(), PhaseId::new(1), PhaseId::new(2),
         );
-        if let Ok(report) = chk.check_sequential(&t) {
+        if let Ok(report) = chk.clone().with_threads(1).check(&t) {
             prop_assert_eq!(report.stats.interpretations, report.interpretations_checked);
             let par = chk.with_threads(4).check(&t).expect("parity with sequential");
             prop_assert_eq!(par.stats, report.stats);

@@ -6,16 +6,16 @@
 //! slin-daemon [--tenants N] [--steps N] [--clients N] [--keys N]
 //!             [--skew F] [--error-prob F] [--chunk-frames N] [--seed N]
 //!             [--workers N] [--policy SPEC] [--snapshot-every N]
-//!             [--metrics v1|json|prom] [--trace PATH]
+//!             [--metrics json|prom] [--trace PATH]
 //! ```
 //!
 //! `--policy` takes the `key=value` comma list of
 //! [`slin_daemon::TenantPolicy::parse`], e.g.
 //! `--policy queue=64,window=16,lossy=true`.
 //!
-//! `--metrics` picks the final exposition format: `v1` (the legacy
-//! `slin-daemon/v1` JSON, the default), `json` (the registry's
-//! `slin-obs/v1` snapshot), or `prom` (Prometheus text format).
+//! `--metrics` picks the final exposition format: `json` (the registry's
+//! `slin-obs/v1` snapshot, the default) or `prom` (Prometheus text
+//! format).
 //! `--trace PATH` enables span tracing and writes a Chrome trace-event
 //! file loadable in Perfetto / `chrome://tracing`.
 
@@ -24,7 +24,6 @@ use slin_obs::StackObserver;
 use std::sync::Arc;
 
 enum MetricsFormat {
-    V1,
     Json,
     Prom,
 }
@@ -48,7 +47,7 @@ fn parse_args() -> Result<Args, String> {
         workers: 4,
         policy: TenantPolicy::default(),
         snapshot_every: 16,
-        metrics: MetricsFormat::V1,
+        metrics: MetricsFormat::Json,
         trace: None,
     };
     let mut it = std::env::args().skip(1);
@@ -68,7 +67,6 @@ fn parse_args() -> Result<Args, String> {
             "--policy" => args.policy = TenantPolicy::parse(&value(&flag)?)?,
             "--metrics" => {
                 args.metrics = match value(&flag)?.as_str() {
-                    "v1" => MetricsFormat::V1,
                     "json" => MetricsFormat::Json,
                     "prom" => MetricsFormat::Prom,
                     other => return Err(format!("bad value for --metrics: {other}")),
@@ -110,9 +108,8 @@ const HELP: &str = "slin-daemon: multi-tenant streaming linearizability monitor
                        frontier_cap, extension_budget, retire_budget,
                        archive)
   --snapshot-every N  verdict-snapshot period, in chunks (default 16)
-  --metrics FORMAT    final metrics exposition: v1 (legacy slin-daemon/v1
-                      JSON, default), json (slin-obs/v1 registry
-                      snapshot), prom (Prometheus text format)
+  --metrics FORMAT    final metrics exposition: json (slin-obs/v1 registry
+                      snapshot, default), prom (Prometheus text format)
   --trace PATH        collect spans and write a Chrome trace-event file
                       (open in Perfetto or chrome://tracing)";
 
@@ -169,7 +166,6 @@ fn main() {
         eprintln!("slin-daemon: wrote Chrome trace to {path}");
     }
     match args.metrics {
-        MetricsFormat::V1 => print!("{}", daemon.metrics().to_json()),
         MetricsFormat::Json => print!("{}", daemon.obs_snapshot_json()),
         MetricsFormat::Prom => print!("{}", daemon.render_prometheus()),
     }

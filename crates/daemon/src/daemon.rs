@@ -325,8 +325,9 @@ impl FallbackCounts {
     }
 }
 
-/// The daemon's metrics surface (see [`Daemon::metrics`]); serialises to
-/// the repo's bench-JSON shape via [`DaemonMetrics::to_json`].
+/// The daemon's metrics surface (see [`Daemon::metrics`]): a typed
+/// point-in-time summary. The serialised expositions are
+/// [`Daemon::obs_snapshot_json`] and [`Daemon::render_prometheus`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct DaemonMetrics {
     /// Live tenants.
@@ -360,43 +361,6 @@ pub struct DaemonMetrics {
     /// Fallback counters from the most recent [`Daemon::poll_verdicts`]:
     /// tenants whose streams are currently monolithic, by reason.
     pub fallbacks: FallbackCounts,
-}
-
-impl DaemonMetrics {
-    /// Renders the metrics in the legacy `slin-daemon/v1` bench-JSON shape
-    /// (2-space indent, stable key order; the trailing `fallbacks` block
-    /// is the one additive extension — existing keys are byte-stable).
-    /// New consumers should read the richer
-    /// [`Daemon::obs_snapshot_json`] (`slin-obs/v1`), which subsumes every
-    /// field here.
-    pub fn to_json(&self) -> String {
-        let v = &self.verdicts;
-        let f = &self.fallbacks;
-        format!(
-            "{{\n  \"schema\": \"slin-daemon/v1\",\n  \"tenants\": {},\n  \"frames\": {},\n  \"bytes\": {},\n  \"events\": {},\n  \"elapsed_secs\": {:.6},\n  \"events_per_sec\": {:.1},\n  \"p50_ingest_us\": {},\n  \"p99_ingest_us\": {},\n  \"queue_depth_peak\": {},\n  \"shed_tenants\": {},\n  \"sheds\": {},\n  \"verdicts\": {{\n    \"ok\": {},\n    \"violation\": {},\n    \"ill_formed\": {},\n    \"switch_seen\": {},\n    \"unknown\": {},\n    \"deferred\": {},\n    \"changed\": {}\n  }},\n  \"fallbacks\": {{\n    \"switch_uncertified\": {},\n    \"unclassifiable_input\": {},\n    \"cross_bound_coupled\": {}\n  }}\n}}\n",
-            self.tenants,
-            self.frames,
-            self.bytes,
-            self.events,
-            self.elapsed_secs,
-            self.events_per_sec,
-            self.p50_ingest_us,
-            self.p99_ingest_us,
-            self.queue_depth_peak,
-            self.shed_tenants,
-            self.sheds,
-            v.ok,
-            v.violation,
-            v.ill_formed,
-            v.switch_seen,
-            v.unknown,
-            v.deferred,
-            v.changed,
-            f.switch_uncertified,
-            f.unclassifiable_input,
-            f.cross_bound_coupled,
-        )
-    }
 }
 
 /// Registry handles for the daemon's own series, resolved once at
@@ -519,7 +483,7 @@ impl Daemon {
     }
 
     /// Renders the full metrics registry as a versioned `slin-obs/v1` JSON
-    /// snapshot. Subsumes the legacy `slin-daemon/v1` surface.
+    /// snapshot.
     pub fn obs_snapshot_json(&self) -> String {
         self.stack.registry().snapshot_json()
     }
@@ -529,17 +493,6 @@ impl Daemon {
     /// was built without tracing.
     pub fn chrome_trace_json(&self) -> Option<String> {
         self.stack.chrome_trace_json()
-    }
-
-    /// The legacy `slin-daemon/v1` metrics JSON, byte-compatible with what
-    /// pre-registry daemons printed.
-    #[deprecated(
-        since = "0.1.0",
-        note = "superseded by `obs_snapshot_json` (schema slin-obs/v1); this shim keeps the \
-                slin-daemon/v1 byte format for existing scrapers"
-    )]
-    pub fn metrics_json(&self) -> String {
-        self.metrics().to_json()
     }
 
     /// Sets (or replaces, for a not-yet-seen tenant) the policy one tenant
@@ -874,7 +827,7 @@ mod tests {
     /// A stream closing with an abort switch: the same frames reach a
     /// keyed tenant (switch certificate installed, stays sharded) and an
     /// unkeyed one (drops to the monolithic route, reported as
-    /// `switch_uncertified` in the fallback metrics and the v1 JSON).
+    /// `switch_uncertified` in the fallback metrics).
     #[test]
     fn keyed_policy_keeps_switch_streams_sharded_and_fallbacks_are_metered() {
         let mut daemon = Daemon::new(DaemonConfig::default());
@@ -917,7 +870,6 @@ mod tests {
         assert_eq!(f.total(), 1);
         let m = daemon.metrics();
         assert_eq!(m.fallbacks, f);
-        assert!(m.to_json().contains("\"switch_uncertified\": 1"));
         assert!(daemon
             .render_prometheus()
             .contains("slin_daemon_fallback{reason=\"switch_uncertified\"} 1"));

@@ -251,8 +251,7 @@ impl Registry {
     /// `"slin-obs/v1"`), deterministic up to the recorded values.
     ///
     /// Histograms are summarized as `count`/`sum`/`p50`/`p99` — the same
-    /// quantile surface the daemon's legacy `slin-daemon/v1` metrics JSON
-    /// exposed, which this snapshot subsumes.
+    /// quantile surface the daemon's typed `DaemonMetrics` summary reads.
     pub fn snapshot_json(&self) -> String {
         let all = self.collect();
         let mut counters = Vec::new();

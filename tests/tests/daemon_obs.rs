@@ -1,10 +1,8 @@
-//! Daemon observability end-to-end: the deprecated `slin-daemon/v1` shim
-//! stays byte-compatible, the `slin-obs/v1` registry snapshot subsumes it,
-//! and an instrumented 1000-tenant run exports a Prometheus page and a
-//! Perfetto-loadable Chrome trace while GC-retired violation witnesses
-//! round-trip byte-identical to batch checking through the archive.
-
-#![allow(deprecated)] // the v1 shim under test is deprecated by design
+//! Daemon observability end-to-end: the `slin-obs/v1` registry snapshot
+//! subsumes the typed `Daemon::metrics()` summary, and an instrumented
+//! 1000-tenant run exports a Prometheus page and a Perfetto-loadable
+//! Chrome trace while GC-retired violation witnesses round-trip
+//! byte-identical to batch checking through the archive.
 
 use slin_adt::{KvInput, KvKeyPartitioner, KvStore};
 use slin_core::initrel::ExactInit;
@@ -34,67 +32,9 @@ fn run_workload(daemon: &mut Daemon, cfg: &LoadConfig) -> slin_daemon::Workload 
     workload
 }
 
-/// The deprecated shim renders byte-for-byte what `metrics().to_json()`
-/// renders, in the exact legacy `slin-daemon/v1` shape.
-#[test]
-fn v1_shim_is_byte_compatible() {
-    let cfg = LoadConfig {
-        tenants: 32,
-        steps_per_tenant: 20,
-        seed: 7,
-        ..LoadConfig::default()
-    };
-    let mut daemon = Daemon::new(DaemonConfig::default());
-    run_workload(&mut daemon, &cfg);
-
-    let shim = daemon.metrics_json();
-    // Wall-clock fields (elapsed, rate) move between the two renders;
-    // everything else must agree byte for byte, line for line.
-    let stable = |s: &str| -> Vec<String> {
-        s.lines()
-            .filter(|l| !l.contains("elapsed_secs") && !l.contains("events_per_sec"))
-            .map(String::from)
-            .collect()
-    };
-    assert_eq!(stable(&shim), stable(&daemon.metrics().to_json()));
-    // The legacy schema, key for key, in order.
-    let keys = [
-        "\"schema\": \"slin-daemon/v1\"",
-        "\"tenants\":",
-        "\"frames\":",
-        "\"bytes\":",
-        "\"events\":",
-        "\"elapsed_secs\":",
-        "\"events_per_sec\":",
-        "\"p50_ingest_us\":",
-        "\"p99_ingest_us\":",
-        "\"queue_depth_peak\":",
-        "\"shed_tenants\":",
-        "\"sheds\":",
-        "\"verdicts\":",
-        "\"ok\":",
-        "\"violation\":",
-        "\"ill_formed\":",
-        "\"switch_seen\":",
-        "\"unknown\":",
-        "\"deferred\":",
-        "\"changed\":",
-        "\"fallbacks\":",
-        "\"switch_uncertified\":",
-        "\"unclassifiable_input\":",
-        "\"cross_bound_coupled\":",
-    ];
-    let mut at = 0;
-    for key in keys {
-        let pos = shim[at..]
-            .find(key)
-            .unwrap_or_else(|| panic!("v1 shim lost key {key}:\n{shim}"));
-        at += pos;
-    }
-}
-
-/// The registry snapshot subsumes the v1 surface: every deterministic v1
-/// quantity is present in `slin-obs/v1` with the same value.
+/// The registry snapshot subsumes the typed [`Daemon::metrics`] summary:
+/// every deterministic `DaemonMetrics` quantity is present in
+/// `slin-obs/v1` with the same value.
 #[test]
 fn obs_snapshot_subsumes_v1_metrics() {
     let cfg = LoadConfig {

@@ -1,34 +1,61 @@
 //! Partitioned-vs-monolithic differential tests.
 //!
-//! The P-compositional path (`check_partitioned`) promises **byte-identical
-//! verdicts and witnesses** to the monolithic chain search, while expanding
-//! fewer nodes. These suites pin that promise over the multi-key workload
-//! generators (pinned proptest seeds — see `PINNED_SEED`), for both the
-//! plain and the speculative checker, and prove the identity fallback
-//! engages on partition-hostile traces (switch actions, unclassifiable
-//! inputs).
-//!
-//! This is a **compat suite**: the deprecated `check_*` wrappers are the
-//! differential oracles here (the `session_differential` suite covers the
-//! builder facade), so the deprecation lint is allowed file-wide.
-
-#![allow(deprecated)]
+//! The P-compositional path (`Strategy::Partitioned`) promises
+//! **byte-identical verdicts and witnesses** to the monolithic chain
+//! search, while expanding fewer nodes. These suites pin that promise
+//! against the single-threaded `Strategy::Monolithic` reference over the
+//! multi-key workload generators (pinned proptest seeds — see
+//! `PINNED_SEED`), for both the plain and the speculative checker, and
+//! prove the identity fallback engages on partition-hostile traces (switch
+//! actions, unclassifiable inputs). The other strategies (Auto, Streaming,
+//! multi-threaded Monolithic) are swept by `session_differential`.
 
 use proptest::prelude::*;
 use slin_adt::{
-    ConsInput, ConsOutput, Consensus, IdentityPartitioner, KvInput, KvKeyPartitioner, KvOutput,
-    KvStore, SetElemPartitioner, Value,
+    Adt, ConsInput, ConsOutput, Consensus, IdentityPartitioner, KvInput, KvKeyPartitioner,
+    KvOutput, KvStore, Partitioner, SetElemPartitioner, Value,
 };
 use slin_core::gen::{random_multikey_kv_trace, random_multikey_set_trace, MultiKeyConfig};
 use slin_core::initrel::{ConsensusInit, ExactInit};
 use slin_core::lin::{witness_is_valid, LinChecker};
 use slin_core::partition::FallbackReason;
+use slin_core::session::Strategy::{Monolithic, Partitioned};
+use slin_core::session::{Checker, Strategy as SessionStrategy, Verdict};
 use slin_core::slin::SlinChecker;
+use slin_core::stream::StreamModel;
 use slin_core::ObjAction;
 use slin_trace::{Action, ClientId, PhaseId, Trace};
 
 fn c(n: u32) -> ClientId {
     ClientId::new(n)
+}
+
+/// One batch check through the session facade. The reference every suite
+/// compares against is `(IdentityPartitioner, Monolithic, 1 thread)`: one
+/// single-threaded monolithic chain search.
+fn check<M, V, P>(
+    model: M,
+    partitioner: P,
+    strategy: SessionStrategy,
+    threads: usize,
+    t: &Trace<ObjAction<M::Adt, V>>,
+) -> Verdict<M::Witness, M::Error>
+where
+    M: StreamModel<V> + Sync,
+    M::Adt: Sync,
+    <M::Adt as Adt>::Input: Ord + Send + Sync,
+    <M::Adt as Adt>::Output: Sync,
+    M::Witness: Send,
+    M::Error: Send,
+    V: Clone + PartialEq + Sync,
+    P: Partitioner<M::Adt>,
+{
+    Checker::builder(model)
+        .partitioner(partitioner)
+        .strategy(strategy)
+        .threads(threads)
+        .build()
+        .check(t)
 }
 
 /// Generator parameters swept by the differential suites: friendly
@@ -88,18 +115,18 @@ proptest! {
     #[test]
     fn kv_partitioned_matches_monolithic(cfg in configs()) {
         let t = random_multikey_kv_trace(&cfg);
-        let chk = LinChecker::new(&KvStore).with_threads(4);
-        let (mono, mono_stats) = chk.check_with_stats(&t);
-        let (part, report) = chk.check_partitioned_with_report(&KvKeyPartitioner, &t);
-        prop_assert_eq!(&part, &mono, "cfg {:?}", cfg);
-        prop_assert_eq!(format!("{part:?}"), format!("{mono:?}"));
-        if let Ok(w) = &part {
+        let mono = check(LinChecker::owned(KvStore), IdentityPartitioner, Monolithic, 1, &t);
+        let part = check(LinChecker::owned(KvStore), KvKeyPartitioner, Partitioned, 4, &t);
+        let report = part.partition.expect("partitioned verdicts carry a report");
+        prop_assert_eq!(&part.outcome, &mono.outcome, "cfg {:?}", cfg);
+        prop_assert_eq!(format!("{:?}", part.outcome), format!("{:?}", mono.outcome));
+        if let Ok(w) = &part.outcome {
             prop_assert!(witness_is_valid(&KvStore, &t, w), "cfg {:?}", cfg);
         }
         // Multi-partition traces must never expand more nodes than the
         // monolithic search unless the merge had to re-run it.
         if report.partitions > 1 && !report.remerged {
-            prop_assert!(report.stats.nodes <= mono_stats.nodes, "cfg {:?}", cfg);
+            prop_assert!(report.stats.nodes <= mono.stats.nodes, "cfg {:?}", cfg);
         }
     }
 
@@ -107,11 +134,10 @@ proptest! {
     #[test]
     fn set_partitioned_matches_monolithic(cfg in configs()) {
         let t = random_multikey_set_trace(&cfg);
-        let chk = LinChecker::new(&slin_adt::Set).with_threads(3);
-        let mono = chk.check(&t);
-        let part = chk.check_partitioned(&SetElemPartitioner, &t);
-        prop_assert_eq!(&part, &mono, "cfg {:?}", cfg);
-        if let Ok(w) = &part {
+        let mono = check(LinChecker::owned(slin_adt::Set), IdentityPartitioner, Monolithic, 1, &t);
+        let part = check(LinChecker::owned(slin_adt::Set), SetElemPartitioner, Partitioned, 3, &t);
+        prop_assert_eq!(&part.outcome, &mono.outcome, "cfg {:?}", cfg);
+        if let Ok(w) = &part.outcome {
             prop_assert!(witness_is_valid(&slin_adt::Set, &t, w), "cfg {:?}", cfg);
         }
     }
@@ -123,9 +149,9 @@ proptest! {
     fn slin_partitioned_matches_monolithic_on_switch_free_traces(cfg in configs()) {
         let t: Trace<ObjAction<KvStore, Vec<KvInput>>> =
             retag(&random_multikey_kv_trace(&cfg));
-        let chk = SlinChecker::new(&KvStore, ExactInit::new(), PhaseId::new(1), PhaseId::new(2));
-        let mono = chk.check(&t);
-        let part = chk.check_partitioned(&KvKeyPartitioner, &t);
+        let chk = SlinChecker::owned(KvStore, ExactInit::new(), PhaseId::new(1), PhaseId::new(2));
+        let mono = check(chk.clone(), IdentityPartitioner, Monolithic, 1, &t).outcome;
+        let part = check(chk, KvKeyPartitioner, Partitioned, 4, &t).outcome;
         // Witnesses byte-identical; `interpretations_checked`/`stats`
         // measure work, which partitioning reduces by design.
         prop_assert_eq!(
@@ -152,9 +178,21 @@ fn identity_partitioner_falls_back_to_the_monolithic_path() {
         ..Default::default()
     };
     let t = random_multikey_kv_trace(&cfg);
-    let chk = LinChecker::new(&KvStore);
-    let (mono, mono_stats) = chk.check_with_stats(&t);
-    let (part, report) = chk.check_partitioned_with_report(&IdentityPartitioner, &t);
+    let mono = check(
+        LinChecker::owned(KvStore),
+        IdentityPartitioner,
+        Monolithic,
+        1,
+        &t,
+    );
+    let part = check(
+        LinChecker::owned(KvStore),
+        IdentityPartitioner,
+        Partitioned,
+        4,
+        &t,
+    );
+    let report = part.partition.expect("partitioned verdicts carry a report");
     assert_eq!(
         report.fallback,
         Some(FallbackReason::UnclassifiableInput),
@@ -162,9 +200,9 @@ fn identity_partitioner_falls_back_to_the_monolithic_path() {
     );
     assert_eq!(report.partitions, 1);
     assert!(!report.remerged);
-    assert_eq!(part, mono);
+    assert_eq!(part.outcome, mono.outcome);
     assert_eq!(
-        report.stats, mono_stats,
+        report.stats, mono.stats,
         "fallback is the monolithic search"
     );
 }
@@ -187,15 +225,17 @@ fn switch_actions_engage_the_identity_fallback() {
             vec![KvInput::Put(1, 5)],
         ),
     ]);
-    let chk = SlinChecker::new(&KvStore, ExactInit::new(), ph1, PhaseId::new(2));
-    let (part, report) = chk.check_partitioned_with_report(&KvKeyPartitioner, &t);
+    let chk = SlinChecker::owned(KvStore, ExactInit::new(), ph1, PhaseId::new(2));
+    let part = check(chk.clone(), KvKeyPartitioner, Partitioned, 4, &t);
+    let report = part.partition.expect("partitioned verdicts carry a report");
     assert_eq!(
         report.fallback,
         Some(FallbackReason::SwitchUncertified),
         "an uncertified switch action must force the fallback"
     );
     assert_eq!(report.partitions, 1);
-    assert_eq!(part, chk.check(&t));
+    let mono = check(chk, IdentityPartitioner, Monolithic, 1, &t);
+    assert_eq!(part.outcome, mono.outcome);
 }
 
 /// The consensus protocol traces are inherently non-partitionable (every
@@ -221,11 +261,12 @@ fn consensus_phase_traces_fall_back_and_agree() {
             Action::switch(c(2), PhaseId::new(2), ConsInput::propose(2), Value::new(2)),
         ]),
     ];
-    let chk = SlinChecker::new(&Consensus, ConsensusInit::new(), ph1, PhaseId::new(2));
+    let chk = SlinChecker::owned(Consensus, ConsensusInit::new(), ph1, PhaseId::new(2));
     for t in &traces {
-        let (part, report) = chk.check_partitioned_with_report(&IdentityPartitioner, t);
-        assert!(report.fallback.is_some());
-        assert_eq!(part, chk.check(t), "{t:?}");
+        let part = check(chk.clone(), IdentityPartitioner, Partitioned, 4, t);
+        assert!(part.partition.is_some_and(|r| r.fallback.is_some()));
+        let mono = check(chk.clone(), IdentityPartitioner, Monolithic, 1, t);
+        assert_eq!(part.outcome, mono.outcome, "{t:?}");
     }
 }
 
@@ -244,15 +285,27 @@ fn partitioning_halves_the_node_count_on_multikey_workloads() {
         seed: 7,
     };
     let t = random_multikey_kv_trace(&cfg);
-    let chk = LinChecker::new(&KvStore);
-    let (mono, mono_stats) = chk.check_with_stats(&t);
-    let (part, report) = chk.check_partitioned_with_report(&KvKeyPartitioner, &t);
-    assert_eq!(part, mono);
+    let mono = check(
+        LinChecker::owned(KvStore),
+        IdentityPartitioner,
+        Monolithic,
+        1,
+        &t,
+    );
+    let part = check(
+        LinChecker::owned(KvStore),
+        KvKeyPartitioner,
+        Partitioned,
+        4,
+        &t,
+    );
+    let report = part.partition.expect("partitioned verdicts carry a report");
+    assert_eq!(part.outcome, mono.outcome);
     assert!(report.partitions > 1);
     assert!(
-        mono_stats.nodes >= 2 * report.stats.nodes,
+        mono.stats.nodes >= 2 * report.stats.nodes,
         "expected >= 2x node reduction: mono {} vs partitioned {}",
-        mono_stats.nodes,
+        mono.stats.nodes,
         report.stats.nodes
     );
 }

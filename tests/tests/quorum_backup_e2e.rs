@@ -145,7 +145,6 @@ fn longer_fast_chains_preserve_everything() {
 }
 
 #[test]
-#[allow(deprecated)] // compat: the deprecated sequential wrapper is the differential oracle
 fn harness_engine_verification_matches_direct_checks() {
     // The harness-level engine API agrees with constructing the checkers by
     // hand, and the parallel enumeration inside it agrees with a
@@ -162,7 +161,7 @@ fn harness_engine_verification_matches_direct_checks() {
             assert_eq!(v.phases[1].2, b.check(&t23).is_ok(), "{name} seed {seed}");
             for (t, chk) in [(&t12, &q), (&t23, &b)] {
                 let par = chk.clone().with_threads(4).check(t);
-                let seq = chk.check_sequential(t);
+                let seq = chk.clone().with_threads(1).check(t);
                 assert_eq!(format!("{par:?}"), format!("{seq:?}"), "{name} seed {seed}");
             }
         }

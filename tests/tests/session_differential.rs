@@ -1,17 +1,15 @@
 //! Session-facade differential tests (pinned seeds).
 //!
-//! The API-unification contract: a [`slin_core::session::Session`] built
-//! with **every** [`SessionStrategy`] returns byte-identical verdicts AND
-//! witnesses to the corresponding legacy `check_*` entry point — across
-//! the kv / set / composite (register-array, counter-vector) / slin /
-//! phase corpora — plus a unit check that [`SessionStrategy::Auto`] selects the
-//! partitioned path exactly when a partitioner is present and the trace is
-//! switch-free.
-//!
-//! This is a **compat suite**: the deprecated `check_*` wrappers are the
-//! oracles, so the deprecation lint is allowed file-wide.
-
-#![allow(deprecated)]
+//! The one-surface contract: a [`slin_core::session::Session`] built with
+//! **every** [`SessionStrategy`], at any thread count, returns
+//! byte-identical verdicts AND witnesses to the single-threaded
+//! `Strategy::Monolithic` reference — across the kv / set / composite
+//! (register-array, counter-vector) / slin / phase corpora — plus a unit
+//! check that [`SessionStrategy::Auto`] selects the partitioned path
+//! exactly when a partitioner is present and the trace is switch-free.
+//! (`Strategy::Partitioned` against the reference, with its node-count
+//! and fallback guarantees, is `partition_differential`'s half: here Auto
+//! must be *exactly* the explicit partitioned session.)
 
 use proptest::prelude::*;
 use slin_adt::{
@@ -60,10 +58,12 @@ fn configs() -> impl Strategy<Value = MultiKeyConfig> {
 }
 
 /// Runs the full strategy sweep for one plain-linearizability workload:
-/// every batch strategy plus the unbounded-window streaming session must
-/// reproduce the legacy verdicts (and witnesses) byte for byte.
+/// the multi-threaded monolithic session, Auto (which must be exactly the
+/// explicit partitioned session) and the unbounded-window streaming
+/// session all reproduce the single-threaded monolithic reference byte
+/// for byte.
 fn assert_lin_session_parity<T, P>(
-    adt: &'static T,
+    adt: T,
     partitioner: P,
     t: &Trace<ObjAction<T, ()>>,
     ctx: &MultiKeyConfig,
@@ -74,40 +74,46 @@ where
     T::Output: Sync,
     P: Partitioner<T> + Copy,
 {
-    let chk = LinChecker::new(adt).with_threads(4);
-    let (legacy_mono, legacy_stats) = chk.check_with_stats(t);
-    let (legacy_part, legacy_report) = chk.check_partitioned_with_report(&partitioner, t);
+    let model = || LinChecker::owned(adt.clone()).with_threads(4);
+    let reference = Checker::builder(model())
+        .strategy(SessionStrategy::Monolithic)
+        .threads(1)
+        .build()
+        .check(t);
 
-    let mut mono = Checker::builder(LinChecker::new(adt).with_threads(4))
+    let mut mono = Checker::builder(model())
         .strategy(SessionStrategy::Monolithic)
         .build();
     let vm = mono.check(t);
     prop_assert_eq!(vm.strategy, StrategyUsed::Monolithic);
-    prop_assert_eq!(&vm.outcome, &legacy_mono, "monolithic, cfg {:?}", ctx);
-    prop_assert_eq!(vm.stats, legacy_stats, "monolithic stats, cfg {:?}", ctx);
+    prop_assert_eq!(&vm.outcome, &reference.outcome, "monolithic, cfg {:?}", ctx);
+    prop_assert_eq!(vm.stats, reference.stats, "monolithic stats, cfg {:?}", ctx);
     prop_assert_eq!(vm.partition, None);
 
-    let mut part = Checker::builder(LinChecker::new(adt).with_threads(4))
+    let mut part = Checker::builder(model())
         .partitioner(partitioner)
         .strategy(SessionStrategy::Partitioned)
         .build();
     let vp = part.check(t);
     prop_assert_eq!(vp.strategy, StrategyUsed::Partitioned);
-    prop_assert_eq!(&vp.outcome, &legacy_part, "partitioned, cfg {:?}", ctx);
-    prop_assert_eq!(vp.partition, Some(legacy_report), "report, cfg {:?}", ctx);
-    prop_assert_eq!(vp.stats, legacy_report.stats);
+    prop_assert_eq!(Some(vp.stats), vp.partition.map(|r| r.stats));
 
     // Auto resolves to partitioned here (partitioner + switch-free traces).
-    let mut auto = Checker::builder(LinChecker::new(adt).with_threads(4))
-        .partitioner(partitioner)
-        .build();
+    let mut auto = Checker::builder(model()).partitioner(partitioner).build();
     let va = auto.check(t);
     prop_assert_eq!(va.strategy, StrategyUsed::Partitioned);
-    prop_assert_eq!(&va.outcome, &legacy_part, "auto, cfg {:?}", ctx);
+    prop_assert_eq!(&va.outcome, &reference.outcome, "auto, cfg {:?}", ctx);
+    prop_assert_eq!(
+        &va.outcome,
+        &vp.outcome,
+        "auto is partitioned, cfg {:?}",
+        ctx
+    );
+    prop_assert_eq!(va.partition, vp.partition, "report, cfg {:?}", ctx);
 
     // Streaming, unbounded window: ingest event by event, report at the
     // end — the monitor contract makes this byte-identical too.
-    let mut live = Checker::builder(LinChecker::new(adt).with_threads(4))
+    let mut live = Checker::builder(model())
         .partitioner(partitioner)
         .strategy(SessionStrategy::Streaming { window: None })
         .build();
@@ -116,7 +122,7 @@ where
     }
     let vs = live.check(&Trace::new());
     prop_assert_eq!(vs.strategy, StrategyUsed::Streaming);
-    prop_assert_eq!(&vs.outcome, &legacy_part, "streaming, cfg {:?}", ctx);
+    prop_assert_eq!(&vs.outcome, &reference.outcome, "streaming, cfg {:?}", ctx);
     Ok(())
 }
 
@@ -147,18 +153,18 @@ fn retag<V: Clone + PartialEq>(t: &Trace<ObjAction<KvStore, ()>>) -> Trace<ObjAc
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(60))]
 
-    /// KV corpus: all four strategies against the legacy entry points.
+    /// KV corpus: every strategy against the reference.
     #[test]
     fn kv_session_strategies_match_legacy(cfg in configs()) {
         let t = random_multikey_kv_trace(&cfg);
-        assert_lin_session_parity(&KvStore, KvKeyPartitioner, &t, &cfg)?;
+        assert_lin_session_parity(KvStore, KvKeyPartitioner, &t, &cfg)?;
     }
 
     /// Set corpus: the commuting-element ADT.
     #[test]
     fn set_session_strategies_match_legacy(cfg in configs()) {
         let t = random_multikey_set_trace(&cfg);
-        assert_lin_session_parity(&Set, SetElemPartitioner, &t, &cfg)?;
+        assert_lin_session_parity(Set, SetElemPartitioner, &t, &cfg)?;
     }
 
     /// Composite corpora: per-cell register arrays and per-slot counter
@@ -166,42 +172,47 @@ proptest! {
     #[test]
     fn composite_session_strategies_match_legacy(cfg in configs()) {
         let ra = random_multikey_reg_array_trace(&cfg);
-        assert_lin_session_parity(&RegisterArray, RegArrayPartitioner, &ra, &cfg)?;
+        assert_lin_session_parity(RegisterArray, RegArrayPartitioner, &ra, &cfg)?;
         let cv = random_multikey_counter_vec_trace(&cfg);
-        assert_lin_session_parity(&CounterVector, CounterVecPartitioner, &cv, &cfg)?;
+        assert_lin_session_parity(CounterVector, CounterVecPartitioner, &cv, &cfg)?;
     }
 
     /// Slin corpus (switch-free phase traces, where SLin coincides with
-    /// Lin): every strategy matches the legacy speculative entry points,
-    /// witness included.
+    /// Lin): the multi-threaded monolithic session is the reference byte
+    /// for byte; Auto and Streaming are byte-identical to the explicit
+    /// partitioned session (whose `interpretations_checked`/`stats`
+    /// measure the smaller partitioned work) and reproduce the reference
+    /// witness and error.
     #[test]
     fn slin_session_strategies_match_legacy(cfg in configs()) {
         let t: Trace<ObjAction<KvStore, Vec<KvInput>>> =
             retag(&random_multikey_kv_trace(&cfg));
-        let model = || SlinChecker::new(
-            &KvStore, ExactInit::new(), PhaseId::new(1), PhaseId::new(2),
+        let model = || SlinChecker::owned(
+            KvStore, ExactInit::new(), PhaseId::new(1), PhaseId::new(2),
         ).with_threads(4);
-        let chk = model();
-        let legacy_mono = chk.check(&t);
-        let (legacy_part, legacy_report) =
-            chk.check_partitioned_with_report(&KvKeyPartitioner, &t);
+        let reference = Checker::builder(model())
+            .strategy(SessionStrategy::Monolithic)
+            .threads(1)
+            .build()
+            .check(&t);
 
         let mut mono = Checker::builder(model()).strategy(SessionStrategy::Monolithic).build();
         let vm = mono.check(&t);
-        prop_assert_eq!(&vm.outcome, &legacy_mono, "monolithic, cfg {:?}", cfg);
+        prop_assert_eq!(&vm.outcome, &reference.outcome, "monolithic, cfg {:?}", cfg);
+        prop_assert_eq!(vm.stats, reference.stats, "monolithic stats, cfg {:?}", cfg);
 
         let mut part = Checker::builder(model())
             .partitioner(KvKeyPartitioner)
             .strategy(SessionStrategy::Partitioned)
             .build();
         let vp = part.check(&t);
-        prop_assert_eq!(&vp.outcome, &legacy_part, "partitioned, cfg {:?}", cfg);
-        prop_assert_eq!(vp.partition, Some(legacy_report), "report, cfg {:?}", cfg);
+        prop_assert_eq!(Some(vp.stats), vp.partition.map(|r| r.stats));
 
         let mut auto = Checker::builder(model()).partitioner(KvKeyPartitioner).build();
         let va = auto.check(&t);
         prop_assert_eq!(va.strategy, StrategyUsed::Partitioned);
-        prop_assert_eq!(&va.outcome, &legacy_part, "auto, cfg {:?}", cfg);
+        prop_assert_eq!(&va.outcome, &vp.outcome, "auto, cfg {:?}", cfg);
+        prop_assert_eq!(va.partition, vp.partition, "report, cfg {:?}", cfg);
 
         let mut live = Checker::builder(model())
             .partitioner(KvKeyPartitioner)
@@ -211,7 +222,13 @@ proptest! {
             live.ingest(a.clone());
         }
         let vs = live.check(&Trace::new());
-        prop_assert_eq!(&vs.outcome, &legacy_part, "streaming, cfg {:?}", cfg);
+        prop_assert_eq!(&vs.outcome, &vp.outcome, "streaming, cfg {:?}", cfg);
+        prop_assert_eq!(
+            vs.outcome.as_ref().map(|r| &r.witness),
+            reference.outcome.as_ref().map(|r| &r.witness),
+            "streaming witness, cfg {:?}", cfg
+        );
+        prop_assert_eq!(vs.outcome.as_ref().err(), reference.outcome.as_ref().err());
     }
 }
 
@@ -246,13 +263,14 @@ fn phase_corpus() -> Vec<Trace<ObjAction<Consensus, Value>>> {
 }
 
 /// Phase corpus (switch actions present): every strategy agrees with the
-/// legacy monolithic check — Auto must resolve to monolithic, and the
+/// single-threaded monolithic reference — Auto must resolve to monolithic,
+/// the partitioner-less partitioned session must fall back whole, and the
 /// streaming session must go speculative and still report identically.
 #[test]
 fn phase_corpus_session_strategies_match_legacy() {
     let model = || {
-        SlinChecker::new(
-            &Consensus,
+        SlinChecker::owned(
+            Consensus,
             ConsensusInit::new(),
             PhaseId::new(1),
             PhaseId::new(2),
@@ -260,25 +278,26 @@ fn phase_corpus_session_strategies_match_legacy() {
         .with_threads(4)
     };
     for t in &phase_corpus() {
-        let legacy = model().check(t);
-        let (legacy_part, legacy_report) =
-            model().check_partitioned_with_report(&slin_adt::IdentityPartitioner, t);
-        assert_eq!(
-            legacy_part, legacy,
-            "the identity fallback is the monolithic path"
-        );
+        let reference = Checker::builder(model())
+            .strategy(SessionStrategy::Monolithic)
+            .threads(1)
+            .build()
+            .check(t)
+            .outcome;
 
         let mut auto = Checker::builder(model()).build();
         let va = auto.check(t);
         assert_eq!(va.strategy, StrategyUsed::Monolithic, "{t:?}");
-        assert_eq!(va.outcome, legacy, "{t:?}");
+        assert_eq!(va.outcome, reference, "{t:?}");
 
         let mut part = Checker::builder(model())
             .strategy(SessionStrategy::Partitioned)
             .build();
         let vp = part.check(t);
-        assert_eq!(vp.outcome, legacy, "{t:?}");
-        assert_eq!(vp.partition, Some(legacy_report), "{t:?}");
+        assert_eq!(vp.outcome, reference, "{t:?}");
+        let report = vp.partition.expect("partitioned verdicts carry a report");
+        assert!(report.fallback.is_some(), "{t:?}");
+        assert_eq!(report.partitions, 1, "{t:?}");
 
         let mut live = Checker::builder(model())
             .strategy(SessionStrategy::Streaming { window: None })
@@ -287,7 +306,7 @@ fn phase_corpus_session_strategies_match_legacy() {
             live.ingest(a.clone());
         }
         let vs = live.check(&Trace::new());
-        assert_eq!(vs.outcome, legacy, "{t:?}");
+        assert_eq!(vs.outcome, reference, "{t:?}");
     }
 }
 
@@ -306,7 +325,7 @@ fn auto_selects_partitioned_exactly_when_partitioner_and_switch_free() {
     ]);
 
     // Partitioner + switch-free => partitioned.
-    let mut s = Checker::builder(LinChecker::new(&KvStore))
+    let mut s = Checker::builder(LinChecker::owned(KvStore))
         .partitioner(KvKeyPartitioner)
         .build();
     assert_eq!(s.check(&switch_free).strategy, StrategyUsed::Partitioned);
@@ -315,11 +334,11 @@ fn auto_selects_partitioned_exactly_when_partitioner_and_switch_free() {
     assert_eq!(s.check(&with_switch).strategy, StrategyUsed::Monolithic);
 
     // No partitioner => monolithic, even on switch-free traces.
-    let mut bare = Checker::builder(LinChecker::new(&KvStore)).build();
+    let mut bare = Checker::builder(LinChecker::owned(KvStore)).build();
     assert_eq!(bare.check(&switch_free).strategy, StrategyUsed::Monolithic);
 
     // Explicit strategies are never overridden by Auto's rule.
-    let mut forced = Checker::builder(LinChecker::new(&KvStore))
+    let mut forced = Checker::builder(LinChecker::owned(KvStore))
         .strategy(SessionStrategy::Partitioned)
         .build();
     assert_eq!(
@@ -329,8 +348,8 @@ fn auto_selects_partitioned_exactly_when_partitioner_and_switch_free() {
 }
 
 /// Builder knobs reach the model: a one-node budget trips exactly like the
-/// legacy `with_budget` path, and `threads(1)` matches the deprecated
-/// sequential entry point byte for byte.
+/// checker's own `with_budget`, and `threads(1)` matches the checker's
+/// own `with_threads(1)` byte for byte.
 #[test]
 fn builder_budget_and_threads_reach_the_model() {
     let t: Trace<ObjAction<Consensus, Value>> = Trace::from_actions(vec![
@@ -350,29 +369,28 @@ fn builder_budget_and_threads_reach_the_model() {
         ),
     ]);
     let model = || {
-        SlinChecker::new(
-            &Consensus,
+        SlinChecker::owned(
+            Consensus,
             ConsensusInit::new(),
             PhaseId::new(1),
             PhaseId::new(2),
         )
     };
 
-    let legacy_budget = model().with_budget(1).check(&t);
+    let direct_budget = model().with_budget(1).check(&t);
     let mut tight = Checker::builder(model()).budget(1).build();
-    assert_eq!(tight.check(&t).outcome, legacy_budget);
+    assert_eq!(tight.check(&t).outcome, direct_budget);
 
-    let legacy_seq = model().check_sequential(&t);
+    let direct_seq = model().with_threads(1).check(&t);
     let mut seq = Checker::builder(model()).threads(1).build();
-    assert_eq!(seq.check(&t).outcome, legacy_seq);
+    assert_eq!(seq.check(&t).outcome, direct_seq);
 }
 
-/// Owned-model parity: the deprecated borrow constructors (`new(&T)`)
-/// and the canonical owned/shared constructors produce byte-identical
-/// verdicts, witnesses, and stats across all strategies — the owned
-/// redesign changed ownership, never behaviour.
+/// Ownership parity: the owned and the `Arc`-shared constructors produce
+/// byte-identical verdicts, witnesses, and stats across all strategies —
+/// how a model holds its ADT never changes behaviour.
 #[test]
-fn owned_and_borrowed_constructors_are_byte_identical() {
+fn owned_and_shared_constructors_are_byte_identical() {
     use std::sync::Arc;
     for seed in [0u64, 11, 23, 47] {
         for error_prob in [0.0, 0.35] {
@@ -398,27 +416,28 @@ fn owned_and_borrowed_constructors_are_byte_identical() {
                         .build();
                     s.check(&t)
                 };
-                let borrowed = run(LinChecker::new(&KvStore));
                 let owned = run(LinChecker::owned(KvStore));
                 let shared = run(LinChecker::shared(Arc::new(KvStore)));
                 assert_eq!(
-                    borrowed.outcome, owned.outcome,
+                    owned.outcome, shared.outcome,
                     "seed {seed} error {error_prob} {strategy:?}"
                 );
-                assert_eq!(borrowed.stats, owned.stats);
-                assert_eq!(borrowed.partition, owned.partition);
-                assert_eq!(owned.outcome, shared.outcome);
                 assert_eq!(owned.stats, shared.stats);
+                assert_eq!(owned.partition, shared.partition);
             }
             // The speculative checker, same contract.
             let t2: Trace<ObjAction<KvStore, Vec<KvInput>>> = retag(&t);
-            let borrowed =
-                SlinChecker::new(&KvStore, ExactInit::new(), PhaseId::new(1), PhaseId::new(2))
-                    .check(&t2);
             let owned =
                 SlinChecker::owned(KvStore, ExactInit::new(), PhaseId::new(1), PhaseId::new(2))
                     .check(&t2);
-            assert_eq!(borrowed, owned, "slin seed {seed} error {error_prob}");
+            let shared = SlinChecker::shared(
+                Arc::new(KvStore),
+                ExactInit::new(),
+                PhaseId::new(1),
+                PhaseId::new(2),
+            )
+            .check(&t2);
+            assert_eq!(owned, shared, "slin seed {seed} error {error_prob}");
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Streaming-vs-batch differential proptests (pinned seeds).
 //!
 //! The acceptance contract of the online monitor: feeding a trace's events
-//! **one at a time** into `slin-monitor` and then asking for the report
+//! **one at a time** into the monitor (`slin_core::stream`) and then asking for the report
 //! yields the *same verdict and witness* as the batch checker on the
 //! closed trace — for both checkers, across the multi-key workload
 //! generators from friendly to hostile, linearizable and perturbed, and
@@ -10,12 +10,6 @@
 //! gone). Together the suites below drain well over 1000 generated
 //! streams per `cargo test` run, all derived from the pinned proptest
 //! seed.
-//!
-//! This is a **compat suite**: one oracle below is the deprecated
-//! `check_partitioned` wrapper, so the deprecation lint is allowed
-//! file-wide.
-
-#![allow(deprecated)]
 
 use proptest::prelude::*;
 use slin_adt::{ConsInput, ConsOutput, Consensus, Value};
@@ -29,9 +23,10 @@ use slin_core::gen::{
 };
 use slin_core::initrel::{ConsensusInit, ExactInit};
 use slin_core::lin::{witness_is_valid, LinChecker};
+use slin_core::session::{Checker, Strategy as SessionStrategy};
 use slin_core::slin::SlinChecker;
+use slin_core::stream::{LinMonitor, MonitorConfig, MonitorStatus, SlinMonitor};
 use slin_core::ObjAction;
-use slin_monitor::{LinMonitor, MonitorConfig, MonitorStatus, SlinMonitor};
 use slin_trace::{Action, ClientId, PhaseId, Trace};
 
 /// Generator parameters swept by the differential suites (mirrors the
@@ -104,12 +99,12 @@ proptest! {
     fn kv_stream_matches_batch(cfg in configs()) {
         let t = random_multikey_kv_trace(&cfg);
         let mut mon: LinMonitor<KvStore, KvKeyPartitioner> =
-            LinMonitor::new(&KvStore, KvKeyPartitioner);
+            LinMonitor::owned(KvStore, KvKeyPartitioner);
         for a in t.iter() {
             mon.ingest(a.clone());
         }
         let report = mon.report();
-        let batch = LinChecker::new(&KvStore).check(&t);
+        let batch = LinChecker::owned(KvStore).check(&t);
         prop_assert_eq!(&report.verdict, &batch, "cfg {:?}", cfg);
         prop_assert_eq!(format!("{:?}", report.verdict), format!("{batch:?}"));
         if let Ok(w) = &report.verdict {
@@ -126,13 +121,13 @@ proptest! {
     fn set_stream_matches_batch(cfg in configs()) {
         let t = random_multikey_set_trace(&cfg);
         let mut mon: LinMonitor<Set, SetElemPartitioner> =
-            LinMonitor::new(&Set, SetElemPartitioner);
+            LinMonitor::owned(Set, SetElemPartitioner);
         for a in t.iter() {
             mon.ingest(a.clone());
         }
         prop_assert_eq!(
             mon.report().verdict,
-            LinChecker::new(&Set).check(&t),
+            LinChecker::owned(Set).check(&t),
             "cfg {:?}", cfg
         );
     }
@@ -146,13 +141,13 @@ proptest! {
     fn reg_array_stream_matches_batch(cfg in configs()) {
         let t = random_multikey_reg_array_trace(&cfg);
         let mut mon: LinMonitor<RegisterArray, RegArrayPartitioner> =
-            LinMonitor::new(&RegisterArray, RegArrayPartitioner);
+            LinMonitor::owned(RegisterArray, RegArrayPartitioner);
         for a in t.iter() {
             mon.ingest(a.clone());
         }
         prop_assert_eq!(
             mon.report().verdict,
-            LinChecker::new(&RegisterArray).check(&t),
+            LinChecker::owned(RegisterArray).check(&t),
             "cfg {:?}", cfg
         );
     }
@@ -161,13 +156,13 @@ proptest! {
     fn counter_vector_stream_matches_batch(cfg in configs()) {
         let t = random_multikey_counter_vec_trace(&cfg);
         let mut mon: LinMonitor<CounterVector, CounterVecPartitioner> =
-            LinMonitor::new(&CounterVector, CounterVecPartitioner);
+            LinMonitor::owned(CounterVector, CounterVecPartitioner);
         for a in t.iter() {
             mon.ingest(a.clone());
         }
         prop_assert_eq!(
             mon.report().verdict,
-            LinChecker::new(&CounterVector).check(&t),
+            LinChecker::owned(CounterVector).check(&t),
             "cfg {:?}", cfg
         );
     }
@@ -183,21 +178,19 @@ proptest! {
     fn slin_stream_matches_batch_on_switch_free_traces(cfg in configs()) {
         let t: Trace<ObjAction<KvStore, Vec<KvInput>>> =
             retag(&random_multikey_kv_trace(&cfg));
-        let chk = SlinChecker::new(&KvStore, ExactInit::new(), PhaseId::new(1), PhaseId::new(2));
-        let mut mon = SlinMonitor::new(
-            chk.clone(),
-            &KvStore,
-            PhaseId::new(1),
-            PhaseId::new(2),
-            KvKeyPartitioner,
-            MonitorConfig::default(),
-        );
+        let chk = SlinChecker::owned(KvStore, ExactInit::new(), PhaseId::new(1), PhaseId::new(2));
+        let mut mon =
+            SlinMonitor::from_checker(chk.clone(), KvKeyPartitioner, MonitorConfig::default());
         for a in t.iter() {
             mon.ingest(a.clone());
         }
         let report = mon.report();
-        let partitioned = chk.check_partitioned(&KvKeyPartitioner, &t);
-        prop_assert_eq!(&report.verdict, &partitioned, "cfg {:?}", cfg);
+        let partitioned = Checker::builder(chk.clone())
+            .partitioner(KvKeyPartitioner)
+            .strategy(SessionStrategy::Partitioned)
+            .build()
+            .check(&t);
+        prop_assert_eq!(&report.verdict, &partitioned.outcome, "cfg {:?}", cfg);
         let mono = chk.check(&t);
         prop_assert_eq!(
             report.verdict.as_ref().map(|r| &r.witness),
@@ -262,12 +255,9 @@ proptest! {
 
     #[test]
     fn speculative_stream_matches_batch_on_phase_traces(t in phase_trace_strategy()) {
-        let chk = SlinChecker::new(&Consensus, ConsensusInit::new(), PhaseId::new(1), PhaseId::new(2));
-        let mut mon = SlinMonitor::new(
+        let chk = SlinChecker::owned(Consensus, ConsensusInit::new(), PhaseId::new(1), PhaseId::new(2));
+        let mut mon = SlinMonitor::from_checker(
             chk.clone(),
-            &Consensus,
-            PhaseId::new(1),
-            PhaseId::new(2),
             slin_adt::IdentityPartitioner,
             MonitorConfig::default(),
         );
@@ -289,12 +279,12 @@ proptest! {
         let t = random_multikey_kv_trace(&cfg);
         let commits = t.iter().filter(|a| a.is_respond()).count();
         let mut mon: LinMonitor<KvStore, KvKeyPartitioner> =
-            LinMonitor::new(&KvStore, KvKeyPartitioner);
+            LinMonitor::owned(KvStore, KvKeyPartitioner);
         for a in t.iter() {
             mon.ingest(a.clone());
         }
         let report = mon.report();
-        let batch = LinChecker::new(&KvStore).check(&t);
+        let batch = LinChecker::owned(KvStore).check(&t);
         prop_assert_eq!(&report.verdict, &batch, "cfg {:?} ({commits} commits)", cfg);
         if let Ok(w) = &report.verdict {
             prop_assert!(witness_is_valid(&KvStore, &t, w));
@@ -319,10 +309,10 @@ fn big_streams_do_exceed_64_commits() {
     let t = random_multikey_kv_trace(&cfg);
     let commits = t.iter().filter(|a| a.is_respond()).count();
     assert!(commits > 64, "only {commits} commits — widen the config");
-    let batch = LinChecker::new(&KvStore).check(&t);
+    let batch = LinChecker::owned(KvStore).check(&t);
     assert!(batch.is_ok(), "{batch:?}");
     let mut mon: LinMonitor<KvStore, KvKeyPartitioner> =
-        LinMonitor::new(&KvStore, KvKeyPartitioner);
+        LinMonitor::owned(KvStore, KvKeyPartitioner);
     for a in t.iter() {
         mon.ingest(a.clone());
     }
@@ -334,8 +324,8 @@ fn big_streams_do_exceed_64_commits() {
 /// A windowed monitor with epoch cuts enabled (the default) over the
 /// hostile generator's single-shard-heavy key space.
 fn epoch_monitor(window: usize) -> LinMonitor<KvStore, KvKeyPartitioner> {
-    LinMonitor::with_config(
-        &KvStore,
+    LinMonitor::owned_with_config(
+        KvStore,
         KvKeyPartitioner,
         MonitorConfig {
             window: Some(window),
@@ -381,7 +371,7 @@ proptest! {
             mon.ingest(a.clone());
         }
         let status = mon.status();
-        let batch = LinChecker::new(&KvStore).check(&t);
+        let batch = LinChecker::owned(KvStore).check(&t);
         match &batch {
             Ok(_) => prop_assert_eq!(status, MonitorStatus::Ok, "cfg {:?}", cfg),
             Err(_) => prop_assert_eq!(status, MonitorStatus::Violation, "cfg {:?}", cfg),
@@ -422,7 +412,7 @@ fn hostile_streams_exercise_epoch_cuts_non_vacuously() {
         total_retired += report.shard.retired_events;
         total_epoch_cuts += report.shard.epoch_cuts;
         assert!(
-            LinChecker::new(&KvStore).check(&t).is_ok(),
+            LinChecker::owned(KvStore).check(&t).is_ok(),
             "seed {seed}: batch oracle disagrees"
         );
     }
@@ -512,13 +502,13 @@ fn perturbed_big_streams_match_batch() {
         };
         let t = random_multikey_kv_trace(&cfg);
         let mut mon: LinMonitor<KvStore, KvKeyPartitioner> =
-            LinMonitor::new(&KvStore, KvKeyPartitioner);
+            LinMonitor::owned(KvStore, KvKeyPartitioner);
         for a in t.iter() {
             mon.ingest(a.clone());
         }
         assert_eq!(
             mon.report().verdict,
-            LinChecker::new(&KvStore).check(&t),
+            LinChecker::owned(KvStore).check(&t),
             "seed {seed}"
         );
     }

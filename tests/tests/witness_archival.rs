@@ -20,7 +20,7 @@ use slin_core::gen::{
     random_hostile_kv_trace, random_multikey_kv_trace, HostileConfig, MultiKeyConfig,
 };
 use slin_core::lin::LinChecker;
-use slin_monitor::{LinMonitor, MonitorConfig};
+use slin_core::stream::{LinMonitor, MonitorConfig};
 use slin_trace::{Action, ClientId, PhaseId};
 
 /// A bounded-window monitor with an archive of `depth` retired windows
