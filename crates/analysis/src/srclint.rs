@@ -16,8 +16,7 @@
 //!   `crates/core/src/stream`) outside test regions;
 //! * `lock-order` — the workspace's known mutexes are acquired in one
 //!   global order within any function (registry shards → span ring →
-//!   monitor status cache → recorder events), so lock cycles cannot be
-//!   introduced silently;
+//!   recorder events), so lock cycles cannot be introduced silently;
 //! * `no-debug-macros` — `dbg!`, `todo!`, and `unimplemented!` never ship
 //!   outside `#[cfg(test)]` regions (stderr noise in daemons; reachable
 //!   panics in checkers).
@@ -60,7 +59,6 @@ const HOT_PATHS: &[&str] = &["crates/daemon/src/", "crates/core/src/stream/"];
 const LOCK_ORDER: &[(&str, &str)] = &[
     ("registry-shard", "shards"),
     ("span-ring", "self.ring"),
-    ("status-cache", "status_cache"),
     ("recorder-events", "self.events"),
 ];
 
@@ -297,7 +295,7 @@ fn lint_file(rel: &str, source: &str, hits: &mut Vec<LintHit>) {
                         line: idx + 1,
                         message: format!(
                             "acquires `{name}` after `{held_name}` — global order is \
-                             registry-shard < span-ring < status-cache < recorder-events"
+                             registry-shard < span-ring < recorder-events"
                         ),
                     });
                 }

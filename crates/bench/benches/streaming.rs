@@ -1,7 +1,7 @@
 //! B6 — the online monitor's streaming load table.
 //!
 //! `cargo bench -p slin-bench --bench streaming` drives bounded-window
-//! `LinMonitor`s over multi-key KV event streams (keys × skew, plus a
+//! `Strategy::Streaming` sessions over multi-key KV event streams (keys × skew, plus a
 //! hot-key control) and prints sustained events/sec, p99 ingest latency,
 //! and the deterministic fallback/GC columns.
 

@@ -61,9 +61,9 @@ use slin_core::gen::{
 };
 use slin_core::initrel::ExactInit;
 use slin_core::lin::LinChecker;
-use slin_core::session::{Checker, Strategy};
+use slin_core::session::{Checker, Session, Strategy};
 use slin_core::slin::SlinChecker;
-use slin_core::stream::{LinMonitor, MonitorConfig, MonitorStatus, SlinMonitor};
+use slin_core::stream::{GcPolicy, MonitorStatus};
 use slin_daemon::{Daemon, DaemonConfig, LoadConfig, TenantPolicy};
 use slin_obs::{Obs, StackObserver};
 use slin_sim::Time;
@@ -577,18 +577,16 @@ fn phase_partition_row(
             && part.outcome.as_ref().err() == mono.outcome.as_ref().err();
         // The same trace through the keyed sharded monitor, switch
         // frames and all.
-        let mut mon = SlinMonitor::from_checker(
-            chk.clone(),
-            KvKeyPartitioner,
-            MonitorConfig {
-                keyed: true,
-                ..MonitorConfig::default()
-            },
-        );
+        let mut mon = Checker::builder(chk.clone())
+            .partitioner(KvKeyPartitioner)
+            .switch_certified(cert)
+            .expect("the shipped kv partitioner is certified switch-independent")
+            .strategy(Strategy::Streaming { window: None })
+            .build::<Vec<KvInput>>();
         for a in t.iter() {
             mon.ingest(a.clone());
         }
-        let streamed = mon.report();
+        let streamed = mon.report().expect("born streaming");
         row.fallbacks += streamed.fallback.is_some() as usize;
         row.stream_agrees &= streamed.verdict.as_ref().map(|r| &r.witness)
             == mono.outcome.as_ref().map(|r| &r.witness)
@@ -715,6 +713,23 @@ pub const STREAMING_SEEDS: [u64; 3] = [0, 1, 2];
 /// Events per seed in the B6 load driver.
 const STREAMING_STEPS: usize = 1600;
 
+/// A bounded-window streaming session over the multi-key KV store — the
+/// monitor every B6/B6h/B9 row drives.
+fn kv_stream_session(
+    window: usize,
+    gc: GcPolicy,
+    obs: Obs,
+) -> Session<LinChecker<KvStore>, (), KvKeyPartitioner> {
+    Checker::builder(LinChecker::owned(KvStore))
+        .partitioner(KvKeyPartitioner)
+        .strategy(Strategy::Streaming {
+            window: Some(window),
+        })
+        .gc_policy(gc)
+        .observer(obs)
+        .build()
+}
+
 fn streaming_row(
     scenario: &str,
     keys: u32,
@@ -750,14 +765,7 @@ fn streaming_row(
             seed,
         };
         let t = random_multikey_kv_trace(&cfg);
-        let mut mon: LinMonitor<KvStore, KvKeyPartitioner> = LinMonitor::owned_with_config(
-            KvStore,
-            KvKeyPartitioner,
-            MonitorConfig {
-                window: Some(48),
-                ..Default::default()
-            },
-        );
+        let mut mon = kv_stream_session(48, GcPolicy::default(), Obs::noop());
         let run_start = std::time::Instant::now();
         for a in t.iter() {
             let start = std::time::Instant::now();
@@ -767,8 +775,8 @@ fn streaming_row(
         }
         total_secs += run_start.elapsed().as_secs_f64();
         row.events += t.len();
-        row.shards = row.shards.max(mon.shards());
-        let report = mon.report();
+        let report = mon.report().expect("born streaming");
+        row.shards = row.shards.max(report.shards);
         row.fallback_searches += report.shard.fallback_searches;
         row.retired_events += report.shard.retired_events;
     }
@@ -926,14 +934,7 @@ fn hostile_row(
             ..base
         };
         let t = random_hostile_kv_trace(&cfg);
-        let mut mon: LinMonitor<KvStore, KvKeyPartitioner> = LinMonitor::owned_with_config(
-            KvStore,
-            KvKeyPartitioner,
-            MonitorConfig {
-                window: Some(window),
-                ..Default::default()
-            },
-        );
+        let mut mon = kv_stream_session(window, GcPolicy::default(), Obs::noop());
         let run_start = std::time::Instant::now();
         for (i, a) in t.iter().enumerate() {
             let start = std::time::Instant::now();
@@ -941,7 +942,7 @@ fn hostile_row(
             latencies_us.push(start.elapsed().as_secs_f64() * 1e6);
             row.ok &= outcome.status == MonitorStatus::Ok;
             if (i + 1) % HOSTILE_SAMPLE_EVERY == 0 {
-                let s = mon.shard_summary();
+                let s = mon.shard_summary().expect("born streaming");
                 row.peak_live_configs = row.peak_live_configs.max(s.live_configs);
                 row.peak_multiset_nodes = row.peak_multiset_nodes.max(s.multiset_nodes);
                 row.peak_window_events = row.peak_window_events.max(s.window_events);
@@ -949,7 +950,7 @@ fn hostile_row(
         }
         total_secs += run_start.elapsed().as_secs_f64();
         row.events += t.len();
-        let s = mon.shard_summary();
+        let s = mon.shard_summary().expect("born streaming");
         row.retired_events += s.retired_events;
         row.epoch_cuts += s.epoch_cuts;
         row.lossy_cuts += s.lossy_cuts;
@@ -1340,8 +1341,7 @@ fn obs_row(
             })
         })
         .collect();
-    let config = MonitorConfig {
-        window: Some(window),
+    let gc = GcPolicy {
         archive_windows,
         ..Default::default()
     };
@@ -1351,16 +1351,14 @@ fn obs_row(
         let (mut ok, mut archived, mut shards, mut reconstructed) = (true, 0usize, 0usize, true);
         let mut ingest_secs = 0.0f64;
         for t in &traces {
-            let mut mon: LinMonitor<KvStore, KvKeyPartitioner> =
-                LinMonitor::owned_with_config(KvStore, KvKeyPartitioner, config)
-                    .with_observer(obs.clone());
+            let mut mon = kv_stream_session(window, gc, obs.clone());
             let start = std::time::Instant::now();
             for a in t.iter() {
                 ok &= mon.ingest(a.clone()).status == MonitorStatus::Ok;
             }
             ingest_secs += start.elapsed().as_secs_f64();
-            shards = shards.max(mon.shards());
-            let report = mon.report();
+            let report = mon.report().expect("born streaming");
+            shards = shards.max(report.shards);
             ok &= report.verdict.is_ok();
             archived = archived.max(report.shard.archived_events);
             reconstructed &= report.reconstructed;

@@ -195,7 +195,7 @@ where
     T::Input: Ord,
 {
     /// Creates a checker owning the given ADT, with the default search
-    /// budget. The checker (and every `Session`/`Monitor` built from it)
+    /// budget. The checker (and every `Session` built from it)
     /// is `'static`, so it can live in long-lived tables — the daemon
     /// tenant-table setting.
     pub fn owned(adt: T) -> Self {

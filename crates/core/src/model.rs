@@ -9,7 +9,7 @@
 //! signature, how to run the monolithic search, what the per-partition
 //! unit of work is, and how to assemble a witness from a merged commit
 //! chain — so that [`crate::lin::LinChecker`], [`crate::slin::SlinChecker`]
-//! and the streaming [`crate::stream::Monitor`] are all thin
+//! and the streaming monitor of [`crate::stream`] are all thin
 //! instantiations of the same generic machinery (mirroring how
 //! refinement-based frameworks present a single checking judgment over
 //! many memory/consistency models).

@@ -64,7 +64,8 @@ use crate::model::{self, ConsistencyModel};
 use crate::partition::FallbackReason;
 use crate::partition::{self, PartitionReport};
 use crate::stream::{
-    GcPolicy, IngestOutcome, Monitor, MonitorConfig, MonitorReport, MonitorStatus, StreamModel,
+    budget_tripped, GcPolicy, IngestOutcome, Monitor, MonitorReport, MonitorStatus, ShardSummary,
+    StreamModel,
 };
 use crate::ObjAction;
 use slin_adt::{Adt, IdentityPartitioner, Partitioner};
@@ -160,8 +161,8 @@ impl<W, E> Verdict<W, E> {
 
 /// A cheap status delta from [`Session::poll_verdict`]: the rolling
 /// verdict plus whether it moved since the previous poll. Built for
-/// periodic snapshotting (a daemon's verdict loop) — no report is
-/// computed, no state is consumed.
+/// periodic snapshotting (a daemon's verdict loop) — no state is
+/// consumed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VerdictDelta {
     /// The rolling status at poll time ([`MonitorStatus::Ok`] on a batch
@@ -195,7 +196,7 @@ impl<M> Checker<M> {
             budget: None,
             threads: None,
             window: None,
-            gc: None,
+            gc: GcPolicy::default(),
             obs: Obs::noop(),
             cert: None,
             switch_cert: None,
@@ -213,7 +214,7 @@ pub struct SessionBuilder<M, P> {
     budget: Option<usize>,
     threads: Option<usize>,
     window: Option<usize>,
-    gc: Option<GcPolicy>,
+    gc: GcPolicy,
     obs: Obs,
     /// Explicit certificate from [`SessionBuilder::partitioner_certified`]
     /// (hash and partitioner name already verified; the ADT name is
@@ -260,11 +261,11 @@ impl<M, P> SessionBuilder<M, P> {
     }
 
     /// Sets the streaming garbage-collection policy knobs (epoch cuts,
-    /// lossy forcing, frontier cap, retirement budgets) for this session's
-    /// monitor. See [`GcPolicy`]. Budget, threads, and window supplied on
-    /// this builder are unaffected.
+    /// lossy forcing, frontier cap, extension budget, archival depth) for
+    /// this session's monitor. See [`GcPolicy`]. Budget, threads, and
+    /// window supplied on this builder are unaffected.
     pub fn gc_policy(mut self, gc: GcPolicy) -> Self {
-        self.gc = Some(gc);
+        self.gc = gc;
         self
     }
 
@@ -493,13 +494,13 @@ impl<M, P> SessionBuilder<M, P> {
         let gc = self.gc;
         let obs = self.obs;
         let mode = match strategy {
-            Strategy::Streaming { .. } => Mode::Streaming(Box::new(Self::monitor(
+            Strategy::Streaming { .. } => Mode::Streaming(Box::new(Monitor::new(
                 self.model,
                 self.partitioner,
                 window,
                 gc,
-                obs.clone(),
                 keyed,
+                obs.clone(),
             ))),
             _ => Mode::Batch {
                 model: self.model,
@@ -516,33 +517,6 @@ impl<M, P> SessionBuilder<M, P> {
             keyed,
             last_polled: MonitorStatus::Ok,
         })
-    }
-
-    fn monitor<V>(
-        model: M,
-        partitioner: Option<P>,
-        window: Option<usize>,
-        gc: Option<GcPolicy>,
-        obs: Obs,
-        keyed: bool,
-    ) -> Monitor<M, V, P>
-    where
-        M: StreamModel<V>,
-        <M::Adt as Adt>::Input: Ord,
-        V: Clone + PartialEq,
-        P: Partitioner<M::Adt>,
-    {
-        let mut config = MonitorConfig {
-            budget: model.budget(),
-            threads: model.threads(),
-            window,
-            keyed,
-            ..MonitorConfig::default()
-        };
-        if let Some(gc) = gc {
-            config = config.with_gc_policy(gc);
-        }
-        Monitor::from_model(model, partitioner, config).with_observer(obs)
     }
 }
 
@@ -563,17 +537,6 @@ where
     Transitioning,
 }
 
-/// Whether a batch outcome is a tripped node budget: the model maps the
-/// error to [`MonitorStatus::Unknown`] and — unlike the interpretation-cap
-/// rejection, which shares that status but is decided before any search —
-/// the engine expanded nodes.
-fn budget_tripped<M: StreamModel<V>, V>(
-    outcome: &Result<M::Witness, M::Error>,
-    stats: &SearchStats,
-) -> bool {
-    stats.nodes > 0 && matches!(outcome, Err(e) if M::status_of_error(e) == MonitorStatus::Unknown)
-}
-
 /// A configured checking session over one [`ConsistencyModel`]: the
 /// unified entry point for monolithic, partitioned, and streaming
 /// checking. Owns its model, so it is free of borrows (`'static` when the
@@ -587,7 +550,7 @@ where
     mode: Mode<M, V, P>,
     strategy: Strategy,
     window: Option<usize>,
-    gc: Option<GcPolicy>,
+    gc: GcPolicy,
     obs: Obs,
     /// [`CertPolicy::WarnMonolithic`] dropped an uncertified partitioner
     /// at build time; every verdict reports it.
@@ -715,9 +678,11 @@ where
     }
 
     /// The exact rolling status of a streaming session (`None` before any
-    /// event was ingested on a batch-built session).
-    pub fn status(&self) -> Option<MonitorStatus> {
-        match &self.mode {
+    /// event was ingested on a batch-built session). Past a switch action
+    /// on a speculative model the status is the verdict of
+    /// [`Session::report`], derived at most once per stream version.
+    pub fn status(&mut self) -> Option<MonitorStatus> {
+        match &mut self.mode {
             Mode::Streaming(monitor) => Some(monitor.status()),
             _ => None,
         }
@@ -736,12 +701,17 @@ where
 
     /// Polls the rolling verdict without consuming anything: returns the
     /// current status, whether it moved since the previous poll, and the
-    /// event count. Cheap enough to call per snapshot tick — it reads the
-    /// monitor's cached status rather than computing a report. On a batch
-    /// session that has not started streaming it reports
+    /// event count. On a switch-free stream this is a field read per
+    /// shard, cheap enough to call per snapshot tick. Once a speculative
+    /// stream has seen a switch action the status is deferred to the
+    /// report's verdict: the first poll after new events derives that
+    /// report (through the keyed check on a switch-certified session, the
+    /// monolithic one otherwise) and caches it, so later polls — and a
+    /// [`Session::report`] — at the same stream version search nothing. On
+    /// a batch session that has not started streaming it reports
     /// [`MonitorStatus::Ok`] with zero events.
     pub fn poll_verdict(&mut self) -> VerdictDelta {
-        let (status, events) = match &self.mode {
+        let (status, events) = match &mut self.mode {
             Mode::Streaming(monitor) => (monitor.status(), monitor.events()),
             _ => (MonitorStatus::Ok, 0),
         };
@@ -762,11 +732,7 @@ where
     pub fn set_lossy(&mut self, on: bool) {
         match &mut self.mode {
             Mode::Streaming(monitor) => monitor.set_epoch_force(on),
-            _ => {
-                let mut gc = self.gc.unwrap_or_default();
-                gc.epoch_force = on;
-                self.gc = Some(gc);
-            }
+            _ => self.gc.epoch_force = on,
         }
     }
 
@@ -779,6 +745,17 @@ where
         }
     }
 
+    /// Aggregated shard-machinery counters at the current stream position
+    /// (the [`ShardSummary`] a report carries) without deriving a report —
+    /// for sampling the retained-memory proxy mid-stream. `None` before
+    /// any event was ingested on a batch-built session.
+    pub fn shard_summary(&self) -> Option<ShardSummary> {
+        match &self.mode {
+            Mode::Streaming(monitor) => Some(monitor.shard_summary()),
+            _ => None,
+        }
+    }
+
     /// The underlying monitor, upgrading a batch session in place.
     fn ensure_streaming(&mut self) -> &mut Monitor<M, V, P> {
         if let Mode::Batch { .. } = &self.mode {
@@ -787,13 +764,13 @@ where
             else {
                 unreachable!("checked above");
             };
-            self.mode = Mode::Streaming(Box::new(SessionBuilder::<M, P>::monitor(
+            self.mode = Mode::Streaming(Box::new(Monitor::new(
                 model,
                 partitioner,
                 self.window,
                 self.gc,
-                self.obs.clone(),
                 self.keyed,
+                self.obs.clone(),
             )));
         }
         match &mut self.mode {

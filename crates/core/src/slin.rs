@@ -198,7 +198,7 @@ where
 {
     /// Creates a checker owning `adt` for speculation phase `(m, n)` with
     /// the common relation `rinit`. The checker (and every
-    /// `Session`/`Monitor` built from it) is `'static`.
+    /// `Session` built from it) is `'static`.
     ///
     /// # Panics
     ///
@@ -291,11 +291,7 @@ where
             Ok(prep) => prep,
             Err(e) => return (Err(e), SearchStats::default()),
         };
-        let threads = self.effective_threads().min(prep.combos);
-        if threads <= 1 || prep.combos <= 1 {
-            return self.run_sequential(&prep);
-        }
-        self.run_parallel(&prep, threads)
+        self.run_interpretations(&prep, self.effective_threads().min(prep.combos))
     }
 
     /// Boolean form of [`SlinChecker::check`].
@@ -385,46 +381,20 @@ where
         }
     }
 
-    /// The historical enumeration loop, one interpretation at a time.
+    /// The enumeration loop: interpretation indices `0..combos` through
+    /// [`partition::fan_out`] (inline for `threads <= 1`). A shared
+    /// watermark of the earliest abnormal index lets later indices be
+    /// skipped — they cannot influence the verdict — and the verdict is
+    /// resolved by minimum index, so it is byte-identical at every thread
+    /// count.
     ///
     /// The second tuple element is the stats surface of
     /// `check_with_stats_impl`: on `Ok` it equals the report's
-    /// absorbed counters; on a refutation it is the **failing
-    /// interpretation's own** search counters (not the absorbed prefix),
-    /// so the sequential and parallel paths report identically.
-    fn run_sequential(
-        &self,
-        prep: &Prepared<T, R::Value>,
-    ) -> (Result<SlinReport<T::Input>, SlinError>, SearchStats) {
-        let mut first_witness: Option<SlinWitness<T::Input>> = None;
-        let mut stats = SearchStats::default();
-        for idx in 0..prep.combos {
-            let finit = self.finit_at(prep, idx);
-            match self.check_one_interpretation(prep, &finit) {
-                (Ok(Some(w)), s) => {
-                    stats.absorb(&s);
-                    if first_witness.is_none() {
-                        first_witness = Some(w);
-                    }
-                }
-                (Ok(None), s) => return (Err(Self::fail_error(&finit)), s),
-                (Err(e), s) => return (Err(e), s),
-            }
-        }
-        let report = SlinReport {
-            interpretations_checked: prep.combos,
-            witness: first_witness.expect("combos >= 1: at least one interpretation checked"),
-            stats,
-        };
-        (Ok(report), stats)
-    }
-
-    /// Fans the interpretation indices out over `threads` scoped workers
-    /// (worker `w` takes indices `w, w + threads, …`). A shared watermark
-    /// of the earliest abnormal index lets workers stop early; the final
-    /// verdict is resolved by minimum index, which makes the result
-    /// byte-identical to [`SlinChecker::run_sequential`].
-    fn run_parallel(
+    /// absorbed counters; on a refutation or budget trip it is the
+    /// **earliest abnormal interpretation's own** search counters — the
+    /// deterministic refutation cost (absorbing the partial successes of
+    /// racing workers would not reproduce).
+    fn run_interpretations(
         &self,
         prep: &Prepared<T, R::Value>,
         threads: usize,
@@ -436,82 +406,40 @@ where
         R: Sync,
         R::Value: Sync,
     {
-        struct WorkerOutcome<I> {
-            witness0: Option<SlinWitness<I>>,
-            abnormal: Option<(usize, SlinError, SearchStats)>,
-            stats: SearchStats,
-        }
-
         let best_abnormal = AtomicUsize::new(usize::MAX);
-        let worker_outcomes: Vec<WorkerOutcome<T::Input>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|worker| {
-                    let best_abnormal = &best_abnormal;
-                    scope.spawn(move || {
-                        let mut out = WorkerOutcome {
-                            witness0: None,
-                            abnormal: None,
-                            stats: SearchStats::default(),
-                        };
-                        let mut idx = worker;
-                        while idx < prep.combos {
-                            // Indices beyond the earliest known abnormal one
-                            // cannot influence the verdict.
-                            if idx > best_abnormal.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            let finit = self.finit_at(prep, idx);
-                            match self.check_one_interpretation(prep, &finit) {
-                                (Ok(Some(w)), s) => {
-                                    out.stats.absorb(&s);
-                                    if idx == 0 {
-                                        out.witness0 = Some(w);
-                                    }
-                                }
-                                (Ok(None), s) => {
-                                    best_abnormal.fetch_min(idx, Ordering::Relaxed);
-                                    out.abnormal = Some((idx, Self::fail_error(&finit), s));
-                                    break;
-                                }
-                                (Err(e), s) => {
-                                    best_abnormal.fetch_min(idx, Ordering::Relaxed);
-                                    out.abnormal = Some((idx, e, s));
-                                    break;
-                                }
-                            }
-                            idx += threads;
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("interpretation worker panicked"))
-                .collect()
+        let outcomes = partition::fan_out(prep.combos, threads, &|idx| {
+            if idx > best_abnormal.load(Ordering::Relaxed) {
+                return None;
+            }
+            let finit = self.finit_at(prep, idx);
+            let (found, stats) = self.check_one_interpretation(prep, &finit);
+            let found = match found {
+                // Only interpretation 0's witness is ever reported.
+                Ok(Some(w)) => Ok((idx == 0).then_some(w)),
+                Ok(None) => Err(Self::fail_error(&finit)),
+                Err(e) => Err(e),
+            };
+            if found.is_err() {
+                best_abnormal.fetch_min(idx, Ordering::Relaxed);
+            }
+            Some((found, stats))
         });
-
-        if let Some((_, error, s)) = worker_outcomes
-            .iter()
-            .filter_map(|w| w.abnormal.clone())
-            .min_by_key(|(idx, _, _)| *idx)
-        {
-            // The earliest abnormal index is the verdict; its own search
-            // counters are the deterministic refutation cost (absorbing
-            // the racing workers' partial successes would not reproduce).
-            return (Err(error), s);
-        }
         let mut stats = SearchStats::default();
         let mut witness = None;
-        for w in worker_outcomes {
-            stats.absorb(&w.stats);
-            if w.witness0.is_some() {
-                witness = w.witness0;
+        // Index order: the first error met is the earliest abnormal one
+        // (every skipped index lies beyond it).
+        for (found, s) in outcomes.into_iter().flatten() {
+            match found {
+                Ok(w) => {
+                    stats.absorb(&s);
+                    witness = witness.or(w);
+                }
+                Err(e) => return (Err(e), s),
             }
         }
         let report = SlinReport {
             interpretations_checked: prep.combos,
-            witness: witness.expect("worker 0 checked interpretation 0"),
+            witness: witness.expect("combos >= 1: interpretation 0 was checked"),
             stats,
         };
         (Ok(report), stats)
@@ -1073,7 +1001,7 @@ where
         // already owns the worker threads), with the refutation-side stats
         // of `check_with_stats_impl`.
         match self.prepare(sub) {
-            Ok(prep) => self.run_sequential(&prep),
+            Ok(prep) => self.run_interpretations(&prep, 1),
             Err(e) => (Err(e), SearchStats::default()),
         }
     }

@@ -3,9 +3,9 @@
 //!
 //! The batch checkers need the whole trace before `check()` runs. This
 //! module adds the layer between the trace model and those checkers that
-//! the ROADMAP's live-traffic north star needs: a [`Monitor`] that
-//! **ingests one action at a time** and maintains a rolling verdict
-//! without re-checking the growing prefix.
+//! the ROADMAP's live-traffic north star needs: a monitor that **ingests
+//! one action at a time** and maintains a rolling verdict without
+//! re-checking the growing prefix.
 //!
 //! ```text
 //!                        ┌───────────────────────────────┐
@@ -19,30 +19,37 @@
 //!                        └─────── merged verdict ┴──▶ status() / report()
 //! ```
 //!
-//! There is **one** monitor: [`Monitor`] is parameterized by a
-//! [`StreamModel`] (the [`ConsistencyModel`] sub-trait adding the few
-//! stream-specific hooks — what a switch action means, and how window
-//! verdicts map onto the model's witness/error types).
-//! [`LinMonitor`]/[`SlinMonitor`] are type aliases instantiating it with
-//! [`crate::lin::LinChecker`] and [`crate::slin::SlinChecker`]; the
-//! [`crate::session::Checker`] builder reaches the same monitor through
-//! `Strategy::Streaming { window }`.
+//! There is **one** monitor and **one** way to reach it: a
+//! [`crate::session::Session`] built with `Strategy::Streaming { window }`
+//! (or a batch session upgraded by its first `ingest`). The monitor itself
+//! is private to the crate; it is parameterized by a [`StreamModel`] (the
+//! [`ConsistencyModel`] sub-trait adding the few stream-specific hooks —
+//! what a switch action means, and how window verdicts map onto the
+//! model's witness/error types), so any model streams. What this module
+//! exports is what a session hands back: [`MonitorStatus`],
+//! [`IngestOutcome`], [`ShardSummary`], [`MonitorReport`], and the
+//! [`GcPolicy`] a session is built with.
 //!
 //! # Quickstart
 //!
 //! ```
 //! use slin_adt::{KvKeyPartitioner, KvStore};
 //! use slin_core::gen::{random_multikey_kv_trace, MultiKeyConfig};
-//! use slin_core::stream::{LinMonitor, MonitorStatus};
+//! use slin_core::lin::LinChecker;
+//! use slin_core::session::{Checker, Strategy};
+//! use slin_core::stream::MonitorStatus;
 //!
 //! let trace = random_multikey_kv_trace(&MultiKeyConfig::default());
-//! let mut mon: LinMonitor<KvStore, KvKeyPartitioner> =
-//!     LinMonitor::owned(KvStore, KvKeyPartitioner);
+//! let mut session = Checker::builder(LinChecker::owned(KvStore))
+//!     .partitioner(KvKeyPartitioner)
+//!     .strategy(Strategy::Streaming { window: None })
+//!     .build();
 //! for action in trace.iter() {
-//!     let outcome = mon.ingest(action.clone());
+//!     let outcome = session.ingest(action.clone());
 //!     assert_eq!(outcome.status, MonitorStatus::Ok); // rolling, exact
 //! }
-//! assert!(mon.report().verdict.is_ok()); // identical to the batch checker
+//! let report = session.report().expect("born streaming");
+//! assert!(report.verdict.is_ok()); // identical to the batch checker
 //! ```
 //!
 //! # Architecture
@@ -55,14 +62,16 @@
 //! * **Incremental engine state** — each shard persists a **frontier** of
 //!   complete chain-search configurations between events (each one a
 //!   genuine witness for the shard's prefix); see `stream/shard.rs`.
-//! * **Bounded-window GC** — with [`MonitorConfig::window`] set, quiescent
+//! * **Bounded-window GC** — with a window set
+//!   ([`crate::session::SessionBuilder::window`]), quiescent
 //!   fully-committed prefixes retire into their complete terminal-
 //!   configuration summary: verdicts stay exact, witnesses become
 //!   window-relative, memory stays O(window · alphabet).
 //! * **Batch-identical reports** — with the default unbounded window,
-//!   [`Monitor::report`] is byte-identical (verdict *and* witness) to the
-//!   model's batch check on the closed trace; the `streaming_differential`
-//!   suite in `tests/` pins this over the multi-key generators.
+//!   [`crate::session::Session::report`] is byte-identical (verdict *and*
+//!   witness) to the model's batch check on the closed trace; the
+//!   `streaming_differential` suite in `tests/` pins this over the
+//!   multi-key generators.
 
 #![allow(clippy::module_inception)]
 
@@ -70,28 +79,13 @@ mod monitor;
 mod shard;
 mod wf;
 
-pub use monitor::{LinMonitor, Monitor, SlinMonitor};
+pub(crate) use monitor::Monitor;
 
 use crate::engine::{Chain, SearchStats};
 use crate::model::ConsistencyModel;
 use crate::partition::FallbackReason;
 use slin_adt::Adt;
 use slin_trace::wf::WellFormednessError;
-
-/// A pull-based stream of actions. Blanket-implemented for every
-/// [`Iterator`], so `trace.into_iter()`, channels drained through
-/// `try_iter()`, and custom sources all plug straight into
-/// [`Monitor::drive`] / [`Monitor::drive_parallel`].
-pub trait EventStream<A> {
-    /// The next event, or `None` when the stream is (currently) drained.
-    fn next_event(&mut self) -> Option<A>;
-}
-
-impl<A, I: Iterator<Item = A>> EventStream<A> for I {
-    fn next_event(&mut self) -> Option<A> {
-        self.next()
-    }
-}
 
 /// Why a window-mode stream check failed, before it is mapped onto the
 /// model's error type by [`StreamModel::stream_error`].
@@ -120,7 +114,7 @@ pub enum StreamFailure {
 }
 
 /// The streaming face of a [`ConsistencyModel`]: the handful of hooks the
-/// generic [`Monitor`] needs beyond the batch checking surface.
+/// generic monitor needs beyond the batch checking surface.
 pub trait StreamModel<V>: ConsistencyModel<V> {
     /// The rolling status once the stream has gone quiet on a switch
     /// action: terminal ([`MonitorStatus::SwitchSeen`], plain
@@ -150,127 +144,59 @@ pub trait StreamModel<V>: ConsistencyModel<V> {
     fn stream_error(&self, failure: StreamFailure) -> Self::Error;
 }
 
-/// Tuning knobs of a monitor.
-#[derive(Debug, Clone, Copy)]
-pub struct MonitorConfig {
-    /// Node budget of every full engine search (fallback re-searches,
-    /// final report derivations). Matches the batch checkers' default.
-    pub budget: usize,
-    /// Maximum frontier configurations retained per shard. Larger values
-    /// survive more reorderings without falling back; smaller values bound
-    /// per-event work tighter.
-    pub frontier_cap: usize,
-    /// Node budget of one frontier tail-extension pass; exhausting it
-    /// forces a fallback re-search (exactness is never lost).
-    pub extension_budget: usize,
-    /// Bounded-window GC: retire quiescent, fully-committed prefixes once
-    /// a shard's window exceeds this many events. `None` (default) retains
-    /// everything and keeps reports byte-identical to the batch checkers.
-    pub window: Option<usize>,
+/// Whether a batch outcome is a tripped node budget: the model maps the
+/// error to [`MonitorStatus::Unknown`] and — unlike the interpretation-cap
+/// rejection, which shares that status but is decided before any search —
+/// the engine expanded nodes.
+pub(crate) fn budget_tripped<M: StreamModel<V>, V>(
+    outcome: &Result<M::Witness, M::Error>,
+    stats: &SearchStats,
+) -> bool {
+    stats.nodes > 0 && matches!(outcome, Err(e) if M::status_of_error(e) == MonitorStatus::Unknown)
+}
+
+/// The garbage-collection/retirement policy of a streaming session: set on
+/// [`crate::session::SessionBuilder::gc_policy`] and reused verbatim as the
+/// daemon's per-tenant policy type. The GC *window* is not part of it — see
+/// [`crate::session::SessionBuilder::window`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GcPolicy {
     /// Epoch GC (default `true`): also retire windows that never quiesce —
     /// cuts happen at window multiples even with invocations still
     /// pending, completing stragglers symbolically so verdicts stay exact
-    /// (see `stream/shard.rs`). Requires `window`.
+    /// (see `stream/shard.rs`). Requires a window.
     pub epoch_cuts: bool,
     /// Force truncated epoch cuts through anyway (default `false`): memory
     /// stays bounded on hostile windows whose summary outgrows the
     /// frontier cap, at the price of exactness — later would-be violation
-    /// verdicts downgrade to [`MonitorStatus::Unknown`].
+    /// verdicts downgrade to [`MonitorStatus::Unknown`]. The daemon's
+    /// backpressure shed flips this live.
     pub epoch_force: bool,
-    /// Overrides the node budget of one opportunistic (epoch) retirement
-    /// attempt. `None` (default) keeps the window-scaled formula
-    /// `extension_budget · (8 + window events), capped at budget / 2`.
-    pub retire_budget: Option<usize>,
-    /// Witness archival: keep the raw events of up to this many GC-retired
-    /// windows per shard, so [`Monitor::report`] can reconstruct **full**
-    /// forensic witnesses (byte-identical to an unGC'd monitor's) for
-    /// verdicts inside the archive depth instead of window-relative stubs.
-    /// `0` (default) disables archival and keeps memory O(window);
-    /// `K` bounds the extra retention at O(K · window) events per shard.
-    pub archive_windows: usize,
-    /// Worker threads for the final report's partition fan-out and for
-    /// [`Monitor::drive_parallel`] (0 = one per core).
-    pub threads: usize,
-    /// Keyed phase-trace mode (default `false`): the stream's switch
-    /// actions are covered by a valid switch-independence certificate
-    /// (`slin-cert/v2`), so the monitor keeps routing events into the
-    /// per-key shards *across* switches — switch actions ride along to
-    /// their pending input's class shard — and deferred reports resolve
-    /// through the model's keyed batch check instead of engaging the
-    /// monolithic identity fallback. Set by
-    /// [`crate::session::SessionBuilder`] after certificate validation;
-    /// do not enable by hand for uncertified ADT/partitioner pairs.
-    pub keyed: bool,
-}
-
-impl Default for MonitorConfig {
-    fn default() -> Self {
-        MonitorConfig {
-            budget: crate::lin::DEFAULT_BUDGET,
-            frontier_cap: 32,
-            extension_budget: 4096,
-            window: None,
-            epoch_cuts: true,
-            epoch_force: false,
-            retire_budget: None,
-            archive_windows: 0,
-            threads: 0,
-            keyed: false,
-        }
-    }
-}
-
-impl MonitorConfig {
-    /// Overwrites the GC-related knobs from a [`GcPolicy`] (the
-    /// [`crate::session::SessionBuilder::gc_policy`] hook; `budget`,
-    /// `window` and `threads` are untouched).
-    pub fn with_gc_policy(mut self, gc: GcPolicy) -> Self {
-        self.frontier_cap = gc.frontier_cap;
-        self.extension_budget = gc.extension_budget;
-        self.epoch_cuts = gc.epoch_cuts;
-        self.epoch_force = gc.epoch_force;
-        self.retire_budget = gc.retire_budget;
-        self.archive_windows = gc.archive_windows;
-        self
-    }
-}
-
-/// The garbage-collection/retirement policy of a streaming session — the
-/// first-class form of the [`MonitorConfig`] GC knobs, exposed on
-/// [`crate::session::SessionBuilder::gc_policy`] and reused verbatim as
-/// the daemon's per-tenant policy type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GcPolicy {
-    /// Retire windows at window multiples even with invocations pending
-    /// (symbolic straggler completion). Default `true`.
-    pub epoch_cuts: bool,
-    /// Force truncated epoch cuts through (lossy: later would-be
-    /// violation verdicts downgrade to [`MonitorStatus::Unknown`]).
-    /// Default `false`; the daemon's backpressure shed flips this live.
-    pub epoch_force: bool,
-    /// Maximum frontier configurations retained per shard. Default 32.
+    /// Maximum frontier configurations retained per shard (default 32).
+    /// Larger values survive more reorderings without falling back;
+    /// smaller values bound per-event work tighter.
     pub frontier_cap: usize,
-    /// Node budget of one frontier tail-extension pass. Default 4096.
+    /// Node budget of one frontier tail-extension pass (default 4096);
+    /// exhausting it forces a fallback re-search (exactness is never
+    /// lost).
     pub extension_budget: usize,
-    /// Node-budget override for one opportunistic retirement attempt
-    /// (`None` keeps the window-scaled formula).
-    pub retire_budget: Option<usize>,
-    /// Witness archival depth: GC-retired windows retained per shard for
-    /// full forensic witness reconstruction (0 = off, the default). See
-    /// [`MonitorConfig::archive_windows`].
+    /// Witness archival: keep the raw events of up to this many GC-retired
+    /// windows per shard, so a report can reconstruct **full** forensic
+    /// witnesses (byte-identical to an unGC'd session's) for verdicts
+    /// inside the archive depth instead of window-relative stubs. `0`
+    /// (default) disables archival and keeps memory O(window); `K` bounds
+    /// the extra retention at O(K · window) events per shard.
     pub archive_windows: usize,
 }
 
 impl Default for GcPolicy {
     fn default() -> Self {
-        let cfg = MonitorConfig::default();
         GcPolicy {
-            epoch_cuts: cfg.epoch_cuts,
-            epoch_force: cfg.epoch_force,
-            frontier_cap: cfg.frontier_cap,
-            extension_budget: cfg.extension_budget,
-            retire_budget: cfg.retire_budget,
-            archive_windows: cfg.archive_windows,
+            epoch_cuts: true,
+            epoch_force: false,
+            frontier_cap: 32,
+            extension_budget: 4096,
+            archive_windows: 0,
         }
     }
 }
@@ -303,12 +229,14 @@ pub enum MonitorStatus {
     /// A search exhausted its node budget; the verdict is unknown until a
     /// later search succeeds.
     Unknown,
-    /// Speculative mode defers the verdict to the next [`Monitor::status`]
-    /// call (which runs and caches a batch check).
+    /// Speculative mode defers the verdict past a switch action:
+    /// [`crate::session::Session::status`] and
+    /// [`crate::session::Session::poll_verdict`] resolve it from the
+    /// session's report (derived once per stream version).
     Deferred,
 }
 
-/// Per-event feedback from [`Monitor::ingest`].
+/// Per-event feedback from [`crate::session::Session::ingest`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IngestOutcome {
     /// The event's global stream index.

@@ -1,4 +1,5 @@
-//! The generic sharded monitor: one [`Monitor`] over any [`StreamModel`].
+//! The generic sharded monitor: one [`Monitor`] over any [`StreamModel`],
+//! private to the crate — [`crate::session::Session`] is its only owner.
 //!
 //! [`Core`] is the model-independent machinery — a router that classifies
 //! every ingested action through a [`Partitioner`] and feeds it to the
@@ -6,30 +7,25 @@
 //! stream-global facts the batch checkers derive from the closed trace
 //! (well-formedness, switch actions, input multisets). What a switch
 //! action *means*, and how window verdicts map onto witness/error types,
-//! comes from the [`StreamModel`] hooks; [`LinMonitor`] and
-//! [`SlinMonitor`] are type aliases instantiating the one generic monitor
-//! with the two shipped models.
+//! comes from the [`StreamModel`] hooks.
 
 use super::shard::{ArchivedWindow, ShardConfig, ShardState, ShardStatus};
 use super::wf::WfTracker;
 use super::{
-    EventStream, IngestOutcome, MonitorConfig, MonitorReport, MonitorStatus, ShardSummary,
+    budget_tripped, GcPolicy, IngestOutcome, MonitorReport, MonitorStatus, ShardSummary,
     StreamFailure, StreamModel,
 };
 use crate::engine::{Chain, EngineError, SearchSeed, SearchStats};
-use crate::initrel::InitRelation;
-use crate::lin::LinChecker;
 use crate::model::{self, ConsistencyModel};
 use crate::partition::{
     merge_partition_chains, witness_steps, FallbackReason, SplitOutcome, Step, TracePartition,
 };
-use crate::slin::SlinChecker;
 use crate::ObjAction;
 use slin_adt::{Adt, Partitioner};
-use slin_obs::Obs;
+use slin_obs::{EngineSearchEvent, Obs};
 use slin_trace::{Action, PersistentMultiset, PhaseId, Trace};
 use std::collections::{BTreeMap, HashSet, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// A report cached per stream version (`events` at computation time).
 type CachedReport<W, E> = Option<(usize, MonitorReport<W, E>)>;
@@ -71,27 +67,19 @@ where
     V: Clone + PartialEq,
     K: Ord + Clone,
 {
-    fn new(adt: Arc<T>, config: &MonitorConfig, phase_bounds: Option<(PhaseId, PhaseId)>) -> Self {
+    fn new(
+        adt: Arc<T>,
+        shard_cfg: ShardConfig,
+        window: Option<usize>,
+        phase_bounds: Option<(PhaseId, PhaseId)>,
+    ) -> Self {
         Core {
             adt,
-            shard_cfg: ShardConfig {
-                budget: config.budget,
-                frontier_cap: config.frontier_cap,
-                extension_budget: config.extension_budget,
-                epoch_cuts: config.epoch_cuts,
-                epoch_force: config.epoch_force,
-                retire_budget: config.retire_budget,
-                archive_windows: config.archive_windows,
-                obs: Obs::noop(),
-            },
-            window: config.window,
+            shard_cfg,
+            window,
             shards: BTreeMap::new(),
             events: 0,
-            buffer: if config.window.is_none() {
-                Some(Trace::new())
-            } else {
-                None
-            },
+            buffer: window.is_none().then(Trace::new),
             first_switch: None,
             wf: WfTracker::new(phase_bounds),
             invoked: PersistentMultiset::new(),
@@ -576,55 +564,26 @@ fn remap_chain<I>(chain: Vec<(usize, Vec<I>)>, index_map: &[usize]) -> Vec<(usiz
 
 /// Online monitor for any [`StreamModel`] over a live stream of actions.
 /// See the [module docs](crate::stream) for the architecture and the
-/// exactness guarantees; [`LinMonitor`] and [`SlinMonitor`] are the two
-/// shipped instantiations.
-///
-/// # Example
-///
-/// ```
-/// use slin_adt::{KvInput, KvKeyPartitioner, KvOutput, KvStore};
-/// use slin_core::stream::{LinMonitor, MonitorStatus};
-/// use slin_trace::{Action, ClientId, PhaseId, Trace};
-///
-/// let (c1, ph) = (ClientId::new(1), PhaseId::FIRST);
-/// let mut mon: LinMonitor<KvStore, KvKeyPartitioner> =
-///     LinMonitor::owned(KvStore, KvKeyPartitioner);
-/// mon.ingest(Action::invoke(c1, ph, KvInput::Put(1, 5)));
-/// mon.ingest(Action::respond(c1, ph, KvInput::Put(1, 5), KvOutput::Ack));
-/// assert_eq!(mon.status(), MonitorStatus::Ok);
-/// let report = mon.report();
-/// assert!(report.verdict.is_ok());
-/// ```
-pub struct Monitor<M, V, P>
+/// exactness guarantees.
+pub(crate) struct Monitor<M, V, P>
 where
     M: ConsistencyModel<V>,
     P: Partitioner<M::Adt>,
 {
     model: M,
     partitioner: Option<P>,
-    config: MonitorConfig,
-    pub(crate) core: Core<M::Adt, V, P::Key>,
-    /// Lazily-resolved deferred status, cached per stream version so
-    /// [`Monitor::status`] can take `&self` on every model.
-    status_cache: Mutex<Option<(usize, MonitorStatus)>>,
+    /// Keyed phase-trace mode: the stream's switch actions are covered by
+    /// a verified switch-independence certificate (`slin-cert/v2`), so the
+    /// monitor keeps routing events into the per-key shards *across*
+    /// switches — switch actions ride along to their pending input's class
+    /// shard — and deferred verdicts resolve through the model's keyed
+    /// batch check instead of engaging the monolithic identity fallback.
+    keyed: bool,
+    core: Core<M::Adt, V, P::Key>,
+    /// The report of the current stream version; deferred statuses resolve
+    /// from it, so one derivation serves both.
     cached: CachedReport<M::Witness, M::Error>,
 }
-
-/// Online monitor for the paper's (plain) linearizability: the generic
-/// [`Monitor`] instantiated with [`LinChecker`].
-pub type LinMonitor<T, P, V = ()> = Monitor<LinChecker<T>, V, P>;
-
-/// Online monitor for `(m, n)`-speculative linearizability: the generic
-/// [`Monitor`] instantiated with [`SlinChecker`].
-///
-/// Switch-free streams run on the same incremental shard machinery as
-/// [`LinMonitor`] (Theorem 2 equates the two criteria there). The first
-/// switch action sends the monitor into **speculative mode**: the shard
-/// engines go quiet and the rolling verdict is recomputed lazily — and
-/// cached per stream version — by the batch [`SlinChecker`], mirroring the
-/// partitioned checker's own monolithic fallback on phase traces.
-pub type SlinMonitor<T, R, P> =
-    Monitor<SlinChecker<T, R>, <R as InitRelation<<T as Adt>::Input>>::Value, P>;
 
 impl<M, V, P> Monitor<M, V, P>
 where
@@ -635,15 +594,27 @@ where
 {
     /// Creates a monitor around a configured model. `None` for the
     /// partitioner routes every event to the identity shard
-    /// (non-partitionable ADTs still stream).
-    pub fn from_model(model: M, partitioner: Option<P>, config: MonitorConfig) -> Self {
-        let core = Core::new(model.adt_shared(), &config, model.phase_bounds());
+    /// (non-partitionable ADTs still stream); `keyed` must come from a
+    /// verified switch certificate (see `SessionBuilder::try_build`).
+    pub(crate) fn new(
+        model: M,
+        partitioner: Option<P>,
+        window: Option<usize>,
+        gc: GcPolicy,
+        keyed: bool,
+        obs: Obs,
+    ) -> Self {
+        let shard_cfg = ShardConfig {
+            budget: model.budget(),
+            gc,
+            obs,
+        };
+        let core = Core::new(model.adt_shared(), shard_cfg, window, model.phase_bounds());
         Monitor {
             model,
             partitioner,
-            config,
+            keyed,
             core,
-            status_cache: Mutex::new(None),
             cached: None,
         }
     }
@@ -651,31 +622,13 @@ where
     /// Flips the forced-lossy-epoch-cut knob on the live monitor — the
     /// daemon's backpressure shed. Turning it on lets every shard retire
     /// truncated windows (memory over exactness: later would-be violation
-    /// verdicts downgrade to [`MonitorStatus::Unknown`]); the monitor and
-    /// all its current and future shards pick the change up immediately.
-    pub fn set_epoch_force(&mut self, on: bool) {
-        self.config.epoch_force = on;
-        self.core.shard_cfg.epoch_force = on;
+    /// verdicts downgrade to [`MonitorStatus::Unknown`]); all current and
+    /// future shards pick the change up immediately.
+    pub(crate) fn set_epoch_force(&mut self, on: bool) {
+        self.core.shard_cfg.gc.epoch_force = on;
         for shard in self.core.shards.values_mut() {
             shard.set_epoch_force(on);
         }
-    }
-
-    /// Installs an [`Obs`] observer handle on the live monitor: every
-    /// current and future shard reports its ingests, engine searches, and
-    /// GC cuts through it. The default noop handle keeps instrumentation
-    /// zero-cost; see the `slin-obs` crate.
-    pub fn set_observer(&mut self, obs: Obs) {
-        self.core.shard_cfg.obs = obs.clone();
-        for shard in self.core.shards.values_mut() {
-            shard.set_observer(obs.clone());
-        }
-    }
-
-    /// Builder-style form of [`Monitor::set_observer`].
-    pub fn with_observer(mut self, obs: Obs) -> Self {
-        self.set_observer(obs);
-        self
     }
 
     /// Why this stream left the per-key fast path, or `None` while the
@@ -685,9 +638,9 @@ where
     /// state. An uncertified stream counts as fallen back from its first
     /// switch action on (the verdict defers to monolithic re-checks),
     /// mirroring the report.
-    pub fn fallback(&self) -> Option<FallbackReason> {
+    pub(crate) fn fallback(&self) -> Option<FallbackReason> {
         self.core.fallback.or_else(|| {
-            (self.core.first_switch.is_some() && !self.config.keyed)
+            (self.core.first_switch.is_some() && !self.keyed)
                 .then_some(FallbackReason::SwitchUncertified)
         })
     }
@@ -698,17 +651,13 @@ where
 
     /// Ingests the next event of the live stream; O(shard work) — no
     /// re-check of the growing prefix.
-    pub fn ingest(&mut self, action: ObjAction<M::Adt, V>) -> IngestOutcome {
+    pub(crate) fn ingest(&mut self, action: ObjAction<M::Adt, V>) -> IngestOutcome {
         self.cached = None;
-        *self
-            .status_cache
-            .get_mut()
-            .expect("status cache lock poisoned") = None;
         let was_quiet = self.core.first_switch.is_some();
         let index = self.core.observe(&action);
         // Keyed phase-trace mode (a valid switch-independence certificate
         // is installed): the shard machinery stays live across switches.
-        let keyed = self.config.keyed && self.core.fallback.is_none();
+        let keyed = self.keyed && self.core.fallback.is_none();
         let (frontier_len, fell_back) = if action.is_switch() {
             if !was_quiet && M::BUFFERS_ON_SWITCH {
                 self.core.buffer_window_with(action.clone());
@@ -748,19 +697,8 @@ where
     /// O(1) rolling status. For models that defer on switch actions
     /// (speculative mode) this reports [`MonitorStatus::Deferred`] instead
     /// of forcing a batch re-check; [`Monitor::status`] resolves it.
-    pub fn quick_status(&self) -> MonitorStatus {
+    fn quick_status(&self) -> MonitorStatus {
         if self.core.first_switch.is_some() {
-            if M::QUIET_STATUS == MonitorStatus::Deferred {
-                if let Some((at, status)) = *self
-                    .status_cache
-                    .lock()
-                    .expect("status cache lock poisoned")
-                {
-                    if at == self.core.events {
-                        return status;
-                    }
-                }
-            }
             return M::QUIET_STATUS;
         }
         if self.core.wf.first_foreign.is_some() || self.core.wf.has_violation() {
@@ -769,55 +707,17 @@ where
         self.core.shard_status()
     }
 
-    /// The exact rolling verdict. Cheap on switch-free streams; in
-    /// speculative mode it runs (and caches per stream version) one batch
-    /// check of the retained trace.
-    pub fn status(&self) -> MonitorStatus {
-        let quick = self.quick_status();
-        if quick != MonitorStatus::Deferred {
-            return quick;
-        }
-        let buffer = self
-            .core
-            .buffer
-            .as_ref()
-            .expect("deferred statuses buffer the stream");
-        let status = match self.model.check_monolithic(buffer).0 {
-            Ok(_) => MonitorStatus::Ok,
-            Err(e) => M::status_of_error(&e),
-        };
-        *self
-            .status_cache
-            .lock()
-            .expect("status cache lock poisoned") = Some((self.core.events, status));
-        status
-    }
-
     /// Number of events ingested so far.
-    pub fn events(&self) -> usize {
+    pub(crate) fn events(&self) -> usize {
         self.core.events
-    }
-
-    /// Number of live shards.
-    pub fn shards(&self) -> usize {
-        self.core.shards.len()
     }
 
     /// Aggregated shard-machinery counters at the current stream position
     /// (the same [`ShardSummary`] the final report carries) — lets load
     /// drivers sample the retained-memory proxy mid-stream without paying
     /// for a report derivation.
-    pub fn shard_summary(&self) -> ShardSummary {
+    pub(crate) fn shard_summary(&self) -> ShardSummary {
         self.core.summary()
-    }
-
-    /// Drains a stream sequentially; returns the final rolling status
-    /// (resolving speculative deferral).
-    pub fn drive<S: EventStream<ObjAction<M::Adt, V>>>(&mut self, mut stream: S) -> MonitorStatus {
-        while let Some(action) = stream.next_event() {
-            self.ingest(action);
-        }
-        self.status()
     }
 }
 
@@ -832,20 +732,37 @@ where
     V: Clone + PartialEq + Sync,
     P: Partitioner<M::Adt>,
 {
+    /// The exact rolling verdict. Cheap on switch-free streams; in
+    /// speculative mode it reads the verdict of the (cached per stream
+    /// version) report — the same keyed or monolithic derivation
+    /// [`Monitor::report`] returns, run at most once per version.
+    pub(crate) fn status(&mut self) -> MonitorStatus {
+        let quick = self.quick_status();
+        if quick != MonitorStatus::Deferred {
+            return quick;
+        }
+        match &self.current_report().verdict {
+            Ok(_) => MonitorStatus::Ok,
+            Err(e) => M::status_of_error(e),
+        }
+    }
+
     /// The full forensic report. With an unbounded window this is
     /// **byte-identical** to the model's batch check on the closed trace
     /// (witness included); with a bounded window it is window-relative
     /// (see the [module docs](crate::stream)) and flagged by
     /// [`MonitorReport::prefix_committed`].
-    pub fn report(&mut self) -> MonitorReport<M::Witness, M::Error> {
-        if let Some((at, report)) = &self.cached {
-            if *at == self.core.events {
-                return report.clone();
-            }
+    pub(crate) fn report(&mut self) -> MonitorReport<M::Witness, M::Error> {
+        self.current_report().clone()
+    }
+
+    /// The report of the current stream version, derived on first use.
+    fn current_report(&mut self) -> &MonitorReport<M::Witness, M::Error> {
+        let events = self.core.events;
+        if !matches!(&self.cached, Some((at, _)) if *at == events) {
+            self.cached = Some((events, self.compute_report()));
         }
-        let report = self.compute_report();
-        self.cached = Some((self.core.events, report.clone()));
-        report
+        &self.cached.as_ref().expect("filled above").1
     }
 
     fn compute_report(&self) -> MonitorReport<M::Witness, M::Error> {
@@ -867,16 +784,18 @@ where
             shard: core.summary(),
         };
         if let Some(buffer) = &core.buffer {
+            let t0 = core.shard_cfg.obs.t0();
             // Keyed phase-trace mode: a certified partitioner resolves the
             // deferred verdict through the model's keyed batch check — the
             // per-class searches stay sharded across switches instead of
             // engaging the monolithic identity fallback.
-            if quiet && self.config.keyed && core.fallback.is_none() {
+            if quiet && self.keyed && core.fallback.is_none() {
                 if let Some(sv) = self
                     .partitioner
                     .as_ref()
                     .and_then(|p| self.model.check_keyed(p, buffer))
                 {
+                    self.observe_batch_check(&sv.verdict, &sv.report.stats, t0);
                     return MonitorReport {
                         verdict: sv.verdict,
                         fallback: sv.report.fallback,
@@ -902,6 +821,7 @@ where
                 core.split()
             };
             let sv = model::check_split(&self.model, &split, buffer);
+            self.observe_batch_check(&sv.verdict, &sv.report.stats, t0);
             return MonitorReport {
                 verdict: sv.verdict,
                 remerged: sv.report.remerged,
@@ -935,7 +855,9 @@ where
         // included) stops being window-relative.
         if let Some((buffer, split)) = core.reconstruct_archive() {
             core.shard_cfg.obs.archive_reconstruction();
+            let t0 = core.shard_cfg.obs.t0();
             let sv = model::check_split(&self.model, &split, &buffer);
+            self.observe_batch_check(&sv.verdict, &sv.report.stats, t0);
             return MonitorReport {
                 verdict: sv.verdict,
                 remerged: sv.report.remerged,
@@ -957,174 +879,21 @@ where
         }
     }
 
-    /// Drains a stream through **per-key shard workers**: the router (this
-    /// thread) classifies each event and hands it to the worker owning its
-    /// shard over a channel; workers run the incremental shard engines in
-    /// parallel and are merged back at stream end. Final states, statuses
-    /// and reports are identical to [`Monitor::drive`] at every thread
-    /// count (each shard's state is a pure function of its own event
-    /// subsequence, which routing preserves in order).
-    ///
-    /// An event the shard workers cannot own — a switch action or an
-    /// unclassifiable input — drains and merges the workers, then the rest
-    /// of the stream runs inline.
-    pub fn drive_parallel<S>(&mut self, mut stream: S) -> MonitorStatus
-    where
-        S: EventStream<ObjAction<M::Adt, V>>,
-        M::Adt: Send,
-        <M::Adt as Adt>::Output: Send,
-        <M::Adt as Adt>::State: Send,
-        V: Send,
-    {
-        let threads = if self.config.threads > 0 {
-            self.config.threads
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        };
-        let Some(partitioner) = &self.partitioner else {
-            return self.drive(stream);
-        };
-        if threads <= 1 || self.core.fallback.is_some() || self.core.first_switch.is_some() {
-            return self.drive(stream);
-        }
-
-        enum WorkerMsg<T: Adt, V, K> {
-            /// An existing shard moves to the worker that now owns its key.
-            Adopt(K, Box<ShardState<T, V>>),
-            Event(usize, K, ObjAction<T, V>),
-        }
-
-        let adt = Arc::clone(&self.core.adt);
-        let shard_cfg = self.core.shard_cfg.clone();
-        let window = self.core.window;
-        let mut assignment: BTreeMap<P::Key, usize> = BTreeMap::new();
-        let mut next_worker = 0usize;
-        let mut leftover: Option<ObjAction<M::Adt, V>> = None;
-
-        let core = &mut self.core;
-        let (maps, retired) = std::thread::scope(|scope| {
-            let mut senders = Vec::with_capacity(threads);
-            let mut handles = Vec::with_capacity(threads);
-            for _ in 0..threads {
-                let (tx, rx) = std::sync::mpsc::channel::<WorkerMsg<M::Adt, V, P::Key>>();
-                senders.push(tx);
-                let adt = Arc::clone(&adt);
-                let shard_cfg = shard_cfg.clone();
-                handles.push(scope.spawn(move || {
-                    let mut shards: BTreeMap<P::Key, ShardState<M::Adt, V>> = BTreeMap::new();
-                    let mut retired: Vec<usize> = Vec::new();
-                    while let Ok(msg) = rx.recv() {
-                        match msg {
-                            WorkerMsg::Adopt(key, shard) => {
-                                shards.insert(key, *shard);
-                            }
-                            WorkerMsg::Event(index, key, action) => {
-                                let shard = shards.entry(key).or_insert_with(|| {
-                                    ShardState::new(Arc::clone(&adt), shard_cfg.clone())
-                                });
-                                shard.ingest(action, index);
-                                if let Some(w) = window {
-                                    if let Some(r) = shard.maybe_retire(w) {
-                                        retired.extend(r);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    (shards, retired)
-                }));
-            }
-            while let Some(action) = stream.next_event() {
-                if action.is_switch() {
-                    leftover = Some(action);
-                    break;
-                }
-                let Some(key) = partitioner.key_of(action.input()) else {
-                    leftover = Some(action);
-                    break;
-                };
-                let index = core.observe(&action);
-                let worker = *assignment.entry(key.clone()).or_insert_with(|| {
-                    let w = next_worker % threads;
-                    next_worker += 1;
-                    w
-                });
-                if let Some(existing) = core.shards.remove(&Some(key.clone())) {
-                    senders[worker]
-                        .send(WorkerMsg::Adopt(key.clone(), Box::new(existing)))
-                        .expect("worker alive");
-                }
-                senders[worker]
-                    .send(WorkerMsg::Event(index, key, action))
-                    .expect("worker alive");
-            }
-            drop(senders);
-            let mut maps = Vec::new();
-            let mut retired_all = Vec::new();
-            for h in handles {
-                let (m, r) = h.join().expect("shard worker panicked");
-                maps.push(m);
-                retired_all.extend(r);
-            }
-            (maps, retired_all)
+    /// Reports a report-time batch check (keyed, split, or reconstructed)
+    /// to the observer; window-mode reports are observed per shard by
+    /// [`ShardState::window_search`].
+    fn observe_batch_check(
+        &self,
+        verdict: &Result<M::Witness, M::Error>,
+        stats: &SearchStats,
+        t0: Option<std::time::Instant>,
+    ) {
+        self.core.shard_cfg.obs.engine_search(EngineSearchEvent {
+            site: "monitor.report",
+            nodes: stats.nodes as u64,
+            memo_hits: stats.memo_hits as u64,
+            budget_exhausted: budget_tripped::<M, V>(verdict, stats),
+            t0,
         });
-        for map in maps {
-            for (key, shard) in map {
-                self.core.shards.insert(Some(key), shard);
-            }
-        }
-        if !retired.is_empty() {
-            self.core.prefix_committed = true;
-            for index in retired {
-                self.core.commit_bounds.remove(&index);
-            }
-        }
-        if let Some(action) = leftover {
-            self.ingest(action);
-        }
-        self.drive(stream)
-    }
-}
-
-impl<T, V, P> Monitor<LinChecker<T>, V, P>
-where
-    T: Adt,
-    T::Input: Ord,
-    V: Clone + PartialEq,
-    P: Partitioner<T>,
-{
-    /// Creates a plain-linearizability monitor owning its ADT, with the
-    /// default configuration. The monitor is `'static` and can live in a
-    /// daemon tenant table.
-    pub fn owned(adt: T, partitioner: P) -> Self {
-        Self::owned_with_config(adt, partitioner, MonitorConfig::default())
-    }
-
-    /// Creates a plain-linearizability monitor owning its ADT, with an
-    /// explicit configuration (the config's budget and threads configure
-    /// the report-time batch checks too).
-    pub fn owned_with_config(adt: T, partitioner: P, config: MonitorConfig) -> Self {
-        let model = LinChecker::owned(adt)
-            .with_budget(config.budget)
-            .with_threads(config.threads);
-        Monitor::from_model(model, Some(partitioner), config)
-    }
-}
-
-impl<T, R, P> Monitor<SlinChecker<T, R>, R::Value, P>
-where
-    T: Adt + Send + Sync,
-    T::Input: Ord + Send + Sync,
-    T::Output: Sync,
-    R: InitRelation<T::Input> + Sync,
-    R::Value: Clone + PartialEq + Sync,
-    P: Partitioner<T>,
-{
-    /// Creates a speculative-linearizability monitor around a configured
-    /// batch checker (which owns the ADT and fixes the phase bounds).
-    pub fn from_checker(checker: SlinChecker<T, R>, partitioner: P, config: MonitorConfig) -> Self {
-        Monitor::from_model(checker, Some(partitioner), config)
     }
 }

@@ -47,7 +47,7 @@
 //! deliberately not complete: the first monolithic witness of the longer
 //! prefix may place the new commit *earlier* in the chain than every
 //! configuration the frontier kept, and the frontier is capped
-//! ([`ShardConfig::frontier_cap`]). Whenever the frontier prunes empty, the
+//! ([`GcPolicy::frontier_cap`]). Whenever the frontier prunes empty, the
 //! shard falls back to one **bounded re-search** over the retained window
 //! from the retained seeds — which either refills the frontier (the exact
 //! rolling verdict stays "ok") or proves the violation. The re-search
@@ -72,7 +72,7 @@
 //!
 //! A never-quiescent stream — one invocation that never responds is enough
 //! — used to pin the window forever. **Epoch cuts** (on by default,
-//! [`ShardConfig::epoch_cuts`]) retire anyway, at window multiples, by
+//! [`GcPolicy::epoch_cuts`]) retire anyway, at window multiples, by
 //! completing stragglers *symbolically*: the enumeration records every
 //! interleaved extra input together with the output the ADT produced for
 //! it as a **symbolic completion** `(input, output)` in the terminal
@@ -97,17 +97,18 @@
 //! on the filtered commit list.
 //!
 //! Retirement is **skipped** rather than allowed to lose information when
-//! the enumeration is truncated (more than [`ShardConfig::frontier_cap`]
+//! the enumeration is truncated (more than [`GcPolicy::frontier_cap`]
 //! configurations, or a budget trip) — so verdicts after GC remain exact,
 //! and only the *witness histories* become window-relative. The price on
 //! hostile streams is that a window whose summary outgrows the cap pins
-//! its memory. [`ShardConfig::epoch_force`] trades exactness for the
+//! its memory. [`GcPolicy::epoch_force`] trades exactness for the
 //! memory bound instead: a truncated cut retires from the (incomplete)
 //! frontier, the shard is marked *lossy*, and every later would-be
 //! `Violated` verdict is downgraded to [`ShardStatus::BudgetExhausted`] —
 //! a missing completion can no longer prove a violation, only a found
 //! completion still proves "ok".
 
+use super::GcPolicy;
 use crate::engine::{
     Chain, CheckerEngine, EngineError, SearchBudget, SearchSeed, SearchStats, Visitor,
 };
@@ -140,28 +141,14 @@ type MemoKeySet<T> = HashSet<(
 /// for forensic witness reconstruction.
 pub(crate) type ArchivedWindow<T, V> = Vec<(usize, ObjAction<T, V>)>;
 
-/// Per-shard tuning knobs (cloned out of the monitor's configuration).
+/// What every shard of one monitor is built with: the fallback search
+/// budget, the session's [`GcPolicy`], and the observer handle.
 #[derive(Debug, Clone)]
 pub(crate) struct ShardConfig {
     /// Node budget of a fallback re-search (the engine's budget unit).
     pub budget: usize,
-    /// Maximum number of frontier configurations retained per shard.
-    pub frontier_cap: usize,
-    /// Node budget of one tail-extension pass (all configurations
-    /// together); exhausting it forces a fallback re-search.
-    pub extension_budget: usize,
-    /// Allow epoch cuts: retire windows at window multiples even when
-    /// invocations are still pending, completing stragglers symbolically.
-    pub epoch_cuts: bool,
-    /// Force a truncated epoch cut through anyway (lossy: later would-be
-    /// `Violated` verdicts downgrade to `BudgetExhausted`).
-    pub epoch_force: bool,
-    /// Overrides the per-attempt retirement node budget (`None` keeps the
-    /// window-scaled formula).
-    pub retire_budget: Option<usize>,
-    /// Witness archival depth: GC-retired windows whose raw events are
-    /// retained for forensic reconstruction (0 = off).
-    pub archive_windows: usize,
+    /// The frontier and retirement knobs, verbatim from the session.
+    pub gc: GcPolicy,
     /// Observer handle; the default noop handle makes every report a
     /// single pointer test.
     pub obs: Obs,
@@ -402,15 +389,9 @@ where
     }
 
     /// Flips the forced-lossy-cut knob on a live shard (the daemon's
-    /// backpressure shed; see [`super::Monitor::set_epoch_force`]).
+    /// backpressure shed).
     pub fn set_epoch_force(&mut self, on: bool) {
-        self.cfg.epoch_force = on;
-    }
-
-    /// Installs an observer handle on a live shard (see
-    /// [`super::Monitor::set_observer`]).
-    pub fn set_observer(&mut self, obs: Obs) {
-        self.cfg.obs = obs;
+        self.cfg.gc.epoch_force = on;
     }
 
     /// Whether any retired event is missing from the witness archive (so
@@ -570,7 +551,7 @@ where
                 if seen.insert(done.memo_key()) {
                     next.push(done);
                 }
-                if next.len() >= self.cfg.frontier_cap {
+                if next.len() >= self.cfg.gc.frontier_cap {
                     break;
                 }
             }
@@ -594,7 +575,7 @@ where
                     }
                 }
             }
-            if next.len() >= self.cfg.frontier_cap {
+            if next.len() >= self.cfg.gc.frontier_cap {
                 break;
             }
         }
@@ -609,16 +590,16 @@ where
                 .map(|cfg| (vec![commit.clone()], cfg.clone()));
             let pass = self.enumerate(
                 problems,
-                self.cfg.frontier_cap,
+                self.cfg.gc.frontier_cap,
                 false,
-                Some(self.cfg.extension_budget),
+                Some(self.cfg.gc.extension_budget),
             );
             self.counters.search_nodes += pass.stats.nodes;
             exhausted = pass.budget_tripped;
             next = pass.configs;
         } else {
             sort_frontier(&mut next);
-            next.truncate(self.cfg.frontier_cap);
+            next.truncate(self.cfg.gc.frontier_cap);
         }
         if absorbed_any {
             self.cfg.obs.gc_absorption();
@@ -640,14 +621,11 @@ where
     /// the events being summarised). An attempt that trips it skips the
     /// cut (exactness is unaffected) and retries under the damping policy.
     fn retire_budget(&self) -> usize {
-        match self.cfg.retire_budget {
-            Some(n) => n,
-            None => self
-                .cfg
-                .extension_budget
-                .saturating_mul(8 + self.sub.len())
-                .min(self.cfg.budget / 2),
-        }
+        self.cfg
+            .gc
+            .extension_budget
+            .saturating_mul(8 + self.sub.len())
+            .min(self.cfg.budget / 2)
     }
 
     /// Enumerates the terminal configurations of the retained window from
@@ -736,7 +714,7 @@ where
             configs,
             budget_tripped,
             stats,
-        } = self.enumerate_completions_with(self.cfg.frontier_cap, false, None);
+        } = self.enumerate_completions_with(self.cfg.gc.frontier_cap, false, None);
         self.counters.search_nodes += stats.nodes;
         self.cfg.obs.engine_search(slin_obs::EngineSearchEvent {
             site: "shard.fallback",
@@ -849,12 +827,12 @@ where
         if self.sub.len() < window || self.status != ShardStatus::Ok {
             return None;
         }
-        if self.cfg.epoch_cuts && self.sub.len().is_multiple_of(window) {
+        if self.cfg.gc.epoch_cuts && self.sub.len().is_multiple_of(window) {
             self.cut_due = true;
             self.cut_blocked = false;
         }
         let quiescent = self.pending == 0;
-        let epoch_due = self.cfg.epoch_cuts && self.cut_due;
+        let epoch_due = self.cfg.gc.epoch_cuts && self.cut_due;
         if !quiescent && !epoch_due {
             return None;
         }
@@ -887,7 +865,7 @@ where
         // frontier re-truncates to the cap at the next commit. `cap + 1`
         // detects truncation: collecting exactly `cap + 1` means the true
         // set may be larger than what we would retain.
-        let cap = self.cfg.frontier_cap * 2;
+        let cap = self.cfg.gc.frontier_cap * 2;
         // Quiescent cuts keep the historical full per-seed budget (they
         // are the verdict-bearing GC of drained streams); epoch attempts
         // are opportunistic and run under the bounded retirement slice.
@@ -916,7 +894,7 @@ where
         self.cut_blocked = true;
         self.blocked_pending = self.pending;
         self.blocked_len = self.sub.len();
-        if self.cfg.epoch_force {
+        if self.cfg.gc.epoch_force {
             // Lossy cut: the frontier's configurations are genuine
             // witnesses, but possibly not all of them — record the loss
             // and retire from the frontier anyway (memory over exactness).
@@ -951,7 +929,7 @@ where
         // lossy cut — the archive is summary-independent) so the monitor
         // can rebuild full forensic witnesses while every retired event is
         // still within the archive depth.
-        if self.cfg.archive_windows > 0 {
+        if self.cfg.gc.archive_windows > 0 {
             let events: ArchivedWindow<T, V> = self
                 .index_map
                 .iter()
@@ -960,7 +938,7 @@ where
                 .collect();
             self.cfg.obs.archive_window(events.len() as u64);
             self.archive.push_back(events);
-            if self.archive.len() > self.cfg.archive_windows {
+            if self.archive.len() > self.cfg.gc.archive_windows {
                 self.archive.pop_front();
                 self.archive_truncated = true;
                 self.cfg.obs.archive_eviction();

@@ -29,7 +29,7 @@ use slin_core::initrel::{ConsensusInit, ExactInit};
 use slin_core::lin::{LinChecker, LinError};
 use slin_core::session::{Checker, Strategy};
 use slin_core::slin::{SlinChecker, SlinError, SlinReport, SlinWitness};
-use slin_core::stream::{LinMonitor, MonitorConfig};
+use slin_core::stream::GcPolicy;
 use slin_core::ObjAction;
 use slin_obs::{EngineSearchEvent, Obs, Observer};
 use slin_trace::{Action, ClientId, PhaseId, Trace};
@@ -309,13 +309,19 @@ struct StreamPin {
 /// tail extension kept paying past the frontier cap).
 fn assert_stream(
     t: &Trace<ObjAction<KvStore, ()>>,
-    cfg: MonitorConfig,
+    window: usize,
+    gc: GcPolicy,
     pin: StreamPin,
     search_nodes: usize,
     pre_prune_nodes: usize,
 ) {
-    let mut mon: LinMonitor<KvStore, KvKeyPartitioner> =
-        LinMonitor::owned_with_config(KvStore, KvKeyPartitioner, cfg);
+    let mut mon = Checker::builder(LinChecker::owned(KvStore))
+        .partitioner(KvKeyPartitioner)
+        .strategy(Strategy::Streaming {
+            window: Some(window),
+        })
+        .gc_policy(gc)
+        .build();
     let mut outcomes = FNV_SEED;
     for a in t.iter() {
         let o = mon.ingest(a.clone());
@@ -324,7 +330,7 @@ fn assert_stream(
             format!("{} {} {:?}\n", o.frontier_len, o.fell_back, o.status).as_bytes(),
         );
     }
-    let report = mon.report();
+    let report = mon.report().expect("born streaming");
     let mut verdict = FNV_SEED;
     fnv(&mut verdict, format!("{:?}", report.verdict).as_bytes());
     let got = StreamPin {
@@ -377,10 +383,8 @@ fn straggler_stream(
 fn stream_hotkey_w32() {
     assert_stream(
         &hotkey_stream(3, 200, 7),
-        MonitorConfig {
-            window: Some(32),
-            ..Default::default()
-        },
+        32,
+        GcPolicy::default(),
         StreamPin {
             extension_searches: 66,
             fallback_searches: 4,
@@ -399,10 +403,8 @@ fn stream_hotkey_w32() {
 fn stream_hostile_stragglers_w16() {
     assert_stream(
         &straggler_stream(3, 300, 0.005, 3),
-        MonitorConfig {
-            window: Some(16),
-            ..Default::default()
-        },
+        16,
+        GcPolicy::default(),
         StreamPin {
             extension_searches: 139,
             fallback_searches: 12,
@@ -423,14 +425,14 @@ fn stream_hostile_stragglers_w16() {
 /// remaining sibling once the cap was reached, the kernel stops.
 #[test]
 fn tail_extension_reaches_a_tiny_frontier_cap() {
-    let cfg = MonitorConfig {
+    let gc = GcPolicy {
         frontier_cap: 2,
-        window: Some(16),
         ..Default::default()
     };
     assert_stream(
         &hotkey_stream(4, 60, 20),
-        cfg,
+        16,
+        gc,
         StreamPin {
             extension_searches: 18,
             fallback_searches: 0,
@@ -445,7 +447,8 @@ fn tail_extension_reaches_a_tiny_frontier_cap() {
     );
     assert_stream(
         &straggler_stream(4, 60, 0.01, 26),
-        cfg,
+        16,
+        gc,
         StreamPin {
             extension_searches: 28,
             fallback_searches: 6,

@@ -1,18 +1,18 @@
-//! Monitor behaviour tests: rolling exactness, fallback/collapse paths,
-//! parallel drive parity, and bounded-window GC. The heavyweight
+//! Streaming-session behaviour tests: rolling exactness, fallback/collapse
+//! paths, and bounded-window GC. The heavyweight
 //! streaming-vs-batch differential proptests live in the workspace `tests`
 //! crate (`streaming_differential.rs`).
 
 use slin_adt::{
-    ConsInput, ConsOutput, Consensus, IdentityPartitioner, KvInput, KvKeyPartitioner, KvOutput,
-    KvStore, Value,
+    Adt, ConsInput, ConsOutput, Consensus, IdentityPartitioner, KvInput, KvKeyPartitioner,
+    KvOutput, KvStore, Partitioner, Value,
 };
 use slin_core::gen::{random_multikey_kv_trace, MultiKeyConfig};
 use slin_core::initrel::ConsensusInit;
 use slin_core::lin::{witness_is_valid, LinChecker, LinError};
-use slin_core::session::{Checker, Strategy};
+use slin_core::session::{Checker, Session, Strategy};
 use slin_core::slin::SlinChecker;
-use slin_core::stream::{LinMonitor, MonitorConfig, MonitorStatus, SlinMonitor};
+use slin_core::stream::{MonitorStatus, StreamModel};
 use slin_core::ObjAction;
 use slin_trace::{Action, ClientId, PhaseId, Trace};
 
@@ -23,8 +23,28 @@ fn ph() -> PhaseId {
     PhaseId::FIRST
 }
 
-fn kv_monitor() -> LinMonitor<KvStore, KvKeyPartitioner> {
-    LinMonitor::owned(KvStore, KvKeyPartitioner)
+/// A session born streaming over `model`, sharded by `partitioner`.
+fn stream<M, V, P>(model: M, partitioner: P, window: Option<usize>) -> Session<M, V, P>
+where
+    M: StreamModel<V>,
+    <M::Adt as Adt>::Input: Ord,
+    V: Clone + PartialEq,
+    P: Partitioner<M::Adt>,
+{
+    Checker::builder(model)
+        .partitioner(partitioner)
+        .strategy(Strategy::Streaming { window })
+        .build()
+}
+
+type KvStream<V = ()> = Session<LinChecker<KvStore>, V, KvKeyPartitioner>;
+
+fn kv_monitor() -> KvStream {
+    stream(LinChecker::owned(KvStore), KvKeyPartitioner, None)
+}
+
+fn kv_window_monitor(window: usize) -> KvStream {
+    stream(LinChecker::owned(KvStore), KvKeyPartitioner, Some(window))
 }
 
 #[test]
@@ -75,7 +95,7 @@ fn report_is_byte_identical_to_batch_check() {
             for a in t.iter() {
                 mon.ingest(a.clone());
             }
-            let report = mon.report();
+            let report = mon.report().unwrap();
             let batch = chk.check(&t);
             assert_eq!(report.verdict, batch, "seed {seed} error {error_prob}");
             assert_eq!(report.events, t.len());
@@ -87,34 +107,6 @@ fn report_is_byte_identical_to_batch_check() {
 }
 
 #[test]
-fn parallel_drive_matches_sequential_drive() {
-    for seed in [2u64, 7, 13] {
-        let cfg = MultiKeyConfig {
-            keys: 6,
-            clients: 4,
-            steps: 40,
-            seed,
-            ..Default::default()
-        };
-        let t = random_multikey_kv_trace(&cfg);
-        let mut seq = kv_monitor();
-        let seq_status = seq.drive(t.iter().cloned());
-        let mut par: LinMonitor<KvStore, KvKeyPartitioner> = LinMonitor::owned_with_config(
-            KvStore,
-            KvKeyPartitioner,
-            MonitorConfig {
-                threads: 4,
-                ..Default::default()
-            },
-        );
-        let par_status = par.drive_parallel(t.iter().cloned());
-        assert_eq!(seq_status, par_status, "seed {seed}");
-        assert_eq!(seq.report(), par.report(), "seed {seed}");
-        assert_eq!(seq.shards(), par.shards());
-    }
-}
-
-#[test]
 fn identity_partitioner_collapses_to_one_shard_and_stays_exact() {
     let cfg = MultiKeyConfig {
         keys: 4,
@@ -122,24 +114,24 @@ fn identity_partitioner_collapses_to_one_shard_and_stays_exact() {
         ..Default::default()
     };
     let t = random_multikey_kv_trace(&cfg);
-    let mut mon: LinMonitor<KvStore, IdentityPartitioner> =
-        LinMonitor::owned(KvStore, IdentityPartitioner);
-    mon.drive(t.iter().cloned());
-    assert_eq!(mon.shards(), 1);
-    let report = mon.report();
+    let mut mon = stream::<_, (), _>(LinChecker::owned(KvStore), IdentityPartitioner, None);
+    for a in t.iter() {
+        mon.ingest(a.clone());
+    }
+    let report = mon.report().unwrap();
+    assert_eq!(report.shards, 1);
     assert!(report.fallback.is_some());
     assert_eq!(report.verdict, LinChecker::owned(KvStore).check(&t));
 }
 
 #[test]
 fn switch_action_decides_the_lin_verdict() {
-    let mut mon: LinMonitor<KvStore, KvKeyPartitioner, u8> =
-        LinMonitor::owned(KvStore, KvKeyPartitioner);
+    let mut mon: KvStream<u8> = stream(LinChecker::owned(KvStore), KvKeyPartitioner, None);
     mon.ingest(Action::invoke(c(1), ph(), KvInput::Put(1, 5)));
     let out = mon.ingest(Action::switch(c(1), PhaseId::new(2), KvInput::Put(1, 5), 0));
     assert_eq!(out.status, MonitorStatus::SwitchSeen);
     assert_eq!(
-        mon.report().verdict,
+        mon.report().unwrap().verdict,
         Err(LinError::SwitchAction { index: 1 })
     );
 }
@@ -152,9 +144,14 @@ fn ill_formed_stream_matches_batch_error() {
         Action::respond(c(1), ph(), KvInput::Get(1), KvOutput::Found(None)),
     ]);
     let mut mon = kv_monitor();
-    let status = mon.drive(t.iter().cloned());
-    assert_eq!(status, MonitorStatus::IllFormed);
-    assert_eq!(mon.report().verdict, LinChecker::owned(KvStore).check(&t));
+    for a in t.iter() {
+        mon.ingest(a.clone());
+    }
+    assert_eq!(mon.status(), Some(MonitorStatus::IllFormed));
+    assert_eq!(
+        mon.report().unwrap().verdict,
+        LinChecker::owned(KvStore).check(&t)
+    );
 }
 
 #[test]
@@ -167,14 +164,7 @@ fn bounded_window_gc_retires_prefixes_and_keeps_the_verdict() {
         ..Default::default()
     };
     let t = random_multikey_kv_trace(&cfg);
-    let mut mon: LinMonitor<KvStore, KvKeyPartitioner> = LinMonitor::owned_with_config(
-        KvStore,
-        KvKeyPartitioner,
-        MonitorConfig {
-            window: Some(8),
-            ..Default::default()
-        },
-    );
+    let mut mon = kv_window_monitor(8);
     for a in t.iter() {
         let out = mon.ingest(a.clone());
         assert_eq!(
@@ -183,7 +173,7 @@ fn bounded_window_gc_retires_prefixes_and_keeps_the_verdict() {
             "linearizable by construction"
         );
     }
-    let report = mon.report();
+    let report = mon.report().unwrap();
     assert!(report.prefix_committed, "GC must have engaged");
     assert!(report.shard.retired_events > 0);
     assert!(report.verdict.is_ok(), "window-relative verdict stays ok");
@@ -191,14 +181,7 @@ fn bounded_window_gc_retires_prefixes_and_keeps_the_verdict() {
 
 #[test]
 fn violations_are_still_caught_after_gc() {
-    let mut mon: LinMonitor<KvStore, KvKeyPartitioner> = LinMonitor::owned_with_config(
-        KvStore,
-        KvKeyPartitioner,
-        MonitorConfig {
-            window: Some(4),
-            ..Default::default()
-        },
-    );
+    let mut mon = kv_window_monitor(4);
     // A long correct single-key prefix, then a stale read.
     for round in 0..20u32 {
         let v = round as u64 + 1;
@@ -218,7 +201,7 @@ fn violations_are_still_caught_after_gc() {
         KvOutput::Found(None), // must see 20 (or at least *some* write)
     ));
     assert_eq!(out.status, MonitorStatus::Violation);
-    assert!(mon.report().verdict.is_err());
+    assert!(mon.report().unwrap().verdict.is_err());
 }
 
 #[test]
@@ -255,12 +238,11 @@ fn slin_monitor_matches_partitioned_checker_on_switch_free_streams() {
                 })
                 .collect(),
         );
-        let mut mon =
-            SlinMonitor::from_checker(chk.clone(), KvKeyPartitioner, MonitorConfig::default());
+        let mut mon = stream(chk.clone(), KvKeyPartitioner, None);
         for a in t.iter() {
             mon.ingest(a.clone());
         }
-        let report = mon.report();
+        let report = mon.report().unwrap();
         let batch = Checker::builder(chk.clone())
             .partitioner(KvKeyPartitioner)
             .strategy(Strategy::Partitioned)
@@ -295,12 +277,17 @@ fn slin_monitor_goes_speculative_on_switches_and_stays_exact() {
         ]),
     ];
     for t in &traces {
-        let mut mon =
-            SlinMonitor::from_checker(chk.clone(), IdentityPartitioner, MonitorConfig::default());
-        let status = mon.drive(t.iter().cloned());
+        let mut mon = stream(chk.clone(), IdentityPartitioner, None);
+        for a in t.iter() {
+            mon.ingest(a.clone());
+        }
         let batch = chk.check(t);
-        assert_eq!(status == MonitorStatus::Ok, batch.is_ok(), "{t:?}");
-        assert_eq!(mon.report().verdict, batch, "{t:?}");
+        assert_eq!(
+            mon.status() == Some(MonitorStatus::Ok),
+            batch.is_ok(),
+            "{t:?}"
+        );
+        assert_eq!(mon.report().unwrap().verdict, batch, "{t:?}");
     }
 }
 
@@ -321,9 +308,11 @@ fn more_than_64_commits_stream_and_check() {
     }
     let t = Trace::from_actions(actions);
     let mut mon = kv_monitor();
-    let status = mon.drive(t.iter().cloned());
-    assert_eq!(status, MonitorStatus::Ok);
-    let report = mon.report();
+    for a in t.iter() {
+        mon.ingest(a.clone());
+    }
+    assert_eq!(mon.status(), Some(MonitorStatus::Ok));
+    let report = mon.report().unwrap();
     let batch = LinChecker::owned(KvStore).check(&t);
     assert!(batch.is_ok(), "batch path must accept > 64 commits now");
     assert_eq!(report.verdict, batch);

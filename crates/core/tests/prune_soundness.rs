@@ -14,7 +14,7 @@
 //!   one a lost leaf would break; with duplicates the new definition is
 //!   strictly weaker — see `tests/tests/thm1_equivalence.rs` — so equality
 //!   is asserted only where a trace's inputs happen to be unique);
-//! * the batch verdict at every prefix from the streaming [`LinMonitor`] —
+//! * the batch verdict at every prefix from a streaming [`Session`] —
 //!   the same kernel behind frontier extension, fallback re-search and
 //!   GC-cut enumeration — under a window small enough that cuts happen
 //!   inside the scope.
@@ -27,7 +27,8 @@ use slin_adt::{
 use slin_core::classical::ClassicalChecker;
 use slin_core::lin::LinChecker;
 use slin_core::ops;
-use slin_core::stream::{LinMonitor, MonitorConfig, MonitorStatus};
+use slin_core::session::{Checker, Session, Strategy as SessionStrategy};
+use slin_core::stream::{GcPolicy, MonitorStatus};
 use slin_core::ObjAction;
 use slin_trace::{Action, ClientId, PhaseId, Trace};
 
@@ -135,7 +136,7 @@ struct Walk<'a, T: Adt, P> {
     adt: &'a T,
     partitioner: P,
     scope: &'a Scope<T>,
-    streams: &'a [(MonitorConfig, Agreement)],
+    streams: &'a [(GcPolicy, Agreement)],
     trace: Vec<ObjAction<T, ()>>,
     /// The batch verdict of every non-empty prefix of `trace`.
     verdicts: Vec<bool>,
@@ -148,8 +149,9 @@ struct Walk<'a, T: Adt, P> {
 
 impl<T, P> Walk<'_, T, P>
 where
-    T: Adt + Clone,
-    T::Input: Ord,
+    T: Adt + Clone + Send + Sync,
+    T::Input: Ord + Send + Sync,
+    T::Output: Sync,
     P: Partitioner<T> + Clone,
 {
     /// Appends `action`, checks the new trace, recurses, and backtracks.
@@ -210,27 +212,43 @@ where
     /// Streams the current trace through every configuration.
     fn stream(&mut self) {
         self.streamed += 1;
-        for &(cfg, agreement) in self.streams {
-            let mon =
-                LinMonitor::owned_with_config(self.adt.clone(), self.partitioner.clone(), cfg);
+        for &(gc, agreement) in self.streams {
+            let mon = stream_session(self.adt.clone(), self.partitioner.clone(), gc);
             assert_stream_agrees(mon, &self.trace, &self.verdicts, agreement);
         }
     }
 }
 
-/// Ingests `trace` and compares the rolling status after each event with
-/// the batch verdict of that prefix.
-fn assert_stream_agrees<T, P>(
-    mut mon: LinMonitor<T, P>,
-    trace: &[ObjAction<T, ()>],
-    verdicts: &[bool],
-    agreement: Agreement,
-) where
+/// A streaming session under [`STREAM_WINDOW`] and the given GC policy.
+fn stream_session<T, P>(adt: T, partitioner: P, gc: GcPolicy) -> Session<LinChecker<T>, (), P>
+where
     T: Adt,
     T::Input: Ord,
     P: Partitioner<T>,
 {
-    for (action, &ok) in trace.iter().zip(verdicts) {
+    Checker::builder(LinChecker::owned(adt))
+        .partitioner(partitioner)
+        .strategy(SessionStrategy::Streaming {
+            window: Some(STREAM_WINDOW),
+        })
+        .gc_policy(gc)
+        .build()
+}
+
+/// Ingests `trace` and compares the rolling status after each event with
+/// the batch verdict of that prefix.
+fn assert_stream_agrees<T, P>(
+    mut mon: Session<LinChecker<T>, (), P>,
+    trace: &[ObjAction<T, ()>],
+    verdicts: &[bool],
+    agreement: Agreement,
+) where
+    T: Adt + Send + Sync,
+    T::Input: Ord + Send + Sync,
+    T::Output: Sync,
+    P: Partitioner<T>,
+{
+    for (n, (action, &ok)) in trace.iter().zip(verdicts).enumerate() {
         let status = mon.ingest(action.clone()).status;
         let agrees = match (agreement, status) {
             (_, MonitorStatus::Ok) => ok,
@@ -241,7 +259,7 @@ fn assert_stream_agrees<T, P>(
         assert!(
             agrees,
             "stream status {status:?} vs batch ok={ok} after {} events of {trace:?}",
-            mon.events()
+            n + 1
         );
     }
 }
@@ -249,36 +267,36 @@ fn assert_stream_agrees<T, P>(
 /// The streaming configurations every trace runs through: a two-event
 /// window with epoch cuts on and off (exact), and with truncated cuts
 /// forced through a one-configuration frontier (lossy).
-fn stream_configs() -> [(MonitorConfig, Agreement); 3] {
-    let window = MonitorConfig {
-        window: Some(2),
-        ..Default::default()
-    };
+fn stream_configs() -> [(GcPolicy, Agreement); 3] {
     [
-        (window, Agreement::Exact),
+        (GcPolicy::default(), Agreement::Exact),
         (
-            MonitorConfig {
+            GcPolicy {
                 epoch_cuts: false,
-                ..window
+                ..Default::default()
             },
             Agreement::Exact,
         ),
         (
-            MonitorConfig {
+            GcPolicy {
                 epoch_force: true,
                 frontier_cap: 1,
-                ..window
+                ..Default::default()
             },
             Agreement::NeverOverClaims,
         ),
     ]
 }
 
+/// The window of every configuration in [`stream_configs`].
+const STREAM_WINDOW: usize = 2;
+
 /// Walks `scope`; returns `(traces checked, traces streamed)`.
 fn exhaust<T, P>(adt: &T, partitioner: P, scope: &Scope<T>) -> (usize, usize)
 where
-    T: Adt + Clone,
-    T::Input: Ord,
+    T: Adt + Clone + Send + Sync,
+    T::Input: Ord + Send + Sync,
+    T::Output: Sync,
     P: Partitioner<T> + Clone,
 {
     let streams = stream_configs();
@@ -415,8 +433,8 @@ proptest! {
         let verdicts: Vec<bool> = (1..=trace.len())
             .map(|n| batch_verdict(&KvStore, &Trace::from_actions(trace[..n].to_vec())))
             .collect();
-        for (cfg, agreement) in stream_configs() {
-            let mon = LinMonitor::owned_with_config(KvStore, KvKeyPartitioner, cfg);
+        for (gc, agreement) in stream_configs() {
+            let mon = stream_session(KvStore, KvKeyPartitioner, gc);
             assert_stream_agrees(mon, &trace, &verdicts, agreement);
         }
     }

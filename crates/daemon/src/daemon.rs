@@ -106,8 +106,8 @@ impl TenantPolicy {
     /// Keys: `queue`, `window` (`none` allowed), `lossy`, `require_cert`,
     /// `keyed`,
     /// `epoch_cuts`, `epoch_force`, `frontier_cap`, `extension_budget`,
-    /// `retire_budget` (`none` allowed), `archive` (witness-archive depth
-    /// in retired windows; `0` disables). Unset keys keep their defaults;
+    /// `archive` (witness-archive depth in retired windows; `0`
+    /// disables). Unset keys keep their defaults;
     /// the GC keys write straight into the embedded [`GcPolicy`].
     pub fn parse(spec: &str) -> Result<Self, String> {
         let mut policy = TenantPolicy::default();
@@ -132,12 +132,6 @@ impl TenantPolicy {
                 "frontier_cap" => policy.gc.frontier_cap = value.parse().map_err(|e| bad(&e))?,
                 "extension_budget" => {
                     policy.gc.extension_budget = value.parse().map_err(|e| bad(&e))?
-                }
-                "retire_budget" => {
-                    policy.gc.retire_budget = match value {
-                        "none" => None,
-                        v => Some(v.parse().map_err(|e| bad(&e))?),
-                    }
                 }
                 "archive" => policy.gc.archive_windows = value.parse().map_err(|e| bad(&e))?,
                 other => return Err(format!("unknown policy key `{other}`")),
@@ -808,7 +802,7 @@ mod tests {
     #[test]
     fn policy_spec_parses_into_gc_policy() {
         let p = TenantPolicy::parse(
-            "queue=64,window=16,lossy=false,epoch_force=true,frontier_cap=8,retire_budget=none,keyed=true",
+            "queue=64,window=16,lossy=false,epoch_force=true,frontier_cap=8,keyed=true",
         )
         .unwrap();
         assert_eq!(p.queue_capacity, 64);
@@ -816,10 +810,13 @@ mod tests {
         assert!(!p.shed_lossy);
         assert!(p.gc.epoch_force);
         assert_eq!(p.gc.frontier_cap, 8);
-        assert_eq!(p.gc.retire_budget, None);
         assert!(p.keyed);
         assert!(!TenantPolicy::default().keyed);
         assert!(TenantPolicy::parse("windows=1").is_err());
+        assert_eq!(
+            TenantPolicy::parse("retire_budget=64"),
+            Err("unknown policy key `retire_budget`".to_string())
+        );
         assert!(TenantPolicy::parse("queue").is_err());
         assert_eq!(TenantPolicy::parse("").unwrap(), TenantPolicy::default());
     }

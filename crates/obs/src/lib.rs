@@ -21,7 +21,7 @@
 //! let stack = Arc::new(StackObserver::with_tracing(4096));
 //! let obs = Obs::new(stack.clone());
 //!
-//! // ... thread `obs` into a Session / Monitor / Daemon, run a workload ...
+//! // ... thread `obs` into a Session / Daemon, run a workload ...
 //! let t0 = obs.t0(); // Some(Instant) only because tracing is enabled
 //! obs.engine_search(EngineSearchEvent {
 //!     site: "doc.example",
@@ -56,7 +56,7 @@ use std::time::Instant;
 #[derive(Clone, Debug)]
 pub struct EngineSearchEvent {
     /// Call site, e.g. `"session.check"`, `"shard.window_search"`,
-    /// `"shard.fallback"`.
+    /// `"shard.fallback"`, `"monitor.report"`.
     pub site: &'static str,
     /// Search nodes expanded.
     pub nodes: u64,
@@ -153,7 +153,7 @@ pub trait Observer: Send + Sync {
     /// exceeded); witnesses older than this are window-relative again.
     fn archive_eviction(&self) {}
 
-    /// `Monitor::report()` reconstructed a full forensic verdict from the
+    /// `Session::report()` reconstructed a full forensic verdict from the
     /// witness archive.
     fn archive_reconstruction(&self) {}
 

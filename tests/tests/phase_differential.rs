@@ -13,18 +13,42 @@
 
 use slin_adt::{Counter, KvInput, KvKeyPartitioner, KvStore};
 use slin_analysis::fixtures::BogusCounterPartitioner;
-use slin_analysis::{certify_switch, AnalyzeConfig, SwitchFailure};
+use slin_analysis::{certify_switch, AnalyzeConfig, SwitchCert, SwitchFailure};
 use slin_core::gen::{phase_trace_bounds, random_phase_kv_trace, PhaseConfig};
 use slin_core::initrel::ExactInit;
-use slin_core::session::{Checker, StrategyUsed};
+use slin_core::session::{Checker, Session, Strategy, StrategyUsed};
 use slin_core::slin::SlinChecker;
-use slin_core::stream::{MonitorConfig, SlinMonitor};
+use slin_core::stream::{MonitorStatus, StreamModel};
 use slin_core::ConsistencyModel;
+use slin_obs::{EngineSearchEvent, Obs, Observer};
 use slin_trace::PhaseId;
+use std::sync::{Arc, Mutex};
 
-fn phase_checker() -> SlinChecker<KvStore, ExactInit> {
+fn phase_checker() -> PhaseChecker {
     let (m, n) = phase_trace_bounds();
     SlinChecker::owned(KvStore, ExactInit::new(), m, n)
+}
+
+type PhaseChecker = SlinChecker<KvStore, ExactInit>;
+
+fn switch_cert() -> SwitchCert {
+    certify_switch(&KvStore, &KvKeyPartitioner, &AnalyzeConfig::default())
+        .expect("the shipped kv partitioner is switch-independent")
+}
+
+/// A session born streaming, keyed the only way a session can be: by
+/// installing the analyzer's switch certificate.
+fn keyed_stream(
+    cert: &SwitchCert,
+    obs: Obs,
+) -> Session<PhaseChecker, Vec<KvInput>, KvKeyPartitioner> {
+    Checker::builder(phase_checker())
+        .partitioner(KvKeyPartitioner)
+        .switch_certified(cert)
+        .expect("certificate covers (KvStore, KvKeyPartitioner, ExactInit)")
+        .strategy(Strategy::Streaming { window: None })
+        .observer(obs)
+        .build()
 }
 
 /// The certified-partitioned corpus: linearizable and perturbed phase
@@ -82,6 +106,7 @@ fn keyed_batch_is_byte_identical_to_monolithic_on_phase_traces() {
 #[test]
 fn keyed_streaming_across_switches_matches_batch() {
     let chk = phase_checker();
+    let cert = switch_cert();
     for error_prob in [0.0, 0.5] {
         for seed in 0..6u64 {
             let cfg = PhaseConfig {
@@ -90,18 +115,11 @@ fn keyed_streaming_across_switches_matches_batch() {
                 ..Default::default()
             };
             let t = random_phase_kv_trace(&cfg);
-            let mut mon = SlinMonitor::from_checker(
-                chk.clone(),
-                KvKeyPartitioner,
-                MonitorConfig {
-                    keyed: true,
-                    ..Default::default()
-                },
-            );
+            let mut mon = keyed_stream(&cert, Obs::noop());
             for a in t.iter() {
                 mon.ingest(a.clone());
             }
-            let report = mon.report();
+            let report = mon.report().unwrap();
             let batch = chk.check(&t);
             assert_eq!(
                 report.verdict.as_ref().map(|r| &r.witness),
@@ -128,18 +146,70 @@ fn keyed_streaming_across_switches_matches_batch() {
     }
 }
 
-/// Without the keyed flag the same stream collapses to the identity route
+/// Records every engine search a session reports.
+#[derive(Default)]
+struct Searches(Mutex<Vec<EngineSearchEvent>>);
+
+impl Observer for Searches {
+    fn engine_search(&self, ev: &EngineSearchEvent) {
+        self.0.lock().expect("no panic holds it").push(ev.clone());
+    }
+}
+
+/// Past a switch the polled status *is* the report's verdict: one keyed
+/// derivation per stream version serves `poll_verdict` and `report`
+/// alike, and the observer sees it.
+#[test]
+fn polled_status_and_report_share_one_keyed_search() {
+    let cert = switch_cert();
+    for error_prob in [0.0, 0.5] {
+        for seed in 0..6u64 {
+            let t = random_phase_kv_trace(&PhaseConfig {
+                error_prob,
+                seed,
+                ..Default::default()
+            });
+            let seen = Arc::new(Searches::default());
+            let mut mon = keyed_stream(&cert, Obs::new(seen.clone()));
+            for a in t.iter() {
+                mon.ingest(a.clone());
+            }
+            // Ingest-time shard searches are observed too; count from here.
+            let before = seen.0.lock().unwrap().len();
+            let polled = mon.poll_verdict().status;
+            let report = mon.report().unwrap();
+            assert_eq!(mon.poll_verdict().status, polled);
+            let evs = seen.0.lock().unwrap()[before..].to_vec();
+            assert_eq!(evs.len(), 1, "seed {seed} error {error_prob}: {evs:?}");
+            assert_eq!(evs[0].site, "monitor.report");
+            assert_eq!(evs[0].nodes, report.stats.nodes as u64);
+            let keyed = phase_checker()
+                .check_keyed(&KvKeyPartitioner, &t)
+                .expect("the speculative checker has a keyed path");
+            assert_eq!(report.stats.nodes, keyed.report.stats.nodes);
+            let want = match &report.verdict {
+                Ok(_) => MonitorStatus::Ok,
+                Err(e) => <PhaseChecker as StreamModel<Vec<KvInput>>>::status_of_error(e),
+            };
+            assert_eq!(polled, want, "seed {seed} error {error_prob}");
+        }
+    }
+}
+
+/// Without the certificate the same stream collapses to the identity route
 /// on its first switch — the fallback reason the keyed mode removes.
 #[test]
 fn unkeyed_streaming_falls_back_on_the_first_switch() {
     let chk = phase_checker();
     let t = random_phase_kv_trace(&PhaseConfig::default());
-    let mut mon =
-        SlinMonitor::from_checker(chk.clone(), KvKeyPartitioner, MonitorConfig::default());
+    let mut mon = Checker::builder(chk.clone())
+        .partitioner(KvKeyPartitioner)
+        .strategy(Strategy::Streaming { window: None })
+        .build();
     for a in t.iter() {
         mon.ingest(a.clone());
     }
-    let report = mon.report();
+    let report = mon.report().unwrap();
     assert!(
         report.fallback.is_some(),
         "uncertified switches must fall back"
@@ -152,8 +222,7 @@ fn unkeyed_streaming_falls_back_on_the_first_switch() {
 /// monolithic verdict reproduced byte for byte and zero fallbacks.
 #[test]
 fn session_with_switch_cert_partitions_phase_traces() {
-    let cert = certify_switch(&KvStore, &KvKeyPartitioner, &AnalyzeConfig::default())
-        .expect("the shipped kv partitioner is switch-independent");
+    let cert = switch_cert();
     let chk = phase_checker();
     for seed in [0u64, 3, 5] {
         let cfg = PhaseConfig {

@@ -515,3 +515,34 @@ fn poll_verdict_tracks_status_without_consuming() {
     let report = windowed.report().unwrap();
     assert!(report.prefix_committed, "window knob reached the monitor");
 }
+
+/// Documented precedence: `SessionBuilder::window` wins over the window
+/// embedded in `Strategy::Streaming`, in both directions.
+#[test]
+fn builder_window_wins_over_the_strategy_window() {
+    let ph1 = PhaseId::FIRST;
+    for (builder_window, strategy_window, gc_engages) in [(4, 10_000, true), (10_000, 4, false)] {
+        let mut s = Checker::builder(LinChecker::owned(KvStore))
+            .partitioner(KvKeyPartitioner)
+            .strategy(SessionStrategy::Streaming {
+                window: Some(strategy_window),
+            })
+            .window(builder_window)
+            .build::<()>();
+        for round in 0..40u64 {
+            s.ingest(Action::invoke(c(1), ph1, KvInput::Put(1, round)));
+            s.ingest(Action::respond(
+                c(1),
+                ph1,
+                KvInput::Put(1, round),
+                KvOutput::Ack,
+            ));
+        }
+        let report = s.report().unwrap();
+        assert!(report.verdict.is_ok());
+        assert_eq!(
+            report.prefix_committed, gc_engages,
+            "builder window {builder_window} vs strategy window {strategy_window}"
+        );
+    }
+}

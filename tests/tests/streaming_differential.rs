@@ -12,22 +12,37 @@
 //! seed.
 
 use proptest::prelude::*;
-use slin_adt::{ConsInput, ConsOutput, Consensus, Value};
 use slin_adt::{
-    CounterVecPartitioner, CounterVector, KvInput, KvKeyPartitioner, KvOutput, KvStore,
-    RegArrayPartitioner, RegisterArray, Set, SetElemPartitioner,
+    Adt, CounterVecPartitioner, CounterVector, KvInput, KvKeyPartitioner, KvOutput, KvStore,
+    Partitioner, RegArrayPartitioner, RegisterArray, Set, SetElemPartitioner,
 };
+use slin_adt::{ConsInput, ConsOutput, Consensus, Value};
 use slin_core::gen::{
     random_hostile_kv_trace, random_multikey_counter_vec_trace, random_multikey_kv_trace,
     random_multikey_reg_array_trace, random_multikey_set_trace, HostileConfig, MultiKeyConfig,
 };
 use slin_core::initrel::{ConsensusInit, ExactInit};
 use slin_core::lin::{witness_is_valid, LinChecker};
-use slin_core::session::{Checker, Strategy as SessionStrategy};
+use slin_core::session::{Checker, Session, Strategy as SessionStrategy};
 use slin_core::slin::SlinChecker;
-use slin_core::stream::{LinMonitor, MonitorConfig, MonitorStatus, SlinMonitor};
+use slin_core::stream::{MonitorStatus, StreamModel};
 use slin_core::ObjAction;
 use slin_trace::{Action, ClientId, PhaseId, Trace};
+
+/// The monitor under test: a session born streaming over `model`, sharded
+/// by `partitioner`, with the given GC window.
+fn stream<M, V, P>(model: M, partitioner: P, window: Option<usize>) -> Session<M, V, P>
+where
+    M: StreamModel<V>,
+    <M::Adt as Adt>::Input: Ord,
+    V: Clone + PartialEq,
+    P: Partitioner<M::Adt>,
+{
+    Checker::builder(model)
+        .partitioner(partitioner)
+        .strategy(SessionStrategy::Streaming { window })
+        .build()
+}
 
 /// Generator parameters swept by the differential suites (mirrors the
 /// partition_differential sweep: friendly through hostile, linearizable
@@ -98,12 +113,11 @@ proptest! {
     #[test]
     fn kv_stream_matches_batch(cfg in configs()) {
         let t = random_multikey_kv_trace(&cfg);
-        let mut mon: LinMonitor<KvStore, KvKeyPartitioner> =
-            LinMonitor::owned(KvStore, KvKeyPartitioner);
+        let mut mon = stream::<_, (), _>(LinChecker::owned(KvStore), KvKeyPartitioner, None);
         for a in t.iter() {
             mon.ingest(a.clone());
         }
-        let report = mon.report();
+        let report = mon.report().unwrap();
         let batch = LinChecker::owned(KvStore).check(&t);
         prop_assert_eq!(&report.verdict, &batch, "cfg {:?}", cfg);
         prop_assert_eq!(format!("{:?}", report.verdict), format!("{batch:?}"));
@@ -120,13 +134,12 @@ proptest! {
     #[test]
     fn set_stream_matches_batch(cfg in configs()) {
         let t = random_multikey_set_trace(&cfg);
-        let mut mon: LinMonitor<Set, SetElemPartitioner> =
-            LinMonitor::owned(Set, SetElemPartitioner);
+        let mut mon = stream::<_, (), _>(LinChecker::owned(Set), SetElemPartitioner, None);
         for a in t.iter() {
             mon.ingest(a.clone());
         }
         prop_assert_eq!(
-            mon.report().verdict,
+            mon.report().unwrap().verdict,
             LinChecker::owned(Set).check(&t),
             "cfg {:?}", cfg
         );
@@ -140,13 +153,12 @@ proptest! {
     #[test]
     fn reg_array_stream_matches_batch(cfg in configs()) {
         let t = random_multikey_reg_array_trace(&cfg);
-        let mut mon: LinMonitor<RegisterArray, RegArrayPartitioner> =
-            LinMonitor::owned(RegisterArray, RegArrayPartitioner);
+        let mut mon = stream::<_, (), _>(LinChecker::owned(RegisterArray), RegArrayPartitioner, None);
         for a in t.iter() {
             mon.ingest(a.clone());
         }
         prop_assert_eq!(
-            mon.report().verdict,
+            mon.report().unwrap().verdict,
             LinChecker::owned(RegisterArray).check(&t),
             "cfg {:?}", cfg
         );
@@ -155,13 +167,12 @@ proptest! {
     #[test]
     fn counter_vector_stream_matches_batch(cfg in configs()) {
         let t = random_multikey_counter_vec_trace(&cfg);
-        let mut mon: LinMonitor<CounterVector, CounterVecPartitioner> =
-            LinMonitor::owned(CounterVector, CounterVecPartitioner);
+        let mut mon = stream::<_, (), _>(LinChecker::owned(CounterVector), CounterVecPartitioner, None);
         for a in t.iter() {
             mon.ingest(a.clone());
         }
         prop_assert_eq!(
-            mon.report().verdict,
+            mon.report().unwrap().verdict,
             LinChecker::owned(CounterVector).check(&t),
             "cfg {:?}", cfg
         );
@@ -179,12 +190,11 @@ proptest! {
         let t: Trace<ObjAction<KvStore, Vec<KvInput>>> =
             retag(&random_multikey_kv_trace(&cfg));
         let chk = SlinChecker::owned(KvStore, ExactInit::new(), PhaseId::new(1), PhaseId::new(2));
-        let mut mon =
-            SlinMonitor::from_checker(chk.clone(), KvKeyPartitioner, MonitorConfig::default());
+        let mut mon = stream(chk.clone(), KvKeyPartitioner, None);
         for a in t.iter() {
             mon.ingest(a.clone());
         }
-        let report = mon.report();
+        let report = mon.report().unwrap();
         let partitioned = Checker::builder(chk.clone())
             .partitioner(KvKeyPartitioner)
             .strategy(SessionStrategy::Partitioned)
@@ -256,15 +266,11 @@ proptest! {
     #[test]
     fn speculative_stream_matches_batch_on_phase_traces(t in phase_trace_strategy()) {
         let chk = SlinChecker::owned(Consensus, ConsensusInit::new(), PhaseId::new(1), PhaseId::new(2));
-        let mut mon = SlinMonitor::from_checker(
-            chk.clone(),
-            slin_adt::IdentityPartitioner,
-            MonitorConfig::default(),
-        );
+        let mut mon = stream(chk.clone(), slin_adt::IdentityPartitioner, None);
         for a in t.iter() {
             mon.ingest(a.clone());
         }
-        prop_assert_eq!(mon.report().verdict, chk.check(&t), "{:?}", t);
+        prop_assert_eq!(mon.report().unwrap().verdict, chk.check(&t), "{:?}", t);
     }
 }
 
@@ -278,12 +284,11 @@ proptest! {
     fn streams_with_more_than_64_commits_match_batch(cfg in big_configs()) {
         let t = random_multikey_kv_trace(&cfg);
         let commits = t.iter().filter(|a| a.is_respond()).count();
-        let mut mon: LinMonitor<KvStore, KvKeyPartitioner> =
-            LinMonitor::owned(KvStore, KvKeyPartitioner);
+        let mut mon = stream::<_, (), _>(LinChecker::owned(KvStore), KvKeyPartitioner, None);
         for a in t.iter() {
             mon.ingest(a.clone());
         }
-        let report = mon.report();
+        let report = mon.report().unwrap();
         let batch = LinChecker::owned(KvStore).check(&t);
         prop_assert_eq!(&report.verdict, &batch, "cfg {:?} ({commits} commits)", cfg);
         if let Ok(w) = &report.verdict {
@@ -311,27 +316,19 @@ fn big_streams_do_exceed_64_commits() {
     assert!(commits > 64, "only {commits} commits — widen the config");
     let batch = LinChecker::owned(KvStore).check(&t);
     assert!(batch.is_ok(), "{batch:?}");
-    let mut mon: LinMonitor<KvStore, KvKeyPartitioner> =
-        LinMonitor::owned(KvStore, KvKeyPartitioner);
+    let mut mon = stream::<_, (), _>(LinChecker::owned(KvStore), KvKeyPartitioner, None);
     for a in t.iter() {
         mon.ingest(a.clone());
     }
-    assert_eq!(mon.report().verdict, batch);
+    assert_eq!(mon.report().unwrap().verdict, batch);
 }
 
 // ---- hostile never-quiescent streams (epoch GC differential) ----
 
 /// A windowed monitor with epoch cuts enabled (the default) over the
 /// hostile generator's single-shard-heavy key space.
-fn epoch_monitor(window: usize) -> LinMonitor<KvStore, KvKeyPartitioner> {
-    LinMonitor::owned_with_config(
-        KvStore,
-        KvKeyPartitioner,
-        MonitorConfig {
-            window: Some(window),
-            ..Default::default()
-        },
-    )
+fn epoch_monitor(window: usize) -> Session<LinChecker<KvStore>, (), KvKeyPartitioner> {
+    stream(LinChecker::owned(KvStore), KvKeyPartitioner, Some(window))
 }
 
 /// Hostile sweep parameters kept small enough that the *batch* oracle
@@ -370,7 +367,7 @@ proptest! {
         for a in t.iter() {
             mon.ingest(a.clone());
         }
-        let status = mon.status();
+        let status = mon.status().unwrap();
         let batch = LinChecker::owned(KvStore).check(&t);
         match &batch {
             Ok(_) => prop_assert_eq!(status, MonitorStatus::Ok, "cfg {:?}", cfg),
@@ -407,7 +404,7 @@ fn hostile_streams_exercise_epoch_cuts_non_vacuously() {
                 "seed {seed}: linearizable by construction"
             );
         }
-        let report = mon.report();
+        let report = mon.report().unwrap();
         assert!(report.verdict.is_ok(), "seed {seed}: {:?}", report.verdict);
         total_retired += report.shard.retired_events;
         total_epoch_cuts += report.shard.epoch_cuts;
@@ -452,7 +449,7 @@ fn late_straggler_response_is_absorbed_after_epoch_cuts() {
         KvOutput::Found(Some(7)),
     ));
     assert_eq!(out.status, MonitorStatus::Ok, "absorbable straggler");
-    let report = mon.report();
+    let report = mon.report().unwrap();
     assert!(report.verdict.is_ok());
     assert!(report.shard.epoch_cuts > 0, "no epoch cut ever happened");
     assert!(report.shard.retired_events > 0);
@@ -483,7 +480,7 @@ fn impossible_late_straggler_response_is_still_a_violation() {
         KvOutput::Found(None), // impossible: the key was never absent
     ));
     assert_eq!(out.status, MonitorStatus::Violation);
-    assert!(mon.report().verdict.is_err());
+    assert!(mon.report().unwrap().verdict.is_err());
 }
 
 /// Perturbed wide streams: violations past the old ceiling are detected
@@ -501,13 +498,12 @@ fn perturbed_big_streams_match_batch() {
             seed,
         };
         let t = random_multikey_kv_trace(&cfg);
-        let mut mon: LinMonitor<KvStore, KvKeyPartitioner> =
-            LinMonitor::owned(KvStore, KvKeyPartitioner);
+        let mut mon = stream::<_, (), _>(LinChecker::owned(KvStore), KvKeyPartitioner, None);
         for a in t.iter() {
             mon.ingest(a.clone());
         }
         assert_eq!(
-            mon.report().verdict,
+            mon.report().unwrap().verdict,
             LinChecker::owned(KvStore).check(&t),
             "seed {seed}"
         );

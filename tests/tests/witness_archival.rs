@@ -20,17 +20,16 @@ use slin_core::gen::{
     random_hostile_kv_trace, random_multikey_kv_trace, HostileConfig, MultiKeyConfig,
 };
 use slin_core::lin::LinChecker;
-use slin_core::stream::{LinMonitor, MonitorConfig};
+use slin_core::session::{Checker, Session, Strategy as SessionStrategy};
+use slin_core::stream::GcPolicy;
 use slin_trace::{Action, ClientId, PhaseId};
 
 /// A bounded-window monitor with an archive of `depth` retired windows
 /// (`0` disables archival — the plain GC monitor).
-fn gc_monitor(window: usize, depth: usize) -> LinMonitor<KvStore, KvKeyPartitioner> {
-    LinMonitor::owned_with_config(
-        KvStore,
-        KvKeyPartitioner,
-        MonitorConfig {
-            window: Some(window),
+fn gc_monitor(window: usize, depth: usize) -> KvStream {
+    monitor(
+        Some(window),
+        GcPolicy {
             archive_windows: depth,
             ..Default::default()
         },
@@ -38,8 +37,18 @@ fn gc_monitor(window: usize, depth: usize) -> LinMonitor<KvStore, KvKeyPartition
 }
 
 /// An unbounded monitor — the byte-identity oracle.
-fn unbounded_monitor() -> LinMonitor<KvStore, KvKeyPartitioner> {
-    LinMonitor::owned(KvStore, KvKeyPartitioner)
+fn unbounded_monitor() -> KvStream {
+    monitor(None, GcPolicy::default())
+}
+
+type KvStream = Session<LinChecker<KvStore>, (), KvKeyPartitioner>;
+
+fn monitor(window: Option<usize>, gc: GcPolicy) -> KvStream {
+    Checker::builder(LinChecker::owned(KvStore))
+        .partitioner(KvKeyPartitioner)
+        .strategy(SessionStrategy::Streaming { window })
+        .gc_policy(gc)
+        .build()
 }
 
 fn configs() -> impl Strategy<Value = MultiKeyConfig> {
@@ -76,8 +85,8 @@ proptest! {
             archived.ingest(a.clone());
             oracle.ingest(a.clone());
         }
-        let got = archived.report();
-        let want = oracle.report();
+        let got = archived.report().unwrap();
+        let want = oracle.report().unwrap();
         prop_assert_eq!(
             format!("{:?}", got.verdict),
             format!("{:?}", want.verdict),
@@ -110,8 +119,8 @@ proptest! {
             shallow.ingest(a.clone());
             plain.ingest(a.clone());
         }
-        let got = shallow.report();
-        let want = plain.report();
+        let got = shallow.report().unwrap();
+        let want = plain.report().unwrap();
         // Degradation happens only when a second window actually retired;
         // either way the two reports must agree whenever `shallow` did not
         // manage a reconstruction.
@@ -169,11 +178,11 @@ proptest! {
             plain.ingest(a.clone());
             oracle.ingest(a.clone());
         }
-        let got = archived.report();
+        let got = archived.report().unwrap();
         let want = if got.reconstructed {
-            oracle.report()
+            oracle.report().unwrap()
         } else {
-            plain.report()
+            plain.report().unwrap()
         };
         prop_assert_eq!(
             format!("{:?}", got.verdict),
@@ -219,8 +228,8 @@ fn violation_after_gc_reconstructs_full_forensics() {
         plain.ingest(a.clone());
         oracle.ingest(a.clone());
     }
-    let got = archived.report();
-    let want = oracle.report();
+    let got = archived.report().unwrap();
+    let want = oracle.report().unwrap();
     assert!(got.prefix_committed, "GC never retired — widen the run");
     assert!(got.reconstructed);
     assert!(got.verdict.is_err());
@@ -231,7 +240,7 @@ fn violation_after_gc_reconstructs_full_forensics() {
     );
     // And the plain GC monitor genuinely lost the early history: its
     // window-relative report has no access to the retired events.
-    let degraded = plain.report();
+    let degraded = plain.report().unwrap();
     assert!(degraded.verdict.is_err());
     assert_eq!(degraded.shard.archived_events, 0);
 }
@@ -240,13 +249,13 @@ fn violation_after_gc_reconstructs_full_forensics() {
 /// window and reports never claim reconstruction.
 #[test]
 fn archival_off_is_the_default_and_archives_nothing() {
-    assert_eq!(MonitorConfig::default().archive_windows, 0);
+    assert_eq!(GcPolicy::default().archive_windows, 0);
     let actions = violating_single_key_actions(40);
     let mut mon = gc_monitor(8, 0);
     for a in &actions {
         mon.ingest(a.clone());
     }
-    let report = mon.report();
+    let report = mon.report().unwrap();
     assert!(!report.reconstructed);
     assert_eq!(report.shard.archived_events, 0);
 }
@@ -270,7 +279,7 @@ fn archived_reports_are_deterministic() {
         for a in t.iter() {
             mon.ingest(a.clone());
         }
-        let r = mon.report();
+        let r = mon.report().unwrap();
         format!(
             "{:?} {} {}",
             r.verdict, r.reconstructed, r.shard.archived_events
