@@ -186,7 +186,8 @@ pub fn witness_is_valid<T: Adt, V>(
 pub struct LinChecker<T> {
     adt: Arc<T>,
     budget: usize,
-    /// Worker threads for partition fan-out (0 = one per core).
+    /// Upper bound on threads for the per-partition searches (0 = one per
+    /// core).
     threads: usize,
 }
 
@@ -219,10 +220,11 @@ where
         self
     }
 
-    /// Overrides the number of worker threads a partitioned
-    /// [`crate::session`] fans partitions out on (0 = one per available
-    /// core; 1 = sequential). Verdicts and witnesses are
-    /// byte-identical at every thread count.
+    /// Overrides the number of threads a partitioned [`crate::session`]
+    /// may spread its partition searches over (0 = one per available
+    /// core; 1 = sequential) — an upper bound: small traces are searched
+    /// on the calling thread ([`crate::partition::fan_out`]). Verdicts and
+    /// witnesses are byte-identical at every thread count.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self

@@ -2,11 +2,24 @@
 //!
 //! A [`Partitioner`] classifies every input of a trace into an independence
 //! class; this module splits the trace into one sub-trace per class
-//! ([`split_trace`]), fans the per-partition searches out over scoped worker
-//! threads (`fan_out`, the same machinery the speculative checker uses for
-//! init-interpretation enumeration), and **merges the per-partition
-//! witnesses back into the exact witness the monolithic search would have
-//! produced** (`merge_partition_chains`).
+//! ([`split_trace`]), runs the per-partition searches through [`fan_out`]
+//! (the same dispatch the speculative checker uses for init-interpretation
+//! enumeration and the daemon for its lanes), and **merges the
+//! per-partition witnesses back into the exact witness the monolithic
+//! search would have produced** (`merge_partition_chains`).
+//!
+//! # Threads are an upper bound
+//!
+//! A configured thread count says how far [`fan_out`] *may* spread, not how
+//! far it does. A scoped spawn + join costs 16–70 µs per thread on the
+//! reference box, against ≈2 µs per search node or streamed event; the
+//! common case — a dozen commits per class — is cheaper to run than to
+//! hand over. So [`fan_out`] sizes its dispatch from the work present: the
+//! caller keeps the first share, and nothing is spawned unless the rest
+//! outweighs one internal constant. Partitioning itself is unaffected:
+//! a small trace is still split, searched per class and merged — on one
+//! thread. Outputs are identical either way (verdicts are resolved by
+//! minimum index, never by arrival order).
 //!
 //! # Why the merge is exact
 //!
@@ -232,50 +245,115 @@ pub(crate) fn identity_split<T: Adt, V: Clone, K>(
     }
 }
 
-/// Runs `run(0..count)` across `threads` scoped workers (worker `w` takes
-/// indices `w, w + threads, …` — the init-interpretation fan-out pattern)
-/// and returns the results in index order. With `threads <= 1` the calls
-/// run inline.
-pub(crate) fn fan_out<R, F>(count: usize, threads: usize, run: &F) -> Vec<R>
+/// The least work — in weight units: queued frames for the daemon's lanes,
+/// commits to place for a class or interpretation search — that must leave
+/// the calling thread before [`fan_out`] spawns at all.
+///
+/// Sized from a sweep on the 2-vCPU reference box, whose second core comes
+/// and goes with the host (the README's "Work-sized dispatch" table has
+/// the rows). A scoped spawn + join costs 16–70 µs per thread against
+/// ≈2–3 µs per streamed event. With both cores there, draining two lanes
+/// on two threads breaks even near 64 offloaded frames and wins from there
+/// up (0.77–0.87x the inline time at 256, 0.62x at 1024); with one core
+/// there it can only lose — 1.25–1.32x up to 256 frames, 1.03x at 512.
+/// 512 is where the loss on a taken-away core has shrunk to a few percent
+/// while the gain on a present one is already a third. Per-class batch
+/// searches did not gain from a second thread at any size measured
+/// (1.03–1.14x at 260–1060 commits per check, both cores present: the
+/// split, bounds and merge around them are serial), so the
+/// same constant errs on the calling thread's side there too.
+const FAN_OUT_MIN_OFFLOAD: usize = 512;
+
+/// Runs `run` over every unit of `units` — `(weight, item)` pairs — and
+/// returns the results in unit order, plus whether any work left the
+/// calling thread. The one thread fan-out point of the checking pipeline:
+/// per-partition, per-class and per-interpretation searches, and the
+/// daemon's lanes.
+///
+/// `threads` is an **upper bound**. Units are dealt into `threads` shares
+/// (share `w` takes units `w, w + threads, …`); the caller always runs
+/// share 0 itself, so at most `threads − 1` threads are spawned, and none
+/// at all unless the weight that would be offloaded (every other share's)
+/// exceeds `FAN_OUT_MIN_OFFLOAD`. Below it every unit runs on the calling
+/// thread, in unit order. The decision is a pure function of the weights,
+/// so a run is reproducible; `run`'s results must not depend on which
+/// thread computes them (the callers resolve verdicts by minimum index).
+///
+/// The caller's share is fixed, not the heaviest, so that a unit keeps its
+/// thread from one call to the next: the daemon's lane 0 is always drained
+/// by the pumping thread, and what a lane allocates is freed by the thread
+/// that allocated it. Handing the caller whichever share was heaviest
+/// moved lanes between threads pump by pump and made the fanned branch
+/// 1.5–2x slower than this one at every depth measured (cross-thread
+/// frees contending in the allocator).
+///
+/// A panic in `run` on a worker is re-raised on the caller with its
+/// original payload once every worker has been joined.
+pub fn fan_out<T, R, F>(units: Vec<(usize, T)>, threads: usize, run: &F) -> (Vec<R>, bool)
 where
+    T: Send,
     R: Send,
-    F: Fn(usize) -> R + Sync,
+    F: Fn(T) -> R + Sync,
 {
-    if threads <= 1 || count <= 1 {
-        return (0..count).map(run).collect();
+    let count = units.len();
+    let threads = threads.clamp(1, count.max(1));
+    let offloaded: usize = units
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| i % threads != 0)
+        .map(|(_, (weight, _))| weight)
+        .sum();
+    if offloaded <= FAN_OUT_MIN_OFFLOAD {
+        return (
+            units.into_iter().map(|(_, item)| run(item)).collect(),
+            false,
+        );
     }
+    let mut shares: Vec<Vec<(usize, T)>> = (0..threads).map(|_| Vec::new()).collect();
+    for (i, (_, item)) in units.into_iter().enumerate() {
+        shares[i % threads].push((i, item));
+    }
+    let mut shares = shares.into_iter();
+    let own_share = shares.next().expect("threads >= 1");
     let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(count).collect();
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
+        let handles: Vec<_> = shares
+            .map(|share| {
                 scope.spawn(move || {
-                    let mut out = Vec::new();
-                    let mut i = w;
-                    while i < count {
-                        out.push((i, run(i)));
-                        i += threads;
-                    }
-                    out
+                    share
+                        .into_iter()
+                        .map(|(i, item)| (i, run(item)))
+                        .collect::<Vec<_>>()
                 })
             })
             .collect();
+        for (i, item) in own_share {
+            slots[i] = Some(run(item));
+        }
         for h in handles {
-            for (i, r) in h.join().expect("partition worker panicked") {
-                slots[i] = Some(r);
+            match h.join() {
+                Ok(out) => {
+                    for (i, r) in out {
+                        slots[i] = Some(r);
+                    }
+                }
+                Err(payload) => std::panic::resume_unwind(payload),
             }
         }
     });
-    slots
+    let results = slots
         .into_iter()
-        .map(|o| o.expect("every partition index visited"))
-        .collect()
+        .map(|o| o.expect("every unit ran on exactly one share"))
+        .collect();
+    (results, true)
 }
 
 /// The verdict of [`search_partitions`]: the merged chain, `None` when the
 /// merge bailed (re-derive monolithically), or the first partition error.
 pub(crate) type SearchVerdict<I, E> = Result<Option<Chain<I>>, E>;
 
-/// Fans `search` out over `parts` across `threads` scoped workers, absorbs
+/// Runs `search` over `parts` through [`fan_out`] (at most `threads`
+/// threads, the calling one included), absorbs
 /// every partition's counters in key order, resolves the verdict exactly
 /// like a sequential partition loop would (the first failing partition in
 /// key order wins), and merges the partition witnesses in engine order —
@@ -310,7 +388,15 @@ where
     F: Fn(&Trace<ObjAction<T, V>>) -> R + Sync,
     X: for<'r> Fn(&'r R) -> (SearchStats, Result<&'r [(usize, Vec<T::Input>)], &'r E>),
 {
-    let results = fan_out(parts.len(), threads, &|i| search(&parts[i].trace));
+    // A partition's weight is its commit count: what its search must place.
+    let units = parts
+        .iter()
+        .map(|part| {
+            let commits = part.trace.iter().filter(|a| a.is_respond()).count();
+            (commits, &part.trace)
+        })
+        .collect();
+    let (results, _) = fan_out(units, threads, &|sub| search(sub));
     let mut stats = SearchStats::default();
     let mut queues = Vec::with_capacity(parts.len());
     let mut first_error: Option<E> = None;
@@ -352,10 +438,10 @@ where
 /// histories: either an interleaved extra input or a commit (with its
 /// original trace index and the committed input).
 ///
-/// Public for the online monitor ([`crate::stream`]), which replays the
-/// same merge over its shard witnesses.
+/// The online monitor ([`crate::stream`]) replays the same merge over its
+/// shard witnesses.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Step<I> {
+pub(crate) enum Step<I> {
     /// An extra input interleaved before the next commit.
     Extra(I),
     /// A commit: `(original trace index, committed input)`.
@@ -364,7 +450,7 @@ pub enum Step<I> {
 
 /// Decomposes a partition witness chain (whose histories accumulate) into
 /// its step sequence, remapping commit indices through `index_map`.
-pub fn witness_steps<I: Clone>(
+pub(crate) fn witness_steps<I: Clone>(
     chain: &[(usize, Vec<I>)],
     index_map: &[usize],
 ) -> VecDeque<Step<I>> {
@@ -413,7 +499,7 @@ pub fn witness_steps<I: Clone>(
 /// count against the bounds but whose history is dropped; the batch
 /// checkers pass an empty multiset). `bounds` must account for the seed's
 /// consumed inputs.
-pub fn merge_partition_chains<I: Clone + Ord + std::hash::Hash>(
+pub(crate) fn merge_partition_chains<I: Clone + Ord + std::hash::Hash>(
     bounds: &[PersistentMultiset<I>],
     parts: Vec<(VecDeque<Step<I>>, PersistentMultiset<I>)>,
     seed_used: PersistentMultiset<I>,
@@ -552,6 +638,7 @@ mod tests {
     use super::*;
     use slin_adt::{IdentityPartitioner, KvInput, KvKeyPartitioner, KvOutput, KvStore};
     use slin_trace::{Action, ClientId, PhaseId};
+    use std::thread::ThreadId;
 
     type KA = ObjAction<KvStore, ()>;
 
@@ -637,12 +724,93 @@ mod tests {
         );
     }
 
+    /// Dispatches one unit per weight, each reporting its index and the
+    /// thread it ran on.
+    fn dispatch(weights: &[usize], threads: usize) -> (Vec<(usize, ThreadId)>, bool) {
+        let units = weights.iter().copied().zip(0..).collect();
+        fan_out(units, threads, &|i: usize| (i, std::thread::current().id()))
+    }
+
+    #[test]
+    fn fan_out_below_the_constant_runs_on_the_calling_thread_in_order() {
+        let me = std::thread::current().id();
+        for threads in [0, 1, 2, 5] {
+            // Seven light units; then two heavy ones whose offloaded share
+            // sits exactly on the constant.
+            for weights in [vec![1; 7], vec![50, FAN_OUT_MIN_OFFLOAD]] {
+                let (out, fanned) = dispatch(&weights, threads);
+                assert!(!fanned, "{weights:?} at {threads} threads");
+                let expect: Vec<_> = (0..weights.len()).map(|i| (i, me)).collect();
+                assert_eq!(out, expect, "{weights:?} at {threads} threads");
+            }
+        }
+        assert_eq!(dispatch(&[], 4), (vec![], false));
+        // One thread never fans out, however heavy the work.
+        assert!(!dispatch(&[usize::MAX / 4; 3], 1).1);
+    }
+
+    #[test]
+    fn fan_out_above_the_constant_keeps_share_zero_on_the_caller() {
+        let me = std::thread::current().id();
+        const HEAVY: usize = FAN_OUT_MIN_OFFLOAD;
+        // Shares at two threads: {0, 2} is the caller's, light as it is;
+        // {1, 3} outweighs the constant and leaves for one spawned thread.
+        let (out, fanned) = dispatch(&[1, HEAVY, 1, 1], 2);
+        assert!(fanned);
+        assert_eq!(
+            out.iter().map(|(i, _)| *i).collect::<Vec<_>>(),
+            [0, 1, 2, 3]
+        );
+        assert_eq!((out[0].1, out[2].1), (me, me));
+        assert_ne!(out[1].1, me);
+        assert_eq!(out[1].1, out[3].1, "one share, one thread");
+        // What the caller keeps does not count as offloaded.
+        assert!(!dispatch(&[10 * HEAVY, HEAVY / 2, 10 * HEAVY, HEAVY / 2], 2).1);
+        // One unit past the constant is enough, and `threads` beyond the
+        // unit count spawns nothing extra.
+        for threads in [2, 5] {
+            let (out, fanned) = dispatch(&[50, FAN_OUT_MIN_OFFLOAD + 1], threads);
+            assert!(fanned);
+            assert_eq!((out[0], out[1].0), ((0, me), 1));
+            assert_ne!(out[1].1, me);
+        }
+        // Five threads, seven units: five distinct threads, the caller
+        // among them.
+        let (out, fanned) = dispatch(&[HEAVY; 7], 5);
+        assert!(fanned);
+        let ids: std::collections::HashSet<ThreadId> = out.iter().map(|(_, id)| *id).collect();
+        assert_eq!(ids.len(), 5);
+        assert!(ids.contains(&me));
+    }
+
     #[test]
     fn fan_out_preserves_index_order() {
         for threads in [1, 2, 5] {
-            let out = fan_out(7, threads, &|i| i * i);
-            assert_eq!(out, vec![0, 1, 4, 9, 16, 25, 36]);
+            // Light units stay on the caller, heavy ones fan out.
+            for weight in [1, FAN_OUT_MIN_OFFLOAD] {
+                let units = (0..7).map(|i| (weight, i)).collect();
+                let (out, _) = fan_out(units, threads, &|i: usize| i * i);
+                assert_eq!(out, vec![0, 1, 4, 9, 16, 25, 36]);
+            }
         }
+    }
+
+    #[test]
+    fn fan_out_re_raises_a_worker_panic_with_its_payload() {
+        #[derive(Debug, PartialEq)]
+        struct Boom(usize);
+        let me = std::thread::current().id();
+        let caught = std::panic::catch_unwind(|| {
+            let units = vec![(1, 0usize), (FAN_OUT_MIN_OFFLOAD + 1, 1)];
+            fan_out(units, 2, &|i: usize| {
+                // Unit 1 is the offloaded share.
+                if std::thread::current().id() != me {
+                    std::panic::panic_any(Boom(i));
+                }
+            })
+        });
+        let payload = caught.expect_err("the worker's panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<Boom>(), Some(&Boom(1)));
     }
 
     #[test]

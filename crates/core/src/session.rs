@@ -238,7 +238,12 @@ impl<M, P> SessionBuilder<M, P> {
     }
 
     /// Overrides the model's worker-thread count (0 = one per core,
-    /// 1 = sequential).
+    /// 1 = sequential) — an **upper bound**, the calling thread included:
+    /// the per-partition, per-class and per-interpretation searches leave
+    /// the calling thread only when there is enough of them to repay a
+    /// thread spawn ([`crate::partition::fan_out`]); a check of a few dozen
+    /// commits runs on the calling thread at any setting. Verdicts,
+    /// witnesses and [`SearchStats`] do not depend on it.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
         self

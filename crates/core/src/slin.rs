@@ -29,10 +29,12 @@
 //!
 //! Because the init interpretations are **independent** (the universal
 //! quantifier of Definition 19 factors over them), [`SlinChecker::check`]
-//! enumerates them **in parallel** across threads. Verdicts are
-//! deterministic and identical at every thread count: on failure, the
-//! *earliest* interpretation in enumeration order wins — the same one the
-//! single-threaded loop (`with_threads(1)`) reports.
+//! may enumerate them **in parallel**: across at most the configured
+//! threads, and only when there is enough search to repay spawning them
+//! ([`partition::fan_out`]). Verdicts are deterministic and identical at
+//! every thread count: on failure, the *earliest* interpretation in
+//! enumeration order wins — the same one the single-threaded loop
+//! (`with_threads(1)`) reports.
 
 use crate::engine::{Chain, CheckerEngine, EngineError, SearchBudget, SearchSeed, SearchStats};
 use crate::initrel::{CandidateContext, InitRelation};
@@ -186,7 +188,8 @@ pub struct SlinChecker<T, R> {
     n: PhaseId,
     budget: usize,
     max_interpretations: usize,
-    /// Worker threads for interpretation enumeration (0 = one per core).
+    /// Upper bound on threads for interpretation enumeration and the
+    /// per-class searches (0 = one per core).
     threads: usize,
 }
 
@@ -237,9 +240,10 @@ where
         self
     }
 
-    /// Overrides the number of worker threads used by [`SlinChecker::check`]
-    /// to enumerate init interpretations (0 = one per available core;
-    /// 1 = sequential).
+    /// Overrides the number of threads [`SlinChecker::check`] may use to
+    /// enumerate init interpretations (0 = one per available core;
+    /// 1 = sequential) — an upper bound: small enumerations stay on the
+    /// calling thread ([`partition::fan_out`]).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -326,7 +330,12 @@ where
         let commits = ops::commits::<T, R::Value>(t);
         let inits = ops::switches::<T, R::Value>(t, self.m);
         let aborts = ops::switches::<T, R::Value>(t, self.n);
-        let input_ms = ops::input_multisets::<T, R::Value>(t);
+        let invoked = t
+            .iter()
+            .enumerate()
+            .filter(|(_, a)| a.is_invoke())
+            .map(|(i, a)| (i, a.input().clone()))
+            .collect();
         let ctx = CandidateContext::new(t.iter().map(|a| a.input().clone()).collect());
 
         // Enumerate candidate interpretations of the init actions.
@@ -343,7 +352,7 @@ where
             commits,
             inits,
             aborts,
-            input_ms,
+            invoked,
             ctx,
             per_init,
             combos,
@@ -382,7 +391,8 @@ where
     }
 
     /// The enumeration loop: interpretation indices `0..combos` through
-    /// [`partition::fan_out`] (inline for `threads <= 1`). A shared
+    /// [`partition::fan_out`] (at most `threads` threads; on the calling
+    /// thread alone while the searches are small). A shared
     /// watermark of the earliest abnormal index lets later indices be
     /// skipped — they cannot influence the verdict — and the verdict is
     /// resolved by minimum index, so it is byte-identical at every thread
@@ -407,7 +417,11 @@ where
         R::Value: Sync,
     {
         let best_abnormal = AtomicUsize::new(usize::MAX);
-        let outcomes = partition::fan_out(prep.combos, threads, &|idx| {
+        // Every interpretation searches the same commits.
+        let units = (0..prep.combos)
+            .map(|idx| (prep.commits.len(), idx))
+            .collect();
+        let (outcomes, _) = partition::fan_out(units, threads, &|idx: usize| {
             if idx > best_abnormal.load(Ordering::Relaxed) {
                 return None;
             }
@@ -445,21 +459,90 @@ where
         (Ok(report), stats)
     }
 
-    /// The *valid inputs* `vi(m, t, finit, i)` (Definition 26) per trace
-    /// index, shared by the monolithic and keyed paths.
+    /// The *valid inputs* `vi(m, t, finit, i)` (Definition 26) at every
+    /// trace index `0..=t_len`, and their projection onto each of `classes`
+    /// independence classes (`class_of` maps an input to its class index;
+    /// `classes == 0` asks for none), built in one pass.
+    ///
+    /// By the definitions, `vi(i) = ivi(i) ⊎ elems(inputs(t, i))` with
+    /// `ivi(i)` (Definition 25) the inputs vouched for by init actions
+    /// strictly before `i`: the elements of their interpretation histories,
+    /// ∪-combined (they describe prefixes of one linearization of the
+    /// previous phase), plus each init action's *pending input*, ⊎-summed —
+    /// a distinct invocation transferred into this phase. The ⊎ is what
+    /// makes the paper's own Backup construction (h ::: pending inputs,
+    /// Section 2.4) valid when a pending value collides with an
+    /// init-history element.
+    ///
+    /// Every term is prefix-monotone, so `vi(i + 1)` is `vi(i)` plus what
+    /// action `i` contributes: its input if it is an invocation; if it is
+    /// an interpreted init action, its pending input and whatever its
+    /// history raises the running ∪ by. Each contribution lands in the
+    /// global multiset and in exactly one class; a snapshot is an O(1)
+    /// clone. `valid_inputs_by_definition` (the two whole-multiset sums per
+    /// index, read off the definitions) is the test oracle.
     fn valid_inputs(
         &self,
         prep: &Prepared<T, R::Value>,
         finit: &[(usize, &Vec<T::Input>)],
+        classes: usize,
+        class_of: &dyn Fn(&T::Input) -> usize,
+    ) -> ValidInputs<T::Input> {
+        let mut vi = PersistentMultiset::new();
+        let mut class_vi = vec![PersistentMultiset::new(); classes];
+        let mut out = ValidInputs {
+            global: Vec::with_capacity(prep.t_len + 1),
+            per_class: (0..classes)
+                .map(|_| Vec::with_capacity(prep.t_len + 1))
+                .collect(),
+        };
+        // The running ∪ of the interpretation histories' elements.
+        let mut hist_elems: PersistentMultiset<T::Input> = PersistentMultiset::new();
+        let mut invoked = prep.invoked.iter().peekable();
+        let mut inits = prep.inits.iter().peekable();
+        let mut interpreted = finit.iter().peekable();
+        for i in 0..=prep.t_len {
+            out.global.push(vi.clone());
+            for (snapshots, ms) in out.per_class.iter_mut().zip(&class_vi) {
+                snapshots.push(ms.clone());
+            }
+            let mut grow = |input: &T::Input, n: usize| {
+                vi.add(input.clone(), n);
+                if classes > 0 {
+                    class_vi[class_of(input)].add(input.clone(), n);
+                }
+            };
+            if let Some((_, input)) = invoked.next_if(|(j, _)| *j == i) {
+                grow(input, 1);
+            }
+            // An init action whose value has no candidate interpretation
+            // is absent from `finit` and vouches for nothing.
+            let init = inits.next_if(|s| s.index == i);
+            let hist = interpreted.next_if(|(j, _)| *j == i);
+            if let (Some(init), Some((_, hist))) = (init, hist) {
+                grow(&init.input, 1);
+                for (input, n) in PersistentMultiset::elems(hist).iter() {
+                    let had = hist_elems.count(input);
+                    if n > had {
+                        hist_elems.add(input.clone(), n - had);
+                        grow(input, n - had);
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Definitions 25–26 as written — the reference `valid_inputs` is
+    /// tested against: `ivi` by one ∪ and one ⊎ per init action, `vi` by a
+    /// whole-multiset ⊎ per trace index.
+    #[cfg(test)]
+    fn valid_inputs_by_definition(
+        &self,
+        t: &Trace<ObjAction<T, R::Value>>,
+        prep: &Prepared<T, R::Value>,
+        finit: &[(usize, &Vec<T::Input>)],
     ) -> Vec<PersistentMultiset<T::Input>> {
-        // ivi (Definition 25): cumulative, per trace index, the inputs
-        // vouched for by init actions strictly before i. The elements of the
-        // interpretation histories are ∪-combined (they describe prefixes of
-        // one linearization of the previous phase), while each init action's
-        // *pending input* is a distinct invocation transferred into this
-        // phase and is therefore ⊎-summed — this is what makes the paper's
-        // own Backup construction (h ::: pending inputs, Section 2.4) valid
-        // when a pending value collides with an init-history element.
         let mut ivi: Vec<PersistentMultiset<T::Input>> = Vec::with_capacity(prep.t_len + 1);
         let mut hist_elems: PersistentMultiset<T::Input> = PersistentMultiset::new();
         let mut pending_sum: PersistentMultiset<T::Input> = PersistentMultiset::new();
@@ -477,9 +560,8 @@ where
             }
             ivi.push(hist_elems.sum(&pending_sum));
         }
-        // vi (Definition 26): ivi(i) ⊎ elems(inputs(t, i)).
         ivi.iter()
-            .zip(prep.input_ms.iter())
+            .zip(ops::input_multisets::<T, R::Value>(t).iter())
             .map(|(a, b)| a.sum(b))
             .collect()
     }
@@ -490,7 +572,7 @@ where
         prep: &Prepared<T, R::Value>,
         finit: &[(usize, &Vec<T::Input>)],
     ) -> InterpretationOutcome<T> {
-        let vi = self.valid_inputs(prep, finit);
+        let vi = self.valid_inputs(prep, finit, 0, &|_| 0).global;
 
         // The longest common prefix of the init histories seeds the chain.
         let lcp: Vec<T::Input> =
@@ -686,13 +768,6 @@ where
         }
         let keys: Vec<P::Key> = class_keys.into_iter().collect();
 
-        // The single interpretation and its global bounds.
-        let finit = self.finit_at(&prep, 0);
-        let vi = self.valid_inputs(&prep, &finit);
-        let lcp: Vec<T::Input> =
-            seq::longest_common_prefix(finit.iter().map(|(_, h)| h.as_slice()));
-        let constrain_init_order = !finit.is_empty();
-
         let key_of = |i: &T::Input| {
             partitioner
                 .key_of(i)
@@ -701,15 +776,20 @@ where
         let proj = |k: &P::Key, h: &[T::Input]| -> Vec<T::Input> {
             h.iter().filter(|i| key_of(i) == *k).cloned().collect()
         };
-        let proj_ms = |k: &P::Key, ms: &PersistentMultiset<T::Input>| {
-            let mut out: PersistentMultiset<T::Input> = PersistentMultiset::new();
-            for (i, n) in ms.iter() {
-                if key_of(i) == *k {
-                    out.add(i.clone(), n);
-                }
-            }
-            out
-        };
+
+        // The single interpretation, its global bounds and their per-class
+        // projections.
+        let finit = self.finit_at(&prep, 0);
+        let ValidInputs {
+            global: vi,
+            per_class: class_vi,
+        } = self.valid_inputs(&prep, &finit, keys.len(), &|i| {
+            keys.binary_search(&key_of(i))
+                .expect("every occurring input's class collected above")
+        });
+        let lcp: Vec<T::Input> =
+            seq::longest_common_prefix(finit.iter().map(|(_, h)| h.as_slice()));
+        let constrain_init_order = !finit.is_empty();
 
         // Per-trace discharge of the decomposition the certificate vouches
         // for in general: the forced common prefix must project per class
@@ -745,14 +825,15 @@ where
 
         let work: Vec<KeyedClass<T>> = keys
             .iter()
-            .map(|k| KeyedClass {
+            .zip(class_vi)
+            .map(|(k, vi)| KeyedClass {
                 commits: prep
                     .commits
                     .iter()
                     .filter(|c| key_of(&c.input) == *k)
                     .cloned()
                     .collect(),
-                vi: vi.iter().map(|ms| proj_ms(k, ms)).collect(),
+                vi,
                 lcp: proj(k, &lcp),
                 aborts: prep
                     .aborts
@@ -766,16 +847,16 @@ where
             })
             .collect();
 
-        // One chain search per class, fanned out like the switch-free
-        // partitioned path. The per-class abort leaf asks each global
+        // One chain search per class, dispatched like the switch-free
+        // partitioned path (a class's weight is its commit count). The per-class abort leaf asks each global
         // abort's class projection to extend the class's longest commit
         // history and LCP and to draw from the class's valid inputs — the
         // projections of the global leaf conditions, so they hold whenever
         // the monolithic leaf does.
         let threads = self.effective_threads().min(work.len());
         type ClassOutcome<I> = (Result<Option<Chain<I>>, EngineError>, SearchStats);
-        let results: Vec<ClassOutcome<T::Input>> = partition::fan_out(work.len(), threads, &|ci| {
-            let w = &work[ci];
+        let units = work.iter().map(|w| (w.commits.len(), w)).collect();
+        let run_class = |w: &KeyedClass<T>| -> ClassOutcome<T::Input> {
             let pool = w.vi.last().cloned().unwrap_or_default();
             let engine = CheckerEngine::new(
                 &*self.adt,
@@ -807,7 +888,8 @@ where
                 &mut leaf,
             );
             (solution.map(|found| found.map(|(chain, ())| chain)), stats)
-        });
+        };
+        let (results, _) = partition::fan_out(units, threads, &run_class);
 
         let mut stats = SearchStats::default();
         let mut chains: Vec<Chain<T::Input>> = Vec::with_capacity(results.len());
@@ -1126,10 +1208,18 @@ struct Prepared<T: Adt, V> {
     commits: Vec<Commit<T>>,
     inits: Vec<SwitchEvent<T::Input, V>>,
     aborts: Vec<SwitchEvent<T::Input, V>>,
-    input_ms: Vec<PersistentMultiset<T::Input>>,
+    /// `(trace index, input)` of every invocation, in trace order.
+    invoked: Vec<(usize, T::Input)>,
     ctx: CandidateContext<T::Input>,
     per_init: Vec<Vec<Vec<T::Input>>>,
     combos: usize,
+}
+
+/// What [`SlinChecker::valid_inputs`] builds: Definition 26's bound at every
+/// trace index `0..=t_len`, globally and projected per independence class.
+struct ValidInputs<I> {
+    global: Vec<PersistentMultiset<I>>,
+    per_class: Vec<Vec<PersistentMultiset<I>>>,
 }
 
 /// The found abort interpretations: `(trace index, history)` pairs.
@@ -1382,6 +1472,112 @@ mod tests {
         assert!(checker.check(&t).is_err());
     }
 
+    /// The one-pass `valid_inputs` against Definitions 25–26 as written:
+    /// equal at every trace index under every interpretation, and every
+    /// per-class snapshot equal to the projection of the definitional
+    /// bound.
+    fn assert_valid_inputs_match_the_definition<T, R>(
+        chk: &SlinChecker<T, R>,
+        t: &Trace<ObjAction<T, R::Value>>,
+        classes: usize,
+        class_of: &dyn Fn(&T::Input) -> usize,
+    ) where
+        T: Adt,
+        T::Input: Ord,
+        R: InitRelation<T::Input>,
+    {
+        let prep = chk.prepare(t).expect("the corpus is well-formed");
+        for idx in 0..prep.combos {
+            let finit = chk.finit_at(&prep, idx);
+            let want = chk.valid_inputs_by_definition(t, &prep, &finit);
+            let got = chk.valid_inputs(&prep, &finit, classes, class_of);
+            assert_eq!(got.global, want, "interpretation {idx} of {t:?}");
+            assert_eq!(got.per_class.len(), classes);
+            for (k, snapshots) in got.per_class.iter().enumerate() {
+                let projected: Vec<PersistentMultiset<T::Input>> = want
+                    .iter()
+                    .map(|ms| {
+                        let mut out = PersistentMultiset::new();
+                        for (input, n) in ms.iter().filter(|(input, _)| class_of(input) == k) {
+                            out.add(input.clone(), n);
+                        }
+                        out
+                    })
+                    .collect();
+                assert_eq!(*snapshots, projected, "class {k}, interpretation {idx}");
+            }
+        }
+    }
+
+    #[test]
+    fn incremental_valid_inputs_equal_the_definition_on_the_phase_generators() {
+        use crate::gen::{phase_trace_bounds, random_phase_kv_trace, PhaseConfig};
+        use slin_adt::{KvKeyPartitioner, KvStore};
+        let (m, n) = phase_trace_bounds();
+        let chk = SlinChecker::owned(KvStore, ExactInit::new(), m, n);
+        // Several init actions sharing one history (the ∪ must not count it
+        // once per init), skewed keys so pending inputs collide with
+        // history elements, clean and perturbed, light and heavy.
+        for (clients, steps, keys, prefix_ops) in [(3, 18, 4, 4), (4, 60, 2, 6), (2, 160, 4, 0)] {
+            for error_prob in [0.0, 0.5] {
+                for seed in 0..6 {
+                    let t = random_phase_kv_trace(&PhaseConfig {
+                        clients,
+                        steps,
+                        keys,
+                        prefix_ops,
+                        error_prob,
+                        seed,
+                        ..PhaseConfig::default()
+                    });
+                    let class_of = |i: &slin_adt::KvInput| {
+                        KvKeyPartitioner.key_of(i).expect("kv inputs are keyed") as usize - 1
+                    };
+                    assert_valid_inputs_match_the_definition(&chk, &t, keys as usize, &class_of);
+                    assert_valid_inputs_match_the_definition(&chk, &t, 0, &|_| 0);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn incremental_valid_inputs_keep_the_backup_collision_and_multi_init_traces() {
+        // The Backup collision: both pending inputs equal the init
+        // history's element p(5). The histories ∪-combine (p(5) vouched
+        // once) while each pending p(5) is ⊎-summed on top — three
+        // occurrences after both inits, under every adversarial
+        // interpretation ([p(5)] and [p(5), x]).
+        let collision: Trace<CA> = Trace::from_actions(vec![
+            Action::switch(c(1), ph(2), p(5), Value::new(5)),
+            Action::respond(c(1), ph(2), p(5), d(5)),
+            Action::invoke(c(1), ph(2), p(5)),
+            Action::switch(c(2), ph(2), p(5), Value::new(5)),
+            Action::respond(c(2), ph(2), p(5), d(5)),
+        ]);
+        let chk = backup_checker();
+        let prep = chk.prepare(&collision).unwrap();
+        assert!(prep.combos > 1, "adversarial interpretations enumerated");
+        let vi = chk
+            .valid_inputs(&prep, &chk.finit_at(&prep, 0), 0, &|_| 0)
+            .global;
+        let counts: Vec<usize> = vi.iter().map(|ms| ms.count(&p(5))).collect();
+        // Init at 0: history p(5) + pending p(5); invoke at 2; init at 3:
+        // the ∪ is already covered, only the pending input is added.
+        assert_eq!(counts, [0, 2, 2, 3, 4, 4]);
+        // Divergent init values, and inits interleaved with invocations.
+        let divergent: Trace<CA> = Trace::from_actions(vec![
+            Action::switch(c(1), ph(2), p(1), Value::new(1)),
+            Action::respond(c(1), ph(2), p(1), d(1)),
+            Action::invoke(c(1), ph(2), p(2)),
+            Action::switch(c(2), ph(2), p(2), Value::new(2)),
+            Action::respond(c(2), ph(2), p(2), d(1)),
+        ]);
+        let by_value = |i: &ConsInput| (*i == p(5)) as usize;
+        for t in [&collision, &divergent] {
+            assert_valid_inputs_match_the_definition(&chk, t, 2, &by_value);
+        }
+    }
+
     #[test]
     fn parallel_and_sequential_verdicts_are_identical() {
         // Every test trace in this module, under forced multi-threading:
@@ -1421,6 +1617,45 @@ mod tests {
                 let seq = chk.with_threads(1).check(t);
                 assert_eq!(par, seq, "phase ({m}, {n}) on {t:?}");
                 assert_eq!(format!("{par:?}"), format!("{seq:?}"));
+            }
+        }
+    }
+
+    /// The traces above are a handful of commits, so their enumeration
+    /// runs on the calling thread at any thread count. This backup phase
+    /// is heavy enough that the interpretations really fan out — asked of
+    /// the dispatch itself — and the whole outcome (witness, counts, stats,
+    /// the earliest failing interpretation) must still not depend on it.
+    #[test]
+    fn enumeration_is_thread_count_invariant_when_it_really_fans_out() {
+        let heavy = |last: u64| -> Trace<CA> {
+            let mut actions = vec![
+                Action::switch(c(1), ph(2), p(1), Value::new(5)),
+                Action::switch(c(2), ph(2), p(2), Value::new(5)),
+            ];
+            for round in 0..300 {
+                for k in [1, 2] {
+                    if round > 0 {
+                        actions.push(Action::invoke(c(k), ph(2), p(k as u64)));
+                    }
+                    let decided = if round == 299 && k == 2 { last } else { 5 };
+                    actions.push(Action::respond(c(k), ph(2), p(k as u64), d(decided)));
+                }
+            }
+            Trace::from_actions(actions)
+        };
+        for (t, ok) in [(heavy(5), true), (heavy(6), false)] {
+            let prep = backup_checker().prepare(&t).unwrap();
+            assert!(prep.combos > 1);
+            let units = vec![(prep.commits.len(), ()); prep.combos];
+            assert!(partition::fan_out(units, 2, &|()| ()).1);
+            let seq = backup_checker().with_threads(1).check_with_stats_impl(&t);
+            assert_eq!(seq.0.is_ok(), ok);
+            for threads in [2, 4] {
+                let par = backup_checker()
+                    .with_threads(threads)
+                    .check_with_stats_impl(&t);
+                assert_eq!(par, seq, "{threads} threads");
             }
         }
     }

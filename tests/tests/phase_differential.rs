@@ -290,3 +290,97 @@ fn bogus_init_partitioner_is_rejected_and_the_replay_diverges() {
          accepts — the divergence the certificate refusal predicts"
     );
 }
+
+/// Whether [`slin_core::partition::fan_out`] would leave the calling
+/// thread for the keyed check of `t` at `threads`: asked of the dispatch
+/// function itself, with the per-class weights the keyed path hands it
+/// (one unit per key occurring anywhere in the trace, weighing its
+/// commits).
+fn keyed_check_fans_out(t: &slin_trace::Trace<PhaseAction>, threads: usize) -> bool {
+    use slin_adt::Partitioner;
+    let key = |i: &KvInput| KvKeyPartitioner.key_of(i).expect("kv inputs are keyed");
+    let mut commits = std::collections::BTreeMap::new();
+    for a in t.iter() {
+        *commits.entry(key(a.input())).or_insert(0) += a.is_respond() as usize;
+        if let slin_trace::Action::Switch { value, .. } = a {
+            for i in value {
+                commits.entry(key(i)).or_insert(0);
+            }
+        }
+    }
+    let units = commits.into_values().map(|w| (w, ())).collect();
+    slin_core::partition::fan_out(units, threads, &|()| ()).1
+}
+
+type PhaseAction = slin_core::ObjAction<KvStore, Vec<KvInput>>;
+
+/// Thread-count invariance on **both sides** of the dispatch constant:
+/// the default corpus (a dozen commits, every class search runs on the
+/// calling thread whatever `.threads(k)` says) and a heavy one whose
+/// per-class work really leaves it. The whole keyed outcome — verdict,
+/// witness, `SearchStats`, partition report — is identical at 1, 2 and 4
+/// threads; on the light side the witness is also the monolithic one (the
+/// heavy side spreads its commits over 16 keys to keep every class search
+/// within a test thread's stack, which one monolithic search would not
+/// be).
+#[test]
+fn keyed_batch_is_thread_count_invariant_on_both_sides_of_the_dispatch_constant() {
+    let light = PhaseConfig::default();
+    let heavy = PhaseConfig {
+        steps: 4800,
+        keys: 16,
+        skew: 0.2,
+        ..PhaseConfig::default()
+    };
+    // Perturbation rates sized so either side sees both verdicts.
+    for (cfg, fans_out, seeds, perturbed) in
+        [(light, false, 0..4u64, 0.5), (heavy, true, 0..1, 0.002)]
+    {
+        let (mut accepted, mut refuted) = (0, 0);
+        for error_prob in [0.0, perturbed] {
+            for seed in seeds.clone() {
+                let t = random_phase_kv_trace(&PhaseConfig {
+                    error_prob,
+                    seed,
+                    ..cfg
+                });
+                let keyed = |threads: usize| {
+                    phase_checker()
+                        .with_threads(threads)
+                        .check_keyed(&KvKeyPartitioner, &t)
+                        .expect("the speculative checker has a keyed path")
+                };
+                let reference = keyed(1);
+                match &reference.verdict {
+                    Ok(_) => accepted += 1,
+                    Err(_) => refuted += 1,
+                }
+                if !fans_out {
+                    let mono = phase_checker().with_threads(1).check(&t);
+                    assert_eq!(
+                        reference.verdict.as_ref().map(|r| &r.witness),
+                        mono.as_ref().map(|r| &r.witness),
+                        "seed {seed} error {error_prob}"
+                    );
+                    assert_eq!(reference.verdict.as_ref().err(), mono.as_ref().err());
+                }
+                for threads in [2, 4] {
+                    assert_eq!(
+                        keyed_check_fans_out(&t, threads),
+                        fans_out,
+                        "corpus on the wrong side of the constant: seed {seed} steps {} \
+                         threads {threads}",
+                        cfg.steps
+                    );
+                    assert_eq!(
+                        keyed(threads),
+                        reference,
+                        "seed {seed} error {error_prob} steps {} threads {threads}",
+                        cfg.steps
+                    );
+                }
+            }
+        }
+        assert!(accepted > 0 && refuted > 0, "steps {}", cfg.steps);
+    }
+}

@@ -232,6 +232,117 @@ proptest! {
     }
 }
 
+/// Whether [`slin_core::partition::fan_out`] would leave the calling thread
+/// for the partitioned check of `t` at `threads`: asked of the dispatch
+/// function itself, with the weights the partitioned path hands it (one
+/// unit per key in key order, weighing its commits).
+fn partitioned_check_fans_out(t: &Trace<ObjAction<KvStore, ()>>, threads: usize) -> bool {
+    let mut commits = std::collections::BTreeMap::new();
+    for a in t.iter() {
+        let key = KvKeyPartitioner
+            .key_of(a.input())
+            .expect("kv inputs are keyed");
+        *commits.entry(key).or_insert(0) += a.is_respond() as usize;
+    }
+    let units = commits.into_values().map(|w| (w, ())).collect();
+    slin_core::partition::fan_out(units, threads, &|()| ()).1
+}
+
+/// Thread-count invariance of the partitioned session on **both sides** of
+/// the dispatch constant. The proptest corpora above are a dozen commits
+/// per key, so every `.threads(k)` there runs on the calling thread; this
+/// pins the same byte-identity — the whole `Verdict`: outcome, witness,
+/// `SearchStats`, partition report — at 1, 2 and 4 threads on a corpus
+/// heavy enough that the per-partition searches really leave it (`fan_out`
+/// itself says which side a trace is on), for both checkers. The light
+/// side also runs the full strategy sweep against the monolithic
+/// reference; the heavy side spreads its commits over 16 keys to keep each
+/// partition search within a test thread's stack, which one monolithic
+/// search would not be.
+#[test]
+fn partitioned_sessions_are_thread_count_invariant_on_both_sides_of_the_dispatch_constant() {
+    let light = MultiKeyConfig {
+        clients: 4,
+        steps: 24,
+        keys: 4,
+        skew: 0.7,
+        contention: 0.3,
+        error_prob: 0.0,
+        seed: 0,
+    };
+    let heavy = MultiKeyConfig {
+        steps: 3600,
+        keys: 8,
+        skew: 0.0,
+        contention: 0.0,
+        ..light
+    };
+    // Perturbation rates sized so either side sees both verdicts.
+    for (cfg, fans_out, seeds, perturbed) in
+        [(light, false, 0..4, 0.35), (heavy, true, 0..1, 0.004)]
+    {
+        let (mut accepted, mut refuted) = (0, 0);
+        for error_prob in [0.0, perturbed] {
+            for seed in seeds.clone() {
+                let cfg = MultiKeyConfig {
+                    error_prob,
+                    seed,
+                    ..cfg
+                };
+                let t = random_multikey_kv_trace(&cfg);
+                for threads in [2, 4] {
+                    assert_eq!(
+                        partitioned_check_fans_out(&t, threads),
+                        fans_out,
+                        "corpus on the wrong side of the constant: {cfg:?} threads {threads}"
+                    );
+                }
+                if !fans_out {
+                    assert_lin_session_parity(KvStore, KvKeyPartitioner, &t, &cfg)
+                        .unwrap_or_else(|e| panic!("{e:?}"));
+                }
+                let lin = |threads| {
+                    Checker::builder(LinChecker::owned(KvStore))
+                        .partitioner(KvKeyPartitioner)
+                        .strategy(SessionStrategy::Partitioned)
+                        .threads(threads)
+                        .build()
+                        .check(&t)
+                };
+                let st: Trace<ObjAction<KvStore, Vec<KvInput>>> = retag(&t);
+                let slin = |threads| {
+                    let model = SlinChecker::owned(
+                        KvStore,
+                        ExactInit::new(),
+                        PhaseId::new(1),
+                        PhaseId::new(2),
+                    );
+                    Checker::builder(model)
+                        .partitioner(KvKeyPartitioner)
+                        .strategy(SessionStrategy::Partitioned)
+                        .threads(threads)
+                        .build()
+                        .check(&st)
+                };
+                let (lin_ref, slin_ref) = (lin(1), slin(1));
+                match &lin_ref.outcome {
+                    Ok(_) => accepted += 1,
+                    Err(_) => refuted += 1,
+                }
+                // A merge that bails re-derives with one monolithic search,
+                // as deep as the trace has commits: keep the heavy side clear
+                // of it.
+                assert!(!fans_out || !lin_ref.partition.is_some_and(|r| r.remerged));
+                for threads in [2, 4] {
+                    assert_eq!(lin(threads), lin_ref, "{cfg:?} threads {threads}");
+                    assert_eq!(slin(threads), slin_ref, "{cfg:?} threads {threads}");
+                }
+            }
+        }
+        assert!(accepted > 0 && refuted > 0, "{cfg:?}");
+    }
+}
+
 /// The hand-built consensus phase corpus: init/abort switch actions,
 /// satisfied and violated, quorum and backup phases.
 fn phase_corpus() -> Vec<Trace<ObjAction<Consensus, Value>>> {
