@@ -18,7 +18,7 @@
 //! There is exactly one recursion implementing that search (`Search::dfs`).
 //! It owns, once, everything a chain search needs: node counting and the
 //! [`SearchBudget`] trip, the dead-end memo on `(remaining commits, ADT
-//! state, consumed-input multiset, visitor tag)`, the feasibility prune
+//! state, consumed inputs, visitor tag)` (below), the feasibility prune
 //! (below), the commit move, the sorted extra-input move, the history cap,
 //! and the [`SearchStats`] it returns on **both** sides of the verdict. What
 //! differs between its uses is a small `Visitor`:
@@ -69,6 +69,39 @@
 //! (inputs grouped into dense class ids, each commit's own
 //! `bounds[c.index](c.input)`, the sorted extras list).
 //!
+//! **The counters are the search's `used`.** Validity never asks which
+//! occurrence was consumed, only how many of each input, so inside a search
+//! the consumed-input multiset *is* those integers — `+= 1` going down,
+//! `-= 1` coming back — over the classes a move can add to; whatever else
+//! the seed consumed never changes. A [`PersistentMultiset`] is built only
+//! where one leaves the kernel: at a leaf, if the visitor asks
+//! (`LeafUsed::get`; stop-at-first never does), from the one handed out
+//! last by the difference of the counters.
+//!
+//! # The memo
+//!
+//! A node whose subtree was explored to the end without the visitor
+//! stopping is a dead end, and so is every later node with the same
+//! `(remaining commits, ADT state, consumed inputs, visitor tag)` — the
+//! ordered history is not part of the key (see [`LeafOracle`] and
+//! `Visitor::Tag` for what that asks of a visitor). A node owns its state,
+//! tag and remaining set (children get fresh ones), so the key is never
+//! assembled: it is **hashed once, by reference** — the mask, `State:
+//! Hash`, the live classes' counters, `Tag: Hash` — the table is probed
+//! with that `u64`, a candidate is compared **in full** (exactness is a
+//! soundness property: a false hit is a false violation), and a node that
+//! turns out dead **moves** its parts in under the same hash, with a
+//! snapshot of the counters in a shared arena. No clone, one hash per node.
+//!
+//! The hash is a folded-multiply function (`KeyHasher`), not SipHash —
+//! SipHash was a sixth of a node — started from a seed drawn once per
+//! process from [`std::collections::hash_map::RandomState`]. Search order
+//! never consults the memo, so every output is the same under any hash
+//! function (a unit test substitutes a constant). What a hostile tenant
+//! could buy by defeating it is time, and only so much: a probe compares at
+//! most the entries of its own search's memo, which are fewer than the
+//! nodes expanded, which the budget bounds.
+//!
 //! **Leaf-order invariance.** Only leafless subtrees are removed and no
 //! move is reordered, so the sequence of leaves the visitor sees is exactly
 //! that of the unpruned tree: first witnesses, enumeration order, the point
@@ -105,11 +138,13 @@
 use crate::ops::Commit;
 use slin_adt::Adt;
 use slin_trace::PersistentMultiset;
-use std::collections::HashSet;
+use std::collections::hash_map::RandomState;
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::hash::Hash;
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::ops::ControlFlow;
+use std::sync::OnceLock;
 
 /// A set of commit indices, one bit per commit.
 ///
@@ -331,7 +366,7 @@ pub struct SearchSeed<T: Adt> {
     /// The ADT state reached by `history`.
     pub state: T::State,
     /// The multiset of inputs consumed by `history` (persistent: cloning a
-    /// seed, or folding it into a memo key, is O(1)).
+    /// seed is O(1)).
     pub used: PersistentMultiset<T::Input>,
 }
 
@@ -400,6 +435,8 @@ pub struct CheckerEngine<'s, T: Adt> {
     /// Cap on the total history length when interleaving extras (`None`:
     /// pool-bounded only).
     extra_cap: Option<usize>,
+    /// The node budget of [`CheckerEngine::run`]. A [`Search`] driven
+    /// directly takes its budget per run.
     budget: SearchBudget,
 }
 
@@ -437,14 +474,57 @@ pub(crate) trait Visitor<T: Adt> {
     fn uncommit(&mut self) {}
 
     /// Every commit is placed. `Break` stops the whole search; `Continue`
-    /// backtracks for the next leaf.
+    /// backtracks for the next leaf. `used` builds the consumed-input
+    /// multiset only if asked ([`LeafUsed::get`]).
     fn leaf(
         &mut self,
         hist: &[T::Input],
         state: T::State,
-        used: PersistentMultiset<T::Input>,
+        used: LeafUsed<'_, T>,
         tag: Self::Tag,
     ) -> ControlFlow<()>;
+}
+
+/// The consumed-input multiset at a leaf, not yet built. Inside a search
+/// `used` is one integer per class ([`ClassCount::used`]); a multiset
+/// exists only where one leaves the kernel.
+pub(crate) struct LeafUsed<'a, T: Adt> {
+    cache: &'a mut UsedCache<T>,
+    classes: &'a [(T::Input, usize)],
+    live: &'a [usize],
+    counts: &'a [ClassCount],
+}
+
+/// The multiset [`LeafUsed::get`] built last (the seed's, before the first
+/// leaf), with the live-class counters it stands for.
+struct UsedCache<T: Adt> {
+    used: PersistentMultiset<T::Input>,
+    counts: Vec<usize>,
+}
+
+impl<T: Adt> LeafUsed<'_, T> {
+    /// `seed.used ⊎ elems(hist[seed.history.len()..])`, built from the
+    /// multiset handed out last by the difference of the counters. The
+    /// leaves of one enumeration differ mostly in order, not in what they
+    /// consumed: where the counters have not moved this is an O(1) clone,
+    /// and what two leaves hold in common they share (the configurations a
+    /// shard retains are these multisets; its memory proxy counts their
+    /// trie nodes).
+    pub(crate) fn get(self) -> PersistentMultiset<T::Input> {
+        let cache = self.cache;
+        for (have, &e) in cache.counts.iter_mut().zip(self.live) {
+            let (input, want) = (&self.classes[e].0, self.counts[e].used);
+            if want > *have {
+                cache.used.add(input.clone(), want - *have);
+            }
+            for _ in want..*have {
+                let held = cache.used.remove(input);
+                debug_assert!(held, "the cache holds what its counters say");
+            }
+            *have = want;
+        }
+        cache.used.clone()
+    }
 }
 
 /// The stop-at-first visitor behind [`CheckerEngine::run`]: keeps the chain
@@ -474,7 +554,7 @@ impl<T: Adt, W> Visitor<T> for FirstSolution<'_, T::Input, W> {
         &mut self,
         hist: &[T::Input],
         _: T::State,
-        _: PersistentMultiset<T::Input>,
+        _: LeafUsed<'_, T>,
         (): (),
     ) -> ControlFlow<()> {
         let longest = self
@@ -587,70 +667,151 @@ where
             chain: Vec::new(),
             witness: None,
         };
-        let (flow, stats) = self.search(seed, (), &mut first);
+        let (flow, stats) = Search::new(self).run(&seed, (), &mut first, self.budget.max_nodes);
         (flow.map(|_| first.witness.map(|w| (first.chain, w))), stats)
-    }
-
-    /// The kernel's entry point: searches from `seed` (carrying `tag`)
-    /// under `visitor`. Returns whether the visitor stopped the search
-    /// (`Break`) or the space below the seed was exhausted (`Continue`) —
-    /// or the budget error — and the counters either way.
-    pub(crate) fn search<V: Visitor<T>>(
-        &self,
-        seed: SearchSeed<T>,
-        tag: V::Tag,
-        visitor: &mut V,
-    ) -> (Result<ControlFlow<()>, EngineError>, SearchStats) {
-        let mut counts = vec![ClassCount::default(); self.classes.len()];
-        for (e, n) in seed.used.iter() {
-            // A seed input no move can add keeps its count for the whole
-            // search: `seed_feasible` checks it once.
-            if let Ok(class) = self.classes.binary_search_by(|(c, _)| c.cmp(e)) {
-                counts[class].used = n;
-            }
-        }
-        let mut search = Search {
-            engine: self,
-            visitor,
-            memo: HashSet::new(),
-            stats: SearchStats {
-                interpretations: 1,
-                ..SearchStats::default()
-            },
-            // Consumption only grows: a class with no spare pool occurrence
-            // at the seed never offers an extra.
-            spare: (0..counts.len())
-                .filter(|&e| counts[e].used < self.classes[e].1)
-                .collect(),
-            counts,
-            floor_counts: vec![Vec::new(); self.commits.len()],
-            moves: Vec::new(),
-        };
-        if !search.seed_feasible(&seed.used) {
-            search.stats.pruned = 1;
-            return (Ok(ControlFlow::Continue(())), search.stats);
-        }
-        let mut hist = seed.history;
-        let remaining = CommitMask::full(self.commits.len());
-        let flow = search.dfs(seed.state, seed.used, tag, &mut hist, remaining);
-        search.stats.memo_entries = search.memo.len();
-        (flow, search.stats)
     }
 }
 
-/// Memoisation key: committed set, ADT state, consumed-input multiset, and
-/// the visitor's tag (see [`Visitor::Tag`]).
-///
-/// [`PersistentMultiset`] hashes through its incrementally-maintained
-/// commutative fingerprint and clones in O(1), so building this key is
-/// O(1) — the former representation re-collected and re-sorted the full
-/// multiset into a canonical `Vec` on every node.
-type MemoKey<T, G> = (
-    CommitMask,
-    <T as Adt>::State,
-    PersistentMultiset<<T as Adt>::Input>,
-    G,
-);
+/// The memo's hash function (module docs, "The memo"): a folded
+/// 64×64→128-bit multiply per machine word, started from a seed drawn once
+/// per process, lazily, from [`RandomState`]. Unit tests make
+/// [`Hasher::finish`] constant.
+pub(crate) struct KeyHasher(u64);
+
+impl KeyHasher {
+    const MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
+
+    pub(crate) fn new() -> Self {
+        static SEED: OnceLock<u64> = OnceLock::new();
+        KeyHasher(*SEED.get_or_init(|| RandomState::new().hash_one(0u8)))
+    }
+
+    fn word(&mut self, w: u64) {
+        let wide = u128::from(self.0 ^ w) * u128::from(Self::MULTIPLIER);
+        self.0 = (wide as u64) ^ ((wide >> 64) as u64);
+    }
+
+    /// The hash of `parts`, hashed in order.
+    pub(crate) fn hash_of(parts: impl Hash) -> u64 {
+        let mut h = KeyHasher::new();
+        parts.hash(&mut h);
+        h.finish()
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.word(u64::from_le_bytes(w.try_into().expect("chunks of eight")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut last = [0u8; 8];
+            last[..rest.len()].copy_from_slice(rest);
+            // The length keeps `[0]` and `[0, 0]` apart.
+            self.word(u64::from_le_bytes(last) ^ ((rest.len() as u64) << 56));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.word(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.word(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.word(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.word(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        #[cfg(test)]
+        if tests::CONSTANT_HASH.with(std::cell::Cell::get) {
+            return 0;
+        }
+        self.0
+    }
+}
+
+/// Hasher of a table keyed on a [`KeyHasher`] hash: the key is the hash.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("keyed on u64 only");
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A hash index over entries its caller stores: ids are dense, in insertion
+/// order, and chained per hash; the caller compares candidates **in full**
+/// (a hash is a filter, never a proof — a false memo hit is a false
+/// violation). The kernel's memo and the shard's configuration dedup are
+/// both one of these beside a `Vec` of entries, probed by reference.
+#[derive(Default)]
+pub(crate) struct HashIndex {
+    /// The latest id filed under each hash.
+    heads: HashMap<u64, usize, BuildHasherDefault<PassThrough>>,
+    /// Per id, the previous id under the same hash.
+    older: Vec<Option<usize>>,
+}
+
+impl HashIndex {
+    /// Whether `is_it` accepts an id filed under `hash`.
+    pub(crate) fn contains(&self, hash: u64, mut is_it: impl FnMut(usize) -> bool) -> bool {
+        let mut at = self.heads.get(&hash).copied();
+        while let Some(id) = at {
+            if is_it(id) {
+                return true;
+            }
+            at = self.older[id];
+        }
+        false
+    }
+
+    /// Files the next id under `hash`.
+    pub(crate) fn push(&mut self, hash: u64) {
+        let id = self.older.len();
+        self.older.push(self.heads.insert(hash, id));
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.older.len()
+    }
+
+    fn clear(&mut self) {
+        self.heads.clear();
+        self.older.clear();
+    }
+}
+
+/// The dead-end memo of one search: `(remaining commits, ADT state,
+/// consumed inputs, visitor tag)` of every subtree explored to the end
+/// without the visitor stopping (see [`Visitor::Tag`] for the tag). A node
+/// hashes its key once, by reference, probes with it, and — when it turns
+/// out dead — *moves* the parts it owns in under the same hash; consumed
+/// inputs are the counters of the search's live classes, snapshotted into
+/// one shared arena.
+struct Memo<T: Adt, G> {
+    index: HashIndex,
+    entries: Vec<(CommitMask, T::State, G)>,
+    /// Entry `i`'s live-class counters at `[i * live.len()..][..live.len()]`.
+    counts: Vec<usize>,
+}
 
 /// A child the feasibility prune admits, queued on [`Search::moves`].
 #[derive(Clone, Copy)]
@@ -664,8 +825,10 @@ enum Move {
 /// One class's counters during a search.
 #[derive(Clone)]
 struct ClassCount {
-    /// Occurrences consumed on the current path: `used`, restricted to the
-    /// inputs moves can add, as an integer.
+    /// Occurrences consumed on the current path. Over the classes a move
+    /// can add to this **is** the search's `used` (the seed's other inputs
+    /// never change): what the prune tests, what the memo keys on, and what
+    /// [`LeafUsed`] turns back into a multiset.
     used: usize,
     /// Scratch of one node's walk over `remaining`, reset before the node
     /// recurses: remaining commits on the class seen so far, and the least
@@ -685,29 +848,121 @@ impl Default for ClassCount {
     }
 }
 
-/// One run of the kernel.
-struct Search<'e, 's, T: Adt, V: Visitor<T>> {
+/// The kernel over one engine: [`Search::run`] is one search, and the
+/// searches of one enumeration run through one `Search` so that they share
+/// what does not depend on the seed — the floor table — and reuse every
+/// buffer (the memo's included; its *entries* are per run).
+pub(crate) struct Search<'e, 's, T: Adt, G> {
     engine: &'e CheckerEngine<'s, T>,
-    visitor: &'e mut V,
-    memo: HashSet<MemoKey<T, V::Tag>>,
+    /// `bounds[commits[p].index].count(class e's input)` at
+    /// `[p * classes.len() + e]`, looked up on first use (`usize::MAX`: not
+    /// yet); grown to cover commit `p` when it first becomes the earliest
+    /// remaining one.
+    floor_counts: Vec<usize>,
+    max_nodes: usize,
     stats: SearchStats,
     /// Per class (see [`CheckerEngine::classes`]).
     counts: Vec<ClassCount>,
     /// The classes that had a spare pool occurrence at the seed, ascending.
     spare: Vec<usize>,
-    /// `bounds[commits[p].index].count(class e's input)` at `[p][e]`,
-    /// looked up on first use (`usize::MAX`: not yet); a row is allocated
-    /// when commit `p` first becomes the earliest remaining one.
-    floor_counts: Vec<Vec<usize>>,
+    /// The classes a move of this run can add to — the commits' and
+    /// `spare` — ascending: a node's memo key costs these, not the pool's
+    /// whole alphabet.
+    live: Vec<usize>,
     /// The admitted children of every node on the current path, innermost
     /// last (a stack: a node truncates back to its own start).
     moves: Vec<Move>,
+    /// The current path's history, seed included.
+    hist: Vec<T::Input>,
+    memo: Memo<T, G>,
+    leaf_used: UsedCache<T>,
 }
 
-impl<T: Adt, V: Visitor<T>> Search<'_, '_, T, V>
+impl<'e, 's, T: Adt, G: Clone + Eq + Hash> Search<'e, 's, T, G>
 where
     T::Input: Ord,
 {
+    pub(crate) fn new(engine: &'e CheckerEngine<'s, T>) -> Self {
+        Search {
+            engine,
+            floor_counts: Vec::new(),
+            max_nodes: 0,
+            stats: SearchStats::default(),
+            counts: Vec::new(),
+            spare: Vec::new(),
+            live: Vec::new(),
+            moves: Vec::new(),
+            hist: Vec::new(),
+            memo: Memo {
+                index: HashIndex::default(),
+                entries: Vec::new(),
+                counts: Vec::new(),
+            },
+            leaf_used: UsedCache {
+                used: PersistentMultiset::new(),
+                counts: Vec::new(),
+            },
+        }
+    }
+
+    /// The kernel's entry point: searches from `seed` (carrying `tag`)
+    /// under `visitor`, expanding at most `max_nodes` nodes. Returns
+    /// whether the visitor stopped the search (`Break`) or the space below
+    /// the seed was exhausted (`Continue`) — or the budget error — and the
+    /// counters either way.
+    pub(crate) fn run<V: Visitor<T, Tag = G>>(
+        &mut self,
+        seed: &SearchSeed<T>,
+        tag: G,
+        visitor: &mut V,
+        max_nodes: usize,
+    ) -> (Result<ControlFlow<()>, EngineError>, SearchStats) {
+        let eng = self.engine;
+        self.max_nodes = max_nodes;
+        self.stats = SearchStats {
+            interpretations: 1,
+            ..SearchStats::default()
+        };
+        self.counts.clear();
+        self.counts.resize(eng.classes.len(), ClassCount::default());
+        for (e, n) in seed.used.iter() {
+            // A seed input no move can add keeps its count for the whole
+            // search: `seed_feasible` checks it once.
+            if let Ok(class) = eng.classes.binary_search_by(|(c, _)| c.cmp(e)) {
+                self.counts[class].used = n;
+            }
+        }
+        // Consumption only grows: a class with no spare pool occurrence at
+        // the seed never offers an extra.
+        self.spare.clear();
+        self.spare
+            .extend((0..self.counts.len()).filter(|&e| self.counts[e].used < eng.classes[e].1));
+        self.live.clear();
+        self.live.extend(eng.commit_classes.iter().map(|&(e, _)| e));
+        self.live.extend(&self.spare);
+        self.live.sort_unstable();
+        self.live.dedup();
+        self.moves.clear();
+        self.memo.index.clear();
+        self.memo.entries.clear();
+        self.memo.counts.clear();
+        if !self.seed_feasible(&seed.used) {
+            self.stats.pruned = 1;
+            return (Ok(ControlFlow::Continue(())), self.stats);
+        }
+        self.hist.clear();
+        self.hist.extend_from_slice(&seed.history);
+        self.leaf_used.used = seed.used.clone();
+        self.leaf_used.counts.clear();
+        self.leaf_used
+            .counts
+            .extend(self.live.iter().map(|&e| self.counts[e].used));
+        let remaining = CommitMask::full(eng.commits.len());
+        let flow = self.dfs(visitor, seed.state.clone(), tag, remaining);
+        self.stats.memo_entries = self.memo.index.len();
+        (flow, self.stats)
+    }
+
     /// The feasibility conditions at the seed, which every admitted child
     /// then preserves (module docs, "Feasibility prune"): the consumed
     /// inputs fit the tightest remaining bound, and no class is already too
@@ -734,21 +989,23 @@ where
     /// monotonicity).
     fn fits_floor(&mut self, floor: usize, e: usize) -> bool {
         let eng = self.engine;
-        let row = &mut self.floor_counts[floor];
-        if row.is_empty() {
-            row.resize(eng.classes.len(), usize::MAX);
+        let at = floor * eng.classes.len() + e;
+        if self.floor_counts.len() <= at {
+            self.floor_counts
+                .resize((floor + 1) * eng.classes.len(), usize::MAX);
         }
-        if row[e] == usize::MAX {
-            row[e] = eng.bounds[eng.commits[floor].index].count(&eng.classes[e].0);
+        if self.floor_counts[at] == usize::MAX {
+            self.floor_counts[at] = eng.bounds[eng.commits[floor].index].count(&eng.classes[e].0);
         }
-        self.counts[e].used < row[e]
+        self.counts[e].used < self.floor_counts[at]
     }
 
     /// Queues the children of the current node that pass the feasibility
     /// prune: commit moves in trace order, then extras in input order. One
     /// walk over the set bits of `remaining`.
-    fn admit_moves(&mut self, remaining: &CommitMask, extras: bool) {
+    fn admit_moves(&mut self, remaining: &CommitMask) {
         let eng = self.engine;
+        let extras = eng.extra_cap.is_none_or(|cap| self.hist.len() < cap);
         let floor = remaining
             .iter()
             .next()
@@ -790,83 +1047,183 @@ where
         }
     }
 
-    fn dfs(
+    /// The current path's consumed inputs, as the memo keys them.
+    fn live_counts(&self) -> impl Iterator<Item = usize> + '_ {
+        self.live.iter().map(|&e| self.counts[e].used)
+    }
+
+    /// Counts a node against the budget and probes the memo with its key,
+    /// by reference: `None` on a known dead end, else the key's hash for
+    /// [`Search::bury`]. A probe compares at most the memo's entries (≤ the
+    /// nodes expanded, ≤ the budget), however the hashes fall.
+    fn enter(
         &mut self,
-        state: T::State,
-        used: PersistentMultiset<T::Input>,
-        tag: V::Tag,
-        hist: &mut Vec<T::Input>,
-        remaining: CommitMask,
-    ) -> Result<ControlFlow<()>, EngineError> {
-        let eng = self.engine;
-        self.stats.max_history_len = self.stats.max_history_len.max(hist.len());
-        if remaining.is_empty() {
-            self.stats.leaf_checks += 1;
-            return Ok(self.visitor.leaf(hist, state, used, tag));
-        }
+        remaining: &CommitMask,
+        state: &T::State,
+        tag: &G,
+    ) -> Result<Option<u64>, EngineError> {
         self.stats.nodes += 1;
-        if self.stats.nodes > eng.budget.max_nodes {
+        if self.stats.nodes > self.max_nodes {
             return Err(EngineError::BudgetExhausted {
                 nodes: self.stats.nodes,
             });
         }
-        let key = (remaining.clone(), state.clone(), used.clone(), tag.clone());
-        if self.memo.contains(&key) {
+        let mut hasher = KeyHasher::new();
+        (remaining, state, tag).hash(&mut hasher);
+        self.live_counts().for_each(|n| hasher.write_usize(n));
+        let hash = hasher.finish();
+        let memo = &self.memo;
+        let stride = self.live.len();
+        let is_it = |i: usize| {
+            let (remaining_i, state_i, tag_i) = &memo.entries[i];
+            remaining_i == remaining
+                && state_i == state
+                && tag_i == tag
+                && self
+                    .live_counts()
+                    .eq(memo.counts[i * stride..][..stride].iter().copied())
+        };
+        if memo.index.contains(hash, is_it) {
             self.stats.memo_hits += 1;
-            return Ok(ControlFlow::Continue(()));
+            return Ok(None);
         }
+        Ok(Some(hash))
+    }
 
+    /// A memo that outgrows its first allocation grows to this many entries
+    /// at once. A window's enumeration on a hostile stream is tens of dead
+    /// ends: doubling up to that, in each of the memo's four tables, for
+    /// every enumeration, measured 7 % of such a stream's wall. A calm
+    /// stream's searches bury a handful of nodes and never leap: sizing
+    /// every memo for the hostile case from its first entry changed the
+    /// heap a calm fleet's next daemon is built from (`setup_s` +5 %).
+    const MEMO_LEAP: usize = 64;
+
+    /// Records a node explored to the end without the visitor stopping.
+    /// The node owns its key: the parts move in, under the hash
+    /// [`Search::enter`] probed with.
+    fn bury(&mut self, hash: u64, remaining: CommitMask, state: T::State, tag: G) {
+        let held = self.memo.entries.len();
+        if held == self.memo.entries.capacity() && (1..Self::MEMO_LEAP).contains(&held) {
+            let more = Self::MEMO_LEAP - held;
+            self.memo.entries.reserve(more);
+            self.memo.counts.reserve(more * self.live.len());
+            self.memo.index.heads.reserve(more);
+            self.memo.index.older.reserve(more);
+        }
+        self.memo.index.push(hash);
+        self.memo
+            .counts
+            .extend(self.live.iter().map(|&e| self.counts[e].used));
+        self.memo.entries.push((remaining, state, tag));
+    }
+
+    /// Takes the move queued at `at` from the node `(state, tag,
+    /// remaining)`: the child's own three, or `None` when the ADT does not
+    /// explain the committed output.
+    fn descend<V: Visitor<T, Tag = G>>(
+        &mut self,
+        visitor: &mut V,
+        at: usize,
+        state: &T::State,
+        tag: &G,
+        remaining: &CommitMask,
+    ) -> Option<(T::State, G, CommitMask)> {
+        let eng = self.engine;
+        match self.moves[at] {
+            // Move 1: commit one of the remaining responses next on the
+            // chain. The prune already vouches for its validity bound.
+            Move::Commit(k) => {
+                let c = &eng.commits[k];
+                let (state2, out) = eng.adt.apply(state, &c.input);
+                if out != c.output {
+                    return None;
+                }
+                self.counts[eng.commit_classes[k].0].used += 1;
+                self.hist.push(c.input.clone());
+                visitor.commit(c.index, &self.hist);
+                Some((state2, tag.clone(), remaining.without(k)))
+            }
+            // Move 2: interleave an extra input from the pool.
+            Move::Extra(e) => {
+                let input = &eng.classes[e].0;
+                let (state2, out) = eng.adt.apply(state, input);
+                let tag2 = visitor.extra(tag, input, out);
+                self.counts[e].used += 1;
+                self.hist.push(input.clone());
+                Some((state2, tag2, remaining.clone()))
+            }
+        }
+    }
+
+    /// Backtracks over the move queued at `at`, undoing
+    /// [`Search::descend`].
+    fn ascend<V: Visitor<T, Tag = G>>(&mut self, visitor: &mut V, at: usize) {
+        let e = match self.moves[at] {
+            Move::Commit(k) => {
+                visitor.uncommit();
+                self.engine.commit_classes[k].0
+            }
+            Move::Extra(e) => e,
+        };
+        self.hist.pop();
+        self.counts[e].used -= 1;
+    }
+
+    /// Every commit is placed: hands the visitor the leaf.
+    fn leaf<V: Visitor<T, Tag = G>>(
+        &mut self,
+        visitor: &mut V,
+        state: T::State,
+        tag: G,
+    ) -> ControlFlow<()> {
+        self.stats.leaf_checks += 1;
+        let used = LeafUsed {
+            cache: &mut self.leaf_used,
+            classes: &self.engine.classes,
+            live: &self.live,
+            counts: &self.counts,
+        };
+        visitor.leaf(&self.hist, state, used, tag)
+    }
+
+    /// The one recursion. Everything that does not recurse lives in the
+    /// helpers above, so a level of depth costs a small frame.
+    fn dfs<V: Visitor<T, Tag = G>>(
+        &mut self,
+        visitor: &mut V,
+        state: T::State,
+        tag: G,
+        remaining: CommitMask,
+    ) -> Result<ControlFlow<()>, EngineError> {
+        self.stats.max_history_len = self.stats.max_history_len.max(self.hist.len());
+        if remaining.is_empty() {
+            return Ok(self.leaf(visitor, state, tag));
+        }
+        let Some(hash) = self.enter(&remaining, &state, &tag)? else {
+            return Ok(ControlFlow::Continue(()));
+        };
         // The moves are queued up front — commits, then extras in sorted
         // input order — so the search order, and with it every witness and
         // statistic, is a pure function of the inputs, not of hash-map
         // iteration order (the parallel/sequential parity of the
         // speculative checker depends on this).
         let start = self.moves.len();
-        self.admit_moves(&remaining, eng.extra_cap.is_none_or(|cap| hist.len() < cap));
+        self.admit_moves(&remaining);
         for at in start..self.moves.len() {
-            match self.moves[at] {
-                // Move 1: commit one of the remaining responses next on the
-                // chain. The prune already vouches for its validity bound.
-                Move::Commit(k) => {
-                    let c = &eng.commits[k];
-                    let (state2, out) = eng.adt.apply(&state, &c.input);
-                    if out != c.output {
-                        continue;
-                    }
-                    let mut used2 = used.clone();
-                    used2.insert(c.input.clone());
-                    self.counts[eng.commit_classes[k].0].used += 1;
-                    hist.push(c.input.clone());
-                    self.visitor.commit(c.index, hist);
-                    let below = self.dfs(state2, used2, tag.clone(), hist, remaining.without(k))?;
-                    if below.is_break() {
-                        return Ok(below);
-                    }
-                    self.visitor.uncommit();
-                    hist.pop();
-                    self.counts[eng.commit_classes[k].0].used -= 1;
-                }
-                // Move 2: interleave an extra input from the pool.
-                Move::Extra(e) => {
-                    let input = &eng.classes[e].0;
-                    let mut used2 = used.clone();
-                    used2.insert(input.clone());
-                    let (state2, out) = eng.adt.apply(&state, input);
-                    let tag2 = self.visitor.extra(&tag, input, out);
-                    self.counts[e].used += 1;
-                    hist.push(input.clone());
-                    let below = self.dfs(state2, used2, tag2, hist, remaining.clone())?;
-                    if below.is_break() {
-                        return Ok(below);
-                    }
-                    hist.pop();
-                    self.counts[e].used -= 1;
-                }
+            let Some((state2, tag2, remaining2)) =
+                self.descend(visitor, at, &state, &tag, &remaining)
+            else {
+                continue;
+            };
+            let below = self.dfs(visitor, state2, tag2, remaining2)?;
+            if below.is_break() {
+                return Ok(below);
             }
+            self.ascend(visitor, at);
         }
         self.moves.truncate(start);
-
-        self.memo.insert(key);
+        self.bury(hash, remaining, state, tag);
         Ok(ControlFlow::Continue(()))
     }
 }
@@ -874,10 +1231,35 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gen::{
+        phase_trace_bounds, random_hostile_kv_trace, random_multikey_kv_trace,
+        random_phase_kv_trace, HostileConfig, MultiKeyConfig, PhaseConfig,
+    };
+    use crate::initrel::ExactInit;
+    use crate::lin::LinChecker;
     use crate::ops;
+    use crate::session::{Checker, Strategy};
+    use crate::slin::SlinChecker;
     use crate::ObjAction;
     use slin_adt::{ConsInput, ConsOutput, Consensus, KvInput, KvOutput, KvStore};
     use slin_trace::{Action, ClientId, PhaseId, Trace};
+    use std::cell::Cell;
+    use std::collections::HashSet;
+
+    thread_local! {
+        /// Makes [`KeyHasher::finish`] return 0 on this thread: every key
+        /// of every table lands on one chain.
+        pub(super) static CONSTANT_HASH: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// `run`, once under the seeded hash and once under the constant one.
+    fn under_both_hashes<R>(run: impl Fn() -> R) -> (R, R) {
+        let seeded = run();
+        CONSTANT_HASH.with(|c| c.set(true));
+        let constant = run();
+        CONSTANT_HASH.with(|c| c.set(false));
+        (seeded, constant)
+    }
 
     type CA = ObjAction<Consensus, ()>;
 
@@ -1095,6 +1477,25 @@ mod tests {
     }
 
     #[test]
+    fn two_thousand_commits_deep_fits_a_2_mb_debug_stack() {
+        // One level of recursion per placed commit and no explicit stack:
+        // what bounds the depth is the size of `dfs`' frame, which is why
+        // everything that does not recurse lives in helpers. A single-key
+        // clean trace goes straight down. (Measured in a debug build: 3 179
+        // commits fit 2 MB — the default of a spawned thread, and of the
+        // test harness'.)
+        let t = hotkey_trace(6_600, 5);
+        let commits = ops::commits::<KvStore, ()>(&t).len();
+        assert!(commits > 2_000, "{commits} commits");
+        let deep = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || LinChecker::owned(KvStore).check(&t))
+            .expect("spawns");
+        let witness = deep.join().expect("no overflow").expect("linearizable");
+        assert_eq!(witness.assignments().len(), commits);
+    }
+
+    #[test]
     fn seeded_search_extends_the_seed_history() {
         // Seed with [p(2)]; the only commit must extend it.
         let t: Trace<CA> = Trace::from_actions(vec![
@@ -1121,6 +1522,298 @@ mod tests {
         assert_eq!(
             chain[0].1,
             vec![ConsInput::propose(2), ConsInput::propose(1)]
+        );
+    }
+
+    fn hotkey_trace(steps: usize, seed: u64) -> Trace<KA> {
+        random_multikey_kv_trace(&MultiKeyConfig {
+            clients: 3,
+            steps,
+            keys: 1,
+            skew: 0.0,
+            contention: 0.0,
+            error_prob: 0.0,
+            seed,
+        })
+    }
+
+    fn straggler_trace(steps: usize, seed: u64) -> Trace<KA> {
+        random_hostile_kv_trace(&HostileConfig {
+            clients: 3,
+            steps,
+            keys: 1,
+            skew: 0.7,
+            never_frac: 0.05,
+            stuck_applies: true,
+            delay_zipf: 1.3,
+            max_delay: 12,
+            error_prob: 0.0,
+            seed,
+        })
+    }
+
+    /// A phase trace's in-phase events as a plain single-phase trace: the
+    /// multi-key concurrent schedule, without the switch actions.
+    fn phase_events(seed: u64, error_prob: f64) -> Trace<KA> {
+        let t = random_phase_kv_trace(&PhaseConfig {
+            clients: 3,
+            steps: 20,
+            keys: 2,
+            error_prob,
+            seed,
+            ..Default::default()
+        });
+        Trace::from_actions(
+            t.iter()
+                .filter_map(|a| match a {
+                    Action::Invoke { client, input, .. } => {
+                        Some(Action::invoke(*client, PhaseId::FIRST, *input))
+                    }
+                    Action::Respond {
+                        client,
+                        input,
+                        output,
+                        ..
+                    } => Some(Action::respond(*client, PhaseId::FIRST, *input, *output)),
+                    Action::Switch { .. } => None,
+                })
+                .collect(),
+        )
+    }
+
+    type Pairs = PersistentMultiset<(KvInput, KvOutput)>;
+    type Leaf = (
+        Vec<KvInput>,
+        <KvStore as Adt>::State,
+        PersistentMultiset<KvInput>,
+        Pairs,
+    );
+
+    /// Enumerates every leaf; like the shard's collector in epoch-cut mode,
+    /// its tag is the multiset of interleaved extras with their outputs.
+    #[derive(Default)]
+    struct AllLeaves(Vec<Leaf>);
+
+    impl Visitor<KvStore> for AllLeaves {
+        type Tag = Pairs;
+
+        fn extra(&mut self, tag: &Pairs, input: &KvInput, output: KvOutput) -> Pairs {
+            let mut tag = tag.clone();
+            tag.insert((*input, output));
+            tag
+        }
+
+        fn leaf(
+            &mut self,
+            hist: &[KvInput],
+            state: <KvStore as Adt>::State,
+            used: LeafUsed<'_, KvStore>,
+            tag: Pairs,
+        ) -> ControlFlow<()> {
+            self.0.push((hist.to_vec(), state, used.get(), tag));
+            ControlFlow::Continue(())
+        }
+    }
+
+    /// The plain-linearizability problem of `t`, searched three ways:
+    /// first solution, every leaf vetoed, every leaf enumerated. Returns
+    /// everything the searches reported, rendered, and — to show a corpus
+    /// is not vacuous — the memo entries, memo hits and leaves among it.
+    fn three_searches(t: &Trace<KA>) -> (String, [usize; 3]) {
+        let commits = ops::commits::<KvStore, ()>(t);
+        let bounds = ops::input_multisets::<KvStore, ()>(t);
+        let pool = bounds.last().cloned().unwrap();
+        let engine = CheckerEngine::new(&KvStore, &commits, &bounds, pool, SearchBudget::default())
+            .with_extra_cap(t.len());
+        let seed = || SearchSeed::initial(&KvStore);
+        let first = engine.first_solution(seed(), &mut |_, _| Some(()));
+        let (vetoed, veto_stats) = engine.first_solution(seed(), &mut |_, _| None::<()>);
+        assert_eq!(vetoed, Ok(None));
+        let mut all = AllLeaves::default();
+        let (flow, stats) = Search::new(&engine).run(&seed(), Pairs::new(), &mut all, 20_000);
+        let traffic = [
+            veto_stats.memo_entries + stats.memo_entries,
+            veto_stats.memo_hits + stats.memo_hits,
+            all.0.len(),
+        ];
+        let reported = format!("{:?}", (first, veto_stats, flow, stats, all.0));
+        (reported, traffic)
+    }
+
+    #[test]
+    fn the_hash_does_not_matter() {
+        // A probe that trusted the `u64` would, under the constant hash,
+        // take the first dead end for every later node and the first
+        // configuration for every later one.
+        let mut corpus: Vec<Trace<KA>> = Vec::new();
+        for seed in 0..6 {
+            corpus.push(hotkey_trace(28, seed));
+            corpus.push(straggler_trace(36, seed));
+            corpus.push(phase_events(seed, [0.0, 0.4][seed as usize % 2]));
+        }
+        let mut traffic = [0; 3];
+        for (k, t) in corpus.iter().enumerate() {
+            let (seeded, constant) = under_both_hashes(|| three_searches(t));
+            assert_eq!(seeded, constant, "trace {k}");
+            for (sum, n) in traffic.iter_mut().zip(seeded.1) {
+                *sum += n;
+            }
+        }
+        let [entries, hits, leaves] = traffic;
+        assert!(
+            entries > 100 && hits > 100 && leaves > 40,
+            "a vacuous corpus: {entries} entries, {hits} hits, {leaves} leaves"
+        );
+
+        // The same through the two frontends: the streaming shard (its
+        // collector and its configuration dedup) and the speculative
+        // checker.
+        for seed in 0..4 {
+            for t in [hotkey_trace(120, seed), straggler_trace(160, seed)] {
+                let stream = || {
+                    let mut session = Checker::builder(LinChecker::owned(KvStore))
+                        .strategy(Strategy::Streaming { window: Some(16) })
+                        .build();
+                    let outcomes: Vec<_> = t.iter().map(|a| session.ingest(a.clone())).collect();
+                    (outcomes, session.report().expect("born streaming"))
+                };
+                let (seeded, constant) = under_both_hashes(stream);
+                assert_eq!(seeded, constant, "stream seed {seed}");
+                assert!(seeded.1.shard.search_nodes > 0);
+            }
+            let (m, n) = phase_trace_bounds();
+            let t = random_phase_kv_trace(&PhaseConfig {
+                clients: 4,
+                steps: 30,
+                keys: [1, 2, 4][seed as usize % 3],
+                error_prob: 0.4,
+                seed,
+                ..Default::default()
+            });
+            let check = || {
+                Checker::builder(SlinChecker::owned(KvStore, ExactInit::new(), m, n))
+                    .strategy(Strategy::Monolithic)
+                    .threads(1)
+                    .build()
+                    .check(&t)
+            };
+            let (seeded, constant) = under_both_hashes(check);
+            assert_eq!(seeded, constant, "phase seed {seed}");
+        }
+    }
+
+    /// Asserts at every leaf that the multiset [`LeafUsed::get`] builds is
+    /// the seed's plus what the history consumed since.
+    struct UsedIsElems<'a> {
+        seed: &'a SearchSeed<KvStore>,
+        last: Option<PersistentMultiset<KvInput>>,
+        leaves: usize,
+        /// Leaves whose multiset was the previous leaf's, structure and all.
+        handed_out_again: usize,
+    }
+
+    impl Visitor<KvStore> for UsedIsElems<'_> {
+        type Tag = ();
+
+        fn extra(&mut self, (): &(), _: &KvInput, _: KvOutput) {}
+
+        fn leaf(
+            &mut self,
+            hist: &[KvInput],
+            _: <KvStore as Adt>::State,
+            used: LeafUsed<'_, KvStore>,
+            (): (),
+        ) -> ControlFlow<()> {
+            let used = used.get();
+            let since_seed = PersistentMultiset::elems(&hist[self.seed.history.len()..]);
+            assert_eq!(used, self.seed.used.sum(&since_seed), "at {hist:?}");
+            if let Some(last) = self.last.replace(used.clone()) {
+                if last == used {
+                    // Equal counters: the same trie, not an equal one.
+                    let (mut nodes, mut both) = (HashSet::new(), HashSet::new());
+                    last.mark_nodes(&mut nodes);
+                    last.mark_nodes(&mut both);
+                    used.mark_nodes(&mut both);
+                    assert_eq!(nodes, both);
+                    self.handed_out_again += 1;
+                }
+            }
+            self.leaves += 1;
+            ControlFlow::Continue(())
+        }
+    }
+
+    #[test]
+    fn used_at_a_leaf_is_elems_of_the_history() {
+        // Leaves per kind of seed, and leaves served from the cache.
+        let (mut leaves, mut handed_out_again) = ([0; 3], 0);
+        for t in (0..8).flat_map(|s| [hotkey_trace(40, s), straggler_trace(48, s)]) {
+            // Cut at the last quiescent point of the first half: a
+            // linearization of the prefix seeds searches of the suffix.
+            let mut pending = 0i32;
+            let mut cut = 0;
+            for (i, a) in t.iter().enumerate().take(t.len() / 2) {
+                pending += if a.is_respond() { -1 } else { 1 };
+                if pending == 0 {
+                    cut = i + 1;
+                }
+            }
+            let actions: Vec<KA> = t.iter().cloned().collect();
+            let prefix: Trace<KA> = Trace::from_actions(actions[..cut].to_vec());
+            let suffix: Trace<KA> = Trace::from_actions(actions[cut..].to_vec());
+            let prefix_history = LinChecker::owned(KvStore)
+                .check(&prefix)
+                .expect("linearizable by construction")
+                .assignments()
+                .last()
+                .map_or(Vec::new(), |(_, h)| h.clone());
+            // What a shard would hold after cutting at `cut` with a
+            // straggler still pending: the prefix consumed, its history
+            // dropped, and a base with one occurrence nobody consumed yet.
+            let straggler = KvInput::Put(1, 9);
+            let consumed = PersistentMultiset::elems(&prefix_history);
+            let mut base = consumed.clone();
+            base.insert(straggler);
+            let after_cut = SearchSeed {
+                history: Vec::new(),
+                state: KvStore.run(&prefix_history),
+                used: consumed.clone(),
+            };
+            let from_history = SearchSeed::from_history(&KvStore, prefix_history.clone());
+            for (kind, (seed, trace, base)) in [
+                (SearchSeed::initial(&KvStore), &t, PersistentMultiset::new()),
+                (from_history, &suffix, consumed),
+                (after_cut, &suffix, base),
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                let commits = ops::commits::<KvStore, ()>(trace);
+                let bounds: Vec<_> = ops::input_multisets::<KvStore, ()>(trace)
+                    .iter()
+                    .map(|m| base.sum(m))
+                    .collect();
+                let pool = bounds.last().cloned().unwrap();
+                let engine =
+                    CheckerEngine::new(&KvStore, &commits, &bounds, pool, SearchBudget::default())
+                        .with_extra_cap(seed.history.len() + trace.len());
+                let mut visitor = UsedIsElems {
+                    seed: &seed,
+                    last: None,
+                    leaves: 0,
+                    handed_out_again: 0,
+                };
+                let (flow, _) = Search::new(&engine).run(&seed, (), &mut visitor, 50_000);
+                assert_eq!(flow, Ok(ControlFlow::Continue(())));
+                // (The checker's linearization of the prefix need not be
+                // the generator's: some suffixes have no leaf.)
+                leaves[kind] += visitor.leaves;
+                handed_out_again += visitor.handed_out_again;
+            }
+        }
+        assert!(
+            leaves.iter().all(|&n| n > 20) && handed_out_again > 10,
+            "a vacuous corpus: {leaves:?} leaves, {handed_out_again} from the cache"
         );
     }
 }

@@ -135,12 +135,10 @@ where
     fn route(&mut self, key: Option<K>, action: ObjAction<T, V>, index: usize) -> (usize, bool) {
         let key = if self.fallback.is_some() { None } else { key };
         let window = self.window;
-        let adt = Arc::clone(&self.adt);
-        let shard_cfg = self.shard_cfg.clone();
         let shard = self
             .shards
             .entry(key)
-            .or_insert_with(|| ShardState::new(adt, shard_cfg));
+            .or_insert_with(|| ShardState::new(Arc::clone(&self.adt), self.shard_cfg.clone()));
         let out = shard.ingest(action, index);
         if let Some(window) = window {
             if let Some(retired) = shard.maybe_retire(window) {

@@ -38,10 +38,29 @@
 //! 5–9 search nodes on zipf-delay streams and 14–38 on stragglers across
 //! `w = 8..24` (44–313 and 108–824 with the bound-only prune); a cut whose
 //! complete summary is 1–10 configurations costs tens of nodes, not
-//! thousands. GC-cut enumeration and fallback re-search are still the two
-//! largest terms of a hostile stream's wall time (about half and a third
-//! on the `stream-hotkey` benchmark workload), of a total ~70x smaller
-//! than under the bound-only prune.
+//! thousands.
+//!
+//! A node, in turn, costs integers, not allocations: inside a search the
+//! consumed inputs are per-class counters and the memo is probed by
+//! reference (see [`crate::engine`], "The memo"); one class table and one
+//! set of buffers serve every seed of an enumeration; and the frontier's
+//! direct-commit pass tests one count, building `used` and the history only
+//! for a configuration whose output matched. On the `stream-hotkey`
+//! benchmark workload an event's whole wall divided by its search nodes is
+//! ≈360 ns (≈810 when every node path-copied a multiset and cloned its
+//! memo key), on `stream-stragglers` ≈580 (≈1 090). Section timers on a
+//! scratch copy (timer cost subtracted; indicative) put three quarters of a
+//! hot-key event inside the kernel — queueing the admitted moves 37 %, the
+//! ADT step and the child's state 25 %, leaves (`used` as a multiset, the
+//! dedup probe, a survivor's history) 15 %, hashing and probing the memo
+//! 12 %, filling it 11 % — and the rest around it: the class table, built
+//! once per enumeration, 8 %; per-search set-up 8 %; the direct-commit pass
+//! 10 %. What is left is the number of nodes: GC-cut enumeration and
+//! fallback re-search are still the two largest terms of a hostile
+//! stream's wall time (about half and a third on `stream-hotkey`, more
+//! than half and an eighth on `stream-stragglers`), and a cut still starts
+//! over from the seeds although the frontier already holds terminal
+//! configurations of the same window.
 //!
 //! Tail extension is *sound* (a surviving configuration is a witness) but
 //! deliberately not complete: the first monolithic witness of the longer
@@ -110,13 +129,15 @@
 
 use super::GcPolicy;
 use crate::engine::{
-    Chain, CheckerEngine, EngineError, SearchBudget, SearchSeed, SearchStats, Visitor,
+    Chain, CheckerEngine, EngineError, HashIndex, KeyHasher, LeafUsed, Search, SearchBudget,
+    SearchSeed, SearchStats, Visitor,
 };
 use crate::ops::Commit;
 use crate::ObjAction;
 use slin_adt::Adt;
 use slin_obs::{CutOutcome, GcCutEvent, Obs, ShardIngestEvent};
 use slin_trace::{Action, PersistentMultiset, Trace};
+use std::borrow::Cow;
 use std::collections::{HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::ops::ControlFlow;
@@ -126,16 +147,6 @@ use std::sync::Arc;
 /// a configuration interleaved as extras before an epoch cut, available to
 /// absorb matching post-cut responses.
 type SymSet<T> = PersistentMultiset<(<T as Adt>::Input, <T as Adt>::Output)>;
-
-/// Deduplication set over the frontier's memo key: reached ADT state,
-/// consumed-input multiset, remaining symbolic completions. Persistent
-/// multisets hash through their cached commutative fingerprint, so one key
-/// is O(1) to build.
-type MemoKeySet<T> = HashSet<(
-    <T as Adt>::State,
-    PersistentMultiset<<T as Adt>::Input>,
-    SymSet<T>,
-)>;
 
 /// The raw events (global index, action) of one GC-retired window, kept
 /// for forensic witness reconstruction.
@@ -209,18 +220,6 @@ impl<T: Adt> Clone for FrontierCfg<T> {
 }
 
 impl<T: Adt> FrontierCfg<T> {
-    /// The deduplication key: two configurations agreeing on it are
-    /// interchangeable for every future event. O(1) — three
-    /// structure-sharing clones (the former representation re-collected
-    /// and re-sorted the full `used` multiset per lookup).
-    fn memo_key(&self) -> (T::State, PersistentMultiset<T::Input>, SymSet<T>) {
-        (
-            self.seed.state.clone(),
-            self.seed.used.clone(),
-            self.sym.clone(),
-        )
-    }
-
     /// Deterministic order rank for configurations sharing a history
     /// (possible since absorption leaves histories untouched): the
     /// symbolic-completion multiset's commutative fingerprint.
@@ -231,17 +230,60 @@ impl<T: Adt> FrontierCfg<T> {
     }
 }
 
+/// The distinct configurations gathered so far, in arrival order,
+/// deduplicated on the frontier's memo key — reached ADT state,
+/// consumed-input multiset, remaining symbolic completions: two
+/// configurations agreeing on it are interchangeable for every future
+/// event. Probed with the parts by reference (persistent multisets hash
+/// through their cached commutative fingerprint); nothing is cloned for a
+/// duplicate.
+struct Distinct<T: Adt> {
+    configs: Vec<FrontierCfg<T>>,
+    index: HashIndex,
+}
+
+impl<T: Adt> Distinct<T> {
+    fn new() -> Self {
+        Distinct {
+            configs: Vec::new(),
+            index: HashIndex::default(),
+        }
+    }
+
+    /// The key's hash, and whether a configuration with that key is held.
+    fn probe(
+        &self,
+        state: &T::State,
+        used: &PersistentMultiset<T::Input>,
+        sym: &SymSet<T>,
+    ) -> (u64, bool) {
+        let hash = KeyHasher::hash_of((state, used, sym));
+        let is_it = |i: usize| {
+            let held = &self.configs[i];
+            held.seed.state == *state && held.seed.used == *used && held.sym == *sym
+        };
+        (hash, self.index.contains(hash, is_it))
+    }
+
+    /// Adds `cfg`, whose key [`Distinct::probe`] hashed to `hash` and did
+    /// not find.
+    fn push(&mut self, hash: u64, cfg: FrontierCfg<T>) {
+        self.index.push(hash);
+        self.configs.push(cfg);
+    }
+}
+
 /// Greedy absorption of window commits into a seed's symbolic
 /// completions: the earliest commit matching each completion is dropped
 /// (its commit entry is the pre-cut extra). Returns the remaining commit
-/// list, the unconsumed completions, and the *window* indices of the
-/// absorbed commits.
-fn absorb_commits<T: Adt>(
-    commits: &[Commit<T>],
+/// list (the window's own when there is nothing to absorb into), the
+/// unconsumed completions, and the *window* indices of the absorbed commits.
+fn absorb_commits<'c, T: Adt>(
+    commits: &'c [Commit<T>],
     sym: &SymSet<T>,
-) -> (Vec<Commit<T>>, SymSet<T>, Vec<usize>) {
+) -> (Cow<'c, [Commit<T>]>, SymSet<T>, Vec<usize>) {
     if sym.is_empty() {
-        return (commits.to_vec(), sym.clone(), Vec::new());
+        return (Cow::Borrowed(commits), sym.clone(), Vec::new());
     }
     let mut sym = sym.clone();
     let mut kept = Vec::with_capacity(commits.len());
@@ -255,7 +297,15 @@ fn absorb_commits<T: Adt>(
             kept.push(c.clone());
         }
     }
-    (kept, sym, absorbed)
+    (Cow::Owned(kept), sym, absorbed)
+}
+
+/// One search of an enumeration: the commits to place (window indices) and
+/// the configuration to start from.
+struct Problem<'a, T: Adt> {
+    commits: Cow<'a, [Commit<T>]>,
+    seed: &'a SearchSeed<T>,
+    sym: SymSet<T>,
 }
 
 /// Deterministic frontier order: lexicographic by history, then by the
@@ -527,11 +577,11 @@ where
         self.counters.extension_searches += 1;
         let commit = self.commits.last().expect("just pushed").clone();
         debug_assert_eq!(commit.index, window_index);
-        let bound = self.input_ms[window_index].clone();
+        let bound = &self.input_ms[window_index];
+        let bound_count = bound.count(&commit.input);
         let pair = (commit.input.clone(), commit.output.clone());
 
-        let mut next: Vec<FrontierCfg<T>> = Vec::new();
-        let mut seen: MemoKeySet<T> = HashSet::new();
+        let mut next: Distinct<T> = Distinct::new();
         let mut exhausted = false;
         // Pass 1 — the cheap cases, O(frontier): a configuration holding a
         // matching symbolic completion *absorbs* the response (the pre-cut
@@ -544,52 +594,68 @@ where
                 absorbed_any = true;
                 let mut sym2 = cfg.sym.clone();
                 sym2.remove(&pair);
-                let done = FrontierCfg {
-                    seed: cfg.seed.clone(),
-                    sym: sym2,
-                };
-                if seen.insert(done.memo_key()) {
-                    next.push(done);
+                let (hash, held) = next.probe(&cfg.seed.state, &cfg.seed.used, &sym2);
+                if !held {
+                    let seed = cfg.seed.clone();
+                    next.push(hash, FrontierCfg { seed, sym: sym2 });
                 }
-                if next.len() >= self.cfg.gc.frontier_cap {
+                if next.configs.len() >= self.cfg.gc.frontier_cap {
                     break;
                 }
             }
-            let mut used = cfg.seed.used.clone();
-            used.insert(commit.input.clone());
-            if used.is_subset_of(&bound) {
+            // A frontier configuration's consumed inputs are inside every
+            // later bound (bounds only grow along the stream), so one more
+            // occurrence of the commit's input fits iff that input does.
+            let fits = cfg.seed.used.count(&commit.input) < bound_count;
+            debug_assert_eq!(
+                fits,
+                {
+                    let mut with_commit = cfg.seed.used.clone();
+                    with_commit.insert(commit.input.clone());
+                    with_commit.is_subset_of(bound)
+                },
+                "a frontier configuration's consumed inputs left the bounds"
+            );
+            if fits {
                 let (state, output) = self.adt.apply(&cfg.seed.state, &commit.input);
                 if output == commit.output {
-                    let mut history = cfg.seed.history.clone();
-                    history.push(commit.input.clone());
-                    let done = FrontierCfg {
-                        seed: SearchSeed {
+                    let mut used = cfg.seed.used.clone();
+                    used.insert(commit.input.clone());
+                    let (hash, held) = next.probe(&state, &used, &cfg.sym);
+                    if !held {
+                        let mut history = cfg.seed.history.clone();
+                        history.push(commit.input.clone());
+                        let seed = SearchSeed {
                             history,
                             state,
                             used,
-                        },
-                        sym: cfg.sym.clone(),
-                    };
-                    if seen.insert(done.memo_key()) {
-                        next.push(done);
+                        };
+                        let sym = cfg.sym.clone();
+                        next.push(hash, FrontierCfg { seed, sym });
                     }
                 }
             }
-            if next.len() >= self.cfg.gc.frontier_cap {
+            if next.configs.len() >= self.cfg.gc.frontier_cap {
                 break;
             }
         }
+        let mut next = next.configs;
         // Pass 2 — only when neither cheap case survives: interleave
         // extras from the pool before the commit. This is the enumeration
         // over the one-commit problem, seeded from each configuration, all
         // of them sharing the bounded extension budget.
         if next.is_empty() {
-            let problems = self
+            let problems: Vec<Problem<'_, T>> = self
                 .frontier
                 .iter()
-                .map(|cfg| (vec![commit.clone()], cfg.clone()));
+                .map(|cfg| Problem {
+                    commits: Cow::Borrowed(std::slice::from_ref(&commit)),
+                    seed: &cfg.seed,
+                    sym: cfg.sym.clone(),
+                })
+                .collect();
             let pass = self.enumerate(
-                problems,
+                &problems,
                 self.cfg.gc.frontier_cap,
                 false,
                 Some(self.cfg.gc.extension_budget),
@@ -637,21 +703,24 @@ where
         record_extras: bool,
         shared_budget: Option<usize>,
     ) -> Enumeration<T> {
-        let problems = self.seeds.iter().map(|seed| {
-            let (kept, sym, _) = absorb_commits(&self.commits, &seed.sym);
-            let start = FrontierCfg {
-                seed: seed.seed.clone(),
-                sym,
-            };
-            (kept, start)
-        });
-        self.enumerate(problems, cap, record_extras, shared_budget)
+        let problems: Vec<Problem<'_, T>> = self
+            .seeds
+            .iter()
+            .map(|cfg| {
+                let (commits, sym, _) = absorb_commits(&self.commits, &cfg.sym);
+                let seed = &cfg.seed;
+                Problem { commits, seed, sym }
+            })
+            .collect();
+        self.enumerate(&problems, cap, record_extras, shared_budget)
     }
 
-    /// Drives the kernel's enumeration over `problems` — each a commit list
-    /// (window indices) and the configuration to search from — collecting
-    /// the distinct terminal configurations, deduplicated on the memo key
-    /// across problems, up to `cap` of them, in frontier order. With
+    /// Drives the kernel's enumeration over `problems`, collecting the
+    /// distinct terminal configurations, deduplicated on the memo key
+    /// across problems, up to `cap` of them, in frontier order. Consecutive
+    /// problems over the same commits — all of them, unless a seed's
+    /// completions absorbed some — share one engine (one class table) and
+    /// one [`Search`] (the floor table, every buffer). With
     /// `record_extras`, every interleaved extra is recorded as a symbolic
     /// completion in its configuration (epoch-cut mode). `shared_budget`
     /// `Some(n)` caps the *total* nodes across all problems (retirement,
@@ -659,41 +728,52 @@ where
     /// (the verdict path, the engine's per-run unit).
     fn enumerate(
         &self,
-        problems: impl Iterator<Item = (Vec<Commit<T>>, FrontierCfg<T>)>,
+        problems: &[Problem<'_, T>],
         cap: usize,
         record_extras: bool,
         shared_budget: Option<usize>,
     ) -> Enumeration<T> {
-        let mut configs: Vec<FrontierCfg<T>> = Vec::new();
-        let mut seen: MemoKeySet<T> = HashSet::new();
+        let mut collect = Collect {
+            record_extras,
+            cap,
+            found: Distinct::new(),
+        };
         let mut budget_tripped = false;
         let mut stats = SearchStats::default();
-        for (commits, start) in problems {
-            let max_nodes = match shared_budget {
-                Some(total) => total.saturating_sub(stats.nodes),
-                None => self.cfg.budget,
-            };
+        // Every list is a sub-list of one window's commits: equal indices
+        // are equal commits.
+        let same_commits = |a: &Problem<'_, T>, b: &Problem<'_, T>| {
+            a.commits.len() == b.commits.len()
+                && a.commits
+                    .iter()
+                    .zip(&*b.commits)
+                    .all(|(x, y)| x.index == y.index)
+        };
+        'problems: for group in problems.chunk_by(same_commits) {
             let engine = CheckerEngine::new(
                 &*self.adt,
-                &commits,
+                &group[0].commits,
                 &self.input_ms,
                 self.pool().clone(),
-                SearchBudget::new(max_nodes),
+                SearchBudget::new(self.cfg.budget),
             )
             .with_extra_cap(self.sub.len());
-            let mut collect = Collect {
-                record_extras,
-                cap,
-                seen: &mut seen,
-                out: &mut configs,
-            };
-            let (flow, run_stats) = engine.search(start.seed, start.sym, &mut collect);
-            budget_tripped |= flow.is_err();
-            stats.absorb(&run_stats);
-            if configs.len() >= cap {
-                break;
+            let mut search = Search::new(&engine);
+            for problem in group {
+                let max_nodes = match shared_budget {
+                    Some(total) => total.saturating_sub(stats.nodes),
+                    None => self.cfg.budget,
+                };
+                let (flow, run_stats) =
+                    search.run(problem.seed, problem.sym.clone(), &mut collect, max_nodes);
+                budget_tripped |= flow.is_err();
+                stats.absorb(&run_stats);
+                if collect.found.configs.len() >= cap {
+                    break 'problems;
+                }
             }
         }
+        let mut configs = collect.found.configs;
         sort_frontier(&mut configs);
         Enumeration {
             configs,
@@ -973,17 +1053,16 @@ where
 /// configuration, in search order, until `cap` of them are held. Its tag is
 /// the configuration's symbolic completions — see
 /// [`Visitor::Tag`] for why they must ride in the memo key.
-struct Collect<'a, T: Adt> {
+struct Collect<T: Adt> {
     /// Epoch-cut mode: record every interleaved extra, with the output the
     /// ADT produced for it, as a symbolic completion. In-window searches
     /// carry `sym` through unchanged.
     record_extras: bool,
     cap: usize,
-    seen: &'a mut MemoKeySet<T>,
-    out: &'a mut Vec<FrontierCfg<T>>,
+    found: Distinct<T>,
 }
 
-impl<T: Adt> Visitor<T> for Collect<'_, T> {
+impl<T: Adt> Visitor<T> for Collect<T> {
     type Tag = SymSet<T>;
 
     fn extra(&mut self, sym: &SymSet<T>, input: &T::Input, output: T::Output) -> SymSet<T> {
@@ -998,26 +1077,24 @@ impl<T: Adt> Visitor<T> for Collect<'_, T> {
         &mut self,
         hist: &[T::Input],
         state: T::State,
-        used: PersistentMultiset<T::Input>,
+        used: LeafUsed<'_, T>,
         sym: SymSet<T>,
     ) -> ControlFlow<()> {
         // Deduplicated *before* counting toward the cap — commuting chains
         // revisit the same terminal key, and counting raw visits would let
         // a caller mistake a truncated enumeration for a complete one. The
         // history is materialised only for configurations that survive.
-        let mut cfg = FrontierCfg {
-            seed: SearchSeed {
-                history: Vec::new(),
+        let used = used.get();
+        let (hash, held) = self.found.probe(&state, &used, &sym);
+        if !held {
+            let seed = SearchSeed {
+                history: hist.to_vec(),
                 state,
                 used,
-            },
-            sym,
-        };
-        if self.seen.insert(cfg.memo_key()) {
-            cfg.seed.history = hist.to_vec();
-            self.out.push(cfg);
+            };
+            self.found.push(hash, FrontierCfg { seed, sym });
         }
-        if self.out.len() < self.cap {
+        if self.found.configs.len() < self.cap {
             ControlFlow::Continue(())
         } else {
             ControlFlow::Break(())

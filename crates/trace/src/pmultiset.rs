@@ -187,6 +187,10 @@ impl<E: Eq + Hash> PersistentMultiset<E> {
 
     /// The multiplicity of `e` (zero if absent).
     pub fn count(&self, e: &E) -> usize {
+        if self.root.is_none() {
+            // Nothing to look up: spare the hash.
+            return 0;
+        }
         let hash = elem_hash(e);
         let mut node = self.root.as_deref();
         let mut level = 0;

@@ -483,6 +483,54 @@ fn impossible_late_straggler_response_is_still_a_violation() {
     assert!(mon.report().unwrap().verdict.is_err());
 }
 
+/// Two stragglers on **one** input pending across the same epoch cuts: the
+/// summary's configurations have consumed zero, one or both occurrences of
+/// `get(1)` as extras, so when the gets respond after the cut the direct
+/// tail commit fits some post-cut seeds and not others — both answers of
+/// the frontier's count test, which debug builds check against the full
+/// multiset inclusion on every configuration. The rolling status is the
+/// batch checker's at every prefix, for an explainable and an impossible
+/// late response.
+#[test]
+fn two_stragglers_on_one_input_cross_an_epoch_cut() {
+    let c = |k: u32| ClientId::new(k);
+    let ph = PhaseId::FIRST;
+    let get = KvInput::Get(1);
+    for (late, explainable) in [(Some(9), true), (None, false)] {
+        let mut actions = vec![
+            Action::invoke(c(3), ph, KvInput::Put(1, 1)),
+            Action::respond(c(3), ph, KvInput::Put(1, 1), KvOutput::Ack),
+            Action::invoke(c(1), ph, get),
+            Action::invoke(c(2), ph, get),
+        ];
+        for v in 2..=12u64 {
+            actions.push(Action::invoke(c(3), ph, KvInput::Put(1, v)));
+            actions.push(Action::respond(c(3), ph, KvInput::Put(1, v), KvOutput::Ack));
+        }
+        actions.push(Action::respond(c(2), ph, get, KvOutput::Found(Some(4))));
+        actions.push(Action::invoke(c(2), ph, get));
+        actions.push(Action::respond(c(2), ph, get, KvOutput::Found(Some(12))));
+        actions.push(Action::respond(c(1), ph, get, KvOutput::Found(late)));
+
+        let mut mon = epoch_monitor(4);
+        let mut prefix: Trace<ObjAction<KvStore, ()>> = Trace::new();
+        for a in actions {
+            prefix.push(a.clone());
+            let status = mon.ingest(a).status;
+            let batch = LinChecker::owned(KvStore).check(&prefix);
+            let expect = if batch.is_ok() {
+                MonitorStatus::Ok
+            } else {
+                MonitorStatus::Violation
+            };
+            assert_eq!(status, expect, "at event {}", prefix.len() - 1);
+        }
+        let report = mon.report().unwrap();
+        assert_eq!(report.verdict.is_ok(), explainable);
+        assert!(report.shard.epoch_cuts > 2, "the stragglers crossed no cut");
+    }
+}
+
 /// Perturbed wide streams: violations past the old ceiling are detected
 /// identically by both paths.
 #[test]
