@@ -269,8 +269,13 @@ pub struct ShardSummary {
     /// Enumeration/extension search nodes expanded — a deterministic
     /// per-stream work proxy, unlike wall-clock time.
     pub search_nodes: usize,
-    /// Currently retained configurations (frontiers plus seeds) — the
-    /// live-state component of the memory proxy.
+    /// Window commits handed to fallback and cut enumerations, summed per
+    /// enumeration. An enumeration starts at the shard's last checkpoint,
+    /// so where every one completes this is at most `extension_searches` —
+    /// each commit is enumerated once; the excess is re-enumeration.
+    pub enumerated_commits: usize,
+    /// Currently retained configurations (frontiers, seeds, checkpoints) —
+    /// the live-state component of the memory proxy.
     pub live_configs: usize,
     /// Distinct persistent-multiset trie nodes currently reachable from
     /// the monitor (pointer-deduplicated across structure sharing) — the

@@ -242,6 +242,7 @@ where
             out.epoch_cuts += shard.counters.epoch_cuts;
             out.lossy_cuts += shard.counters.lossy_cuts;
             out.search_nodes += shard.counters.search_nodes;
+            out.enumerated_commits += shard.counters.enumerated_commits;
             out.live_configs += shard.live_configs();
             out.window_events += shard.sub.len();
             out.archived_events += shard.archived_len();

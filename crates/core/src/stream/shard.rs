@@ -13,10 +13,11 @@
 //!   snapshot is a [`PersistentMultiset`], so "snapshot per index" is one
 //!   O(1) structure-sharing clone, not an O(alphabet) deep copy);
 //! * a **response** (a new commit) either is **absorbed** by a matching
-//!   symbolic straggler completion recorded at an earlier epoch cut (see
-//!   below) or extends each configuration *at the tail* of its chain: a
-//!   direct-commit pass first (the common case), then a bounded search
-//!   interleaving extra inputs from the pool before the commit.
+//!   symbolic straggler completion recorded by an earlier epoch cut or
+//!   fallback (see below) or extends each configuration *at the tail* of
+//!   its chain: a direct-commit pass first (the common case), then a
+//!   bounded search interleaving extra inputs from the pool before the
+//!   commit.
 //!
 //! Every search here — tail extension, the fallback re-search, the
 //! epoch-cut summary — is the chain-search kernel of [`crate::engine`]
@@ -35,7 +36,7 @@
 //! kernel's feasibility prune cuts before descending (see
 //! [`crate::engine`]): an enumeration here visits the configurations it
 //! returns and little else. Measured on the B6h sweep, per ingested event:
-//! 5–9 search nodes on zipf-delay streams and 14–38 on stragglers across
+//! 5–6 search nodes on zipf-delay streams and 13–30 on stragglers across
 //! `w = 8..24` (44–313 and 108–824 with the bound-only prune); a cut whose
 //! complete summary is 1–10 configurations costs tens of nodes, not
 //! thousands.
@@ -48,7 +49,10 @@
 //! for a configuration whose output matched. On the `stream-hotkey`
 //! benchmark workload an event's whole wall divided by its search nodes is
 //! ≈360 ns (≈810 when every node path-copied a multiset and cloned its
-//! memo key), on `stream-stragglers` ≈580 (≈1 090). Section timers on a
+//! memo key), on `stream-stragglers` ≈580 (≈1 090) — at the 10.1 and 6.4
+//! nodes per event of that measurement; the checkpoint below removed nodes,
+//! not the per-event costs around them, so the same quotient now reads ≈560
+//! and ≈660 over 5.2 and 5.5. Section timers on a
 //! scratch copy (timer cost subtracted; indicative) put three quarters of a
 //! hot-key event inside the kernel — queueing the admitted moves 37 %, the
 //! ADT step and the child's state 25 %, leaves (`used` as a multiset, the
@@ -57,10 +61,13 @@
 //! once per enumeration, 8 %; per-search set-up 8 %; the direct-commit pass
 //! 10 %. What is left is the number of nodes: GC-cut enumeration and
 //! fallback re-search are still the two largest terms of a hostile
-//! stream's wall time (about half and a third on `stream-hotkey`, more
-//! than half and an eighth on `stream-stragglers`), and a cut still starts
-//! over from the seeds although the frontier already holds terminal
-//! configurations of the same window.
+//! stream's wall time (`stream.gc_time_frac` ≈0.3 and
+//! `fallback_time_frac` ≈0.35 on `stream-hotkey`, ≈0.53 and ≈0.12 on
+//! `stream-stragglers`), although neither starts over any more: each
+//! searches only the commits since the last complete enumeration (see "The
+//! checkpoint" below), so a commit is enumerated once — it was 1.8 times on
+//! the hot-key workload and 1.3 on the stragglers — at a steady ≈10 nodes
+//! per enumerated commit whatever the depth.
 //!
 //! Tail extension is *sound* (a surviving configuration is a witness) but
 //! deliberately not complete: the first monolithic witness of the longer
@@ -68,10 +75,11 @@
 //! configuration the frontier kept, and the frontier is capped
 //! ([`GcPolicy::frontier_cap`]). Whenever the frontier prunes empty, the
 //! shard falls back to one **bounded re-search** over the retained window
-//! from the retained seeds — which either refills the frontier (the exact
-//! rolling verdict stays "ok") or proves the violation. The re-search
-//! *enumerates* terminal configurations, so the refilled frontier is
-//! diverse and the next commits extend cheaply again. This
+//! from the retained seeds (in effect: it resumes at the checkpoint) —
+//! which either refills the frontier (the exact rolling verdict stays
+//! "ok") or proves the violation. The re-search *enumerates* terminal
+//! configurations, so the refilled frontier is diverse and the next
+//! commits extend cheaply again. This
 //! frontier-plus-fallback loop is what makes every rolling verdict exact
 //! while keeping the common case (append-only growth) cheap.
 //!
@@ -115,8 +123,54 @@
 //! later matches have larger bounds). The batch engine then runs unchanged
 //! on the filtered commit list.
 //!
+//! ## The checkpoint: every complete enumeration is a cut that retires nothing
+//!
+//! Nothing in the argument above needs the summarised events to be
+//! *dropped*. The complete terminal-key set of the window's first `mark`
+//! commits, enumerated in record mode, summarises those commits for every
+//! longer window exactly as a cut's summary does for every later one — the
+//! same sentence, with "pre-cut" read as "before the mark". So a fallback
+//! re-search enumerates the way a cut does (record mode, to one past twice
+//! the frontier cap, full budget per configuration), and when it completes
+//! the shard keeps what it proved: the **checkpoint** `(mark, configs)`.
+//! The next fallback or cut starts there instead of at the seeds — each
+//! checkpoint configuration greedily absorbs the commits past the mark that
+//! match its completions (the post-cut rule of the previous paragraph,
+//! verbatim) and the kernel places the rest after its history — and a cut
+//! retires into what that enumeration returns. After a retirement the
+//! checkpoint is the new seeds themselves (`mark = 0`, not a copy), which
+//! is the old start-over behaviour; an enumeration that trips its budget or
+//! outgrows the cap proves nothing and leaves the checkpoint where it was.
+//! The frontier a fallback refills is the first `frontier_cap` checkpoint
+//! configurations, completions included, so a straggler's later response is
+//! absorbed in O(1) instead of falling back again. The final report still
+//! searches the whole window from the seeds: witnesses do not move.
+//!
+//! Unlike a seed, a checkpoint configuration keeps its window-relative
+//! history, so histories — and the history cap, which is the window's
+//! length — mean what they mean from the seeds. That cap grows with the
+//! window, so an enumeration it may have cut short is complete only for
+//! the window it ran on: a fallback takes the checkpoint only if its
+//! longest history stayed under the cap. A checkpoint is at most twice the
+//! frontier cap configurations with histories no longer than the window:
+//! retained memory stays O(window + alphabet).
+//!
+//! **One corner, inherited from greedy absorption.** Enumerating a window
+//! from a checkpoint and from the seeds gives the same key set almost
+//! always (7 119 of 7 124 windows in this file's test sweep; the other five
+//! on faulty four-client streams). Where they differ, the from-checkpoint
+//! set is a strict subset, missing only configurations in which a response
+//! that a recorded extra absorbs was instead committed at the chain's
+//! tail, after that extra: converted to the absorbing witness, the chain
+//! ends in *trailing* extras, which no enumeration emits (an extra is
+//! interleaved before a commit) and which the next commit's extras
+//! re-create — same state, same consumed inputs, same completions, one
+//! move later. Never a superset, never a different emptiness, and the same
+//! trade every post-cut search already makes; the tests at the bottom of
+//! this file check exactly this at every event of their corpus.
+//!
 //! Retirement is **skipped** rather than allowed to lose information when
-//! the enumeration is truncated (more than [`GcPolicy::frontier_cap`]
+//! the enumeration is truncated (more than twice [`GcPolicy::frontier_cap`]
 //! configurations, or a budget trip) — so verdicts after GC remain exact,
 //! and only the *witness histories* become window-relative. The price on
 //! hostile streams is that a window whose summary outgrows the cap pins
@@ -195,6 +249,11 @@ pub(crate) struct ShardCounters {
     /// Nodes expanded by enumeration/extension searches (a deterministic
     /// work proxy, unlike wall-clock time).
     pub search_nodes: usize,
+    /// Window commits handed to a fallback or cut enumeration — those past
+    /// the checkpoint — summed per enumeration, not per seed. Where every
+    /// enumeration completes this is at most `commits`: each commit is
+    /// enumerated once.
+    pub enumerated_commits: usize,
 }
 
 /// One complete chain-search configuration: where a search may resume —
@@ -331,6 +390,18 @@ struct Enumeration<T: Adt> {
     stats: SearchStats,
 }
 
+/// What the last complete in-window enumeration proved (module docs, "The
+/// checkpoint"): the complete terminal-configuration set, in record mode,
+/// of the window's first `mark` commits. Histories are window-relative,
+/// like the frontier's.
+struct Checkpoint<T: Adt> {
+    /// How many of the window's commits the configurations account for
+    /// (placed or absorbed); never 0 — that checkpoint is the seeds.
+    mark: usize,
+    /// At most `2 × frontier_cap`, in frontier order.
+    configs: Vec<FrontierCfg<T>>,
+}
+
 /// The incremental per-shard checker state. See the module docs.
 pub(crate) struct ShardState<T: Adt, V> {
     adt: Arc<T>,
@@ -352,6 +423,10 @@ pub(crate) struct ShardState<T: Adt, V> {
     /// before any retirement). Seed histories are always empty — the
     /// retired events are dropped; only `(state, used, sym)` survives.
     seeds: Vec<FrontierCfg<T>>,
+    /// Where the next fallback or cut enumeration starts. `None`: at the
+    /// seeds, before the window's first commit — the state after every
+    /// retirement; the seeds are not copied.
+    checkpoint: Option<Checkpoint<T>>,
     frontier: Vec<FrontierCfg<T>>,
     status: ShardStatus,
     /// Invocations (ever) still awaiting a response. Unlike the window
@@ -421,6 +496,7 @@ where
             commits: Vec::new(),
             frontier: seeds.clone(),
             seeds,
+            checkpoint: None,
             status: ShardStatus::Ok,
             pending: 0,
             lossy: false,
@@ -485,10 +561,25 @@ where
         self.lossy
     }
 
-    /// Retained configurations (frontier plus seeds) — the live-state
-    /// component of the monitor's memory proxy.
+    /// The checkpoint: how many window commits it accounts for, and its
+    /// configurations — the seeds themselves at 0.
+    fn checkpoint(&self) -> (usize, &[FrontierCfg<T>]) {
+        match &self.checkpoint {
+            Some(at) => (at.mark, &at.configs),
+            None => (0, &self.seeds),
+        }
+    }
+
+    /// The checkpoint's own configurations (none while it is the seeds).
+    fn checkpoint_configs(&self) -> &[FrontierCfg<T>] {
+        self.checkpoint.as_ref().map_or(&[], |at| &at.configs)
+    }
+
+    /// Retained configurations (frontier, seeds, and the checkpoint when it
+    /// is not the seeds) — the live-state component of the monitor's memory
+    /// proxy.
     pub fn live_configs(&self) -> usize {
-        self.frontier.len() + self.seeds.len()
+        self.frontier.len() + self.seeds.len() + self.checkpoint_configs().len()
     }
 
     /// Marks every persistent-multiset node reachable from this shard in
@@ -498,7 +589,10 @@ where
         for m in &self.input_ms {
             m.mark_nodes(seen);
         }
-        for cfg in self.frontier.iter().chain(&self.seeds) {
+        let retained = (self.frontier.iter())
+            .chain(&self.seeds)
+            .chain(self.checkpoint_configs());
+        for cfg in retained {
             cfg.seed.used.mark_nodes(seen);
             cfg.sym.mark_nodes(seen);
         }
@@ -584,10 +678,10 @@ where
         let mut next: Distinct<T> = Distinct::new();
         let mut exhausted = false;
         // Pass 1 — the cheap cases, O(frontier): a configuration holding a
-        // matching symbolic completion *absorbs* the response (the pre-cut
-        // extra is its commit entry; history, state and consumed inputs
-        // are untouched), and independently the response may commit
-        // directly at the configuration's tail.
+        // matching symbolic completion *absorbs* the response (the extra a
+        // cut or a fallback recorded is its commit entry; history, state
+        // and consumed inputs are untouched), and independently the
+        // response may commit directly at the configuration's tail.
         let mut absorbed_any = false;
         for cfg in &self.frontier {
             if cfg.sym.count(&pair) > 0 {
@@ -694,25 +788,68 @@ where
             .min(self.cfg.budget / 2)
     }
 
-    /// Enumerates the terminal configurations of the retained window from
-    /// the retained seeds (each seed's commits greedily absorbed first).
-    /// See [`ShardState::enumerate`] for the parameters.
-    fn enumerate_completions_with(
+    /// The cap under which an enumeration still counts as complete: a
+    /// retirement seed set — and so a checkpoint — may hold up to twice the
+    /// frontier cap (a complete summary must not be dropped, while the
+    /// frontier re-truncates to the cap at the next commit). Enumerating to
+    /// one more detects truncation: collecting `summary_cap() + 1` means
+    /// the true set may be larger than what would be retained.
+    fn summary_cap(&self) -> usize {
+        self.cfg.gc.frontier_cap * 2
+    }
+
+    /// Enumerates, in record mode, the terminal configurations of the
+    /// retained window, starting from the checkpoint: only the commits past
+    /// it are searched. Counts the work; see [`ShardState::enumerate`] for
+    /// the budget.
+    fn enumerate_window(&mut self, shared_budget: Option<usize>) -> Enumeration<T> {
+        let (mark, configs) = self.checkpoint();
+        let found = self.enumerate_from(mark, configs, self.summary_cap() + 1, shared_budget);
+        self.counters.enumerated_commits += self.commits.len() - mark;
+        self.counters.search_nodes += found.stats.nodes;
+        found
+    }
+
+    /// Whether `found`, enumerated under `summary_cap() + 1`, is the whole
+    /// terminal-configuration set.
+    fn is_complete(&self, found: &Enumeration<T>) -> bool {
+        !found.budget_tripped && found.configs.len() <= self.summary_cap()
+    }
+
+    /// Enumerates (record mode, up to `cap`) what `configs` — terminal
+    /// configurations of the window's first `mark` commits — reach over the
+    /// rest of the window, each one's symbolic completions greedily
+    /// absorbing first. A problem whose commits are all accounted for is
+    /// its own leaf, so with nothing past `mark` the configurations come
+    /// back as they are and no engine is built.
+    fn enumerate_from(
         &self,
+        mark: usize,
+        configs: &[FrontierCfg<T>],
         cap: usize,
-        record_extras: bool,
         shared_budget: Option<usize>,
     ) -> Enumeration<T> {
-        let problems: Vec<Problem<'_, T>> = self
-            .seeds
+        let commits = &self.commits[mark..];
+        let Some(next) = commits.first() else {
+            return Enumeration {
+                configs: configs.iter().take(cap).cloned().collect(),
+                budget_tripped: false,
+                stats: SearchStats::default(),
+            };
+        };
+        debug_assert!(
+            (configs.iter()).all(|cfg| cfg.seed.used.is_subset_of(&self.input_ms[next.index])),
+            "a checkpoint configuration's consumed inputs left the bounds"
+        );
+        let problems: Vec<Problem<'_, T>> = configs
             .iter()
             .map(|cfg| {
-                let (commits, sym, _) = absorb_commits(&self.commits, &cfg.sym);
+                let (commits, sym, _) = absorb_commits(commits, &cfg.sym);
                 let seed = &cfg.seed;
                 Problem { commits, seed, sym }
             })
             .collect();
-        self.enumerate(&problems, cap, record_extras, shared_budget)
+        self.enumerate(&problems, cap, true, shared_budget)
     }
 
     /// Drives the kernel's enumeration over `problems`, collecting the
@@ -783,19 +920,23 @@ where
     }
 
     /// The documented fallback: bounded re-searches of the retained window
-    /// from the retained seeds, deciding the rolling verdict exactly and
+    /// from the checkpoint, deciding the rolling verdict exactly and
     /// refilling a **diverse** frontier (a single-configuration frontier
-    /// would re-fall-back on almost every next commit).
+    /// would re-fall-back on almost every next commit). It enumerates as a
+    /// cut does, so when it completes it is the next checkpoint; recorded
+    /// extras let the refilled frontier absorb a straggler's later response
+    /// instead of falling back again.
     fn fallback_research(&mut self) {
         self.counters.fallback_searches += 1;
         let t0 = self.cfg.obs.t0();
-        // Verdict-deciding: every seed gets the full budget.
+        // Verdict-deciding: every configuration gets the full budget.
+        let found = self.enumerate_window(None);
+        let complete = self.is_complete(&found);
         let Enumeration {
             configs,
             budget_tripped,
             stats,
-        } = self.enumerate_completions_with(self.cfg.gc.frontier_cap, false, None);
-        self.counters.search_nodes += stats.nodes;
+        } = found;
         self.cfg.obs.engine_search(slin_obs::EngineSearchEvent {
             site: "shard.fallback",
             nodes: stats.nodes as u64,
@@ -803,10 +944,21 @@ where
             budget_exhausted: budget_tripped,
             t0,
         });
-        if !configs.is_empty() {
+        let frontier: Vec<FrontierCfg<T>> = (configs.iter())
+            .take(self.cfg.gc.frontier_cap)
+            .cloned()
+            .collect();
+        // The history cap is the window's length: an enumeration it may
+        // have cut short — some history reached it — is complete for this
+        // window only, not for the longer ones a checkpoint must serve.
+        if complete && stats.max_history_len < self.sub.len() {
+            let mark = self.commits.len();
+            self.checkpoint = Some(Checkpoint { mark, configs });
+        }
+        if !frontier.is_empty() {
             // Every collected configuration is a genuine witness (a budget
             // trip mid-enumeration does not taint the earlier ones).
-            self.frontier = configs;
+            self.frontier = frontier;
             self.status = ShardStatus::Ok;
         } else if budget_tripped || self.lossy {
             // After a lossy cut an exhausted search space proves nothing:
@@ -890,7 +1042,9 @@ where
 
     /// Bounded-window GC (see the module docs): when the retained window
     /// has grown past `window` events, enumerate the window's **complete**
-    /// terminal-configuration set and retire the window into those seeds.
+    /// terminal-configuration set — from the checkpoint, so only over the
+    /// commits since the last complete enumeration — and retire the window
+    /// into those seeds.
     /// Quiescent shards cut at any size past the window; never-quiescent
     /// shards cut at epoch boundaries (window multiples) when epoch cuts
     /// are enabled, completing stragglers symbolically.
@@ -940,12 +1094,6 @@ where
             return Some(retired);
         }
         let t0 = self.cfg.obs.t0();
-        // The retirement seed set may hold up to twice the frontier cap —
-        // seeds are a complete summary and must not be dropped, while the
-        // frontier re-truncates to the cap at the next commit. `cap + 1`
-        // detects truncation: collecting exactly `cap + 1` means the true
-        // set may be larger than what we would retain.
-        let cap = self.cfg.gc.frontier_cap * 2;
         // Quiescent cuts keep the historical full per-seed budget (they
         // are the verdict-bearing GC of drained streams); epoch attempts
         // are opportunistic and run under the bounded retirement slice.
@@ -954,16 +1102,10 @@ where
         } else {
             Some(self.retire_budget())
         };
-        let Enumeration {
-            configs,
-            budget_tripped,
-            stats,
-        } = self.enumerate_completions_with(cap + 1, true, shared);
-        self.counters.search_nodes += stats.nodes;
+        let found = self.enumerate_window(shared);
         let window_events = self.sub.len() as u64;
-        let truncated = budget_tripped || configs.is_empty() || configs.len() > cap;
-        if !truncated {
-            let retired = self.retire_window(Some(configs));
+        if self.is_complete(&found) && !found.configs.is_empty() {
+            let retired = self.retire_window(Some(found.configs));
             self.cfg.obs.gc_cut(GcCutEvent {
                 outcome: CutOutcome::Retired,
                 window_events,
@@ -1031,6 +1173,8 @@ where
         self.cut_blocked = false;
         self.sub = Trace::new();
         self.commits.clear();
+        // The next enumeration starts at the (new) seeds.
+        self.checkpoint = None;
         let base = self.input_ms.pop().expect("nonempty");
         self.input_ms = vec![base];
         if let Some(configs) = summary {
@@ -1099,5 +1243,204 @@ impl<T: Adt> Visitor<T> for Collect<T> {
         } else {
             ControlFlow::Break(())
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::gen::{
+        random_hostile_kv_trace, random_multikey_kv_trace, HostileConfig, MultiKeyConfig,
+    };
+    use slin_adt::{KvInput, KvOutput, KvStore};
+    use slin_trace::{ClientId, PhaseId};
+
+    type Shard = ShardState<KvStore, ()>;
+    type Cfg = FrontierCfg<KvStore>;
+
+    fn shard(gc: GcPolicy) -> Shard {
+        let cfg = ShardConfig {
+            budget: SearchBudget::DEFAULT_MAX_NODES,
+            gc,
+            obs: Obs::noop(),
+        };
+        ShardState::new(Arc::new(KvStore), cfg)
+    }
+
+    fn same_key(a: &Cfg, b: &Cfg) -> bool {
+        a.seed.state == b.seed.state && a.seed.used == b.seed.used && a.sym == b.sym
+    }
+
+    /// Whether `longer` is `shorter` followed by recorded extras and nothing
+    /// else (none, if the keys are equal) — *trailing* extras, which no
+    /// enumeration emits (an extra goes before a commit) and the next
+    /// commit's extras re-create. Histories are not compared.
+    fn trails(shorter: &Cfg, longer: &Cfg) -> bool {
+        if shorter.seed.used.len() == longer.seed.used.len() {
+            return same_key(shorter, longer);
+        }
+        longer.seed.used.iter().any(|(e, n)| {
+            shorter.seed.used.count(e) < n && {
+                let (state, out) = KvStore.apply(&shorter.seed.state, e);
+                let mut next = FrontierCfg {
+                    seed: SearchSeed {
+                        history: Vec::new(),
+                        state,
+                        used: shorter.seed.used.clone(),
+                    },
+                    sym: shorter.sym.clone(),
+                };
+                next.seed.used.insert(*e);
+                next.sym.insert((*e, out));
+                trails(&next, longer)
+            }
+        })
+    }
+
+    /// Checks what the module docs promise of a checkpoint, on the shard's
+    /// current window: enumerating from it and from the seeds (both to the
+    /// end, uncapped) are both empty or both not; every from-checkpoint key
+    /// is a from-seeds key; and a from-seeds key the checkpoint misses is a
+    /// from-checkpoint key followed by trailing extras. `None` while the
+    /// checkpoint is the seeds, else whether the subset is strict.
+    fn check_checkpoint(shard: &Shard) -> Option<bool> {
+        let at = shard.checkpoint.as_ref()?;
+        let from_mark = shard.enumerate_from(at.mark, &at.configs, usize::MAX, None);
+        let from_seeds = shard.enumerate_from(0, &shard.seeds, usize::MAX, None);
+        assert!(!from_mark.budget_tripped && !from_seeds.budget_tripped);
+        let (from_mark, from_seeds) = (from_mark.configs, from_seeds.configs);
+        assert_eq!(from_mark.is_empty(), from_seeds.is_empty());
+        for cfg in &from_mark {
+            assert!(
+                from_seeds.iter().any(|s| same_key(s, cfg)),
+                "the checkpoint reaches a configuration the seeds do not: {cfg:?}"
+            );
+        }
+        for cfg in &from_seeds {
+            assert!(
+                from_mark.iter().any(|m| trails(m, cfg)),
+                "the checkpoint loses more than trailing extras: {cfg:?}"
+            );
+        }
+        Some(from_mark.len() < from_seeds.len())
+    }
+
+    /// Over hot-key and straggler streams, clean and faulty: wherever a
+    /// checkpoint is in play — after the fallback that took it, at every
+    /// event until the cut that starts from it — [`check_checkpoint`] holds.
+    /// Returns `(checks with a checkpoint in play, strict subsets)`.
+    fn sweep(clients: u32, error_prob: f64) -> (usize, usize) {
+        let (mut checked, mut strict) = (0, 0);
+        for seed in 0..8 {
+            let hotkey = random_multikey_kv_trace(&MultiKeyConfig {
+                clients,
+                steps: 160,
+                keys: 1,
+                skew: 0.0,
+                contention: 0.0,
+                error_prob,
+                seed,
+            });
+            let stragglers = random_hostile_kv_trace(&HostileConfig {
+                clients,
+                steps: 160,
+                keys: 1,
+                skew: 0.7,
+                never_frac: 0.01,
+                stuck_applies: true,
+                delay_zipf: 1.3,
+                max_delay: 12,
+                error_prob,
+                seed,
+            });
+            for t in [hotkey, stragglers] {
+                for window in [8, 16, 32] {
+                    let mut shard = shard(GcPolicy::default());
+                    for (i, a) in t.iter().enumerate() {
+                        shard.ingest(a.clone(), i);
+                        if let Some(is_strict) = check_checkpoint(&shard) {
+                            checked += 1;
+                            strict += usize::from(is_strict);
+                        }
+                        shard.maybe_retire(window);
+                    }
+                }
+            }
+        }
+        (checked, strict)
+    }
+
+    #[test]
+    fn a_checkpoint_enumerates_what_the_seeds_do() {
+        let mut total = (0, 0);
+        for clients in [3, 4] {
+            for error_prob in [0.0, 0.15] {
+                let (checked, strict) = sweep(clients, error_prob);
+                println!(
+                    "clients {clients} error_prob {error_prob}: {checked} windows checked \
+                     with a checkpoint in play, {strict} strict subsets"
+                );
+                assert!(checked > 100, "the corpus takes too few checkpoints");
+                total = (total.0 + checked, total.1 + strict);
+            }
+        }
+        let (checked, strict) = total;
+        println!("total: {strict} strict subsets of {checked}");
+        assert!(strict * 50 <= checked, "strict subsets are the rare corner");
+    }
+
+    /// The one shape in which a checkpoint loses a key. A fallback leaves a
+    /// checkpoint whose only configuration holds the recorded extra
+    /// `(del(1), ok)` — client 3's pending delete, which the `get = ∅`
+    /// needs; then client 1's `del(1)` is invoked and answered `ok` as the
+    /// window's last commit. From the seeds that response is absorbed by
+    /// the recorded extra in one chain and committed at the tail, after the
+    /// extra, in another; from the checkpoint it is only absorbed (greedy
+    /// absorption, as after a cut). The tail-committing chain converts to
+    /// the absorbing one followed by a *trailing* extra `del(1)` — which
+    /// the next commit's extras re-create.
+    #[test]
+    fn a_checkpoint_loses_only_a_trailing_extra() {
+        let c = ClientId::new;
+        let ph = PhaseId::FIRST;
+        let (put, get, del) = (KvInput::Put(1, 1), KvInput::Get(1), KvInput::Delete(1));
+        let (absent, found) = (KvOutput::Found(None), KvOutput::Found(Some(1)));
+        let mut shard = shard(GcPolicy::default());
+        let feed = |shard: &mut Shard, a: ObjAction<KvStore, ()>| {
+            let at = shard.sub.len();
+            shard.ingest(a, at).1
+        };
+        feed(&mut shard, Action::invoke(c(1), ph, put));
+        feed(&mut shard, Action::respond(c(1), ph, put, KvOutput::Ack));
+        feed(&mut shard, Action::invoke(c(4), ph, get));
+        feed(&mut shard, Action::invoke(c(3), ph, del));
+        feed(&mut shard, Action::invoke(c(2), ph, get));
+        // Pass 2 interleaves the delete before this get; it records nothing.
+        assert!(!feed(&mut shard, Action::respond(c(2), ph, get, absent)));
+        // Client 4's get read the put: it commits before the delete, which
+        // no tail extension of `[put, del, get]` explains.
+        assert!(feed(&mut shard, Action::respond(c(4), ph, get, found)));
+        let at = shard.checkpoint.as_ref().expect("the fallback completed");
+        let recorded: SymSet<KvStore> = [(del, KvOutput::Ack)].into_iter().collect();
+        assert_eq!((at.mark, at.configs.len()), (3, 1));
+        assert_eq!(at.configs[0].sym, recorded);
+        assert_eq!(check_checkpoint(&shard), Some(false));
+
+        feed(&mut shard, Action::invoke(c(1), ph, del));
+        assert!(!feed(
+            &mut shard,
+            Action::respond(c(1), ph, del, KvOutput::Ack)
+        ));
+        assert_eq!(check_checkpoint(&shard), Some(true), "the trailing extra");
+        // The frontier's direct-commit pass does commit at the tail: the
+        // lost configuration is a live witness, only not a future seed.
+        let lost = |cfg: &Cfg| cfg.seed.used.count(&del) == 2 && cfg.sym == recorded;
+        assert!(shard.frontier.iter().any(lost));
+
+        // One commit later the extra is interleaved before it: same keys.
+        feed(&mut shard, Action::invoke(c(1), ph, get));
+        assert!(!feed(&mut shard, Action::respond(c(1), ph, get, absent)));
+        assert_eq!(shard.status(), ShardStatus::Ok);
+        assert_eq!(check_checkpoint(&shard), Some(false));
     }
 }

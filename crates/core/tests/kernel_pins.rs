@@ -1,23 +1,36 @@
 //! Refinement pins for the chain-search kernel.
 //!
-//! Every pin has two halves.
+//! Every search pin has two halves.
 //!
 //! The **tree-invariant** half — leaves handed to the visitor, verdict and
-//! witness digests, per-event stream outcomes, frontier traffic
-//! (`extension_searches`, `fallback_searches`, `frontier_peak`,
-//! `epoch_cuts`, `retired_events`) — was captured at the commit *before*
-//! the three search loops (`Dfs`, `EnumDfs`, `extend_dfs`) collapsed into
-//! the one kernel in `slin_core::engine`, and has not moved since. The old
-//! loops are the abstract spec; the kernel, and every prune added to it,
-//! refines them: same leaves, same order. A value of this half that moves
-//! means the kernel visits different leaves — work on the kernel must keep
-//! all of them byte-identical. Witnesses are digested with their embedded
+//! witness digests — was captured at the commit *before* the three search
+//! loops (`Dfs`, `EnumDfs`, `extend_dfs`) collapsed into the one kernel in
+//! `slin_core::engine`, and has not moved since. The old loops are the
+//! abstract spec; the kernel, and every prune added to it, refines them:
+//! same leaves, same order. A value of this half that moves means the
+//! kernel visits different leaves — work on the kernel must keep all of
+//! them byte-identical. Witnesses are digested with their embedded
 //! `SearchStats` projected out, so that stays true when only work changes.
 //!
 //! The **work** half — nodes expanded, memo traffic, moves pruned, longest
 //! history tried — is what such work is *for*. It is pinned to its current
 //! value (so a lost prune shows) and asserted `≤` the value of the kernel
 //! before the feasibility prune, kept beside it: work may only fall.
+//!
+//! A stream pin has three parts, because the shard above the kernel chooses
+//! which searches to run:
+//!
+//! * **answers** (`StreamPin`: the per-event `statuses` digest, the final
+//!   `verdict` digest, `extension_searches`, `epoch_cuts`,
+//!   `retired_events`) must not move, whatever changes below them;
+//! * **traffic** (`StreamTraffic`: `fallback_searches`, `frontier_peak`,
+//!   the per-event `outcomes` digest, which folds in frontier length and
+//!   the fallback flag) depends on *which* witnesses the frontier happens
+//!   to hold: a change to what a fallback refills it with re-pins these,
+//!   in either direction, and must say so;
+//! * **work** (`StreamWork`: `search_nodes`, re-pinned when it falls and
+//!   never allowed to rise; `enumerated_commits`, at most one per commit
+//!   where every enumeration completes) as above.
 
 use slin_adt::{ConsInput, ConsOutput, Consensus, KvKeyPartitioner, KvStore, Value};
 use slin_core::engine::SearchStats;
@@ -288,32 +301,58 @@ fn first_solution_faulty_phase_corpus() {
     );
 }
 
-/// The tree-invariant half of a stream: the shard-machinery counters, a
-/// digest of every per-event outcome (frontier length, fallback flag,
-/// rolling status) and a digest of the final report's verdict.
+/// What a stream's *answers* are, plus the traffic the answers alone
+/// decide — the rolling status after every event, the final report's
+/// verdict, one tail extension per commit, and which windows retire when.
+/// Must not move: the `statuses` digests were captured at the commit before
+/// fallbacks and cuts began to enumerate from a checkpoint, the rest before
+/// the kernel collapse.
 #[derive(Debug, PartialEq, Eq)]
 struct StreamPin {
+    statuses: u64,
+    verdict: u64,
     extension_searches: usize,
-    fallback_searches: usize,
-    frontier_peak: usize,
     epoch_cuts: usize,
     retired_events: usize,
-    outcomes: u64,
-    verdict: u64,
 }
 
-/// Drains `t` through a fresh monitor and checks it against `pin` and the
-/// work half: `search_nodes` is what the kernel spends on the stream now,
+/// How the shard got there: which configurations the frontier happened to
+/// hold. A change to what a fallback refills the frontier with moves these
+/// without moving an answer; they are re-pinned, in either direction.
+/// `outcomes` digests every per-event `(frontier length, fallback flag,
+/// rolling status)`.
+#[derive(Debug, PartialEq, Eq)]
+struct StreamTraffic {
+    fallback_searches: usize,
+    frontier_peak: usize,
+    outcomes: u64,
+}
+
+/// The work half. `search_nodes` is what the kernel spends on the stream
+/// now — re-pinned when it falls, never allowed to rise — and
 /// `pre_prune_nodes` what it spent before the feasibility prune (itself
 /// within a few nodes below the three pre-collapse loops, whose memo-less
-/// tail extension kept paying past the frontier cap).
+/// tail extension kept paying past the frontier cap). `enumerated_commits`
+/// is the commits handed to fallback and cut enumerations: under the
+/// default policy every enumeration of these streams completes and each
+/// starts at the last one's checkpoint, so the sum is at most one per
+/// commit; under `frontier_cap = 2` a truncated enumeration takes no
+/// checkpoint, and the value is only recorded.
+struct StreamWork {
+    search_nodes: usize,
+    pre_prune_nodes: usize,
+    enumerated_commits: usize,
+}
+
+/// Drains `t` through a fresh monitor and checks it against the three
+/// parts.
 fn assert_stream(
     t: &Trace<ObjAction<KvStore, ()>>,
     window: usize,
     gc: GcPolicy,
     pin: StreamPin,
-    search_nodes: usize,
-    pre_prune_nodes: usize,
+    traffic: StreamTraffic,
+    work: StreamWork,
 ) {
     let mut mon = Checker::builder(LinChecker::owned(KvStore))
         .partitioner(KvKeyPartitioner)
@@ -323,28 +362,45 @@ fn assert_stream(
         .gc_policy(gc)
         .build();
     let mut outcomes = FNV_SEED;
+    let mut statuses = FNV_SEED;
     for a in t.iter() {
         let o = mon.ingest(a.clone());
         fnv(
             &mut outcomes,
             format!("{} {} {:?}\n", o.frontier_len, o.fell_back, o.status).as_bytes(),
         );
+        fnv(&mut statuses, format!("{:?}\n", o.status).as_bytes());
     }
     let report = mon.report().expect("born streaming");
     let mut verdict = FNV_SEED;
     fnv(&mut verdict, format!("{:?}", report.verdict).as_bytes());
+    let shard = report.shard;
     let got = StreamPin {
-        extension_searches: report.shard.extension_searches,
-        fallback_searches: report.shard.fallback_searches,
-        frontier_peak: report.shard.frontier_peak,
-        epoch_cuts: report.shard.epoch_cuts,
-        retired_events: report.shard.retired_events,
-        outcomes,
+        statuses,
         verdict,
+        extension_searches: shard.extension_searches,
+        epoch_cuts: shard.epoch_cuts,
+        retired_events: shard.retired_events,
     };
-    assert_eq!(got, pin, "the tree moved");
-    assert_eq!(report.shard.search_nodes, search_nodes);
-    assert!(search_nodes <= pre_prune_nodes, "work may only fall");
+    assert_eq!(got, pin, "an answer moved");
+    let got = StreamTraffic {
+        fallback_searches: shard.fallback_searches,
+        frontier_peak: shard.frontier_peak,
+        outcomes,
+    };
+    assert_eq!(got, traffic, "the frontier's traffic moved: re-pin it");
+    assert_eq!(shard.search_nodes, work.search_nodes);
+    assert!(
+        work.search_nodes <= work.pre_prune_nodes,
+        "work may only fall"
+    );
+    assert_eq!(shard.enumerated_commits, work.enumerated_commits);
+    if gc == GcPolicy::default() {
+        assert!(
+            shard.enumerated_commits <= shard.extension_searches,
+            "a commit was enumerated twice"
+        );
+    }
 }
 
 fn hotkey_stream(clients: u32, steps: usize, seed: u64) -> Trace<ObjAction<KvStore, ()>> {
@@ -386,16 +442,22 @@ fn stream_hotkey_w32() {
         32,
         GcPolicy::default(),
         StreamPin {
+            statuses: 18_083_243_867_423_310_569,
+            verdict: 4_126_513_742_314_756_226,
             extension_searches: 66,
-            fallback_searches: 4,
-            frontier_peak: 3,
             epoch_cuts: 4,
             retired_events: 128,
-            outcomes: 5_551_940_265_456_177_429,
-            verdict: 4_126_513_742_314_756_226,
         },
-        1_013,
-        67_293,
+        StreamTraffic {
+            fallback_searches: 4,
+            frontier_peak: 3,
+            outcomes: 9_137_139_651_640_129_359,
+        },
+        StreamWork {
+            search_nodes: 693,
+            pre_prune_nodes: 67_293,
+            enumerated_commits: 63,
+        },
     );
 }
 
@@ -406,16 +468,22 @@ fn stream_hostile_stragglers_w16() {
         16,
         GcPolicy::default(),
         StreamPin {
+            statuses: 2_706_697_226_604_718_511,
+            verdict: 12_274_530_455_667_272_225,
             extension_searches: 139,
-            fallback_searches: 12,
-            frontier_peak: 4,
             epoch_cuts: 10,
             retired_events: 272,
-            outcomes: 15_225_207_924_412_238_523,
-            verdict: 12_274_530_455_667_272_225,
         },
-        1_138,
-        21_677,
+        StreamTraffic {
+            fallback_searches: 10,
+            frontier_peak: 4,
+            outcomes: 2_112_269_631_722_492_934,
+        },
+        StreamWork {
+            search_nodes: 757,
+            pre_prune_nodes: 21_677,
+            enumerated_commits: 135,
+        },
     );
 }
 
@@ -434,32 +502,44 @@ fn tail_extension_reaches_a_tiny_frontier_cap() {
         16,
         gc,
         StreamPin {
+            statuses: 18_030_174_973_173_757_475,
+            verdict: 15_994_890_632_968_525_845,
             extension_searches: 18,
-            fallback_searches: 0,
-            frontier_peak: 2,
             epoch_cuts: 1,
             retired_events: 35,
-            outcomes: 8_625_585_686_834_570_319,
-            verdict: 15_994_890_632_968_525_845,
         },
-        787,
-        88_636,
+        StreamTraffic {
+            fallback_searches: 0,
+            frontier_peak: 2,
+            outcomes: 8_625_585_686_834_570_319,
+        },
+        StreamWork {
+            search_nodes: 787,
+            pre_prune_nodes: 88_636,
+            enumerated_commits: 130,
+        },
     );
     assert_stream(
         &straggler_stream(4, 60, 0.01, 26),
         16,
         gc,
         StreamPin {
+            statuses: 18_048_766_989_914_758_837,
+            verdict: 13_257_915_500_970_795_381,
             extension_searches: 28,
-            fallback_searches: 6,
-            frontier_peak: 3,
             epoch_cuts: 2,
             retired_events: 48,
-            outcomes: 8_000_433_408_145_955_105,
-            verdict: 13_257_915_500_970_795_381,
         },
-        231,
-        6_508,
+        StreamTraffic {
+            fallback_searches: 5,
+            frontier_peak: 3,
+            outcomes: 2_051_157_658_121_734_384,
+        },
+        StreamWork {
+            search_nodes: 171,
+            pre_prune_nodes: 6_508,
+            enumerated_commits: 32,
+        },
     );
 }
 

@@ -25,7 +25,7 @@ use slin_core::initrel::{ConsensusInit, ExactInit};
 use slin_core::lin::{witness_is_valid, LinChecker};
 use slin_core::session::{Checker, Session, Strategy as SessionStrategy};
 use slin_core::slin::SlinChecker;
-use slin_core::stream::{MonitorStatus, StreamModel};
+use slin_core::stream::{GcPolicy, IngestOutcome, MonitorStatus, ShardSummary, StreamModel};
 use slin_core::ObjAction;
 use slin_trace::{Action, ClientId, PhaseId, Trace};
 
@@ -529,6 +529,257 @@ fn two_stragglers_on_one_input_cross_an_epoch_cut() {
         assert_eq!(report.verdict.is_ok(), explainable);
         assert!(report.shard.epoch_cuts > 2, "the stragglers crossed no cut");
     }
+}
+
+// ---- checkpointed enumerations: fallbacks and cuts that resume ----
+
+/// What one event did to a single-key session, read off the public
+/// counters (one key, so one shard: the sums are that shard's).
+struct Step {
+    out: IngestOutcome,
+    /// Responses in the retained window, this event included.
+    window_commits: usize,
+    /// Commits this event's fallback and cut enumerations were handed:
+    /// fewer than `window_commits` means they started at a checkpoint.
+    enumerated: usize,
+    /// Fallbacks earlier in the same window.
+    prior_fallbacks: usize,
+    retired: bool,
+    epoch_cut: bool,
+    lossy_cut: bool,
+}
+
+/// Streams `t` through a windowed session and checks the rolling status
+/// against the single-threaded `Strategy::Monolithic` reference **at every
+/// prefix**: equal in exact mode; with a tripped budget or after a lossy
+/// cut the session may answer `Unknown`, but what it does claim is true.
+fn drive_against_reference(
+    t: &Trace<ObjAction<KvStore, ()>>,
+    window: usize,
+    gc: GcPolicy,
+    budget: Option<usize>,
+) -> Vec<Step> {
+    let mut builder = Checker::builder(LinChecker::owned(KvStore))
+        .partitioner(KvKeyPartitioner)
+        .strategy(SessionStrategy::Streaming {
+            window: Some(window),
+        })
+        .gc_policy(gc);
+    if let Some(nodes) = budget {
+        builder = builder.budget(nodes);
+    }
+    let mut mon: Session<_, (), _> = builder.build();
+    let mut reference = Checker::builder(LinChecker::owned(KvStore))
+        .strategy(SessionStrategy::Monolithic)
+        .threads(1)
+        .build();
+    let exact = budget.is_none() && !gc.epoch_force;
+    let mut prefix = Trace::new();
+    let mut steps = Vec::new();
+    let (mut window_commits, mut prior_fallbacks) = (0, 0);
+    let mut before = ShardSummary::default();
+    for a in t.iter() {
+        prefix.push(a.clone());
+        window_commits += usize::from(a.is_respond());
+        let out = mon.ingest(a.clone());
+        let holds = reference.check(&prefix).outcome.is_ok();
+        match out.status {
+            MonitorStatus::Ok => assert!(holds, "over-claim at event {}", out.index),
+            MonitorStatus::Violation => assert!(!holds, "false alarm at event {}", out.index),
+            MonitorStatus::Unknown => assert!(!exact, "exact mode gave up at {}", out.index),
+            other => panic!("{other:?} on a well-formed switch-free stream"),
+        }
+        let after = mon.shard_summary().expect("streaming");
+        let retired = after.retired_events > before.retired_events;
+        steps.push(Step {
+            out,
+            window_commits,
+            enumerated: after.enumerated_commits - before.enumerated_commits,
+            prior_fallbacks,
+            retired,
+            epoch_cut: after.epoch_cuts > before.epoch_cuts,
+            lossy_cut: after.lossy_cuts > before.lossy_cuts,
+        });
+        prior_fallbacks += usize::from(out.fell_back);
+        if retired {
+            (window_commits, prior_fallbacks) = (0, 0);
+        }
+        before = after;
+    }
+    steps
+}
+
+fn single_key_stragglers(
+    clients: u32,
+    error_prob: f64,
+    seed: u64,
+) -> Trace<ObjAction<KvStore, ()>> {
+    random_hostile_kv_trace(&HostileConfig {
+        clients,
+        steps: 70,
+        keys: 1,
+        skew: 0.7,
+        never_frac: 0.02,
+        stuck_applies: true,
+        delay_zipf: 1.3,
+        max_delay: 12,
+        error_prob,
+        seed,
+    })
+}
+
+fn single_key_hot(clients: u32, error_prob: f64, seed: u64) -> Trace<ObjAction<KvStore, ()>> {
+    random_multikey_kv_trace(&MultiKeyConfig {
+        clients,
+        steps: 70,
+        keys: 1,
+        skew: 0.0,
+        contention: 0.0,
+        error_prob,
+        seed,
+    })
+}
+
+/// A window falls back twice and is then cut at an epoch boundary: the
+/// second fallback resumes at the first one's checkpoint, and the cut at
+/// the second's — it enumerates fewer commits than the window holds.
+#[test]
+fn epoch_cuts_resume_at_the_last_fallback() {
+    let mut resumed = 0;
+    for seed in 9..=13 {
+        for clients in [3, 4] {
+            let t = single_key_stragglers(clients, 0.0, seed);
+            let steps = drive_against_reference(&t, 16, GcPolicy::default(), None);
+            resumed += steps
+                .iter()
+                .filter(|s| s.epoch_cut && s.prior_fallbacks >= 2)
+                .inspect(|s| assert!(s.enumerated < s.window_commits))
+                .count();
+        }
+    }
+    assert!(
+        resumed >= 3,
+        "only {resumed} epoch cuts followed two fallbacks"
+    );
+}
+
+/// A violation first proved by an enumeration that did not start at the
+/// seeds: the window had already fallen back (and kept the checkpoint), and
+/// the re-search that finds no completion was handed only the commits since.
+#[test]
+fn violations_are_proved_from_a_checkpoint() {
+    let mut proved = 0;
+    for seed in 6..=15 {
+        for clients in [3, 4] {
+            let streams = [
+                single_key_stragglers(clients, 0.1, seed),
+                single_key_hot(clients, 0.1, seed),
+            ];
+            for t in streams {
+                let steps = drive_against_reference(&t, 32, GcPolicy::default(), None);
+                let first = steps
+                    .iter()
+                    .find(|s| s.out.status == MonitorStatus::Violation);
+                proved += usize::from(first.is_some_and(|s| {
+                    s.out.fell_back && s.prior_fallbacks >= 1 && s.enumerated < s.window_commits
+                }));
+            }
+        }
+    }
+    assert!(
+        proved >= 4,
+        "only {proved} violations proved from a checkpoint"
+    );
+}
+
+/// `frontier_cap = 2` truncates the fallback (more than four terminal
+/// configurations), so no checkpoint is taken and the window's cut starts
+/// over from the seeds — where the default cap, on the same stream, same
+/// window, resumes.
+#[test]
+fn a_truncated_fallback_takes_no_checkpoint() {
+    let tiny = GcPolicy {
+        frontier_cap: 2,
+        ..Default::default()
+    };
+    let cut_after_fallback = |s: &&Step| s.retired && !s.out.fell_back && s.prior_fallbacks >= 1;
+    let mut started_over = 0;
+    for seed in 0..=6 {
+        for clients in [3, 4] {
+            for t in [
+                single_key_stragglers(clients, 0.0, seed),
+                single_key_hot(clients, 0.0, seed),
+            ] {
+                let truncated = drive_against_reference(&t, 16, tiny, None);
+                let complete = drive_against_reference(&t, 16, GcPolicy::default(), None);
+                for (a, b) in truncated.iter().zip(&complete) {
+                    started_over += usize::from(
+                        cut_after_fallback(&a)
+                            && cut_after_fallback(&b)
+                            && a.window_commits == b.window_commits
+                            && a.enumerated == a.window_commits
+                            && b.enumerated < b.window_commits,
+                    );
+                }
+            }
+        }
+    }
+    assert!(started_over >= 3, "only {started_over} cuts started over");
+}
+
+/// A tiny node budget trips a fallback — `Unknown`, no checkpoint — and the
+/// shard recovers at the next quiescent commit; whatever it claims in
+/// between and after is the reference's answer.
+#[test]
+fn a_tripped_fallback_recovers_at_quiescence() {
+    let mut recovered = 0;
+    for (clients, seed, budget) in [(3, 83, 48), (3, 90, 24), (4, 279, 28)] {
+        let t = single_key_hot(clients, 0.0, seed);
+        let steps = drive_against_reference(&t, 16, GcPolicy::default(), Some(budget));
+        let tripped = steps
+            .iter()
+            .position(|s| s.out.fell_back && s.out.status == MonitorStatus::Unknown);
+        recovered += usize::from(tripped.is_some_and(|at| {
+            steps[at..]
+                .iter()
+                .any(|s| s.out.fell_back && s.out.status == MonitorStatus::Ok)
+        }));
+    }
+    assert_eq!(recovered, 3, "a budget trip was not recovered from");
+}
+
+/// `epoch_force` with `frontier_cap = 3`: cuts retire truncated summaries.
+/// After a lossy cut the session never says `Violation` (a missing
+/// completion proves nothing any more) and `Ok` is still the reference's
+/// `Ok` (checked at every prefix by the driver) — through fallbacks that
+/// resume at checkpoints taken over the lossy seeds.
+#[test]
+fn lossy_cuts_never_over_claim() {
+    let lossy = GcPolicy {
+        frontier_cap: 3,
+        epoch_force: true,
+        ..Default::default()
+    };
+    let (mut sessions, mut resumed) = (0, 0);
+    for seed in 0..=6 {
+        for error_prob in [0.0, 0.1] {
+            let t = single_key_stragglers(4, error_prob, seed);
+            let steps = drive_against_reference(&t, 8, lossy, None);
+            let Some(cut) = steps.iter().position(|s| s.lossy_cut) else {
+                continue;
+            };
+            sessions += 1;
+            for s in &steps[cut..] {
+                assert_ne!(s.out.status, MonitorStatus::Violation, "seed {seed}");
+                resumed += usize::from(s.out.fell_back && s.enumerated < s.window_commits);
+            }
+        }
+    }
+    assert!(sessions >= 6, "only {sessions} sessions cut lossily");
+    assert!(
+        resumed >= 3,
+        "only {resumed} fallbacks resumed after a lossy cut"
+    );
 }
 
 /// Perturbed wide streams: violations past the old ceiling are detected
