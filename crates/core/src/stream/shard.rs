@@ -35,11 +35,11 @@
 //! levels later that an earlier commit is starved), and exactly what the
 //! kernel's feasibility prune cuts before descending (see
 //! [`crate::engine`]): an enumeration here visits the configurations it
-//! returns and little else. Measured on the B6h sweep, per ingested event:
-//! 5–6 search nodes on zipf-delay streams and 13–30 on stragglers across
-//! `w = 8..24` (44–313 and 108–824 with the bound-only prune); a cut whose
-//! complete summary is 1–10 configurations costs tens of nodes, not
-//! thousands.
+//! returns and little else. On the B6h sweep pinned in `work_pins.rs`, per
+//! ingested event: 5–6 search nodes on zipf-delay streams and 13–30 on
+//! stragglers across `w = 8..24` (44–313 and 108–824 with the bound-only
+//! prune); a cut whose complete summary is 1–10 configurations costs tens
+//! of nodes, not thousands.
 //!
 //! A node, in turn, costs integers, not allocations: inside a search the
 //! consumed inputs are per-class counters and the memo is probed by

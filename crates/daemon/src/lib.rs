@@ -19,7 +19,7 @@
 //!   [`slin_core::stream::GcPolicy`]), backpressure shedding, the
 //!   lane-sharded worker pool, and the [`daemon::DaemonMetrics`] surface;
 //! * [`loadgen`] — deterministic Zipf-skewed multi-tenant workloads and a
-//!   bounded in-process transport, for the B8 bench and the integration
+//!   bounded in-process transport, for the binary and the integration
 //!   tests.
 //!
 //! The binary (`slin-daemon`) wires the three together: generate or

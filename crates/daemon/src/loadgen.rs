@@ -1,5 +1,5 @@
 //! Deterministic multi-tenant load generation and an in-process
-//! transport, for the daemon's bench (B8) and integration tests.
+//! transport, for the `slin-daemon` binary and the integration tests.
 //!
 //! Each tenant gets its own hostile never-quiescent KV stream (the
 //! checker's own [`random_hostile_kv_trace`] generator); the generator

@@ -96,7 +96,8 @@ fn thousand_tenant_verdicts_match_per_tenant_batch_checking() {
 
 /// Saturating load against tiny queues: the daemon must shed (lossy
 /// epoch forcing), the shed must be visible in the metrics surface, and
-/// the per-tenant queue bound must hold throughout.
+/// the per-tenant queue bound must hold throughout. Shedding is for
+/// saturation only: a provisioned daemon under the same policy must not.
 #[test]
 fn saturating_load_sheds_observably_and_keeps_queues_bounded() {
     let cfg = LoadConfig {
@@ -148,6 +149,48 @@ fn saturating_load_sheds_observably_and_keeps_queues_bounded() {
     assert_eq!(counts.violation, 0);
     assert_eq!(counts.ill_formed, 0);
     assert_eq!(counts.ok + counts.unknown, 16);
+
+    // The control: the same lossy policy on a *provisioned* daemon (deep
+    // queues, a pump after every chunk) never sheds, whether tenant
+    // traffic is uniform or Zipf-skewed.
+    let provisioned = TenantPolicy {
+        queue_capacity: 4096,
+        window: Some(32),
+        shed_lossy: true,
+        ..TenantPolicy::default()
+    };
+    for (tenants, tenant_skew) in [(64, 0.0), (128, 1.2)] {
+        for seed in 0..3 {
+            let workload = generate(&LoadConfig {
+                tenants,
+                steps_per_tenant: 120,
+                clients: 3,
+                keys: 3,
+                tenant_skew,
+                error_prob: 0.0,
+                chunk_frames: 256,
+                seed,
+            });
+            let mut daemon = Daemon::new(DaemonConfig {
+                workers: 4,
+                default_policy: provisioned,
+            });
+            let (rx, producer) = transport(workload.chunks, 8);
+            for chunk in rx.iter() {
+                daemon.ingest_bytes(&chunk).unwrap();
+                daemon.pump();
+            }
+            producer.join().unwrap();
+            daemon.pump();
+            let counts = daemon.poll_verdicts();
+            let metrics = daemon.metrics();
+            let shape = format!("{tenants} tenants, skew {tenant_skew}, seed {seed}: {metrics:?}");
+            assert_eq!(metrics.sheds, 0, "spurious backpressure: {shape}");
+            assert!(metrics.queue_depth_peak <= 4096, "{shape}");
+            assert_eq!(metrics.events, workload.frames as u64, "{shape}");
+            assert_eq!((counts.violation, counts.ill_formed), (0, 0), "{shape}");
+        }
+    }
 }
 
 /// Per-tenant policy overrides: a lossless tenant next to lossy ones

@@ -245,6 +245,24 @@ fn violation_after_gc_reconstructs_full_forensics() {
     assert_eq!(degraded.shard.archived_events, 0);
 }
 
+/// A linearizable-by-construction three-client load stream.
+fn load_stream(
+    keys: u32,
+    skew: f64,
+    steps: usize,
+    seed: u64,
+) -> slin_trace::Trace<slin_core::ObjAction<KvStore, ()>> {
+    random_multikey_kv_trace(&MultiKeyConfig {
+        clients: 3,
+        steps,
+        keys,
+        skew,
+        contention: 0.0,
+        error_prob: 0.0,
+        seed,
+    })
+}
+
 /// With archival off (the default), nothing is retained beyond the live
 /// window and reports never claim reconstruction.
 #[test]
@@ -258,6 +276,44 @@ fn archival_off_is_the_default_and_archives_nothing() {
     let report = mon.report().unwrap();
     assert!(!report.reconstructed);
     assert_eq!(report.shard.archived_events, 0);
+    // Nor on long multi-key load (the streams `work_pins.rs` times the
+    // observer on, three seeds each): archival really is opt-in.
+    for (keys, skew) in [(4, 0.6), (16, 1.4)] {
+        for seed in 0..3 {
+            let mut mon = gc_monitor(48, 0);
+            for a in load_stream(keys, skew, 1600, seed).iter() {
+                mon.ingest(a.clone());
+            }
+            let report = mon.report().unwrap();
+            assert!(report.verdict.is_ok(), "keys {keys}, seed {seed}");
+            assert!(!report.reconstructed, "keys {keys}, seed {seed}");
+            assert_eq!(report.shard.archived_events, 0, "keys {keys}, seed {seed}");
+        }
+    }
+}
+
+/// The archive's memory bound, at the deepest configuration in use: 4096
+/// windows of `w = 8` over single-key streams hold every retired event,
+/// so the report reconstructs — and still fits O(shards · depth · window)
+/// events. (300 steps: reconstruction re-runs the monolithic check on the
+/// closed trace, and must stay inside the default node budget.)
+#[test]
+fn deep_archive_reconstructs_inside_its_event_bound() {
+    for seed in 0..3 {
+        let mut mon = gc_monitor(8, 4096);
+        for a in load_stream(1, 0.0, 300, seed).iter() {
+            mon.ingest(a.clone());
+        }
+        let report = mon.report().unwrap();
+        assert!(report.verdict.is_ok(), "seed {seed}");
+        assert!(report.reconstructed, "seed {seed}");
+        let archived = report.shard.archived_events;
+        assert!(
+            0 < archived && archived <= report.shards * 4096 * 8,
+            "seed {seed}: {archived} events archived over {} shards",
+            report.shards
+        );
+    }
 }
 
 /// Determinism: two identically-configured archived monitors over the same
