@@ -11,12 +11,6 @@
 
 use crate::Adt;
 
-/// The state reached by replaying `history` (a convenience re-export of
-/// [`Adt::run`] under the name used in discussions of equivalence).
-pub fn reachable_state<T: Adt>(adt: &T, history: &[T::Input]) -> T::State {
-    adt.run(history)
-}
-
 /// Whether two histories are equivalent with respect to `adt`: they lead to
 /// the same sequential state, hence the same outputs for every continuation.
 ///
@@ -73,12 +67,5 @@ mod tests {
         assert!(histories_equivalent(&q, &h1, &h2)); // both leave it empty
         let h3 = [QueueInput::Enqueue(1)];
         assert!(!histories_equivalent(&q, &h1, &h3));
-    }
-
-    #[test]
-    fn reachable_state_matches_run() {
-        let c = Counter::new();
-        let h = [CounterInput::Increment; 3];
-        assert_eq!(reachable_state(&c, &h), 3);
     }
 }

@@ -38,7 +38,6 @@
 //! assert_eq!(cons.output(&h), Some(ConsOutput::decide(2)));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod array;
@@ -59,7 +58,7 @@ pub use array::{CounterVecInput, CounterVector, RegArrayInput, RegisterArray};
 pub use consensus::{ConsInput, ConsOutput, Consensus, Value};
 pub use counter::{Counter, CounterInput, CounterOutput};
 pub use domain::{DomainSpec, KeyedDomain, KeyedOp, DOMAIN_KEYS, DOMAIN_VALS};
-pub use equiv::{histories_equivalent, reachable_state};
+pub use equiv::histories_equivalent;
 pub use kv::{KvInput, KvOutput, KvStore};
 pub use partition::{
     CounterVecPartitioner, IdentityPartitioner, KvKeyPartitioner, Partitioner, RegArrayPartitioner,

@@ -33,12 +33,13 @@
 //! [`DomainSpec`](crate::DomainSpec), the `slin-analysis` crate discharges
 //! both obligations by bounded exhaustive exploration — `certify(&adt,
 //! &partitioner, &config)` returns either a deterministic, content-hashed
-//! `Certificate` (JSON, committed under `analysis/certs/` and kept fresh
-//! by CI) or a shrunk counterexample that replays as a real
-//! partitioned-vs-monolithic checker divergence. Run it with
+//! `Certificate` (JSON, committed under `analysis/certs/` and compared
+//! byte for byte by tier-1) or a shrunk counterexample that replays as a
+//! real partitioned-vs-monolithic checker divergence. Rewrite the
+//! committed files with
 //!
 //! ```text
-//! cargo run -p slin-analysis --bin slin-analyze -- --all
+//! cargo run -p slin-analysis --bin slin-analyze
 //! ```
 //!
 //! and install the proof at session-build time with

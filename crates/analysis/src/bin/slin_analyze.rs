@@ -1,38 +1,28 @@
-//! `slin-analyze` — certify shipped partitioners and lint the workspace.
+//! `slin-analyze` — certify the shipped partitioners and write their
+//! certificates.
 //!
 //! ```text
-//! slin-analyze --all                 # certify shipped pairs, write analysis/certs/
-//! slin-analyze --all --check        # regenerate and compare, no writes
-//! slin-analyze --lint-src            # run the concurrency lint
-//! slin-analyze --all --lint-src      # what CI runs (blocking)
+//! slin-analyze                       # certify the four shipped pairs, write
+//!                                    # their eight files to analysis/certs/
 //! ```
 //!
 //! Options: `--depth N` (exploration depth, default 4), `--out DIR`
 //! (certificate directory, default `<root>/analysis/certs`), `--root DIR`
 //! (workspace root, default inferred from the crate location).
 //!
-//! Exit status is non-zero if any shipped partitioner fails to certify,
-//! any negative fixture is *not* rejected, a `--check` comparison drifts,
-//! or the lint reports a hit.
+//! Exit status is non-zero if a shipped partitioner fails to certify.
+//! Tier-1 (`tests/tests/static_certification.rs`) compares what this
+//! writes with the committed files, and owns the negative fixtures.
 
 use slin_adt::{
-    CounterVecPartitioner, CounterVector, KvKeyPartitioner, KvStore, RegArrayPartitioner,
-    RegisterArray, Set, SetElemPartitioner,
+    CounterVecPartitioner, CounterVector, DomainSpec, KvKeyPartitioner, KvStore, Partitioner,
+    RegArrayPartitioner, RegisterArray, Set, SetElemPartitioner,
 };
-use slin_analysis::fixtures::{
-    BogusCounterPartitioner, ConsProposalPartitioner, QueueValuePartitioner, StackValuePartitioner,
-};
-use slin_analysis::{
-    certify, certify_switch, lint_workspace, AnalyzeConfig, AnalyzeFailure, Certificate,
-    SwitchCert, SwitchFailure, RULES,
-};
+use slin_analysis::{certify, certify_switch, AnalyzeConfig, AnalyzeFailure, SwitchFailure};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 struct Options {
-    all: bool,
-    lint_src: bool,
-    check: bool,
     depth: usize,
     out: Option<PathBuf>,
     root: PathBuf,
@@ -49,9 +39,6 @@ fn default_root() -> PathBuf {
 
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
-        all: false,
-        lint_src: false,
-        check: false,
         depth: AnalyzeConfig::default().depth,
         out: None,
         root: default_root(),
@@ -59,9 +46,6 @@ fn parse_args() -> Result<Options, String> {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--all" => opts.all = true,
-            "--lint-src" => opts.lint_src = true,
-            "--check" => opts.check = true,
             "--depth" => {
                 let v = args.next().ok_or("--depth needs a value")?;
                 opts.depth = v.parse().map_err(|_| format!("bad depth `{v}`"))?;
@@ -75,337 +59,92 @@ fn parse_args() -> Result<Options, String> {
             other => return Err(format!("unknown argument `{other}` (try --help)")),
         }
     }
-    if !opts.all && !opts.lint_src {
-        return Err("nothing to do: pass --all and/or --lint-src (try --help)".to_string());
-    }
     Ok(opts)
 }
 
 fn print_help() {
-    println!("slin-analyze: partitioner certification + workspace concurrency lint");
+    println!("slin-analyze: certify the shipped partitioners and write their certificates");
     println!();
-    println!("  --all        certify shipped partitioners, reject negative fixtures,");
-    println!("               write certificates to the --out directory");
-    println!("  --check      with --all: compare regenerated certificates against the");
-    println!("               committed ones instead of writing");
-    println!("  --lint-src   lint crates/ for the repo concurrency policy");
     println!("  --depth N    exploration depth (default 4)");
     println!("  --out DIR    certificate directory (default <root>/analysis/certs)");
     println!("  --root DIR   workspace root (default: inferred)");
-    println!();
-    println!("lint rules:");
-    for (rule, desc) in RULES {
-        println!("  {rule:<18} {desc}");
-    }
 }
 
-/// Runs one positive certification, returning the certificate on success.
-fn positive<T, P>(adt: &T, p: &P, cfg: &AnalyzeConfig, failures: &mut u32) -> Option<Certificate>
+fn exceeded(explored: usize) -> String {
+    format!("state space exceeded ({explored} signatures)")
+}
+
+/// Certifies one shipped pair: its partitioner certificate (`slin-cert/v1`)
+/// and its switch-independence one (`slin-cert/v2`), as `(file, JSON)`.
+fn certify_pair<T, P>(adt: &T, p: &P, cfg: &AnalyzeConfig) -> Result<[(String, String); 2], String>
 where
-    T: slin_adt::DomainSpec,
-    P: slin_adt::Partitioner<T>,
+    T: DomainSpec + std::fmt::Debug,
+    P: Partitioner<T>,
 {
-    match certify(adt, p, cfg) {
-        Ok(cert) => {
-            println!(
-                "  certified {} / {} (depth {}, {} states, {} checks) {}",
-                cert.adt,
-                cert.partitioner,
-                cert.depth,
-                cert.states,
-                cert.projection_checks + cert.commutation_checks,
-                cert.content_hash,
-            );
-            Some(cert)
-        }
-        Err(AnalyzeFailure::Unsound(cex)) => {
-            *failures += 1;
-            eprintln!("  FAILED to certify: {}", cex.render());
-            None
-        }
-        Err(AnalyzeFailure::StateSpaceExceeded { explored }) => {
-            *failures += 1;
-            eprintln!("  FAILED to certify: state space exceeded ({explored} signatures)");
-            None
-        }
-    }
+    let v1 = certify(adt, p, cfg).map_err(|e| match e {
+        AnalyzeFailure::Unsound(cex) => cex.render(),
+        AnalyzeFailure::StateSpaceExceeded { explored } => exceeded(explored),
+    })?;
+    println!(
+        "  certified {} / {} (depth {}, {} states, {} checks) {}",
+        v1.adt,
+        v1.partitioner,
+        v1.depth,
+        v1.states,
+        v1.projection_checks + v1.commutation_checks,
+        v1.content_hash,
+    );
+    let v2 = certify_switch(adt, p, cfg).map_err(|e| match e {
+        SwitchFailure::Unsound(cex) => cex.render(),
+        SwitchFailure::StateSpaceExceeded { explored } => exceeded(explored),
+    })?;
+    println!(
+        "  certified {} / {} / {} (depth {}, {} switch values, {} states) {}",
+        v2.adt, v2.partitioner, v2.rinit, v2.depth, v2.switch_values, v2.states, v2.content_hash,
+    );
+    Ok([
+        (v1.file_name(), v1.to_json()),
+        (v2.file_name(), v2.to_json()),
+    ])
 }
 
-/// Runs one negative fixture, which must be rejected.
-fn negative<T, P>(adt: &T, p: &P, cfg: &AnalyzeConfig, failures: &mut u32)
-where
-    T: slin_adt::DomainSpec,
-    P: slin_adt::Partitioner<T>,
-{
-    use slin_analysis::short_type_name;
-    match certify(adt, p, cfg) {
-        Err(AnalyzeFailure::Unsound(cex)) => {
-            println!(
-                "  rejected  {} / {} (counterexample of {} inputs)",
-                short_type_name::<T>(),
-                short_type_name::<P>(),
-                cex.len(),
-            );
-        }
-        Ok(_) => {
-            *failures += 1;
-            eprintln!(
-                "  FAILED: unsound fixture {} / {} was certified",
-                short_type_name::<T>(),
-                short_type_name::<P>(),
-            );
-        }
-        Err(AnalyzeFailure::StateSpaceExceeded { explored }) => {
-            *failures += 1;
-            eprintln!(
-                "  FAILED: fixture {} / {} exceeded the state space ({explored}) before \
-                 a counterexample",
-                short_type_name::<T>(),
-                short_type_name::<P>(),
-            );
-        }
-    }
-}
-
-/// Runs one positive switch-independence certification.
-fn switch_positive<T, P>(
-    adt: &T,
-    p: &P,
-    cfg: &AnalyzeConfig,
-    failures: &mut u32,
-) -> Option<SwitchCert>
-where
-    T: slin_adt::DomainSpec + std::fmt::Debug,
-    P: slin_adt::Partitioner<T>,
-{
-    match certify_switch(adt, p, cfg) {
-        Ok(cert) => {
-            println!(
-                "  certified {} / {} / {} (depth {}, {} switch values, {} states) {}",
-                cert.adt,
-                cert.partitioner,
-                cert.rinit,
-                cert.depth,
-                cert.switch_values,
-                cert.states,
-                cert.content_hash,
-            );
-            Some(cert)
-        }
-        Err(SwitchFailure::Unsound(cex)) => {
-            *failures += 1;
-            eprintln!("  FAILED to certify switch independence: {}", cex.render());
-            None
-        }
-        Err(SwitchFailure::StateSpaceExceeded { explored }) => {
-            *failures += 1;
-            eprintln!(
-                "  FAILED to certify switch independence: state space exceeded \
-                 ({explored} signatures)"
-            );
-            None
-        }
-    }
-}
-
-/// Runs one negative switch-independence fixture, which must be rejected.
-fn switch_negative<T, P>(adt: &T, p: &P, cfg: &AnalyzeConfig, failures: &mut u32)
-where
-    T: slin_adt::DomainSpec + std::fmt::Debug,
-    P: slin_adt::Partitioner<T>,
-{
-    use slin_analysis::short_type_name;
-    match certify_switch(adt, p, cfg) {
-        Err(SwitchFailure::Unsound(cex)) => {
-            println!(
-                "  rejected  {} / {} (switch counterexample of {} inputs)",
-                short_type_name::<T>(),
-                short_type_name::<P>(),
-                cex.len(),
-            );
-        }
-        Ok(_) => {
-            *failures += 1;
-            eprintln!(
-                "  FAILED: unsound fixture {} / {} was switch-certified",
-                short_type_name::<T>(),
-                short_type_name::<P>(),
-            );
-        }
-        Err(SwitchFailure::StateSpaceExceeded { explored }) => {
-            *failures += 1;
-            eprintln!(
-                "  FAILED: fixture {} / {} exceeded the state space ({explored}) before \
-                 a switch counterexample",
-                short_type_name::<T>(),
-                short_type_name::<P>(),
-            );
-        }
-    }
-}
-
-fn run_all(opts: &Options) -> Result<u32, std::io::Error> {
+fn run(opts: &Options) -> Result<(), String> {
     let cfg = AnalyzeConfig {
         depth: opts.depth,
         ..AnalyzeConfig::default()
     };
-    let mut failures = 0u32;
-
     println!("certifying shipped partitioners (depth {}):", cfg.depth);
-    let certs: Vec<Certificate> = [
-        positive(&KvStore, &KvKeyPartitioner, &cfg, &mut failures),
-        positive(&Set, &SetElemPartitioner, &cfg, &mut failures),
-        positive(&RegisterArray, &RegArrayPartitioner, &cfg, &mut failures),
-        positive(&CounterVector, &CounterVecPartitioner, &cfg, &mut failures),
+    let files = [
+        certify_pair(&KvStore, &KvKeyPartitioner, &cfg)?,
+        certify_pair(&Set, &SetElemPartitioner, &cfg)?,
+        certify_pair(&RegisterArray, &RegArrayPartitioner, &cfg)?,
+        certify_pair(&CounterVector, &CounterVecPartitioner, &cfg)?,
     ]
-    .into_iter()
-    .flatten()
-    .collect();
-
-    println!(
-        "certifying switch independence (slin-cert/v2, depth {}):",
-        cfg.depth
-    );
-    let switch_certs: Vec<SwitchCert> = [
-        switch_positive(&KvStore, &KvKeyPartitioner, &cfg, &mut failures),
-        switch_positive(&Set, &SetElemPartitioner, &cfg, &mut failures),
-        switch_positive(&RegisterArray, &RegArrayPartitioner, &cfg, &mut failures),
-        switch_positive(&CounterVector, &CounterVecPartitioner, &cfg, &mut failures),
-    ]
-    .into_iter()
-    .flatten()
-    .collect();
-
-    println!("rejecting negative fixtures:");
-    negative(
-        &slin_adt::Counter,
-        &BogusCounterPartitioner,
-        &cfg,
-        &mut failures,
-    );
-    negative(
-        &slin_adt::Queue,
-        &QueueValuePartitioner,
-        &cfg,
-        &mut failures,
-    );
-    negative(
-        &slin_adt::Stack,
-        &StackValuePartitioner,
-        &cfg,
-        &mut failures,
-    );
-    negative(
-        &slin_adt::Consensus,
-        &ConsProposalPartitioner,
-        &cfg,
-        &mut failures,
-    );
-
-    println!("rejecting negative switch fixtures:");
-    switch_negative(
-        &slin_adt::Counter,
-        &BogusCounterPartitioner,
-        &cfg,
-        &mut failures,
-    );
-    switch_negative(
-        &slin_adt::Queue,
-        &QueueValuePartitioner,
-        &cfg,
-        &mut failures,
-    );
-    switch_negative(
-        &slin_adt::Stack,
-        &StackValuePartitioner,
-        &cfg,
-        &mut failures,
-    );
-    switch_negative(
-        &slin_adt::Consensus,
-        &ConsProposalPartitioner,
-        &cfg,
-        &mut failures,
-    );
+    .concat();
 
     let out_dir = opts
         .out
         .clone()
         .unwrap_or_else(|| opts.root.join("analysis").join("certs"));
-    let rendered: Vec<(String, String)> = certs
-        .iter()
-        .map(|c| (c.file_name(), c.to_json()))
-        .chain(switch_certs.iter().map(|c| (c.file_name(), c.to_json())))
-        .collect();
-    if opts.check {
-        for (name, json) in &rendered {
-            let path = out_dir.join(name);
-            let committed = std::fs::read_to_string(&path).unwrap_or_default();
-            if committed != *json {
-                failures += 1;
-                eprintln!(
-                    "  STALE certificate {}: regenerate with `slin-analyze --all`",
-                    path.display()
-                );
-            }
-        }
-        if failures == 0 {
-            println!("committed certificates are fresh ({})", out_dir.display());
-        }
-    } else {
-        std::fs::create_dir_all(&out_dir)?;
-        for (name, json) in &rendered {
-            std::fs::write(out_dir.join(name), json)?;
-        }
-        println!(
-            "wrote {} certificates to {}",
-            rendered.len(),
-            out_dir.display()
-        );
+    let io = |e: std::io::Error| format!("i/o error: {e}");
+    std::fs::create_dir_all(&out_dir).map_err(io)?;
+    for (name, json) in &files {
+        std::fs::write(out_dir.join(name), json).map_err(io)?;
     }
-    Ok(failures)
+    println!(
+        "wrote {} certificates to {}",
+        files.len(),
+        out_dir.display()
+    );
+    Ok(())
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_args() {
-        Ok(opts) => opts,
+    match parse_args().and_then(|opts| run(&opts)) {
+        Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("slin-analyze: {msg}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
-
-    let mut failures = 0u32;
-    if opts.all {
-        match run_all(&opts) {
-            Ok(n) => failures += n,
-            Err(e) => {
-                eprintln!("slin-analyze: i/o error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if opts.lint_src {
-        match lint_workspace(&opts.root) {
-            Ok(hits) if hits.is_empty() => {
-                println!("srclint: clean ({} rules)", RULES.len());
-            }
-            Ok(hits) => {
-                for hit in &hits {
-                    eprintln!("srclint: {hit}");
-                }
-                failures += hits.len() as u32;
-            }
-            Err(e) => {
-                eprintln!("slin-analyze: lint i/o error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if failures == 0 {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("slin-analyze: {failures} failure(s)");
-        ExitCode::FAILURE
     }
 }

@@ -6,8 +6,8 @@
 //! statistics of the run and a content hash over all of it. Certificates
 //! are serialized as stable, hand-built JSON (no timestamps, no map
 //! iteration order) so regenerating one from the same source tree yields
-//! the same bytes — CI commits them under `analysis/certs/` and rejects
-//! drift.
+//! the same bytes — they are committed under `analysis/certs/` and tier-1
+//! rejects drift.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -55,7 +55,7 @@ pub struct Certificate {
 
 impl Certificate {
     /// Computes the content hash for the non-hash fields.
-    pub fn compute_hash(&self) -> String {
+    fn compute_hash(&self) -> String {
         let canon = format!(
             "{}|{}|{}|{}|{}|{}|{}|{}|{}|{}",
             CERT_SCHEMA,
@@ -73,7 +73,7 @@ impl Certificate {
     }
 
     /// Fills in `content_hash` from the other fields.
-    pub fn sealed(mut self) -> Certificate {
+    pub(crate) fn sealed(mut self) -> Certificate {
         self.content_hash = self.compute_hash();
         self
     }
@@ -152,7 +152,7 @@ pub struct SwitchCert {
 
 impl SwitchCert {
     /// Computes the content hash for the non-hash fields.
-    pub fn compute_hash(&self) -> String {
+    fn compute_hash(&self) -> String {
         let canon = format!(
             "{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}",
             SWITCH_CERT_SCHEMA,
@@ -172,7 +172,7 @@ impl SwitchCert {
     }
 
     /// Fills in `content_hash` from the other fields.
-    pub fn sealed(mut self) -> SwitchCert {
+    pub(crate) fn sealed(mut self) -> SwitchCert {
         self.content_hash = self.compute_hash();
         self
     }
@@ -281,7 +281,7 @@ impl fmt::Display for CertError {
             CertError::Uncertified { adt, partitioner } => write!(
                 f,
                 "no certificate for partitioner `{partitioner}` over ADT `{adt}` \
-                 (run `slin-analyze --all`, or relax the cert policy)"
+                 (run `slin-analyze`, or relax the cert policy)"
             ),
             CertError::RelationMismatch { expected, found } => write!(
                 f,
@@ -349,21 +349,14 @@ impl CertStore {
         Ok(())
     }
 
-    /// Looks up the switch certificate for an `(adt, partitioner, rinit)`
-    /// triple.
-    pub fn get_switch(&self, adt: &str, partitioner: &str, rinit: &str) -> Option<&SwitchCert> {
-        self.switch_certs
-            .get(&(adt.to_string(), partitioner.to_string(), rinit.to_string()))
-    }
-
-    /// Whether the triple holds a switch-independence certificate.
+    /// Whether the `(adt, partitioner, rinit)` triple holds a
+    /// switch-independence certificate.
     pub fn is_switch_certified(&self, adt: &str, partitioner: &str, rinit: &str) -> bool {
-        self.get_switch(adt, partitioner, rinit).is_some()
-    }
-
-    /// Number of registered switch certificates.
-    pub fn switch_len(&self) -> usize {
-        self.switch_certs.len()
+        self.switch_certs.contains_key(&(
+            adt.to_string(),
+            partitioner.to_string(),
+            rinit.to_string(),
+        ))
     }
 
     /// Number of registered certificates.
@@ -473,7 +466,6 @@ mod tests {
             !store.is_certified("KvStore", "KvKeyPartitioner"),
             "v2 is not v1"
         );
-        assert_eq!(store.switch_len(), 1);
         assert!(!store.is_empty());
         let mut bad = sample_switch();
         bad.keys = 9;

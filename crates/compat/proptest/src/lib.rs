@@ -19,8 +19,6 @@
 //! No shrinking is performed: on failure the runner reports the case index
 //! and base seed, which — determinism — is enough to replay.
 
-#![forbid(unsafe_code)]
-
 pub mod arbitrary;
 pub mod bool;
 pub mod collection;

@@ -92,11 +92,6 @@ impl TestRunner {
         TestRunner { config, base_seed }
     }
 
-    /// The base seed this runner derives per-case seeds from.
-    pub fn base_seed(&self) -> u64 {
-        self.base_seed
-    }
-
     /// Runs every case; panics (failing the enclosing `#[test]`) on the
     /// first case whose closure returns an error.
     pub fn run_cases<F>(&mut self, test_name: &str, mut case: F)

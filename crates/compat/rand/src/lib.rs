@@ -9,8 +9,6 @@
 //! workloads and deterministic in the seed, which is all the workspace
 //! requires (seeds pin traces, not specific upstream `rand` streams).
 
-#![forbid(unsafe_code)]
-
 /// A low-level source of random 64-bit words.
 pub trait RngCore {
     /// Returns the next pseudo-random `u64`.

@@ -27,7 +27,6 @@
 //! assert_eq!(outcome.latencies[0].1, Some(2));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod client;

@@ -88,7 +88,7 @@ impl PaxosProposer {
     }
 
     /// How many ballots this proposer has started.
-    pub fn rounds_started(&self) -> u32 {
+    pub(crate) fn rounds_started(&self) -> u32 {
         self.rounds_started
     }
 

@@ -78,7 +78,7 @@ impl QuorumPhase {
     }
 
     /// Feeds an accept message for this slot.
-    pub fn on_accept(&mut self, from: ProcessId, value: Value) -> QuorumStep {
+    pub(crate) fn on_accept(&mut self, from: ProcessId, value: Value) -> QuorumStep {
         self.accepts.insert(from, value);
         let mut values = self.accepts.values();
         let first = *values.next().expect("just inserted");
@@ -94,7 +94,7 @@ impl QuorumPhase {
     }
 
     /// Feeds a timer expiry.
-    pub fn on_timeout(&mut self) -> QuorumStep {
+    pub(crate) fn on_timeout(&mut self) -> QuorumStep {
         match self.accepts.values().next() {
             // Some accept received: switch with that value.
             Some(v) => QuorumStep::Switch(*v),

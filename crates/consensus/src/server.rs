@@ -31,16 +31,6 @@ impl Server {
     pub fn new() -> Self {
         Server::default()
     }
-
-    /// The value this server accepted for a fast-phase slot, if any.
-    pub fn slot_value(&self, slot: u32) -> Option<Value> {
-        self.slots.get(&slot).copied()
-    }
-
-    /// The Paxos acceptor state (highest accepted proposal).
-    pub fn paxos_accepted(&self) -> Option<(Ballot, Value)> {
-        self.accepted
-    }
 }
 
 impl Process<Msg, ConsAction> for Server {
@@ -150,13 +140,5 @@ mod tests {
         s.promised = Some(b1);
         // b0 < b1 would be rejected by on_message; verify the ordering here.
         assert!(b0 < b1);
-    }
-
-    #[test]
-    fn slot_values_are_independent() {
-        let mut s = Server::new();
-        s.slots.insert(1, Value::new(4));
-        assert_eq!(s.slot_value(1), Some(Value::new(4)));
-        assert_eq!(s.slot_value(2), None);
     }
 }

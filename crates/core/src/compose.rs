@@ -158,22 +158,6 @@ impl PhaseChainVerification {
     pub fn all_ok(&self) -> bool {
         self.object_linearizable && self.phases.iter().all(|&(_, _, ok)| ok)
     }
-
-    /// Whether any failure is a resource limit (budget or interpretation
-    /// cap) rather than a genuine violation — a `false` verdict with
-    /// `resource_limited()` means "try a bigger [`crate::engine::SearchBudget`]",
-    /// not "the protocol misbehaved".
-    pub fn resource_limited(&self) -> bool {
-        self.failures.iter().any(|(_, _, e)| {
-            matches!(
-                e,
-                SlinError::BudgetExhausted { .. } | SlinError::TooManyInterpretations { .. }
-            )
-        }) || matches!(
-            self.object_error,
-            Some(crate::lin::LinError::BudgetExhausted { .. })
-        )
-    }
 }
 
 /// Verifies a chained run over phases `first ..= last`: each speculation
@@ -216,7 +200,7 @@ where
 }
 
 /// [`verify_phase_chain`] under an explicit per-search [`SearchBudget`].
-pub fn verify_phase_chain_with_budget<T, R>(
+fn verify_phase_chain_with_budget<T, R>(
     adt: &T,
     rinit: R,
     t: &Trace<ObjAction<T, R::Value>>,
@@ -397,7 +381,6 @@ mod tests {
             v.failures.as_slice(),
             [(1, 2, SlinError::NotSpeculativelyLinearizable { .. })]
         ));
-        assert!(!v.resource_limited());
     }
 
     #[test]
@@ -413,7 +396,6 @@ mod tests {
             SearchBudget::new(0),
         );
         assert!(!v.all_ok());
-        assert!(v.resource_limited(), "{v:?}");
         assert!(v
             .failures
             .iter()

@@ -19,8 +19,8 @@
 //! It owns, once, everything a chain search needs: node counting and the
 //! [`SearchBudget`] trip, the dead-end memo on `(remaining commits, ADT
 //! state, consumed inputs, visitor tag)` (below), the feasibility prune
-//! (below), the commit move, the sorted extra-input move, the history cap,
-//! and the [`SearchStats`] it returns on **both** sides of the verdict. What
+//! (below), the commit move, the sorted extra-input move, and the
+//! [`SearchStats`] it returns on **both** sides of the verdict. What
 //! differs between its uses is a small `Visitor`:
 //!
 //! | use                      | visitor            | tag      | at a leaf                         |
@@ -106,7 +106,7 @@
 //! move is reordered, so the sequence of leaves the visitor sees is exactly
 //! that of the unpruned tree: first witnesses, enumeration order, the point
 //! a capped enumeration stops at, and every verdict are unchanged for all
-//! callers; only `nodes`, `memo_*` and the longest history tried fall
+//! callers; only `nodes` and `memo_*` fall
 //! ([`SearchStats::pruned`] counts the rejected moves), and budgets trip
 //! less often. `crates/core/tests/kernel_pins.rs` pins both halves;
 //! `crates/core/tests/prune_soundness.rs` checks the prune exhaustively at
@@ -120,7 +120,6 @@
 //! |----------------------|--------------------------------|------------------------------------------|
 //! | validity bounds      | `elems(inputs(t, i))` (Def. 10)| valid inputs `vi(m, t, finit, i)` (Def. 26) |
 //! | seed history         | empty                          | LCP of the init interpretations (Def. 31) |
-//! | extra-input cap      | `t.len()`                      | none (pool-bounded)                      |
 //! | leaf oracle          | trivially succeeds             | abort feasibility (Abort-Order, Def. 28) |
 //!
 //! The *leaf oracle* decides what "success" means once every commit is
@@ -286,23 +285,19 @@ pub struct SearchStats {
     /// have been a leafless subtree, and cost no node, no memo key and no
     /// ADT step.
     pub pruned: usize,
-    /// Longest history built during the search.
-    pub max_history_len: usize,
     /// Init interpretations aggregated into these counters (1 for a plain
     /// linearizability search).
     pub interpretations: usize,
 }
 
 impl SearchStats {
-    /// Accumulates another search's counters into this one (sums, except
-    /// `max_history_len` which takes the maximum).
+    /// Accumulates another search's counters into this one.
     pub fn absorb(&mut self, other: &SearchStats) {
         self.nodes += other.nodes;
         self.memo_entries += other.memo_entries;
         self.memo_hits += other.memo_hits;
         self.leaf_checks += other.leaf_checks;
         self.pruned += other.pruned;
-        self.max_history_len = self.max_history_len.max(other.max_history_len);
         self.interpretations += other.interpretations;
     }
 }
@@ -394,7 +389,7 @@ impl<T: Adt> SearchSeed<T> {
 
     /// Seeds the search with `history` (replayed from the initial state) —
     /// how the speculative checker plants the init-interpretation LCP.
-    pub fn from_history(adt: &T, history: Vec<T::Input>) -> Self {
+    pub(crate) fn from_history(adt: &T, history: Vec<T::Input>) -> Self {
         let state = adt.run(&history);
         let used = PersistentMultiset::elems(&history);
         SearchSeed {
@@ -432,9 +427,6 @@ pub struct CheckerEngine<'s, T: Adt> {
     /// `bounds[c.index].count(c.input)` — how many occurrences of its own
     /// input a history committing it may hold.
     commit_classes: Vec<(usize, usize)>,
-    /// Cap on the total history length when interleaving extras (`None`:
-    /// pool-bounded only).
-    extra_cap: Option<usize>,
     /// The node budget of [`CheckerEngine::run`]. A [`Search`] driven
     /// directly takes its budget per run.
     budget: SearchBudget,
@@ -619,15 +611,8 @@ where
             bounds,
             classes,
             commit_classes,
-            extra_cap: None,
             budget,
         }
-    }
-
-    /// Caps the total history length reachable by extra-input moves.
-    pub fn with_extra_cap(mut self, cap: usize) -> Self {
-        self.extra_cap = Some(cap);
-        self
     }
 
     /// Runs the search from `seed`. The `leaf` oracle is consulted whenever
@@ -1005,7 +990,6 @@ where
     /// walk over the set bits of `remaining`.
     fn admit_moves(&mut self, remaining: &CommitMask) {
         let eng = self.engine;
-        let extras = eng.extra_cap.is_none_or(|cap| self.hist.len() < cap);
         let floor = remaining
             .iter()
             .next()
@@ -1025,19 +1009,17 @@ where
                 .slack
                 .min(own_bound.saturating_sub(class.rank + class.used));
         }
-        if extras {
-            for at in 0..self.spare.len() {
-                let e = self.spare[at];
-                if self.counts[e].used >= eng.classes[e].1 {
-                    continue;
-                }
-                // An extra takes an occurrence from under every remaining
-                // commit on its input, and from under the floor.
-                if self.counts[e].slack > 0 && self.fits_floor(floor, e) {
-                    self.moves.push(Move::Extra(e));
-                } else {
-                    self.stats.pruned += 1;
-                }
+        for at in 0..self.spare.len() {
+            let e = self.spare[at];
+            if self.counts[e].used >= eng.classes[e].1 {
+                continue;
+            }
+            // An extra takes an occurrence from under every remaining
+            // commit on its input, and from under the floor.
+            if self.counts[e].slack > 0 && self.fits_floor(floor, e) {
+                self.moves.push(Move::Extra(e));
+            } else {
+                self.stats.pruned += 1;
             }
         }
         for k in remaining.iter() {
@@ -1196,7 +1178,6 @@ where
         tag: G,
         remaining: CommitMask,
     ) -> Result<ControlFlow<()>, EngineError> {
-        self.stats.max_history_len = self.stats.max_history_len.max(self.hist.len());
         if remaining.is_empty() {
             return Ok(self.leaf(visitor, state, tag));
         }
@@ -1289,8 +1270,7 @@ mod tests {
         let bounds = ops::input_multisets::<Consensus, ()>(&t);
         let pool = bounds.last().cloned().unwrap();
         let engine =
-            CheckerEngine::new(&Consensus, &commits, &bounds, pool, SearchBudget::default())
-                .with_extra_cap(t.len());
+            CheckerEngine::new(&Consensus, &commits, &bounds, pool, SearchBudget::default());
         let out = engine
             .run(SearchSeed::initial(&Consensus), &mut |_, _| Some(()))
             .unwrap();
@@ -1308,8 +1288,7 @@ mod tests {
         let bounds = ops::input_multisets::<Consensus, ()>(&t);
         let pool = bounds.last().cloned().unwrap();
         let engine =
-            CheckerEngine::new(&Consensus, &commits, &bounds, pool, SearchBudget::default())
-                .with_extra_cap(t.len());
+            CheckerEngine::new(&Consensus, &commits, &bounds, pool, SearchBudget::default());
         let out = engine
             .run(SearchSeed::initial(&Consensus), &mut |_, _| {
                 Option::<()>::None
@@ -1325,8 +1304,7 @@ mod tests {
         let commits = ops::commits::<Consensus, ()>(&t);
         let bounds = ops::input_multisets::<Consensus, ()>(&t);
         let pool = bounds.last().cloned().unwrap();
-        let engine = CheckerEngine::new(&Consensus, &commits, &bounds, pool, SearchBudget::new(1))
-            .with_extra_cap(t.len());
+        let engine = CheckerEngine::new(&Consensus, &commits, &bounds, pool, SearchBudget::new(1));
         let err = engine
             .run(SearchSeed::initial(&Consensus), &mut |_, _| Some(()))
             .unwrap_err();
@@ -1373,7 +1351,6 @@ mod tests {
         let bounds = ops::input_multisets::<KvStore, ()>(&t);
         let pool = bounds.last().cloned().unwrap();
         CheckerEngine::new(&KvStore, &commits, &bounds, pool, SearchBudget::default())
-            .with_extra_cap(t.len())
             .run(SearchSeed::initial(&KvStore), &mut |_, _| {
                 (!veto).then_some(())
             })
@@ -1466,8 +1443,7 @@ mod tests {
         let bounds = ops::input_multisets::<Consensus, ()>(&t);
         let pool = bounds.last().cloned().unwrap();
         let engine =
-            CheckerEngine::new(&Consensus, &commits, &bounds, pool, SearchBudget::default())
-                .with_extra_cap(t.len());
+            CheckerEngine::new(&Consensus, &commits, &bounds, pool, SearchBudget::default());
         let out = engine
             .run(SearchSeed::initial(&Consensus), &mut |_, _| Some(()))
             .unwrap();
@@ -1623,8 +1599,7 @@ mod tests {
         let commits = ops::commits::<KvStore, ()>(t);
         let bounds = ops::input_multisets::<KvStore, ()>(t);
         let pool = bounds.last().cloned().unwrap();
-        let engine = CheckerEngine::new(&KvStore, &commits, &bounds, pool, SearchBudget::default())
-            .with_extra_cap(t.len());
+        let engine = CheckerEngine::new(&KvStore, &commits, &bounds, pool, SearchBudget::default());
         let seed = || SearchSeed::initial(&KvStore);
         let first = engine.first_solution(seed(), &mut |_, _| Some(()));
         let (vetoed, veto_stats) = engine.first_solution(seed(), &mut |_, _| None::<()>);
@@ -1795,8 +1770,7 @@ mod tests {
                     .collect();
                 let pool = bounds.last().cloned().unwrap();
                 let engine =
-                    CheckerEngine::new(&KvStore, &commits, &bounds, pool, SearchBudget::default())
-                        .with_extra_cap(seed.history.len() + trace.len());
+                    CheckerEngine::new(&KvStore, &commits, &bounds, pool, SearchBudget::default());
                 let mut visitor = UsedIsElems {
                     seed: &seed,
                     last: None,

@@ -610,7 +610,7 @@ enum HostileClient<I, O> {
 /// The scheduler is deterministic given the RNG stream: at every step,
 /// due responders go first (lowest client id), then due linearization
 /// points fire (internal, no event), then a random idle client invokes.
-pub fn random_hostile_trace<T, F>(
+fn random_hostile_trace<T, F>(
     adt: &T,
     cfg: &HostileConfig,
     mut sample_input: F,

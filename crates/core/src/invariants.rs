@@ -91,11 +91,6 @@ pub fn first_phase_invariants(t: &Trace<ConsAction>) -> bool {
     i1(t) && i2(t) && i3(t)
 }
 
-/// All second-phase invariants (I4 ∧ I5).
-pub fn second_phase_invariants(t: &Trace<ConsAction>) -> bool {
-    i4(t) && i5(t)
-}
-
 /// Fast linearizability test specialized to consensus (Section 2.4's
 /// construction made into a decision procedure): a well-formed consensus
 /// trace is linearizable iff either no client decides, or all decisions

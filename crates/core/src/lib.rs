@@ -65,7 +65,6 @@
 //! assert!(session.check(&t).is_ok());
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod classical;

@@ -104,12 +104,12 @@ impl<I> LinWitness<I> {
     /// Assembles a witness from `(commit index, history)` pairs in chain
     /// order — how the online monitor ([`crate::stream`]) packages its
     /// window-relative merged chains.
-    pub fn from_assignments(assignments: Vec<(usize, Vec<I>)>) -> Self {
+    pub(crate) fn from_assignments(assignments: Vec<(usize, Vec<I>)>) -> Self {
         LinWitness { assignments }
     }
 
     /// The `(commit index, commit history)` pairs in chain (prefix) order.
-    pub fn assignments(&self) -> &[(usize, Vec<I>)] {
+    pub(crate) fn assignments(&self) -> &[(usize, Vec<I>)] {
         &self.assignments
     }
 
@@ -285,8 +285,7 @@ where
             &input_ms,
             total_inputs,
             SearchBudget::new(self.budget),
-        )
-        .with_extra_cap(t.len());
+        );
         // The leaf oracle is trivial: a completed chain *is* a linearization
         // function (speculative checking grafts abort feasibility here).
         let (solution, stats) =
@@ -297,15 +296,6 @@ where
             Err(e) => Err(e.into()),
         };
         (verdict, stats)
-    }
-
-    /// Boolean form of [`LinChecker::check`]; treats a budget exhaustion as
-    /// "not linearizable" (conservative for assertions of linearizability).
-    pub fn is_linearizable<V>(&self, t: &Trace<ObjAction<T, V>>) -> bool
-    where
-        V: Clone + PartialEq,
-    {
-        self.check(t).is_ok()
     }
 }
 

@@ -14,9 +14,9 @@
 //! refinement-based frameworks present a single checking judgment over
 //! many memory/consistency models).
 //!
-//! The generic entry points are [`check_split`] (the partition
-//! orchestration both checkers used to duplicate) and the
-//! [`crate::session`] facade built on top of it. The streaming-specific
+//! The generic entry point is the [`crate::session`] facade, built on
+//! `check_split` (the partition orchestration both checkers used to
+//! duplicate). The streaming-specific
 //! hooks live in the [`crate::stream::StreamModel`] sub-trait.
 //!
 //! # Model ownership
@@ -188,8 +188,8 @@ pub trait ConsistencyModel<V>: Sized {
     }
 }
 
-/// The outcome of [`check_split`]: the model verdict plus the partition
-/// accounting.
+/// The outcome of a partitioned check: the model verdict plus the
+/// partition accounting.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SplitVerdict<W, E> {
     /// The model's verdict — byte-identical (witness included) to the
@@ -214,7 +214,7 @@ pub struct SplitVerdict<W, E> {
 /// [`ConsistencyModel::check_monolithic`] (see [`crate::partition`] for
 /// the argument). The search node budget applies per partition, so a
 /// trace the monolithic search gives up on may well be decided here.
-pub fn check_split<V, K, M>(
+pub(crate) fn check_split<V, K, M>(
     model: &M,
     split: &SplitOutcome<M::Adt, V, K>,
     t: &Trace<ObjAction<M::Adt, V>>,

@@ -47,7 +47,7 @@ pub fn input_multisets<T: Adt, V>(t: &Trace<ObjAction<T, V>>) -> Vec<PersistentM
 /// The multiset of **all** inputs invoked anywhere in the trace — the last
 /// element of [`input_multisets`], computed without materialising the
 /// per-index prefix multisets (the checkers' extra-input pool).
-pub fn total_inputs<T: Adt, V>(t: &Trace<ObjAction<T, V>>) -> PersistentMultiset<T::Input> {
+pub(crate) fn total_inputs<T: Adt, V>(t: &Trace<ObjAction<T, V>>) -> PersistentMultiset<T::Input> {
     let mut out: PersistentMultiset<T::Input> = PersistentMultiset::new();
     for a in t.iter() {
         if let Action::Invoke { input, .. } = a {
@@ -161,7 +161,7 @@ pub struct Operation<T: Adt> {
 
 impl<T: Adt> Operation<T> {
     /// Whether the operation has no response in the trace.
-    pub fn is_pending(&self) -> bool {
+    pub(crate) fn is_pending(&self) -> bool {
         self.respond_index.is_none()
     }
 }

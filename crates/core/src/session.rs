@@ -97,7 +97,7 @@ pub enum Strategy {
 }
 
 /// What a session does with a partitioner that carries no soundness
-/// certificate (see `slin-analysis`: `slin-analyze --all` certifies the
+/// certificate (see `slin-analysis`: `slin-analyze` certifies the
 /// shipped partitioners, [`SessionBuilder::partitioner_certified`] and
 /// [`SessionBuilder::cert_store`] install the proof).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -289,8 +289,8 @@ impl<M, P> SessionBuilder<M, P> {
     /// uphold the soundness contract documented in [`slin_adt::partition`];
     /// to have that contract machine-checked instead of trusted, pass the
     /// analyzer's proof via [`SessionBuilder::partitioner_certified`] (or
-    /// register it in a [`SessionBuilder::cert_store`]) — `slin-analyze
-    /// --all` produces certificates for every shipped partitioner.
+    /// register it in a [`SessionBuilder::cert_store`]) — `slin-analyze`
+    /// produces certificates for every shipped partitioner.
     pub fn partitioner<Q>(self, partitioner: Q) -> SessionBuilder<M, Q> {
         SessionBuilder {
             model: self.model,

@@ -55,8 +55,8 @@ use std::sync::Arc;
 /// Default node budget for the backtracking search (per interpretation).
 pub const DEFAULT_BUDGET: usize = SearchBudget::DEFAULT_MAX_NODES;
 
-/// Default cap on the number of init interpretations enumerated.
-pub const DEFAULT_MAX_INTERPRETATIONS: usize = 16_384;
+/// Cap on the number of init interpretations enumerated.
+pub const MAX_INTERPRETATIONS: usize = 16_384;
 
 /// Why a trace failed the speculative linearizability check.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,7 +81,7 @@ pub enum SlinError {
         /// search) when the budget tripped.
         nodes: usize,
     },
-    /// More candidate interpretations than the configured cap.
+    /// More candidate interpretations than [`MAX_INTERPRETATIONS`].
     TooManyInterpretations {
         /// The number of interpretations that enumeration would require.
         required: usize,
@@ -104,7 +104,7 @@ impl fmt::Display for SlinError {
                 write!(f, "search budget exhausted after {nodes} nodes")
             }
             SlinError::TooManyInterpretations { required } => {
-                write!(f, "{required} init interpretations exceed the configured cap")
+                write!(f, "{required} init interpretations exceed the cap")
             }
         }
     }
@@ -187,7 +187,6 @@ pub struct SlinChecker<T, R> {
     m: PhaseId,
     n: PhaseId,
     budget: usize,
-    max_interpretations: usize,
     /// Upper bound on threads for interpretation enumeration and the
     /// per-class searches (0 = one per core).
     threads: usize,
@@ -223,7 +222,6 @@ where
             m,
             n,
             budget: DEFAULT_BUDGET,
-            max_interpretations: DEFAULT_MAX_INTERPRETATIONS,
             threads: 0,
         }
     }
@@ -231,12 +229,6 @@ where
     /// Overrides the per-interpretation search node budget.
     pub fn with_budget(mut self, budget: usize) -> Self {
         self.budget = budget;
-        self
-    }
-
-    /// Overrides the cap on enumerated init interpretations.
-    pub fn with_max_interpretations(mut self, cap: usize) -> Self {
-        self.max_interpretations = cap;
         self
     }
 
@@ -298,18 +290,6 @@ where
         self.run_interpretations(&prep, self.effective_threads().min(prep.combos))
     }
 
-    /// Boolean form of [`SlinChecker::check`].
-    pub fn is_speculatively_linearizable(&self, t: &Trace<ObjAction<T, R::Value>>) -> bool
-    where
-        T: Send + Sync,
-        T::Input: Send + Sync,
-        T::Output: Sync,
-        R: Sync,
-        R::Value: Sync,
-    {
-        self.check(t).is_ok()
-    }
-
     /// Validates the trace against the phase signature and well-formedness,
     /// and enumerates the candidate interpretation space.
     fn prepare(
@@ -344,7 +324,7 @@ where
             .map(|s| self.rinit.candidates(&s.value, &ctx))
             .collect();
         let combos: usize = per_init.iter().map(|c| c.len().max(1)).product();
-        if combos > self.max_interpretations {
+        if combos > MAX_INTERPRETATIONS {
             return Err(SlinError::TooManyInterpretations { required: combos });
         }
         Ok(Prepared {

@@ -74,6 +74,9 @@
 //!   multi-key generators.
 
 #![allow(clippy::module_inception)]
+// An ingest hot path: every event of every tenant runs this code, so no
+// bare `.unwrap()`.
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 mod monitor;
 mod shard;

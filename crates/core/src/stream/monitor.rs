@@ -497,8 +497,7 @@ where
             &bounds,
             self.invoked.clone(),
             crate::engine::SearchBudget::new(self.shard_cfg.budget),
-        )
-        .with_extra_cap(trace.len());
+        );
         let seed = SearchSeed::<ProductAdt<'_, '_, T, K>> {
             history: Vec::new(),
             state,

@@ -147,13 +147,13 @@
 //! searches the whole window from the seeds: witnesses do not move.
 //!
 //! Unlike a seed, a checkpoint configuration keeps its window-relative
-//! history, so histories — and the history cap, which is the window's
-//! length — mean what they mean from the seeds. That cap grows with the
-//! window, so an enumeration it may have cut short is complete only for
-//! the window it ran on: a fallback takes the checkpoint only if its
-//! longest history stayed under the cap. A checkpoint is at most twice the
-//! frontier cap configurations with histories no longer than the window:
-//! retained memory stays O(window + alphabet).
+//! history, so histories mean what they mean from the seeds. Extras are
+//! bounded by the pool alone — a history may outgrow the window by the
+//! stragglers invoked before it — so a complete enumeration is complete
+//! for every longer window too. A checkpoint is at most twice the
+//! frontier cap configurations with histories no longer than the window
+//! plus its pending stragglers: retained memory stays O(window +
+//! alphabet).
 //!
 //! **One corner, inherited from greedy absorption.** Enumerating a window
 //! from a checkpoint and from the seeds gives the same key set almost
@@ -473,7 +473,7 @@ where
 
     /// Rebuilds a shard from retained seeds and a base input multiset —
     /// how the monitor restarts shards after a collapse.
-    pub fn with_seeds(
+    pub(crate) fn with_seeds(
         adt: Arc<T>,
         cfg: ShardConfig,
         seeds: Vec<SearchSeed<T>>,
@@ -516,18 +516,18 @@ where
 
     /// Flips the forced-lossy-cut knob on a live shard (the daemon's
     /// backpressure shed).
-    pub fn set_epoch_force(&mut self, on: bool) {
+    pub(crate) fn set_epoch_force(&mut self, on: bool) {
         self.cfg.gc.epoch_force = on;
     }
 
     /// Whether any retired event is missing from the witness archive (so
     /// full-stream reconstruction is impossible).
-    pub fn archive_truncated(&self) -> bool {
+    pub(crate) fn archive_truncated(&self) -> bool {
         self.archive_truncated
     }
 
     /// Events currently held in the witness archive.
-    pub fn archived_len(&self) -> usize {
+    pub(crate) fn archived_len(&self) -> usize {
         self.archive.iter().map(Vec::len).sum()
     }
 
@@ -539,7 +539,7 @@ where
 
     /// Moves the archive out (collapse-to-identity hands per-key archives
     /// to the new identity shard).
-    pub fn take_archive(&mut self) -> (VecDeque<ArchivedWindow<T, V>>, bool) {
+    pub(crate) fn take_archive(&mut self) -> (VecDeque<ArchivedWindow<T, V>>, bool) {
         (
             std::mem::take(&mut self.archive),
             std::mem::replace(&mut self.archive_truncated, true),
@@ -550,7 +550,11 @@ where
     /// [`ShardState::take_archive`]). Inherited windows do not count
     /// against this shard's own depth — they are already bounded by the
     /// donors' rings.
-    pub fn install_archive(&mut self, windows: VecDeque<ArchivedWindow<T, V>>, truncated: bool) {
+    pub(crate) fn install_archive(
+        &mut self,
+        windows: VecDeque<ArchivedWindow<T, V>>,
+        truncated: bool,
+    ) {
         debug_assert!(self.archive.is_empty(), "install only on fresh shards");
         self.archive = windows;
         self.archive_truncated = truncated;
@@ -585,7 +589,7 @@ where
     /// Marks every persistent-multiset node reachable from this shard in
     /// `seen` (pointer-deduplicated): the structure-sharing-aware memory
     /// proxy behind [`super::ShardSummary::multiset_nodes`].
-    pub fn mark_multiset_nodes(&self, seen: &mut HashSet<usize>) {
+    pub(crate) fn mark_multiset_nodes(&self, seen: &mut HashSet<usize>) {
         for m in &self.input_ms {
             m.mark_nodes(seen);
         }
@@ -893,8 +897,7 @@ where
                 &self.input_ms,
                 self.pool().clone(),
                 SearchBudget::new(self.cfg.budget),
-            )
-            .with_extra_cap(self.sub.len());
+            );
             let mut search = Search::new(&engine);
             for problem in group {
                 let max_nodes = match shared_budget {
@@ -948,10 +951,7 @@ where
             .take(self.cfg.gc.frontier_cap)
             .cloned()
             .collect();
-        // The history cap is the window's length: an enumeration it may
-        // have cut short — some history reached it — is complete for this
-        // window only, not for the longer ones a checkpoint must serve.
-        if complete && stats.max_history_len < self.sub.len() {
+        if complete {
             let mark = self.commits.len();
             self.checkpoint = Some(Checkpoint { mark, configs });
         }
@@ -994,8 +994,7 @@ where
                 &self.input_ms,
                 self.pool().clone(),
                 SearchBudget::new(self.cfg.budget),
-            )
-            .with_extra_cap(self.sub.len());
+            );
             match engine.run(shard_seed.seed.clone(), &mut |_, _| Some(())) {
                 Ok(outcome) => {
                     stats.absorb(&outcome.stats);
@@ -1057,7 +1056,7 @@ where
     /// response shrinks the completion space — rather than stalling GC
     /// until the next window multiple while per-event cost balloons.
     /// Returns the global indices of the retired events.
-    pub fn maybe_retire(&mut self, window: usize) -> Option<Vec<usize>> {
+    pub(crate) fn maybe_retire(&mut self, window: usize) -> Option<Vec<usize>> {
         if self.sub.len() < window || self.status != ShardStatus::Ok {
             return None;
         }

@@ -74,13 +74,13 @@ where
     }
 
     /// Whether any client's sub-trace has violated the automaton so far.
-    pub fn has_violation(&self) -> bool {
+    pub(crate) fn has_violation(&self) -> bool {
         self.clients.values().any(|c| c.violation.is_some())
     }
 
     /// Materialises the batch-identical first error: ascending client id,
     /// that client's first violation (see module docs).
-    pub fn first_error(&self) -> Option<WellFormednessError> {
+    pub(crate) fn first_error(&self) -> Option<WellFormednessError> {
         let (_, st) = self.clients.iter().find(|(_, st)| st.violation.is_some())?;
         let repro = Trace::from_actions(st.violation.clone().expect("checked"));
         let err = match self.phase_bounds {

@@ -74,7 +74,6 @@ struct SearchWork {
     memo_entries: usize,
     memo_hits: usize,
     pruned: usize,
-    max_history_len: usize,
 }
 
 struct SearchAcc {
@@ -109,14 +108,12 @@ impl SearchAcc {
             memo_entries: self.stats.memo_entries,
             memo_hits: self.stats.memo_hits,
             pruned: self.stats.pruned,
-            max_history_len: self.stats.max_history_len,
         };
         assert_eq!(spent, work);
         assert!(
             work.nodes <= pre_prune.nodes
                 && work.memo_entries <= pre_prune.memo_entries
-                && work.memo_hits <= pre_prune.memo_hits
-                && work.max_history_len <= pre_prune.max_history_len,
+                && work.memo_hits <= pre_prune.memo_hits,
             "work may only fall: {work:?} vs {pre_prune:?}"
         );
     }
@@ -158,14 +155,12 @@ fn first_solution_kv_multikey() {
             memo_entries: 25,
             memo_hits: 10,
             pruned: 644,
-            max_history_len: 8,
         },
         SearchWork {
             nodes: 539,
             memo_entries: 403,
             memo_hits: 52,
             pruned: 0,
-            max_history_len: 9,
         },
     );
 }
@@ -245,14 +240,12 @@ fn first_solution_consensus_slin() {
             memo_entries: 761,
             memo_hits: 74,
             pruned: 985,
-            max_history_len: 4,
         },
         SearchWork {
             nodes: 3469,
             memo_entries: 2641,
             memo_hits: 775,
             pruned: 0,
-            max_history_len: 4,
         },
     );
 }
@@ -289,14 +282,12 @@ fn first_solution_faulty_phase_corpus() {
             memo_entries: 572,
             memo_hits: 617,
             pruned: 4318,
-            max_history_len: 16,
         },
         SearchWork {
             nodes: 44276,
             memo_entries: 26829,
             memo_hits: 17447,
             pruned: 0,
-            max_history_len: 17,
         },
     );
 }
@@ -536,9 +527,9 @@ fn tail_extension_reaches_a_tiny_frontier_cap() {
             outcomes: 2_051_157_658_121_734_384,
         },
         StreamWork {
-            search_nodes: 171,
+            search_nodes: 164,
             pre_prune_nodes: 6_508,
-            enumerated_commits: 32,
+            enumerated_commits: 28,
         },
     );
 }
@@ -583,7 +574,6 @@ fn budget_tripped_checks_report_their_work() {
             v.stats.memo_entries + v.stats.memo_hits + v.stats.leaf_checks,
             0
         );
-        assert!(v.stats.max_history_len > 0);
         expect_event(&seen, 4);
     }
 

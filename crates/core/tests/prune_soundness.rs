@@ -119,6 +119,8 @@ struct Scope<T: Adt> {
     inputs: Vec<T::Input>,
     outputs: fn(&T::Input) -> Vec<T::Output>,
     max_len: usize,
+    /// The streaming windows every trace is replayed under.
+    windows: &'static [usize],
 }
 
 /// How one streaming configuration's rolling status must relate to the
@@ -212,15 +214,22 @@ where
     /// Streams the current trace through every configuration.
     fn stream(&mut self) {
         self.streamed += 1;
-        for &(gc, agreement) in self.streams {
-            let mon = stream_session(self.adt.clone(), self.partitioner.clone(), gc);
-            assert_stream_agrees(mon, &self.trace, &self.verdicts, agreement);
+        for &window in self.scope.windows {
+            for &(gc, agreement) in self.streams {
+                let mon = stream_session(self.adt.clone(), self.partitioner.clone(), window, gc);
+                assert_stream_agrees(mon, &self.trace, &self.verdicts, agreement);
+            }
         }
     }
 }
 
-/// A streaming session under [`STREAM_WINDOW`] and the given GC policy.
-fn stream_session<T, P>(adt: T, partitioner: P, gc: GcPolicy) -> Session<LinChecker<T>, (), P>
+/// A streaming session under the given window and GC policy.
+fn stream_session<T, P>(
+    adt: T,
+    partitioner: P,
+    window: usize,
+    gc: GcPolicy,
+) -> Session<LinChecker<T>, (), P>
 where
     T: Adt,
     T::Input: Ord,
@@ -229,7 +238,7 @@ where
     Checker::builder(LinChecker::owned(adt))
         .partitioner(partitioner)
         .strategy(SessionStrategy::Streaming {
-            window: Some(STREAM_WINDOW),
+            window: Some(window),
         })
         .gc_policy(gc)
         .build()
@@ -264,9 +273,9 @@ fn assert_stream_agrees<T, P>(
     }
 }
 
-/// The streaming configurations every trace runs through: a two-event
-/// window with epoch cuts on and off (exact), and with truncated cuts
-/// forced through a one-configuration frontier (lossy).
+/// The GC policies every trace runs through under each of its scope's
+/// windows: epoch cuts on and off (exact), and truncated cuts forced
+/// through a one-configuration frontier (lossy).
 fn stream_configs() -> [(GcPolicy, Agreement); 3] {
     [
         (GcPolicy::default(), Agreement::Exact),
@@ -288,8 +297,8 @@ fn stream_configs() -> [(GcPolicy, Agreement); 3] {
     ]
 }
 
-/// The window of every configuration in [`stream_configs`].
-const STREAM_WINDOW: usize = 2;
+/// Two events: cuts happen inside every scope.
+const SMALL_WINDOW: &[usize] = &[2];
 
 /// Walks `scope`; returns `(traces checked, traces streamed)`.
 fn exhaust<T, P>(adt: &T, partitioner: P, scope: &Scope<T>) -> (usize, usize)
@@ -337,6 +346,7 @@ fn every_three_client_single_key_kv_trace() {
         inputs: vec![KvInput::Get(0), KvInput::Put(0, 1)],
         outputs: kv_outputs,
         max_len: 7,
+        windows: SMALL_WINDOW,
     };
     let (checked, streamed) = exhaust(&KvStore, KvKeyPartitioner, &scope);
     assert_eq!(
@@ -361,11 +371,35 @@ fn every_two_client_single_key_kv_trace() {
         ],
         outputs: kv_outputs,
         max_len: 7,
+        windows: SMALL_WINDOW,
     };
     let (checked, streamed) = exhaust(&KvStore, KvKeyPartitioner, &scope);
     assert_eq!(
         (checked, streamed),
         (33_134, 25_394),
+        "scope size is pinned"
+    );
+}
+
+/// Four clients, one operation each, two distinct puts: the scope holds
+/// the traces that open with three or four invocations, which a window of
+/// two or four events retires as an invocation-only prefix; the stragglers
+/// then respond into later, shorter windows — histories longer than the
+/// window that checks them.
+#[test]
+fn every_four_client_single_shot_kv_trace() {
+    let scope = Scope {
+        clients: 4,
+        ops_per_client: 1,
+        inputs: vec![KvInput::Get(0), KvInput::Put(0, 1), KvInput::Put(0, 2)],
+        outputs: kv_outputs,
+        max_len: 7,
+        windows: &[2, 4],
+    };
+    let (checked, streamed) = exhaust(&KvStore, KvKeyPartitioner, &scope);
+    assert_eq!(
+        (checked, streamed),
+        (33_221, 23_961),
         "scope size is pinned"
     );
 }
@@ -380,6 +414,7 @@ fn every_three_client_consensus_trace() {
         inputs: vec![ConsInput::propose(1), ConsInput::propose(2)],
         outputs: |_| vec![ConsOutput::decide(1), ConsOutput::decide(2)],
         max_len: 6,
+        windows: SMALL_WINDOW,
     };
     let (checked, streamed) = exhaust(&Consensus, IdentityPartitioner, &scope);
     assert_eq!((checked, streamed), (838, 536), "scope size is pinned");
@@ -433,9 +468,11 @@ proptest! {
         let verdicts: Vec<bool> = (1..=trace.len())
             .map(|n| batch_verdict(&KvStore, &Trace::from_actions(trace[..n].to_vec())))
             .collect();
-        for (gc, agreement) in stream_configs() {
-            let mon = stream_session(KvStore, KvKeyPartitioner, gc);
-            assert_stream_agrees(mon, &trace, &verdicts, agreement);
+        for window in [2, 4] {
+            for (gc, agreement) in stream_configs() {
+                let mon = stream_session(KvStore, KvKeyPartitioner, window, gc);
+                assert_stream_agrees(mon, &trace, &verdicts, agreement);
+            }
         }
     }
 }

@@ -19,6 +19,9 @@
 //! `--trace PATH` enables span tracing and writes a Chrome trace-event
 //! file loadable in Perfetto / `chrome://tracing`.
 
+// The bin is its own crate: the library's hot-path lint does not reach it.
+#![deny(clippy::unwrap_used)]
+
 use slin_daemon::{generate, transport, Daemon, DaemonConfig, LoadConfig, TenantPolicy};
 use slin_obs::StackObserver;
 use std::sync::Arc;

@@ -81,7 +81,7 @@ pub fn random_walk<A: Automaton>(automaton: &A, steps: usize, seed: u64) -> Vec<
 
 /// Like [`random_walk`] but with a weight function biasing the choice of the
 /// next action (weight 0 disables an action).
-pub fn random_walk_with_bias<A, W>(
+pub(crate) fn random_walk_with_bias<A, W>(
     automaton: &A,
     steps: usize,
     seed: u64,

@@ -38,7 +38,6 @@
 //! assert!(trace.len() <= 20);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod alm;

@@ -38,7 +38,6 @@
 //! assert!(trace.contains("\"engine.search\""));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod hist;

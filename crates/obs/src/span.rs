@@ -66,12 +66,6 @@ impl TraceBuffer {
         }
     }
 
-    /// Microseconds elapsed since the buffer was created; span timestamps are
-    /// expressed on this clock.
-    pub fn now_us(&self) -> u64 {
-        self.origin.elapsed().as_micros() as u64
-    }
-
     /// The buffer's origin instant (spans record offsets from it).
     pub fn origin(&self) -> Instant {
         self.origin

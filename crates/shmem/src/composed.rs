@@ -82,13 +82,8 @@ impl SpeculativeConsensus {
     }
 
     /// Extracts the recorded object-interface trace.
-    pub fn into_trace(self) -> slin_trace::Trace<crate::ConsAction> {
+    pub(crate) fn into_trace(self) -> slin_trace::Trace<crate::ConsAction> {
         self.recorder.into_trace()
-    }
-
-    /// The events recorded so far.
-    pub fn trace_snapshot(&self) -> slin_trace::Trace<crate::ConsAction> {
-        self.recorder.snapshot()
     }
 }
 

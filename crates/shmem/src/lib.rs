@@ -27,7 +27,6 @@
 //! assert!(outcome.agreement());
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cascons;

@@ -7,9 +7,9 @@
 //! execution.
 
 use crate::ConsAction;
-use parking_lot::Mutex;
 use slin_adt::consensus::{ConsInput, ConsOutput, Value};
 use slin_trace::{Action, ClientId, PhaseId, Trace};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// A lock-protected global event log.
 #[derive(Debug, Default)]
@@ -23,16 +23,22 @@ impl TraceRecorder {
         TraceRecorder::default()
     }
 
+    /// The log, poisoned or not: a recorder thread that panicked must not
+    /// hide the trace the test wants to print, and every update is one
+    /// `push`, so the log is valid at every step.
+    fn events(&self) -> MutexGuard<'_, Vec<ConsAction>> {
+        self.events.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Records `inv(c, phase, p(v))`.
     pub fn invoke(&self, c: ClientId, phase: PhaseId, v: Value) {
-        self.events
-            .lock()
+        self.events()
             .push(Action::invoke(c, phase, ConsInput::propose(v)));
     }
 
     /// Records `res(c, phase, p(input), d(decided))`.
     pub fn respond(&self, c: ClientId, phase: PhaseId, input: Value, decided: Value) {
-        self.events.lock().push(Action::respond(
+        self.events().push(Action::respond(
             c,
             phase,
             ConsInput::propose(input),
@@ -42,19 +48,17 @@ impl TraceRecorder {
 
     /// Records `swi(c, phase, p(input), v)`.
     pub fn switch(&self, c: ClientId, phase: PhaseId, input: Value, value: Value) {
-        self.events
-            .lock()
+        self.events()
             .push(Action::switch(c, phase, ConsInput::propose(input), value));
     }
 
     /// Extracts the recorded trace.
-    pub fn into_trace(self) -> Trace<ConsAction> {
-        Trace::from_actions(self.events.into_inner())
-    }
-
-    /// Clones the events recorded so far.
-    pub fn snapshot(&self) -> Trace<ConsAction> {
-        Trace::from_actions(self.events.lock().clone())
+    pub(crate) fn into_trace(self) -> Trace<ConsAction> {
+        Trace::from_actions(
+            self.events
+                .into_inner()
+                .unwrap_or_else(PoisonError::into_inner),
+        )
     }
 }
 
@@ -71,19 +75,5 @@ mod tests {
         let t = r.into_trace();
         assert_eq!(t.len(), 2);
         assert!(t[0].is_invoke() && t[1].is_respond());
-    }
-
-    #[test]
-    fn snapshot_does_not_consume() {
-        let r = TraceRecorder::new();
-        r.invoke(ClientId::new(1), PhaseId::new(1), Value::new(5));
-        assert_eq!(r.snapshot().len(), 1);
-        r.switch(
-            ClientId::new(1),
-            PhaseId::new(2),
-            Value::new(5),
-            Value::new(5),
-        );
-        assert_eq!(r.snapshot().len(), 2);
     }
 }

@@ -44,7 +44,6 @@
 //! assert_eq!(sim.records(), &["got pong".to_string()]);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use rand::rngs::StdRng;
@@ -106,7 +105,6 @@ pub trait Process<M, E> {
 /// The capabilities handed to a process while it handles an event.
 pub struct Context<'a, M, E> {
     now: Time,
-    self_id: ProcessId,
     outbox: &'a mut Vec<(ProcessId, M)>,
     timers: &'a mut Vec<(Time, TimerId)>,
     records: &'a mut Vec<E>,
@@ -117,11 +115,6 @@ impl<'a, M, E> Context<'a, M, E> {
     /// The current simulated time.
     pub fn now(&self) -> Time {
         self.now
-    }
-
-    /// The identifier of the process handling the event.
-    pub fn self_id(&self) -> ProcessId {
-        self.self_id
     }
 
     /// Sends a message to another process (asynchronously; may be delayed or
@@ -208,7 +201,6 @@ pub struct Simulation<M, E> {
     record_times: Vec<Time>,
     steps: usize,
     messages_sent: usize,
-    messages_delivered: usize,
 }
 
 impl<M, E> Simulation<M, E> {
@@ -235,7 +227,6 @@ impl<M, E> Simulation<M, E> {
             record_times: Vec::new(),
             steps: 0,
             messages_sent: 0,
-            messages_delivered: 0,
         }
     }
 
@@ -326,7 +317,6 @@ impl<M, E> Simulation<M, E> {
         {
             let mut ctx = Context {
                 now: self.now,
-                self_id: to,
                 outbox: &mut outbox,
                 timers: &mut timers,
                 records: &mut self.records,
@@ -334,10 +324,7 @@ impl<M, E> Simulation<M, E> {
             };
             let process = &mut self.processes[pid];
             match ev.payload {
-                Payload::Deliver { from, msg } => {
-                    self.messages_delivered += 1;
-                    process.on_message(&mut ctx, from, msg);
-                }
+                Payload::Deliver { from, msg } => process.on_message(&mut ctx, from, msg),
                 Payload::Timer(timer) => process.on_timer(&mut ctx, timer),
                 Payload::Crash => unreachable!("handled above"),
             }
@@ -349,7 +336,7 @@ impl<M, E> Simulation<M, E> {
     /// processes events until quiescence or the step bound.
     pub fn run(&mut self) {
         self.start();
-        self.run_to_quiescence();
+        while self.step() {}
     }
 
     /// Runs only the `on_start` handlers.
@@ -363,7 +350,6 @@ impl<M, E> Simulation<M, E> {
             {
                 let mut ctx = Context {
                     now: self.now,
-                    self_id: ProcessId(pid as u32),
                     outbox: &mut outbox,
                     timers: &mut timers,
                     records: &mut self.records,
@@ -373,11 +359,6 @@ impl<M, E> Simulation<M, E> {
             }
             self.flush(ProcessId(pid as u32), outbox, timers);
         }
-    }
-
-    /// Processes queued events until none remain or `max_steps` is hit.
-    pub fn run_to_quiescence(&mut self) {
-        while self.step() {}
     }
 
     /// Processes a single event; returns `false` at quiescence or when the
@@ -419,16 +400,6 @@ impl<M, E> Simulation<M, E> {
     /// Number of messages handed to the network (including dropped ones).
     pub fn messages_sent(&self) -> usize {
         self.messages_sent
-    }
-
-    /// Number of messages actually delivered to a live process.
-    pub fn messages_delivered(&self) -> usize {
-        self.messages_delivered
-    }
-
-    /// Whether the given process has crashed.
-    pub fn is_crashed(&self, p: ProcessId) -> bool {
-        self.crashed[p.0 as usize]
     }
 
     /// Number of events processed so far.
@@ -555,12 +526,10 @@ mod tests {
         struct Loopy;
         impl Process<u64, u64> for Loopy {
             fn on_start(&mut self, ctx: &mut Context<'_, u64, u64>) {
-                let me = ctx.self_id();
-                ctx.send(me, 0);
+                ctx.send(ProcessId(0), 0);
             }
             fn on_message(&mut self, ctx: &mut Context<'_, u64, u64>, _: ProcessId, m: u64) {
-                let me = ctx.self_id();
-                ctx.send(me, m + 1);
+                ctx.send(ProcessId(0), m + 1);
             }
         }
         let cfg = SimConfig {

@@ -235,14 +235,6 @@ impl<I, O, V> Action<I, O, V> {
             _ => None,
         }
     }
-
-    /// The switch value carried by a switch action, if any.
-    pub fn switch_value(&self) -> Option<&V> {
-        match self {
-            Action::Switch { value, .. } => Some(value),
-            _ => None,
-        }
-    }
 }
 
 impl<I: fmt::Debug, O: fmt::Debug, V: fmt::Debug> fmt::Debug for Action<I, O, V> {
@@ -286,7 +278,6 @@ mod tests {
         assert_eq!(*swi.input(), 10);
         assert_eq!(res.output(), Some(&42));
         assert_eq!(inv.output(), None);
-        assert_eq!(swi.switch_value(), Some(&"v"));
         assert!(inv.is_invoke() && res.is_respond() && swi.is_switch());
     }
 

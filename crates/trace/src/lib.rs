@@ -25,7 +25,6 @@
 //! assert!(slin_trace::wf::is_well_formed(&t));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod action;

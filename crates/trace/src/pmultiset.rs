@@ -510,28 +510,6 @@ impl<E: Eq + Hash + fmt::Debug> fmt::Debug for PersistentMultiset<E> {
     }
 }
 
-impl<E: Eq + Hash + Clone> From<&crate::Multiset<E>> for PersistentMultiset<E> {
-    fn from(m: &crate::Multiset<E>) -> Self {
-        let mut out = PersistentMultiset::new();
-        for (e, c) in m.iter() {
-            out.add(e.clone(), c);
-        }
-        out
-    }
-}
-
-impl<E: Eq + Hash + Clone> From<&PersistentMultiset<E>> for crate::Multiset<E> {
-    fn from(m: &PersistentMultiset<E>) -> Self {
-        let mut out = crate::Multiset::new();
-        for (e, c) in m.iter() {
-            for _ in 0..c {
-                out.insert(e.clone());
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -667,16 +645,6 @@ mod tests {
         let vb: Vec<(u32, usize)> = b.iter().map(|(e, c)| (*e, c)).collect();
         assert_eq!(va, vb, "iteration order is insertion-order independent");
         assert_eq!(va.iter().map(|(_, c)| c).sum::<usize>(), 5);
-    }
-
-    #[test]
-    fn converts_to_and_from_hash_multiset() {
-        let m: crate::Multiset<u32> = [1, 1, 2, 3].into_iter().collect();
-        let p = PersistentMultiset::from(&m);
-        assert_eq!(p.len(), 4);
-        assert_eq!(p.count(&1), 2);
-        let back = crate::Multiset::from(&p);
-        assert_eq!(back, m);
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub fn comparable<T: PartialEq>(a: &[T], b: &[T]) -> bool {
 }
 
 /// Length of the longest common prefix of two sequences.
-pub fn common_prefix_len<T: PartialEq>(a: &[T], b: &[T]) -> usize {
+pub(crate) fn common_prefix_len<T: PartialEq>(a: &[T], b: &[T]) -> usize {
     a.iter().zip(b.iter()).take_while(|(x, y)| x == y).count()
 }
 

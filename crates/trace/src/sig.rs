@@ -73,11 +73,6 @@ impl PhaseSignature {
     pub fn upper(&self) -> PhaseId {
         self.n
     }
-
-    /// Whether switch actions belong to this signature.
-    pub fn includes_switches(&self) -> bool {
-        self.include_switches
-    }
 }
 
 impl<I, O, V> Signature<Action<I, O, V>> for PhaseSignature {

@@ -94,35 +94,6 @@ impl<A> Trace<A> {
             actions: self.actions.iter().filter(|a| keep(a)).cloned().collect(),
         }
     }
-
-    /// Like [`Trace::project`], additionally returning for each kept event
-    /// its index in `self` (the `pos'` correspondence used throughout the
-    /// paper's composition proof, Appendix C).
-    pub fn project_indexed<F>(&self, mut keep: F) -> (Trace<A>, Vec<usize>)
-    where
-        A: Clone,
-        F: FnMut(&A) -> bool,
-    {
-        let mut kept = Vec::new();
-        let mut pos = Vec::new();
-        for (i, a) in self.actions.iter().enumerate() {
-            if keep(a) {
-                kept.push(a.clone());
-                pos.push(i);
-            }
-        }
-        (Trace { actions: kept }, pos)
-    }
-
-    /// Concatenation `t ::: t2`.
-    pub fn concat(&self, t2: &Trace<A>) -> Trace<A>
-    where
-        A: Clone,
-    {
-        let mut actions = self.actions.clone();
-        actions.extend_from_slice(&t2.actions);
-        Trace { actions }
-    }
 }
 
 impl<A> Default for Trace<A> {
@@ -205,26 +176,11 @@ mod tests {
     }
 
     #[test]
-    fn project_indexed_reports_positions() {
-        let t = sample();
-        let (p, pos) = t.project_indexed(|a| a.is_respond());
-        assert_eq!(p.len(), 2);
-        assert_eq!(pos, vec![2, 3]);
-    }
-
-    #[test]
     fn truncate_to_is_paper_truncation() {
         let t = sample();
         let t2 = t.truncate_to(2);
         assert_eq!(t2.len(), 2);
         assert!(t2[1].is_invoke());
-    }
-
-    #[test]
-    fn concat_appends() {
-        let t = sample();
-        let both = t.concat(&t);
-        assert_eq!(both.len(), 8);
     }
 
     #[test]

@@ -244,43 +244,6 @@ where
     Ok(())
 }
 
-/// Returns each client's pending invocation, if any: the input of the last
-/// invocation (or init action) that has no subsequent response or abort in
-/// the client's sub-trace. Only meaningful on well-formed traces.
-pub fn pending_inputs<I, O, V>(
-    t: &Trace<Action<I, O, V>>,
-    phase_bounds: Option<(PhaseId, PhaseId)>,
-) -> Vec<(ClientId, I)>
-where
-    I: Clone + PartialEq,
-    O: Clone,
-    V: Clone,
-{
-    let mut out = Vec::new();
-    for c in clients(t) {
-        let sub = client_subtrace(t, c, phase_bounds);
-        let mut pending: Option<I> = None;
-        for a in sub.iter() {
-            match (a, phase_bounds) {
-                (Action::Invoke { input, .. }, _) => pending = Some(input.clone()),
-                (Action::Respond { .. }, _) => pending = None,
-                (Action::Switch { phase, input, .. }, Some((m, n))) => {
-                    if *phase == m {
-                        pending = Some(input.clone());
-                    } else if *phase == n {
-                        pending = None;
-                    }
-                }
-                (Action::Switch { .. }, None) => {}
-            }
-        }
-        if let Some(input) = pending {
-            out.push((c, input));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,7 +280,6 @@ mod tests {
     fn pending_invocation_allowed() {
         let t: Trace<A> = Trace::from_actions(vec![Action::invoke(c1(), p(1), 5)]);
         assert!(is_well_formed(&t));
-        assert_eq!(pending_inputs(&t, None), vec![(c1(), 5)]);
     }
 
     #[test]
@@ -432,20 +394,5 @@ mod tests {
             Action::switch(c1(), p(3), 5, 11),
         ]);
         assert!(is_phase_well_formed(&t, p(2), p(3)));
-    }
-
-    #[test]
-    fn pending_inputs_through_switches() {
-        let t: Trace<A> = Trace::from_actions(vec![
-            Action::invoke(c1(), p(1), 5),
-            Action::switch(c1(), p(2), 5, 9),
-            Action::invoke(c2(), p(1), 7),
-        ]);
-        // In phase (1, 2): c1's input left with the abort; c2's is pending.
-        let pend = pending_inputs(&t, Some((p(1), p(2))));
-        assert_eq!(pend, vec![(c2(), 7)]);
-        // In phase (2, 3): c1's input arrived with the init and is pending.
-        let pend2 = pending_inputs(&t, Some((p(2), p(3))));
-        assert_eq!(pend2, vec![(c1(), 5)]);
     }
 }

@@ -4,13 +4,15 @@
 //! certificates ([`CertPolicy`], `require_cert`).
 //!
 //! Positive half: every shipped per-key partitioner certifies at the
-//! default depth (≥ 4) and its certificate is byte-stable across runs —
-//! the determinism pin that lets CI commit `analysis/certs/*.json` and
-//! fail on drift. Negative half: every fixture in
-//! `slin_analysis::fixtures` is rejected with a counterexample of length
-//! ≤ 4, and the [`BogusCounterPartitioner`] one replays as an actual
-//! partitioned-vs-monolithic verdict divergence — the analyzer's
-//! rejections are about real unsoundness, not artifacts of its encoding.
+//! default depth (≥ 4), partitioner contract and switch independence, and
+//! the eight certificates are byte for byte the files committed under
+//! `analysis/certs/` — integrity, coverage, the depth floor and freshness
+//! in one comparison. Negative half: every fixture in
+//! `slin_analysis::fixtures` is rejected by both analyses with a
+//! counterexample of length ≤ 4, and the [`BogusCounterPartitioner`] one
+//! replays as an actual partitioned-vs-monolithic verdict divergence —
+//! the analyzer's rejections are about real unsoundness, not artifacts of
+//! its encoding.
 
 use slin_adt::{
     Consensus, Counter, CounterInput, CounterVecPartitioner, CounterVector, KvInput,
@@ -20,7 +22,10 @@ use slin_adt::{
 use slin_analysis::fixtures::{
     BogusCounterPartitioner, ConsProposalPartitioner, QueueValuePartitioner, StackValuePartitioner,
 };
-use slin_analysis::{certify, AnalyzeConfig, AnalyzeFailure, CertError, CertStore, Counterexample};
+use slin_analysis::{
+    certify, certify_switch, AnalyzeConfig, AnalyzeFailure, CertError, CertStore, Counterexample,
+    SwitchCounterexample, SwitchFailure,
+};
 use slin_core::lin::LinChecker;
 use slin_core::session::{CertPolicy, Checker, Strategy, StrategyUsed};
 use slin_trace::{Action, ClientId, PhaseId};
@@ -36,27 +41,62 @@ where
     }
 }
 
-/// All four shipped per-key partitioners certify at depth ≥ 4, and
-/// re-running the analyzer reproduces the certificate byte-for-byte —
-/// JSON rendering included. This is the pin behind `ci/cert_check.py`.
+fn switch_rejection<T, P>(adt: &T, p: &P) -> SwitchCounterexample<T>
+where
+    T: slin_adt::DomainSpec + std::fmt::Debug,
+    P: Partitioner<T>,
+{
+    match certify_switch(adt, p, &AnalyzeConfig::default()) {
+        Err(SwitchFailure::Unsound(cex)) => cex,
+        other => panic!("expected a switch counterexample, got {other:?}"),
+    }
+}
+
+/// All four shipped per-key partitioners certify at depth ≥ 4, both
+/// contracts, and regenerating the eight certificates reproduces the
+/// committed files byte for byte — JSON rendering included — with no
+/// ninth file beside them. A hand-edited hash, a missing or stray file, a
+/// shallower depth and a stale certificate all fail here.
 #[test]
 fn shipped_partitioners_certify_deterministically() {
     let cfg = AnalyzeConfig::default();
     assert!(cfg.depth >= 4, "default depth regressed below 4");
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../analysis/certs");
+    let mut fresh = std::collections::BTreeSet::new();
 
     macro_rules! pin {
         ($adt:expr, $p:expr) => {{
-            let a = certify(&$adt, &$p, &cfg).expect("shipped partitioner must certify");
-            let b = certify(&$adt, &$p, &cfg).expect("shipped partitioner must certify");
-            assert_eq!(a.depth, cfg.depth);
-            assert!(a.verify(), "certificate hash does not verify");
-            assert_eq!(a.to_json(), b.to_json(), "certificate is not byte-stable");
+            let v1 = certify(&$adt, &$p, &cfg).expect("shipped partitioner must certify");
+            let v2 = certify_switch(&$adt, &$p, &cfg).expect("shipped partitioner must certify");
+            assert_eq!((v1.depth, v2.depth), (cfg.depth, cfg.depth));
+            assert!(
+                v1.verify() && v2.verify(),
+                "certificate hash does not verify"
+            );
+            for (name, json) in [
+                (v1.file_name(), v1.to_json()),
+                (v2.file_name(), v2.to_json()),
+            ] {
+                let committed = std::fs::read_to_string(dir.join(&name)).unwrap_or_default();
+                assert!(
+                    committed == json,
+                    "analysis/certs/{name} is not what the analyzer writes:\n{json}\n\
+                     rewrite it with `cargo run -p slin-analysis --bin slin-analyze`"
+                );
+                fresh.insert(name);
+            }
         }};
     }
     pin!(KvStore, KvKeyPartitioner);
     pin!(Set, SetElemPartitioner);
     pin!(RegisterArray, RegArrayPartitioner);
     pin!(CounterVector, CounterVecPartitioner);
+
+    let committed: std::collections::BTreeSet<String> = std::fs::read_dir(&dir)
+        .expect("analysis/certs is committed")
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    assert_eq!(committed, fresh, "analysis/certs holds exactly the eight");
 }
 
 /// The unsound-partitioner discriminator shared with
@@ -96,13 +136,20 @@ fn bogus_counter_rejection_replays_as_a_checker_divergence() {
 }
 
 /// Every negative fixture — one per coupled ADT family — is rejected
-/// with a short, shrunk counterexample.
+/// with a short, shrunk counterexample, by the partitioner contract and
+/// by switch independence.
 #[test]
 fn every_unsound_fixture_is_rejected() {
-    assert!(rejection(&Counter, &BogusCounterPartitioner).len() <= 4);
-    assert!(rejection(&Queue, &QueueValuePartitioner).len() <= 4);
-    assert!(rejection(&Stack, &StackValuePartitioner).len() <= 4);
-    assert!(rejection(&Consensus, &ConsProposalPartitioner).len() <= 4);
+    macro_rules! rejected {
+        ($adt:expr, $p:expr) => {{
+            assert!(rejection(&$adt, &$p).len() <= 4);
+            assert!(switch_rejection(&$adt, &$p).len() <= 4);
+        }};
+    }
+    rejected!(Counter, BogusCounterPartitioner);
+    rejected!(Queue, QueueValuePartitioner);
+    rejected!(Stack, StackValuePartitioner);
+    rejected!(Consensus, ConsProposalPartitioner);
 }
 
 /// A certificate installed via `partitioner_certified` builds a session
@@ -222,24 +269,6 @@ fn mismatched_certificates_are_rejected() {
         Err(CertError::AdtMismatch { ref expected, ref found })
             if expected == "Counter" && found == "KvStore"
     ));
-}
-
-/// The repository's own source tree satisfies the concurrency lint — the
-/// in-tree pin of what `slin-analyze --lint-src` enforces blocking in CI.
-#[test]
-fn the_workspace_passes_the_source_lint() {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .expect("tests crate lives one level under the workspace root");
-    let hits = slin_analysis::lint_workspace(root).expect("workspace sources must be readable");
-    assert!(
-        hits.is_empty(),
-        "srclint violations:\n{}",
-        hits.iter()
-            .map(|h| h.to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
 }
 
 /// The daemon's `require_cert` tenant policy parses from the spec string

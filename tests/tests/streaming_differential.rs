@@ -455,6 +455,38 @@ fn late_straggler_response_is_absorbed_after_epoch_cuts() {
     assert!(report.shard.retired_events > 0);
 }
 
+/// A window that holds only invocations retires, and its four stragglers
+/// then count against histories measured from the *next* window's start:
+/// a history-length cap equal to that window's length (the engine had
+/// one) refused the second put as an extra and called the last response a
+/// violation. `[put7, get, put9, get]` linearizes it, so the rolling
+/// status is the batch checker's at every prefix.
+#[test]
+fn stragglers_from_a_retired_invocation_only_window_are_not_capped() {
+    let c = |k: u32| ClientId::new(k);
+    let ph = PhaseId::FIRST;
+    let get = KvInput::Get(1);
+    let actions = [
+        Action::invoke(c(1), ph, KvInput::Put(1, 7)),
+        Action::invoke(c(2), ph, KvInput::Put(1, 9)),
+        Action::invoke(c(3), ph, get),
+        Action::invoke(c(4), ph, get),
+        Action::respond(c(3), ph, get, KvOutput::Found(Some(7))),
+        Action::respond(c(4), ph, get, KvOutput::Found(Some(9))),
+    ];
+    let mut mon = epoch_monitor(4);
+    let mut prefix: Trace<ObjAction<KvStore, ()>> = Trace::new();
+    for a in actions {
+        prefix.push(a.clone());
+        assert!(LinChecker::owned(KvStore).check(&prefix).is_ok());
+        let status = mon.ingest(a).status;
+        assert_eq!(status, MonitorStatus::Ok, "at event {}", prefix.len() - 1);
+    }
+    let report = mon.report().unwrap();
+    assert!(report.verdict.is_ok());
+    assert_eq!(report.shard.retired_events, 4, "the prefix did not retire");
+}
+
 /// Straggler absorption, negative case: the same shape, but the late
 /// response carries an output no linearization of its pending interval
 /// allows — the epoch-GC'd monitor must still flag the violation.
