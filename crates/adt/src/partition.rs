@@ -43,7 +43,7 @@
 //! ```
 //!
 //! and install the proof at session-build time with
-//! `SessionBuilder::partitioner_certified` / `cert_store` in `slin-core`
+//! `SessionBuilder::partitioner_certified` in `slin-core`
 //! (policy knob: `CertPolicy`). New partitioners should ship with a
 //! `DomainSpec` and a committed certificate.
 //!

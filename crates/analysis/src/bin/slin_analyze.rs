@@ -7,8 +7,8 @@
 //! ```
 //!
 //! Options: `--depth N` (exploration depth, default 4), `--out DIR`
-//! (certificate directory, default `<root>/analysis/certs`), `--root DIR`
-//! (workspace root, default inferred from the crate location).
+//! (certificate directory, default `analysis/certs` under the workspace
+//! root, inferred from the crate location).
 //!
 //! Exit status is non-zero if a shipped partitioner fails to certify.
 //! Tier-1 (`tests/tests/static_certification.rs`) compares what this
@@ -24,24 +24,23 @@ use std::process::ExitCode;
 
 struct Options {
     depth: usize,
-    out: Option<PathBuf>,
-    root: PathBuf,
+    out: PathBuf,
 }
 
-fn default_root() -> PathBuf {
-    // <root>/crates/analysis -> <root>
+fn default_out() -> PathBuf {
+    // <root>/crates/analysis -> <root>/analysis/certs
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
         .nth(2)
         .expect("crate lives two levels under the workspace root")
-        .to_path_buf()
+        .join("analysis")
+        .join("certs")
 }
 
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
         depth: AnalyzeConfig::default().depth,
-        out: None,
-        root: default_root(),
+        out: default_out(),
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -50,8 +49,7 @@ fn parse_args() -> Result<Options, String> {
                 let v = args.next().ok_or("--depth needs a value")?;
                 opts.depth = v.parse().map_err(|_| format!("bad depth `{v}`"))?;
             }
-            "--out" => opts.out = Some(PathBuf::from(args.next().ok_or("--out needs a value")?)),
-            "--root" => opts.root = PathBuf::from(args.next().ok_or("--root needs a value")?),
+            "--out" => opts.out = PathBuf::from(args.next().ok_or("--out needs a value")?),
             "--help" | "-h" => {
                 print_help();
                 std::process::exit(0);
@@ -66,8 +64,7 @@ fn print_help() {
     println!("slin-analyze: certify the shipped partitioners and write their certificates");
     println!();
     println!("  --depth N    exploration depth (default 4)");
-    println!("  --out DIR    certificate directory (default <root>/analysis/certs)");
-    println!("  --root DIR   workspace root (default: inferred)");
+    println!("  --out DIR    certificate directory (default: the workspace's analysis/certs)");
 }
 
 fn exceeded(explored: usize) -> String {
@@ -122,12 +119,9 @@ fn run(opts: &Options) -> Result<(), String> {
     ]
     .concat();
 
-    let out_dir = opts
-        .out
-        .clone()
-        .unwrap_or_else(|| opts.root.join("analysis").join("certs"));
+    let out_dir = &opts.out;
     let io = |e: std::io::Error| format!("i/o error: {e}");
-    std::fs::create_dir_all(&out_dir).map_err(io)?;
+    std::fs::create_dir_all(out_dir).map_err(io)?;
     for (name, json) in &files {
         std::fs::write(out_dir.join(name), json).map_err(io)?;
     }

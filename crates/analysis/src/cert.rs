@@ -9,7 +9,6 @@
 //! the same bytes — they are committed under `analysis/certs/` and tier-1
 //! rejects drift.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Certificate schema identifier, bumped on any field change.
@@ -294,82 +293,6 @@ impl fmt::Display for CertError {
 
 impl std::error::Error for CertError {}
 
-/// An in-memory registry of verified certificates, keyed by
-/// `(adt, partitioner)` short names.
-///
-/// `Strategy::Auto` in `slin-core` consults one of these (when installed)
-/// to decide whether a partitioner may be trusted; the daemon keeps a
-/// process-wide store for its shipped pairs.
-#[derive(Debug, Clone, Default)]
-pub struct CertStore {
-    certs: BTreeMap<(String, String), Certificate>,
-    switch_certs: BTreeMap<(String, String, String), SwitchCert>,
-}
-
-impl CertStore {
-    /// An empty store.
-    pub fn new() -> Self {
-        CertStore::default()
-    }
-
-    /// Verifies and registers a certificate. Rejects hash mismatches.
-    pub fn register(&mut self, cert: Certificate) -> Result<(), CertError> {
-        if !cert.verify() {
-            return Err(CertError::BadHash);
-        }
-        self.certs
-            .insert((cert.adt.clone(), cert.partitioner.clone()), cert);
-        Ok(())
-    }
-
-    /// Looks up the certificate for an `(adt, partitioner)` pair.
-    pub fn get(&self, adt: &str, partitioner: &str) -> Option<&Certificate> {
-        self.certs.get(&(adt.to_string(), partitioner.to_string()))
-    }
-
-    /// Whether the pair is certified.
-    pub fn is_certified(&self, adt: &str, partitioner: &str) -> bool {
-        self.get(adt, partitioner).is_some()
-    }
-
-    /// Verifies and registers a switch-independence certificate. Rejects
-    /// hash mismatches.
-    pub fn register_switch(&mut self, cert: SwitchCert) -> Result<(), CertError> {
-        if !cert.verify() {
-            return Err(CertError::BadHash);
-        }
-        self.switch_certs.insert(
-            (
-                cert.adt.clone(),
-                cert.partitioner.clone(),
-                cert.rinit.clone(),
-            ),
-            cert,
-        );
-        Ok(())
-    }
-
-    /// Whether the `(adt, partitioner, rinit)` triple holds a
-    /// switch-independence certificate.
-    pub fn is_switch_certified(&self, adt: &str, partitioner: &str, rinit: &str) -> bool {
-        self.switch_certs.contains_key(&(
-            adt.to_string(),
-            partitioner.to_string(),
-            rinit.to_string(),
-        ))
-    }
-
-    /// Number of registered certificates.
-    pub fn len(&self) -> usize {
-        self.certs.len()
-    }
-
-    /// Whether the store holds no certificates of either schema.
-    pub fn is_empty(&self) -> bool {
-        self.certs.is_empty() && self.switch_certs.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -408,18 +331,6 @@ mod tests {
     }
 
     #[test]
-    fn store_rejects_tampered_certs_and_answers_lookups() {
-        let mut store = CertStore::new();
-        let cert = sample();
-        store.register(cert.clone()).unwrap();
-        assert!(store.is_certified("KvStore", "KvKeyPartitioner"));
-        assert!(!store.is_certified("KvStore", "SetElemPartitioner"));
-        let mut bad = cert;
-        bad.states = 1;
-        assert_eq!(store.register(bad), Err(CertError::BadHash));
-    }
-
-    #[test]
     fn short_type_name_takes_last_segment() {
         assert_eq!(short_type_name::<Certificate>(), "Certificate");
         assert_eq!(short_type_name::<u32>(), "u32");
@@ -454,21 +365,5 @@ mod tests {
         let mut bad = cert;
         bad.switch_values = 1;
         assert!(!bad.verify());
-    }
-
-    #[test]
-    fn store_keys_switch_certs_by_relation_too() {
-        let mut store = CertStore::new();
-        store.register_switch(sample_switch()).unwrap();
-        assert!(store.is_switch_certified("KvStore", "KvKeyPartitioner", "ExactInit"));
-        assert!(!store.is_switch_certified("KvStore", "KvKeyPartitioner", "ConsensusInit"));
-        assert!(
-            !store.is_certified("KvStore", "KvKeyPartitioner"),
-            "v2 is not v1"
-        );
-        assert!(!store.is_empty());
-        let mut bad = sample_switch();
-        bad.keys = 9;
-        assert_eq!(store.register_switch(bad), Err(CertError::BadHash));
     }
 }

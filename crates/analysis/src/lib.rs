@@ -11,8 +11,9 @@
 //!   bound, discharging both contract obligations, and returns either a
 //!   machine-readable [`Certificate`] or a shrunk, replayable
 //!   [`Counterexample`];
-//! * [`CertStore`] registers verified certificates for the session layer
-//!   (`SessionBuilder::partitioner_certified`, daemon `require_cert`);
+//! * a certificate reaches a session one way: installed by value
+//!   (`SessionBuilder::partitioner_certified` / `switch_certified` in
+//!   `slin-core`, which the daemon's `require_cert` policy builds with);
 //! * [`certify_switch`] does the same for the **switch/init contract**:
 //!   it proves the exact init relation decomposes per independence class
 //!   over the ADT's enumerable switch domain, emitting a
@@ -35,7 +36,7 @@ pub mod switch;
 
 pub use analyze::{certify, AnalyzeConfig, AnalyzeFailure, Counterexample, Obligation};
 pub use cert::{
-    short_type_name, CertError, CertStore, Certificate, SwitchCert, CERT_SCHEMA, SWITCH_CERT_SCHEMA,
+    short_type_name, CertError, Certificate, SwitchCert, CERT_SCHEMA, SWITCH_CERT_SCHEMA,
 };
 pub use switch::{
     certify_switch, SwitchCounterexample, SwitchFailure, SwitchObligation, EXACT_RELATION,

@@ -153,6 +153,22 @@ impl<I: Clone + Eq + Hash + Debug> InitRelation<I> for ExactInit {
         vec![value.clone()]
     }
 
+    /// `rinit(h) = {h}`: the one member extends `prefix` or nothing does —
+    /// what the default enumeration finds, without trying every
+    /// one-input extension of `prefix` against it.
+    fn extensions(
+        &self,
+        value: &Self::Value,
+        prefix: &[I],
+        _ctx: &CandidateContext<I>,
+    ) -> Vec<Vec<I>> {
+        if slin_trace::seq::is_prefix(prefix, value) {
+            vec![value.clone()]
+        } else {
+            Vec::new()
+        }
+    }
+
     fn project_keyed(&self, value: &Self::Value, keep: &dyn Fn(&I) -> bool) -> Option<Self::Value> {
         Some(value.iter().filter(|i| keep(i)).cloned().collect())
     }

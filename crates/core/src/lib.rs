@@ -22,14 +22,16 @@
 //!   consensus mapping of Section 2.4);
 //! * [`invariants`] — the paper's invariants **I1–I5** for consensus
 //!   speculation phases, as executable trace predicates;
-//! * [`partition`] — **P-compositional checking**: splitting a trace into
-//!   independent sub-histories along a [`slin_adt::Partitioner`], fanning
-//!   the sub-searches out across threads, and merging witnesses so the
-//!   result is byte-identical to the monolithic path;
-//! * [`model`] — the **[`ConsistencyModel`] abstraction**: what either
-//!   criterion needs from the chain-search machinery, making `lin`,
-//!   `slin`, and the streaming monitor thin instantiations of one generic
-//!   code path;
+//! * [`model`] — the **[`ConsistencyModel`] abstraction**: what a
+//!   criterion *states* — one search problem per interpretation of a
+//!   validated trace and, along a [`slin_adt::Partitioner`], its per-class
+//!   projections — and nothing about how it is searched;
+//! * [`partition`] — **P-compositional checking**: the one routine that
+//!   searches what a model states — class searches fanned out across
+//!   threads, the first failure in key order, the class chains merged so
+//!   the result is byte-identical to the monolithic path, one
+//!   re-derivation when the merge cannot predict it — for both checkers
+//!   and the streaming monitor's reports;
 //! * [`session`] — the **unified checker surface**: a builder
 //!   ([`session::Checker::builder`]) where strategy (monolithic /
 //!   partitioned / streaming) is configuration, yielding a
@@ -85,7 +87,7 @@ pub use classical::ClassicalChecker;
 pub use engine::{CheckerEngine, CommitMask, EngineError, SearchBudget, SearchStats};
 pub use initrel::{ConsensusInit, ExactInit, InitRelation};
 pub use lin::{LinChecker, LinError, LinWitness};
-pub use model::{ConsistencyModel, SplitVerdict};
+pub use model::ConsistencyModel;
 pub use partition::{split_trace, PartitionReport, SplitOutcome, TracePartition};
 pub use session::{CertPolicy, Checker, Session, SessionBuilder, Strategy, StrategyUsed, Verdict};
 pub use slin::{SlinChecker, SlinError, SlinWitness};

@@ -19,12 +19,12 @@
 //! alternates "append an extra input" and "commit a response" moves; see
 //! [`crate::engine`] for the search itself.
 
-use crate::engine::{Chain, CheckerEngine, EngineError, SearchBudget, SearchSeed, SearchStats};
-use crate::model::ConsistencyModel;
-use crate::partition::PartitionReport;
+use crate::engine::{Chain, EngineError, SearchBudget, SearchStats};
+use crate::model::{ClassProblem, ConsistencyModel, Problem, Projection};
+use crate::partition;
 use crate::stream::{MonitorStatus, StreamFailure, StreamModel};
 use crate::{ops, ObjAction};
-use slin_adt::Adt;
+use slin_adt::{Adt, Partitioner};
 use slin_trace::wf::{self, WellFormednessError};
 use slin_trace::{PersistentMultiset, PhaseId, Trace};
 use std::error::Error;
@@ -101,14 +101,8 @@ pub struct LinWitness<I> {
 }
 
 impl<I> LinWitness<I> {
-    /// Assembles a witness from `(commit index, history)` pairs in chain
-    /// order — how the online monitor ([`crate::stream`]) packages its
-    /// window-relative merged chains.
-    pub(crate) fn from_assignments(assignments: Vec<(usize, Vec<I>)>) -> Self {
-        LinWitness { assignments }
-    }
-
     /// The `(commit index, commit history)` pairs in chain (prefix) order.
+    #[cfg(test)]
     pub(crate) fn assignments(&self) -> &[(usize, Vec<I>)] {
         &self.assignments
     }
@@ -258,44 +252,43 @@ where
     where
         V: Clone + PartialEq,
     {
-        if let Err(e) = self.validate(t) {
+        if let Err(e) = Self::validate(t) {
             return (Err(e), SearchStats::default());
         }
-        self.engine_search(t)
-    }
-
-    /// The chain search on an already-validated (well-formed, switch-free)
-    /// trace — the per-partition unit of work of the partitioned path.
-    fn engine_search<V>(
-        &self,
-        t: &Trace<ObjAction<T, V>>,
-    ) -> (Result<LinWitness<T::Input>, LinError>, SearchStats)
-    where
-        V: Clone + PartialEq,
-    {
-        let commits = ops::commits::<T, V>(t);
-        let input_ms = ops::input_multisets::<T, V>(t);
-        let total_inputs = input_ms
-            .last()
-            .cloned()
-            .unwrap_or_else(PersistentMultiset::new);
-        let engine = CheckerEngine::new(
-            &*self.adt,
-            &commits,
-            &input_ms,
-            total_inputs,
-            SearchBudget::new(self.budget),
-        );
-        // The leaf oracle is trivial: a completed chain *is* a linearization
-        // function (speculative checking grafts abort feasibility here).
-        let (solution, stats) =
-            engine.first_solution(SearchSeed::initial(&*self.adt), &mut |_, _| Some(()));
-        let verdict = match solution {
+        let (found, stats) = definition_10(t).search(&*self.adt, self.budget);
+        let verdict = match found {
             Ok(Some((chain, ()))) => Ok(LinWitness { assignments: chain }),
             Ok(None) => Err(LinError::NotLinearizable),
             Err(e) => Err(e.into()),
         };
         (verdict, stats)
+    }
+
+    /// The object signature `sigT` has no switch actions, and the trace
+    /// must be well-formed.
+    fn validate<V>(t: &Trace<ObjAction<T, V>>) -> Result<(), LinError>
+    where
+        V: Clone + PartialEq,
+    {
+        if let Some(index) = t.iter().position(|a| a.is_switch()) {
+            return Err(LinError::SwitchAction { index });
+        }
+        wf::check_well_formed(t)?;
+        Ok(())
+    }
+}
+
+/// Definition 10 on a validated (sub-)trace, as a search problem: every
+/// response commits, a history reaching index `i` draws from
+/// `elems(inputs(t, i))`, nothing seeds the chain, and a completed chain
+/// *is* a linearization function — the leaf oracle is trivial (speculative
+/// checking grafts abort feasibility there).
+fn definition_10<'m, T: Adt, V>(t: &Trace<ObjAction<T, V>>) -> Problem<'m, T, ()> {
+    Problem {
+        commits: ops::commits::<T, V>(t).into(),
+        bounds: ops::input_multisets::<T, V>(t),
+        seed: Vec::new(),
+        leaf: Box::new(|_| Some(())),
     }
 }
 
@@ -308,13 +301,10 @@ where
     type Adt = T;
     type Witness = LinWitness<T::Input>;
     type Error = LinError;
+    type Leaf = ();
 
-    fn adt(&self) -> &T {
+    fn adt(&self) -> &Arc<T> {
         &self.adt
-    }
-
-    fn adt_shared(&self) -> Arc<T> {
-        Arc::clone(&self.adt)
     }
 
     fn budget(&self) -> usize {
@@ -337,14 +327,6 @@ where
         None
     }
 
-    fn validate(&self, t: &Trace<ObjAction<T, V>>) -> Result<(), LinError> {
-        if let Some(index) = t.iter().position(|a| a.is_switch()) {
-            return Err(LinError::SwitchAction { index });
-        }
-        wf::check_well_formed(t)?;
-        Ok(())
-    }
-
     fn check_monolithic(
         &self,
         t: &Trace<ObjAction<T, V>>,
@@ -352,32 +334,49 @@ where
         self.check_with_stats_impl(t)
     }
 
-    fn check_partition(
+    /// The plain per-key split: a sub-trace of a valid object trace is a
+    /// valid object trace, and its Definition 10 is the class projection
+    /// of the whole trace's. No certificate lets a switch action through
+    /// (`keyed` is not asked): the split collapses on one and the whole
+    /// check rejects it.
+    fn project<P: Partitioner<T>>(
         &self,
-        sub: &Trace<ObjAction<T, V>>,
-    ) -> (Result<LinWitness<T::Input>, LinError>, SearchStats) {
-        self.engine_search(sub)
+        partitioner: &P,
+        _keyed: bool,
+        t: &Trace<ObjAction<T, V>>,
+    ) -> Projection<'_, T, (), LinError> {
+        let split = partition::split(partitioner, false, t);
+        if split.fallback.is_some() || split.parts.len() <= 1 {
+            return Projection::Whole {
+                partitions: split.parts.len(),
+                fallback: split.fallback,
+            };
+        }
+        // Rejection indices must be the monolithic ones: validate whole.
+        if let Err(e) = Self::validate(t) {
+            return Projection::Rejected(e);
+        }
+        Projection::Classes {
+            whole: definition_10(t),
+            classes: split
+                .parts
+                .into_iter()
+                .map(|part| ClassProblem {
+                    problem: definition_10(&part.trace),
+                    index_map: part.index_map,
+                })
+                .collect(),
+            refuted: Box::new(|| LinError::NotLinearizable),
+        }
     }
 
-    fn commit_chain(w: &LinWitness<T::Input>) -> &[(usize, Vec<T::Input>)] {
-        w.assignments()
-    }
-
-    fn witness_from_chain(
-        &self,
+    fn witness(
         chain: Chain<T::Input>,
-        _report: &PartitionReport,
+        (): (),
+        _interpretations: usize,
+        _stats: SearchStats,
     ) -> LinWitness<T::Input> {
         LinWitness { assignments: chain }
-    }
-
-    fn witness_from_remerge(
-        &self,
-        mono: LinWitness<T::Input>,
-        _interpretations_pre: usize,
-        _report: &PartitionReport,
-    ) -> LinWitness<T::Input> {
-        mono
     }
 }
 
@@ -399,10 +398,6 @@ where
             LinError::SwitchAction { .. } => MonitorStatus::SwitchSeen,
             LinError::BudgetExhausted { .. } => MonitorStatus::Unknown,
         }
-    }
-
-    fn stream_witness(&self, chain: Chain<T::Input>, _stats: &SearchStats) -> LinWitness<T::Input> {
-        LinWitness::from_assignments(chain)
     }
 
     fn stream_error(&self, failure: StreamFailure) -> LinError {

@@ -1,43 +1,145 @@
-//! The [`ConsistencyModel`] abstraction: one chain-search judgment, many
-//! consistency criteria.
+//! The [`ConsistencyModel`] abstraction: a model *states* a search
+//! problem, the crate *searches* it.
 //!
-//! Three PRs of growth left the checker surface fragmented: `lin` and
-//! `slin` each carried their own copy of the partition fan-out, witness
-//! merge and report assembly, and the streaming monitor duplicated the
-//! pair again. This module captures **what the shared engine actually
-//! needs from a criterion** — how to validate a trace against its
-//! signature, how to run the monolithic search, what the per-partition
-//! unit of work is, and how to assemble a witness from a merged commit
-//! chain — so that [`crate::lin::LinChecker`], [`crate::slin::SlinChecker`]
-//! and the streaming monitor of [`crate::stream`] are all thin
-//! instantiations of the same generic machinery (mirroring how
-//! refinement-based frameworks present a single checking judgment over
-//! many memory/consistency models).
+//! Every criterion this crate decides has the same shape: place the
+//! commits of a trace on one growing chain of histories, each history
+//! drawing its inputs from a per-index validity bound, the whole chain
+//! extending a seed history, and a completed chain accepted or vetoed by a
+//! leaf oracle. A model's business is to say what those four things are
+//! for a validated trace — a [`Problem`] — and, along a
+//! [`slin_adt::Partitioner`], what they are for each independence class —
+//! a [`Projection`]. Plain linearizability states Definition 10 (bounds
+//! `elems(inputs(t, i))`, empty seed, trivial leaf) and projects by
+//! splitting the trace per key; speculative linearizability states
+//! Definitions 26–31 for one interpretation of the init actions (bounds
+//! `vi`, the init LCP as seed, abort feasibility at the leaf) and projects
+//! each of them per class.
 //!
-//! The generic entry point is the [`crate::session`] facade, built on
-//! `check_split` (the partition orchestration both checkers used to
-//! duplicate). The streaming-specific
-//! hooks live in the [`crate::stream::StreamModel`] sub-trait.
+//! Searching is not a model's business because it does not depend on the
+//! model: `Problem::search` is the one way a problem meets the
+//! [`crate::engine`], and `partition::check` is the one routine
+//! that fans a projection's classes out, resolves the first failure in key
+//! order, merges the class chains into the monolithic first witness and
+//! re-derives it whole when the merge cannot predict it — for both models,
+//! for closed traces and for the streaming monitor's reports alike (a
+//! single checking judgment over many consistency models, as
+//! refinement-based frameworks present it). What is left model-specific is
+//! [`ConsistencyModel::check_monolithic`] — speculative linearizability
+//! quantifies over *every* init interpretation there — and the
+//! streaming-only hooks of [`crate::stream::StreamModel`].
 //!
 //! # Model ownership
 //!
 //! A model **owns** its ADT behind an [`Arc`] (every repo ADT is a
 //! zero-sized unit struct, so the sharing is free): checkers, sessions
-//! and monitors are `'static` and can live in long-lived tenant tables —
-//! the daemon setting ROADMAP item 2 asks for. [`ConsistencyModel::adt`]
-//! hands a plain borrow back for transient use, and
-//! [`ConsistencyModel::adt_shared`] clones the `Arc` so long-lived
-//! consumers (the monitor's shard table) hold their own handle without
-//! borrowing the model itself.
+//! and monitors are `'static` and can live in long-lived tenant tables.
+//! [`ConsistencyModel::adt`] hands the handle back: borrow through it for
+//! transient use, clone it for consumers that outlive the borrow (the
+//! monitor's shard table).
 
-use crate::engine::{Chain, SearchStats};
-use crate::ops;
-use crate::partition::{self, PartitionReport, SplitOutcome};
+use crate::engine::{Chain, CheckerEngine, EngineError, SearchBudget, SearchSeed, SearchStats};
+use crate::ops::Commit;
+use crate::partition::{FallbackReason, PartitionReport};
 use crate::ObjAction;
-use slin_adt::Adt;
-use slin_trace::{PhaseId, Trace};
+use slin_adt::{Adt, Partitioner};
+use slin_trace::{PersistentMultiset, PhaseId, Trace};
+use std::borrow::Cow;
 use std::fmt::Debug;
 use std::sync::Arc;
+
+/// One chain-search problem: what `Problem::search` hands the engine.
+///
+/// A model states one for a whole trace (commit indices are trace
+/// indices) and, inside a [`Projection`], one per independence class
+/// (commit indices are class-local, see [`ClassProblem::index_map`]).
+pub struct Problem<'m, T: Adt, L> {
+    /// The commits to place, ascending in index.
+    pub commits: Cow<'m, [Commit<T>]>,
+    /// The validity bound at every index a commit can carry, monotone
+    /// along the commits; the last entry bounds the extra inputs (the
+    /// pool).
+    pub bounds: Vec<PersistentMultiset<T::Input>>,
+    /// The history every chain element extends.
+    pub seed: Vec<T::Input>,
+    /// The leaf oracle, asked with the chain's longest history (the seed
+    /// when nothing commits): the leaf witness, or `None` to veto. Subject
+    /// to the soundness contract of [`crate::engine::LeafOracle`].
+    pub leaf: LeafFn<'m, T::Input, L>,
+}
+
+/// A [`Problem`]'s leaf oracle. `Sync` because a projection's class
+/// problems are searched from [`crate::partition::fan_out`]'s threads.
+pub type LeafFn<'m, I, L> = Box<dyn Fn(&[I]) -> Option<L> + Sync + 'm>;
+
+/// What a search found: the chain and its leaf witness, `None` when the
+/// space is exhausted, or the budget trip — with the work done on every
+/// side of the verdict.
+pub(crate) type Found<I, L> = (Result<Option<(Chain<I>, L)>, EngineError>, SearchStats);
+
+impl<T: Adt, L> Problem<'_, T, L>
+where
+    T::Input: Ord,
+{
+    /// Every input a history of this problem may consume.
+    pub(crate) fn pool(&self) -> PersistentMultiset<T::Input> {
+        self.bounds.last().cloned().unwrap_or_default()
+    }
+
+    /// Searches the problem for its first chain under a node `budget`.
+    pub(crate) fn search(&self, adt: &T, budget: usize) -> Found<T::Input, L> {
+        let engine = CheckerEngine::new(
+            adt,
+            &self.commits,
+            &self.bounds,
+            self.pool(),
+            SearchBudget::new(budget),
+        );
+        engine.first_solution(
+            SearchSeed::from_history(adt, self.seed.clone()),
+            &mut |_, longest| (self.leaf)(longest),
+        )
+    }
+}
+
+/// One independence class's share of a [`Problem`]: the class's commits
+/// under the class projection of the bounds, seed and leaf conditions.
+pub struct ClassProblem<'m, T: Adt> {
+    /// The class problem, over class-local indices.
+    pub problem: Problem<'m, T, ()>,
+    /// The trace index of every class-local index.
+    pub index_map: Vec<usize>,
+}
+
+/// A model's answer to "what is there to search along this partitioner".
+pub enum Projection<'m, T: Adt, L, E> {
+    /// Nothing to fan out — the trace holds fewer than two classes, or
+    /// `fallback` says why it does not decompose: check it whole
+    /// ([`ConsistencyModel::check_monolithic`], which also validates it).
+    Whole {
+        /// Classes found (0 for an empty trace, 1 otherwise).
+        partitions: usize,
+        /// Why the trace does not decompose, if it should have.
+        fallback: Option<FallbackReason>,
+    },
+    /// The trace is outside the model's signature or well-formedness
+    /// discipline: the rejection, byte-identical to
+    /// [`ConsistencyModel::check_monolithic`]'s.
+    Rejected(E),
+    /// The validated trace's one interpretation, whole and per class.
+    Classes {
+        /// The whole problem: the merge replays the class chains against
+        /// its bounds from its seed, re-discharges its leaf on the merged
+        /// chain, and a bail searches it.
+        whole: Problem<'m, T, L>,
+        /// The class problems, in ascending key order.
+        classes: Vec<ClassProblem<'m, T>>,
+        /// What an exhausted search space means under this interpretation
+        /// — a class without a chain refutes the whole problem too. Built
+        /// on demand: rendering an interpretation is not free, and most
+        /// checks pass.
+        refuted: Box<dyn Fn() -> E + 'm>,
+    },
+}
 
 /// A consistency criterion decided by the shared chain-search engine.
 ///
@@ -47,15 +149,13 @@ use std::sync::Arc;
 /// value type). Implementations: [`crate::lin::LinChecker`] and
 /// [`crate::slin::SlinChecker`].
 ///
-/// The contract every implementation upholds: [`check_monolithic`] and
-/// [`check_partition`] agree with the model's canonical monolithic
-/// verdict, and the witness-assembly hooks
-/// reconstruct **byte-identical** witnesses when fed the merged chain the
-/// engine-order replay produces (see [`crate::partition`] for why the
-/// merge is exact).
-///
-/// [`check_monolithic`]: ConsistencyModel::check_monolithic
-/// [`check_partition`]: ConsistencyModel::check_partition
+/// The contract every implementation upholds: the first chain of a
+/// projection's whole problem, wrapped by
+/// [`ConsistencyModel::witness`], **is** the verdict of
+/// [`ConsistencyModel::check_monolithic`]; and every class problem is a
+/// projection of the whole one, so that a class without a chain refutes it
+/// and the engine-order replay of the class chains reconstructs its first
+/// chain (see [`crate::partition`] for why the merge is exact).
 pub trait ConsistencyModel<V>: Sized {
     /// The abstract data type whose outputs the criterion must explain.
     type Adt: Adt;
@@ -63,17 +163,17 @@ pub trait ConsistencyModel<V>: Sized {
     /// `SlinReport`).
     type Witness: Clone + PartialEq + Debug;
     /// Why a check failed (`LinError` / `SlinError`).
-    type Error: Clone + PartialEq + Debug;
+    type Error: Clone + PartialEq + Debug + From<EngineError>;
+    /// What the leaf oracle of the model's problems yields beside the
+    /// chain (nothing for plain linearizability; the init and abort
+    /// interpretations for the speculative one). The default is the leaf
+    /// of a problem without switch actions.
+    type Leaf: Default;
 
-    /// The checked ADT.
-    fn adt(&self) -> &Self::Adt;
+    /// The checked ADT, behind the handle long-lived consumers clone.
+    fn adt(&self) -> &Arc<Self::Adt>;
 
-    /// A shared handle on the checked ADT — what long-lived consumers
-    /// (the monitor's shard table, a daemon tenant entry) hold so they
-    /// never borrow the model itself.
-    fn adt_shared(&self) -> Arc<Self::Adt>;
-
-    /// The configured search node budget (per partition / interpretation).
+    /// The configured search node budget (per class / interpretation).
     fn budget(&self) -> usize;
 
     /// Configured worker threads (0 = one per core).
@@ -92,23 +192,13 @@ pub trait ConsistencyModel<V>: Sized {
     /// tracker of the streaming monitor.
     fn phase_bounds(&self) -> Option<(PhaseId, PhaseId)>;
 
-    /// The resolved worker-thread count (0 becomes one per available
-    /// core).
-    fn effective_threads(&self) -> usize {
-        let configured = self.threads();
-        if configured > 0 {
-            configured
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        }
+    /// Short type name of the init relation the model interprets switch
+    /// values with, or `None` for criteria without switches. A
+    /// switch-independence certificate (`slin-cert/v2`) must name this
+    /// relation to unlock the keyed projection.
+    fn init_relation_name(&self) -> Option<&'static str> {
+        None
     }
-
-    /// Validates the whole trace against the model's signature and
-    /// well-formedness discipline (lin: switch-free + well-formed; slin:
-    /// phase signature + phase-well-formed + interpretation cap).
-    fn validate(&self, t: &Trace<ObjAction<Self::Adt, V>>) -> Result<(), Self::Error>;
 
     /// The canonical monolithic check (validation included), with the
     /// engine counters of the search.
@@ -117,189 +207,41 @@ pub trait ConsistencyModel<V>: Sized {
         t: &Trace<ObjAction<Self::Adt, V>>,
     ) -> (Result<Self::Witness, Self::Error>, SearchStats);
 
-    /// The per-partition unit of work on one sub-trace of an
-    /// already-validated trace. Run on the whole trace, it is also the
-    /// monolithic re-derivation when the witness merge bails
-    /// (cross-partition bound coupling; the verdict is already decided by
-    /// the partition verdicts).
-    fn check_partition(
-        &self,
-        sub: &Trace<ObjAction<Self::Adt, V>>,
-    ) -> (Result<Self::Witness, Self::Error>, SearchStats);
-
-    /// Projects a witness onto its commit chain (sub-trace indices) — the
-    /// partition merge's input.
-    fn commit_chain(w: &Self::Witness) -> &[(usize, Vec<<Self::Adt as Adt>::Input>)];
-
-    /// Assembles the model's witness from a merged commit chain (original
-    /// trace indices) and the partition report accumulated so far.
-    fn witness_from_chain(
-        &self,
-        chain: Chain<<Self::Adt as Adt>::Input>,
-        report: &PartitionReport,
-    ) -> Self::Witness;
-
-    /// Re-wraps the witness of the merge-bail re-derivation
-    /// ([`ConsistencyModel::check_partition`] on the whole trace) with the
-    /// partitioned path's accounting (`interpretations_pre` is the
-    /// interpretation counter before the re-run's counters were absorbed).
-    fn witness_from_remerge(
-        &self,
-        mono: Self::Witness,
-        interpretations_pre: usize,
-        report: &PartitionReport,
-    ) -> Self::Witness;
-
-    /// Short type name of the init relation the model interprets switch
-    /// values with, or `None` for criteria without switches. A
-    /// switch-independence certificate (`slin-cert/v2`) must name this
-    /// relation to unlock the keyed path.
-    fn init_relation_name(&self) -> Option<&'static str> {
-        None
-    }
-
-    /// The **keyed** check of a trace that may contain switch actions:
-    /// classifies switches per independence class (candidate values and
-    /// pending inputs both) and checks each class with its projected switch
-    /// seed, byte-identical to [`ConsistencyModel::check_monolithic`].
+    /// States what there is to search in `t` along `partitioner`,
+    /// validating `t` against the model's signature and well-formedness
+    /// discipline whenever the answer is [`Projection::Classes`].
     ///
-    /// Returns `None` when the model has no keyed path (plain
-    /// linearizability rejects switches outright) — the caller then uses
-    /// the identity fallback. Only sound when a verified switch certificate
-    /// covers `(adt, partitioner, init relation)`; the *session* enforces
-    /// that gate, this hook just does the work.
-    fn check_keyed<P>(
+    /// `keyed` says a verified switch-independence certificate covers
+    /// `(adt, partitioner, init relation)` — the *session* enforces that
+    /// gate — so switch actions may be classified per class (by pending
+    /// input and by the class projection of their value's interpretation)
+    /// instead of forcing [`Projection::Whole`].
+    fn project<P: Partitioner<Self::Adt>>(
         &self,
         partitioner: &P,
+        keyed: bool,
         t: &Trace<ObjAction<Self::Adt, V>>,
-    ) -> Option<SplitVerdict<Self::Witness, Self::Error>>
-    where
-        Self: Sync,
-        Self::Adt: Sync,
-        <Self::Adt as Adt>::Input: Ord + Send + Sync,
-        <Self::Adt as Adt>::Output: Sync,
-        Self::Witness: Send,
-        Self::Error: Send,
-        V: Clone + Sync,
-        P: slin_adt::Partitioner<Self::Adt>,
-    {
-        let _ = (partitioner, t);
-        None
-    }
+    ) -> Projection<'_, Self::Adt, Self::Leaf, Self::Error>;
+
+    /// Wraps a found chain and its leaf witness into the model's witness.
+    /// `interpretations` and `stats` are the accounting of the searches
+    /// that found it.
+    fn witness(
+        chain: Chain<<Self::Adt as Adt>::Input>,
+        leaf: Self::Leaf,
+        interpretations: usize,
+        stats: SearchStats,
+    ) -> Self::Witness;
 }
 
 /// The outcome of a partitioned check: the model verdict plus the
 /// partition accounting.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SplitVerdict<W, E> {
+pub(crate) struct SplitVerdict<W, E> {
     /// The model's verdict — byte-identical (witness included) to the
     /// monolithic path.
     pub verdict: Result<W, E>,
     /// Partition count, fallback/remerge engagement, merged engine
     /// counters.
     pub report: PartitionReport,
-    /// The interpretation counter before any merge-bail re-run was
-    /// absorbed (what the speculative checker reports as
-    /// `interpretations_checked`).
-    pub(crate) interpretations_pre: usize,
-}
-
-/// P-compositional checking over an already-computed [`SplitOutcome`] —
-/// the one generic code path behind every partitioned [`crate::session`]
-/// and the streaming monitor's report derivation.
-///
-/// `split.parts` must partition `t`'s actions in trace order with correct
-/// `index_map`s, exactly as [`partition::split_trace`] produces; verdicts
-/// and witnesses are then byte-identical to
-/// [`ConsistencyModel::check_monolithic`] (see [`crate::partition`] for
-/// the argument). The search node budget applies per partition, so a
-/// trace the monolithic search gives up on may well be decided here.
-pub(crate) fn check_split<V, K, M>(
-    model: &M,
-    split: &SplitOutcome<M::Adt, V, K>,
-    t: &Trace<ObjAction<M::Adt, V>>,
-) -> SplitVerdict<M::Witness, M::Error>
-where
-    M: ConsistencyModel<V> + Sync,
-    M::Adt: Sync,
-    <M::Adt as Adt>::Input: Ord + Send + Sync,
-    <M::Adt as Adt>::Output: Sync,
-    M::Witness: Send,
-    M::Error: Send,
-    V: Sync,
-    K: Sync,
-{
-    // The single-partition path delegates whole: `check_monolithic`
-    // validates internally, so validating here first would run the
-    // (potentially expensive — slin enumerates init candidates) gate
-    // twice per check.
-    if split.parts.len() <= 1 {
-        let (verdict, stats) = model.check_monolithic(t);
-        return SplitVerdict {
-            verdict,
-            report: PartitionReport {
-                partitions: split.parts.len(),
-                fallback: split.fallback,
-                remerged: false,
-                stats,
-            },
-            interpretations_pre: stats.interpretations,
-        };
-    }
-    // Multi-partition: validate the whole trace once up front (sub-traces
-    // of a valid trace are valid, but rejection indices must be the
-    // monolithic ones).
-    if let Err(e) = model.validate(t) {
-        return SplitVerdict {
-            verdict: Err(e),
-            report: PartitionReport {
-                partitions: split.parts.len(),
-                fallback: split.fallback,
-                remerged: false,
-                stats: SearchStats::default(),
-            },
-            interpretations_pre: 0,
-        };
-    }
-
-    let threads = model.effective_threads().min(split.parts.len());
-    let bounds = ops::input_multisets::<M::Adt, V>(t);
-    let (merged, mut report) = partition::search_partitions(
-        &split.parts,
-        threads,
-        &bounds,
-        |sub| model.check_partition(sub),
-        |(verdict, stats)| match verdict {
-            Ok(w) => (*stats, Ok(M::commit_chain(w))),
-            Err(e) => (*stats, Err(e)),
-        },
-    );
-    let interpretations_pre = report.stats.interpretations;
-    match merged {
-        Err(e) => SplitVerdict {
-            verdict: Err(e),
-            report,
-            interpretations_pre,
-        },
-        Ok(Some(chain)) => SplitVerdict {
-            verdict: Ok(model.witness_from_chain(chain, &report)),
-            report,
-            interpretations_pre,
-        },
-        Ok(None) => {
-            // A cross-partition bound blocked a partition's next step: the
-            // monolithic first witness is not predictable from the
-            // partition witnesses, so re-derive it (the verdict — all
-            // partitions passing — is already decided).
-            let (rerun, rerun_stats) = model.check_partition(t);
-            report.remerged = true;
-            report.stats.absorb(&rerun_stats);
-            SplitVerdict {
-                verdict: rerun
-                    .map(|mono| model.witness_from_remerge(mono, interpretations_pre, &report)),
-                report,
-                interpretations_pre,
-            }
-        }
-    }
 }

@@ -44,19 +44,6 @@ pub fn input_multisets<T: Adt, V>(t: &Trace<ObjAction<T, V>>) -> Vec<PersistentM
     out
 }
 
-/// The multiset of **all** inputs invoked anywhere in the trace — the last
-/// element of [`input_multisets`], computed without materialising the
-/// per-index prefix multisets (the checkers' extra-input pool).
-pub(crate) fn total_inputs<T: Adt, V>(t: &Trace<ObjAction<T, V>>) -> PersistentMultiset<T::Input> {
-    let mut out: PersistentMultiset<T::Input> = PersistentMultiset::new();
-    for a in t.iter() {
-        if let Action::Invoke { input, .. } = a {
-            out.insert(input.clone());
-        }
-    }
-    out
-}
-
 /// A commit index of a trace: a response event (Definition 8 / 22).
 #[derive(Debug, PartialEq, Eq)]
 pub struct Commit<T: Adt> {

@@ -1,11 +1,15 @@
 //! P-compositional (partition-aware) checking.
 //!
 //! A [`Partitioner`] classifies every input of a trace into an independence
-//! class; this module splits the trace into one sub-trace per class
-//! ([`split_trace`]), runs the per-partition searches through [`fan_out`]
-//! (the same dispatch the speculative checker uses for init-interpretation
-//! enumeration and the daemon for its lanes), and **merges the
-//! per-partition witnesses back into the exact witness the monolithic
+//! class. A [`ConsistencyModel`] states, along it, one search problem per
+//! class ([`ConsistencyModel::project`] — plain linearizability splits the
+//! trace per key with [`split_trace`], the speculative checker also
+//! classifies switch actions, as [`split_trace_keyed`] does, under a
+//! switch-independence certificate); `partition::check` — the one routine behind
+//! every partitioned verdict on a closed trace — runs the class searches
+//! through [`fan_out`] (the same dispatch the speculative checker uses for
+//! init-interpretation enumeration and the daemon for its lanes), and
+//! **merges the class chains back into the exact witness the monolithic
 //! search would have produced** (`merge_partition_chains`).
 //!
 //! # Threads are an upper bound
@@ -51,25 +55,25 @@
 //! another partition's remaining bound), the monolithic engine may
 //! interleave pool extras that appear in **no** per-partition witness
 //! before the block clears. `merge_partition_chains` detects any blocked
-//! head and bails out (`None`); the checkers then re-derive the witness
-//! with one monolithic search — the verdict is already decided by the
-//! partition verdicts, so byte-identity still holds unconditionally, at
+//! head and bails out (`None`); `check` then re-derives the witness by
+//! searching the whole problem once — the verdict is already decided by
+//! the class verdicts, so byte-identity still holds unconditionally, at
 //! the price of the reconstruction speedup on such traces
 //! ([`PartitionReport::remerged`] reports the event).
 //!
-//! Traces containing **switch actions**, and traces with any input the
-//! partitioner declines to classify, fall back to a single identity
-//! partition (monolithic checking); [`SplitOutcome::fallback`] reports the
-//! engagement of that fallback.
+//! Traces with **uncertified switch actions**, and traces with any input
+//! the partitioner declines to classify, are checked whole (monolithic
+//! checking); [`PartitionReport::fallback`] says which.
 
 use crate::engine::{Chain, SearchStats};
+use crate::model::{ConsistencyModel, Projection, SplitVerdict};
 use crate::ObjAction;
 use slin_adt::{Adt, Partitioner};
 use slin_trace::{PersistentMultiset, Trace};
 use std::collections::{BTreeMap, VecDeque};
 
-/// Why a trace went monolithic: the reason the identity fallback (or a
-/// keyed-path downgrade) engaged, surfaced through
+/// Why a trace went monolithic: the reason a model's projection answered
+/// [`Projection::Whole`] for a trace it was asked to decompose, surfaced through
 /// [`PartitionReport::fallback`] so operators can tell a policy gap
 /// (uncertified switches) from a data problem (unclassifiable inputs) from
 /// a genuinely coupled trace.
@@ -84,7 +88,7 @@ pub enum FallbackReason {
     UnclassifiableInput,
     /// The per-class interpretation of the trace's switch values does not
     /// decompose on this trace (cross-class coupling in the forced common
-    /// prefix), so the keyed path re-derived monolithically.
+    /// prefix), so the trace is checked whole.
     CrossBoundCoupled,
 }
 
@@ -147,45 +151,18 @@ pub struct PartitionReport {
 /// ascending key order.
 ///
 /// The identity fallback (one partition holding the whole trace,
-/// `fallback = true`) engages when any action is a switch action — switch
-/// values are interpreted through the common relation `rinit`, whose
-/// candidate histories may mix classes — or when `p` returns `None` for
-/// any input.
+/// [`SplitOutcome::fallback`] saying why) engages when any action is a
+/// switch action ([`FallbackReason::SwitchUncertified`]) — switch values
+/// are interpreted through the common relation `rinit`, whose candidate
+/// histories may mix classes — or when `p` returns `None` for any input
+/// ([`FallbackReason::UnclassifiableInput`]), whichever comes first.
 pub fn split_trace<T, V, P>(p: &P, t: &Trace<ObjAction<T, V>>) -> SplitOutcome<T, V, P::Key>
 where
     T: Adt,
     V: Clone,
     P: Partitioner<T>,
 {
-    let mut keys: Vec<P::Key> = Vec::with_capacity(t.len());
-    for a in t.iter() {
-        if a.is_switch() {
-            return identity_split(t, FallbackReason::SwitchUncertified);
-        }
-        match p.key_of(a.input()) {
-            Some(k) => keys.push(k),
-            None => return identity_split(t, FallbackReason::UnclassifiableInput),
-        }
-    }
-    // Per key: the actions of the class plus their original indices.
-    type Group<A> = (Vec<A>, Vec<usize>);
-    let mut groups: BTreeMap<P::Key, Group<ObjAction<T, V>>> = BTreeMap::new();
-    for (i, (a, k)) in t.iter().zip(keys).enumerate() {
-        let entry = groups.entry(k).or_default();
-        entry.0.push(a.clone());
-        entry.1.push(i);
-    }
-    SplitOutcome {
-        parts: groups
-            .into_iter()
-            .map(|(k, (actions, index_map))| TracePartition {
-                key: Some(k),
-                trace: Trace::from_actions(actions),
-                index_map,
-            })
-            .collect(),
-        fallback: None,
-    }
+    split(p, false, t)
 }
 
 /// Splits `t` like [`split_trace`], but classifies **switch actions** by
@@ -196,27 +173,50 @@ where
 ///
 /// The caller is responsible for verifying that every element of every
 /// switch's candidate value classifies (the value type is opaque here);
-/// the keyed checker falls back to the identity split with
-/// [`FallbackReason::UnclassifiableInput`] when it cannot.
+/// the speculative checker's projection answers
+/// [`FallbackReason::UnclassifiableInput`] when one does not.
 pub fn split_trace_keyed<T, V, P>(p: &P, t: &Trace<ObjAction<T, V>>) -> SplitOutcome<T, V, P::Key>
 where
     T: Adt,
     V: Clone,
     P: Partitioner<T>,
 {
-    let mut keys: Vec<P::Key> = Vec::with_capacity(t.len());
-    for a in t.iter() {
-        match p.key_of(a.input()) {
-            Some(k) => keys.push(k),
-            None => return identity_split(t, FallbackReason::UnclassifiableInput),
-        }
-    }
+    split(p, true, t)
+}
+
+/// The one split body: `keyed` says whether a switch action is classified
+/// (by its pending input) or collapses the split.
+pub(crate) fn split<T, V, P>(
+    p: &P,
+    keyed: bool,
+    t: &Trace<ObjAction<T, V>>,
+) -> SplitOutcome<T, V, P::Key>
+where
+    T: Adt,
+    V: Clone,
+    P: Partitioner<T>,
+{
+    let identity = |reason| SplitOutcome {
+        parts: vec![TracePartition {
+            key: None,
+            trace: t.clone(),
+            index_map: (0..t.len()).collect(),
+        }],
+        fallback: Some(reason),
+    };
+    // Per key: the actions of the class plus their original indices.
     type Group<A> = (Vec<A>, Vec<usize>);
     let mut groups: BTreeMap<P::Key, Group<ObjAction<T, V>>> = BTreeMap::new();
-    for (i, (a, k)) in t.iter().zip(keys).enumerate() {
-        let entry = groups.entry(k).or_default();
-        entry.0.push(a.clone());
-        entry.1.push(i);
+    for (i, a) in t.iter().enumerate() {
+        if a.is_switch() && !keyed {
+            return identity(FallbackReason::SwitchUncertified);
+        }
+        let Some(k) = p.key_of(a.input()) else {
+            return identity(FallbackReason::UnclassifiableInput);
+        };
+        let (actions, index_map) = groups.entry(k).or_default();
+        actions.push(a.clone());
+        index_map.push(i);
     }
     SplitOutcome {
         parts: groups
@@ -228,20 +228,6 @@ where
             })
             .collect(),
         fallback: None,
-    }
-}
-
-pub(crate) fn identity_split<T: Adt, V: Clone, K>(
-    t: &Trace<ObjAction<T, V>>,
-    reason: FallbackReason,
-) -> SplitOutcome<T, V, K> {
-    SplitOutcome {
-        parts: vec![TracePartition {
-            key: None,
-            trace: t.clone(),
-            index_map: (0..t.len()).collect(),
-        }],
-        fallback: Some(reason),
     }
 }
 
@@ -348,90 +334,156 @@ where
     (results, true)
 }
 
-/// The verdict of [`search_partitions`]: the merged chain, `None` when the
-/// merge bailed (re-derive monolithically), or the first partition error.
-pub(crate) type SearchVerdict<I, E> = Result<Option<Chain<I>>, E>;
-
-/// Runs `search` over `parts` through [`fan_out`] (at most `threads`
-/// threads, the calling one included), absorbs
-/// every partition's counters in key order, resolves the verdict exactly
-/// like a sequential partition loop would (the first failing partition in
-/// key order wins), and merges the partition witnesses in engine order —
-/// the orchestration behind [`crate::model::check_split`] for every
-/// [`crate::model::ConsistencyModel`].
-///
-/// `finding` projects one per-partition result onto the engine counters
-/// plus either the commit chain (in sub-trace indices) or the partition's
-/// error. Returns, alongside the [`PartitionReport`]:
-///
-/// * `Ok(Some(chain))` — the merged witness chain (original trace
-///   indices);
-/// * `Ok(None)` — every partition passed but the merge bailed; the caller
-///   must re-derive the witness monolithically and set
-///   [`PartitionReport::remerged`];
-/// * `Err(e)` — the first failing partition's error.
-pub(crate) fn search_partitions<T, V, K, R, E, F, X>(
-    parts: &[TracePartition<T, V, K>],
-    threads: usize,
-    bounds: &[PersistentMultiset<T::Input>],
-    search: F,
-    finding: X,
-) -> (SearchVerdict<T::Input, E>, PartitionReport)
-where
-    T: Adt,
-    T::Input: Ord + Sync,
-    T::Output: Sync,
-    V: Sync,
-    K: Sync,
-    R: Send,
-    E: Clone,
-    F: Fn(&Trace<ObjAction<T, V>>) -> R + Sync,
-    X: for<'r> Fn(&'r R) -> (SearchStats, Result<&'r [(usize, Vec<T::Input>)], &'r E>),
-{
-    // A partition's weight is its commit count: what its search must place.
-    let units = parts
-        .iter()
-        .map(|part| {
-            let commits = part.trace.iter().filter(|a| a.is_respond()).count();
-            (commits, &part.trace)
-        })
-        .collect();
-    let (results, _) = fan_out(units, threads, &|sub| search(sub));
-    let mut stats = SearchStats::default();
-    let mut queues = Vec::with_capacity(parts.len());
-    let mut first_error: Option<E> = None;
-    for (part, result) in parts.iter().zip(&results) {
-        let (part_stats, chain) = finding(result);
-        stats.absorb(&part_stats);
-        match chain {
-            Ok(c) => queues.push((
-                witness_steps(c, &part.index_map),
-                crate::ops::total_inputs::<T, V>(&part.trace),
-            )),
-            Err(e) => {
-                if first_error.is_none() {
-                    first_error = Some(e.clone());
-                }
-            }
-        }
+/// The thread count a configured `threads` stands for (0 = one per
+/// available core).
+pub(crate) fn resolve_threads(configured: usize) -> usize {
+    if configured > 0 {
+        configured
+    } else {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
     }
-    let report = PartitionReport {
-        partitions: parts.len(),
-        fallback: None,
+}
+
+/// P-compositional checking of a closed trace — the one routine behind
+/// every partitioned [`crate::session`] verdict and the streaming
+/// monitor's report derivation, for every [`ConsistencyModel`].
+///
+/// Asks the model what there is to search along `partitioner`
+/// ([`ConsistencyModel::project`]; no partitioner, nothing to project),
+/// then: runs the class searches through [`fan_out`] (a class's weight is
+/// its commit count), absorbs every class's counters in key order, resolves
+/// the verdict exactly like a sequential loop over the classes would (the
+/// first failing class in key order wins — a refutation or a budget trip
+/// alike, so a tripped class under-claims rather than searching again),
+/// merges the class chains in engine order against the whole problem's
+/// bounds from its seed, re-discharges the whole problem's leaf on the
+/// merged chain, and searches the whole problem once when either cannot
+/// predict the monolithic first witness ([`PartitionReport::remerged`]).
+///
+/// Verdicts and witnesses are byte-identical to
+/// [`ConsistencyModel::check_monolithic`] (see the [module docs](self) for
+/// the argument). The search node budget applies per class, so a trace the
+/// monolithic search gives up on may well be decided here.
+pub(crate) fn check<V, M, P>(
+    model: &M,
+    partitioner: Option<&P>,
+    keyed: bool,
+    t: &Trace<ObjAction<M::Adt, V>>,
+) -> SplitVerdict<M::Witness, M::Error>
+where
+    M: ConsistencyModel<V>,
+    M::Adt: Sync,
+    <M::Adt as Adt>::Input: Ord + Send + Sync,
+    <M::Adt as Adt>::Output: Sync,
+    P: Partitioner<M::Adt>,
+{
+    let unmerged = |partitions, fallback, stats| PartitionReport {
+        partitions,
+        fallback,
         remerged: false,
         stats,
     };
-    match first_error {
-        Some(e) => (Err(e), report),
-        None => (
-            Ok(merge_partition_chains(
-                bounds,
-                queues,
-                PersistentMultiset::new(),
+    let projection = match partitioner {
+        Some(p) => model.project(p, keyed, t),
+        None => Projection::Whole {
+            partitions: 1,
+            fallback: Some(FallbackReason::UnclassifiableInput),
+        },
+    };
+    let (whole, classes, refuted) = match projection {
+        Projection::Rejected(e) => {
+            return SplitVerdict {
+                verdict: Err(e),
+                report: unmerged(1, None, SearchStats::default()),
+            }
+        }
+        // The whole check validates internally, so no projection
+        // validates a trace it does not decompose.
+        Projection::Whole {
+            partitions,
+            fallback,
+        } => {
+            let (verdict, stats) = model.check_monolithic(t);
+            return SplitVerdict {
+                verdict,
+                report: unmerged(partitions, fallback, stats),
+            };
+        }
+        Projection::Classes {
+            whole,
+            classes,
+            refuted,
+        } => (whole, classes, refuted),
+    };
+
+    let (adt, budget) = (&**model.adt(), model.budget());
+    let units = classes
+        .iter()
+        .map(|class| (class.problem.commits.len(), &class.problem))
+        .collect();
+    let (results, _) = fan_out(units, resolve_threads(model.threads()), &|problem| {
+        problem.search(adt, budget)
+    });
+    let mut stats = SearchStats::default();
+    let mut queues = Vec::with_capacity(classes.len());
+    let mut first_error: Option<M::Error> = None;
+    for (class, (found, class_stats)) in classes.iter().zip(results) {
+        stats.absorb(&class_stats);
+        if first_error.is_some() {
+            continue;
+        }
+        match found {
+            Ok(Some((chain, ()))) => queues.push((
+                witness_steps(&chain, class.problem.seed.len(), &class.index_map),
+                class.problem.pool(),
             )),
-            report,
-        ),
+            Ok(None) => first_error = Some(refuted()),
+            Err(e) => first_error = Some(e.into()),
+        }
     }
+    let mut report = unmerged(classes.len(), None, stats);
+    if let Some(e) = first_error {
+        return SplitVerdict {
+            verdict: Err(e),
+            report,
+        };
+    }
+    // What the model's witness reports as checked: the class searches, not
+    // a re-derivation's.
+    let interpretations = stats.interpretations;
+    let merged = merge_partition_chains(
+        &whole.bounds,
+        queues,
+        whole.seed.clone(),
+        PersistentMultiset::elems(&whole.seed),
+    )
+    .and_then(|chain| {
+        let longest = chain.last().map_or(&whole.seed[..], |(_, h)| h);
+        let leaf = (whole.leaf)(longest)?;
+        Some((chain, leaf))
+    });
+    let found = match merged {
+        Some(found) => Ok(Some(found)),
+        None => {
+            // A cross-class bound blocked a class's next step, or the
+            // merged chain fails a leaf condition no class leaf can see:
+            // the monolithic first witness is not predictable from the
+            // class chains, so search for it (the verdict — every class
+            // passing — is already decided).
+            let (found, rerun_stats) = whole.search(adt, budget);
+            report.remerged = true;
+            report.stats.absorb(&rerun_stats);
+            found
+        }
+    };
+    let verdict = match found {
+        Ok(Some((chain, leaf))) => Ok(M::witness(chain, leaf, interpretations, report.stats)),
+        Ok(None) => Err(refuted()),
+        Err(e) => Err(e.into()),
+    };
+    SplitVerdict { verdict, report }
 }
 
 /// One step of a witness chain, recovered from the accumulated commit
@@ -448,14 +500,16 @@ pub(crate) enum Step<I> {
     Commit(usize, I),
 }
 
-/// Decomposes a partition witness chain (whose histories accumulate) into
-/// its step sequence, remapping commit indices through `index_map`.
+/// Decomposes a partition witness chain (whose histories accumulate from a
+/// seed of `seed_len` inputs, which is no step) into its step sequence,
+/// remapping commit indices through `index_map`.
 pub(crate) fn witness_steps<I: Clone>(
     chain: &[(usize, Vec<I>)],
+    seed_len: usize,
     index_map: &[usize],
 ) -> VecDeque<Step<I>> {
     let mut steps = VecDeque::new();
-    let mut prev_len = 0usize;
+    let mut prev_len = seed_len;
     for (sub_idx, h) in chain {
         debug_assert!(h.len() > prev_len, "chain histories strictly extend");
         for e in &h[prev_len..h.len() - 1] {
@@ -494,14 +548,16 @@ pub(crate) fn witness_steps<I: Clone>(
 /// one state in which the monolithic first witness may deviate from every
 /// per-partition witness, so the caller must re-derive it monolithically.
 ///
-/// `seed_used` pre-populates the consumed-input multiset (the monitor
-/// passes its garbage-collected prefix summary, whose retained inputs
-/// count against the bounds but whose history is dropped; the batch
-/// checkers pass an empty multiset). `bounds` must account for the seed's
-/// consumed inputs.
+/// The merged histories extend `seed` and `seed_used` pre-populates the
+/// consumed-input multiset: [`check`] passes the whole problem's seed
+/// history and its elements; the monitor passes no history and its
+/// garbage-collected prefix summary, whose retained inputs count against
+/// the bounds but whose history is dropped. `bounds` must account for the
+/// seed's consumed inputs.
 pub(crate) fn merge_partition_chains<I: Clone + Ord + std::hash::Hash>(
     bounds: &[PersistentMultiset<I>],
     parts: Vec<(VecDeque<Step<I>>, PersistentMultiset<I>)>,
+    seed: Vec<I>,
     seed_used: PersistentMultiset<I>,
 ) -> Option<Chain<I>> {
     let (mut queues, pools): (Vec<VecDeque<Step<I>>>, Vec<PersistentMultiset<I>>) =
@@ -518,7 +574,7 @@ pub(crate) fn merge_partition_chains<I: Clone + Ord + std::hash::Hash>(
     remaining.sort_by_key(|(idx, _)| *idx);
 
     let mut used: PersistentMultiset<I> = seed_used;
-    let mut hist: Vec<I> = Vec::new();
+    let mut hist: Vec<I> = seed;
     let mut chain: Chain<I> = Vec::new();
 
     // `input` stays within every remaining commit's bound after one more
@@ -717,11 +773,126 @@ mod tests {
         // Chain histories [a], [a, x, b]: steps are Commit(a), Extra(x),
         // Commit(b), with indices remapped.
         let chain = vec![(0usize, vec!["a"]), (1usize, vec!["a", "x", "b"])];
-        let steps = witness_steps(&chain, &[4, 9]);
+        let steps = witness_steps(&chain, 0, &[4, 9]);
         assert_eq!(
             steps.into_iter().collect::<Vec<_>>(),
             vec![Step::Commit(4, "a"), Step::Extra("x"), Step::Commit(9, "b"),]
         );
+        // A seed is no step: the same chain grown from the seed [a] starts
+        // at its second commit's extras.
+        let steps = witness_steps(&chain[1..], 1, &[4, 9]);
+        assert_eq!(
+            steps.into_iter().collect::<Vec<_>>(),
+            vec![Step::Extra("x"), Step::Commit(9, "b")]
+        );
+    }
+
+    #[test]
+    fn merge_grows_its_histories_from_the_seed() {
+        // The seed's inputs are consumed before the first step and lead
+        // every merged history.
+        let bounds = vec![PersistentMultiset::elems(&["s", "a", "b"]); 3];
+        let qa = VecDeque::from(vec![Step::Commit(2, "a")]);
+        let qb = VecDeque::from(vec![Step::Commit(1, "b")]);
+        let chain = merge_partition_chains(
+            &bounds,
+            vec![
+                (qa, PersistentMultiset::elems(&["a"])),
+                (qb, PersistentMultiset::elems(&["b"])),
+            ],
+            vec!["s"],
+            PersistentMultiset::elems(&["s"]),
+        )
+        .expect("no head blocked");
+        assert_eq!(chain, vec![(1, vec!["s", "b"]), (2, vec!["s", "b", "a"])]);
+    }
+
+    /// Both classes open with an extra input — a put that never responds,
+    /// read by a get — and key 1's is invoked only after key 2's commit:
+    /// its head is cross-blocked with no commit to hide behind, the merge
+    /// bails, and the whole problem is searched.
+    fn cross_blocked_trace() -> Trace<KA> {
+        Trace::from_actions(vec![
+            Action::invoke(c(2), ph(), KvInput::Put(2, 9)),
+            Action::invoke(c(4), ph(), KvInput::Get(2)),
+            Action::respond(c(4), ph(), KvInput::Get(2), KvOutput::Found(Some(9))),
+            Action::invoke(c(1), ph(), KvInput::Put(1, 7)),
+            Action::invoke(c(3), ph(), KvInput::Get(1)),
+            Action::respond(c(3), ph(), KvInput::Get(1), KvOutput::Found(Some(7))),
+        ])
+    }
+
+    /// Theorem 2 at the level of work: on switch-free traces the
+    /// speculative checker's projection states, class by class, the
+    /// problems the plain one states, so [`check`] does the same work on
+    /// both — equal partition reports, `SearchStats` included — and finds
+    /// the same commit chains, merged or re-derived: the monolithic ones.
+    #[test]
+    fn both_models_state_the_same_problems_on_switch_free_traces() {
+        use crate::gen::{random_multikey_kv_trace, MultiKeyConfig};
+        use crate::initrel::ExactInit;
+        use crate::lin::{LinChecker, LinError};
+        use crate::slin::{SlinChecker, SlinError};
+        let lin = LinChecker::owned(KvStore);
+        let slin = SlinChecker::owned(KvStore, ExactInit::new(), ph(), PhaseId::new(2));
+        let mut corpus = vec![cross_blocked_trace()];
+        for (keys, contention) in [(2, 0.0), (4, 0.0), (4, 0.5), (8, 0.2)] {
+            for error_prob in [0.0, 0.3] {
+                corpus.extend((0..6).map(|seed| {
+                    random_multikey_kv_trace(&MultiKeyConfig {
+                        clients: 3,
+                        steps: 48,
+                        keys,
+                        skew: 0.4,
+                        contention,
+                        error_prob,
+                        seed,
+                    })
+                }));
+            }
+        }
+        let (mut accepted, mut refuted, mut remerged) = (0, 0, 0);
+        for t in &corpus {
+            let phase_t: Trace<ObjAction<KvStore, Vec<KvInput>>> = Trace::from_actions(
+                t.iter()
+                    .map(|a| match a {
+                        Action::Invoke { client, input, .. } => {
+                            Action::invoke(*client, ph(), *input)
+                        }
+                        Action::Respond {
+                            client,
+                            input,
+                            output,
+                            ..
+                        } => Action::respond(*client, ph(), *input, *output),
+                        Action::Switch { .. } => unreachable!("switch-free corpus"),
+                    })
+                    .collect(),
+            );
+            let by_lin = check(&lin, Some(&KvKeyPartitioner), false, t);
+            let by_slin = check(&slin, Some(&KvKeyPartitioner), false, &phase_t);
+            assert_eq!(by_lin.report, by_slin.report, "{t:?}");
+            assert_eq!(by_lin.report.fallback, None);
+            assert!(by_lin.report.partitions > 1);
+            remerged += by_lin.report.remerged as usize;
+            assert_eq!(by_lin.verdict, lin.check_with_stats_impl(t).0, "{t:?}");
+            match (by_lin.verdict, by_slin.verdict) {
+                (Ok(w), Ok(r)) => {
+                    accepted += 1;
+                    assert_eq!(w.assignments(), r.witness.commit_histories);
+                    assert_eq!(r.stats, by_slin.report.stats);
+                }
+                (
+                    Err(LinError::NotLinearizable),
+                    Err(SlinError::NotSpeculativelyLinearizable { interpretation }),
+                ) => {
+                    refuted += 1;
+                    assert!(interpretation.is_empty());
+                }
+                other => panic!("the models disagree: {other:?}"),
+            }
+        }
+        assert!(accepted > 0 && refuted > 0 && remerged > 0);
     }
 
     /// Dispatches one unit per weight, each reporting its index and the
@@ -834,9 +1005,13 @@ mod tests {
         ]);
         let pa = PersistentMultiset::elems(&["a", "y", "a"]);
         let pb = PersistentMultiset::elems(&["b", "x", "b"]);
-        let chain =
-            merge_partition_chains(&bounds, vec![(qa, pa), (qb, pb)], PersistentMultiset::new())
-                .expect("no head blocked");
+        let chain = merge_partition_chains(
+            &bounds,
+            vec![(qa, pa), (qb, pb)],
+            vec![],
+            PersistentMultiset::new(),
+        )
+        .expect("no head blocked");
         let picks: Vec<usize> = chain.iter().map(|(i, _)| *i).collect();
         // Commits by ascending index (1 then 3); at the all-extras node the
         // smaller extra x goes first, which unblocks commit 5 before y.
@@ -862,7 +1037,12 @@ mod tests {
         let pa = PersistentMultiset::elems(&["a0", "a"]);
         let pb = PersistentMultiset::elems(&["b0", "b"]);
         assert_eq!(
-            merge_partition_chains(&bounds, vec![(qa, pa), (qb, pb)], PersistentMultiset::new()),
+            merge_partition_chains(
+                &bounds,
+                vec![(qa, pa), (qb, pb)],
+                vec![],
+                PersistentMultiset::new()
+            ),
             None
         );
     }
@@ -883,9 +1063,13 @@ mod tests {
         let qb = VecDeque::from(vec![Step::Commit(1, "b")]);
         let pa = PersistentMultiset::elems(&["a0", "a"]);
         let pb = PersistentMultiset::elems(&["b"]);
-        let chain =
-            merge_partition_chains(&bounds, vec![(qa, pa), (qb, pb)], PersistentMultiset::new())
-                .expect("commit clears block");
+        let chain = merge_partition_chains(
+            &bounds,
+            vec![(qa, pa), (qb, pb)],
+            vec![],
+            PersistentMultiset::new(),
+        )
+        .expect("commit clears block");
         let picks: Vec<usize> = chain.iter().map(|(i, _)| *i).collect();
         assert_eq!(picks, vec![1, 3]);
         assert_eq!(chain[1].1, vec!["b", "a0", "a"]);
@@ -909,9 +1093,13 @@ mod tests {
         let qb = VecDeque::from(vec![Step::Commit(1, "b")]);
         let pa = PersistentMultiset::elems(&["a", "x", "a"]);
         let pb = PersistentMultiset::elems(&["b", "b0"]);
-        let chain =
-            merge_partition_chains(&bounds, vec![(qa, pa), (qb, pb)], PersistentMultiset::new())
-                .expect("no head blocked");
+        let chain = merge_partition_chains(
+            &bounds,
+            vec![(qa, pa), (qb, pb)],
+            vec![],
+            PersistentMultiset::new(),
+        )
+        .expect("no head blocked");
         let picks: Vec<usize> = chain.iter().map(|(i, _)| *i).collect();
         assert_eq!(picks, vec![0, 1, 4]);
         // After both early commits, the extras node consumes b0 < x, then

@@ -15,8 +15,9 @@
 //! * [`Strategy::Streaming`] — the sharded incremental monitor of
 //!   [`crate::stream`], with an optional bounded GC window;
 //! * [`Strategy::Auto`] (the default) — partitioned exactly when a
-//!   partitioner was supplied and the trace has no switch actions,
-//!   monolithic otherwise.
+//!   partitioner was supplied and the trace has no switch actions or a
+//!   switch-independence certificate covers them
+//!   ([`SessionBuilder::switch_certified`]), monolithic otherwise.
 //!
 //! Sessions own their model (see `crate::model` — "Model ownership"), so a
 //! built [`Session`] is `'static` and can be moved into threads, stored in
@@ -60,16 +61,15 @@
 //! ```
 
 use crate::engine::SearchStats;
-use crate::model::{self, ConsistencyModel};
-use crate::partition::FallbackReason;
-use crate::partition::{self, PartitionReport};
+use crate::model::ConsistencyModel;
+use crate::partition::{self, FallbackReason, PartitionReport};
 use crate::stream::{
     budget_tripped, GcPolicy, IngestOutcome, Monitor, MonitorReport, MonitorStatus, ShardSummary,
     StreamModel,
 };
 use crate::ObjAction;
 use slin_adt::{Adt, IdentityPartitioner, Partitioner};
-use slin_analysis::{short_type_name, CertError, CertStore, Certificate, SwitchCert};
+use slin_analysis::{short_type_name, CertError, Certificate, SwitchCert};
 use slin_obs::{EngineSearchEvent, Obs};
 use slin_trace::Trace;
 use std::marker::PhantomData;
@@ -78,7 +78,8 @@ use std::marker::PhantomData;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Strategy {
     /// Partitioned when a sound [`Partitioner`] was supplied and the trace
-    /// has no switch actions; monolithic otherwise.
+    /// has no switch actions, or a switch-independence certificate was
+    /// installed for them; monolithic otherwise.
     #[default]
     Auto,
     /// One chain search over the whole trace.
@@ -98,8 +99,8 @@ pub enum Strategy {
 
 /// What a session does with a partitioner that carries no soundness
 /// certificate (see `slin-analysis`: `slin-analyze` certifies the
-/// shipped partitioners, [`SessionBuilder::partitioner_certified`] and
-/// [`SessionBuilder::cert_store`] install the proof).
+/// shipped partitioners, [`SessionBuilder::partitioner_certified`]
+/// installs the proof).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CertPolicy {
     /// Trust the caller (the historical behaviour): the partitioner is
@@ -107,10 +108,6 @@ pub enum CertPolicy {
     /// just not machine-checked at build time.
     #[default]
     Trust,
-    /// Keep the session but drop the uncertified partitioner: checking
-    /// falls back to the monolithic path and every [`Verdict`] carries
-    /// [`Verdict::cert_downgraded`] so the degradation is observable.
-    WarnMonolithic,
     /// Refuse to build: [`SessionBuilder::try_build`] returns
     /// [`CertError::Uncertified`]. The daemon's `require_cert` tenant
     /// policy builds with this.
@@ -141,10 +138,6 @@ pub struct Verdict<W, E> {
     pub partition: Option<PartitionReport>,
     /// The concrete code path that produced this verdict.
     pub strategy: StrategyUsed,
-    /// Whether [`CertPolicy::WarnMonolithic`] dropped an uncertified
-    /// partitioner when this session was built — the verdict is sound but
-    /// came from the slower monolithic path.
-    pub cert_downgraded: bool,
 }
 
 impl<W, E> Verdict<W, E> {
@@ -200,7 +193,6 @@ impl<M> Checker<M> {
             obs: Obs::noop(),
             cert: None,
             switch_cert: None,
-            cert_store: None,
             cert_policy: CertPolicy::Trust,
         }
     }
@@ -225,7 +217,6 @@ pub struct SessionBuilder<M, P> {
     /// already verified; ADT and init-relation names are checked at build
     /// time).
     switch_cert: Option<SwitchCert>,
-    cert_store: Option<CertStore>,
     cert_policy: CertPolicy,
 }
 
@@ -288,9 +279,8 @@ impl<M, P> SessionBuilder<M, P> {
     /// per-key sharding on the streaming path). The partitioner must
     /// uphold the soundness contract documented in [`slin_adt::partition`];
     /// to have that contract machine-checked instead of trusted, pass the
-    /// analyzer's proof via [`SessionBuilder::partitioner_certified`] (or
-    /// register it in a [`SessionBuilder::cert_store`]) — `slin-analyze`
-    /// produces certificates for every shipped partitioner.
+    /// analyzer's proof via [`SessionBuilder::partitioner_certified`] —
+    /// `slin-analyze` produces certificates for every shipped partitioner.
     pub fn partitioner<Q>(self, partitioner: Q) -> SessionBuilder<M, Q> {
         SessionBuilder {
             model: self.model,
@@ -301,11 +291,9 @@ impl<M, P> SessionBuilder<M, P> {
             window: self.window,
             gc: self.gc,
             obs: self.obs,
-            // A fresh partitioner invalidates any explicit certificate;
-            // the store (keyed by type names) remains authoritative.
+            // A fresh partitioner invalidates any installed certificate.
             cert: None,
             switch_cert: None,
-            cert_store: self.cert_store,
             cert_policy: self.cert_policy,
         }
     }
@@ -375,14 +363,6 @@ impl<M, P> SessionBuilder<M, P> {
         Ok(self)
     }
 
-    /// Installs a [`CertStore`]: at build time the `(ADT, partitioner)`
-    /// pair is looked up by type name, and an absent certificate is
-    /// handled per [`SessionBuilder::cert_policy`].
-    pub fn cert_store(mut self, store: CertStore) -> Self {
-        self.cert_store = Some(store);
-        self
-    }
-
     /// What to do when the partitioner has no verified certificate
     /// (default: [`CertPolicy::Trust`], the historical behaviour).
     pub fn cert_policy(mut self, policy: CertPolicy) -> Self {
@@ -411,9 +391,7 @@ impl<M, P> SessionBuilder<M, P> {
     /// [`CertError::PartitionerMismatch`] when an installed certificate
     /// does not cover this session's `(ADT, partitioner)` pair, and with
     /// [`CertError::Uncertified`] when no certificate exists under
-    /// [`CertPolicy::Require`]. Under [`CertPolicy::WarnMonolithic`] an
-    /// uncertified partitioner is dropped instead: the session builds,
-    /// checks monolithically, and flags [`Verdict::cert_downgraded`].
+    /// [`CertPolicy::Require`].
     pub fn try_build<V>(mut self) -> Result<Session<M, V, P>, CertError>
     where
         M: StreamModel<V>,
@@ -422,20 +400,13 @@ impl<M, P> SessionBuilder<M, P> {
         P: Partitioner<M::Adt>,
     {
         let adt_name = short_type_name::<M::Adt>();
-        let certified = if let Some(cert) = &self.cert {
-            // Hash and partitioner name were verified on install.
-            if cert.adt != adt_name {
-                return Err(CertError::AdtMismatch {
-                    expected: adt_name.to_string(),
-                    found: cert.adt.clone(),
-                });
-            }
-            true
-        } else {
-            self.cert_store
-                .as_ref()
-                .is_some_and(|store| store.is_certified(adt_name, short_type_name::<P>()))
-        };
+        // Hash and partitioner name were verified on install.
+        if let Some(cert) = self.cert.as_ref().filter(|cert| cert.adt != adt_name) {
+            return Err(CertError::AdtMismatch {
+                expected: adt_name.to_string(),
+                found: cert.adt.clone(),
+            });
+        }
         // The keyed fast path engages only with a verified
         // switch-independence certificate naming this exact
         // `(ADT, partitioner, init relation)` triple.
@@ -458,29 +429,16 @@ impl<M, P> SessionBuilder<M, P> {
                 None => false,
             }
         } else {
-            self.partitioner.is_some()
-                && match (self.cert_store.as_ref(), self.model.init_relation_name()) {
-                    (Some(store), Some(rinit)) => {
-                        store.is_switch_certified(adt_name, short_type_name::<P>(), rinit)
-                    }
-                    _ => false,
-                }
+            false
         };
-        let mut cert_downgraded = false;
-        if self.partitioner.is_some() && !certified {
-            match self.cert_policy {
-                CertPolicy::Trust => {}
-                CertPolicy::WarnMonolithic => {
-                    self.partitioner = None;
-                    cert_downgraded = true;
-                }
-                CertPolicy::Require => {
-                    return Err(CertError::Uncertified {
-                        adt: adt_name.to_string(),
-                        partitioner: short_type_name::<P>().to_string(),
-                    });
-                }
-            }
+        if self.partitioner.is_some()
+            && self.cert.is_none()
+            && self.cert_policy == CertPolicy::Require
+        {
+            return Err(CertError::Uncertified {
+                adt: adt_name.to_string(),
+                partitioner: short_type_name::<P>().to_string(),
+            });
         }
         if let Some(budget) = self.budget {
             self.model.set_budget(budget);
@@ -488,9 +446,6 @@ impl<M, P> SessionBuilder<M, P> {
         if let Some(threads) = self.threads {
             self.model.set_threads(threads);
         }
-        // WarnMonolithic may have dropped the partitioner above; a keyed
-        // certificate is useless without one.
-        let keyed = keyed && self.partitioner.is_some();
         let strategy = self.strategy;
         let window = self.window.or(match strategy {
             Strategy::Streaming { window } => window,
@@ -518,7 +473,6 @@ impl<M, P> SessionBuilder<M, P> {
             window,
             gc,
             obs,
-            cert_downgraded,
             keyed,
             last_polled: MonitorStatus::Ok,
         })
@@ -557,9 +511,6 @@ where
     window: Option<usize>,
     gc: GcPolicy,
     obs: Obs,
-    /// [`CertPolicy::WarnMonolithic`] dropped an uncertified partitioner
-    /// at build time; every verdict reports it.
-    cert_downgraded: bool,
     /// A verified switch-independence certificate covers this session's
     /// `(ADT, partitioner, init relation)`: phase traces keep the
     /// partitioned/streaming fast path across switch actions.
@@ -569,13 +520,11 @@ where
 
 impl<M, V, P> Session<M, V, P>
 where
-    M: StreamModel<V> + Sync,
+    M: StreamModel<V>,
     M::Adt: Sync,
     <M::Adt as Adt>::Input: Ord + Send + Sync,
     <M::Adt as Adt>::Output: Sync,
-    M::Witness: Send,
-    M::Error: Send,
-    V: Clone + PartialEq + Sync,
+    V: Clone + PartialEq,
     P: Partitioner<M::Adt>,
 {
     /// Checks a closed trace under the configured strategy.
@@ -589,73 +538,39 @@ where
         match &mut self.mode {
             Mode::Batch { model, partitioner } => {
                 let t0 = self.obs.t0();
-                let has_switch = t.iter().any(|a| a.is_switch());
                 let partitioned = match self.strategy {
                     Strategy::Monolithic => false,
                     Strategy::Partitioned => true,
                     // Auto: partitioned exactly when a partitioner was
-                    // supplied and either the trace has no switch actions
-                    // or a switch-independence certificate unlocked the
-                    // keyed path (uncertified switch values may couple
-                    // independence classes through `rinit`, and the split
-                    // would only fall back).
-                    _ => partitioner.is_some() && (!has_switch || self.keyed),
+                    // supplied and either a switch-independence
+                    // certificate unlocked the keyed projection or the
+                    // trace has no switch actions (uncertified switch
+                    // values may couple independence classes through
+                    // `rinit`, and the projection would only fall back).
+                    _ => partitioner.is_some() && (self.keyed || !t.iter().any(|a| a.is_switch())),
                 };
-                if !partitioned {
+                let (outcome, stats, partition) = if partitioned {
+                    let sv = partition::check(&*model, partitioner.as_ref(), self.keyed, t);
+                    (sv.verdict, sv.report.stats, Some(sv.report))
+                } else {
                     let (outcome, stats) = model.check_monolithic(t);
-                    self.obs.engine_search(EngineSearchEvent {
-                        site: "session.check",
-                        nodes: stats.nodes as u64,
-                        memo_hits: stats.memo_hits as u64,
-                        budget_exhausted: budget_tripped::<M, V>(&outcome, &stats),
-                        t0,
-                    });
-                    return Verdict {
-                        outcome,
-                        stats,
-                        partition: None,
-                        strategy: StrategyUsed::Monolithic,
-                        cert_downgraded: self.cert_downgraded,
-                    };
-                }
-                // The keyed phase-trace path: certified switch
-                // classification instead of the identity fallback.
-                if has_switch && self.keyed {
-                    if let Some(sv) = partitioner.as_ref().and_then(|p| model.check_keyed(p, t)) {
-                        self.obs.engine_search(EngineSearchEvent {
-                            site: "session.check",
-                            nodes: sv.report.stats.nodes as u64,
-                            memo_hits: sv.report.stats.memo_hits as u64,
-                            budget_exhausted: budget_tripped::<M, V>(&sv.verdict, &sv.report.stats),
-                            t0,
-                        });
-                        return Verdict {
-                            outcome: sv.verdict,
-                            stats: sv.report.stats,
-                            partition: Some(sv.report),
-                            strategy: StrategyUsed::Partitioned,
-                            cert_downgraded: self.cert_downgraded,
-                        };
-                    }
-                }
-                let split = match partitioner {
-                    Some(p) => partition::split_trace(p, t),
-                    None => partition::identity_split(t, FallbackReason::UnclassifiableInput),
+                    (outcome, stats, None)
                 };
-                let sv = model::check_split(model, &split, t);
                 self.obs.engine_search(EngineSearchEvent {
                     site: "session.check",
-                    nodes: sv.report.stats.nodes as u64,
-                    memo_hits: sv.report.stats.memo_hits as u64,
-                    budget_exhausted: budget_tripped::<M, V>(&sv.verdict, &sv.report.stats),
+                    nodes: stats.nodes as u64,
+                    memo_hits: stats.memo_hits as u64,
+                    budget_exhausted: budget_tripped::<M, V>(&outcome, &stats),
                     t0,
                 });
                 Verdict {
-                    outcome: sv.verdict,
-                    stats: sv.report.stats,
-                    partition: Some(sv.report),
-                    strategy: StrategyUsed::Partitioned,
-                    cert_downgraded: self.cert_downgraded,
+                    outcome,
+                    stats,
+                    partition,
+                    strategy: match partition {
+                        Some(_) => StrategyUsed::Partitioned,
+                        None => StrategyUsed::Monolithic,
+                    },
                 }
             }
             Mode::Streaming(monitor) => {
@@ -668,7 +583,6 @@ where
                     stats: report.stats,
                     partition: None,
                     strategy: StrategyUsed::Streaming,
-                    cert_downgraded: self.cert_downgraded,
                 }
             }
             Mode::Transitioning => unreachable!("transient mode is never observable"),

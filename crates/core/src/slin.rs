@@ -36,17 +36,19 @@
 //! enumeration order wins — the same one the single-threaded loop
 //! (`with_threads(1)`) reports.
 
-use crate::engine::{Chain, CheckerEngine, EngineError, SearchBudget, SearchSeed, SearchStats};
+use crate::engine::{Chain, EngineError, SearchBudget, SearchStats};
 use crate::initrel::{CandidateContext, InitRelation};
-use crate::model::{self, ConsistencyModel};
+use crate::model::{ClassProblem, ConsistencyModel, Problem, Projection};
 use crate::ops::{self, Commit, SwitchEvent};
-use crate::partition::{self, FallbackReason, PartitionReport};
+use crate::partition::{self, FallbackReason};
 use crate::stream::{MonitorStatus, StreamFailure, StreamModel};
 use crate::ObjAction;
 use slin_adt::{Adt, Partitioner};
 use slin_trace::seq;
 use slin_trace::wf::{self, WellFormednessError};
 use slin_trace::{PersistentMultiset, PhaseId, Trace};
+use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -287,7 +289,7 @@ where
             Ok(prep) => prep,
             Err(e) => return (Err(e), SearchStats::default()),
         };
-        self.run_interpretations(&prep, self.effective_threads().min(prep.combos))
+        self.run_interpretations(&prep, partition::resolve_threads(self.threads))
     }
 
     /// Validates the trace against the phase signature and well-formedness,
@@ -316,7 +318,9 @@ where
             .filter(|(_, a)| a.is_invoke())
             .map(|(i, a)| (i, a.input().clone()))
             .collect();
-        let ctx = CandidateContext::new(t.iter().map(|a| a.input().clone()).collect());
+        let ctx = Arc::new(CandidateContext::new(
+            t.iter().map(|a| a.input().clone()).collect(),
+        ));
 
         // Enumerate candidate interpretations of the init actions.
         let per_init: Vec<Vec<Vec<T::Input>>> = inits
@@ -361,11 +365,11 @@ where
             .collect()
     }
 
-    fn fail_error(finit: &[(usize, &Vec<T::Input>)]) -> SlinError {
+    fn fail_error(finit: &[(usize, impl AsRef<[T::Input]>)]) -> SlinError {
         SlinError::NotSpeculativelyLinearizable {
             interpretation: finit
                 .iter()
-                .map(|(i, h)| (*i, h.iter().map(|x| format!("{x:?}")).collect()))
+                .map(|(i, h)| (*i, h.as_ref().iter().map(|x| format!("{x:?}")).collect()))
                 .collect(),
         }
     }
@@ -440,9 +444,8 @@ where
     }
 
     /// The *valid inputs* `vi(m, t, finit, i)` (Definition 26) at every
-    /// trace index `0..=t_len`, and their projection onto each of `classes`
-    /// independence classes (`class_of` maps an input to its class index;
-    /// `classes == 0` asks for none), built in one pass.
+    /// trace index `0..=t_len`, and their projection onto each of
+    /// `classes.count` independence classes, built in one pass.
     ///
     /// By the definitions, `vi(i) = ivi(i) ⊎ elems(inputs(t, i))` with
     /// `ivi(i)` (Definition 25) the inputs vouched for by init actions
@@ -459,37 +462,49 @@ where
     /// an interpreted init action, its pending input and whatever its
     /// history raises the running ∪ by. Each contribution lands in the
     /// global multiset and in exactly one class; a snapshot is an O(1)
-    /// clone. `valid_inputs_by_definition` (the two whole-multiset sums per
-    /// index, read off the definitions) is the test oracle.
+    /// clone. A class is snapshotted where a problem over its sub-trace
+    /// reads it — at its own actions and once at the end (`Σ sub_len`
+    /// snapshots, not `classes × t_len`) — and every class at every abort
+    /// action, whose class projection each class leaf judges.
+    /// `valid_inputs_by_definition` (the two whole-multiset sums per index,
+    /// read off the definitions) is the test oracle.
     fn valid_inputs(
         &self,
         prep: &Prepared<T, R::Value>,
         finit: &[(usize, &Vec<T::Input>)],
-        classes: usize,
-        class_of: &dyn Fn(&T::Input) -> usize,
+        classes: &Classes<'_, T::Input>,
     ) -> ValidInputs<T::Input> {
         let mut vi = PersistentMultiset::new();
-        let mut class_vi = vec![PersistentMultiset::new(); classes];
+        let mut class_vi = vec![PersistentMultiset::new(); classes.count];
         let mut out = ValidInputs {
             global: Vec::with_capacity(prep.t_len + 1),
-            per_class: (0..classes)
-                .map(|_| Vec::with_capacity(prep.t_len + 1))
-                .collect(),
+            per_class: vec![Vec::new(); classes.count],
+            at_aborts: Vec::with_capacity(prep.aborts.len()),
         };
         // The running ∪ of the interpretation histories' elements.
         let mut hist_elems: PersistentMultiset<T::Input> = PersistentMultiset::new();
         let mut invoked = prep.invoked.iter().peekable();
         let mut inits = prep.inits.iter().peekable();
+        let mut aborts = prep.aborts.iter().peekable();
         let mut interpreted = finit.iter().peekable();
         for i in 0..=prep.t_len {
             out.global.push(vi.clone());
-            for (snapshots, ms) in out.per_class.iter_mut().zip(&class_vi) {
-                snapshots.push(ms.clone());
+            match classes.of_action.get(i) {
+                Some(&k) => out.per_class[k].push(class_vi[k].clone()),
+                // Past the last action: every class's pool.
+                None => {
+                    for (snapshots, ms) in out.per_class.iter_mut().zip(&class_vi) {
+                        snapshots.push(ms.clone());
+                    }
+                }
+            }
+            if aborts.next_if(|s| s.index == i).is_some() {
+                out.at_aborts.push(class_vi.clone());
             }
             let mut grow = |input: &T::Input, n: usize| {
                 vi.add(input.clone(), n);
-                if classes > 0 {
-                    class_vi[class_of(input)].add(input.clone(), n);
+                if classes.count > 0 {
+                    class_vi[(classes.of_input)(input)].add(input.clone(), n);
                 }
             };
             if let Some((_, input)) = invoked.next_if(|(j, _)| *j == i) {
@@ -545,82 +560,6 @@ where
             .map(|(a, b)| a.sum(b))
             .collect()
     }
-
-    /// Decides the existential part of Definition 19 for one fixed `finit`.
-    fn check_one_interpretation(
-        &self,
-        prep: &Prepared<T, R::Value>,
-        finit: &[(usize, &Vec<T::Input>)],
-    ) -> InterpretationOutcome<T> {
-        let vi = self.valid_inputs(prep, finit, 0, &|_| 0).global;
-
-        // The longest common prefix of the init histories seeds the chain.
-        let lcp: Vec<T::Input> =
-            seq::longest_common_prefix(finit.iter().map(|(_, h)| h.as_slice()));
-        let constrain_init_order = !finit.is_empty();
-
-        // Abort interpretations are found at the leaves, once the longest
-        // commit history is known: the relation enumerates members of
-        // rinit(v) extending it.
-        let abort_events: Vec<(usize, T::Input, R::Value)> = prep
-            .aborts
-            .iter()
-            .map(|s| (s.index, s.input.clone(), s.value.clone()))
-            .collect();
-        let extend =
-            |value: &R::Value, prefix: &[T::Input]| self.rinit.extensions(value, prefix, &prep.ctx);
-
-        let pool = vi.last().cloned().unwrap_or_else(PersistentMultiset::new);
-        let engine = CheckerEngine::new(
-            &*self.adt,
-            &prep.commits,
-            &vi,
-            pool,
-            SearchBudget::new(self.budget),
-        );
-        // The leaf oracle grafts the ∃ fabort side onto the shared chain
-        // search: aborts must extend the longest commit history (or the LCP
-        // when there were no commits).
-        let mut leaf = |_chain: &Chain<T::Input>, longest: &[T::Input]| {
-            aborts_feasible::<T, R::Value>(
-                &abort_events,
-                longest,
-                &lcp,
-                constrain_init_order,
-                &vi,
-                &extend,
-            )
-        };
-        let (solution, stats) =
-            engine.first_solution(SearchSeed::from_history(&*self.adt, lcp.clone()), &mut leaf);
-        let witness = solution
-            .map(|found| {
-                found.map(|(chain, abort_histories)| SlinWitness {
-                    init_histories: finit.iter().map(|(i, h)| (*i, (*h).clone())).collect(),
-                    commit_histories: chain,
-                    abort_histories,
-                })
-            })
-            .map_err(SlinError::from);
-        (witness, stats)
-    }
-}
-
-/// Per global abort: `(trace index, its pending input when this class
-/// owns it, the class projection of its interpretation)`.
-type KeyedAborts<T> = Vec<(usize, Option<<T as Adt>::Input>, Vec<<T as Adt>::Input>)>;
-
-/// The keyed phase-trace machinery: one class's unit of work.
-struct KeyedClass<T: Adt> {
-    /// The class's commits, keeping their **original** trace indices (the
-    /// validity bounds below are indexed by them).
-    commits: Vec<Commit<T>>,
-    /// The class projection of the global valid-input bounds `vi`.
-    vi: Vec<PersistentMultiset<T::Input>>,
-    /// The class projection of the init LCP — the class search's seed.
-    lcp: Vec<T::Input>,
-    /// See [`KeyedAborts`].
-    aborts: KeyedAborts<T>,
 }
 
 impl<T, R> SlinChecker<T, R>
@@ -631,374 +570,80 @@ where
     R: InitRelation<T::Input> + Sync,
     R::Value: Clone + PartialEq + Sync,
 {
-    /// The keyed phase-trace check behind
-    /// [`ConsistencyModel::check_keyed`]: classifies commits, pending
-    /// inputs **and switch-value interpretations** per independence class,
-    /// runs one chain search per class seeded with the class projection of
-    /// the init LCP, and merges the per-class witnesses back into the
-    /// monolithic first witness.
-    ///
-    /// Sound when a switch-independence certificate (`slin-cert/v2`)
-    /// covers `(adt, partitioner, rinit)` — the session layer enforces
-    /// that gate. The residual per-trace conditions the certificate cannot
-    /// see downgrade to one monolithic check carrying the matching
-    /// [`FallbackReason`]:
-    ///
-    /// * a relation without [`InitRelation::project_keyed`], or with more
-    ///   than one candidate interpretation per switch —
-    ///   [`FallbackReason::SwitchUncertified`];
-    /// * an input (or interpretation element) the partitioner declines —
-    ///   [`FallbackReason::UnclassifiableInput`];
-    /// * a forced common prefix that does not decompose per class —
-    ///   [`FallbackReason::CrossBoundCoupled`].
-    ///
-    /// Verdicts and [`SlinWitness`]es are byte-identical to the monolithic
-    /// path: a failing class refutes the monolithic search (its leaf
-    /// conditions are projections of the global ones), and a merged chain
-    /// is re-checked against the global abort leaf, re-deriving
-    /// monolithically (`remerged`) when the replay cannot predict the
-    /// monolithic witness.
-    fn check_keyed_impl<P>(
-        &self,
-        partitioner: &P,
-        t: &Trace<ObjAction<T, R::Value>>,
-    ) -> model::SplitVerdict<SlinReport<T::Input>, SlinError>
-    where
-        P: Partitioner<T>,
-    {
-        // Switch-free traces partition without any of the keyed machinery.
-        if !t.iter().any(|a| a.is_switch()) {
-            return model::check_split(self, &partition::split_trace(partitioner, t), t);
-        }
-        // Full validation first: rejection errors and indices must be the
-        // monolithic ones.
-        let prep = match self.prepare(t) {
-            Ok(prep) => prep,
-            Err(e) => {
-                return model::SplitVerdict {
-                    verdict: Err(e),
-                    report: PartitionReport {
-                        partitions: 1,
-                        fallback: None,
-                        remerged: false,
-                        stats: SearchStats::default(),
-                    },
-                    interpretations_pre: 0,
-                }
-            }
-        };
-        let monolithic = |reason: FallbackReason| {
-            let (verdict, stats) = self.check_monolithic(t);
-            model::SplitVerdict {
-                verdict,
-                report: PartitionReport {
-                    partitions: 1,
-                    fallback: Some(reason),
-                    remerged: false,
-                    stats,
-                },
-                interpretations_pre: stats.interpretations,
-            }
-        };
-        // The keyed path instantiates exactly one interpretation: a
-        // relation with adversarial candidate sets has no per-class
-        // decomposition certificate to lean on.
-        if prep.combos != 1 {
-            return monolithic(FallbackReason::SwitchUncertified);
-        }
-        // Every abort value must interpret uniquely too, and every switch
-        // value must project per class (the keyed init relation).
-        let mut abort_hists: Vec<Vec<T::Input>> = Vec::with_capacity(prep.aborts.len());
-        for s in &prep.aborts {
-            let mut cands = self.rinit.candidates(&s.value, &prep.ctx);
-            if cands.len() != 1 {
-                return monolithic(FallbackReason::SwitchUncertified);
-            }
-            abort_hists.push(cands.pop().expect("length checked"));
-        }
-        if prep
-            .inits
-            .iter()
-            .chain(prep.aborts.iter())
-            .any(|s| self.rinit.project_keyed(&s.value, &|_| true).is_none())
-        {
-            return monolithic(FallbackReason::SwitchUncertified);
-        }
-        // Classify every pending input and every interpretation element;
-        // any unclassifiable one collapses the split.
-        let mut class_keys: std::collections::BTreeSet<P::Key> = std::collections::BTreeSet::new();
-        let all_classified = t
-            .iter()
-            .map(|a| a.input())
-            .chain(
-                prep.per_init
-                    .iter()
-                    .flat_map(|cands| cands.first().into_iter().flatten()),
-            )
-            .chain(abort_hists.iter().flatten())
-            .all(|i| match partitioner.key_of(i) {
-                Some(k) => {
-                    class_keys.insert(k);
-                    true
-                }
-                None => false,
-            });
-        if !all_classified {
-            return monolithic(FallbackReason::UnclassifiableInput);
-        }
-        let keys: Vec<P::Key> = class_keys.into_iter().collect();
-
-        let key_of = |i: &T::Input| {
-            partitioner
-                .key_of(i)
-                .expect("every occurring input classified above")
-        };
-        let proj = |k: &P::Key, h: &[T::Input]| -> Vec<T::Input> {
-            h.iter().filter(|i| key_of(i) == *k).cloned().collect()
-        };
-
-        // The single interpretation, its global bounds and their per-class
-        // projections.
-        let finit = self.finit_at(&prep, 0);
-        let ValidInputs {
-            global: vi,
-            per_class: class_vi,
-        } = self.valid_inputs(&prep, &finit, keys.len(), &|i| {
-            keys.binary_search(&key_of(i))
-                .expect("every occurring input's class collected above")
-        });
+    /// Definitions 26–31 for one fixed `finit`, as a search problem over
+    /// `commits`: histories draw from the valid inputs `vi`, the longest
+    /// common prefix of the init histories seeds the chain (Init-Order),
+    /// and the leaf grafts the ∃ `fabort` side onto the chain search —
+    /// abort interpretations are found once the longest commit history is
+    /// known, among the members of `rinit(v)` extending it (or the LCP when
+    /// nothing commits). The leaf witness is `finit` and that `fabort`.
+    fn interpretation<'p>(
+        &'p self,
+        prep: &Prepared<T, R::Value>,
+        finit: Arc<Chain<T::Input>>,
+        vi: Vec<PersistentMultiset<T::Input>>,
+        commits: Cow<'p, [Commit<T>]>,
+    ) -> Problem<'p, T, Interpretations<T::Input>> {
         let lcp: Vec<T::Input> =
             seq::longest_common_prefix(finit.iter().map(|(_, h)| h.as_slice()));
         let constrain_init_order = !finit.is_empty();
-
-        // Per-trace discharge of the decomposition the certificate vouches
-        // for in general: the forced common prefix must project per class
-        // (obligation (b) on this trace's values), and the relation's own
-        // projection must agree with history projection (obligation (a)).
-        for k in &keys {
-            let per_hist: Vec<Vec<T::Input>> = finit.iter().map(|(_, h)| proj(k, h)).collect();
-            let lcp_of_proj = seq::longest_common_prefix(per_hist.iter().map(|h| h.as_slice()));
-            if proj(k, &lcp) != lcp_of_proj {
-                return monolithic(FallbackReason::CrossBoundCoupled);
-            }
-            let switch_hists = prep
-                .inits
-                .iter()
-                .zip(prep.per_init.iter().map(|cands| cands.first()))
-                .filter_map(|(s, h)| h.map(|h| (&s.value, h)))
-                .chain(
-                    prep.aborts
-                        .iter()
-                        .zip(abort_hists.iter())
-                        .map(|(s, h)| (&s.value, h)),
-                );
-            for (value, hist) in switch_hists {
-                let keep = |i: &T::Input| key_of(i) == *k;
-                let Some(projected_value) = self.rinit.project_keyed(value, &keep) else {
-                    return monolithic(FallbackReason::SwitchUncertified);
-                };
-                if self.rinit.candidates(&projected_value, &prep.ctx) != vec![proj(k, hist)] {
-                    return monolithic(FallbackReason::CrossBoundCoupled);
-                }
-            }
-        }
-
-        let work: Vec<KeyedClass<T>> = keys
+        let aborts: Vec<AbortEvent<T::Input, R::Value>> = prep
+            .aborts
             .iter()
-            .zip(class_vi)
-            .map(|(k, vi)| KeyedClass {
-                commits: prep
-                    .commits
-                    .iter()
-                    .filter(|c| key_of(&c.input) == *k)
-                    .cloned()
-                    .collect(),
-                vi,
-                lcp: proj(k, &lcp),
-                aborts: prep
-                    .aborts
-                    .iter()
-                    .zip(abort_hists.iter())
-                    .map(|(s, h)| {
-                        let own = (key_of(&s.input) == *k).then(|| s.input.clone());
-                        (s.index, own, proj(k, h))
-                    })
-                    .collect(),
-            })
-            .collect();
-
-        // One chain search per class, dispatched like the switch-free
-        // partitioned path (a class's weight is its commit count). The per-class abort leaf asks each global
-        // abort's class projection to extend the class's longest commit
-        // history and LCP and to draw from the class's valid inputs — the
-        // projections of the global leaf conditions, so they hold whenever
-        // the monolithic leaf does.
-        let threads = self.effective_threads().min(work.len());
-        type ClassOutcome<I> = (Result<Option<Chain<I>>, EngineError>, SearchStats);
-        let units = work.iter().map(|w| (w.commits.len(), w)).collect();
-        let run_class = |w: &KeyedClass<T>| -> ClassOutcome<T::Input> {
-            let pool = w.vi.last().cloned().unwrap_or_default();
-            let engine = CheckerEngine::new(
-                &*self.adt,
-                &w.commits,
-                &w.vi,
-                pool,
-                SearchBudget::new(self.budget),
-            );
-            let mut leaf = |_chain: &Chain<T::Input>, longest: &[T::Input]| {
-                w.aborts
-                    .iter()
-                    .all(|(index, own, cand)| {
-                        seq::is_prefix(longest, cand)
-                            && (!constrain_init_order || seq::is_prefix(&w.lcp, cand))
-                            && {
-                                let mut ms = PersistentMultiset::elems(cand);
-                                if let Some(i) = own {
-                                    ms = ms.union_max(&PersistentMultiset::elems(
-                                        std::slice::from_ref(i),
-                                    ));
-                                }
-                                ms.is_subset_of(&w.vi[*index])
-                            }
-                    })
-                    .then_some(())
-            };
-            let (solution, stats) = engine.first_solution(
-                SearchSeed::from_history(&*self.adt, w.lcp.clone()),
-                &mut leaf,
-            );
-            (solution.map(|found| found.map(|(chain, ())| chain)), stats)
-        };
-        let (results, _) = partition::fan_out(units, threads, &run_class);
-
-        let mut stats = SearchStats::default();
-        let mut chains: Vec<Chain<T::Input>> = Vec::with_capacity(results.len());
-        let mut refuted = false;
-        let mut exhausted = false;
-        for (outcome, s) in results {
-            stats.absorb(&s);
-            match outcome {
-                Ok(Some(chain)) => chains.push(chain),
-                Ok(None) => refuted = true,
-                Err(_) => exhausted = true,
-            }
-        }
-        if refuted {
-            // A class with no chain refutes the monolithic search too, and
-            // with one interpretation the failing `finit` is the global one
-            // — the error is byte-identical to the monolithic path's.
-            return model::SplitVerdict {
-                verdict: Err(Self::fail_error(&finit)),
-                report: PartitionReport {
-                    partitions: keys.len(),
-                    fallback: None,
-                    remerged: false,
-                    stats,
-                },
-                interpretations_pre: stats.interpretations,
-            };
-        }
-        let rederive = |mut stats: SearchStats| {
-            let interpretations_pre = stats.interpretations;
-            let (verdict, mono_stats) = self.check_monolithic(t);
-            stats.absorb(&mono_stats);
-            let report = PartitionReport {
-                partitions: keys.len(),
-                fallback: None,
-                remerged: true,
-                stats,
-            };
-            model::SplitVerdict {
-                verdict: verdict.map(|mono| SlinReport {
-                    interpretations_checked: interpretations_pre,
-                    witness: mono.witness,
-                    stats: report.stats,
-                }),
-                report,
-                interpretations_pre,
-            }
-        };
-        if exhausted {
-            // A class ran out of budget: the keyed verdict is unknown, so
-            // decide monolithically (absorbing the finished classes).
-            return rederive(stats);
-        }
-
-        // Merge the per-class chains back into the monolithic first
-        // witness: strip each class's seed prefix, replay engine order
-        // against the **global** bounds with the global LCP pre-consumed,
-        // then re-prepend the LCP.
-        let idmap: Vec<usize> = (0..prep.t_len).collect();
-        let parts: Vec<_> = chains
-            .iter()
-            .zip(work.iter())
-            .map(|(chain, w)| {
-                let stripped: Vec<(usize, Vec<T::Input>)> = chain
-                    .iter()
-                    .map(|(i, h)| (*i, h[w.lcp.len()..].to_vec()))
-                    .collect();
+            .map(|s| {
                 (
-                    partition::witness_steps(&stripped, &idmap),
-                    w.vi.last().cloned().unwrap_or_default(),
+                    s.index,
+                    s.input.clone(),
+                    s.value.clone(),
+                    vi[s.index].clone(),
                 )
             })
             .collect();
-        let Some(merged) =
-            partition::merge_partition_chains(&vi, parts, PersistentMultiset::elems(&lcp))
-        else {
-            return rederive(stats);
-        };
-        let commit_histories: Vec<(usize, Vec<T::Input>)> = merged
-            .into_iter()
-            .map(|(i, h)| {
-                let mut full = lcp.clone();
-                full.extend(h);
-                (i, full)
-            })
-            .collect();
-        let longest: Vec<T::Input> = commit_histories
-            .last()
-            .map(|(_, h)| h.clone())
-            .unwrap_or_else(|| lcp.clone());
-        // Re-discharge the abort leaf globally on the merged chain; the
-        // off chance it fails (coupling the per-class leaves cannot see)
-        // re-derives monolithically, keeping the witness byte-identical.
-        let abort_events: Vec<(usize, T::Input, R::Value)> = prep
-            .aborts
-            .iter()
-            .map(|s| (s.index, s.input.clone(), s.value.clone()))
-            .collect();
-        let extend =
-            |value: &R::Value, prefix: &[T::Input]| self.rinit.extensions(value, prefix, &prep.ctx);
-        let Some(abort_histories) = aborts_feasible::<T, R::Value>(
-            &abort_events,
-            &longest,
-            &lcp,
-            constrain_init_order,
-            &vi,
-            &extend,
-        ) else {
-            return rederive(stats);
-        };
-        let report = PartitionReport {
-            partitions: keys.len(),
-            fallback: None,
-            remerged: false,
-            stats,
-        };
-        model::SplitVerdict {
-            verdict: Ok(SlinReport {
-                interpretations_checked: stats.interpretations,
-                witness: SlinWitness {
-                    init_histories: finit.iter().map(|(i, h)| (*i, (*h).clone())).collect(),
-                    commit_histories,
-                    abort_histories,
-                },
-                stats,
+        let ctx = Arc::clone(&prep.ctx);
+        let seed = lcp.clone();
+        Problem {
+            commits,
+            bounds: vi,
+            seed,
+            leaf: Box::new(move |longest| {
+                let extend = |value: &R::Value, prefix: &[T::Input]| {
+                    self.rinit.extensions(value, prefix, &ctx)
+                };
+                aborts_feasible::<T, R::Value>(
+                    &aborts,
+                    longest,
+                    &lcp,
+                    constrain_init_order,
+                    &extend,
+                )
+                .map(|abort_histories| (Chain::clone(&finit), abort_histories))
             }),
-            report,
-            interpretations_pre: stats.interpretations,
         }
+    }
+
+    /// Decides the existential part of Definition 19 for one fixed `finit`.
+    fn check_one_interpretation(
+        &self,
+        prep: &Prepared<T, R::Value>,
+        finit: &[(usize, &Vec<T::Input>)],
+    ) -> InterpretationOutcome<T> {
+        let vi = self.valid_inputs(prep, finit, &Classes::none()).global;
+        let owned = Arc::new(finit.iter().map(|(i, h)| (*i, (*h).clone())).collect());
+        let (found, stats) = self
+            .interpretation(prep, owned, vi, Cow::Borrowed(&prep.commits))
+            .search(&self.adt, self.budget);
+        let witness = found
+            .map(|found| {
+                found.map(
+                    |(commit_histories, (init_histories, abort_histories))| SlinWitness {
+                        init_histories,
+                        commit_histories,
+                        abort_histories,
+                    },
+                )
+            })
+            .map_err(SlinError::from);
+        (witness, stats)
     }
 }
 
@@ -1013,13 +658,10 @@ where
     type Adt = T;
     type Witness = SlinReport<T::Input>;
     type Error = SlinError;
+    type Leaf = Interpretations<T::Input>;
 
-    fn adt(&self) -> &T {
+    fn adt(&self) -> &Arc<T> {
         &self.adt
-    }
-
-    fn adt_shared(&self) -> Arc<T> {
-        Arc::clone(&self.adt)
     }
 
     fn budget(&self) -> usize {
@@ -1042,8 +684,8 @@ where
         Some((self.m, self.n))
     }
 
-    fn validate(&self, t: &Trace<ObjAction<T, R::Value>>) -> Result<(), SlinError> {
-        self.prepare(t).map(|_| ())
+    fn init_relation_name(&self) -> Option<&'static str> {
+        Some(slin_analysis::short_type_name::<R>())
     }
 
     fn check_monolithic(
@@ -1055,77 +697,256 @@ where
         self.check_with_stats_impl(t)
     }
 
-    fn check_partition(
-        &self,
-        sub: &Trace<ObjAction<T, R::Value>>,
-    ) -> (Result<SlinReport<T::Input>, SlinError>, SearchStats) {
-        // The single-threaded enumeration loop (the partition fan-out
-        // already owns the worker threads), with the refutation-side stats
-        // of `check_with_stats_impl`.
-        match self.prepare(sub) {
-            Ok(prep) => self.run_interpretations(&prep, 1),
-            Err(e) => (Err(e), SearchStats::default()),
-        }
-    }
-
-    fn commit_chain(w: &SlinReport<T::Input>) -> &[(usize, Vec<T::Input>)] {
-        w.witness.commit_histories.as_slice()
-    }
-
-    fn witness_from_chain(
-        &self,
-        chain: Chain<T::Input>,
-        report: &PartitionReport,
-    ) -> SlinReport<T::Input> {
-        // Every enumerated interpretation contributes 1 to the absorbed
-        // `interpretations` counter, so the partition sum is recoverable
-        // from the merged stats. On switch-free traces (the only ones that
-        // multi-partition) no init actions exist, so the merged witness
-        // has empty init/abort interpretations.
-        SlinReport {
-            interpretations_checked: report.stats.interpretations,
-            witness: SlinWitness {
-                init_histories: Vec::new(),
-                commit_histories: chain,
-                abort_histories: Vec::new(),
-            },
-            stats: report.stats,
-        }
-    }
-
-    fn witness_from_remerge(
-        &self,
-        mono: SlinReport<T::Input>,
-        interpretations_pre: usize,
-        report: &PartitionReport,
-    ) -> SlinReport<T::Input> {
-        SlinReport {
-            interpretations_checked: interpretations_pre,
-            witness: mono.witness,
-            stats: report.stats,
-        }
-    }
-
-    fn init_relation_name(&self) -> Option<&'static str> {
-        Some(slin_analysis::short_type_name::<R>())
-    }
-
-    fn check_keyed<P>(
+    /// The keyed projection: commits, pending inputs **and switch-value
+    /// interpretations** classified per independence class, each class
+    /// seeded with the class projection of the init LCP and judged at its
+    /// leaves by the class projections of the global abort conditions (so
+    /// they hold whenever the global leaf does, and a class without a
+    /// chain refutes the trace). A switch-free trace is the same
+    /// projection with nothing to interpret — Theorem 2 at the level of
+    /// the problem: it states what [`crate::lin::LinChecker`] states.
+    ///
+    /// Classifying a switch action is sound when a switch-independence
+    /// certificate (`slin-cert/v2`) covers `(adt, partitioner, rinit)` —
+    /// `keyed`; the session layer enforces that gate. The residual
+    /// per-trace conditions the certificate cannot see answer
+    /// [`Projection::Whole`] with the matching [`FallbackReason`]:
+    ///
+    /// * an uncertified switch action, a relation without
+    ///   [`InitRelation::project_keyed`], or more than one candidate
+    ///   interpretation per switch (a relation with adversarial candidate
+    ///   sets has no per-class decomposition certificate to lean on) —
+    ///   [`FallbackReason::SwitchUncertified`];
+    /// * an input (or interpretation element) the partitioner declines —
+    ///   [`FallbackReason::UnclassifiableInput`];
+    /// * a forced common prefix that does not decompose per class —
+    ///   [`FallbackReason::CrossBoundCoupled`].
+    fn project<P: Partitioner<T>>(
         &self,
         partitioner: &P,
+        keyed: bool,
         t: &Trace<ObjAction<T, R::Value>>,
-    ) -> Option<model::SplitVerdict<SlinReport<T::Input>, SlinError>>
-    where
-        Self: Sync,
-        T: Sync,
-        T::Input: Ord + Send + Sync,
-        T::Output: Sync,
-        SlinReport<T::Input>: Send,
-        SlinError: Send,
-        R::Value: Clone + Sync,
-        P: Partitioner<T>,
-    {
-        Some(self.check_keyed_impl(partitioner, t))
+    ) -> Projection<'_, T, Self::Leaf, SlinError> {
+        let whole = |reason| Projection::Whole {
+            partitions: 1,
+            fallback: Some(reason),
+        };
+        let split = partition::split(partitioner, keyed, t);
+        // A switch-free trace has nothing to interpret, so its split is its
+        // class list; with switch actions the count waits for the classes
+        // only an interpretation element belongs to.
+        let decided = split.parts.len() <= 1 && !t.iter().any(|a| a.is_switch());
+        if split.fallback.is_some() || decided {
+            return Projection::Whole {
+                partitions: split.parts.len(),
+                fallback: split.fallback,
+            };
+        }
+        // Rejection errors and indices must be the monolithic ones:
+        // validate whole.
+        let mut prep = match self.prepare(t) {
+            Ok(prep) => prep,
+            Err(e) => return Projection::Rejected(e),
+        };
+        if prep.combos != 1 {
+            return whole(FallbackReason::SwitchUncertified);
+        }
+        // The single interpretation: each init action's only candidate
+        // (an init action without one vouches for nothing), with the
+        // value it interprets.
+        let (init_values, interpretation): (Vec<&R::Value>, Chain<T::Input>) = prep
+            .inits
+            .iter()
+            .zip(std::mem::take(&mut prep.per_init))
+            .filter_map(|(s, cands)| Some((&s.value, (s.index, cands.into_iter().next()?))))
+            .unzip();
+        let interpretation = Arc::new(interpretation);
+        let commits = std::mem::take(&mut prep.commits);
+        let finit: Vec<(usize, &Vec<T::Input>)> =
+            interpretation.iter().map(|(i, h)| (*i, h)).collect();
+        // Every abort value must interpret uniquely too, and every switch
+        // value must project per class (the keyed init relation).
+        let mut abort_hists: Vec<Vec<T::Input>> = Vec::with_capacity(prep.aborts.len());
+        for s in &prep.aborts {
+            let mut cands = self.rinit.candidates(&s.value, &prep.ctx);
+            if cands.len() != 1 {
+                return whole(FallbackReason::SwitchUncertified);
+            }
+            abort_hists.push(cands.pop().expect("length checked"));
+        }
+        if prep
+            .inits
+            .iter()
+            .chain(prep.aborts.iter())
+            .any(|s| self.rinit.project_keyed(&s.value, &|_| true).is_none())
+        {
+            return whole(FallbackReason::SwitchUncertified);
+        }
+        // The classes: the split's, plus those only an interpretation
+        // element belongs to (no action, hence nothing to commit — but a
+        // leaf to judge). An element the partitioner declines collapses
+        // the projection.
+        let mut parts: BTreeMap<P::Key, Part<T, R::Value>> = split
+            .parts
+            .into_iter()
+            .map(|part| {
+                let key = part.key.expect("a clean split keys every part");
+                (key, (part.trace, part.index_map))
+            })
+            .collect();
+        let interpreted = finit
+            .iter()
+            .flat_map(|(_, h)| h.iter())
+            .chain(abort_hists.iter().flatten());
+        for i in interpreted {
+            match partitioner.key_of(i) {
+                Some(k) => parts.entry(k).or_insert_with(|| (Trace::new(), Vec::new())),
+                None => return whole(FallbackReason::UnclassifiableInput),
+            };
+        }
+        let keys: Vec<P::Key> = parts.keys().cloned().collect();
+        let key_of = |i: &T::Input| {
+            partitioner
+                .key_of(i)
+                .expect("every occurring input classified above")
+        };
+        let class_of = |i: &T::Input| {
+            keys.binary_search(&key_of(i))
+                .expect("every occurring input's class collected above")
+        };
+        let in_class = |k: usize, i: &T::Input| key_of(i) == keys[k];
+        let proj = |k: usize, h: &[T::Input]| -> Vec<T::Input> {
+            h.iter().filter(|i| in_class(k, i)).cloned().collect()
+        };
+        let mut of_action = vec![0; prep.t_len];
+        for (k, (_, index_map)) in parts.values().enumerate() {
+            for &i in index_map {
+                of_action[i] = k;
+            }
+        }
+
+        // The interpretation's global bounds and their per-class
+        // projections.
+        let ValidInputs {
+            global: vi,
+            per_class: class_vi,
+            at_aborts,
+        } = self.valid_inputs(
+            &prep,
+            &finit,
+            &Classes {
+                count: keys.len(),
+                of_action: &of_action,
+                of_input: &class_of,
+            },
+        );
+        let whole_problem =
+            self.interpretation(&prep, Arc::clone(&interpretation), vi, Cow::Owned(commits));
+        let lcp = &whole_problem.seed;
+        let constrain_init_order = !finit.is_empty();
+
+        // Per-trace discharge of the decomposition the certificate vouches
+        // for in general: the forced common prefix must project per class
+        // (obligation (b) on this trace's values), and the relation's own
+        // projection must agree with history projection (obligation (a)).
+        for k in 0..keys.len() {
+            let per_hist: Vec<Vec<T::Input>> = finit.iter().map(|(_, h)| proj(k, h)).collect();
+            let lcp_of_proj = seq::longest_common_prefix(per_hist.iter().map(|h| h.as_slice()));
+            if proj(k, lcp) != lcp_of_proj {
+                return whole(FallbackReason::CrossBoundCoupled);
+            }
+            let switch_hists = init_values
+                .iter()
+                .copied()
+                .zip(finit.iter().map(|(_, h)| *h))
+                .chain(
+                    prep.aborts
+                        .iter()
+                        .zip(abort_hists.iter())
+                        .map(|(s, h)| (&s.value, h)),
+                );
+            for (value, hist) in switch_hists {
+                let keep = |i: &T::Input| in_class(k, i);
+                let Some(projected_value) = self.rinit.project_keyed(value, &keep) else {
+                    return whole(FallbackReason::SwitchUncertified);
+                };
+                if self.rinit.candidates(&projected_value, &prep.ctx) != [proj(k, hist)] {
+                    return whole(FallbackReason::CrossBoundCoupled);
+                }
+            }
+        }
+
+        // The class leaf asks each global abort's class projection to
+        // extend the class's longest commit history and LCP and to draw
+        // from the class's valid inputs at the abort.
+        let classes = parts
+            .into_values()
+            .zip(class_vi)
+            .enumerate()
+            .map(|(k, ((sub, index_map), bounds))| {
+                let class_lcp = proj(k, lcp);
+                // Per global abort: its pending input when this class owns
+                // it, the class projection of its interpretation, and the
+                // class's valid inputs there.
+                let aborts: Vec<_> = prep
+                    .aborts
+                    .iter()
+                    .zip(&abort_hists)
+                    .zip(&at_aborts)
+                    .map(|((s, h), at_abort)| {
+                        let own = in_class(k, &s.input).then(|| s.input.clone());
+                        (own, proj(k, h), at_abort[k].clone())
+                    })
+                    .collect();
+                let seed = class_lcp.clone();
+                let leaf = move |longest: &[T::Input]| {
+                    aborts
+                        .iter()
+                        .all(|(own, cand, bound)| {
+                            seq::is_prefix(longest, cand)
+                                && (!constrain_init_order || seq::is_prefix(&class_lcp, cand))
+                                && PersistentMultiset::elems(cand)
+                                    .union_max(&PersistentMultiset::elems(own.as_slice()))
+                                    .is_subset_of(bound)
+                        })
+                        .then_some(())
+                };
+                ClassProblem {
+                    problem: Problem {
+                        commits: ops::commits::<T, R::Value>(&sub).into(),
+                        bounds,
+                        seed,
+                        leaf: Box::new(leaf),
+                    },
+                    index_map,
+                }
+            })
+            .collect();
+        Projection::Classes {
+            refuted: Box::new(move || Self::fail_error(&interpretation)),
+            whole: whole_problem,
+            classes,
+        }
+    }
+
+    /// Every enumerated interpretation — on the partitioned path, every
+    /// class search — contributes 1 to the absorbed `interpretations`
+    /// counter the caller passes on.
+    fn witness(
+        commit_histories: Chain<T::Input>,
+        (init_histories, abort_histories): Self::Leaf,
+        interpretations_checked: usize,
+        stats: SearchStats,
+    ) -> SlinReport<T::Input> {
+        SlinReport {
+            interpretations_checked,
+            witness: SlinWitness {
+                init_histories,
+                commit_histories,
+                abort_histories,
+            },
+            stats,
+        }
     }
 }
 
@@ -1154,18 +975,6 @@ where
         }
     }
 
-    fn stream_witness(&self, chain: Chain<T::Input>, stats: &SearchStats) -> SlinReport<T::Input> {
-        SlinReport {
-            interpretations_checked: stats.interpretations,
-            witness: SlinWitness {
-                init_histories: Vec::new(),
-                commit_histories: chain,
-                abort_histories: Vec::new(),
-            },
-            stats: *stats,
-        }
-    }
-
     fn stream_error(&self, failure: StreamFailure) -> SlinError {
         match failure {
             StreamFailure::Switch { .. } => {
@@ -1190,20 +999,56 @@ struct Prepared<T: Adt, V> {
     aborts: Vec<SwitchEvent<T::Input, V>>,
     /// `(trace index, input)` of every invocation, in trace order.
     invoked: Vec<(usize, T::Input)>,
-    ctx: CandidateContext<T::Input>,
+    /// Shared with every leaf oracle stated over this trace.
+    ctx: Arc<CandidateContext<T::Input>>,
     per_init: Vec<Vec<Vec<T::Input>>>,
     combos: usize,
 }
 
-/// What [`SlinChecker::valid_inputs`] builds: Definition 26's bound at every
-/// trace index `0..=t_len`, globally and projected per independence class.
+/// One class of a split: its sub-trace and the trace index of each of its
+/// actions.
+type Part<T, V> = (Trace<ObjAction<T, V>>, Vec<usize>);
+
+/// The independence classes [`SlinChecker::valid_inputs`] projects onto.
+struct Classes<'a, I> {
+    count: usize,
+    /// The class of the action at every trace index (empty without
+    /// classes).
+    of_action: &'a [usize],
+    /// The class of an input.
+    of_input: &'a dyn Fn(&I) -> usize,
+}
+
+impl<'a, I: 'a> Classes<'a, I> {
+    /// No projection: the global bounds alone.
+    fn none() -> Self {
+        Classes {
+            count: 0,
+            of_action: &[],
+            of_input: &|_| 0,
+        }
+    }
+}
+
+/// What [`SlinChecker::valid_inputs`] builds: Definition 26's bound
+/// globally at every trace index `0..=t_len`, and projected per
+/// independence class at the class's own actions (class-local indices,
+/// then the final pool) and at every abort action.
 struct ValidInputs<I> {
     global: Vec<PersistentMultiset<I>>,
     per_class: Vec<Vec<PersistentMultiset<I>>>,
+    /// Per abort action, in trace order: every class's bound there.
+    at_aborts: Vec<Vec<PersistentMultiset<I>>>,
 }
 
-/// The found abort interpretations: `(trace index, history)` pairs.
-type AbortWitness<T> = Vec<(usize, Vec<<T as Adt>::Input>)>;
+/// What a leaf settles beside the commit chain: the init interpretation
+/// searched under and the abort interpretations found, each as
+/// `(trace index, history)` pairs.
+type Interpretations<I> = (Chain<I>, Chain<I>);
+
+/// An abort action for the leaf: `(trace index, pending input, switch
+/// value, valid inputs at the index)`.
+type AbortEvent<I, V> = (usize, I, V, PersistentMultiset<I>);
 
 /// One interpretation's verdict (a witness, `None` for "no speculative
 /// linearization exists under this `finit`", or the budget error) plus its
@@ -1229,21 +1074,20 @@ type ExtendFn<'a, I, V> = dyn Fn(&V, &[I]) -> Vec<Vec<I>> + 'a;
 /// pending inputs exist, and the composition proof only uses non-strict
 /// prefix reasoning on abort histories.
 fn aborts_feasible<T: Adt, V>(
-    abort_events: &[(usize, T::Input, V)],
+    abort_events: &[AbortEvent<T::Input, V>],
     longest_commit: &[T::Input],
     lcp: &[T::Input],
     constrain_init_order: bool,
-    vi: &[PersistentMultiset<T::Input>],
     extend: &ExtendFn<'_, T::Input, V>,
-) -> Option<AbortWitness<T>> {
+) -> Option<Chain<T::Input>> {
     let mut chosen = Vec::with_capacity(abort_events.len());
-    for (index, input, value) in abort_events {
+    for (index, input, value, valid) in abort_events {
         let cands = extend(value, longest_commit);
         let ok = cands.into_iter().find(|a| {
             (!constrain_init_order || seq::is_prefix(lcp, a))
                 && PersistentMultiset::elems(a)
                     .union_max(&PersistentMultiset::elems(std::slice::from_ref(input)))
-                    .is_subset_of(&vi[*index])
+                    .is_subset_of(valid)
         });
         match ok {
             Some(a) => chosen.push((*index, a)),
@@ -1454,8 +1298,9 @@ mod tests {
 
     /// The one-pass `valid_inputs` against Definitions 25–26 as written:
     /// equal at every trace index under every interpretation, and every
-    /// per-class snapshot equal to the projection of the definitional
-    /// bound.
+    /// per-class snapshot — at the class's own actions, at the end, at
+    /// every abort — equal to the projection of the definitional bound
+    /// there.
     fn assert_valid_inputs_match_the_definition<T, R>(
         chk: &SlinChecker<T, R>,
         t: &Trace<ObjAction<T, R::Value>>,
@@ -1467,24 +1312,43 @@ mod tests {
         R: InitRelation<T::Input>,
     {
         let prep = chk.prepare(t).expect("the corpus is well-formed");
+        let of_action: Vec<usize> = match classes {
+            0 => Vec::new(),
+            _ => t.iter().map(|a| class_of(a.input())).collect(),
+        };
         for idx in 0..prep.combos {
             let finit = chk.finit_at(&prep, idx);
             let want = chk.valid_inputs_by_definition(t, &prep, &finit);
-            let got = chk.valid_inputs(&prep, &finit, classes, class_of);
+            let got = chk.valid_inputs(
+                &prep,
+                &finit,
+                &Classes {
+                    count: classes,
+                    of_action: &of_action,
+                    of_input: class_of,
+                },
+            );
             assert_eq!(got.global, want, "interpretation {idx} of {t:?}");
             assert_eq!(got.per_class.len(), classes);
+            let projected = |k: usize, i: usize| {
+                let mut out = PersistentMultiset::new();
+                for (input, n) in want[i].iter().filter(|(input, _)| class_of(input) == k) {
+                    out.add(input.clone(), n);
+                }
+                out
+            };
             for (k, snapshots) in got.per_class.iter().enumerate() {
-                let projected: Vec<PersistentMultiset<T::Input>> = want
-                    .iter()
-                    .map(|ms| {
-                        let mut out = PersistentMultiset::new();
-                        for (input, n) in ms.iter().filter(|(input, _)| class_of(input) == k) {
-                            out.add(input.clone(), n);
-                        }
-                        out
-                    })
+                let at: Vec<usize> = (0..t.len())
+                    .filter(|i| of_action[*i] == k)
+                    .chain([t.len()])
                     .collect();
-                assert_eq!(*snapshots, projected, "class {k}, interpretation {idx}");
+                let want_k: Vec<_> = at.iter().map(|i| projected(k, *i)).collect();
+                assert_eq!(*snapshots, want_k, "class {k}, interpretation {idx}");
+            }
+            assert_eq!(got.at_aborts.len(), prep.aborts.len());
+            for (abort, snapshots) in prep.aborts.iter().zip(&got.at_aborts) {
+                let want_a: Vec<_> = (0..classes).map(|k| projected(k, abort.index)).collect();
+                assert_eq!(*snapshots, want_a, "abort at {}", abort.index);
             }
         }
     }
@@ -1538,7 +1402,7 @@ mod tests {
         let prep = chk.prepare(&collision).unwrap();
         assert!(prep.combos > 1, "adversarial interpretations enumerated");
         let vi = chk
-            .valid_inputs(&prep, &chk.finit_at(&prep, 0), 0, &|_| 0)
+            .valid_inputs(&prep, &chk.finit_at(&prep, 0), &Classes::none())
             .global;
         let counts: Vec<usize> = vi.iter().map(|ms| ms.count(&p(5))).collect();
         // Init at 0: history p(5) + pending p(5); invoke at 2; init at 3:

@@ -24,8 +24,8 @@
 //! (or a batch session upgraded by its first `ingest`). The monitor itself
 //! is private to the crate; it is parameterized by a [`StreamModel`] (the
 //! [`ConsistencyModel`] sub-trait adding the few stream-specific hooks —
-//! what a switch action means, and how window verdicts map onto the
-//! model's witness/error types), so any model streams. What this module
+//! what a switch action means, and how a window failure maps onto the
+//! model's error type), so any model streams. What this module
 //! exports is what a session hands back: [`MonitorStatus`],
 //! [`IngestOutcome`], [`ShardSummary`], [`MonitorReport`], and the
 //! [`GcPolicy`] a session is built with.
@@ -84,10 +84,9 @@ mod wf;
 
 pub(crate) use monitor::Monitor;
 
-use crate::engine::{Chain, SearchStats};
+use crate::engine::SearchStats;
 use crate::model::ConsistencyModel;
 use crate::partition::FallbackReason;
-use slin_adt::Adt;
 use slin_trace::wf::WellFormednessError;
 
 /// Why a window-mode stream check failed, before it is mapped onto the
@@ -133,15 +132,6 @@ pub trait StreamModel<V>: ConsistencyModel<V> {
     /// Maps a batch-check failure onto the rolling [`MonitorStatus`]
     /// (used to resolve [`MonitorStatus::Deferred`]).
     fn status_of_error(e: &Self::Error) -> MonitorStatus;
-
-    /// Wraps a window-mode merged commit chain (global stream indices)
-    /// into the model's witness type; `stats` are the absorbed window
-    /// search counters.
-    fn stream_witness(
-        &self,
-        chain: Chain<<Self::Adt as Adt>::Input>,
-        stats: &SearchStats,
-    ) -> Self::Witness;
 
     /// Maps a window-mode failure onto the model's error type.
     fn stream_error(&self, failure: StreamFailure) -> Self::Error;

@@ -6,8 +6,9 @@
 //! per-key [`ShardState`] incremental engines, while tracking the
 //! stream-global facts the batch checkers derive from the closed trace
 //! (well-formedness, switch actions, input multisets). What a switch
-//! action *means*, and how window verdicts map onto witness/error types,
-//! comes from the [`StreamModel`] hooks.
+//! action *means*, and how a window failure maps onto the model's error
+//! type, comes from the [`StreamModel`] hooks; a window's merged chain is
+//! wrapped by [`ConsistencyModel::witness`] like any other.
 
 use super::shard::{ArchivedWindow, ShardConfig, ShardState, ShardStatus};
 use super::wf::WfTracker;
@@ -16,10 +17,8 @@ use super::{
     StreamFailure, StreamModel,
 };
 use crate::engine::{Chain, EngineError, SearchSeed, SearchStats};
-use crate::model::{self, ConsistencyModel};
-use crate::partition::{
-    merge_partition_chains, witness_steps, FallbackReason, SplitOutcome, Step, TracePartition,
-};
+use crate::model::{ConsistencyModel, SplitVerdict};
+use crate::partition::{self, merge_partition_chains, witness_steps, FallbackReason, Step};
 use crate::ObjAction;
 use slin_adt::{Adt, Partitioner};
 use slin_obs::{EngineSearchEvent, Obs};
@@ -256,86 +255,37 @@ where
         out
     }
 
-    /// Rebuilds the closed trace and its shard split from the witness
-    /// archives plus the live windows — possible exactly when every
-    /// GC-retired event is still archived (archival enabled since the
-    /// shard's birth, no ring eviction). Returns `None` when nothing was
-    /// retired, when any archive is truncated, or (defensively) when the
-    /// assembled events do not cover the stream exactly.
+    /// Rebuilds the closed trace from the witness archives plus the live
+    /// windows — possible exactly when every GC-retired event is still
+    /// archived (archival enabled since the shard's birth, no ring
+    /// eviction). Returns `None` when nothing was retired, when any archive
+    /// is truncated, or (defensively) when the assembled events do not
+    /// cover the stream exactly.
     ///
-    /// The returned pair feeds the same deterministic
-    /// [`model::check_split`] the unbounded-window report runs, so the
+    /// The returned trace feeds the same deterministic
+    /// [`partition::check`] the unbounded-window report runs, so the
     /// resulting verdict — witness included — is byte-identical to an
     /// unGC'd monitor's batch report.
-    #[allow(clippy::type_complexity)]
-    fn reconstruct_archive(&self) -> Option<(Trace<ObjAction<T, V>>, SplitOutcome<T, V, K>)> {
+    fn reconstruct_archive(&self) -> Option<Trace<ObjAction<T, V>>> {
         if !self.prefix_committed || self.shards.is_empty() {
             return None;
         }
         if self.shards.values().any(|s| s.archive_truncated()) {
             return None;
         }
-        let mut parts_events: Vec<(Option<K>, Vec<(usize, ObjAction<T, V>)>)> = Vec::new();
-        let mut total = 0usize;
-        for (key, shard) in &self.shards {
-            let mut events = shard.archived_events();
-            events.extend(
-                shard
-                    .index_map
-                    .iter()
-                    .copied()
-                    .zip(shard.sub.iter().cloned()),
-            );
-            total += events.len();
-            parts_events.push((key.clone(), events));
-        }
-        if total != self.events {
-            return None;
-        }
-        let mut all: Vec<(usize, ObjAction<T, V>)> = parts_events
-            .iter()
-            .flat_map(|(_, ev)| ev.iter().cloned())
+        let mut all: Vec<(usize, ObjAction<T, V>)> = self
+            .shards
+            .values()
+            .flat_map(|shard| shard.archived_events())
+            .chain(self.window_events())
             .collect();
         all.sort_by_key(|(i, _)| *i);
-        if all.iter().enumerate().any(|(p, (i, _))| p != *i) {
+        if all.len() != self.events || all.iter().enumerate().any(|(p, (i, _))| p != *i) {
             return None;
         }
-        let buffer = Trace::from_actions(all.into_iter().map(|(_, a)| a).collect());
-        let parts = parts_events
-            .into_iter()
-            .map(|(key, ev)| {
-                let index_map: Vec<usize> = ev.iter().map(|(i, _)| *i).collect();
-                TracePartition {
-                    key,
-                    trace: Trace::from_actions(ev.into_iter().map(|(_, a)| a).collect()),
-                    index_map,
-                }
-            })
-            .collect();
-        Some((
-            buffer,
-            SplitOutcome {
-                parts,
-                fallback: self.fallback,
-            },
+        Some(Trace::from_actions(
+            all.into_iter().map(|(_, a)| a).collect(),
         ))
-    }
-
-    /// The split the batch checkers would compute on the closed trace —
-    /// rebuilt from the live shard table.
-    fn split(&self) -> SplitOutcome<T, V, K> {
-        SplitOutcome {
-            parts: self
-                .shards
-                .iter()
-                .map(|(key, shard)| TracePartition {
-                    key: key.clone(),
-                    trace: shard.sub.clone(),
-                    index_map: shard.index_map.clone(),
-                })
-                .collect(),
-            fallback: self.fallback,
-        }
     }
 
     /// The window-relative search + merge used when no closed-trace buffer
@@ -417,10 +367,12 @@ where
                 .iter()
                 .map(|&global| commit_indices.binary_search(&global).unwrap_or(usize::MAX))
                 .collect();
-            parts.push((witness_steps(chain, &ranks), shard.pool().clone()));
+            parts.push((witness_steps(chain, 0, &ranks), shard.pool().clone()));
             seed_used = seed_used.sum(&shard.seed(*seed_index).used);
         }
-        if let Some(chain) = merge_partition_chains(&bounds_by_rank, parts, seed_used.clone()) {
+        if let Some(chain) =
+            merge_partition_chains(&bounds_by_rank, parts, Vec::new(), seed_used.clone())
+        {
             let merged = chain
                 .into_iter()
                 .map(|(rank, h)| (commit_indices[rank], h))
@@ -575,7 +527,7 @@ where
     /// monitor keeps routing events into the per-key shards *across*
     /// switches — switch actions ride along to their pending input's class
     /// shard — and deferred verdicts resolve through the model's keyed
-    /// batch check instead of engaging the monolithic identity fallback.
+    /// projection instead of one monolithic check.
     keyed: bool,
     core: Core<M::Adt, V, P::Key>,
     /// The report of the current stream version; deferred statuses resolve
@@ -607,7 +559,12 @@ where
             gc,
             obs,
         };
-        let core = Core::new(model.adt_shared(), shard_cfg, window, model.phase_bounds());
+        let core = Core::new(
+            Arc::clone(model.adt()),
+            shard_cfg,
+            window,
+            model.phase_bounds(),
+        );
         Monitor {
             model,
             partitioner,
@@ -721,13 +678,11 @@ where
 
 impl<M, V, P> Monitor<M, V, P>
 where
-    M: StreamModel<V> + Sync,
+    M: StreamModel<V>,
     M::Adt: Sync,
     <M::Adt as Adt>::Input: Ord + Send + Sync,
     <M::Adt as Adt>::Output: Sync,
-    M::Witness: Send,
-    M::Error: Send,
-    V: Clone + PartialEq + Sync,
+    V: Clone + PartialEq,
     P: Partitioner<M::Adt>,
 {
     /// The exact rolling verdict. Cheap on switch-free streams; in
@@ -782,46 +737,19 @@ where
             shard: core.summary(),
         };
         if let Some(buffer) = &core.buffer {
-            let t0 = core.shard_cfg.obs.t0();
-            // Keyed phase-trace mode: a certified partitioner resolves the
-            // deferred verdict through the model's keyed batch check — the
-            // per-class searches stay sharded across switches instead of
-            // engaging the monolithic identity fallback.
-            if quiet && self.keyed && core.fallback.is_none() {
-                if let Some(sv) = self
-                    .partitioner
-                    .as_ref()
-                    .and_then(|p| self.model.check_keyed(p, buffer))
-                {
-                    self.observe_batch_check(&sv.verdict, &sv.report.stats, t0);
-                    return MonitorReport {
-                        verdict: sv.verdict,
-                        fallback: sv.report.fallback,
-                        remerged: sv.report.remerged,
-                        stats: sv.report.stats,
-                        ..base
-                    };
-                }
-            }
-            // Closed-trace mode: delegate to the generic split checker —
-            // the proven-identical partitioned path over the live shard
-            // table (one identity partition once the stream went quiet).
-            let split = if quiet {
-                SplitOutcome {
-                    parts: vec![TracePartition {
-                        key: None,
-                        trace: buffer.clone(),
-                        index_map: (0..buffer.len()).collect(),
-                    }],
-                    fallback: Some(core.fallback.unwrap_or(FallbackReason::SwitchUncertified)),
-                }
-            } else {
-                core.split()
-            };
-            let sv = model::check_split(&self.model, &split, buffer);
-            self.observe_batch_check(&sv.verdict, &sv.report.stats, t0);
+            // Closed-trace mode: the batch path's own routine over the
+            // buffer. Once the stream went quiet a certified partitioner
+            // keeps the class searches apart across switches (the keyed
+            // projection); without one the model checks the buffer whole.
+            let keyed = quiet && self.keyed && core.fallback.is_none();
+            let sv = self.batch_check(buffer, keyed);
             return MonitorReport {
                 verdict: sv.verdict,
+                fallback: if keyed {
+                    sv.report.fallback
+                } else {
+                    base.fallback
+                },
                 remerged: sv.report.remerged,
                 stats: sv.report.stats,
                 ..base
@@ -848,14 +776,12 @@ where
             };
         }
         // Witness archival: when every retired event is still archived,
-        // rebuild the closed trace and run the exact batch-identical split
+        // rebuild the closed trace and run the exact batch-identical
         // check the unbounded monitor would run — the verdict (witness
         // included) stops being window-relative.
-        if let Some((buffer, split)) = core.reconstruct_archive() {
+        if let Some(buffer) = core.reconstruct_archive() {
             core.shard_cfg.obs.archive_reconstruction();
-            let t0 = core.shard_cfg.obs.t0();
-            let sv = model::check_split(&self.model, &split, &buffer);
-            self.observe_batch_check(&sv.verdict, &sv.report.stats, t0);
+            let sv = self.batch_check(&buffer, false);
             return MonitorReport {
                 verdict: sv.verdict,
                 remerged: sv.report.remerged,
@@ -866,7 +792,13 @@ where
         }
         let (merged, stats, remerged) = core.window_verdict(&|i| self.key_of(i));
         let verdict = match merged {
-            Ok(chain) => Ok(self.model.stream_witness(chain, &stats)),
+            // A window holds no switch action: the default leaf.
+            Ok(chain) => Ok(M::witness(
+                chain,
+                Default::default(),
+                stats.interpretations,
+                stats,
+            )),
             Err(failure) => Err(self.model.stream_error(failure)),
         };
         MonitorReport {
@@ -877,21 +809,24 @@ where
         }
     }
 
-    /// Reports a report-time batch check (keyed, split, or reconstructed)
-    /// to the observer; window-mode reports are observed per shard by
-    /// [`ShardState::window_search`].
-    fn observe_batch_check(
+    /// A report-time batch check of a closed trace (the buffer, or the
+    /// reconstructed archive), reported to the observer; window-mode
+    /// reports are observed per shard by [`ShardState::window_search`].
+    fn batch_check(
         &self,
-        verdict: &Result<M::Witness, M::Error>,
-        stats: &SearchStats,
-        t0: Option<std::time::Instant>,
-    ) {
-        self.core.shard_cfg.obs.engine_search(EngineSearchEvent {
+        closed: &Trace<ObjAction<M::Adt, V>>,
+        keyed: bool,
+    ) -> SplitVerdict<M::Witness, M::Error> {
+        let obs = &self.core.shard_cfg.obs;
+        let t0 = obs.t0();
+        let sv = partition::check(&self.model, self.partitioner.as_ref(), keyed, closed);
+        obs.engine_search(EngineSearchEvent {
             site: "monitor.report",
-            nodes: stats.nodes as u64,
-            memo_hits: stats.memo_hits as u64,
-            budget_exhausted: budget_tripped::<M, V>(verdict, stats),
+            nodes: sv.report.stats.nodes as u64,
+            memo_hits: sv.report.stats.memo_hits as u64,
+            budget_exhausted: budget_tripped::<M, V>(&sv.verdict, &sv.report.stats),
             t0,
         });
+        sv
     }
 }

@@ -466,7 +466,7 @@ where
     T::Input: Ord,
     V: Clone + PartialEq,
 {
-    pub fn new(adt: Arc<T>, cfg: ShardConfig) -> Self {
+    pub(crate) fn new(adt: Arc<T>, cfg: ShardConfig) -> Self {
         let initial = SearchSeed::initial(&*adt);
         Self::with_seeds(adt, cfg, vec![initial], PersistentMultiset::new())
     }
@@ -510,7 +510,7 @@ where
         }
     }
 
-    pub fn status(&self) -> ShardStatus {
+    pub(crate) fn status(&self) -> ShardStatus {
         self.status
     }
 
@@ -533,7 +533,7 @@ where
 
     /// The archived retired events, flattened in retirement order (within
     /// and across windows the global indices ascend).
-    pub fn archived_events(&self) -> Vec<(usize, ObjAction<T, V>)> {
+    pub(crate) fn archived_events(&self) -> Vec<(usize, ObjAction<T, V>)> {
         self.archive.iter().flatten().cloned().collect()
     }
 
@@ -561,7 +561,7 @@ where
     }
 
     /// Whether a forced lossy epoch cut happened (verdict downgrades).
-    pub fn lossy(&self) -> bool {
+    pub(crate) fn lossy(&self) -> bool {
         self.lossy
     }
 
@@ -582,7 +582,7 @@ where
     /// Retained configurations (frontier, seeds, and the checkpoint when it
     /// is not the seeds) — the live-state component of the monitor's memory
     /// proxy.
-    pub fn live_configs(&self) -> usize {
+    pub(crate) fn live_configs(&self) -> usize {
         self.frontier.len() + self.seeds.len() + self.checkpoint_configs().len()
     }
 
@@ -603,13 +603,13 @@ where
     }
 
     /// The shard's total input pool (base plus window invocations).
-    pub fn pool(&self) -> &PersistentMultiset<T::Input> {
+    pub(crate) fn pool(&self) -> &PersistentMultiset<T::Input> {
         self.input_ms.last().expect("input_ms is never empty")
     }
 
     /// Ingests the next action of this shard's class. Returns
     /// `(frontier length after the event, whether a fallback re-search ran)`.
-    pub fn ingest(&mut self, action: ObjAction<T, V>, global_index: usize) -> (usize, bool) {
+    pub(crate) fn ingest(&mut self, action: ObjAction<T, V>, global_index: usize) -> (usize, bool) {
         let t0 = self.cfg.obs.t0();
         self.counters.events += 1;
         let window_index = self.sub.len();
@@ -977,7 +977,7 @@ where
     /// index, its chain, and the *window* indices of the commits its
     /// symbolic completions absorbed (absent from the chain).
     #[allow(clippy::type_complexity)]
-    pub fn window_search(
+    pub(crate) fn window_search(
         &self,
     ) -> (
         Result<Option<(usize, Chain<T::Input>, Vec<usize>)>, EngineError>,
@@ -1035,7 +1035,7 @@ where
 
     /// The seed the reported window chain extends (see
     /// [`ShardState::window_search`]).
-    pub fn seed(&self, index: usize) -> &SearchSeed<T> {
+    pub(crate) fn seed(&self, index: usize) -> &SearchSeed<T> {
         &self.seeds[index].seed
     }
 

@@ -65,7 +65,7 @@ where
     O: Clone,
     V: Clone,
 {
-    pub fn new(phase_bounds: Option<(PhaseId, PhaseId)>) -> Self {
+    pub(crate) fn new(phase_bounds: Option<(PhaseId, PhaseId)>) -> Self {
         WfTracker {
             phase_bounds,
             clients: BTreeMap::new(),
@@ -97,7 +97,7 @@ where
     }
 
     /// Feeds the next stream event through the automaton.
-    pub fn observe(&mut self, action: &Action<I, O, V>, index: usize) {
+    pub(crate) fn observe(&mut self, action: &Action<I, O, V>, index: usize) {
         if let Some((m, n)) = self.phase_bounds {
             // Signature membership (the speculative checker's first gate).
             let sig = PhaseSignature::new(m, n);

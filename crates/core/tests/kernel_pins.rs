@@ -598,3 +598,71 @@ fn budget_tripped_checks_report_their_work() {
         expect_event(&seen, 4);
     }
 }
+
+/// The same, across classes: under [`Strategy::Partitioned`] a class that
+/// trips its budget decides the check — the first one in key order, with
+/// its own node count in the error, the work of *every* class in the
+/// stats, no whole-trace search after it (a degraded check under-claims;
+/// it does not try again under the budget that just tripped), and one
+/// observer event for the lot. Plain and keyed speculative alike.
+#[test]
+fn a_tripped_class_decides_a_partitioned_check() {
+    let expect_event = |seen: &Searches, nodes: usize| {
+        let evs = seen.0.lock().unwrap();
+        assert_eq!(evs.len(), 1);
+        assert_eq!(evs[0].site, "session.check");
+        assert_eq!(evs[0].nodes, nodes as u64);
+        assert!(evs[0].budget_exhausted);
+    };
+
+    let lin_trace = random_multikey_kv_trace(&MultiKeyConfig {
+        clients: 3,
+        steps: 120,
+        keys: 2,
+        skew: 0.0,
+        contention: 0.0,
+        error_prob: 0.0,
+        seed: 1,
+    });
+    let seen = Arc::new(Searches::default());
+    let v = Checker::builder(LinChecker::owned(KvStore))
+        .partitioner(KvKeyPartitioner)
+        .strategy(Strategy::Partitioned)
+        .budget(3)
+        .observer(Obs::new(seen.clone()))
+        .build()
+        .check(&lin_trace);
+    let report = v.partition.expect("partitioned verdicts carry a report");
+    assert_eq!(v.outcome, Err(LinError::BudgetExhausted { nodes: 4 }));
+    assert_eq!((report.partitions, report.remerged), (2, false));
+    assert_eq!((v.stats.nodes, v.stats.interpretations), (8, 2));
+    expect_event(&seen, 8);
+
+    let (m, n) = phase_trace_bounds();
+    let phase_trace = random_phase_kv_trace(&PhaseConfig {
+        keys: 2,
+        ..Default::default()
+    });
+    let cert = slin_analysis::certify_switch(
+        &KvStore,
+        &KvKeyPartitioner,
+        &slin_analysis::AnalyzeConfig::default(),
+    )
+    .expect("the shipped kv partitioner is switch-independent");
+    let seen = Arc::new(Searches::default());
+    let v = Checker::builder(SlinChecker::owned(KvStore, ExactInit::new(), m, n))
+        .partitioner(KvKeyPartitioner)
+        .switch_certified(&cert)
+        .expect("certificate covers (KvStore, KvKeyPartitioner, ExactInit)")
+        .strategy(Strategy::Partitioned)
+        .budget(3)
+        .observer(Obs::new(seen.clone()))
+        .build()
+        .check(&phase_trace);
+    let report = v.partition.expect("partitioned verdicts carry a report");
+    assert_eq!(v.outcome, Err(SlinError::BudgetExhausted { nodes: 4 }));
+    assert_eq!((report.partitions, report.remerged), (2, false));
+    // One class trips, the other is decided inside the budget.
+    assert_eq!((v.stats.nodes, v.stats.interpretations), (7, 2));
+    expect_event(&seen, 7);
+}

@@ -50,12 +50,12 @@ pub(crate) mod testutil {
     /// A tiny counter automaton used by the framework tests: internal ticks,
     /// external emissions of the current count.
     #[derive(Debug, Clone)]
-    pub struct TickTock {
-        pub max: u8,
+    pub(crate) struct TickTock {
+        pub(crate) max: u8,
     }
 
     #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-    pub enum TickAction {
+    pub(crate) enum TickAction {
         Tick,
         Emit(u8),
     }

@@ -16,10 +16,9 @@ use slin_analysis::fixtures::BogusCounterPartitioner;
 use slin_analysis::{certify_switch, AnalyzeConfig, SwitchCert, SwitchFailure};
 use slin_core::gen::{phase_trace_bounds, random_phase_kv_trace, PhaseConfig};
 use slin_core::initrel::ExactInit;
-use slin_core::session::{Checker, Session, Strategy, StrategyUsed};
-use slin_core::slin::SlinChecker;
+use slin_core::session::{Checker, Session, Strategy, StrategyUsed, Verdict};
+use slin_core::slin::{SlinChecker, SlinError, SlinReport};
 use slin_core::stream::{MonitorStatus, StreamModel};
-use slin_core::ConsistencyModel;
 use slin_obs::{EngineSearchEvent, Obs, Observer};
 use slin_trace::PhaseId;
 use std::sync::{Arc, Mutex};
@@ -51,6 +50,22 @@ fn keyed_stream(
         .build()
 }
 
+/// The keyed batch check of `t`: `chk` in a session holding `cert`, under
+/// [`Strategy::Partitioned`] — a certificate is the only way in.
+fn keyed_check(
+    chk: PhaseChecker,
+    cert: &SwitchCert,
+    t: &slin_trace::Trace<PhaseAction>,
+) -> Verdict<SlinReport<KvInput>, SlinError> {
+    Checker::builder(chk)
+        .partitioner(KvKeyPartitioner)
+        .switch_certified(cert)
+        .expect("certificate covers (KvStore, KvKeyPartitioner, ExactInit)")
+        .strategy(Strategy::Partitioned)
+        .build()
+        .check(t)
+}
+
 /// The certified-partitioned corpus: linearizable and perturbed phase
 /// traces over several seeds. Keyed batch verdicts and witnesses are
 /// byte-identical to the monolithic ones; on the well-formed corpus the
@@ -58,6 +73,7 @@ fn keyed_stream(
 #[test]
 fn keyed_batch_is_byte_identical_to_monolithic_on_phase_traces() {
     let chk = phase_checker();
+    let cert = switch_cert();
     for error_prob in [0.0, 0.5] {
         for seed in 0..8u64 {
             let cfg = PhaseConfig {
@@ -68,30 +84,29 @@ fn keyed_batch_is_byte_identical_to_monolithic_on_phase_traces() {
             let t = random_phase_kv_trace(&cfg);
             assert!(t.iter().any(|a| a.is_switch()), "corpus must cross phases");
             let mono = chk.check(&t);
-            let sv = chk
-                .check_keyed(&KvKeyPartitioner, &t)
-                .expect("the speculative checker has a keyed path");
+            let sv = keyed_check(chk.clone(), &cert, &t);
             // Witnesses and error variants byte-identical; the `stats` /
             // `interpretations_checked` fields measure work, which the
             // keyed path reshapes by design.
             assert_eq!(
-                sv.verdict.as_ref().map(|r| &r.witness),
+                sv.outcome.as_ref().map(|r| &r.witness),
                 mono.as_ref().map(|r| &r.witness),
                 "seed {seed} error {error_prob}"
             );
             assert_eq!(
-                sv.verdict.as_ref().err(),
+                sv.outcome.as_ref().err(),
                 mono.as_ref().err(),
                 "seed {seed} error {error_prob}"
             );
             assert_eq!(
-                format!("{:?}", sv.verdict.as_ref().map(|r| &r.witness)),
+                format!("{:?}", sv.outcome.as_ref().map(|r| &r.witness)),
                 format!("{:?}", mono.as_ref().map(|r| &r.witness)),
                 "witness bytes must match: seed {seed} error {error_prob}"
             );
             if error_prob == 0.0 {
                 assert_eq!(
-                    sv.report.fallback, None,
+                    sv.partition.expect("partitioned runs report").fallback,
+                    None,
                     "certified corpus must never fall back: seed {seed}"
                 );
                 assert!(mono.is_ok(), "corpus is slin by construction: seed {seed}");
@@ -183,10 +198,8 @@ fn polled_status_and_report_share_one_keyed_search() {
             assert_eq!(evs.len(), 1, "seed {seed} error {error_prob}: {evs:?}");
             assert_eq!(evs[0].site, "monitor.report");
             assert_eq!(evs[0].nodes, report.stats.nodes as u64);
-            let keyed = phase_checker()
-                .check_keyed(&KvKeyPartitioner, &t)
-                .expect("the speculative checker has a keyed path");
-            assert_eq!(report.stats.nodes, keyed.report.stats.nodes);
+            let keyed = keyed_check(phase_checker(), &cert, &t);
+            assert_eq!(report.stats.nodes, keyed.stats.nodes);
             let want = match &report.verdict {
                 Ok(_) => MonitorStatus::Ok,
                 Err(e) => <PhaseChecker as StreamModel<Vec<KvInput>>>::status_of_error(e),
@@ -257,6 +270,37 @@ fn session_with_switch_cert_partitions_phase_traces() {
     }
 }
 
+/// What it takes to reach the keyed projection with a partitioner the
+/// analyzer refuses: a forged certificate. The content hash is an
+/// integrity check (FNV-1a over the fields, as `SwitchCert::verify`
+/// recomputes it), not a signature — forging one is these lines, and the
+/// test below shows what the forgery buys.
+fn forged_switch_cert(adt: &str, partitioner: &str, rinit: &str) -> SwitchCert {
+    let canon = format!(
+        "{}|{adt}|{partitioner}|{rinit}|0|0|0|0|0|0|0|0",
+        slin_analysis::SWITCH_CERT_SCHEMA
+    );
+    let hash = canon.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    let cert = SwitchCert {
+        adt: adt.into(),
+        partitioner: partitioner.into(),
+        rinit: rinit.into(),
+        depth: 0,
+        alphabet: 0,
+        switch_values: 0,
+        classified: 0,
+        keys: 0,
+        states: 0,
+        projection_checks: 0,
+        commutation_checks: 0,
+        content_hash: format!("fnv1a64:{hash:016x}"),
+    };
+    assert!(cert.verify(), "the forgery passes the integrity check");
+    cert
+}
+
 /// The negative fixture: the analyzer rejects the bogus Counter
 /// partitioner with a ≤4-input counterexample, and replaying that
 /// counterexample as a phase trace exhibits the predicted divergence —
@@ -281,11 +325,16 @@ fn bogus_init_partitioner_is_rejected_and_the_replay_diverges() {
         mono.is_ok(),
         "the monolithic interpretation explains the replay: {mono:?}"
     );
-    let sv = chk
-        .check_keyed(&BogusCounterPartitioner, &t)
-        .expect("the speculative checker has a keyed path");
+    let forged = forged_switch_cert("Counter", "BogusCounterPartitioner", "ExactInit");
+    let sv = Checker::builder(chk)
+        .partitioner(BogusCounterPartitioner)
+        .switch_certified(&forged)
+        .expect("the forgery names the session's partitioner")
+        .strategy(Strategy::Partitioned)
+        .build()
+        .check(&t);
     assert!(
-        sv.verdict.is_err(),
+        sv.outcome.is_err(),
         "the keyed decomposition must refute what the monolithic path \
          accepts — the divergence the certificate refusal predicts"
     );
@@ -333,6 +382,7 @@ fn keyed_batch_is_thread_count_invariant_on_both_sides_of_the_dispatch_constant(
         ..PhaseConfig::default()
     };
     // Perturbation rates sized so either side sees both verdicts.
+    let cert = switch_cert();
     for (cfg, fans_out, seeds, perturbed) in
         [(light, false, 0..4u64, 0.5), (heavy, true, 0..1, 0.002)]
     {
@@ -344,25 +394,21 @@ fn keyed_batch_is_thread_count_invariant_on_both_sides_of_the_dispatch_constant(
                     seed,
                     ..cfg
                 });
-                let keyed = |threads: usize| {
-                    phase_checker()
-                        .with_threads(threads)
-                        .check_keyed(&KvKeyPartitioner, &t)
-                        .expect("the speculative checker has a keyed path")
-                };
+                let keyed =
+                    |threads: usize| keyed_check(phase_checker().with_threads(threads), &cert, &t);
                 let reference = keyed(1);
-                match &reference.verdict {
+                match &reference.outcome {
                     Ok(_) => accepted += 1,
                     Err(_) => refuted += 1,
                 }
                 if !fans_out {
                     let mono = phase_checker().with_threads(1).check(&t);
                     assert_eq!(
-                        reference.verdict.as_ref().map(|r| &r.witness),
+                        reference.outcome.as_ref().map(|r| &r.witness),
                         mono.as_ref().map(|r| &r.witness),
                         "seed {seed} error {error_prob}"
                     );
-                    assert_eq!(reference.verdict.as_ref().err(), mono.as_ref().err());
+                    assert_eq!(reference.outcome.as_ref().err(), mono.as_ref().err());
                 }
                 for threads in [2, 4] {
                     assert_eq!(

@@ -23,11 +23,13 @@ use slin_analysis::fixtures::{
     BogusCounterPartitioner, ConsProposalPartitioner, QueueValuePartitioner, StackValuePartitioner,
 };
 use slin_analysis::{
-    certify, certify_switch, AnalyzeConfig, AnalyzeFailure, CertError, CertStore, Counterexample,
+    certify, certify_switch, AnalyzeConfig, AnalyzeFailure, CertError, Counterexample,
     SwitchCounterexample, SwitchFailure,
 };
+use slin_core::initrel::{CandidateContext, ExactInit, InitRelation};
 use slin_core::lin::LinChecker;
 use slin_core::session::{CertPolicy, Checker, Strategy, StrategyUsed};
+use slin_core::slin::SlinChecker;
 use slin_trace::{Action, ClientId, PhaseId};
 
 fn rejection<T, P>(adt: &T, p: &P) -> Counterexample<T>
@@ -153,7 +155,7 @@ fn every_unsound_fixture_is_rejected() {
 }
 
 /// A certificate installed via `partitioner_certified` builds a session
-/// that really uses the partitioned path, with no downgrade flag.
+/// that really uses the partitioned path.
 #[test]
 fn certified_partitioner_builds_and_runs_partitioned() {
     let cert = certify(&KvStore, &KvKeyPartitioner, &AnalyzeConfig::default()).unwrap();
@@ -173,34 +175,14 @@ fn certified_partitioner_builds_and_runs_partitioned() {
     let verdict = session.check(&trace);
     assert!(verdict.is_ok());
     assert_eq!(verdict.strategy, StrategyUsed::Partitioned);
-    assert!(!verdict.cert_downgraded);
-}
-
-/// [`CertPolicy::WarnMonolithic`] drops an uncertified partitioner: the
-/// session builds and answers, but monolithically, and every verdict
-/// carries the downgrade flag.
-#[test]
-fn warn_monolithic_downgrades_an_uncertified_partitioner() {
-    let mut session = Checker::builder(LinChecker::owned(KvStore))
-        .partitioner(KvKeyPartitioner)
-        .cert_policy(CertPolicy::WarnMonolithic)
-        .build::<()>();
-    let (c, p) = (ClientId::new(1), PhaseId::FIRST);
-    let trace = slin_trace::Trace::from_actions(vec![
-        Action::invoke(c, p, KvInput::Put(1, 7)),
-        Action::respond(c, p, KvInput::Put(1, 7), KvOutput::Ack),
-    ]);
-    let verdict = session.check(&trace);
-    assert!(verdict.is_ok());
-    assert_eq!(verdict.strategy, StrategyUsed::Monolithic);
-    assert!(verdict.cert_downgraded);
 }
 
 /// [`CertPolicy::Require`] refuses to build around an uncertified
-/// partitioner, and a [`CertStore`] holding the right certificate lifts
-/// the refusal.
+/// partitioner; installing the partitioner's own (`slin-cert/v1`)
+/// certificate lifts the refusal, and a switch-independence certificate
+/// (`slin-cert/v2`) does not stand in for it.
 #[test]
-fn require_policy_demands_a_store_or_explicit_certificate() {
+fn require_policy_demands_an_explicit_certificate() {
     let refused = Checker::builder(LinChecker::owned(KvStore))
         .partitioner(KvKeyPartitioner)
         .cert_policy(CertPolicy::Require)
@@ -211,21 +193,41 @@ fn require_policy_demands_a_store_or_explicit_certificate() {
             if adt == "KvStore" && partitioner == "KvKeyPartitioner"
     ));
 
-    let mut store = CertStore::new();
-    store
-        .register(certify(&KvStore, &KvKeyPartitioner, &AnalyzeConfig::default()).unwrap())
-        .unwrap();
+    let cfg = AnalyzeConfig::default();
+    let v1 = certify(&KvStore, &KvKeyPartitioner, &cfg).unwrap();
     let session = Checker::builder(LinChecker::owned(KvStore))
-        .partitioner(KvKeyPartitioner)
-        .cert_store(store)
+        .partitioner_certified(KvKeyPartitioner, &v1)
+        .expect("matching certificate must install")
         .cert_policy(CertPolicy::Require)
         .try_build::<()>();
     assert!(session.is_ok());
+
+    let v2 = certify_switch(&KvStore, &KvKeyPartitioner, &cfg).unwrap();
+    let phase = || SlinChecker::owned(KvStore, ExactInit::new(), PhaseId::FIRST, PhaseId::new(2));
+    let v2_only = Checker::builder(phase())
+        .partitioner(KvKeyPartitioner)
+        .switch_certified(&v2)
+        .expect("matching certificate must install")
+        .cert_policy(CertPolicy::Require)
+        .try_build::<Vec<KvInput>>();
+    assert!(
+        matches!(v2_only, Err(CertError::Uncertified { .. })),
+        "v2 is not v1"
+    );
+    let both = Checker::builder(phase())
+        .partitioner_certified(KvKeyPartitioner, &v1)
+        .expect("matching certificate must install")
+        .switch_certified(&v2)
+        .expect("matching certificate must install")
+        .cert_policy(CertPolicy::Require)
+        .try_build::<Vec<KvInput>>();
+    assert!(both.is_ok());
 }
 
-/// Certificate misuse is caught: a tampered certificate fails the hash
-/// check, a certificate for the wrong partitioner fails at install, and
-/// a certificate for the wrong ADT fails at build.
+/// Certificate misuse is caught, for both schemas: a tampered certificate
+/// fails the hash check, a certificate for the wrong partitioner fails at
+/// install, and a certificate for the wrong ADT — or, for a switch
+/// certificate, the wrong init relation — fails at build.
 #[test]
 fn mismatched_certificates_are_rejected() {
     let cert = certify(&KvStore, &KvKeyPartitioner, &AnalyzeConfig::default()).unwrap();
@@ -252,7 +254,7 @@ fn mismatched_certificates_are_rejected() {
     mod impostor {
         use slin_adt::{Counter, CounterInput, Partitioner};
         #[derive(Debug, Clone, Copy)]
-        pub struct KvKeyPartitioner;
+        pub(super) struct KvKeyPartitioner;
         impl Partitioner<Counter> for KvKeyPartitioner {
             type Key = u8;
             fn key_of(&self, _input: &CounterInput) -> Option<u8> {
@@ -268,6 +270,59 @@ fn mismatched_certificates_are_rejected() {
         built,
         Err(CertError::AdtMismatch { ref expected, ref found })
             if expected == "Counter" && found == "KvStore"
+    ));
+
+    // The switch-independence certificate goes through the same door.
+    let v2 = certify_switch(&KvStore, &KvKeyPartitioner, &AnalyzeConfig::default()).unwrap();
+    fn phase<R: InitRelation<KvInput>>(rinit: R) -> SlinChecker<KvStore, R> {
+        SlinChecker::owned(KvStore, rinit, PhaseId::FIRST, PhaseId::new(2))
+    }
+    let mut forged = v2.clone();
+    forged.switch_values += 1;
+    assert!(matches!(
+        Checker::builder(phase(ExactInit::new()))
+            .partitioner(KvKeyPartitioner)
+            .switch_certified(&forged),
+        Err(CertError::BadHash)
+    ));
+    assert!(matches!(
+        Checker::builder(SlinChecker::owned(
+            Set,
+            ExactInit::new(),
+            PhaseId::FIRST,
+            PhaseId::new(2)
+        ))
+        .partitioner(SetElemPartitioner)
+        .switch_certified(&v2),
+        Err(CertError::PartitionerMismatch { .. })
+    ));
+    // A certificate is keyed by the relation it was proved for: the same
+    // histories under another relation's name do not unlock the keyed
+    // path.
+    #[derive(Debug, Clone, Copy)]
+    struct OtherInit;
+    impl InitRelation<KvInput> for OtherInit {
+        type Value = Vec<KvInput>;
+        fn contains(&self, value: &Vec<KvInput>, history: &[KvInput]) -> bool {
+            ExactInit::new().contains(value, history)
+        }
+        fn candidates(
+            &self,
+            value: &Vec<KvInput>,
+            ctx: &CandidateContext<KvInput>,
+        ) -> Vec<Vec<KvInput>> {
+            ExactInit::new().candidates(value, ctx)
+        }
+    }
+    let built = Checker::builder(phase(OtherInit))
+        .partitioner(KvKeyPartitioner)
+        .switch_certified(&v2)
+        .expect("hash and partitioner name match, so install succeeds")
+        .try_build::<Vec<KvInput>>();
+    assert!(matches!(
+        built,
+        Err(CertError::RelationMismatch { ref expected, ref found })
+            if expected == "OtherInit" && found == "ExactInit"
     ));
 }
 
