@@ -1,28 +1,33 @@
-//! Bounded symbolic certification of partitioner soundness.
+//! Bounded symbolic certification: **one walk, two obligations**.
 //!
-//! The soundness contract in `slin_adt::partition` has two obligations for
-//! every input a partitioner classifies:
+//! The partitioner soundness contract (`slin_adt::partition`) and the
+//! switch-independence contract ([`crate::switch`]) are the same bounded
+//! exhaustive exploration with a different second obligation. `walk` is
+//! that exploration, once: breadth-first over *candidate value, then
+//! history of classified inputs up to a depth*, each node carrying the
+//! monolithic state (`run(value ::: history)`) and the per-key projected
+//! states (`run(value|k ::: history|k)`), memoized on the **signature**
+//! `(full state, per-key projected states)`. Every obligation at a node is
+//! a function of that signature alone, so visiting each signature once is
+//! exhaustive up to the depth bound, and polynomial in the reachable
+//! quotient graph rather than exponential in the alphabet. At every node
+//! the walk discharges **same-key output projection** itself — every
+//! classified probe answers identically after the full history and after
+//! its same-key projection, `f_T(h ::: i) = f_T(h|k ::: i)` — and then the
+//! caller's second obligation, a function of the node's state.
 //!
-//! 1. **Same-key output projection** — the output of a classified input
-//!    after any history equals its output after the same-key projection of
-//!    that history (`f_T(h ::: i) = f_T(h|k ::: i)`);
-//! 2. **Cross-key transition commutation** — two classified inputs with
-//!    distinct keys commute as state transitions, and neither changes the
-//!    other's output when reordered.
-//!
-//! [`certify`] discharges both *exhaustively* over the ADT's enumerable
-//! input alphabet ([`DomainSpec`]) for every history up to a configured
-//! depth. Exploration is a breadth-first walk over histories of classified
-//! inputs, memoized on the **signature** `(full state, per-key projected
-//! states)`: both obligations at a node depend only on that signature, so
-//! visiting each signature once is exhaustive up to the depth bound while
-//! keeping the walk polynomial in the reachable quotient graph rather than
-//! exponential in the alphabet.
+//! [`certify`] is the walk from the one **empty candidate** — no switch
+//! value was replayed, so a node is just a history from the initial state —
+//! with *cross-key transition commutation* second: two classified inputs
+//! with distinct keys commute as state transitions, and neither changes the
+//! other's output when reordered. [`crate::switch::certify_switch`] is the
+//! walk from every classifiable switch value, with *interpretation
+//! commutation* second.
 //!
 //! On success the run is summarized as a [`Certificate`]; on failure the
-//! offending history is greedily shrunk and returned as a replayable
-//! [`Counterexample`] whose [`Counterexample::to_trace`] diverges under
-//! partitioned vs monolithic checking.
+//! offending node is greedily shrunk (`shrink`) and returned as a
+//! replayable [`Counterexample`] whose [`Counterexample::to_trace`]
+//! diverges under partitioned vs monolithic checking.
 
 use crate::cert::{short_type_name, Certificate};
 use slin_adt::{Adt, DomainSpec, Partitioner};
@@ -133,11 +138,12 @@ impl<T: Adt> Counterexample<T> {
     }
 }
 
-/// Why [`certify`] did not produce a certificate.
+/// Why a certification run did not produce a certificate; `C` is the
+/// contract's counterexample type.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AnalyzeFailure<T: Adt> {
-    /// The partitioner violates the contract; here is a minimal replay.
-    Unsound(Counterexample<T>),
+pub enum Failure<C> {
+    /// The contract is violated; here is a minimal replay.
+    Unsound(C),
     /// The quotient state space outgrew [`AnalyzeConfig::max_states`]
     /// before the depth bound — no verdict either way.
     StateSpaceExceeded {
@@ -146,20 +152,175 @@ pub enum AnalyzeFailure<T: Adt> {
     },
 }
 
-/// One BFS node: a concrete history with its replayed full state and
-/// per-key projected states.
+impl<C> Failure<C> {
+    /// Turns the walk's raw refutation into the contract's counterexample.
+    pub(crate) fn map<D>(self, f: impl FnOnce(C) -> D) -> Failure<D> {
+        match self {
+            Failure::Unsound(c) => Failure::Unsound(f(c)),
+            Failure::StateSpaceExceeded { explored } => Failure::StateSpaceExceeded { explored },
+        }
+    }
+}
+
+/// Why [`certify`] did not produce a certificate.
+pub type AnalyzeFailure<T> = Failure<Counterexample<T>>;
+
+/// A candidate value's per-class components, by ascending key.
+pub(crate) type Parts<T, K> = BTreeMap<K, Vec<<T as Adt>::Input>>;
+
+/// A candidate value the walk starts from, with its components.
+pub(crate) type Candidate<T, K> = (Vec<<T as Adt>::Input>, Parts<T, K>);
+
+/// One node of the walk: a candidate value followed by a concrete history,
+/// with the monolithic replayed state and the per-key projected states
+/// (projected value, then projected history). The value and history are
+/// carried only so a refutation shrinks into a concrete replay.
 struct Node<T: Adt, K> {
+    value: Vec<T::Input>,
     history: Vec<T::Input>,
     state: T::State,
     proj: BTreeMap<K, T::State>,
 }
 
-/// Exhaustively checks both contract obligations for `partitioner` over
-/// `adt`'s enumerable domain, up to `cfg.depth`-length histories.
+/// The memo key of a node: full state plus every per-key projected state.
+type Signature<T, K> = (<T as Adt>::State, Vec<(K, <T as Adt>::State)>);
+
+fn signature<T: Adt, K: Clone + Ord>(node: &Node<T, K>) -> Signature<T, K> {
+    let proj = node.proj.iter().map(|(k, s)| (k.clone(), s.clone()));
+    (node.state.clone(), proj.collect())
+}
+
+/// The statistics of a completed walk — what both certificates record.
+#[derive(Default)]
+pub(crate) struct Walked {
+    pub alphabet: usize,
+    pub classified: usize,
+    pub keys: usize,
+    pub states: usize,
+    pub projection_checks: u64,
+    pub commutation_checks: u64,
+}
+
+/// The node at which an obligation failed, unshrunk.
+pub(crate) struct Refuted<I, W> {
+    pub value: Vec<I>,
+    pub history: Vec<I>,
+    pub broken: Broken<I, W>,
+}
+
+/// Which obligation failed at a node.
+pub(crate) enum Broken<I, W> {
+    /// Obligation 1, for this probe.
+    Projection(I),
+    /// The caller's obligation, with its own witness.
+    Second(W),
+}
+
+/// The one bounded exploration (module docs). `roots` are the candidate
+/// values to start from, with their per-class components; `second` checks
+/// the caller's obligation at a node's state, given the classified domain,
+/// and returns how many checks it made or the witness of a violation.
 ///
 /// Unclassified domain inputs (key `None`) are excluded from exploration:
 /// the checkers fall back to monolithic checking whenever a trace contains
-/// one, so the contract only constrains classified inputs.
+/// one, so the contracts only constrain classified inputs.
+pub(crate) fn walk<T, P, W>(
+    adt: &T,
+    partitioner: &P,
+    cfg: &AnalyzeConfig,
+    roots: &[Candidate<T, P::Key>],
+    second: impl Fn(&[(T::Input, P::Key)], &T::State) -> Result<u64, W>,
+) -> Result<Walked, Failure<Refuted<T::Input, W>>>
+where
+    T: DomainSpec,
+    P: Partitioner<T>,
+{
+    let domain = adt.input_domain();
+    let classified: Vec<(T::Input, P::Key)> = domain
+        .iter()
+        .filter_map(|i| partitioner.key_of(i).map(|k| (i.clone(), k)))
+        .collect();
+    let keys: BTreeSet<&P::Key> = classified.iter().map(|(_, k)| k).collect();
+    let mut walked = Walked {
+        alphabet: domain.len(),
+        classified: classified.len(),
+        keys: keys.len(),
+        ..Walked::default()
+    };
+    let mut visited: HashSet<Signature<T, P::Key>> = HashSet::new();
+    let mut queue: VecDeque<Node<T, P::Key>> = VecDeque::new();
+    // The one door into the walk: a node enters once per signature, and
+    // the ceiling is checked where the quotient grows.
+    let mut admit = |node: Node<T, P::Key>, queue: &mut VecDeque<_>| {
+        if visited.insert(signature(&node)) {
+            if visited.len() > cfg.max_states {
+                return Err(Failure::StateSpaceExceeded {
+                    explored: visited.len(),
+                });
+            }
+            queue.push_back(node);
+        }
+        Ok(())
+    };
+
+    for (value, parts) in roots {
+        let root = Node {
+            value: value.clone(),
+            history: Vec::new(),
+            state: adt.run(value),
+            proj: (parts.iter())
+                .map(|(k, component)| (k.clone(), adt.run(component)))
+                .collect(),
+        };
+        admit(root, &mut queue)?;
+    }
+    while let Some(node) = queue.pop_front() {
+        let refuted = |broken| {
+            Failure::Unsound(Refuted {
+                value: node.value.clone(),
+                history: node.history.clone(),
+                broken,
+            })
+        };
+        // Obligation 1: every classified probe answers identically after
+        // the monolithic replay and after the per-class one.
+        for (probe, key) in &classified {
+            walked.projection_checks += 1;
+            let full_out = adt.apply(&node.state, probe).1;
+            let class_state = node.proj.get(key).cloned().unwrap_or_else(|| adt.initial());
+            if full_out != adt.apply(&class_state, probe).1 {
+                return Err(refuted(Broken::Projection(probe.clone())));
+            }
+        }
+        // Obligation 2: the caller's, at this state.
+        walked.commutation_checks +=
+            second(&classified, &node.state).map_err(|w| refuted(Broken::Second(w)))?;
+        // Expand by one more classified input, up to the depth bound.
+        if node.history.len() >= cfg.depth {
+            continue;
+        }
+        for (input, key) in &classified {
+            let mut proj = node.proj.clone();
+            let entry = proj.entry(key.clone()).or_insert_with(|| adt.initial());
+            *entry = adt.apply(entry, input).0;
+            let mut history = node.history.clone();
+            history.push(input.clone());
+            let next = Node {
+                value: node.value.clone(),
+                history,
+                state: adt.apply(&node.state, input).0,
+                proj,
+            };
+            admit(next, &mut queue)?;
+        }
+    }
+    walked.states = visited.len();
+    Ok(walked)
+}
+
+/// Exhaustively checks both partitioner-contract obligations for
+/// `partitioner` over `adt`'s enumerable domain, up to `cfg.depth`-length
+/// histories: the walk from the empty candidate (module docs).
 ///
 /// # Example
 ///
@@ -179,118 +340,71 @@ where
     T: DomainSpec,
     P: Partitioner<T>,
 {
-    let domain = adt.input_domain();
-    let classified: Vec<(T::Input, P::Key)> = domain
-        .iter()
-        .filter_map(|i| partitioner.key_of(i).map(|k| (i.clone(), k)))
-        .collect();
-    let keys: BTreeSet<P::Key> = classified.iter().map(|(_, k)| k.clone()).collect();
-
-    let mut projection_checks = 0u64;
-    let mut commutation_checks = 0u64;
-    let mut visited: HashSet<Signature<T, P::Key>> = HashSet::new();
-    let mut queue: VecDeque<Node<T, P::Key>> = VecDeque::new();
-
-    let root = Node {
-        history: Vec::new(),
-        state: adt.initial(),
-        proj: BTreeMap::new(),
+    // Distinct-key classified pairs commute as transitions and preserve
+    // each other's outputs.
+    let pairwise = |classified: &[(T::Input, P::Key)], state: &T::State| {
+        let mut checks = 0;
+        for (a, (i, ki)) in classified.iter().enumerate() {
+            for (j, _) in classified[a + 1..].iter().filter(|(_, kj)| ki != kj) {
+                checks += 1;
+                if commutation_violation(adt, state, i, j).is_some() {
+                    return Err((i.clone(), j.clone()));
+                }
+            }
+        }
+        Ok(checks)
     };
-    visited.insert(signature(&root));
-    queue.push_back(root);
-
-    while let Some(node) = queue.pop_front() {
-        // Obligation 1: every classified probe answers identically after
-        // the full history and after its same-key projection.
-        for (input, key) in &classified {
-            projection_checks += 1;
-            let full_out = adt.apply(&node.state, input).1;
-            let proj_state = node.proj.get(key).cloned().unwrap_or_else(|| adt.initial());
-            let proj_out = adt.apply(&proj_state, input).1;
-            if full_out != proj_out {
-                return Err(AnalyzeFailure::Unsound(shrink_projection(
-                    adt,
-                    partitioner,
-                    node.history,
-                    input.clone(),
-                )));
-            }
-        }
-        // Obligation 2: distinct-key classified pairs commute as
-        // transitions and preserve each other's outputs.
-        for a in 0..classified.len() {
-            for b in (a + 1)..classified.len() {
-                let (i, ki) = &classified[a];
-                let (j, kj) = &classified[b];
-                if ki == kj {
-                    continue;
-                }
-                commutation_checks += 1;
-                if commutation_violation(adt, &node.state, i, j).is_some() {
-                    return Err(AnalyzeFailure::Unsound(shrink_commutation(
-                        adt,
-                        node.history,
-                        i.clone(),
-                        j.clone(),
-                    )));
-                }
-            }
-        }
-        // Expand by one more classified input, up to the depth bound.
-        if node.history.len() >= cfg.depth {
-            continue;
-        }
-        for (input, key) in &classified {
-            let next_state = adt.apply(&node.state, input).0;
-            let mut proj = node.proj.clone();
-            let entry = proj.entry(key.clone()).or_insert_with(|| adt.initial());
-            *entry = adt.apply(entry, input).0;
-            let mut history = node.history.clone();
-            history.push(input.clone());
-            let next = Node {
-                history,
-                state: next_state,
-                proj,
-            };
-            if visited.insert(signature(&next)) {
-                if visited.len() > cfg.max_states {
-                    return Err(AnalyzeFailure::StateSpaceExceeded {
-                        explored: visited.len(),
-                    });
-                }
-                queue.push_back(next);
-            }
-        }
-    }
-
+    let empty_candidate: [Candidate<T, P::Key>; 1] = Default::default();
+    let walked = walk(adt, partitioner, cfg, &empty_candidate, pairwise)
+        .map_err(|failure| failure.map(|refuted| shrunk(adt, partitioner, refuted)))?;
     Ok(Certificate {
         adt: short_type_name::<T>().to_string(),
         partitioner: short_type_name::<P>().to_string(),
         depth: cfg.depth,
-        alphabet: domain.len(),
-        classified: classified.len(),
-        keys: keys.len(),
-        states: visited.len(),
-        projection_checks,
-        commutation_checks,
+        alphabet: walked.alphabet,
+        classified: walked.classified,
+        keys: walked.keys,
+        states: walked.states,
+        projection_checks: walked.projection_checks,
+        commutation_checks: walked.commutation_checks,
         content_hash: String::new(),
     }
     .sealed())
 }
 
-/// The memo key of a search node: full state plus every per-key
-/// projected state. All contract obligations at a node are functions of
-/// this signature alone, so quotienting the BFS on it is exhaustive.
-type Signature<T, K> = (<T as Adt>::State, Vec<(K, <T as Adt>::State)>);
-
-fn signature<T: Adt, K: Clone + Ord>(node: &Node<T, K>) -> Signature<T, K> {
-    (
-        node.state.clone(),
-        node.proj
-            .iter()
-            .map(|(k, s)| (k.clone(), s.clone()))
-            .collect(),
-    )
+/// Shrinks the walk's refutation into a replayable counterexample.
+fn shrunk<T: Adt, P: Partitioner<T>>(
+    adt: &T,
+    partitioner: &P,
+    refuted: Refuted<T::Input, (T::Input, T::Input)>,
+) -> Counterexample<T> {
+    let (mut history, mut no_value) = (refuted.history, Vec::new());
+    match refuted.broken {
+        Broken::Projection(probe) => {
+            let (full_out, projected, proj_out) = shrink(&mut history, &mut no_value, |h, _| {
+                projection_divergence(adt, partitioner, &[], h, &probe)
+            });
+            Counterexample {
+                obligation: Obligation::Projection,
+                detail: format!(
+                    "full history answers {full_out:?}, same-key projection \
+                     {projected:?} answers {proj_out:?}"
+                ),
+                history,
+                probe,
+                partner: None,
+            }
+        }
+        Broken::Second((i, j)) => Counterexample {
+            obligation: Obligation::Commutation,
+            detail: shrink(&mut history, &mut no_value, |h, _| {
+                commutation_violation(adt, &adt.run(h), &i, &j)
+            }),
+            history,
+            probe: i,
+            partner: Some(j),
+        },
+    }
 }
 
 /// Checks the commutation obligation for `(i, j)` at `state`; returns the
@@ -322,101 +436,59 @@ fn commutation_violation<T: Adt>(
     }
 }
 
-/// Does the projection obligation fail for `(history, probe)`? Returns the
-/// disagreement rendering if so.
-fn projection_violation<T, P>(
+/// Does obligation 1 fail for `probe` after `value ::: history`? Returns
+/// the monolithic answer, the same-key projection and its answer if so.
+#[allow(clippy::type_complexity)]
+pub(crate) fn projection_divergence<T, P>(
     adt: &T,
     partitioner: &P,
+    value: &[T::Input],
     history: &[T::Input],
     probe: &T::Input,
-) -> Option<String>
+) -> Option<(T::Output, Vec<T::Input>, T::Output)>
 where
     T: Adt,
     P: Partitioner<T>,
 {
     let key = partitioner.key_of(probe)?;
-    let full_out = adt.apply(&adt.run(history), probe).1;
-    let projected: Vec<T::Input> = history
-        .iter()
+    let replayed = || value.iter().chain(history);
+    let full = replayed().fold(adt.initial(), |s, i| adt.apply(&s, i).0);
+    let full_out = adt.apply(&full, probe).1;
+    let projected: Vec<T::Input> = replayed()
         .filter(|i| partitioner.key_of(i).as_ref() == Some(&key))
         .cloned()
         .collect();
     let proj_out = adt.apply(&adt.run(&projected), probe).1;
-    (full_out != proj_out).then(|| {
-        format!(
-            "full history answers {full_out:?}, same-key projection {projected:?} \
-             answers {proj_out:?}"
-        )
-    })
+    (full_out != proj_out).then_some((full_out, projected, proj_out))
 }
 
-/// Greedily drops history inputs while the projection violation persists.
-fn shrink_projection<T, P>(
-    adt: &T,
-    partitioner: &P,
-    mut history: Vec<T::Input>,
-    probe: T::Input,
-) -> Counterexample<T>
-where
-    T: Adt,
-    P: Partitioner<T>,
-{
+/// Greedily drops one input at a time — from `history` first, then from
+/// `value` — while `violation(history, value)` persists, restarting after
+/// every drop; returns the violation of what is left. The order is part of
+/// the contract: it decides which minimal replay a rejected partitioner is
+/// shown.
+pub(crate) fn shrink<I: Clone, D>(
+    history: &mut Vec<I>,
+    value: &mut Vec<I>,
+    violation: impl Fn(&[I], &[I]) -> Option<D>,
+) -> D {
+    let without = |seq: &[I], idx: usize| {
+        let mut shorter = seq.to_vec();
+        shorter.remove(idx);
+        shorter
+    };
     loop {
-        let mut shrunk = false;
-        for idx in 0..history.len() {
-            let mut candidate = history.clone();
-            candidate.remove(idx);
-            if projection_violation(adt, partitioner, &candidate, &probe).is_some() {
-                history = candidate;
-                shrunk = true;
-                break;
-            }
+        let mut shorter = (0..history.len()).map(|idx| without(history, idx));
+        if let Some(h) = shorter.find(|h| violation(h, value).is_some()) {
+            *history = h;
+            continue;
         }
-        if !shrunk {
-            break;
+        let mut shorter = (0..value.len()).map(|idx| without(value, idx));
+        if let Some(v) = shorter.find(|v| violation(history, v).is_some()) {
+            *value = v;
+            continue;
         }
-    }
-    let detail = projection_violation(adt, partitioner, &history, &probe)
-        .expect("shrinking preserves the violation");
-    Counterexample {
-        obligation: Obligation::Projection,
-        history,
-        probe,
-        partner: None,
-        detail,
-    }
-}
-
-/// Greedily drops history inputs while the commutation violation persists.
-fn shrink_commutation<T: Adt>(
-    adt: &T,
-    mut history: Vec<T::Input>,
-    i: T::Input,
-    j: T::Input,
-) -> Counterexample<T> {
-    loop {
-        let mut shrunk = false;
-        for idx in 0..history.len() {
-            let mut candidate = history.clone();
-            candidate.remove(idx);
-            if commutation_violation(adt, &adt.run(&candidate), &i, &j).is_some() {
-                history = candidate;
-                shrunk = true;
-                break;
-            }
-        }
-        if !shrunk {
-            break;
-        }
-    }
-    let detail = commutation_violation(adt, &adt.run(&history), &i, &j)
-        .expect("shrinking preserves the violation");
-    Counterexample {
-        obligation: Obligation::Commutation,
-        history,
-        probe: i,
-        partner: Some(j),
-        detail,
+        return violation(history, value).expect("the walk refuted this node");
     }
 }
 

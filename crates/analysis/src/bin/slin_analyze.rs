@@ -18,7 +18,9 @@ use slin_adt::{
     CounterVecPartitioner, CounterVector, DomainSpec, KvKeyPartitioner, KvStore, Partitioner,
     RegArrayPartitioner, RegisterArray, Set, SetElemPartitioner,
 };
-use slin_analysis::{certify, certify_switch, AnalyzeConfig, AnalyzeFailure, SwitchFailure};
+use slin_analysis::{
+    certify, certify_switch, AnalyzeConfig, Counterexample, Failure, SwitchCounterexample,
+};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -67,8 +69,14 @@ fn print_help() {
     println!("  --out DIR    certificate directory (default: the workspace's analysis/certs)");
 }
 
-fn exceeded(explored: usize) -> String {
-    format!("state space exceeded ({explored} signatures)")
+/// Why a pair did not certify, for either contract.
+fn explain<C>(failure: Failure<C>, render: impl FnOnce(&C) -> String) -> String {
+    match failure {
+        Failure::Unsound(cex) => render(&cex),
+        Failure::StateSpaceExceeded { explored } => {
+            format!("state space exceeded ({explored} signatures)")
+        }
+    }
 }
 
 /// Certifies one shipped pair: its partitioner certificate (`slin-cert/v1`)
@@ -78,10 +86,7 @@ where
     T: DomainSpec + std::fmt::Debug,
     P: Partitioner<T>,
 {
-    let v1 = certify(adt, p, cfg).map_err(|e| match e {
-        AnalyzeFailure::Unsound(cex) => cex.render(),
-        AnalyzeFailure::StateSpaceExceeded { explored } => exceeded(explored),
-    })?;
+    let v1 = certify(adt, p, cfg).map_err(|e| explain(e, Counterexample::render))?;
     println!(
         "  certified {} / {} (depth {}, {} states, {} checks) {}",
         v1.adt,
@@ -91,10 +96,7 @@ where
         v1.projection_checks + v1.commutation_checks,
         v1.content_hash,
     );
-    let v2 = certify_switch(adt, p, cfg).map_err(|e| match e {
-        SwitchFailure::Unsound(cex) => cex.render(),
-        SwitchFailure::StateSpaceExceeded { explored } => exceeded(explored),
-    })?;
+    let v2 = certify_switch(adt, p, cfg).map_err(|e| explain(e, SwitchCounterexample::render))?;
     println!(
         "  certified {} / {} / {} (depth {}, {} switch values, {} states) {}",
         v2.adt, v2.partitioner, v2.rinit, v2.depth, v2.switch_values, v2.states, v2.content_hash,

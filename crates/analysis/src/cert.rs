@@ -3,13 +3,18 @@
 //! A [`Certificate`] records that the bounded symbolic exploration in
 //! [`crate::analyze`] discharged both contract obligations of a
 //! `(Adt, Partitioner)` pair up to a depth, together with the state-space
-//! statistics of the run and a content hash over all of it. Certificates
-//! are serialized as stable, hand-built JSON (no timestamps, no map
-//! iteration order) so regenerating one from the same source tree yields
-//! the same bytes — they are committed under `analysis/certs/` and tier-1
-//! rejects drift.
+//! statistics of the run and a content hash over all of it; a
+//! [`SwitchCert`] records the same for switch independence. They are two
+//! types on purpose — "a v2 certificate is not a v1 certificate" is a
+//! compile error at `SessionBuilder::switch_certified` — declared by one
+//! macro from one field list each, so the struct, the hash canon and the
+//! JSON cannot disagree about which fields there are or in which order.
+//! Certificates are serialized as stable, hand-built JSON (no timestamps,
+//! no map iteration order) so regenerating one from the same source tree
+//! yields the same bytes — they are committed under `analysis/certs/` and
+//! tier-1 rejects drift.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Certificate schema identifier, bumped on any field change.
 pub const CERT_SCHEMA: &str = "slin-cert/v1";
@@ -25,193 +30,26 @@ pub fn short_type_name<T: ?Sized>() -> &'static str {
     full.rsplit("::").next().unwrap_or(full)
 }
 
-/// A successful bounded-exploration run: the named partitioner upholds the
-/// soundness contract for the named ADT over every history of classified
-/// domain inputs up to `depth`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Certificate {
-    /// Short type name of the certified ADT (e.g. `KvStore`).
-    pub adt: String,
-    /// Short type name of the certified partitioner.
-    pub partitioner: String,
-    /// Exploration depth (maximum history length).
-    pub depth: usize,
-    /// Size of the ADT's enumerable input alphabet.
-    pub alphabet: usize,
-    /// How many alphabet inputs the partitioner classified (`Some` key).
-    pub classified: usize,
-    /// Distinct independence classes among the classified inputs.
-    pub keys: usize,
-    /// Distinct `(state, projections)` signatures explored.
-    pub states: usize,
-    /// Same-key output-projection obligations checked.
-    pub projection_checks: u64,
-    /// Cross-key transition-commutation obligations checked.
-    pub commutation_checks: u64,
-    /// FNV-1a 64-bit hash (hex) over every field above, in order.
-    pub content_hash: String,
-}
+/// A certificate field: `Display` is its place in the hash canon, and in
+/// the JSON rendering too — quoted and escaped when it is text.
+trait Field: fmt::Display {
+    const TEXT: bool = false;
 
-impl Certificate {
-    /// Computes the content hash for the non-hash fields.
-    fn compute_hash(&self) -> String {
-        let canon = format!(
-            "{}|{}|{}|{}|{}|{}|{}|{}|{}|{}",
-            CERT_SCHEMA,
-            self.adt,
-            self.partitioner,
-            self.depth,
-            self.alphabet,
-            self.classified,
-            self.keys,
-            self.states,
-            self.projection_checks,
-            self.commutation_checks,
-        );
-        format!("fnv1a64:{:016x}", fnv1a64(canon.as_bytes()))
-    }
-
-    /// Fills in `content_hash` from the other fields.
-    pub(crate) fn sealed(mut self) -> Certificate {
-        self.content_hash = self.compute_hash();
-        self
-    }
-
-    /// Whether `content_hash` matches the other fields.
-    pub fn verify(&self) -> bool {
-        self.content_hash == self.compute_hash()
-    }
-
-    /// Stable JSON rendering (2-space indent, fixed field order, trailing
-    /// newline) — the exact bytes committed under `analysis/certs/`.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"schema\": \"{}\",\n  \"adt\": \"{}\",\n  \"partitioner\": \"{}\",\n  \
-             \"depth\": {},\n  \"alphabet\": {},\n  \"classified\": {},\n  \"keys\": {},\n  \
-             \"states\": {},\n  \"projection_checks\": {},\n  \"commutation_checks\": {},\n  \
-             \"content_hash\": \"{}\"\n}}\n",
-            CERT_SCHEMA,
-            json_escape(&self.adt),
-            json_escape(&self.partitioner),
-            self.depth,
-            self.alphabet,
-            self.classified,
-            self.keys,
-            self.states,
-            self.projection_checks,
-            self.commutation_checks,
-            json_escape(&self.content_hash),
-        )
-    }
-
-    /// The committed filename for this certificate.
-    pub fn file_name(&self) -> String {
-        format!("{}__{}.json", self.adt, self.partitioner)
+    fn json(&self) -> String {
+        let raw = self.to_string();
+        if Self::TEXT {
+            format!("\"{}\"", raw.replace('\\', "\\\\").replace('"', "\\\""))
+        } else {
+            raw
+        }
     }
 }
 
-/// A successful switch-independence run: under the named init relation,
-/// every switch value in the ADT's enumerable switch domain decomposes per
-/// independence class of the named partitioner — candidate-set projection
-/// commutes with per-key projection, and switch interpretation commutes
-/// with cross-class transitions — over every history of classified domain
-/// inputs up to `depth`.
-///
-/// This is the `slin-cert/v2` schema committed alongside the v1
-/// partitioner certificates; installing one through the `slin-core`
-/// session builder unlocks keyed (per-class) checking of phase traces.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SwitchCert {
-    /// Short type name of the certified ADT (e.g. `KvStore`).
-    pub adt: String,
-    /// Short type name of the certified partitioner.
-    pub partitioner: String,
-    /// Short type name of the init relation the decomposition is proved
-    /// for (e.g. `ExactInit`).
-    pub rinit: String,
-    /// Exploration depth (maximum history length).
-    pub depth: usize,
-    /// Size of the ADT's enumerable input alphabet.
-    pub alphabet: usize,
-    /// Size of the ADT's enumerable switch/phase domain.
-    pub switch_values: usize,
-    /// How many alphabet inputs the partitioner classified (`Some` key).
-    pub classified: usize,
-    /// Distinct independence classes among the classified inputs.
-    pub keys: usize,
-    /// Distinct `(state, projections)` signatures explored.
-    pub states: usize,
-    /// Init-candidate projection obligations checked.
-    pub projection_checks: u64,
-    /// Switch-interpretation/cross-class commutation obligations checked.
-    pub commutation_checks: u64,
-    /// FNV-1a 64-bit hash (hex) over every field above, in order.
-    pub content_hash: String,
+impl Field for String {
+    const TEXT: bool = true;
 }
-
-impl SwitchCert {
-    /// Computes the content hash for the non-hash fields.
-    fn compute_hash(&self) -> String {
-        let canon = format!(
-            "{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}",
-            SWITCH_CERT_SCHEMA,
-            self.adt,
-            self.partitioner,
-            self.rinit,
-            self.depth,
-            self.alphabet,
-            self.switch_values,
-            self.classified,
-            self.keys,
-            self.states,
-            self.projection_checks,
-            self.commutation_checks,
-        );
-        format!("fnv1a64:{:016x}", fnv1a64(canon.as_bytes()))
-    }
-
-    /// Fills in `content_hash` from the other fields.
-    pub(crate) fn sealed(mut self) -> SwitchCert {
-        self.content_hash = self.compute_hash();
-        self
-    }
-
-    /// Whether `content_hash` matches the other fields.
-    pub fn verify(&self) -> bool {
-        self.content_hash == self.compute_hash()
-    }
-
-    /// Stable JSON rendering (2-space indent, fixed field order, trailing
-    /// newline) — the exact bytes committed under `analysis/certs/`.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"schema\": \"{}\",\n  \"adt\": \"{}\",\n  \"partitioner\": \"{}\",\n  \
-             \"rinit\": \"{}\",\n  \"depth\": {},\n  \"alphabet\": {},\n  \
-             \"switch_values\": {},\n  \"classified\": {},\n  \"keys\": {},\n  \
-             \"states\": {},\n  \"projection_checks\": {},\n  \"commutation_checks\": {},\n  \
-             \"content_hash\": \"{}\"\n}}\n",
-            SWITCH_CERT_SCHEMA,
-            json_escape(&self.adt),
-            json_escape(&self.partitioner),
-            json_escape(&self.rinit),
-            self.depth,
-            self.alphabet,
-            self.switch_values,
-            self.classified,
-            self.keys,
-            self.states,
-            self.projection_checks,
-            self.commutation_checks,
-            json_escape(&self.content_hash),
-        )
-    }
-
-    /// The committed filename for this certificate (the `__switch` suffix
-    /// keeps it apart from the pair's v1 certificate).
-    pub fn file_name(&self) -> String {
-        format!("{}__{}__switch.json", self.adt, self.partitioner)
-    }
-}
+impl Field for usize {}
+impl Field for u64 {}
 
 /// FNV-1a 64-bit — tiny, dependency-free, and stable across platforms.
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -223,8 +61,125 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+/// Declares a certificate type: the struct (its listed fields, then
+/// `content_hash`), and — from the same list, in the same order — its hash
+/// canon `schema|field|…`, its JSON rendering and its file name.
+macro_rules! certificate {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident [$schema:ident, $file_suffix:literal] {
+            $( $(#[$field_meta:meta])* pub $field:ident: $ty:ty, )*
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub struct $name {
+            $( $(#[$field_meta])* pub $field: $ty, )*
+            /// FNV-1a 64-bit hash (hex) over the schema and every field
+            /// above, in order.
+            pub content_hash: String,
+        }
+
+        impl $name {
+            /// Computes the content hash for the non-hash fields.
+            fn compute_hash(&self) -> String {
+                let mut canon = $schema.to_string();
+                $( let _ = write!(canon, "|{}", self.$field); )*
+                format!("fnv1a64:{:016x}", fnv1a64(canon.as_bytes()))
+            }
+
+            /// Fills in `content_hash` from the other fields.
+            pub(crate) fn sealed(mut self) -> Self {
+                self.content_hash = self.compute_hash();
+                self
+            }
+
+            /// Whether `content_hash` matches the other fields.
+            pub fn verify(&self) -> bool {
+                self.content_hash == self.compute_hash()
+            }
+
+            /// Stable JSON rendering (2-space indent, fixed field order,
+            /// trailing newline) — the exact bytes committed under
+            /// `analysis/certs/`.
+            pub fn to_json(&self) -> String {
+                let mut json = format!("{{\n  \"schema\": {}", $schema.to_string().json());
+                $( let _ = write!(json, ",\n  \"{}\": {}", stringify!($field), self.$field.json()); )*
+                let _ = write!(json, ",\n  \"content_hash\": {}\n}}\n", self.content_hash.json());
+                json
+            }
+
+            /// The committed filename for this certificate.
+            pub fn file_name(&self) -> String {
+                format!(concat!("{}__{}", $file_suffix, ".json"), self.adt, self.partitioner)
+            }
+        }
+    };
+}
+
+certificate! {
+    /// A successful bounded-exploration run: the named partitioner upholds
+    /// the soundness contract for the named ADT over every history of
+    /// classified domain inputs up to `depth`.
+    pub struct Certificate [CERT_SCHEMA, ""] {
+        /// Short type name of the certified ADT (e.g. `KvStore`).
+        pub adt: String,
+        /// Short type name of the certified partitioner.
+        pub partitioner: String,
+        /// Exploration depth (maximum history length).
+        pub depth: usize,
+        /// Size of the ADT's enumerable input alphabet.
+        pub alphabet: usize,
+        /// How many alphabet inputs the partitioner classified (`Some` key).
+        pub classified: usize,
+        /// Distinct independence classes among the classified inputs.
+        pub keys: usize,
+        /// Distinct `(state, projections)` signatures explored.
+        pub states: usize,
+        /// Same-key output-projection obligations checked.
+        pub projection_checks: u64,
+        /// Cross-key transition-commutation obligations checked.
+        pub commutation_checks: u64,
+    }
+}
+
+certificate! {
+    /// A successful switch-independence run: under the named init
+    /// relation, every switch value in the ADT's enumerable switch domain
+    /// decomposes per independence class of the named partitioner —
+    /// candidate-set projection commutes with per-key projection, and
+    /// switch interpretation commutes with cross-class transitions — over
+    /// every history of classified domain inputs up to `depth`.
+    ///
+    /// This is the `slin-cert/v2` schema committed alongside the v1
+    /// partitioner certificates (the `__switch` file-name suffix keeps the
+    /// pair's two files apart); installing one through the `slin-core`
+    /// session builder unlocks keyed (per-class) checking of phase traces.
+    pub struct SwitchCert [SWITCH_CERT_SCHEMA, "__switch"] {
+        /// Short type name of the certified ADT (e.g. `KvStore`).
+        pub adt: String,
+        /// Short type name of the certified partitioner.
+        pub partitioner: String,
+        /// Short type name of the init relation the decomposition is
+        /// proved for (e.g. `ExactInit`).
+        pub rinit: String,
+        /// Exploration depth (maximum history length).
+        pub depth: usize,
+        /// Size of the ADT's enumerable input alphabet.
+        pub alphabet: usize,
+        /// Size of the ADT's enumerable switch/phase domain.
+        pub switch_values: usize,
+        /// How many alphabet inputs the partitioner classified (`Some` key).
+        pub classified: usize,
+        /// Distinct independence classes among the classified inputs.
+        pub keys: usize,
+        /// Distinct `(state, projections)` signatures explored.
+        pub states: usize,
+        /// Init-candidate projection obligations checked.
+        pub projection_checks: u64,
+        /// Switch-interpretation/cross-class commutation obligations checked.
+        pub commutation_checks: u64,
+    }
 }
 
 /// Why a certificate was rejected when threading it through a session

@@ -90,6 +90,71 @@ mod tests {
         }
     }
 
+    /// What a rejected partitioner is shown, for both contracts, byte for
+    /// byte: which node the walk refutes first and the order the shrinker
+    /// drops inputs in are part of the contract.
+    #[test]
+    fn rejections_render_the_same_minimal_replays() {
+        use crate::{certify_switch, Failure};
+        macro_rules! renders {
+            ($adt:expr, $p:expr) => {{
+                let cfg = AnalyzeConfig::default();
+                let Err(Failure::Unsound(v1)) = certify(&$adt, &$p, &cfg) else {
+                    panic!("expected a counterexample");
+                };
+                let Err(Failure::Unsound(v2)) = certify_switch(&$adt, &$p, &cfg) else {
+                    panic!("expected a switch counterexample");
+                };
+                [v1.render(), v2.render()]
+            }};
+        }
+        assert_eq!(
+            renders!(Counter, BogusCounterPartitioner),
+            [
+                "contract violation: cross-key transition commutation\n  history: []\n  \
+                 probe:   inc\n  partner: get\n  output of get changes across reorder: =0 vs =1",
+                "switch-independence violation: init-candidate projection\n  value:   [inc]\n  \
+                 history: []\n  probe:   get\n  monolithic interpretation answers =1, \
+                 per-class interpretation [] answers =0",
+            ]
+        );
+        assert_eq!(
+            renders!(Queue, QueueValuePartitioner),
+            [
+                "contract violation: cross-key transition commutation\n  history: []\n  \
+                 probe:   enq(1)\n  partner: enq(2)\n  states diverge: enq(1);enq(2) reaches \
+                 [1, 2] but enq(2);enq(1) reaches [2, 1]",
+                "switch-independence violation: switch-interpretation commutation\n  \
+                 value:   [enq(1), enq(2)]\n  history: []\n  probe:   deq\n  class components \
+                 do not commute: [enq(1), enq(2)] reaches [1, 2] but [enq(2), enq(1)] reaches \
+                 [2, 1]",
+            ]
+        );
+        assert_eq!(
+            renders!(Stack, StackValuePartitioner),
+            [
+                "contract violation: cross-key transition commutation\n  history: []\n  \
+                 probe:   push(1)\n  partner: push(2)\n  states diverge: push(1);push(2) \
+                 reaches [1, 2] but push(2);push(1) reaches [2, 1]",
+                "switch-independence violation: switch-interpretation commutation\n  \
+                 value:   [push(1), push(2)]\n  history: []\n  probe:   pop\n  class components \
+                 do not commute: [push(1), push(2)] reaches [1, 2] but [push(2), push(1)] \
+                 reaches [2, 1]",
+            ]
+        );
+        assert_eq!(
+            renders!(Consensus, ConsProposalPartitioner),
+            [
+                "contract violation: cross-key transition commutation\n  history: []\n  \
+                 probe:   p(1)\n  partner: p(2)\n  states diverge: p(1);p(2) reaches Some(v1) \
+                 but p(2);p(1) reaches Some(v2)",
+                "switch-independence violation: switch-interpretation commutation\n  \
+                 value:   [p(1), p(2)]\n  history: []\n  probe:   p(2)\n  class components do \
+                 not commute: [p(1), p(2)] reaches Some(v1) but [p(2), p(1)] reaches Some(v2)",
+            ]
+        );
+    }
+
     #[test]
     fn every_fixture_is_rejected_with_a_short_counterexample() {
         assert!(rejected(&Counter, &BogusCounterPartitioner) <= 4);

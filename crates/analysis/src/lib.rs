@@ -10,7 +10,8 @@
 //!   enumerable input domain ([`slin_adt::DomainSpec`]) up to a depth
 //!   bound, discharging both contract obligations, and returns either a
 //!   machine-readable [`Certificate`] or a shrunk, replayable
-//!   [`Counterexample`];
+//!   [`Counterexample`] (the exploration is one walk, [`analyze`]'s, that
+//!   both certifications share; either fails with a [`Failure`]);
 //! * a certificate reaches a session one way: installed by value
 //!   (`SessionBuilder::partitioner_certified` / `switch_certified` in
 //!   `slin-core`, which the daemon's `require_cert` policy builds with);
@@ -34,7 +35,7 @@ pub mod cert;
 pub mod fixtures;
 pub mod switch;
 
-pub use analyze::{certify, AnalyzeConfig, AnalyzeFailure, Counterexample, Obligation};
+pub use analyze::{certify, AnalyzeConfig, AnalyzeFailure, Counterexample, Failure, Obligation};
 pub use cert::{
     short_type_name, CertError, Certificate, SwitchCert, CERT_SCHEMA, SWITCH_CERT_SCHEMA,
 };

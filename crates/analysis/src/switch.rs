@@ -10,9 +10,10 @@
 //! can couple two classes through cross-key order, and per-class checking
 //! diverges from the monolithic verdict.
 //!
-//! [`certify_switch`] discharges two obligations exhaustively over the
-//! ADT's enumerable [`DomainSpec::switch_domain`], at every history of
-//! classified inputs up to a configured depth:
+//! [`certify_switch`] is [`crate::analyze`]'s one walk started from every
+//! classifiable value of the ADT's enumerable [`DomainSpec::switch_domain`]
+//! instead of the one empty candidate. The walk's own obligation reads, for
+//! a switch:
 //!
 //! 1. **Candidate projection** — for every switch value `v`, history `h`
 //!    and classified probe `i` with key `k`, the probe answers identically
@@ -20,26 +21,27 @@
 //!    per-class one (`run(v|k ::: h|k)`). This is "per-key `rinit`
 //!    projection equals projection of `rinit`" made operational for the
 //!    exact relation, whose candidate set is the value itself.
+//!
+//! and the second obligation is
+//!
 //! 2. **Interpretation commutation** — replaying `v` from any reachable
 //!    state equals replaying its per-class components grouped by ascending
 //!    key, and any two class components commute. A value that only reaches
 //!    a state through a specific cross-class interleaving does not factor,
 //!    and per-class seeding would replay it wrong.
 //!
-//! Like the v1 analyzer, exploration is a breadth-first walk memoized on
-//! the `(full state, per-key projected states)` signature — both
-//! obligations at a node are functions of that signature and the constant
-//! switch domain. Success is summarized as a content-hashed [`SwitchCert`]
+//! Success is summarized as a content-hashed [`SwitchCert`]
 //! (`slin-cert/v2`); failure is greedily shrunk to a
 //! [`SwitchCounterexample`] whose [`SwitchCounterexample::to_trace`]
 //! replays as a real phase trace on which keyed-partitioned and monolithic
 //! speculative checking diverge.
 
-use crate::analyze::AnalyzeConfig;
+use crate::analyze::{
+    projection_divergence, shrink, walk, AnalyzeConfig, Broken, Candidate, Failure, Parts, Refuted,
+};
 use crate::cert::{short_type_name, SwitchCert};
 use slin_adt::{Adt, DomainSpec, Partitioner};
 use slin_trace::{Action, ClientId, PhaseId, Trace};
-use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 use std::fmt::Write as _;
 
 /// Short name of the init relation whose decomposition [`certify_switch`]
@@ -51,12 +53,6 @@ pub const EXACT_RELATION: &str = "ExactInit";
 /// actions carrying candidate init histories.
 pub type PhaseTrace<T> =
     Trace<Action<<T as Adt>::Input, <T as Adt>::Output, Vec<<T as Adt>::Input>>>;
-
-/// Classifiable switch values paired with their per-class components.
-type Candidates<T, P> = Vec<(
-    Vec<<T as Adt>::Input>,
-    BTreeMap<<P as Partitioner<T>>::Key, Vec<<T as Adt>::Input>>,
-)>;
 
 /// Which switch-independence obligation a counterexample violates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -159,28 +155,7 @@ impl<T: Adt> SwitchCounterexample<T> {
 }
 
 /// Why [`certify_switch`] did not produce a certificate.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SwitchFailure<T: Adt> {
-    /// The init relation does not decompose over the partitioner's
-    /// classes; here is a minimal replay.
-    Unsound(SwitchCounterexample<T>),
-    /// The quotient state space outgrew [`AnalyzeConfig::max_states`]
-    /// before the depth bound — no verdict either way.
-    StateSpaceExceeded {
-        /// Signatures explored before aborting.
-        explored: usize,
-    },
-}
-
-/// One BFS node: a candidate value followed by a concrete post-switch
-/// history, with the monolithic replayed state and the per-key projected
-/// states (projected value, then projected history).
-struct Node<T: Adt, K> {
-    value: Vec<T::Input>,
-    history: Vec<T::Input>,
-    state: T::State,
-    proj: BTreeMap<K, T::State>,
-}
+pub type SwitchFailure<T> = Failure<SwitchCounterexample<T>>;
 
 /// Exhaustively checks both switch-independence obligations for
 /// `partitioner` over `adt`'s enumerable input and switch domains, up to
@@ -209,208 +184,51 @@ where
     T: DomainSpec,
     P: Partitioner<T>,
 {
-    let domain = adt.input_domain();
-    let classified: Vec<(T::Input, P::Key)> = domain
-        .iter()
-        .filter_map(|i| partitioner.key_of(i).map(|k| (i.clone(), k)))
-        .collect();
-    let keys: BTreeSet<P::Key> = classified.iter().map(|(_, k)| k.clone()).collect();
     let switch_domain = adt.switch_domain();
-    // Candidate values with their per-class components, skipping values
-    // the partitioner cannot fully classify.
-    let candidates: Candidates<T, P> = switch_domain
+    let candidates: Vec<Candidate<T, P::Key>> = switch_domain
         .iter()
-        .filter_map(|v| {
-            let mut parts: BTreeMap<P::Key, Vec<T::Input>> = BTreeMap::new();
-            for i in v {
-                parts
-                    .entry(partitioner.key_of(i)?)
-                    .or_default()
-                    .push(i.clone());
-            }
-            Some((v.clone(), parts))
-        })
+        .filter_map(|v| Some((v.clone(), parts_of::<T, P>(partitioner, v)?)))
         .collect();
-
-    let mut projection_checks = 0u64;
-    let mut commutation_checks = 0u64;
-    let mut visited: HashSet<Signature<T, P::Key>> = HashSet::new();
-    let mut queue: VecDeque<Node<T, P::Key>> = VecDeque::new();
-
-    // One root per candidate value: the monolithic state replays the full
-    // value, the per-key states replay its class components. Both
-    // obligations below are functions of the `(state, proj)` signature
-    // alone — the candidate and history are carried only so violations
-    // shrink into concrete replays — so quotienting the walk on the
-    // signature is exhaustive over every (value, history ≤ depth) pair.
-    for (value, parts) in &candidates {
-        let proj: BTreeMap<P::Key, T::State> = parts
-            .iter()
-            .map(|(k, component)| (k.clone(), adt.run(component)))
-            .collect();
-        let root = Node {
-            value: value.clone(),
-            history: Vec::new(),
-            state: adt.run(value),
-            proj,
-        };
-        if visited.insert(signature(&root)) {
-            if visited.len() > cfg.max_states {
-                return Err(SwitchFailure::StateSpaceExceeded {
-                    explored: visited.len(),
-                });
-            }
-            queue.push_back(root);
-        }
-    }
-
-    while let Some(node) = queue.pop_front() {
-        // Obligation 1: every classified probe answers identically after
-        // the monolithic interpretation (value, then history) and after
-        // the per-class one (projected value, then projected history).
-        for (probe, key) in &classified {
-            projection_checks += 1;
-            let full_out = adt.apply(&node.state, probe).1;
-            let class_state = node.proj.get(key).cloned().unwrap_or_else(|| adt.initial());
-            let class_out = adt.apply(&class_state, probe).1;
-            if full_out != class_out {
-                return Err(SwitchFailure::Unsound(shrink_projection(
-                    adt,
-                    partitioner,
-                    node.history,
-                    node.value,
-                    probe.clone(),
-                )));
+    // At every reachable state, every multi-class candidate's
+    // interpretation factors per class.
+    let multi_class: Vec<_> = (candidates.iter())
+        .filter(|(_, parts)| parts.len() >= 2)
+        .collect();
+    let factors = |_: &[(T::Input, P::Key)], state: &T::State| {
+        for (value, parts) in &multi_class {
+            if commutation_violation(adt, state, value, parts).is_some() {
+                return Err(value.clone());
             }
         }
-        // Obligation 2: at every reachable state, every multi-class
-        // candidate's interpretation factors per class — grouping by
-        // ascending key preserves the reached state, and any two class
-        // components commute.
-        for (value, parts) in &candidates {
-            if parts.len() < 2 {
-                continue;
-            }
-            commutation_checks += 1;
-            if commutation_violation::<T, P>(adt, &node.state, value, parts).is_some() {
-                let mut prefix = node.value.clone();
-                prefix.extend(node.history.iter().cloned());
-                return Err(SwitchFailure::Unsound(shrink_commutation(
-                    adt,
-                    partitioner,
-                    prefix,
-                    value.clone(),
-                )));
-            }
-        }
-        // Expand by one more classified input, up to the depth bound.
-        if node.history.len() >= cfg.depth {
-            continue;
-        }
-        for (input, key) in &classified {
-            let next_state = adt.apply(&node.state, input).0;
-            let mut proj = node.proj.clone();
-            let entry = proj.entry(key.clone()).or_insert_with(|| adt.initial());
-            *entry = adt.apply(entry, input).0;
-            let mut history = node.history.clone();
-            history.push(input.clone());
-            let next = Node {
-                value: node.value.clone(),
-                history,
-                state: next_state,
-                proj,
-            };
-            if visited.insert(signature(&next)) {
-                if visited.len() > cfg.max_states {
-                    return Err(SwitchFailure::StateSpaceExceeded {
-                        explored: visited.len(),
-                    });
-                }
-                queue.push_back(next);
-            }
-        }
-    }
-
+        Ok(multi_class.len() as u64)
+    };
+    let walked = walk(adt, partitioner, cfg, &candidates, factors)
+        .map_err(|failure| failure.map(|refuted| shrunk(adt, partitioner, refuted)))?;
     Ok(SwitchCert {
         adt: short_type_name::<T>().to_string(),
         partitioner: short_type_name::<P>().to_string(),
         rinit: EXACT_RELATION.to_string(),
         depth: cfg.depth,
-        alphabet: domain.len(),
+        alphabet: walked.alphabet,
         switch_values: switch_domain.len(),
-        classified: classified.len(),
-        keys: keys.len(),
-        states: visited.len(),
-        projection_checks,
-        commutation_checks,
+        classified: walked.classified,
+        keys: walked.keys,
+        states: walked.states,
+        projection_checks: walked.projection_checks,
+        commutation_checks: walked.commutation_checks,
         content_hash: String::new(),
     }
     .sealed())
 }
 
-/// The memo key of a search node: full replayed state plus every per-key
-/// projected state. Both obligations at a node are functions of this
-/// signature (and the constant candidate set), so quotienting the BFS on
-/// it is exhaustive.
-type Signature<T, K> = (<T as Adt>::State, Vec<(K, <T as Adt>::State)>);
-
-fn signature<T: Adt, K: Clone + Ord>(node: &Node<T, K>) -> Signature<T, K> {
-    (
-        node.state.clone(),
-        node.proj
-            .iter()
-            .map(|(k, s)| (k.clone(), s.clone()))
-            .collect(),
-    )
-}
-
-/// Does the candidate-projection obligation fail for
-/// `(history, value, probe)`? Returns the disagreement rendering if so.
-fn projection_violation<T, P>(
-    adt: &T,
-    partitioner: &P,
-    history: &[T::Input],
-    value: &[T::Input],
-    probe: &T::Input,
-) -> Option<String>
-where
-    T: Adt,
-    P: Partitioner<T>,
-{
-    let key = partitioner.key_of(probe)?;
-    let keep = |i: &&T::Input| partitioner.key_of(i).as_ref() == Some(&key);
-    let mut full = adt.run(value);
-    for h in history {
-        full = adt.apply(&full, h).0;
-    }
-    let full_out = adt.apply(&full, probe).1;
-    let projected: Vec<T::Input> = value
-        .iter()
-        .filter(keep)
-        .chain(history.iter().filter(keep))
-        .cloned()
-        .collect();
-    let proj_out = adt.apply(&adt.run(&projected), probe).1;
-    (full_out != proj_out).then(|| {
-        format!(
-            "monolithic interpretation answers {full_out:?}, per-class \
-             interpretation {projected:?} answers {proj_out:?}"
-        )
-    })
-}
-
 /// Checks the interpretation-commutation obligation for `value` at
 /// `state`; returns the disagreement rendering on violation.
-fn commutation_violation<T, P>(
+fn commutation_violation<T: Adt, K>(
     adt: &T,
     state: &T::State,
     value: &[T::Input],
-    parts: &BTreeMap<P::Key, Vec<T::Input>>,
-) -> Option<String>
-where
-    T: Adt,
-    P: Partitioner<T>,
-{
+    parts: &Parts<T, K>,
+) -> Option<String> {
     let run_from = |start: &T::State, inputs: &[T::Input]| {
         inputs.iter().fold(start.clone(), |s, i| adt.apply(&s, i).0)
     };
@@ -426,10 +244,8 @@ where
     let components: Vec<&Vec<T::Input>> = parts.values().collect();
     for a in 0..components.len() {
         for b in (a + 1)..components.len() {
-            let mut ab = components[a].clone();
-            ab.extend(components[b].iter().cloned());
-            let mut ba = components[b].clone();
-            ba.extend(components[a].iter().cloned());
+            let ab = [components[a].as_slice(), components[b]].concat();
+            let ba = [components[b].as_slice(), components[a]].concat();
             let s_ab = run_from(state, &ab);
             let s_ba = run_from(state, &ba);
             if s_ab != s_ba {
@@ -443,14 +259,14 @@ where
     None
 }
 
-/// Re-derives the per-class component map of `value` (shrinking shortens
-/// the value, so the map must follow).
-fn parts_of<T, P>(partitioner: &P, value: &[T::Input]) -> Option<BTreeMap<P::Key, Vec<T::Input>>>
+/// The per-class component map of `value`, or `None` when the partitioner
+/// cannot classify one of its inputs.
+fn parts_of<T, P>(partitioner: &P, value: &[T::Input]) -> Option<Parts<T, P::Key>>
 where
     T: Adt,
     P: Partitioner<T>,
 {
-    let mut parts: BTreeMap<P::Key, Vec<T::Input>> = BTreeMap::new();
+    let mut parts = Parts::<T, P::Key>::new();
     for i in value {
         parts
             .entry(partitioner.key_of(i)?)
@@ -460,112 +276,61 @@ where
     Some(parts)
 }
 
-/// Greedily drops history and value inputs while the projection violation
-/// persists.
-fn shrink_projection<T, P>(
+/// Shrinks the walk's refutation into a replayable counterexample.
+fn shrunk<T, P>(
     adt: &T,
     partitioner: &P,
-    mut history: Vec<T::Input>,
-    mut value: Vec<T::Input>,
-    probe: T::Input,
-) -> SwitchCounterexample<T>
-where
-    T: Adt,
-    P: Partitioner<T>,
-{
-    loop {
-        let mut shrunk = false;
-        for idx in 0..history.len() {
-            let mut candidate = history.clone();
-            candidate.remove(idx);
-            if projection_violation(adt, partitioner, &candidate, &value, &probe).is_some() {
-                history = candidate;
-                shrunk = true;
-                break;
-            }
-        }
-        if !shrunk {
-            for idx in 0..value.len() {
-                let mut candidate = value.clone();
-                candidate.remove(idx);
-                if projection_violation(adt, partitioner, &history, &candidate, &probe).is_some() {
-                    value = candidate;
-                    shrunk = true;
-                    break;
-                }
-            }
-        }
-        if !shrunk {
-            break;
-        }
-    }
-    let detail = projection_violation(adt, partitioner, &history, &value, &probe)
-        .expect("shrinking preserves the violation");
-    SwitchCounterexample {
-        obligation: SwitchObligation::CandidateProjection,
-        history,
-        value,
-        probe: Some(probe),
-        detail,
-    }
-}
-
-/// Greedily drops history and value inputs while the commutation
-/// violation persists, then looks for a single probe observing it.
-fn shrink_commutation<T, P>(
-    adt: &T,
-    partitioner: &P,
-    mut history: Vec<T::Input>,
-    mut value: Vec<T::Input>,
+    refuted: Refuted<T::Input, Vec<T::Input>>,
 ) -> SwitchCounterexample<T>
 where
     T: DomainSpec,
     P: Partitioner<T>,
 {
-    let violates = |history: &[T::Input], value: &[T::Input]| {
-        parts_of::<T, P>(partitioner, value)
-            .filter(|parts| parts.len() >= 2)
-            .and_then(|parts| commutation_violation::<T, P>(adt, &adt.run(history), value, &parts))
+    let (mut value, mut history) = (refuted.value, refuted.history);
+    let diverges = |h: &[T::Input], v: &[T::Input], probe: &T::Input| {
+        projection_divergence(adt, partitioner, v, h, probe)
     };
-    loop {
-        let mut shrunk = false;
-        for idx in 0..history.len() {
-            let mut candidate = history.clone();
-            candidate.remove(idx);
-            if violates(&candidate, &value).is_some() {
-                history = candidate;
-                shrunk = true;
-                break;
+    match refuted.broken {
+        Broken::Projection(probe) => {
+            let (full_out, projected, proj_out) =
+                shrink(&mut history, &mut value, |h, v| diverges(h, v, &probe));
+            SwitchCounterexample {
+                obligation: SwitchObligation::CandidateProjection,
+                detail: format!(
+                    "monolithic interpretation answers {full_out:?}, per-class \
+                     interpretation {projected:?} answers {proj_out:?}"
+                ),
+                history,
+                value,
+                probe: Some(probe),
             }
         }
-        if !shrunk {
-            for idx in 0..value.len() {
-                let mut candidate = value.clone();
-                candidate.remove(idx);
-                if violates(&history, &candidate).is_some() {
-                    value = candidate;
-                    shrunk = true;
-                    break;
-                }
+        // The unfactored candidate is the switch value; what the node had
+        // replayed (its own value, then its history) is the history the
+        // candidate is interpreted after.
+        Broken::Second(candidate) => {
+            value.append(&mut history);
+            let (mut history, mut value) = (value, candidate);
+            let detail = shrink(&mut history, &mut value, |h, v| {
+                parts_of::<T, P>(partitioner, v)
+                    .filter(|parts| parts.len() >= 2)
+                    .and_then(|parts| commutation_violation(adt, &adt.run(h), v, &parts))
+            });
+            // A probe whose output observes the divergence makes the replay
+            // a one-trace verdict divergence; without one the states alone
+            // differ.
+            let probe = adt
+                .input_domain()
+                .into_iter()
+                .find(|p| diverges(&history, &value, p).is_some());
+            SwitchCounterexample {
+                obligation: SwitchObligation::InterpretationCommutation,
+                history,
+                value,
+                probe,
+                detail,
             }
         }
-        if !shrunk {
-            break;
-        }
-    }
-    let detail = violates(&history, &value).expect("shrinking preserves the violation");
-    // A probe whose output observes the divergence makes the replay a
-    // one-trace verdict divergence; without one the states alone differ.
-    let probe = adt
-        .input_domain()
-        .into_iter()
-        .find(|p| projection_violation(adt, partitioner, &history, &value, p).is_some());
-    SwitchCounterexample {
-        obligation: SwitchObligation::InterpretationCommutation,
-        history,
-        value,
-        probe,
-        detail,
     }
 }
 

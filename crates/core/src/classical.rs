@@ -80,10 +80,7 @@ impl<'a, T: Adt> ClassicalChecker<'a, T> {
     where
         V: Clone + PartialEq,
     {
-        if let Some(index) = t.iter().position(|a| a.is_switch()) {
-            return Err(LinError::SwitchAction { index });
-        }
-        wf::check_well_formed(t)?;
+        wf::validate(t, None)?;
         let operations = ops::operations::<T, V>(t);
         if operations.len() > 64 {
             return Err(LinError::BudgetExhausted { nodes: 0 });

@@ -29,7 +29,7 @@
 //! | enumerate, capped        | the shard's collector | symbolic completions | record the terminal configuration; stop at the cap |
 //! | extend past one commit   | the same collector | the same | the same, over the one-commit problem `commits = [new]` seeded from a frontier configuration |
 //!
-//! The first is [`CheckerEngine::run`], the batch checkers' entry point; the
+//! The first is [`CheckerEngine::first_solution`], the batch checkers' entry point; the
 //! other two live with the streaming frontier in `stream/shard.rs`
 //! (fallback re-search and epoch-cut summaries; tail extension).
 //!
@@ -400,16 +400,6 @@ impl<T: Adt> SearchSeed<T> {
     }
 }
 
-/// The result of a completed (non-erroring) search.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SearchOutcome<I, W> {
-    /// `Some((chain, leaf_witness))` when a chain satisfying the leaf oracle
-    /// exists; `None` when the search space is exhausted.
-    pub solution: Option<(Chain<I>, W)>,
-    /// Counters for this search.
-    pub stats: SearchStats,
-}
-
 /// The shared chain-search engine. See the module docs for the search it
 /// performs and the parameters distinguishing the two frontends.
 pub struct CheckerEngine<'s, T: Adt> {
@@ -427,7 +417,7 @@ pub struct CheckerEngine<'s, T: Adt> {
     /// `bounds[c.index].count(c.input)` — how many occurrences of its own
     /// input a history committing it may hold.
     commit_classes: Vec<(usize, usize)>,
-    /// The node budget of [`CheckerEngine::run`]. A [`Search`] driven
+    /// The node budget of [`CheckerEngine::first_solution`]. A [`Search`] driven
     /// directly takes its budget per run.
     budget: SearchBudget,
 }
@@ -519,7 +509,7 @@ impl<T: Adt> LeafUsed<'_, T> {
     }
 }
 
-/// The stop-at-first visitor behind [`CheckerEngine::run`]: keeps the chain
+/// The stop-at-first visitor behind [`CheckerEngine::first_solution`]: keeps the chain
 /// and lets the [`LeafOracle`] accept or veto each leaf.
 struct FirstSolution<'l, I, W> {
     leaf: &'l mut LeafOracle<'l, I, W>,
@@ -615,30 +605,16 @@ where
         }
     }
 
-    /// Runs the search from `seed`. The `leaf` oracle is consulted whenever
-    /// every commit has been placed; returning `None` vetoes the leaf and
-    /// the search backtracks.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::BudgetExhausted`] when more than
-    /// [`SearchBudget::max_nodes`] nodes are expanded.
-    pub fn run<W>(
-        &self,
-        seed: SearchSeed<T>,
-        leaf: &mut LeafOracle<'_, T::Input, W>,
-    ) -> Result<SearchOutcome<T::Input, W>, EngineError> {
-        let (solution, stats) = self.first_solution(seed, leaf);
-        Ok(SearchOutcome {
-            solution: solution?,
-            stats,
-        })
-    }
-
-    /// [`CheckerEngine::run`] with the counters on both sides of the
-    /// verdict: a budget-exhausted search reports the work it did.
+    /// Runs the search from `seed` and stops at the first solution. The
+    /// `leaf` oracle is consulted whenever every commit has been placed;
+    /// returning `None` vetoes the leaf and the search backtracks. The
+    /// outcome is `Some((chain, leaf_witness))`, or `None` when the search
+    /// space is exhausted, or [`EngineError::BudgetExhausted`] when more
+    /// than [`SearchBudget::max_nodes`] nodes are expanded — with the
+    /// counters beside it on every side of the verdict: a budget-exhausted
+    /// search reports the work it did.
     #[allow(clippy::type_complexity)]
-    pub(crate) fn first_solution<W>(
+    pub fn first_solution<W>(
         &self,
         seed: SearchSeed<T>,
         leaf: &mut LeafOracle<'_, T::Input, W>,
@@ -1271,14 +1247,13 @@ mod tests {
         let pool = bounds.last().cloned().unwrap();
         let engine =
             CheckerEngine::new(&Consensus, &commits, &bounds, pool, SearchBudget::default());
-        let out = engine
-            .run(SearchSeed::initial(&Consensus), &mut |_, _| Some(()))
-            .unwrap();
-        let (chain, ()) = out.solution.expect("linearizable");
+        let (found, stats) =
+            engine.first_solution(SearchSeed::initial(&Consensus), &mut |_, _| Some(()));
+        let (chain, ()) = found.unwrap().expect("linearizable");
         assert_eq!(chain.len(), 2);
-        assert!(out.stats.nodes > 0);
-        assert_eq!(out.stats.interpretations, 1);
-        assert!(out.stats.leaf_checks >= 1);
+        assert!(stats.nodes > 0);
+        assert_eq!(stats.interpretations, 1);
+        assert!(stats.leaf_checks >= 1);
     }
 
     #[test]
@@ -1289,13 +1264,10 @@ mod tests {
         let pool = bounds.last().cloned().unwrap();
         let engine =
             CheckerEngine::new(&Consensus, &commits, &bounds, pool, SearchBudget::default());
-        let out = engine
-            .run(SearchSeed::initial(&Consensus), &mut |_, _| {
-                Option::<()>::None
-            })
-            .unwrap();
-        assert!(out.solution.is_none());
-        assert!(out.stats.leaf_checks >= 1, "leaves were reached and vetoed");
+        let (found, stats) =
+            engine.first_solution(SearchSeed::initial(&Consensus), &mut |_, _| None::<()>);
+        assert!(found.unwrap().is_none());
+        assert!(stats.leaf_checks >= 1, "leaves were reached and vetoed");
     }
 
     #[test]
@@ -1305,10 +1277,10 @@ mod tests {
         let bounds = ops::input_multisets::<Consensus, ()>(&t);
         let pool = bounds.last().cloned().unwrap();
         let engine = CheckerEngine::new(&Consensus, &commits, &bounds, pool, SearchBudget::new(1));
-        let err = engine
-            .run(SearchSeed::initial(&Consensus), &mut |_, _| Some(()))
-            .unwrap_err();
-        assert_eq!(err, EngineError::BudgetExhausted { nodes: 2 });
+        let (found, stats) =
+            engine.first_solution(SearchSeed::initial(&Consensus), &mut |_, _| Some(()));
+        assert_eq!(found, Err(EngineError::BudgetExhausted { nodes: 2 }));
+        assert_eq!(stats.nodes, 2, "the tripped search reports its work");
     }
 
     #[test]
@@ -1345,16 +1317,17 @@ mod tests {
 
     /// A plain-linearizability search over `actions`; `veto` rejects every
     /// leaf, forcing the search to visit its whole tree.
-    fn kv_lin_search(actions: Vec<KA>, veto: bool) -> SearchOutcome<KvInput, ()> {
+    fn kv_lin_search(actions: Vec<KA>, veto: bool) -> (Option<(Chain<KvInput>, ())>, SearchStats) {
         let t: Trace<KA> = Trace::from_actions(actions);
         let commits = ops::commits::<KvStore, ()>(&t);
         let bounds = ops::input_multisets::<KvStore, ()>(&t);
         let pool = bounds.last().cloned().unwrap();
-        CheckerEngine::new(&KvStore, &commits, &bounds, pool, SearchBudget::default())
-            .run(SearchSeed::initial(&KvStore), &mut |_, _| {
-                (!veto).then_some(())
-            })
-            .unwrap()
+        let (found, stats) =
+            CheckerEngine::new(&KvStore, &commits, &bounds, pool, SearchBudget::default())
+                .first_solution(SearchSeed::initial(&KvStore), &mut |_, _| {
+                    (!veto).then_some(())
+                });
+        (found.unwrap(), stats)
     }
 
     fn client(n: u32) -> ClientId {
@@ -1370,7 +1343,7 @@ mod tests {
         // that move at the root — `{get}` fits both bounds — and learnt it
         // was dead one extra at a time: 14 nodes to exhaust this tree.
         let (get, none) = (KvInput::Get(0), KvOutput::Found(None));
-        let out = kv_lin_search(
+        let (found, stats) = kv_lin_search(
             vec![
                 Action::invoke(client(1), PhaseId::FIRST, get),
                 Action::respond(client(1), PhaseId::FIRST, get, none),
@@ -1380,14 +1353,14 @@ mod tests {
             ],
             true,
         );
-        assert!(out.solution.is_none());
+        assert!(found.is_none());
         // The one leaf (early, then late) is still reached. Besides it:
         // the root, where the late commit and both extras are cut (`put`
         // is not yet invoked at the floor); the node under the early
         // commit, where the `get` extra would starve the late one; and the
         // node under its `put` extra, where `get` reads 1.
-        assert_eq!(out.stats.leaf_checks, 1);
-        assert_eq!((out.stats.nodes, out.stats.pruned), (3, 5));
+        assert_eq!(stats.leaf_checks, 1);
+        assert_eq!((stats.nodes, stats.pruned), (3, 5));
     }
 
     #[test]
@@ -1395,7 +1368,7 @@ mod tests {
         // The prune must not remove extras a later commit needs: the `put`
         // never responds, so only an extra can explain `get = 7`.
         let (put, get) = (KvInput::Put(0, 7), KvInput::Get(0));
-        let out = kv_lin_search(
+        let (found, _) = kv_lin_search(
             vec![
                 Action::invoke(client(1), PhaseId::FIRST, put),
                 Action::invoke(client(2), PhaseId::FIRST, get),
@@ -1403,7 +1376,7 @@ mod tests {
             ],
             false,
         );
-        let (chain, ()) = out.solution.expect("the pending put explains the read");
+        let (chain, ()) = found.expect("the pending put explains the read");
         assert_eq!(chain, vec![(2, vec![put, get])]);
     }
 
@@ -1444,10 +1417,9 @@ mod tests {
         let pool = bounds.last().cloned().unwrap();
         let engine =
             CheckerEngine::new(&Consensus, &commits, &bounds, pool, SearchBudget::default());
-        let out = engine
-            .run(SearchSeed::initial(&Consensus), &mut |_, _| Some(()))
-            .unwrap();
-        let (chain, ()) = out.solution.expect("70 chained decisions linearize");
+        let (found, _) =
+            engine.first_solution(SearchSeed::initial(&Consensus), &mut |_, _| Some(()));
+        let (chain, ()) = found.unwrap().expect("70 chained decisions linearize");
         assert_eq!(chain.len(), 70);
         assert_eq!(chain.last().unwrap().1.len(), 70);
     }
@@ -1493,8 +1465,8 @@ mod tests {
         let engine =
             CheckerEngine::new(&Consensus, &commits, &bounds, pool, SearchBudget::default());
         let seed = SearchSeed::from_history(&Consensus, vec![ConsInput::propose(2)]);
-        let out = engine.run(seed, &mut |_, _| Some(())).unwrap();
-        let (chain, ()) = out.solution.expect("explained by the seeded history");
+        let (found, _) = engine.first_solution(seed, &mut |_, _| Some(()));
+        let (chain, ()) = found.unwrap().expect("explained by the seeded history");
         assert_eq!(
             chain[0].1,
             vec![ConsInput::propose(2), ConsInput::propose(1)]

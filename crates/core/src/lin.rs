@@ -25,7 +25,7 @@ use crate::partition;
 use crate::stream::{MonitorStatus, StreamFailure, StreamModel};
 use crate::{ops, ObjAction};
 use slin_adt::{Adt, Partitioner};
-use slin_trace::wf::{self, WellFormednessError};
+use slin_trace::wf::{self, Invalid, WellFormednessError};
 use slin_trace::{PersistentMultiset, PhaseId, Trace};
 use std::error::Error;
 use std::fmt;
@@ -79,9 +79,14 @@ impl Error for LinError {
     }
 }
 
-impl From<WellFormednessError> for LinError {
-    fn from(e: WellFormednessError) -> Self {
-        LinError::IllFormed(e)
+impl From<Invalid> for LinError {
+    /// The object signature `sigT` has no switch actions: outside it means
+    /// a switch.
+    fn from(invalid: Invalid) -> Self {
+        match invalid {
+            Invalid::OutsideSignature { index } => LinError::SwitchAction { index },
+            Invalid::IllFormed(e) => LinError::IllFormed(e),
+        }
     }
 }
 
@@ -252,8 +257,8 @@ where
     where
         V: Clone + PartialEq,
     {
-        if let Err(e) = Self::validate(t) {
-            return (Err(e), SearchStats::default());
+        if let Err(invalid) = wf::validate(t, None) {
+            return (Err(invalid.into()), SearchStats::default());
         }
         let (found, stats) = definition_10(t).search(&*self.adt, self.budget);
         let verdict = match found {
@@ -262,19 +267,6 @@ where
             Err(e) => Err(e.into()),
         };
         (verdict, stats)
-    }
-
-    /// The object signature `sigT` has no switch actions, and the trace
-    /// must be well-formed.
-    fn validate<V>(t: &Trace<ObjAction<T, V>>) -> Result<(), LinError>
-    where
-        V: Clone + PartialEq,
-    {
-        if let Some(index) = t.iter().position(|a| a.is_switch()) {
-            return Err(LinError::SwitchAction { index });
-        }
-        wf::check_well_formed(t)?;
-        Ok(())
     }
 }
 
@@ -353,8 +345,8 @@ where
             };
         }
         // Rejection indices must be the monolithic ones: validate whole.
-        if let Err(e) = Self::validate(t) {
-            return Projection::Rejected(e);
+        if let Err(invalid) = wf::validate(t, None) {
+            return Projection::Rejected(invalid.into());
         }
         Projection::Classes {
             whole: definition_10(t),
@@ -402,11 +394,7 @@ where
 
     fn stream_error(&self, failure: StreamFailure) -> LinError {
         match failure {
-            StreamFailure::Switch { index } => LinError::SwitchAction { index },
-            StreamFailure::Foreign { .. } => {
-                unreachable!("object streams have no phase signature")
-            }
-            StreamFailure::IllFormed(e) => LinError::IllFormed(e),
+            StreamFailure::Invalid(invalid) => invalid.into(),
             StreamFailure::NotSatisfied => LinError::NotLinearizable,
             StreamFailure::BudgetExhausted { nodes } => LinError::BudgetExhausted { nodes },
         }

@@ -45,7 +45,7 @@ use crate::stream::{MonitorStatus, StreamFailure, StreamModel};
 use crate::ObjAction;
 use slin_adt::{Adt, Partitioner};
 use slin_trace::seq;
-use slin_trace::wf::{self, WellFormednessError};
+use slin_trace::wf::{self, Invalid, WellFormednessError};
 use slin_trace::{PersistentMultiset, PhaseId, Trace};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -121,9 +121,12 @@ impl Error for SlinError {
     }
 }
 
-impl From<WellFormednessError> for SlinError {
-    fn from(e: WellFormednessError) -> Self {
-        SlinError::IllFormed(e)
+impl From<Invalid> for SlinError {
+    fn from(invalid: Invalid) -> Self {
+        match invalid {
+            Invalid::OutsideSignature { index } => SlinError::ForeignAction { index },
+            Invalid::IllFormed(e) => SlinError::IllFormed(e),
+        }
     }
 }
 
@@ -298,16 +301,9 @@ where
         &self,
         t: &Trace<ObjAction<T, R::Value>>,
     ) -> Result<Prepared<T, R::Value>, SlinError> {
-        // Signature membership: invocations and responses labelled in
-        // [m..n-1], switch actions in [m..n].
-        let sig = slin_trace::PhaseSignature::new(self.m, self.n);
-        use slin_trace::prop::Signature as _;
-        for (index, a) in t.iter().enumerate() {
-            if !sig.contains(a) {
-                return Err(SlinError::ForeignAction { index });
-            }
-        }
-        wf::check_phase_well_formed(t, self.m, self.n)?;
+        // Signature membership (invocations and responses labelled in
+        // [m..n-1], switch actions in [m..n]), then well-formedness.
+        wf::validate(t, Some((self.m, self.n)))?;
 
         let commits = ops::commits::<T, R::Value>(t);
         let inits = ops::switches::<T, R::Value>(t, self.m);
@@ -977,11 +973,7 @@ where
 
     fn stream_error(&self, failure: StreamFailure) -> SlinError {
         match failure {
-            StreamFailure::Switch { .. } => {
-                unreachable!("speculative streams buffer from the first switch on")
-            }
-            StreamFailure::Foreign { index } => SlinError::ForeignAction { index },
-            StreamFailure::IllFormed(e) => SlinError::IllFormed(e),
+            StreamFailure::Invalid(invalid) => invalid.into(),
             StreamFailure::NotSatisfied => SlinError::NotSpeculativelyLinearizable {
                 interpretation: Vec::new(),
             },

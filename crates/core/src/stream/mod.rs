@@ -59,6 +59,12 @@
 //!   with its own incremental engine state. The identity fallback
 //!   (unclassifiable inputs) collapses everything into one shard, so
 //!   non-partitionable ADTs still stream.
+//! * **Validation** — signature membership, the first switch action and
+//!   well-formedness are decided by the object the batch checkers fold
+//!   over a closed trace, [`slin_trace::wf::Validator`], held live and fed
+//!   one action per ingested event: there is no stream-side replica, so a
+//!   [`MonitorStatus::IllFormed`] and the error a report carries are the
+//!   batch checkers' by construction.
 //! * **Incremental engine state** — each shard persists a **frontier** of
 //!   complete chain-search configurations between events (each one a
 //!   genuine witness for the shard's prefix); see `stream/shard.rs`.
@@ -80,32 +86,23 @@
 
 mod monitor;
 mod shard;
-mod wf;
 
 pub(crate) use monitor::Monitor;
 
 use crate::engine::SearchStats;
 use crate::model::ConsistencyModel;
 use crate::partition::FallbackReason;
-use slin_trace::wf::WellFormednessError;
+use slin_trace::wf::Invalid;
 
 /// Why a window-mode stream check failed, before it is mapped onto the
 /// model's error type by [`StreamModel::stream_error`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StreamFailure {
-    /// A switch action appeared in a stream whose model rejects them
-    /// (plain linearizability).
-    Switch {
-        /// The switch action's global stream index.
-        index: usize,
-    },
-    /// An action's phase label lies outside the model's phase signature.
-    Foreign {
-        /// The foreign action's global stream index.
-        index: usize,
-    },
-    /// The stream is not well-formed.
-    IllFormed(WellFormednessError),
+    /// The stream is refused before any search — an action outside the
+    /// model's signature, or an ill-formed stream — exactly as the model's
+    /// batch check refuses the closed trace (one [`slin_trace::wf::Validator`]
+    /// decides both).
+    Invalid(Invalid),
     /// No witness exists for the retained window.
     NotSatisfied,
     /// The window search exhausted its node budget.
@@ -154,11 +151,6 @@ pub(crate) fn budget_tripped<M: StreamModel<V>, V>(
 /// [`crate::session::SessionBuilder::window`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GcPolicy {
-    /// Epoch GC (default `true`): also retire windows that never quiesce —
-    /// cuts happen at window multiples even with invocations still
-    /// pending, completing stragglers symbolically so verdicts stay exact
-    /// (see `stream/shard.rs`). Requires a window.
-    pub epoch_cuts: bool,
     /// Force truncated epoch cuts through anyway (default `false`): memory
     /// stays bounded on hostile windows whose summary outgrows the
     /// frontier cap, at the price of exactness — later would-be violation
@@ -169,10 +161,6 @@ pub struct GcPolicy {
     /// Larger values survive more reorderings without falling back;
     /// smaller values bound per-event work tighter.
     pub frontier_cap: usize,
-    /// Node budget of one frontier tail-extension pass (default 4096);
-    /// exhausting it forces a fallback re-search (exactness is never
-    /// lost).
-    pub extension_budget: usize,
     /// Witness archival: keep the raw events of up to this many GC-retired
     /// windows per shard, so a report can reconstruct **full** forensic
     /// witnesses (byte-identical to an unGC'd session's) for verdicts
@@ -185,10 +173,8 @@ pub struct GcPolicy {
 impl Default for GcPolicy {
     fn default() -> Self {
         GcPolicy {
-            epoch_cuts: true,
             epoch_force: false,
             frontier_cap: 32,
-            extension_budget: 4096,
             archive_windows: 0,
         }
     }

@@ -5,13 +5,13 @@
 //! every ingested action through a [`Partitioner`] and feeds it to the
 //! per-key [`ShardState`] incremental engines, while tracking the
 //! stream-global facts the batch checkers derive from the closed trace
-//! (well-formedness, switch actions, input multisets). What a switch
+//! (the live [`Validator`] for signature membership, switch actions and
+//! well-formedness; the input multisets). What a switch
 //! action *means*, and how a window failure maps onto the model's error
 //! type, comes from the [`StreamModel`] hooks; a window's merged chain is
 //! wrapped by [`ConsistencyModel::witness`] like any other.
 
 use super::shard::{ArchivedWindow, ShardConfig, ShardState, ShardStatus};
-use super::wf::WfTracker;
 use super::{
     budget_tripped, GcPolicy, IngestOutcome, MonitorReport, MonitorStatus, ShardSummary,
     StreamFailure, StreamModel,
@@ -22,6 +22,7 @@ use crate::partition::{self, merge_partition_chains, witness_steps, FallbackReas
 use crate::ObjAction;
 use slin_adt::{Adt, Partitioner};
 use slin_obs::{EngineSearchEvent, Obs};
+use slin_trace::wf::Validator;
 use slin_trace::{Action, PersistentMultiset, PhaseId, Trace};
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -42,9 +43,15 @@ pub(crate) struct Core<T: Adt, V, K: Ord> {
     /// The closed-trace buffer; `None` when a bounded window is configured
     /// (memory stays O(window)) until something forces reconstruction.
     pub buffer: Option<Trace<ObjAction<T, V>>>,
-    /// First switch action's global index, if any.
-    pub first_switch: Option<usize>,
-    pub wf: WfTracker<T::Input, T::Output, V>,
+    /// The batch checkers' validator, held live: signature membership,
+    /// the first switch action and well-formedness of the stream so far.
+    pub wf: Validator<T::Input>,
+    /// How many shards' rolling status is [`ShardStatus::Violated`] and
+    /// [`ShardStatus::BudgetExhausted`]: a status moves only inside
+    /// [`Core::route`] and [`Core::collapse_to_identity`], which keep the
+    /// tally, so the rolling verdict is O(1) however many keys there are.
+    violated: usize,
+    exhausted: usize,
     /// All inputs invoked so far (any shard) — the global extra pool.
     invoked: PersistentMultiset<T::Input>,
     /// Global validity-bound snapshot per commit index (window mode only;
@@ -79,8 +86,9 @@ where
             shards: BTreeMap::new(),
             events: 0,
             buffer: window.is_none().then(Trace::new),
-            first_switch: None,
-            wf: WfTracker::new(phase_bounds),
+            wf: Validator::new(phase_bounds),
+            violated: 0,
+            exhausted: 0,
             invoked: PersistentMultiset::new(),
             commit_bounds: BTreeMap::new(),
             prefix_committed: false,
@@ -93,7 +101,7 @@ where
     fn observe(&mut self, action: &ObjAction<T, V>) -> usize {
         let index = self.events;
         self.events += 1;
-        self.wf.observe(action, index);
+        self.wf.observe(action);
         match action {
             Action::Invoke { input, .. } => self.invoked.insert(input.clone()),
             Action::Respond { .. } => {
@@ -101,11 +109,7 @@ where
                     self.commit_bounds.insert(index, self.invoked.clone());
                 }
             }
-            Action::Switch { .. } => {
-                if self.first_switch.is_none() {
-                    self.first_switch = Some(index);
-                }
-            }
+            Action::Switch { .. } => {}
         }
         if let Some(buffer) = &mut self.buffer {
             buffer.push(action.clone());
@@ -138,6 +142,7 @@ where
             .shards
             .entry(key)
             .or_insert_with(|| ShardState::new(Arc::clone(&self.adt), self.shard_cfg.clone()));
+        let before = shard.status();
         let out = shard.ingest(action, index);
         if let Some(window) = window {
             if let Some(retired) = shard.maybe_retire(window) {
@@ -147,7 +152,23 @@ where
                 }
             }
         }
+        let after = shard.status();
+        if before != after {
+            self.tally(before, -1);
+            self.tally(after, 1);
+        }
         out
+    }
+
+    /// Moves the tally `status` counts towards (`Ok` shards are not
+    /// counted).
+    fn tally(&mut self, status: ShardStatus, delta: isize) {
+        let count = match status {
+            ShardStatus::Violated => &mut self.violated,
+            ShardStatus::BudgetExhausted => &mut self.exhausted,
+            ShardStatus::Ok => return,
+        };
+        *count = count.saturating_add_signed(delta);
     }
 
     /// Engages identity routing: rebuilds one fallback shard holding the
@@ -201,6 +222,8 @@ where
         if !adopted.is_empty() || truncated {
             identity.install_archive(adopted, truncated);
         }
+        (self.violated, self.exhausted) = (0, 0);
+        self.tally(identity.status(), 1);
         self.shards.clear();
         self.shards.insert(None, identity);
     }
@@ -217,17 +240,25 @@ where
         all
     }
 
-    /// Aggregated rolling shard verdict (worst wins).
+    /// Aggregated rolling shard verdict (worst wins), off the tally.
     fn shard_status(&self) -> MonitorStatus {
-        let mut status = MonitorStatus::Ok;
-        for shard in self.shards.values() {
-            match shard.status() {
-                ShardStatus::Violated => return MonitorStatus::Violation,
-                ShardStatus::BudgetExhausted => status = MonitorStatus::Unknown,
-                ShardStatus::Ok => {}
-            }
+        debug_assert_eq!(
+            (self.violated, self.exhausted),
+            self.shards
+                .values()
+                .fold((0, 0), |(v, x), s| match s.status() {
+                    ShardStatus::Violated => (v + 1, x),
+                    ShardStatus::BudgetExhausted => (v, x + 1),
+                    ShardStatus::Ok => (v, x),
+                })
+        );
+        if self.violated > 0 {
+            MonitorStatus::Violation
+        } else if self.exhausted > 0 {
+            MonitorStatus::Unknown
+        } else {
+            MonitorStatus::Ok
         }
-        status
     }
 
     fn summary(&self) -> ShardSummary {
@@ -455,18 +486,16 @@ where
             state,
             used: seed_used,
         };
-        match engine.run(seed, &mut |_, _| Some(())) {
-            Ok(outcome) => {
-                stats.absorb(&outcome.stats);
-                match outcome.solution {
-                    Some((chain, ())) => (Ok(remap_chain(chain, &globals)), stats, true),
-                    None => (Err(StreamFailure::NotSatisfied), stats, true),
-                }
-            }
+        let (found, product_stats) = engine.first_solution(seed, &mut |_, _| Some(()));
+        stats.absorb(&product_stats);
+        let merged = match found {
+            Ok(Some((chain, ()))) => Ok(remap_chain(chain, &globals)),
+            Ok(None) => Err(StreamFailure::NotSatisfied),
             Err(EngineError::BudgetExhausted { nodes }) => {
-                (Err(StreamFailure::BudgetExhausted { nodes }), stats, true)
+                Err(StreamFailure::BudgetExhausted { nodes })
             }
-        }
+        };
+        (merged, stats, true)
     }
 }
 
@@ -595,7 +624,7 @@ where
     /// mirroring the report.
     pub(crate) fn fallback(&self) -> Option<FallbackReason> {
         self.core.fallback.or_else(|| {
-            (self.core.first_switch.is_some() && !self.keyed)
+            (self.core.wf.first_switch().is_some() && !self.keyed)
                 .then_some(FallbackReason::SwitchUncertified)
         })
     }
@@ -608,7 +637,7 @@ where
     /// re-check of the growing prefix.
     pub(crate) fn ingest(&mut self, action: ObjAction<M::Adt, V>) -> IngestOutcome {
         self.cached = None;
-        let was_quiet = self.core.first_switch.is_some();
+        let was_quiet = self.core.wf.first_switch().is_some();
         let index = self.core.observe(&action);
         // Keyed phase-trace mode (a valid switch-independence certificate
         // is installed): the shard machinery stays live across switches.
@@ -649,14 +678,15 @@ where
         }
     }
 
-    /// O(1) rolling status. For models that defer on switch actions
+    /// O(1) rolling status: the validator's verdict and the shard tally
+    /// are both kept per event. For models that defer on switch actions
     /// (speculative mode) this reports [`MonitorStatus::Deferred`] instead
     /// of forcing a batch re-check; [`Monitor::status`] resolves it.
     fn quick_status(&self) -> MonitorStatus {
-        if self.core.first_switch.is_some() {
+        if self.core.wf.first_switch().is_some() {
             return M::QUIET_STATUS;
         }
-        if self.core.wf.first_foreign.is_some() || self.core.wf.has_violation() {
+        if self.core.wf.check().is_err() {
             return MonitorStatus::IllFormed;
         }
         self.core.shard_status()
@@ -720,7 +750,7 @@ where
 
     fn compute_report(&self) -> MonitorReport<M::Witness, M::Error> {
         let core = &self.core;
-        let quiet = core.first_switch.is_some();
+        let quiet = core.wf.first_switch().is_some();
         let base = MonitorReport {
             verdict: Err(self.model.stream_error(StreamFailure::NotSatisfied)),
             events: core.events,
@@ -755,23 +785,12 @@ where
                 ..base
             };
         }
-        // Window mode: batch precedence (switch / signature,
-        // well-formedness, search) over the retained window.
-        if let Some(index) = core.first_switch {
+        // Window mode: batch precedence (signature, well-formedness,
+        // search) — the first two read off the same validator the batch
+        // checkers fold, which has seen the whole stream, not the window.
+        if let Err(invalid) = core.wf.check() {
             return MonitorReport {
-                verdict: Err(self.model.stream_error(StreamFailure::Switch { index })),
-                ..base
-            };
-        }
-        if let Some(index) = core.wf.first_foreign {
-            return MonitorReport {
-                verdict: Err(self.model.stream_error(StreamFailure::Foreign { index })),
-                ..base
-            };
-        }
-        if let Some(e) = core.wf.first_error() {
-            return MonitorReport {
-                verdict: Err(self.model.stream_error(StreamFailure::IllFormed(e))),
+                verdict: Err(self.model.stream_error(StreamFailure::Invalid(invalid))),
                 ..base
             };
         }

@@ -5,8 +5,8 @@
 //! key data structure is the **frontier** — a bounded, deterministic set of
 //! complete chain-search configurations, each one a genuine witness that
 //! the shard's sub-trace ingested so far is linearizable. Events update the
-//! frontier instead of re-running [`CheckerEngine::run`] on the growing
-//! prefix:
+//! frontier instead of re-running [`CheckerEngine::first_solution`] on the
+//! growing prefix:
 //!
 //! * an **invocation** only widens future validity bounds, so every
 //!   frontier configuration stays complete — O(1) (the cumulative bound
@@ -98,8 +98,8 @@
 //! so terminal configurations interleave no extras and the set is small.
 //!
 //! A never-quiescent stream — one invocation that never responds is enough
-//! — used to pin the window forever. **Epoch cuts** (on by default,
-//! [`GcPolicy::epoch_cuts`]) retire anyway, at window multiples, by
+//! — used to pin the window forever. **Epoch cuts** (always on once a
+//! window is set) retire anyway, at window multiples, by
 //! completing stragglers *symbolically*: the enumeration records every
 //! interleaved extra input together with the output the ADT produced for
 //! it as a **symbolic completion** `(input, output)` in the terminal
@@ -205,6 +205,13 @@ type SymSet<T> = PersistentMultiset<(<T as Adt>::Input, <T as Adt>::Output)>;
 /// The raw events (global index, action) of one GC-retired window, kept
 /// for forensic witness reconstruction.
 pub(crate) type ArchivedWindow<T, V> = Vec<(usize, ObjAction<T, V>)>;
+
+/// Node budget of one frontier tail-extension pass, and the unit the
+/// opportunistic retirement slice is a multiple of (see
+/// `ShardState::retire_budget`). Exhausting it forces a fallback re-search,
+/// so exactness never depends on it. A constant, not a [`GcPolicy`] field:
+/// no caller ever set another value.
+const EXTENSION_BUDGET: usize = 4096;
 
 /// What every shard of one monitor is built with: the fallback search
 /// budget, the session's [`GcPolicy`], and the observer handle.
@@ -756,7 +763,7 @@ where
                 &problems,
                 self.cfg.gc.frontier_cap,
                 false,
-                Some(self.cfg.gc.extension_budget),
+                Some(EXTENSION_BUDGET),
             );
             self.counters.search_nodes += pass.stats.nodes;
             exhausted = pass.budget_tripped;
@@ -785,9 +792,7 @@ where
     /// the events being summarised). An attempt that trips it skips the
     /// cut (exactness is unaffected) and retries under the damping policy.
     fn retire_budget(&self) -> usize {
-        self.cfg
-            .gc
-            .extension_budget
+        EXTENSION_BUDGET
             .saturating_mul(8 + self.sub.len())
             .min(self.cfg.budget / 2)
     }
@@ -986,6 +991,8 @@ where
         let mut stats = SearchStats::default();
         let t0 = self.cfg.obs.t0();
         let mut budget_error: Option<EngineError> = None;
+        // A tripped search's counters are absorbed like any other's: the
+        // report's `stats.nodes` is never below the error's `nodes`.
         for (k, shard_seed) in self.seeds.iter().enumerate() {
             let (kept, _, absorbed) = absorb_commits(&self.commits, &shard_seed.sym);
             let engine = CheckerEngine::new(
@@ -995,18 +1002,17 @@ where
                 self.pool().clone(),
                 SearchBudget::new(self.cfg.budget),
             );
-            match engine.run(shard_seed.seed.clone(), &mut |_, _| Some(())) {
-                Ok(outcome) => {
-                    stats.absorb(&outcome.stats);
-                    if let Some((chain, ())) = outcome.solution {
-                        self.report_window_search(&stats, false, t0);
-                        return (Ok(Some((k, chain, absorbed))), stats);
-                    }
+            let (found, seed_stats) =
+                engine.first_solution(shard_seed.seed.clone(), &mut |_, _| Some(()));
+            stats.absorb(&seed_stats);
+            match found {
+                Ok(Some((chain, ()))) => {
+                    self.report_window_search(&stats, false, t0);
+                    return (Ok(Some((k, chain, absorbed))), stats);
                 }
+                Ok(None) => {}
                 Err(e) => {
-                    if budget_error.is_none() {
-                        budget_error = Some(e);
-                    }
+                    budget_error.get_or_insert(e);
                 }
             }
         }
@@ -1045,8 +1051,9 @@ where
     /// commits since the last complete enumeration — and retire the window
     /// into those seeds.
     /// Quiescent shards cut at any size past the window; never-quiescent
-    /// shards cut at epoch boundaries (window multiples) when epoch cuts
-    /// are enabled, completing stragglers symbolically.
+    /// shards cut at epoch boundaries (window multiples), completing
+    /// stragglers symbolically — a quiescent cut is the degenerate epoch
+    /// cut, so there is no switch between the two.
     ///
     /// Retirement is opportunistic, so it runs under its own small node
     /// budget (a fraction of the fallback budget) and never compromises
@@ -1060,13 +1067,12 @@ where
         if self.sub.len() < window || self.status != ShardStatus::Ok {
             return None;
         }
-        if self.cfg.gc.epoch_cuts && self.sub.len().is_multiple_of(window) {
+        if self.sub.len().is_multiple_of(window) {
             self.cut_due = true;
             self.cut_blocked = false;
         }
         let quiescent = self.pending == 0;
-        let epoch_due = self.cfg.gc.epoch_cuts && self.cut_due;
-        if !quiescent && !epoch_due {
+        if !quiescent && !self.cut_due {
             return None;
         }
         if self.cut_blocked {

@@ -274,18 +274,12 @@ fn assert_stream_agrees<T, P>(
 }
 
 /// The GC policies every trace runs through under each of its scope's
-/// windows: epoch cuts on and off (exact), and truncated cuts forced
-/// through a one-configuration frontier (lossy).
-fn stream_configs() -> [(GcPolicy, Agreement); 3] {
+/// windows: the default (exact; quiescent cuts are the degenerate epoch
+/// cut, so the one policy covers both), and truncated cuts forced through
+/// a one-configuration frontier (lossy).
+fn stream_configs() -> [(GcPolicy, Agreement); 2] {
     [
         (GcPolicy::default(), Agreement::Exact),
-        (
-            GcPolicy {
-                epoch_cuts: false,
-                ..Default::default()
-            },
-            Agreement::Exact,
-        ),
         (
             GcPolicy {
                 epoch_force: true,

@@ -133,11 +133,10 @@ impl TenantPolicy {
     /// Parses a policy from a `key=value` comma list, e.g.
     /// `queue=64,window=16,lossy=true,epoch_force=false,frontier_cap=32`.
     /// Keys: `queue`, `window` (`none` allowed), `lossy`, `require_cert`,
-    /// `keyed`,
-    /// `epoch_cuts`, `epoch_force`, `frontier_cap`, `extension_budget`,
-    /// `archive` (witness-archive depth in retired windows; `0`
-    /// disables). Unset keys keep their defaults;
-    /// the GC keys write straight into the embedded [`GcPolicy`].
+    /// `keyed`, `epoch_force`, `frontier_cap`, `archive` (witness-archive
+    /// depth in retired windows; `0` disables). Unset keys keep their
+    /// defaults; the last three write straight into the embedded
+    /// [`GcPolicy`]. Any other key is an error.
     pub fn parse(spec: &str) -> Result<Self, String> {
         let mut policy = TenantPolicy::default();
         for part in spec.split(',').filter(|p| !p.is_empty()) {
@@ -156,12 +155,8 @@ impl TenantPolicy {
                 "lossy" => policy.shed_lossy = value.parse().map_err(|e| bad(&e))?,
                 "require_cert" => policy.require_cert = value.parse().map_err(|e| bad(&e))?,
                 "keyed" => policy.keyed = value.parse().map_err(|e| bad(&e))?,
-                "epoch_cuts" => policy.gc.epoch_cuts = value.parse().map_err(|e| bad(&e))?,
                 "epoch_force" => policy.gc.epoch_force = value.parse().map_err(|e| bad(&e))?,
                 "frontier_cap" => policy.gc.frontier_cap = value.parse().map_err(|e| bad(&e))?,
-                "extension_budget" => {
-                    policy.gc.extension_budget = value.parse().map_err(|e| bad(&e))?
-                }
                 "archive" => policy.gc.archive_windows = value.parse().map_err(|e| bad(&e))?,
                 other => return Err(format!("unknown policy key `{other}`")),
             }
@@ -947,10 +942,13 @@ mod tests {
         assert!(p.keyed);
         assert!(!TenantPolicy::default().keyed);
         assert!(TenantPolicy::parse("windows=1").is_err());
-        assert_eq!(
-            TenantPolicy::parse("retire_budget=64"),
-            Err("unknown policy key `retire_budget`".to_string())
-        );
+        // Retired knobs are unknown keys like any other: typed errors.
+        for key in ["retire_budget", "epoch_cuts", "extension_budget"] {
+            assert_eq!(
+                TenantPolicy::parse(&format!("{key}=64")),
+                Err(format!("unknown policy key `{key}`"))
+            );
+        }
         assert!(TenantPolicy::parse("queue").is_err());
         assert_eq!(TenantPolicy::parse("").unwrap(), TenantPolicy::default());
     }

@@ -7,39 +7,97 @@
 //! *init* switch action labelled `m`, and an *abort* switch action labelled
 //! `n` is the last event of the client's sub-trace.
 //!
-//! Following the paper, the `(m, n)`-client-sub-trace keeps only switch
-//! actions labelled `m` or `n`; interior switches are projected away
-//! (Definition 33).
+//! # The automaton, once
+//!
+//! The definitions project a trace onto each client (`sub(t, c)`,
+//! Definition 13; for a phase `(m, n)` the projection keeps only switch
+//! actions labelled `m` or `n` and invocations/responses labelled in
+//! `[m..n-1]`, Definition 33) and constrain each projection separately. Per
+//! client that is a three-field automaton — the pending input, whether the
+//! client has *started*, whether it has *aborted* — whose one transition
+//! function accepts the client's next event or names the [`Reason`] it
+//! cannot; a client's first violation is final.
+//!
+//! [`Validator`] runs one automaton per client in one pass, materialising
+//! no sub-trace, and remembers what the checkers ask of a trace before they
+//! search it: the first action outside the signature, the first switch
+//! action, and the lowest client id's first violation — the error a
+//! client-by-client reading of the definitions reports. Everybody folds the
+//! same object: [`check_well_formed`] / [`check_phase_well_formed`] and
+//! [`validate`] (the batch checkers' gate) over a closed trace, the
+//! streaming monitor one event at a time. The projection-based reading
+//! lives on as the reference `tests/proptests.rs` compares the validator
+//! with, at every prefix of random action sequences.
 
 use crate::action::{Action, ClientId, PhaseId};
+use crate::prop::Signature as _;
+use crate::sig::PhaseSignature;
 use crate::trace::Trace;
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
+/// Declares [`Reason`]: each refused transition with the sentence it
+/// prints, which is also its documentation.
+macro_rules! reasons {
+    ($($variant:ident => $text:literal,)*) => {
+        /// Why a client's sub-trace is not well-formed: the transition the
+        /// alternation automaton refused. `Display` is the sentence the
+        /// checkers' errors print; `Debug` is that sentence quoted, which is
+        /// what a [`WellFormednessError`] has always debug-printed.
+        #[derive(Clone, Copy, PartialEq, Eq)]
+        pub enum Reason {
+            $( #[doc = $text] $variant, )*
+        }
+
+        impl fmt::Display for Reason {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.write_str(match self {
+                    $( Reason::$variant => $text, )*
+                })
+            }
+        }
+    };
+}
+
+reasons! {
+    AfterAbort => "events after the abort switch action",
+    InvokeBeforeInit => "first event must be the init switch action when m ≠ 1",
+    InvokeWhilePending => "invocation while a previous input is pending",
+    ResponseWithoutPending => "response with no pending input",
+    ResponseInputMismatch => "response input differs from pending input",
+    SwitchInPlainTrace => "switch action in a plain object trace",
+    InitInFirstPhase => "init actions are impossible when m = 1",
+    InitNotFirst => "init action must be the unique first event",
+    AbortWithoutPending => "abort switch with no pending input",
+    AbortInputMismatch => "abort switch input differs from pending input",
+    // Unreachable through `Validator`, which projects interior switches
+    // away (Definition 33); it keeps the automaton total.
+    InteriorSwitch => "interior switch action in client sub-trace",
+}
+
+impl fmt::Debug for Reason {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{:?}", self.to_string())
+    }
+}
+
 /// A well-formedness violation, reporting the offending client and a reason.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct WellFormednessError {
     client: ClientId,
-    reason: String,
+    reason: Reason,
 }
 
 impl WellFormednessError {
-    fn new(client: ClientId, reason: impl Into<String>) -> Self {
-        WellFormednessError {
-            client,
-            reason: reason.into(),
-        }
-    }
-
     /// The client whose sub-trace violates well-formedness.
     pub fn client(&self) -> ClientId {
         self.client
     }
 
-    /// A human-readable description of the violation.
-    pub fn reason(&self) -> &str {
-        &self.reason
+    /// The transition the client's automaton refused.
+    pub fn reason(&self) -> Reason {
+        self.reason
     }
 }
 
@@ -55,29 +113,229 @@ impl fmt::Display for WellFormednessError {
 
 impl Error for WellFormednessError {}
 
-/// The set of clients appearing in a trace.
-pub fn clients<I, O, V>(t: &Trace<Action<I, O, V>>) -> BTreeSet<ClientId> {
-    t.iter().map(|a| a.client()).collect()
+/// Why a trace is refused before any search, in the checkers' order of
+/// precedence: signature membership first, well-formedness second.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Invalid {
+    /// An action lies outside the signature: a switch action in a plain
+    /// object trace (`sigT` has none), or a phase label outside
+    /// `sigT(m, n)` in a phase trace.
+    OutsideSignature {
+        /// Index of the first such action.
+        index: usize,
+    },
+    /// Every action is in the signature, but the trace is not well-formed.
+    IllFormed(WellFormednessError),
 }
 
-/// The client sub-trace `sub(t, c)` (Definition 13): the projection of `t`
-/// onto client `c`'s actions. For phase traces, keeps only switch actions
-/// labelled `m` or `n` (Definition 33); pass `None` to keep all actions.
-pub fn client_subtrace<I: Clone, O: Clone, V: Clone>(
-    t: &Trace<Action<I, O, V>>,
-    c: ClientId,
-    phase_bounds: Option<(PhaseId, PhaseId)>,
-) -> Trace<Action<I, O, V>> {
-    t.project(|a| {
-        a.client() == c
-            && match (a, phase_bounds) {
-                (Action::Switch { phase, .. }, Some((m, n))) => *phase == m || *phase == n,
-                // Invocations and responses of phase (m, n) carry labels in
-                // [m..n-1]; labels equal to n belong to the next phase.
-                (_, Some((m, n))) => a.phase().in_range(m, n.prev()),
-                (_, None) => true,
+/// One client's alternation automaton (module docs).
+struct Client<I> {
+    /// The input awaiting a response or an abort.
+    pending: Option<I>,
+    started: bool,
+    aborted: bool,
+}
+
+impl<I: Clone + PartialEq> Client<I> {
+    /// Takes the client's next (projected) event, or refuses it.
+    fn step<O, V>(
+        &mut self,
+        action: &Action<I, O, V>,
+        bounds: Option<(PhaseId, PhaseId)>,
+    ) -> Result<(), Reason> {
+        if self.aborted {
+            return Err(Reason::AfterAbort);
+        }
+        let first = !std::mem::replace(&mut self.started, true);
+        match action {
+            Action::Invoke { input, .. } => {
+                if first && bounds.is_some_and(|(m, _)| m != PhaseId::FIRST) {
+                    return Err(Reason::InvokeBeforeInit);
+                }
+                if self.pending.is_some() {
+                    return Err(Reason::InvokeWhilePending);
+                }
+                self.pending = Some(input.clone());
             }
-    })
+            Action::Respond { input, .. } => self.settle(
+                input,
+                Reason::ResponseWithoutPending,
+                Reason::ResponseInputMismatch,
+            )?,
+            Action::Switch { phase, input, .. } => {
+                let Some((m, n)) = bounds else {
+                    return Err(Reason::SwitchInPlainTrace);
+                };
+                if *phase == m {
+                    // Init action: enters the phase with a pending input.
+                    if m == PhaseId::FIRST {
+                        return Err(Reason::InitInFirstPhase);
+                    }
+                    if !first {
+                        return Err(Reason::InitNotFirst);
+                    }
+                    self.pending = Some(input.clone());
+                } else if *phase == n {
+                    // Abort action: carries the pending input out of the phase.
+                    self.settle(
+                        input,
+                        Reason::AbortWithoutPending,
+                        Reason::AbortInputMismatch,
+                    )?;
+                    self.aborted = true;
+                } else {
+                    return Err(Reason::InteriorSwitch);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Consumes the pending input, which must be `input`.
+    fn settle(&mut self, input: &I, none: Reason, differs: Reason) -> Result<(), Reason> {
+        match self.pending.take() {
+            None => Err(none),
+            Some(p) if p != *input => Err(differs),
+            Some(_) => Ok(()),
+        }
+    }
+}
+
+/// The one-pass well-formedness validator (module docs): feed it a trace's
+/// actions in order with [`Validator::observe`]; [`Validator::check`] is
+/// the verdict on the prefix seen so far, in O(1).
+///
+/// # Example
+///
+/// ```
+/// use slin_trace::wf::{Invalid, Validator};
+/// use slin_trace::{Action, ClientId, PhaseId};
+///
+/// let c = ClientId::new(1);
+/// let mut v: Validator<u8> = Validator::new(None);
+/// v.observe(&Action::<u8, u8, ()>::invoke(c, PhaseId::FIRST, 3));
+/// assert!(v.check().is_ok());
+/// v.observe(&Action::<u8, u8, ()>::invoke(c, PhaseId::FIRST, 4));
+/// assert!(matches!(v.check(), Err(Invalid::IllFormed(e)) if e.client() == c));
+/// ```
+pub struct Validator<I> {
+    /// `None` for plain object traces, the phase's signature otherwise.
+    sig: Option<PhaseSignature>,
+    /// Live automata; `None` once the client has violated.
+    clients: BTreeMap<ClientId, Option<Client<I>>>,
+    /// Actions observed so far (the next action's index).
+    len: usize,
+    first_switch: Option<usize>,
+    first_foreign: Option<usize>,
+    /// The lowest client id's first violation.
+    first_error: Option<WellFormednessError>,
+}
+
+impl<I: Clone + PartialEq> Validator<I> {
+    /// A validator for plain object traces (`None`, Definitions 13–15) or
+    /// for traces of the speculation phase `(m, n)` (Definitions 33–35).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `m < n`.
+    pub fn new(phase_bounds: Option<(PhaseId, PhaseId)>) -> Self {
+        Validator {
+            sig: phase_bounds.map(|(m, n)| PhaseSignature::new(m, n)),
+            clients: BTreeMap::new(),
+            len: 0,
+            first_switch: None,
+            first_foreign: None,
+            first_error: None,
+        }
+    }
+
+    /// Feeds the trace's next action through its client's automaton.
+    pub fn observe<O, V>(&mut self, action: &Action<I, O, V>) {
+        let index = self.len;
+        self.len += 1;
+        if action.is_switch() {
+            self.first_switch.get_or_insert(index);
+        }
+        let bounds = self.sig.map(|sig| (sig.lower(), sig.upper()));
+        let in_signature = match self.sig {
+            None => !action.is_switch(),
+            Some(sig) => sig.contains(action),
+        };
+        if !in_signature {
+            self.first_foreign.get_or_insert(index);
+        }
+        if let Some((m, n)) = bounds {
+            // The (m, n)-client-sub-trace drops out-of-range invocations
+            // and responses, and every switch not labelled m or n.
+            let interior =
+                matches!(action, Action::Switch { phase, .. } if *phase != m && *phase != n);
+            if !in_signature || interior {
+                return;
+            }
+        }
+        let client = action.client();
+        let slot = self.clients.entry(client).or_insert_with(|| {
+            Some(Client {
+                pending: None,
+                started: false,
+                aborted: false,
+            })
+        });
+        let Some(automaton) = slot else { return };
+        if let Err(reason) = automaton.step(action, bounds) {
+            *slot = None;
+            if self.first_error.is_none_or(|e| client < e.client) {
+                self.first_error = Some(WellFormednessError { client, reason });
+            }
+        }
+    }
+
+    /// Index of the first switch action observed, if any.
+    pub fn first_switch(&self) -> Option<usize> {
+        self.first_switch
+    }
+
+    /// The verdict on the actions observed so far: the first action
+    /// outside the signature, else the lowest client id's first violation.
+    ///
+    /// # Errors
+    ///
+    /// The [`Invalid`] a batch checker reports for the same prefix.
+    pub fn check(&self) -> Result<(), Invalid> {
+        if let Some(index) = self.first_foreign {
+            return Err(Invalid::OutsideSignature { index });
+        }
+        self.ill_formed().map_err(Invalid::IllFormed)
+    }
+
+    /// Well-formedness alone, whatever the signature says.
+    fn ill_formed(&self) -> Result<(), WellFormednessError> {
+        self.first_error.map_or(Ok(()), Err)
+    }
+}
+
+/// Folds a closed trace through a fresh [`Validator`].
+fn fold<I: Clone + PartialEq, O, V>(
+    t: &Trace<Action<I, O, V>>,
+    phase_bounds: Option<(PhaseId, PhaseId)>,
+) -> Validator<I> {
+    let mut validator = Validator::new(phase_bounds);
+    t.iter().for_each(|a| validator.observe(a));
+    validator
+}
+
+/// The batch checkers' gate: signature membership, then well-formedness,
+/// of a closed trace — plain (`None`) or of the phase `(m, n)`.
+///
+/// # Errors
+///
+/// The first action outside the signature, else the trace's
+/// [`WellFormednessError`].
+pub fn validate<I: Clone + PartialEq, O, V>(
+    t: &Trace<Action<I, O, V>>,
+    phase_bounds: Option<(PhaseId, PhaseId)>,
+) -> Result<(), Invalid> {
+    fold(t, phase_bounds).check()
 }
 
 /// Checks classical well-formedness (Definitions 13–15): every client
@@ -103,26 +361,14 @@ pub fn client_subtrace<I: Clone, O: Clone, V: Clone>(
 /// check_well_formed(&t)?;
 /// # Ok::<(), slin_trace::wf::WellFormednessError>(())
 /// ```
-pub fn check_well_formed<I, O, V>(t: &Trace<Action<I, O, V>>) -> Result<(), WellFormednessError>
-where
-    I: Clone + PartialEq,
-    O: Clone,
-    V: Clone,
-{
-    for c in clients(t) {
-        let sub = client_subtrace(t, c, None);
-        check_client_alternation(&sub, c, None)?;
-    }
-    Ok(())
+pub fn check_well_formed<I: Clone + PartialEq, O, V>(
+    t: &Trace<Action<I, O, V>>,
+) -> Result<(), WellFormednessError> {
+    fold(t, None).ill_formed()
 }
 
 /// Boolean form of [`check_well_formed`].
-pub fn is_well_formed<I, O, V>(t: &Trace<Action<I, O, V>>) -> bool
-where
-    I: Clone + PartialEq,
-    O: Clone,
-    V: Clone,
-{
+pub fn is_well_formed<I: Clone + PartialEq, O, V>(t: &Trace<Action<I, O, V>>) -> bool {
     check_well_formed(t).is_ok()
 }
 
@@ -139,109 +385,25 @@ where
 /// # Errors
 ///
 /// Returns a [`WellFormednessError`] naming the first offending client.
-pub fn check_phase_well_formed<I, O, V>(
+///
+/// # Panics
+///
+/// Panics unless `m < n`.
+pub fn check_phase_well_formed<I: Clone + PartialEq, O, V>(
     t: &Trace<Action<I, O, V>>,
     m: PhaseId,
     n: PhaseId,
-) -> Result<(), WellFormednessError>
-where
-    I: Clone + PartialEq,
-    O: Clone,
-    V: Clone,
-{
-    assert!(m < n, "a speculation phase (m, n) requires m < n");
-    for c in clients(t) {
-        let sub = client_subtrace(t, c, Some((m, n)));
-        check_client_alternation(&sub, c, Some((m, n)))?;
-    }
-    Ok(())
+) -> Result<(), WellFormednessError> {
+    fold(t, Some((m, n))).ill_formed()
 }
 
 /// Boolean form of [`check_phase_well_formed`].
-pub fn is_phase_well_formed<I, O, V>(t: &Trace<Action<I, O, V>>, m: PhaseId, n: PhaseId) -> bool
-where
-    I: Clone + PartialEq,
-    O: Clone,
-    V: Clone,
-{
+pub fn is_phase_well_formed<I: Clone + PartialEq, O, V>(
+    t: &Trace<Action<I, O, V>>,
+    m: PhaseId,
+    n: PhaseId,
+) -> bool {
     check_phase_well_formed(t, m, n).is_ok()
-}
-
-/// Shared alternation automaton over one client's sub-trace.
-fn check_client_alternation<I, O, V>(
-    sub: &Trace<Action<I, O, V>>,
-    c: ClientId,
-    phase_bounds: Option<(PhaseId, PhaseId)>,
-) -> Result<(), WellFormednessError>
-where
-    I: Clone + PartialEq,
-    O: Clone,
-    V: Clone,
-{
-    if sub.is_empty() {
-        return Ok(());
-    }
-    let err = |reason: &str| Err(WellFormednessError::new(c, reason));
-    // pending = Some(input) while an input awaits a response or abort.
-    let mut pending: Option<I> = None;
-    let mut aborted = false;
-    let mut seen_init = false;
-    for (i, a) in sub.iter().enumerate() {
-        if aborted {
-            return err("events after the abort switch action");
-        }
-        match a {
-            Action::Invoke { input, .. } => {
-                if i == 0 {
-                    if let Some((m, _)) = phase_bounds {
-                        if m != PhaseId::FIRST {
-                            return err("first event must be the init switch action when m ≠ 1");
-                        }
-                    }
-                }
-                if pending.is_some() {
-                    return err("invocation while a previous input is pending");
-                }
-                pending = Some(input.clone());
-            }
-            Action::Respond { input, .. } => match pending.take() {
-                None => return err("response with no pending input"),
-                Some(p) if p != *input => return err("response input differs from pending input"),
-                Some(_) => {}
-            },
-            Action::Switch { phase, input, .. } => {
-                let (m, n) = match phase_bounds {
-                    None => return err("switch action in a plain object trace"),
-                    Some(b) => b,
-                };
-                if *phase == m {
-                    // Init action: enters the phase with a pending input.
-                    if m == PhaseId::FIRST {
-                        return err("init actions are impossible when m = 1");
-                    }
-                    if i != 0 || seen_init {
-                        return err("init action must be the unique first event");
-                    }
-                    seen_init = true;
-                    pending = Some(input.clone());
-                } else if *phase == n {
-                    // Abort action: carries the pending input out of the phase.
-                    match pending.take() {
-                        None => return err("abort switch with no pending input"),
-                        Some(p) if p != *input => {
-                            return err("abort switch input differs from pending input")
-                        }
-                        Some(_) => {}
-                    }
-                    aborted = true;
-                } else {
-                    // Interior switches were projected away by the caller.
-                    return err("interior switch action in client sub-trace");
-                }
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -287,7 +449,7 @@ mod tests {
         let t: Trace<A> = Trace::from_actions(vec![Action::respond(c1(), p(1), 5, 5)]);
         let e = check_well_formed(&t).unwrap_err();
         assert_eq!(e.client(), c1());
-        assert!(e.reason().contains("no pending"));
+        assert_eq!(e.reason(), Reason::ResponseWithoutPending);
     }
 
     #[test]

@@ -3,8 +3,224 @@
 
 use proptest::prelude::*;
 use slin_trace::seq::{comparable, concat, is_prefix, is_strict_prefix, longest_common_prefix};
-use slin_trace::wf;
+use slin_trace::wf::{self, Invalid, Reason, Validator};
 use slin_trace::{Action, ClientId, Multiset, PersistentMultiset, PhaseId, Trace};
+use std::collections::BTreeSet;
+
+type A = Action<u8, u8, u8>;
+
+// ---- Definitions 13–15 / 33–35 as written: the validator's reference ----
+
+/// The set of clients appearing in a trace.
+fn clients(t: &Trace<A>) -> BTreeSet<ClientId> {
+    t.iter().map(|a| a.client()).collect()
+}
+
+/// The client sub-trace `sub(t, c)` (Definition 13): the projection of `t`
+/// onto client `c`'s actions. For phase traces, keeps only switch actions
+/// labelled `m` or `n` and the invocations and responses labelled in
+/// `[m..n-1]` (Definition 33); `None` keeps all of the client's actions.
+fn client_subtrace(t: &Trace<A>, c: ClientId, bounds: Option<(PhaseId, PhaseId)>) -> Trace<A> {
+    t.project(|a| {
+        a.client() == c
+            && match (a, bounds) {
+                (Action::Switch { phase, .. }, Some((m, n))) => *phase == m || *phase == n,
+                (_, Some((m, n))) => a.phase().in_range(m, n.prev()),
+                (_, None) => true,
+            }
+    })
+}
+
+/// The alternation conditions on one client sub-trace, read off the
+/// definitions position by position (no automaton state beyond the scan).
+fn alternates(sub: &Trace<A>, bounds: Option<(PhaseId, PhaseId)>) -> Result<(), Reason> {
+    let mut pending: Option<u8> = None;
+    let mut aborted = false;
+    for (i, a) in sub.iter().enumerate() {
+        if aborted {
+            return Err(Reason::AfterAbort);
+        }
+        match a {
+            Action::Invoke { input, .. } => {
+                if i == 0 && matches!(bounds, Some((m, _)) if m != PhaseId::FIRST) {
+                    return Err(Reason::InvokeBeforeInit);
+                }
+                if pending.is_some() {
+                    return Err(Reason::InvokeWhilePending);
+                }
+                pending = Some(*input);
+            }
+            Action::Respond { input, .. } => match pending.take() {
+                None => return Err(Reason::ResponseWithoutPending),
+                Some(p) if p != *input => return Err(Reason::ResponseInputMismatch),
+                Some(_) => {}
+            },
+            Action::Switch { phase, input, .. } => {
+                let Some((m, n)) = bounds else {
+                    return Err(Reason::SwitchInPlainTrace);
+                };
+                if *phase == m {
+                    if m == PhaseId::FIRST {
+                        return Err(Reason::InitInFirstPhase);
+                    }
+                    if i != 0 {
+                        return Err(Reason::InitNotFirst);
+                    }
+                    pending = Some(*input);
+                } else {
+                    assert_eq!(*phase, n, "interior switches are projected away");
+                    match pending.take() {
+                        None => return Err(Reason::AbortWithoutPending),
+                        Some(p) if p != *input => return Err(Reason::AbortInputMismatch),
+                        Some(_) => {}
+                    }
+                    aborted = true;
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// What the checkers ask of a closed trace, by the book: the first action
+/// outside the signature, and — client by client in ascending id — the
+/// first sub-trace that does not alternate.
+#[allow(clippy::type_complexity)]
+fn by_the_book(
+    t: &Trace<A>,
+    bounds: Option<(PhaseId, PhaseId)>,
+) -> (Option<usize>, Option<(ClientId, Reason)>) {
+    let foreign = t.iter().position(|a| match bounds {
+        None => a.is_switch(),
+        Some((m, n)) if a.is_switch() => !a.phase().in_range(m, n),
+        Some((m, n)) => !a.phase().in_range(m, n.prev()),
+    });
+    let ill_formed = clients(t).into_iter().find_map(|c| {
+        let sub = client_subtrace(t, c, bounds);
+        alternates(&sub, bounds).err().map(|reason| (c, reason))
+    });
+    (foreign, ill_formed)
+}
+
+/// At every prefix of `actions`: the live validator, the batch folds and
+/// the by-the-book reading agree — verdict, precedence, error payload and
+/// rendering.
+fn validator_matches_the_definitions(actions: &[A], bounds: Option<(PhaseId, PhaseId)>) {
+    let mut live: Validator<u8> = Validator::new(bounds);
+    for cut in 0..=actions.len() {
+        if cut > 0 {
+            live.observe(&actions[cut - 1]);
+        }
+        let prefix: Trace<A> = actions[..cut].iter().cloned().collect();
+        let (foreign, ill_formed) = by_the_book(&prefix, bounds);
+
+        let batch = match bounds {
+            None => wf::check_well_formed(&prefix),
+            Some((m, n)) => wf::check_phase_well_formed(&prefix, m, n),
+        };
+        assert_eq!(
+            batch.map_err(|e| (e.client(), e.reason())),
+            ill_formed.map_or(Ok(()), Err),
+            "{prefix:?}"
+        );
+        if let (Err(e), Some((c, reason))) = (batch, ill_formed) {
+            assert_eq!(
+                e.to_string(),
+                format!("client {c} sub-trace ill-formed: {reason}")
+            );
+        }
+
+        let expected = match (foreign, batch) {
+            (Some(index), _) => Err(Invalid::OutsideSignature { index }),
+            (None, Err(e)) => Err(Invalid::IllFormed(e)),
+            (None, Ok(())) => Ok(()),
+        };
+        assert_eq!(wf::validate(&prefix, bounds), expected, "{prefix:?}");
+        assert_eq!(live.check(), expected, "{prefix:?}");
+        assert_eq!(
+            live.first_switch(),
+            prefix.iter().position(|a| a.is_switch()),
+            "{prefix:?}"
+        );
+    }
+}
+
+/// A random action over three clients, phases 1–4 and two inputs: small
+/// enough that every one of the automaton's refusals is hit many times.
+fn action_of((kind, client, phase, input): (u8, u32, u32, u8)) -> A {
+    let (c, ph) = (ClientId::new(client + 1), PhaseId::new(phase));
+    match kind {
+        0 | 1 => Action::invoke(c, ph, input),
+        2 | 3 => Action::respond(c, ph, input, input),
+        _ => Action::switch(c, ph, input, 0),
+    }
+}
+
+/// The eleven reasons render as these strings, byte for byte: they are what
+/// `LinError` / `SlinError` print, so they are API.
+#[test]
+fn the_reason_strings_are_pinned() {
+    let table = [
+        (Reason::AfterAbort, "events after the abort switch action"),
+        (
+            Reason::InvokeBeforeInit,
+            "first event must be the init switch action when m ≠ 1",
+        ),
+        (
+            Reason::InvokeWhilePending,
+            "invocation while a previous input is pending",
+        ),
+        (
+            Reason::ResponseWithoutPending,
+            "response with no pending input",
+        ),
+        (
+            Reason::ResponseInputMismatch,
+            "response input differs from pending input",
+        ),
+        (
+            Reason::SwitchInPlainTrace,
+            "switch action in a plain object trace",
+        ),
+        (
+            Reason::InitInFirstPhase,
+            "init actions are impossible when m = 1",
+        ),
+        (
+            Reason::InitNotFirst,
+            "init action must be the unique first event",
+        ),
+        (
+            Reason::AbortWithoutPending,
+            "abort switch with no pending input",
+        ),
+        (
+            Reason::AbortInputMismatch,
+            "abort switch input differs from pending input",
+        ),
+        (
+            Reason::InteriorSwitch,
+            "interior switch action in client sub-trace",
+        ),
+    ];
+    for (reason, text) in table {
+        assert_eq!(reason.to_string(), text);
+    }
+    let c = ClientId::new(7);
+    let t: Trace<A> = [Action::respond(c, PhaseId::FIRST, 1, 1)]
+        .into_iter()
+        .collect();
+    let e = wf::check_well_formed(&t).unwrap_err();
+    assert_eq!(
+        e.to_string(),
+        "client c7 sub-trace ill-formed: response with no pending input"
+    );
+    // The verdict digests of `kernel_pins` hash this rendering.
+    assert_eq!(
+        format!("{e:?}"),
+        "WellFormednessError { client: c7, reason: \"response with no pending input\" }"
+    );
+}
 
 fn small_vec() -> impl Strategy<Value = Vec<u8>> {
     prop::collection::vec(0..5u8, 0..8)
@@ -132,11 +348,41 @@ proptest! {
             .iter()
             .map(|&(c, i)| Action::invoke(ClientId::new(c + 1), PhaseId::FIRST, i))
             .collect();
-        let total: usize = wf::clients(&t)
+        let total: usize = clients(&t)
             .into_iter()
-            .map(|c| wf::client_subtrace(&t, c, None).len())
+            .map(|c| client_subtrace(&t, c, None).len())
             .sum();
         prop_assert_eq!(total, t.len());
+    }
+
+    // ---- the one validator ≡ the definitions, at every prefix ----
+
+    #[test]
+    fn validator_matches_the_definitions_on_plain_traces(
+        raw in prop::collection::vec((0..5u8, 0..3u32, 1..3u32, 0..2u8), 0..10)
+    ) {
+        let actions: Vec<A> = raw.into_iter().map(action_of).collect();
+        validator_matches_the_definitions(&actions, None);
+    }
+
+    #[test]
+    fn validator_matches_the_definitions_on_first_phase_traces(
+        raw in prop::collection::vec((0..6u8, 0..3u32, 1..5u32, 0..2u8), 0..10)
+    ) {
+        let actions: Vec<A> = raw.into_iter().map(action_of).collect();
+        // m = 1: a phase pair and a composed phase with an interior label.
+        validator_matches_the_definitions(&actions, Some((PhaseId::new(1), PhaseId::new(2))));
+        validator_matches_the_definitions(&actions, Some((PhaseId::new(1), PhaseId::new(3))));
+    }
+
+    #[test]
+    fn validator_matches_the_definitions_on_later_phase_traces(
+        raw in prop::collection::vec((0..6u8, 0..3u32, 1..5u32, 0..2u8), 0..10)
+    ) {
+        let actions: Vec<A> = raw.into_iter().map(action_of).collect();
+        // m ≠ 1: clients enter by their unique init action.
+        validator_matches_the_definitions(&actions, Some((PhaseId::new(2), PhaseId::new(3))));
+        validator_matches_the_definitions(&actions, Some((PhaseId::new(2), PhaseId::new(4))));
     }
 
     // ---- well-formedness closure properties ----

@@ -780,6 +780,61 @@ fn a_tripped_fallback_recovers_at_quiescence() {
     assert_eq!(recovered, 3, "a budget trip was not recovered from");
 }
 
+/// Records every engine search a session reports.
+#[derive(Default)]
+struct Searches(std::sync::Mutex<Vec<slin_obs::EngineSearchEvent>>);
+
+impl slin_obs::Observer for Searches {
+    fn engine_search(&self, ev: &slin_obs::EngineSearchEvent) {
+        self.0.lock().expect("no panic holds it").push(ev.clone());
+    }
+}
+
+/// A window-mode report whose search trips its budget still says what the
+/// search cost: `stats.nodes` covers the nodes the error names, and so
+/// does the `shard.window_search` event the observer is handed.
+#[test]
+fn a_tripped_window_search_keeps_its_counters() {
+    let mut tripped = 0;
+    for seed in 0..40u64 {
+        let t = single_key_stragglers(3, 0.0, seed);
+        for budget in [2, 4, 8, 16] {
+            let seen = std::sync::Arc::new(Searches::default());
+            let mut mon: Session<_, (), _> = Checker::builder(LinChecker::owned(KvStore))
+                .partitioner(KvKeyPartitioner)
+                .strategy(SessionStrategy::Streaming { window: Some(64) })
+                .budget(budget)
+                .observer(slin_obs::Obs::new(seen.clone()))
+                .build();
+            for a in t.iter() {
+                mon.ingest(a.clone());
+            }
+            let report = mon.report().expect("born streaming");
+            let Err(slin_core::lin::LinError::BudgetExhausted { nodes }) = report.verdict else {
+                continue;
+            };
+            tripped += 1;
+            assert!(nodes > 0, "seed {seed}, budget {budget}");
+            assert!(
+                report.stats.nodes >= nodes,
+                "seed {seed}, budget {budget}: the error names {nodes} nodes, the report's \
+                 stats {}",
+                report.stats.nodes
+            );
+            let searches = seen.0.lock().expect("no panic holds it");
+            let last = searches
+                .iter()
+                .rfind(|ev| ev.site == "shard.window_search")
+                .expect("a window-mode report searches the window");
+            assert!(
+                last.budget_exhausted && last.nodes >= nodes as u64,
+                "{last:?}"
+            );
+        }
+    }
+    assert!(tripped >= 100, "only {tripped} of 160 reports tripped");
+}
+
 /// `epoch_force` with `frontier_cap = 3`: cuts retire truncated summaries.
 /// After a lossy cut the session never says `Violation` (a missing
 /// completion proves nothing any more) and `Ok` is still the reference's
