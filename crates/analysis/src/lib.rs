@@ -14,7 +14,8 @@
 //!   both certifications share; either fails with a [`Failure`]);
 //! * a certificate reaches a session one way: installed by value
 //!   (`SessionBuilder::partitioner_certified` / `switch_certified` in
-//!   `slin-core`, which the daemon's `require_cert` policy builds with);
+//!   `slin-core`; the daemon's `keyed` policy installs a switch
+//!   certificate);
 //! * [`certify_switch`] does the same for the **switch/init contract**:
 //!   it proves the exact init relation decomposes per independence class
 //!   over the ADT's enumerable switch domain, emitting a

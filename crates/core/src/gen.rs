@@ -65,46 +65,21 @@ enum ClientState<I, O> {
 pub fn random_linearizable_trace<T, F>(
     adt: &T,
     cfg: GenConfig,
-    mut sample_input: F,
+    sample_input: F,
 ) -> Trace<ObjAction<T, ()>>
 where
     T: Adt,
     F: FnMut(&mut StdRng) -> T::Input,
 {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut t = Trace::new();
-    let mut state = adt.initial();
-    let mut clients: Vec<ClientState<T::Input, T::Output>> =
-        (0..cfg.clients).map(|_| ClientState::Idle).collect();
-    for _ in 0..cfg.steps {
-        let k = rng.gen_range(0..clients.len());
-        let c = ClientId::new(k as u32 + 1);
-        match clients[k].clone() {
-            ClientState::Idle => {
-                let input = sample_input(&mut rng);
-                t.push(Action::invoke(c, PhaseId::FIRST, input.clone()));
-                clients[k] = ClientState::Pending(input);
-            }
-            ClientState::Pending(input) => {
-                // Reach the linearization point: apply atomically now.
-                let (next, out) = adt.apply(&state, &input);
-                state = next;
-                clients[k] = ClientState::Applied(input, out);
-            }
-            ClientState::Applied(input, out) => {
-                t.push(Action::respond(c, PhaseId::FIRST, input, out));
-                clients[k] = ClientState::Idle;
-            }
-        }
-    }
-    t
+    random_perturbed_trace(adt, cfg, 0.0, sample_input)
 }
 
 /// Generates a well-formed trace whose outputs are *perturbed*: with
 /// probability `error_prob` a response carries the output the operation
 /// would produce on the **initial** state instead of the current one.
 /// Useful for exercising checkers on a mix of linearizable and
-/// non-linearizable traces.
+/// non-linearizable traces; at `error_prob = 0.0` it is
+/// [`random_linearizable_trace`].
 pub fn random_perturbed_trace<T, F>(
     adt: &T,
     cfg: GenConfig,
@@ -131,7 +106,9 @@ where
             }
             ClientState::Pending(input) => {
                 let (next, out) = adt.apply(&state, &input);
-                let out = if rng.gen_bool(error_prob) {
+                // No draw at all when nothing is perturbed: the
+                // linearizable generator's RNG stream.
+                let out = if error_prob > 0.0 && rng.gen_bool(error_prob) {
                     // Pretend the operation ran on the initial state.
                     adt.apply(&adt.initial(), &input).1
                 } else {
@@ -212,21 +189,7 @@ impl MultiKeyConfig {
         if self.contention > 0.0 && rng.gen_bool(self.contention) {
             return 1;
         }
-        let total = *cumulative.last().expect("keys >= 1");
-        let r = (rng.gen_range(0..1u64 << 53) as f64) / (1u64 << 53) as f64 * total;
-        let k = cumulative.partition_point(|&c| c <= r);
-        k as u32 + 1
-    }
-
-    /// The cumulative Zipf weights `sum_{j<=k} j^-skew`.
-    fn cumulative_weights(&self) -> Vec<f64> {
-        let mut acc = 0.0;
-        (1..=self.keys.max(1))
-            .map(|k| {
-                acc += f64::powf(k as f64, -self.skew);
-                acc
-            })
-            .collect()
+        sample_cumulative(rng, cumulative) as u32 + 1
     }
 }
 
@@ -270,16 +233,11 @@ where
     T: Adt,
     F: FnMut(&mut StdRng, u32) -> T::Input,
 {
-    let cumulative = cfg.cumulative_weights();
-    let sample = |rng: &mut StdRng| {
+    let cumulative = zipf_cumulative(cfg.keys.max(1) as usize, cfg.skew);
+    random_perturbed_trace(adt, cfg.gen_config(), cfg.error_prob, |rng| {
         let key = cfg.sample_key(rng, &cumulative);
         op(rng, key)
-    };
-    if cfg.error_prob > 0.0 {
-        random_perturbed_trace(adt, cfg.gen_config(), cfg.error_prob, sample)
-    } else {
-        random_linearizable_trace(adt, cfg.gen_config(), sample)
-    }
+    })
 }
 
 /// Generates a well-formed multi-key [`KvStore`] trace: each operation
@@ -565,15 +523,17 @@ impl Default for HostileConfig {
     }
 }
 
-/// Draws an index under cumulative weights (the shared Zipf sampler).
-fn sample_cumulative(rng: &mut StdRng, cumulative: &[f64]) -> usize {
+/// Draws an index under cumulative weights — the one Zipf sampler, shared
+/// by every generator here and the daemon's tenant interleave.
+pub fn sample_cumulative(rng: &mut StdRng, cumulative: &[f64]) -> usize {
     let total = *cumulative.last().expect("nonempty weights");
     let r = (rng.gen_range(0..1u64 << 53) as f64) / (1u64 << 53) as f64 * total;
     cumulative.partition_point(|&c| c <= r)
 }
 
-/// The cumulative Zipf weights `sum_{j<=k} j^-exponent` for `k` in `1..=n`.
-fn zipf_cumulative(n: usize, exponent: f64) -> Vec<f64> {
+/// The cumulative Zipf weights `sum_{j<=k} j^-exponent` for `k` in `1..=n`
+/// ([`sample_cumulative`] draws under them).
+pub fn zipf_cumulative(n: usize, exponent: f64) -> Vec<f64> {
     let mut acc = 0.0;
     (1..=n.max(1))
         .map(|k| {

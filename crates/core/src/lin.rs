@@ -378,11 +378,6 @@ where
     T::Input: Ord,
     V: Clone + PartialEq,
 {
-    /// A switch action decides a plain-linearizability stream's verdict.
-    const QUIET_STATUS: MonitorStatus = MonitorStatus::SwitchSeen;
-    /// No lazy re-check is needed after a switch: the shards go quiet.
-    const BUFFERS_ON_SWITCH: bool = false;
-
     fn status_of_error(e: &LinError) -> MonitorStatus {
         match e {
             LinError::NotLinearizable => MonitorStatus::Violation,

@@ -188,8 +188,9 @@ pub trait ConsistencyModel<V>: Sized {
     fn set_threads(&mut self, threads: usize);
 
     /// The speculation phase `(m, n)` for phase-signature criteria, `None`
-    /// for plain object criteria. Drives the incremental well-formedness
-    /// tracker of the streaming monitor.
+    /// for plain object criteria. Drives the well-formedness validator, and
+    /// tells the streaming monitor whether a switch action decides the
+    /// verdict (`None`) or defers it to re-checks of the record (`Some`).
     fn phase_bounds(&self) -> Option<(PhaseId, PhaseId)>;
 
     /// Short type name of the init relation the model interprets switch

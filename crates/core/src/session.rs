@@ -109,8 +109,7 @@ pub enum CertPolicy {
     #[default]
     Trust,
     /// Refuse to build: [`SessionBuilder::try_build`] returns
-    /// [`CertError::Uncertified`]. The daemon's `require_cert` tenant
-    /// policy builds with this.
+    /// [`CertError::Uncertified`].
     Require,
 }
 

@@ -954,13 +954,6 @@ where
     R: InitRelation<T::Input> + Sync,
     R::Value: Clone + PartialEq + Sync,
 {
-    /// A switch action sends the stream into speculative mode: the rolling
-    /// verdict defers to a lazy (cached) batch re-check.
-    const QUIET_STATUS: MonitorStatus = MonitorStatus::Deferred;
-    /// Speculative mode re-checks the retained trace, so the monitor must
-    /// buffer it from the first switch on.
-    const BUFFERS_ON_SWITCH: bool = true;
-
     fn status_of_error(e: &SlinError) -> MonitorStatus {
         match e {
             SlinError::NotSpeculativelyLinearizable { .. } => MonitorStatus::Violation,

@@ -23,10 +23,10 @@
 //! [`crate::session::Session`] built with `Strategy::Streaming { window }`
 //! (or a batch session upgraded by its first `ingest`). The monitor itself
 //! is private to the crate; it is parameterized by a [`StreamModel`] (the
-//! [`ConsistencyModel`] sub-trait adding the few stream-specific hooks —
-//! what a switch action means, and how a window failure maps onto the
-//! model's error type), so any model streams. What this module
-//! exports is what a session hands back: [`MonitorStatus`],
+//! [`ConsistencyModel`] sub-trait adding how a batch error reads as a status
+//! and how a window failure maps onto the model's error type; what a switch
+//! action means is the model's `phase_bounds`), so any model streams. What
+//! this module exports is what a session hands back: [`MonitorStatus`],
 //! [`IngestOutcome`], [`ShardSummary`], [`MonitorReport`], and the
 //! [`GcPolicy`] a session is built with.
 //!
@@ -78,6 +78,37 @@
 //!   witness) to the model's batch check on the closed trace; the
 //!   `streaming_differential` suite in `tests/` pins this over the
 //!   multi-key generators.
+//!
+//! # The record
+//!
+//! Well-formedness and the speculative judgment read the *whole* trace
+//! (valid inputs count every invocation before an index; the abort clause
+//! reads the whole committed history), so whatever must be rebuilt from
+//! "the stream so far" is rebuilt from one place: the monitor's **record**,
+//! every event in order — complete or absent, never a part. It is kept from
+//! birth when the window is unbounded or [`GcPolicy::archive_windows`] is
+//! positive. Under a bounded window it is dropped (memory freed,
+//! `slin_archive_evictions_total` counts it once) at the retirement that
+//! first takes a shard past `archive_windows` retired windows — but never
+//! once a speculative stream has switched, because its deferred verdict
+//! re-checks the record. While nothing has been retired an absent record
+//! is materialised on demand from the shard windows, which together are
+//! then the whole stream. Three rebuilds read it and nothing else:
+//!
+//! * a speculative model's **first switch** — from then on the report, and
+//!   so the deferred status, is the batch check of the record;
+//! * an **identity collapse** (an input the partitioner declines) — one
+//!   identity shard replays every event *before* the triggering one, once;
+//! * a **bounded-window report after retirement** — the batch check of the
+//!   record, byte-identical to the unbounded session's and flagged
+//!   [`MonitorReport::reconstructed`].
+//!
+//! Without the record a report searches the windows instead
+//! (window-relative, flagged [`MonitorReport::prefix_committed`]); a switch
+//! or collapse that needs it under-claims exactly as a lossy shard does —
+//! [`MonitorStatus::Unknown`] for good, and a report that the budget ran
+//! out at zero nodes — while the validator still decides
+//! [`MonitorStatus::IllFormed`] and [`MonitorStatus::SwitchSeen`].
 
 #![allow(clippy::module_inception)]
 // An ingest hot path: every event of every tenant runs this code, so no
@@ -105,27 +136,22 @@ pub enum StreamFailure {
     Invalid(Invalid),
     /// No witness exists for the retained window.
     NotSatisfied,
-    /// The window search exhausted its node budget.
+    /// The window search exhausted its node budget — or, at `nodes: 0`,
+    /// nothing can be proved: after a lossy cut, or where a rebuild needed
+    /// the record after it was dropped (module docs, "The record").
     BudgetExhausted {
         /// Nodes expanded when the budget tripped.
         nodes: usize,
     },
 }
 
-/// The streaming face of a [`ConsistencyModel`]: the handful of hooks the
-/// generic monitor needs beyond the batch checking surface.
+/// The streaming face of a [`ConsistencyModel`]: the two error mappings the
+/// generic monitor needs beyond the batch checking surface. What a switch
+/// action means the monitor reads off [`ConsistencyModel::phase_bounds`]:
+/// a plain model (`None`) is decided by it ([`MonitorStatus::SwitchSeen`]),
+/// a speculative one (`Some`) defers to batch re-checks of the record
+/// ([`MonitorStatus::Deferred`]).
 pub trait StreamModel<V>: ConsistencyModel<V> {
-    /// The rolling status once the stream has gone quiet on a switch
-    /// action: terminal ([`MonitorStatus::SwitchSeen`], plain
-    /// linearizability) or deferred to a lazy batch re-check
-    /// ([`MonitorStatus::Deferred`], speculative linearizability).
-    const QUIET_STATUS: MonitorStatus;
-
-    /// Whether the monitor must keep (or reconstruct) a trace buffer from
-    /// the first switch action on, so deferred statuses and reports can
-    /// batch-re-check the retained trace.
-    const BUFFERS_ON_SWITCH: bool;
-
     /// Maps a batch-check failure onto the rolling [`MonitorStatus`]
     /// (used to resolve [`MonitorStatus::Deferred`]).
     fn status_of_error(e: &Self::Error) -> MonitorStatus;
@@ -161,12 +187,13 @@ pub struct GcPolicy {
     /// Larger values survive more reorderings without falling back;
     /// smaller values bound per-event work tighter.
     pub frontier_cap: usize,
-    /// Witness archival: keep the raw events of up to this many GC-retired
-    /// windows per shard, so a report can reconstruct **full** forensic
-    /// witnesses (byte-identical to an unGC'd session's) for verdicts
-    /// inside the archive depth instead of window-relative stubs. `0`
-    /// (default) disables archival and keeps memory O(window); `K` bounds
-    /// the extra retention at O(K · window) events per shard.
+    /// Witness archival, in retired windows per shard: keep the stream's
+    /// record (module docs, "The record") until a shard retires more than
+    /// this many windows, so a report re-checks the whole stream — **full**
+    /// forensic witnesses, byte-identical to an unGC'd session's — instead
+    /// of window-relative stubs, and a switch or a collapse rebuilds
+    /// exactly. `0` (default) keeps no record and memory O(window); `K`
+    /// bounds the extra retention at O(K · window) events per shard.
     pub archive_windows: usize,
 }
 
@@ -206,7 +233,7 @@ pub enum MonitorStatus {
     /// verdict is decided (`LinError::SwitchAction`).
     SwitchSeen,
     /// A search exhausted its node budget; the verdict is unknown until a
-    /// later search succeeds.
+    /// later search succeeds (for good where a rebuild found no record).
     Unknown,
     /// Speculative mode defers the verdict past a switch action:
     /// [`crate::session::Session::status`] and
@@ -262,9 +289,9 @@ pub struct ShardSummary {
     pub multiset_nodes: usize,
     /// Events currently retained in shard windows (not yet retired).
     pub window_events: usize,
-    /// GC-retired events currently held in the witness archives (bounded
-    /// by `archive_windows · window` per shard) — the archival component
-    /// of the memory proxy.
+    /// GC-retired events the record holds: all of them while it is kept,
+    /// none once it is dropped — the archival component of the memory
+    /// proxy.
     pub archived_events: usize,
 }
 
@@ -292,8 +319,7 @@ pub struct MonitorReport<W, E> {
     /// Whether bounded-window GC retired a prefix: the verdict is
     /// window-relative — unless `reconstructed` is also set.
     pub prefix_committed: bool,
-    /// Whether the verdict was reconstructed from the witness archive:
-    /// every retired event was still archived, so despite
+    /// Whether the verdict was re-checked on the record: despite
     /// `prefix_committed` this verdict (witness included) is byte-identical
     /// to an unGC'd monitor's batch report on the closed trace.
     pub reconstructed: bool,

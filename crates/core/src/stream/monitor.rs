@@ -6,12 +6,13 @@
 //! per-key [`ShardState`] incremental engines, while tracking the
 //! stream-global facts the batch checkers derive from the closed trace
 //! (the live [`Validator`] for signature membership, switch actions and
-//! well-formedness; the input multisets). What a switch
-//! action *means*, and how a window failure maps onto the model's error
-//! type, comes from the [`StreamModel`] hooks; a window's merged chain is
-//! wrapped by [`ConsistencyModel::witness`] like any other.
+//! well-formedness; the input multisets) and the one record of the stream
+//! every rebuild reads. What a switch action *means* comes from
+//! [`ConsistencyModel::phase_bounds`], how a window failure maps onto the
+//! model's error type from the [`StreamModel`] hooks; a window's merged
+//! chain is wrapped by [`ConsistencyModel::witness`] like any other.
 
-use super::shard::{ArchivedWindow, ShardConfig, ShardState, ShardStatus};
+use super::shard::{ShardConfig, ShardState, ShardStatus};
 use super::{
     budget_tripped, GcPolicy, IngestOutcome, MonitorReport, MonitorStatus, ShardSummary,
     StreamFailure, StreamModel,
@@ -35,14 +36,24 @@ pub(crate) struct Core<T: Adt, V, K: Ord> {
     adt: Arc<T>,
     shard_cfg: ShardConfig,
     window: Option<usize>,
+    /// Whether the model is speculative (its `phase_bounds()` is `Some`): a
+    /// switch action defers the verdict to re-checks of the record instead
+    /// of deciding it.
+    speculative: bool,
     /// Shards by class key; the identity shard (engaged by unclassifiable
     /// inputs) lives under `None` and is always alone.
     pub shards: BTreeMap<Option<K>, ShardState<T, V>>,
     /// Stream length so far (the next action's global index).
     pub events: usize,
-    /// The closed-trace buffer; `None` when a bounded window is configured
-    /// (memory stays O(window)) until something forces reconstruction.
-    pub buffer: Option<Trace<ObjAction<T, V>>>,
+    /// The one record of the stream — every event so far, complete or
+    /// absent (module docs, "The record"). Kept from birth when the window
+    /// is unbounded or `archive_windows > 0`; under a bounded window
+    /// dropped at the retirement that takes a shard past `archive_windows`
+    /// retired windows, unless a speculative stream has switched.
+    record: Option<Trace<ObjAction<T, V>>>,
+    /// A rebuild needed the record after it was gone: from here on the
+    /// monitor under-claims, as a lossy shard does.
+    lost: bool,
     /// The batch checkers' validator, held live: signature membership,
     /// the first switch action and well-formedness of the stream so far.
     pub wf: Validator<T::Input>,
@@ -59,7 +70,7 @@ pub(crate) struct Core<T: Adt, V, K: Ord> {
     /// structure-sharing clone of `invoked`, not an O(alphabet) deep copy.
     commit_bounds: BTreeMap<usize, PersistentMultiset<T::Input>>,
     /// Whether any shard has retired a prefix (reports become
-    /// window-relative).
+    /// window-relative unless they read the record).
     pub prefix_committed: bool,
     /// Why identity routing engaged, if it did (mirrors
     /// `SplitOutcome::fallback`).
@@ -79,13 +90,16 @@ where
         window: Option<usize>,
         phase_bounds: Option<(PhaseId, PhaseId)>,
     ) -> Self {
+        let keep = window.is_none() || shard_cfg.gc.archive_windows > 0;
         Core {
             adt,
             shard_cfg,
             window,
+            speculative: phase_bounds.is_some(),
             shards: BTreeMap::new(),
             events: 0,
-            buffer: window.is_none().then(Trace::new),
+            record: keep.then(Trace::new),
+            lost: false,
             wf: Validator::new(phase_bounds),
             violated: 0,
             exhausted: 0,
@@ -111,31 +125,42 @@ where
             }
             Action::Switch { .. } => {}
         }
-        if let Some(buffer) = &mut self.buffer {
-            buffer.push(action.clone());
+        if let Some(record) = &mut self.record {
+            record.push(action.clone());
         }
         index
     }
 
-    /// Reconstructs the closed-trace buffer from the retained windows when
-    /// a model that lazily re-checks on switch actions
-    /// ([`StreamModel::BUFFERS_ON_SWITCH`]) sees its first switch in
-    /// bounded-window mode. If a prefix was already retired the verdict
-    /// becomes window-relative (the documented bounded-window trade).
-    fn buffer_window_with(&mut self, action: ObjAction<T, V>) {
-        if self.buffer.is_some() {
-            // Closed-trace mode: `observe` already appended the action.
-            return;
+    /// The stream so far: a copy of the record, or — while nothing has been
+    /// retired, so the shard windows together are the whole stream — those
+    /// windows merged back into stream order. `None` once the record is
+    /// gone.
+    fn stream_so_far(&self) -> Option<Trace<ObjAction<T, V>>> {
+        match &self.record {
+            Some(record) => Some(record.clone()),
+            None => (!self.prefix_committed)
+                .then(|| self.window_events().into_iter().map(|(_, a)| a).collect()),
         }
-        let mut actions: Vec<ObjAction<T, V>> =
-            self.window_events().into_iter().map(|(_, a)| a).collect();
-        actions.push(action);
-        self.buffer = Some(Trace::from_actions(actions));
+    }
+
+    /// A speculative stream's first switch: its deferred verdict re-checks
+    /// the record from here on, so the record is kept for good —
+    /// materialised now if it was not held, lost if it was dropped.
+    fn keep_record(&mut self) {
+        if self.record.is_none() {
+            self.record = self.stream_so_far();
+            self.lost = self.record.is_none();
+        }
     }
 
     /// Routes a (non-switch) action into its shard, creating the shard on
     /// first contact, and applies bounded-window GC afterwards.
     fn route(&mut self, key: Option<K>, action: ObjAction<T, V>, index: usize) -> (usize, bool) {
+        if self.lost {
+            // Nothing a shard could conclude would be a claim about the
+            // whole stream any more.
+            return (0, false);
+        }
         let key = if self.fallback.is_some() { None } else { key };
         let window = self.window;
         let shard = self
@@ -147,6 +172,16 @@ where
         if let Some(window) = window {
             if let Some(retired) = shard.maybe_retire(window) {
                 self.prefix_committed = true;
+                if self.record.is_some() {
+                    let kept = shard.counters.retired_windows <= self.shard_cfg.gc.archive_windows
+                        || (self.speculative && self.wf.first_switch().is_some());
+                    if kept {
+                        self.shard_cfg.obs.archive_window(retired.len() as u64);
+                    } else {
+                        self.record = None;
+                        self.shard_cfg.obs.archive_eviction();
+                    }
+                }
                 for idx in retired {
                     self.commit_bounds.remove(&idx);
                 }
@@ -171,56 +206,26 @@ where
         *count = count.saturating_add_signed(delta);
     }
 
-    /// Engages identity routing: rebuilds one fallback shard holding the
-    /// whole retained stream (from the buffer when present, otherwise from
-    /// the shard windows seeded with their retired prefixes) and drops the
-    /// per-key shards. Mirrors `split_trace`'s identity fallback.
+    /// Engages identity routing, before the triggering event is observed:
+    /// one fallback shard replays the stream so far — every event before
+    /// the trigger, once — and replaces the per-key shards. Mirrors
+    /// `split_trace`'s identity fallback. Without the record the monitor
+    /// is lost.
     fn collapse_to_identity(&mut self, reason: FallbackReason) {
         self.fallback = Some(reason);
-        let mut identity = match &self.buffer {
-            Some(buffer) => {
-                // Closed-trace mode: replay the whole stream so far into
-                // one fresh shard — exactly `split_trace`'s identity
-                // partition.
-                let mut shard = ShardState::new(Arc::clone(&self.adt), self.shard_cfg.clone());
-                for (i, a) in buffer.iter().enumerate() {
-                    if !a.is_switch() {
-                        shard.ingest(a.clone(), i);
-                    }
-                }
-                shard
-            }
-            None => {
-                // Window mode: retired per-shard prefixes cannot be
-                // combined into one identity state for an input that
-                // touches every class, so the identity shard restarts from
-                // the retained windows, treated as a fresh stream (the
-                // documented bounded-window trade for partitioners that
-                // decline inputs mid-stream).
-                let mut shard = ShardState::new(Arc::clone(&self.adt), self.shard_cfg.clone());
-                for (i, a) in self.window_events() {
-                    shard.ingest(a, i);
-                }
-                shard
-            }
+        let Some(stream) = self.stream_so_far() else {
+            self.lost = true;
+            return;
         };
-        identity.counters.retired_events += self
-            .shards
-            .values()
-            .map(|s| s.counters.retired_events)
-            .sum::<usize>();
-        // The identity shard inherits the per-key witness archives: the
-        // archived events are raw (index, action) pairs, so reconstruction
-        // keeps working across the collapse.
-        let mut adopted: VecDeque<ArchivedWindow<T, V>> = VecDeque::new();
-        let mut truncated = false;
-        for shard in self.shards.values_mut() {
-            let (arch, trunc) = shard.take_archive();
-            adopted.extend(arch);
-            truncated |= trunc;
+        let mut identity = ShardState::new(Arc::clone(&self.adt), self.shard_cfg.clone());
+        for (i, a) in stream.into_iter().enumerate() {
+            identity.ingest(a, i);
         }
-        if !adopted.is_empty() || truncated {
-            identity.install_archive(adopted, truncated);
+        // The retired windows stay the identity shard's: the archive depth
+        // counts them as the per-key shards did.
+        for shard in self.shards.values() {
+            identity.counters.retired_events += shard.counters.retired_events;
+            identity.counters.retired_windows += shard.counters.retired_windows;
         }
         (self.violated, self.exhausted) = (0, 0);
         self.tally(identity.status(), 1);
@@ -252,7 +257,9 @@ where
                     ShardStatus::Ok => (v, x),
                 })
         );
-        if self.violated > 0 {
+        if self.lost {
+            MonitorStatus::Unknown
+        } else if self.violated > 0 {
             MonitorStatus::Violation
         } else if self.exhausted > 0 {
             MonitorStatus::Unknown
@@ -275,8 +282,10 @@ where
             out.enumerated_commits += shard.counters.enumerated_commits;
             out.live_configs += shard.live_configs();
             out.window_events += shard.sub.len();
-            out.archived_events += shard.archived_len();
             shard.mark_multiset_nodes(&mut nodes);
+        }
+        if self.record.is_some() {
+            out.archived_events = out.retired_events;
         }
         self.invoked.mark_nodes(&mut nodes);
         for bound in self.commit_bounds.values() {
@@ -286,41 +295,8 @@ where
         out
     }
 
-    /// Rebuilds the closed trace from the witness archives plus the live
-    /// windows — possible exactly when every GC-retired event is still
-    /// archived (archival enabled since the shard's birth, no ring
-    /// eviction). Returns `None` when nothing was retired, when any archive
-    /// is truncated, or (defensively) when the assembled events do not
-    /// cover the stream exactly.
-    ///
-    /// The returned trace feeds the same deterministic
-    /// [`partition::check`] the unbounded-window report runs, so the
-    /// resulting verdict — witness included — is byte-identical to an
-    /// unGC'd monitor's batch report.
-    fn reconstruct_archive(&self) -> Option<Trace<ObjAction<T, V>>> {
-        if !self.prefix_committed || self.shards.is_empty() {
-            return None;
-        }
-        if self.shards.values().any(|s| s.archive_truncated()) {
-            return None;
-        }
-        let mut all: Vec<(usize, ObjAction<T, V>)> = self
-            .shards
-            .values()
-            .flat_map(|shard| shard.archived_events())
-            .chain(self.window_events())
-            .collect();
-        all.sort_by_key(|(i, _)| *i);
-        if all.len() != self.events || all.iter().enumerate().any(|(p, (i, _))| p != *i) {
-            return None;
-        }
-        Some(Trace::from_actions(
-            all.into_iter().map(|(_, a)| a).collect(),
-        ))
-    }
-
-    /// The window-relative search + merge used when no closed-trace buffer
-    /// exists (bounded-window mode). Returns the merged commit chain in
+    /// The window-relative search + merge of a bounded-window report that
+    /// does not read the record. Returns the merged commit chain in
     /// *global* indices, or the first failing shard's engine outcome, plus
     /// the absorbed stats and whether a monolithic re-derivation ran.
     ///
@@ -638,37 +614,26 @@ where
     pub(crate) fn ingest(&mut self, action: ObjAction<M::Adt, V>) -> IngestOutcome {
         self.cached = None;
         let was_quiet = self.core.wf.first_switch().is_some();
-        let index = self.core.observe(&action);
+        if action.is_switch() && !was_quiet && self.core.speculative {
+            self.core.keep_record();
+        }
         // Keyed phase-trace mode (a valid switch-independence certificate
-        // is installed): the shard machinery stays live across switches.
+        // is installed): the shard machinery stays live across switches,
+        // each switch riding along (inert) to the class shard of its
+        // pending input. Otherwise a switch decides the verdict (lin) or
+        // defers it to re-checks of the record (slin): shards stay quiet.
         let keyed = self.keyed && self.core.fallback.is_none();
-        let (frontier_len, fell_back) = if action.is_switch() {
-            if !was_quiet && M::BUFFERS_ON_SWITCH {
-                self.core.buffer_window_with(action.clone());
-            }
-            if keyed {
-                // The switch rides along (inert) to the class shard of its
-                // pending input, keeping the per-key windows exhaustive.
-                let key = self.key_of(action.input());
-                if key.is_none() {
-                    self.core
-                        .collapse_to_identity(FallbackReason::UnclassifiableInput);
-                }
-                self.core.route(key, action, index)
-            } else {
-                (0, false)
-            }
-        } else if was_quiet && !keyed {
-            // The stream's verdict is decided (lin) or deferred to lazy
-            // batch re-checks over the buffer (slin): shards stay quiet.
-            (0, false)
-        } else {
-            let key = self.key_of(action.input());
-            if key.is_none() && self.core.fallback.is_none() {
-                self.core
-                    .collapse_to_identity(FallbackReason::UnclassifiableInput);
-            }
+        let routed = keyed || !(was_quiet || action.is_switch());
+        let key = routed.then(|| self.key_of(action.input())).flatten();
+        if routed && key.is_none() && self.core.fallback.is_none() {
+            self.core
+                .collapse_to_identity(FallbackReason::UnclassifiableInput);
+        }
+        let index = self.core.observe(&action);
+        let (frontier_len, fell_back) = if routed {
             self.core.route(key, action, index)
+        } else {
+            (0, false)
         };
         IngestOutcome {
             index,
@@ -679,12 +644,16 @@ where
     }
 
     /// O(1) rolling status: the validator's verdict and the shard tally
-    /// are both kept per event. For models that defer on switch actions
-    /// (speculative mode) this reports [`MonitorStatus::Deferred`] instead
-    /// of forcing a batch re-check; [`Monitor::status`] resolves it.
+    /// are both kept per event. Past a switch a speculative model reports
+    /// [`MonitorStatus::Deferred`] instead of forcing a batch re-check
+    /// ([`Monitor::status`] resolves it); a plain one is decided.
     fn quick_status(&self) -> MonitorStatus {
         if self.core.wf.first_switch().is_some() {
-            return M::QUIET_STATUS;
+            return if self.core.speculative {
+                MonitorStatus::Deferred
+            } else {
+                MonitorStatus::SwitchSeen
+            };
         }
         if self.core.wf.check().is_err() {
             return MonitorStatus::IllFormed;
@@ -734,7 +703,8 @@ where
     /// **byte-identical** to the model's batch check on the closed trace
     /// (witness included); with a bounded window it is window-relative
     /// (see the [module docs](crate::stream)) and flagged by
-    /// [`MonitorReport::prefix_committed`].
+    /// [`MonitorReport::prefix_committed`] — unless it re-checked the
+    /// record ([`MonitorReport::reconstructed`]).
     pub(crate) fn report(&mut self) -> MonitorReport<M::Witness, M::Error> {
         self.current_report().clone()
     }
@@ -755,82 +725,91 @@ where
             verdict: Err(self.model.stream_error(StreamFailure::NotSatisfied)),
             events: core.events,
             shards: core.shards.len(),
-            fallback: core.fallback.or(if quiet {
-                Some(FallbackReason::SwitchUncertified)
-            } else {
-                None
-            }),
+            fallback: core
+                .fallback
+                .or(quiet.then_some(FallbackReason::SwitchUncertified)),
             remerged: false,
             prefix_committed: core.prefix_committed,
             reconstructed: false,
             stats: SearchStats::default(),
             shard: core.summary(),
         };
-        if let Some(buffer) = &core.buffer {
-            // Closed-trace mode: the batch path's own routine over the
-            // buffer. Once the stream went quiet a certified partitioner
-            // keeps the class searches apart across switches (the keyed
-            // projection); without one the model checks the buffer whole.
-            let keyed = quiet && self.keyed && core.fallback.is_none();
-            let sv = self.batch_check(buffer, keyed);
+        // A bounded window reads the record once a prefix has retired (the
+        // windows are then not the whole stream), and a speculative stream
+        // once it has switched (its deferred verdict is the batch check of
+        // the record); otherwise it searches its windows.
+        let windowed = core.window.is_some() && !(quiet && core.speculative);
+        if windowed || core.lost {
+            // Batch precedence (signature, well-formedness, search): the
+            // first two read off the validator the batch checkers fold,
+            // which has seen the whole stream, not the window.
+            if let Err(invalid) = core.wf.check() {
+                return MonitorReport {
+                    verdict: Err(self.model.stream_error(StreamFailure::Invalid(invalid))),
+                    ..base
+                };
+            }
+        }
+        if core.lost {
+            // The rebuild needed the record and it was gone: under-claim,
+            // as a lossy shard does.
+            let failure = StreamFailure::BudgetExhausted { nodes: 0 };
             return MonitorReport {
-                verdict: sv.verdict,
-                fallback: if keyed {
-                    sv.report.fallback
-                } else {
-                    base.fallback
-                },
-                remerged: sv.report.remerged,
-                stats: sv.report.stats,
+                verdict: Err(self.model.stream_error(failure)),
                 ..base
             };
         }
-        // Window mode: batch precedence (signature, well-formedness,
-        // search) — the first two read off the same validator the batch
-        // checkers fold, which has seen the whole stream, not the window.
-        if let Err(invalid) = core.wf.check() {
-            return MonitorReport {
-                verdict: Err(self.model.stream_error(StreamFailure::Invalid(invalid))),
-                ..base
-            };
-        }
-        // Witness archival: when every retired event is still archived,
-        // rebuild the closed trace and run the exact batch-identical
-        // check the unbounded monitor would run — the verdict (witness
-        // included) stops being window-relative.
-        if let Some(buffer) = core.reconstruct_archive() {
-            core.shard_cfg.obs.archive_reconstruction();
-            let sv = self.batch_check(&buffer, false);
-            return MonitorReport {
-                verdict: sv.verdict,
-                remerged: sv.report.remerged,
-                reconstructed: true,
-                stats: sv.report.stats,
-                ..base
-            };
-        }
-        let (merged, stats, remerged) = core.window_verdict(&|i| self.key_of(i));
-        let verdict = match merged {
-            // A window holds no switch action: the default leaf.
-            Ok(chain) => Ok(M::witness(
-                chain,
-                Default::default(),
-                stats.interpretations,
-                stats,
-            )),
-            Err(failure) => Err(self.model.stream_error(failure)),
-        };
-        MonitorReport {
-            verdict,
-            remerged,
-            stats,
-            ..base
+        match &core.record {
+            Some(record) if !windowed || core.prefix_committed => {
+                // The batch path's own routine over the record. Once the
+                // stream went quiet a certified partitioner keeps the class
+                // searches apart across switches (the keyed projection);
+                // without one the model checks the record whole. After a
+                // retirement the verdict (witness included) is the
+                // unbounded session's all the same: it is reconstructed.
+                let keyed = quiet && self.keyed && core.fallback.is_none();
+                if core.prefix_committed {
+                    core.shard_cfg.obs.archive_reconstruction();
+                }
+                let sv = self.batch_check(record, keyed);
+                MonitorReport {
+                    verdict: sv.verdict,
+                    fallback: if keyed {
+                        sv.report.fallback
+                    } else {
+                        base.fallback
+                    },
+                    remerged: sv.report.remerged,
+                    reconstructed: core.prefix_committed,
+                    stats: sv.report.stats,
+                    ..base
+                }
+            }
+            _ => {
+                let (merged, stats, remerged) = core.window_verdict(&|i| self.key_of(i));
+                let verdict = match merged {
+                    // A window holds no switch action: the default leaf.
+                    Ok(chain) => Ok(M::witness(
+                        chain,
+                        Default::default(),
+                        stats.interpretations,
+                        stats,
+                    )),
+                    Err(failure) => Err(self.model.stream_error(failure)),
+                };
+                MonitorReport {
+                    verdict,
+                    remerged,
+                    stats,
+                    ..base
+                }
+            }
         }
     }
 
-    /// A report-time batch check of a closed trace (the buffer, or the
-    /// reconstructed archive), reported to the observer; window-mode
-    /// reports are observed per shard by [`ShardState::window_search`].
+    /// A report-time batch check of the record, reported to the observer;
+    /// window-mode reports are observed per shard by
+    /// [`ShardState::window_search`].
     fn batch_check(
         &self,
         closed: &Trace<ObjAction<M::Adt, V>>,

@@ -180,6 +180,10 @@
 //! `Violated` verdict is downgraded to [`ShardStatus::BudgetExhausted`] —
 //! a missing completion can no longer prove a violation, only a found
 //! completion still proves "ok".
+//!
+//! A shard keeps no event it has retired: a cut leaves the summary and a
+//! count of retired windows. The stream's one record, when there is one,
+//! is the monitor's (see `stream/mod.rs`, "The record").
 
 use super::GcPolicy;
 use crate::engine::{
@@ -192,7 +196,7 @@ use slin_adt::Adt;
 use slin_obs::{CutOutcome, GcCutEvent, Obs, ShardIngestEvent};
 use slin_trace::{Action, PersistentMultiset, Trace};
 use std::borrow::Cow;
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 use std::ops::ControlFlow;
 use std::sync::Arc;
@@ -201,10 +205,6 @@ use std::sync::Arc;
 /// a configuration interleaved as extras before an epoch cut, available to
 /// absorb matching post-cut responses.
 type SymSet<T> = PersistentMultiset<(<T as Adt>::Input, <T as Adt>::Output)>;
-
-/// The raw events (global index, action) of one GC-retired window, kept
-/// for forensic witness reconstruction.
-pub(crate) type ArchivedWindow<T, V> = Vec<(usize, ObjAction<T, V>)>;
 
 /// Node budget of one frontier tail-extension pass, and the unit the
 /// opportunistic retirement slice is a multiple of (see
@@ -243,12 +243,13 @@ pub(crate) enum ShardStatus {
 /// Counters aggregated into [`super::ShardSummary`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct ShardCounters {
-    pub events: usize,
-    pub commits: usize,
     pub extension_searches: usize,
     pub fallback_searches: usize,
     pub frontier_peak: usize,
     pub retired_events: usize,
+    /// Windows retired — what the monitor holds against
+    /// [`GcPolicy::archive_windows`] to decide when the record goes.
+    pub retired_windows: usize,
     /// Non-quiescent (epoch) retirement cuts.
     pub epoch_cuts: usize,
     /// Forced lossy cuts (truncated summary retired anyway).
@@ -258,8 +259,8 @@ pub(crate) struct ShardCounters {
     pub search_nodes: usize,
     /// Window commits handed to a fallback or cut enumeration — those past
     /// the checkpoint — summed per enumeration, not per seed. Where every
-    /// enumeration completes this is at most `commits`: each commit is
-    /// enumerated once.
+    /// enumeration completes this is at most the commits ingested: each
+    /// commit is enumerated once.
     pub enumerated_commits: usize,
 }
 
@@ -457,13 +458,6 @@ pub(crate) struct ShardState<T: Adt, V> {
     blocked_pending: usize,
     /// `sub.len()` at the last truncated cut attempt.
     blocked_len: usize,
-    /// Witness archive: the raw events of the last `archive_windows`
-    /// retired windows, oldest first (empty when archival is off).
-    archive: VecDeque<ArchivedWindow<T, V>>,
-    /// Whether any retired event is *not* in the archive (archival off, a
-    /// window evicted, or this shard inherited a truncated archive):
-    /// reconstruction of the full stream is no longer possible.
-    archive_truncated: bool,
     pub counters: ShardCounters,
 }
 
@@ -473,33 +467,18 @@ where
     T::Input: Ord,
     V: Clone + PartialEq,
 {
+    /// A fresh shard: one seed, the ADT's initial configuration.
     pub(crate) fn new(adt: Arc<T>, cfg: ShardConfig) -> Self {
-        let initial = SearchSeed::initial(&*adt);
-        Self::with_seeds(adt, cfg, vec![initial], PersistentMultiset::new())
-    }
-
-    /// Rebuilds a shard from retained seeds and a base input multiset —
-    /// how the monitor restarts shards after a collapse.
-    pub(crate) fn with_seeds(
-        adt: Arc<T>,
-        cfg: ShardConfig,
-        seeds: Vec<SearchSeed<T>>,
-        base: PersistentMultiset<T::Input>,
-    ) -> Self {
-        assert!(!seeds.is_empty(), "a shard needs at least one seed");
-        let seeds: Vec<FrontierCfg<T>> = seeds
-            .into_iter()
-            .map(|seed| FrontierCfg {
-                seed,
-                sym: PersistentMultiset::new(),
-            })
-            .collect();
+        let seeds = vec![FrontierCfg {
+            seed: SearchSeed::initial(&*adt),
+            sym: PersistentMultiset::new(),
+        }];
         ShardState {
             adt,
             cfg,
             sub: Trace::new(),
             index_map: Vec::new(),
-            input_ms: vec![base],
+            input_ms: vec![PersistentMultiset::new()],
             commits: Vec::new(),
             frontier: seeds.clone(),
             seeds,
@@ -511,8 +490,6 @@ where
             cut_blocked: false,
             blocked_pending: 0,
             blocked_len: 0,
-            archive: VecDeque::new(),
-            archive_truncated: false,
             counters: ShardCounters::default(),
         }
     }
@@ -525,46 +502,6 @@ where
     /// backpressure shed).
     pub(crate) fn set_epoch_force(&mut self, on: bool) {
         self.cfg.gc.epoch_force = on;
-    }
-
-    /// Whether any retired event is missing from the witness archive (so
-    /// full-stream reconstruction is impossible).
-    pub(crate) fn archive_truncated(&self) -> bool {
-        self.archive_truncated
-    }
-
-    /// Events currently held in the witness archive.
-    pub(crate) fn archived_len(&self) -> usize {
-        self.archive.iter().map(Vec::len).sum()
-    }
-
-    /// The archived retired events, flattened in retirement order (within
-    /// and across windows the global indices ascend).
-    pub(crate) fn archived_events(&self) -> Vec<(usize, ObjAction<T, V>)> {
-        self.archive.iter().flatten().cloned().collect()
-    }
-
-    /// Moves the archive out (collapse-to-identity hands per-key archives
-    /// to the new identity shard).
-    pub(crate) fn take_archive(&mut self) -> (VecDeque<ArchivedWindow<T, V>>, bool) {
-        (
-            std::mem::take(&mut self.archive),
-            std::mem::replace(&mut self.archive_truncated, true),
-        )
-    }
-
-    /// Installs an inherited archive (the receiving end of
-    /// [`ShardState::take_archive`]). Inherited windows do not count
-    /// against this shard's own depth — they are already bounded by the
-    /// donors' rings.
-    pub(crate) fn install_archive(
-        &mut self,
-        windows: VecDeque<ArchivedWindow<T, V>>,
-        truncated: bool,
-    ) {
-        debug_assert!(self.archive.is_empty(), "install only on fresh shards");
-        self.archive = windows;
-        self.archive_truncated = truncated;
     }
 
     /// Whether a forced lossy epoch cut happened (verdict downgrades).
@@ -618,7 +555,6 @@ where
     /// `(frontier length after the event, whether a fallback re-search ran)`.
     pub(crate) fn ingest(&mut self, action: ObjAction<T, V>, global_index: usize) -> (usize, bool) {
         let t0 = self.cfg.obs.t0();
-        self.counters.events += 1;
         let window_index = self.sub.len();
         let mut next_ms = self.input_ms.last().expect("nonempty").clone();
         let mut fell_back = false;
@@ -640,7 +576,6 @@ where
                     input: input.clone(),
                     output: output.clone(),
                 });
-                self.counters.commits += 1;
             }
             Action::Switch { .. } => {
                 // Switch actions reach a shard only inside an identity
@@ -1149,29 +1084,9 @@ where
     /// new seed set. Returns the retired global indices.
     fn retire_window(&mut self, summary: Option<Vec<FrontierCfg<T>>>) -> Vec<usize> {
         self.counters.retired_events += self.sub.len();
+        self.counters.retired_windows += 1;
         if self.pending > 0 {
             self.counters.epoch_cuts += 1;
-        }
-        // Witness archival: keep the retired window's raw events (even on a
-        // lossy cut — the archive is summary-independent) so the monitor
-        // can rebuild full forensic witnesses while every retired event is
-        // still within the archive depth.
-        if self.cfg.gc.archive_windows > 0 {
-            let events: ArchivedWindow<T, V> = self
-                .index_map
-                .iter()
-                .copied()
-                .zip(self.sub.iter().cloned())
-                .collect();
-            self.cfg.obs.archive_window(events.len() as u64);
-            self.archive.push_back(events);
-            if self.archive.len() > self.cfg.gc.archive_windows {
-                self.archive.pop_front();
-                self.archive_truncated = true;
-                self.cfg.obs.archive_eviction();
-            }
-        } else {
-            self.archive_truncated = true;
         }
         let retired = std::mem::take(&mut self.index_map);
         self.cut_due = false;

@@ -107,8 +107,8 @@ const HELP: &str = "slin-daemon: multi-tenant streaming linearizability monitor
   --seed N            workload seed (default 0)
   --workers N         worker lanes (default 4)
   --policy SPEC       default tenant policy, key=value comma list
-                      (queue, window, lossy, require_cert, keyed,
-                       epoch_force, frontier_cap, archive)
+                      (queue, window, lossy, keyed, epoch_force,
+                       frontier_cap, archive)
   --snapshot-every N  verdict-snapshot period, in chunks (default 16)
   --metrics FORMAT    final metrics exposition: json (slin-obs/v1 registry
                       snapshot, default), prom (Prometheus text format)

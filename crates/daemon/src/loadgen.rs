@@ -13,9 +13,9 @@
 
 use crate::wire::{encode_frame, Frame, KvAction};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use slin_adt::KvStore;
-use slin_core::gen::{random_hostile_kv_trace, HostileConfig};
+use slin_core::gen::{random_hostile_kv_trace, sample_cumulative, zipf_cumulative, HostileConfig};
 use slin_core::ObjAction;
 use slin_trace::{Action, Trace};
 use std::collections::BTreeMap;
@@ -97,24 +97,6 @@ fn retag(a: ObjAction<KvStore, ()>) -> KvAction {
             ..
         } => Action::switch(client, phase, input, Vec::new()),
     }
-}
-
-/// The cumulative Zipf weights `sum_{j<=k} j^-exponent` for `k` in `1..=n`.
-fn zipf_cumulative(n: usize, exponent: f64) -> Vec<f64> {
-    let mut acc = 0.0;
-    (1..=n.max(1))
-        .map(|k| {
-            acc += f64::powf(k as f64, -exponent);
-            acc
-        })
-        .collect()
-}
-
-/// Draws an index under cumulative weights.
-fn sample_cumulative(rng: &mut StdRng, cumulative: &[f64]) -> usize {
-    let total = *cumulative.last().expect("nonempty weights");
-    let r = (rng.gen_range(0..1u64 << 53) as f64) / (1u64 << 53) as f64 * total;
-    cumulative.partition_point(|&c| c <= r)
 }
 
 /// Generates a multi-tenant workload (deterministic in the seed).

@@ -145,16 +145,17 @@ pub trait Observer: Send + Sync {
     /// bookkeeping (no re-search needed).
     fn gc_absorption(&self) {}
 
-    /// A GC-retired window was archived for forensic witness
-    /// reconstruction (`events` = number of events archived).
+    /// A GC-retired window stays in the monitor's record of the stream,
+    /// for forensic witness reconstruction (`events` = its length).
     fn archive_window(&self, _events: u64) {}
 
-    /// An archived window was evicted from the ring (archive depth
-    /// exceeded); witnesses older than this are window-relative again.
+    /// The monitor dropped its record of the stream (a shard retired past
+    /// the archive depth) — at most once per stream; reports after it are
+    /// window-relative again.
     fn archive_eviction(&self) {}
 
-    /// `Session::report()` reconstructed a full forensic verdict from the
-    /// witness archive.
+    /// `Session::report()` re-checked the record after a retirement: a
+    /// full forensic verdict.
     fn archive_reconstruction(&self) {}
 
     /// A daemon lane finished one pump.

@@ -118,7 +118,6 @@ fn instrumented_thousand_tenant_run_exports_and_round_trips_witnesses() {
             ..GcPolicy::default()
         },
         shed_lossy: false,
-        require_cert: false,
         keyed: false,
     };
     let stack = Arc::new(StackObserver::with_tracing(1 << 14));

@@ -1,7 +1,7 @@
 //! End-to-end checks of the `slin-analyze` certification pipeline: the
 //! analyzer's verdicts, the replayability of its counterexamples as real
 //! checker divergences, and the session/daemon layers that consume
-//! certificates ([`CertPolicy`], `require_cert`).
+//! certificates ([`CertPolicy`]).
 //!
 //! Positive half: every shipped per-key partitioner certifies at the
 //! default depth (≥ 4), partitioner contract and switch independence, and
@@ -324,46 +324,4 @@ fn mismatched_certificates_are_rejected() {
         Err(CertError::RelationMismatch { ref expected, ref found })
             if expected == "OtherInit" && found == "ExactInit"
     ));
-}
-
-/// The daemon's `require_cert` tenant policy parses from the spec string
-/// and admits traffic — the shipped KvKeyPartitioner certificate is
-/// generated in-process, so certified sessions build and verdicts flow.
-#[test]
-fn daemon_require_cert_policy_parses_and_serves() {
-    use slin_daemon::{encode_frames, Daemon, DaemonConfig, Frame, TenantPolicy};
-
-    let policy = TenantPolicy::parse("require_cert=true,window=none").unwrap();
-    assert!(policy.require_cert);
-    assert!(!TenantPolicy::default().require_cert);
-
-    let mut daemon = Daemon::new(DaemonConfig {
-        workers: 2,
-        default_policy: policy,
-    });
-    let (c, p) = (ClientId::new(1), PhaseId::FIRST);
-    let mut frames = Vec::new();
-    for tenant in 0..3u64 {
-        frames.push(Frame {
-            tenant,
-            action: Action::invoke(c, p, KvInput::Put(1, tenant + 1)),
-        });
-        frames.push(Frame {
-            tenant,
-            action: Action::respond(c, p, KvInput::Put(1, tenant + 1), KvOutput::Ack),
-        });
-        frames.push(Frame {
-            tenant,
-            action: Action::invoke(c, p, KvInput::Get(1)),
-        });
-        frames.push(Frame {
-            tenant,
-            action: Action::respond(c, p, KvInput::Get(1), KvOutput::Found(Some(tenant + 1))),
-        });
-    }
-    daemon.ingest_bytes(&encode_frames(&frames)).unwrap();
-    daemon.pump();
-    let counts = daemon.poll_verdicts();
-    assert_eq!(counts.ok, 3);
-    assert_eq!(counts.violation, 0);
 }

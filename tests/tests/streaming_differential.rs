@@ -895,3 +895,173 @@ fn perturbed_big_streams_match_batch() {
         );
     }
 }
+
+// ---- one record of the stream: identity collapses and switches ----
+
+/// The KV key partitioner, except that `delete` is declared to touch every
+/// key: its first occurrence collapses a stream to one identity shard.
+struct DeleteTouchesAll;
+
+impl Partitioner<KvStore> for DeleteTouchesAll {
+    type Key = u32;
+
+    fn key_of(&self, input: &KvInput) -> Option<u32> {
+        match input {
+            KvInput::Delete(_) => None,
+            other => KvKeyPartitioner.key_of(other),
+        }
+    }
+}
+
+/// An unbounded identity collapse replays the events *before* the one that
+/// triggers it, each once, and the trigger is then routed like any other
+/// event. The parent replayed a record that already held the triggering
+/// `delete(2)` and routed it a second time — nine window events for eight
+/// — and the phantom second delete explained `get(2) = None` after
+/// `put(2,5)`: every rolling status `Ok`, while the session's own report
+/// and the batch checker said `NotLinearizable`.
+#[test]
+fn an_identity_collapse_replays_each_event_once() {
+    let (c, ph) = (ClientId::new(1), PhaseId::FIRST);
+    let ops = [
+        (KvInput::Put(2, 1), KvOutput::Ack),
+        (KvInput::Delete(2), KvOutput::Ack),
+        (KvInput::Put(2, 5), KvOutput::Ack),
+        (KvInput::Get(2), KvOutput::Found(None)),
+    ];
+    let mut mon = stream::<_, (), _>(LinChecker::owned(KvStore), DeleteTouchesAll, None);
+    let mut prefix: Trace<ObjAction<KvStore, ()>> = Trace::new();
+    for (input, output) in ops {
+        for a in [
+            Action::invoke(c, ph, input),
+            Action::respond(c, ph, input, output),
+        ] {
+            prefix.push(a.clone());
+            let status = mon.ingest(a).status;
+            let expect = match LinChecker::owned(KvStore).check(&prefix) {
+                Ok(_) => MonitorStatus::Ok,
+                Err(_) => MonitorStatus::Violation,
+            };
+            assert_eq!(status, expect, "at event {}", prefix.len() - 1);
+        }
+    }
+    let report = mon.report().unwrap();
+    assert_eq!(
+        report.verdict,
+        Err(slin_core::lin::LinError::NotLinearizable)
+    );
+    assert!(report.fallback.is_some());
+    assert_eq!(report.shard.window_events, report.events);
+}
+
+type KvPhaseStream = Session<SlinChecker<KvStore, ExactInit>, Vec<KvInput>, KvKeyPartitioner>;
+
+/// The daemon's tenant model (phases 1 → 2) as a streaming session.
+fn kv_phase_stream(window: Option<usize>, archive_windows: usize) -> KvPhaseStream {
+    let model = SlinChecker::owned(KvStore, ExactInit::new(), PhaseId::FIRST, PhaseId::new(2));
+    Checker::builder(model)
+        .partitioner(KvKeyPartitioner)
+        .strategy(SessionStrategy::Streaming { window })
+        .gc_policy(GcPolicy {
+            archive_windows,
+            ..Default::default()
+        })
+        .build()
+}
+
+/// Closes a switch-free stream with an abort out of phase 1: client 1 —
+/// invoking `get(1)` first if it is idle — switches to phase 2 carrying the
+/// unbounded session's longest commit history at that point (empty when
+/// the stream so far has no witness).
+fn close_with_abort(t: &Trace<ObjAction<KvStore, ()>>) -> Vec<ObjAction<KvStore, Vec<KvInput>>> {
+    let (c, ph) = (ClientId::new(1), PhaseId::FIRST);
+    let mut actions: Vec<_> = retag::<Vec<KvInput>>(t).into_iter().collect();
+    let pending = (actions.iter().rev())
+        .find(|a| a.client() == c)
+        .filter(|a| a.is_invoke())
+        .map(|a| *a.input());
+    let input = pending.unwrap_or_else(|| {
+        actions.push(Action::invoke(c, ph, KvInput::Get(1)));
+        KvInput::Get(1)
+    });
+    let mut oracle = kv_phase_stream(None, 0);
+    for a in &actions {
+        oracle.ingest(a.clone());
+    }
+    let value = match oracle.report().expect("born streaming").verdict {
+        Ok(report) => (report.witness.commit_histories.into_iter())
+            .map(|(_, history)| history)
+            .max_by_key(Vec::len)
+            .unwrap_or_default(),
+        Err(_) => Vec::new(),
+    };
+    actions.push(Action::switch(c, PhaseId::new(2), input, value));
+    actions
+}
+
+/// The bounded-window speculative session against the unbounded one — the
+/// definition's reading of the whole stream — at every prefix of hostile
+/// streams closed by an abort: the bounded status is the unbounded one or
+/// `Unknown`, and exactly the unbounded one when the archive is deep enough
+/// to keep the record. Most streams retire before their switch, the case
+/// the parent answered by rebuilding the stream from the shard windows.
+#[test]
+fn a_bounded_speculative_stream_never_over_claims() {
+    let (mut cases, mut retired_first, mut unknown) = (0, 0, 0);
+    for seed in 0..10 {
+        for keys in [1, 2] {
+            for error_prob in [0.0, 0.25] {
+                let t = random_hostile_kv_trace(&HostileConfig {
+                    clients: 3,
+                    steps: 60,
+                    keys,
+                    skew: 0.7,
+                    never_frac: 0.08,
+                    stuck_applies: true,
+                    delay_zipf: 1.1,
+                    max_delay: 8,
+                    error_prob,
+                    seed,
+                });
+                let actions = close_with_abort(&t);
+                let mut oracle = kv_phase_stream(None, 0);
+                let want: Vec<MonitorStatus> = (actions.iter())
+                    .map(|a| {
+                        oracle.ingest(a.clone());
+                        oracle.status().expect("streaming")
+                    })
+                    .collect();
+                for window in [4, 8] {
+                    for archive in [0, 1024] {
+                        let mut mon = kv_phase_stream(Some(window), archive);
+                        let case = format!("seed {seed}, keys {keys}, error {error_prob}, window {window}, archive {archive}");
+                        for (i, a) in actions.iter().enumerate() {
+                            if a.is_switch() {
+                                let retired =
+                                    mon.shard_summary().expect("streaming").retired_events;
+                                retired_first += usize::from(retired > 0);
+                            }
+                            mon.ingest(a.clone());
+                            let got = mon.status().expect("streaming");
+                            if archive > 0 {
+                                assert_eq!(got, want[i], "{case}: event {i}");
+                            } else if got != want[i] {
+                                assert_eq!(got, MonitorStatus::Unknown, "{case}: event {i}");
+                                unknown += 1;
+                            }
+                        }
+                        cases += 1;
+                    }
+                }
+            }
+        }
+    }
+    println!(
+        "{cases} bounded sessions, {retired_first} retired before their switch, \
+         {unknown} statuses under-claimed"
+    );
+    assert!(
+        retired_first * 2 >= cases,
+        "only {retired_first} of {cases} retired first"
+    );
+}

@@ -15,13 +15,15 @@
 
 use proptest::prelude::*;
 use slin_adt::{KvInput, KvOutput};
-use slin_adt::{KvKeyPartitioner, KvStore};
+use slin_adt::{KvKeyPartitioner, KvStore, Partitioner};
 use slin_core::gen::{
     random_hostile_kv_trace, random_multikey_kv_trace, HostileConfig, MultiKeyConfig,
 };
-use slin_core::lin::LinChecker;
+use slin_core::initrel::ExactInit;
+use slin_core::lin::{LinChecker, LinError};
 use slin_core::session::{Checker, Session, Strategy as SessionStrategy};
-use slin_core::stream::GcPolicy;
+use slin_core::slin::{SlinChecker, SlinError};
+use slin_core::stream::{GcPolicy, MonitorStatus};
 use slin_trace::{Action, ClientId, PhaseId};
 
 /// A bounded-window monitor with an archive of `depth` retired windows
@@ -342,4 +344,200 @@ fn archived_reports_are_deterministic() {
         )
     };
     assert_eq!(render(), render());
+}
+
+// ---- one record of the stream: rebuilds read it, or under-claim ----
+
+/// The daemon's tenant model over phases 1 → 2.
+type Tenant = Session<SlinChecker<KvStore, ExactInit>, Vec<KvInput>, KvKeyPartitioner>;
+
+fn tenant(window: Option<usize>, depth: usize) -> Tenant {
+    let model = SlinChecker::owned(KvStore, ExactInit::new(), PhaseId::FIRST, PhaseId::new(2));
+    Checker::builder(model)
+        .partitioner(KvKeyPartitioner)
+        .strategy(SessionStrategy::Streaming { window })
+        .gc_policy(GcPolicy {
+            archive_windows: depth,
+            ..Default::default()
+        })
+        .build()
+}
+
+/// Client 1's `put(1,7)` straggles across twelve of client 2's rounds on
+/// the same key (so epoch cuts retire it pending), then client 2 aborts to
+/// phase 2 carrying the whole committed history.
+fn straggler_then_abort() -> Vec<slin_core::ObjAction<KvStore, Vec<KvInput>>> {
+    let (c1, c2, p) = (ClientId::new(1), ClientId::new(2), PhaseId::FIRST);
+    let straggler = KvInput::Put(1, 7);
+    let mut actions = vec![Action::invoke(c1, p, straggler)];
+    for r in 0..12 {
+        actions.push(Action::invoke(c2, p, KvInput::Put(1, r)));
+        actions.push(Action::respond(c2, p, KvInput::Put(1, r), KvOutput::Ack));
+    }
+    actions.push(Action::respond(c1, p, straggler, KvOutput::Ack));
+    let last = KvInput::Put(1, 99);
+    actions.push(Action::invoke(c2, p, last));
+    let mut value: Vec<KvInput> = (0..12).map(|r| KvInput::Put(1, r)).collect();
+    value.push(straggler);
+    actions.push(Action::switch(c2, PhaseId::new(2), last, value));
+    actions
+}
+
+/// A bounded-window speculative session whose first switch comes after a
+/// retirement re-checks the one record of the stream: with an archive deep
+/// enough to have kept it, the unbounded session's verdict (and says it
+/// reconstructed); without one, `Unknown` — never the parent's rebuild of
+/// the stream from the shard windows, which at windows 2 / 3 / 4 / 6 said
+/// `Violation`, `IllFormed` and `IllFormed` twice of an `Ok` stream.
+#[test]
+fn a_switch_after_retirement_reads_the_record_or_under_claims() {
+    let actions = straggler_then_abort();
+    let mut oracle = tenant(None, 0);
+    for a in &actions {
+        oracle.ingest(a.clone());
+    }
+    assert_eq!(oracle.status(), Some(MonitorStatus::Ok));
+    let want = oracle.report().unwrap();
+    for window in [2, 3, 4, 6] {
+        for depth in [0, 64] {
+            let mut mon = tenant(Some(window), depth);
+            for a in &actions {
+                mon.ingest(a.clone());
+            }
+            let status = mon.status().unwrap();
+            let got = mon.report().unwrap();
+            assert!(got.prefix_committed, "window {window}: nothing retired");
+            if depth == 0 {
+                assert_eq!(status, MonitorStatus::Unknown, "window {window}");
+                assert_eq!(
+                    got.verdict,
+                    Err(SlinError::BudgetExhausted { nodes: 0 }),
+                    "window {window}"
+                );
+                assert!(!got.reconstructed);
+            } else {
+                assert_eq!(
+                    status,
+                    MonitorStatus::Ok,
+                    "window {window}, archive {depth}"
+                );
+                assert_eq!(
+                    format!("{:?}", got.verdict),
+                    format!("{:?}", want.verdict),
+                    "window {window}, archive {depth}"
+                );
+                assert!(got.reconstructed, "window {window}, archive {depth}");
+            }
+        }
+    }
+}
+
+/// The KV key partitioner, except that `delete` is declared to touch every
+/// key: its first occurrence collapses a stream to one identity shard.
+struct DeleteTouchesAll;
+
+impl Partitioner<KvStore> for DeleteTouchesAll {
+    type Key = u32;
+
+    fn key_of(&self, input: &KvInput) -> Option<u32> {
+        match input {
+            KvInput::Delete(_) => None,
+            other => KvKeyPartitioner.key_of(other),
+        }
+    }
+}
+
+/// `put(1,5)`, ten rounds of `put(2,r)` / `get(1) = 5`, then `delete(2)`
+/// (the collapse) and one more `get(1) = 5`: linearizable, and key 1's
+/// `put` is retired long before the collapse at every window below.
+fn collapse_after_retirement() -> Vec<slin_core::ObjAction<KvStore, ()>> {
+    let (c, p) = (ClientId::new(1), PhaseId::FIRST);
+    let five = KvOutput::Found(Some(5));
+    let mut ops = vec![(KvInput::Put(1, 5), KvOutput::Ack)];
+    for r in 0..10 {
+        ops.push((KvInput::Put(2, r), KvOutput::Ack));
+        ops.push((KvInput::Get(1), five));
+    }
+    ops.push((KvInput::Delete(2), KvOutput::Ack));
+    ops.push((KvInput::Get(1), five));
+    ops.into_iter()
+        .flat_map(|(i, o)| [Action::invoke(c, p, i), Action::respond(c, p, i, o)])
+        .collect()
+}
+
+/// An identity collapse after retirement replays the record when it is
+/// kept (the linearizable stream stays `Ok`) and under-claims when it is
+/// not; the parent restarted the identity shard from the shard windows as
+/// a fresh stream, where `get(1) = 5` has no `put`, and said `Violation` at
+/// windows 2, 4 and 8.
+#[test]
+fn a_collapse_after_retirement_reads_the_record_or_under_claims() {
+    let actions = collapse_after_retirement();
+    assert!(LinChecker::owned(KvStore)
+        .check(&actions.iter().cloned().collect())
+        .is_ok());
+    for window in [2, 4, 8] {
+        for depth in [0, 64] {
+            let mut mon: Session<_, (), _> = Checker::builder(LinChecker::owned(KvStore))
+                .partitioner(DeleteTouchesAll)
+                .strategy(SessionStrategy::Streaming {
+                    window: Some(window),
+                })
+                .gc_policy(GcPolicy {
+                    archive_windows: depth,
+                    ..Default::default()
+                })
+                .build();
+            let mut last = MonitorStatus::Ok;
+            for a in &actions {
+                last = mon.ingest(a.clone()).status;
+                assert_ne!(
+                    last,
+                    MonitorStatus::Violation,
+                    "window {window}, archive {depth}"
+                );
+            }
+            let report = mon.report().unwrap();
+            assert!(report.prefix_committed && report.fallback.is_some());
+            if depth == 0 {
+                assert_eq!(last, MonitorStatus::Unknown, "window {window}");
+                assert_eq!(report.verdict, Err(LinError::BudgetExhausted { nodes: 0 }));
+            } else {
+                assert_eq!(last, MonitorStatus::Ok, "window {window}, archive {depth}");
+                assert!(report.verdict.is_ok(), "window {window}, archive {depth}");
+            }
+        }
+    }
+}
+
+/// Once a shard retires past the archive depth the record is dropped, and
+/// with it every retired event: nothing is kept that no rebuild can use.
+/// (The parent's per-shard rings kept 12 and 48 events here — three shards
+/// × depth × four — after refusing reconstruction for good.)
+#[test]
+fn a_dropped_record_keeps_no_retired_events() {
+    let (c, p) = (ClientId::new(1), PhaseId::FIRST);
+    let actions: Vec<_> = (0..36u64)
+        .flat_map(|r| {
+            let put = KvInput::Put(r as u32 % 3 + 1, r);
+            [
+                Action::invoke(c, p, put),
+                Action::respond(c, p, put, KvOutput::Ack),
+            ]
+        })
+        .collect();
+    for depth in [1, 4] {
+        let mut mon = gc_monitor(4, depth);
+        for a in &actions {
+            mon.ingest(a.clone());
+        }
+        let report = mon.report().unwrap();
+        assert!(report.verdict.is_ok());
+        assert!(
+            report.prefix_committed && !report.reconstructed,
+            "depth {depth}"
+        );
+        assert!(report.shard.retired_events > 3 * depth * 4, "depth {depth}");
+        assert_eq!(report.shard.archived_events, 0, "depth {depth}");
+    }
 }
