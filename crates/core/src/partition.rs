@@ -40,6 +40,9 @@
 //! 2. consuming its input keeps the merged consumed-input multiset inside
 //!    the validity bound of **every** remaining commit of every partition
 //!    (otherwise the engine's prune kills the child node immediately).
+//!    Validity bounds are cumulative, hence monotone along the commit
+//!    indices, so this is one comparison: against the earliest remaining
+//!    commit's bound, the tightest.
 //!
 //! Replaying exactly that rule over the per-partition witness step queues
 //! (commits first by ascending original index, then extras by ascending
@@ -70,7 +73,7 @@ use crate::model::{ConsistencyModel, Projection, SplitVerdict};
 use crate::ObjAction;
 use slin_adt::{Adt, Partitioner};
 use slin_trace::{PersistentMultiset, Trace};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 /// Why a trace went monolithic: the reason a model's projection answered
 /// [`Projection::Whole`] for a trace it was asked to decompose, surfaced through
@@ -244,10 +247,11 @@ where
 /// there it can only lose — 1.25–1.32x up to 256 frames, 1.03x at 512.
 /// 512 is where the loss on a taken-away core has shrunk to a few percent
 /// while the gain on a present one is already a third. Per-class batch
-/// searches did not gain from a second thread at any size measured
-/// (1.03–1.14x at 260–1060 commits per check, both cores present: the
-/// split, bounds and merge around them are serial), so the
-/// same constant errs on the calling thread's side there too.
+/// searches do not gain from a second thread: at ≈990 commits per keyed
+/// check (8 classes, both cores present) the class searches are about a
+/// fifth of the check, and forcing them onto two threads read 1.07x the
+/// one-thread time, so the same constant errs on the calling thread's
+/// side there too.
 const FAN_OUT_MIN_OFFLOAD: usize = 512;
 
 /// Runs `run` over every unit of `units` — `(weight, item)` pairs — and
@@ -457,7 +461,7 @@ where
         &whole.bounds,
         queues,
         whole.seed.clone(),
-        PersistentMultiset::elems(&whole.seed),
+        PersistentMultiset::new(),
     )
     .and_then(|chain| {
         let longest = chain.last().map_or(&whole.seed[..], |(_, h)| h);
@@ -532,7 +536,10 @@ pub(crate) fn witness_steps<I: Clone>(
 ///   extras by ascending input;
 /// * a step is viable only if consuming its input keeps the merged
 ///   consumed-input multiset inside the validity bound of every remaining
-///   commit (`bounds` are the full trace's per-index bounds);
+///   commit (`bounds` are the full trace's per-index bounds) — read off
+///   the earliest remaining commit, the *floor*, which is why `bounds` must
+///   be monotone along the commit indices the queues hand in
+///   (`bounds[i] ⊆ bounds[j]` for `i < j`; debug builds assert it);
 /// * at every extras node, the **leftover pool inputs of partitions whose
 ///   queue is exhausted** compete with the queue heads: the engine
 ///   greedily consumes such inputs (they are no-ops for every remaining
@@ -548,46 +555,55 @@ pub(crate) fn witness_steps<I: Clone>(
 /// one state in which the monolithic first witness may deviate from every
 /// per-partition witness, so the caller must re-derive it monolithically.
 ///
-/// The merged histories extend `seed` and `seed_used` pre-populates the
-/// consumed-input multiset: [`check`] passes the whole problem's seed
-/// history and its elements; the monitor passes no history and its
-/// garbage-collected prefix summary, whose retained inputs count against
-/// the bounds but whose history is dropped. `bounds` must account for the
-/// seed's consumed inputs.
+/// The merged histories extend `seed`, and the consumed-input counts start
+/// at the seed's elements plus `retained`: [`check`] passes the whole
+/// problem's seed history and nothing retained; the monitor passes no
+/// history and its garbage-collected prefix summary, whose retained inputs
+/// count against the bounds but whose history is dropped. `bounds` must
+/// account for both.
 pub(crate) fn merge_partition_chains<I: Clone + Ord + std::hash::Hash>(
     bounds: &[PersistentMultiset<I>],
     parts: Vec<(VecDeque<Step<I>>, PersistentMultiset<I>)>,
     seed: Vec<I>,
-    seed_used: PersistentMultiset<I>,
+    retained: PersistentMultiset<I>,
 ) -> Option<Chain<I>> {
     let (mut queues, pools): (Vec<VecDeque<Step<I>>>, Vec<PersistentMultiset<I>>) =
         parts.into_iter().unzip();
-    // All remaining commits, across every queue: `(original index, input)`.
-    let mut remaining: Vec<(usize, I)> = queues
+    // The original indices of all remaining commits, across every queue.
+    let mut remaining: BTreeSet<usize> = queues
         .iter()
         .flat_map(|q| q.iter())
         .filter_map(|s| match s {
-            Step::Commit(idx, input) => Some((*idx, input.clone())),
+            Step::Commit(idx, _) => Some(*idx),
             Step::Extra(_) => None,
         })
         .collect();
-    remaining.sort_by_key(|(idx, _)| *idx);
+    debug_assert!(
+        remaining
+            .iter()
+            .zip(remaining.iter().skip(1))
+            .all(|(&i, &j)| bounds[i].is_subset_of(&bounds[j])),
+        "bounds must be monotone along the merged commit indices"
+    );
 
-    let mut used: PersistentMultiset<I> = seed_used;
+    // The consumed inputs, counted: nothing reads a snapshot of them.
+    let mut used: HashMap<I, usize> = retained.iter().map(|(e, n)| (e.clone(), n)).collect();
+    for input in &seed {
+        *used.entry(input.clone()).or_default() += 1;
+    }
     let mut hist: Vec<I> = seed;
     let mut chain: Chain<I> = Vec::new();
 
     // `input` stays within every remaining commit's bound after one more
     // occurrence is consumed (the monolithic prune admits the child node).
-    // `except` skips the commit being placed itself.
-    let viable = |used: &PersistentMultiset<I>,
-                  input: &I,
-                  except: Option<usize>,
-                  remaining: &[(usize, I)]| {
+    // The bounds are monotone, so the floor — the earliest remaining
+    // commit — carries the tightest one; for a commit head, which is
+    // itself remaining, the same comparison is its own validity bound.
+    let count = |used: &HashMap<I, usize>, input: &I| used.get(input).copied().unwrap_or(0);
+    let viable = |used: &HashMap<I, usize>, input: &I, remaining: &BTreeSet<usize>| {
         remaining
-            .iter()
-            .filter(|(idx, _)| Some(*idx) != except)
-            .all(|(idx, _)| used.count(input) < bounds[*idx].count(input))
+            .first()
+            .is_none_or(|&floor| count(used, input) < bounds[floor].count(input))
     };
 
     loop {
@@ -600,9 +616,7 @@ pub(crate) fn merge_partition_chains<I: Clone + Ord + std::hash::Hash>(
             match q.front() {
                 Some(Step::Commit(idx, input)) => {
                     any_head = true;
-                    if used.count(input) >= bounds[*idx].count(input)
-                        || !viable(&used, input, Some(*idx), &remaining)
-                    {
+                    if !viable(&used, input, &remaining) {
                         any_blocked = true;
                         blocked_commits.push(qi);
                     } else if commit_choice.is_none_or(|(best, _)| *idx < best) {
@@ -611,7 +625,7 @@ pub(crate) fn merge_partition_chains<I: Clone + Ord + std::hash::Hash>(
                 }
                 Some(Step::Extra(input)) => {
                     any_head = true;
-                    if !viable(&used, input, None, &remaining) {
+                    if !viable(&used, input, &remaining) {
                         any_blocked = true;
                     } else if extra_choice.as_ref().is_none_or(|(best, _)| input < best) {
                         extra_choice = Some((input.clone(), Some(qi)));
@@ -656,10 +670,10 @@ pub(crate) fn merge_partition_chains<I: Clone + Ord + std::hash::Hash>(
             let Some(Step::Commit(_, input)) = queues[qi].pop_front() else {
                 unreachable!("head re-read");
             };
-            used.insert(input.clone());
+            *used.entry(input.clone()).or_default() += 1;
             hist.push(input);
             chain.push((idx, hist.clone()));
-            remaining.retain(|(i, _)| *i != idx);
+            remaining.remove(&idx);
             continue;
         }
         // Finished partitions' leftover pool inputs compete with the head
@@ -671,8 +685,8 @@ pub(crate) fn merge_partition_chains<I: Clone + Ord + std::hash::Hash>(
                 continue;
             }
             for (input, cap) in pools[qi].iter() {
-                if used.count(input) < cap
-                    && viable(&used, input, None, &remaining)
+                if count(&used, input) < cap
+                    && viable(&used, input, &remaining)
                     && extra_choice.as_ref().is_none_or(|(best, _)| input < best)
                 {
                     extra_choice = Some((input.clone(), None));
@@ -683,7 +697,7 @@ pub(crate) fn merge_partition_chains<I: Clone + Ord + std::hash::Hash>(
         if let Some(qi) = qi {
             queues[qi].pop_front();
         }
-        used.insert(input.clone());
+        *used.entry(input.clone()).or_default() += 1;
         hist.push(input);
     }
     Some(chain)
@@ -801,7 +815,7 @@ mod tests {
                 (qb, PersistentMultiset::elems(&["b"])),
             ],
             vec!["s"],
-            PersistentMultiset::elems(&["s"]),
+            PersistentMultiset::new(),
         )
         .expect("no head blocked");
         assert_eq!(chain, vec![(1, vec!["s", "b"]), (2, vec!["s", "b", "a"])]);
@@ -822,19 +836,10 @@ mod tests {
         ])
     }
 
-    /// Theorem 2 at the level of work: on switch-free traces the
-    /// speculative checker's projection states, class by class, the
-    /// problems the plain one states, so [`check`] does the same work on
-    /// both — equal partition reports, `SearchStats` included — and finds
-    /// the same commit chains, merged or re-derived: the monolithic ones.
-    #[test]
-    fn both_models_state_the_same_problems_on_switch_free_traces() {
+    /// Multi-key traces, clean and faulty, at two to eight keys, plus the
+    /// cross-blocked one.
+    fn switch_free_corpus() -> Vec<Trace<KA>> {
         use crate::gen::{random_multikey_kv_trace, MultiKeyConfig};
-        use crate::initrel::ExactInit;
-        use crate::lin::{LinChecker, LinError};
-        use crate::slin::{SlinChecker, SlinError};
-        let lin = LinChecker::owned(KvStore);
-        let slin = SlinChecker::owned(KvStore, ExactInit::new(), ph(), PhaseId::new(2));
         let mut corpus = vec![cross_blocked_trace()];
         for (keys, contention) in [(2, 0.0), (4, 0.0), (4, 0.5), (8, 0.2)] {
             for error_prob in [0.0, 0.3] {
@@ -851,8 +856,23 @@ mod tests {
                 }));
             }
         }
+        corpus
+    }
+
+    /// Theorem 2 at the level of work: on switch-free traces the
+    /// speculative checker's projection states, class by class, the
+    /// problems the plain one states, so [`check`] does the same work on
+    /// both — equal partition reports, `SearchStats` included — and finds
+    /// the same commit chains, merged or re-derived: the monolithic ones.
+    #[test]
+    fn both_models_state_the_same_problems_on_switch_free_traces() {
+        use crate::initrel::ExactInit;
+        use crate::lin::{LinChecker, LinError};
+        use crate::slin::{SlinChecker, SlinError};
+        let lin = LinChecker::owned(KvStore);
+        let slin = SlinChecker::owned(KvStore, ExactInit::new(), ph(), PhaseId::new(2));
         let (mut accepted, mut refuted, mut remerged) = (0, 0, 0);
-        for t in &corpus {
+        for t in &switch_free_corpus() {
             let phase_t: Trace<ObjAction<KvStore, Vec<KvInput>>> = Trace::from_actions(
                 t.iter()
                     .map(|a| match a {
@@ -1105,5 +1125,298 @@ mod tests {
         // After both early commits, the extras node consumes b0 < x, then
         // x, then the final commit.
         assert_eq!(chain[2].1, vec!["a", "b", "b0", "x", "a"]);
+    }
+
+    /// The merge as it read before the floor rule — every viability test
+    /// scans every remaining commit's bound, the consumed inputs are a
+    /// persistent multiset pre-populated by the caller — kept as the
+    /// reference `merge_partition_chains` is tested against.
+    fn merge_by_scan<I: Clone + Ord + std::hash::Hash>(
+        bounds: &[PersistentMultiset<I>],
+        parts: Vec<(VecDeque<Step<I>>, PersistentMultiset<I>)>,
+        seed: Vec<I>,
+        seed_used: PersistentMultiset<I>,
+    ) -> Option<Chain<I>> {
+        let (mut queues, pools): (Vec<VecDeque<Step<I>>>, Vec<PersistentMultiset<I>>) =
+            parts.into_iter().unzip();
+        // All remaining commits, across every queue: `(original index, input)`.
+        let mut remaining: Vec<(usize, I)> = queues
+            .iter()
+            .flat_map(|q| q.iter())
+            .filter_map(|s| match s {
+                Step::Commit(idx, input) => Some((*idx, input.clone())),
+                Step::Extra(_) => None,
+            })
+            .collect();
+        remaining.sort_by_key(|(idx, _)| *idx);
+
+        let mut used: PersistentMultiset<I> = seed_used;
+        let mut hist: Vec<I> = seed;
+        let mut chain: Chain<I> = Vec::new();
+
+        // `input` stays within every remaining commit's bound after one more
+        // occurrence is consumed (the monolithic prune admits the child node).
+        // `except` skips the commit being placed itself.
+        let viable = |used: &PersistentMultiset<I>,
+                      input: &I,
+                      except: Option<usize>,
+                      remaining: &[(usize, I)]| {
+            remaining
+                .iter()
+                .filter(|(idx, _)| Some(*idx) != except)
+                .all(|(idx, _)| used.count(input) < bounds[*idx].count(input))
+        };
+
+        loop {
+            let mut commit_choice: Option<(usize, usize)> = None; // (orig idx, queue)
+            let mut extra_choice: Option<(I, Option<usize>)> = None;
+            let mut any_head = false;
+            let mut any_blocked = false;
+            let mut blocked_commits: Vec<usize> = Vec::new(); // queue indices
+            for (qi, q) in queues.iter().enumerate() {
+                match q.front() {
+                    Some(Step::Commit(idx, input)) => {
+                        any_head = true;
+                        if used.count(input) >= bounds[*idx].count(input)
+                            || !viable(&used, input, Some(*idx), &remaining)
+                        {
+                            any_blocked = true;
+                            blocked_commits.push(qi);
+                        } else if commit_choice.is_none_or(|(best, _)| *idx < best) {
+                            commit_choice = Some((*idx, qi));
+                        }
+                    }
+                    Some(Step::Extra(input)) => {
+                        any_head = true;
+                        if !viable(&used, input, None, &remaining) {
+                            any_blocked = true;
+                        } else if extra_choice.as_ref().is_none_or(|(best, _)| input < best) {
+                            extra_choice = Some((input.clone(), Some(qi)));
+                        }
+                    }
+                    None => {}
+                }
+            }
+            if !any_head {
+                break;
+            }
+            // Any blocked head with no viable commit to hide behind: the
+            // engine falls through to moves (later same-partition commits,
+            // pool extras) the partition's local search never explored — bail
+            // and let the caller re-derive monolithically.
+            if commit_choice.is_none() && any_blocked {
+                return None;
+            }
+            // With a viable commit at index `best`, blocked heads are skipped
+            // by the engine — harmless — *unless* a blocked-head partition has
+            // a later queued commit below `best`: the engine (trying commits
+            // in ascending index order) would attempt that commit next, an
+            // order the partition's local witness never explored.
+            if let Some((best, _)) = commit_choice {
+                for &qi in &blocked_commits {
+                    let head_idx = match queues[qi].front() {
+                        Some(Step::Commit(idx, _)) => *idx,
+                        _ => unreachable!("blocked_commits holds commit-headed queues"),
+                    };
+                    let deviates = queues[qi].iter().skip(1).any(|s| match s {
+                        Step::Commit(idx, _) => *idx > head_idx && *idx < best,
+                        Step::Extra(_) => false,
+                    });
+                    if deviates {
+                        return None;
+                    }
+                }
+            }
+            // Move 1 (commits, ascending trace index) before move 2 (extras,
+            // ascending input) — the engine's child order.
+            if let Some((idx, qi)) = commit_choice {
+                let Some(Step::Commit(_, input)) = queues[qi].pop_front() else {
+                    unreachable!("head re-read");
+                };
+                used.insert(input.clone());
+                hist.push(input);
+                chain.push((idx, hist.clone()));
+                remaining.retain(|(i, _)| *i != idx);
+                continue;
+            }
+            // Finished partitions' leftover pool inputs compete with the head
+            // extras: the engine consumes them greedily in sorted order (their
+            // partition has no remaining commit to break) whenever the bounds
+            // admit them.
+            for (qi, q) in queues.iter().enumerate() {
+                if !q.is_empty() {
+                    continue;
+                }
+                for (input, cap) in pools[qi].iter() {
+                    if used.count(input) < cap
+                        && viable(&used, input, None, &remaining)
+                        && extra_choice.as_ref().is_none_or(|(best, _)| input < best)
+                    {
+                        extra_choice = Some((input.clone(), None));
+                    }
+                }
+            }
+            let (input, qi) = extra_choice.expect("some head exists and none is a commit");
+            if let Some(qi) = qi {
+                queues[qi].pop_front();
+            }
+            used.insert(input.clone());
+            hist.push(input);
+        }
+        Some(chain)
+    }
+
+    /// The merge's bounds, class step queues with their pools, and seed.
+    type MergeInputs<I> = (
+        Vec<PersistentMultiset<I>>,
+        Vec<(VecDeque<Step<I>>, PersistentMultiset<I>)>,
+        Vec<I>,
+    );
+
+    /// `merge_partition_chains` and [`merge_by_scan`] on the same inputs,
+    /// the reference seeded with what the merge counts itself: the seed's
+    /// elements plus `retained`.
+    fn both_merges<I: Clone + Ord + std::hash::Hash>(
+        (bounds, parts, seed): MergeInputs<I>,
+        retained: PersistentMultiset<I>,
+    ) -> (Option<Chain<I>>, Option<Chain<I>>) {
+        let mut seed_used = retained.clone();
+        seed_used.extend(seed.iter().cloned());
+        let by_scan = merge_by_scan(&bounds, parts.clone(), seed.clone(), seed_used);
+        (
+            merge_partition_chains(&bounds, parts, seed, retained),
+            by_scan,
+        )
+    }
+
+    /// What [`check`] hands the merge for `t`: the whole problem's bounds
+    /// and seed, and per class its witness steps and pool — `None` when the
+    /// model states no classes or a class has no chain (no merge runs).
+    fn merge_inputs<V, M>(
+        model: &M,
+        keyed: bool,
+        t: &Trace<ObjAction<KvStore, V>>,
+    ) -> Option<MergeInputs<KvInput>>
+    where
+        M: ConsistencyModel<V, Adt = KvStore>,
+    {
+        let Projection::Classes { whole, classes, .. } = model.project(&KvKeyPartitioner, keyed, t)
+        else {
+            return None;
+        };
+        let parts = classes
+            .iter()
+            .map(|class| {
+                let (chain, ()) = class.problem.search(&KvStore, model.budget()).0.ok()??;
+                let steps = witness_steps(&chain, class.problem.seed.len(), &class.index_map);
+                Some((steps, class.problem.pool()))
+            })
+            .collect::<Option<_>>()?;
+        Some((whole.bounds, parts, whole.seed))
+    }
+
+    /// The floor rule against the scan on every class-queue set [`check`]
+    /// builds: over the switch-free corpus, and over batch-shaped keyed
+    /// phase traces (init LCP seeds, abort leaves), clean and faulty.
+    #[test]
+    fn merge_equals_the_scan_on_every_class_queue_set_check_builds() {
+        use crate::gen::{phase_trace_bounds, random_phase_kv_trace, PhaseConfig};
+        use crate::initrel::ExactInit;
+        use crate::lin::LinChecker;
+        use crate::slin::SlinChecker;
+        let lin = LinChecker::owned(KvStore);
+        let (m, n) = phase_trace_bounds();
+        let slin = SlinChecker::owned(KvStore, ExactInit::new(), m, n);
+        let mut sets: Vec<_> = switch_free_corpus()
+            .iter()
+            .filter_map(|t| merge_inputs(&lin, false, t))
+            .collect();
+        let switch_free = sets.len();
+        for error_prob in [0.0, 0.4] {
+            for seed in 0..100 {
+                let t = random_phase_kv_trace(&PhaseConfig {
+                    clients: 4,
+                    steps: 36,
+                    keys: 4,
+                    aborts: 2,
+                    error_prob,
+                    seed,
+                    ..PhaseConfig::default()
+                });
+                sets.extend(merge_inputs(&slin, true, &t));
+            }
+        }
+        let (total, phase) = (sets.len(), sets.len() - switch_free);
+        let mut bailed = 0;
+        for set in sets {
+            let (got, want) = both_merges(set, PersistentMultiset::new());
+            assert_eq!(got, want);
+            bailed += got.is_none() as usize;
+        }
+        assert!(switch_free > 20 && phase >= 100, "{switch_free} + {phase}");
+        assert!(bailed > 0 && bailed < total, "{bailed} of {total} bail");
+    }
+
+    /// The floor rule against the scan on random monotone bounds: step
+    /// queues whose commits come in any index order, heads the bounds
+    /// block, pools with leftovers beyond their queue's steps, a seed and a
+    /// retained prefix summary.
+    #[test]
+    fn merge_equals_the_scan_on_random_monotone_bounds() {
+        use proptest::prelude::*;
+        // Per step: (queue, input, commit?, sort key of its commit index).
+        let steps = prop::collection::vec((0..3usize, 0..4u8, 0..3u8, 0..64u8), 1..12);
+        // Per commit index: the inputs its bound adds to the one before
+        // (the first to the seed and the retained summary).
+        let growth = prop::collection::vec(prop::collection::vec(0..4u8, 1..6), 13usize);
+        let extras = prop::collection::vec(prop::collection::vec(0..4u8, 0..4), 3usize);
+        let seeds = (
+            prop::collection::vec(0..4u8, 0..3),
+            prop::collection::vec(0..4u8, 0..3),
+        );
+        let mut merged = 0;
+        TestRunner::new(ProptestConfig::with_cases(4000)).run_cases(
+            "merge_equals_the_scan_on_random_monotone_bounds",
+            |rng| {
+                let steps = steps.new_value(rng);
+                let (growth, extras) = (growth.new_value(rng), extras.new_value(rng));
+                let (seed, retained) = seeds.new_value(rng);
+                let mut keys: Vec<(u8, usize)> = steps
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, s)| s.2 > 0)
+                    .map(|(at, s)| (s.3, at))
+                    .collect();
+                keys.sort_unstable();
+                let mut queues = vec![VecDeque::new(); 3];
+                let mut pools = vec![PersistentMultiset::new(); 3];
+                for (at, &(q, input, _, _)) in steps.iter().enumerate() {
+                    queues[q].push_back(match keys.iter().position(|&(_, a)| a == at) {
+                        Some(idx) => Step::Commit(idx, input),
+                        None => Step::Extra(input),
+                    });
+                    pools[q].insert(input);
+                }
+                for (pool, more) in pools.iter_mut().zip(extras) {
+                    pool.extend(more);
+                }
+                let mut bound: PersistentMultiset<u8> =
+                    seed.iter().chain(&retained).copied().collect();
+                let bounds = growth[..=keys.len()]
+                    .iter()
+                    .map(|more| {
+                        bound.extend(more.iter().copied());
+                        bound.clone()
+                    })
+                    .collect();
+                let parts = queues.into_iter().zip(pools).collect();
+                let retained = retained.into_iter().collect();
+                let (got, want) = both_merges((bounds, parts, seed), retained);
+                merged += got.is_some() as usize;
+                prop_assert_eq!(got, want);
+                Ok(())
+            },
+        );
+        assert!((400..3600).contains(&merged), "{merged} of 4000 merge");
     }
 }

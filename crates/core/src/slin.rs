@@ -477,8 +477,9 @@ where
             per_class: vec![Vec::new(); classes.count],
             at_aborts: Vec::with_capacity(prep.aborts.len()),
         };
-        // The running ∪ of the interpretation histories' elements.
-        let mut hist_elems: PersistentMultiset<T::Input> = PersistentMultiset::new();
+        // The running ∪ of the interpretation histories' elements: counts
+        // only, nothing reads a snapshot of it.
+        let mut hist_elems: BTreeMap<&T::Input, usize> = BTreeMap::new();
         let mut invoked = prep.invoked.iter().peekable();
         let mut inits = prep.inits.iter().peekable();
         let mut aborts = prep.aborts.iter().peekable();
@@ -512,11 +513,11 @@ where
             let hist = interpreted.next_if(|(j, _)| *j == i);
             if let (Some(init), Some((_, hist))) = (init, hist) {
                 grow(&init.input, 1);
-                for (input, n) in PersistentMultiset::elems(hist).iter() {
-                    let had = hist_elems.count(input);
-                    if n > had {
-                        hist_elems.add(input.clone(), n - had);
-                        grow(input, n - had);
+                for (input, n) in elem_counts(hist) {
+                    let had = hist_elems.entry(input).or_insert(0);
+                    if n > *had {
+                        grow(input, n - *had);
+                        *had = n;
                     }
                 }
             }
@@ -881,31 +882,22 @@ where
             .enumerate()
             .map(|(k, ((sub, index_map), bounds))| {
                 let class_lcp = proj(k, lcp);
-                // Per global abort: its pending input when this class owns
-                // it, the class projection of its interpretation, and the
-                // class's valid inputs there.
-                let aborts: Vec<_> = prep
-                    .aborts
-                    .iter()
-                    .zip(&abort_hists)
-                    .zip(&at_aborts)
-                    .map(|((s, h), at_abort)| {
-                        let own = in_class(k, &s.input).then(|| s.input.clone());
-                        (own, proj(k, h), at_abort[k].clone())
-                    })
-                    .collect();
+                let cands: Vec<_> = abort_hists.iter().map(|h| proj(k, h)).collect();
+                // The draw reads no chain — only the projection, the
+                // pending input when this class owns it and the class's
+                // valid inputs at the abort — so it is decided here, once.
+                let mut per_abort = prep.aborts.iter().zip(&cands).zip(&at_aborts);
+                let draws = per_abort.all(|((s, cand), at_abort)| {
+                    let own = in_class(k, &s.input).then_some(&s.input);
+                    draws_within(cand, own, &at_abort[k])
+                });
                 let seed = class_lcp.clone();
                 let leaf = move |longest: &[T::Input]| {
-                    aborts
-                        .iter()
-                        .all(|(own, cand, bound)| {
-                            seq::is_prefix(longest, cand)
-                                && (!constrain_init_order || seq::is_prefix(&class_lcp, cand))
-                                && PersistentMultiset::elems(cand)
-                                    .union_max(&PersistentMultiset::elems(own.as_slice()))
-                                    .is_subset_of(bound)
-                        })
-                        .then_some(())
+                    let extends = |cand: &Vec<T::Input>| {
+                        seq::is_prefix(longest, cand)
+                            && (!constrain_init_order || seq::is_prefix(&class_lcp, cand))
+                    };
+                    (draws && cands.iter().all(extends)).then_some(())
                 };
                 ClassProblem {
                     problem: Problem {
@@ -1058,7 +1050,7 @@ type ExtendFn<'a, I, V> = dyn Fn(&V, &[I]) -> Vec<Vec<I>> + 'a;
 /// to the initialization prefix when nothing committed and no loose
 /// pending inputs exist, and the composition proof only uses non-strict
 /// prefix reasoning on abort histories.
-fn aborts_feasible<T: Adt, V>(
+fn aborts_feasible<T: Adt<Input: Ord>, V>(
     abort_events: &[AbortEvent<T::Input, V>],
     longest_commit: &[T::Input],
     lcp: &[T::Input],
@@ -1069,10 +1061,7 @@ fn aborts_feasible<T: Adt, V>(
     for (index, input, value, valid) in abort_events {
         let cands = extend(value, longest_commit);
         let ok = cands.into_iter().find(|a| {
-            (!constrain_init_order || seq::is_prefix(lcp, a))
-                && PersistentMultiset::elems(a)
-                    .union_max(&PersistentMultiset::elems(std::slice::from_ref(input)))
-                    .is_subset_of(valid)
+            (!constrain_init_order || seq::is_prefix(lcp, a)) && draws_within(a, Some(input), valid)
         });
         match ok {
             Some(a) => chosen.push((*index, a)),
@@ -1080,6 +1069,29 @@ fn aborts_feasible<T: Adt, V>(
         }
     }
     Some(chosen)
+}
+
+/// `elems(h) ∪ elems(pending) ⊆ bound` — an abort history, with its
+/// action's pending input, draws from the valid inputs (Definition 28) —
+/// by counting: the ∪ asks the bound for each element's multiplicity in
+/// `h`, and for the pending input's at least once.
+fn draws_within<I: Ord + std::hash::Hash>(
+    h: &[I],
+    pending: Option<&I>,
+    bound: &PersistentMultiset<I>,
+) -> bool {
+    pending.is_none_or(|p| h.iter().filter(|e| *e == p).count().max(1) <= bound.count(p))
+        && elem_counts(h).iter().all(|&(e, n)| n <= bound.count(e))
+}
+
+/// `elems(h)` as `(element, multiplicity)` pairs, in ascending order.
+fn elem_counts<I: Ord>(h: &[I]) -> Vec<(&I, usize)> {
+    let mut sorted: Vec<&I> = h.iter().collect();
+    sorted.sort_unstable();
+    sorted
+        .chunk_by(|a, b| a == b)
+        .map(|run| (run[0], run.len()))
+        .collect()
 }
 
 #[cfg(test)]
@@ -1404,6 +1416,26 @@ mod tests {
         let by_value = |i: &ConsInput| (*i == p(5)) as usize;
         for t in [&collision, &divergent] {
             assert_valid_inputs_match_the_definition(&chk, t, 2, &by_value);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4000))]
+        /// The counted draw against Definition 28's multiset algebra, on
+        /// histories with repeats, a pending input in the history, outside
+        /// it or absent, and bounds around the history's size.
+        #[test]
+        fn counting_draw_equals_the_multiset_algebra(
+            h in proptest::collection::vec(0..4u8, 0..9),
+            pending in 0..5u8,
+            bound in proptest::collection::vec(0..4u8, 0..9),
+        ) {
+            let own = (pending < 4).then_some(pending);
+            let bound: PersistentMultiset<u8> = bound.into_iter().collect();
+            let by_algebra = PersistentMultiset::elems(&h)
+                .union_max(&PersistentMultiset::elems(own.as_slice()))
+                .is_subset_of(&bound);
+            proptest::prop_assert_eq!(draws_within(&h, own.as_ref(), &bound), by_algebra);
         }
     }
 
