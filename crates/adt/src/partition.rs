@@ -42,10 +42,8 @@
 //! cargo run -p slin-analysis --bin slin-analyze
 //! ```
 //!
-//! and install the proof at session-build time with
-//! `SessionBuilder::partitioner_certified` in `slin-core`
-//! (policy knob: `CertPolicy`). New partitioners should ship with a
-//! `DomainSpec` and a committed certificate.
+//! New partitioners should ship with a `DomainSpec` and a committed
+//! certificate.
 //!
 //! # Example
 //!

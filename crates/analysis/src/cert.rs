@@ -154,7 +154,7 @@ certificate! {
     /// This is the `slin-cert/v2` schema committed alongside the v1
     /// partitioner certificates (the `__switch` file-name suffix keeps the
     /// pair's two files apart); installing one through the `slin-core`
-    /// session builder unlocks keyed (per-class) checking of phase traces.
+    /// session builder lets phase traces decompose per class.
     pub struct SwitchCert [SWITCH_CERT_SCHEMA, "__switch"] {
         /// Short type name of the certified ADT (e.g. `KvStore`).
         pub adt: String,
@@ -182,8 +182,9 @@ certificate! {
     }
 }
 
-/// Why a certificate was rejected when threading it through a session
-/// builder (see `SessionBuilder::partitioner_certified` in `slin-core`).
+/// Why a switch-independence certificate was rejected when threading it
+/// through a session builder (see `SessionBuilder::switch_certified` in
+/// `slin-core`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CertError {
     /// The certificate's content hash does not match its fields.
@@ -201,14 +202,6 @@ pub enum CertError {
         expected: String,
         /// Partitioner name the certificate was issued for.
         found: String,
-    },
-    /// No certificate covers this `(ADT, partitioner)` pair and the policy
-    /// requires one.
-    Uncertified {
-        /// ADT name of the session model.
-        adt: String,
-        /// Partitioner type handed to the builder.
-        partitioner: String,
     },
     /// The switch certificate names a different init relation than the
     /// session model interprets switches with.
@@ -231,11 +224,6 @@ impl fmt::Display for CertError {
             CertError::PartitionerMismatch { expected, found } => write!(
                 f,
                 "certificate is for partitioner `{found}`, builder was given `{expected}`"
-            ),
-            CertError::Uncertified { adt, partitioner } => write!(
-                f,
-                "no certificate for partitioner `{partitioner}` over ADT `{adt}` \
-                 (run `slin-analyze`, or relax the cert policy)"
             ),
             CertError::RelationMismatch { expected, found } => write!(
                 f,

@@ -12,15 +12,16 @@
 //!   machine-readable [`Certificate`] or a shrunk, replayable
 //!   [`Counterexample`] (the exploration is one walk, [`analyze`]'s, that
 //!   both certifications share; either fails with a [`Failure`]);
-//! * a certificate reaches a session one way: installed by value
-//!   (`SessionBuilder::partitioner_certified` / `switch_certified` in
-//!   `slin-core`; the daemon's `keyed` policy installs a switch
-//!   certificate);
 //! * [`certify_switch`] does the same for the **switch/init contract**:
 //!   it proves the exact init relation decomposes per independence class
 //!   over the ADT's enumerable switch domain, emitting a
-//!   [`SwitchCert`] (`slin-cert/v2`) that unlocks keyed phase-trace
-//!   checking, or a replayable [`SwitchCounterexample`];
+//!   [`SwitchCert`] (`slin-cert/v2`) that lets phase traces decompose per
+//!   class, or a replayable [`SwitchCounterexample`];
+//! * a switch certificate reaches a session one way: installed by value
+//!   (`SessionBuilder::switch_certified` in `slin-core`; the daemon's
+//!   `keyed` policy installs one). A partitioner certificate
+//!   (`slin-cert/v1`) is a build-time artefact: `slin-analyze` commits it
+//!   and tier-1 compares its bytes;
 //! * [`fixtures`] holds deliberately unsound partitioners the analyzer
 //!   must reject — the negative half of the test suite.
 //!

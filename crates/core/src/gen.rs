@@ -252,16 +252,17 @@ where
 /// use slin_adt::{KvKeyPartitioner, KvStore};
 /// use slin_core::gen::{random_multikey_kv_trace, MultiKeyConfig};
 /// use slin_core::lin::LinChecker;
-/// use slin_core::session::{Checker, Strategy};
+/// use slin_core::session::{Checker, StrategyUsed};
 ///
 /// let t = random_multikey_kv_trace(&MultiKeyConfig { keys: 8, ..Default::default() });
 /// let chk = LinChecker::owned(KvStore);
-/// let mut partitioned = Checker::builder(chk.clone())
+/// let mut session = Checker::builder(chk.clone())
 ///     .partitioner(KvKeyPartitioner)
-///     .strategy(Strategy::Partitioned)
 ///     .build();
-/// // Byte-identical, fewer nodes.
-/// assert_eq!(partitioned.check(&t).outcome, chk.check(&t));
+/// // Switch-free, so it decomposes: byte-identical, fewer nodes.
+/// let verdict = session.check(&t);
+/// assert_eq!(verdict.strategy, StrategyUsed::Partitioned);
+/// assert_eq!(verdict.outcome, chk.check(&t));
 /// ```
 pub fn random_multikey_kv_trace(cfg: &MultiKeyConfig) -> Trace<ObjAction<KvStore, ()>> {
     multikey_trace(&KvStore, cfg, sample_keyed::<KvStore>)

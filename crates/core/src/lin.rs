@@ -328,16 +328,14 @@ where
 
     /// The plain per-key split: a sub-trace of a valid object trace is a
     /// valid object trace, and its Definition 10 is the class projection
-    /// of the whole trace's. No certificate lets a switch action through
-    /// (`keyed` is not asked): the split collapses on one and the whole
-    /// check rejects it.
+    /// of the whole trace's. No certificate names a relation of this model,
+    /// so a trace with a switch action never decomposes and is never asked.
     fn project<P: Partitioner<T>>(
         &self,
         partitioner: &P,
-        _keyed: bool,
         t: &Trace<ObjAction<T, V>>,
     ) -> Projection<'_, T, (), LinError> {
-        let split = partition::split(partitioner, false, t);
+        let split = partition::split_trace(partitioner, t);
         if split.fallback.is_some() || split.parts.len() <= 1 {
             return Projection::Whole {
                 partitions: split.parts.len(),

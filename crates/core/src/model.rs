@@ -196,7 +196,7 @@ pub trait ConsistencyModel<V>: Sized {
     /// Short type name of the init relation the model interprets switch
     /// values with, or `None` for criteria without switches. A
     /// switch-independence certificate (`slin-cert/v2`) must name this
-    /// relation to unlock the keyed projection.
+    /// relation to let traces with switch actions decompose.
     fn init_relation_name(&self) -> Option<&'static str> {
         None
     }
@@ -212,15 +212,14 @@ pub trait ConsistencyModel<V>: Sized {
     /// validating `t` against the model's signature and well-formedness
     /// discipline whenever the answer is [`Projection::Classes`].
     ///
-    /// `keyed` says a verified switch-independence certificate covers
-    /// `(adt, partitioner, init relation)` — the *session* enforces that
-    /// gate — so switch actions may be classified per class (by pending
-    /// input and by the class projection of their value's interpretation)
-    /// instead of forcing [`Projection::Whole`].
+    /// Asked only of a trace that decomposes (`partition::decomposes`), so
+    /// any switch action in `t` is covered by a verified
+    /// switch-independence certificate and may be classified per class (by
+    /// pending input and by the class projection of its value's
+    /// interpretation).
     fn project<P: Partitioner<Self::Adt>>(
         &self,
         partitioner: &P,
-        keyed: bool,
         t: &Trace<ObjAction<Self::Adt, V>>,
     ) -> Projection<'_, Self::Adt, Self::Leaf, Self::Error>;
 

@@ -1,16 +1,19 @@
 //! P-compositional (partition-aware) checking.
 //!
 //! A [`Partitioner`] classifies every input of a trace into an independence
-//! class. A [`ConsistencyModel`] states, along it, one search problem per
-//! class ([`ConsistencyModel::project`] — plain linearizability splits the
-//! trace per key with [`split_trace`], the speculative checker also
-//! classifies switch actions, as [`split_trace_keyed`] does, under a
-//! switch-independence certificate); `partition::check` — the one routine behind
-//! every partitioned verdict on a closed trace — runs the class searches
-//! through [`fan_out`] (the same dispatch the speculative checker uses for
-//! init-interpretation enumeration and the daemon for its lanes), and
-//! **merges the class chains back into the exact witness the monolithic
-//! search would have produced** (`merge_partition_chains`).
+//! class. Whether a check decomposes along it is one rule,
+//! `partition::decomposes`: a partitioner is supplied and the trace is
+//! switch-free (Theorem 2 plus the partitioner contract) or a verified
+//! switch-independence certificate covers its switch actions. Where it
+//! holds, a [`ConsistencyModel`] states one search problem per class
+//! ([`ConsistencyModel::project`] — plain linearizability splits the trace
+//! per key with [`split_trace`], the speculative checker also classifies
+//! switch actions, as [`split_trace_keyed`] does); `partition::check` — the
+//! one routine behind every partitioned verdict on a closed trace — runs the
+//! class searches through [`fan_out`] (the same dispatch the speculative
+//! checker uses for init-interpretation enumeration and the daemon for its
+//! lanes), and **merges the class chains back into the exact witness the
+//! monolithic search would have produced** (`merge_partition_chains`).
 //!
 //! # Threads are an upper bound
 //!
@@ -64,15 +67,17 @@
 //! the price of the reconstruction speedup on such traces
 //! ([`PartitionReport::remerged`] reports the event).
 //!
-//! Traces with **uncertified switch actions**, and traces with any input
-//! the partitioner declines to classify, are checked whole (monolithic
-//! checking); [`PartitionReport::fallback`] says which.
+//! Traces with **uncertified switch actions** do not decompose, so they
+//! never reach the projection. Traces with any input the partitioner
+//! declines to classify, and certified ones whose switch values do not
+//! project per class, are checked whole (monolithic checking);
+//! [`PartitionReport::fallback`] says which.
 
 use crate::engine::{Chain, SearchStats};
 use crate::model::{ConsistencyModel, Projection, SplitVerdict};
 use crate::ObjAction;
 use slin_adt::{Adt, Partitioner};
-use slin_trace::{PersistentMultiset, Trace};
+use slin_trace::{Action, PersistentMultiset, Trace};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 /// Why a trace went monolithic: the reason a model's projection answered
@@ -189,11 +194,7 @@ where
 
 /// The one split body: `keyed` says whether a switch action is classified
 /// (by its pending input) or collapses the split.
-pub(crate) fn split<T, V, P>(
-    p: &P,
-    keyed: bool,
-    t: &Trace<ObjAction<T, V>>,
-) -> SplitOutcome<T, V, P::Key>
+fn split<T, V, P>(p: &P, keyed: bool, t: &Trace<ObjAction<T, V>>) -> SplitOutcome<T, V, P::Key>
 where
     T: Adt,
     V: Clone,
@@ -350,16 +351,33 @@ pub(crate) fn resolve_threads(configured: usize) -> usize {
     }
 }
 
-/// P-compositional checking of a closed trace — the one routine behind
-/// every partitioned [`crate::session`] verdict and the streaming
-/// monitor's report derivation, for every [`ConsistencyModel`].
+/// Whether a check of `t` decomposes per independence class: the one rule
+/// every partitioned verdict depends on, read by [`crate::session`]'s
+/// `Strategy::Auto` and by the streaming monitor's re-check of its record.
+/// It holds when a partitioner is supplied and `t` is switch-free
+/// (Theorem 2 plus the partitioner contract) or `switch_certified` — a
+/// verified switch-independence certificate (`slin-cert/v2`) covers the
+/// session's `(adt, partitioner, rinit)`. Returns the partitioner to
+/// decompose along ([`check`]); where it says no, the caller checks `t`
+/// whole ([`ConsistencyModel::check_monolithic`]).
+pub(crate) fn decomposes<'p, I, O, V, P>(
+    partitioner: Option<&'p P>,
+    switch_certified: bool,
+    t: &Trace<Action<I, O, V>>,
+) -> Option<&'p P> {
+    partitioner.filter(|_| switch_certified || !t.iter().any(|a| a.is_switch()))
+}
+
+/// P-compositional checking of a closed trace that [`decomposes`] — the
+/// one routine behind every partitioned [`crate::session`] verdict and the
+/// streaming monitor's report derivation, for every [`ConsistencyModel`].
 ///
 /// Asks the model what there is to search along `partitioner`
-/// ([`ConsistencyModel::project`]; no partitioner, nothing to project),
-/// then: runs the class searches through [`fan_out`] (a class's weight is
-/// its commit count), absorbs every class's counters in key order, resolves
-/// the verdict exactly like a sequential loop over the classes would (the
-/// first failing class in key order wins — a refutation or a budget trip
+/// ([`ConsistencyModel::project`]), then: runs the class searches through
+/// [`fan_out`] (a class's weight is its commit count), absorbs every
+/// class's counters in key order, resolves the verdict exactly like a
+/// sequential loop over the classes would (the first failing class in key
+/// order wins — a refutation or a budget trip
 /// alike, so a tripped class under-claims rather than searching again),
 /// merges the class chains in engine order against the whole problem's
 /// bounds from its seed, re-discharges the whole problem's leaf on the
@@ -372,8 +390,7 @@ pub(crate) fn resolve_threads(configured: usize) -> usize {
 /// monolithic search gives up on may well be decided here.
 pub(crate) fn check<V, M, P>(
     model: &M,
-    partitioner: Option<&P>,
-    keyed: bool,
+    partitioner: &P,
     t: &Trace<ObjAction<M::Adt, V>>,
 ) -> SplitVerdict<M::Witness, M::Error>
 where
@@ -389,14 +406,7 @@ where
         remerged: false,
         stats,
     };
-    let projection = match partitioner {
-        Some(p) => model.project(p, keyed, t),
-        None => Projection::Whole {
-            partitions: 1,
-            fallback: Some(FallbackReason::UnclassifiableInput),
-        },
-    };
-    let (whole, classes, refuted) = match projection {
+    let (whole, classes, refuted) = match model.project(partitioner, t) {
         Projection::Rejected(e) => {
             return SplitVerdict {
                 verdict: Err(e),
@@ -889,8 +899,8 @@ mod tests {
                     })
                     .collect(),
             );
-            let by_lin = check(&lin, Some(&KvKeyPartitioner), false, t);
-            let by_slin = check(&slin, Some(&KvKeyPartitioner), false, &phase_t);
+            let by_lin = check(&lin, &KvKeyPartitioner, t);
+            let by_slin = check(&slin, &KvKeyPartitioner, &phase_t);
             assert_eq!(by_lin.report, by_slin.report, "{t:?}");
             assert_eq!(by_lin.report.fallback, None);
             assert!(by_lin.report.partitions > 1);
@@ -1294,14 +1304,12 @@ mod tests {
     /// model states no classes or a class has no chain (no merge runs).
     fn merge_inputs<V, M>(
         model: &M,
-        keyed: bool,
         t: &Trace<ObjAction<KvStore, V>>,
     ) -> Option<MergeInputs<KvInput>>
     where
         M: ConsistencyModel<V, Adt = KvStore>,
     {
-        let Projection::Classes { whole, classes, .. } = model.project(&KvKeyPartitioner, keyed, t)
-        else {
+        let Projection::Classes { whole, classes, .. } = model.project(&KvKeyPartitioner, t) else {
             return None;
         };
         let parts = classes
@@ -1329,7 +1337,7 @@ mod tests {
         let slin = SlinChecker::owned(KvStore, ExactInit::new(), m, n);
         let mut sets: Vec<_> = switch_free_corpus()
             .iter()
-            .filter_map(|t| merge_inputs(&lin, false, t))
+            .filter_map(|t| merge_inputs(&lin, t))
             .collect();
         let switch_free = sets.len();
         for error_prob in [0.0, 0.4] {
@@ -1343,7 +1351,7 @@ mod tests {
                     seed,
                     ..PhaseConfig::default()
                 });
-                sets.extend(merge_inputs(&slin, true, &t));
+                sets.extend(merge_inputs(&slin, &t));
             }
         }
         let (total, phase) = (sets.len(), sets.len() - switch_free);

@@ -8,16 +8,16 @@
 //! traces or [`Session::ingest`] for live streams, and read one
 //! [`Verdict`] type either way.
 //!
-//! * [`Strategy::Monolithic`] — one chain search over the whole trace;
-//! * [`Strategy::Partitioned`] — P-compositional checking along the
-//!   supplied [`Partitioner`] (byte-identical verdicts and witnesses,
-//!   fewer nodes — see [`crate::partition`]);
-//! * [`Strategy::Streaming`] — the sharded incremental monitor of
-//!   [`crate::stream`], with an optional bounded GC window;
-//! * [`Strategy::Auto`] (the default) — partitioned exactly when a
+//! * [`Strategy::Auto`] (the default) — P-compositional checking along
+//!   the supplied [`Partitioner`] exactly where the check decomposes: a
 //!   partitioner was supplied and the trace has no switch actions or a
 //!   switch-independence certificate covers them
-//!   ([`SessionBuilder::switch_certified`]), monolithic otherwise.
+//!   ([`SessionBuilder::switch_certified`]); monolithic otherwise.
+//!   Verdicts and witnesses are byte-identical either way, the partitioned
+//!   path expands fewer nodes (see [`crate::partition`]);
+//! * [`Strategy::Monolithic`] — one chain search over the whole trace;
+//! * [`Strategy::Streaming`] — the sharded incremental monitor of
+//!   [`crate::stream`], with an optional bounded GC window.
 //!
 //! Sessions own their model (see `crate::model` — "Model ownership"), so a
 //! built [`Session`] is `'static` and can be moved into threads, stored in
@@ -69,7 +69,7 @@ use crate::stream::{
 };
 use crate::ObjAction;
 use slin_adt::{Adt, IdentityPartitioner, Partitioner};
-use slin_analysis::{short_type_name, CertError, Certificate, SwitchCert};
+use slin_analysis::{short_type_name, CertError, SwitchCert};
 use slin_obs::{EngineSearchEvent, Obs};
 use slin_trace::Trace;
 use std::marker::PhantomData;
@@ -84,9 +84,6 @@ pub enum Strategy {
     Auto,
     /// One chain search over the whole trace.
     Monolithic,
-    /// P-compositional checking along the supplied partitioner (identity
-    /// fallback when none was supplied or the trace is partition-hostile).
-    Partitioned,
     /// The sharded incremental monitor: [`Session::ingest`] events live,
     /// [`Session::check`] drains a trace and reports.
     Streaming {
@@ -95,22 +92,6 @@ pub enum Strategy {
         /// batch path).
         window: Option<usize>,
     },
-}
-
-/// What a session does with a partitioner that carries no soundness
-/// certificate (see `slin-analysis`: `slin-analyze` certifies the
-/// shipped partitioners, [`SessionBuilder::partitioner_certified`]
-/// installs the proof).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CertPolicy {
-    /// Trust the caller (the historical behaviour): the partitioner is
-    /// used as supplied. The soundness contract is still binding — it is
-    /// just not machine-checked at build time.
-    #[default]
-    Trust,
-    /// Refuse to build: [`SessionBuilder::try_build`] returns
-    /// [`CertError::Uncertified`].
-    Require,
 }
 
 /// Which concrete code path a [`Verdict`] came from (what
@@ -190,9 +171,7 @@ impl<M> Checker<M> {
             window: None,
             gc: GcPolicy::default(),
             obs: Obs::noop(),
-            cert: None,
             switch_cert: None,
-            cert_policy: CertPolicy::Trust,
         }
     }
 }
@@ -207,16 +186,11 @@ pub struct SessionBuilder<M, P> {
     window: Option<usize>,
     gc: GcPolicy,
     obs: Obs,
-    /// Explicit certificate from [`SessionBuilder::partitioner_certified`]
-    /// (hash and partitioner name already verified; the ADT name is
-    /// checked at build time, when `M::Adt` is nameable).
-    cert: Option<Certificate>,
     /// Explicit switch-independence certificate from
     /// [`SessionBuilder::switch_certified`] (hash and partitioner name
     /// already verified; ADT and init-relation names are checked at build
     /// time).
     switch_cert: Option<SwitchCert>,
-    cert_policy: CertPolicy,
 }
 
 impl<M, P> SessionBuilder<M, P> {
@@ -255,10 +229,10 @@ impl<M, P> SessionBuilder<M, P> {
         self
     }
 
-    /// Sets the streaming garbage-collection policy knobs (epoch cuts,
-    /// lossy forcing, frontier cap, extension budget, archival depth) for
-    /// this session's monitor. See [`GcPolicy`]. Budget, threads, and
-    /// window supplied on this builder are unaffected.
+    /// Sets the streaming garbage-collection policy knobs (lossy forcing,
+    /// frontier cap, archival depth) for this session's monitor. See
+    /// [`GcPolicy`]. Budget, threads, and window supplied on this builder
+    /// are unaffected.
     pub fn gc_policy(mut self, gc: GcPolicy) -> Self {
         self.gc = gc;
         self
@@ -277,9 +251,8 @@ impl<M, P> SessionBuilder<M, P> {
     /// Supplies a [`Partitioner`], enabling the partitioned path (and
     /// per-key sharding on the streaming path). The partitioner must
     /// uphold the soundness contract documented in [`slin_adt::partition`];
-    /// to have that contract machine-checked instead of trusted, pass the
-    /// analyzer's proof via [`SessionBuilder::partitioner_certified`] —
-    /// `slin-analyze` produces certificates for every shipped partitioner.
+    /// `slin-analyze` machine-checks it for every shipped partitioner
+    /// (`analysis/certs/`).
     pub fn partitioner<Q>(self, partitioner: Q) -> SessionBuilder<M, Q> {
         SessionBuilder {
             model: self.model,
@@ -291,62 +264,21 @@ impl<M, P> SessionBuilder<M, P> {
             gc: self.gc,
             obs: self.obs,
             // A fresh partitioner invalidates any installed certificate.
-            cert: None,
             switch_cert: None,
-            cert_policy: self.cert_policy,
         }
-    }
-
-    /// Supplies a [`Partitioner`] together with its soundness
-    /// [`Certificate`] (produced by `slin_analysis::certify` or read back
-    /// from `analysis/certs/`). The certificate's content hash and
-    /// partitioner name are verified here; its ADT name is verified at
-    /// [`SessionBuilder::try_build`], where the model's ADT is nameable.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use slin_adt::{KvKeyPartitioner, KvStore};
-    /// use slin_analysis::{certify, AnalyzeConfig};
-    /// use slin_core::lin::LinChecker;
-    /// use slin_core::session::Checker;
-    ///
-    /// let cert = certify(&KvStore, &KvKeyPartitioner, &AnalyzeConfig::default()).unwrap();
-    /// let mut session = Checker::builder(LinChecker::owned(KvStore))
-    ///     .partitioner_certified(KvKeyPartitioner, &cert)
-    ///     .unwrap()
-    ///     .build::<()>();
-    /// ```
-    pub fn partitioner_certified<Q>(
-        self,
-        partitioner: Q,
-        cert: &Certificate,
-    ) -> Result<SessionBuilder<M, Q>, CertError> {
-        if !cert.verify() {
-            return Err(CertError::BadHash);
-        }
-        let expected = short_type_name::<Q>();
-        if cert.partitioner != expected {
-            return Err(CertError::PartitionerMismatch {
-                expected: expected.to_string(),
-                found: cert.partitioner.clone(),
-            });
-        }
-        let mut next = self.partitioner(partitioner);
-        next.cert = Some(cert.clone());
-        Ok(next)
     }
 
     /// Supplies a **switch-independence certificate** (`slin-cert/v2`,
     /// produced by `slin_analysis::certify_switch` or read back from
-    /// `analysis/certs/`) for the already-supplied partitioner: with it the
-    /// session keeps the partitioned (and per-key streaming) fast path
-    /// across **switch actions**, classifying each switch by its pending
-    /// input and its value's per-class interpretation instead of engaging
-    /// the identity fallback. The certificate's content hash and
-    /// partitioner name are verified here; its ADT and init-relation names
-    /// are verified at [`SessionBuilder::try_build`], where the model is
-    /// nameable. Call after [`SessionBuilder::partitioner`].
+    /// `analysis/certs/`) for the already-supplied partitioner: with it a
+    /// trace with **switch actions** still decomposes per class
+    /// (`partition::decomposes`), each switch classified by its pending
+    /// input and its value's per-class interpretation, in batch checks and
+    /// in the streaming monitor's re-checks of its record. The
+    /// certificate's content hash and partitioner name are verified here;
+    /// its ADT and init-relation names are verified at
+    /// [`SessionBuilder::try_build`], where the model is nameable. Call
+    /// after [`SessionBuilder::partitioner`].
     pub fn switch_certified(mut self, cert: &SwitchCert) -> Result<Self, CertError> {
         if !cert.verify() {
             return Err(CertError::BadHash);
@@ -362,17 +294,9 @@ impl<M, P> SessionBuilder<M, P> {
         Ok(self)
     }
 
-    /// What to do when the partitioner has no verified certificate
-    /// (default: [`CertPolicy::Trust`], the historical behaviour).
-    pub fn cert_policy(mut self, policy: CertPolicy) -> Self {
-        self.cert_policy = policy;
-        self
-    }
-
-    /// Builds the [`Session`], panicking if the certification policy
-    /// rejects the partitioner — use [`SessionBuilder::try_build`] to
-    /// handle [`CertError`]s. Infallible under the default
-    /// [`CertPolicy::Trust`] with no explicit certificate.
+    /// Builds the [`Session`], panicking if an installed switch certificate
+    /// does not cover the model — use [`SessionBuilder::try_build`] to
+    /// handle [`CertError`]s. Infallible with no certificate installed.
     pub fn build<V>(self) -> Session<M, V, P>
     where
         M: StreamModel<V>,
@@ -381,16 +305,14 @@ impl<M, P> SessionBuilder<M, P> {
         P: Partitioner<M::Adt>,
     {
         self.try_build()
-            .expect("certification policy rejected the partitioner")
+            .expect("the switch certificate does not cover the model")
     }
 
-    /// Builds the [`Session`], applying the certification policy.
-    ///
-    /// Fails with [`CertError::BadHash`] / [`CertError::AdtMismatch`] /
-    /// [`CertError::PartitionerMismatch`] when an installed certificate
-    /// does not cover this session's `(ADT, partitioner)` pair, and with
-    /// [`CertError::Uncertified`] when no certificate exists under
-    /// [`CertPolicy::Require`].
+    /// Builds the [`Session`], checking an installed switch certificate
+    /// against the model: [`CertError::AdtMismatch`] /
+    /// [`CertError::RelationMismatch`] when it was issued for another ADT
+    /// or init relation (hash and partitioner name were verified by
+    /// [`SessionBuilder::switch_certified`]).
     pub fn try_build<V>(mut self) -> Result<Session<M, V, P>, CertError>
     where
         M: StreamModel<V>,
@@ -399,14 +321,7 @@ impl<M, P> SessionBuilder<M, P> {
         P: Partitioner<M::Adt>,
     {
         let adt_name = short_type_name::<M::Adt>();
-        // Hash and partitioner name were verified on install.
-        if let Some(cert) = self.cert.as_ref().filter(|cert| cert.adt != adt_name) {
-            return Err(CertError::AdtMismatch {
-                expected: adt_name.to_string(),
-                found: cert.adt.clone(),
-            });
-        }
-        // The keyed fast path engages only with a verified
+        // Switch actions decompose only under a verified
         // switch-independence certificate naming this exact
         // `(ADT, partitioner, init relation)` triple.
         let keyed = if let Some(cert) = &self.switch_cert {
@@ -430,15 +345,6 @@ impl<M, P> SessionBuilder<M, P> {
         } else {
             false
         };
-        if self.partitioner.is_some()
-            && self.cert.is_none()
-            && self.cert_policy == CertPolicy::Require
-        {
-            return Err(CertError::Uncertified {
-                adt: adt_name.to_string(),
-                partitioner: short_type_name::<P>().to_string(),
-            });
-        }
         if let Some(budget) = self.budget {
             self.model.set_budget(budget);
         }
@@ -511,8 +417,8 @@ where
     gc: GcPolicy,
     obs: Obs,
     /// A verified switch-independence certificate covers this session's
-    /// `(ADT, partitioner, init relation)`: phase traces keep the
-    /// partitioned/streaming fast path across switch actions.
+    /// `(ADT, partitioner, init relation)`: phase traces decompose across
+    /// switch actions (`partition::decomposes`).
     keyed: bool,
     last_polled: MonitorStatus,
 }
@@ -530,30 +436,26 @@ where
     ///
     /// On a batch session this runs the monolithic or partitioned search
     /// ([`Strategy::Auto`] resolves per trace); verdicts and witnesses are
-    /// byte-identical across all three batch resolutions. On a streaming
-    /// session this ingests the trace's events after anything already
-    /// ingested and reports on the combined stream.
+    /// byte-identical across both. On a streaming session this ingests the
+    /// trace's events after anything already ingested and reports on the
+    /// combined stream.
     pub fn check(&mut self, t: &Trace<ObjAction<M::Adt, V>>) -> Verdict<M::Witness, M::Error> {
         match &mut self.mode {
             Mode::Batch { model, partitioner } => {
                 let t0 = self.obs.t0();
-                let partitioned = match self.strategy {
-                    Strategy::Monolithic => false,
-                    Strategy::Partitioned => true,
-                    // Auto: partitioned exactly when a partitioner was
-                    // supplied and either a switch-independence
-                    // certificate unlocked the keyed projection or the
-                    // trace has no switch actions (uncertified switch
-                    // values may couple independence classes through
-                    // `rinit`, and the projection would only fall back).
-                    _ => partitioner.is_some() && (self.keyed || !t.iter().any(|a| a.is_switch())),
+                let decomposing = match self.strategy {
+                    Strategy::Monolithic => None,
+                    _ => partition::decomposes(partitioner.as_ref(), self.keyed, t),
                 };
-                let (outcome, stats, partition) = if partitioned {
-                    let sv = partition::check(&*model, partitioner.as_ref(), self.keyed, t);
-                    (sv.verdict, sv.report.stats, Some(sv.report))
-                } else {
-                    let (outcome, stats) = model.check_monolithic(t);
-                    (outcome, stats, None)
+                let (outcome, stats, partition) = match decomposing {
+                    Some(p) => {
+                        let sv = partition::check(&*model, p, t);
+                        (sv.verdict, sv.report.stats, Some(sv.report))
+                    }
+                    None => {
+                        let (outcome, stats) = model.check_monolithic(t);
+                        (outcome, stats, None)
+                    }
                 };
                 self.obs.engine_search(EngineSearchEvent {
                     site: "session.check",
@@ -623,8 +525,8 @@ where
     /// shard, cheap enough to call per snapshot tick. Once a speculative
     /// stream has seen a switch action the status is deferred to the
     /// report's verdict: the first poll after new events derives that
-    /// report (through the keyed check on a switch-certified session, the
-    /// monolithic one otherwise) and caches it, so later polls — and a
+    /// report (partitioned on a switch-certified session, monolithic
+    /// otherwise) and caches it, so later polls — and a
     /// [`Session::report`] — at the same stream version search nothing. On
     /// a batch session that has not started streaming it reports
     /// [`MonitorStatus::Ok`] with zero events.

@@ -704,16 +704,16 @@ where
     /// the problem: it states what [`crate::lin::LinChecker`] states.
     ///
     /// Classifying a switch action is sound when a switch-independence
-    /// certificate (`slin-cert/v2`) covers `(adt, partitioner, rinit)` —
-    /// `keyed`; the session layer enforces that gate. The residual
-    /// per-trace conditions the certificate cannot see answer
-    /// [`Projection::Whole`] with the matching [`FallbackReason`]:
+    /// certificate (`slin-cert/v2`) covers `(adt, partitioner, rinit)`;
+    /// `partition::decomposes` asks for one before any trace with a switch
+    /// action gets here. The residual per-trace conditions the certificate
+    /// cannot see answer [`Projection::Whole`] with the matching
+    /// [`FallbackReason`]:
     ///
-    /// * an uncertified switch action, a relation without
-    ///   [`InitRelation::project_keyed`], or more than one candidate
-    ///   interpretation per switch (a relation with adversarial candidate
-    ///   sets has no per-class decomposition certificate to lean on) —
-    ///   [`FallbackReason::SwitchUncertified`];
+    /// * a relation without [`InitRelation::project_keyed`], or more than
+    ///   one candidate interpretation per switch (a relation with
+    ///   adversarial candidate sets has no per-class decomposition
+    ///   certificate to lean on) — [`FallbackReason::SwitchUncertified`];
     /// * an input (or interpretation element) the partitioner declines —
     ///   [`FallbackReason::UnclassifiableInput`];
     /// * a forced common prefix that does not decompose per class —
@@ -721,14 +721,13 @@ where
     fn project<P: Partitioner<T>>(
         &self,
         partitioner: &P,
-        keyed: bool,
         t: &Trace<ObjAction<T, R::Value>>,
     ) -> Projection<'_, T, Self::Leaf, SlinError> {
         let whole = |reason| Projection::Whole {
             partitions: 1,
             fallback: Some(reason),
         };
-        let split = partition::split(partitioner, keyed, t);
+        let split = partition::split_trace_keyed(partitioner, t);
         // A switch-free trace has nothing to interpret, so its split is its
         // class list; with switch actions the count waits for the classes
         // only an interpretation element belongs to.

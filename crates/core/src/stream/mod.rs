@@ -89,14 +89,17 @@
 //! birth when the window is unbounded or [`GcPolicy::archive_windows`] is
 //! positive. Under a bounded window it is dropped (memory freed,
 //! `slin_archive_evictions_total` counts it once) at the retirement that
-//! first takes a shard past `archive_windows` retired windows — but never
-//! once a speculative stream has switched, because its deferred verdict
-//! re-checks the record. While nothing has been retired an absent record
-//! is materialised on demand from the shard windows, which together are
-//! then the whole stream. Three rebuilds read it and nothing else:
+//! first takes a shard past `archive_windows` retired windows. While
+//! nothing has been retired an absent record is materialised on demand
+//! from the shard windows, which together are then the whole stream.
+//! Three rebuilds read it and nothing else:
 //!
 //! * a speculative model's **first switch** — from then on the report, and
-//!   so the deferred status, is the batch check of the record;
+//!   so the deferred status, is the batch check of the record: per class
+//!   where a switch-independence certificate lets it decompose, whole
+//!   otherwise. No shard result is read again, so from that switch on no
+//!   event reaches a shard, nothing retires, and the record is kept for
+//!   good;
 //! * an **identity collapse** (an input the partitioner declines) — one
 //!   identity shard replays every event *before* the triggering one, once;
 //! * a **bounded-window report after retirement** — the batch check of the
@@ -183,9 +186,9 @@ pub struct GcPolicy {
     /// verdicts downgrade to [`MonitorStatus::Unknown`]. The daemon's
     /// backpressure shed flips this live.
     pub epoch_force: bool,
-    /// Maximum frontier configurations retained per shard (default 32).
-    /// Larger values survive more reorderings without falling back;
-    /// smaller values bound per-event work tighter.
+    /// Maximum frontier configurations retained per shard (default 32; a
+    /// session reads 0 as 1). Larger values survive more reorderings
+    /// without falling back; smaller values bound per-event work tighter.
     pub frontier_cap: usize,
     /// Witness archival, in retired windows per shard: keep the stream's
     /// record (module docs, "The record") until a shard retires more than
@@ -309,8 +312,9 @@ pub struct MonitorReport<W, E> {
     /// Live shards.
     pub shards: usize,
     /// Why identity routing engaged (unclassifiable input, or a switch
-    /// action without a keyed certificate), or `None` when the stream ran
-    /// sharded end to end — mirrors `SplitOutcome::fallback`.
+    /// action without a switch-independence certificate), or why the
+    /// re-check of the record was made whole; `None` when the stream's
+    /// checks decomposed end to end — mirrors `PartitionReport::fallback`.
     pub fallback: Option<FallbackReason>,
     /// Whether the final witness needed a monolithic re-derivation
     /// (cross-partition bound coupling) — mirrors

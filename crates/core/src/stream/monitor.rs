@@ -18,8 +18,10 @@ use super::{
     StreamFailure, StreamModel,
 };
 use crate::engine::{Chain, EngineError, SearchSeed, SearchStats};
-use crate::model::{ConsistencyModel, SplitVerdict};
-use crate::partition::{self, merge_partition_chains, witness_steps, FallbackReason, Step};
+use crate::model::ConsistencyModel;
+use crate::partition::{
+    self, merge_partition_chains, witness_steps, FallbackReason, PartitionReport, Step,
+};
 use crate::ObjAction;
 use slin_adt::{Adt, Partitioner};
 use slin_obs::{EngineSearchEvent, Obs};
@@ -49,7 +51,7 @@ pub(crate) struct Core<T: Adt, V, K: Ord> {
     /// absent (module docs, "The record"). Kept from birth when the window
     /// is unbounded or `archive_windows > 0`; under a bounded window
     /// dropped at the retirement that takes a shard past `archive_windows`
-    /// retired windows, unless a speculative stream has switched.
+    /// retired windows (no shard retires past a switch).
     record: Option<Trace<ObjAction<T, V>>>,
     /// A rebuild needed the record after it was gone: from here on the
     /// monitor under-claims, as a lossy shard does.
@@ -173,9 +175,7 @@ where
             if let Some(retired) = shard.maybe_retire(window) {
                 self.prefix_committed = true;
                 if self.record.is_some() {
-                    let kept = shard.counters.retired_windows <= self.shard_cfg.gc.archive_windows
-                        || (self.speculative && self.wf.first_switch().is_some());
-                    if kept {
+                    if shard.counters.retired_windows <= self.shard_cfg.gc.archive_windows {
                         self.shard_cfg.obs.archive_window(retired.len() as u64);
                     } else {
                         self.record = None;
@@ -527,12 +527,11 @@ where
 {
     model: M,
     partitioner: Option<P>,
-    /// Keyed phase-trace mode: the stream's switch actions are covered by
-    /// a verified switch-independence certificate (`slin-cert/v2`), so the
-    /// monitor keeps routing events into the per-key shards *across*
-    /// switches — switch actions ride along to their pending input's class
-    /// shard — and deferred verdicts resolve through the model's keyed
-    /// projection instead of one monolithic check.
+    /// The stream's switch actions are covered by a verified
+    /// switch-independence certificate (`slin-cert/v2`): past the first
+    /// switch the record still decomposes (`partition::decomposes`), so
+    /// deferred verdicts re-check it per class instead of whole. The only
+    /// streaming effect of the certificate.
     keyed: bool,
     core: Core<M::Adt, V, P::Key>,
     /// The report of the current stream version; deferred statuses resolve
@@ -561,7 +560,13 @@ where
     ) -> Self {
         let shard_cfg = ShardConfig {
             budget: model.budget(),
-            gc,
+            // A frontier holds at least one configuration: at cap 0 every
+            // commit would empty it, and an empty frontier reads as a
+            // violation.
+            gc: GcPolicy {
+                frontier_cap: gc.frontier_cap.max(1),
+                ..gc
+            },
             obs,
         };
         let core = Core::new(
@@ -591,13 +596,13 @@ where
         }
     }
 
-    /// Why this stream left the per-key fast path, or `None` while the
-    /// shard machinery is still live. Cheap (field reads — nothing is
-    /// computed), so it can be polled per metrics tick;
-    /// [`MonitorReport::fallback`] is the report-time view of the same
-    /// state. An uncertified stream counts as fallen back from its first
-    /// switch action on (the verdict defers to monolithic re-checks),
-    /// mirroring the report.
+    /// Why this stream left the per-key fast path, or `None` while it is
+    /// on it. Cheap (field reads — nothing is computed), so it can be
+    /// polled per metrics tick; [`MonitorReport::fallback`] is the
+    /// report-time view of the same state, plus whatever the re-check of
+    /// the record finds. An uncertified stream counts as fallen back from
+    /// its first switch action on (the verdict defers to monolithic
+    /// re-checks).
     pub(crate) fn fallback(&self) -> Option<FallbackReason> {
         self.core.fallback.or_else(|| {
             (self.core.wf.first_switch().is_some() && !self.keyed)
@@ -617,13 +622,10 @@ where
         if action.is_switch() && !was_quiet && self.core.speculative {
             self.core.keep_record();
         }
-        // Keyed phase-trace mode (a valid switch-independence certificate
-        // is installed): the shard machinery stays live across switches,
-        // each switch riding along (inert) to the class shard of its
-        // pending input. Otherwise a switch decides the verdict (lin) or
-        // defers it to re-checks of the record (slin): shards stay quiet.
-        let keyed = self.keyed && self.core.fallback.is_none();
-        let routed = keyed || !(was_quiet || action.is_switch());
+        // From the first switch on the verdict is decided (lin) or deferred
+        // to re-checks of the record (slin), so no shard result is read
+        // again: the shards stay quiet.
+        let routed = !(was_quiet || action.is_switch());
         let key = routed.then(|| self.key_of(action.input())).flatten();
         if routed && key.is_none() && self.core.fallback.is_none() {
             self.core
@@ -725,9 +727,7 @@ where
             verdict: Err(self.model.stream_error(StreamFailure::NotSatisfied)),
             events: core.events,
             shards: core.shards.len(),
-            fallback: core
-                .fallback
-                .or(quiet.then_some(FallbackReason::SwitchUncertified)),
+            fallback: self.fallback(),
             remerged: false,
             prefix_committed: core.prefix_committed,
             reconstructed: false,
@@ -761,27 +761,19 @@ where
         }
         match &core.record {
             Some(record) if !windowed || core.prefix_committed => {
-                // The batch path's own routine over the record. Once the
-                // stream went quiet a certified partitioner keeps the class
-                // searches apart across switches (the keyed projection);
-                // without one the model checks the record whole. After a
+                // The batch path's own routine over the record. After a
                 // retirement the verdict (witness included) is the
                 // unbounded session's all the same: it is reconstructed.
-                let keyed = quiet && self.keyed && core.fallback.is_none();
                 if core.prefix_committed {
                     core.shard_cfg.obs.archive_reconstruction();
                 }
-                let sv = self.batch_check(record, keyed);
+                let (verdict, stats, partition) = self.batch_check(record);
                 MonitorReport {
-                    verdict: sv.verdict,
-                    fallback: if keyed {
-                        sv.report.fallback
-                    } else {
-                        base.fallback
-                    },
-                    remerged: sv.report.remerged,
+                    verdict,
+                    fallback: base.fallback.or(partition.and_then(|r| r.fallback)),
+                    remerged: partition.is_some_and(|r| r.remerged),
                     reconstructed: core.prefix_committed,
-                    stats: sv.report.stats,
+                    stats,
                     ..base
                 }
             }
@@ -807,24 +799,38 @@ where
         }
     }
 
-    /// A report-time batch check of the record, reported to the observer;
-    /// window-mode reports are observed per shard by
-    /// [`ShardState::window_search`].
+    /// A report-time batch check of the record — per class where it
+    /// decomposes (the partition report beside the verdict), whole
+    /// otherwise — reported to the observer; window-mode reports are
+    /// observed per shard by [`ShardState::window_search`].
     fn batch_check(
         &self,
         closed: &Trace<ObjAction<M::Adt, V>>,
-        keyed: bool,
-    ) -> SplitVerdict<M::Witness, M::Error> {
+    ) -> (
+        Result<M::Witness, M::Error>,
+        SearchStats,
+        Option<PartitionReport>,
+    ) {
         let obs = &self.core.shard_cfg.obs;
         let t0 = obs.t0();
-        let sv = partition::check(&self.model, self.partitioner.as_ref(), keyed, closed);
+        let (verdict, stats, partition) =
+            match partition::decomposes(self.partitioner.as_ref(), self.keyed, closed) {
+                Some(p) => {
+                    let sv = partition::check(&self.model, p, closed);
+                    (sv.verdict, sv.report.stats, Some(sv.report))
+                }
+                None => {
+                    let (verdict, stats) = self.model.check_monolithic(closed);
+                    (verdict, stats, None)
+                }
+            };
         obs.engine_search(EngineSearchEvent {
             site: "monitor.report",
-            nodes: sv.report.stats.nodes as u64,
-            memo_hits: sv.report.stats.memo_hits as u64,
-            budget_exhausted: budget_tripped::<M, V>(&sv.verdict, &sv.report.stats),
+            nodes: stats.nodes as u64,
+            memo_hits: stats.memo_hits as u64,
+            budget_exhausted: budget_tripped::<M, V>(&verdict, &stats),
             t0,
         });
-        sv
+        (verdict, stats, partition)
     }
 }

@@ -577,11 +577,8 @@ where
                     output: output.clone(),
                 });
             }
-            Action::Switch { .. } => {
-                // Switch actions reach a shard only inside an identity
-                // partition whose verdict is already decided (lin) — they
-                // are inert for the frontier machinery.
-            }
+            // The monitor routes nothing from a stream's first switch on.
+            Action::Switch { .. } => {}
         }
         self.sub.push(action);
         self.index_map.push(global_index);

@@ -557,7 +557,7 @@ fn budget_tripped_checks_report_their_work() {
     };
 
     let lin_trace = hotkey_stream(3, 60, 1);
-    for strategy in [Strategy::Monolithic, Strategy::Partitioned] {
+    for strategy in [Strategy::Monolithic, Strategy::Auto] {
         let seen = Arc::new(Searches::default());
         let v = Checker::builder(LinChecker::owned(KvStore))
             .partitioner(KvKeyPartitioner)
@@ -599,7 +599,7 @@ fn budget_tripped_checks_report_their_work() {
     }
 }
 
-/// The same, across classes: under [`Strategy::Partitioned`] a class that
+/// The same, across classes: under [`Strategy::Auto`] a class that
 /// trips its budget decides the check — the first one in key order, with
 /// its own node count in the error, the work of *every* class in the
 /// stats, no whole-trace search after it (a degraded check under-claims;
@@ -627,7 +627,6 @@ fn a_tripped_class_decides_a_partitioned_check() {
     let seen = Arc::new(Searches::default());
     let v = Checker::builder(LinChecker::owned(KvStore))
         .partitioner(KvKeyPartitioner)
-        .strategy(Strategy::Partitioned)
         .budget(3)
         .observer(Obs::new(seen.clone()))
         .build()
@@ -654,7 +653,6 @@ fn a_tripped_class_decides_a_partitioned_check() {
         .partitioner(KvKeyPartitioner)
         .switch_certified(&cert)
         .expect("certificate covers (KvStore, KvKeyPartitioner, ExactInit)")
-        .strategy(Strategy::Partitioned)
         .budget(3)
         .observer(Obs::new(seen.clone()))
         .build()

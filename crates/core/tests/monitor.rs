@@ -245,7 +245,6 @@ fn slin_monitor_matches_partitioned_checker_on_switch_free_streams() {
         let report = mon.report().unwrap();
         let batch = Checker::builder(chk.clone())
             .partitioner(KvKeyPartitioner)
-            .strategy(Strategy::Partitioned)
             .build()
             .check(&t);
         assert_eq!(report.verdict, batch.outcome, "seed {seed}");
@@ -316,4 +315,44 @@ fn more_than_64_commits_stream_and_check() {
     let batch = LinChecker::owned(KvStore).check(&t);
     assert!(batch.is_ok(), "batch path must accept > 64 commits now");
     assert_eq!(report.verdict, batch);
+}
+
+/// A frontier cap of 0 reads as 1: a linearizable stream is `Ok` at every
+/// event, as its report is. (Taken literally, the cap emptied the frontier
+/// at the first commit and the rolling status said `Violation`.)
+#[test]
+fn a_zero_frontier_cap_keeps_a_linearizable_stream_ok() {
+    use slin_core::stream::GcPolicy;
+    let put = KvInput::Put(1, 5);
+    let probe = Trace::from_actions(vec![
+        Action::invoke(c(1), ph(), put),
+        Action::respond(c(1), ph(), put, KvOutput::Ack),
+    ]);
+    let clean = (0..4).map(|seed| {
+        random_multikey_kv_trace(&MultiKeyConfig {
+            keys: 2,
+            clients: 3,
+            steps: 40,
+            error_prob: 0.0,
+            seed,
+            ..Default::default()
+        })
+    });
+    for t in std::iter::once(probe).chain(clean) {
+        for frontier_cap in [0, 1] {
+            let mut mon: KvStream = Checker::builder(LinChecker::owned(KvStore))
+                .partitioner(KvKeyPartitioner)
+                .strategy(Strategy::Streaming { window: None })
+                .gc_policy(GcPolicy {
+                    frontier_cap,
+                    ..GcPolicy::default()
+                })
+                .build();
+            for a in t.iter() {
+                let out = mon.ingest(a.clone());
+                assert_eq!(out.status, MonitorStatus::Ok, "cap {frontier_cap} {t:?}");
+            }
+            assert!(mon.report().unwrap().verdict.is_ok(), "{t:?}");
+        }
+    }
 }

@@ -69,7 +69,7 @@ use std::time::Instant;
 /// alphabet for phase pair `(1, 2)` under the exact init relation.
 /// Switch-free tenant streams coincide with plain linearizability
 /// (Theorem 2); a tenant may close its stream with an abort switch frame,
-/// which the session interprets speculatively — sharded, when the keyed
+/// which the session interprets speculatively — per class, when the keyed
 /// policy installs the switch-independence certificate.
 pub type TenantChecker = SlinChecker<KvStore, ExactInit>;
 
@@ -103,10 +103,11 @@ pub struct TenantPolicy {
     pub shed_lossy: bool,
     /// Install the process-wide **switch-independence certificate**
     /// (`slin-cert/v2`, certified once per process) on the tenant's
-    /// session: switch frames are then classified per independence class
-    /// and the per-key shards stay incremental across them. Without it a
-    /// switch frame drops the tenant to monolithic re-checks, reported as
-    /// [`FallbackReason::SwitchUncertified`] in the fallback metrics.
+    /// session: past a switch frame the tenant's verdict re-checks its
+    /// stream per independence class, switch frames classified too.
+    /// Without it a switch frame drops the tenant to monolithic re-checks,
+    /// reported as [`FallbackReason::SwitchUncertified`] in the fallback
+    /// metrics.
     pub keyed: bool,
 }
 
@@ -129,7 +130,7 @@ impl TenantPolicy {
     /// `epoch_force`, `frontier_cap`, `archive` (witness-archive depth in
     /// retired windows; `0` disables). Unset keys keep their
     /// defaults; the last three write straight into the embedded
-    /// [`GcPolicy`]. Any other key is an error.
+    /// [`GcPolicy`]. Any other key, and `frontier_cap=0`, is an error.
     pub fn parse(spec: &str) -> Result<Self, String> {
         let mut policy = TenantPolicy::default();
         for part in spec.split(',').filter(|p| !p.is_empty()) {
@@ -148,7 +149,12 @@ impl TenantPolicy {
                 "lossy" => policy.shed_lossy = value.parse().map_err(|e| bad(&e))?,
                 "keyed" => policy.keyed = value.parse().map_err(|e| bad(&e))?,
                 "epoch_force" => policy.gc.epoch_force = value.parse().map_err(|e| bad(&e))?,
-                "frontier_cap" => policy.gc.frontier_cap = value.parse().map_err(|e| bad(&e))?,
+                "frontier_cap" => {
+                    policy.gc.frontier_cap = match value.parse().map_err(|e| bad(&e))? {
+                        0 => return Err(bad(&"a frontier holds at least one configuration")),
+                        cap => cap,
+                    }
+                }
                 "archive" => policy.gc.archive_windows = value.parse().map_err(|e| bad(&e))?,
                 other => return Err(format!("unknown policy key `{other}`")),
             }
@@ -351,7 +357,7 @@ impl VerdictCounts {
 }
 
 /// Rolled-up fallback counters from one [`Daemon::poll_verdicts`] pass:
-/// how many tenants' streaming monitors are currently off the sharded
+/// how many tenants' streaming monitors are currently off the per-class
 /// fast path, by [`FallbackReason`]. A keyed tenant (with the switch
 /// certificate installed) contributes nothing here even after a switch
 /// frame; an unkeyed tenant that saw a switch shows up as
@@ -917,6 +923,10 @@ mod tests {
         assert!(p.keyed);
         assert!(!TenantPolicy::default().keyed);
         assert!(TenantPolicy::parse("windows=1").is_err());
+        assert_eq!(
+            TenantPolicy::parse("frontier_cap=0"),
+            Err("bad value for `frontier_cap`: a frontier holds at least one configuration".into())
+        );
         // Retired knobs are unknown keys like any other: typed errors. (The
         // certificate knob is spelled in halves so that CI's grep keeping
         // it dead in the sources does not match its own pin.)
@@ -936,8 +946,8 @@ mod tests {
     }
 
     /// A stream closing with an abort switch: the same frames reach a
-    /// keyed tenant (switch certificate installed, stays sharded) and an
-    /// unkeyed one (drops to the monolithic route, reported as
+    /// keyed tenant (switch certificate installed, re-checked per class)
+    /// and an unkeyed one (drops to monolithic re-checks, reported as
     /// `switch_uncertified` in the fallback metrics).
     #[test]
     fn keyed_policy_keeps_switch_streams_sharded_and_fallbacks_are_metered() {

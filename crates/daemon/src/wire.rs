@@ -22,8 +22,8 @@
 //!
 //! Switch frames carry the candidate init history as a bounded input
 //! list, so tenants can close a stream with an abort switch and the
-//! daemon's speculative sessions can interpret it (keyed, under a
-//! switch-independence certificate, or via the monolithic re-check).
+//! daemon's speculative sessions can interpret it (re-checked per class
+//! under a switch-independence certificate, whole otherwise).
 
 use slin_adt::{KvInput, KvOutput, KvStore};
 use slin_core::ObjAction;

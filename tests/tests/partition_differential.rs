@@ -1,14 +1,15 @@
 //! Partitioned-vs-monolithic differential tests.
 //!
-//! The P-compositional path (`Strategy::Partitioned`) promises
+//! The P-compositional path (`Strategy::Auto` with a partitioner) promises
 //! **byte-identical verdicts and witnesses** to the monolithic chain
 //! search, while expanding fewer nodes. These suites pin that promise
 //! against the single-threaded `Strategy::Monolithic` reference over the
 //! multi-key workload generators (pinned proptest seeds — see
 //! `PINNED_SEED`), for both the plain and the speculative checker, and
-//! prove the identity fallback engages on partition-hostile traces (switch
-//! actions, unclassifiable inputs). The other strategies (Auto, Streaming,
-//! multi-threaded Monolithic) are swept by `session_differential`.
+//! prove partition-hostile traces are checked whole: unclassifiable inputs
+//! engage the identity fallback, uncertified switch actions do not
+//! decompose at all. The other strategies (Streaming, multi-threaded
+//! Monolithic) are swept by `session_differential`.
 
 use proptest::prelude::*;
 use slin_adt::{
@@ -19,8 +20,8 @@ use slin_core::gen::{random_multikey_kv_trace, random_multikey_set_trace, MultiK
 use slin_core::initrel::{ConsensusInit, ExactInit};
 use slin_core::lin::{witness_is_valid, LinChecker};
 use slin_core::partition::FallbackReason;
-use slin_core::session::Strategy::{Monolithic, Partitioned};
-use slin_core::session::{Checker, Strategy as SessionStrategy, Verdict};
+use slin_core::session::Strategy::{Auto, Monolithic};
+use slin_core::session::{Checker, Strategy as SessionStrategy, StrategyUsed, Verdict};
 use slin_core::slin::SlinChecker;
 use slin_core::stream::StreamModel;
 use slin_core::ObjAction;
@@ -116,7 +117,7 @@ proptest! {
     fn kv_partitioned_matches_monolithic(cfg in configs()) {
         let t = random_multikey_kv_trace(&cfg);
         let mono = check(LinChecker::owned(KvStore), IdentityPartitioner, Monolithic, 1, &t);
-        let part = check(LinChecker::owned(KvStore), KvKeyPartitioner, Partitioned, 4, &t);
+        let part = check(LinChecker::owned(KvStore), KvKeyPartitioner, Auto, 4, &t);
         let report = part.partition.expect("partitioned verdicts carry a report");
         prop_assert_eq!(&part.outcome, &mono.outcome, "cfg {:?}", cfg);
         prop_assert_eq!(format!("{:?}", part.outcome), format!("{:?}", mono.outcome));
@@ -135,7 +136,7 @@ proptest! {
     fn set_partitioned_matches_monolithic(cfg in configs()) {
         let t = random_multikey_set_trace(&cfg);
         let mono = check(LinChecker::owned(slin_adt::Set), IdentityPartitioner, Monolithic, 1, &t);
-        let part = check(LinChecker::owned(slin_adt::Set), SetElemPartitioner, Partitioned, 3, &t);
+        let part = check(LinChecker::owned(slin_adt::Set), SetElemPartitioner, Auto, 3, &t);
         prop_assert_eq!(&part.outcome, &mono.outcome, "cfg {:?}", cfg);
         if let Ok(w) = &part.outcome {
             prop_assert!(witness_is_valid(&slin_adt::Set, &t, w), "cfg {:?}", cfg);
@@ -151,7 +152,7 @@ proptest! {
             retag(&random_multikey_kv_trace(&cfg));
         let chk = SlinChecker::owned(KvStore, ExactInit::new(), PhaseId::new(1), PhaseId::new(2));
         let mono = check(chk.clone(), IdentityPartitioner, Monolithic, 1, &t).outcome;
-        let part = check(chk, KvKeyPartitioner, Partitioned, 4, &t).outcome;
+        let part = check(chk, KvKeyPartitioner, Auto, 4, &t).outcome;
         // Witnesses byte-identical; `interpretations_checked`/`stats`
         // measure work, which partitioning reduces by design.
         prop_assert_eq!(
@@ -185,13 +186,7 @@ fn identity_partitioner_falls_back_to_the_monolithic_path() {
         1,
         &t,
     );
-    let part = check(
-        LinChecker::owned(KvStore),
-        IdentityPartitioner,
-        Partitioned,
-        4,
-        &t,
-    );
+    let part = check(LinChecker::owned(KvStore), IdentityPartitioner, Auto, 4, &t);
     let report = part.partition.expect("partitioned verdicts carry a report");
     assert_eq!(
         report.fallback,
@@ -208,9 +203,9 @@ fn identity_partitioner_falls_back_to_the_monolithic_path() {
 }
 
 /// A partition-hostile speculative trace — switch actions couple the
-/// classes through `rinit` — engages the identity fallback even under a
-/// keyed partitioner, and the verdict is byte-identical to the monolithic
-/// check.
+/// classes through `rinit` — does not decompose without a switch
+/// certificate, even under a keyed partitioner: `Auto` checks it whole,
+/// and the verdict is byte-identical to the monolithic check.
 #[test]
 fn switch_actions_engage_the_identity_fallback() {
     let ph1 = PhaseId::new(1);
@@ -226,22 +221,20 @@ fn switch_actions_engage_the_identity_fallback() {
         ),
     ]);
     let chk = SlinChecker::owned(KvStore, ExactInit::new(), ph1, PhaseId::new(2));
-    let part = check(chk.clone(), KvKeyPartitioner, Partitioned, 4, &t);
-    let report = part.partition.expect("partitioned verdicts carry a report");
+    let auto = check(chk.clone(), KvKeyPartitioner, Auto, 4, &t);
     assert_eq!(
-        report.fallback,
-        Some(FallbackReason::SwitchUncertified),
-        "an uncertified switch action must force the fallback"
+        auto.partition, None,
+        "an uncertified switch action must not decompose"
     );
-    assert_eq!(report.partitions, 1);
+    assert_eq!(auto.strategy, StrategyUsed::Monolithic);
     let mono = check(chk, IdentityPartitioner, Monolithic, 1, &t);
-    assert_eq!(part.outcome, mono.outcome);
+    assert_eq!(auto.outcome, mono.outcome);
 }
 
 /// The consensus protocol traces are inherently non-partitionable (every
-/// proposal contends on one decision): the identity partitioner routes
-/// them through the monolithic speculative check unchanged, violations
-/// included.
+/// proposal contends on one decision) and carry uncertified switch
+/// actions: `Auto` checks them whole under the identity partitioner,
+/// violations included.
 #[test]
 fn consensus_phase_traces_fall_back_and_agree() {
     let ph1 = PhaseId::new(1);
@@ -263,10 +256,11 @@ fn consensus_phase_traces_fall_back_and_agree() {
     ];
     let chk = SlinChecker::owned(Consensus, ConsensusInit::new(), ph1, PhaseId::new(2));
     for t in &traces {
-        let part = check(chk.clone(), IdentityPartitioner, Partitioned, 4, t);
-        assert!(part.partition.is_some_and(|r| r.fallback.is_some()));
+        let auto = check(chk.clone(), IdentityPartitioner, Auto, 4, t);
+        assert_eq!(auto.partition, None, "{t:?}");
+        assert_eq!(auto.strategy, StrategyUsed::Monolithic, "{t:?}");
         let mono = check(chk.clone(), IdentityPartitioner, Monolithic, 1, t);
-        assert_eq!(part.outcome, mono.outcome, "{t:?}");
+        assert_eq!(auto.outcome, mono.outcome, "{t:?}");
     }
 }
 
@@ -292,13 +286,7 @@ fn partitioning_halves_the_node_count_on_multikey_workloads() {
         1,
         &t,
     );
-    let part = check(
-        LinChecker::owned(KvStore),
-        KvKeyPartitioner,
-        Partitioned,
-        4,
-        &t,
-    );
+    let part = check(LinChecker::owned(KvStore), KvKeyPartitioner, Auto, 4, &t);
     let report = part.partition.expect("partitioned verdicts carry a report");
     assert_eq!(part.outcome, mono.outcome);
     assert!(report.partitions > 1);

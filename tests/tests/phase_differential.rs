@@ -1,11 +1,12 @@
 //! Phase-trace differential corpora: the **keyed** speculative paths
-//! (certified batch partitioning and sharded streaming across switch
-//! actions) against the monolithic chain search.
+//! (certified batch partitioning, and the streaming monitor's per-class
+//! re-checks across switch actions) against the monolithic chain search.
 //!
-//! With a valid switch-independence certificate (`slin-cert/v2`) the keyed
-//! checker classifies switch actions per independence class instead of
-//! engaging the identity fallback; verdicts **and witnesses** must stay
-//! byte-identical to the monolithic path with zero fallbacks. The negative
+//! With a valid switch-independence certificate (`slin-cert/v2`) a phase
+//! trace decomposes: the checker classifies switch actions per
+//! independence class instead of checking the trace whole; verdicts **and
+//! witnesses** must stay byte-identical to the monolithic path with zero
+//! fallbacks. The negative
 //! fixture pins the other side of the contract: a partitioner the analyzer
 //! rejects yields a ≤4-input counterexample whose replay *diverges*
 //! keyed-vs-monolithic — exactly the unsoundness the certificate refusal
@@ -51,7 +52,7 @@ fn keyed_stream(
 }
 
 /// The keyed batch check of `t`: `chk` in a session holding `cert`, under
-/// [`Strategy::Partitioned`] — a certificate is the only way in.
+/// [`Strategy::Auto`] — a certificate is what lets a phase trace decompose.
 fn keyed_check(
     chk: PhaseChecker,
     cert: &SwitchCert,
@@ -61,7 +62,6 @@ fn keyed_check(
         .partitioner(KvKeyPartitioner)
         .switch_certified(cert)
         .expect("certificate covers (KvStore, KvKeyPartitioner, ExactInit)")
-        .strategy(Strategy::Partitioned)
         .build()
         .check(t)
 }
@@ -115,8 +115,8 @@ fn keyed_batch_is_byte_identical_to_monolithic_on_phase_traces() {
     }
 }
 
-/// Sharded streaming across switches: a keyed monitor keeps its per-class
-/// shards through phase changes and reports byte-identically to the batch
+/// Streaming across switches: a keyed monitor re-checks its record per
+/// class past the first switch and reports byte-identically to the batch
 /// check, with no fallback engaged.
 #[test]
 fn keyed_streaming_across_switches_matches_batch() {
@@ -159,6 +159,54 @@ fn keyed_streaming_across_switches_matches_batch() {
             }
         }
     }
+}
+
+/// From its first switch on a keyed stream's verdict is the per-class
+/// re-check of its record, so no event reaches a shard: every later ingest
+/// reports an empty frontier and no tail extension runs, while the report
+/// still equals the batch check.
+#[test]
+fn a_keyed_stream_feeds_no_shard_after_its_first_switch() {
+    let chk = phase_checker();
+    let cert = switch_cert();
+    let mut responds_after_switch = 0;
+    for seed in 0..6u64 {
+        let t = random_phase_kv_trace(&PhaseConfig {
+            seed,
+            ..Default::default()
+        });
+        let mut mon = keyed_stream(&cert, Obs::noop());
+        let mut at_switch = None;
+        for a in t.iter() {
+            let out = mon.ingest(a.clone());
+            if a.is_switch() && at_switch.is_none() {
+                at_switch = mon.shard_summary().map(|s| s.extension_searches);
+            }
+            if at_switch.is_some() {
+                assert_eq!(out.frontier_len, 0, "seed {seed} event {}", out.index);
+                responds_after_switch += a.is_respond() as usize;
+            }
+        }
+        let at_switch = at_switch.expect("corpus must cross phases");
+        let summary = mon.shard_summary().expect("born streaming");
+        assert_eq!(summary.extension_searches, at_switch, "seed {seed}");
+        let report = mon.report().unwrap();
+        let batch = chk.check(&t);
+        assert_eq!(
+            report.verdict.as_ref().map(|r| &r.witness),
+            batch.as_ref().map(|r| &r.witness),
+            "seed {seed}"
+        );
+        assert_eq!(
+            report.verdict.as_ref().err(),
+            batch.as_ref().err(),
+            "seed {seed}"
+        );
+    }
+    assert!(
+        responds_after_switch > 0,
+        "no seed responds past its switch"
+    );
 }
 
 /// Records every engine search a session reports.
@@ -209,8 +257,8 @@ fn polled_status_and_report_share_one_keyed_search() {
     }
 }
 
-/// Without the certificate the same stream collapses to the identity route
-/// on its first switch — the fallback reason the keyed mode removes.
+/// Without the certificate the same stream is re-checked whole from its
+/// first switch on — the fallback reason the keyed mode removes.
 #[test]
 fn unkeyed_streaming_falls_back_on_the_first_switch() {
     let chk = phase_checker();
@@ -330,7 +378,6 @@ fn bogus_init_partitioner_is_rejected_and_the_replay_diverges() {
         .partitioner(BogusCounterPartitioner)
         .switch_certified(&forged)
         .expect("the forgery names the session's partitioner")
-        .strategy(Strategy::Partitioned)
         .build()
         .check(&t);
     assert!(

@@ -7,9 +7,8 @@
 //! (register-array, counter-vector) / slin / phase corpora — plus a unit
 //! check that [`SessionStrategy::Auto`] selects the partitioned path
 //! exactly when a partitioner is present and the trace is switch-free.
-//! (`Strategy::Partitioned` against the reference, with its node-count
-//! and fallback guarantees, is `partition_differential`'s half: here Auto
-//! must be *exactly* the explicit partitioned session.)
+//! (The partitioned path against the reference, with its node-count and
+//! fallback guarantees, is `partition_differential`'s half.)
 
 use proptest::prelude::*;
 use slin_adt::{
@@ -58,8 +57,8 @@ fn configs() -> impl Strategy<Value = MultiKeyConfig> {
 }
 
 /// Runs the full strategy sweep for one plain-linearizability workload:
-/// the multi-threaded monolithic session, Auto (which must be exactly the
-/// explicit partitioned session) and the unbounded-window streaming
+/// the multi-threaded monolithic session, Auto (explicit and by default,
+/// which must be exactly each other) and the unbounded-window streaming
 /// session all reproduce the single-threaded monolithic reference byte
 /// for byte.
 fn assert_lin_session_parity<T, P>(
@@ -92,7 +91,7 @@ where
 
     let mut part = Checker::builder(model())
         .partitioner(partitioner)
-        .strategy(SessionStrategy::Partitioned)
+        .strategy(SessionStrategy::Auto)
         .build();
     let vp = part.check(t);
     prop_assert_eq!(vp.strategy, StrategyUsed::Partitioned);
@@ -203,7 +202,7 @@ proptest! {
 
         let mut part = Checker::builder(model())
             .partitioner(KvKeyPartitioner)
-            .strategy(SessionStrategy::Partitioned)
+            .strategy(SessionStrategy::Auto)
             .build();
         let vp = part.check(&t);
         prop_assert_eq!(Some(vp.stats), vp.partition.map(|r| r.stats));
@@ -304,7 +303,7 @@ fn partitioned_sessions_are_thread_count_invariant_on_both_sides_of_the_dispatch
                 let lin = |threads| {
                     Checker::builder(LinChecker::owned(KvStore))
                         .partitioner(KvKeyPartitioner)
-                        .strategy(SessionStrategy::Partitioned)
+                        .strategy(SessionStrategy::Auto)
                         .threads(threads)
                         .build()
                         .check(&t)
@@ -319,7 +318,7 @@ fn partitioned_sessions_are_thread_count_invariant_on_both_sides_of_the_dispatch
                     );
                     Checker::builder(model)
                         .partitioner(KvKeyPartitioner)
-                        .strategy(SessionStrategy::Partitioned)
+                        .strategy(SessionStrategy::Auto)
                         .threads(threads)
                         .build()
                         .check(&st)
@@ -375,8 +374,8 @@ fn phase_corpus() -> Vec<Trace<ObjAction<Consensus, Value>>> {
 
 /// Phase corpus (switch actions present): every strategy agrees with the
 /// single-threaded monolithic reference — Auto must resolve to monolithic,
-/// the partitioner-less partitioned session must fall back whole, and the
-/// streaming session must go speculative and still report identically.
+/// and the streaming session must go speculative and still report
+/// identically.
 #[test]
 fn phase_corpus_session_strategies_match_legacy() {
     let model = || {
@@ -400,15 +399,6 @@ fn phase_corpus_session_strategies_match_legacy() {
         let va = auto.check(t);
         assert_eq!(va.strategy, StrategyUsed::Monolithic, "{t:?}");
         assert_eq!(va.outcome, reference, "{t:?}");
-
-        let mut part = Checker::builder(model())
-            .strategy(SessionStrategy::Partitioned)
-            .build();
-        let vp = part.check(t);
-        assert_eq!(vp.outcome, reference, "{t:?}");
-        let report = vp.partition.expect("partitioned verdicts carry a report");
-        assert!(report.fallback.is_some(), "{t:?}");
-        assert_eq!(report.partitions, 1, "{t:?}");
 
         let mut live = Checker::builder(model())
             .strategy(SessionStrategy::Streaming { window: None })
@@ -448,13 +438,14 @@ fn auto_selects_partitioned_exactly_when_partitioner_and_switch_free() {
     let mut bare = Checker::builder(LinChecker::owned(KvStore)).build();
     assert_eq!(bare.check(&switch_free).strategy, StrategyUsed::Monolithic);
 
-    // Explicit strategies are never overridden by Auto's rule.
+    // An explicit Monolithic is never overridden by Auto's rule.
     let mut forced = Checker::builder(LinChecker::owned(KvStore))
-        .strategy(SessionStrategy::Partitioned)
+        .partitioner(KvKeyPartitioner)
+        .strategy(SessionStrategy::Monolithic)
         .build();
     assert_eq!(
-        forced.check(&with_switch).strategy,
-        StrategyUsed::Partitioned
+        forced.check(&switch_free).strategy,
+        StrategyUsed::Monolithic
     );
 }
 
@@ -517,7 +508,6 @@ fn owned_and_shared_constructors_are_byte_identical() {
             for strategy in [
                 SessionStrategy::Auto,
                 SessionStrategy::Monolithic,
-                SessionStrategy::Partitioned,
                 SessionStrategy::Streaming { window: None },
             ] {
                 let run = |chk: LinChecker<KvStore>| {

@@ -1,7 +1,7 @@
 //! End-to-end checks of the `slin-analyze` certification pipeline: the
 //! analyzer's verdicts, the replayability of its counterexamples as real
-//! checker divergences, and the session/daemon layers that consume
-//! certificates ([`CertPolicy`]).
+//! checker divergences, and the session door switch certificates come
+//! through (`SessionBuilder::switch_certified`).
 //!
 //! Positive half: every shipped per-key partitioner certifies at the
 //! default depth (≥ 4), partitioner contract and switch independence, and
@@ -16,8 +16,8 @@
 
 use slin_adt::{
     Consensus, Counter, CounterInput, CounterVecPartitioner, CounterVector, KvInput,
-    KvKeyPartitioner, KvOutput, KvStore, Partitioner, Queue, RegArrayPartitioner, RegisterArray,
-    Set, SetElemPartitioner, Stack,
+    KvKeyPartitioner, KvStore, Partitioner, Queue, RegArrayPartitioner, RegisterArray, Set,
+    SetElemPartitioner, Stack,
 };
 use slin_analysis::fixtures::{
     BogusCounterPartitioner, ConsProposalPartitioner, QueueValuePartitioner, StackValuePartitioner,
@@ -28,9 +28,9 @@ use slin_analysis::{
 };
 use slin_core::initrel::{CandidateContext, ExactInit, InitRelation};
 use slin_core::lin::LinChecker;
-use slin_core::session::{CertPolicy, Checker, Strategy, StrategyUsed};
+use slin_core::session::{Checker, Strategy, StrategyUsed};
 use slin_core::slin::SlinChecker;
-use slin_trace::{Action, ClientId, PhaseId};
+use slin_trace::PhaseId;
 
 fn rejection<T, P>(adt: &T, p: &P) -> Counterexample<T>
 where
@@ -127,7 +127,6 @@ fn bogus_counter_rejection_replays_as_a_checker_divergence() {
 
     let split = Checker::builder(LinChecker::owned(Counter))
         .partitioner(BogusCounterPartitioner)
-        .strategy(Strategy::Partitioned)
         .build::<()>()
         .check(&trace);
     assert!(
@@ -154,125 +153,12 @@ fn every_unsound_fixture_is_rejected() {
     rejected!(Consensus, ConsProposalPartitioner);
 }
 
-/// A certificate installed via `partitioner_certified` builds a session
-/// that really uses the partitioned path.
-#[test]
-fn certified_partitioner_builds_and_runs_partitioned() {
-    let cert = certify(&KvStore, &KvKeyPartitioner, &AnalyzeConfig::default()).unwrap();
-    let mut session = Checker::builder(LinChecker::owned(KvStore))
-        .partitioner_certified(KvKeyPartitioner, &cert)
-        .expect("matching certificate must install")
-        .cert_policy(CertPolicy::Require)
-        .strategy(Strategy::Partitioned)
-        .build::<()>();
-    let (c, p) = (ClientId::new(1), PhaseId::FIRST);
-    let trace = slin_trace::Trace::from_actions(vec![
-        Action::invoke(c, p, KvInput::Put(1, 7)),
-        Action::respond(c, p, KvInput::Put(1, 7), KvOutput::Ack),
-        Action::invoke(c, p, KvInput::Get(1)),
-        Action::respond(c, p, KvInput::Get(1), KvOutput::Found(Some(7))),
-    ]);
-    let verdict = session.check(&trace);
-    assert!(verdict.is_ok());
-    assert_eq!(verdict.strategy, StrategyUsed::Partitioned);
-}
-
-/// [`CertPolicy::Require`] refuses to build around an uncertified
-/// partitioner; installing the partitioner's own (`slin-cert/v1`)
-/// certificate lifts the refusal, and a switch-independence certificate
-/// (`slin-cert/v2`) does not stand in for it.
-#[test]
-fn require_policy_demands_an_explicit_certificate() {
-    let refused = Checker::builder(LinChecker::owned(KvStore))
-        .partitioner(KvKeyPartitioner)
-        .cert_policy(CertPolicy::Require)
-        .try_build::<()>();
-    assert!(matches!(
-        refused,
-        Err(CertError::Uncertified { ref adt, ref partitioner })
-            if adt == "KvStore" && partitioner == "KvKeyPartitioner"
-    ));
-
-    let cfg = AnalyzeConfig::default();
-    let v1 = certify(&KvStore, &KvKeyPartitioner, &cfg).unwrap();
-    let session = Checker::builder(LinChecker::owned(KvStore))
-        .partitioner_certified(KvKeyPartitioner, &v1)
-        .expect("matching certificate must install")
-        .cert_policy(CertPolicy::Require)
-        .try_build::<()>();
-    assert!(session.is_ok());
-
-    let v2 = certify_switch(&KvStore, &KvKeyPartitioner, &cfg).unwrap();
-    let phase = || SlinChecker::owned(KvStore, ExactInit::new(), PhaseId::FIRST, PhaseId::new(2));
-    let v2_only = Checker::builder(phase())
-        .partitioner(KvKeyPartitioner)
-        .switch_certified(&v2)
-        .expect("matching certificate must install")
-        .cert_policy(CertPolicy::Require)
-        .try_build::<Vec<KvInput>>();
-    assert!(
-        matches!(v2_only, Err(CertError::Uncertified { .. })),
-        "v2 is not v1"
-    );
-    let both = Checker::builder(phase())
-        .partitioner_certified(KvKeyPartitioner, &v1)
-        .expect("matching certificate must install")
-        .switch_certified(&v2)
-        .expect("matching certificate must install")
-        .cert_policy(CertPolicy::Require)
-        .try_build::<Vec<KvInput>>();
-    assert!(both.is_ok());
-}
-
-/// Certificate misuse is caught, for both schemas: a tampered certificate
-/// fails the hash check, a certificate for the wrong partitioner fails at
-/// install, and a certificate for the wrong ADT — or, for a switch
-/// certificate, the wrong init relation — fails at build.
+/// Switch-certificate misuse is caught: a tampered certificate fails the
+/// hash check, a certificate for the wrong partitioner fails at install,
+/// and a certificate for the wrong ADT or the wrong init relation fails at
+/// build.
 #[test]
 fn mismatched_certificates_are_rejected() {
-    let cert = certify(&KvStore, &KvKeyPartitioner, &AnalyzeConfig::default()).unwrap();
-
-    // Tampered content → BadHash at install.
-    let mut forged = cert.clone();
-    forged.states += 1;
-    assert!(matches!(
-        Checker::builder(LinChecker::owned(KvStore))
-            .partitioner_certified(KvKeyPartitioner, &forged),
-        Err(CertError::BadHash)
-    ));
-
-    // Wrong partitioner type → PartitionerMismatch at install.
-    assert!(matches!(
-        Checker::builder(LinChecker::owned(Set)).partitioner_certified(SetElemPartitioner, &cert),
-        Err(CertError::PartitionerMismatch { .. })
-    ));
-
-    // Right partitioner *name*, wrong ADT → AdtMismatch at build. The
-    // impostor shares the shipped partitioner's short type name (the last
-    // path segment), so the install-time name check passes and only the
-    // ADT check can save us.
-    mod impostor {
-        use slin_adt::{Counter, CounterInput, Partitioner};
-        #[derive(Debug, Clone, Copy)]
-        pub(super) struct KvKeyPartitioner;
-        impl Partitioner<Counter> for KvKeyPartitioner {
-            type Key = u8;
-            fn key_of(&self, _input: &CounterInput) -> Option<u8> {
-                Some(0)
-            }
-        }
-    }
-    let built = Checker::builder(LinChecker::owned(Counter))
-        .partitioner_certified(impostor::KvKeyPartitioner, &cert)
-        .expect("name matches, so install succeeds")
-        .try_build::<()>();
-    assert!(matches!(
-        built,
-        Err(CertError::AdtMismatch { ref expected, ref found })
-            if expected == "Counter" && found == "KvStore"
-    ));
-
-    // The switch-independence certificate goes through the same door.
     let v2 = certify_switch(&KvStore, &KvKeyPartitioner, &AnalyzeConfig::default()).unwrap();
     fn phase<R: InitRelation<KvInput>>(rinit: R) -> SlinChecker<KvStore, R> {
         SlinChecker::owned(KvStore, rinit, PhaseId::FIRST, PhaseId::new(2))
@@ -296,9 +182,39 @@ fn mismatched_certificates_are_rejected() {
         .switch_certified(&v2),
         Err(CertError::PartitionerMismatch { .. })
     ));
+    // Right partitioner *name*, wrong ADT → AdtMismatch at build. The
+    // impostor shares the shipped partitioner's short type name (the last
+    // path segment), so the install-time name check passes and only the
+    // ADT check can save us.
+    mod impostor {
+        use slin_adt::{Counter, CounterInput, Partitioner};
+        #[derive(Debug, Clone, Copy)]
+        pub(super) struct KvKeyPartitioner;
+        impl Partitioner<Counter> for KvKeyPartitioner {
+            type Key = u8;
+            fn key_of(&self, _input: &CounterInput) -> Option<u8> {
+                Some(0)
+            }
+        }
+    }
+    let built = Checker::builder(SlinChecker::owned(
+        Counter,
+        ExactInit::new(),
+        PhaseId::FIRST,
+        PhaseId::new(2),
+    ))
+    .partitioner(impostor::KvKeyPartitioner)
+    .switch_certified(&v2)
+    .expect("name matches, so install succeeds")
+    .try_build::<Vec<CounterInput>>();
+    assert!(matches!(
+        built,
+        Err(CertError::AdtMismatch { ref expected, ref found })
+            if expected == "Counter" && found == "KvStore"
+    ));
     // A certificate is keyed by the relation it was proved for: the same
-    // histories under another relation's name do not unlock the keyed
-    // path.
+    // histories under another relation's name do not let switch actions
+    // decompose.
     #[derive(Debug, Clone, Copy)]
     struct OtherInit;
     impl InitRelation<KvInput> for OtherInit {

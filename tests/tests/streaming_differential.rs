@@ -197,7 +197,6 @@ proptest! {
         let report = mon.report().unwrap();
         let partitioned = Checker::builder(chk.clone())
             .partitioner(KvKeyPartitioner)
-            .strategy(SessionStrategy::Partitioned)
             .build()
             .check(&t);
         prop_assert_eq!(&report.verdict, &partitioned.outcome, "cfg {:?}", cfg);

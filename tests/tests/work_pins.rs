@@ -148,7 +148,6 @@ where
         .build();
     let mut part_session = Checker::builder(LinChecker::owned(adt.clone()))
         .partitioner(partitioner)
-        .strategy(Strategy::Partitioned)
         .build();
     let mut row = PartitionPin {
         scenario,
