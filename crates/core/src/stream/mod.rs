@@ -286,9 +286,11 @@ pub struct ShardSummary {
     /// Currently retained configurations (frontiers, seeds, checkpoints) —
     /// the live-state component of the memory proxy.
     pub live_configs: usize,
-    /// Distinct persistent-multiset trie nodes currently reachable from
-    /// the monitor (pointer-deduplicated across structure sharing) — the
-    /// retained-memory proxy for the bound snapshots.
+    /// Distinct persistent-multiset nodes currently reachable from the
+    /// monitor (pointer-deduplicated across structure sharing) — the
+    /// retained-memory proxy for the bound snapshots. A node is a bucket
+    /// of up to 32 entries or a 16-way branch, so a multiset of at most 32
+    /// distinct elements counts as one.
     pub multiset_nodes: usize,
     /// Events currently retained in shard windows (not yet retired).
     pub window_events: usize,

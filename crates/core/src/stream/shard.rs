@@ -51,8 +51,11 @@
 //! ≈360 ns (≈810 when every node path-copied a multiset and cloned its
 //! memo key), on `stream-stragglers` ≈580 (≈1 090) — at the 10.1 and 6.4
 //! nodes per event of that measurement; the checkpoint below removed nodes,
-//! not the per-event costs around them, so the same quotient now reads ≈560
-//! and ≈660 over 5.2 and 5.5. Section timers on a
+//! not the per-event costs around them, so the same quotient read ≈560
+//! and ≈660 over 5.2 and 5.5. Making a small multiset one bucket (one
+//! allocation per insert, `==` and `⊆` without hashing; see
+//! [`slin_trace::pmultiset`]) took it to ≈465 and ≈520 (parent ≈580 and
+//! ≈675 in the same alternating pairs, 5 and 10 of them). Section timers on a
 //! scratch copy (timer cost subtracted; indicative) put three quarters of a
 //! hot-key event inside the kernel — queueing the admitted moves 37 %, the
 //! ADT step and the child's state 25 %, leaves (`used` as a multiset, the

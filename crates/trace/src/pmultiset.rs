@@ -2,15 +2,43 @@
 //!
 //! [`PersistentMultiset`] exposes the same multiset algebra as
 //! [`crate::Multiset`] — `union_max` (`∪`, pointwise max), `sum` (`⊎`,
-//! pointwise addition), `is_subset_of` (`⊆`), `count`, `elems` — but is
-//! backed by a hash-array-mapped trie whose nodes are shared between
-//! versions through [`Arc`]. Cloning is O(1) and inserting or removing one
-//! occurrence copies only the O(log distinct) path to the touched leaf, so
-//! a *sequence* of cumulative snapshots (one per trace index, the
-//! checkers' validity bounds) costs O(n) total instead of
+//! pointwise addition), `is_subset_of` (`⊆`), `count`, `elems` — but its
+//! versions share structure through [`Arc`]. Cloning is O(1) and inserting
+//! or removing one occurrence copies only the nodes on the path to the
+//! touched bucket, so a *sequence* of cumulative snapshots (one per trace
+//! index, the checkers' validity bounds) costs O(n) total instead of
 //! O(n · alphabet).
 //!
-//! Two extra properties matter to the checker engines:
+//! **Layout.** Every element has a *key*: its 64-bit hash with the nibbles
+//! reversed, so that the hash's least significant nibble leads. A node is
+//! one `Arc<[Cell]>` allocation of one of two kinds:
+//!
+//! * a **bucket**: up to 32 entries `(key, element, multiplicity)` sorted
+//!   by key, equal keys in insertion order;
+//! * a **branch**: 16 child slots, one per value of the key's nibble at the
+//!   node's level, each with the number of distinct elements under it.
+//!
+//! A bucket splits into a branch only when it grows past 32 entries (a
+//! bucket whose key nibbles are all used up holds equal keys only and
+//! never splits). So a multiset of at most 32 distinct elements is one
+//! node, and a larger one is a 16-way trie of buckets.
+//!
+//! **What the operations cost**, for `d` distinct elements:
+//!
+//! * `count`: one hash, O(log₁₆ d) branch steps, a binary search in one
+//!   bucket;
+//! * `insert` / `remove`: one allocation per node on the path — one in all
+//!   for a multiset of at most 32 distinct elements; a split adds one
+//!   branch and at most 16 buckets;
+//! * `is_subset_of`: one merge of the two key-ordered walks, no hashing;
+//! * `==`: the length, distinct count and fingerprint first, then a
+//!   lockstep walk of both multisets; it decides pointwise (one lookup per
+//!   element) only when the walks differ, which for equal multisets means
+//!   equal keys stored in a different insertion order;
+//! * clone and `Hash`: O(1).
+//!
+//! Two properties matter to the checker engines, and neither depends on
+//! the layout:
 //!
 //! * **Semantic equality and hashing.** Two multisets with equal
 //!   multiplicity functions are `==` and hash identically regardless of
@@ -18,28 +46,56 @@
 //!   commutative fingerprint over `(element, multiplicity)` pairs, so a
 //!   `PersistentMultiset` can sit directly inside a `HashSet` memo key —
 //!   no sorting into a canonical `Vec` per lookup.
-//! * **Deterministic iteration.** [`PersistentMultiset::iter`] walks the
-//!   trie in hash order, which is a pure function of the elements (the
-//!   hasher is fixed-key), never of insertion order.
+//! * **Deterministic iteration.** [`PersistentMultiset::iter`] walks in key
+//!   order, which is a pure function of the elements (the hasher is
+//!   fixed-key), never of insertion order, except among elements whose
+//!   64-bit hashes are equal.
+//!
+//! The key order is the order of a 16-way hash trie addressed by the
+//! hash's nibbles least significant first, with a collision bucket of
+//! equal hashes in insertion order at each leaf. That trie is kept as the
+//! test oracle `trie_oracle`, and the element hash, the fingerprint, the
+//! `Hash` output (fingerprint, length, distinct count) and the iteration
+//! order are all its own. Whatever sorts, hashes or walks multisets — the
+//! frontier's tie-break reads the `Hash` output — sees the same values on
+//! either layout; only [`PersistentMultiset::mark_nodes`], which counts
+//! nodes, tells them apart.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 use std::sync::Arc;
 
-/// Bits consumed per trie level; 16-way branching.
+/// Key bits consumed per branch level; 16-way branching.
 const BITS: u32 = 4;
 const FANOUT: usize = 1 << BITS;
-/// Levels before the full 64-bit hash is exhausted (equal hashes share a
-/// collision-bucket leaf).
+/// Levels before the 64-bit key is used up: a bucket this deep holds equal
+/// keys only.
 const MAX_LEVEL: u32 = 64 / BITS;
+/// Entries a bucket holds before it splits.
+const BUCKET: usize = 32;
 
-/// The stable per-element hash the trie is addressed by.
+/// The stable per-element hash the multiset is ordered by.
 fn elem_hash<E: Hash>(e: &E) -> u64 {
     let mut h = DefaultHasher::new();
     e.hash(&mut h);
     h.finish()
+}
+
+/// A hash's key: its nibbles reversed, so ascending keys visit the hash's
+/// least significant nibble first.
+fn order_key(hash: u64) -> u64 {
+    let b = hash.swap_bytes();
+    ((b & 0x0F0F_0F0F_0F0F_0F0F) << 4) | ((b >> 4) & 0x0F0F_0F0F_0F0F_0F0F)
+}
+
+/// The slot a key takes in a branch at `level`: its `level`-th nibble from
+/// the top.
+fn nibble(key: u64, level: u32) -> usize {
+    debug_assert!(level < MAX_LEVEL, "a bucket of equal keys never splits");
+    ((key >> (64 - BITS * (level + 1))) & (FANOUT as u64 - 1)) as usize
 }
 
 /// `splitmix64` finalizer: decorrelates the commutative fingerprint terms.
@@ -60,21 +116,121 @@ fn term(hash: u64, count: usize) -> u64 {
     }
 }
 
-enum Node<E> {
-    Branch {
-        children: [Option<Arc<Node<E>>>; FANOUT],
-    },
-    /// All entries share the same full 64-bit `hash` (collision bucket; a
-    /// single entry in the overwhelmingly common case).
-    Leaf { hash: u64, entries: Vec<(E, usize)> },
+/// A bucket or a branch; never empty.
+type Node<E> = Arc<[Cell<E>]>;
+
+#[derive(Clone)]
+struct Entry<E> {
+    key: u64,
+    elem: E,
+    count: usize,
 }
 
-impl<E> Node<E> {
-    fn empty_branch() -> Self {
-        Node::Branch {
-            children: Default::default(),
+#[derive(Clone)]
+enum Cell<E> {
+    /// One distinct element of a bucket.
+    Entry(Entry<E>),
+    /// One slot of a branch: the subtree under this nibble and the number
+    /// of distinct elements in it.
+    Child {
+        distinct: usize,
+        node: Option<Node<E>>,
+    },
+}
+
+impl<E> Cell<E> {
+    fn entry(&self) -> &Entry<E> {
+        match self {
+            Cell::Entry(entry) => entry,
+            Cell::Child { .. } => unreachable!("a bucket holds entries only"),
         }
     }
+}
+
+fn is_bucket<E>(node: &[Cell<E>]) -> bool {
+    matches!(node[0], Cell::Entry(_))
+}
+
+/// The number of distinct elements under `node`.
+fn distinct<E>(node: &[Cell<E>]) -> usize {
+    // A branch is exactly `FANOUT` cells: any other length is a bucket's,
+    // read off the pointer without touching the node.
+    if node.len() != FANOUT || is_bucket(node) {
+        return node.len();
+    }
+    let under = |cell: &Cell<E>| match cell {
+        Cell::Child { distinct: n, .. } => *n,
+        Cell::Entry(_) => 0,
+    };
+    node.iter().map(under).sum()
+}
+
+/// The cells of a bucket whose key is `key`.
+fn run<E>(bucket: &[Cell<E>], key: u64) -> Range<usize> {
+    let lo = bucket.partition_point(|c| c.entry().key < key);
+    let len = bucket[lo..]
+        .iter()
+        .take_while(|c| c.entry().key == key)
+        .count();
+    lo..lo + len
+}
+
+/// The multiplicity under `node` of `e`, whose key is `key`.
+fn find<E: Eq>(mut node: &[Cell<E>], key: u64, e: &E) -> usize {
+    let mut level = 0;
+    while !is_bucket(node) {
+        match &node[nibble(key, level)] {
+            Cell::Child {
+                node: Some(child), ..
+            } => node = child,
+            _ => return 0,
+        }
+        level += 1;
+    }
+    node[run(node, key)]
+        .iter()
+        .map(Cell::entry)
+        .find(|x| x.elem == *e)
+        .map_or(0, |x| x.count)
+}
+
+/// A copy of `node` with `node[range]` replaced by `with`, in one
+/// allocation. Indexed rather than chained: `Arc` collects a map over a
+/// range into its one allocation in a tight loop.
+fn splice<E: Clone>(node: &[Cell<E>], range: Range<usize>, mut with: Option<Cell<E>>) -> Node<E> {
+    let added = usize::from(with.is_some());
+    (0..node.len() - range.len() + added)
+        .map(|i| {
+            if i < range.start {
+                node[i].clone()
+            } else if let Some(cell) = with.take() {
+                cell
+            } else {
+                node[i - added + range.len()].clone()
+            }
+        })
+        .collect()
+}
+
+/// `cells`, sorted and sharing every key nibble above `level`, as a node:
+/// themselves while they fit one bucket (or have no nibble left to split
+/// on), else a branch on the level's nibble.
+fn bucket<E: Clone>(cells: Node<E>, level: u32) -> Node<E> {
+    if cells.len() <= BUCKET || level >= MAX_LEVEL {
+        return cells;
+    }
+    let mut rest = &cells[..];
+    (0..FANOUT)
+        .map(|slot| {
+            let (here, tail) =
+                rest.split_at(rest.partition_point(|c| nibble(c.entry().key, level) == slot));
+            rest = tail;
+            Cell::Child {
+                distinct: here.len(),
+                node: (!here.is_empty()).then(|| bucket(here.into(), level + 1)),
+            }
+        })
+        .collect()
 }
 
 /// A finite multiset with O(1) clone and structure sharing between
@@ -96,9 +252,8 @@ impl<E> Node<E> {
 /// assert!(a.is_subset_of(&b));
 /// ```
 pub struct PersistentMultiset<E> {
-    root: Option<Arc<Node<E>>>,
+    root: Option<Node<E>>,
     len: usize,
-    distinct: usize,
     fingerprint: u64,
 }
 
@@ -107,7 +262,6 @@ impl<E> Clone for PersistentMultiset<E> {
         PersistentMultiset {
             root: self.root.clone(),
             len: self.len,
-            distinct: self.distinct,
             fingerprint: self.fingerprint,
         }
     }
@@ -125,7 +279,6 @@ impl<E> PersistentMultiset<E> {
         PersistentMultiset {
             root: None,
             len: 0,
-            distinct: 0,
             fingerprint: 0,
         }
     }
@@ -142,30 +295,39 @@ impl<E> PersistentMultiset<E> {
 
     /// Number of *distinct* elements.
     pub fn distinct_len(&self) -> usize {
-        self.distinct
+        self.root.as_deref().map_or(0, distinct)
     }
 
-    /// Iterates over `(element, multiplicity)` pairs in trie (hash) order —
+    /// Iterates over `(element, multiplicity)` pairs in key (hash) order —
     /// deterministic for a given element set, independent of insertion
     /// order.
     pub fn iter(&self) -> Iter<'_, E> {
-        Iter {
-            stack: self.root.iter().map(|n| (&**n, 0)).collect(),
-        }
+        let mut stack: [&[Cell<E>]; DEPTH] = [&[]; DEPTH];
+        let depth = match &self.root {
+            Some(root) => {
+                stack[0] = root;
+                1
+            }
+            None => 0,
+        };
+        Iter { stack, depth }
     }
 
-    /// Records the address of every trie node reachable from this multiset
-    /// into `seen`, skipping already-visited (shared) subtrees. The
-    /// resulting set size is the structure-sharing-aware memory proxy the
-    /// streaming monitor reports: nodes shared between retained snapshots
-    /// are counted once.
+    /// Records the address of every node (bucket or branch) reachable from
+    /// this multiset into `seen`, skipping already-visited (shared)
+    /// subtrees. The resulting set size is the structure-sharing-aware
+    /// memory proxy the streaming monitor reports: nodes shared between
+    /// retained snapshots are counted once.
     pub fn mark_nodes(&self, seen: &mut HashSet<usize>) {
-        fn walk<E>(node: &Arc<Node<E>>, seen: &mut HashSet<usize>) {
-            if !seen.insert(Arc::as_ptr(node) as usize) {
+        fn walk<E>(node: &Node<E>, seen: &mut HashSet<usize>) {
+            if !seen.insert(Arc::as_ptr(node).cast::<Cell<E>>() as usize) {
                 return;
             }
-            if let Node::Branch { children } = &**node {
-                for child in children.iter().flatten() {
+            for cell in node.iter() {
+                if let Cell::Child {
+                    node: Some(child), ..
+                } = cell
+                {
                     walk(child, seen);
                 }
             }
@@ -187,32 +349,11 @@ impl<E: Eq + Hash> PersistentMultiset<E> {
 
     /// The multiplicity of `e` (zero if absent).
     pub fn count(&self, e: &E) -> usize {
-        if self.root.is_none() {
+        match &self.root {
+            Some(root) => find(root, order_key(elem_hash(e)), e),
             // Nothing to look up: spare the hash.
-            return 0;
+            None => 0,
         }
-        let hash = elem_hash(e);
-        let mut node = self.root.as_deref();
-        let mut level = 0;
-        while let Some(n) = node {
-            match n {
-                Node::Branch { children } => {
-                    node = children[nibble(hash, level)].as_deref();
-                    level += 1;
-                }
-                Node::Leaf { hash: lh, entries } => {
-                    if *lh != hash {
-                        return 0;
-                    }
-                    return entries
-                        .iter()
-                        .find(|(x, _)| x == e)
-                        .map(|(_, c)| *c)
-                        .unwrap_or(0);
-                }
-            }
-        }
-        0
     }
 
     /// Whether `e` occurs at least once.
@@ -225,17 +366,37 @@ impl<E: Eq + Hash> PersistentMultiset<E> {
         if self.len > other.len {
             return false;
         }
-        if let (Some(a), Some(b)) = (&self.root, &other.root) {
-            if Arc::ptr_eq(a, b) {
-                return true;
+        let theirs_root = match (&self.root, &other.root) {
+            (None, _) => return true,
+            (Some(a), Some(b)) if Arc::ptr_eq(a, b) => return true,
+            (Some(_), None) => return false,
+            (Some(_), Some(b)) => b,
+        };
+        // Both walks ascend by key: advance `other`'s past every smaller
+        // key, and read a multiplicity where the keys meet.
+        let mut theirs = other.iter();
+        let mut at = theirs.next_entry();
+        let mut mine = self.iter();
+        while let Some(x) = mine.next_entry() {
+            while at.is_some_and(|y| y.key < x.key) {
+                at = theirs.next_entry();
+            }
+            let have = match at {
+                Some(y) if y.key == x.key && y.elem == x.elem => y.count,
+                // Another element of an equal hash: look it up.
+                Some(y) if y.key == x.key => find(theirs_root, x.key, &x.elem),
+                _ => 0,
+            };
+            if x.count > have {
+                return false;
             }
         }
-        self.iter().all(|(e, c)| c <= other.count(e))
+        true
     }
 }
 
 impl<E: Eq + Hash + Clone> PersistentMultiset<E> {
-    /// Inserts one occurrence of `e`. O(log distinct) path copy.
+    /// Inserts one occurrence of `e`. One allocation per node on the path.
     pub fn insert(&mut self, e: E) {
         self.add(e, 1);
     }
@@ -246,11 +407,8 @@ impl<E: Eq + Hash + Clone> PersistentMultiset<E> {
             return;
         }
         let hash = elem_hash(&e);
-        let (root, old_count) = insert_node(self.root.as_ref(), 0, hash, e, n);
+        let (root, old_count) = insert_node(self.root.as_ref(), 0, order_key(hash), e, n);
         self.root = Some(root);
-        if old_count == 0 {
-            self.distinct += 1;
-        }
         self.len += n;
         self.fingerprint = self
             .fingerprint
@@ -264,14 +422,11 @@ impl<E: Eq + Hash + Clone> PersistentMultiset<E> {
         let Some(root) = self.root.as_ref() else {
             return false;
         };
-        let Some((new_root, old_count)) = remove_node(root, 0, hash, e) else {
+        let Some((new_root, old_count)) = remove_node(root, 0, order_key(hash), e) else {
             return false;
         };
         self.root = new_root;
         self.len -= 1;
-        if old_count == 1 {
-            self.distinct -= 1;
-        }
         self.fingerprint = self
             .fingerprint
             .wrapping_sub(term(hash, old_count))
@@ -301,178 +456,158 @@ impl<E: Eq + Hash + Clone> PersistentMultiset<E> {
     }
 }
 
-/// Path-copying insert: returns the new subtree root and the element's
-/// previous multiplicity.
-fn insert_node<E: Eq + Hash + Clone>(
-    node: Option<&Arc<Node<E>>>,
+/// Path-copying insert: returns the new node and the element's previous
+/// multiplicity.
+fn insert_node<E: Eq + Clone>(
+    node: Option<&Node<E>>,
     level: u32,
-    hash: u64,
+    key: u64,
     e: E,
     n: usize,
-) -> (Arc<Node<E>>, usize) {
-    match node.map(|n| &**n) {
-        None => (
-            Arc::new(Node::Leaf {
-                hash,
-                entries: vec![(e, n)],
-            }),
-            0,
-        ),
-        Some(Node::Leaf {
-            hash: lh,
-            entries: old,
-        }) => {
-            if *lh == hash {
-                let mut entries = old.clone();
-                match entries.iter_mut().find(|(x, _)| *x == e) {
-                    Some((_, c)) => {
-                        let prev = *c;
-                        *c += n;
-                        (Arc::new(Node::Leaf { hash, entries }), prev)
-                    }
-                    None => {
-                        entries.push((e, n));
-                        (Arc::new(Node::Leaf { hash, entries }), 0)
-                    }
-                }
-            } else {
-                debug_assert!(level < MAX_LEVEL, "distinct hashes diverge in 16 levels");
-                // Split: push the existing leaf one level down, then insert.
-                let mut branch = Node::empty_branch();
-                if let Node::Branch { children } = &mut branch {
-                    children[nibble(*lh, level)] = node.cloned();
-                }
-                let branch = Arc::new(branch);
-                insert_node(Some(&branch), level, hash, e, n)
-            }
-        }
-        Some(Node::Branch { children }) => {
-            let slot = nibble(hash, level);
-            let (child, prev) = insert_node(children[slot].as_ref(), level + 1, hash, e, n);
-            let mut children = children.clone();
-            children[slot] = Some(child);
-            (Arc::new(Node::Branch { children }), prev)
-        }
+) -> (Node<E>, usize) {
+    let entry = |elem, count| Cell::Entry(Entry { key, elem, count });
+    let Some(node) = node else {
+        return (Arc::new([entry(e, n)]), 0);
+    };
+    if !is_bucket(node) {
+        let slot = nibble(key, level);
+        let Cell::Child {
+            distinct: under,
+            node: child,
+        } = &node[slot]
+        else {
+            unreachable!("a branch holds children only")
+        };
+        let (child, prev) = insert_node(child.as_ref(), level + 1, key, e, n);
+        let child = Cell::Child {
+            distinct: under + usize::from(prev == 0),
+            node: Some(child),
+        };
+        return (splice(node, slot..slot + 1, Some(child)), prev);
     }
+    let run = run(node, key);
+    if let Some(i) = run.clone().find(|&i| node[i].entry().elem == e) {
+        let old = node[i].entry();
+        let bumped = Entry {
+            count: old.count + n,
+            ..old.clone()
+        };
+        return (splice(node, i..i + 1, Some(Cell::Entry(bumped))), old.count);
+    }
+    let grown = splice(node, run.end..run.end, Some(entry(e, n)));
+    (bucket(grown, level), 0)
 }
 
 /// Path-copying removal of one occurrence: `None` when the element is
-/// absent, otherwise the new subtree (or `None` when it emptied) plus the
+/// absent, otherwise the new node (or `None` when it emptied) plus the
 /// previous multiplicity.
-#[allow(clippy::type_complexity)]
-fn remove_node<E: Eq + Hash + Clone>(
-    node: &Arc<Node<E>>,
+fn remove_node<E: Eq + Clone>(
+    node: &Node<E>,
     level: u32,
-    hash: u64,
+    key: u64,
     e: &E,
-) -> Option<(Option<Arc<Node<E>>>, usize)> {
-    match &**node {
-        Node::Leaf { hash: lh, entries } => {
-            if *lh != hash {
-                return None;
-            }
-            let pos = entries.iter().position(|(x, _)| x == e)?;
-            let prev = entries[pos].1;
-            let mut entries = entries.clone();
-            if prev == 1 {
-                entries.remove(pos);
-            } else {
-                entries[pos].1 -= 1;
-            }
-            let next = if entries.is_empty() {
-                None
-            } else {
-                Some(Arc::new(Node::Leaf { hash, entries }))
+) -> Option<(Option<Node<E>>, usize)> {
+    if !is_bucket(node) {
+        let slot = nibble(key, level);
+        let Cell::Child {
+            distinct: under,
+            node: Some(child),
+        } = &node[slot]
+        else {
+            return None;
+        };
+        let (child, prev) = remove_node(child, level + 1, key, e)?;
+        let gone = usize::from(prev == 1);
+        let next = (distinct(node) > gone).then(|| {
+            let child = Cell::Child {
+                distinct: under - gone,
+                node: child,
             };
-            Some((next, prev))
-        }
-        Node::Branch { children } => {
-            let slot = nibble(hash, level);
-            let child = children[slot].as_ref()?;
-            let (new_child, prev) = remove_node(child, level + 1, hash, e)?;
-            let mut children = children.clone();
-            children[slot] = new_child;
-            let next = if children.iter().all(|c| c.is_none()) {
-                None
-            } else {
-                Some(Arc::new(Node::Branch { children }))
-            };
-            Some((next, prev))
-        }
+            splice(node, slot..slot + 1, Some(child))
+        });
+        return Some((next, prev));
     }
+    let i = run(node, key).find(|&i| node[i].entry().elem == *e)?;
+    let old = node[i].entry();
+    let left = (old.count > 1).then(|| {
+        Cell::Entry(Entry {
+            count: old.count - 1,
+            ..old.clone()
+        })
+    });
+    let next = (node.len() > 1 || left.is_some()).then(|| splice(node, i..i + 1, left));
+    Some((next, old.count))
 }
 
-fn nibble(hash: u64, level: u32) -> usize {
-    if level >= MAX_LEVEL {
-        // Hash bits exhausted: everything still colliding shares a bucket.
-        0
-    } else {
-        ((hash >> (level * BITS)) & (FANOUT as u64 - 1)) as usize
-    }
-}
+/// Nodes on the longest root-to-bucket path: a branch at every level, then
+/// a bucket of equal keys.
+const DEPTH: usize = MAX_LEVEL as usize + 1;
 
-/// Iterator over `(&element, multiplicity)` pairs in trie order.
+/// Iterator over `(&element, multiplicity)` pairs in key order.
 pub struct Iter<'a, E> {
-    /// `(node, next child / entry index)` stack.
-    stack: Vec<(&'a Node<E>, usize)>,
+    /// The unvisited cells of each node on the current path.
+    stack: [&'a [Cell<E>]; DEPTH],
+    depth: usize,
 }
 
-impl<'a, E> Iterator for Iter<'a, E> {
-    type Item = (&'a E, usize);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        while let Some((node, pos)) = self.stack.last_mut() {
-            match node {
-                Node::Leaf { entries, .. } => {
-                    if *pos < entries.len() {
-                        let (e, c) = &entries[*pos];
-                        *pos += 1;
-                        return Some((e, *c));
-                    }
-                    self.stack.pop();
+impl<'a, E> Iter<'a, E> {
+    fn next_entry(&mut self) -> Option<&'a Entry<E>> {
+        while let Some(top) = self.depth.checked_sub(1) {
+            let cells: &'a [Cell<E>] = self.stack[top];
+            let Some((cell, rest)) = cells.split_first() else {
+                self.depth = top;
+                continue;
+            };
+            self.stack[top] = rest;
+            match cell {
+                Cell::Entry(entry) => return Some(entry),
+                Cell::Child {
+                    node: Some(child), ..
+                } => {
+                    self.stack[self.depth] = child;
+                    self.depth += 1;
                 }
-                Node::Branch { children } => {
-                    let mut advanced = false;
-                    while *pos < FANOUT {
-                        let slot = *pos;
-                        *pos += 1;
-                        if let Some(child) = &children[slot] {
-                            self.stack.push((&**child, 0));
-                            advanced = true;
-                            break;
-                        }
-                    }
-                    if !advanced {
-                        // Re-borrow check: the push above invalidated
-                        // `node`/`pos`; only pop when nothing was pushed.
-                        if let Some((Node::Branch { .. }, p)) = self.stack.last() {
-                            if *p >= FANOUT {
-                                self.stack.pop();
-                            }
-                        }
-                    }
-                }
+                Cell::Child { node: None, .. } => {}
             }
         }
         None
     }
 }
 
+impl<'a, E> Iterator for Iter<'a, E> {
+    type Item = (&'a E, usize);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.next_entry().map(|x| (&x.elem, x.count))
+    }
+}
+
 impl<E: Eq + Hash> PartialEq for PersistentMultiset<E> {
     fn eq(&self, other: &Self) -> bool {
         if self.len != other.len
-            || self.distinct != other.distinct
             || self.fingerprint != other.fingerprint
+            || self.distinct_len() != other.distinct_len()
         {
             return false;
         }
         match (&self.root, &other.root) {
-            (None, None) => true,
-            (Some(a), Some(b)) if Arc::ptr_eq(a, b) => true,
-            // The fingerprint is a fast filter, not a proof: verify
-            // pointwise so a hash collision can never alias two multisets.
-            _ => self.iter().all(|(e, c)| other.count(e) == c),
+            (None, None) => return true,
+            (Some(a), Some(b)) if Arc::ptr_eq(a, b) => return true,
+            _ => {}
         }
+        let (mut mine, mut theirs) = (self.iter(), other.iter());
+        loop {
+            match (mine.next_entry(), theirs.next_entry()) {
+                (None, None) => return true,
+                (Some(x), Some(y)) if x.key == y.key && x.count == y.count && x.elem == y.elem => {}
+                _ => break,
+            }
+        }
+        // The walks differ: equal hashes stored in another order, or a
+        // fingerprint collision. The fingerprint is a fast filter, not a
+        // proof: verify pointwise so a collision can never alias two
+        // multisets.
+        self.iter().all(|(e, c)| other.count(e) == c)
     }
 }
 
@@ -482,7 +617,7 @@ impl<E> Hash for PersistentMultiset<E> {
     fn hash<H: Hasher>(&self, state: &mut H) {
         state.write_u64(self.fingerprint);
         state.write_usize(self.len);
-        state.write_usize(self.distinct);
+        state.write_usize(self.distinct_len());
     }
 }
 
@@ -507,6 +642,359 @@ impl<E: Eq + Hash + Clone> Extend<E> for PersistentMultiset<E> {
 impl<E: Eq + Hash + fmt::Debug> fmt::Debug for PersistentMultiset<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+/// The hash trie the buckets replaced, kept verbatim (less the algebra
+/// built on its primitives) as the oracle for order, `Hash` and every
+/// query: a 16-way branch per nibble of the hash, least significant first,
+/// and a leaf per full hash.
+#[cfg(test)]
+mod trie_oracle {
+    use super::{elem_hash, term};
+    use std::hash::{Hash, Hasher};
+    use std::sync::Arc;
+
+    /// Bits consumed per trie level; 16-way branching.
+    const BITS: u32 = 4;
+    const FANOUT: usize = 1 << BITS;
+    /// Levels before the full 64-bit hash is exhausted (equal hashes share a
+    /// collision-bucket leaf).
+    const MAX_LEVEL: u32 = 64 / BITS;
+
+    enum Node<E> {
+        Branch {
+            children: [Option<Arc<Node<E>>>; FANOUT],
+        },
+        /// All entries share the same full 64-bit `hash` (collision bucket; a
+        /// single entry in the overwhelmingly common case).
+        Leaf { hash: u64, entries: Vec<(E, usize)> },
+    }
+
+    impl<E> Node<E> {
+        fn empty_branch() -> Self {
+            Node::Branch {
+                children: Default::default(),
+            }
+        }
+    }
+
+    pub(super) struct PersistentMultiset<E> {
+        root: Option<Arc<Node<E>>>,
+        len: usize,
+        distinct: usize,
+        fingerprint: u64,
+    }
+
+    impl<E> Clone for PersistentMultiset<E> {
+        fn clone(&self) -> Self {
+            PersistentMultiset {
+                root: self.root.clone(),
+                len: self.len,
+                distinct: self.distinct,
+                fingerprint: self.fingerprint,
+            }
+        }
+    }
+
+    impl<E> PersistentMultiset<E> {
+        /// Creates an empty multiset.
+        pub(super) fn new() -> Self {
+            PersistentMultiset {
+                root: None,
+                len: 0,
+                distinct: 0,
+                fingerprint: 0,
+            }
+        }
+
+        /// Total number of element occurrences.
+        pub(super) fn len(&self) -> usize {
+            self.len
+        }
+
+        /// Number of *distinct* elements.
+        pub(super) fn distinct_len(&self) -> usize {
+            self.distinct
+        }
+
+        /// Iterates over `(element, multiplicity)` pairs in trie (hash) order —
+        /// deterministic for a given element set, independent of insertion
+        /// order.
+        pub(super) fn iter(&self) -> Iter<'_, E> {
+            Iter {
+                stack: self.root.iter().map(|n| (&**n, 0)).collect(),
+            }
+        }
+    }
+
+    impl<E: Eq + Hash> PersistentMultiset<E> {
+        /// The multiplicity of `e` (zero if absent).
+        pub(super) fn count(&self, e: &E) -> usize {
+            if self.root.is_none() {
+                // Nothing to look up: spare the hash.
+                return 0;
+            }
+            let hash = elem_hash(e);
+            let mut node = self.root.as_deref();
+            let mut level = 0;
+            while let Some(n) = node {
+                match n {
+                    Node::Branch { children } => {
+                        node = children[nibble(hash, level)].as_deref();
+                        level += 1;
+                    }
+                    Node::Leaf { hash: lh, entries } => {
+                        if *lh != hash {
+                            return 0;
+                        }
+                        return entries
+                            .iter()
+                            .find(|(x, _)| x == e)
+                            .map(|(_, c)| *c)
+                            .unwrap_or(0);
+                    }
+                }
+            }
+            0
+        }
+
+        /// Multiset inclusion `self ⊆ other` (pointwise `≤`).
+        pub(super) fn is_subset_of(&self, other: &Self) -> bool {
+            if self.len > other.len {
+                return false;
+            }
+            if let (Some(a), Some(b)) = (&self.root, &other.root) {
+                if Arc::ptr_eq(a, b) {
+                    return true;
+                }
+            }
+            self.iter().all(|(e, c)| c <= other.count(e))
+        }
+    }
+
+    impl<E: Eq + Hash + Clone> PersistentMultiset<E> {
+        /// Inserts `n` occurrences of `e`.
+        pub(super) fn add(&mut self, e: E, n: usize) {
+            if n == 0 {
+                return;
+            }
+            let hash = elem_hash(&e);
+            let (root, old_count) = insert_node(self.root.as_ref(), 0, hash, e, n);
+            self.root = Some(root);
+            if old_count == 0 {
+                self.distinct += 1;
+            }
+            self.len += n;
+            self.fingerprint = self
+                .fingerprint
+                .wrapping_sub(term(hash, old_count))
+                .wrapping_add(term(hash, old_count + n));
+        }
+
+        /// Removes one occurrence of `e`; returns `false` if `e` was absent.
+        pub(super) fn remove(&mut self, e: &E) -> bool {
+            let hash = elem_hash(e);
+            let Some(root) = self.root.as_ref() else {
+                return false;
+            };
+            let Some((new_root, old_count)) = remove_node(root, 0, hash, e) else {
+                return false;
+            };
+            self.root = new_root;
+            self.len -= 1;
+            if old_count == 1 {
+                self.distinct -= 1;
+            }
+            self.fingerprint = self
+                .fingerprint
+                .wrapping_sub(term(hash, old_count))
+                .wrapping_add(term(hash, old_count - 1));
+            true
+        }
+    }
+
+    /// Path-copying insert: returns the new subtree root and the element's
+    /// previous multiplicity.
+    fn insert_node<E: Eq + Hash + Clone>(
+        node: Option<&Arc<Node<E>>>,
+        level: u32,
+        hash: u64,
+        e: E,
+        n: usize,
+    ) -> (Arc<Node<E>>, usize) {
+        match node.map(|n| &**n) {
+            None => (
+                Arc::new(Node::Leaf {
+                    hash,
+                    entries: vec![(e, n)],
+                }),
+                0,
+            ),
+            Some(Node::Leaf {
+                hash: lh,
+                entries: old,
+            }) => {
+                if *lh == hash {
+                    let mut entries = old.clone();
+                    match entries.iter_mut().find(|(x, _)| *x == e) {
+                        Some((_, c)) => {
+                            let prev = *c;
+                            *c += n;
+                            (Arc::new(Node::Leaf { hash, entries }), prev)
+                        }
+                        None => {
+                            entries.push((e, n));
+                            (Arc::new(Node::Leaf { hash, entries }), 0)
+                        }
+                    }
+                } else {
+                    debug_assert!(level < MAX_LEVEL, "distinct hashes diverge in 16 levels");
+                    // Split: push the existing leaf one level down, then insert.
+                    let mut branch = Node::empty_branch();
+                    if let Node::Branch { children } = &mut branch {
+                        children[nibble(*lh, level)] = node.cloned();
+                    }
+                    let branch = Arc::new(branch);
+                    insert_node(Some(&branch), level, hash, e, n)
+                }
+            }
+            Some(Node::Branch { children }) => {
+                let slot = nibble(hash, level);
+                let (child, prev) = insert_node(children[slot].as_ref(), level + 1, hash, e, n);
+                let mut children = children.clone();
+                children[slot] = Some(child);
+                (Arc::new(Node::Branch { children }), prev)
+            }
+        }
+    }
+
+    /// Path-copying removal of one occurrence: `None` when the element is
+    /// absent, otherwise the new subtree (or `None` when it emptied) plus the
+    /// previous multiplicity.
+    #[allow(clippy::type_complexity)]
+    fn remove_node<E: Eq + Hash + Clone>(
+        node: &Arc<Node<E>>,
+        level: u32,
+        hash: u64,
+        e: &E,
+    ) -> Option<(Option<Arc<Node<E>>>, usize)> {
+        match &**node {
+            Node::Leaf { hash: lh, entries } => {
+                if *lh != hash {
+                    return None;
+                }
+                let pos = entries.iter().position(|(x, _)| x == e)?;
+                let prev = entries[pos].1;
+                let mut entries = entries.clone();
+                if prev == 1 {
+                    entries.remove(pos);
+                } else {
+                    entries[pos].1 -= 1;
+                }
+                let next = if entries.is_empty() {
+                    None
+                } else {
+                    Some(Arc::new(Node::Leaf { hash, entries }))
+                };
+                Some((next, prev))
+            }
+            Node::Branch { children } => {
+                let slot = nibble(hash, level);
+                let child = children[slot].as_ref()?;
+                let (new_child, prev) = remove_node(child, level + 1, hash, e)?;
+                let mut children = children.clone();
+                children[slot] = new_child;
+                let next = if children.iter().all(|c| c.is_none()) {
+                    None
+                } else {
+                    Some(Arc::new(Node::Branch { children }))
+                };
+                Some((next, prev))
+            }
+        }
+    }
+
+    fn nibble(hash: u64, level: u32) -> usize {
+        if level >= MAX_LEVEL {
+            // Hash bits exhausted: everything still colliding shares a bucket.
+            0
+        } else {
+            ((hash >> (level * BITS)) & (FANOUT as u64 - 1)) as usize
+        }
+    }
+
+    /// Iterator over `(&element, multiplicity)` pairs in trie order.
+    pub(super) struct Iter<'a, E> {
+        /// `(node, next child / entry index)` stack.
+        stack: Vec<(&'a Node<E>, usize)>,
+    }
+
+    impl<'a, E> Iterator for Iter<'a, E> {
+        type Item = (&'a E, usize);
+
+        fn next(&mut self) -> Option<Self::Item> {
+            while let Some((node, pos)) = self.stack.last_mut() {
+                match node {
+                    Node::Leaf { entries, .. } => {
+                        if *pos < entries.len() {
+                            let (e, c) = &entries[*pos];
+                            *pos += 1;
+                            return Some((e, *c));
+                        }
+                        self.stack.pop();
+                    }
+                    Node::Branch { children } => {
+                        let mut advanced = false;
+                        while *pos < FANOUT {
+                            let slot = *pos;
+                            *pos += 1;
+                            if let Some(child) = &children[slot] {
+                                self.stack.push((&**child, 0));
+                                advanced = true;
+                                break;
+                            }
+                        }
+                        if !advanced {
+                            // Re-borrow check: the push above invalidated
+                            // `node`/`pos`; only pop when nothing was pushed.
+                            if let Some((Node::Branch { .. }, p)) = self.stack.last() {
+                                if *p >= FANOUT {
+                                    self.stack.pop();
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            None
+        }
+    }
+
+    impl<E: Eq + Hash> PartialEq for PersistentMultiset<E> {
+        fn eq(&self, other: &Self) -> bool {
+            if self.len != other.len
+                || self.distinct != other.distinct
+                || self.fingerprint != other.fingerprint
+            {
+                return false;
+            }
+            match (&self.root, &other.root) {
+                (None, None) => true,
+                (Some(a), Some(b)) if Arc::ptr_eq(a, b) => true,
+                // The fingerprint is a fast filter, not a proof: verify
+                // pointwise so a hash collision can never alias two multisets.
+                _ => self.iter().all(|(e, c)| other.count(e) == c),
+            }
+        }
+    }
+
+    impl<E> Hash for PersistentMultiset<E> {
+        fn hash<H: Hasher>(&self, state: &mut H) {
+            state.write_u64(self.fingerprint);
+            state.write_usize(self.len);
+            state.write_usize(self.distinct);
+        }
     }
 }
 
@@ -659,5 +1147,167 @@ mod tests {
             assert_eq!(m.count(&i), (i as usize % 3) + 1, "i={i}");
         }
         assert_eq!(m.distinct_len(), 2000);
+    }
+
+    #[test]
+    fn a_multiset_is_four_words() {
+        // A root pointer to a slice, the length and the fingerprint: the
+        // distinct count is read off the root. A fifth word showed as
+        // session set-up time on the streaming benchmarks.
+        assert_eq!(std::mem::size_of::<PersistentMultiset<u64>>(), 32);
+    }
+
+    /// Branches on the longest path from `node` to a bucket.
+    fn depth<E>(node: &[Cell<E>]) -> usize {
+        node.iter()
+            .map(|cell| match cell {
+                Cell::Child {
+                    node: Some(child), ..
+                } => 1 + depth(child),
+                _ => 0,
+            })
+            .max()
+            .unwrap_or(0)
+    }
+
+    #[test]
+    fn an_insert_copies_one_path() {
+        // From 128 distinct elements up: re-inserting a present element or
+        // adding a new one to a bucket with room copies the nodes on one
+        // root-to-bucket path (a new bucket in an empty slot included),
+        // never a sibling. A split adds one branch and at most 16 buckets.
+        let mut m: PersistentMultiset<u64> = (0..128).collect();
+        let (mut paths, mut splits) = (0, 0);
+        for i in 0..2048u64 {
+            let e = if i % 2 == 0 { mix(i) % 128 } else { 128 + i };
+            let mut before = HashSet::new();
+            m.mark_nodes(&mut before);
+            m.insert(e);
+            let mut after = HashSet::new();
+            m.mark_nodes(&mut after);
+            let fresh = after.difference(&before).count();
+            let root = m.root.as_deref().expect("non-empty");
+            if after.len() <= before.len() + 1 {
+                assert!(
+                    fresh <= depth(root) + 1,
+                    "{fresh} new nodes at depth {}",
+                    depth(root)
+                );
+                paths += 1;
+            } else {
+                assert!(fresh <= depth(root) + FANOUT, "a split made {fresh} nodes");
+                splits += 1;
+            }
+        }
+        assert!(m.distinct_len() >= 1024 && depth(m.root.as_deref().expect("non-empty")) >= 2);
+        assert!(
+            paths > 0 && splits > 0,
+            "{paths} path copies, {splits} splits"
+        );
+    }
+
+    /// An element whose hash is its `class` alone: members of one class
+    /// have equal 64-bit hashes.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    struct Clash {
+        class: u64,
+        id: usize,
+    }
+
+    impl Hash for Clash {
+        fn hash<H: Hasher>(&self, state: &mut H) {
+            self.class.hash(state);
+        }
+    }
+
+    fn hash_of(m: &impl Hash) -> u64 {
+        let mut h = DefaultHasher::new();
+        m.hash(&mut h);
+        h.finish()
+    }
+
+    type Oracle = trie_oracle::PersistentMultiset<Clash>;
+
+    /// Every observable of `m` equals the oracle's `o`, and of each pair
+    /// against an earlier state (`m0`, `o0`).
+    fn agree(
+        m: &PersistentMultiset<Clash>,
+        o: &Oracle,
+        m0: &PersistentMultiset<Clash>,
+        o0: &Oracle,
+        alphabet: &[Clash],
+    ) {
+        let walk: Vec<(&Clash, usize)> = m.iter().collect();
+        assert_eq!(walk, o.iter().collect::<Vec<_>>());
+        assert_eq!(hash_of(m), hash_of(o));
+        assert_eq!((m.len(), m.distinct_len()), (o.len(), o.distinct_len()));
+        for e in alphabet {
+            assert_eq!(m.count(e), o.count(e), "{e:?}");
+        }
+        // The same multiset built in reverse order: equal hashes now sit
+        // in the opposite order, so equality must decide pointwise.
+        let mut rebuilt = PersistentMultiset::new();
+        for (e, c) in walk.iter().rev() {
+            rebuilt.add((*e).clone(), *c);
+        }
+        assert_eq!(*m, rebuilt);
+        assert_eq!(rebuilt, *m);
+        assert_eq!(hash_of(&rebuilt), hash_of(m));
+        assert!(m.is_subset_of(&rebuilt) && rebuilt.is_subset_of(m));
+        assert_eq!(*m == *m0, *o == *o0);
+        assert_eq!(*m0 == *m, *o0 == *o);
+        assert_eq!(m.is_subset_of(m0), o.is_subset_of(o0));
+        assert_eq!(m0.is_subset_of(m), o0.is_subset_of(o));
+        assert_eq!(rebuilt.is_subset_of(m0), o.is_subset_of(o0));
+    }
+
+    /// Random `add` / `remove` sequences over alphabets of 1–300 elements,
+    /// some sharing a hash with others and some sharing hash prefixes,
+    /// against the trie.
+    #[test]
+    fn buckets_agree_with_the_trie_oracle() {
+        let mut deepest = 0;
+        let mut state = 0u64;
+        let mut draw = |bound: usize| {
+            state += 1;
+            (mix(state) % bound as u64) as usize
+        };
+        // Classes whose hashes share their three low nibbles: they take one
+        // path through the first three levels before they diverge.
+        let prefixed: Vec<u64> = (0u64..)
+            .filter(|v| elem_hash(v) & 0xFFF == 0)
+            .take(150)
+            .collect();
+        for case in 0..24u64 {
+            let per_class = [1, 1, 2, 3, 8][draw(5)];
+            let alphabet: Vec<Clash> = (0..1 + draw(300))
+                .map(|id| {
+                    let k = id / per_class;
+                    let class = if k % 2 == 0 {
+                        prefixed[k / 2]
+                    } else {
+                        mix(k as u64 ^ case << 32)
+                    };
+                    Clash { class, id }
+                })
+                .collect();
+            let (mut m, mut o) = (PersistentMultiset::new(), Oracle::new());
+            let mut history = vec![(m.clone(), o.clone())];
+            for _ in 0..360 {
+                let e = alphabet[draw(alphabet.len())].clone();
+                if draw(4) == 0 {
+                    assert_eq!(m.remove(&e), o.remove(&e));
+                } else {
+                    let n = 1 + draw(3);
+                    m.add(e.clone(), n);
+                    o.add(e, n);
+                }
+                let (m0, o0) = &history[draw(history.len())];
+                agree(&m, &o, m0, o0, &alphabet);
+                history.push((m.clone(), o.clone()));
+                deepest = deepest.max(m.root.as_deref().map_or(0, depth));
+            }
+        }
+        assert!(deepest >= 2, "buckets split at {deepest} levels only");
     }
 }
