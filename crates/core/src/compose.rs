@@ -223,8 +223,8 @@ where
         let (m, n) = (PhaseId::new(k), PhaseId::new(k + 1));
         let proj = project_phase::<T, R::Value>(t, m, n);
         let ok = match SlinChecker::owned(adt.clone(), rinit.clone(), m, n)
-            .with_budget(budget.max_nodes)
-            .check(&proj)
+            .check_with_stats_impl(&proj, budget.max_nodes, 0)
+            .0
         {
             Ok(report) => {
                 stats.absorb(&report.stats);
@@ -238,9 +238,8 @@ where
         phases.push((k, k + 1, ok));
     }
     let obj = project_object::<T, R::Value>(t);
-    let (lin_verdict, lin_stats) = LinChecker::owned(adt.clone())
-        .with_budget(budget.max_nodes)
-        .check_with_stats_impl(&obj);
+    let (lin_verdict, lin_stats) =
+        LinChecker::owned(adt.clone()).check_with_stats_impl(&obj, budget.max_nodes);
     stats.absorb(&lin_stats);
     PhaseChainVerification {
         phases,

@@ -27,8 +27,8 @@
 //!   validated trace and, along a [`slin_adt::Partitioner`], its per-class
 //!   projections — and nothing about how it is searched;
 //! * [`partition`] — **P-compositional checking**: the one routine that
-//!   searches what a model states — class searches fanned out across
-//!   threads, the first failure in key order, the class chains merged so
+//!   searches what a model states — class searches in key order, the
+//!   first failure deciding, the class chains merged so
 //!   the result is byte-identical to the monolithic path, one
 //!   re-derivation when the merge cannot predict it — for both checkers
 //!   and the streaming monitor's reports;

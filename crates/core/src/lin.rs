@@ -22,7 +22,7 @@
 use crate::engine::{Chain, EngineError, SearchBudget, SearchStats};
 use crate::model::{ClassProblem, ConsistencyModel, Problem, Projection};
 use crate::partition;
-use crate::stream::{MonitorStatus, StreamFailure, StreamModel};
+use crate::stream::{MonitorStatus, StreamFailure};
 use crate::{ops, ObjAction};
 use slin_adt::{Adt, Partitioner};
 use slin_trace::wf::{self, Invalid, WellFormednessError};
@@ -30,9 +30,6 @@ use slin_trace::{PersistentMultiset, PhaseId, Trace};
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
-
-/// Default node budget for the backtracking search.
-pub const DEFAULT_BUDGET: usize = SearchBudget::DEFAULT_MAX_NODES;
 
 /// Why a trace failed the linearizability check.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -184,20 +181,15 @@ pub fn witness_is_valid<T: Adt, V>(
 #[derive(Debug, Clone)]
 pub struct LinChecker<T> {
     adt: Arc<T>,
-    budget: usize,
-    /// Upper bound on threads for the per-partition searches (0 = one per
-    /// core).
-    threads: usize,
 }
 
 impl<T: Adt> LinChecker<T>
 where
     T::Input: Ord,
 {
-    /// Creates a checker owning the given ADT, with the default search
-    /// budget. The checker (and every `Session` built from it)
-    /// is `'static`, so it can live in long-lived tables — the daemon
-    /// tenant-table setting.
+    /// Creates a checker owning the given ADT. The checker (and every
+    /// `Session` built from it) is `'static`, so it can live in long-lived
+    /// tables — the daemon tenant-table setting.
     pub fn owned(adt: T) -> Self {
         Self::shared(Arc::new(adt))
     }
@@ -205,34 +197,14 @@ where
     /// Creates a checker over an already-shared ADT handle (many checkers
     /// can share one allocation).
     pub fn shared(adt: Arc<T>) -> Self {
-        LinChecker {
-            adt,
-            budget: DEFAULT_BUDGET,
-            threads: 0,
-        }
+        LinChecker { adt }
     }
 
-    /// Overrides the search node budget (per partition on the partitioned
-    /// path).
-    pub fn with_budget(mut self, budget: usize) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Overrides the number of threads a partitioned [`crate::session`]
-    /// may spread its partition searches over (0 = one per available
-    /// core; 1 = sequential) — an upper bound: small traces are searched
-    /// on the calling thread ([`crate::partition::fan_out`]). Verdicts and
-    /// witnesses are byte-identical at every thread count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Checks the trace and returns a witness linearization function.
+    /// Checks the trace under the default search budget and returns a
+    /// witness linearization function.
     ///
     /// This is the simple direct entry point; the full-featured surface
-    /// (partitioning, streaming, budgets as configuration) is the
+    /// (partitioning, streaming, the search budget) is the
     /// [`crate::session`] builder.
     ///
     /// # Errors
@@ -245,14 +217,17 @@ where
     where
         V: Clone + PartialEq,
     {
-        self.check_with_stats_impl(t).0
+        self.check_with_stats_impl(t, SearchBudget::DEFAULT_MAX_NODES)
+            .0
     }
 
-    /// The monolithic check: signature gate, well-formedness, engine
-    /// search (the body every public entry point ends up in).
+    /// The monolithic check under a node `budget`: signature gate,
+    /// well-formedness, engine search (the body every public entry point
+    /// ends up in).
     pub(crate) fn check_with_stats_impl<V>(
         &self,
         t: &Trace<ObjAction<T, V>>,
+        budget: usize,
     ) -> (Result<LinWitness<T::Input>, LinError>, SearchStats)
     where
         V: Clone + PartialEq,
@@ -260,7 +235,7 @@ where
         if let Err(invalid) = wf::validate(t, None) {
             return (Err(invalid.into()), SearchStats::default());
         }
-        let (found, stats) = definition_10(t).search(&*self.adt, self.budget);
+        let (found, stats) = definition_10(t).search(&*self.adt, budget);
         let verdict = match found {
             Ok(Some((chain, ()))) => Ok(LinWitness { assignments: chain }),
             Ok(None) => Err(LinError::NotLinearizable),
@@ -299,31 +274,35 @@ where
         &self.adt
     }
 
-    fn budget(&self) -> usize {
-        self.budget
-    }
-
-    fn threads(&self) -> usize {
-        self.threads
-    }
-
-    fn set_budget(&mut self, budget: usize) {
-        self.budget = budget;
-    }
-
-    fn set_threads(&mut self, threads: usize) {
-        self.threads = threads;
-    }
-
     fn phase_bounds(&self) -> Option<(PhaseId, PhaseId)> {
         None
     }
 
+    /// One search: nothing to spread over threads.
     fn check_monolithic(
         &self,
         t: &Trace<ObjAction<T, V>>,
+        budget: usize,
+        _threads: usize,
     ) -> (Result<LinWitness<T::Input>, LinError>, SearchStats) {
-        self.check_with_stats_impl(t)
+        self.check_with_stats_impl(t, budget)
+    }
+
+    fn status_of_error(e: &LinError) -> MonitorStatus {
+        match e {
+            LinError::NotLinearizable => MonitorStatus::Violation,
+            LinError::IllFormed(_) => MonitorStatus::IllFormed,
+            LinError::SwitchAction { .. } => MonitorStatus::SwitchSeen,
+            LinError::BudgetExhausted { .. } => MonitorStatus::Unknown,
+        }
+    }
+
+    fn stream_error(&self, failure: StreamFailure) -> LinError {
+        match failure {
+            StreamFailure::Invalid(invalid) => invalid.into(),
+            StreamFailure::NotSatisfied => LinError::NotLinearizable,
+            StreamFailure::BudgetExhausted { nodes } => LinError::BudgetExhausted { nodes },
+        }
     }
 
     /// The plain per-key split: a sub-trace of a valid object trace is a
@@ -367,30 +346,6 @@ where
         _stats: SearchStats,
     ) -> LinWitness<T::Input> {
         LinWitness { assignments: chain }
-    }
-}
-
-impl<T, V> StreamModel<V> for LinChecker<T>
-where
-    T: Adt,
-    T::Input: Ord,
-    V: Clone + PartialEq,
-{
-    fn status_of_error(e: &LinError) -> MonitorStatus {
-        match e {
-            LinError::NotLinearizable => MonitorStatus::Violation,
-            LinError::IllFormed(_) => MonitorStatus::IllFormed,
-            LinError::SwitchAction { .. } => MonitorStatus::SwitchSeen,
-            LinError::BudgetExhausted { .. } => MonitorStatus::Unknown,
-        }
-    }
-
-    fn stream_error(&self, failure: StreamFailure) -> LinError {
-        match failure {
-            StreamFailure::Invalid(invalid) => invalid.into(),
-            StreamFailure::NotSatisfied => LinError::NotLinearizable,
-            StreamFailure::BudgetExhausted { nodes } => LinError::BudgetExhausted { nodes },
-        }
     }
 }
 

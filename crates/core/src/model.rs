@@ -18,15 +18,18 @@
 //! Searching is not a model's business because it does not depend on the
 //! model: `Problem::search` is the one way a problem meets the
 //! [`crate::engine`], and `partition::check` is the one routine
-//! that fans a projection's classes out, resolves the first failure in key
+//! that searches a projection's classes, resolves the first failure in key
 //! order, merges the class chains into the monolithic first witness and
 //! re-derives it whole when the merge cannot predict it — for both models,
 //! for closed traces and for the streaming monitor's reports alike (a
 //! single checking judgment over many consistency models, as
 //! refinement-based frameworks present it). What is left model-specific is
 //! [`ConsistencyModel::check_monolithic`] — speculative linearizability
-//! quantifies over *every* init interpretation there — and the
-//! streaming-only hooks of [`crate::stream::StreamModel`].
+//! quantifies over *every* init interpretation there — and how the model's
+//! errors read on a stream ([`ConsistencyModel::status_of_error`],
+//! [`ConsistencyModel::stream_error`]). Limits are not a model's business
+//! either: the [`crate::session`] owns the search budget and the thread
+//! bound and passes them to each check.
 //!
 //! # Model ownership
 //!
@@ -40,6 +43,7 @@
 use crate::engine::{Chain, CheckerEngine, EngineError, SearchBudget, SearchSeed, SearchStats};
 use crate::ops::Commit;
 use crate::partition::{FallbackReason, PartitionReport};
+use crate::stream::{MonitorStatus, StreamFailure};
 use crate::ObjAction;
 use slin_adt::{Adt, Partitioner};
 use slin_trace::{PersistentMultiset, PhaseId, Trace};
@@ -67,9 +71,8 @@ pub struct Problem<'m, T: Adt, L> {
     pub leaf: LeafFn<'m, T::Input, L>,
 }
 
-/// A [`Problem`]'s leaf oracle. `Sync` because a projection's class
-/// problems are searched from [`crate::partition::fan_out`]'s threads.
-pub type LeafFn<'m, I, L> = Box<dyn Fn(&[I]) -> Option<L> + Sync + 'm>;
+/// A [`Problem`]'s leaf oracle.
+pub type LeafFn<'m, I, L> = Box<dyn Fn(&[I]) -> Option<L> + 'm>;
 
 /// What a search found: the chain and its leaf witness, `None` when the
 /// space is exhausted, or the budget trip — with the work done on every
@@ -112,7 +115,7 @@ pub struct ClassProblem<'m, T: Adt> {
 
 /// A model's answer to "what is there to search along this partitioner".
 pub enum Projection<'m, T: Adt, L, E> {
-    /// Nothing to fan out — the trace holds fewer than two classes, or
+    /// Nothing to decompose — the trace holds fewer than two classes, or
     /// `fallback` says why it does not decompose: check it whole
     /// ([`ConsistencyModel::check_monolithic`], which also validates it).
     Whole {
@@ -173,20 +176,6 @@ pub trait ConsistencyModel<V>: Sized {
     /// The checked ADT, behind the handle long-lived consumers clone.
     fn adt(&self) -> &Arc<Self::Adt>;
 
-    /// The configured search node budget (per class / interpretation).
-    fn budget(&self) -> usize;
-
-    /// Configured worker threads (0 = one per core).
-    fn threads(&self) -> usize;
-
-    /// Overrides the search node budget (the [`crate::session`] builder's
-    /// hook).
-    fn set_budget(&mut self, budget: usize);
-
-    /// Overrides the worker-thread count (the [`crate::session`] builder's
-    /// hook).
-    fn set_threads(&mut self, threads: usize);
-
     /// The speculation phase `(m, n)` for phase-signature criteria, `None`
     /// for plain object criteria. Drives the well-formedness validator, and
     /// tells the streaming monitor whether a switch action decides the
@@ -202,11 +191,22 @@ pub trait ConsistencyModel<V>: Sized {
     }
 
     /// The canonical monolithic check (validation included), with the
-    /// engine counters of the search.
+    /// engine counters of the search: each search under a node `budget`,
+    /// independent searches spread over at most `threads` threads
+    /// (0 = one per core).
     fn check_monolithic(
         &self,
         t: &Trace<ObjAction<Self::Adt, V>>,
+        budget: usize,
+        threads: usize,
     ) -> (Result<Self::Witness, Self::Error>, SearchStats);
+
+    /// Maps a batch-check failure onto the rolling [`MonitorStatus`] (the
+    /// streaming monitor resolves [`MonitorStatus::Deferred`] with it).
+    fn status_of_error(e: &Self::Error) -> MonitorStatus;
+
+    /// Maps a window-mode stream failure onto the model's error type.
+    fn stream_error(&self, failure: StreamFailure) -> Self::Error;
 
     /// States what there is to search in `t` along `partitioner`,
     /// validating `t` against the model's signature and well-formedness

@@ -10,23 +10,12 @@
 //! per key with [`split_trace`], the speculative checker also classifies
 //! switch actions, as [`split_trace_keyed`] does); `partition::check` — the
 //! one routine behind every partitioned verdict on a closed trace — runs the
-//! class searches through [`fan_out`] (the same dispatch the speculative
-//! checker uses for init-interpretation enumeration and the daemon for its
-//! lanes), and **merges the class chains back into the exact witness the
-//! monolithic search would have produced** (`merge_partition_chains`).
-//!
-//! # Threads are an upper bound
-//!
-//! A configured thread count says how far [`fan_out`] *may* spread, not how
-//! far it does. A scoped spawn + join costs 16–70 µs per thread on the
-//! reference box, against ≈2 µs per search node or streamed event; the
-//! common case — a dozen commits per class — is cheaper to run than to
-//! hand over. So [`fan_out`] sizes its dispatch from the work present: the
-//! caller keeps the first share, and nothing is spawned unless the rest
-//! outweighs one internal constant. Partitioning itself is unaffected:
-//! a small trace is still split, searched per class and merged — on one
-//! thread. Outputs are identical either way (verdicts are resolved by
-//! minimum index, never by arrival order).
+//! class searches one after another on the calling thread, and **merges the
+//! class chains back into the exact witness the monolithic search would have
+//! produced** (`merge_partition_chains`). The classes are searched only to
+//! be merged back in engine order, and a second thread never paid for them:
+//! at ≈990 commits over 8 keys the class searches are about a fifth of the
+//! check, and forcing them onto two threads read 1.07x the one-thread time.
 //!
 //! # Why the merge is exact
 //!
@@ -236,8 +225,8 @@ where
 }
 
 /// The least work — in weight units: queued frames for the daemon's lanes,
-/// commits to place for a class or interpretation search — that must leave
-/// the calling thread before [`fan_out`] spawns at all.
+/// commits to place for an interpretation search — that must leave the
+/// calling thread before [`fan_out`] spawns at all.
 ///
 /// Sized from a sweep on the 2-vCPU reference box, whose second core comes
 /// and goes with the host (the README's "Work-sized dispatch" table has
@@ -247,25 +236,22 @@ where
 /// up (0.77–0.87x the inline time at 256, 0.62x at 1024); with one core
 /// there it can only lose — 1.25–1.32x up to 256 frames, 1.03x at 512.
 /// 512 is where the loss on a taken-away core has shrunk to a few percent
-/// while the gain on a present one is already a third. Per-class batch
-/// searches do not gain from a second thread: at ≈990 commits per keyed
-/// check (8 classes, both cores present) the class searches are about a
-/// fifth of the check, and forcing them onto two threads read 1.07x the
-/// one-thread time, so the same constant errs on the calling thread's
-/// side there too.
+/// while the gain on a present one is already a third.
 const FAN_OUT_MIN_OFFLOAD: usize = 512;
 
 /// Runs `run` over every unit of `units` — `(weight, item)` pairs — and
 /// returns the results in unit order, plus whether any work left the
-/// calling thread. The one thread fan-out point of the checking pipeline:
-/// per-partition, per-class and per-interpretation searches, and the
-/// daemon's lanes.
+/// calling thread. The one thread fan-out point of the checking pipeline,
+/// for the work in it that is independent: the speculative checker's
+/// init-interpretation searches and the daemon's lanes.
 ///
-/// `threads` is an **upper bound**. Units are dealt into `threads` shares
-/// (share `w` takes units `w, w + threads, …`); the caller always runs
-/// share 0 itself, so at most `threads − 1` threads are spawned, and none
-/// at all unless the weight that would be offloaded (every other share's)
-/// exceeds `FAN_OUT_MIN_OFFLOAD`. Below it every unit runs on the calling
+/// `threads` is an **upper bound**: a scoped spawn + join costs 16–70 µs
+/// per thread on the reference box, so the common case — a few dozen
+/// commits or frames — is cheaper to run than to hand over. Units are
+/// dealt into `threads` shares (share `w` takes units `w, w + threads,
+/// …`); the caller always runs share 0 itself, so at most `threads − 1`
+/// threads are spawned, and none at all unless the weight that would be
+/// offloaded (every other share's) exceeds `FAN_OUT_MIN_OFFLOAD`. Below it every unit runs on the calling
 /// thread, in unit order. The decision is a pure function of the weights,
 /// so a run is reproducible; `run`'s results must not depend on which
 /// thread computes them (the callers resolve verdicts by minimum index).
@@ -373,31 +359,31 @@ pub(crate) fn decomposes<'p, I, O, V, P>(
 /// streaming monitor's report derivation, for every [`ConsistencyModel`].
 ///
 /// Asks the model what there is to search along `partitioner`
-/// ([`ConsistencyModel::project`]), then: runs the class searches through
-/// [`fan_out`] (a class's weight is its commit count), absorbs every
-/// class's counters in key order, resolves the verdict exactly like a
-/// sequential loop over the classes would (the first failing class in key
-/// order wins — a refutation or a budget trip
-/// alike, so a tripped class under-claims rather than searching again),
-/// merges the class chains in engine order against the whole problem's
-/// bounds from its seed, re-discharges the whole problem's leaf on the
-/// merged chain, and searches the whole problem once when either cannot
-/// predict the monolithic first witness ([`PartitionReport::remerged`]).
+/// ([`ConsistencyModel::project`]), then: searches every class in key
+/// order, absorbing its counters, lets the first failing class decide (a
+/// refutation or a budget trip alike, so a tripped class under-claims
+/// rather than searching again), merges the class chains in
+/// engine order against the whole problem's bounds from its seed,
+/// re-discharges the whole problem's leaf on the merged chain, and searches
+/// the whole problem once when either cannot predict the monolithic first
+/// witness ([`PartitionReport::remerged`]). A trace the model checks whole
+/// goes to [`ConsistencyModel::check_monolithic`] with `budget` and
+/// `threads`.
 ///
 /// Verdicts and witnesses are byte-identical to
 /// [`ConsistencyModel::check_monolithic`] (see the [module docs](self) for
-/// the argument). The search node budget applies per class, so a trace the
-/// monolithic search gives up on may well be decided here.
+/// the argument). The search node `budget` applies per class, so a trace
+/// the monolithic search gives up on may well be decided here.
 pub(crate) fn check<V, M, P>(
     model: &M,
     partitioner: &P,
     t: &Trace<ObjAction<M::Adt, V>>,
+    budget: usize,
+    threads: usize,
 ) -> SplitVerdict<M::Witness, M::Error>
 where
     M: ConsistencyModel<V>,
-    M::Adt: Sync,
-    <M::Adt as Adt>::Input: Ord + Send + Sync,
-    <M::Adt as Adt>::Output: Sync,
+    <M::Adt as Adt>::Input: Ord,
     P: Partitioner<M::Adt>,
 {
     let unmerged = |partitions, fallback, stats| PartitionReport {
@@ -419,7 +405,7 @@ where
             partitions,
             fallback,
         } => {
-            let (verdict, stats) = model.check_monolithic(t);
+            let (verdict, stats) = model.check_monolithic(t, budget, threads);
             return SplitVerdict {
                 verdict,
                 report: unmerged(partitions, fallback, stats),
@@ -432,18 +418,12 @@ where
         } => (whole, classes, refuted),
     };
 
-    let (adt, budget) = (&**model.adt(), model.budget());
-    let units = classes
-        .iter()
-        .map(|class| (class.problem.commits.len(), &class.problem))
-        .collect();
-    let (results, _) = fan_out(units, resolve_threads(model.threads()), &|problem| {
-        problem.search(adt, budget)
-    });
+    let adt = &**model.adt();
     let mut stats = SearchStats::default();
     let mut queues = Vec::with_capacity(classes.len());
     let mut first_error: Option<M::Error> = None;
-    for (class, (found, class_stats)) in classes.iter().zip(results) {
+    for class in &classes {
+        let (found, class_stats) = class.problem.search(adt, budget);
         stats.absorb(&class_stats);
         if first_error.is_some() {
             continue;
@@ -722,6 +702,8 @@ mod tests {
 
     type KA = ObjAction<KvStore, ()>;
 
+    const BUDGET: usize = crate::engine::SearchBudget::DEFAULT_MAX_NODES;
+
     fn c(n: u32) -> ClientId {
         ClientId::new(n)
     }
@@ -899,13 +881,17 @@ mod tests {
                     })
                     .collect(),
             );
-            let by_lin = check(&lin, &KvKeyPartitioner, t);
-            let by_slin = check(&slin, &KvKeyPartitioner, &phase_t);
+            let by_lin = check(&lin, &KvKeyPartitioner, t, BUDGET, 0);
+            let by_slin = check(&slin, &KvKeyPartitioner, &phase_t, BUDGET, 0);
             assert_eq!(by_lin.report, by_slin.report, "{t:?}");
             assert_eq!(by_lin.report.fallback, None);
             assert!(by_lin.report.partitions > 1);
             remerged += by_lin.report.remerged as usize;
-            assert_eq!(by_lin.verdict, lin.check_with_stats_impl(t).0, "{t:?}");
+            assert_eq!(
+                by_lin.verdict,
+                lin.check_with_stats_impl(t, BUDGET).0,
+                "{t:?}"
+            );
             match (by_lin.verdict, by_slin.verdict) {
                 (Ok(w), Ok(r)) => {
                     accepted += 1;
@@ -1315,7 +1301,7 @@ mod tests {
         let parts = classes
             .iter()
             .map(|class| {
-                let (chain, ()) = class.problem.search(&KvStore, model.budget()).0.ok()??;
+                let (chain, ()) = class.problem.search(&KvStore, BUDGET).0.ok()??;
                 let steps = witness_steps(&chain, class.problem.seed.len(), &class.index_map);
                 Some((steps, class.problem.pool()))
             })

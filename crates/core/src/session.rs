@@ -60,12 +60,11 @@
 //! assert_eq!(verdict.strategy, StrategyUsed::Streaming);
 //! ```
 
-use crate::engine::SearchStats;
+use crate::engine::{SearchBudget, SearchStats};
 use crate::model::ConsistencyModel;
 use crate::partition::{self, FallbackReason, PartitionReport};
 use crate::stream::{
     budget_tripped, GcPolicy, IngestOutcome, Monitor, MonitorReport, MonitorStatus, ShardSummary,
-    StreamModel,
 };
 use crate::ObjAction;
 use slin_adt::{Adt, IdentityPartitioner, Partitioner};
@@ -166,8 +165,8 @@ impl<M> Checker<M> {
             model,
             partitioner: None,
             strategy: Strategy::Auto,
-            budget: None,
-            threads: None,
+            budget: SearchBudget::DEFAULT_MAX_NODES,
+            threads: 0,
             window: None,
             gc: GcPolicy::default(),
             obs: Obs::noop(),
@@ -181,8 +180,8 @@ pub struct SessionBuilder<M, P> {
     model: M,
     partitioner: Option<P>,
     strategy: Strategy,
-    budget: Option<usize>,
-    threads: Option<usize>,
+    budget: usize,
+    threads: usize,
     window: Option<usize>,
     gc: GcPolicy,
     obs: Obs,
@@ -194,22 +193,24 @@ pub struct SessionBuilder<M, P> {
 }
 
 impl<M, P> SessionBuilder<M, P> {
-    /// Overrides the model's search node budget (per partition /
-    /// interpretation).
+    /// Sets the search node budget of every search this session runs —
+    /// per class, per init interpretation, per streaming fallback
+    /// (default [`SearchBudget::DEFAULT_MAX_NODES`]).
     pub fn budget(mut self, budget: usize) -> Self {
-        self.budget = Some(budget);
+        self.budget = budget;
         self
     }
 
-    /// Overrides the model's worker-thread count (0 = one per core,
-    /// 1 = sequential) — an **upper bound**, the calling thread included:
-    /// the per-partition, per-class and per-interpretation searches leave
-    /// the calling thread only when there is enough of them to repay a
-    /// thread spawn ([`crate::partition::fan_out`]); a check of a few dozen
-    /// commits runs on the calling thread at any setting. Verdicts,
-    /// witnesses and [`SearchStats`] do not depend on it.
+    /// Bounds the threads a speculative check may enumerate its init
+    /// interpretations on (default 0 = one per core, 1 = sequential) — an
+    /// **upper bound**, the calling thread included: the interpretation
+    /// searches leave the calling thread only when there is enough of them
+    /// to repay a thread spawn ([`crate::partition::fan_out`]). Nothing else
+    /// a session runs is spread over threads, so a plain-linearizability
+    /// session never spawns. Verdicts, witnesses and [`SearchStats`] do not
+    /// depend on it.
     pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
+        self.threads = threads;
         self
     }
 
@@ -299,7 +300,7 @@ impl<M, P> SessionBuilder<M, P> {
     /// handle [`CertError`]s. Infallible with no certificate installed.
     pub fn build<V>(self) -> Session<M, V, P>
     where
-        M: StreamModel<V>,
+        M: ConsistencyModel<V>,
         <M::Adt as Adt>::Input: Ord,
         V: Clone + PartialEq,
         P: Partitioner<M::Adt>,
@@ -313,9 +314,9 @@ impl<M, P> SessionBuilder<M, P> {
     /// [`CertError::RelationMismatch`] when it was issued for another ADT
     /// or init relation (hash and partitioner name were verified by
     /// [`SessionBuilder::switch_certified`]).
-    pub fn try_build<V>(mut self) -> Result<Session<M, V, P>, CertError>
+    pub fn try_build<V>(self) -> Result<Session<M, V, P>, CertError>
     where
-        M: StreamModel<V>,
+        M: ConsistencyModel<V>,
         <M::Adt as Adt>::Input: Ord,
         V: Clone + PartialEq,
         P: Partitioner<M::Adt>,
@@ -345,17 +346,12 @@ impl<M, P> SessionBuilder<M, P> {
         } else {
             false
         };
-        if let Some(budget) = self.budget {
-            self.model.set_budget(budget);
-        }
-        if let Some(threads) = self.threads {
-            self.model.set_threads(threads);
-        }
         let strategy = self.strategy;
         let window = self.window.or(match strategy {
             Strategy::Streaming { window } => window,
             _ => None,
         });
+        let (budget, threads) = (self.budget, self.threads);
         let gc = self.gc;
         let obs = self.obs;
         let mode = match strategy {
@@ -366,6 +362,8 @@ impl<M, P> SessionBuilder<M, P> {
                 gc,
                 keyed,
                 obs.clone(),
+                budget,
+                threads,
             ))),
             _ => Mode::Batch {
                 model: self.model,
@@ -375,6 +373,8 @@ impl<M, P> SessionBuilder<M, P> {
         Ok(Session {
             mode,
             strategy,
+            budget,
+            threads,
             window,
             gc,
             obs,
@@ -413,6 +413,10 @@ where
 {
     mode: Mode<M, V, P>,
     strategy: Strategy,
+    /// The node budget of every search and the thread bound of every
+    /// interpretation enumeration, handed to each check.
+    budget: usize,
+    threads: usize,
     window: Option<usize>,
     gc: GcPolicy,
     obs: Obs,
@@ -425,10 +429,8 @@ where
 
 impl<M, V, P> Session<M, V, P>
 where
-    M: StreamModel<V>,
-    M::Adt: Sync,
-    <M::Adt as Adt>::Input: Ord + Send + Sync,
-    <M::Adt as Adt>::Output: Sync,
+    M: ConsistencyModel<V>,
+    <M::Adt as Adt>::Input: Ord,
     V: Clone + PartialEq,
     P: Partitioner<M::Adt>,
 {
@@ -442,6 +444,7 @@ where
     pub fn check(&mut self, t: &Trace<ObjAction<M::Adt, V>>) -> Verdict<M::Witness, M::Error> {
         match &mut self.mode {
             Mode::Batch { model, partitioner } => {
+                let (budget, threads) = (self.budget, self.threads);
                 let t0 = self.obs.t0();
                 let decomposing = match self.strategy {
                     Strategy::Monolithic => None,
@@ -449,11 +452,11 @@ where
                 };
                 let (outcome, stats, partition) = match decomposing {
                     Some(p) => {
-                        let sv = partition::check(&*model, p, t);
+                        let sv = partition::check(&*model, p, t, budget, threads);
                         (sv.verdict, sv.report.stats, Some(sv.report))
                     }
                     None => {
-                        let (outcome, stats) = model.check_monolithic(t);
+                        let (outcome, stats) = model.check_monolithic(t, budget, threads);
                         (outcome, stats, None)
                     }
                 };
@@ -591,6 +594,8 @@ where
                 self.gc,
                 self.keyed,
                 self.obs.clone(),
+                self.budget,
+                self.threads,
             )));
         }
         match &mut self.mode {

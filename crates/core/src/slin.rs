@@ -28,20 +28,21 @@
 //! init histories and extended with abort feasibility at the leaves.
 //!
 //! Because the init interpretations are **independent** (the universal
-//! quantifier of Definition 19 factors over them), [`SlinChecker::check`]
-//! may enumerate them **in parallel**: across at most the configured
-//! threads, and only when there is enough search to repay spawning them
-//! ([`partition::fan_out`]). Verdicts are deterministic and identical at
-//! every thread count: on failure, the *earliest* interpretation in
-//! enumeration order wins — the same one the single-threaded loop
-//! (`with_threads(1)`) reports.
+//! quantifier of Definition 19 factors over them), the monolithic check
+//! may enumerate them **in parallel**: across at most the thread bound a
+//! [`crate::session`] passes in, and only when there is enough search to
+//! repay spawning threads ([`partition::fan_out`]). Verdicts are
+//! deterministic and identical at every thread count: on failure, the
+//! *earliest* interpretation in enumeration order wins — the same one a
+//! single-threaded enumeration (a session built with `.threads(1)`)
+//! reports.
 
 use crate::engine::{Chain, EngineError, SearchBudget, SearchStats};
 use crate::initrel::{CandidateContext, InitRelation};
 use crate::model::{ClassProblem, ConsistencyModel, Problem, Projection};
 use crate::ops::{self, Commit, SwitchEvent};
 use crate::partition::{self, FallbackReason};
-use crate::stream::{MonitorStatus, StreamFailure, StreamModel};
+use crate::stream::{MonitorStatus, StreamFailure};
 use crate::ObjAction;
 use slin_adt::{Adt, Partitioner};
 use slin_trace::seq;
@@ -53,9 +54,6 @@ use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// Default node budget for the backtracking search (per interpretation).
-pub const DEFAULT_BUDGET: usize = SearchBudget::DEFAULT_MAX_NODES;
 
 /// Cap on the number of init interpretations enumerated.
 pub const MAX_INTERPRETATIONS: usize = 16_384;
@@ -191,10 +189,6 @@ pub struct SlinChecker<T, R> {
     rinit: R,
     m: PhaseId,
     n: PhaseId,
-    budget: usize,
-    /// Upper bound on threads for interpretation enumeration and the
-    /// per-class searches (0 = one per core).
-    threads: usize,
 }
 
 impl<T, R> SlinChecker<T, R>
@@ -221,32 +215,13 @@ where
     /// Panics unless `m < n`.
     pub fn shared(adt: Arc<T>, rinit: R, m: PhaseId, n: PhaseId) -> Self {
         assert!(m < n, "a speculation phase (m, n) requires m < n");
-        SlinChecker {
-            adt,
-            rinit,
-            m,
-            n,
-            budget: DEFAULT_BUDGET,
-            threads: 0,
-        }
+        SlinChecker { adt, rinit, m, n }
     }
 
-    /// Overrides the per-interpretation search node budget.
-    pub fn with_budget(mut self, budget: usize) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Overrides the number of threads [`SlinChecker::check`] may use to
-    /// enumerate init interpretations (0 = one per available core;
-    /// 1 = sequential) — an upper bound: small enumerations stay on the
-    /// calling thread ([`partition::fan_out`]).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Checks `(m, n)`-speculative linearizability of the trace.
+    /// Checks `(m, n)`-speculative linearizability of the trace under the
+    /// default search budget, enumerating interpretations on up to one
+    /// thread per core. The search budget and the thread bound are
+    /// [`crate::session`] configuration.
     ///
     /// # Errors
     ///
@@ -265,11 +240,14 @@ where
         R: Sync,
         R::Value: Sync,
     {
-        self.check_with_stats_impl(t).0
+        self.check_with_stats_impl(t, SearchBudget::DEFAULT_MAX_NODES, 0)
+            .0
     }
 
-    /// [`SlinChecker::check`], also reporting [`SearchStats`] on **both**
-    /// sides of the verdict (the `Session` facade's monolithic body). On
+    /// [`SlinChecker::check`] under a node `budget` per interpretation and
+    /// at most `threads` enumeration threads (0 = one per core), also
+    /// reporting [`SearchStats`] on **both** sides of the verdict (the
+    /// `Session` facade's monolithic body). On
     /// `Ok` the stats equal [`SlinReport::stats`]; on a refutation they
     /// are the counters of the earliest failing interpretation's
     /// (exhaustive) search — the cost of proving no chain exists,
@@ -280,6 +258,8 @@ where
     pub(crate) fn check_with_stats_impl(
         &self,
         t: &Trace<ObjAction<T, R::Value>>,
+        budget: usize,
+        threads: usize,
     ) -> (Result<SlinReport<T::Input>, SlinError>, SearchStats)
     where
         T: Send + Sync,
@@ -292,7 +272,7 @@ where
             Ok(prep) => prep,
             Err(e) => return (Err(e), SearchStats::default()),
         };
-        self.run_interpretations(&prep, partition::resolve_threads(self.threads))
+        self.run_interpretations(&prep, budget, partition::resolve_threads(threads))
     }
 
     /// Validates the trace against the phase signature and well-formedness,
@@ -387,6 +367,7 @@ where
     fn run_interpretations(
         &self,
         prep: &Prepared<T, R::Value>,
+        budget: usize,
         threads: usize,
     ) -> (Result<SlinReport<T::Input>, SlinError>, SearchStats)
     where
@@ -406,7 +387,7 @@ where
                 return None;
             }
             let finit = self.finit_at(prep, idx);
-            let (found, stats) = self.check_one_interpretation(prep, &finit);
+            let (found, stats) = self.check_one_interpretation(prep, &finit, budget);
             let found = match found {
                 // Only interpretation 0's witness is ever reported.
                 Ok(Some(w)) => Ok((idx == 0).then_some(w)),
@@ -623,12 +604,13 @@ where
         &self,
         prep: &Prepared<T, R::Value>,
         finit: &[(usize, &Vec<T::Input>)],
+        budget: usize,
     ) -> InterpretationOutcome<T> {
         let vi = self.valid_inputs(prep, finit, &Classes::none()).global;
         let owned = Arc::new(finit.iter().map(|(i, h)| (*i, (*h).clone())).collect());
         let (found, stats) = self
             .interpretation(prep, owned, vi, Cow::Borrowed(&prep.commits))
-            .search(&self.adt, self.budget);
+            .search(&self.adt, budget);
         let witness = found
             .map(|found| {
                 found.map(
@@ -661,22 +643,6 @@ where
         &self.adt
     }
 
-    fn budget(&self) -> usize {
-        self.budget
-    }
-
-    fn threads(&self) -> usize {
-        self.threads
-    }
-
-    fn set_budget(&mut self, budget: usize) {
-        self.budget = budget;
-    }
-
-    fn set_threads(&mut self, threads: usize) {
-        self.threads = threads;
-    }
-
     fn phase_bounds(&self) -> Option<(PhaseId, PhaseId)> {
         Some((self.m, self.n))
     }
@@ -688,10 +654,32 @@ where
     fn check_monolithic(
         &self,
         t: &Trace<ObjAction<T, R::Value>>,
+        budget: usize,
+        threads: usize,
     ) -> (Result<SlinReport<T::Input>, SlinError>, SearchStats) {
         // [`SlinError`] carries no counters, but the refutation cost is
         // reported alongside: see `check_with_stats_impl`.
-        self.check_with_stats_impl(t)
+        self.check_with_stats_impl(t, budget, threads)
+    }
+
+    fn status_of_error(e: &SlinError) -> MonitorStatus {
+        match e {
+            SlinError::NotSpeculativelyLinearizable { .. } => MonitorStatus::Violation,
+            SlinError::IllFormed(_) | SlinError::ForeignAction { .. } => MonitorStatus::IllFormed,
+            SlinError::BudgetExhausted { .. } | SlinError::TooManyInterpretations { .. } => {
+                MonitorStatus::Unknown
+            }
+        }
+    }
+
+    fn stream_error(&self, failure: StreamFailure) -> SlinError {
+        match failure {
+            StreamFailure::Invalid(invalid) => invalid.into(),
+            StreamFailure::NotSatisfied => SlinError::NotSpeculativelyLinearizable {
+                interpretation: Vec::new(),
+            },
+            StreamFailure::BudgetExhausted { nodes } => SlinError::BudgetExhausted { nodes },
+        }
     }
 
     /// The keyed projection: commits, pending inputs **and switch-value
@@ -937,35 +925,6 @@ where
     }
 }
 
-impl<T, R> StreamModel<R::Value> for SlinChecker<T, R>
-where
-    T: Adt + Send + Sync,
-    T::Input: Ord + Send + Sync,
-    T::Output: Sync,
-    R: InitRelation<T::Input> + Sync,
-    R::Value: Clone + PartialEq + Sync,
-{
-    fn status_of_error(e: &SlinError) -> MonitorStatus {
-        match e {
-            SlinError::NotSpeculativelyLinearizable { .. } => MonitorStatus::Violation,
-            SlinError::IllFormed(_) | SlinError::ForeignAction { .. } => MonitorStatus::IllFormed,
-            SlinError::BudgetExhausted { .. } | SlinError::TooManyInterpretations { .. } => {
-                MonitorStatus::Unknown
-            }
-        }
-    }
-
-    fn stream_error(&self, failure: StreamFailure) -> SlinError {
-        match failure {
-            StreamFailure::Invalid(invalid) => invalid.into(),
-            StreamFailure::NotSatisfied => SlinError::NotSpeculativelyLinearizable {
-                interpretation: Vec::new(),
-            },
-            StreamFailure::BudgetExhausted { nodes } => SlinError::BudgetExhausted { nodes },
-        }
-    }
-}
-
 /// The validated trace summary and interpretation space shared by the
 /// sequential and parallel enumeration paths.
 struct Prepared<T: Adt, V> {
@@ -1102,6 +1061,8 @@ mod tests {
 
     type CV = Value;
     type CA = ObjAction<Consensus, CV>;
+
+    const BUDGET: usize = SearchBudget::DEFAULT_MAX_NODES;
 
     fn c(n: u32) -> ClientId {
         ClientId::new(n)
@@ -1473,8 +1434,8 @@ mod tests {
         for t in &traces {
             for (m, n) in [(1, 2), (2, 3)] {
                 let chk = SlinChecker::owned(Consensus, ConsensusInit::new(), ph(m), ph(n));
-                let par = chk.clone().with_threads(4).check(t);
-                let seq = chk.with_threads(1).check(t);
+                let par = chk.check_with_stats_impl(t, BUDGET, 4);
+                let seq = chk.check_with_stats_impl(t, BUDGET, 1);
                 assert_eq!(par, seq, "phase ({m}, {n}) on {t:?}");
                 assert_eq!(format!("{par:?}"), format!("{seq:?}"));
             }
@@ -1509,12 +1470,10 @@ mod tests {
             assert!(prep.combos > 1);
             let units = vec![(prep.commits.len(), ()); prep.combos];
             assert!(partition::fan_out(units, 2, &|()| ()).1);
-            let seq = backup_checker().with_threads(1).check_with_stats_impl(&t);
+            let seq = backup_checker().check_with_stats_impl(&t, BUDGET, 1);
             assert_eq!(seq.0.is_ok(), ok);
             for threads in [2, 4] {
-                let par = backup_checker()
-                    .with_threads(threads)
-                    .check_with_stats_impl(&t);
+                let par = backup_checker().check_with_stats_impl(&t, BUDGET, threads);
                 assert_eq!(par, seq, "{threads} threads");
             }
         }
@@ -1530,8 +1489,8 @@ mod tests {
             Action::respond(c(1), ph(2), p(1), d(5)),
             Action::respond(c(2), ph(2), p(2), d(5)),
         ]);
-        let par = backup_checker().with_threads(3).check(&t).unwrap();
-        let seq = backup_checker().with_threads(1).check(&t).unwrap();
+        let at = |threads| backup_checker().check_with_stats_impl(&t, BUDGET, threads);
+        let (par, seq) = (at(3).0.unwrap(), at(1).0.unwrap());
         assert!(par.interpretations_checked > 1);
         assert_eq!(par.interpretations_checked, seq.interpretations_checked);
         assert_eq!(par.stats, seq.stats);
@@ -1547,16 +1506,13 @@ mod tests {
             Action::respond(c(1), ph(1), p(1), d(1)),
             Action::respond(c(2), ph(1), p(2), d(1)),
         ]);
-        let chk = quorum_checker().with_budget(1);
-        match chk.clone().with_threads(1).check(&t) {
+        let at = |threads| quorum_checker().check_with_stats_impl(&t, 1, threads).0;
+        match at(1) {
             Err(SlinError::BudgetExhausted { nodes }) => assert!(nodes > 0),
             other => panic!("expected budget exhaustion, got {other:?}"),
         }
         // The parallel path reports the identical error.
-        assert_eq!(
-            chk.with_threads(2).check(&t),
-            Err(SlinError::BudgetExhausted { nodes: 2 })
-        );
+        assert_eq!(at(2), Err(SlinError::BudgetExhausted { nodes: 2 }));
     }
 
     #[test]

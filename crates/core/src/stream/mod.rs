@@ -22,10 +22,10 @@
 //! There is **one** monitor and **one** way to reach it: a
 //! [`crate::session::Session`] built with `Strategy::Streaming { window }`
 //! (or a batch session upgraded by its first `ingest`). The monitor itself
-//! is private to the crate; it is parameterized by a [`StreamModel`] (the
-//! [`ConsistencyModel`] sub-trait adding how a batch error reads as a status
-//! and how a window failure maps onto the model's error type; what a switch
-//! action means is the model's `phase_bounds`), so any model streams. What
+//! is private to the crate; it is parameterized by a [`ConsistencyModel`]
+//! (which says how a batch error reads as a status, how a window failure
+//! maps onto the model's error type, and — through `phase_bounds` — what a
+//! switch action means), so any model streams. What
 //! this module exports is what a session hands back: [`MonitorStatus`],
 //! [`IngestOutcome`], [`ShardSummary`], [`MonitorReport`], and the
 //! [`GcPolicy`] a session is built with.
@@ -129,7 +129,7 @@ use crate::partition::FallbackReason;
 use slin_trace::wf::Invalid;
 
 /// Why a window-mode stream check failed, before it is mapped onto the
-/// model's error type by [`StreamModel::stream_error`].
+/// model's error type by [`ConsistencyModel::stream_error`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StreamFailure {
     /// The stream is refused before any search — an action outside the
@@ -148,26 +148,11 @@ pub enum StreamFailure {
     },
 }
 
-/// The streaming face of a [`ConsistencyModel`]: the two error mappings the
-/// generic monitor needs beyond the batch checking surface. What a switch
-/// action means the monitor reads off [`ConsistencyModel::phase_bounds`]:
-/// a plain model (`None`) is decided by it ([`MonitorStatus::SwitchSeen`]),
-/// a speculative one (`Some`) defers to batch re-checks of the record
-/// ([`MonitorStatus::Deferred`]).
-pub trait StreamModel<V>: ConsistencyModel<V> {
-    /// Maps a batch-check failure onto the rolling [`MonitorStatus`]
-    /// (used to resolve [`MonitorStatus::Deferred`]).
-    fn status_of_error(e: &Self::Error) -> MonitorStatus;
-
-    /// Maps a window-mode failure onto the model's error type.
-    fn stream_error(&self, failure: StreamFailure) -> Self::Error;
-}
-
 /// Whether a batch outcome is a tripped node budget: the model maps the
 /// error to [`MonitorStatus::Unknown`] and — unlike the interpretation-cap
 /// rejection, which shares that status but is decided before any search —
 /// the engine expanded nodes.
-pub(crate) fn budget_tripped<M: StreamModel<V>, V>(
+pub(crate) fn budget_tripped<M: ConsistencyModel<V>, V>(
     outcome: &Result<M::Witness, M::Error>,
     stats: &SearchStats,
 ) -> bool {

@@ -1,4 +1,4 @@
-//! The generic sharded monitor: one [`Monitor`] over any [`StreamModel`],
+//! The generic sharded monitor: one [`Monitor`] over any [`ConsistencyModel`],
 //! private to the crate — [`crate::session::Session`] is its only owner.
 //!
 //! [`Core`] is the model-independent machinery — a router that classifies
@@ -9,13 +9,13 @@
 //! well-formedness; the input multisets) and the one record of the stream
 //! every rebuild reads. What a switch action *means* comes from
 //! [`ConsistencyModel::phase_bounds`], how a window failure maps onto the
-//! model's error type from the [`StreamModel`] hooks; a window's merged
-//! chain is wrapped by [`ConsistencyModel::witness`] like any other.
+//! model's error type from [`ConsistencyModel::stream_error`]; a window's
+//! merged chain is wrapped by [`ConsistencyModel::witness`] like any other.
 
 use super::shard::{ShardConfig, ShardState, ShardStatus};
 use super::{
     budget_tripped, GcPolicy, IngestOutcome, MonitorReport, MonitorStatus, ShardSummary,
-    StreamFailure, StreamModel,
+    StreamFailure,
 };
 use crate::engine::{Chain, EngineError, SearchSeed, SearchStats};
 use crate::model::ConsistencyModel;
@@ -517,7 +517,7 @@ fn remap_chain<I>(chain: Vec<(usize, Vec<I>)>, index_map: &[usize]) -> Vec<(usiz
         .collect()
 }
 
-/// Online monitor for any [`StreamModel`] over a live stream of actions.
+/// Online monitor for any [`ConsistencyModel`] over a live stream of actions.
 /// See the [module docs](crate::stream) for the architecture and the
 /// exactness guarantees.
 pub(crate) struct Monitor<M, V, P>
@@ -533,6 +533,9 @@ where
     /// deferred verdicts re-check it per class instead of whole. The only
     /// streaming effect of the certificate.
     keyed: bool,
+    /// The thread bound of the report's batch checks (the node budget is
+    /// the shards', `core.shard_cfg.budget`).
+    threads: usize,
     core: Core<M::Adt, V, P::Key>,
     /// The report of the current stream version; deferred statuses resolve
     /// from it, so one derivation serves both.
@@ -541,15 +544,17 @@ where
 
 impl<M, V, P> Monitor<M, V, P>
 where
-    M: StreamModel<V>,
+    M: ConsistencyModel<V>,
     <M::Adt as Adt>::Input: Ord,
     V: Clone + PartialEq,
     P: Partitioner<M::Adt>,
 {
-    /// Creates a monitor around a configured model. `None` for the
-    /// partitioner routes every event to the identity shard
-    /// (non-partitionable ADTs still stream); `keyed` must come from a
-    /// verified switch certificate (see `SessionBuilder::try_build`).
+    /// Creates a monitor around a model. `None` for the partitioner routes
+    /// every event to the identity shard (non-partitionable ADTs still
+    /// stream); `keyed` must come from a verified switch certificate (see
+    /// `SessionBuilder::try_build`); `budget` and `threads` are the
+    /// session's, for every search the monitor runs.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         model: M,
         partitioner: Option<P>,
@@ -557,9 +562,11 @@ where
         gc: GcPolicy,
         keyed: bool,
         obs: Obs,
+        budget: usize,
+        threads: usize,
     ) -> Self {
         let shard_cfg = ShardConfig {
-            budget: model.budget(),
+            budget,
             // A frontier holds at least one configuration: at cap 0 every
             // commit would empty it, and an empty frontier reads as a
             // violation.
@@ -579,6 +586,7 @@ where
             model,
             partitioner,
             keyed,
+            threads,
             core,
             cached: None,
         }
@@ -675,17 +683,7 @@ where
     pub(crate) fn shard_summary(&self) -> ShardSummary {
         self.core.summary()
     }
-}
 
-impl<M, V, P> Monitor<M, V, P>
-where
-    M: StreamModel<V>,
-    M::Adt: Sync,
-    <M::Adt as Adt>::Input: Ord + Send + Sync,
-    <M::Adt as Adt>::Output: Sync,
-    V: Clone + PartialEq,
-    P: Partitioner<M::Adt>,
-{
     /// The exact rolling verdict. Cheap on switch-free streams; in
     /// speculative mode it reads the verdict of the (cached per stream
     /// version) report — the same keyed or monolithic derivation
@@ -812,15 +810,16 @@ where
         Option<PartitionReport>,
     ) {
         let obs = &self.core.shard_cfg.obs;
+        let (budget, threads) = (self.core.shard_cfg.budget, self.threads);
         let t0 = obs.t0();
         let (verdict, stats, partition) =
             match partition::decomposes(self.partitioner.as_ref(), self.keyed, closed) {
                 Some(p) => {
-                    let sv = partition::check(&self.model, p, closed);
+                    let sv = partition::check(&self.model, p, closed, budget, threads);
                     (sv.verdict, sv.report.stats, Some(sv.report))
                 }
                 None => {
-                    let (verdict, stats) = self.model.check_monolithic(closed);
+                    let (verdict, stats) = self.model.check_monolithic(closed, budget, threads);
                     (verdict, stats, None)
                 }
             };

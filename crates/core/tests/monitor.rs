@@ -10,9 +10,10 @@ use slin_adt::{
 use slin_core::gen::{random_multikey_kv_trace, MultiKeyConfig};
 use slin_core::initrel::ConsensusInit;
 use slin_core::lin::{witness_is_valid, LinChecker, LinError};
+use slin_core::model::ConsistencyModel;
 use slin_core::session::{Checker, Session, Strategy};
 use slin_core::slin::SlinChecker;
-use slin_core::stream::{MonitorStatus, StreamModel};
+use slin_core::stream::MonitorStatus;
 use slin_core::ObjAction;
 use slin_trace::{Action, ClientId, PhaseId, Trace};
 
@@ -26,7 +27,7 @@ fn ph() -> PhaseId {
 /// A session born streaming over `model`, sharded by `partitioner`.
 fn stream<M, V, P>(model: M, partitioner: P, window: Option<usize>) -> Session<M, V, P>
 where
-    M: StreamModel<V>,
+    M: ConsistencyModel<V>,
     <M::Adt as Adt>::Input: Ord,
     V: Clone + PartialEq,
     P: Partitioner<M::Adt>,
@@ -202,6 +203,39 @@ fn violations_are_still_caught_after_gc() {
     ));
     assert_eq!(out.status, MonitorStatus::Violation);
     assert!(mon.report().unwrap().verdict.is_err());
+}
+
+/// A stream whose class chains cannot be merged: both keys open with a put
+/// that never responds, read by a get, and key 1's put is invoked only
+/// after key 2's get commits, so key 1's first step is cross-blocked with
+/// no commit to hide behind (`partition.rs`'s cross-blocked trace). The
+/// report re-derives the witness whole at either window: a bounded window
+/// keeps no record and searches its shard windows as one product state, an
+/// unbounded one re-checks its record through the batch routine. Both read
+/// the monolithic batch verdict.
+#[test]
+fn a_cross_blocked_stream_remerges_at_either_window() {
+    let t: Trace<ObjAction<KvStore, ()>> = Trace::from_actions(vec![
+        Action::invoke(c(2), ph(), KvInput::Put(2, 9)),
+        Action::invoke(c(4), ph(), KvInput::Get(2)),
+        Action::respond(c(4), ph(), KvInput::Get(2), KvOutput::Found(Some(9))),
+        Action::invoke(c(1), ph(), KvInput::Put(1, 7)),
+        Action::invoke(c(3), ph(), KvInput::Get(1)),
+        Action::respond(c(3), ph(), KvInput::Get(1), KvOutput::Found(Some(7))),
+    ]);
+    let batch = LinChecker::owned(KvStore).check(&t);
+    assert!(batch.is_ok());
+    for window in [Some(64), None] {
+        let mut mon = stream(LinChecker::owned(KvStore), KvKeyPartitioner, window);
+        for a in t.iter() {
+            mon.ingest(a.clone());
+        }
+        let report = mon.report().unwrap();
+        assert!(report.remerged, "window {window:?}");
+        assert!(!report.prefix_committed, "window {window:?}");
+        assert_eq!(report.shards, 2, "window {window:?}");
+        assert_eq!(report.verdict, batch, "window {window:?}");
+    }
 }
 
 #[test]

@@ -9,11 +9,33 @@ use slin_core::initrel::{CandidateContext, ConsensusInit, ExactInit, InitRelatio
 use slin_core::invariants;
 use slin_core::lin::{witness_is_valid, LinChecker};
 use slin_core::ops;
-use slin_core::slin::SlinChecker;
+use slin_core::session::{Checker, Strategy as SessionStrategy, Verdict};
+use slin_core::slin::{SlinChecker, SlinError, SlinReport};
 use slin_core::ObjAction;
 use slin_trace::{Action, ClientId, PhaseId, Trace};
 
 type CA = ObjAction<Consensus, Value>;
+
+/// The `(m, n)` consensus phase check of `t` as one monolithic session
+/// search, its init interpretations enumerated on at most `threads`
+/// threads.
+fn monolithic_at(
+    (m, n): (u32, u32),
+    threads: usize,
+    t: &Trace<CA>,
+) -> Verdict<SlinReport<ConsInput>, SlinError> {
+    let chk = SlinChecker::owned(
+        Consensus,
+        ConsensusInit::new(),
+        PhaseId::new(m),
+        PhaseId::new(n),
+    );
+    Checker::builder(chk)
+        .strategy(SessionStrategy::Monolithic)
+        .threads(threads)
+        .build()
+        .check(t)
+}
 
 /// A strategy for well-formed single-shot consensus phase traces: every
 /// client proposes once and then decides, switches, or stays pending.
@@ -175,11 +197,8 @@ proptest! {
     #[test]
     fn parallel_slin_matches_sequential(t in phase_trace()) {
         for (m, n) in [(1u32, 2u32), (2, 3)] {
-            let chk = SlinChecker::owned(
-                Consensus, ConsensusInit::new(), PhaseId::new(m), PhaseId::new(n),
-            );
-            let par = chk.clone().with_threads(4).check(&t);
-            let seq = chk.with_threads(1).check(&t);
+            let par = monolithic_at((m, n), 4, &t);
+            let seq = monolithic_at((m, n), 1, &t);
             prop_assert_eq!(&par, &seq, "phase ({}, {}) on {:?}", m, n, t);
             prop_assert_eq!(format!("{:?}", par), format!("{:?}", seq));
         }
@@ -189,12 +208,9 @@ proptest! {
     /// interpretations, identically on both execution paths.
     #[test]
     fn slin_stats_cover_all_interpretations(t in phase_trace()) {
-        let chk = SlinChecker::owned(
-            Consensus, ConsensusInit::new(), PhaseId::new(1), PhaseId::new(2),
-        );
-        if let Ok(report) = chk.clone().with_threads(1).check(&t) {
+        if let Ok(report) = monolithic_at((1, 2), 1, &t).outcome {
             prop_assert_eq!(report.stats.interpretations, report.interpretations_checked);
-            let par = chk.with_threads(4).check(&t).expect("parity with sequential");
+            let par = monolithic_at((1, 2), 4, &t).outcome.expect("parity with sequential");
             prop_assert_eq!(par.stats, report.stats);
         }
     }

@@ -10,8 +10,9 @@
 //! [`Daemon::pump`] may drain them side by side.
 //!
 //! Whether it does is decided per pump from the frames actually queued
-//! ([`slin_core::partition::fan_out`], the same dispatch the batch checker
-//! uses): `workers` is an **upper bound** on threads, the calling thread
+//! ([`slin_core::partition::fan_out`], the same dispatch the speculative
+//! checker enumerates its init interpretations with): `workers` is an
+//! **upper bound** on threads, the calling thread
 //! always drains lane 0 itself, and the other lanes go to scoped threads
 //! only when their backlog is deep enough to repay it (a spawn + join is
 //! 16–70 µs per thread against ≈2 µs per event, and a host that takes the

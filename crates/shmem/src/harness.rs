@@ -111,7 +111,11 @@ pub fn run_concurrent(workload: &Workload) -> ShmemOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use slin_adt::consensus::{ConsInput, ConsOutput};
+    use slin_core::compose::project_phase;
     use slin_core::invariants;
+    use slin_core::slin::SlinError;
+    use slin_trace::{Action, PhaseId};
 
     #[test]
     fn sequential_runs_never_cas() {
@@ -142,14 +146,68 @@ mod tests {
         }
     }
 
+    /// Sequential runs pass every check. A concurrent run may fail phase
+    /// `(1, 2)` only as a late-decide run (`invariants::has_late_decide`:
+    /// a proposer decides in phase 1 after another client switched out of
+    /// it, which Definition 28 judges at the switch index); its backup
+    /// phase and its object projection pass all the same.
     #[test]
     fn engine_verification_accepts_shmem_runs() {
         for threads in [1u32, 3] {
             let seq = run_concurrent(&Workload::sequential(threads)).verify();
             assert!(seq.all_ok(), "sequential threads={threads}: {seq:?}");
-            let conc = run_concurrent(&Workload::concurrent(threads)).verify();
-            assert!(conc.all_ok(), "concurrent threads={threads}: {conc:?}");
-            assert_eq!(conc.phases.len(), 2);
         }
+        for round in 0..200 {
+            let threads = [1u32, 3][round % 2];
+            let out = run_concurrent(&Workload::concurrent(threads));
+            let conc = out.verify();
+            assert_eq!(conc.phases.len(), 2);
+            assert!(conc.object_linearizable, "round {round}: {conc:?}");
+            assert_eq!(conc.phases[1], (2, 3, true), "round {round}: {conc:?}");
+            if !conc.phases[0].2 {
+                let t12 =
+                    project_phase::<Consensus, Value>(&out.trace, PhaseId::new(1), PhaseId::new(2));
+                assert!(invariants::has_late_decide(&t12), "round {round}: {t12:?}");
+            }
+        }
+    }
+
+    /// The late-decide shape concurrent runs produce: c3 switches out of
+    /// phase 1 with c1's decided value, then c2 proposes and decides in
+    /// phase 1. The object projection is linearizable and the backup phase
+    /// holds, but c3's abort history must extend c2's commit history
+    /// (Abort-Order), which holds c2's proposal, and that proposal is not
+    /// among the valid inputs at the switch (Definition 28), so `(1, 2)` is
+    /// refuted.
+    #[test]
+    fn a_late_decide_run_fails_only_its_first_phase() {
+        let (c1, c2, c3) = (ClientId::new(1), ClientId::new(2), ClientId::new(3));
+        let (ph1, ph2) = (PhaseId::new(1), PhaseId::new(2));
+        let p = ConsInput::propose;
+        let d = ConsOutput::decide;
+        let t: Trace<ConsAction> = Trace::from_actions(vec![
+            Action::invoke(c1, ph1, p(10)),
+            Action::invoke(c3, ph1, p(30)),
+            Action::respond(c1, ph1, p(10), d(10)),
+            Action::switch(c3, ph2, p(30), Value::new(10)),
+            Action::respond(c3, ph2, p(30), d(10)),
+            Action::invoke(c2, ph1, p(20)),
+            Action::respond(c2, ph1, p(20), d(10)),
+        ]);
+        let t12 = project_phase::<Consensus, Value>(&t, ph1, ph2);
+        assert!(invariants::has_late_decide(&t12));
+        let v = verify_phase_chain(&Consensus, ConsensusInit::new(), &t, 1, 2);
+        assert_eq!(v.phases, [(1, 2, false), (2, 3, true)]);
+        assert_eq!(
+            v.failures,
+            [(
+                1,
+                2,
+                SlinError::NotSpeculativelyLinearizable {
+                    interpretation: Vec::new()
+                }
+            )]
+        );
+        assert!(v.object_linearizable);
     }
 }

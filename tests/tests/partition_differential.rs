@@ -19,11 +19,11 @@ use slin_adt::{
 use slin_core::gen::{random_multikey_kv_trace, random_multikey_set_trace, MultiKeyConfig};
 use slin_core::initrel::{ConsensusInit, ExactInit};
 use slin_core::lin::{witness_is_valid, LinChecker};
+use slin_core::model::ConsistencyModel;
 use slin_core::partition::FallbackReason;
 use slin_core::session::Strategy::{Auto, Monolithic};
 use slin_core::session::{Checker, Strategy as SessionStrategy, StrategyUsed, Verdict};
 use slin_core::slin::SlinChecker;
-use slin_core::stream::StreamModel;
 use slin_core::ObjAction;
 use slin_trace::{Action, ClientId, PhaseId, Trace};
 
@@ -42,13 +42,9 @@ fn check<M, V, P>(
     t: &Trace<ObjAction<M::Adt, V>>,
 ) -> Verdict<M::Witness, M::Error>
 where
-    M: StreamModel<V> + Sync,
-    M::Adt: Sync,
-    <M::Adt as Adt>::Input: Ord + Send + Sync,
-    <M::Adt as Adt>::Output: Sync,
-    M::Witness: Send,
-    M::Error: Send,
-    V: Clone + PartialEq + Sync,
+    M: ConsistencyModel<V>,
+    <M::Adt as Adt>::Input: Ord,
+    V: Clone + PartialEq,
     P: Partitioner<M::Adt>,
 {
     Checker::builder(model)

@@ -17,9 +17,10 @@ use slin_analysis::fixtures::BogusCounterPartitioner;
 use slin_analysis::{certify_switch, AnalyzeConfig, SwitchCert, SwitchFailure};
 use slin_core::gen::{phase_trace_bounds, random_phase_kv_trace, PhaseConfig};
 use slin_core::initrel::ExactInit;
+use slin_core::model::ConsistencyModel;
 use slin_core::session::{Checker, Session, Strategy, StrategyUsed, Verdict};
 use slin_core::slin::{SlinChecker, SlinError, SlinReport};
-use slin_core::stream::{MonitorStatus, StreamModel};
+use slin_core::stream::MonitorStatus;
 use slin_obs::{EngineSearchEvent, Obs, Observer};
 use slin_trace::PhaseId;
 use std::sync::{Arc, Mutex};
@@ -51,17 +52,19 @@ fn keyed_stream(
         .build()
 }
 
-/// The keyed batch check of `t`: `chk` in a session holding `cert`, under
-/// [`Strategy::Auto`] — a certificate is what lets a phase trace decompose.
+/// The keyed batch check of `t`: the phase checker in a session holding
+/// `cert` and bounded to `threads` threads, under [`Strategy::Auto`] — a
+/// certificate is what lets a phase trace decompose.
 fn keyed_check(
-    chk: PhaseChecker,
+    threads: usize,
     cert: &SwitchCert,
     t: &slin_trace::Trace<PhaseAction>,
 ) -> Verdict<SlinReport<KvInput>, SlinError> {
-    Checker::builder(chk)
+    Checker::builder(phase_checker())
         .partitioner(KvKeyPartitioner)
         .switch_certified(cert)
         .expect("certificate covers (KvStore, KvKeyPartitioner, ExactInit)")
+        .threads(threads)
         .build()
         .check(t)
 }
@@ -84,7 +87,7 @@ fn keyed_batch_is_byte_identical_to_monolithic_on_phase_traces() {
             let t = random_phase_kv_trace(&cfg);
             assert!(t.iter().any(|a| a.is_switch()), "corpus must cross phases");
             let mono = chk.check(&t);
-            let sv = keyed_check(chk.clone(), &cert, &t);
+            let sv = keyed_check(0, &cert, &t);
             // Witnesses and error variants byte-identical; the `stats` /
             // `interpretations_checked` fields measure work, which the
             // keyed path reshapes by design.
@@ -246,11 +249,11 @@ fn polled_status_and_report_share_one_keyed_search() {
             assert_eq!(evs.len(), 1, "seed {seed} error {error_prob}: {evs:?}");
             assert_eq!(evs[0].site, "monitor.report");
             assert_eq!(evs[0].nodes, report.stats.nodes as u64);
-            let keyed = keyed_check(phase_checker(), &cert, &t);
+            let keyed = keyed_check(0, &cert, &t);
             assert_eq!(report.stats.nodes, keyed.stats.nodes);
             let want = match &report.verdict {
                 Ok(_) => MonitorStatus::Ok,
-                Err(e) => <PhaseChecker as StreamModel<Vec<KvInput>>>::status_of_error(e),
+                Err(e) => <PhaseChecker as ConsistencyModel<Vec<KvInput>>>::status_of_error(e),
             };
             assert_eq!(polled, want, "seed {seed} error {error_prob}");
         }
@@ -387,93 +390,42 @@ fn bogus_init_partitioner_is_rejected_and_the_replay_diverges() {
     );
 }
 
-/// Whether [`slin_core::partition::fan_out`] would leave the calling
-/// thread for the keyed check of `t` at `threads`: asked of the dispatch
-/// function itself, with the per-class weights the keyed path hands it
-/// (one unit per key occurring anywhere in the trace, weighing its
-/// commits).
-fn keyed_check_fans_out(t: &slin_trace::Trace<PhaseAction>, threads: usize) -> bool {
-    use slin_adt::Partitioner;
-    let key = |i: &KvInput| KvKeyPartitioner.key_of(i).expect("kv inputs are keyed");
-    let mut commits = std::collections::BTreeMap::new();
-    for a in t.iter() {
-        *commits.entry(key(a.input())).or_insert(0) += a.is_respond() as usize;
-        if let slin_trace::Action::Switch { value, .. } = a {
-            for i in value {
-                commits.entry(key(i)).or_insert(0);
-            }
-        }
-    }
-    let units = commits.into_values().map(|w| (w, ())).collect();
-    slin_core::partition::fan_out(units, threads, &|()| ()).1
-}
-
 type PhaseAction = slin_core::ObjAction<KvStore, Vec<KvInput>>;
 
-/// Thread-count invariance on **both sides** of the dispatch constant:
-/// the default corpus (a dozen commits, every class search runs on the
-/// calling thread whatever `.threads(k)` says) and a heavy one whose
-/// per-class work really leaves it. The whole keyed outcome — verdict,
-/// witness, `SearchStats`, partition report — is identical at 1, 2 and 4
-/// threads; on the light side the witness is also the monolithic one (the
-/// heavy side spreads its commits over 16 keys to keep every class search
-/// within a test thread's stack, which one monolithic search would not
-/// be).
+/// Thread-count invariance of the keyed batch check: the whole keyed
+/// outcome — verdict, witness, `SearchStats`, partition report — is
+/// identical at 1, 2 and 4 threads, and the witness is the monolithic one.
 #[test]
-fn keyed_batch_is_thread_count_invariant_on_both_sides_of_the_dispatch_constant() {
-    let light = PhaseConfig::default();
-    let heavy = PhaseConfig {
-        steps: 4800,
-        keys: 16,
-        skew: 0.2,
-        ..PhaseConfig::default()
-    };
-    // Perturbation rates sized so either side sees both verdicts.
+fn keyed_batch_is_thread_count_invariant() {
     let cert = switch_cert();
-    for (cfg, fans_out, seeds, perturbed) in
-        [(light, false, 0..4u64, 0.5), (heavy, true, 0..1, 0.002)]
-    {
-        let (mut accepted, mut refuted) = (0, 0);
-        for error_prob in [0.0, perturbed] {
-            for seed in seeds.clone() {
-                let t = random_phase_kv_trace(&PhaseConfig {
-                    error_prob,
-                    seed,
-                    ..cfg
-                });
-                let keyed =
-                    |threads: usize| keyed_check(phase_checker().with_threads(threads), &cert, &t);
-                let reference = keyed(1);
-                match &reference.outcome {
-                    Ok(_) => accepted += 1,
-                    Err(_) => refuted += 1,
-                }
-                if !fans_out {
-                    let mono = phase_checker().with_threads(1).check(&t);
-                    assert_eq!(
-                        reference.outcome.as_ref().map(|r| &r.witness),
-                        mono.as_ref().map(|r| &r.witness),
-                        "seed {seed} error {error_prob}"
-                    );
-                    assert_eq!(reference.outcome.as_ref().err(), mono.as_ref().err());
-                }
-                for threads in [2, 4] {
-                    assert_eq!(
-                        keyed_check_fans_out(&t, threads),
-                        fans_out,
-                        "corpus on the wrong side of the constant: seed {seed} steps {} \
-                         threads {threads}",
-                        cfg.steps
-                    );
-                    assert_eq!(
-                        keyed(threads),
-                        reference,
-                        "seed {seed} error {error_prob} steps {} threads {threads}",
-                        cfg.steps
-                    );
-                }
+    let (mut accepted, mut refuted) = (0, 0);
+    for error_prob in [0.0, 0.5] {
+        for seed in 0..4u64 {
+            let t = random_phase_kv_trace(&PhaseConfig {
+                error_prob,
+                seed,
+                ..PhaseConfig::default()
+            });
+            let reference = keyed_check(1, &cert, &t);
+            match &reference.outcome {
+                Ok(_) => accepted += 1,
+                Err(_) => refuted += 1,
+            }
+            let mono = phase_checker().check(&t);
+            assert_eq!(
+                reference.outcome.as_ref().map(|r| &r.witness),
+                mono.as_ref().map(|r| &r.witness),
+                "seed {seed} error {error_prob}"
+            );
+            assert_eq!(reference.outcome.as_ref().err(), mono.as_ref().err());
+            for threads in [2, 4] {
+                assert_eq!(
+                    keyed_check(threads, &cert, &t),
+                    reference,
+                    "seed {seed} error {error_prob} threads {threads}"
+                );
             }
         }
-        assert!(accepted > 0 && refuted > 0, "steps {}", cfg.steps);
     }
+    assert!(accepted > 0 && refuted > 0);
 }

@@ -13,6 +13,7 @@ use slin_core::compose::{project_object, project_phase};
 use slin_core::initrel::ConsensusInit;
 use slin_core::invariants::{self, has_late_decide};
 use slin_core::lin::LinChecker;
+use slin_core::session::{Checker, Strategy};
 use slin_core::slin::SlinChecker;
 use slin_trace::PhaseId;
 
@@ -160,8 +161,14 @@ fn harness_engine_verification_matches_direct_checks() {
             assert_eq!(v.phases[0].2, q.check(&t12).is_ok(), "{name} seed {seed}");
             assert_eq!(v.phases[1].2, b.check(&t23).is_ok(), "{name} seed {seed}");
             for (t, chk) in [(&t12, &q), (&t23, &b)] {
-                let par = chk.clone().with_threads(4).check(t);
-                let seq = chk.clone().with_threads(1).check(t);
+                let at = |threads| {
+                    Checker::builder(chk.clone())
+                        .strategy(Strategy::Monolithic)
+                        .threads(threads)
+                        .build()
+                        .check(t)
+                };
+                let (par, seq) = (at(4), at(1));
                 assert_eq!(format!("{par:?}"), format!("{seq:?}"), "{name} seed {seed}");
             }
         }

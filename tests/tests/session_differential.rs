@@ -23,7 +23,7 @@ use slin_core::gen::{
 use slin_core::initrel::{ConsensusInit, ExactInit};
 use slin_core::lin::LinChecker;
 use slin_core::session::{Checker, Strategy as SessionStrategy, StrategyUsed};
-use slin_core::slin::SlinChecker;
+use slin_core::slin::{SlinChecker, SlinError};
 use slin_core::ObjAction;
 use slin_trace::{Action, ClientId, PhaseId, Trace};
 
@@ -68,28 +68,25 @@ fn assert_lin_session_parity<T, P>(
     ctx: &MultiKeyConfig,
 ) -> Result<(), TestCaseError>
 where
-    T: Adt + Clone + Send + Sync,
-    T::Input: Ord + Send + Sync,
-    T::Output: Sync,
+    T: Adt + Clone,
+    T::Input: Ord,
     P: Partitioner<T> + Copy,
 {
-    let model = || LinChecker::owned(adt.clone()).with_threads(4);
-    let reference = Checker::builder(model())
+    let builder = || Checker::builder(LinChecker::owned(adt.clone())).threads(4);
+    let reference = builder()
         .strategy(SessionStrategy::Monolithic)
         .threads(1)
         .build()
         .check(t);
 
-    let mut mono = Checker::builder(model())
-        .strategy(SessionStrategy::Monolithic)
-        .build();
+    let mut mono = builder().strategy(SessionStrategy::Monolithic).build();
     let vm = mono.check(t);
     prop_assert_eq!(vm.strategy, StrategyUsed::Monolithic);
     prop_assert_eq!(&vm.outcome, &reference.outcome, "monolithic, cfg {:?}", ctx);
     prop_assert_eq!(vm.stats, reference.stats, "monolithic stats, cfg {:?}", ctx);
     prop_assert_eq!(vm.partition, None);
 
-    let mut part = Checker::builder(model())
+    let mut part = builder()
         .partitioner(partitioner)
         .strategy(SessionStrategy::Auto)
         .build();
@@ -98,7 +95,7 @@ where
     prop_assert_eq!(Some(vp.stats), vp.partition.map(|r| r.stats));
 
     // Auto resolves to partitioned here (partitioner + switch-free traces).
-    let mut auto = Checker::builder(model()).partitioner(partitioner).build();
+    let mut auto = builder().partitioner(partitioner).build();
     let va = auto.check(t);
     prop_assert_eq!(va.strategy, StrategyUsed::Partitioned);
     prop_assert_eq!(&va.outcome, &reference.outcome, "auto, cfg {:?}", ctx);
@@ -112,7 +109,7 @@ where
 
     // Streaming, unbounded window: ingest event by event, report at the
     // end — the monitor contract makes this byte-identical too.
-    let mut live = Checker::builder(model())
+    let mut live = builder()
         .partitioner(partitioner)
         .strategy(SessionStrategy::Streaming { window: None })
         .build();
@@ -186,34 +183,34 @@ proptest! {
     fn slin_session_strategies_match_legacy(cfg in configs()) {
         let t: Trace<ObjAction<KvStore, Vec<KvInput>>> =
             retag(&random_multikey_kv_trace(&cfg));
-        let model = || SlinChecker::owned(
+        let builder = || Checker::builder(SlinChecker::owned(
             KvStore, ExactInit::new(), PhaseId::new(1), PhaseId::new(2),
-        ).with_threads(4);
-        let reference = Checker::builder(model())
+        )).threads(4);
+        let reference = builder()
             .strategy(SessionStrategy::Monolithic)
             .threads(1)
             .build()
             .check(&t);
 
-        let mut mono = Checker::builder(model()).strategy(SessionStrategy::Monolithic).build();
+        let mut mono = builder().strategy(SessionStrategy::Monolithic).build();
         let vm = mono.check(&t);
         prop_assert_eq!(&vm.outcome, &reference.outcome, "monolithic, cfg {:?}", cfg);
         prop_assert_eq!(vm.stats, reference.stats, "monolithic stats, cfg {:?}", cfg);
 
-        let mut part = Checker::builder(model())
+        let mut part = builder()
             .partitioner(KvKeyPartitioner)
             .strategy(SessionStrategy::Auto)
             .build();
         let vp = part.check(&t);
         prop_assert_eq!(Some(vp.stats), vp.partition.map(|r| r.stats));
 
-        let mut auto = Checker::builder(model()).partitioner(KvKeyPartitioner).build();
+        let mut auto = builder().partitioner(KvKeyPartitioner).build();
         let va = auto.check(&t);
         prop_assert_eq!(va.strategy, StrategyUsed::Partitioned);
         prop_assert_eq!(&va.outcome, &vp.outcome, "auto, cfg {:?}", cfg);
         prop_assert_eq!(va.partition, vp.partition, "report, cfg {:?}", cfg);
 
-        let mut live = Checker::builder(model())
+        let mut live = builder()
             .partitioner(KvKeyPartitioner)
             .strategy(SessionStrategy::Streaming { window: None })
             .build();
@@ -231,115 +228,58 @@ proptest! {
     }
 }
 
-/// Whether [`slin_core::partition::fan_out`] would leave the calling thread
-/// for the partitioned check of `t` at `threads`: asked of the dispatch
-/// function itself, with the weights the partitioned path hands it (one
-/// unit per key in key order, weighing its commits).
-fn partitioned_check_fans_out(t: &Trace<ObjAction<KvStore, ()>>, threads: usize) -> bool {
-    let mut commits = std::collections::BTreeMap::new();
-    for a in t.iter() {
-        let key = KvKeyPartitioner
-            .key_of(a.input())
-            .expect("kv inputs are keyed");
-        *commits.entry(key).or_insert(0) += a.is_respond() as usize;
-    }
-    let units = commits.into_values().map(|w| (w, ())).collect();
-    slin_core::partition::fan_out(units, threads, &|()| ()).1
-}
-
-/// Thread-count invariance of the partitioned session on **both sides** of
-/// the dispatch constant. The proptest corpora above are a dozen commits
-/// per key, so every `.threads(k)` there runs on the calling thread; this
-/// pins the same byte-identity — the whole `Verdict`: outcome, witness,
-/// `SearchStats`, partition report — at 1, 2 and 4 threads on a corpus
-/// heavy enough that the per-partition searches really leave it (`fan_out`
-/// itself says which side a trace is on), for both checkers. The light
-/// side also runs the full strategy sweep against the monolithic
-/// reference; the heavy side spreads its commits over 16 keys to keep each
-/// partition search within a test thread's stack, which one monolithic
-/// search would not be.
+/// Thread-count invariance of the partitioned session: the whole `Verdict`
+/// — outcome, witness, `SearchStats`, partition report — is identical at
+/// 1, 2 and 4 threads for both checkers, on traces that also run the full
+/// strategy sweep against the monolithic reference.
 #[test]
-fn partitioned_sessions_are_thread_count_invariant_on_both_sides_of_the_dispatch_constant() {
-    let light = MultiKeyConfig {
-        clients: 4,
-        steps: 24,
-        keys: 4,
-        skew: 0.7,
-        contention: 0.3,
-        error_prob: 0.0,
-        seed: 0,
-    };
-    let heavy = MultiKeyConfig {
-        steps: 3600,
-        keys: 8,
-        skew: 0.0,
-        contention: 0.0,
-        ..light
-    };
-    // Perturbation rates sized so either side sees both verdicts.
-    for (cfg, fans_out, seeds, perturbed) in
-        [(light, false, 0..4, 0.35), (heavy, true, 0..1, 0.004)]
-    {
-        let (mut accepted, mut refuted) = (0, 0);
-        for error_prob in [0.0, perturbed] {
-            for seed in seeds.clone() {
-                let cfg = MultiKeyConfig {
-                    error_prob,
-                    seed,
-                    ..cfg
-                };
-                let t = random_multikey_kv_trace(&cfg);
-                for threads in [2, 4] {
-                    assert_eq!(
-                        partitioned_check_fans_out(&t, threads),
-                        fans_out,
-                        "corpus on the wrong side of the constant: {cfg:?} threads {threads}"
-                    );
-                }
-                if !fans_out {
-                    assert_lin_session_parity(KvStore, KvKeyPartitioner, &t, &cfg)
-                        .unwrap_or_else(|e| panic!("{e:?}"));
-                }
-                let lin = |threads| {
-                    Checker::builder(LinChecker::owned(KvStore))
-                        .partitioner(KvKeyPartitioner)
-                        .strategy(SessionStrategy::Auto)
-                        .threads(threads)
-                        .build()
-                        .check(&t)
-                };
-                let st: Trace<ObjAction<KvStore, Vec<KvInput>>> = retag(&t);
-                let slin = |threads| {
-                    let model = SlinChecker::owned(
-                        KvStore,
-                        ExactInit::new(),
-                        PhaseId::new(1),
-                        PhaseId::new(2),
-                    );
-                    Checker::builder(model)
-                        .partitioner(KvKeyPartitioner)
-                        .strategy(SessionStrategy::Auto)
-                        .threads(threads)
-                        .build()
-                        .check(&st)
-                };
-                let (lin_ref, slin_ref) = (lin(1), slin(1));
-                match &lin_ref.outcome {
-                    Ok(_) => accepted += 1,
-                    Err(_) => refuted += 1,
-                }
-                // A merge that bails re-derives with one monolithic search,
-                // as deep as the trace has commits: keep the heavy side clear
-                // of it.
-                assert!(!fans_out || !lin_ref.partition.is_some_and(|r| r.remerged));
-                for threads in [2, 4] {
-                    assert_eq!(lin(threads), lin_ref, "{cfg:?} threads {threads}");
-                    assert_eq!(slin(threads), slin_ref, "{cfg:?} threads {threads}");
-                }
+fn partitioned_sessions_are_thread_count_invariant() {
+    let (mut accepted, mut refuted) = (0, 0);
+    for error_prob in [0.0, 0.35] {
+        for seed in 0..4 {
+            let cfg = MultiKeyConfig {
+                clients: 4,
+                steps: 24,
+                keys: 4,
+                skew: 0.7,
+                contention: 0.3,
+                error_prob,
+                seed,
+            };
+            let t = random_multikey_kv_trace(&cfg);
+            assert_lin_session_parity(KvStore, KvKeyPartitioner, &t, &cfg)
+                .unwrap_or_else(|e| panic!("{e:?}"));
+            let lin = |threads| {
+                Checker::builder(LinChecker::owned(KvStore))
+                    .partitioner(KvKeyPartitioner)
+                    .strategy(SessionStrategy::Auto)
+                    .threads(threads)
+                    .build()
+                    .check(&t)
+            };
+            let st: Trace<ObjAction<KvStore, Vec<KvInput>>> = retag(&t);
+            let slin = |threads| {
+                let model =
+                    SlinChecker::owned(KvStore, ExactInit::new(), PhaseId::new(1), PhaseId::new(2));
+                Checker::builder(model)
+                    .partitioner(KvKeyPartitioner)
+                    .strategy(SessionStrategy::Auto)
+                    .threads(threads)
+                    .build()
+                    .check(&st)
+            };
+            let (lin_ref, slin_ref) = (lin(1), slin(1));
+            match &lin_ref.outcome {
+                Ok(_) => accepted += 1,
+                Err(_) => refuted += 1,
+            }
+            for threads in [2, 4] {
+                assert_eq!(lin(threads), lin_ref, "{cfg:?} threads {threads}");
+                assert_eq!(slin(threads), slin_ref, "{cfg:?} threads {threads}");
             }
         }
-        assert!(accepted > 0 && refuted > 0, "{cfg:?}");
     }
+    assert!(accepted > 0 && refuted > 0);
 }
 
 /// The hand-built consensus phase corpus: init/abort switch actions,
@@ -378,29 +318,29 @@ fn phase_corpus() -> Vec<Trace<ObjAction<Consensus, Value>>> {
 /// identically.
 #[test]
 fn phase_corpus_session_strategies_match_legacy() {
-    let model = || {
-        SlinChecker::owned(
+    let builder = || {
+        Checker::builder(SlinChecker::owned(
             Consensus,
             ConsensusInit::new(),
             PhaseId::new(1),
             PhaseId::new(2),
-        )
-        .with_threads(4)
+        ))
+        .threads(4)
     };
     for t in &phase_corpus() {
-        let reference = Checker::builder(model())
+        let reference = builder()
             .strategy(SessionStrategy::Monolithic)
             .threads(1)
             .build()
             .check(t)
             .outcome;
 
-        let mut auto = Checker::builder(model()).build();
+        let mut auto = builder().build();
         let va = auto.check(t);
         assert_eq!(va.strategy, StrategyUsed::Monolithic, "{t:?}");
         assert_eq!(va.outcome, reference, "{t:?}");
 
-        let mut live = Checker::builder(model())
+        let mut live = builder()
             .strategy(SessionStrategy::Streaming { window: None })
             .build();
         for a in t.iter() {
@@ -449,9 +389,9 @@ fn auto_selects_partitioned_exactly_when_partitioner_and_switch_free() {
     );
 }
 
-/// Builder knobs reach the model: a one-node budget trips exactly like the
-/// checker's own `with_budget`, and `threads(1)` matches the checker's
-/// own `with_threads(1)` byte for byte.
+/// Builder knobs reach the check: a one-node budget trips the session's
+/// search at every thread bound alike, and `threads(1)` reads what the
+/// default bound reads, byte for byte.
 #[test]
 fn builder_budget_and_threads_reach_the_model() {
     let t: Trace<ObjAction<Consensus, Value>> = Trace::from_actions(vec![
@@ -479,13 +419,19 @@ fn builder_budget_and_threads_reach_the_model() {
         )
     };
 
-    let direct_budget = model().with_budget(1).check(&t);
-    let mut tight = Checker::builder(model()).budget(1).build();
-    assert_eq!(tight.check(&t).outcome, direct_budget);
+    for threads in [1, 2] {
+        let mut tight = Checker::builder(model()).budget(1).threads(threads).build();
+        let verdict = tight.check(&t);
+        assert_eq!(
+            verdict.outcome,
+            Err(SlinError::BudgetExhausted { nodes: 2 })
+        );
+        assert_eq!(verdict.stats.nodes, 2, "{threads} threads");
+    }
 
-    let direct_seq = model().with_threads(1).check(&t);
-    let mut seq = Checker::builder(model()).threads(1).build();
-    assert_eq!(seq.check(&t).outcome, direct_seq);
+    let seq = Checker::builder(model()).threads(1).build().check(&t);
+    assert!(seq.outcome.is_ok());
+    assert_eq!(seq, Checker::builder(model()).build().check(&t));
 }
 
 /// Ownership parity: the owned and the `Arc`-shared constructors produce

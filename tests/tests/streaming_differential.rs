@@ -23,9 +23,10 @@ use slin_core::gen::{
 };
 use slin_core::initrel::{ConsensusInit, ExactInit};
 use slin_core::lin::{witness_is_valid, LinChecker};
+use slin_core::model::ConsistencyModel;
 use slin_core::session::{Checker, Session, Strategy as SessionStrategy};
 use slin_core::slin::SlinChecker;
-use slin_core::stream::{GcPolicy, IngestOutcome, MonitorStatus, ShardSummary, StreamModel};
+use slin_core::stream::{GcPolicy, IngestOutcome, MonitorStatus, ShardSummary};
 use slin_core::ObjAction;
 use slin_trace::{Action, ClientId, PhaseId, Trace};
 
@@ -33,7 +34,7 @@ use slin_trace::{Action, ClientId, PhaseId, Trace};
 /// by `partitioner`, with the given GC window.
 fn stream<M, V, P>(model: M, partitioner: P, window: Option<usize>) -> Session<M, V, P>
 where
-    M: StreamModel<V>,
+    M: ConsistencyModel<V>,
     <M::Adt as Adt>::Input: Ord,
     V: Clone + PartialEq,
     P: Partitioner<M::Adt>,
