@@ -20,7 +20,7 @@
 //! [`crate::engine`] for the search itself.
 
 use crate::engine::{Chain, EngineError, SearchBudget, SearchStats};
-use crate::model::{ClassProblem, ConsistencyModel, Problem, Projection};
+use crate::model::{ConsistencyModel, Problem, Projection};
 use crate::partition;
 use crate::stream::{MonitorStatus, StreamFailure};
 use crate::{ops, ObjAction};
@@ -29,6 +29,7 @@ use slin_trace::wf::{self, Invalid, WellFormednessError};
 use slin_trace::{PersistentMultiset, PhaseId, Trace};
 use std::error::Error;
 use std::fmt;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Why a trace failed the linearizability check.
@@ -251,9 +252,11 @@ where
 /// *is* a linearization function — the leaf oracle is trivial (speculative
 /// checking grafts abort feasibility there).
 fn definition_10<'m, T: Adt, V>(t: &Trace<ObjAction<T, V>>) -> Problem<'m, T, ()> {
+    let bounds: Rc<[_]> = ops::input_multisets::<T, V>(t).into();
     Problem {
         commits: ops::commits::<T, V>(t).into(),
-        bounds: ops::input_multisets::<T, V>(t),
+        pool: bounds.last().cloned().unwrap_or_default(),
+        bounds,
         seed: Vec::new(),
         leaf: Box::new(|_| Some(())),
     }
@@ -305,36 +308,37 @@ where
         }
     }
 
-    /// The plain per-key split: a sub-trace of a valid object trace is a
-    /// valid object trace, and its Definition 10 is the class projection
-    /// of the whole trace's. No certificate names a relation of this model,
-    /// so a trace with a switch action never decomposes and is never asked.
+    /// The plain per-key projection: a class sub-trace's Definition 10 is
+    /// the class projection of the whole trace's. No certificate names a
+    /// relation of this model, so a trace with a switch action never
+    /// decomposes and is never asked.
     fn project<P: Partitioner<T>>(
         &self,
         partitioner: &P,
         t: &Trace<ObjAction<T, V>>,
     ) -> Projection<'_, T, (), LinError> {
-        let split = partition::split_trace(partitioner, t);
-        if split.fallback.is_some() || split.parts.len() <= 1 {
-            return Projection::Whole {
-                partitions: split.parts.len(),
-                fallback: split.fallback,
-            };
-        }
+        let keys = match partition::class_keys(partitioner, false, t) {
+            Ok(keys) if keys.len() > 1 => keys,
+            other => {
+                return Projection::Whole {
+                    partitions: other.as_ref().map_or(1, Vec::len),
+                    fallback: other.err(),
+                }
+            }
+        };
         // Rejection indices must be the monolithic ones: validate whole.
         if let Err(invalid) = wf::validate(t, None) {
             return Projection::Rejected(invalid.into());
         }
+        let whole = definition_10(t);
+        let classes = whole.classes(
+            keys.len(),
+            |i| partition::class_of(partitioner, &keys, i),
+            |_| (Vec::new(), Box::new(|_| Some(()))),
+        );
         Projection::Classes {
-            whole: definition_10(t),
-            classes: split
-                .parts
-                .into_iter()
-                .map(|part| ClassProblem {
-                    problem: definition_10(&part.trace),
-                    index_map: part.index_map,
-                })
-                .collect(),
+            whole,
+            classes,
             refuted: Box::new(|| LinError::NotLinearizable),
         }
     }

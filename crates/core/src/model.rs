@@ -9,17 +9,20 @@
 //! for a validated trace — a [`Problem`] — and, along a
 //! [`slin_adt::Partitioner`], what they are for each independence class —
 //! a [`Projection`]. Plain linearizability states Definition 10 (bounds
-//! `elems(inputs(t, i))`, empty seed, trivial leaf) and projects by
-//! splitting the trace per key; speculative linearizability states
-//! Definitions 26–31 for one interpretation of the init actions (bounds
-//! `vi`, the init LCP as seed, abort feasibility at the leaf) and projects
-//! each of them per class.
+//! `elems(inputs(t, i))`, empty seed, trivial leaf); speculative
+//! linearizability states Definitions 26–31 for one interpretation of the
+//! init actions (bounds `vi`, the init LCP as seed, abort feasibility at
+//! the leaf). A class problem projects the whole one (`Problem::classes`):
+//! its commits on the class's inputs, trace indices kept, the class
+//! projection of its pool, and its bounds, shared — exact because the
+//! engine reads a bound only at the class's own inputs. The models state
+//! the class seeds and leaves.
 //!
 //! Searching is not a model's business because it does not depend on the
 //! model: `Problem::search` is the one way a problem meets the
 //! [`crate::engine`], and `partition::check` is the one routine
-//! that searches a projection's classes, resolves the first failure in key
-//! order, merges the class chains into the monolithic first witness and
+//! that searches a projection's classes in key order up to the first that
+//! fails, merges the class chains into the monolithic first witness and
 //! re-derives it whole when the merge cannot predict it — for both models,
 //! for closed traces and for the streaming monitor's reports alike (a
 //! single checking judgment over many consistency models, as
@@ -49,20 +52,22 @@ use slin_adt::{Adt, Partitioner};
 use slin_trace::{PersistentMultiset, PhaseId, Trace};
 use std::borrow::Cow;
 use std::fmt::Debug;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// One chain-search problem: what `Problem::search` hands the engine.
 ///
-/// A model states one for a whole trace (commit indices are trace
-/// indices) and, inside a [`Projection`], one per independence class
-/// (commit indices are class-local, see [`ClassProblem::index_map`]).
+/// A model states one for a whole trace and, inside a [`Projection`], one
+/// per independence class. Commit indices are trace indices in both.
 pub struct Problem<'m, T: Adt, L> {
-    /// The commits to place, ascending in index.
+    /// The commits to place, ascending in trace index.
     pub commits: Cow<'m, [Commit<T>]>,
-    /// The validity bound at every index a commit can carry, monotone
-    /// along the commits; the last entry bounds the extra inputs (the
-    /// pool).
-    pub bounds: Vec<PersistentMultiset<T::Input>>,
+    /// The validity bound at every trace index, monotone along the
+    /// commits. A projection's class problems share the whole problem's.
+    pub bounds: Rc<[PersistentMultiset<T::Input>]>,
+    /// Every input a history may consume: the last bound, or its class
+    /// projection.
+    pub pool: PersistentMultiset<T::Input>,
     /// The history every chain element extends.
     pub seed: Vec<T::Input>,
     /// The leaf oracle, asked with the chain's longest history (the seed
@@ -83,18 +88,13 @@ impl<T: Adt, L> Problem<'_, T, L>
 where
     T::Input: Ord,
 {
-    /// Every input a history of this problem may consume.
-    pub(crate) fn pool(&self) -> PersistentMultiset<T::Input> {
-        self.bounds.last().cloned().unwrap_or_default()
-    }
-
     /// Searches the problem for its first chain under a node `budget`.
     pub(crate) fn search(&self, adt: &T, budget: usize) -> Found<T::Input, L> {
         let engine = CheckerEngine::new(
             adt,
             &self.commits,
             &self.bounds,
-            self.pool(),
+            self.pool.clone(),
             SearchBudget::new(budget),
         );
         engine.first_solution(
@@ -102,15 +102,37 @@ where
             &mut |_, longest| (self.leaf)(longest),
         )
     }
-}
 
-/// One independence class's share of a [`Problem`]: the class's commits
-/// under the class projection of the bounds, seed and leaf conditions.
-pub struct ClassProblem<'m, T: Adt> {
-    /// The class problem, over class-local indices.
-    pub problem: Problem<'m, T, ()>,
-    /// The trace index of every class-local index.
-    pub index_map: Vec<usize>,
+    /// This (whole) problem's projection onto `count` independence classes,
+    /// in class order: each class takes the commits on its inputs and the
+    /// class projection of the pool (`class_of` classifies an input), and
+    /// reads these bounds. `state` states class `k`'s seed and leaf.
+    pub(crate) fn classes<'c, C>(
+        &self,
+        count: usize,
+        class_of: impl Fn(&T::Input) -> usize,
+        mut state: impl FnMut(usize) -> (Vec<T::Input>, LeafFn<'c, T::Input, C>),
+    ) -> Vec<Problem<'c, T, C>> {
+        let mut classes: Vec<Problem<'c, T, C>> = (0..count)
+            .map(|k| {
+                let (seed, leaf) = state(k);
+                Problem {
+                    commits: Cow::Owned(Vec::new()),
+                    bounds: Rc::clone(&self.bounds),
+                    pool: PersistentMultiset::new(),
+                    seed,
+                    leaf,
+                }
+            })
+            .collect();
+        for c in self.commits.iter() {
+            classes[class_of(&c.input)].commits.to_mut().push(c.clone());
+        }
+        for (input, n) in self.pool.iter() {
+            classes[class_of(input)].pool.add(input.clone(), n);
+        }
+        classes
+    }
 }
 
 /// A model's answer to "what is there to search along this partitioner".
@@ -134,8 +156,9 @@ pub enum Projection<'m, T: Adt, L, E> {
         /// its bounds from its seed, re-discharges its leaf on the merged
         /// chain, and a bail searches it.
         whole: Problem<'m, T, L>,
-        /// The class problems, in ascending key order.
-        classes: Vec<ClassProblem<'m, T>>,
+        /// The class problems, in ascending key order: projections of the
+        /// whole one (`Problem::classes`), over its bounds.
+        classes: Vec<Problem<'m, T, ()>>,
         /// What an exhausted search space means under this interpretation
         /// — a class without a chain refutes the whole problem too. Built
         /// on demand: rendering an interpretation is not free, and most

@@ -6,16 +6,21 @@
 //! switch-free (Theorem 2 plus the partitioner contract) or a verified
 //! switch-independence certificate covers its switch actions. Where it
 //! holds, a [`ConsistencyModel`] states one search problem per class
-//! ([`ConsistencyModel::project`] — plain linearizability splits the trace
-//! per key with [`split_trace`], the speculative checker also classifies
-//! switch actions, as [`split_trace_keyed`] does); `partition::check` — the
-//! one routine behind every partitioned verdict on a closed trace — runs the
-//! class searches one after another on the calling thread, and **merges the
-//! class chains back into the exact witness the monolithic search would have
-//! produced** (`merge_partition_chains`). The classes are searched only to
-//! be merged back in engine order, and a second thread never paid for them:
-//! at ≈990 commits over 8 keys the class searches are about a fifth of the
-//! check, and forcing them onto two threads read 1.07x the one-thread time.
+//! ([`ConsistencyModel::project`]): a projection of the whole problem —
+//! the commits on the class's inputs, the class projection of the pool,
+//! and the whole problem's bounds, read in place. Plain linearizability
+//! classifies every action by its input; the speculative checker also
+//! classifies switch actions, by pending input. ([`split_trace`] and
+//! [`split_trace_keyed`] cut the trace itself into the same classes.)
+//! `partition::check` — the one routine behind every partitioned verdict
+//! on a closed trace — runs the class searches one after another on the
+//! calling thread, in key order and no further than the first class that
+//! fails (it decides the verdict), and **merges the class chains back into
+//! the exact witness the monolithic search would have produced**
+//! (`merge_partition_chains`). The classes are searched only to be merged
+//! back in engine order, and a second thread never paid for them: at ≈990
+//! commits over 8 keys the class searches are about a fifth of the check,
+//! and forcing them onto two threads read 1.07x the one-thread time.
 //!
 //! # Why the merge is exact
 //!
@@ -36,9 +41,13 @@
 //!    indices, so this is one comparison: against the earliest remaining
 //!    commit's bound, the tightest.
 //!
-//! Replaying exactly that rule over the per-partition witness step queues
-//! (commits first by ascending original index, then extras by ascending
-//! input, each guarded by the cross-partition bound check) therefore
+//! A class problem is stated over the trace's own indices and bounds, so
+//! its chain already names every commit by trace index and its search
+//! reads the same counts as the monolithic one at every class input: the
+//! step queues need no remapping. Replaying exactly that rule over the
+//! per-partition witness step queues (commits first by ascending trace
+//! index, then extras by ascending input, each guarded by the
+//! cross-partition bound check) therefore
 //! reconstructs the monolithic first witness — verdicts *and* witnesses are
 //! byte-identical to the monolithic path, while the nodes expanded drop
 //! from the product to the sum of the per-partition search spaces. The
@@ -67,7 +76,7 @@ use crate::model::{ConsistencyModel, Projection, SplitVerdict};
 use crate::ObjAction;
 use slin_adt::{Adt, Partitioner};
 use slin_trace::{Action, PersistentMultiset, Trace};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 
 /// Why a trace went monolithic: the reason a model's projection answered
 /// [`Projection::Whole`] for a trace it was asked to decompose, surfaced through
@@ -108,7 +117,7 @@ pub struct TracePartition<T: Adt, V, K> {
     /// The class's actions, in original trace order.
     pub trace: Trace<ObjAction<T, V>>,
     /// For every sub-trace index, the index of the action in the original
-    /// trace (used to remap witness commit indices).
+    /// trace.
     pub index_map: Vec<usize>,
 }
 
@@ -137,8 +146,11 @@ pub struct PartitionReport {
     /// the [module docs](self)); the re-run's counters are absorbed into
     /// [`PartitionReport::stats`].
     pub remerged: bool,
-    /// Engine counters absorbed over all partitions in key order. Each
-    /// partition contributes `interpretations >= 1`, so this counts
+    /// Engine counters absorbed over the partitions searched, in key order:
+    /// every one when they all pass, else up to and including the first
+    /// that fails — a refutation or a budget trip decides the verdict, and
+    /// no partition after it is searched. Each searched partition
+    /// contributes `interpretations >= 1`, so this counts
     /// partition-searches, not init interpretations, on the partitioned
     /// path.
     pub stats: SearchStats,
@@ -189,39 +201,77 @@ where
     V: Clone,
     P: Partitioner<T>,
 {
-    let identity = |reason| SplitOutcome {
-        parts: vec![TracePartition {
-            key: None,
-            trace: t.clone(),
-            index_map: (0..t.len()).collect(),
-        }],
-        fallback: Some(reason),
-    };
-    // Per key: the actions of the class plus their original indices.
-    type Group<A> = (Vec<A>, Vec<usize>);
-    let mut groups: BTreeMap<P::Key, Group<ObjAction<T, V>>> = BTreeMap::new();
-    for (i, a) in t.iter().enumerate() {
-        if a.is_switch() && !keyed {
-            return identity(FallbackReason::SwitchUncertified);
+    let keys = match class_keys(p, keyed, t) {
+        Ok(keys) => keys,
+        Err(reason) => {
+            let whole = TracePartition {
+                key: None,
+                trace: t.clone(),
+                index_map: (0..t.len()).collect(),
+            };
+            return SplitOutcome {
+                parts: vec![whole],
+                fallback: Some(reason),
+            };
         }
-        let Some(k) = p.key_of(a.input()) else {
-            return identity(FallbackReason::UnclassifiableInput);
-        };
-        let (actions, index_map) = groups.entry(k).or_default();
+    };
+    // Per class: its actions plus their original indices.
+    let mut groups = vec![(Vec::new(), Vec::new()); keys.len()];
+    for (i, a) in t.iter().enumerate() {
+        let (actions, index_map) = &mut groups[class_of(p, &keys, a.input())];
         actions.push(a.clone());
         index_map.push(i);
     }
+    let parts = keys
+        .into_iter()
+        .zip(groups)
+        .map(|(k, (actions, index_map))| TracePartition {
+            key: Some(k),
+            trace: Trace::from_actions(actions),
+            index_map,
+        })
+        .collect();
     SplitOutcome {
-        parts: groups
-            .into_iter()
-            .map(|(k, (actions, index_map))| TracePartition {
-                key: Some(k),
-                trace: Trace::from_actions(actions),
-                index_map,
-            })
-            .collect(),
+        parts,
         fallback: None,
     }
+}
+
+/// The independence classes of `t` along `p`: its actions' keys, ascending
+/// and distinct — or why `t` does not split: a switch action when not
+/// `keyed`, or an input `p` declines, whichever comes first.
+pub(crate) fn class_keys<T, V, P>(
+    p: &P,
+    keyed: bool,
+    t: &Trace<ObjAction<T, V>>,
+) -> Result<Vec<P::Key>, FallbackReason>
+where
+    T: Adt,
+    P: Partitioner<T>,
+{
+    let mut keys = Vec::with_capacity(t.len());
+    for a in t.iter() {
+        match p.key_of(a.input()) {
+            _ if a.is_switch() && !keyed => return Err(FallbackReason::SwitchUncertified),
+            Some(k) => keys.push(k),
+            None => return Err(FallbackReason::UnclassifiableInput),
+        }
+    }
+    keys.sort_unstable();
+    keys.dedup();
+    Ok(keys)
+}
+
+/// The class of `input`: the position of its key among `keys`, ascending.
+/// Panics on an input whose key is not among them.
+pub(crate) fn class_of<T: Adt, P: Partitioner<T>>(
+    p: &P,
+    keys: &[P::Key],
+    input: &T::Input,
+) -> usize {
+    p.key_of(input)
+        .and_then(|k| keys.binary_search(&k).ok())
+        .expect("every input of a projected trace is classified")
 }
 
 /// The least work — in weight units: queued frames for the daemon's lanes,
@@ -359,10 +409,10 @@ pub(crate) fn decomposes<'p, I, O, V, P>(
 /// streaming monitor's report derivation, for every [`ConsistencyModel`].
 ///
 /// Asks the model what there is to search along `partitioner`
-/// ([`ConsistencyModel::project`]), then: searches every class in key
-/// order, absorbing its counters, lets the first failing class decide (a
-/// refutation or a budget trip alike, so a tripped class under-claims
-/// rather than searching again), merges the class chains in
+/// ([`ConsistencyModel::project`]), then: searches the classes in key
+/// order, absorbing their counters, and stops at the first failing one,
+/// which decides (a refutation or a budget trip alike, so a tripped class
+/// under-claims rather than searching again); else merges the class chains in
 /// engine order against the whole problem's bounds from its seed,
 /// re-discharges the whole problem's leaf on the merged chain, and searches
 /// the whole problem once when either cannot predict the monolithic first
@@ -421,29 +471,25 @@ where
     let adt = &**model.adt();
     let mut stats = SearchStats::default();
     let mut queues = Vec::with_capacity(classes.len());
-    let mut first_error: Option<M::Error> = None;
     for class in &classes {
-        let (found, class_stats) = class.problem.search(adt, budget);
+        let (found, class_stats) = class.search(adt, budget);
         stats.absorb(&class_stats);
-        if first_error.is_some() {
-            continue;
-        }
-        match found {
-            Ok(Some((chain, ()))) => queues.push((
-                witness_steps(&chain, class.problem.seed.len(), &class.index_map),
-                class.problem.pool(),
-            )),
-            Ok(None) => first_error = Some(refuted()),
-            Err(e) => first_error = Some(e.into()),
-        }
-    }
-    let mut report = unmerged(classes.len(), None, stats);
-    if let Some(e) = first_error {
+        let e = match found {
+            Ok(Some((chain, ()))) => {
+                let steps = witness_steps(&chain, class.seed.len(), |i| i);
+                queues.push((steps, class.pool.clone()));
+                continue;
+            }
+            Ok(None) => refuted(),
+            Err(e) => e.into(),
+        };
+        // The first failing class decides: no class after it is searched.
         return SplitVerdict {
             verdict: Err(e),
-            report,
+            report: unmerged(classes.len(), None, stats),
         };
     }
+    let mut report = unmerged(classes.len(), None, stats);
     // What the model's witness reports as checked: the class searches, not
     // a re-derivation's.
     let interpretations = stats.interpretations;
@@ -496,11 +542,13 @@ pub(crate) enum Step<I> {
 
 /// Decomposes a partition witness chain (whose histories accumulate from a
 /// seed of `seed_len` inputs, which is no step) into its step sequence,
-/// remapping commit indices through `index_map`.
+/// mapping commit indices through `index_map` — the identity for a class
+/// chain of [`check`], which carries trace indices already; a window rank
+/// for the monitor's shard chains.
 pub(crate) fn witness_steps<I: Clone>(
     chain: &[(usize, Vec<I>)],
     seed_len: usize,
-    index_map: &[usize],
+    index_map: impl Fn(usize) -> usize,
 ) -> VecDeque<Step<I>> {
     let mut steps = VecDeque::new();
     let mut prev_len = seed_len;
@@ -510,7 +558,7 @@ pub(crate) fn witness_steps<I: Clone>(
             steps.push_back(Step::Extra(e.clone()));
         }
         steps.push_back(Step::Commit(
-            index_map[*sub_idx],
+            index_map(*sub_idx),
             h.last().expect("commit histories are non-empty").clone(),
         ));
         prev_len = h.len();
@@ -779,14 +827,14 @@ mod tests {
         // Chain histories [a], [a, x, b]: steps are Commit(a), Extra(x),
         // Commit(b), with indices remapped.
         let chain = vec![(0usize, vec!["a"]), (1usize, vec!["a", "x", "b"])];
-        let steps = witness_steps(&chain, 0, &[4, 9]);
+        let steps = witness_steps(&chain, 0, |i| [4, 9][i]);
         assert_eq!(
             steps.into_iter().collect::<Vec<_>>(),
             vec![Step::Commit(4, "a"), Step::Extra("x"), Step::Commit(9, "b"),]
         );
         // A seed is no step: the same chain grown from the seed [a] starts
         // at its second commit's extras.
-        let steps = witness_steps(&chain[1..], 1, &[4, 9]);
+        let steps = witness_steps(&chain[1..], 1, |i| [4, 9][i]);
         assert_eq!(
             steps.into_iter().collect::<Vec<_>>(),
             vec![Step::Extra("x"), Step::Commit(9, "b")]
@@ -909,6 +957,111 @@ mod tests {
             }
         }
         assert!(accepted > 0 && refuted > 0 && remerged > 0);
+    }
+
+    /// A keyed refutation whose first class in key order fails and whose
+    /// second would search: [`check`] searches the first alone, and the
+    /// verdict is the monolithic one.
+    #[test]
+    fn the_first_failing_class_ends_the_class_searches() {
+        use crate::lin::{LinChecker, LinError};
+        // Key 1 reads a value nobody wrote; key 2 is linearizable.
+        let t: Trace<KA> = Trace::from_actions(vec![
+            Action::invoke(c(1), ph(), KvInput::Get(1)),
+            Action::invoke(c(2), ph(), KvInput::Put(2, 6)),
+            Action::respond(c(1), ph(), KvInput::Get(1), KvOutput::Found(Some(7))),
+            Action::respond(c(2), ph(), KvInput::Put(2, 6), KvOutput::Ack),
+        ]);
+        let lin = LinChecker::owned(KvStore);
+        let Projection::Classes { classes, .. } = lin.project(&KvKeyPartitioner, &t) else {
+            panic!("two keys decompose");
+        };
+        let (first, first_stats) = classes[0].search(&KvStore, BUDGET);
+        assert!(matches!(first, Ok(None)), "the first class refutes");
+        let (second, second_stats) = classes[1].search(&KvStore, BUDGET);
+        assert!(matches!(second, Ok(Some(_))) && second_stats.nodes > 0);
+        let got = check(&lin, &KvKeyPartitioner, &t, BUDGET, 0);
+        assert_eq!(got.verdict, Err(LinError::NotLinearizable));
+        assert_eq!(got.verdict, lin.check_with_stats_impl(&t, BUDGET).0);
+        assert_eq!(got.report.partitions, 2);
+        assert_eq!(got.report.stats, first_stats);
+        assert_eq!(got.report.stats.interpretations, 1);
+    }
+
+    /// Whether `model` projects `t` along the key partitioner, asserting
+    /// that every class problem reads the whole problem's bounds — the same
+    /// allocation — and takes the whole problem's commits on its key (trace
+    /// indices kept) and the class projection of its pool, keys ascending.
+    fn classes_project_the_whole<V, M>(model: &M, t: &Trace<ObjAction<KvStore, V>>) -> bool
+    where
+        M: ConsistencyModel<V, Adt = KvStore>,
+    {
+        let Projection::Classes { whole, classes, .. } = model.project(&KvKeyPartitioner, t) else {
+            return false;
+        };
+        let key = |i: &KvInput| KvKeyPartitioner.key_of(i).expect("kv inputs are keyed");
+        let mut keys = Vec::new();
+        let mut pooled = 0;
+        for class in &classes {
+            assert!(std::rc::Rc::ptr_eq(&class.bounds, &whole.bounds));
+            let k = class
+                .pool
+                .iter()
+                .map(|(i, _)| key(i))
+                .next()
+                .expect("every class of the corpus pools an input");
+            let mut pool = PersistentMultiset::new();
+            for (i, n) in whole.pool.iter().filter(|(i, _)| key(i) == k) {
+                pool.add(*i, n);
+            }
+            assert_eq!(class.pool, pool, "class {k}");
+            let commits = |cs: &[crate::ops::Commit<KvStore>], only: bool| -> Vec<usize> {
+                cs.iter()
+                    .filter(|c| !only || key(&c.input) == k)
+                    .map(|c| c.index)
+                    .collect()
+            };
+            assert_eq!(
+                commits(&class.commits, false),
+                commits(&whole.commits, true)
+            );
+            pooled += class.pool.len();
+            keys.push(k);
+        }
+        assert_eq!(pooled, whole.pool.len());
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "{keys:?}");
+        true
+    }
+
+    #[test]
+    fn class_problems_read_the_whole_bounds_and_project_the_pool() {
+        use crate::gen::{phase_trace_bounds, random_phase_kv_trace, PhaseConfig};
+        use crate::initrel::ExactInit;
+        use crate::lin::LinChecker;
+        use crate::slin::SlinChecker;
+        let lin = LinChecker::owned(KvStore);
+        let switch_free = switch_free_corpus()
+            .iter()
+            .filter(|t| classes_project_the_whole(&lin, t))
+            .count();
+        let (m, n) = phase_trace_bounds();
+        let slin = SlinChecker::owned(KvStore, ExactInit::new(), m, n);
+        let mut phase = 0;
+        for error_prob in [0.0, 0.4] {
+            for seed in 0..40 {
+                let t = random_phase_kv_trace(&PhaseConfig {
+                    clients: 4,
+                    steps: 36,
+                    keys: 4,
+                    aborts: 2,
+                    error_prob,
+                    seed,
+                    ..PhaseConfig::default()
+                });
+                phase += classes_project_the_whole(&slin, &t) as usize;
+            }
+        }
+        assert!(switch_free > 20 && phase >= 40, "{switch_free} + {phase}");
     }
 
     /// Dispatches one unit per weight, each reporting its index and the
@@ -1301,12 +1454,14 @@ mod tests {
         let parts = classes
             .iter()
             .map(|class| {
-                let (chain, ()) = class.problem.search(&KvStore, BUDGET).0.ok()??;
-                let steps = witness_steps(&chain, class.problem.seed.len(), &class.index_map);
-                Some((steps, class.problem.pool()))
+                let (chain, ()) = class.search(&KvStore, BUDGET).0.ok()??;
+                Some((
+                    witness_steps(&chain, class.seed.len(), |i| i),
+                    class.pool.clone(),
+                ))
             })
             .collect::<Option<_>>()?;
-        Some((whole.bounds, parts, whole.seed))
+        Some((whole.bounds.to_vec(), parts, whole.seed))
     }
 
     /// The floor rule against the scan on every class-queue set [`check`]

@@ -39,7 +39,7 @@
 
 use crate::engine::{Chain, EngineError, SearchBudget, SearchStats};
 use crate::initrel::{CandidateContext, InitRelation};
-use crate::model::{ClassProblem, ConsistencyModel, Problem, Projection};
+use crate::model::{ConsistencyModel, Problem, Projection};
 use crate::ops::{self, Commit, SwitchEvent};
 use crate::partition::{self, FallbackReason};
 use crate::stream::{MonitorStatus, StreamFailure};
@@ -52,6 +52,7 @@ use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -303,7 +304,11 @@ where
             .iter()
             .map(|s| self.rinit.candidates(&s.value, &ctx))
             .collect();
-        let combos: usize = per_init.iter().map(|c| c.len().max(1)).product();
+        // A product past `usize::MAX` saturates: it exceeds the cap anyway.
+        let combos = per_init
+            .iter()
+            .try_fold(1usize, |n, c| n.checked_mul(c.len().max(1)))
+            .unwrap_or(usize::MAX);
         if combos > MAX_INTERPRETATIONS {
             return Err(SlinError::TooManyInterpretations { required: combos });
         }
@@ -421,8 +426,8 @@ where
     }
 
     /// The *valid inputs* `vi(m, t, finit, i)` (Definition 26) at every
-    /// trace index `0..=t_len`, and their projection onto each of
-    /// `classes.count` independence classes, built in one pass.
+    /// trace index `0..=t_len`, built in one pass — the bounds of the whole
+    /// problem and, read in place, of every class problem.
     ///
     /// By the definitions, `vi(i) = ivi(i) ⊎ elems(inputs(t, i))` with
     /// `ivi(i)` (Definition 25) the inputs vouched for by init actions
@@ -437,73 +442,50 @@ where
     /// Every term is prefix-monotone, so `vi(i + 1)` is `vi(i)` plus what
     /// action `i` contributes: its input if it is an invocation; if it is
     /// an interpreted init action, its pending input and whatever its
-    /// history raises the running ∪ by. Each contribution lands in the
-    /// global multiset and in exactly one class; a snapshot is an O(1)
-    /// clone. A class is snapshotted where a problem over its sub-trace
-    /// reads it — at its own actions and once at the end (`Σ sub_len`
-    /// snapshots, not `classes × t_len`) — and every class at every abort
-    /// action, whose class projection each class leaf judges.
+    /// history raises the running ∪ by. A snapshot is an O(1) clone.
+    ///
+    /// Each contribution is of one input, so under the partitioner contract
+    /// it lands in exactly one independence class, and `vi(i)` holds every
+    /// class's projected bound count for count: a class problem reads these
+    /// bounds at its own inputs and needs no projection of its own.
     /// `valid_inputs_by_definition` (the two whole-multiset sums per index,
     /// read off the definitions) is the test oracle.
     fn valid_inputs(
         &self,
         prep: &Prepared<T, R::Value>,
         finit: &[(usize, &Vec<T::Input>)],
-        classes: &Classes<'_, T::Input>,
-    ) -> ValidInputs<T::Input> {
+    ) -> Rc<[PersistentMultiset<T::Input>]> {
         let mut vi = PersistentMultiset::new();
-        let mut class_vi = vec![PersistentMultiset::new(); classes.count];
-        let mut out = ValidInputs {
-            global: Vec::with_capacity(prep.t_len + 1),
-            per_class: vec![Vec::new(); classes.count],
-            at_aborts: Vec::with_capacity(prep.aborts.len()),
-        };
         // The running ∪ of the interpretation histories' elements: counts
         // only, nothing reads a snapshot of it.
         let mut hist_elems: BTreeMap<&T::Input, usize> = BTreeMap::new();
         let mut invoked = prep.invoked.iter().peekable();
         let mut inits = prep.inits.iter().peekable();
-        let mut aborts = prep.aborts.iter().peekable();
         let mut interpreted = finit.iter().peekable();
-        for i in 0..=prep.t_len {
-            out.global.push(vi.clone());
-            match classes.of_action.get(i) {
-                Some(&k) => out.per_class[k].push(class_vi[k].clone()),
-                // Past the last action: every class's pool.
-                None => {
-                    for (snapshots, ms) in out.per_class.iter_mut().zip(&class_vi) {
-                        snapshots.push(ms.clone());
+        (0..=prep.t_len)
+            .map(|i| {
+                let before = vi.clone();
+                if let Some((_, input)) = invoked.next_if(|(j, _)| *j == i) {
+                    vi.insert(input.clone());
+                }
+                // An init action whose value has no candidate
+                // interpretation is absent from `finit` and vouches for
+                // nothing.
+                let init = inits.next_if(|s| s.index == i);
+                let hist = interpreted.next_if(|(j, _)| *j == i);
+                if let (Some(init), Some((_, hist))) = (init, hist) {
+                    vi.insert(init.input.clone());
+                    for (input, n) in elem_counts(hist) {
+                        let had = hist_elems.entry(input).or_insert(0);
+                        if n > *had {
+                            vi.add(input.clone(), n - *had);
+                            *had = n;
+                        }
                     }
                 }
-            }
-            if aborts.next_if(|s| s.index == i).is_some() {
-                out.at_aborts.push(class_vi.clone());
-            }
-            let mut grow = |input: &T::Input, n: usize| {
-                vi.add(input.clone(), n);
-                if classes.count > 0 {
-                    class_vi[(classes.of_input)(input)].add(input.clone(), n);
-                }
-            };
-            if let Some((_, input)) = invoked.next_if(|(j, _)| *j == i) {
-                grow(input, 1);
-            }
-            // An init action whose value has no candidate interpretation
-            // is absent from `finit` and vouches for nothing.
-            let init = inits.next_if(|s| s.index == i);
-            let hist = interpreted.next_if(|(j, _)| *j == i);
-            if let (Some(init), Some((_, hist))) = (init, hist) {
-                grow(&init.input, 1);
-                for (input, n) in elem_counts(hist) {
-                    let had = hist_elems.entry(input).or_insert(0);
-                    if n > *had {
-                        grow(input, n - *had);
-                        *had = n;
-                    }
-                }
-            }
-        }
-        out
+                before
+            })
+            .collect()
     }
 
     /// Definitions 25–26 as written — the reference `valid_inputs` is
@@ -559,7 +541,7 @@ where
         &'p self,
         prep: &Prepared<T, R::Value>,
         finit: Arc<Chain<T::Input>>,
-        vi: Vec<PersistentMultiset<T::Input>>,
+        vi: Rc<[PersistentMultiset<T::Input>]>,
         commits: Cow<'p, [Commit<T>]>,
     ) -> Problem<'p, T, Interpretations<T::Input>> {
         let lcp: Vec<T::Input> =
@@ -581,6 +563,7 @@ where
         let seed = lcp.clone();
         Problem {
             commits,
+            pool: vi.last().cloned().unwrap_or_default(),
             bounds: vi,
             seed,
             leaf: Box::new(move |longest| {
@@ -606,7 +589,7 @@ where
         finit: &[(usize, &Vec<T::Input>)],
         budget: usize,
     ) -> InterpretationOutcome<T> {
-        let vi = self.valid_inputs(prep, finit, &Classes::none()).global;
+        let vi = self.valid_inputs(prep, finit);
         let owned = Arc::new(finit.iter().map(|(i, h)| (*i, (*h).clone())).collect());
         let (found, stats) = self
             .interpretation(prep, owned, vi, Cow::Borrowed(&prep.commits))
@@ -683,13 +666,18 @@ where
     }
 
     /// The keyed projection: commits, pending inputs **and switch-value
-    /// interpretations** classified per independence class, each class
-    /// seeded with the class projection of the init LCP and judged at its
-    /// leaves by the class projections of the global abort conditions (so
-    /// they hold whenever the global leaf does, and a class without a
-    /// chain refutes the trace). A switch-free trace is the same
-    /// projection with nothing to interpret — Theorem 2 at the level of
-    /// the problem: it states what [`crate::lin::LinChecker`] states.
+    /// interpretations** classified per independence class. Each class
+    /// problem is a projection of the whole one — the commits on its
+    /// inputs and the class projection of the pool, over the whole bounds
+    /// `vi` — seeded with the class projection of the init LCP and judged
+    /// at its leaves by the class projections of the global abort
+    /// conditions (so they hold whenever the global leaf does, and a class
+    /// without a chain refutes the trace). The init histories, their LCP
+    /// and the abort histories are each projected onto every class once,
+    /// and the per-trace discharge, the seeds and the leaves all read those
+    /// projections. A switch-free trace is the same projection with
+    /// nothing to interpret — Theorem 2 at the level of the problem: it
+    /// states what [`crate::lin::LinChecker`] states.
     ///
     /// Classifying a switch action is sound when a switch-independence
     /// certificate (`slin-cert/v2`) covers `(adt, partitioner, rinit)`;
@@ -715,15 +703,17 @@ where
             partitions: 1,
             fallback: Some(reason),
         };
-        let split = partition::split_trace_keyed(partitioner, t);
-        // A switch-free trace has nothing to interpret, so its split is its
-        // class list; with switch actions the count waits for the classes
-        // only an interpretation element belongs to.
-        let decided = split.parts.len() <= 1 && !t.iter().any(|a| a.is_switch());
-        if split.fallback.is_some() || decided {
+        let mut keys = match partition::class_keys(partitioner, true, t) {
+            Ok(keys) => keys,
+            Err(reason) => return whole(reason),
+        };
+        // A switch-free trace has nothing to interpret, so its actions'
+        // keys are its classes; with switch actions the count waits for the
+        // classes only an interpretation element belongs to.
+        if keys.len() <= 1 && !t.iter().any(|a| a.is_switch()) {
             return Projection::Whole {
-                partitions: split.parts.len(),
-                fallback: split.fallback,
+                partitions: keys.len(),
+                fallback: None,
             };
         }
         // Rejection errors and indices must be the monolithic ones:
@@ -766,95 +756,60 @@ where
         {
             return whole(FallbackReason::SwitchUncertified);
         }
-        // The classes: the split's, plus those only an interpretation
+        // The classes: the actions', plus those only an interpretation
         // element belongs to (no action, hence nothing to commit — but a
         // leaf to judge). An element the partitioner declines collapses
         // the projection.
-        let mut parts: BTreeMap<P::Key, Part<T, R::Value>> = split
-            .parts
-            .into_iter()
-            .map(|part| {
-                let key = part.key.expect("a clean split keys every part");
-                (key, (part.trace, part.index_map))
-            })
-            .collect();
         let interpreted = finit
             .iter()
             .flat_map(|(_, h)| h.iter())
             .chain(abort_hists.iter().flatten());
         for i in interpreted {
-            match partitioner.key_of(i) {
-                Some(k) => parts.entry(k).or_insert_with(|| (Trace::new(), Vec::new())),
-                None => return whole(FallbackReason::UnclassifiableInput),
+            let Some(k) = partitioner.key_of(i) else {
+                return whole(FallbackReason::UnclassifiableInput);
             };
-        }
-        let keys: Vec<P::Key> = parts.keys().cloned().collect();
-        let key_of = |i: &T::Input| {
-            partitioner
-                .key_of(i)
-                .expect("every occurring input classified above")
-        };
-        let class_of = |i: &T::Input| {
-            keys.binary_search(&key_of(i))
-                .expect("every occurring input's class collected above")
-        };
-        let in_class = |k: usize, i: &T::Input| key_of(i) == keys[k];
-        let proj = |k: usize, h: &[T::Input]| -> Vec<T::Input> {
-            h.iter().filter(|i| in_class(k, i)).cloned().collect()
-        };
-        let mut of_action = vec![0; prep.t_len];
-        for (k, (_, index_map)) in parts.values().enumerate() {
-            for &i in index_map {
-                of_action[i] = k;
+            if let Err(at) = keys.binary_search(&k) {
+                keys.insert(at, k);
             }
         }
+        let count = keys.len();
+        let class_of = |i: &T::Input| partition::class_of(partitioner, &keys, i);
+        // A history's class projections, in one pass.
+        let by_class = |h: &[T::Input]| {
+            let mut out = vec![Vec::new(); count];
+            for i in h {
+                out[class_of(i)].push(i.clone());
+            }
+            out
+        };
 
-        // The interpretation's global bounds and their per-class
-        // projections.
-        let ValidInputs {
-            global: vi,
-            per_class: class_vi,
-            at_aborts,
-        } = self.valid_inputs(
-            &prep,
-            &finit,
-            &Classes {
-                count: keys.len(),
-                of_action: &of_action,
-                of_input: &class_of,
-            },
-        );
+        let vi = self.valid_inputs(&prep, &finit);
         let whole_problem =
             self.interpretation(&prep, Arc::clone(&interpretation), vi, Cow::Owned(commits));
-        let lcp = &whole_problem.seed;
-        let constrain_init_order = !finit.is_empty();
+        let mut lcp_proj = by_class(&whole_problem.seed);
+        let init_proj: Vec<_> = finit.iter().map(|(_, h)| by_class(h)).collect();
+        let mut abort_proj: Vec<_> = abort_hists.iter().map(|h| by_class(h)).collect();
 
         // Per-trace discharge of the decomposition the certificate vouches
         // for in general: the forced common prefix must project per class
         // (obligation (b) on this trace's values), and the relation's own
         // projection must agree with history projection (obligation (a)).
-        for k in 0..keys.len() {
-            let per_hist: Vec<Vec<T::Input>> = finit.iter().map(|(_, h)| proj(k, h)).collect();
-            let lcp_of_proj = seq::longest_common_prefix(per_hist.iter().map(|h| h.as_slice()));
-            if proj(k, lcp) != lcp_of_proj {
+        for (k, class_key) in keys.iter().enumerate() {
+            let lcp_of_proj = seq::longest_common_prefix(init_proj.iter().map(|h| h[k].as_slice()));
+            if lcp_proj[k] != lcp_of_proj {
                 return whole(FallbackReason::CrossBoundCoupled);
             }
             let switch_hists = init_values
                 .iter()
                 .copied()
-                .zip(finit.iter().map(|(_, h)| *h))
-                .chain(
-                    prep.aborts
-                        .iter()
-                        .zip(abort_hists.iter())
-                        .map(|(s, h)| (&s.value, h)),
-                );
+                .zip(&init_proj)
+                .chain(prep.aborts.iter().map(|s| &s.value).zip(&abort_proj));
             for (value, hist) in switch_hists {
-                let keep = |i: &T::Input| in_class(k, i);
+                let keep = |i: &T::Input| partitioner.key_of(i).as_ref() == Some(class_key);
                 let Some(projected_value) = self.rinit.project_keyed(value, &keep) else {
                     return whole(FallbackReason::SwitchUncertified);
                 };
-                if self.rinit.candidates(&projected_value, &prep.ctx) != [proj(k, hist)] {
+                if self.rinit.candidates(&projected_value, &prep.ctx) != hist[k..=k] {
                     return whole(FallbackReason::CrossBoundCoupled);
                 }
             }
@@ -862,41 +817,33 @@ where
 
         // The class leaf asks each global abort's class projection to
         // extend the class's longest commit history and LCP and to draw
-        // from the class's valid inputs at the abort.
-        let classes = parts
-            .into_values()
-            .zip(class_vi)
-            .enumerate()
-            .map(|(k, ((sub, index_map), bounds))| {
-                let class_lcp = proj(k, lcp);
-                let cands: Vec<_> = abort_hists.iter().map(|h| proj(k, h)).collect();
-                // The draw reads no chain — only the projection, the
-                // pending input when this class owns it and the class's
-                // valid inputs at the abort — so it is decided here, once.
-                let mut per_abort = prep.aborts.iter().zip(&cands).zip(&at_aborts);
-                let draws = per_abort.all(|((s, cand), at_abort)| {
-                    let own = in_class(k, &s.input).then_some(&s.input);
-                    draws_within(cand, own, &at_abort[k])
-                });
-                let seed = class_lcp.clone();
-                let leaf = move |longest: &[T::Input]| {
-                    let extends = |cand: &Vec<T::Input>| {
-                        seq::is_prefix(longest, cand)
-                            && (!constrain_init_order || seq::is_prefix(&class_lcp, cand))
-                    };
-                    (draws && cands.iter().all(extends)).then_some(())
+        // from the valid inputs at the abort — whose class-`k` counts are
+        // the class's.
+        let constrain_init_order = !finit.is_empty();
+        let bounds = &whole_problem.bounds;
+        let classes = whole_problem.classes(count, class_of, |k| {
+            let class_lcp = std::mem::take(&mut lcp_proj[k]);
+            let cands: Vec<_> = abort_proj
+                .iter_mut()
+                .map(|h| std::mem::take(&mut h[k]))
+                .collect();
+            // The draw reads no chain — only the projection, the pending
+            // input when this class owns it and the valid inputs at the
+            // abort — so it is decided here, once.
+            let draws = prep.aborts.iter().zip(&cands).all(|(s, cand)| {
+                let own = (class_of(&s.input) == k).then_some(&s.input);
+                draws_within(cand, own, &bounds[s.index])
+            });
+            let seed = class_lcp.clone();
+            let leaf = move |longest: &[T::Input]| {
+                let extends = |cand: &Vec<T::Input>| {
+                    seq::is_prefix(longest, cand)
+                        && (!constrain_init_order || seq::is_prefix(&class_lcp, cand))
                 };
-                ClassProblem {
-                    problem: Problem {
-                        commits: ops::commits::<T, R::Value>(&sub).into(),
-                        bounds,
-                        seed,
-                        leaf: Box::new(leaf),
-                    },
-                    index_map,
-                }
-            })
-            .collect();
+                (draws && cands.iter().all(extends)).then_some(())
+            };
+            (seed, Box::new(leaf))
+        });
         Projection::Classes {
             refuted: Box::new(move || Self::fail_error(&interpretation)),
             whole: whole_problem,
@@ -938,42 +885,6 @@ struct Prepared<T: Adt, V> {
     ctx: Arc<CandidateContext<T::Input>>,
     per_init: Vec<Vec<Vec<T::Input>>>,
     combos: usize,
-}
-
-/// One class of a split: its sub-trace and the trace index of each of its
-/// actions.
-type Part<T, V> = (Trace<ObjAction<T, V>>, Vec<usize>);
-
-/// The independence classes [`SlinChecker::valid_inputs`] projects onto.
-struct Classes<'a, I> {
-    count: usize,
-    /// The class of the action at every trace index (empty without
-    /// classes).
-    of_action: &'a [usize],
-    /// The class of an input.
-    of_input: &'a dyn Fn(&I) -> usize,
-}
-
-impl<'a, I: 'a> Classes<'a, I> {
-    /// No projection: the global bounds alone.
-    fn none() -> Self {
-        Classes {
-            count: 0,
-            of_action: &[],
-            of_input: &|_| 0,
-        }
-    }
-}
-
-/// What [`SlinChecker::valid_inputs`] builds: Definition 26's bound
-/// globally at every trace index `0..=t_len`, and projected per
-/// independence class at the class's own actions (class-local indices,
-/// then the final pool) and at every abort action.
-struct ValidInputs<I> {
-    global: Vec<PersistentMultiset<I>>,
-    per_class: Vec<Vec<PersistentMultiset<I>>>,
-    /// Per abort action, in trace order: every class's bound there.
-    at_aborts: Vec<Vec<PersistentMultiset<I>>>,
 }
 
 /// What a leaf settles beside the commit chain: the init interpretation
@@ -1254,66 +1165,28 @@ mod tests {
     }
 
     /// The one-pass `valid_inputs` against Definitions 25–26 as written:
-    /// equal at every trace index under every interpretation, and every
-    /// per-class snapshot — at the class's own actions, at the end, at
-    /// every abort — equal to the projection of the definitional bound
-    /// there.
+    /// equal at every trace index under every interpretation.
     fn assert_valid_inputs_match_the_definition<T, R>(
         chk: &SlinChecker<T, R>,
         t: &Trace<ObjAction<T, R::Value>>,
-        classes: usize,
-        class_of: &dyn Fn(&T::Input) -> usize,
     ) where
         T: Adt,
         T::Input: Ord,
         R: InitRelation<T::Input>,
     {
         let prep = chk.prepare(t).expect("the corpus is well-formed");
-        let of_action: Vec<usize> = match classes {
-            0 => Vec::new(),
-            _ => t.iter().map(|a| class_of(a.input())).collect(),
-        };
         for idx in 0..prep.combos {
             let finit = chk.finit_at(&prep, idx);
             let want = chk.valid_inputs_by_definition(t, &prep, &finit);
-            let got = chk.valid_inputs(
-                &prep,
-                &finit,
-                &Classes {
-                    count: classes,
-                    of_action: &of_action,
-                    of_input: class_of,
-                },
-            );
-            assert_eq!(got.global, want, "interpretation {idx} of {t:?}");
-            assert_eq!(got.per_class.len(), classes);
-            let projected = |k: usize, i: usize| {
-                let mut out = PersistentMultiset::new();
-                for (input, n) in want[i].iter().filter(|(input, _)| class_of(input) == k) {
-                    out.add(input.clone(), n);
-                }
-                out
-            };
-            for (k, snapshots) in got.per_class.iter().enumerate() {
-                let at: Vec<usize> = (0..t.len())
-                    .filter(|i| of_action[*i] == k)
-                    .chain([t.len()])
-                    .collect();
-                let want_k: Vec<_> = at.iter().map(|i| projected(k, *i)).collect();
-                assert_eq!(*snapshots, want_k, "class {k}, interpretation {idx}");
-            }
-            assert_eq!(got.at_aborts.len(), prep.aborts.len());
-            for (abort, snapshots) in prep.aborts.iter().zip(&got.at_aborts) {
-                let want_a: Vec<_> = (0..classes).map(|k| projected(k, abort.index)).collect();
-                assert_eq!(*snapshots, want_a, "abort at {}", abort.index);
-            }
+            let got = chk.valid_inputs(&prep, &finit);
+            assert_eq!(*got, want, "interpretation {idx} of {t:?}");
         }
     }
 
     #[test]
     fn incremental_valid_inputs_equal_the_definition_on_the_phase_generators() {
         use crate::gen::{phase_trace_bounds, random_phase_kv_trace, PhaseConfig};
-        use slin_adt::{KvKeyPartitioner, KvStore};
+        use slin_adt::KvStore;
         let (m, n) = phase_trace_bounds();
         let chk = SlinChecker::owned(KvStore, ExactInit::new(), m, n);
         // Several init actions sharing one history (the ∪ must not count it
@@ -1331,11 +1204,7 @@ mod tests {
                         seed,
                         ..PhaseConfig::default()
                     });
-                    let class_of = |i: &slin_adt::KvInput| {
-                        KvKeyPartitioner.key_of(i).expect("kv inputs are keyed") as usize - 1
-                    };
-                    assert_valid_inputs_match_the_definition(&chk, &t, keys as usize, &class_of);
-                    assert_valid_inputs_match_the_definition(&chk, &t, 0, &|_| 0);
+                    assert_valid_inputs_match_the_definition(&chk, &t);
                 }
             }
         }
@@ -1358,9 +1227,7 @@ mod tests {
         let chk = backup_checker();
         let prep = chk.prepare(&collision).unwrap();
         assert!(prep.combos > 1, "adversarial interpretations enumerated");
-        let vi = chk
-            .valid_inputs(&prep, &chk.finit_at(&prep, 0), &Classes::none())
-            .global;
+        let vi = chk.valid_inputs(&prep, &chk.finit_at(&prep, 0));
         let counts: Vec<usize> = vi.iter().map(|ms| ms.count(&p(5))).collect();
         // Init at 0: history p(5) + pending p(5); invoke at 2; init at 3:
         // the ∪ is already covered, only the pending input is added.
@@ -1373,9 +1240,8 @@ mod tests {
             Action::switch(c(2), ph(2), p(2), Value::new(2)),
             Action::respond(c(2), ph(2), p(2), d(1)),
         ]);
-        let by_value = |i: &ConsInput| (*i == p(5)) as usize;
         for t in [&collision, &divergent] {
-            assert_valid_inputs_match_the_definition(&chk, t, 2, &by_value);
+            assert_valid_inputs_match_the_definition(&chk, t);
         }
     }
 
@@ -1513,6 +1379,23 @@ mod tests {
         }
         // The parallel path reports the identical error.
         assert_eq!(at(2), Err(SlinError::BudgetExhausted { nodes: 2 }));
+    }
+
+    #[test]
+    fn an_interpretation_count_past_usize_saturates_to_too_many() {
+        // 41 init actions with three consensus candidates each: 3^41
+        // interpretations, more than `usize` holds.
+        let t: Trace<CA> = Trace::from_actions(
+            (1..=41)
+                .map(|k| Action::switch(c(k), ph(2), p(k.into()), Value::new(5)))
+                .collect(),
+        );
+        assert_eq!(
+            backup_checker().check(&t),
+            Err(SlinError::TooManyInterpretations {
+                required: usize::MAX
+            })
+        );
     }
 
     #[test]

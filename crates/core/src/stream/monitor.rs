@@ -374,7 +374,7 @@ where
                 .iter()
                 .map(|&global| commit_indices.binary_search(&global).unwrap_or(usize::MAX))
                 .collect();
-            parts.push((witness_steps(chain, 0, &ranks), shard.pool().clone()));
+            parts.push((witness_steps(chain, 0, |w| ranks[w]), shard.pool().clone()));
             seed_used = seed_used.sum(&shard.seed(*seed_index).used);
         }
         if let Some(chain) =

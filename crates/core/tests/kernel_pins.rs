@@ -634,8 +634,9 @@ fn a_tripped_class_decides_a_partitioned_check() {
     let report = v.partition.expect("partitioned verdicts carry a report");
     assert_eq!(v.outcome, Err(LinError::BudgetExhausted { nodes: 4 }));
     assert_eq!((report.partitions, report.remerged), (2, false));
-    assert_eq!((v.stats.nodes, v.stats.interpretations), (8, 2));
-    expect_event(&seen, 8);
+    // The first class trips and decides: the second is not searched.
+    assert_eq!((v.stats.nodes, v.stats.interpretations), (4, 1));
+    expect_event(&seen, 4);
 
     let (m, n) = phase_trace_bounds();
     let phase_trace = random_phase_kv_trace(&PhaseConfig {

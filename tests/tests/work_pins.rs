@@ -246,9 +246,9 @@ const B10: [PhasePin; 6] = [
     PhasePin { scenario: "phase keys=4 clean", partitions: 4, fallbacks: 0, batch_agrees: true, stream_agrees: true, mono_nodes: 47, part_nodes: 47 },
     PhasePin { scenario: "phase keys=8 clean", partitions: 8, fallbacks: 0, batch_agrees: true, stream_agrees: true, mono_nodes: 47, part_nodes: 47 },
     PhasePin { scenario: "phase keys=1 faulty (hostile)", partitions: 1, fallbacks: 0, batch_agrees: true, stream_agrees: true, mono_nodes: 739, part_nodes: 739 },
-    PhasePin { scenario: "phase keys=2 faulty", partitions: 2, fallbacks: 0, batch_agrees: true, stream_agrees: true, mono_nodes: 542, part_nodes: 203 },
-    PhasePin { scenario: "phase keys=4 faulty", partitions: 4, fallbacks: 0, batch_agrees: true, stream_agrees: true, mono_nodes: 492, part_nodes: 75 },
-    PhasePin { scenario: "phase keys=8 faulty", partitions: 8, fallbacks: 0, batch_agrees: true, stream_agrees: true, mono_nodes: 474, part_nodes: 58 },
+    PhasePin { scenario: "phase keys=2 faulty", partitions: 2, fallbacks: 0, batch_agrees: true, stream_agrees: true, mono_nodes: 542, part_nodes: 122 },
+    PhasePin { scenario: "phase keys=4 faulty", partitions: 4, fallbacks: 0, batch_agrees: true, stream_agrees: true, mono_nodes: 492, part_nodes: 16 },
+    PhasePin { scenario: "phase keys=8 faulty", partitions: 8, fallbacks: 0, batch_agrees: true, stream_agrees: true, mono_nodes: 474, part_nodes: 12 },
 ];
 
 const PHASE_SEEDS: [u64; 4] = [0, 1, 2, 3];
