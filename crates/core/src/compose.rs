@@ -19,6 +19,7 @@
 use crate::engine::{SearchBudget, SearchStats};
 use crate::initrel::InitRelation;
 use crate::lin::LinChecker;
+use crate::model::ConsistencyModel;
 use crate::slin::{SlinChecker, SlinError};
 use crate::ObjAction;
 use slin_adt::Adt;
@@ -129,7 +130,7 @@ where
 
 /// The outcome of verifying a whole chained run: every speculation phase
 /// `(k, k+1)` of the chain plus the object projection, all through the
-/// shared [`CheckerEngine`](crate::engine::CheckerEngine), with aggregated
+/// shared chain-search engine ([`crate::engine`]), with aggregated
 /// [`SearchStats`]. This is the harness-facing engine API: the consensus
 /// and shared-memory scenario harnesses expose it over their recorded
 /// traces.
@@ -223,7 +224,7 @@ where
         let (m, n) = (PhaseId::new(k), PhaseId::new(k + 1));
         let proj = project_phase::<T, R::Value>(t, m, n);
         let ok = match SlinChecker::owned(adt.clone(), rinit.clone(), m, n)
-            .check_with_stats_impl(&proj, budget.max_nodes, 0)
+            .check_monolithic(&proj, budget.max_nodes, 0)
             .0
         {
             Ok(report) => {
@@ -239,7 +240,7 @@ where
     }
     let obj = project_object::<T, R::Value>(t);
     let (lin_verdict, lin_stats) =
-        LinChecker::owned(adt.clone()).check_with_stats_impl(&obj, budget.max_nodes);
+        LinChecker::owned(adt.clone()).check_monolithic(&obj, budget.max_nodes, 0);
     stats.absorb(&lin_stats);
     PhaseChainVerification {
         phases,

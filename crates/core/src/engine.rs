@@ -25,13 +25,15 @@
 //!
 //! | use                      | visitor            | tag      | at a leaf                         |
 //! |--------------------------|--------------------|----------|-----------------------------------|
-//! | stop at first            | `FirstSolution`    | `()`     | ask the [`LeafOracle`]; a witness stops the search, a veto backtracks |
+//! | stop at first            | `FirstSolution`    | `()`     | ask the leaf oracle; a witness stops the search, a veto backtracks |
 //! | enumerate, capped        | the shard's collector | symbolic completions | record the terminal configuration; stop at the cap |
 //! | extend past one commit   | the same collector | the same | the same, over the one-commit problem `commits = [new]` seeded from a frontier configuration |
 //!
-//! The first is [`CheckerEngine::first_solution`], the batch checkers' entry point; the
-//! other two live with the streaming frontier in `stream/shard.rs`
-//! (fallback re-search and epoch-cut summaries; tail extension).
+//! The first is `CheckerEngine::first_solution`, the batch checkers' entry
+//! point, which takes a problem's leaf oracle ([`crate::model::LeafFn`])
+//! as `Problem::search` hands it over; the other two live with the
+//! streaming frontier in `stream/shard.rs` (fallback re-search and
+//! epoch-cut summaries; tail extension).
 //!
 //! # Feasibility prune
 //!
@@ -48,7 +50,7 @@
 //! * **Floor.** `used ⊆ bounds[c.index]` for every remaining commit `c`: a
 //!   history only grows, and committing `c` needs it inside `c`'s bound.
 //!   Bounds are monotone along the commits (the contract of
-//!   [`CheckerEngine::new`]), so the earliest remaining commit — the
+//!   `CheckerEngine::new`), so the earliest remaining commit — the
 //!   *floor* — carries the tightest one.
 //! * **Hall count.** For every input `e`, with `c₁ < … < c_m` the remaining
 //!   commits on `e` in trace order: `used(e) + j ≤ bounds[c_j.index](e)`
@@ -83,7 +85,7 @@
 //! A node whose subtree was explored to the end without the visitor
 //! stopping is a dead end, and so is every later node with the same
 //! `(remaining commits, ADT state, consumed inputs, visitor tag)` — the
-//! ordered history is not part of the key (see [`LeafOracle`] and
+//! ordered history is not part of the key (see [`crate::model::LeafFn`] and
 //! `Visitor::Tag` for what that asks of a visitor). A node owns its state,
 //! tag and remaining set (children get fresh ones), so the key is never
 //! assembled: it is **hashed once, by reference** — the mask, `State:
@@ -123,8 +125,9 @@
 //! | leaf oracle          | trivially succeeds             | abort feasibility (Abort-Order, Def. 28) |
 //!
 //! The *leaf oracle* decides what "success" means once every commit is
-//! placed: it receives the completed chain and the longest history and may
-//! veto the leaf (forcing further backtracking), which is how `slin` grafts
+//! placed: it receives the longest history — the chain's last, or the seed
+//! when nothing commits — and may veto the leaf (forcing further
+//! backtracking), which is how `slin` grafts
 //! the existential over abort interpretations onto the shared search.
 //!
 //! Keeping the search in one place is what makes the two checkers provably
@@ -148,12 +151,12 @@ use std::sync::OnceLock;
 /// A set of commit indices, one bit per commit.
 ///
 /// Traces of at most 64 commits — the overwhelmingly common case — stay on
-/// a single machine word ([`CommitMask::Small`]); wider traces spill into a
-/// little-endian word vector ([`CommitMask::Large`]). There is no ceiling:
+/// a single machine word (`CommitMask::Small`); wider traces spill into a
+/// little-endian word vector (`CommitMask::Large`). There is no ceiling:
 /// any commit count is representable, so the engine never refuses a trace
 /// up front (the former `MAX_TRACKED_COMMITS = 64` bound is gone).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum CommitMask {
+pub(crate) enum CommitMask {
     /// At most 64 commits: one machine word.
     Small(u64),
     /// More than 64 commits: bit `k` lives in word `k / 64`.
@@ -162,7 +165,7 @@ pub enum CommitMask {
 
 impl CommitMask {
     /// The mask with bits `0..n` set — "all `n` commits remaining".
-    pub fn full(n: usize) -> Self {
+    pub(crate) fn full(n: usize) -> Self {
         if n <= 64 {
             CommitMask::Small(full_word(n))
         } else {
@@ -176,7 +179,7 @@ impl CommitMask {
     }
 
     /// Whether no bit is set (every commit placed).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         match self {
             CommitMask::Small(w) => *w == 0,
             CommitMask::Large(ws) => ws.iter().all(|w| *w == 0),
@@ -184,7 +187,8 @@ impl CommitMask {
     }
 
     /// Whether bit `k` is set.
-    pub fn contains(&self, k: usize) -> bool {
+    #[cfg(test)]
+    pub(crate) fn contains(&self, k: usize) -> bool {
         match self {
             CommitMask::Small(w) => k < 64 && w & (1 << k) != 0,
             CommitMask::Large(ws) => ws.get(k / 64).is_some_and(|w| w & (1 << (k % 64)) != 0),
@@ -192,7 +196,7 @@ impl CommitMask {
     }
 
     /// The mask with bit `k` cleared (the child node's remaining set).
-    pub fn without(&self, k: usize) -> Self {
+    pub(crate) fn without(&self, k: usize) -> Self {
         let mut out = self.clone();
         match &mut out {
             CommitMask::Small(w) => {
@@ -209,7 +213,8 @@ impl CommitMask {
     }
 
     /// Number of set bits.
-    pub fn count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn count(&self) -> usize {
         match self {
             CommitMask::Small(w) => w.count_ones() as usize,
             CommitMask::Large(ws) => ws.iter().map(|w| w.count_ones() as usize).sum(),
@@ -329,40 +334,22 @@ impl Error for EngineError {}
 /// order — the witness shape shared by both checkers.
 pub type Chain<I> = Vec<(usize, Vec<I>)>;
 
-/// The leaf oracle consulted when every commit is placed: receives the
-/// completed chain and the longest history, and returns the leaf witness —
-/// or `None` to veto the leaf and force further backtracking.
-///
-/// # Soundness contract
-///
-/// The engine memoises dead-ends on `(remaining commits, ADT state,
-/// consumed-input multiset)` — **not** on the ordered history. A vetoed
-/// subtree therefore prunes every other path reaching the same key, so the
-/// oracle's verdict must not distinguish two histories that agree on that
-/// key: it may depend on the history only through data the key determines.
-/// Both frontends satisfy this — `lin`'s oracle is constant, and `slin`'s
-/// abort-feasibility is key-invariant for the shipped relations: every
-/// history is seeded with the init LCP (making the Init-Order prefix check
-/// stable), validity is checked on element *multisets*, and the
-/// exact/consensus relations' extension sets distinguish histories only
-/// through their first element (determined by the consensus ADT state) or
-/// their full sequence (determined by the universal ADT state). An
-/// order-sensitive oracle over an ADT whose states merge commuting input
-/// orders would need the memo disabled (or keyed on the history) to stay
-/// exact.
-pub type LeafOracle<'a, I, W> = dyn FnMut(&Chain<I>, &[I]) -> Option<W> + 'a;
+/// What a stop-at-first search found: the chain and its leaf witness,
+/// `None` when the space is exhausted, or the budget trip — with the work
+/// done on every side of the verdict.
+pub(crate) type Found<I, W> = (Result<Option<(Chain<I>, W)>, EngineError>, SearchStats);
 
 /// Where the search starts: a (possibly non-empty) history prefix with its
 /// replayed ADT state and consumed-input multiset.
 #[derive(Debug)]
-pub struct SearchSeed<T: Adt> {
+pub(crate) struct SearchSeed<T: Adt> {
     /// The history every chain element must extend.
-    pub history: Vec<T::Input>,
+    pub(crate) history: Vec<T::Input>,
     /// The ADT state reached by `history`.
-    pub state: T::State,
+    pub(crate) state: T::State,
     /// The multiset of inputs consumed by `history` (persistent: cloning a
     /// seed is O(1)).
-    pub used: PersistentMultiset<T::Input>,
+    pub(crate) used: PersistentMultiset<T::Input>,
 }
 
 // Manual impl: the derive would demand `T: Clone`, but only the input and
@@ -379,7 +366,7 @@ impl<T: Adt> Clone for SearchSeed<T> {
 
 impl<T: Adt> SearchSeed<T> {
     /// The empty seed: initial state, empty history.
-    pub fn initial(adt: &T) -> Self {
+    pub(crate) fn initial(adt: &T) -> Self {
         SearchSeed {
             history: Vec::new(),
             state: adt.initial(),
@@ -402,7 +389,7 @@ impl<T: Adt> SearchSeed<T> {
 
 /// The shared chain-search engine. See the module docs for the search it
 /// performs and the parameters distinguishing the two frontends.
-pub struct CheckerEngine<'s, T: Adt> {
+pub(crate) struct CheckerEngine<'s, T: Adt> {
     adt: &'s T,
     commits: &'s [Commit<T>],
     /// Per-trace-index multiset bound on the inputs a history reaching that
@@ -440,7 +427,7 @@ pub(crate) trait Visitor<T: Adt> {
     /// two paths placing extras the ADT answered differently reach the same
     /// `(state, used)` yet absorb different future responses, so its tag is
     /// the completion multiset. A visitor whose leaves depend on the key
-    /// alone (see [`LeafOracle`]) uses `()`.
+    /// alone (see [`crate::model::LeafFn`]) uses `()`.
     type Tag: Clone + Eq + Hash;
 
     /// The tag below an interleaved extra `input`, to which the ADT
@@ -510,9 +497,9 @@ impl<T: Adt> LeafUsed<'_, T> {
 }
 
 /// The stop-at-first visitor behind [`CheckerEngine::first_solution`]: keeps the chain
-/// and lets the [`LeafOracle`] accept or veto each leaf.
+/// and lets the leaf oracle accept or veto each leaf.
 struct FirstSolution<'l, I, W> {
-    leaf: &'l mut LeafOracle<'l, I, W>,
+    leaf: &'l dyn Fn(&[I]) -> Option<W>,
     /// Length of the seed history — the longest history of an empty chain.
     seed_len: usize,
     chain: Chain<I>,
@@ -543,7 +530,7 @@ impl<T: Adt, W> Visitor<T> for FirstSolution<'_, T::Input, W> {
             .chain
             .last()
             .map_or(&hist[..self.seed_len], |(_, h)| h.as_slice());
-        self.witness = (self.leaf)(&self.chain, longest);
+        self.witness = (self.leaf)(longest);
         match self.witness {
             Some(_) => ControlFlow::Break(()),
             None => ControlFlow::Continue(()),
@@ -563,7 +550,7 @@ where
     /// `c'`), as the cumulative bounds of Definitions 10 and 26 are; the
     /// feasibility prune reads "the tightest bound among the remaining
     /// commits" off the earliest one. Debug builds assert it.
-    pub fn new(
+    pub(crate) fn new(
         adt: &'s T,
         commits: &'s [Commit<T>],
         bounds: &'s [PersistentMultiset<T::Input>],
@@ -606,22 +593,20 @@ where
     }
 
     /// Runs the search from `seed` and stops at the first solution. The
-    /// `leaf` oracle is consulted whenever every commit has been placed;
-    /// returning `None` vetoes the leaf and the search backtracks. The
+    /// `leaf` oracle is consulted with the chain's longest history (the
+    /// seed's when nothing commits) whenever every commit has been placed;
+    /// returning `None` vetoes the leaf and the search backtracks. It is
+    /// subject to the soundness contract of [`crate::model::LeafFn`]. The
     /// outcome is `Some((chain, leaf_witness))`, or `None` when the search
     /// space is exhausted, or [`EngineError::BudgetExhausted`] when more
     /// than [`SearchBudget::max_nodes`] nodes are expanded — with the
     /// counters beside it on every side of the verdict: a budget-exhausted
     /// search reports the work it did.
-    #[allow(clippy::type_complexity)]
-    pub fn first_solution<W>(
+    pub(crate) fn first_solution<W>(
         &self,
         seed: SearchSeed<T>,
-        leaf: &mut LeafOracle<'_, T::Input, W>,
-    ) -> (
-        Result<Option<(Chain<T::Input>, W)>, EngineError>,
-        SearchStats,
-    ) {
+        leaf: &dyn Fn(&[T::Input]) -> Option<W>,
+    ) -> Found<T::Input, W> {
         let mut first = FirstSolution {
             leaf,
             seed_len: seed.history.len(),
@@ -1247,8 +1232,7 @@ mod tests {
         let pool = bounds.last().cloned().unwrap();
         let engine =
             CheckerEngine::new(&Consensus, &commits, &bounds, pool, SearchBudget::default());
-        let (found, stats) =
-            engine.first_solution(SearchSeed::initial(&Consensus), &mut |_, _| Some(()));
+        let (found, stats) = engine.first_solution(SearchSeed::initial(&Consensus), &|_| Some(()));
         let (chain, ()) = found.unwrap().expect("linearizable");
         assert_eq!(chain.len(), 2);
         assert!(stats.nodes > 0);
@@ -1265,7 +1249,7 @@ mod tests {
         let engine =
             CheckerEngine::new(&Consensus, &commits, &bounds, pool, SearchBudget::default());
         let (found, stats) =
-            engine.first_solution(SearchSeed::initial(&Consensus), &mut |_, _| None::<()>);
+            engine.first_solution(SearchSeed::initial(&Consensus), &|_| None::<()>);
         assert!(found.unwrap().is_none());
         assert!(stats.leaf_checks >= 1, "leaves were reached and vetoed");
     }
@@ -1277,8 +1261,7 @@ mod tests {
         let bounds = ops::input_multisets::<Consensus, ()>(&t);
         let pool = bounds.last().cloned().unwrap();
         let engine = CheckerEngine::new(&Consensus, &commits, &bounds, pool, SearchBudget::new(1));
-        let (found, stats) =
-            engine.first_solution(SearchSeed::initial(&Consensus), &mut |_, _| Some(()));
+        let (found, stats) = engine.first_solution(SearchSeed::initial(&Consensus), &|_| Some(()));
         assert_eq!(found, Err(EngineError::BudgetExhausted { nodes: 2 }));
         assert_eq!(stats.nodes, 2, "the tripped search reports its work");
     }
@@ -1324,9 +1307,7 @@ mod tests {
         let pool = bounds.last().cloned().unwrap();
         let (found, stats) =
             CheckerEngine::new(&KvStore, &commits, &bounds, pool, SearchBudget::default())
-                .first_solution(SearchSeed::initial(&KvStore), &mut |_, _| {
-                    (!veto).then_some(())
-                });
+                .first_solution(SearchSeed::initial(&KvStore), &|_| (!veto).then_some(()));
         (found.unwrap(), stats)
     }
 
@@ -1417,8 +1398,7 @@ mod tests {
         let pool = bounds.last().cloned().unwrap();
         let engine =
             CheckerEngine::new(&Consensus, &commits, &bounds, pool, SearchBudget::default());
-        let (found, _) =
-            engine.first_solution(SearchSeed::initial(&Consensus), &mut |_, _| Some(()));
+        let (found, _) = engine.first_solution(SearchSeed::initial(&Consensus), &|_| Some(()));
         let (chain, ()) = found.unwrap().expect("70 chained decisions linearize");
         assert_eq!(chain.len(), 70);
         assert_eq!(chain.last().unwrap().1.len(), 70);
@@ -1465,7 +1445,7 @@ mod tests {
         let engine =
             CheckerEngine::new(&Consensus, &commits, &bounds, pool, SearchBudget::default());
         let seed = SearchSeed::from_history(&Consensus, vec![ConsInput::propose(2)]);
-        let (found, _) = engine.first_solution(seed, &mut |_, _| Some(()));
+        let (found, _) = engine.first_solution(seed, &|_| Some(()));
         let (chain, ()) = found.unwrap().expect("explained by the seeded history");
         assert_eq!(
             chain[0].1,
@@ -1573,8 +1553,8 @@ mod tests {
         let pool = bounds.last().cloned().unwrap();
         let engine = CheckerEngine::new(&KvStore, &commits, &bounds, pool, SearchBudget::default());
         let seed = || SearchSeed::initial(&KvStore);
-        let first = engine.first_solution(seed(), &mut |_, _| Some(()));
-        let (vetoed, veto_stats) = engine.first_solution(seed(), &mut |_, _| None::<()>);
+        let first = engine.first_solution(seed(), &|_| Some(()));
+        let (vetoed, veto_stats) = engine.first_solution(seed(), &|_| None::<()>);
         assert_eq!(vetoed, Ok(None));
         let mut all = AllLeaves::default();
         let (flow, stats) = Search::new(&engine).run(&seed(), Pairs::new(), &mut all, 20_000);

@@ -26,12 +26,13 @@
 //!   criterion *states* — one search problem per interpretation of a
 //!   validated trace and, along a [`slin_adt::Partitioner`], its per-class
 //!   projections — and nothing about how it is searched;
-//! * [`partition`] — **P-compositional checking**: the one routine that
-//!   searches what a model states — class searches in key order, the
-//!   first failure deciding, the class chains merged so
-//!   the result is byte-identical to the monolithic path, one
-//!   re-derivation when the merge cannot predict it — for both checkers
-//!   and the streaming monitor's reports;
+//! * [`partition`] — **P-compositional checking** and the one routine
+//!   that checks a closed trace, for a session and for the streaming
+//!   monitor's re-check of its record alike: whether the check decomposes,
+//!   then class searches in key order, the first failure deciding, the
+//!   class chains merged so the result is byte-identical to the monolithic
+//!   path, one re-derivation when the merge cannot predict it — or the
+//!   whole check — for both checkers;
 //! * [`session`] — the **unified checker surface**: a builder
 //!   ([`session::Checker::builder`]) where strategy (monolithic /
 //!   partitioned / streaming) is configuration, yielding a
@@ -84,7 +85,7 @@ pub mod slin;
 pub mod stream;
 
 pub use classical::ClassicalChecker;
-pub use engine::{CheckerEngine, CommitMask, EngineError, SearchBudget, SearchStats};
+pub use engine::{EngineError, SearchBudget, SearchStats};
 pub use initrel::{ConsensusInit, ExactInit, InitRelation};
 pub use lin::{LinChecker, LinError, LinWitness};
 pub use model::ConsistencyModel;

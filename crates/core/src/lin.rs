@@ -11,7 +11,7 @@
 //!   prefix order.
 //!
 //! [`LinChecker`] decides the existential as a thin frontend over the
-//! shared [`crate::engine::CheckerEngine`]: the chain of
+//! shared [`crate::engine`]: the chain of
 //! commit histories grows one element at a time, memoised on the reached
 //! ADT state and the multiset of consumed inputs. Because the chain can
 //! interleave *extra* inputs (inputs whose responses never commit, or
@@ -218,31 +218,8 @@ where
     where
         V: Clone + PartialEq,
     {
-        self.check_with_stats_impl(t, SearchBudget::DEFAULT_MAX_NODES)
+        self.check_monolithic(t, SearchBudget::DEFAULT_MAX_NODES, 0)
             .0
-    }
-
-    /// The monolithic check under a node `budget`: signature gate,
-    /// well-formedness, engine search (the body every public entry point
-    /// ends up in).
-    pub(crate) fn check_with_stats_impl<V>(
-        &self,
-        t: &Trace<ObjAction<T, V>>,
-        budget: usize,
-    ) -> (Result<LinWitness<T::Input>, LinError>, SearchStats)
-    where
-        V: Clone + PartialEq,
-    {
-        if let Err(invalid) = wf::validate(t, None) {
-            return (Err(invalid.into()), SearchStats::default());
-        }
-        let (found, stats) = definition_10(t).search(&*self.adt, budget);
-        let verdict = match found {
-            Ok(Some((chain, ()))) => Ok(LinWitness { assignments: chain }),
-            Ok(None) => Err(LinError::NotLinearizable),
-            Err(e) => Err(e.into()),
-        };
-        (verdict, stats)
     }
 }
 
@@ -281,14 +258,24 @@ where
         None
     }
 
-    /// One search: nothing to spread over threads.
+    /// The signature gate, well-formedness, and one engine search under a
+    /// node `budget`: nothing to spread over threads.
     fn check_monolithic(
         &self,
         t: &Trace<ObjAction<T, V>>,
         budget: usize,
         _threads: usize,
     ) -> (Result<LinWitness<T::Input>, LinError>, SearchStats) {
-        self.check_with_stats_impl(t, budget)
+        if let Err(invalid) = wf::validate(t, None) {
+            return (Err(invalid.into()), SearchStats::default());
+        }
+        let (found, stats) = definition_10(t).search(&*self.adt, budget);
+        let verdict = match found {
+            Ok(Some((chain, ()))) => Ok(LinWitness { assignments: chain }),
+            Ok(None) => Err(LinError::NotLinearizable),
+            Err(e) => Err(e.into()),
+        };
+        (verdict, stats)
     }
 
     fn status_of_error(e: &LinError) -> MonitorStatus {

@@ -20,13 +20,16 @@
 //!
 //! Searching is not a model's business because it does not depend on the
 //! model: `Problem::search` is the one way a problem meets the
-//! [`crate::engine`], and `partition::check` is the one routine
-//! that searches a projection's classes in key order up to the first that
-//! fails, merges the class chains into the monolithic first witness and
-//! re-derives it whole when the merge cannot predict it — for both models,
-//! for closed traces and for the streaming monitor's reports alike (a
-//! single checking judgment over many consistency models, as
-//! refinement-based frameworks present it). What is left model-specific is
+//! [`crate::engine`] (its [`LeafFn`] is the engine's leaf oracle, handed
+//! through as it is), and `ClosedCheck::check` in [`crate::partition`] is
+//! the one routine that checks a closed trace — it decides whether the
+//! check decomposes, searches a projection's classes in key order up to
+//! the first that fails, merges the class chains into the monolithic first
+//! witness and re-derives it whole when the merge cannot predict it, or
+//! checks the trace whole — for both models, for a session's closed traces
+//! and for the streaming monitor's re-checks of its record alike (a single
+//! checking judgment over many consistency models, as refinement-based
+//! frameworks present it). What is left model-specific is
 //! [`ConsistencyModel::check_monolithic`] — speculative linearizability
 //! quantifies over *every* init interpretation there — and how the model's
 //! errors read on a stream ([`ConsistencyModel::status_of_error`],
@@ -43,9 +46,11 @@
 //! transient use, clone it for consumers that outlive the borrow (the
 //! monitor's shard table).
 
-use crate::engine::{Chain, CheckerEngine, EngineError, SearchBudget, SearchSeed, SearchStats};
+use crate::engine::{
+    Chain, CheckerEngine, EngineError, Found, SearchBudget, SearchSeed, SearchStats,
+};
 use crate::ops::Commit;
-use crate::partition::{FallbackReason, PartitionReport};
+use crate::partition::FallbackReason;
 use crate::stream::{MonitorStatus, StreamFailure};
 use crate::ObjAction;
 use slin_adt::{Adt, Partitioner};
@@ -71,18 +76,33 @@ pub struct Problem<'m, T: Adt, L> {
     /// The history every chain element extends.
     pub seed: Vec<T::Input>,
     /// The leaf oracle, asked with the chain's longest history (the seed
-    /// when nothing commits): the leaf witness, or `None` to veto. Subject
-    /// to the soundness contract of [`crate::engine::LeafOracle`].
+    /// when nothing commits): the leaf witness, or `None` to veto.
     pub leaf: LeafFn<'m, T::Input, L>,
 }
 
-/// A [`Problem`]'s leaf oracle.
+/// A [`Problem`]'s leaf oracle, consulted once every commit is placed with
+/// the chain's longest history: the leaf witness, or `None` to veto the
+/// leaf and force further backtracking. The engine's stop-at-first search
+/// takes it as it is.
+///
+/// # Soundness contract
+///
+/// The engine memoises dead-ends on `(remaining commits, ADT state,
+/// consumed-input multiset)` — **not** on the ordered history. A vetoed
+/// subtree therefore prunes every other path reaching the same key, so the
+/// oracle's verdict must not distinguish two histories that agree on that
+/// key: it may depend on the history only through data the key determines.
+/// Both models satisfy this — `lin`'s oracle is constant, and `slin`'s
+/// abort-feasibility is key-invariant for the shipped relations: every
+/// history is seeded with the init LCP (making the Init-Order prefix check
+/// stable), validity is checked on element *multisets*, and the
+/// exact/consensus relations' extension sets distinguish histories only
+/// through their first element (determined by the consensus ADT state) or
+/// their full sequence (determined by the universal ADT state). An
+/// order-sensitive oracle over an ADT whose states merge commuting input
+/// orders would need the memo disabled (or keyed on the history) to stay
+/// exact.
 pub type LeafFn<'m, I, L> = Box<dyn Fn(&[I]) -> Option<L> + 'm>;
-
-/// What a search found: the chain and its leaf witness, `None` when the
-/// space is exhausted, or the budget trip — with the work done on every
-/// side of the verdict.
-pub(crate) type Found<I, L> = (Result<Option<(Chain<I>, L)>, EngineError>, SearchStats);
 
 impl<T: Adt, L> Problem<'_, T, L>
 where
@@ -99,7 +119,7 @@ where
         );
         engine.first_solution(
             SearchSeed::from_history(adt, self.seed.clone()),
-            &mut |_, longest| (self.leaf)(longest),
+            &*self.leaf,
         )
     }
 
@@ -255,16 +275,4 @@ pub trait ConsistencyModel<V>: Sized {
         interpretations: usize,
         stats: SearchStats,
     ) -> Self::Witness;
-}
-
-/// The outcome of a partitioned check: the model verdict plus the
-/// partition accounting.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct SplitVerdict<W, E> {
-    /// The model's verdict — byte-identical (witness included) to the
-    /// monolithic path.
-    pub verdict: Result<W, E>,
-    /// Partition count, fallback/remerge engagement, merged engine
-    /// counters.
-    pub report: PartitionReport,
 }

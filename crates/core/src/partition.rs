@@ -1,4 +1,15 @@
-//! P-compositional (partition-aware) checking.
+//! P-compositional (partition-aware) checking, and the one routine that
+//! checks a closed trace.
+//!
+//! Every closed-trace check — a batch [`crate::session::Session::check`]
+//! and the streaming monitor's re-check of its record alike — is one call
+//! of `ClosedCheck::check`: it asks whether the check decomposes, runs the
+//! partitioned or the whole check, and reports one engine search to the
+//! observer under its caller's site name (`"session.check"`,
+//! `"monitor.report"`). `ClosedCheck` is what a session configures once
+//! and its monitor takes over: the model, the partitioner, the switch
+//! certificate's verdict, the node budget, the thread bound and the
+//! observer.
 //!
 //! A [`Partitioner`] classifies every input of a trace into an independence
 //! class. Whether a check decomposes along it is one rule,
@@ -12,8 +23,8 @@
 //! classifies every action by its input; the speculative checker also
 //! classifies switch actions, by pending input. ([`split_trace`] and
 //! [`split_trace_keyed`] cut the trace itself into the same classes.)
-//! `partition::check` — the one routine behind every partitioned verdict
-//! on a closed trace — runs the class searches one after another on the
+//! `partition::check` — what `ClosedCheck::check` runs where the check
+//! decomposes — runs the class searches one after another on the
 //! calling thread, in key order and no further than the first class that
 //! fails (it decides the verdict), and **merges the class chains back into
 //! the exact witness the monolithic search would have produced**
@@ -72,9 +83,12 @@
 //! [`PartitionReport::fallback`] says which.
 
 use crate::engine::{Chain, SearchStats};
-use crate::model::{ConsistencyModel, Projection, SplitVerdict};
+use crate::model::{ConsistencyModel, Projection};
+use crate::session::{StrategyUsed, Verdict};
+use crate::stream::MonitorStatus;
 use crate::ObjAction;
 use slin_adt::{Adt, Partitioner};
+use slin_obs::{EngineSearchEvent, Obs};
 use slin_trace::{Action, PersistentMultiset, Trace};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
@@ -387,9 +401,77 @@ pub(crate) fn resolve_threads(configured: usize) -> usize {
     }
 }
 
+/// What every closed-trace check reads, configured once: by a batch
+/// [`crate::session::Session`], and by the streaming monitor, which takes
+/// the session's over on the upgrade to streaming.
+pub(crate) struct ClosedCheck<M, P> {
+    pub(crate) model: M,
+    pub(crate) partitioner: Option<P>,
+    /// A verified switch-independence certificate (`slin-cert/v2`) covers
+    /// the `(ADT, partitioner, init relation)`: traces with switch actions
+    /// decompose too ([`decomposes`]).
+    pub(crate) keyed: bool,
+    /// The node budget of every search.
+    pub(crate) budget: usize,
+    /// The thread bound of every interpretation enumeration.
+    pub(crate) threads: usize,
+    pub(crate) obs: Obs,
+}
+
+impl<M, P> ClosedCheck<M, P> {
+    /// Checks the closed trace `t`: per class along `partitioner` where the
+    /// check [`decomposes`] ([`check`], the partition report beside the
+    /// verdict), whole otherwise ([`ConsistencyModel::check_monolithic`]) —
+    /// and reports the check to the observer as one engine search under
+    /// `site`. `None` for the partitioner checks `t` whole.
+    pub(crate) fn check<V>(
+        &self,
+        partitioner: Option<&P>,
+        t: &Trace<ObjAction<M::Adt, V>>,
+        site: &'static str,
+    ) -> Verdict<M::Witness, M::Error>
+    where
+        M: ConsistencyModel<V>,
+        <M::Adt as Adt>::Input: Ord,
+        P: Partitioner<M::Adt>,
+    {
+        let t0 = self.obs.t0();
+        let verdict = match decomposes(partitioner, self.keyed, t) {
+            Some(p) => check(&self.model, p, t, self.budget, self.threads),
+            None => {
+                let (outcome, stats) = self.model.check_monolithic(t, self.budget, self.threads);
+                Verdict {
+                    outcome,
+                    stats,
+                    partition: None,
+                    strategy: StrategyUsed::Monolithic,
+                }
+            }
+        };
+        self.obs.engine_search(EngineSearchEvent {
+            site,
+            nodes: verdict.stats.nodes as u64,
+            memo_hits: verdict.stats.memo_hits as u64,
+            budget_exhausted: budget_tripped::<M, V>(&verdict.outcome, &verdict.stats),
+            t0,
+        });
+        verdict
+    }
+}
+
+/// Whether a check outcome is a tripped node budget: the model maps the
+/// error to [`MonitorStatus::Unknown`] and — unlike the interpretation-cap
+/// rejection, which shares that status but is decided before any search —
+/// the engine expanded nodes.
+fn budget_tripped<M: ConsistencyModel<V>, V>(
+    outcome: &Result<M::Witness, M::Error>,
+    stats: &SearchStats,
+) -> bool {
+    stats.nodes > 0 && matches!(outcome, Err(e) if M::status_of_error(e) == MonitorStatus::Unknown)
+}
+
 /// Whether a check of `t` decomposes per independence class: the one rule
-/// every partitioned verdict depends on, read by [`crate::session`]'s
-/// `Strategy::Auto` and by the streaming monitor's re-check of its record.
+/// every partitioned verdict depends on, read by `ClosedCheck::check` alone.
 /// It holds when a partitioner is supplied and `t` is switch-free
 /// (Theorem 2 plus the partitioner contract) or `switch_certified` — a
 /// verified switch-independence certificate (`slin-cert/v2`) covers the
@@ -404,9 +486,10 @@ pub(crate) fn decomposes<'p, I, O, V, P>(
     partitioner.filter(|_| switch_certified || !t.iter().any(|a| a.is_switch()))
 }
 
-/// P-compositional checking of a closed trace that [`decomposes`] — the
-/// one routine behind every partitioned [`crate::session`] verdict and the
-/// streaming monitor's report derivation, for every [`ConsistencyModel`].
+/// P-compositional checking of a closed trace that [`decomposes`] — what
+/// `ClosedCheck::check` runs for a session and for the streaming monitor's
+/// re-check of its record alike, for every [`ConsistencyModel`]: a
+/// [`StrategyUsed::Partitioned`] verdict with its partition report.
 ///
 /// Asks the model what there is to search along `partitioner`
 /// ([`ConsistencyModel::project`]), then: searches the classes in key
@@ -430,7 +513,7 @@ pub(crate) fn check<V, M, P>(
     t: &Trace<ObjAction<M::Adt, V>>,
     budget: usize,
     threads: usize,
-) -> SplitVerdict<M::Witness, M::Error>
+) -> Verdict<M::Witness, M::Error>
 where
     M: ConsistencyModel<V>,
     <M::Adt as Adt>::Input: Ord,
@@ -444,10 +527,7 @@ where
     };
     let (whole, classes, refuted) = match model.project(partitioner, t) {
         Projection::Rejected(e) => {
-            return SplitVerdict {
-                verdict: Err(e),
-                report: unmerged(1, None, SearchStats::default()),
-            }
+            return partitioned(Err(e), unmerged(1, None, SearchStats::default()))
         }
         // The whole check validates internally, so no projection
         // validates a trace it does not decompose.
@@ -455,11 +535,8 @@ where
             partitions,
             fallback,
         } => {
-            let (verdict, stats) = model.check_monolithic(t, budget, threads);
-            return SplitVerdict {
-                verdict,
-                report: unmerged(partitions, fallback, stats),
-            };
+            let (outcome, stats) = model.check_monolithic(t, budget, threads);
+            return partitioned(outcome, unmerged(partitions, fallback, stats));
         }
         Projection::Classes {
             whole,
@@ -484,10 +561,7 @@ where
             Err(e) => e.into(),
         };
         // The first failing class decides: no class after it is searched.
-        return SplitVerdict {
-            verdict: Err(e),
-            report: unmerged(classes.len(), None, stats),
-        };
+        return partitioned(Err(e), unmerged(classes.len(), None, stats));
     }
     let mut report = unmerged(classes.len(), None, stats);
     // What the model's witness reports as checked: the class searches, not
@@ -518,12 +592,22 @@ where
             found
         }
     };
-    let verdict = match found {
+    let outcome = match found {
         Ok(Some((chain, leaf))) => Ok(M::witness(chain, leaf, interpretations, report.stats)),
         Ok(None) => Err(refuted()),
         Err(e) => Err(e.into()),
     };
-    SplitVerdict { verdict, report }
+    partitioned(outcome, report)
+}
+
+/// A partitioned check's verdict: its counters are the report's.
+fn partitioned<W, E>(outcome: Result<W, E>, report: PartitionReport) -> Verdict<W, E> {
+    Verdict {
+        outcome,
+        stats: report.stats,
+        partition: Some(report),
+        strategy: StrategyUsed::Partitioned,
+    }
 }
 
 /// One step of a witness chain, recovered from the accumulated commit
@@ -931,20 +1015,21 @@ mod tests {
             );
             let by_lin = check(&lin, &KvKeyPartitioner, t, BUDGET, 0);
             let by_slin = check(&slin, &KvKeyPartitioner, &phase_t, BUDGET, 0);
-            assert_eq!(by_lin.report, by_slin.report, "{t:?}");
-            assert_eq!(by_lin.report.fallback, None);
-            assert!(by_lin.report.partitions > 1);
-            remerged += by_lin.report.remerged as usize;
+            assert_eq!(by_lin.partition, by_slin.partition, "{t:?}");
+            let report = by_lin.partition.expect("a partitioned check");
+            assert_eq!(report.fallback, None);
+            assert!(report.partitions > 1);
+            remerged += report.remerged as usize;
             assert_eq!(
-                by_lin.verdict,
-                lin.check_with_stats_impl(t, BUDGET).0,
+                by_lin.outcome,
+                lin.check_monolithic(t, BUDGET, 0).0,
                 "{t:?}"
             );
-            match (by_lin.verdict, by_slin.verdict) {
+            match (by_lin.outcome, by_slin.outcome) {
                 (Ok(w), Ok(r)) => {
                     accepted += 1;
                     assert_eq!(w.assignments(), r.witness.commit_histories);
-                    assert_eq!(r.stats, by_slin.report.stats);
+                    assert_eq!(r.stats, by_slin.stats);
                 }
                 (
                     Err(LinError::NotLinearizable),
@@ -981,11 +1066,11 @@ mod tests {
         let (second, second_stats) = classes[1].search(&KvStore, BUDGET);
         assert!(matches!(second, Ok(Some(_))) && second_stats.nodes > 0);
         let got = check(&lin, &KvKeyPartitioner, &t, BUDGET, 0);
-        assert_eq!(got.verdict, Err(LinError::NotLinearizable));
-        assert_eq!(got.verdict, lin.check_with_stats_impl(&t, BUDGET).0);
-        assert_eq!(got.report.partitions, 2);
-        assert_eq!(got.report.stats, first_stats);
-        assert_eq!(got.report.stats.interpretations, 1);
+        assert_eq!(got.outcome, Err(LinError::NotLinearizable));
+        assert_eq!(got.outcome, lin.check_monolithic(&t, BUDGET, 0).0);
+        assert_eq!(got.partition.map(|r| r.partitions), Some(2));
+        assert_eq!(got.stats, first_stats);
+        assert_eq!(got.stats.interpretations, 1);
     }
 
     /// Whether `model` projects `t` along the key partitioner, asserting

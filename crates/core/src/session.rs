@@ -62,14 +62,12 @@
 
 use crate::engine::{SearchBudget, SearchStats};
 use crate::model::ConsistencyModel;
-use crate::partition::{self, FallbackReason, PartitionReport};
-use crate::stream::{
-    budget_tripped, GcPolicy, IngestOutcome, Monitor, MonitorReport, MonitorStatus, ShardSummary,
-};
+use crate::partition::{ClosedCheck, FallbackReason, PartitionReport};
+use crate::stream::{GcPolicy, IngestOutcome, Monitor, MonitorReport, MonitorStatus, ShardSummary};
 use crate::ObjAction;
 use slin_adt::{Adt, IdentityPartitioner, Partitioner};
 use slin_analysis::{short_type_name, CertError, SwitchCert};
-use slin_obs::{EngineSearchEvent, Obs};
+use slin_obs::Obs;
 use slin_trace::Trace;
 use std::marker::PhantomData;
 
@@ -88,7 +86,7 @@ pub enum Strategy {
     Streaming {
         /// Bounded-window GC: retire quiescent prefixes past this many
         /// events per shard (`None` keeps reports byte-identical to the
-        /// batch path).
+        /// batch path; a window of 0 reads as 1).
         window: Option<usize>,
     },
 }
@@ -224,7 +222,8 @@ impl<M, P> SessionBuilder<M, P> {
     /// wherever this session ends up streaming — whether born with
     /// [`Strategy::Streaming`] or upgraded on the first
     /// [`Session::ingest`]. Takes precedence over the window embedded in
-    /// [`Strategy::Streaming`].
+    /// [`Strategy::Streaming`]. A window of 0 reads as 1: a shard retires
+    /// at every event it can.
     pub fn window(mut self, window: usize) -> Self {
         self.window = Some(window);
         self
@@ -347,54 +346,38 @@ impl<M, P> SessionBuilder<M, P> {
             false
         };
         let strategy = self.strategy;
-        let window = self.window.or(match strategy {
-            Strategy::Streaming { window } => window,
-            _ => None,
-        });
-        let (budget, threads) = (self.budget, self.threads);
-        let gc = self.gc;
-        let obs = self.obs;
-        let mode = match strategy {
-            Strategy::Streaming { .. } => Mode::Streaming(Box::new(Monitor::new(
-                self.model,
-                self.partitioner,
-                window,
-                gc,
-                keyed,
-                obs.clone(),
-                budget,
-                threads,
-            ))),
-            _ => Mode::Batch {
+        let mut session = Session {
+            mode: Mode::Batch(ClosedCheck {
                 model: self.model,
                 partitioner: self.partitioner,
-            },
-        };
-        Ok(Session {
-            mode,
+                keyed,
+                budget: self.budget,
+                threads: self.threads,
+                obs: self.obs,
+            }),
             strategy,
-            budget,
-            threads,
-            window,
-            gc,
-            obs,
-            keyed,
+            window: self.window.or(match strategy {
+                Strategy::Streaming { window } => window,
+                _ => None,
+            }),
+            gc: self.gc,
             last_polled: MonitorStatus::Ok,
-        })
+        };
+        if let Strategy::Streaming { .. } = strategy {
+            session.ensure_streaming();
+        }
+        Ok(session)
     }
 }
 
 /// The session's execution state: configured batch checking, or a live
-/// streaming monitor.
+/// streaming monitor, which takes the batch configuration over.
 enum Mode<M, V, P>
 where
     M: ConsistencyModel<V>,
     P: Partitioner<M::Adt>,
 {
-    Batch {
-        model: M,
-        partitioner: Option<P>,
-    },
+    Batch(ClosedCheck<M, P>),
     Streaming(Box<Monitor<M, V, P>>),
     /// Transient placeholder during the batch → streaming upgrade; never
     /// observable.
@@ -413,17 +396,9 @@ where
 {
     mode: Mode<M, V, P>,
     strategy: Strategy,
-    /// The node budget of every search and the thread bound of every
-    /// interpretation enumeration, handed to each check.
-    budget: usize,
-    threads: usize,
+    /// The streaming configuration, for the upgrade to streaming.
     window: Option<usize>,
     gc: GcPolicy,
-    obs: Obs,
-    /// A verified switch-independence certificate covers this session's
-    /// `(ADT, partitioner, init relation)`: phase traces decompose across
-    /// switch actions (`partition::decomposes`).
-    keyed: bool,
     last_polled: MonitorStatus,
 }
 
@@ -443,39 +418,12 @@ where
     /// combined stream.
     pub fn check(&mut self, t: &Trace<ObjAction<M::Adt, V>>) -> Verdict<M::Witness, M::Error> {
         match &mut self.mode {
-            Mode::Batch { model, partitioner } => {
-                let (budget, threads) = (self.budget, self.threads);
-                let t0 = self.obs.t0();
-                let decomposing = match self.strategy {
+            Mode::Batch(closed) => {
+                let partitioner = match self.strategy {
                     Strategy::Monolithic => None,
-                    _ => partition::decomposes(partitioner.as_ref(), self.keyed, t),
+                    _ => closed.partitioner.as_ref(),
                 };
-                let (outcome, stats, partition) = match decomposing {
-                    Some(p) => {
-                        let sv = partition::check(&*model, p, t, budget, threads);
-                        (sv.verdict, sv.report.stats, Some(sv.report))
-                    }
-                    None => {
-                        let (outcome, stats) = model.check_monolithic(t, budget, threads);
-                        (outcome, stats, None)
-                    }
-                };
-                self.obs.engine_search(EngineSearchEvent {
-                    site: "session.check",
-                    nodes: stats.nodes as u64,
-                    memo_hits: stats.memo_hits as u64,
-                    budget_exhausted: budget_tripped::<M, V>(&outcome, &stats),
-                    t0,
-                });
-                Verdict {
-                    outcome,
-                    stats,
-                    partition,
-                    strategy: match partition {
-                        Some(_) => StrategyUsed::Partitioned,
-                        None => StrategyUsed::Monolithic,
-                    },
-                }
+                closed.check(partitioner, t, "session.check")
             }
             Mode::Streaming(monitor) => {
                 for action in t.iter() {
@@ -579,24 +527,14 @@ where
         }
     }
 
-    /// The underlying monitor, upgrading a batch session in place.
+    /// The underlying monitor, upgrading a batch session in place (a
+    /// [`Strategy::Streaming`] session at build time).
     fn ensure_streaming(&mut self) -> &mut Monitor<M, V, P> {
-        if let Mode::Batch { .. } = &self.mode {
-            let Mode::Batch { model, partitioner } =
-                std::mem::replace(&mut self.mode, Mode::Transitioning)
-            else {
+        if let Mode::Batch(_) = &self.mode {
+            let Mode::Batch(closed) = std::mem::replace(&mut self.mode, Mode::Transitioning) else {
                 unreachable!("checked above");
             };
-            self.mode = Mode::Streaming(Box::new(Monitor::new(
-                model,
-                partitioner,
-                self.window,
-                self.gc,
-                self.keyed,
-                self.obs.clone(),
-                self.budget,
-                self.threads,
-            )));
+            self.mode = Mode::Streaming(Box::new(Monitor::new(closed, self.window, self.gc)));
         }
         match &mut self.mode {
             Mode::Streaming(monitor) => monitor,

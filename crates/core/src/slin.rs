@@ -23,7 +23,7 @@
 //! finite candidate interpretations provided by the [`InitRelation`]
 //! (exact for the Section 6 singleton relation, bounded-adversarial for the
 //! consensus mapping) and running, for each, the same
-//! [`crate::engine::CheckerEngine`] chain search as the plain
+//! [`crate::engine`] chain search as the plain
 //! linearizability checker — seeded with the longest common prefix of the
 //! init histories and extended with abort feasibility at the leaves.
 //!
@@ -241,39 +241,8 @@ where
         R: Sync,
         R::Value: Sync,
     {
-        self.check_with_stats_impl(t, SearchBudget::DEFAULT_MAX_NODES, 0)
+        self.check_monolithic(t, SearchBudget::DEFAULT_MAX_NODES, 0)
             .0
-    }
-
-    /// [`SlinChecker::check`] under a node `budget` per interpretation and
-    /// at most `threads` enumeration threads (0 = one per core), also
-    /// reporting [`SearchStats`] on **both** sides of the verdict (the
-    /// `Session` facade's monolithic body). On
-    /// `Ok` the stats equal [`SlinReport::stats`]; on a refutation they
-    /// are the counters of the earliest failing interpretation's
-    /// (exhaustive) search — the cost of proving no chain exists,
-    /// deterministic and byte-identical between the sequential and
-    /// parallel paths — and on a budget trip those of the search that
-    /// tripped. Structural rejections (ill-formed traces,
-    /// interpretation-space blowups) report zero stats: no search ran.
-    pub(crate) fn check_with_stats_impl(
-        &self,
-        t: &Trace<ObjAction<T, R::Value>>,
-        budget: usize,
-        threads: usize,
-    ) -> (Result<SlinReport<T::Input>, SlinError>, SearchStats)
-    where
-        T: Send + Sync,
-        T::Input: Send + Sync,
-        T::Output: Sync,
-        R: Sync,
-        R::Value: Sync,
-    {
-        let prep = match self.prepare(t) {
-            Ok(prep) => prep,
-            Err(e) => return (Err(e), SearchStats::default()),
-        };
-        self.run_interpretations(&prep, budget, partition::resolve_threads(threads))
     }
 
     /// Validates the trace against the phase signature and well-formedness,
@@ -364,7 +333,7 @@ where
     /// count.
     ///
     /// The second tuple element is the stats surface of
-    /// `check_with_stats_impl`: on `Ok` it equals the report's
+    /// `check_monolithic`: on `Ok` it equals the report's
     /// absorbed counters; on a refutation or budget trip it is the
     /// **earliest abnormal interpretation's own** search counters — the
     /// deterministic refutation cost (absorbing the partial successes of
@@ -634,15 +603,28 @@ where
         Some(slin_analysis::short_type_name::<R>())
     }
 
+    /// [`SlinChecker::check`] under a node `budget` per interpretation and
+    /// at most `threads` enumeration threads (0 = one per core), also
+    /// reporting [`SearchStats`] on **both** sides of the verdict:
+    /// [`SlinError`] carries no counters, but the refutation cost is
+    /// reported alongside. On `Ok` the stats equal [`SlinReport::stats`];
+    /// on a refutation they are the counters of the earliest failing
+    /// interpretation's (exhaustive) search — the cost of proving no chain
+    /// exists, deterministic and byte-identical between the sequential and
+    /// parallel paths — and on a budget trip those of the search that
+    /// tripped. Structural rejections (ill-formed traces,
+    /// interpretation-space blowups) report zero stats: no search ran.
     fn check_monolithic(
         &self,
         t: &Trace<ObjAction<T, R::Value>>,
         budget: usize,
         threads: usize,
     ) -> (Result<SlinReport<T::Input>, SlinError>, SearchStats) {
-        // [`SlinError`] carries no counters, but the refutation cost is
-        // reported alongside: see `check_with_stats_impl`.
-        self.check_with_stats_impl(t, budget, threads)
+        let prep = match self.prepare(t) {
+            Ok(prep) => prep,
+            Err(e) => return (Err(e), SearchStats::default()),
+        };
+        self.run_interpretations(&prep, budget, partition::resolve_threads(threads))
     }
 
     fn status_of_error(e: &SlinError) -> MonitorStatus {
@@ -1300,8 +1282,8 @@ mod tests {
         for t in &traces {
             for (m, n) in [(1, 2), (2, 3)] {
                 let chk = SlinChecker::owned(Consensus, ConsensusInit::new(), ph(m), ph(n));
-                let par = chk.check_with_stats_impl(t, BUDGET, 4);
-                let seq = chk.check_with_stats_impl(t, BUDGET, 1);
+                let par = chk.check_monolithic(t, BUDGET, 4);
+                let seq = chk.check_monolithic(t, BUDGET, 1);
                 assert_eq!(par, seq, "phase ({m}, {n}) on {t:?}");
                 assert_eq!(format!("{par:?}"), format!("{seq:?}"));
             }
@@ -1336,10 +1318,10 @@ mod tests {
             assert!(prep.combos > 1);
             let units = vec![(prep.commits.len(), ()); prep.combos];
             assert!(partition::fan_out(units, 2, &|()| ()).1);
-            let seq = backup_checker().check_with_stats_impl(&t, BUDGET, 1);
+            let seq = backup_checker().check_monolithic(&t, BUDGET, 1);
             assert_eq!(seq.0.is_ok(), ok);
             for threads in [2, 4] {
-                let par = backup_checker().check_with_stats_impl(&t, BUDGET, threads);
+                let par = backup_checker().check_monolithic(&t, BUDGET, threads);
                 assert_eq!(par, seq, "{threads} threads");
             }
         }
@@ -1355,7 +1337,7 @@ mod tests {
             Action::respond(c(1), ph(2), p(1), d(5)),
             Action::respond(c(2), ph(2), p(2), d(5)),
         ]);
-        let at = |threads| backup_checker().check_with_stats_impl(&t, BUDGET, threads);
+        let at = |threads| backup_checker().check_monolithic(&t, BUDGET, threads);
         let (par, seq) = (at(3).0.unwrap(), at(1).0.unwrap());
         assert!(par.interpretations_checked > 1);
         assert_eq!(par.interpretations_checked, seq.interpretations_checked);
@@ -1372,7 +1354,7 @@ mod tests {
             Action::respond(c(1), ph(1), p(1), d(1)),
             Action::respond(c(2), ph(1), p(2), d(1)),
         ]);
-        let at = |threads| quorum_checker().check_with_stats_impl(&t, 1, threads).0;
+        let at = |threads| quorum_checker().check_monolithic(&t, 1, threads).0;
         match at(1) {
             Err(SlinError::BudgetExhausted { nodes }) => assert!(nodes > 0),
             other => panic!("expected budget exhaustion, got {other:?}"),

@@ -1,5 +1,5 @@
 //! Online streaming checking: the sharded incremental monitor, generic
-//! over any [`ConsistencyModel`].
+//! over any [`ConsistencyModel`](crate::model::ConsistencyModel).
 //!
 //! The batch checkers need the whole trace before `check()` runs. This
 //! module adds the layer between the trace model and those checkers that
@@ -22,7 +22,8 @@
 //! There is **one** monitor and **one** way to reach it: a
 //! [`crate::session::Session`] built with `Strategy::Streaming { window }`
 //! (or a batch session upgraded by its first `ingest`). The monitor itself
-//! is private to the crate; it is parameterized by a [`ConsistencyModel`]
+//! is private to the crate; it is parameterized by a
+//! [`ConsistencyModel`](crate::model::ConsistencyModel)
 //! (which says how a batch error reads as a status, how a window failure
 //! maps onto the model's error type, and — through `phase_bounds` — what a
 //! switch action means), so any model streams. What
@@ -124,12 +125,12 @@ mod shard;
 pub(crate) use monitor::Monitor;
 
 use crate::engine::SearchStats;
-use crate::model::ConsistencyModel;
 use crate::partition::FallbackReason;
 use slin_trace::wf::Invalid;
 
 /// Why a window-mode stream check failed, before it is mapped onto the
-/// model's error type by [`ConsistencyModel::stream_error`].
+/// model's error type by
+/// [`ConsistencyModel::stream_error`](crate::model::ConsistencyModel::stream_error).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StreamFailure {
     /// The stream is refused before any search — an action outside the
@@ -146,17 +147,6 @@ pub enum StreamFailure {
         /// Nodes expanded when the budget tripped.
         nodes: usize,
     },
-}
-
-/// Whether a batch outcome is a tripped node budget: the model maps the
-/// error to [`MonitorStatus::Unknown`] and — unlike the interpretation-cap
-/// rejection, which shares that status but is decided before any search —
-/// the engine expanded nodes.
-pub(crate) fn budget_tripped<M: ConsistencyModel<V>, V>(
-    outcome: &Result<M::Witness, M::Error>,
-    stats: &SearchStats,
-) -> bool {
-    stats.nodes > 0 && matches!(outcome, Err(e) if M::status_of_error(e) == MonitorStatus::Unknown)
 }
 
 /// The garbage-collection/retirement policy of a streaming session: set on

@@ -1,103 +1,140 @@
 //! The generic sharded monitor: one [`Monitor`] over any [`ConsistencyModel`],
 //! private to the crate — [`crate::session::Session`] is its only owner.
 //!
-//! [`Core`] is the model-independent machinery — a router that classifies
-//! every ingested action through a [`Partitioner`] and feeds it to the
-//! per-key [`ShardState`] incremental engines, while tracking the
-//! stream-global facts the batch checkers derive from the closed trace
-//! (the live [`Validator`] for signature membership, switch actions and
-//! well-formedness; the input multisets) and the one record of the stream
-//! every rebuild reads. What a switch action *means* comes from
-//! [`ConsistencyModel::phase_bounds`], how a window failure maps onto the
-//! model's error type from [`ConsistencyModel::stream_error`]; a window's
-//! merged chain is wrapped by [`ConsistencyModel::witness`] like any other.
+//! The monitor is a router that classifies every ingested action through
+//! the session's [`Partitioner`] and feeds it to the per-key [`ShardState`]
+//! incremental engines, while tracking the stream-global facts the batch
+//! checkers derive from the closed trace (the live [`Validator`] for
+//! signature membership, switch actions and well-formedness; the input
+//! multisets) and the one record of the stream every rebuild reads. It
+//! holds the session's [`ClosedCheck`] — model, partitioner, certificate,
+//! budget, threads and observer — and re-checks its record through
+//! [`ClosedCheck::check`], the routine a batch session runs. What a switch
+//! action *means* comes from [`ConsistencyModel::phase_bounds`], how a
+//! window failure maps onto the model's error type from
+//! [`ConsistencyModel::stream_error`]; a window's merged chain is wrapped by
+//! [`ConsistencyModel::witness`] like any other.
 
 use super::shard::{ShardConfig, ShardState, ShardStatus};
-use super::{
-    budget_tripped, GcPolicy, IngestOutcome, MonitorReport, MonitorStatus, ShardSummary,
-    StreamFailure,
-};
-use crate::engine::{Chain, EngineError, SearchSeed, SearchStats};
+use super::{GcPolicy, IngestOutcome, MonitorReport, MonitorStatus, ShardSummary, StreamFailure};
+use crate::engine::{Chain, CheckerEngine, EngineError, SearchBudget, SearchSeed, SearchStats};
 use crate::model::ConsistencyModel;
-use crate::partition::{
-    self, merge_partition_chains, witness_steps, FallbackReason, PartitionReport, Step,
-};
+use crate::ops::Commit;
+use crate::partition::{merge_partition_chains, witness_steps, ClosedCheck, FallbackReason, Step};
 use crate::ObjAction;
 use slin_adt::{Adt, Partitioner};
-use slin_obs::{EngineSearchEvent, Obs};
 use slin_trace::wf::Validator;
-use slin_trace::{Action, PersistentMultiset, PhaseId, Trace};
+use slin_trace::{Action, PersistentMultiset, Trace};
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 /// A report cached per stream version (`events` at computation time).
 type CachedReport<W, E> = Option<(usize, MonitorReport<W, E>)>;
 
-/// The shared router + shard table behind the monitor.
-pub(crate) struct Core<T: Adt, V, K: Ord> {
-    adt: Arc<T>,
-    shard_cfg: ShardConfig,
+/// A window report's merged commit chain in global indices, or why it
+/// failed — with the absorbed stats and whether a monolithic re-derivation
+/// ran.
+type WindowVerdict<I> = (Result<Chain<I>, StreamFailure>, SearchStats, bool);
+
+/// One shard's window witness in a multi-shard window report.
+struct ShardChain<'a, T: Adt, V, K> {
+    key: &'a Option<K>,
+    shard: &'a ShardState<T, V>,
+    /// The index of the seed the chain extends.
+    seed: usize,
+    /// The chain, in window indices.
+    chain: Chain<T::Input>,
+    /// The window indices of the commits the seed's symbolic completions
+    /// absorbed (absent from the chain).
+    absorbed: Vec<usize>,
+}
+
+/// Online monitor for any [`ConsistencyModel`] over a live stream of actions.
+/// See the [module docs](crate::stream) for the architecture and the
+/// exactness guarantees.
+pub(crate) struct Monitor<M, V, P>
+where
+    M: ConsistencyModel<V>,
+    P: Partitioner<M::Adt>,
+{
+    /// The session's closed-trace configuration. Its partitioner routes
+    /// events (`None` routes every event to the identity shard, so
+    /// non-partitionable ADTs still stream); its `keyed` says a verified
+    /// switch-independence certificate (`slin-cert/v2`) covers the stream's
+    /// switch actions, so past the first switch the record still decomposes
+    /// and deferred verdicts re-check it per class instead of whole — the
+    /// only streaming effect of the certificate; its budget bounds every
+    /// search the monitor runs.
+    closed: ClosedCheck<M, P>,
+    /// The frontier and retirement knobs every shard is built with.
+    gc: GcPolicy,
     window: Option<usize>,
-    /// Whether the model is speculative (its `phase_bounds()` is `Some`): a
-    /// switch action defers the verdict to re-checks of the record instead
-    /// of deciding it.
-    speculative: bool,
     /// Shards by class key; the identity shard (engaged by unclassifiable
     /// inputs) lives under `None` and is always alone.
-    pub shards: BTreeMap<Option<K>, ShardState<T, V>>,
+    shards: BTreeMap<Option<P::Key>, ShardState<M::Adt, V>>,
     /// Stream length so far (the next action's global index).
-    pub events: usize,
+    events: usize,
     /// The one record of the stream — every event so far, complete or
     /// absent (module docs, "The record"). Kept from birth when the window
     /// is unbounded or `archive_windows > 0`; under a bounded window
     /// dropped at the retirement that takes a shard past `archive_windows`
     /// retired windows (no shard retires past a switch).
-    record: Option<Trace<ObjAction<T, V>>>,
+    record: Option<Trace<ObjAction<M::Adt, V>>>,
     /// A rebuild needed the record after it was gone: from here on the
     /// monitor under-claims, as a lossy shard does.
     lost: bool,
     /// The batch checkers' validator, held live: signature membership,
     /// the first switch action and well-formedness of the stream so far.
-    pub wf: Validator<T::Input>,
+    wf: Validator<<M::Adt as Adt>::Input>,
     /// How many shards' rolling status is [`ShardStatus::Violated`] and
     /// [`ShardStatus::BudgetExhausted`]: a status moves only inside
-    /// [`Core::route`] and [`Core::collapse_to_identity`], which keep the
-    /// tally, so the rolling verdict is O(1) however many keys there are.
+    /// [`Monitor::route`] and [`Monitor::collapse_to_identity`], which keep
+    /// the tally, so the rolling verdict is O(1) however many keys there are.
     violated: usize,
     exhausted: usize,
     /// All inputs invoked so far (any shard) — the global extra pool.
-    invoked: PersistentMultiset<T::Input>,
+    invoked: PersistentMultiset<<M::Adt as Adt>::Input>,
     /// Global validity-bound snapshot per commit index (window mode only;
     /// trimmed as prefixes retire). Persistent: one snapshot is an O(1)
     /// structure-sharing clone of `invoked`, not an O(alphabet) deep copy.
-    commit_bounds: BTreeMap<usize, PersistentMultiset<T::Input>>,
+    commit_bounds: BTreeMap<usize, PersistentMultiset<<M::Adt as Adt>::Input>>,
     /// Whether any shard has retired a prefix (reports become
     /// window-relative unless they read the record).
-    pub prefix_committed: bool,
-    /// Why identity routing engaged, if it did (mirrors
-    /// `SplitOutcome::fallback`).
-    pub fallback: Option<FallbackReason>,
+    prefix_committed: bool,
+    /// Why identity routing engaged, if it did.
+    fallback: Option<FallbackReason>,
+    /// The report of the current stream version; deferred statuses resolve
+    /// from it, so one derivation serves both.
+    cached: CachedReport<M::Witness, M::Error>,
 }
 
-impl<T, V, K> Core<T, V, K>
+impl<M, V, P> Monitor<M, V, P>
 where
-    T: Adt,
-    T::Input: Ord,
+    M: ConsistencyModel<V>,
+    <M::Adt as Adt>::Input: Ord,
     V: Clone + PartialEq,
-    K: Ord + Clone,
+    P: Partitioner<M::Adt>,
 {
-    fn new(
-        adt: Arc<T>,
-        shard_cfg: ShardConfig,
-        window: Option<usize>,
-        phase_bounds: Option<(PhaseId, PhaseId)>,
-    ) -> Self {
-        let keep = window.is_none() || shard_cfg.gc.archive_windows > 0;
-        Core {
-            adt,
-            shard_cfg,
-            window,
-            speculative: phase_bounds.is_some(),
+    /// Creates a monitor around a session's closed-trace configuration
+    /// (see `SessionBuilder::try_build` for where `keyed` comes from),
+    /// bounded-window GC past `window` events per shard, and the shards'
+    /// GC policy.
+    pub(crate) fn new(closed: ClosedCheck<M, P>, window: Option<usize>, gc: GcPolicy) -> Self {
+        let keep = window.is_none() || gc.archive_windows > 0;
+        let phase_bounds = closed.model.phase_bounds();
+        Monitor {
+            closed,
+            // A frontier holds at least one configuration: at cap 0 every
+            // commit would empty it, and an empty frontier reads as a
+            // violation.
+            gc: GcPolicy {
+                frontier_cap: gc.frontier_cap.max(1),
+                ..gc
+            },
+            // A window of 0 is one event: a shard retires only at a window
+            // multiple or when quiescent, and no length but 0 is a multiple
+            // of 0, so a never-quiescent shard would keep every event.
+            window: window.map(|w| w.max(1)),
             shards: BTreeMap::new(),
             events: 0,
             record: keep.then(Trace::new),
@@ -109,12 +146,94 @@ where
             commit_bounds: BTreeMap::new(),
             prefix_committed: false,
             fallback: None,
+            cached: None,
+        }
+    }
+
+    /// A fresh shard under the session's budget and observer and the
+    /// monitor's GC policy.
+    fn new_shard(closed: &ClosedCheck<M, P>, gc: GcPolicy) -> ShardState<M::Adt, V> {
+        let cfg = ShardConfig {
+            budget: closed.budget,
+            gc,
+            obs: closed.obs.clone(),
+        };
+        ShardState::new(Arc::clone(closed.model.adt()), cfg)
+    }
+
+    /// Whether the model is speculative (its `phase_bounds()` is `Some`): a
+    /// switch action defers the verdict to re-checks of the record instead
+    /// of deciding it.
+    fn speculative(&self) -> bool {
+        self.closed.model.phase_bounds().is_some()
+    }
+
+    /// Flips the forced-lossy-epoch-cut knob on the live monitor — the
+    /// daemon's backpressure shed. Turning it on lets every shard retire
+    /// truncated windows (memory over exactness: later would-be violation
+    /// verdicts downgrade to [`MonitorStatus::Unknown`]); all current and
+    /// future shards pick the change up immediately.
+    pub(crate) fn set_epoch_force(&mut self, on: bool) {
+        self.gc.epoch_force = on;
+        for shard in self.shards.values_mut() {
+            shard.set_epoch_force(on);
+        }
+    }
+
+    /// Why this stream left the per-key fast path, or `None` while it is
+    /// on it. Cheap (field reads — nothing is computed), so it can be
+    /// polled per metrics tick; [`MonitorReport::fallback`] is the
+    /// report-time view of the same state, plus whatever the re-check of
+    /// the record finds. An uncertified stream counts as fallen back from
+    /// its first switch action on (the verdict defers to monolithic
+    /// re-checks).
+    pub(crate) fn fallback(&self) -> Option<FallbackReason> {
+        self.fallback.or_else(|| {
+            (self.wf.first_switch().is_some() && !self.closed.keyed)
+                .then_some(FallbackReason::SwitchUncertified)
+        })
+    }
+
+    fn key_of(&self, input: &<M::Adt as Adt>::Input) -> Option<P::Key> {
+        self.closed
+            .partitioner
+            .as_ref()
+            .and_then(|p| p.key_of(input))
+    }
+
+    /// Ingests the next event of the live stream; O(shard work) — no
+    /// re-check of the growing prefix.
+    pub(crate) fn ingest(&mut self, action: ObjAction<M::Adt, V>) -> IngestOutcome {
+        self.cached = None;
+        let was_quiet = self.wf.first_switch().is_some();
+        if action.is_switch() && !was_quiet && self.speculative() {
+            self.keep_record();
+        }
+        // From the first switch on the verdict is decided (lin) or deferred
+        // to re-checks of the record (slin), so no shard result is read
+        // again: the shards stay quiet.
+        let routed = !(was_quiet || action.is_switch());
+        let key = routed.then(|| self.key_of(action.input())).flatten();
+        if routed && key.is_none() && self.fallback.is_none() {
+            self.collapse_to_identity(FallbackReason::UnclassifiableInput);
+        }
+        let index = self.observe(&action);
+        let (frontier_len, fell_back) = if routed {
+            self.route(key, action, index)
+        } else {
+            (0, false)
+        };
+        IngestOutcome {
+            index,
+            frontier_len,
+            fell_back,
+            status: self.quick_status(),
         }
     }
 
     /// Stream-global bookkeeping every event goes through, regardless of
     /// routing. Returns the event's global index.
-    fn observe(&mut self, action: &ObjAction<T, V>) -> usize {
+    fn observe(&mut self, action: &ObjAction<M::Adt, V>) -> usize {
         let index = self.events;
         self.events += 1;
         self.wf.observe(action);
@@ -137,7 +256,7 @@ where
     /// retired, so the shard windows together are the whole stream — those
     /// windows merged back into stream order. `None` once the record is
     /// gone.
-    fn stream_so_far(&self) -> Option<Trace<ObjAction<T, V>>> {
+    fn stream_so_far(&self) -> Option<Trace<ObjAction<M::Adt, V>>> {
         match &self.record {
             Some(record) => Some(record.clone()),
             None => (!self.prefix_committed)
@@ -157,29 +276,33 @@ where
 
     /// Routes a (non-switch) action into its shard, creating the shard on
     /// first contact, and applies bounded-window GC afterwards.
-    fn route(&mut self, key: Option<K>, action: ObjAction<T, V>, index: usize) -> (usize, bool) {
+    fn route(
+        &mut self,
+        key: Option<P::Key>,
+        action: ObjAction<M::Adt, V>,
+        index: usize,
+    ) -> (usize, bool) {
         if self.lost {
             // Nothing a shard could conclude would be a claim about the
             // whole stream any more.
             return (0, false);
         }
         let key = if self.fallback.is_some() { None } else { key };
-        let window = self.window;
         let shard = self
             .shards
             .entry(key)
-            .or_insert_with(|| ShardState::new(Arc::clone(&self.adt), self.shard_cfg.clone()));
+            .or_insert_with(|| Self::new_shard(&self.closed, self.gc));
         let before = shard.status();
         let out = shard.ingest(action, index);
-        if let Some(window) = window {
+        if let Some(window) = self.window {
             if let Some(retired) = shard.maybe_retire(window) {
                 self.prefix_committed = true;
                 if self.record.is_some() {
-                    if shard.counters.retired_windows <= self.shard_cfg.gc.archive_windows {
-                        self.shard_cfg.obs.archive_window(retired.len() as u64);
+                    if shard.counters.retired_windows <= self.gc.archive_windows {
+                        self.closed.obs.archive_window(retired.len() as u64);
                     } else {
                         self.record = None;
-                        self.shard_cfg.obs.archive_eviction();
+                        self.closed.obs.archive_eviction();
                     }
                 }
                 for idx in retired {
@@ -208,16 +331,15 @@ where
 
     /// Engages identity routing, before the triggering event is observed:
     /// one fallback shard replays the stream so far — every event before
-    /// the trigger, once — and replaces the per-key shards. Mirrors
-    /// `split_trace`'s identity fallback. Without the record the monitor
-    /// is lost.
+    /// the trigger, once — and replaces the per-key shards. Without the
+    /// record the monitor is lost.
     fn collapse_to_identity(&mut self, reason: FallbackReason) {
         self.fallback = Some(reason);
         let Some(stream) = self.stream_so_far() else {
             self.lost = true;
             return;
         };
-        let mut identity = ShardState::new(Arc::clone(&self.adt), self.shard_cfg.clone());
+        let mut identity = Self::new_shard(&self.closed, self.gc);
         for (i, a) in stream.into_iter().enumerate() {
             identity.ingest(a, i);
         }
@@ -235,8 +357,8 @@ where
 
     /// The retained window events of every shard, merged back into global
     /// stream order.
-    fn window_events(&self) -> Vec<(usize, ObjAction<T, V>)> {
-        let mut all: Vec<(usize, ObjAction<T, V>)> = self
+    fn window_events(&self) -> Vec<(usize, ObjAction<M::Adt, V>)> {
+        let mut all: Vec<(usize, ObjAction<M::Adt, V>)> = self
             .shards
             .values()
             .flat_map(|s| s.index_map.iter().copied().zip(s.sub.iter().cloned()))
@@ -245,8 +367,21 @@ where
         all
     }
 
-    /// Aggregated rolling shard verdict (worst wins), off the tally.
-    fn shard_status(&self) -> MonitorStatus {
+    /// O(1) rolling status: the validator's verdict and the shard tally
+    /// are both kept per event. Past a switch a speculative model reports
+    /// [`MonitorStatus::Deferred`] instead of forcing a batch re-check
+    /// ([`Monitor::status`] resolves it); a plain one is decided.
+    fn quick_status(&self) -> MonitorStatus {
+        if self.wf.first_switch().is_some() {
+            return if self.speculative() {
+                MonitorStatus::Deferred
+            } else {
+                MonitorStatus::SwitchSeen
+            };
+        }
+        if self.wf.check().is_err() {
+            return MonitorStatus::IllFormed;
+        }
         debug_assert_eq!(
             (self.violated, self.exhausted),
             self.shards
@@ -257,6 +392,7 @@ where
                     ShardStatus::Ok => (v, x),
                 })
         );
+        // The aggregated rolling shard verdict (worst wins), off the tally.
         if self.lost {
             MonitorStatus::Unknown
         } else if self.violated > 0 {
@@ -268,7 +404,16 @@ where
         }
     }
 
-    fn summary(&self) -> ShardSummary {
+    /// Number of events ingested so far.
+    pub(crate) fn events(&self) -> usize {
+        self.events
+    }
+
+    /// Aggregated shard-machinery counters at the current stream position
+    /// (the same [`ShardSummary`] the final report carries) — lets load
+    /// drivers sample the retained-memory proxy mid-stream without paying
+    /// for a report derivation.
+    pub(crate) fn shard_summary(&self) -> ShardSummary {
         let mut out = ShardSummary::default();
         let mut nodes: HashSet<usize> = HashSet::new();
         for shard in self.shards.values() {
@@ -293,395 +438,6 @@ where
         }
         out.multiset_nodes = nodes.len();
         out
-    }
-
-    /// The window-relative search + merge of a bounded-window report that
-    /// does not read the record. Returns the merged commit chain in
-    /// *global* indices, or the first failing shard's engine outcome, plus
-    /// the absorbed stats and whether a monolithic re-derivation ran.
-    ///
-    /// `key_of` classifies inputs (the monitor's partitioner) — needed only
-    /// on the rare merge-bail path, where the per-shard seed states are
-    /// assembled into one product state for a monolithic window search.
-    #[allow(clippy::type_complexity)]
-    fn window_verdict(
-        &self,
-        key_of: &dyn Fn(&T::Input) -> Option<K>,
-    ) -> (Result<Chain<T::Input>, StreamFailure>, SearchStats, bool)
-    where
-        K: std::hash::Hash + std::fmt::Debug,
-    {
-        let mut stats = SearchStats::default();
-        #[allow(clippy::type_complexity)]
-        let mut chains: Vec<(
-            &Option<K>,
-            &ShardState<T, V>,
-            usize,
-            Vec<(usize, Vec<T::Input>)>,
-            Vec<usize>,
-        )> = Vec::new();
-        let mut first_error: Option<StreamFailure> = None;
-        for (key, shard) in self.shards.iter() {
-            let (result, shard_stats) = shard.window_search();
-            stats.absorb(&shard_stats);
-            match result {
-                Ok(Some((seed_index, chain, absorbed))) => {
-                    chains.push((key, shard, seed_index, chain, absorbed))
-                }
-                Ok(None) => {
-                    if first_error.is_none() {
-                        // After a lossy epoch cut, an exhausted search
-                        // space proves nothing: the dropped summary
-                        // configurations may have completed.
-                        first_error = Some(if shard.lossy() {
-                            StreamFailure::BudgetExhausted { nodes: 0 }
-                        } else {
-                            StreamFailure::NotSatisfied
-                        });
-                    }
-                }
-                Err(EngineError::BudgetExhausted { nodes }) => {
-                    if first_error.is_none() {
-                        first_error = Some(StreamFailure::BudgetExhausted { nodes });
-                    }
-                }
-            }
-        }
-        if let Some(e) = first_error {
-            return (Err(e), stats, false);
-        }
-        if chains.len() <= 1 {
-            let merged = chains
-                .pop()
-                .map(|(_, shard, _, chain, _)| remap_chain(chain, &shard.index_map))
-                .unwrap_or_default();
-            return (Ok(merged), stats, false);
-        }
-
-        // Rank-compact the global commit indices so the merge machinery can
-        // index bounds densely (memory stays O(window)).
-        let mut commit_indices: Vec<usize> = self.commit_bounds.keys().copied().collect();
-        commit_indices.sort_unstable();
-        let bounds_by_rank: Vec<PersistentMultiset<T::Input>> = commit_indices
-            .iter()
-            .map(|i| self.commit_bounds[i].clone())
-            .collect();
-        let mut parts: Vec<(VecDeque<Step<T::Input>>, PersistentMultiset<T::Input>)> = Vec::new();
-        let mut seed_used: PersistentMultiset<T::Input> = PersistentMultiset::new();
-        for (_, shard, seed_index, chain, _) in &chains {
-            let ranks: Vec<usize> = shard
-                .index_map
-                .iter()
-                .map(|&global| commit_indices.binary_search(&global).unwrap_or(usize::MAX))
-                .collect();
-            parts.push((witness_steps(chain, 0, |w| ranks[w]), shard.pool().clone()));
-            seed_used = seed_used.sum(&shard.seed(*seed_index).used);
-        }
-        if let Some(chain) =
-            merge_partition_chains(&bounds_by_rank, parts, Vec::new(), seed_used.clone())
-        {
-            let merged = chain
-                .into_iter()
-                .map(|(rank, h)| (commit_indices[rank], h))
-                .collect();
-            return (Ok(merged), stats, false);
-        }
-
-        // Merge bailed (cross-bound coupling): re-derive monolithically
-        // over the combined window. The retired prefixes have no histories
-        // left, so the monolithic state is assembled as a *product* over
-        // the shard keys (sound exactly because multi-shard mode implies
-        // every input classifies — the Partitioner product contract).
-        // Fixing each shard to the seed its own window_search picked is
-        // complete, not a guess: inputs of distinct shards are disjoint,
-        // so interleaving the per-shard chains in global commit order
-        // satisfies every (monotone, per-input) bound the shards already
-        // satisfied locally — a completion from exactly these seeds is
-        // guaranteed to exist, and the engine's exhaustive search finds
-        // one (only a budget trip, reported as such, can stop it).
-        let product = ProductAdt {
-            adt: &*self.adt,
-            key_of,
-        };
-        let mut state: std::collections::BTreeMap<K, T::State> = std::collections::BTreeMap::new();
-        let mut absorbed_globals: HashSet<usize> = HashSet::new();
-        for (key, shard, seed_index, _, absorbed) in &chains {
-            let key = key
-                .as_ref()
-                .expect("multi-shard mode classifies every input");
-            state.insert(key.clone(), shard.seed(*seed_index).state.clone());
-            // A commit absorbed by the chosen seed's symbolic completions
-            // is already explained (and its input already consumed) by
-            // that seed's state — the product search must not place it
-            // again.
-            for &w in absorbed {
-                absorbed_globals.insert(shard.index_map[w]);
-            }
-        }
-        let events = self.window_events();
-        let trace: Vec<ObjAction<T, V>> = events.iter().map(|(_, a)| a.clone()).collect();
-        let globals: Vec<usize> = events.iter().map(|(i, _)| *i).collect();
-        let commits: Vec<crate::ops::Commit<ProductAdt<'_, '_, T, K>>> = trace
-            .iter()
-            .enumerate()
-            .filter(|(p, _)| !absorbed_globals.contains(&globals[*p]))
-            .filter_map(|(p, a)| match a {
-                Action::Respond {
-                    client,
-                    input,
-                    output,
-                    ..
-                } => Some(crate::ops::Commit {
-                    index: p,
-                    client: *client,
-                    input: input.clone(),
-                    output: output.clone(),
-                }),
-                _ => None,
-            })
-            .collect();
-        let empty = PersistentMultiset::new();
-        let bounds: Vec<PersistentMultiset<T::Input>> = (0..=trace.len())
-            .map(|p| {
-                if p < trace.len() && trace[p].is_respond() {
-                    self.commit_bounds[&globals[p]].clone()
-                } else {
-                    empty.clone()
-                }
-            })
-            .collect();
-        let engine = crate::engine::CheckerEngine::new(
-            &product,
-            &commits,
-            &bounds,
-            self.invoked.clone(),
-            crate::engine::SearchBudget::new(self.shard_cfg.budget),
-        );
-        let seed = SearchSeed::<ProductAdt<'_, '_, T, K>> {
-            history: Vec::new(),
-            state,
-            used: seed_used,
-        };
-        let (found, product_stats) = engine.first_solution(seed, &mut |_, _| Some(()));
-        stats.absorb(&product_stats);
-        let merged = match found {
-            Ok(Some((chain, ()))) => Ok(remap_chain(chain, &globals)),
-            Ok(None) => Err(StreamFailure::NotSatisfied),
-            Err(EngineError::BudgetExhausted { nodes }) => {
-                Err(StreamFailure::BudgetExhausted { nodes })
-            }
-        };
-        (merged, stats, true)
-    }
-}
-
-/// The product ADT over shard keys: routes every input to its class's
-/// component state. Sound exactly where it is used — multi-shard merges,
-/// where the [`Partitioner`] contract makes the monitored ADT a product
-/// over the keys it emits.
-struct ProductAdt<'x, 'a, T: Adt, K> {
-    adt: &'a T,
-    key_of: &'x dyn Fn(&T::Input) -> Option<K>,
-}
-
-impl<T, K> Adt for ProductAdt<'_, '_, T, K>
-where
-    T: Adt,
-    K: Ord + Clone + std::hash::Hash + std::fmt::Debug,
-{
-    type Input = T::Input;
-    type Output = T::Output;
-    type State = std::collections::BTreeMap<K, T::State>;
-
-    fn initial(&self) -> Self::State {
-        std::collections::BTreeMap::new()
-    }
-
-    fn apply(&self, state: &Self::State, input: &Self::Input) -> (Self::State, Self::Output) {
-        let key = (self.key_of)(input).expect("multi-shard mode classifies every input");
-        let component = state
-            .get(&key)
-            .cloned()
-            .unwrap_or_else(|| self.adt.initial());
-        let (next, out) = self.adt.apply(&component, input);
-        let mut map = state.clone();
-        map.insert(key, next);
-        (map, out)
-    }
-}
-
-fn remap_chain<I>(chain: Vec<(usize, Vec<I>)>, index_map: &[usize]) -> Vec<(usize, Vec<I>)> {
-    chain
-        .into_iter()
-        .map(|(sub, h)| (index_map[sub], h))
-        .collect()
-}
-
-/// Online monitor for any [`ConsistencyModel`] over a live stream of actions.
-/// See the [module docs](crate::stream) for the architecture and the
-/// exactness guarantees.
-pub(crate) struct Monitor<M, V, P>
-where
-    M: ConsistencyModel<V>,
-    P: Partitioner<M::Adt>,
-{
-    model: M,
-    partitioner: Option<P>,
-    /// The stream's switch actions are covered by a verified
-    /// switch-independence certificate (`slin-cert/v2`): past the first
-    /// switch the record still decomposes (`partition::decomposes`), so
-    /// deferred verdicts re-check it per class instead of whole. The only
-    /// streaming effect of the certificate.
-    keyed: bool,
-    /// The thread bound of the report's batch checks (the node budget is
-    /// the shards', `core.shard_cfg.budget`).
-    threads: usize,
-    core: Core<M::Adt, V, P::Key>,
-    /// The report of the current stream version; deferred statuses resolve
-    /// from it, so one derivation serves both.
-    cached: CachedReport<M::Witness, M::Error>,
-}
-
-impl<M, V, P> Monitor<M, V, P>
-where
-    M: ConsistencyModel<V>,
-    <M::Adt as Adt>::Input: Ord,
-    V: Clone + PartialEq,
-    P: Partitioner<M::Adt>,
-{
-    /// Creates a monitor around a model. `None` for the partitioner routes
-    /// every event to the identity shard (non-partitionable ADTs still
-    /// stream); `keyed` must come from a verified switch certificate (see
-    /// `SessionBuilder::try_build`); `budget` and `threads` are the
-    /// session's, for every search the monitor runs.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        model: M,
-        partitioner: Option<P>,
-        window: Option<usize>,
-        gc: GcPolicy,
-        keyed: bool,
-        obs: Obs,
-        budget: usize,
-        threads: usize,
-    ) -> Self {
-        let shard_cfg = ShardConfig {
-            budget,
-            // A frontier holds at least one configuration: at cap 0 every
-            // commit would empty it, and an empty frontier reads as a
-            // violation.
-            gc: GcPolicy {
-                frontier_cap: gc.frontier_cap.max(1),
-                ..gc
-            },
-            obs,
-        };
-        let core = Core::new(
-            Arc::clone(model.adt()),
-            shard_cfg,
-            window,
-            model.phase_bounds(),
-        );
-        Monitor {
-            model,
-            partitioner,
-            keyed,
-            threads,
-            core,
-            cached: None,
-        }
-    }
-
-    /// Flips the forced-lossy-epoch-cut knob on the live monitor — the
-    /// daemon's backpressure shed. Turning it on lets every shard retire
-    /// truncated windows (memory over exactness: later would-be violation
-    /// verdicts downgrade to [`MonitorStatus::Unknown`]); all current and
-    /// future shards pick the change up immediately.
-    pub(crate) fn set_epoch_force(&mut self, on: bool) {
-        self.core.shard_cfg.gc.epoch_force = on;
-        for shard in self.core.shards.values_mut() {
-            shard.set_epoch_force(on);
-        }
-    }
-
-    /// Why this stream left the per-key fast path, or `None` while it is
-    /// on it. Cheap (field reads — nothing is computed), so it can be
-    /// polled per metrics tick; [`MonitorReport::fallback`] is the
-    /// report-time view of the same state, plus whatever the re-check of
-    /// the record finds. An uncertified stream counts as fallen back from
-    /// its first switch action on (the verdict defers to monolithic
-    /// re-checks).
-    pub(crate) fn fallback(&self) -> Option<FallbackReason> {
-        self.core.fallback.or_else(|| {
-            (self.core.wf.first_switch().is_some() && !self.keyed)
-                .then_some(FallbackReason::SwitchUncertified)
-        })
-    }
-
-    fn key_of(&self, input: &<M::Adt as Adt>::Input) -> Option<P::Key> {
-        self.partitioner.as_ref().and_then(|p| p.key_of(input))
-    }
-
-    /// Ingests the next event of the live stream; O(shard work) — no
-    /// re-check of the growing prefix.
-    pub(crate) fn ingest(&mut self, action: ObjAction<M::Adt, V>) -> IngestOutcome {
-        self.cached = None;
-        let was_quiet = self.core.wf.first_switch().is_some();
-        if action.is_switch() && !was_quiet && self.core.speculative {
-            self.core.keep_record();
-        }
-        // From the first switch on the verdict is decided (lin) or deferred
-        // to re-checks of the record (slin), so no shard result is read
-        // again: the shards stay quiet.
-        let routed = !(was_quiet || action.is_switch());
-        let key = routed.then(|| self.key_of(action.input())).flatten();
-        if routed && key.is_none() && self.core.fallback.is_none() {
-            self.core
-                .collapse_to_identity(FallbackReason::UnclassifiableInput);
-        }
-        let index = self.core.observe(&action);
-        let (frontier_len, fell_back) = if routed {
-            self.core.route(key, action, index)
-        } else {
-            (0, false)
-        };
-        IngestOutcome {
-            index,
-            frontier_len,
-            fell_back,
-            status: self.quick_status(),
-        }
-    }
-
-    /// O(1) rolling status: the validator's verdict and the shard tally
-    /// are both kept per event. Past a switch a speculative model reports
-    /// [`MonitorStatus::Deferred`] instead of forcing a batch re-check
-    /// ([`Monitor::status`] resolves it); a plain one is decided.
-    fn quick_status(&self) -> MonitorStatus {
-        if self.core.wf.first_switch().is_some() {
-            return if self.core.speculative {
-                MonitorStatus::Deferred
-            } else {
-                MonitorStatus::SwitchSeen
-            };
-        }
-        if self.core.wf.check().is_err() {
-            return MonitorStatus::IllFormed;
-        }
-        self.core.shard_status()
-    }
-
-    /// Number of events ingested so far.
-    pub(crate) fn events(&self) -> usize {
-        self.core.events
-    }
-
-    /// Aggregated shard-machinery counters at the current stream position
-    /// (the same [`ShardSummary`] the final report carries) — lets load
-    /// drivers sample the retained-memory proxy mid-stream without paying
-    /// for a report derivation.
-    pub(crate) fn shard_summary(&self) -> ShardSummary {
-        self.core.summary()
     }
 
     /// The exact rolling verdict. Cheap on switch-free streams; in
@@ -711,7 +467,7 @@ where
 
     /// The report of the current stream version, derived on first use.
     fn current_report(&mut self) -> &MonitorReport<M::Witness, M::Error> {
-        let events = self.core.events;
+        let events = self.events;
         if !matches!(&self.cached, Some((at, _)) if *at == events) {
             self.cached = Some((events, self.compute_report()));
         }
@@ -719,64 +475,67 @@ where
     }
 
     fn compute_report(&self) -> MonitorReport<M::Witness, M::Error> {
-        let core = &self.core;
-        let quiet = core.wf.first_switch().is_some();
+        let model = &self.closed.model;
+        let quiet = self.wf.first_switch().is_some();
         let base = MonitorReport {
-            verdict: Err(self.model.stream_error(StreamFailure::NotSatisfied)),
-            events: core.events,
-            shards: core.shards.len(),
+            verdict: Err(model.stream_error(StreamFailure::NotSatisfied)),
+            events: self.events,
+            shards: self.shards.len(),
             fallback: self.fallback(),
             remerged: false,
-            prefix_committed: core.prefix_committed,
+            prefix_committed: self.prefix_committed,
             reconstructed: false,
             stats: SearchStats::default(),
-            shard: core.summary(),
+            shard: self.shard_summary(),
         };
         // A bounded window reads the record once a prefix has retired (the
         // windows are then not the whole stream), and a speculative stream
         // once it has switched (its deferred verdict is the batch check of
         // the record); otherwise it searches its windows.
-        let windowed = core.window.is_some() && !(quiet && core.speculative);
-        if windowed || core.lost {
+        let windowed = self.window.is_some() && !(quiet && self.speculative());
+        if windowed || self.lost {
             // Batch precedence (signature, well-formedness, search): the
             // first two read off the validator the batch checkers fold,
             // which has seen the whole stream, not the window.
-            if let Err(invalid) = core.wf.check() {
+            if let Err(invalid) = self.wf.check() {
                 return MonitorReport {
-                    verdict: Err(self.model.stream_error(StreamFailure::Invalid(invalid))),
+                    verdict: Err(model.stream_error(StreamFailure::Invalid(invalid))),
                     ..base
                 };
             }
         }
-        if core.lost {
+        if self.lost {
             // The rebuild needed the record and it was gone: under-claim,
             // as a lossy shard does.
             let failure = StreamFailure::BudgetExhausted { nodes: 0 };
             return MonitorReport {
-                verdict: Err(self.model.stream_error(failure)),
+                verdict: Err(model.stream_error(failure)),
                 ..base
             };
         }
-        match &core.record {
-            Some(record) if !windowed || core.prefix_committed => {
-                // The batch path's own routine over the record. After a
-                // retirement the verdict (witness included) is the
-                // unbounded session's all the same: it is reconstructed.
-                if core.prefix_committed {
-                    core.shard_cfg.obs.archive_reconstruction();
+        match &self.record {
+            Some(record) if !windowed || self.prefix_committed => {
+                // The batch path's own routine over the record (observed
+                // there; window-mode reports are observed per shard by
+                // `ShardState::window_search`). After a retirement the
+                // verdict (witness included) is the unbounded session's
+                // all the same: it is reconstructed.
+                if self.prefix_committed {
+                    self.closed.obs.archive_reconstruction();
                 }
-                let (verdict, stats, partition) = self.batch_check(record);
+                let partitioner = self.closed.partitioner.as_ref();
+                let checked = self.closed.check(partitioner, record, "monitor.report");
                 MonitorReport {
-                    verdict,
-                    fallback: base.fallback.or(partition.and_then(|r| r.fallback)),
-                    remerged: partition.is_some_and(|r| r.remerged),
-                    reconstructed: core.prefix_committed,
-                    stats,
+                    verdict: checked.outcome,
+                    fallback: base.fallback.or(checked.partition.and_then(|r| r.fallback)),
+                    remerged: checked.partition.is_some_and(|r| r.remerged),
+                    reconstructed: self.prefix_committed,
+                    stats: checked.stats,
                     ..base
                 }
             }
             _ => {
-                let (merged, stats, remerged) = core.window_verdict(&|i| self.key_of(i));
+                let (merged, stats, remerged) = self.window_verdict();
                 let verdict = match merged {
                     // A window holds no switch action: the default leaf.
                     Ok(chain) => Ok(M::witness(
@@ -785,7 +544,7 @@ where
                         stats.interpretations,
                         stats,
                     )),
-                    Err(failure) => Err(self.model.stream_error(failure)),
+                    Err(failure) => Err(model.stream_error(failure)),
                 };
                 MonitorReport {
                     verdict,
@@ -797,39 +556,217 @@ where
         }
     }
 
-    /// A report-time batch check of the record — per class where it
-    /// decomposes (the partition report beside the verdict), whole
-    /// otherwise — reported to the observer; window-mode reports are
-    /// observed per shard by [`ShardState::window_search`].
-    fn batch_check(
-        &self,
-        closed: &Trace<ObjAction<M::Adt, V>>,
-    ) -> (
-        Result<M::Witness, M::Error>,
-        SearchStats,
-        Option<PartitionReport>,
-    ) {
-        let obs = &self.core.shard_cfg.obs;
-        let (budget, threads) = (self.core.shard_cfg.budget, self.threads);
-        let t0 = obs.t0();
-        let (verdict, stats, partition) =
-            match partition::decomposes(self.partitioner.as_ref(), self.keyed, closed) {
-                Some(p) => {
-                    let sv = partition::check(&self.model, p, closed, budget, threads);
-                    (sv.verdict, sv.report.stats, Some(sv.report))
+    /// The window-relative search + merge of a bounded-window report that
+    /// does not read the record: the merged commit chain in *global*
+    /// indices, or the first failing shard's engine outcome.
+    fn window_verdict(&self) -> WindowVerdict<<M::Adt as Adt>::Input> {
+        let mut stats = SearchStats::default();
+        let mut chains: Vec<ShardChain<'_, M::Adt, V, P::Key>> = Vec::new();
+        let mut first_error: Option<StreamFailure> = None;
+        for (key, shard) in self.shards.iter() {
+            let (result, shard_stats) = shard.window_search();
+            stats.absorb(&shard_stats);
+            match result {
+                Ok(Some((seed, chain, absorbed))) => chains.push(ShardChain {
+                    key,
+                    shard,
+                    seed,
+                    chain,
+                    absorbed,
+                }),
+                Ok(None) => {
+                    if first_error.is_none() {
+                        // After a lossy epoch cut, an exhausted search
+                        // space proves nothing: the dropped summary
+                        // configurations may have completed.
+                        first_error = Some(if shard.lossy() {
+                            StreamFailure::BudgetExhausted { nodes: 0 }
+                        } else {
+                            StreamFailure::NotSatisfied
+                        });
+                    }
                 }
-                None => {
-                    let (verdict, stats) = self.model.check_monolithic(closed, budget, threads);
-                    (verdict, stats, None)
+                Err(EngineError::BudgetExhausted { nodes }) => {
+                    if first_error.is_none() {
+                        first_error = Some(StreamFailure::BudgetExhausted { nodes });
+                    }
                 }
-            };
-        obs.engine_search(EngineSearchEvent {
-            site: "monitor.report",
-            nodes: stats.nodes as u64,
-            memo_hits: stats.memo_hits as u64,
-            budget_exhausted: budget_tripped::<M, V>(&verdict, &stats),
-            t0,
-        });
-        (verdict, stats, partition)
+            }
+        }
+        if let Some(e) = first_error {
+            return (Err(e), stats, false);
+        }
+        if chains.len() <= 1 {
+            let merged = chains
+                .pop()
+                .map(|c| remap_chain(c.chain, &c.shard.index_map))
+                .unwrap_or_default();
+            return (Ok(merged), stats, false);
+        }
+
+        // Rank-compact the global commit indices so the merge machinery can
+        // index bounds densely (memory stays O(window)).
+        let mut commit_indices: Vec<usize> = self.commit_bounds.keys().copied().collect();
+        commit_indices.sort_unstable();
+        let bounds_by_rank: Vec<_> = commit_indices
+            .iter()
+            .map(|i| self.commit_bounds[i].clone())
+            .collect();
+        let mut parts: Vec<(VecDeque<Step<_>>, PersistentMultiset<_>)> = Vec::new();
+        let mut seed_used = PersistentMultiset::new();
+        for c in &chains {
+            let ranks: Vec<usize> = c
+                .shard
+                .index_map
+                .iter()
+                .map(|&global| commit_indices.binary_search(&global).unwrap_or(usize::MAX))
+                .collect();
+            parts.push((
+                witness_steps(&c.chain, 0, |w| ranks[w]),
+                c.shard.pool().clone(),
+            ));
+            seed_used = seed_used.sum(&c.shard.seed(c.seed).used);
+        }
+        if let Some(chain) =
+            merge_partition_chains(&bounds_by_rank, parts, Vec::new(), seed_used.clone())
+        {
+            let merged = chain
+                .into_iter()
+                .map(|(rank, h)| (commit_indices[rank], h))
+                .collect();
+            return (Ok(merged), stats, false);
+        }
+
+        // Merge bailed (cross-bound coupling): re-derive monolithically
+        // over the combined window. The retired prefixes have no histories
+        // left, so the monolithic state is assembled as a *product* over
+        // the shard keys (sound exactly because multi-shard mode implies
+        // every input classifies — the Partitioner product contract).
+        // Fixing each shard to the seed its own window_search picked is
+        // complete, not a guess: inputs of distinct shards are disjoint,
+        // so interleaving the per-shard chains in global commit order
+        // satisfies every (monotone, per-input) bound the shards already
+        // satisfied locally — a completion from exactly these seeds is
+        // guaranteed to exist, and the engine's exhaustive search finds
+        // one (only a budget trip, reported as such, can stop it).
+        let product = ProductAdt {
+            adt: &**self.closed.model.adt(),
+            partitioner: self
+                .closed
+                .partitioner
+                .as_ref()
+                .expect("multi-shard mode has a partitioner"),
+        };
+        let mut state = BTreeMap::new();
+        let mut absorbed_globals: HashSet<usize> = HashSet::new();
+        for c in &chains {
+            let key = c
+                .key
+                .as_ref()
+                .expect("multi-shard mode classifies every input");
+            state.insert(key.clone(), c.shard.seed(c.seed).state.clone());
+            // A commit absorbed by the chosen seed's symbolic completions
+            // is already explained (and its input already consumed) by
+            // that seed's state — the product search must not place it
+            // again.
+            for &w in &c.absorbed {
+                absorbed_globals.insert(c.shard.index_map[w]);
+            }
+        }
+        let events = self.window_events();
+        let trace: Vec<ObjAction<M::Adt, V>> = events.iter().map(|(_, a)| a.clone()).collect();
+        let globals: Vec<usize> = events.iter().map(|(i, _)| *i).collect();
+        let commits: Vec<Commit<ProductAdt<'_, M::Adt, P>>> = trace
+            .iter()
+            .enumerate()
+            .filter(|(p, _)| !absorbed_globals.contains(&globals[*p]))
+            .filter_map(|(p, a)| match a {
+                Action::Respond {
+                    client,
+                    input,
+                    output,
+                    ..
+                } => Some(Commit {
+                    index: p,
+                    client: *client,
+                    input: input.clone(),
+                    output: output.clone(),
+                }),
+                _ => None,
+            })
+            .collect();
+        let empty = PersistentMultiset::new();
+        let bounds: Vec<_> = (0..=trace.len())
+            .map(|p| {
+                if p < trace.len() && trace[p].is_respond() {
+                    self.commit_bounds[&globals[p]].clone()
+                } else {
+                    empty.clone()
+                }
+            })
+            .collect();
+        let engine = CheckerEngine::new(
+            &product,
+            &commits,
+            &bounds,
+            self.invoked.clone(),
+            SearchBudget::new(self.closed.budget),
+        );
+        let seed = SearchSeed::<ProductAdt<'_, M::Adt, P>> {
+            history: Vec::new(),
+            state,
+            used: seed_used,
+        };
+        let (found, product_stats) = engine.first_solution(seed, &|_| Some(()));
+        stats.absorb(&product_stats);
+        let merged = match found {
+            Ok(Some((chain, ()))) => Ok(remap_chain(chain, &globals)),
+            Ok(None) => Err(StreamFailure::NotSatisfied),
+            Err(EngineError::BudgetExhausted { nodes }) => {
+                Err(StreamFailure::BudgetExhausted { nodes })
+            }
+        };
+        (merged, stats, true)
     }
+}
+
+/// The product ADT over shard keys: routes every input to its class's
+/// component state. Sound exactly where it is used — multi-shard merges,
+/// where the [`Partitioner`] contract makes the monitored ADT a product
+/// over the keys it emits.
+struct ProductAdt<'a, T, P> {
+    adt: &'a T,
+    partitioner: &'a P,
+}
+
+impl<T: Adt, P: Partitioner<T>> Adt for ProductAdt<'_, T, P> {
+    type Input = T::Input;
+    type Output = T::Output;
+    type State = BTreeMap<P::Key, T::State>;
+
+    fn initial(&self) -> Self::State {
+        BTreeMap::new()
+    }
+
+    fn apply(&self, state: &Self::State, input: &Self::Input) -> (Self::State, Self::Output) {
+        let key = self
+            .partitioner
+            .key_of(input)
+            .expect("multi-shard mode classifies every input");
+        let component = state
+            .get(&key)
+            .cloned()
+            .unwrap_or_else(|| self.adt.initial());
+        let (next, out) = self.adt.apply(&component, input);
+        let mut map = state.clone();
+        map.insert(key, next);
+        (map, out)
+    }
+}
+
+fn remap_chain<I>(chain: Chain<I>, index_map: &[usize]) -> Chain<I> {
+    chain
+        .into_iter()
+        .map(|(sub, h)| (index_map[sub], h))
+        .collect()
 }

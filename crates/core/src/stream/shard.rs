@@ -937,8 +937,7 @@ where
                 self.pool().clone(),
                 SearchBudget::new(self.cfg.budget),
             );
-            let (found, seed_stats) =
-                engine.first_solution(shard_seed.seed.clone(), &mut |_, _| Some(()));
+            let (found, seed_stats) = engine.first_solution(shard_seed.seed.clone(), &|_| Some(()));
             stats.absorb(&seed_stats);
             match found {
                 Ok(Some((chain, ()))) => {

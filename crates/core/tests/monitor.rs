@@ -390,3 +390,135 @@ fn a_zero_frontier_cap_keeps_a_linearizable_stream_ok() {
         }
     }
 }
+
+/// A GC window of 0 reads as 1, on the builder and in the strategy alike: a
+/// never-quiescent straggler stream still cuts epochs. (Taken literally, a
+/// window of 0 made every length but 0 a non-multiple of it, so a shard
+/// with a pending invocation never cut and kept every event.)
+#[test]
+fn a_zero_window_retires_as_a_window_of_one() {
+    use slin_core::gen::{random_hostile_kv_trace, HostileConfig};
+    use slin_core::stream::ShardSummary;
+    let summary = |t: &Trace<ObjAction<KvStore, ()>>, builder_window: Option<usize>, window| {
+        let mut builder = Checker::builder(LinChecker::owned(KvStore))
+            .partitioner(KvKeyPartitioner)
+            .strategy(Strategy::Streaming { window });
+        if let Some(w) = builder_window {
+            builder = builder.window(w);
+        }
+        let mut mon: KvStream = builder.build();
+        for a in t.iter() {
+            mon.ingest(a.clone());
+        }
+        let report = mon.report().unwrap();
+        assert!(report.verdict.is_ok(), "linearizable by construction");
+        report.shard
+    };
+    for seed in 0..3 {
+        let t = random_hostile_kv_trace(&HostileConfig {
+            clients: 3,
+            steps: 120,
+            keys: 2,
+            never_frac: 0.05,
+            seed,
+            ..HostileConfig::default()
+        });
+        let one: ShardSummary = summary(&t, Some(1), None);
+        assert!(one.retired_events > 0, "seed {seed}: {one:?}");
+        assert_eq!(summary(&t, Some(0), None), one, "seed {seed}");
+        assert_eq!(summary(&t, None, Some(0)), one, "seed {seed}");
+    }
+}
+
+/// Two keys written in turn by one client, `rounds` puts each: quiescent
+/// after every response.
+fn quiescent_two_key_prefix(rounds: u64) -> Vec<ObjAction<KvStore, ()>> {
+    let mut actions = Vec::new();
+    for round in 0..rounds {
+        for key in [1, 2] {
+            let put = KvInput::Put(key, round + 100);
+            actions.push(Action::invoke(c(1), ph(), put));
+            actions.push(Action::respond(c(1), ph(), put, KvOutput::Ack));
+        }
+    }
+    actions
+}
+
+/// The cross-blocked stream after a quiescent prefix both shards retire:
+/// with no record kept, the window report re-derives its witness as one
+/// product search from the seeds the retirements left — the product path
+/// past a retirement.
+#[test]
+fn a_cross_blocked_stream_remerges_after_both_shards_retire() {
+    let mut actions = quiescent_two_key_prefix(4);
+    actions.extend([
+        Action::invoke(c(2), ph(), KvInput::Put(2, 9)),
+        Action::invoke(c(4), ph(), KvInput::Get(2)),
+        Action::respond(c(4), ph(), KvInput::Get(2), KvOutput::Found(Some(9))),
+        Action::invoke(c(1), ph(), KvInput::Put(1, 7)),
+        Action::invoke(c(3), ph(), KvInput::Get(1)),
+        Action::respond(c(3), ph(), KvInput::Get(1), KvOutput::Found(Some(7))),
+    ]);
+    let t = Trace::from_actions(actions);
+    assert!(LinChecker::owned(KvStore).check(&t).is_ok());
+    let mut mon = kv_window_monitor(4);
+    for a in t.iter() {
+        mon.ingest(a.clone());
+    }
+    let report = mon.report().unwrap();
+    assert!(report.remerged && report.prefix_committed, "{report:?}");
+    assert!(!report.reconstructed);
+    assert_eq!(report.shard.archived_events, 0, "archive_windows = 0");
+    assert!(report.verdict.is_ok(), "{report:?}");
+    assert_eq!(report.shards, 2);
+}
+
+/// Records every engine search a session reports.
+#[derive(Default)]
+struct Searches(std::sync::Mutex<Vec<slin_obs::EngineSearchEvent>>);
+
+impl slin_obs::Observer for Searches {
+    fn engine_search(&self, ev: &slin_obs::EngineSearchEvent) {
+        self.0.lock().unwrap().push(ev.clone());
+    }
+}
+
+/// A bounded-window report that re-checks the record runs the batch
+/// routine under the session's budget, and the observer sees it once, as
+/// the monitor's: one `"monitor.report"` search, budget tripped, carrying
+/// the report's node count.
+#[test]
+fn a_reconstructed_report_under_a_tripped_budget_is_one_observed_search() {
+    use slin_core::stream::GcPolicy;
+    use std::sync::Arc;
+    let t = Trace::from_actions(quiescent_two_key_prefix(6));
+    let seen = Arc::new(Searches::default());
+    let mut mon: KvStream = Checker::builder(LinChecker::owned(KvStore))
+        .partitioner(KvKeyPartitioner)
+        .strategy(Strategy::Streaming { window: Some(4) })
+        .gc_policy(GcPolicy {
+            archive_windows: usize::MAX,
+            ..GcPolicy::default()
+        })
+        .budget(4)
+        .observer(slin_obs::Obs::new(seen.clone()))
+        .build();
+    for a in t.iter() {
+        mon.ingest(a.clone());
+    }
+    let before = seen.0.lock().unwrap().len();
+    let report = mon.report().unwrap();
+    assert!(
+        report.prefix_committed && report.reconstructed,
+        "{report:?}"
+    );
+    assert!(
+        matches!(report.verdict, Err(LinError::BudgetExhausted { .. })),
+        "{report:?}"
+    );
+    let evs = seen.0.lock().unwrap()[before..].to_vec();
+    assert_eq!(evs.len(), 1, "{evs:?}");
+    assert_eq!(evs[0].site, "monitor.report");
+    assert!(evs[0].budget_exhausted);
+    assert_eq!(evs[0].nodes, report.stats.nodes as u64);
+}

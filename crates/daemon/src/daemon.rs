@@ -131,7 +131,8 @@ impl TenantPolicy {
     /// `epoch_force`, `frontier_cap`, `archive` (witness-archive depth in
     /// retired windows; `0` disables). Unset keys keep their
     /// defaults; the last three write straight into the embedded
-    /// [`GcPolicy`]. Any other key, and `frontier_cap=0`, is an error.
+    /// [`GcPolicy`]. Any other key, `frontier_cap=0` and `window=0` are
+    /// errors.
     pub fn parse(spec: &str) -> Result<Self, String> {
         let mut policy = TenantPolicy::default();
         for part in spec.split(',').filter(|p| !p.is_empty()) {
@@ -144,7 +145,10 @@ impl TenantPolicy {
                 "window" => {
                     policy.window = match value {
                         "none" => None,
-                        v => Some(v.parse().map_err(|e| bad(&e))?),
+                        v => match v.parse().map_err(|e| bad(&e))? {
+                            0 => return Err(bad(&"a window holds at least one event")),
+                            window => Some(window),
+                        },
                     }
                 }
                 "lossy" => policy.shed_lossy = value.parse().map_err(|e| bad(&e))?,
@@ -928,6 +932,11 @@ mod tests {
             TenantPolicy::parse("frontier_cap=0"),
             Err("bad value for `frontier_cap`: a frontier holds at least one configuration".into())
         );
+        assert_eq!(
+            TenantPolicy::parse("window=0"),
+            Err("bad value for `window`: a window holds at least one event".into())
+        );
+        assert_eq!(TenantPolicy::parse("window=1").unwrap().window, Some(1));
         // Retired knobs are unknown keys like any other: typed errors. (The
         // certificate knob is spelled in halves so that CI's grep keeping
         // it dead in the sources does not match its own pin.)
