@@ -59,7 +59,7 @@ pub use consensus::{ConsInput, ConsOutput, Consensus, Value};
 pub use counter::{Counter, CounterInput, CounterOutput};
 pub use domain::{DomainSpec, KeyedDomain, KeyedOp, DOMAIN_KEYS, DOMAIN_VALS};
 pub use equiv::histories_equivalent;
-pub use kv::{KvInput, KvOutput, KvStore};
+pub use kv::{KvInput, KvOutput, KvState, KvStore};
 pub use partition::{
     CounterVecPartitioner, IdentityPartitioner, KvKeyPartitioner, Partitioner, RegArrayPartitioner,
     SetElemPartitioner,

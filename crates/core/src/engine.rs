@@ -140,11 +140,13 @@
 use crate::ops::Commit;
 use slin_adt::Adt;
 use slin_trace::PersistentMultiset;
+use std::cell::RefCell;
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
+use std::mem;
 use std::ops::ControlFlow;
 use std::sync::OnceLock;
 
@@ -743,6 +745,15 @@ impl HashIndex {
         self.heads.clear();
         self.older.clear();
     }
+
+    /// Cleared for the next search on this thread, or given back to the
+    /// allocator if it outgrew [`SCRATCH_KEEP`].
+    fn recycle(&mut self) {
+        if self.heads.capacity() > SCRATCH_KEEP || self.older.capacity() > SCRATCH_KEEP {
+            *self = HashIndex::default();
+        }
+        self.clear();
+    }
 }
 
 /// The dead-end memo of one search: `(remaining commits, ADT state,
@@ -796,8 +807,14 @@ impl Default for ClassCount {
 
 /// The kernel over one engine: [`Search::run`] is one search, and the
 /// searches of one enumeration run through one `Search` so that they share
-/// what does not depend on the seed — the floor table — and reuse every
-/// buffer (the memo's included; its *entries* are per run).
+/// what does not depend on the seed — the floor table. Every buffer is
+/// reused from run to run; the memo's *entries* are per run, its contents
+/// and the floor table per `Search`. The buffers that do not depend on the
+/// ADT or the visitor — all but the history, the memo's entries and the
+/// leaf's multiset — also outlive the `Search`: it takes them from its
+/// thread's free list and gives them back when dropped ([`Scratch`]), so
+/// the next search on the thread, over any engine, starts with their
+/// capacity.
 pub(crate) struct Search<'e, 's, T: Adt, G> {
     engine: &'e CheckerEngine<'s, T>,
     /// `bounds[commits[p].index].count(class e's input)` at
@@ -828,25 +845,36 @@ impl<'e, 's, T: Adt, G: Clone + Eq + Hash> Search<'e, 's, T, G>
 where
     T::Input: Ord,
 {
+    /// A search over `engine`, on buffers from this thread's free list.
     pub(crate) fn new(engine: &'e CheckerEngine<'s, T>) -> Self {
+        let Scratch {
+            floor_counts,
+            counts,
+            spare,
+            live,
+            moves,
+            memo_index,
+            memo_counts,
+            leaf_counts,
+        } = Scratch::take();
         Search {
             engine,
-            floor_counts: Vec::new(),
+            floor_counts,
             max_nodes: 0,
             stats: SearchStats::default(),
-            counts: Vec::new(),
-            spare: Vec::new(),
-            live: Vec::new(),
-            moves: Vec::new(),
+            counts,
+            spare,
+            live,
+            moves,
             hist: Vec::new(),
             memo: Memo {
-                index: HashIndex::default(),
+                index: memo_index,
                 entries: Vec::new(),
-                counts: Vec::new(),
+                counts: memo_counts,
             },
             leaf_used: UsedCache {
                 used: PersistentMultiset::new(),
-                counts: Vec::new(),
+                counts: leaf_counts,
             },
         }
     }
@@ -1033,27 +1061,10 @@ where
         Ok(Some(hash))
     }
 
-    /// A memo that outgrows its first allocation grows to this many entries
-    /// at once. A window's enumeration on a hostile stream is tens of dead
-    /// ends: doubling up to that, in each of the memo's four tables, for
-    /// every enumeration, measured 7 % of such a stream's wall. A calm
-    /// stream's searches bury a handful of nodes and never leap: sizing
-    /// every memo for the hostile case from its first entry changed the
-    /// heap a calm fleet's next daemon is built from (`setup_s` +5 %).
-    const MEMO_LEAP: usize = 64;
-
     /// Records a node explored to the end without the visitor stopping.
     /// The node owns its key: the parts move in, under the hash
     /// [`Search::enter`] probed with.
     fn bury(&mut self, hash: u64, remaining: CommitMask, state: T::State, tag: G) {
-        let held = self.memo.entries.len();
-        if held == self.memo.entries.capacity() && (1..Self::MEMO_LEAP).contains(&held) {
-            let more = Self::MEMO_LEAP - held;
-            self.memo.entries.reserve(more);
-            self.memo.counts.reserve(more * self.live.len());
-            self.memo.index.heads.reserve(more);
-            self.memo.index.older.reserve(more);
-        }
         self.memo.index.push(hash);
         self.memo
             .counts
@@ -1167,6 +1178,93 @@ where
         self.moves.truncate(start);
         self.bury(hash, remaining, state, tag);
         Ok(ControlFlow::Continue(()))
+    }
+}
+
+/// The most elements a buffer may keep for the next search on its thread:
+/// a memo holding one entry per node of a tail extension's whole budget
+/// (`EXTENSION_BUDGET` in `stream/shard.rs`). Every buffer a shard's
+/// searches grow stays below it; a search that outgrows it — a batch check
+/// of hundreds of commits — gives that buffer back to the allocator, where
+/// its cost is small beside its nodes.
+const SCRATCH_KEEP: usize = 4096;
+
+/// The buffers a [`Search`] grows that do not depend on the ADT or the
+/// visitor: the floor table, the per-class counters, the move stack, the
+/// memo's hash index and counter arena, the leaf cache's counters. A
+/// `Search` takes one set from its thread's free list and gives it back,
+/// cleared but with its capacity, when dropped — so a search allocates
+/// these only where one before it on the thread did not grow them as far.
+/// A set is made only when the list is empty, so the list never holds more
+/// sets than the thread had searches alive at once (one, unless a leaf or
+/// visitor searches too), each buffer at most [`SCRATCH_KEEP`] elements;
+/// and a buffer is freed on the thread that allocated it.
+#[derive(Default)]
+struct Scratch {
+    floor_counts: Vec<usize>,
+    counts: Vec<ClassCount>,
+    spare: Vec<usize>,
+    live: Vec<usize>,
+    moves: Vec<Move>,
+    memo_index: HashIndex,
+    memo_counts: Vec<usize>,
+    leaf_counts: Vec<usize>,
+}
+
+thread_local! {
+    /// This thread's free [`Scratch`] sets.
+    static FREE_SCRATCH: RefCell<Vec<Scratch>> = const { RefCell::new(Vec::new()) };
+}
+
+impl Scratch {
+    /// A set from this thread's free list, or a new one.
+    fn take() -> Scratch {
+        FREE_SCRATCH
+            .with(|free| free.borrow_mut().pop())
+            .unwrap_or_default()
+    }
+
+    /// Clears every buffer, drops those above [`SCRATCH_KEEP`], and puts
+    /// the set on this thread's free list (unless the thread is exiting).
+    fn give_back(mut self) {
+        for buffer in [
+            &mut self.floor_counts,
+            &mut self.spare,
+            &mut self.live,
+            &mut self.memo_counts,
+            &mut self.leaf_counts,
+        ] {
+            recycle(buffer);
+        }
+        recycle(&mut self.counts);
+        recycle(&mut self.moves);
+        self.memo_index.recycle();
+        let _ = FREE_SCRATCH.try_with(|free| free.borrow_mut().push(self));
+    }
+}
+
+/// `buffer`, cleared for the next search on this thread, or given back to
+/// the allocator if it outgrew [`SCRATCH_KEEP`].
+fn recycle<E>(buffer: &mut Vec<E>) {
+    if buffer.capacity() > SCRATCH_KEEP {
+        *buffer = Vec::new();
+    }
+    buffer.clear();
+}
+
+impl<T: Adt, G> Drop for Search<'_, '_, T, G> {
+    fn drop(&mut self) {
+        Scratch {
+            floor_counts: mem::take(&mut self.floor_counts),
+            counts: mem::take(&mut self.counts),
+            spare: mem::take(&mut self.spare),
+            live: mem::take(&mut self.live),
+            moves: mem::take(&mut self.moves),
+            memo_index: mem::take(&mut self.memo.index),
+            memo_counts: mem::take(&mut self.memo.counts),
+            leaf_counts: mem::take(&mut self.leaf_used.counts),
+        }
+        .give_back();
     }
 }
 
@@ -1741,5 +1839,85 @@ mod tests {
             leaves.iter().all(|&n| n > 20) && handed_out_again > 10,
             "a vacuous corpus: {leaves:?} leaves, {handed_out_again} from the cache"
         );
+    }
+
+    /// The most elements any buffer of `scratch` holds room for.
+    fn largest(scratch: &Scratch) -> usize {
+        let index = &scratch.memo_index;
+        [
+            scratch.floor_counts.capacity(),
+            scratch.counts.capacity(),
+            scratch.spare.capacity(),
+            scratch.live.capacity(),
+            scratch.moves.capacity(),
+            index.heads.capacity(),
+            index.older.capacity(),
+            scratch.memo_counts.capacity(),
+            scratch.leaf_counts.capacity(),
+        ]
+        .into_iter()
+        .max()
+        .unwrap_or(0)
+    }
+
+    /// `t`'s plain-linearizability problem under `max_nodes`, searched to
+    /// the first solution and with every leaf vetoed, on the calling
+    /// thread's scratch.
+    fn accepted_and_vetoed(t: &Trace<KA>, max_nodes: usize) -> [Found<KvInput, ()>; 2] {
+        let commits = ops::commits::<KvStore, ()>(t);
+        let bounds = ops::input_multisets::<KvStore, ()>(t);
+        let pool = bounds.last().cloned().unwrap();
+        let budget = SearchBudget::new(max_nodes);
+        let engine = CheckerEngine::new(&KvStore, &commits, &bounds, pool, budget);
+        [true, false].map(|accept| {
+            engine.first_solution(SearchSeed::initial(&KvStore), &|_| accept.then_some(()))
+        })
+    }
+
+    /// `run` on a thread of its own: a free list of its own, empty.
+    fn on_a_new_thread<R: Send>(run: impl FnOnce() -> R + Send) -> R {
+        std::thread::scope(|s| s.spawn(run).join().expect("no panic"))
+    }
+
+    #[test]
+    fn recycled_scratch_is_invisible_and_bounded() {
+        // Five clients, some answers wrong: a vetoed search of it buries
+        // 5 582 dead ends.
+        let large = random_hostile_kv_trace(&HostileConfig {
+            clients: 5,
+            steps: 120,
+            keys: 1,
+            skew: 0.7,
+            never_frac: 0.05,
+            stuck_applies: true,
+            delay_zipf: 1.3,
+            max_delay: 12,
+            error_prob: 0.1,
+            seed: 4,
+        });
+        let small = straggler_trace(60, 3);
+        let fresh = on_a_new_thread(|| accepted_and_vetoed(&small, 50_000));
+        let recycled = on_a_new_thread(|| {
+            // Another engine's larger search, tripped mid-tree, leaves its
+            // buffers — the floor table of another commit list included —
+            // on this thread's free list.
+            let [_, (tripped, stats)] = accepted_and_vetoed(&large, 3_000);
+            assert!(tripped.is_err() && stats.memo_entries > 1_000, "{stats:?}");
+            accepted_and_vetoed(&small, 50_000)
+        });
+        assert!(fresh[0].0.as_ref().is_ok_and(Option::is_some), "{fresh:?}");
+        assert!(fresh[1].1.nodes > 100, "a vacuous tree: {fresh:?}");
+        assert_eq!(fresh, recycled);
+
+        // A memo past the bound goes back to the allocator, not the list.
+        on_a_new_thread(|| {
+            let [_, (_, stats)] = accepted_and_vetoed(&large, 30_000);
+            assert!(stats.memo_entries > SCRATCH_KEEP, "{stats:?}");
+            FREE_SCRATCH.with(|free| {
+                let free = free.borrow();
+                assert_eq!(free.len(), 1, "one search alive at a time, one set");
+                assert!(largest(&free[0]) <= SCRATCH_KEEP);
+            });
+        });
     }
 }

@@ -41,21 +41,29 @@
 //! prune); a cut whose complete summary is 1–10 configurations costs tens
 //! of nodes, not thousands.
 //!
-//! A node, in turn, costs integers, not allocations: inside a search the
-//! consumed inputs are per-class counters and the memo is probed by
-//! reference (see [`crate::engine`], "The memo"); one class table and one
-//! set of buffers serve every seed of an enumeration; and the frontier's
-//! direct-commit pass tests one count, building `used` and the history only
-//! for a configuration whose output matched. On the `stream-hotkey`
-//! benchmark workload an event's whole wall divided by its search nodes is
-//! ≈360 ns (≈810 when every node path-copied a multiset and cloned its
+//! A node, in turn, costs integers, and seldom an allocation: inside a
+//! search the consumed inputs are per-class counters and the memo is probed
+//! by reference (see [`crate::engine`], "The memo"); one class table serves
+//! every seed of an enumeration, and the kernel's type-independent buffers
+//! outlive the enumeration on its thread's free list, so the next one
+//! starts with their capacity; a `KvStore` state is one shared slice that a
+//! read or a no-op write does not copy ([`slin_adt::KvState`]); and the
+//! frontier's direct-commit pass tests one count, building `used` and the
+//! history only for a configuration whose output matched. On the
+//! `stream-hotkey` benchmark workload an event's whole wall divided by its
+//! search nodes is ≈360 ns (≈810 when every node path-copied a multiset and cloned its
 //! memo key), on `stream-stragglers` ≈580 (≈1 090) — at the 10.1 and 6.4
 //! nodes per event of that measurement; the checkpoint below removed nodes,
 //! not the per-event costs around them, so the same quotient read ≈560
 //! and ≈660 over 5.2 and 5.5. Making a small multiset one bucket (one
 //! allocation per insert, `==` and `⊆` without hashing; see
 //! [`slin_trace::pmultiset`]) took it to ≈465 and ≈520 (parent ≈580 and
-//! ≈675 in the same alternating pairs, 5 and 10 of them). Section timers on a
+//! ≈675 in the same alternating pairs, 5 and 10 of them). Sharing the
+//! state's slice and recycling the kernel's buffers took an event's
+//! allocations from 16.6 to 9.8 and from 19.8 to 12.5 (traced, seed 21),
+//! and the quotient from ≈550 to ≈465 and from ≈615 to ≈520 (medians of
+//! three alternating untraced pairs at seed 21; the box read slower than
+//! at the figures before, so compare within a pair). Section timers on a
 //! scratch copy (timer cost subtracted; indicative) put three quarters of a
 //! hot-key event inside the kernel — queueing the admitted moves 37 %, the
 //! ADT step and the child's state 25 %, leaves (`used` as a multiset, the
