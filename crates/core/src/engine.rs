@@ -545,20 +545,25 @@ where
     T::Input: Ord,
 {
     /// Creates an engine over the given commits and validity bounds. Any
-    /// commit count is accepted ([`CommitMask`] has no ceiling).
+    /// commit count is accepted ([`CommitMask`] has no ceiling). `pool`
+    /// lists every input a history may consume with its multiplicity, each
+    /// input once, in any order: a multiset's walk or a sorted slice.
     ///
     /// `commits` must ascend in trace index and `bounds` must be monotone
     /// along them (`bounds[c.index] ⊆ bounds[c'.index]` for `c` before
     /// `c'`), as the cumulative bounds of Definitions 10 and 26 are; the
     /// feasibility prune reads "the tightest bound among the remaining
     /// commits" off the earliest one. Debug builds assert it.
-    pub(crate) fn new(
+    pub(crate) fn new<'p>(
         adt: &'s T,
         commits: &'s [Commit<T>],
         bounds: &'s [PersistentMultiset<T::Input>],
-        pool: PersistentMultiset<T::Input>,
+        pool: impl IntoIterator<Item = (&'p T::Input, usize)>,
         budget: SearchBudget,
-    ) -> Self {
+    ) -> Self
+    where
+        T::Input: 'p,
+    {
         debug_assert!(
             commits
                 .windows(2)
@@ -569,7 +574,7 @@ where
         // Classes: pool inputs with their multiplicity, commit inputs the
         // pool lacks with none. Sorting puts the pool's entry first.
         let mut classes: Vec<(T::Input, usize)> = pool
-            .iter()
+            .into_iter()
             .map(|(e, n)| (e.clone(), n))
             .chain(commits.iter().map(|c| (c.input.clone(), 0)))
             .collect();
@@ -1328,8 +1333,13 @@ mod tests {
         let commits = ops::commits::<Consensus, ()>(&t);
         let bounds = ops::input_multisets::<Consensus, ()>(&t);
         let pool = bounds.last().cloned().unwrap();
-        let engine =
-            CheckerEngine::new(&Consensus, &commits, &bounds, pool, SearchBudget::default());
+        let engine = CheckerEngine::new(
+            &Consensus,
+            &commits,
+            &bounds,
+            pool.iter(),
+            SearchBudget::default(),
+        );
         let (found, stats) = engine.first_solution(SearchSeed::initial(&Consensus), &|_| Some(()));
         let (chain, ()) = found.unwrap().expect("linearizable");
         assert_eq!(chain.len(), 2);
@@ -1344,8 +1354,13 @@ mod tests {
         let commits = ops::commits::<Consensus, ()>(&t);
         let bounds = ops::input_multisets::<Consensus, ()>(&t);
         let pool = bounds.last().cloned().unwrap();
-        let engine =
-            CheckerEngine::new(&Consensus, &commits, &bounds, pool, SearchBudget::default());
+        let engine = CheckerEngine::new(
+            &Consensus,
+            &commits,
+            &bounds,
+            pool.iter(),
+            SearchBudget::default(),
+        );
         let (found, stats) =
             engine.first_solution(SearchSeed::initial(&Consensus), &|_| None::<()>);
         assert!(found.unwrap().is_none());
@@ -1358,7 +1373,13 @@ mod tests {
         let commits = ops::commits::<Consensus, ()>(&t);
         let bounds = ops::input_multisets::<Consensus, ()>(&t);
         let pool = bounds.last().cloned().unwrap();
-        let engine = CheckerEngine::new(&Consensus, &commits, &bounds, pool, SearchBudget::new(1));
+        let engine = CheckerEngine::new(
+            &Consensus,
+            &commits,
+            &bounds,
+            pool.iter(),
+            SearchBudget::new(1),
+        );
         let (found, stats) = engine.first_solution(SearchSeed::initial(&Consensus), &|_| Some(()));
         assert_eq!(found, Err(EngineError::BudgetExhausted { nodes: 2 }));
         assert_eq!(stats.nodes, 2, "the tripped search reports its work");
@@ -1403,9 +1424,14 @@ mod tests {
         let commits = ops::commits::<KvStore, ()>(&t);
         let bounds = ops::input_multisets::<KvStore, ()>(&t);
         let pool = bounds.last().cloned().unwrap();
-        let (found, stats) =
-            CheckerEngine::new(&KvStore, &commits, &bounds, pool, SearchBudget::default())
-                .first_solution(SearchSeed::initial(&KvStore), &|_| (!veto).then_some(()));
+        let (found, stats) = CheckerEngine::new(
+            &KvStore,
+            &commits,
+            &bounds,
+            pool.iter(),
+            SearchBudget::default(),
+        )
+        .first_solution(SearchSeed::initial(&KvStore), &|_| (!veto).then_some(()));
         (found.unwrap(), stats)
     }
 
@@ -1472,7 +1498,13 @@ mod tests {
         let mut bounds = ops::input_multisets::<Consensus, ()>(&t);
         let pool = bounds.last().cloned().unwrap();
         bounds[commits[1].index] = PersistentMultiset::new();
-        let _ = CheckerEngine::new(&Consensus, &commits, &bounds, pool, SearchBudget::default());
+        let _ = CheckerEngine::new(
+            &Consensus,
+            &commits,
+            &bounds,
+            pool.iter(),
+            SearchBudget::default(),
+        );
     }
 
     #[test]
@@ -1494,8 +1526,13 @@ mod tests {
         let commits = ops::commits::<Consensus, ()>(&t);
         let bounds = ops::input_multisets::<Consensus, ()>(&t);
         let pool = bounds.last().cloned().unwrap();
-        let engine =
-            CheckerEngine::new(&Consensus, &commits, &bounds, pool, SearchBudget::default());
+        let engine = CheckerEngine::new(
+            &Consensus,
+            &commits,
+            &bounds,
+            pool.iter(),
+            SearchBudget::default(),
+        );
         let (found, _) = engine.first_solution(SearchSeed::initial(&Consensus), &|_| Some(()));
         let (chain, ()) = found.unwrap().expect("70 chained decisions linearize");
         assert_eq!(chain.len(), 70);
@@ -1540,8 +1577,13 @@ mod tests {
             b.insert(ConsInput::propose(2));
         }
         let pool = bounds.last().cloned().unwrap();
-        let engine =
-            CheckerEngine::new(&Consensus, &commits, &bounds, pool, SearchBudget::default());
+        let engine = CheckerEngine::new(
+            &Consensus,
+            &commits,
+            &bounds,
+            pool.iter(),
+            SearchBudget::default(),
+        );
         let seed = SearchSeed::from_history(&Consensus, vec![ConsInput::propose(2)]);
         let (found, _) = engine.first_solution(seed, &|_| Some(()));
         let (chain, ()) = found.unwrap().expect("explained by the seeded history");
@@ -1649,7 +1691,13 @@ mod tests {
         let commits = ops::commits::<KvStore, ()>(t);
         let bounds = ops::input_multisets::<KvStore, ()>(t);
         let pool = bounds.last().cloned().unwrap();
-        let engine = CheckerEngine::new(&KvStore, &commits, &bounds, pool, SearchBudget::default());
+        let engine = CheckerEngine::new(
+            &KvStore,
+            &commits,
+            &bounds,
+            pool.iter(),
+            SearchBudget::default(),
+        );
         let seed = || SearchSeed::initial(&KvStore);
         let first = engine.first_solution(seed(), &|_| Some(()));
         let (vetoed, veto_stats) = engine.first_solution(seed(), &|_| None::<()>);
@@ -1819,8 +1867,13 @@ mod tests {
                     .map(|m| base.sum(m))
                     .collect();
                 let pool = bounds.last().cloned().unwrap();
-                let engine =
-                    CheckerEngine::new(&KvStore, &commits, &bounds, pool, SearchBudget::default());
+                let engine = CheckerEngine::new(
+                    &KvStore,
+                    &commits,
+                    &bounds,
+                    pool.iter(),
+                    SearchBudget::default(),
+                );
                 let mut visitor = UsedIsElems {
                     seed: &seed,
                     last: None,
@@ -1868,7 +1921,7 @@ mod tests {
         let bounds = ops::input_multisets::<KvStore, ()>(t);
         let pool = bounds.last().cloned().unwrap();
         let budget = SearchBudget::new(max_nodes);
-        let engine = CheckerEngine::new(&KvStore, &commits, &bounds, pool, budget);
+        let engine = CheckerEngine::new(&KvStore, &commits, &bounds, pool.iter(), budget);
         [true, false].map(|accept| {
             engine.first_solution(SearchSeed::initial(&KvStore), &|_| accept.then_some(()))
         })

@@ -105,18 +105,41 @@ pub trait InitRelation<I> {
         out
     }
 
-    /// Projects a switch value onto one independence class: the value whose
-    /// interpretations vouch for exactly the `keep`-classified inputs of the
-    /// original's. `None` (the default) declares the relation un-keyed, which
-    /// disables the keyed phase-trace fast path — only relations whose
-    /// candidate sets factor per class (the switch-independence certificate's
-    /// obligation (a)) should override this. [`ExactInit`] is the repo's
-    /// keyed init relation: values are histories, so projection is history
-    /// filtering.
-    fn project_keyed(&self, value: &Self::Value, keep: &dyn Fn(&I) -> bool) -> Option<Self::Value> {
-        let _ = (value, keep);
+    /// Whether `value` projects per independence class as its one
+    /// candidate interpretation `history` does — the switch-independence
+    /// certificate's obligation (a) on this value: for every class
+    /// (`same_class` says whether two inputs share one), the relation's
+    /// projection of `value` onto it has exactly one candidate, the class
+    /// projection of `history`. `None` (the default) declares the relation
+    /// un-keyed, which disables the keyed phase-trace fast path — only
+    /// relations whose candidate sets factor per class should override
+    /// this. [`ExactInit`] is the repo's keyed init relation: values are
+    /// histories, so a value projects as its history does.
+    fn projects_like(
+        &self,
+        value: &Self::Value,
+        history: &[I],
+        same_class: &dyn Fn(&I, &I) -> bool,
+    ) -> Option<bool> {
+        let _ = (value, history, same_class);
         None
     }
+}
+
+/// Whether `a` and `b` have equal projections onto every class
+/// (`same_class` says whether two inputs share one): the `j`-th input of
+/// each class in `a` is the `j`-th of that class in `b`, and the lengths
+/// agree. Quadratic, and allocation-free: histories are short.
+pub(crate) fn projections_agree<I: PartialEq>(
+    a: &[I],
+    b: &[I],
+    same_class: &dyn Fn(&I, &I) -> bool,
+) -> bool {
+    a.len() == b.len()
+        && a.iter().enumerate().all(|(i, x)| {
+            let rank = a[..i].iter().filter(|y| same_class(x, y)).count();
+            b.iter().filter(|y| same_class(x, y)).nth(rank) == Some(x)
+        })
 }
 
 /// The exact relation of the Section 6 formalization: switch values *are*
@@ -169,8 +192,15 @@ impl<I: Clone + Eq + Hash + Debug> InitRelation<I> for ExactInit {
         }
     }
 
-    fn project_keyed(&self, value: &Self::Value, keep: &dyn Fn(&I) -> bool) -> Option<Self::Value> {
-        Some(value.iter().filter(|i| keep(i)).cloned().collect())
+    /// `rinit(h|k) = {h|k}`: the value's class projections are `history`'s
+    /// exactly when the two agree per class — at once when they are equal.
+    fn projects_like(
+        &self,
+        value: &Self::Value,
+        history: &[I],
+        same_class: &dyn Fn(&I, &I) -> bool,
+    ) -> Option<bool> {
+        Some(value.as_slice() == history || projections_agree(value, history, same_class))
     }
 }
 
@@ -302,19 +332,23 @@ mod tests {
     #[test]
     fn exact_projection_filters_the_history() {
         let r = ExactInit::new();
+        let parity = |a: &u8, b: &u8| a % 2 == b % 2;
         let v = vec![1u8, 2, 3, 2];
-        let even = r.project_keyed(&v, &|i| i % 2 == 0).unwrap();
-        assert_eq!(even, vec![2, 2]);
-        // Projection commutes with the candidate set (certificate
-        // obligation (a), the exact case).
-        let ctx = CandidateContext::default();
-        assert_eq!(r.candidates(&even, &ctx), vec![vec![2u8, 2]]);
+        // Its own candidate, and any history with the same projections
+        // ([1, 3] odd, [2, 2] even), whatever the interleaving.
+        assert_eq!(r.projects_like(&v, &v, &parity), Some(true));
+        assert_eq!(r.projects_like(&v, &[2, 1, 2, 3], &parity), Some(true));
+        // A class projection in another order, or another length.
+        assert_eq!(r.projects_like(&v, &[3, 2, 1, 2], &parity), Some(false));
+        assert_eq!(r.projects_like(&v, &[1, 2, 3], &parity), Some(false));
+        assert!(projections_agree::<u8>(&[], &[], &parity));
     }
 
     #[test]
     fn consensus_relation_is_not_keyed() {
         let r = ConsensusInit::new();
-        assert!(r.project_keyed(&Value::new(1), &|_| true).is_none());
+        let h = [ConsInput::propose(1)];
+        assert!(r.projects_like(&Value::new(1), &h, &|_, _| true).is_none());
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! [`crate::engine`] for the search itself.
 
 use crate::engine::{Chain, EngineError, SearchBudget, SearchStats};
-use crate::model::{ConsistencyModel, Problem, Projection};
+use crate::model::{self, ConsistencyModel, Problem, Projection};
 use crate::partition;
 use crate::stream::{MonitorStatus, StreamFailure};
 use crate::{ops, ObjAction};
@@ -228,11 +228,11 @@ where
 /// `elems(inputs(t, i))`, nothing seeds the chain, and a completed chain
 /// *is* a linearization function — the leaf oracle is trivial (speculative
 /// checking grafts abort feasibility there).
-fn definition_10<'m, T: Adt, V>(t: &Trace<ObjAction<T, V>>) -> Problem<'m, T, ()> {
+fn definition_10<'m, T: Adt<Input: Ord>, V>(t: &Trace<ObjAction<T, V>>) -> Problem<'m, T, ()> {
     let bounds: Rc<[_]> = ops::input_multisets::<T, V>(t).into();
     Problem {
         commits: ops::commits::<T, V>(t).into(),
-        pool: bounds.last().cloned().unwrap_or_default(),
+        pool: model::pool_of(bounds.last()),
         bounds,
         seed: Vec::new(),
         leaf: Box::new(|_| Some(())),

@@ -70,9 +70,9 @@ pub struct Problem<'m, T: Adt, L> {
     /// The validity bound at every trace index, monotone along the
     /// commits. A projection's class problems share the whole problem's.
     pub bounds: Rc<[PersistentMultiset<T::Input>]>,
-    /// Every input a history may consume: the last bound, or its class
-    /// projection.
-    pub pool: PersistentMultiset<T::Input>,
+    /// Every input a history may consume, with its multiplicity, ascending
+    /// by input: the last bound's entries (`pool_of`), or their class's.
+    pub pool: Vec<(T::Input, usize)>,
     /// The history every chain element extends.
     pub seed: Vec<T::Input>,
     /// The leaf oracle, asked with the chain's longest history (the seed
@@ -114,7 +114,7 @@ where
             adt,
             &self.commits,
             &self.bounds,
-            self.pool.clone(),
+            self.pool.iter().map(|(i, n)| (i, *n)),
             SearchBudget::new(budget),
         );
         engine.first_solution(
@@ -127,32 +127,49 @@ where
     /// in class order: each class takes the commits on its inputs and the
     /// class projection of the pool (`class_of` classifies an input), and
     /// reads these bounds. `state` states class `k`'s seed and leaf.
+    ///
+    /// One pass classifies the commits and the pool entries; each class's
+    /// commits and pool are then one exact-size vector each (a class pool
+    /// stays ascending: it is a subsequence of the whole one).
     pub(crate) fn classes<'c, C>(
         &self,
         count: usize,
         class_of: impl Fn(&T::Input) -> usize,
         mut state: impl FnMut(usize) -> (Vec<T::Input>, LeafFn<'c, T::Input, C>),
     ) -> Vec<Problem<'c, T, C>> {
-        let mut classes: Vec<Problem<'c, T, C>> = (0..count)
+        /// The `items` classified `k`, cloned into an exact-size vector.
+        fn bucket<X: Clone>(items: &[X], classes: &[usize], k: usize) -> Vec<X> {
+            let mut out = Vec::with_capacity(classes.iter().filter(|&&c| c == k).count());
+            let mine = items.iter().zip(classes).filter(|&(_, &c)| c == k);
+            out.extend(mine.map(|(x, _)| x.clone()));
+            out
+        }
+        let commit_class: Vec<usize> = self.commits.iter().map(|c| class_of(&c.input)).collect();
+        let pool_class: Vec<usize> = self.pool.iter().map(|(i, _)| class_of(i)).collect();
+        (0..count)
             .map(|k| {
                 let (seed, leaf) = state(k);
                 Problem {
-                    commits: Cow::Owned(Vec::new()),
+                    commits: Cow::Owned(bucket(&self.commits, &commit_class, k)),
                     bounds: Rc::clone(&self.bounds),
-                    pool: PersistentMultiset::new(),
+                    pool: bucket(&self.pool, &pool_class, k),
                     seed,
                     leaf,
                 }
             })
-            .collect();
-        for c in self.commits.iter() {
-            classes[class_of(&c.input)].commits.to_mut().push(c.clone());
-        }
-        for (input, n) in self.pool.iter() {
-            classes[class_of(input)].pool.add(input.clone(), n);
-        }
-        classes
+            .collect()
     }
+}
+
+/// A whole problem's pool: the entries of `bound`, the last validity
+/// bound, ascending by input.
+pub(crate) fn pool_of<I: Clone + Ord>(bound: Option<&PersistentMultiset<I>>) -> Vec<(I, usize)> {
+    let Some(bound) = bound else {
+        return Vec::new();
+    };
+    let mut pool: Vec<(I, usize)> = bound.iter().map(|(i, n)| (i.clone(), n)).collect();
+    pool.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    pool
 }
 
 /// A model's answer to "what is there to search along this partitioner".

@@ -19,7 +19,10 @@
 //! holds, a [`ConsistencyModel`] states one search problem per class
 //! ([`ConsistencyModel::project`]): a projection of the whole problem —
 //! the commits on the class's inputs, the class projection of the pool,
-//! and the whole problem's bounds, read in place. Plain linearizability
+//! and the whole problem's bounds, read in place. A pool is a sorted
+//! `(input, multiplicity)` vector, so one classifying pass over the whole
+//! problem's commits and pool buckets every class (`Problem::classes`)
+//! and no class pool is hashed. Plain linearizability
 //! classifies every action by its input; the speculative checker also
 //! classifies switch actions, by pending input. ([`split_trace`] and
 //! [`split_trace_keyed`] cut the trace itself into the same classes.)
@@ -32,6 +35,16 @@
 //! back in engine order, and a second thread never paid for them: at ≈990
 //! commits over 8 keys the class searches are about a fifth of the check,
 //! and forcing them onto two threads read 1.07x the one-thread time.
+//!
+//! On a clean trace the decomposition is pure overhead — the class
+//! searches together expand the monolithic search's nodes — so what the
+//! partitioned path adds is kept to passes that count rather than hash or
+//! allocate per class: the model's discharge and class leaves read each
+//! history's class projections off one counting sort, and the merge
+//! tallies consumed inputs in one row per input, found by binary search
+//! (a queue head's row is kept until the head advances), reading a floor's
+//! bound for an input only when the count read at an earlier floor no
+//! longer clears it.
 //!
 //! # Why the merge is exact
 //!
@@ -90,7 +103,7 @@ use crate::ObjAction;
 use slin_adt::{Adt, Partitioner};
 use slin_obs::{EngineSearchEvent, Obs};
 use slin_trace::{Action, PersistentMultiset, Trace};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Why a trace went monolithic: the reason a model's projection answered
 /// [`Projection::Whole`] for a trace it was asked to decompose, surfaced through
@@ -525,7 +538,7 @@ where
         remerged: false,
         stats,
     };
-    let (whole, classes, refuted) = match model.project(partitioner, t) {
+    let (whole, mut classes, refuted) = match model.project(partitioner, t) {
         Projection::Rejected(e) => {
             return partitioned(Err(e), unmerged(1, None, SearchStats::default()))
         }
@@ -548,13 +561,14 @@ where
     let adt = &**model.adt();
     let mut stats = SearchStats::default();
     let mut queues = Vec::with_capacity(classes.len());
-    for class in &classes {
+    for class in &mut classes {
         let (found, class_stats) = class.search(adt, budget);
         stats.absorb(&class_stats);
         let e = match found {
             Ok(Some((chain, ()))) => {
                 let steps = witness_steps(&chain, class.seed.len(), |i| i);
-                queues.push((steps, class.pool.clone()));
+                // Nothing reads a searched class's pool but the merge.
+                queues.push((steps, std::mem::take(&mut class.pool)));
                 continue;
             }
             Ok(None) => refuted(),
@@ -624,6 +638,15 @@ pub(crate) enum Step<I> {
     Commit(usize, I),
 }
 
+impl<I> Step<I> {
+    /// The input the step consumes.
+    fn input(&self) -> &I {
+        match self {
+            Step::Extra(input) | Step::Commit(_, input) => input,
+        }
+    }
+}
+
 /// Decomposes a partition witness chain (whose histories accumulate from a
 /// seed of `seed_len` inputs, which is no step) into its step sequence,
 /// mapping commit indices through `index_map` — the identity for a class
@@ -649,6 +672,10 @@ pub(crate) fn witness_steps<I: Clone>(
     }
     steps
 }
+
+/// One partition of a merge: its witness step queue and its pool, every
+/// input it may consume with its multiplicity.
+pub(crate) type Part<I> = (VecDeque<Step<I>>, Vec<(I, usize)>);
 
 /// Merges per-partition witness step queues into the chain the monolithic
 /// engine finds first, replaying the engine's deterministic search order
@@ -685,14 +712,14 @@ pub(crate) fn witness_steps<I: Clone>(
 /// account for both.
 pub(crate) fn merge_partition_chains<I: Clone + Ord + std::hash::Hash>(
     bounds: &[PersistentMultiset<I>],
-    parts: Vec<(VecDeque<Step<I>>, PersistentMultiset<I>)>,
+    parts: Vec<Part<I>>,
     seed: Vec<I>,
     retained: PersistentMultiset<I>,
 ) -> Option<Chain<I>> {
-    let (mut queues, pools): (Vec<VecDeque<Step<I>>>, Vec<PersistentMultiset<I>>) =
-        parts.into_iter().unzip();
-    // The original indices of all remaining commits, across every queue.
-    let mut remaining: BTreeSet<usize> = queues
+    let (mut queues, pools): (Vec<_>, Vec<_>) = parts.into_iter().unzip();
+    // The original indices of all remaining commits, across every queue,
+    // descending: the last is the floor, and placing it pops.
+    let mut remaining: Vec<usize> = queues
         .iter()
         .flat_map(|q| q.iter())
         .filter_map(|s| match s {
@@ -700,60 +727,70 @@ pub(crate) fn merge_partition_chains<I: Clone + Ord + std::hash::Hash>(
             Step::Extra(_) => None,
         })
         .collect();
+    remaining.sort_unstable_by(|a, b| b.cmp(a));
     debug_assert!(
         remaining
-            .iter()
-            .zip(remaining.iter().skip(1))
-            .all(|(&i, &j)| bounds[i].is_subset_of(&bounds[j])),
+            .windows(2)
+            .all(|w| bounds[w[1]].is_subset_of(&bounds[w[0]])),
         "bounds must be monotone along the merged commit indices"
     );
 
-    // The consumed inputs, counted: nothing reads a snapshot of them.
-    let mut used: HashMap<I, usize> = retained.iter().map(|(e, n)| (e.clone(), n)).collect();
-    for input in &seed {
-        *used.entry(input.clone()).or_default() += 1;
-    }
-    let mut hist: Vec<I> = seed;
-    let mut chain: Chain<I> = Vec::new();
-
-    // `input` stays within every remaining commit's bound after one more
-    // occurrence is consumed (the monolithic prune admits the child node).
-    // The bounds are monotone, so the floor — the earliest remaining
-    // commit — carries the tightest one; for a commit head, which is
-    // itself remaining, the same comparison is its own validity bound.
-    let count = |used: &HashMap<I, usize>, input: &I| used.get(input).copied().unwrap_or(0);
-    let viable = |used: &HashMap<I, usize>, input: &I, remaining: &BTreeSet<usize>| {
-        remaining
-            .first()
-            .is_none_or(|&floor| count(used, input) < bounds[floor].count(input))
+    // Sized for every step, seed input and retained input: the rows and
+    // the histories grow without reallocating.
+    let steps: usize = queues.iter().map(VecDeque::len).sum();
+    let inputs = steps + seed.len() + retained.distinct_len();
+    let mut tallies = Tallies {
+        bounds,
+        rows: Vec::with_capacity(inputs),
+        by_input: Vec::with_capacity(inputs),
     };
+    for (input, n) in retained.iter() {
+        let row = tallies.row_of(input);
+        tallies.rows[row].used += n;
+    }
+    for input in &seed {
+        let row = tallies.row_of(input);
+        tallies.rows[row].used += 1;
+    }
+    // The tally row of each queue's head step, found again only when the
+    // head advances.
+    let head_row = |tallies: &mut Tallies<'_, I>, q: &VecDeque<Step<I>>| {
+        q.front().map(|step| tallies.row_of(step.input()))
+    };
+    let mut heads: Vec<Option<usize>> = queues.iter().map(|q| head_row(&mut tallies, q)).collect();
+    let mut hist: Vec<I> = seed;
+    hist.reserve(steps);
+    let mut chain: Chain<I> = Vec::with_capacity(remaining.len());
 
     loop {
+        let floor = remaining.last().copied();
         let mut commit_choice: Option<(usize, usize)> = None; // (orig idx, queue)
         let mut extra_choice: Option<(I, Option<usize>)> = None;
         let mut any_head = false;
         let mut any_blocked = false;
         let mut blocked_commits: Vec<usize> = Vec::new(); // queue indices
-        for (qi, q) in queues.iter().enumerate() {
-            match q.front() {
-                Some(Step::Commit(idx, input)) => {
-                    any_head = true;
-                    if !viable(&used, input, &remaining) {
+        for (qi, (q, &row)) in queues.iter().zip(&heads).enumerate() {
+            let (Some(step), Some(row)) = (q.front(), row) else {
+                continue;
+            };
+            any_head = true;
+            let viable = tallies.viable(row, floor);
+            match step {
+                Step::Commit(idx, _) => {
+                    if !viable {
                         any_blocked = true;
                         blocked_commits.push(qi);
                     } else if commit_choice.is_none_or(|(best, _)| *idx < best) {
                         commit_choice = Some((*idx, qi));
                     }
                 }
-                Some(Step::Extra(input)) => {
-                    any_head = true;
-                    if !viable(&used, input, &remaining) {
+                Step::Extra(input) => {
+                    if !viable {
                         any_blocked = true;
                     } else if extra_choice.as_ref().is_none_or(|(best, _)| input < best) {
                         extra_choice = Some((input.clone(), Some(qi)));
                     }
                 }
-                None => {}
             }
         }
         if !any_head {
@@ -792,10 +829,14 @@ pub(crate) fn merge_partition_chains<I: Clone + Ord + std::hash::Hash>(
             let Some(Step::Commit(_, input)) = queues[qi].pop_front() else {
                 unreachable!("head re-read");
             };
-            *used.entry(input.clone()).or_default() += 1;
+            tallies.consume(heads[qi].expect("a commit head has a row"));
+            heads[qi] = head_row(&mut tallies, &queues[qi]);
             hist.push(input);
             chain.push((idx, hist.clone()));
-            remaining.remove(&idx);
+            let at = remaining
+                .binary_search_by(|r| idx.cmp(r))
+                .expect("a placed commit was remaining");
+            remaining.remove(at);
             continue;
         }
         // Finished partitions' leftover pool inputs compete with the head
@@ -806,23 +847,99 @@ pub(crate) fn merge_partition_chains<I: Clone + Ord + std::hash::Hash>(
             if !q.is_empty() {
                 continue;
             }
-            for (input, cap) in pools[qi].iter() {
-                if count(&used, input) < cap
-                    && viable(&used, input, &remaining)
-                    && extra_choice.as_ref().is_none_or(|(best, _)| input < best)
-                {
-                    extra_choice = Some((input.clone(), None));
+            for (input, cap) in &pools[qi] {
+                if extra_choice.as_ref().is_none_or(|(best, _)| input < best) {
+                    let row = tallies.row_of(input);
+                    if tallies.rows[row].used < *cap && tallies.viable(row, floor) {
+                        extra_choice = Some((input.clone(), None));
+                    }
                 }
             }
         }
         let (input, qi) = extra_choice.expect("some head exists and none is a commit");
-        if let Some(qi) = qi {
-            queues[qi].pop_front();
-        }
-        *used.entry(input.clone()).or_default() += 1;
+        let row = match qi {
+            Some(qi) => {
+                queues[qi].pop_front();
+                let row = heads[qi].expect("an extra head has a row");
+                heads[qi] = head_row(&mut tallies, &queues[qi]);
+                row
+            }
+            None => tallies.row_of(&input),
+        };
+        tallies.consume(row);
         hist.push(input);
     }
     Some(chain)
+}
+
+/// The merge's consumed-input counts: one row per input met, each with
+/// the floor's bound count for it, read once per floor. A row keeps its
+/// index, so the merge holds each queue head's; a binary search over the
+/// rows in input order finds an input's (no input is hashed).
+struct Tallies<'b, I> {
+    bounds: &'b [PersistentMultiset<I>],
+    rows: Vec<Tally<I>>,
+    /// The rows' indices, ascending by input.
+    by_input: Vec<usize>,
+}
+
+struct Tally<I> {
+    input: I,
+    used: usize,
+    /// The floor `bound` was read at (`usize::MAX`: not read yet).
+    floor: usize,
+    /// `bounds[floor].count(input)`: 0 until read.
+    bound: usize,
+}
+
+impl<I: Clone + Ord + std::hash::Hash> Tallies<'_, I> {
+    /// The row of `input`, added with nothing consumed if it has none.
+    fn row_of(&mut self, input: &I) -> usize {
+        let rows = &self.rows;
+        match self
+            .by_input
+            .binary_search_by(|&row| rows[row].input.cmp(input))
+        {
+            Ok(at) => self.by_input[at],
+            Err(at) => {
+                self.by_input.insert(at, self.rows.len());
+                self.rows.push(Tally {
+                    input: input.clone(),
+                    used: 0,
+                    floor: usize::MAX,
+                    bound: 0,
+                });
+                self.rows.len() - 1
+            }
+        }
+    }
+
+    /// One more occurrence of `row`'s input consumed.
+    fn consume(&mut self, row: usize) {
+        self.rows[row].used += 1;
+    }
+
+    /// `row`'s input stays within every remaining commit's bound after one
+    /// more occurrence is consumed (the monolithic prune admits the child
+    /// node). The bounds are monotone, so the floor — the earliest
+    /// remaining commit — carries the tightest one; for a commit head,
+    /// which is itself remaining, the same comparison is its own validity
+    /// bound. No floor: no commit remains to break.
+    ///
+    /// The floor only rises, so a count read at an earlier floor is a
+    /// lower bound of the floor's own: while the consumed count stays
+    /// below it, nothing is read again.
+    fn viable(&mut self, row: usize, floor: Option<usize>) -> bool {
+        let Some(floor) = floor else {
+            return true;
+        };
+        let tally = &mut self.rows[row];
+        if tally.used >= tally.bound && tally.floor != floor {
+            tally.bound = self.bounds[floor].count(&tally.input);
+            tally.floor = floor;
+        }
+        tally.used < tally.bound
+    }
 }
 
 #[cfg(test)]
@@ -835,6 +952,11 @@ mod tests {
     type KA = ObjAction<KvStore, ()>;
 
     const BUDGET: usize = crate::engine::SearchBudget::DEFAULT_MAX_NODES;
+
+    /// A merge pool: `items` counted, ascending.
+    fn pool<I: Clone + Ord + std::hash::Hash>(items: &[I]) -> Vec<(I, usize)> {
+        crate::model::pool_of(Some(&PersistentMultiset::elems(items)))
+    }
 
     fn c(n: u32) -> ClientId {
         ClientId::new(n)
@@ -934,10 +1056,7 @@ mod tests {
         let qb = VecDeque::from(vec![Step::Commit(1, "b")]);
         let chain = merge_partition_chains(
             &bounds,
-            vec![
-                (qa, PersistentMultiset::elems(&["a"])),
-                (qb, PersistentMultiset::elems(&["b"])),
-            ],
+            vec![(qa, pool(&["a"])), (qb, pool(&["b"]))],
             vec!["s"],
             PersistentMultiset::new(),
         )
@@ -1095,10 +1214,12 @@ mod tests {
                 .map(|(i, _)| key(i))
                 .next()
                 .expect("every class of the corpus pools an input");
-            let mut pool = PersistentMultiset::new();
-            for (i, n) in whole.pool.iter().filter(|(i, _)| key(i) == k) {
-                pool.add(*i, n);
-            }
+            let pool: Vec<_> = whole
+                .pool
+                .iter()
+                .filter(|(i, _)| key(i) == k)
+                .cloned()
+                .collect();
             assert_eq!(class.pool, pool, "class {k}");
             let commits = |cs: &[crate::ops::Commit<KvStore>], only: bool| -> Vec<usize> {
                 cs.iter()
@@ -1257,8 +1378,8 @@ mod tests {
             Step::Extra("x"),
             Step::Commit(5, "b"),
         ]);
-        let pa = PersistentMultiset::elems(&["a", "y", "a"]);
-        let pb = PersistentMultiset::elems(&["b", "x", "b"]);
+        let pa = pool(&["a", "y", "a"]);
+        let pb = pool(&["b", "x", "b"]);
         let chain = merge_partition_chains(
             &bounds,
             vec![(qa, pa), (qb, pb)],
@@ -1288,8 +1409,8 @@ mod tests {
         let bounds = vec![b1.clone(), b1, all.clone(), all.clone(), all];
         let qa = VecDeque::from(vec![Step::Extra("a0"), Step::Commit(3, "a")]);
         let qb = VecDeque::from(vec![Step::Extra("b0"), Step::Commit(1, "b")]);
-        let pa = PersistentMultiset::elems(&["a0", "a"]);
-        let pb = PersistentMultiset::elems(&["b0", "b"]);
+        let pa = pool(&["a0", "a"]);
+        let pb = pool(&["b0", "b"]);
         assert_eq!(
             merge_partition_chains(
                 &bounds,
@@ -1315,8 +1436,8 @@ mod tests {
         let bounds = vec![b1.clone(), b1, all.clone(), all];
         let qa = VecDeque::from(vec![Step::Extra("a0"), Step::Commit(3, "a")]);
         let qb = VecDeque::from(vec![Step::Commit(1, "b")]);
-        let pa = PersistentMultiset::elems(&["a0", "a"]);
-        let pb = PersistentMultiset::elems(&["b"]);
+        let pa = pool(&["a0", "a"]);
+        let pb = pool(&["b"]);
         let chain = merge_partition_chains(
             &bounds,
             vec![(qa, pa), (qb, pb)],
@@ -1345,8 +1466,8 @@ mod tests {
             Step::Commit(4, "a"),
         ]);
         let qb = VecDeque::from(vec![Step::Commit(1, "b")]);
-        let pa = PersistentMultiset::elems(&["a", "x", "a"]);
-        let pb = PersistentMultiset::elems(&["b", "b0"]);
+        let pa = pool(&["a", "x", "a"]);
+        let pb = pool(&["b", "b0"]);
         let chain = merge_partition_chains(
             &bounds,
             vec![(qa, pa), (qb, pb)],
@@ -1367,12 +1488,11 @@ mod tests {
     /// reference `merge_partition_chains` is tested against.
     fn merge_by_scan<I: Clone + Ord + std::hash::Hash>(
         bounds: &[PersistentMultiset<I>],
-        parts: Vec<(VecDeque<Step<I>>, PersistentMultiset<I>)>,
+        parts: Vec<Part<I>>,
         seed: Vec<I>,
         seed_used: PersistentMultiset<I>,
     ) -> Option<Chain<I>> {
-        let (mut queues, pools): (Vec<VecDeque<Step<I>>>, Vec<PersistentMultiset<I>>) =
-            parts.into_iter().unzip();
+        let (mut queues, pools): (Vec<_>, Vec<Vec<(I, usize)>>) = parts.into_iter().unzip();
         // All remaining commits, across every queue: `(original index, input)`.
         let mut remaining: Vec<(usize, I)> = queues
             .iter()
@@ -1481,7 +1601,7 @@ mod tests {
                 if !q.is_empty() {
                     continue;
                 }
-                for (input, cap) in pools[qi].iter() {
+                for &(ref input, cap) in &pools[qi] {
                     if used.count(input) < cap
                         && viable(&used, input, None, &remaining)
                         && extra_choice.as_ref().is_none_or(|(best, _)| input < best)
@@ -1501,11 +1621,7 @@ mod tests {
     }
 
     /// The merge's bounds, class step queues with their pools, and seed.
-    type MergeInputs<I> = (
-        Vec<PersistentMultiset<I>>,
-        Vec<(VecDeque<Step<I>>, PersistentMultiset<I>)>,
-        Vec<I>,
-    );
+    type MergeInputs<I> = (Vec<PersistentMultiset<I>>, Vec<Part<I>>, Vec<I>);
 
     /// `merge_partition_chains` and [`merge_by_scan`] on the same inputs,
     /// the reference seeded with what the merge counts itself: the seed's
@@ -1643,6 +1759,7 @@ mod tests {
                         bound.clone()
                     })
                     .collect();
+                let pools = pools.iter().map(|p| crate::model::pool_of(Some(p)));
                 let parts = queues.into_iter().zip(pools).collect();
                 let retained = retained.into_iter().collect();
                 let (got, want) = both_merges((bounds, parts, seed), retained);
@@ -1652,5 +1769,129 @@ mod tests {
             },
         );
         assert!((400..3600).contains(&merged), "{merged} of 4000 merge");
+    }
+
+    /// Switch values are histories and `rinit(h) = {h}`, as [`ExactInit`];
+    /// its projection onto a class is `keyed`'s answer.
+    ///
+    /// [`ExactInit`]: crate::initrel::ExactInit
+    struct HistoryRelation<K>(K);
+
+    impl<K: Fn(&[KvInput], &[KvInput], &dyn Fn(&KvInput, &KvInput) -> bool) -> Option<bool>>
+        crate::initrel::InitRelation<KvInput> for HistoryRelation<K>
+    {
+        type Value = Vec<KvInput>;
+
+        fn contains(&self, value: &Vec<KvInput>, history: &[KvInput]) -> bool {
+            value.as_slice() == history
+        }
+
+        fn candidates(
+            &self,
+            value: &Vec<KvInput>,
+            _: &crate::initrel::CandidateContext<KvInput>,
+        ) -> Vec<Vec<KvInput>> {
+            vec![value.clone()]
+        }
+
+        fn projects_like(
+            &self,
+            value: &Vec<KvInput>,
+            history: &[KvInput],
+            same_class: &dyn Fn(&KvInput, &KvInput) -> bool,
+        ) -> Option<bool> {
+            (self.0)(value, history, same_class)
+        }
+    }
+
+    type PA = ObjAction<KvStore, Vec<KvInput>>;
+
+    /// A phase-(2, 3) trace: `c1` and `c2` enter with the init values
+    /// `v1`, `v2` and pending puts on keys 1 and 2, and both respond.
+    fn two_inits(v1: Vec<KvInput>, v2: Vec<KvInput>) -> Trace<PA> {
+        let ph2 = PhaseId::new(2);
+        let (p1, p2) = (KvInput::Put(1, 10), KvInput::Put(2, 20));
+        Trace::from_actions(vec![
+            Action::switch(c(1), ph2, p1, v1),
+            Action::switch(c(2), ph2, p2, v2),
+            Action::respond(c(1), ph2, p1, KvOutput::Ack),
+            Action::respond(c(2), ph2, p2, KvOutput::Ack),
+        ])
+    }
+
+    /// The keyed check of `t` under `rinit` answers whole for `reason`, and
+    /// its verdict is the monolithic one byte for byte.
+    fn checked_whole<R>(rinit: R, t: &Trace<PA>, reason: FallbackReason)
+    where
+        R: crate::initrel::InitRelation<KvInput, Value = Vec<KvInput>> + Sync,
+    {
+        let model =
+            crate::slin::SlinChecker::owned(KvStore, rinit, PhaseId::new(2), PhaseId::new(3));
+        let projection = model.project(&KvKeyPartitioner, t);
+        assert!(
+            matches!(projection, Projection::Whole { partitions: 1, fallback: Some(r) } if r == reason),
+            "expected a whole check for {reason:?}"
+        );
+        let verdict = check(&model, &KvKeyPartitioner, t, BUDGET, 1);
+        let report = verdict.partition.as_ref().expect("a keyed check reports");
+        assert_eq!((report.partitions, report.fallback), (1, Some(reason)));
+        let (outcome, stats) = model.check_monolithic(t, BUDGET, 1);
+        assert_eq!(format!("{:?}", verdict.outcome), format!("{outcome:?}"));
+        assert_eq!((verdict.outcome, verdict.stats), (outcome, stats));
+    }
+
+    #[test]
+    fn an_init_lcp_unlike_the_class_lcps_is_checked_whole() {
+        // The two values order the keys differently: their LCP is empty,
+        // while both project onto key 1 as [put(1, 1)].
+        let (k1, k2) = (KvInput::Put(1, 1), KvInput::Put(2, 2));
+        let t = two_inits(vec![k1, k2], vec![k2, k1]);
+        checked_whole(
+            crate::initrel::ExactInit,
+            &t,
+            FallbackReason::CrossBoundCoupled,
+        );
+    }
+
+    #[test]
+    fn a_relation_projecting_unlike_its_histories_is_checked_whole() {
+        // Projecting reverses the value: key 1's two puts swap, so the
+        // projected value's candidate is not the history's projection.
+        let v = vec![KvInput::Put(1, 1), KvInput::Put(1, 2), KvInput::Put(2, 3)];
+        let t = two_inits(v.clone(), v.clone());
+        let reversing =
+            |value: &[KvInput], history: &[KvInput], same: &dyn Fn(&KvInput, &KvInput) -> bool| {
+                let reversed: Vec<KvInput> = value.iter().rev().copied().collect();
+                Some(crate::initrel::projections_agree(&reversed, history, same))
+            };
+        checked_whole(
+            HistoryRelation(reversing),
+            &t,
+            FallbackReason::CrossBoundCoupled,
+        );
+        // The same trace under a relation projecting as histories do
+        // decomposes, over both keys.
+        let model = crate::slin::SlinChecker::owned(
+            KvStore,
+            crate::initrel::ExactInit,
+            PhaseId::new(2),
+            PhaseId::new(3),
+        );
+        let report = check(&model, &KvKeyPartitioner, &t, BUDGET, 1)
+            .partition
+            .expect("keyed");
+        assert_eq!((report.partitions, report.fallback), (2, None));
+    }
+
+    #[test]
+    fn an_unkeyed_relation_is_checked_whole() {
+        let v = vec![KvInput::Put(1, 1), KvInput::Put(2, 2)];
+        let t = two_inits(v.clone(), v);
+        let unkeyed = |_: &[KvInput], _: &[KvInput], _: &dyn Fn(&KvInput, &KvInput) -> bool| None;
+        checked_whole(
+            HistoryRelation(unkeyed),
+            &t,
+            FallbackReason::SwitchUncertified,
+        );
     }
 }

@@ -39,7 +39,7 @@
 
 use crate::engine::{Chain, EngineError, SearchBudget, SearchStats};
 use crate::initrel::{CandidateContext, InitRelation};
-use crate::model::{ConsistencyModel, Problem, Projection};
+use crate::model::{self, ConsistencyModel, Problem, Projection};
 use crate::ops::{self, Commit, SwitchEvent};
 use crate::partition::{self, FallbackReason};
 use crate::stream::{MonitorStatus, StreamFailure};
@@ -532,7 +532,7 @@ where
         let seed = lcp.clone();
         Problem {
             commits,
-            pool: vi.last().cloned().unwrap_or_default(),
+            pool: model::pool_of(vi.last()),
             bounds: vi,
             seed,
             leaf: Box::new(move |longest| {
@@ -654,12 +654,15 @@ where
     /// `vi` — seeded with the class projection of the init LCP and judged
     /// at its leaves by the class projections of the global abort
     /// conditions (so they hold whenever the global leaf does, and a class
-    /// without a chain refutes the trace). The init histories, their LCP
-    /// and the abort histories are each projected onto every class once,
-    /// and the per-trace discharge, the seeds and the leaves all read those
-    /// projections. A switch-free trace is the same projection with
-    /// nothing to interpret — Theorem 2 at the level of the problem: it
-    /// states what [`crate::lin::LinChecker`] states.
+    /// without a chain refutes the trace). The LCP and the abort histories
+    /// are projected onto every class in one counting sort, which the
+    /// seeds and the leaves read; the per-trace discharge projects
+    /// nothing: the relation answers obligation (a) per value
+    /// ([`InitRelation::projects_like`]), obligation (b) reads the init
+    /// histories past their LCP, and every class's abort draw is decided
+    /// in one pass over each abort history. A switch-free trace is the
+    /// same projection with nothing to interpret — Theorem 2 at the level
+    /// of the problem: it states what [`crate::lin::LinChecker`] states.
     ///
     /// Classifying a switch action is sound when a switch-independence
     /// certificate (`slin-cert/v2`) covers `(adt, partitioner, rinit)`;
@@ -668,13 +671,14 @@ where
     /// cannot see answer [`Projection::Whole`] with the matching
     /// [`FallbackReason`]:
     ///
-    /// * a relation without [`InitRelation::project_keyed`], or more than
-    ///   one candidate interpretation per switch (a relation with
+    /// * an un-keyed relation (no [`InitRelation::projects_like`]), or more
+    ///   than one candidate interpretation per switch (a relation with
     ///   adversarial candidate sets has no per-class decomposition
     ///   certificate to lean on) — [`FallbackReason::SwitchUncertified`];
     /// * an input (or interpretation element) the partitioner declines —
     ///   [`FallbackReason::UnclassifiableInput`];
-    /// * a forced common prefix that does not decompose per class —
+    /// * a switch value the relation projects unlike its history, or a
+    ///   forced common prefix that does not decompose per class —
     ///   [`FallbackReason::CrossBoundCoupled`].
     fn project<P: Partitioner<T>>(
         &self,
@@ -721,7 +725,9 @@ where
         let finit: Vec<(usize, &Vec<T::Input>)> =
             interpretation.iter().map(|(i, h)| (*i, h)).collect();
         // Every abort value must interpret uniquely too, and every switch
-        // value must project per class (the keyed init relation).
+        // value must project per class as its history does (the keyed init
+        // relation, obligation (a)): an un-keyed relation answers now, a
+        // disagreement once the inputs are classified.
         let mut abort_hists: Vec<Vec<T::Input>> = Vec::with_capacity(prep.aborts.len());
         for s in &prep.aborts {
             let mut cands = self.rinit.candidates(&s.value, &prep.ctx);
@@ -730,13 +736,24 @@ where
             }
             abort_hists.push(cands.pop().expect("length checked"));
         }
-        if prep
-            .inits
+        let same_class =
+            |a: &T::Input, b: &T::Input| partitioner.key_of(a) == partitioner.key_of(b);
+        let switch_hists = init_values
             .iter()
-            .chain(prep.aborts.iter())
-            .any(|s| self.rinit.project_keyed(&s.value, &|_| true).is_none())
-        {
-            return whole(FallbackReason::SwitchUncertified);
+            .copied()
+            .zip(finit.iter().map(|(_, h)| h.as_slice()))
+            .chain(
+                prep.aborts
+                    .iter()
+                    .map(|s| &s.value)
+                    .zip(abort_hists.iter().map(Vec::as_slice)),
+            );
+        let mut projects = true;
+        for (value, hist) in switch_hists {
+            match self.rinit.projects_like(value, hist, &same_class) {
+                Some(agrees) => projects &= agrees,
+                None => return whole(FallbackReason::SwitchUncertified),
+            }
         }
         // The classes: the actions', plus those only an interpretation
         // element belongs to (no action, hence nothing to commit — but a
@@ -756,73 +773,52 @@ where
         }
         let count = keys.len();
         let class_of = |i: &T::Input| partition::class_of(partitioner, &keys, i);
-        // A history's class projections, in one pass.
-        let by_class = |h: &[T::Input]| {
-            let mut out = vec![Vec::new(); count];
-            for i in h {
-                out[class_of(i)].push(i.clone());
-            }
-            out
-        };
 
         let vi = self.valid_inputs(&prep, &finit);
         let whole_problem =
             self.interpretation(&prep, Arc::clone(&interpretation), vi, Cow::Owned(commits));
-        let mut lcp_proj = by_class(&whole_problem.seed);
-        let init_proj: Vec<_> = finit.iter().map(|(_, h)| by_class(h)).collect();
-        let mut abort_proj: Vec<_> = abort_hists.iter().map(|h| by_class(h)).collect();
-
         // Per-trace discharge of the decomposition the certificate vouches
-        // for in general: the forced common prefix must project per class
-        // (obligation (b) on this trace's values), and the relation's own
-        // projection must agree with history projection (obligation (a)).
-        for (k, class_key) in keys.iter().enumerate() {
-            let lcp_of_proj = seq::longest_common_prefix(init_proj.iter().map(|h| h[k].as_slice()));
-            if lcp_proj[k] != lcp_of_proj {
-                return whole(FallbackReason::CrossBoundCoupled);
-            }
-            let switch_hists = init_values
-                .iter()
-                .copied()
-                .zip(&init_proj)
-                .chain(prep.aborts.iter().map(|s| &s.value).zip(&abort_proj));
-            for (value, hist) in switch_hists {
-                let keep = |i: &T::Input| partitioner.key_of(i).as_ref() == Some(class_key);
-                let Some(projected_value) = self.rinit.project_keyed(value, &keep) else {
-                    return whole(FallbackReason::SwitchUncertified);
-                };
-                if self.rinit.candidates(&projected_value, &prep.ctx) != hist[k..=k] {
-                    return whole(FallbackReason::CrossBoundCoupled);
-                }
-            }
+        // for in general: the relation's own projection must agree with
+        // history projection (obligation (a), asked above), and the forced
+        // common prefix must project per class (obligation (b) on this
+        // trace's values).
+        let inits = finit.iter().map(|(_, h)| h.as_slice());
+        if !(projects && lcp_projects(whole_problem.seed.len(), inits, count, class_of)) {
+            return whole(FallbackReason::CrossBoundCoupled);
         }
+        // Row 0 the LCP, then the abort histories.
+        let rows = std::iter::once(whole_problem.seed.as_slice())
+            .chain(abort_hists.iter().map(Vec::as_slice));
+        let proj = Rc::new(ClassProjections::new(rows, count, class_of));
+        let aborts = 1..1 + abort_hists.len();
 
         // The class leaf asks each global abort's class projection to
         // extend the class's longest commit history and LCP and to draw
         // from the valid inputs at the abort — whose class-`k` counts are
         // the class's.
         let constrain_init_order = !finit.is_empty();
-        let bounds = &whole_problem.bounds;
+        // The draw reads no chain — only each abort's class projection, its
+        // pending input when the class owns it and the valid inputs at the
+        // abort — so it is decided here, for every class at once: an input
+        // belongs to one class, which its count in the whole history (or
+        // the pending input's) alone can fail.
+        let mut draws = vec![true; count];
+        for (s, h) in prep.aborts.iter().zip(&abort_hists) {
+            for e in overdrawn(h, &s.input, &whole_problem.bounds[s.index]) {
+                draws[class_of(e)] = false;
+            }
+        }
         let classes = whole_problem.classes(count, class_of, |k| {
-            let class_lcp = std::mem::take(&mut lcp_proj[k]);
-            let cands: Vec<_> = abort_proj
-                .iter_mut()
-                .map(|h| std::mem::take(&mut h[k]))
-                .collect();
-            // The draw reads no chain — only the projection, the pending
-            // input when this class owns it and the valid inputs at the
-            // abort — so it is decided here, once.
-            let draws = prep.aborts.iter().zip(&cands).all(|(s, cand)| {
-                let own = (class_of(&s.input) == k).then_some(&s.input);
-                draws_within(cand, own, &bounds[s.index])
-            });
-            let seed = class_lcp.clone();
+            let draws = draws[k];
+            let seed = proj.get(0, k).to_vec();
+            let (proj, aborts) = (Rc::clone(&proj), aborts.clone());
             let leaf = move |longest: &[T::Input]| {
-                let extends = |cand: &Vec<T::Input>| {
+                let class_lcp = proj.get(0, k);
+                let extends = |cand: &[T::Input]| {
                     seq::is_prefix(longest, cand)
-                        && (!constrain_init_order || seq::is_prefix(&class_lcp, cand))
+                        && (!constrain_init_order || seq::is_prefix(class_lcp, cand))
                 };
-                (draws && cands.iter().all(extends)).then_some(())
+                (draws && aborts.clone().all(|r| extends(proj.get(r, k)))).then_some(())
             };
             (seed, Box::new(leaf))
         });
@@ -912,7 +908,7 @@ fn aborts_feasible<T: Adt<Input: Ord>, V>(
     for (index, input, value, valid) in abort_events {
         let cands = extend(value, longest_commit);
         let ok = cands.into_iter().find(|a| {
-            (!constrain_init_order || seq::is_prefix(lcp, a)) && draws_within(a, Some(input), valid)
+            (!constrain_init_order || seq::is_prefix(lcp, a)) && draws_within(a, input, valid)
         });
         match ok {
             Some(a) => chosen.push((*index, a)),
@@ -922,17 +918,115 @@ fn aborts_feasible<T: Adt<Input: Ord>, V>(
     Some(chosen)
 }
 
-/// `elems(h) ∪ elems(pending) ⊆ bound` — an abort history, with its
-/// action's pending input, draws from the valid inputs (Definition 28) —
-/// by counting: the ∪ asks the bound for each element's multiplicity in
-/// `h`, and for the pending input's at least once.
+/// `elems(h) ∪ {pending} ⊆ bound` — an abort history, with its action's
+/// pending input, draws from the valid inputs (Definition 28).
 fn draws_within<I: Ord + std::hash::Hash>(
     h: &[I],
-    pending: Option<&I>,
+    pending: &I,
     bound: &PersistentMultiset<I>,
 ) -> bool {
-    pending.is_none_or(|p| h.iter().filter(|e| *e == p).count().max(1) <= bound.count(p))
-        && elem_counts(h).iter().all(|&(e, n)| n <= bound.count(e))
+    overdrawn(h, pending, bound).next().is_none()
+}
+
+/// The inputs that break [`draws_within`], by counting: the ∪ asks the
+/// bound for each element's multiplicity in `h`, ascending, and last for
+/// the pending input's, at least once.
+fn overdrawn<'a, I: Ord + std::hash::Hash>(
+    h: &'a [I],
+    pending: &'a I,
+    bound: &'a PersistentMultiset<I>,
+) -> impl Iterator<Item = &'a I> {
+    let own = h.iter().filter(|&e| e == pending).count().max(1);
+    let counts = elem_counts(h).into_iter().chain([(pending, own)]);
+    counts.filter(|&(e, n)| n > bound.count(e)).map(|(e, _)| e)
+}
+
+/// Histories projected onto every class, in one pass: row `r`'s class-`k`
+/// projection is `items[at[r * count + k]..at[r * count + k + 1]]`, in
+/// history order.
+struct ClassProjections<I> {
+    items: Vec<I>,
+    at: Vec<usize>,
+    count: usize,
+}
+
+impl<I: Clone> ClassProjections<I> {
+    /// A counting sort of the rows' inputs by `(row, class)`: no
+    /// comparison, and three allocations whatever the class count.
+    fn new<'h>(
+        rows: impl Iterator<Item = &'h [I]> + Clone,
+        count: usize,
+        class_of: impl Fn(&I) -> usize,
+    ) -> Self
+    where
+        I: 'h,
+    {
+        let total = rows.clone().map(<[I]>::len).sum();
+        let mut slot_of: Vec<usize> = Vec::with_capacity(total);
+        for (r, h) in rows.clone().enumerate() {
+            slot_of.extend(h.iter().map(|i| r * count + class_of(i)));
+        }
+        let mut at = vec![0; rows.clone().count() * count + 1];
+        for &slot in &slot_of {
+            at[slot + 1] += 1;
+        }
+        for slot in 1..at.len() {
+            at[slot] += at[slot - 1];
+        }
+        // Every input to its slot's next place, in history order; the
+        // places start out as the inputs in row order.
+        let mut items: Vec<I> = Vec::with_capacity(total);
+        for h in rows.clone() {
+            items.extend_from_slice(h);
+        }
+        for (i, &slot) in rows.flatten().zip(&slot_of) {
+            items[at[slot]] = i.clone();
+            at[slot] += 1;
+        }
+        // Each slot's cursor stopped at its end, the next slot's start.
+        at.rotate_right(1);
+        at[0] = 0;
+        ClassProjections { items, at, count }
+    }
+
+    fn get(&self, row: usize, k: usize) -> &[I] {
+        let slot = row * self.count + k;
+        &self.items[self.at[slot]..self.at[slot + 1]]
+    }
+}
+
+/// Obligation (b) on one trace: the longest common prefix of the init
+/// histories `inits`, of length `lcp`, projects onto each of the `count`
+/// classes (`class_of` classifies an input) as the longest common prefix
+/// of their class projections. Each projection starts with the prefix's;
+/// the two differ exactly when, in some class, every history's first input
+/// past the prefix is one and the same — read off the histories' suffixes,
+/// without projecting them.
+fn lcp_projects<'h, I: PartialEq + 'h>(
+    lcp: usize,
+    inits: impl Iterator<Item = &'h [I]>,
+    count: usize,
+    class_of: impl Fn(&I) -> usize,
+) -> bool {
+    // Per class: the input every history so far has next, if they agree.
+    let mut agreed: Vec<Option<&I>> = vec![None; count];
+    let mut next: Vec<Option<&I>> = vec![None; count];
+    for (n, h) in inits.enumerate() {
+        next.fill(None);
+        for i in &h[lcp..] {
+            next[class_of(i)].get_or_insert(i);
+        }
+        if n == 0 {
+            agreed.copy_from_slice(&next);
+        } else {
+            for (a, b) in agreed.iter_mut().zip(&next) {
+                if *a != *b {
+                    *a = None;
+                }
+            }
+        }
+    }
+    agreed.iter().all(Option::is_none)
 }
 
 /// `elems(h)` as `(element, multiplicity)` pairs, in ascending order.
@@ -1230,20 +1324,19 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4000))]
         /// The counted draw against Definition 28's multiset algebra, on
-        /// histories with repeats, a pending input in the history, outside
-        /// it or absent, and bounds around the history's size.
+        /// histories with repeats, a pending input in the history or
+        /// outside it, and bounds around the history's size.
         #[test]
         fn counting_draw_equals_the_multiset_algebra(
             h in proptest::collection::vec(0..4u8, 0..9),
             pending in 0..5u8,
             bound in proptest::collection::vec(0..4u8, 0..9),
         ) {
-            let own = (pending < 4).then_some(pending);
             let bound: PersistentMultiset<u8> = bound.into_iter().collect();
             let by_algebra = PersistentMultiset::elems(&h)
-                .union_max(&PersistentMultiset::elems(own.as_slice()))
+                .union_max(&PersistentMultiset::elems(&[pending]))
                 .is_subset_of(&bound);
-            proptest::prop_assert_eq!(draws_within(&h, own.as_ref(), &bound), by_algebra);
+            proptest::prop_assert_eq!(draws_within(&h, &pending, &bound), by_algebra);
         }
     }
 

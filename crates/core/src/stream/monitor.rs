@@ -612,7 +612,7 @@ where
             .iter()
             .map(|i| self.commit_bounds[i].clone())
             .collect();
-        let mut parts: Vec<(VecDeque<Step<_>>, PersistentMultiset<_>)> = Vec::new();
+        let mut parts: Vec<(VecDeque<Step<_>>, Vec<_>)> = Vec::new();
         let mut seed_used = PersistentMultiset::new();
         for c in &chains {
             let ranks: Vec<usize> = c
@@ -623,7 +623,7 @@ where
                 .collect();
             parts.push((
                 witness_steps(&c.chain, 0, |w| ranks[w]),
-                c.shard.pool().clone(),
+                c.shard.pool().iter().map(|(i, n)| (i.clone(), n)).collect(),
             ));
             seed_used = seed_used.sum(&c.shard.seed(c.seed).used);
         }
@@ -709,7 +709,7 @@ where
             &product,
             &commits,
             &bounds,
-            self.invoked.clone(),
+            self.invoked.iter(),
             SearchBudget::new(self.closed.budget),
         );
         let seed = SearchSeed::<ProductAdt<'_, M::Adt, P>> {

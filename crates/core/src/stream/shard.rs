@@ -207,6 +207,7 @@ use slin_adt::Adt;
 use slin_obs::{CutOutcome, GcCutEvent, Obs, ShardIngestEvent};
 use slin_trace::{Action, PersistentMultiset, Trace};
 use std::borrow::Cow;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 use std::ops::ControlFlow;
@@ -299,11 +300,27 @@ impl<T: Adt> Clone for FrontierCfg<T> {
 
 impl<T: Adt> FrontierCfg<T> {
     /// Deterministic order rank for configurations sharing a history
-    /// (possible since absorption leaves histories untouched): the
-    /// symbolic-completion multiset's commutative fingerprint.
+    /// (possible since absorption leaves histories untouched): a
+    /// commutative fingerprint of the symbolic-completion multiset's
+    /// contents. It is the frontier's own, read off the elements, not the
+    /// multiset's `Hash`: that follows the multiset's element hash, and a
+    /// tie broken the other way keeps another configuration under the cap
+    /// and moves the search's work.
     fn sym_rank(&self) -> (usize, u64) {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.sym.hash(&mut h);
+        /// `splitmix64`'s finalizer.
+        fn mix(mut z: u64) -> u64 {
+            z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+        let fingerprint = self.sym.iter().fold(0u64, |sum, (pair, n)| {
+            let mut h = DefaultHasher::new();
+            pair.hash(&mut h);
+            sum.wrapping_add(mix(h.finish() ^ mix(n as u64)))
+        });
+        let mut h = DefaultHasher::new();
+        (fingerprint, self.sym.len(), self.sym.distinct_len()).hash(&mut h);
         (self.sym.len(), h.finish())
     }
 }
@@ -843,7 +860,7 @@ where
                 &*self.adt,
                 &group[0].commits,
                 &self.input_ms,
-                self.pool().clone(),
+                self.pool().iter(),
                 SearchBudget::new(self.cfg.budget),
             );
             let mut search = Search::new(&engine);
@@ -942,7 +959,7 @@ where
                 &*self.adt,
                 &kept,
                 &self.input_ms,
-                self.pool().clone(),
+                self.pool().iter(),
                 SearchBudget::new(self.cfg.budget),
             );
             let (found, seed_stats) = engine.first_solution(shard_seed.seed.clone(), &|_| Some(()));

@@ -30,6 +30,11 @@
 //! * `insert` / `remove`: one allocation per node on the path — one in all
 //!   for a multiset of at most 32 distinct elements; a split adds one
 //!   branch and at most 16 buckets;
+//! * `collect` (and [`PersistentMultiset::elems`]) over `n` elements: one
+//!   hash each, one stable sort by key, and every node allocated once,
+//!   plus one scratch vector — the same nodes `n` inserts leave, where
+//!   those copy a bucket per insert. A single element is one allocation
+//!   either way;
 //! * `is_subset_of`: one merge of the two key-ordered walks, no hashing;
 //! * `==`: the length, distinct count and fingerprint first, then a
 //!   lockstep walk of both multisets; it decides pointwise (one lookup per
@@ -51,6 +56,22 @@
 //!   fixed-key), never of insertion order, except among elements whose
 //!   64-bit hashes are equal.
 //!
+//! **The element hash** is the multiset's own: a folded 64×64→128-bit
+//! multiply per machine word the element's `Hash` writes, from a fixed
+//! seed, finished by the `splitmix64` finalizer the fingerprint uses. It is
+//! fixed-key, so keys, fingerprints and iteration order are the same in
+//! every run and process; a change to it re-pins the one order a test pins
+//! (`the_iteration_order_of_a_small_set_is_pinned` in `tests/proptests.rs`)
+//! and may move [`PersistentMultiset::mark_nodes`] counts; when it last
+//! changed, no other pinned count moved (the streaming frontier breaks its
+//! ties on a fingerprint of its own for that reason). Being fixed-key, it
+//! is no defence against an input built to collide, and needs none:
+//! elements with equal 64-bit hashes share a key and sit in one run of
+//! their bucket, in insertion order, which a bucket of equal keys never
+//! splits. All such an input buys is a linear scan of that run where a
+//! lookup, an insert or an equality test meets it — never a deeper trie, a
+//! wrong count or an aliased multiset.
+//!
 //! The key order is the order of a 16-way hash trie addressed by the
 //! hash's nibbles least significant first, with a collision bucket of
 //! equal hashes in insertion order at each leaf. That trie is kept as the
@@ -61,7 +82,6 @@
 //! either layout; only [`PersistentMultiset::mark_nodes`], which counts
 //! nodes, tells them apart.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -79,9 +99,64 @@ const BUCKET: usize = 32;
 
 /// The stable per-element hash the multiset is ordered by.
 fn elem_hash<E: Hash>(e: &E) -> u64 {
-    let mut h = DefaultHasher::new();
+    let mut h = ElemHasher(ElemHasher::SEED);
     e.hash(&mut h);
     h.finish()
+}
+
+/// The element hash (module docs, "The element hash"): a folded
+/// 64×64→128-bit multiply per machine word from a fixed seed, finished by
+/// [`mix`].
+struct ElemHasher(u64);
+
+impl ElemHasher {
+    const SEED: u64 = 0x243F_6A88_85A3_08D3;
+    const MULTIPLIER: u64 = 0xA076_1D64_78BD_642F;
+
+    fn word(&mut self, w: u64) {
+        let wide = u128::from(self.0 ^ w) * u128::from(Self::MULTIPLIER);
+        self.0 = (wide as u64) ^ ((wide >> 64) as u64);
+    }
+}
+
+impl Hasher for ElemHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.word(u64::from_le_bytes(w.try_into().expect("chunks of eight")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut last = [0u8; 8];
+            last[..rest.len()].copy_from_slice(rest);
+            // The length keeps `[0]` and `[0, 0]` apart.
+            self.word(u64::from_le_bytes(last) ^ ((rest.len() as u64) << 56));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.word(u64::from(n));
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.word(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.word(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.word(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.word(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        mix(self.0)
+    }
 }
 
 /// A hash's key: its nibbles reversed, so ascending keys visit the hash's
@@ -310,7 +385,11 @@ impl<E> PersistentMultiset<E> {
             }
             None => 0,
         };
-        Iter { stack, depth }
+        Iter {
+            stack,
+            depth,
+            left: self.distinct_len(),
+        }
     }
 
     /// Records the address of every node (bucket or branch) reachable from
@@ -548,6 +627,8 @@ pub struct Iter<'a, E> {
     /// The unvisited cells of each node on the current path.
     stack: [&'a [Cell<E>]; DEPTH],
     depth: usize,
+    /// Entries not yet visited.
+    left: usize,
 }
 
 impl<'a, E> Iter<'a, E> {
@@ -560,7 +641,10 @@ impl<'a, E> Iter<'a, E> {
             };
             self.stack[top] = rest;
             match cell {
-                Cell::Entry(entry) => return Some(entry),
+                Cell::Entry(entry) => {
+                    self.left -= 1;
+                    return Some(entry);
+                }
                 Cell::Child {
                     node: Some(child), ..
                 } => {
@@ -580,7 +664,13 @@ impl<'a, E> Iterator for Iter<'a, E> {
     fn next(&mut self) -> Option<Self::Item> {
         self.next_entry().map(|x| (&x.elem, x.count))
     }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
 }
+
+impl<E> ExactSizeIterator for Iter<'_, E> {}
 
 impl<E: Eq + Hash> PartialEq for PersistentMultiset<E> {
     fn eq(&self, other: &Self) -> bool {
@@ -621,12 +711,63 @@ impl<E> Hash for PersistentMultiset<E> {
     }
 }
 
+/// The multiset `insert`ing the elements in turn builds, node for node,
+/// in one pass: one hash per element, one stable sort by key, and the
+/// nodes allocated once each. A single element is one allocation; more
+/// are one scratch vector besides.
 impl<E: Eq + Hash + Clone> FromIterator<E> for PersistentMultiset<E> {
     fn from_iter<I: IntoIterator<Item = E>>(iter: I) -> Self {
+        let mut elems = iter.into_iter();
         let mut m = PersistentMultiset::new();
-        for e in iter {
-            m.insert(e);
+        let Some(first) = elems.next() else {
+            return m;
+        };
+        let Some(second) = elems.next() else {
+            m.insert(first);
+            return m;
+        };
+        let entry = |elem| {
+            let key = order_key(elem_hash(&elem));
+            Cell::Entry(Entry {
+                key,
+                elem,
+                count: 1,
+            })
+        };
+        let mut cells = Vec::with_capacity(2 + elems.size_hint().0);
+        cells.extend([first, second].into_iter().chain(elems).map(entry));
+        // Stable: equal keys stay in arrival order, as `insert_node` keeps
+        // them.
+        cells.sort_by_key(|c| c.entry().key);
+        // Count equal elements into their first occurrence, which a search
+        // of its equal-key run finds: `cells[..kept]` are the merged
+        // entries.
+        m.len = cells.len();
+        let mut kept = 0;
+        let mut run = 0;
+        for i in 0..cells.len() {
+            let (merged, rest) = cells.split_at_mut(i);
+            let x = rest[0].entry();
+            if kept == 0 || merged[kept - 1].entry().key != x.key {
+                run = kept;
+            }
+            match merged[run..kept]
+                .iter_mut()
+                .find(|c| c.entry().elem == x.elem)
+            {
+                Some(Cell::Entry(first)) => first.count += 1,
+                _ => {
+                    cells.swap(kept, i);
+                    kept += 1;
+                }
+            }
         }
+        cells.truncate(kept);
+        m.fingerprint = cells.iter().map(Cell::entry).fold(0, |sum, x| {
+            // `order_key` reverses nibbles: applied twice, it is the hash.
+            sum.wrapping_add(term(order_key(x.key), x.count))
+        });
+        m.root = Some(bucket(cells.into(), 0));
         m
     }
 }
@@ -1001,6 +1142,7 @@ mod trie_oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::hash_map::DefaultHasher;
 
     fn ms(items: &[u32]) -> PersistentMultiset<u32> {
         items.iter().copied().collect()
@@ -1066,7 +1208,6 @@ mod tests {
 
     #[test]
     fn equality_and_hash_ignore_insertion_order() {
-        use std::collections::hash_map::DefaultHasher;
         let a = ms(&[1, 2, 1]);
         let b = ms(&[1, 1, 2]);
         assert_eq!(a, b);
@@ -1309,5 +1450,85 @@ mod tests {
             }
         }
         assert!(deepest >= 2, "buckets split at {deepest} levels only");
+    }
+
+    /// The nodes of `m`, as a shape: each node's cells, an entry as its
+    /// element's id and count, a child slot as its distinct count.
+    fn shape(node: &[Cell<Clash>]) -> Vec<String> {
+        let mut out = vec![format!("{}", node.len())];
+        for cell in node {
+            match cell {
+                Cell::Entry(x) => out.push(format!("e{}x{}", x.elem.id, x.count)),
+                Cell::Child { distinct, node } => {
+                    out.push(format!("c{distinct}"));
+                    out.extend(node.as_deref().map(shape).unwrap_or_default());
+                }
+            }
+        }
+        out
+    }
+
+    /// `collect` against `add` in turn and the trie: random `(element,
+    /// count)` lists over alphabets of 1–300 elements, past 32 distinct
+    /// (branches), with equal-hash classes (equal-key runs) and zero
+    /// counts, collected as each element repeated its count. The one-pass
+    /// build is the same multiset and the same node layout.
+    #[test]
+    fn one_pass_builds_agree_with_the_insert_build_and_the_trie_oracle() {
+        let mut state = 1 << 40;
+        let mut draw = |bound: usize| {
+            state += 1;
+            (mix(state) % bound as u64) as usize
+        };
+        let (mut branched, mut runs, mut zeros) = (0, 0, 0);
+        for case in 0..48u64 {
+            let per_class = [1, 1, 2, 3, 8][draw(5)];
+            let alphabet: Vec<Clash> = (0..1 + draw(300))
+                .map(|id| Clash {
+                    class: mix((id / per_class) as u64 ^ case << 32),
+                    id,
+                })
+                .collect();
+            let pairs: Vec<(Clash, usize)> = (0..draw(400))
+                .map(|_| (alphabet[draw(alphabet.len())].clone(), draw(4)))
+                .collect();
+            let (mut inserted, mut o) = (PersistentMultiset::new(), Oracle::new());
+            for (e, n) in &pairs {
+                inserted.add(e.clone(), *n);
+                o.add(e.clone(), *n);
+            }
+            let one_pass: PersistentMultiset<Clash> = pairs
+                .iter()
+                .flat_map(|(e, n)| std::iter::repeat_n(e.clone(), *n))
+                .collect();
+            agree(&one_pass, &o, &inserted, &o, &alphabet);
+            assert_eq!(hash_of(&one_pass), hash_of(&inserted));
+            assert_eq!(
+                one_pass.iter().collect::<Vec<_>>(),
+                inserted.iter().collect::<Vec<_>>()
+            );
+            assert_eq!(
+                one_pass.root.as_deref().map(shape),
+                inserted.root.as_deref().map(shape),
+                "case {case}: the node layout of the insert build"
+            );
+            branched += usize::from(one_pass.root.as_deref().is_some_and(|r| !is_bucket(r)));
+            runs += usize::from(per_class > 1 && one_pass.distinct_len() > 1);
+            zeros += pairs.iter().filter(|(_, n)| *n == 0).count();
+        }
+        assert!(
+            branched > 0 && runs > 0 && zeros > 0,
+            "{branched} {runs} {zeros}"
+        );
+    }
+
+    #[test]
+    fn a_one_element_build_is_one_node_of_one_cell() {
+        for n in 1..4 {
+            let m = ms(&vec![9; n]);
+            let root = m.root.as_deref().expect("non-empty");
+            assert_eq!((root.len(), m.len(), m.count(&9)), (1, n, n));
+        }
+        assert!(ms(&[]).root.is_none());
     }
 }

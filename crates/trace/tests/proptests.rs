@@ -557,3 +557,97 @@ proptest! {
         prop_assert_eq!(&PersistentMultiset::elems(&init), &base);
     }
 }
+
+// ---- one-pass construction ≡ insert construction ----
+
+/// An element whose hash is its `class` alone: members of one class have
+/// equal 64-bit hashes, so they share a key and sit in one equal-key run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Clash {
+    class: u8,
+    id: u16,
+}
+
+impl std::hash::Hash for Clash {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.class.hash(state);
+    }
+}
+
+/// `(element, count)` lists over up to 160 distinct elements (past the 32
+/// a bucket holds, so the build makes branches), in equal-hash classes of
+/// `per_class` (equal-key runs), with zero counts.
+fn clash_pairs() -> impl Strategy<Value = Vec<(Clash, usize)>> {
+    let raw = prop::collection::vec((0..u16::MAX, 0..3usize), 0..240);
+    (1..5u16, 1..160u16, raw).prop_map(|(per_class, alphabet, raw)| {
+        raw.into_iter()
+            .map(|(id, n)| {
+                let id = id % alphabet;
+                let class = (id / per_class) as u8;
+                (Clash { class, id }, n)
+            })
+            .collect()
+    })
+}
+
+fn hash_of(m: &PersistentMultiset<Clash>) -> u64 {
+    use std::collections::hash_map::DefaultHasher;
+    use std::hash::{Hash, Hasher};
+    let mut h = DefaultHasher::new();
+    m.hash(&mut h);
+    h.finish()
+}
+
+/// The one-pass build (`collect`) against `add` in turn, under every
+/// observation: each element collected its count of times.
+fn check_one_pass_build(pairs: &[(Clash, usize)]) -> Result<(), TestCaseError> {
+    let mut inserted = PersistentMultiset::new();
+    for (e, n) in pairs {
+        inserted.add(e.clone(), *n);
+    }
+    let collected: PersistentMultiset<Clash> = pairs
+        .iter()
+        .flat_map(|(e, n)| std::iter::repeat_n(e.clone(), *n))
+        .collect();
+    let walk: Vec<(&Clash, usize)> = inserted.iter().collect();
+    prop_assert_eq!(&collected, &inserted);
+    prop_assert_eq!(hash_of(&collected), hash_of(&inserted));
+    prop_assert_eq!(collected.iter().collect::<Vec<_>>(), walk.clone());
+    prop_assert_eq!(collected.iter().len(), walk.len());
+    prop_assert_eq!(
+        (collected.len(), collected.distinct_len()),
+        (inserted.len(), inserted.distinct_len())
+    );
+    for (e, _) in pairs {
+        prop_assert_eq!(collected.count(e), inserted.count(e));
+    }
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn one_pass_build_equals_the_insert_build(pairs in clash_pairs()) {
+        check_one_pass_build(&pairs)?;
+    }
+}
+
+/// The iteration order of one fixed set, pinned: it follows the element
+/// hash, so a change to the hash re-pins this deliberately.
+#[test]
+fn the_iteration_order_of_a_small_set_is_pinned() {
+    let m: PersistentMultiset<u32> = (0..10).chain([3, 3, 7]).collect();
+    let walk: Vec<(u32, usize)> = m.iter().map(|(e, n)| (*e, n)).collect();
+    let pinned = [
+        (3, 3),
+        (6, 1),
+        (7, 2),
+        (9, 1),
+        (0, 1),
+        (5, 1),
+        (4, 1),
+        (2, 1),
+        (8, 1),
+        (1, 1),
+    ];
+    assert_eq!(walk, pinned);
+}
