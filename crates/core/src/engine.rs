@@ -31,9 +31,10 @@
 //!
 //! The first is `CheckerEngine::first_solution`, the batch checkers' entry
 //! point, which takes a problem's leaf oracle ([`crate::model::LeafFn`])
-//! as `Problem::search` hands it over; the other two live with the
-//! streaming frontier in `stream/shard.rs` (fallback re-search and
-//! epoch-cut summaries; tail extension).
+//! as `Problem::search` hands it over and returns a [`Chain`]: the path's
+//! commit cuts over the one history it copies, at the leaf it accepts.
+//! The other two live with the streaming frontier in `stream/shard.rs`
+//! (fallback re-search and epoch-cut summaries; tail extension).
 //!
 //! # Feasibility prune
 //!
@@ -332,9 +333,64 @@ impl fmt::Display for EngineError {
 
 impl Error for EngineError {}
 
-/// A chain of commit histories: `(trace index, history)` pairs in prefix
-/// order — the witness shape shared by both checkers.
-pub type Chain<I> = Vec<(usize, Vec<I>)>;
+/// A chain of commit histories — the witness shape shared by both checkers.
+///
+/// Commit-Order makes every commit history a prefix of the longest, so a
+/// chain is that one history and one `(trace index, length)` cut per
+/// commit, in chain order. It stands for the `(trace index, commit
+/// history)` list, which its `Debug` renders and its `==` compares: the
+/// history ends at the last cut, and is empty when nothing commits.
+#[derive(Clone, PartialEq, Eq)]
+pub struct Chain<I> {
+    history: Vec<I>,
+    cuts: Vec<(usize, usize)>,
+}
+
+impl<I> Chain<I> {
+    /// The chain cutting `history` at `cuts` (lengths strictly ascending);
+    /// the history past the last cut is dropped.
+    pub(crate) fn new(mut history: Vec<I>, cuts: Vec<(usize, usize)>) -> Self {
+        debug_assert!(
+            cuts.windows(2).all(|w| w[0].1 < w[1].1) && cuts.first().is_none_or(|c| c.1 > 0),
+            "commit histories strictly extend one another"
+        );
+        history.truncate(cuts.last().map_or(0, |c| c.1));
+        Chain { history, cuts }
+    }
+
+    /// The longest commit history.
+    pub fn history(&self) -> &[I] {
+        &self.history
+    }
+
+    /// The `(trace index, history length)` of every commit, in chain order.
+    pub fn cuts(&self) -> &[(usize, usize)] {
+        &self.cuts
+    }
+
+    /// The `(trace index, commit history)` of every commit, in chain order.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, &[I])> {
+        self.cuts.iter().map(|&(i, len)| (i, &self.history[..len]))
+    }
+
+    /// The same chain with every commit's trace index `i` renamed `f(i)`.
+    pub(crate) fn map_indices(mut self, f: impl Fn(usize) -> usize) -> Self {
+        self.cuts.iter_mut().for_each(|(i, _)| *i = f(*i));
+        self
+    }
+}
+
+impl<I> Default for Chain<I> {
+    fn default() -> Self {
+        Chain::new(Vec::new(), Vec::new())
+    }
+}
+
+impl<I: fmt::Debug> fmt::Debug for Chain<I> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
 
 /// What a stop-at-first search found: the chain and its leaf witness,
 /// `None` when the space is exhausted, or the budget trip — with the work
@@ -436,9 +492,9 @@ pub(crate) trait Visitor<T: Adt> {
     /// answered `output`.
     fn extra(&mut self, tag: &Self::Tag, input: &T::Input, output: T::Output) -> Self::Tag;
 
-    /// The response at trace index `index` was committed; `hist` is the
-    /// chain's new longest history.
-    fn commit(&mut self, _index: usize, _hist: &[T::Input]) {}
+    /// The response at trace index `index` was committed; the chain's new
+    /// longest history is the path's first `len` inputs.
+    fn commit(&mut self, _index: usize, _len: usize) {}
 
     /// The latest commit was backtracked over. Not called once the search
     /// has stopped: the commits on the stopping path stay.
@@ -498,14 +554,15 @@ impl<T: Adt> LeafUsed<'_, T> {
     }
 }
 
-/// The stop-at-first visitor behind [`CheckerEngine::first_solution`]: keeps the chain
-/// and lets the leaf oracle accept or veto each leaf.
+/// The stop-at-first visitor behind [`CheckerEngine::first_solution`]: keeps
+/// the path's cuts, lets the leaf oracle accept or veto each leaf, and
+/// copies the longest history once, at the leaf it accepts.
 struct FirstSolution<'l, I, W> {
     leaf: &'l dyn Fn(&[I]) -> Option<W>,
     /// Length of the seed history — the longest history of an empty chain.
     seed_len: usize,
-    chain: Chain<I>,
-    witness: Option<W>,
+    cuts: Vec<(usize, usize)>,
+    found: Option<(Chain<I>, W)>,
 }
 
 impl<T: Adt, W> Visitor<T> for FirstSolution<'_, T::Input, W> {
@@ -513,12 +570,12 @@ impl<T: Adt, W> Visitor<T> for FirstSolution<'_, T::Input, W> {
 
     fn extra(&mut self, _: &(), _: &T::Input, _: T::Output) {}
 
-    fn commit(&mut self, index: usize, hist: &[T::Input]) {
-        self.chain.push((index, hist.to_vec()));
+    fn commit(&mut self, index: usize, len: usize) {
+        self.cuts.push((index, len));
     }
 
     fn uncommit(&mut self) {
-        self.chain.pop();
+        self.cuts.pop();
     }
 
     fn leaf(
@@ -528,13 +585,14 @@ impl<T: Adt, W> Visitor<T> for FirstSolution<'_, T::Input, W> {
         _: LeafUsed<'_, T>,
         (): (),
     ) -> ControlFlow<()> {
-        let longest = self
-            .chain
-            .last()
-            .map_or(&hist[..self.seed_len], |(_, h)| h.as_slice());
-        self.witness = (self.leaf)(longest);
-        match self.witness {
-            Some(_) => ControlFlow::Break(()),
+        // A commit's history extends the seed: `len` is past it, or 0.
+        let len = self.cuts.last().map_or(0, |c| c.1);
+        match (self.leaf)(&hist[..len.max(self.seed_len)]) {
+            Some(w) => {
+                let chain = Chain::new(hist[..len].to_vec(), std::mem::take(&mut self.cuts));
+                self.found = Some((chain, w));
+                ControlFlow::Break(())
+            }
             None => ControlFlow::Continue(()),
         }
     }
@@ -617,11 +675,11 @@ where
         let mut first = FirstSolution {
             leaf,
             seed_len: seed.history.len(),
-            chain: Vec::new(),
-            witness: None,
+            cuts: Vec::new(),
+            found: None,
         };
         let (flow, stats) = Search::new(self).run(&seed, (), &mut first, self.budget.max_nodes);
-        (flow.map(|_| first.witness.map(|w| (first.chain, w))), stats)
+        (flow.map(|_| first.found), stats)
     }
 }
 
@@ -1100,7 +1158,7 @@ where
                 }
                 self.counts[eng.commit_classes[k].0].used += 1;
                 self.hist.push(c.input.clone());
-                visitor.commit(c.index, &self.hist);
+                visitor.commit(c.index, self.hist.len());
                 Some((state2, tag.clone(), remaining.without(k)))
             }
             // Move 2: interleave an extra input from the pool.
@@ -1342,7 +1400,7 @@ mod tests {
         );
         let (found, stats) = engine.first_solution(SearchSeed::initial(&Consensus), &|_| Some(()));
         let (chain, ()) = found.unwrap().expect("linearizable");
-        assert_eq!(chain.len(), 2);
+        assert_eq!(chain.cuts().len(), 2);
         assert!(stats.nodes > 0);
         assert_eq!(stats.interpretations, 1);
         assert!(stats.leaf_checks >= 1);
@@ -1482,7 +1540,7 @@ mod tests {
             false,
         );
         let (chain, ()) = found.expect("the pending put explains the read");
-        assert_eq!(chain, vec![(2, vec![put, get])]);
+        assert_eq!(chain, Chain::new(vec![put, get], vec![(2, 2)]));
     }
 
     #[test]
@@ -1504,6 +1562,60 @@ mod tests {
             &bounds,
             pool.iter(),
             SearchBudget::default(),
+        );
+    }
+
+    /// A chain renders and compares as the `(trace index, commit history)`
+    /// list it stands for — what the `kernel_pins` witness digests hash —
+    /// on random chains: empty ones over a non-empty history, ones that
+    /// extend a non-empty seed, and ones of more than 64 commits.
+    #[test]
+    fn a_chain_renders_and_compares_as_its_list() {
+        use proptest::prelude::*;
+        // A history, a seed length, and per commit its trace index and how
+        // far past the previous cut (the seed, at first) it ends. Small
+        // alphabets make equal lists common.
+        let params = (
+            prop::collection::vec(0..2u8, 0..160),
+            0..3usize,
+            prop::collection::vec((0..2usize, 1..3usize), 0..90),
+        );
+        let (mut empty, mut seeded, mut long, mut equal) = (0, 0, 0, 0);
+        TestRunner::new(ProptestConfig::with_cases(1000)).run_cases(
+            "a_chain_renders_and_compares_as_its_list",
+            |rng| {
+                let pair = [params.new_value(rng), params.new_value(rng)].map(
+                    |(history, seed, steps): (Vec<u8>, usize, Vec<(usize, usize)>)| {
+                        let (mut cuts, mut list) = (Vec::new(), Vec::new());
+                        let (mut len, stored) = (seed, history.len());
+                        for (index, step) in steps {
+                            len += step;
+                            if len > history.len() {
+                                break;
+                            }
+                            cuts.push((index, len));
+                            list.push((index, history[..len].to_vec()));
+                        }
+                        (Chain::new(history, cuts), list, seed, stored)
+                    },
+                );
+                for (chain, list, seed, stored) in &pair {
+                    prop_assert_eq!(format!("{chain:?}"), format!("{list:?}"));
+                    prop_assert_eq!(format!("{chain:#?}"), format!("{list:#?}"));
+                    prop_assert_eq!(chain.cuts().len(), list.len());
+                    empty += (list.is_empty() && *stored > 0) as usize;
+                    seeded += (*seed > 0 && !list.is_empty()) as usize;
+                    long += (list.len() > 64) as usize;
+                }
+                let ((a, list_a, ..), (b, list_b, ..)) = (&pair[0], &pair[1]);
+                prop_assert_eq!(a == b, list_a == list_b);
+                equal += (list_a == list_b) as usize;
+                Ok(())
+            },
+        );
+        assert!(
+            empty > 0 && seeded > 0 && long > 0 && equal > 0,
+            "{empty} empty, {seeded} seeded, {long} long, {equal} equal"
         );
     }
 
@@ -1535,8 +1647,8 @@ mod tests {
         );
         let (found, _) = engine.first_solution(SearchSeed::initial(&Consensus), &|_| Some(()));
         let (chain, ()) = found.unwrap().expect("70 chained decisions linearize");
-        assert_eq!(chain.len(), 70);
-        assert_eq!(chain.last().unwrap().1.len(), 70);
+        assert_eq!(chain.cuts().len(), 70);
+        assert_eq!(chain.history().len(), 70);
     }
 
     #[test]
@@ -1555,7 +1667,7 @@ mod tests {
             .spawn(move || LinChecker::owned(KvStore).check(&t))
             .expect("spawns");
         let witness = deep.join().expect("no overflow").expect("linearizable");
-        assert_eq!(witness.assignments().len(), commits);
+        assert_eq!(witness.assignments().cuts().len(), commits);
     }
 
     #[test]
@@ -1588,8 +1700,8 @@ mod tests {
         let (found, _) = engine.first_solution(seed, &|_| Some(()));
         let (chain, ()) = found.unwrap().expect("explained by the seeded history");
         assert_eq!(
-            chain[0].1,
-            vec![ConsInput::propose(2), ConsInput::propose(1)]
+            chain.iter().next().expect("one commit").1,
+            [ConsInput::propose(2), ConsInput::propose(1)]
         );
     }
 
@@ -1837,9 +1949,8 @@ mod tests {
             let prefix_history = LinChecker::owned(KvStore)
                 .check(&prefix)
                 .expect("linearizable by construction")
-                .assignments()
-                .last()
-                .map_or(Vec::new(), |(_, h)| h.clone());
+                .full_history()
+                .to_vec();
             // What a shard would hold after cutting at `cut` with a
             // straggler still pending: the prefix consumed, its history
             // dropped, and a base with one occurrence nobody consumed yet.

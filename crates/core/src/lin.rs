@@ -100,27 +100,28 @@ impl From<EngineError> for LinError {
 /// commit index, in chain order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LinWitness<I> {
-    assignments: Vec<(usize, Vec<I>)>,
+    assignments: Chain<I>,
 }
 
 impl<I> LinWitness<I> {
-    /// The `(commit index, commit history)` pairs in chain (prefix) order.
+    /// The `(commit index, commit history)` chain.
     #[cfg(test)]
-    pub(crate) fn assignments(&self) -> &[(usize, Vec<I>)] {
+    pub(crate) fn assignments(&self) -> &Chain<I> {
         &self.assignments
     }
 
     /// The full linearization: the longest commit history.
     pub fn full_history(&self) -> &[I] {
-        self.assignments
-            .last()
-            .map(|(_, h)| h.as_slice())
-            .unwrap_or(&[])
+        self.assignments.history()
     }
 }
 
 /// Checks the witness against the definition (used by tests to validate the
-/// search itself).
+/// search itself): the chain places every commit of `t` exactly once, each
+/// commit history explains its output, ends with its input and draws from
+/// the inputs invoked before it (Validity), and — Commit-Order, as every
+/// history is a prefix of the chain's longest — the cut lengths strictly
+/// increase.
 pub fn witness_is_valid<T: Adt, V>(
     adt: &T,
     t: &Trace<ObjAction<T, V>>,
@@ -128,35 +129,21 @@ pub fn witness_is_valid<T: Adt, V>(
 ) -> bool {
     let input_ms = ops::input_multisets::<T, V>(t);
     let commits = ops::commits::<T, V>(t);
-    if w.assignments.len() != commits.len() {
+    let cuts = w.assignments.cuts();
+    let mut placed: Vec<usize> = cuts.iter().map(|&(idx, _)| idx).collect();
+    placed.sort_unstable();
+    if !placed.iter().eq(commits.iter().map(|c| &c.index)) {
         return false;
     }
-    // Explains + Validity.
-    for (idx, h) in &w.assignments {
-        let Some(c) = commits.iter().find(|c| c.index == *idx) else {
-            return false;
-        };
-        if adt.output(h) != Some(c.output.clone()) {
-            return false;
-        }
-        if h.last() != Some(&c.input) {
-            return false;
-        }
-        if !PersistentMultiset::elems(h).is_subset_of(&input_ms[*idx]) {
-            return false;
-        }
+    if !cuts.windows(2).all(|w| w[0].1 < w[1].1) {
+        return false;
     }
-    // Commit-Order: pairwise strict-prefix comparability.
-    for (i, (_, h1)) in w.assignments.iter().enumerate() {
-        for (_, h2) in &w.assignments[i + 1..] {
-            if !(slin_trace::seq::is_strict_prefix(h1, h2)
-                || slin_trace::seq::is_strict_prefix(h2, h1))
-            {
-                return false;
-            }
-        }
-    }
-    true
+    w.assignments.iter().all(|(idx, h)| {
+        let c = &commits[commits.partition_point(|c| c.index < idx)];
+        adt.output(h) == Some(c.output.clone())
+            && h.last() == Some(&c.input)
+            && PersistentMultiset::elems(h).is_subset_of(&input_ms[idx])
+    })
 }
 
 /// Decision procedure for the paper's new definition of linearizability.
@@ -504,7 +491,34 @@ mod tests {
             Action::respond(c(1), ph(), p(5), d(5)),
         ]);
         let w = checker().check(&t).unwrap();
-        let hs: Vec<usize> = w.assignments().iter().map(|(_, h)| h.len()).collect();
+        let hs: Vec<usize> = w.assignments().cuts().iter().map(|&(_, len)| len).collect();
         assert_eq!(hs, vec![1, 2]);
+    }
+
+    #[test]
+    fn a_witness_placing_one_commit_twice_is_invalid() {
+        // Both clients propose 1 and decide 1. The mutant places c1's
+        // response twice and c2's never: as many commits as the trace has,
+        // each at an index that exists.
+        let t: Trace<CA> = Trace::from_actions(vec![
+            Action::invoke(c(1), ph(), p(1)),
+            Action::invoke(c(2), ph(), p(1)),
+            Action::respond(c(1), ph(), p(1), d(1)),
+            Action::respond(c(2), ph(), p(1), d(1)),
+        ]);
+        let witness = |cuts| LinWitness {
+            assignments: Chain::new(vec![p(1), p(1)], cuts),
+        };
+        assert_eq!(checker().check(&t), Ok(witness(vec![(2, 1), (3, 2)])));
+        assert!(witness_is_valid(
+            &Consensus,
+            &t,
+            &witness(vec![(2, 1), (3, 2)])
+        ));
+        assert!(!witness_is_valid(
+            &Consensus,
+            &t,
+            &witness(vec![(2, 1), (2, 2)])
+        ));
     }
 }

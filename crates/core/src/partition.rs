@@ -66,15 +66,15 @@
 //!    commit's bound, the tightest.
 //!
 //! A class problem is stated over the trace's own indices and bounds, so
-//! its chain already names every commit by trace index and its search
-//! reads the same counts as the monolithic one at every class input: the
-//! step queues need no remapping. Replaying exactly that rule over the
-//! per-partition witness step queues (commits first by ascending trace
-//! index, then extras by ascending input, each guarded by the
-//! cross-partition bound check) therefore
-//! reconstructs the monolithic first witness — verdicts *and* witnesses are
-//! byte-identical to the monolithic path, while the nodes expanded drop
-//! from the product to the sum of the per-partition search spaces. The
+//! its chain names every commit by trace index. A class chain (one
+//! history, one cut per commit: [`Chain`]) is read in place as its steps:
+//! each input past the class seed is a commit where it ends a cut and an
+//! extra otherwise. Replaying that rule over the class chains (commits
+//! first by ascending trace index, then extras by ascending input, each
+//! guarded by the cross-partition bound check) therefore reconstructs the
+//! monolithic first witness — verdicts *and* witnesses are byte-identical
+//! to the monolithic path, while the nodes expanded drop from the product
+//! to the sum of the per-partition search spaces. The
 //! `partition_differential` suite in `tests/` pins this equivalence over
 //! the multi-key generators.
 //!
@@ -103,7 +103,6 @@ use crate::ObjAction;
 use slin_adt::{Adt, Partitioner};
 use slin_obs::{EngineSearchEvent, Obs};
 use slin_trace::{Action, PersistentMultiset, Trace};
-use std::collections::VecDeque;
 
 /// Why a trace went monolithic: the reason a model's projection answered
 /// [`Projection::Whole`] for a trace it was asked to decompose, surfaced through
@@ -560,15 +559,14 @@ where
 
     let adt = &**model.adt();
     let mut stats = SearchStats::default();
-    let mut queues = Vec::with_capacity(classes.len());
+    let mut parts = Vec::with_capacity(classes.len());
     for class in &mut classes {
         let (found, class_stats) = class.search(adt, budget);
         stats.absorb(&class_stats);
         let e = match found {
             Ok(Some((chain, ()))) => {
-                let steps = witness_steps(&chain, class.seed.len(), |i| i);
                 // Nothing reads a searched class's pool but the merge.
-                queues.push((steps, std::mem::take(&mut class.pool)));
+                parts.push((chain, class.seed.len(), std::mem::take(&mut class.pool)));
                 continue;
             }
             Ok(None) => refuted(),
@@ -583,12 +581,15 @@ where
     let interpretations = stats.interpretations;
     let merged = merge_partition_chains(
         &whole.bounds,
-        queues,
+        parts,
         whole.seed.clone(),
         PersistentMultiset::new(),
     )
     .and_then(|chain| {
-        let longest = chain.last().map_or(&whole.seed[..], |(_, h)| h);
+        let longest = chain
+            .cuts()
+            .last()
+            .map_or(&whole.seed[..], |_| chain.history());
         let leaf = (whole.leaf)(longest)?;
         Some((chain, leaf))
     });
@@ -624,108 +625,94 @@ fn partitioned<W, E>(outcome: Result<W, E>, report: PartitionReport) -> Verdict<
     }
 }
 
-/// One step of a witness chain, recovered from the accumulated commit
-/// histories: either an interleaved extra input or a commit (with its
-/// original trace index and the committed input).
-///
-/// The online monitor ([`crate::stream`]) replays the same merge over its
-/// shard witnesses.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum Step<I> {
-    /// An extra input interleaved before the next commit.
-    Extra(I),
-    /// A commit: `(original trace index, committed input)`.
-    Commit(usize, I),
+/// One partition of a merge: its class chain, the length of the seed
+/// history the chain's histories extend (no step of the partition's), and
+/// its pool, every input it may consume with its multiplicity.
+pub(crate) type Part<I> = (Chain<I>, usize, Vec<(I, usize)>);
+
+/// A partition's remaining steps: its chain's history from `pos` on. The
+/// head `history[pos]` commits exactly when it ends the next cut,
+/// `cuts[next]`, whose trace index it then carries.
+struct Queue<'c, I> {
+    chain: &'c Chain<I>,
+    pos: usize,
+    next: usize,
+    /// The head's tally row, found again only when the head advances.
+    row: Option<usize>,
 }
 
-impl<I> Step<I> {
-    /// The input the step consumes.
-    fn input(&self) -> &I {
-        match self {
-            Step::Extra(input) | Step::Commit(_, input) => input,
+impl<'c, I: Clone + Ord + std::hash::Hash> Queue<'c, I> {
+    /// The steps of `chain` past its first `pos` inputs, the seed's.
+    fn new(chain: &'c Chain<I>, pos: usize, tallies: &mut Tallies<'_, I>) -> Self {
+        let mut q = Queue {
+            chain,
+            pos,
+            next: 0,
+            row: None,
+        };
+        q.row = q.head().map(|(e, _)| tallies.row_of(e));
+        q
+    }
+
+    /// The head's input, and its trace index if it commits.
+    fn head(&self) -> Option<(&'c I, Option<usize>)> {
+        let &(index, len) = self.chain.cuts().get(self.next)?;
+        let commits = self.pos + 1 == len;
+        Some((&self.chain.history()[self.pos], commits.then_some(index)))
+    }
+
+    /// Moves past the head and finds the new head's row.
+    fn pop(&mut self, tallies: &mut Tallies<'_, I>) {
+        if self.pos + 1 == self.chain.cuts()[self.next].1 {
+            self.next += 1;
         }
+        self.pos += 1;
+        self.row = self.head().map(|(e, _)| tallies.row_of(e));
     }
 }
 
-/// Decomposes a partition witness chain (whose histories accumulate from a
-/// seed of `seed_len` inputs, which is no step) into its step sequence,
-/// mapping commit indices through `index_map` — the identity for a class
-/// chain of [`check`], which carries trace indices already; a window rank
-/// for the monitor's shard chains.
-pub(crate) fn witness_steps<I: Clone>(
-    chain: &[(usize, Vec<I>)],
-    seed_len: usize,
-    index_map: impl Fn(usize) -> usize,
-) -> VecDeque<Step<I>> {
-    let mut steps = VecDeque::new();
-    let mut prev_len = seed_len;
-    for (sub_idx, h) in chain {
-        debug_assert!(h.len() > prev_len, "chain histories strictly extend");
-        for e in &h[prev_len..h.len() - 1] {
-            steps.push_back(Step::Extra(e.clone()));
-        }
-        steps.push_back(Step::Commit(
-            index_map(*sub_idx),
-            h.last().expect("commit histories are non-empty").clone(),
-        ));
-        prev_len = h.len();
-    }
-    steps
-}
-
-/// One partition of a merge: its witness step queue and its pool, every
-/// input it may consume with its multiplicity.
-pub(crate) type Part<I> = (VecDeque<Step<I>>, Vec<(I, usize)>);
-
-/// Merges per-partition witness step queues into the chain the monolithic
-/// engine finds first, replaying the engine's deterministic search order
-/// (see the [module docs](self) for the argument):
+/// Merges per-partition class chains into the chain the monolithic engine
+/// finds first, replaying its deterministic search order over each
+/// chain's steps (see the [module docs](self) for the argument):
 ///
 /// * commits before extras, commits by ascending original trace index,
 ///   extras by ascending input;
 /// * a step is viable only if consuming its input keeps the merged
-///   consumed-input multiset inside the validity bound of every remaining
-///   commit (`bounds` are the full trace's per-index bounds) — read off
-///   the earliest remaining commit, the *floor*, which is why `bounds` must
-///   be monotone along the commit indices the queues hand in
-///   (`bounds[i] ⊆ bounds[j]` for `i < j`; debug builds assert it);
+///   consumed inputs inside the bound of every remaining commit (`bounds`
+///   are the full trace's) — read off the earliest remaining commit, the
+///   *floor*, so `bounds` must be monotone along the commit indices the
+///   chains carry (`bounds[i] ⊆ bounds[j]` for `i < j`; debug builds
+///   assert it);
 /// * at every extras node, the **leftover pool inputs of partitions whose
-///   queue is exhausted** compete with the queue heads: the engine
-///   greedily consumes such inputs (they are no-ops for every remaining
-///   commit — their partition has none) whenever they sort below the
-///   needed extra and the bounds admit them, and they end up in the
-///   witness histories. Each element of `parts` therefore carries the
-///   partition's total input pool next to its step queue. Unfinished
-///   partitions cannot leak extras this way: their smaller pool inputs
-///   already failed their own local search, and a commit-headed partition
-///   at an extras node means a blocked head (which bails).
+///   chain is placed** compete with the heads: the engine greedily
+///   consumes them (no-ops for every remaining commit) whenever they sort
+///   below the needed extra and the bounds admit them, which is why each
+///   part carries its partition's pool. Unfinished partitions cannot leak
+///   extras this way: their smaller pool inputs already failed their own
+///   search, and a commit head at an extras node is a blocked one (which
+///   bails).
 ///
 /// Returns `None` when any partition's head step is cross-blocked — the
 /// one state in which the monolithic first witness may deviate from every
 /// per-partition witness, so the caller must re-derive it monolithically.
 ///
-/// The merged histories extend `seed`, and the consumed-input counts start
+/// The merged history extends `seed`, and the consumed-input counts start
 /// at the seed's elements plus `retained`: [`check`] passes the whole
-/// problem's seed history and nothing retained; the monitor passes no
-/// history and its garbage-collected prefix summary, whose retained inputs
-/// count against the bounds but whose history is dropped. `bounds` must
-/// account for both.
+/// problem's seed and nothing retained; the monitor passes no history and
+/// its garbage-collected prefix summary, whose inputs count against the
+/// bounds but whose history is dropped. Each placed commit is a cut of the
+/// one merged history: no history is copied.
 pub(crate) fn merge_partition_chains<I: Clone + Ord + std::hash::Hash>(
     bounds: &[PersistentMultiset<I>],
     parts: Vec<Part<I>>,
     seed: Vec<I>,
     retained: PersistentMultiset<I>,
 ) -> Option<Chain<I>> {
-    let (mut queues, pools): (Vec<_>, Vec<_>) = parts.into_iter().unzip();
-    // The original indices of all remaining commits, across every queue,
+    // The original indices of all remaining commits, across every chain,
     // descending: the last is the floor, and placing it pops.
-    let mut remaining: Vec<usize> = queues
+    let mut remaining: Vec<usize> = parts
         .iter()
-        .flat_map(|q| q.iter())
-        .filter_map(|s| match s {
-            Step::Commit(idx, _) => Some(*idx),
-            Step::Extra(_) => None,
-        })
+        .flat_map(|(chain, _, _)| chain.cuts().iter().map(|&(i, _)| i))
         .collect();
     remaining.sort_unstable_by(|a, b| b.cmp(a));
     debug_assert!(
@@ -736,8 +723,11 @@ pub(crate) fn merge_partition_chains<I: Clone + Ord + std::hash::Hash>(
     );
 
     // Sized for every step, seed input and retained input: the rows and
-    // the histories grow without reallocating.
-    let steps: usize = queues.iter().map(VecDeque::len).sum();
+    // the history grow without reallocating.
+    let steps: usize = parts
+        .iter()
+        .map(|(chain, seed_len, _)| chain.history().len().saturating_sub(*seed_len))
+        .sum();
     let inputs = steps + seed.len() + retained.distinct_len();
     let mut tallies = Tallies {
         bounds,
@@ -752,43 +742,41 @@ pub(crate) fn merge_partition_chains<I: Clone + Ord + std::hash::Hash>(
         let row = tallies.row_of(input);
         tallies.rows[row].used += 1;
     }
-    // The tally row of each queue's head step, found again only when the
-    // head advances.
-    let head_row = |tallies: &mut Tallies<'_, I>, q: &VecDeque<Step<I>>| {
-        q.front().map(|step| tallies.row_of(step.input()))
-    };
-    let mut heads: Vec<Option<usize>> = queues.iter().map(|q| head_row(&mut tallies, q)).collect();
+    let mut queues: Vec<Queue<'_, I>> = parts
+        .iter()
+        .map(|(chain, seed_len, _)| Queue::new(chain, *seed_len, &mut tallies))
+        .collect();
     let mut hist: Vec<I> = seed;
     hist.reserve(steps);
-    let mut chain: Chain<I> = Vec::with_capacity(remaining.len());
+    let mut cuts: Vec<(usize, usize)> = Vec::with_capacity(remaining.len());
 
     loop {
         let floor = remaining.last().copied();
         let mut commit_choice: Option<(usize, usize)> = None; // (orig idx, queue)
-        let mut extra_choice: Option<(I, Option<usize>)> = None;
+        let mut extra_choice: Option<(&I, Option<usize>)> = None;
         let mut any_head = false;
         let mut any_blocked = false;
         let mut blocked_commits: Vec<usize> = Vec::new(); // queue indices
-        for (qi, (q, &row)) in queues.iter().zip(&heads).enumerate() {
-            let (Some(step), Some(row)) = (q.front(), row) else {
+        for (qi, q) in queues.iter().enumerate() {
+            let (Some((input, commit)), Some(row)) = (q.head(), q.row) else {
                 continue;
             };
             any_head = true;
             let viable = tallies.viable(row, floor);
-            match step {
-                Step::Commit(idx, _) => {
+            match commit {
+                Some(idx) => {
                     if !viable {
                         any_blocked = true;
                         blocked_commits.push(qi);
-                    } else if commit_choice.is_none_or(|(best, _)| *idx < best) {
-                        commit_choice = Some((*idx, qi));
+                    } else if commit_choice.is_none_or(|(best, _)| idx < best) {
+                        commit_choice = Some((idx, qi));
                     }
                 }
-                Step::Extra(input) => {
+                None => {
                     if !viable {
                         any_blocked = true;
-                    } else if extra_choice.as_ref().is_none_or(|(best, _)| input < best) {
-                        extra_choice = Some((input.clone(), Some(qi)));
+                    } else if extra_choice.is_none_or(|(best, _)| input < best) {
+                        extra_choice = Some((input, Some(qi)));
                     }
                 }
             }
@@ -805,71 +793,66 @@ pub(crate) fn merge_partition_chains<I: Clone + Ord + std::hash::Hash>(
         }
         // With a viable commit at index `best`, blocked heads are skipped
         // by the engine — harmless — *unless* a blocked-head partition has
-        // a later queued commit below `best`: the engine (trying commits
-        // in ascending index order) would attempt that commit next, an
-        // order the partition's local witness never explored.
+        // a later commit below `best`: the engine (trying commits in
+        // ascending index order) would attempt that commit next, an order
+        // the partition's local witness never explored.
         if let Some((best, _)) = commit_choice {
             for &qi in &blocked_commits {
-                let head_idx = match queues[qi].front() {
-                    Some(Step::Commit(idx, _)) => *idx,
-                    _ => unreachable!("blocked_commits holds commit-headed queues"),
-                };
-                let deviates = queues[qi].iter().skip(1).any(|s| match s {
-                    Step::Commit(idx, _) => *idx > head_idx && *idx < best,
-                    Step::Extra(_) => false,
-                });
-                if deviates {
+                let cuts = &queues[qi].chain.cuts()[queues[qi].next..];
+                if cuts[1..].iter().any(|&(i, _)| i > cuts[0].0 && i < best) {
                     return None;
                 }
             }
         }
         // Move 1 (commits, ascending trace index) before move 2 (extras,
         // ascending input) — the engine's child order.
-        if let Some((idx, qi)) = commit_choice {
-            let Some(Step::Commit(_, input)) = queues[qi].pop_front() else {
-                unreachable!("head re-read");
-            };
-            tallies.consume(heads[qi].expect("a commit head has a row"));
-            heads[qi] = head_row(&mut tallies, &queues[qi]);
-            hist.push(input);
-            chain.push((idx, hist.clone()));
-            let at = remaining
-                .binary_search_by(|r| idx.cmp(r))
-                .expect("a placed commit was remaining");
-            remaining.remove(at);
-            continue;
-        }
-        // Finished partitions' leftover pool inputs compete with the head
-        // extras: the engine consumes them greedily in sorted order (their
-        // partition has no remaining commit to break) whenever the bounds
-        // admit them.
-        for (qi, q) in queues.iter().enumerate() {
-            if !q.is_empty() {
-                continue;
+        let (input, row, qi) = match commit_choice {
+            Some((idx, qi)) => {
+                let at = remaining
+                    .binary_search_by(|r| idx.cmp(r))
+                    .expect("a placed commit was remaining");
+                remaining.remove(at);
+                cuts.push((idx, hist.len() + 1));
+                let (input, _) = queues[qi].head().expect("head re-read");
+                (
+                    input,
+                    queues[qi].row.expect("a commit head has a row"),
+                    Some(qi),
+                )
             }
-            for (input, cap) in &pools[qi] {
-                if extra_choice.as_ref().is_none_or(|(best, _)| input < best) {
-                    let row = tallies.row_of(input);
-                    if tallies.rows[row].used < *cap && tallies.viable(row, floor) {
-                        extra_choice = Some((input.clone(), None));
+            None => {
+                // Finished partitions' leftover pool inputs compete with
+                // the head extras: the engine consumes them greedily in
+                // sorted order (their partition has no remaining commit to
+                // break) whenever the bounds admit them.
+                for (q, (_, _, pool)) in queues.iter().zip(&parts) {
+                    if q.head().is_some() {
+                        continue;
+                    }
+                    for (input, cap) in pool {
+                        if extra_choice.is_none_or(|(best, _)| input < best) {
+                            let row = tallies.row_of(input);
+                            if tallies.rows[row].used < *cap && tallies.viable(row, floor) {
+                                extra_choice = Some((input, None));
+                            }
+                        }
                     }
                 }
+                let (input, qi) = extra_choice.expect("some head exists and none is a commit");
+                let row = match qi {
+                    Some(qi) => queues[qi].row.expect("an extra head has a row"),
+                    None => tallies.row_of(input),
+                };
+                (input, row, qi)
             }
-        }
-        let (input, qi) = extra_choice.expect("some head exists and none is a commit");
-        let row = match qi {
-            Some(qi) => {
-                queues[qi].pop_front();
-                let row = heads[qi].expect("an extra head has a row");
-                heads[qi] = head_row(&mut tallies, &queues[qi]);
-                row
-            }
-            None => tallies.row_of(&input),
         };
         tallies.consume(row);
-        hist.push(input);
+        hist.push(input.clone());
+        if let Some(qi) = qi {
+            queues[qi].pop(&mut tallies);
+        }
     }
-    Some(chain)
+    Some(Chain::new(hist, cuts))
 }
 
 /// The merge's consumed-input counts: one row per input met, each with
@@ -947,6 +930,7 @@ mod tests {
     use super::*;
     use slin_adt::{IdentityPartitioner, KvInput, KvKeyPartitioner, KvOutput, KvStore};
     use slin_trace::{Action, ClientId, PhaseId};
+    use std::collections::VecDeque;
     use std::thread::ThreadId;
 
     type KA = ObjAction<KvStore, ()>;
@@ -956,6 +940,16 @@ mod tests {
     /// A merge pool: `items` counted, ascending.
     fn pool<I: Clone + Ord + std::hash::Hash>(items: &[I]) -> Vec<(I, usize)> {
         crate::model::pool_of(Some(&PersistentMultiset::elems(items)))
+    }
+
+    /// A merge part: the class chain cutting `history` at `cuts`, grown
+    /// from no seed, and `pool` counted.
+    fn part<I: Clone + Ord + std::hash::Hash>(
+        history: Vec<I>,
+        cuts: Vec<(usize, usize)>,
+        pool_items: &[I],
+    ) -> Part<I> {
+        (Chain::new(history, cuts), 0, pool(pool_items))
     }
 
     fn c(n: u32) -> ClientId {
@@ -1029,39 +1023,17 @@ mod tests {
     }
 
     #[test]
-    fn witness_steps_recover_extras_and_commits() {
-        // Chain histories [a], [a, x, b]: steps are Commit(a), Extra(x),
-        // Commit(b), with indices remapped.
-        let chain = vec![(0usize, vec!["a"]), (1usize, vec!["a", "x", "b"])];
-        let steps = witness_steps(&chain, 0, |i| [4, 9][i]);
-        assert_eq!(
-            steps.into_iter().collect::<Vec<_>>(),
-            vec![Step::Commit(4, "a"), Step::Extra("x"), Step::Commit(9, "b"),]
-        );
-        // A seed is no step: the same chain grown from the seed [a] starts
-        // at its second commit's extras.
-        let steps = witness_steps(&chain[1..], 1, |i| [4, 9][i]);
-        assert_eq!(
-            steps.into_iter().collect::<Vec<_>>(),
-            vec![Step::Extra("x"), Step::Commit(9, "b")]
-        );
-    }
-
-    #[test]
     fn merge_grows_its_histories_from_the_seed() {
         // The seed's inputs are consumed before the first step and lead
         // every merged history.
         let bounds = vec![PersistentMultiset::elems(&["s", "a", "b"]); 3];
-        let qa = VecDeque::from(vec![Step::Commit(2, "a")]);
-        let qb = VecDeque::from(vec![Step::Commit(1, "b")]);
-        let chain = merge_partition_chains(
-            &bounds,
-            vec![(qa, pool(&["a"])), (qb, pool(&["b"]))],
-            vec!["s"],
-            PersistentMultiset::new(),
-        )
-        .expect("no head blocked");
-        assert_eq!(chain, vec![(1, vec!["s", "b"]), (2, vec!["s", "b", "a"])]);
+        let pa = part(vec!["a"], vec![(2, 1)], &["a"]);
+        let pb = part(vec!["b"], vec![(1, 1)], &["b"]);
+        let chain =
+            merge_partition_chains(&bounds, vec![pa, pb], vec!["s"], PersistentMultiset::new())
+                .expect("no head blocked");
+        // [(1, [s, b]), (2, [s, b, a])]
+        assert_eq!(chain, Chain::new(vec!["s", "b", "a"], vec![(1, 2), (2, 3)]));
     }
 
     /// Both classes open with an extra input — a put that never responds,
@@ -1147,7 +1119,7 @@ mod tests {
             match (by_lin.outcome, by_slin.outcome) {
                 (Ok(w), Ok(r)) => {
                     accepted += 1;
-                    assert_eq!(w.assignments(), r.witness.commit_histories);
+                    assert_eq!(w.assignments(), &r.witness.commit_histories);
                     assert_eq!(r.stats, by_slin.stats);
                 }
                 (
@@ -1368,30 +1340,18 @@ mod tests {
             everything.insert(x);
         }
         let bounds = vec![everything; 8];
-        let qa = VecDeque::from(vec![
-            Step::Commit(3, "a"),
-            Step::Extra("y"),
-            Step::Commit(7, "a"),
-        ]);
-        let qb = VecDeque::from(vec![
-            Step::Commit(1, "b"),
-            Step::Extra("x"),
-            Step::Commit(5, "b"),
-        ]);
-        let pa = pool(&["a", "y", "a"]);
-        let pb = pool(&["b", "x", "b"]);
-        let chain = merge_partition_chains(
-            &bounds,
-            vec![(qa, pa), (qb, pb)],
-            vec![],
-            PersistentMultiset::new(),
-        )
-        .expect("no head blocked");
-        let picks: Vec<usize> = chain.iter().map(|(i, _)| *i).collect();
+        // Commit 3 (a), extra y, commit 7 (a); commit 1 (b), extra x,
+        // commit 5 (b).
+        let pa = part(vec!["a", "y", "a"], vec![(3, 1), (7, 3)], &["a", "y", "a"]);
+        let pb = part(vec!["b", "x", "b"], vec![(1, 1), (5, 3)], &["b", "x", "b"]);
+        let chain =
+            merge_partition_chains(&bounds, vec![pa, pb], vec![], PersistentMultiset::new())
+                .expect("no head blocked");
+        let picks: Vec<usize> = chain.iter().map(|(i, _)| i).collect();
         // Commits by ascending index (1 then 3); at the all-extras node the
         // smaller extra x goes first, which unblocks commit 5 before y.
         assert_eq!(picks, vec![1, 3, 5, 7]);
-        assert_eq!(chain[3].1, vec!["b", "a", "x", "b", "y", "a"]);
+        assert_eq!(chain.history(), ["b", "a", "x", "b", "y", "a"]);
     }
 
     #[test]
@@ -1407,17 +1367,11 @@ mod tests {
             all.insert(x);
         }
         let bounds = vec![b1.clone(), b1, all.clone(), all.clone(), all];
-        let qa = VecDeque::from(vec![Step::Extra("a0"), Step::Commit(3, "a")]);
-        let qb = VecDeque::from(vec![Step::Extra("b0"), Step::Commit(1, "b")]);
-        let pa = pool(&["a0", "a"]);
-        let pb = pool(&["b0", "b"]);
+        // Extra a0, commit 3 (a); extra b0, commit 1 (b).
+        let pa = part(vec!["a0", "a"], vec![(3, 2)], &["a0", "a"]);
+        let pb = part(vec!["b0", "b"], vec![(1, 2)], &["b0", "b"]);
         assert_eq!(
-            merge_partition_chains(
-                &bounds,
-                vec![(qa, pa), (qb, pb)],
-                vec![],
-                PersistentMultiset::new()
-            ),
+            merge_partition_chains(&bounds, vec![pa, pb], vec![], PersistentMultiset::new()),
             None
         );
     }
@@ -1434,20 +1388,15 @@ mod tests {
             all.insert(x);
         }
         let bounds = vec![b1.clone(), b1, all.clone(), all];
-        let qa = VecDeque::from(vec![Step::Extra("a0"), Step::Commit(3, "a")]);
-        let qb = VecDeque::from(vec![Step::Commit(1, "b")]);
-        let pa = pool(&["a0", "a"]);
-        let pb = pool(&["b"]);
-        let chain = merge_partition_chains(
-            &bounds,
-            vec![(qa, pa), (qb, pb)],
-            vec![],
-            PersistentMultiset::new(),
-        )
-        .expect("commit clears block");
-        let picks: Vec<usize> = chain.iter().map(|(i, _)| *i).collect();
+        // Extra a0, commit 3 (a); commit 1 (b).
+        let pa = part(vec!["a0", "a"], vec![(3, 2)], &["a0", "a"]);
+        let pb = part(vec!["b"], vec![(1, 1)], &["b"]);
+        let chain =
+            merge_partition_chains(&bounds, vec![pa, pb], vec![], PersistentMultiset::new())
+                .expect("commit clears block");
+        let picks: Vec<usize> = chain.iter().map(|(i, _)| i).collect();
         assert_eq!(picks, vec![1, 3]);
-        assert_eq!(chain[1].1, vec!["b", "a0", "a"]);
+        assert_eq!(chain.history(), ["b", "a0", "a"]);
     }
 
     #[test]
@@ -1460,31 +1409,24 @@ mod tests {
             all.insert(x);
         }
         let bounds = vec![all.clone(); 5];
-        let qa = VecDeque::from(vec![
-            Step::Commit(0, "a"),
-            Step::Extra("x"),
-            Step::Commit(4, "a"),
-        ]);
-        let qb = VecDeque::from(vec![Step::Commit(1, "b")]);
-        let pa = pool(&["a", "x", "a"]);
-        let pb = pool(&["b", "b0"]);
-        let chain = merge_partition_chains(
-            &bounds,
-            vec![(qa, pa), (qb, pb)],
-            vec![],
-            PersistentMultiset::new(),
-        )
-        .expect("no head blocked");
-        let picks: Vec<usize> = chain.iter().map(|(i, _)| *i).collect();
+        // Commit 0 (a), extra x, commit 4 (a); commit 1 (b).
+        let pa = part(vec!["a", "x", "a"], vec![(0, 1), (4, 3)], &["a", "x", "a"]);
+        let pb = part(vec!["b"], vec![(1, 1)], &["b", "b0"]);
+        let chain =
+            merge_partition_chains(&bounds, vec![pa, pb], vec![], PersistentMultiset::new())
+                .expect("no head blocked");
+        let picks: Vec<usize> = chain.iter().map(|(i, _)| i).collect();
         assert_eq!(picks, vec![0, 1, 4]);
         // After both early commits, the extras node consumes b0 < x, then
         // x, then the final commit.
-        assert_eq!(chain[2].1, vec!["a", "b", "b0", "x", "a"]);
+        assert_eq!(chain.history(), ["a", "b", "b0", "x", "a"]);
     }
 
     /// The merge as it read before the floor rule — every viability test
     /// scans every remaining commit's bound, the consumed inputs are a
-    /// persistent multiset pre-populated by the caller — kept as the
+    /// persistent multiset pre-populated by the caller, every partition is
+    /// a queue of steps (`Some(trace index)` for a commit, `None` for an
+    /// extra) read off its chain's commit histories up front — kept as the
     /// reference `merge_partition_chains` is tested against.
     fn merge_by_scan<I: Clone + Ord + std::hash::Hash>(
         bounds: &[PersistentMultiset<I>],
@@ -1492,21 +1434,30 @@ mod tests {
         seed: Vec<I>,
         seed_used: PersistentMultiset<I>,
     ) -> Option<Chain<I>> {
-        let (mut queues, pools): (Vec<_>, Vec<Vec<(I, usize)>>) = parts.into_iter().unzip();
+        let mut queues: Vec<VecDeque<(Option<usize>, I)>> = Vec::new();
+        let mut pools: Vec<Vec<(I, usize)>> = Vec::new();
+        for (chain, seed_len, pool) in parts {
+            let mut steps = VecDeque::new();
+            let mut prev = seed_len;
+            for (idx, h) in chain.iter() {
+                steps.extend(h[prev..h.len() - 1].iter().map(|e| (None, e.clone())));
+                steps.push_back((Some(idx), h[h.len() - 1].clone()));
+                prev = h.len();
+            }
+            queues.push(steps);
+            pools.push(pool);
+        }
         // All remaining commits, across every queue: `(original index, input)`.
         let mut remaining: Vec<(usize, I)> = queues
             .iter()
             .flat_map(|q| q.iter())
-            .filter_map(|s| match s {
-                Step::Commit(idx, input) => Some((*idx, input.clone())),
-                Step::Extra(_) => None,
-            })
+            .filter_map(|(idx, input)| Some(((*idx)?, input.clone())))
             .collect();
         remaining.sort_by_key(|(idx, _)| *idx);
 
         let mut used: PersistentMultiset<I> = seed_used;
         let mut hist: Vec<I> = seed;
-        let mut chain: Chain<I> = Vec::new();
+        let mut cuts: Vec<(usize, usize)> = Vec::new();
 
         // `input` stays within every remaining commit's bound after one more
         // occurrence is consumed (the monolithic prune admits the child node).
@@ -1529,18 +1480,18 @@ mod tests {
             let mut blocked_commits: Vec<usize> = Vec::new(); // queue indices
             for (qi, q) in queues.iter().enumerate() {
                 match q.front() {
-                    Some(Step::Commit(idx, input)) => {
+                    Some(&(Some(idx), ref input)) => {
                         any_head = true;
-                        if used.count(input) >= bounds[*idx].count(input)
-                            || !viable(&used, input, Some(*idx), &remaining)
+                        if used.count(input) >= bounds[idx].count(input)
+                            || !viable(&used, input, Some(idx), &remaining)
                         {
                             any_blocked = true;
                             blocked_commits.push(qi);
-                        } else if commit_choice.is_none_or(|(best, _)| *idx < best) {
-                            commit_choice = Some((*idx, qi));
+                        } else if commit_choice.is_none_or(|(best, _)| idx < best) {
+                            commit_choice = Some((idx, qi));
                         }
                     }
-                    Some(Step::Extra(input)) => {
+                    Some((None, input)) => {
                         any_head = true;
                         if !viable(&used, input, None, &remaining) {
                             any_blocked = true;
@@ -1568,14 +1519,13 @@ mod tests {
             // order the partition's local witness never explored.
             if let Some((best, _)) = commit_choice {
                 for &qi in &blocked_commits {
-                    let head_idx = match queues[qi].front() {
-                        Some(Step::Commit(idx, _)) => *idx,
-                        _ => unreachable!("blocked_commits holds commit-headed queues"),
+                    let Some(&(Some(head_idx), _)) = queues[qi].front() else {
+                        unreachable!("blocked_commits holds commit-headed queues");
                     };
-                    let deviates = queues[qi].iter().skip(1).any(|s| match s {
-                        Step::Commit(idx, _) => *idx > head_idx && *idx < best,
-                        Step::Extra(_) => false,
-                    });
+                    let deviates = queues[qi]
+                        .iter()
+                        .skip(1)
+                        .any(|&(idx, _)| idx.is_some_and(|idx| idx > head_idx && idx < best));
                     if deviates {
                         return None;
                     }
@@ -1584,12 +1534,10 @@ mod tests {
             // Move 1 (commits, ascending trace index) before move 2 (extras,
             // ascending input) — the engine's child order.
             if let Some((idx, qi)) = commit_choice {
-                let Some(Step::Commit(_, input)) = queues[qi].pop_front() else {
-                    unreachable!("head re-read");
-                };
+                let (_, input) = queues[qi].pop_front().expect("head re-read");
                 used.insert(input.clone());
                 hist.push(input);
-                chain.push((idx, hist.clone()));
+                cuts.push((idx, hist.len()));
                 remaining.retain(|(i, _)| *i != idx);
                 continue;
             }
@@ -1617,10 +1565,11 @@ mod tests {
             used.insert(input.clone());
             hist.push(input);
         }
-        Some(chain)
+        Some(Chain::new(hist, cuts))
     }
 
-    /// The merge's bounds, class step queues with their pools, and seed.
+    /// The merge's bounds, class chains with their seed lengths and pools,
+    /// and seed.
     type MergeInputs<I> = (Vec<PersistentMultiset<I>>, Vec<Part<I>>, Vec<I>);
 
     /// `merge_partition_chains` and [`merge_by_scan`] on the same inputs,
@@ -1640,8 +1589,9 @@ mod tests {
     }
 
     /// What [`check`] hands the merge for `t`: the whole problem's bounds
-    /// and seed, and per class its witness steps and pool — `None` when the
-    /// model states no classes or a class has no chain (no merge runs).
+    /// and seed, and per class its chain, seed length and pool — `None`
+    /// when the model states no classes or a class has no chain (no merge
+    /// runs).
     fn merge_inputs<V, M>(
         model: &M,
         t: &Trace<ObjAction<KvStore, V>>,
@@ -1656,10 +1606,7 @@ mod tests {
             .iter()
             .map(|class| {
                 let (chain, ()) = class.search(&KvStore, BUDGET).0.ok()??;
-                Some((
-                    witness_steps(&chain, class.seed.len(), |i| i),
-                    class.pool.clone(),
-                ))
+                Some((chain, class.seed.len(), class.pool.clone()))
             })
             .collect::<Option<_>>()?;
         Some((whole.bounds.to_vec(), parts, whole.seed))
@@ -1707,14 +1654,15 @@ mod tests {
         assert!(bailed > 0 && bailed < total, "{bailed} of {total} bail");
     }
 
-    /// The floor rule against the scan on random monotone bounds: step
-    /// queues whose commits come in any index order, heads the bounds
-    /// block, pools with leftovers beyond their queue's steps, a seed and a
+    /// The floor rule against the scan on random monotone bounds: class
+    /// chains whose commits come in any index order, heads the bounds
+    /// block, pools with leftovers beyond their chain's steps, a seed and a
     /// retained prefix summary.
     #[test]
     fn merge_equals_the_scan_on_random_monotone_bounds() {
         use proptest::prelude::*;
-        // Per step: (queue, input, commit?, sort key of its commit index).
+        // Per step: (chain, input, commit?, sort key of its commit index).
+        // A chain ends at its last commit: steps after it are only pooled.
         let steps = prop::collection::vec((0..3usize, 0..4u8, 0..3u8, 0..64u8), 1..12);
         // Per commit index: the inputs its bound adds to the one before
         // (the first to the seed and the retained summary).
@@ -1738,13 +1686,14 @@ mod tests {
                     .map(|(at, s)| (s.3, at))
                     .collect();
                 keys.sort_unstable();
-                let mut queues = vec![VecDeque::new(); 3];
+                let mut histories = vec![Vec::new(); 3];
+                let mut cuts = vec![Vec::new(); 3];
                 let mut pools = vec![PersistentMultiset::new(); 3];
                 for (at, &(q, input, _, _)) in steps.iter().enumerate() {
-                    queues[q].push_back(match keys.iter().position(|&(_, a)| a == at) {
-                        Some(idx) => Step::Commit(idx, input),
-                        None => Step::Extra(input),
-                    });
+                    histories[q].push(input);
+                    if let Some(idx) = keys.iter().position(|&(_, a)| a == at) {
+                        cuts[q].push((idx, histories[q].len()));
+                    }
                     pools[q].insert(input);
                 }
                 for (pool, more) in pools.iter_mut().zip(extras) {
@@ -1759,8 +1708,11 @@ mod tests {
                         bound.clone()
                     })
                     .collect();
-                let pools = pools.iter().map(|p| crate::model::pool_of(Some(p)));
-                let parts = queues.into_iter().zip(pools).collect();
+                let chains = histories.into_iter().zip(cuts);
+                let parts = chains
+                    .zip(&pools)
+                    .map(|((h, c), p)| (Chain::new(h, c), 0, crate::model::pool_of(Some(p))))
+                    .collect();
                 let retained = retained.into_iter().collect();
                 let (got, want) = both_merges((bounds, parts, seed), retained);
                 merged += got.is_some() as usize;

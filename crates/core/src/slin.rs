@@ -37,7 +37,7 @@
 //! single-threaded enumeration (a session built with `.threads(1)`)
 //! reports.
 
-use crate::engine::{Chain, EngineError, SearchBudget, SearchStats};
+use crate::engine::{Chain, EngineError, Found, SearchBudget, SearchStats};
 use crate::initrel::{CandidateContext, InitRelation};
 use crate::model::{self, ConsistencyModel, Problem, Projection};
 use crate::ops::{self, Commit, SwitchEvent};
@@ -142,11 +142,11 @@ impl From<EngineError> for SlinError {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlinWitness<I> {
     /// The interpretation of each init action: `(trace index, history)`.
-    pub init_histories: Vec<(usize, Vec<I>)>,
-    /// The commit histories in chain order: `(trace index, history)`.
-    pub commit_histories: Vec<(usize, Vec<I>)>,
+    pub init_histories: Histories<I>,
+    /// The commit histories in chain order.
+    pub commit_histories: Chain<I>,
     /// The abort histories: `(trace index, history)`.
-    pub abort_histories: Vec<(usize, Vec<I>)>,
+    pub abort_histories: Histories<I>,
 }
 
 /// The outcome of a successful check.
@@ -324,76 +324,6 @@ where
         }
     }
 
-    /// The enumeration loop: interpretation indices `0..combos` through
-    /// [`partition::fan_out`] (at most `threads` threads; on the calling
-    /// thread alone while the searches are small). A shared
-    /// watermark of the earliest abnormal index lets later indices be
-    /// skipped — they cannot influence the verdict — and the verdict is
-    /// resolved by minimum index, so it is byte-identical at every thread
-    /// count.
-    ///
-    /// The second tuple element is the stats surface of
-    /// `check_monolithic`: on `Ok` it equals the report's
-    /// absorbed counters; on a refutation or budget trip it is the
-    /// **earliest abnormal interpretation's own** search counters — the
-    /// deterministic refutation cost (absorbing the partial successes of
-    /// racing workers would not reproduce).
-    fn run_interpretations(
-        &self,
-        prep: &Prepared<T, R::Value>,
-        budget: usize,
-        threads: usize,
-    ) -> (Result<SlinReport<T::Input>, SlinError>, SearchStats)
-    where
-        T: Send + Sync,
-        T::Input: Send + Sync,
-        T::Output: Sync,
-        R: Sync,
-        R::Value: Sync,
-    {
-        let best_abnormal = AtomicUsize::new(usize::MAX);
-        // Every interpretation searches the same commits.
-        let units = (0..prep.combos)
-            .map(|idx| (prep.commits.len(), idx))
-            .collect();
-        let (outcomes, _) = partition::fan_out(units, threads, &|idx: usize| {
-            if idx > best_abnormal.load(Ordering::Relaxed) {
-                return None;
-            }
-            let finit = self.finit_at(prep, idx);
-            let (found, stats) = self.check_one_interpretation(prep, &finit, budget);
-            let found = match found {
-                // Only interpretation 0's witness is ever reported.
-                Ok(Some(w)) => Ok((idx == 0).then_some(w)),
-                Ok(None) => Err(Self::fail_error(&finit)),
-                Err(e) => Err(e),
-            };
-            if found.is_err() {
-                best_abnormal.fetch_min(idx, Ordering::Relaxed);
-            }
-            Some((found, stats))
-        });
-        let mut stats = SearchStats::default();
-        let mut witness = None;
-        // Index order: the first error met is the earliest abnormal one
-        // (every skipped index lies beyond it).
-        for (found, s) in outcomes.into_iter().flatten() {
-            match found {
-                Ok(w) => {
-                    stats.absorb(&s);
-                    witness = witness.or(w);
-                }
-                Err(e) => return (Err(e), s),
-            }
-        }
-        let report = SlinReport {
-            interpretations_checked: prep.combos,
-            witness: witness.expect("combos >= 1: interpretation 0 was checked"),
-            stats,
-        };
-        (Ok(report), stats)
-    }
-
     /// The *valid inputs* `vi(m, t, finit, i)` (Definition 26) at every
     /// trace index `0..=t_len`, built in one pass — the bounds of the whole
     /// problem and, read in place, of every class problem.
@@ -509,7 +439,7 @@ where
     fn interpretation<'p>(
         &'p self,
         prep: &Prepared<T, R::Value>,
-        finit: Arc<Chain<T::Input>>,
+        finit: Arc<Histories<T::Input>>,
         vi: Rc<[PersistentMultiset<T::Input>]>,
         commits: Cow<'p, [Commit<T>]>,
     ) -> Problem<'p, T, Interpretations<T::Input>> {
@@ -546,7 +476,7 @@ where
                     constrain_init_order,
                     &extend,
                 )
-                .map(|abort_histories| (Chain::clone(&finit), abort_histories))
+                .map(|abort_histories| (Histories::clone(&finit), abort_histories))
             }),
         }
     }
@@ -557,24 +487,70 @@ where
         prep: &Prepared<T, R::Value>,
         finit: &[(usize, &Vec<T::Input>)],
         budget: usize,
-    ) -> InterpretationOutcome<T> {
+    ) -> Found<T::Input, Interpretations<T::Input>> {
         let vi = self.valid_inputs(prep, finit);
         let owned = Arc::new(finit.iter().map(|(i, h)| (*i, (*h).clone())).collect());
-        let (found, stats) = self
-            .interpretation(prep, owned, vi, Cow::Borrowed(&prep.commits))
-            .search(&self.adt, budget);
-        let witness = found
-            .map(|found| {
-                found.map(
-                    |(commit_histories, (init_histories, abort_histories))| SlinWitness {
-                        init_histories,
-                        commit_histories,
-                        abort_histories,
-                    },
-                )
-            })
-            .map_err(SlinError::from);
-        (witness, stats)
+        self.interpretation(prep, owned, vi, Cow::Borrowed(&prep.commits))
+            .search(&self.adt, budget)
+    }
+
+    /// The enumeration loop: interpretation indices `0..combos` through
+    /// [`partition::fan_out`] (at most `threads` threads; on the calling
+    /// thread alone while the searches are small). A shared
+    /// watermark of the earliest abnormal index lets later indices be
+    /// skipped — they cannot influence the verdict — and the verdict is
+    /// resolved by minimum index, so it is byte-identical at every thread
+    /// count.
+    ///
+    /// The second tuple element is the stats surface of
+    /// `check_monolithic`: on `Ok` it equals the report's
+    /// absorbed counters; on a refutation or budget trip it is the
+    /// **earliest abnormal interpretation's own** search counters — the
+    /// deterministic refutation cost (absorbing the partial successes of
+    /// racing workers would not reproduce).
+    fn run_interpretations(
+        &self,
+        prep: &Prepared<T, R::Value>,
+        budget: usize,
+        threads: usize,
+    ) -> (Result<SlinReport<T::Input>, SlinError>, SearchStats) {
+        let best_abnormal = AtomicUsize::new(usize::MAX);
+        // Every interpretation searches the same commits.
+        let units = (0..prep.combos)
+            .map(|idx| (prep.commits.len(), idx))
+            .collect();
+        let (outcomes, _) = partition::fan_out(units, threads, &|idx: usize| {
+            if idx > best_abnormal.load(Ordering::Relaxed) {
+                return None;
+            }
+            let finit = self.finit_at(prep, idx);
+            let (found, stats) = self.check_one_interpretation(prep, &finit, budget);
+            let found = match found {
+                // Only interpretation 0's witness is ever reported.
+                Ok(Some(w)) => Ok((idx == 0).then_some(w)),
+                Ok(None) => Err(Self::fail_error(&finit)),
+                Err(e) => Err(e.into()),
+            };
+            if found.is_err() {
+                best_abnormal.fetch_min(idx, Ordering::Relaxed);
+            }
+            Some((found, stats))
+        });
+        let mut stats = SearchStats::default();
+        let mut witness = None;
+        // Index order: the first error met is the earliest abnormal one
+        // (every skipped index lies beyond it).
+        for (found, s) in outcomes.into_iter().flatten() {
+            match found {
+                Ok(w) => {
+                    stats.absorb(&s);
+                    witness = witness.or(w);
+                }
+                Err(e) => return (Err(e), s),
+            }
+        }
+        let (chain, leaf) = witness.expect("combos >= 1: interpretation 0 was checked");
+        (Ok(Self::witness(chain, leaf, prep.combos, stats)), stats)
     }
 }
 
@@ -714,7 +690,7 @@ where
         // The single interpretation: each init action's only candidate
         // (an init action without one vouches for nothing), with the
         // value it interprets.
-        let (init_values, interpretation): (Vec<&R::Value>, Chain<T::Input>) = prep
+        let (init_values, interpretation): (Vec<&R::Value>, Histories<T::Input>) = prep
             .inits
             .iter()
             .zip(std::mem::take(&mut prep.per_init))
@@ -865,22 +841,17 @@ struct Prepared<T: Adt, V> {
     combos: usize,
 }
 
+/// Init or abort histories: `(trace index, history)` pairs. Unlike a
+/// [`Chain`]'s commit histories they need not prefix one another.
+type Histories<I> = Vec<(usize, Vec<I>)>;
+
 /// What a leaf settles beside the commit chain: the init interpretation
-/// searched under and the abort interpretations found, each as
-/// `(trace index, history)` pairs.
-type Interpretations<I> = (Chain<I>, Chain<I>);
+/// searched under and the abort interpretations found.
+type Interpretations<I> = (Histories<I>, Histories<I>);
 
 /// An abort action for the leaf: `(trace index, pending input, switch
 /// value, valid inputs at the index)`.
 type AbortEvent<I, V> = (usize, I, V, PersistentMultiset<I>);
-
-/// One interpretation's verdict (a witness, `None` for "no speculative
-/// linearization exists under this `finit`", or the budget error) plus its
-/// engine stats — the work done, on every side of the verdict.
-type InterpretationOutcome<T> = (
-    Result<Option<SlinWitness<<T as Adt>::Input>>, SlinError>,
-    SearchStats,
-);
 
 /// Enumerator of `rinit` members extending a prefix (the ∃ `fabort` side).
 type ExtendFn<'a, I, V> = dyn Fn(&V, &[I]) -> Vec<Vec<I>> + 'a;
@@ -903,7 +874,7 @@ fn aborts_feasible<T: Adt<Input: Ord>, V>(
     lcp: &[T::Input],
     constrain_init_order: bool,
     extend: &ExtendFn<'_, T::Input, V>,
-) -> Option<Chain<T::Input>> {
+) -> Option<Histories<T::Input>> {
     let mut chosen = Vec::with_capacity(abort_events.len());
     for (index, input, value, valid) in abort_events {
         let cands = extend(value, longest_commit);

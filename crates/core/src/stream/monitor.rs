@@ -20,12 +20,12 @@ use super::{GcPolicy, IngestOutcome, MonitorReport, MonitorStatus, ShardSummary,
 use crate::engine::{Chain, CheckerEngine, EngineError, SearchBudget, SearchSeed, SearchStats};
 use crate::model::ConsistencyModel;
 use crate::ops::Commit;
-use crate::partition::{merge_partition_chains, witness_steps, ClosedCheck, FallbackReason, Step};
+use crate::partition::{merge_partition_chains, ClosedCheck, FallbackReason};
 use crate::ObjAction;
 use slin_adt::{Adt, Partitioner};
 use slin_trace::wf::Validator;
 use slin_trace::{Action, PersistentMultiset, Trace};
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
 /// A report cached per stream version (`events` at computation time).
@@ -599,7 +599,7 @@ where
         if chains.len() <= 1 {
             let merged = chains
                 .pop()
-                .map(|c| remap_chain(c.chain, &c.shard.index_map))
+                .map(|c| c.chain.map_indices(|w| c.shard.index_map[w]))
                 .unwrap_or_default();
             return (Ok(merged), stats, false);
         }
@@ -612,17 +612,21 @@ where
             .iter()
             .map(|i| self.commit_bounds[i].clone())
             .collect();
-        let mut parts: Vec<(VecDeque<Step<_>>, Vec<_>)> = Vec::new();
+        let mut parts = Vec::with_capacity(chains.len());
         let mut seed_used = PersistentMultiset::new();
-        for c in &chains {
-            let ranks: Vec<usize> = c
-                .shard
-                .index_map
-                .iter()
-                .map(|&global| commit_indices.binary_search(&global).unwrap_or(usize::MAX))
-                .collect();
+        for c in &mut chains {
+            let rank = |w: usize| {
+                let global = c.shard.index_map[w];
+                commit_indices
+                    .binary_search(&global)
+                    .expect("a window commit has a bound")
+            };
+            // A shard seed holds no history (retirement drops it): the
+            // chain's steps start at 0, and what the seed consumed counts
+            // as retained.
             parts.push((
-                witness_steps(&c.chain, 0, |w| ranks[w]),
+                std::mem::take(&mut c.chain).map_indices(rank),
+                0,
                 c.shard.pool().iter().map(|(i, n)| (i.clone(), n)).collect(),
             ));
             seed_used = seed_used.sum(&c.shard.seed(c.seed).used);
@@ -630,10 +634,7 @@ where
         if let Some(chain) =
             merge_partition_chains(&bounds_by_rank, parts, Vec::new(), seed_used.clone())
         {
-            let merged = chain
-                .into_iter()
-                .map(|(rank, h)| (commit_indices[rank], h))
-                .collect();
+            let merged = chain.map_indices(|rank| commit_indices[rank]);
             return (Ok(merged), stats, false);
         }
 
@@ -720,7 +721,7 @@ where
         let (found, product_stats) = engine.first_solution(seed, &|_| Some(()));
         stats.absorb(&product_stats);
         let merged = match found {
-            Ok(Some((chain, ()))) => Ok(remap_chain(chain, &globals)),
+            Ok(Some((chain, ()))) => Ok(chain.map_indices(|p| globals[p])),
             Ok(None) => Err(StreamFailure::NotSatisfied),
             Err(EngineError::BudgetExhausted { nodes }) => {
                 Err(StreamFailure::BudgetExhausted { nodes })
@@ -762,11 +763,4 @@ impl<T: Adt, P: Partitioner<T>> Adt for ProductAdt<'_, T, P> {
         map.insert(key, next);
         (map, out)
     }
-}
-
-fn remap_chain<I>(chain: Chain<I>, index_map: &[usize]) -> Chain<I> {
-    chain
-        .into_iter()
-        .map(|(sub, h)| (index_map[sub], h))
-        .collect()
 }

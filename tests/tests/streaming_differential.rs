@@ -989,10 +989,7 @@ fn close_with_abort(t: &Trace<ObjAction<KvStore, ()>>) -> Vec<ObjAction<KvStore,
         oracle.ingest(a.clone());
     }
     let value = match oracle.report().expect("born streaming").verdict {
-        Ok(report) => (report.witness.commit_histories.into_iter())
-            .map(|(_, history)| history)
-            .max_by_key(Vec::len)
-            .unwrap_or_default(),
+        Ok(report) => report.witness.commit_histories.history().to_vec(),
         Err(_) => Vec::new(),
     };
     actions.push(Action::switch(c, PhaseId::new(2), input, value));

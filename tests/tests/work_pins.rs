@@ -11,13 +11,15 @@
 //!
 //! * B4c `ok`; B5 `partitions`, `remerged`, `agrees`; B10 `partitions`,
 //!   `fallbacks` (zero: the decomposition is statically certified),
-//!   `batch_agrees`, `stream_agrees`;
+//!   `batch_agrees`, `stream_agrees`; B14 `commits`, `partitions`,
+//!   `remerged`, `agrees`;
 //! * B6 `events`, `shards`, `ok`, `retired_events`; B6h `events`, `ok`,
 //!   `retired_events`, `epoch_cuts`, `lossy_cuts` (zero: exact mode).
 //!
 //! **Work and memory** may only fall, and are re-pinned when they do:
 //!
-//! * B4c `interpretations`, `nodes`; B5 and B10 `mono_nodes`, `part_nodes`;
+//! * B4c `interpretations`, `nodes`; B5, B10 and B14 `mono_nodes`,
+//!   `part_nodes`; B14 `witness_entries`;
 //! * B6 `fallback_searches`; B6h `search_nodes`, `peak_live_configs`,
 //!   `peak_multiset_nodes`, `peak_window_events`.
 //!
@@ -26,7 +28,8 @@
 //! that moves an answer, or raises work, has a bug to find first. Beside
 //! the pins sit the structural gates a re-pin must still clear (the 2x
 //! partition floors, the B6h per-event cap and its flatness and memory
-//! slopes), so a table cannot be pasted into a shape the design forbids.
+//! slopes, B14's witness linear in its commits), so a table cannot be
+//! pasted into a shape the design forbids.
 //!
 //! CI also runs this file in release: the memo's hasher is wrapping
 //! arithmetic and the shard's subset walks survive only as
@@ -356,6 +359,79 @@ fn b10_shape_certified_keyed_paths_beat_monolithic_on_phase_traces() {
         }
     }
     assert_pinned("B10", &rows, &B10);
+}
+
+// B14: the keyed merge at about a thousand commits.
+
+#[derive(Debug, PartialEq)]
+struct MergePin {
+    scenario: &'static str,
+    commits: usize,
+    partitions: usize,
+    remerged: bool,
+    agrees: bool,
+    mono_nodes: usize,
+    part_nodes: usize,
+    witness_entries: usize,
+}
+
+#[rustfmt::skip]
+const B14: [MergePin; 1] = [
+    MergePin { scenario: "phase keys=8 clean, 4400 steps, seed 77", commits: 996, partitions: 8, remerged: false, agrees: true, mono_nodes: 996, part_nodes: 996, witness_entries: 4012 },
+];
+
+/// One trace of about a thousand commits over eight keys, checked by a
+/// switch-certified `Auto` session — class searches and the merge — and
+/// by a `Monolithic` one. The verdicts must agree in `Debug` text.
+/// `witness_entries` is what the witness stores: the inputs of its one
+/// commit history and of its init and abort histories, plus one per
+/// commit cut. It is linear in the commits; a copy of every commit's
+/// history would be quadratic (about 500 000 inputs here).
+#[test]
+fn b14_the_keyed_merge_at_a_thousand_commits_agrees_and_stays_linear() {
+    let cert = certify_switch(&KvStore, &KvKeyPartitioner, &AnalyzeConfig::default())
+        .expect("the shipped kv partitioner is switch-independent under ExactInit");
+    let (m, n) = phase_trace_bounds();
+    let chk = SlinChecker::owned(KvStore, ExactInit::new(), m, n);
+    let t = random_phase_kv_trace(&PhaseConfig {
+        clients: 4,
+        steps: 4400,
+        keys: 8,
+        aborts: 2,
+        seed: 77,
+        ..PhaseConfig::default()
+    });
+    let mono = Checker::builder(chk.clone())
+        .strategy(Strategy::Monolithic)
+        .build::<Vec<KvInput>>()
+        .check(&t);
+    let part = Checker::builder(chk)
+        .partitioner(KvKeyPartitioner)
+        .switch_certified(&cert)
+        .expect("certified")
+        .build::<Vec<KvInput>>()
+        .check(&t);
+    let report = part.partition.expect("certified sessions partition");
+    let witness = witness_of(&part.outcome).expect("the generator's clean traces check");
+    let chain = &witness.commit_histories;
+    let histories = |hs: &[(usize, Vec<KvInput>)]| hs.iter().map(|(_, h)| h.len()).sum::<usize>();
+    let row = MergePin {
+        scenario: "phase keys=8 clean, 4400 steps, seed 77",
+        commits: chain.cuts().len(),
+        partitions: report.partitions,
+        remerged: report.remerged,
+        agrees: format!("{:?}", witness_of(&part.outcome))
+            == format!("{:?}", witness_of(&mono.outcome)),
+        mono_nodes: mono.stats.nodes,
+        part_nodes: report.stats.nodes,
+        witness_entries: chain.history().len()
+            + chain.cuts().len()
+            + histories(&witness.init_histories)
+            + histories(&witness.abort_histories),
+    };
+    assert!(row.agrees && row.commits > 900, "{row:?}");
+    assert!(row.witness_entries < 8 * row.commits, "{row:?}");
+    assert_pinned("B14", &[row], &B14);
 }
 
 // B6 and B6h: bounded-window streaming sessions over multi-key KV streams.
