@@ -333,6 +333,13 @@ impl fmt::Display for EngineError {
 
 impl Error for EngineError {}
 
+/// A search space exhausted without a chain: the problem has no witness.
+/// Each model states once what that means as its error (a refutation
+/// without an init interpretation to name); the streaming monitor's
+/// window reports read it through that conversion.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Refuted;
+
 /// A chain of commit histories — the witness shape shared by both checkers.
 ///
 /// Commit-Order makes every commit history a prefix of the longest, so a

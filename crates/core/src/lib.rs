@@ -89,7 +89,7 @@ pub use engine::{EngineError, SearchBudget, SearchStats};
 pub use initrel::{ConsensusInit, ExactInit, InitRelation};
 pub use lin::{LinChecker, LinError, LinWitness};
 pub use model::ConsistencyModel;
-pub use partition::{split_trace, PartitionReport, SplitOutcome, TracePartition};
+pub use partition::PartitionReport;
 pub use session::{Checker, Session, SessionBuilder, Strategy, StrategyUsed, Verdict};
 pub use slin::{SlinChecker, SlinError, SlinWitness};
 

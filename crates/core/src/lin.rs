@@ -19,10 +19,10 @@
 //! alternates "append an extra input" and "commit a response" moves; see
 //! [`crate::engine`] for the search itself.
 
-use crate::engine::{Chain, EngineError, SearchBudget, SearchStats};
+use crate::engine::{Chain, EngineError, Refuted, SearchBudget, SearchStats};
 use crate::model::{self, ConsistencyModel, Problem, Projection};
 use crate::partition;
-use crate::stream::{MonitorStatus, StreamFailure};
+use crate::stream::MonitorStatus;
 use crate::{ops, ObjAction};
 use slin_adt::{Adt, Partitioner};
 use slin_trace::wf::{self, Invalid, WellFormednessError};
@@ -93,6 +93,12 @@ impl From<EngineError> for LinError {
         match e {
             EngineError::BudgetExhausted { nodes } => LinError::BudgetExhausted { nodes },
         }
+    }
+}
+
+impl From<Refuted> for LinError {
+    fn from(_: Refuted) -> Self {
+        LinError::NotLinearizable
     }
 }
 
@@ -179,13 +185,7 @@ where
     /// `Session` built from it) is `'static`, so it can live in long-lived
     /// tables — the daemon tenant-table setting.
     pub fn owned(adt: T) -> Self {
-        Self::shared(Arc::new(adt))
-    }
-
-    /// Creates a checker over an already-shared ADT handle (many checkers
-    /// can share one allocation).
-    pub fn shared(adt: Arc<T>) -> Self {
-        LinChecker { adt }
+        LinChecker { adt: Arc::new(adt) }
     }
 
     /// Checks the trace under the default search budget and returns a
@@ -259,7 +259,7 @@ where
         let (found, stats) = definition_10(t).search(&*self.adt, budget);
         let verdict = match found {
             Ok(Some((chain, ()))) => Ok(LinWitness { assignments: chain }),
-            Ok(None) => Err(LinError::NotLinearizable),
+            Ok(None) => Err(Refuted.into()),
             Err(e) => Err(e.into()),
         };
         (verdict, stats)
@@ -271,14 +271,6 @@ where
             LinError::IllFormed(_) => MonitorStatus::IllFormed,
             LinError::SwitchAction { .. } => MonitorStatus::SwitchSeen,
             LinError::BudgetExhausted { .. } => MonitorStatus::Unknown,
-        }
-    }
-
-    fn stream_error(&self, failure: StreamFailure) -> LinError {
-        match failure {
-            StreamFailure::Invalid(invalid) => invalid.into(),
-            StreamFailure::NotSatisfied => LinError::NotLinearizable,
-            StreamFailure::BudgetExhausted { nodes } => LinError::BudgetExhausted { nodes },
         }
     }
 
@@ -313,7 +305,7 @@ where
         Projection::Classes {
             whole,
             classes,
-            refuted: Box::new(|| LinError::NotLinearizable),
+            refuted: Box::new(|| Refuted.into()),
         }
     }
 

@@ -32,10 +32,14 @@
 //! frameworks present it). What is left model-specific is
 //! [`ConsistencyModel::check_monolithic`] — speculative linearizability
 //! quantifies over *every* init interpretation there — and how the model's
-//! errors read on a stream ([`ConsistencyModel::status_of_error`],
-//! [`ConsistencyModel::stream_error`]). Limits are not a model's business
-//! either: the [`crate::session`] owns the search budget and the thread
-//! bound and passes them to each check.
+//! errors read as a rolling status ([`ConsistencyModel::status_of_error`]).
+//! A verdict the streaming monitor derives from its shard windows is the
+//! engine's own outcome; it becomes the model's error through the three
+//! conversions the [`ConsistencyModel::Error`] bound names — from the
+//! validator's [`Invalid`], from an [`EngineError`], and from a
+//! [`Refuted`] search, the one refutation each model states. Limits are
+//! not a model's business either: the [`crate::session`] owns the search
+//! budget and the thread bound and passes them to each check.
 //!
 //! # Model ownership
 //!
@@ -47,13 +51,14 @@
 //! monitor's shard table).
 
 use crate::engine::{
-    Chain, CheckerEngine, EngineError, Found, SearchBudget, SearchSeed, SearchStats,
+    Chain, CheckerEngine, EngineError, Found, Refuted, SearchBudget, SearchSeed, SearchStats,
 };
 use crate::ops::Commit;
 use crate::partition::FallbackReason;
-use crate::stream::{MonitorStatus, StreamFailure};
+use crate::stream::MonitorStatus;
 use crate::ObjAction;
 use slin_adt::{Adt, Partitioner};
+use slin_trace::wf::Invalid;
 use slin_trace::{PersistentMultiset, PhaseId, Trace};
 use std::borrow::Cow;
 use std::fmt::Debug;
@@ -225,8 +230,11 @@ pub trait ConsistencyModel<V>: Sized {
     /// The witness payload of a successful check (`LinWitness` /
     /// `SlinReport`).
     type Witness: Clone + PartialEq + Debug;
-    /// Why a check failed (`LinError` / `SlinError`).
-    type Error: Clone + PartialEq + Debug + From<EngineError>;
+    /// Why a check failed (`LinError` / `SlinError`): a trace outside the
+    /// model's signature or well-formedness discipline, a tripped budget,
+    /// or a refuted search — the last one without an init interpretation
+    /// to name, as a shard window holds no switch action.
+    type Error: Clone + PartialEq + Debug + From<Invalid> + From<EngineError> + From<Refuted>;
     /// What the leaf oracle of the model's problems yields beside the
     /// chain (nothing for plain linearizability; the init and abort
     /// interpretations for the speculative one). The default is the leaf
@@ -264,9 +272,6 @@ pub trait ConsistencyModel<V>: Sized {
     /// Maps a batch-check failure onto the rolling [`MonitorStatus`] (the
     /// streaming monitor resolves [`MonitorStatus::Deferred`] with it).
     fn status_of_error(e: &Self::Error) -> MonitorStatus;
-
-    /// Maps a window-mode stream failure onto the model's error type.
-    fn stream_error(&self, failure: StreamFailure) -> Self::Error;
 
     /// States what there is to search in `t` along `partitioner`,
     /// validating `t` against the model's signature and well-formedness

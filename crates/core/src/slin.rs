@@ -37,12 +37,12 @@
 //! single-threaded enumeration (a session built with `.threads(1)`)
 //! reports.
 
-use crate::engine::{Chain, EngineError, Found, SearchBudget, SearchStats};
+use crate::engine::{Chain, EngineError, Found, Refuted, SearchBudget, SearchStats};
 use crate::initrel::{CandidateContext, InitRelation};
 use crate::model::{self, ConsistencyModel, Problem, Projection};
 use crate::ops::{self, Commit, SwitchEvent};
 use crate::partition::{self, FallbackReason};
-use crate::stream::{MonitorStatus, StreamFailure};
+use crate::stream::MonitorStatus;
 use crate::ObjAction;
 use slin_adt::{Adt, Partitioner};
 use slin_trace::seq;
@@ -137,6 +137,15 @@ impl From<EngineError> for SlinError {
     }
 }
 
+impl From<Refuted> for SlinError {
+    /// A refutation with no init action to interpret.
+    fn from(_: Refuted) -> Self {
+        SlinError::NotSpeculativelyLinearizable {
+            interpretation: Vec::new(),
+        }
+    }
+}
+
 /// A witness for one init interpretation: the commit chain `g` and the abort
 /// histories `fabort` found by the search.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -206,17 +215,13 @@ where
     ///
     /// Panics unless `m < n`.
     pub fn owned(adt: T, rinit: R, m: PhaseId, n: PhaseId) -> Self {
-        Self::shared(Arc::new(adt), rinit, m, n)
-    }
-
-    /// Creates a checker over an already-shared ADT handle.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `m < n`.
-    pub fn shared(adt: Arc<T>, rinit: R, m: PhaseId, n: PhaseId) -> Self {
         assert!(m < n, "a speculation phase (m, n) requires m < n");
-        SlinChecker { adt, rinit, m, n }
+        SlinChecker {
+            adt: Arc::new(adt),
+            rinit,
+            m,
+            n,
+        }
     }
 
     /// Checks `(m, n)`-speculative linearizability of the trace under the
@@ -610,16 +615,6 @@ where
             SlinError::BudgetExhausted { .. } | SlinError::TooManyInterpretations { .. } => {
                 MonitorStatus::Unknown
             }
-        }
-    }
-
-    fn stream_error(&self, failure: StreamFailure) -> SlinError {
-        match failure {
-            StreamFailure::Invalid(invalid) => invalid.into(),
-            StreamFailure::NotSatisfied => SlinError::NotSpeculativelyLinearizable {
-                interpretation: Vec::new(),
-            },
-            StreamFailure::BudgetExhausted { nodes } => SlinError::BudgetExhausted { nodes },
         }
     }
 

@@ -24,9 +24,10 @@
 //! (or a batch session upgraded by its first `ingest`). The monitor itself
 //! is private to the crate; it is parameterized by a
 //! [`ConsistencyModel`](crate::model::ConsistencyModel)
-//! (which says how a batch error reads as a status, how a window failure
-//! maps onto the model's error type, and — through `phase_bounds` — what a
-//! switch action means), so any model streams. What
+//! (which says how a batch error reads as a status and — through
+//! `phase_bounds` — what a switch action means; a window verdict becomes
+//! the model's error through the conversions its error type has anyway),
+//! so any model streams. What
 //! this module exports is what a session hands back: [`MonitorStatus`],
 //! [`IngestOutcome`], [`ShardSummary`], [`MonitorReport`], and the
 //! [`GcPolicy`] a session is built with.
@@ -86,14 +87,16 @@
 //! (valid inputs count every invocation before an index; the abort clause
 //! reads the whole committed history), so whatever must be rebuilt from
 //! "the stream so far" is rebuilt from one place: the monitor's **record**,
-//! every event in order — complete or absent, never a part. It is kept from
-//! birth when the window is unbounded or [`GcPolicy::archive_windows`] is
-//! positive. Under a bounded window it is dropped (memory freed,
+//! every event in order — complete or absent, never a part. While nothing
+//! has been retired the shard windows together are the whole stream, so
+//! an absent record is materialised from them on demand. An unbounded
+//! stream retires nothing: its record is its windows, each event held
+//! once, until a speculative switch keeps one. A record is kept from
+//! birth only for archival — a bounded window with
+//! [`GcPolicy::archive_windows`] positive — and is dropped (memory freed,
 //! `slin_archive_evictions_total` counts it once) at the retirement that
-//! first takes a shard past `archive_windows` retired windows. While
-//! nothing has been retired an absent record is materialised on demand
-//! from the shard windows, which together are then the whole stream.
-//! Three rebuilds read it and nothing else:
+//! first takes a shard past `archive_windows` retired windows. Three
+//! rebuilds read it and nothing else:
 //!
 //! * a speculative model's **first switch** — from then on the report, and
 //!   so the deferred status, is the batch check of the record: per class
@@ -103,13 +106,19 @@
 //!   good;
 //! * an **identity collapse** (an input the partitioner declines) — one
 //!   identity shard replays every event *before* the triggering one, once;
-//! * a **bounded-window report after retirement** — the batch check of the
+//! * a **report** — with an unbounded window the batch check of the
+//!   stream; with a bounded one after retirement the batch check of the
 //!   record, byte-identical to the unbounded session's and flagged
 //!   [`MonitorReport::reconstructed`].
 //!
-//! Without the record a report searches the windows instead
-//! (window-relative, flagged [`MonitorReport::prefix_committed`]); a switch
-//! or collapse that needs it under-claims exactly as a lossy shard does —
+//! A report first asks the validator, which has seen every event: past a
+//! plain-linearizability switch the shards are quiet and the windows are
+//! not the stream, and the batch check validates first too. Without the
+//! record a bounded-window report searches the windows instead
+//! (window-relative, flagged [`MonitorReport::prefix_committed`]), and its
+//! verdict is the engine's own outcome, converted into the model's error
+//! like a batch search's. A switch or collapse that needs the record after
+//! it was dropped under-claims exactly as a lossy shard does —
 //! [`MonitorStatus::Unknown`] for good, and a report that the budget ran
 //! out at zero nodes — while the validator still decides
 //! [`MonitorStatus::IllFormed`] and [`MonitorStatus::SwitchSeen`].
@@ -126,28 +135,6 @@ pub(crate) use monitor::Monitor;
 
 use crate::engine::SearchStats;
 use crate::partition::FallbackReason;
-use slin_trace::wf::Invalid;
-
-/// Why a window-mode stream check failed, before it is mapped onto the
-/// model's error type by
-/// [`ConsistencyModel::stream_error`](crate::model::ConsistencyModel::stream_error).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StreamFailure {
-    /// The stream is refused before any search — an action outside the
-    /// model's signature, or an ill-formed stream — exactly as the model's
-    /// batch check refuses the closed trace (one [`slin_trace::wf::Validator`]
-    /// decides both).
-    Invalid(Invalid),
-    /// No witness exists for the retained window.
-    NotSatisfied,
-    /// The window search exhausted its node budget — or, at `nodes: 0`,
-    /// nothing can be proved: after a lossy cut, or where a rebuild needed
-    /// the record after it was dropped (module docs, "The record").
-    BudgetExhausted {
-        /// Nodes expanded when the budget tripped.
-        nodes: usize,
-    },
-}
 
 /// The garbage-collection/retirement policy of a streaming session: set on
 /// [`crate::session::SessionBuilder::gc_policy`] and reused verbatim as the
@@ -165,13 +152,15 @@ pub struct GcPolicy {
     /// session reads 0 as 1). Larger values survive more reorderings
     /// without falling back; smaller values bound per-event work tighter.
     pub frontier_cap: usize,
-    /// Witness archival, in retired windows per shard: keep the stream's
-    /// record (module docs, "The record") until a shard retires more than
-    /// this many windows, so a report re-checks the whole stream — **full**
-    /// forensic witnesses, byte-identical to an unGC'd session's — instead
-    /// of window-relative stubs, and a switch or a collapse rebuilds
-    /// exactly. `0` (default) keeps no record and memory O(window); `K`
-    /// bounds the extra retention at O(K · window) events per shard.
+    /// Witness archival, in retired windows per shard: under a bounded
+    /// window, keep the stream's record (module docs, "The record") from
+    /// birth until a shard retires more than this many windows, so a report
+    /// re-checks the whole stream — **full** forensic witnesses,
+    /// byte-identical to an unGC'd session's — instead of window-relative
+    /// stubs, and a switch or a collapse rebuilds exactly. `0` (default)
+    /// keeps no record and memory O(window); `K` bounds the extra retention
+    /// at O(K · window) events per shard. An unbounded window retires
+    /// nothing, so it has nothing to archive.
     pub archive_windows: usize,
 }
 

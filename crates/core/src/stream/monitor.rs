@@ -10,31 +10,43 @@
 //! holds the session's [`ClosedCheck`] — model, partitioner, certificate,
 //! budget, threads and observer — and re-checks its record through
 //! [`ClosedCheck::check`], the routine a batch session runs. What a switch
-//! action *means* comes from [`ConsistencyModel::phase_bounds`], how a
-//! window failure maps onto the model's error type from
-//! [`ConsistencyModel::stream_error`]; a window's merged chain is wrapped by
-//! [`ConsistencyModel::witness`] like any other.
+//! action *means* comes from [`ConsistencyModel::phase_bounds`]. A window
+//! report's outcome is the engine's own — a merged chain, a refutation or
+//! a budget trip — and becomes the model's verdict as a batch search's
+//! does: the chain wrapped by [`ConsistencyModel::witness`], the failure
+//! converted into the model's error.
 
 use super::shard::{ShardConfig, ShardState, ShardStatus};
-use super::{GcPolicy, IngestOutcome, MonitorReport, MonitorStatus, ShardSummary, StreamFailure};
-use crate::engine::{Chain, CheckerEngine, EngineError, SearchBudget, SearchSeed, SearchStats};
+use super::{GcPolicy, IngestOutcome, MonitorReport, MonitorStatus, ShardSummary};
+use crate::engine::{
+    Chain, CheckerEngine, EngineError, Refuted, SearchBudget, SearchSeed, SearchStats,
+};
 use crate::model::ConsistencyModel;
-use crate::ops::Commit;
+use crate::ops;
 use crate::partition::{merge_partition_chains, ClosedCheck, FallbackReason};
 use crate::ObjAction;
 use slin_adt::{Adt, Partitioner};
 use slin_trace::wf::Validator;
 use slin_trace::{Action, PersistentMultiset, Trace};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
+
+/// A stream of actions on `T`: the record, or the shard windows merged.
+type Stream<T, V> = Trace<ObjAction<T, V>>;
 
 /// A report cached per stream version (`events` at computation time).
 type CachedReport<W, E> = Option<(usize, MonitorReport<W, E>)>;
 
-/// A window report's merged commit chain in global indices, or why it
-/// failed — with the absorbed stats and whether a monolithic re-derivation
-/// ran.
-type WindowVerdict<I> = (Result<Chain<I>, StreamFailure>, SearchStats, bool);
+/// A window report's engine outcome — the merged commit chain in global
+/// indices, `None` when refuted, or the budget trip — with the absorbed
+/// stats and whether a monolithic re-derivation ran.
+type WindowVerdict<I> = (Result<Option<Chain<I>>, EngineError>, SearchStats, bool);
+
+/// What a claim nothing can back reads as: a budget trip at zero nodes —
+/// after a lossy cut, or where a rebuild needed the record after it was
+/// dropped (module docs, "The record").
+const UNPROVABLE: EngineError = EngineError::BudgetExhausted { nodes: 0 };
 
 /// One shard's window witness in a multi-shard window report.
 struct ShardChain<'a, T: Adt, V, K> {
@@ -75,11 +87,12 @@ where
     /// Stream length so far (the next action's global index).
     events: usize,
     /// The one record of the stream — every event so far, complete or
-    /// absent (module docs, "The record"). Kept from birth when the window
-    /// is unbounded or `archive_windows > 0`; under a bounded window
-    /// dropped at the retirement that takes a shard past `archive_windows`
-    /// retired windows (no shard retires past a switch).
-    record: Option<Trace<ObjAction<M::Adt, V>>>,
+    /// absent (module docs, "The record"). Kept from birth only for
+    /// archival (a bounded window with `archive_windows > 0`), and dropped
+    /// at the retirement that takes a shard past `archive_windows` retired
+    /// windows; kept from a speculative stream's first switch on (no shard
+    /// retires past a switch). Otherwise the shard windows are the stream.
+    record: Option<Stream<M::Adt, V>>,
     /// A rebuild needed the record after it was gone: from here on the
     /// monitor under-claims, as a lossy shard does.
     lost: bool,
@@ -120,7 +133,9 @@ where
     /// bounded-window GC past `window` events per shard, and the shards'
     /// GC policy.
     pub(crate) fn new(closed: ClosedCheck<M, P>, window: Option<usize>, gc: GcPolicy) -> Self {
-        let keep = window.is_none() || gc.archive_windows > 0;
+        // An unbounded window retires nothing, so there is nothing to
+        // archive: its windows are the whole stream.
+        let keep = window.is_some() && gc.archive_windows > 0;
         let phase_bounds = closed.model.phase_bounds();
         Monitor {
             closed,
@@ -194,13 +209,6 @@ where
         })
     }
 
-    fn key_of(&self, input: &<M::Adt as Adt>::Input) -> Option<P::Key> {
-        self.closed
-            .partitioner
-            .as_ref()
-            .and_then(|p| p.key_of(input))
-    }
-
     /// Ingests the next event of the live stream; O(shard work) — no
     /// re-check of the growing prefix.
     pub(crate) fn ingest(&mut self, action: ObjAction<M::Adt, V>) -> IngestOutcome {
@@ -211,12 +219,19 @@ where
         }
         // From the first switch on the verdict is decided (lin) or deferred
         // to re-checks of the record (slin), so no shard result is read
-        // again: the shards stay quiet.
+        // again: the shards stay quiet. Without a partitioner every event
+        // goes to the identity shard: there is no per-key path to leave.
         let routed = !(was_quiet || action.is_switch());
-        let key = routed.then(|| self.key_of(action.input())).flatten();
-        if routed && key.is_none() && self.fallback.is_none() {
-            self.collapse_to_identity(FallbackReason::UnclassifiableInput);
-        }
+        let key = match &self.closed.partitioner {
+            Some(p) if routed => {
+                let key = p.key_of(action.input());
+                if key.is_none() && self.fallback.is_none() {
+                    self.collapse_to_identity(FallbackReason::UnclassifiableInput);
+                }
+                key
+            }
+            _ => None,
+        };
         let index = self.observe(&action);
         let (frontier_len, fell_back) = if routed {
             self.route(key, action, index)
@@ -252,15 +267,14 @@ where
         index
     }
 
-    /// The stream so far: a copy of the record, or — while nothing has been
-    /// retired, so the shard windows together are the whole stream — those
-    /// windows merged back into stream order. `None` once the record is
-    /// gone.
-    fn stream_so_far(&self) -> Option<Trace<ObjAction<M::Adt, V>>> {
+    /// The stream so far: the record, or — while nothing has been retired,
+    /// so the shard windows together are the whole stream — those windows
+    /// merged back into stream order. `None` once the record is gone.
+    fn stream_so_far(&self) -> Option<Cow<'_, Stream<M::Adt, V>>> {
         match &self.record {
-            Some(record) => Some(record.clone()),
+            Some(record) => Some(Cow::Borrowed(record)),
             None => (!self.prefix_committed)
-                .then(|| self.window_events().into_iter().map(|(_, a)| a).collect()),
+                .then(|| Cow::Owned(self.window_events().into_iter().map(|(_, a)| a).collect())),
         }
     }
 
@@ -269,7 +283,7 @@ where
     /// materialised now if it was not held, lost if it was dropped.
     fn keep_record(&mut self) {
         if self.record.is_none() {
-            self.record = self.stream_so_far();
+            self.record = self.stream_so_far().map(Cow::into_owned);
             self.lost = self.record.is_none();
         }
     }
@@ -335,7 +349,7 @@ where
     /// record the monitor is lost.
     fn collapse_to_identity(&mut self, reason: FallbackReason) {
         self.fallback = Some(reason);
-        let Some(stream) = self.stream_so_far() else {
+        let Some(stream) = self.stream_so_far().map(Cow::into_owned) else {
             self.lost = true;
             return;
         };
@@ -475,10 +489,9 @@ where
     }
 
     fn compute_report(&self) -> MonitorReport<M::Witness, M::Error> {
-        let model = &self.closed.model;
-        let quiet = self.wf.first_switch().is_some();
-        let base = MonitorReport {
-            verdict: Err(model.stream_error(StreamFailure::NotSatisfied)),
+        let deferred = self.wf.first_switch().is_some() && self.speculative();
+        let report = |verdict| MonitorReport {
+            verdict,
             events: self.events,
             shards: self.shards.len(),
             fallback: self.fallback(),
@@ -488,71 +501,61 @@ where
             stats: SearchStats::default(),
             shard: self.shard_summary(),
         };
-        // A bounded window reads the record once a prefix has retired (the
-        // windows are then not the whole stream), and a speculative stream
-        // once it has switched (its deferred verdict is the batch check of
-        // the record); otherwise it searches its windows.
-        let windowed = self.window.is_some() && !(quiet && self.speculative());
-        if windowed || self.lost {
-            // Batch precedence (signature, well-formedness, search): the
-            // first two read off the validator the batch checkers fold,
-            // which has seen the whole stream, not the window.
+        // Batch precedence (signature, well-formedness, search): the first
+        // two read off the validator the batch checkers fold, which has
+        // seen the whole stream — past a plain-linearizability switch the
+        // windows have not. A deferred verdict re-checks the record, which
+        // validates it the same way.
+        if !deferred || self.lost {
             if let Err(invalid) = self.wf.check() {
-                return MonitorReport {
-                    verdict: Err(model.stream_error(StreamFailure::Invalid(invalid))),
-                    ..base
-                };
+                return report(Err(invalid.into()));
             }
         }
         if self.lost {
             // The rebuild needed the record and it was gone: under-claim,
             // as a lossy shard does.
-            let failure = StreamFailure::BudgetExhausted { nodes: 0 };
+            return report(Err(UNPROVABLE.into()));
+        }
+        // The whole stream is re-checked where it is at hand: always with
+        // an unbounded window (its windows are the stream), for a deferred
+        // verdict (the record), and after a retirement while the record is
+        // kept. Otherwise a bounded window searches its windows.
+        let whole = self.window.is_none() || deferred || self.prefix_committed;
+        if let Some(stream) = whole.then(|| self.stream_so_far()).flatten() {
+            // The batch path's own routine (observed there; window-mode
+            // reports are observed per shard by `ShardState::window_search`).
+            // After a retirement the verdict (witness included) is the
+            // unbounded session's all the same: it is reconstructed.
+            if self.prefix_committed {
+                self.closed.obs.archive_reconstruction();
+            }
+            let partitioner = self.closed.partitioner.as_ref();
+            let checked = self.closed.check(partitioner, &stream, "monitor.report");
+            let base = report(checked.outcome);
             return MonitorReport {
-                verdict: Err(model.stream_error(failure)),
+                fallback: base.fallback.or(checked.partition.and_then(|r| r.fallback)),
+                remerged: checked.partition.is_some_and(|r| r.remerged),
+                reconstructed: self.prefix_committed,
+                stats: checked.stats,
                 ..base
             };
         }
-        match &self.record {
-            Some(record) if !windowed || self.prefix_committed => {
-                // The batch path's own routine over the record (observed
-                // there; window-mode reports are observed per shard by
-                // `ShardState::window_search`). After a retirement the
-                // verdict (witness included) is the unbounded session's
-                // all the same: it is reconstructed.
-                if self.prefix_committed {
-                    self.closed.obs.archive_reconstruction();
-                }
-                let partitioner = self.closed.partitioner.as_ref();
-                let checked = self.closed.check(partitioner, record, "monitor.report");
-                MonitorReport {
-                    verdict: checked.outcome,
-                    fallback: base.fallback.or(checked.partition.and_then(|r| r.fallback)),
-                    remerged: checked.partition.is_some_and(|r| r.remerged),
-                    reconstructed: self.prefix_committed,
-                    stats: checked.stats,
-                    ..base
-                }
-            }
-            _ => {
-                let (merged, stats, remerged) = self.window_verdict();
-                let verdict = match merged {
-                    // A window holds no switch action: the default leaf.
-                    Ok(chain) => Ok(M::witness(
-                        chain,
-                        Default::default(),
-                        stats.interpretations,
-                        stats,
-                    )),
-                    Err(failure) => Err(model.stream_error(failure)),
-                };
-                MonitorReport {
-                    verdict,
-                    remerged,
-                    stats,
-                    ..base
-                }
-            }
+        let (found, stats, remerged) = self.window_verdict();
+        let verdict = match found {
+            // A window holds no switch action: the default leaf.
+            Ok(Some(chain)) => Ok(M::witness(
+                chain,
+                Default::default(),
+                stats.interpretations,
+                stats,
+            )),
+            Ok(None) => Err(Refuted.into()),
+            Err(e) => Err(e.into()),
+        };
+        MonitorReport {
+            remerged,
+            stats,
+            ..report(verdict)
         }
     }
 
@@ -562,7 +565,7 @@ where
     fn window_verdict(&self) -> WindowVerdict<<M::Adt as Adt>::Input> {
         let mut stats = SearchStats::default();
         let mut chains: Vec<ShardChain<'_, M::Adt, V, P::Key>> = Vec::new();
-        let mut first_error: Option<StreamFailure> = None;
+        let mut failure: Option<Result<Option<Chain<_>>, EngineError>> = None;
         for (key, shard) in self.shards.iter() {
             let (result, shard_stats) = shard.window_search();
             stats.absorb(&shard_stats);
@@ -574,40 +577,36 @@ where
                     chain,
                     absorbed,
                 }),
+                // After a lossy epoch cut, an exhausted search space
+                // proves nothing: the dropped summary configurations may
+                // have completed.
                 Ok(None) => {
-                    if first_error.is_none() {
-                        // After a lossy epoch cut, an exhausted search
-                        // space proves nothing: the dropped summary
-                        // configurations may have completed.
-                        first_error = Some(if shard.lossy() {
-                            StreamFailure::BudgetExhausted { nodes: 0 }
-                        } else {
-                            StreamFailure::NotSatisfied
-                        });
-                    }
+                    failure.get_or_insert(if shard.lossy() {
+                        Err(UNPROVABLE)
+                    } else {
+                        Ok(None)
+                    });
                 }
-                Err(EngineError::BudgetExhausted { nodes }) => {
-                    if first_error.is_none() {
-                        first_error = Some(StreamFailure::BudgetExhausted { nodes });
-                    }
+                Err(e) => {
+                    failure.get_or_insert(Err(e));
                 }
             }
         }
-        if let Some(e) = first_error {
-            return (Err(e), stats, false);
+        if let Some(failed) = failure {
+            return (failed, stats, false);
         }
         if chains.len() <= 1 {
             let merged = chains
                 .pop()
                 .map(|c| c.chain.map_indices(|w| c.shard.index_map[w]))
                 .unwrap_or_default();
-            return (Ok(merged), stats, false);
+            return (Ok(Some(merged)), stats, false);
         }
 
-        // Rank-compact the global commit indices so the merge machinery can
-        // index bounds densely (memory stays O(window)).
-        let mut commit_indices: Vec<usize> = self.commit_bounds.keys().copied().collect();
-        commit_indices.sort_unstable();
+        // Rank-compact the global commit indices (ascending: they are a
+        // `BTreeMap`'s keys) so the merge machinery can index bounds
+        // densely (memory stays O(window)).
+        let commit_indices: Vec<usize> = self.commit_bounds.keys().copied().collect();
         let bounds_by_rank: Vec<_> = commit_indices
             .iter()
             .map(|i| self.commit_bounds[i].clone())
@@ -635,7 +634,7 @@ where
             merge_partition_chains(&bounds_by_rank, parts, Vec::new(), seed_used.clone())
         {
             let merged = chain.map_indices(|rank| commit_indices[rank]);
-            return (Ok(merged), stats, false);
+            return (Ok(Some(merged)), stats, false);
         }
 
         // Merge bailed (cross-bound coupling): re-derive monolithically
@@ -674,28 +673,10 @@ where
                 absorbed_globals.insert(c.shard.index_map[w]);
             }
         }
-        let events = self.window_events();
-        let trace: Vec<ObjAction<M::Adt, V>> = events.iter().map(|(_, a)| a.clone()).collect();
-        let globals: Vec<usize> = events.iter().map(|(i, _)| *i).collect();
-        let commits: Vec<Commit<ProductAdt<'_, M::Adt, P>>> = trace
-            .iter()
-            .enumerate()
-            .filter(|(p, _)| !absorbed_globals.contains(&globals[*p]))
-            .filter_map(|(p, a)| match a {
-                Action::Respond {
-                    client,
-                    input,
-                    output,
-                    ..
-                } => Some(Commit {
-                    index: p,
-                    client: *client,
-                    input: input.clone(),
-                    output: output.clone(),
-                }),
-                _ => None,
-            })
-            .collect();
+        let (globals, trace): (Vec<usize>, Stream<M::Adt, V>) =
+            self.window_events().into_iter().unzip();
+        let mut commits = ops::commits::<ProductAdt<'_, M::Adt, P>, V>(&trace);
+        commits.retain(|c| !absorbed_globals.contains(&globals[c.index]));
         let empty = PersistentMultiset::new();
         let bounds: Vec<_> = (0..=trace.len())
             .map(|p| {
@@ -720,13 +701,7 @@ where
         };
         let (found, product_stats) = engine.first_solution(seed, &|_| Some(()));
         stats.absorb(&product_stats);
-        let merged = match found {
-            Ok(Some((chain, ()))) => Ok(chain.map_indices(|p| globals[p])),
-            Ok(None) => Err(StreamFailure::NotSatisfied),
-            Err(EngineError::BudgetExhausted { nodes }) => {
-                Err(StreamFailure::BudgetExhausted { nodes })
-            }
-        };
+        let merged = found.map(|f| f.map(|(chain, ())| chain.map_indices(|p| globals[p])));
         (merged, stats, true)
     }
 }
@@ -762,5 +737,99 @@ impl<T: Adt, P: Partitioner<T>> Adt for ProductAdt<'_, T, P> {
         let mut map = state.clone();
         map.insert(key, next);
         (map, out)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::initrel::ExactInit;
+    use crate::lin::LinChecker;
+    use crate::slin::SlinChecker;
+    use slin_adt::{KvInput, KvKeyPartitioner, KvOutput, KvStore};
+    use slin_obs::Obs;
+    use slin_trace::{ClientId, PhaseId};
+
+    /// A monitor over `model`, sharded per key, with the given window and
+    /// archival depth.
+    fn monitor<M, V>(
+        model: M,
+        window: Option<usize>,
+        archive_windows: usize,
+    ) -> Monitor<M, V, KvKeyPartitioner>
+    where
+        M: ConsistencyModel<V, Adt = KvStore>,
+        V: Clone + PartialEq,
+    {
+        let closed = ClosedCheck {
+            model,
+            partitioner: Some(KvKeyPartitioner),
+            keyed: false,
+            budget: SearchBudget::DEFAULT_MAX_NODES,
+            threads: 1,
+            obs: Obs::noop(),
+        };
+        let gc = GcPolicy {
+            archive_windows,
+            ..GcPolicy::default()
+        };
+        Monitor::new(closed, window, gc)
+    }
+
+    /// A put on each of two keys, then a pending get.
+    fn events<V>() -> Vec<ObjAction<KvStore, V>> {
+        let (c1, c2, ph) = (ClientId::new(1), ClientId::new(2), PhaseId::FIRST);
+        vec![
+            Action::invoke(c1, ph, KvInput::Put(1, 1)),
+            Action::invoke(c2, ph, KvInput::Put(2, 2)),
+            Action::respond(c1, ph, KvInput::Put(1, 1), KvOutput::Ack),
+            Action::respond(c2, ph, KvInput::Put(2, 2), KvOutput::Ack),
+            Action::invoke(c1, ph, KvInput::Get(1)),
+        ]
+    }
+
+    /// The record policy (module docs, "The record"): an unbounded stream
+    /// holds its events once, in the shard windows, until a speculative
+    /// switch keeps a record; only archival keeps one from birth.
+    #[test]
+    fn the_record_is_kept_from_birth_only_for_archival() {
+        let mut plain = monitor::<_, ()>(LinChecker::owned(KvStore), None, 0);
+        for a in events() {
+            plain.ingest(a);
+            assert!(plain.record.is_none());
+        }
+        assert_eq!(plain.shard_summary().window_events, plain.events());
+
+        let model = SlinChecker::owned(KvStore, ExactInit::new(), PhaseId::FIRST, PhaseId::new(2));
+        let mut speculative = monitor(model, None, 0);
+        let mut so_far = Trace::new();
+        for a in events() {
+            so_far.push(a.clone());
+            speculative.ingest(a);
+            assert!(speculative.record.is_none());
+        }
+        let value = vec![KvInput::Put(1, 1), KvInput::Put(2, 2)];
+        let switch = Action::switch(ClientId::new(1), PhaseId::new(2), KvInput::Get(1), value);
+        so_far.push(switch.clone());
+        speculative.ingest(switch);
+        assert_eq!(speculative.record.as_ref(), Some(&so_far));
+
+        for (window, archive_windows) in [(Some(64), 0), (None, 1)] {
+            let mut unarchived =
+                monitor::<_, ()>(LinChecker::owned(KvStore), window, archive_windows);
+            for a in events() {
+                unarchived.ingest(a);
+            }
+            assert!(unarchived.record.is_none(), "window {window:?}");
+        }
+
+        let mut archived = monitor::<_, ()>(LinChecker::owned(KvStore), Some(64), 1);
+        assert_eq!(archived.record, Some(Trace::new()));
+        let mut so_far = Trace::new();
+        for a in events() {
+            so_far.push(a.clone());
+            archived.ingest(a);
+            assert_eq!(archived.record.as_ref(), Some(&so_far));
+        }
     }
 }

@@ -93,8 +93,9 @@ pub struct TenantPolicy {
     /// the shed (inline drain, plus lossy forcing when
     /// [`shed_lossy`](TenantPolicy::shed_lossy) is set).
     pub queue_capacity: usize,
-    /// Bounded GC window per shard (`None`: retain everything — verdicts
-    /// byte-identical to batch checking).
+    /// Bounded GC window per shard (`None`: retire nothing — verdicts
+    /// byte-identical to batch checking, and each event held once, in its
+    /// shard's window, until a switch frame keeps the tenant's record).
     pub window: Option<usize>,
     /// The streaming GC policy, verbatim from the checker.
     pub gc: GcPolicy,
@@ -339,15 +340,38 @@ pub struct VerdictCounts {
     pub ill_formed: usize,
     /// Tenants at [`MonitorStatus::SwitchSeen`].
     pub switch_seen: usize,
-    /// Tenants at [`MonitorStatus::Unknown`] (budget or lossy shed).
+    /// Tenants at [`MonitorStatus::Unknown`] (budget or lossy shed). No
+    /// polled status is [`MonitorStatus::Deferred`]: a poll resolves it
+    /// from the tenant's report.
     pub unknown: usize,
-    /// Tenants at [`MonitorStatus::Deferred`].
-    pub deferred: usize,
     /// Tenants whose status moved since the previous poll.
     pub changed: usize,
 }
 
 impl VerdictCounts {
+    /// The `status` label of each counter's `slin_daemon_verdicts` gauge,
+    /// in [`VerdictCounts::counters`] order.
+    const LABELS: [&'static str; 6] = [
+        "ok",
+        "violation",
+        "ill_formed",
+        "switch_seen",
+        "unknown",
+        "changed",
+    ];
+
+    /// Every counter, in [`VerdictCounts::LABELS`] order.
+    fn counters(&self) -> [usize; 6] {
+        [
+            self.ok,
+            self.violation,
+            self.ill_formed,
+            self.switch_seen,
+            self.unknown,
+            self.changed,
+        ]
+    }
+
     /// The counter tallying tenants at `status`.
     fn slot(&mut self, status: MonitorStatus) -> &mut usize {
         match status {
@@ -356,7 +380,12 @@ impl VerdictCounts {
             MonitorStatus::IllFormed => &mut self.ill_formed,
             MonitorStatus::SwitchSeen => &mut self.switch_seen,
             MonitorStatus::Unknown => &mut self.unknown,
-            MonitorStatus::Deferred => &mut self.deferred,
+            // `Session::poll_verdict` resolves a deferred status before
+            // returning it; should one slip through, it is not a verdict.
+            MonitorStatus::Deferred => {
+                debug_assert!(false, "a polled status is resolved");
+                &mut self.unknown
+            }
         }
     }
 }
@@ -382,6 +411,23 @@ pub struct FallbackCounts {
 }
 
 impl FallbackCounts {
+    /// The `reason` label of each counter's `slin_daemon_fallback` gauge,
+    /// in [`FallbackCounts::counters`] order.
+    const LABELS: [&'static str; 3] = [
+        "switch_uncertified",
+        "unclassifiable_input",
+        "cross_bound_coupled",
+    ];
+
+    /// Every counter, in [`FallbackCounts::LABELS`] order.
+    fn counters(&self) -> [usize; 3] {
+        [
+            self.switch_uncertified,
+            self.unclassifiable_input,
+            self.cross_bound_coupled,
+        ]
+    }
+
     /// The counter tallying tenants off the fast path for `reason`.
     fn slot(&mut self, reason: FallbackReason) -> &mut usize {
         match reason {
@@ -393,7 +439,7 @@ impl FallbackCounts {
 
     /// Total tenants off the sharded fast path, any reason.
     pub fn total(&self) -> usize {
-        self.switch_uncertified + self.unclassifiable_input + self.cross_bound_coupled
+        self.counters().iter().sum()
     }
 }
 
@@ -447,25 +493,19 @@ struct DaemonStats {
     /// `slin_daemon_pumps_total`, by the dispatch branch the pump took:
     /// `[inline, fanned]`.
     pumps: [Counter; 2],
-    verdicts: [(&'static str, Gauge); 7],
-    fallbacks: [(&'static str, Gauge); 3],
+    /// `slin_daemon_verdicts`, in [`VerdictCounts::LABELS`] order.
+    verdicts: [Gauge; 6],
+    /// `slin_daemon_fallback`, in [`FallbackCounts::LABELS`] order.
+    fallbacks: [Gauge; 3],
 }
 
 impl DaemonStats {
     fn resolve(stack: &StackObserver) -> Self {
         let r = stack.registry();
-        let verdict = |status: &'static str| {
-            (
-                status,
-                r.gauge("slin_daemon_verdicts", &[("status", status.to_string())]),
-            )
-        };
-        let fallback = |reason: &'static str| {
-            (
-                reason,
-                r.gauge("slin_daemon_fallback", &[("reason", reason.to_string())]),
-            )
-        };
+        let verdict =
+            |status: &str| r.gauge("slin_daemon_verdicts", &[("status", status.to_string())]);
+        let fallback =
+            |reason: &str| r.gauge("slin_daemon_fallback", &[("reason", reason.to_string())]);
         DaemonStats {
             frames: r.counter("slin_daemon_frames_total", &[]),
             bytes: r.counter("slin_daemon_bytes_total", &[]),
@@ -478,20 +518,8 @@ impl DaemonStats {
                     &[("dispatch", dispatch.to_string())],
                 )
             }),
-            verdicts: [
-                verdict("ok"),
-                verdict("violation"),
-                verdict("ill_formed"),
-                verdict("switch_seen"),
-                verdict("unknown"),
-                verdict("deferred"),
-                verdict("changed"),
-            ],
-            fallbacks: [
-                fallback("switch_uncertified"),
-                fallback("unclassifiable_input"),
-                fallback("cross_bound_coupled"),
-            ],
+            verdicts: VerdictCounts::LABELS.map(verdict),
+            fallbacks: FallbackCounts::LABELS.map(fallback),
         }
     }
 }
@@ -713,24 +741,10 @@ impl Daemon {
         }
         let (counts, fallbacks) = (*counts, *fallbacks);
         self.stats.tenants.set(self.tenants() as i64);
-        for (status, gauge) in &self.stats.verdicts {
-            let v = match *status {
-                "ok" => counts.ok,
-                "violation" => counts.violation,
-                "ill_formed" => counts.ill_formed,
-                "switch_seen" => counts.switch_seen,
-                "unknown" => counts.unknown,
-                "deferred" => counts.deferred,
-                _ => counts.changed,
-            };
+        for (gauge, v) in self.stats.verdicts.iter().zip(counts.counters()) {
             gauge.set(v as i64);
         }
-        for (reason, gauge) in &self.stats.fallbacks {
-            let v = match *reason {
-                "switch_uncertified" => fallbacks.switch_uncertified,
-                "unclassifiable_input" => fallbacks.unclassifiable_input,
-                _ => fallbacks.cross_bound_coupled,
-            };
+        for (gauge, v) in self.stats.fallbacks.iter().zip(fallbacks.counters()) {
             gauge.set(v as i64);
         }
         counts
@@ -953,6 +967,45 @@ mod tests {
         }
         assert!(TenantPolicy::parse("queue").is_err());
         assert_eq!(TenantPolicy::parse("").unwrap(), TenantPolicy::default());
+    }
+
+    /// A switch frame defers a tenant's rolling status to its report, and
+    /// the poll resolves it there: the tenant is counted at its verdict,
+    /// and the page has no series for a status no poll returns.
+    #[test]
+    fn a_switch_frame_tenant_polls_a_resolved_status() {
+        let (c, p) = (ClientId::new(1), PhaseId::FIRST);
+        let mut daemon = Daemon::new(DaemonConfig::default());
+        let mut frames: Vec<Frame> = put_round(0, 7).into();
+        frames.push(Frame {
+            tenant: 0,
+            action: Action::invoke(c, p, KvInput::Get(1)),
+        });
+        frames.push(Frame {
+            tenant: 0,
+            action: Action::switch(
+                c,
+                PhaseId::new(2),
+                KvInput::Get(1),
+                vec![KvInput::Put(1, 7)],
+            ),
+        });
+        daemon.ingest_bytes(&encode_frames(&frames)).unwrap();
+        daemon.pump();
+        let counts = daemon.poll_verdicts();
+        assert_eq!(
+            counts,
+            VerdictCounts {
+                ok: 1,
+                ..VerdictCounts::default()
+            }
+        );
+        let page = daemon.render_prometheus();
+        assert!(
+            page.contains("slin_daemon_verdicts{status=\"ok\"} 1"),
+            "{page}"
+        );
+        assert!(!page.contains("deferred"), "{page}");
     }
 
     /// A stream closing with an abort switch: the same frames reach a

@@ -280,7 +280,7 @@ fn recount(twin: &mut Daemon) -> (VerdictCounts, FallbackCounts) {
             MonitorStatus::IllFormed => counts.ill_formed += 1,
             MonitorStatus::SwitchSeen => counts.switch_seen += 1,
             MonitorStatus::Unknown => counts.unknown += 1,
-            MonitorStatus::Deferred => counts.deferred += 1,
+            MonitorStatus::Deferred => panic!("a polled status is resolved"),
         }
         counts.changed += delta.changed as usize;
         match session.fallback() {
@@ -309,7 +309,7 @@ const PEEKED_TENANT: u64 = 3;
 /// * a tenant that violates in the first chunk and is never heard from
 ///   again (its status moves at the first poll and must stay counted);
 /// * an unkeyed tenant that ends on a switch frame (a metered fallback, a
-///   deferred status).
+///   status resolved from its report).
 fn equivalence_chunks() -> (Vec<Vec<u8>>, usize) {
     let workload = generate(&LoadConfig {
         tenants: 24,

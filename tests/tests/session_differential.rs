@@ -434,12 +434,12 @@ fn builder_budget_and_threads_reach_the_model() {
     assert_eq!(seq, Checker::builder(model()).build().check(&t));
 }
 
-/// Ownership parity: the owned and the `Arc`-shared constructors produce
+/// Ownership parity: two checkers built apart, each owning its ADT (a
+/// unit struct, so the `Arc` they hold it behind shares for free), produce
 /// byte-identical verdicts, witnesses, and stats across all strategies —
 /// how a model holds its ADT never changes behaviour.
 #[test]
 fn owned_and_shared_constructors_are_byte_identical() {
-    use std::sync::Arc;
     for seed in [0u64, 11, 23, 47] {
         for error_prob in [0.0, 0.35] {
             let cfg = MultiKeyConfig {
@@ -464,7 +464,7 @@ fn owned_and_shared_constructors_are_byte_identical() {
                     s.check(&t)
                 };
                 let owned = run(LinChecker::owned(KvStore));
-                let shared = run(LinChecker::shared(Arc::new(KvStore)));
+                let shared = run(LinChecker::owned(KvStore));
                 assert_eq!(
                     owned.outcome, shared.outcome,
                     "seed {seed} error {error_prob} {strategy:?}"
@@ -477,13 +477,9 @@ fn owned_and_shared_constructors_are_byte_identical() {
             let owned =
                 SlinChecker::owned(KvStore, ExactInit::new(), PhaseId::new(1), PhaseId::new(2))
                     .check(&t2);
-            let shared = SlinChecker::shared(
-                Arc::new(KvStore),
-                ExactInit::new(),
-                PhaseId::new(1),
-                PhaseId::new(2),
-            )
-            .check(&t2);
+            let shared =
+                SlinChecker::owned(KvStore, ExactInit::new(), PhaseId::new(1), PhaseId::new(2))
+                    .check(&t2);
             assert_eq!(owned, shared, "slin seed {seed} error {error_prob}");
         }
     }
@@ -592,4 +588,34 @@ fn builder_window_wins_over_the_strategy_window() {
             "builder window {builder_window} vs strategy window {strategy_window}"
         );
     }
+}
+
+/// Without a partitioner there is no per-key path to leave: a streaming
+/// session routes every event to its one shard and names no fallback,
+/// exactly as the batch check of the same trace reports none.
+#[test]
+fn a_partitionerless_stream_reports_no_fallback_like_its_batch_check() {
+    let ph1 = PhaseId::FIRST;
+    let t: Trace<ObjAction<KvStore, ()>> = Trace::from_actions(vec![
+        Action::invoke(c(1), ph1, KvInput::Put(1, 1)),
+        Action::respond(c(1), ph1, KvInput::Put(1, 1), KvOutput::Ack),
+    ]);
+    let batch = Checker::builder(LinChecker::owned(KvStore))
+        .build()
+        .check(&t);
+    assert_eq!(batch.strategy, StrategyUsed::Monolithic);
+    assert_eq!(batch.partition, None);
+
+    let mut s = Checker::builder(LinChecker::owned(KvStore))
+        .strategy(SessionStrategy::Streaming { window: None })
+        .build::<()>();
+    for a in t.iter() {
+        s.ingest(a.clone());
+        assert_eq!(s.fallback(), None);
+    }
+    let report = s.report().unwrap();
+    assert_eq!(report.fallback, None);
+    assert_eq!(report.shards, 1);
+    assert_eq!(report.verdict, batch.outcome);
+    assert_eq!(report.stats, batch.stats);
 }

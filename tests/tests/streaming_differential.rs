@@ -1062,3 +1062,61 @@ fn a_bounded_speculative_stream_never_over_claims() {
         "only {retired_first} of {cases} retired first"
     );
 }
+
+/// An unbounded plain stream keeps no record: its report rebuilds the
+/// stream from the shard windows — except past a switch, where the shards
+/// go quiet and the validator answers, as the batch check validates
+/// first. At every prefix of a stream that meets a switch and of one that
+/// turns ill-formed, the report is the batch check's: verdict, witness
+/// and stats.
+#[test]
+fn an_unbounded_lin_stream_reports_the_batch_check_past_a_switch_or_ill_formedness() {
+    use slin_core::lin::LinError;
+    let (c1, c2, ph) = (ClientId::new(1), ClientId::new(2), PhaseId::FIRST);
+    let puts: Vec<ObjAction<KvStore, ()>> = vec![
+        Action::invoke(c1, ph, KvInput::Put(1, 1)),
+        Action::invoke(c2, ph, KvInput::Put(2, 2)),
+        Action::respond(c1, ph, KvInput::Put(1, 1), KvOutput::Ack),
+        Action::respond(c2, ph, KvInput::Put(2, 2), KvOutput::Ack),
+    ];
+    let get2 = [
+        Action::invoke(c2, ph, KvInput::Get(2)),
+        Action::respond(c2, ph, KvInput::Get(2), KvOutput::Found(Some(2))),
+    ];
+    let switched = [
+        Action::invoke(c1, ph, KvInput::Get(1)),
+        Action::switch(c1, PhaseId::new(2), KvInput::Get(1), ()),
+    ];
+    // A response without its invocation.
+    let unmatched = [Action::respond(
+        c1,
+        ph,
+        KvInput::Get(1),
+        KvOutput::Found(Some(1)),
+    )];
+    for (tail, switches) in [(&switched[..], true), (&unmatched[..], false)] {
+        let trace: Vec<_> = puts.iter().chain(tail).chain(&get2).cloned().collect();
+        let mut mon = stream::<_, (), _>(LinChecker::owned(KvStore), KvKeyPartitioner, None);
+        let mut batch = Checker::builder(LinChecker::owned(KvStore))
+            .partitioner(KvKeyPartitioner)
+            .build();
+        let mut prefix = Trace::new();
+        for a in trace {
+            prefix.push(a.clone());
+            mon.ingest(a);
+            let report = mon.report().expect("born streaming");
+            let expect = batch.check(&prefix);
+            assert_eq!(report.verdict, expect.outcome, "prefix {}", prefix.len());
+            assert_eq!(report.stats, expect.stats, "prefix {}", prefix.len());
+        }
+        let verdict = mon.report().expect("born streaming").verdict;
+        if switches {
+            assert_eq!(verdict, Err(LinError::SwitchAction { index: 5 }));
+        } else {
+            assert!(
+                matches!(verdict, Err(LinError::IllFormed(_))),
+                "{verdict:?}"
+            );
+        }
+    }
+}
