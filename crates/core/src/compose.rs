@@ -197,25 +197,6 @@ where
     R: InitRelation<T::Input> + Clone + Sync,
     R::Value: Sync,
 {
-    verify_phase_chain_with_budget(adt, rinit, t, first, last, SearchBudget::default())
-}
-
-/// [`verify_phase_chain`] under an explicit per-search [`SearchBudget`].
-fn verify_phase_chain_with_budget<T, R>(
-    adt: &T,
-    rinit: R,
-    t: &Trace<ObjAction<T, R::Value>>,
-    first: u32,
-    last: u32,
-    budget: SearchBudget,
-) -> PhaseChainVerification
-where
-    T: Adt + Clone + Send + Sync,
-    T::Input: Ord + Send + Sync,
-    T::Output: Sync,
-    R: InitRelation<T::Input> + Clone + Sync,
-    R::Value: Sync,
-{
     assert!(first <= last, "phase chain requires first <= last");
     let mut stats = SearchStats::default();
     let mut phases = Vec::new();
@@ -223,24 +204,17 @@ where
     for k in first..=last {
         let (m, n) = (PhaseId::new(k), PhaseId::new(k + 1));
         let proj = project_phase::<T, R::Value>(t, m, n);
-        let ok = match SlinChecker::owned(adt.clone(), rinit.clone(), m, n)
-            .check_monolithic(&proj, budget.max_nodes, 0)
-            .0
-        {
-            Ok(report) => {
-                stats.absorb(&report.stats);
-                true
-            }
-            Err(error) => {
-                failures.push((k, k + 1, error));
-                false
-            }
-        };
-        phases.push((k, k + 1, ok));
+        let (verdict, phase_stats) = SlinChecker::owned(adt.clone(), rinit.clone(), m, n)
+            .check_monolithic(&proj, SearchBudget::DEFAULT_MAX_NODES, 0);
+        stats.absorb(&phase_stats);
+        phases.push((k, k + 1, verdict.is_ok()));
+        if let Err(error) = verdict {
+            failures.push((k, k + 1, error));
+        }
     }
     let obj = project_object::<T, R::Value>(t);
     let (lin_verdict, lin_stats) =
-        LinChecker::owned(adt.clone()).check_monolithic(&obj, budget.max_nodes, 0);
+        LinChecker::owned(adt.clone()).check_monolithic(&obj, SearchBudget::DEFAULT_MAX_NODES, 0);
     stats.absorb(&lin_stats);
     PhaseChainVerification {
         phases,
@@ -362,17 +336,20 @@ mod tests {
         assert!(v.stats.interpretations >= 2, "{:?}", v.stats);
     }
 
-    #[test]
-    fn verify_phase_chain_flags_the_misbehaving_phase() {
-        // Phase 1 decides 1 but c2 switches with 2: (1, 2) must fail while
-        // the object projection stays linearizable.
-        let t: Trace<CA> = Trace::from_actions(vec![
+    /// Phase 1 decides 1 but c2 switches with 2: (1, 2) must fail while
+    /// the object projection stays linearizable.
+    fn misbehaving_run() -> Trace<CA> {
+        Trace::from_actions(vec![
             Action::invoke(c(1), ph(1), p(1)),
             Action::invoke(c(2), ph(1), p(2)),
             Action::respond(c(1), ph(1), p(1), d(1)),
             Action::switch(c(2), ph(2), p(2), Value::new(2)),
-        ]);
-        let v = verify_phase_chain(&Consensus, ConsensusInit::new(), &t, 1, 2);
+        ])
+    }
+
+    #[test]
+    fn verify_phase_chain_flags_the_misbehaving_phase() {
+        let v = verify_phase_chain(&Consensus, ConsensusInit::new(), &misbehaving_run(), 1, 2);
         assert_eq!(v.phases[0], (1, 2, false));
         assert!(v.object_linearizable);
         assert!(!v.all_ok());
@@ -383,23 +360,59 @@ mod tests {
         ));
     }
 
+    /// The chain's counters are those of every check it ran, the refuted
+    /// phase's search included.
+    #[test]
+    fn verify_phase_chain_stats_absorb_every_check() {
+        let t = misbehaving_run();
+        let v = verify_phase_chain(&Consensus, ConsensusInit::new(), &t, 1, 2);
+        let mut expected = SearchStats::default();
+        for k in 1..=2 {
+            let (m, n) = (ph(k), ph(k + 1));
+            let (verdict, stats) = SlinChecker::owned(Consensus, ConsensusInit::new(), m, n)
+                .check_monolithic(
+                    &project_phase::<Consensus, Value>(&t, m, n),
+                    SearchBudget::DEFAULT_MAX_NODES,
+                    0,
+                );
+            assert_eq!(verdict.is_ok(), k != 1);
+            assert!(k != 1 || stats.nodes > 0, "the refuted phase searched");
+            expected.absorb(&stats);
+        }
+        let (_, stats) = LinChecker::owned(Consensus).check_monolithic(
+            &project_object::<Consensus, Value>(&t),
+            SearchBudget::DEFAULT_MAX_NODES,
+            0,
+        );
+        expected.absorb(&stats);
+        assert_eq!(v.stats, expected);
+    }
+
     #[test]
     fn verify_phase_chain_distinguishes_budget_exhaustion() {
         // An exhausted search budget must be distinguishable from a
-        // genuine violation at the harness API.
-        let v = verify_phase_chain_with_budget(
-            &Consensus,
-            ConsensusInit::new(),
-            &two_phase_run(),
-            1,
-            2,
-            SearchBudget::new(0),
+        // genuine violation at the harness API. Client 2 aborts with a
+        // value other than the one client 1 decided while many proposals
+        // stay pending: every subset of pending proposals a chain may
+        // interleave is a distinct dead end, more than the default budget
+        // can expand. The object projection drops the abort and passes.
+        let pending = 24;
+        let mut actions: Vec<CA> = (1..=pending + 2)
+            .map(|v| Action::invoke(c(v as u32), ph(1), p(v)))
+            .collect();
+        actions.push(Action::respond(c(1), ph(1), p(1), d(1)));
+        actions.push(Action::switch(c(2), ph(2), p(2), Value::new(2)));
+        let t = Trace::from_actions(actions);
+        let v = verify_phase_chain(&Consensus, ConsensusInit::new(), &t, 1, 1);
+        assert!(!v.all_ok() && v.object_linearizable);
+        assert!(
+            matches!(
+                v.failures.as_slice(),
+                [(1, 2, SlinError::BudgetExhausted { .. })]
+            ),
+            "{:?}",
+            v.failures
         );
-        assert!(!v.all_ok());
-        assert!(v
-            .failures
-            .iter()
-            .all(|(_, _, e)| matches!(e, SlinError::BudgetExhausted { .. })));
     }
 
     #[test]

@@ -276,9 +276,10 @@ impl Default for SearchBudget {
 
 /// Counters reported by every search, successful or not.
 ///
-/// Frontends aggregate these across init interpretations (see
-/// [`crate::slin::SlinReport`]); the benchmark harness prints them as the
-/// checker-practicality rows.
+/// Frontends aggregate these over every search a check runs, beside the
+/// verdict ([`crate::session::Verdict::stats`],
+/// [`crate::stream::MonitorReport::stats`]), never inside a witness; the
+/// benchmark harness prints them as the checker-practicality rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SearchStats {
     /// Search nodes expanded (budget unit).
@@ -293,8 +294,11 @@ pub struct SearchStats {
     /// have been a leafless subtree, and cost no node, no memo key and no
     /// ADT step.
     pub pruned: usize,
-    /// Init interpretations aggregated into these counters (1 for a plain
-    /// linearizability search).
+    /// Searches aggregated into these counters (1 per engine search): one
+    /// per init interpretation searched by a monolithic check (1 for plain
+    /// linearizability); one per class search, plus one for a remerge,
+    /// by a partitioned check; one per shard seed tried, plus one for a
+    /// product re-derivation, by a window report.
     pub interpretations: usize,
 }
 

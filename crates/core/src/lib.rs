@@ -90,7 +90,7 @@ pub use initrel::{ConsensusInit, ExactInit, InitRelation};
 pub use lin::{LinChecker, LinError, LinWitness};
 pub use model::ConsistencyModel;
 pub use partition::PartitionReport;
-pub use session::{Checker, Session, SessionBuilder, Strategy, StrategyUsed, Verdict};
+pub use session::{Checker, Session, SessionBuilder, Strategy, Verdict};
 pub use slin::{SlinChecker, SlinError, SlinWitness};
 
 use slin_adt::Adt;

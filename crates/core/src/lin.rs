@@ -309,12 +309,7 @@ where
         }
     }
 
-    fn witness(
-        chain: Chain<T::Input>,
-        (): (),
-        _interpretations: usize,
-        _stats: SearchStats,
-    ) -> LinWitness<T::Input> {
+    fn witness(chain: Chain<T::Input>, (): ()) -> LinWitness<T::Input> {
         LinWitness { assignments: chain }
     }
 }

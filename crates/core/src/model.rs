@@ -227,8 +227,9 @@ pub enum Projection<'m, T: Adt, L, E> {
 pub trait ConsistencyModel<V>: Sized {
     /// The abstract data type whose outputs the criterion must explain.
     type Adt: Adt;
-    /// The witness payload of a successful check (`LinWitness` /
-    /// `SlinReport`).
+    /// The witness of a successful check ([`crate::lin::LinWitness`] /
+    /// [`crate::slin::SlinWitness`]): the proof alone, the work it took
+    /// being the verdict's [`SearchStats`].
     type Witness: Clone + PartialEq + Debug;
     /// Why a check failed (`LinError` / `SlinError`): a trace outside the
     /// model's signature or well-formedness discipline, a tripped budget,
@@ -289,12 +290,5 @@ pub trait ConsistencyModel<V>: Sized {
     ) -> Projection<'_, Self::Adt, Self::Leaf, Self::Error>;
 
     /// Wraps a found chain and its leaf witness into the model's witness.
-    /// `interpretations` and `stats` are the accounting of the searches
-    /// that found it.
-    fn witness(
-        chain: Chain<<Self::Adt as Adt>::Input>,
-        leaf: Self::Leaf,
-        interpretations: usize,
-        stats: SearchStats,
-    ) -> Self::Witness;
+    fn witness(chain: Chain<<Self::Adt as Adt>::Input>, leaf: Self::Leaf) -> Self::Witness;
 }

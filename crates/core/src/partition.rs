@@ -97,7 +97,7 @@
 
 use crate::engine::{Chain, SearchStats};
 use crate::model::{ConsistencyModel, Projection};
-use crate::session::{StrategyUsed, Verdict};
+use crate::session::Verdict;
 use crate::stream::MonitorStatus;
 use crate::ObjAction;
 use slin_adt::{Adt, Partitioner};
@@ -170,16 +170,8 @@ pub struct PartitionReport {
     /// Whether witness reconstruction had to re-run one monolithic search
     /// because a cross-partition bound blocked a partition's next step (see
     /// the [module docs](self)); the re-run's counters are absorbed into
-    /// [`PartitionReport::stats`].
+    /// the verdict's [`Verdict::stats`].
     pub remerged: bool,
-    /// Engine counters absorbed over the partitions searched, in key order:
-    /// every one when they all pass, else up to and including the first
-    /// that fails — a refutation or a budget trip decides the verdict, and
-    /// no partition after it is searched. Each searched partition
-    /// contributes `interpretations >= 1`, so this counts
-    /// partition-searches, not init interpretations, on the partitioned
-    /// path.
-    pub stats: SearchStats,
 }
 
 /// Splits `t` into one sub-trace per independence class of `p`, in
@@ -456,7 +448,6 @@ impl<M, P> ClosedCheck<M, P> {
                     outcome,
                     stats,
                     partition: None,
-                    strategy: StrategyUsed::Monolithic,
                 }
             }
         };
@@ -501,7 +492,7 @@ pub(crate) fn decomposes<'p, I, O, V, P>(
 /// P-compositional checking of a closed trace that [`decomposes`] — what
 /// `ClosedCheck::check` runs for a session and for the streaming monitor's
 /// re-check of its record alike, for every [`ConsistencyModel`]: a
-/// [`StrategyUsed::Partitioned`] verdict with its partition report.
+/// verdict with its partition report.
 ///
 /// Asks the model what there is to search along `partitioner`
 /// ([`ConsistencyModel::project`]), then: searches the classes in key
@@ -531,15 +522,14 @@ where
     <M::Adt as Adt>::Input: Ord,
     P: Partitioner<M::Adt>,
 {
-    let unmerged = |partitions, fallback, stats| PartitionReport {
+    let unmerged = |partitions, fallback| PartitionReport {
         partitions,
         fallback,
         remerged: false,
-        stats,
     };
     let (whole, mut classes, refuted) = match model.project(partitioner, t) {
         Projection::Rejected(e) => {
-            return partitioned(Err(e), unmerged(1, None, SearchStats::default()))
+            return partitioned(Err(e), SearchStats::default(), unmerged(1, None))
         }
         // The whole check validates internally, so no projection
         // validates a trace it does not decompose.
@@ -548,7 +538,7 @@ where
             fallback,
         } => {
             let (outcome, stats) = model.check_monolithic(t, budget, threads);
-            return partitioned(outcome, unmerged(partitions, fallback, stats));
+            return partitioned(outcome, stats, unmerged(partitions, fallback));
         }
         Projection::Classes {
             whole,
@@ -573,12 +563,9 @@ where
             Err(e) => e.into(),
         };
         // The first failing class decides: no class after it is searched.
-        return partitioned(Err(e), unmerged(classes.len(), None, stats));
+        return partitioned(Err(e), stats, unmerged(classes.len(), None));
     }
-    let mut report = unmerged(classes.len(), None, stats);
-    // What the model's witness reports as checked: the class searches, not
-    // a re-derivation's.
-    let interpretations = stats.interpretations;
+    let mut report = unmerged(classes.len(), None);
     let merged = merge_partition_chains(
         &whole.bounds,
         parts,
@@ -603,25 +590,28 @@ where
             // passing — is already decided).
             let (found, rerun_stats) = whole.search(adt, budget);
             report.remerged = true;
-            report.stats.absorb(&rerun_stats);
+            stats.absorb(&rerun_stats);
             found
         }
     };
     let outcome = match found {
-        Ok(Some((chain, leaf))) => Ok(M::witness(chain, leaf, interpretations, report.stats)),
+        Ok(Some((chain, leaf))) => Ok(M::witness(chain, leaf)),
         Ok(None) => Err(refuted()),
         Err(e) => Err(e.into()),
     };
-    partitioned(outcome, report)
+    partitioned(outcome, stats, report)
 }
 
-/// A partitioned check's verdict: its counters are the report's.
-fn partitioned<W, E>(outcome: Result<W, E>, report: PartitionReport) -> Verdict<W, E> {
+/// A partitioned check's verdict.
+fn partitioned<W, E>(
+    outcome: Result<W, E>,
+    stats: SearchStats,
+    report: PartitionReport,
+) -> Verdict<W, E> {
     Verdict {
         outcome,
-        stats: report.stats,
+        stats,
         partition: Some(report),
-        strategy: StrategyUsed::Partitioned,
     }
 }
 
@@ -1077,7 +1067,7 @@ mod tests {
     /// Theorem 2 at the level of work: on switch-free traces the
     /// speculative checker's projection states, class by class, the
     /// problems the plain one states, so [`check`] does the same work on
-    /// both — equal partition reports, `SearchStats` included — and finds
+    /// both — equal partition reports and equal `SearchStats` — and finds
     /// the same commit chains, merged or re-derived: the monolithic ones.
     #[test]
     fn both_models_state_the_same_problems_on_switch_free_traces() {
@@ -1107,6 +1097,7 @@ mod tests {
             let by_lin = check(&lin, &KvKeyPartitioner, t, BUDGET, 0);
             let by_slin = check(&slin, &KvKeyPartitioner, &phase_t, BUDGET, 0);
             assert_eq!(by_lin.partition, by_slin.partition, "{t:?}");
+            assert_eq!(by_lin.stats, by_slin.stats, "{t:?}");
             let report = by_lin.partition.expect("a partitioned check");
             assert_eq!(report.fallback, None);
             assert!(report.partitions > 1);
@@ -1119,8 +1110,7 @@ mod tests {
             match (by_lin.outcome, by_slin.outcome) {
                 (Ok(w), Ok(r)) => {
                     accepted += 1;
-                    assert_eq!(w.assignments(), &r.witness.commit_histories);
-                    assert_eq!(r.stats, by_slin.stats);
+                    assert_eq!(w.assignments(), &r.commit_histories);
                 }
                 (
                     Err(LinError::NotLinearizable),

@@ -28,7 +28,7 @@
 //! ```
 //! use slin_adt::{KvInput, KvKeyPartitioner, KvOutput, KvStore};
 //! use slin_core::lin::LinChecker;
-//! use slin_core::session::{Checker, Strategy, StrategyUsed};
+//! use slin_core::session::{Checker, Strategy};
 //! use slin_trace::{Action, ClientId, PhaseId, Trace};
 //!
 //! let (c1, c2, ph) = (ClientId::new(1), ClientId::new(2), PhaseId::FIRST);
@@ -45,7 +45,7 @@
 //!     .build();
 //! let verdict = session.check(&t);
 //! assert!(verdict.outcome.is_ok());
-//! assert_eq!(verdict.strategy, StrategyUsed::Partitioned);
+//! assert!(verdict.partition.is_some());
 //!
 //! // Streaming: the same builder, one event at a time.
 //! let mut live = Checker::builder(LinChecker::owned(KvStore))
@@ -55,9 +55,8 @@
 //! for a in t.iter() {
 //!     live.ingest(a.clone());
 //! }
-//! let verdict = live.check(&Trace::new()); // drain + report
-//! assert!(verdict.outcome.is_ok());
-//! assert_eq!(verdict.strategy, StrategyUsed::Streaming);
+//! let streamed = live.check(&Trace::new()); // drain + report
+//! assert_eq!(streamed.outcome, verdict.outcome);
 //! ```
 
 use crate::engine::{SearchBudget, SearchStats};
@@ -91,30 +90,19 @@ pub enum Strategy {
     },
 }
 
-/// Which concrete code path a [`Verdict`] came from (what
-/// [`Strategy::Auto`] resolved to).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StrategyUsed {
-    /// One monolithic chain search ran.
-    Monolithic,
-    /// The partitioned fan-out ran (possibly on one identity partition).
-    Partitioned,
-    /// The streaming monitor produced the verdict.
-    Streaming,
-}
-
 /// The one report type of the unified surface: verdict + witness +
 /// [`SearchStats`] + [`PartitionReport`] when applicable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Verdict<W, E> {
     /// The model's verdict: a witness, or why the check failed.
     pub outcome: Result<W, E>,
-    /// Engine counters absorbed over the whole check.
+    /// Engine counters absorbed over the whole check: the one record of
+    /// its work, which no witness repeats.
     pub stats: SearchStats,
-    /// Partition accounting, when the partitioned path ran.
+    /// Partition accounting, when the partitioned path ran (what
+    /// [`Strategy::Auto`] resolved to: `None` for a monolithic or a
+    /// streaming check).
     pub partition: Option<PartitionReport>,
-    /// The concrete code path that produced this verdict.
-    pub strategy: StrategyUsed,
 }
 
 impl<W, E> Verdict<W, E> {
@@ -434,7 +422,6 @@ where
                     outcome: report.verdict,
                     stats: report.stats,
                     partition: None,
-                    strategy: StrategyUsed::Streaming,
                 }
             }
             Mode::Transitioning => unreachable!("transient mode is never observable"),

@@ -543,12 +543,7 @@ where
         let (found, stats, remerged) = self.window_verdict();
         let verdict = match found {
             // A window holds no switch action: the default leaf.
-            Ok(Some(chain)) => Ok(M::witness(
-                chain,
-                Default::default(),
-                stats.interpretations,
-                stats,
-            )),
+            Ok(Some(chain)) => Ok(M::witness(chain, Default::default())),
             Ok(None) => Err(Refuted.into()),
             Err(e) => Err(e.into()),
         };

@@ -9,8 +9,10 @@
 //! abstract spec; the kernel, and every prune added to it, refines them:
 //! same leaves, same order. A value of this half that moves means the
 //! kernel visits different leaves — work on the kernel must keep all of
-//! them byte-identical. Witnesses are digested with their embedded
-//! `SearchStats` projected out, so that stays true when only work changes.
+//! them byte-identical. A witness holds no counters — the work is the
+//! verdict's `SearchStats` — so that stays true when only work changes; a
+//! speculative witness is digested beside its verdict's interpretation
+//! count (see [`with_interpretations`]).
 //!
 //! The **work** half — nodes expanded, memo traffic, moves pruned, longest
 //! history tried — is what such work is *for*. It is pinned to its current
@@ -40,8 +42,8 @@ use slin_core::gen::{
 };
 use slin_core::initrel::{ConsensusInit, ExactInit};
 use slin_core::lin::{LinChecker, LinError};
-use slin_core::session::{Checker, Strategy};
-use slin_core::slin::{SlinChecker, SlinError, SlinReport, SlinWitness};
+use slin_core::session::{Checker, Strategy, Verdict};
+use slin_core::slin::{SlinChecker, SlinError, SlinWitness};
 use slin_core::stream::GcPolicy;
 use slin_core::ObjAction;
 use slin_obs::{EngineSearchEvent, Obs, Observer};
@@ -89,7 +91,8 @@ impl SearchAcc {
         }
     }
 
-    /// `outcome` must not embed counters: see [`sans_stats`].
+    /// `outcome` must not embed work counters beyond the interpretation
+    /// count [`with_interpretations`] pins.
     fn add(&mut self, stats: &SearchStats, outcome: &dyn std::fmt::Debug) {
         self.stats.absorb(stats);
         fnv(&mut self.digest, format!("{outcome:?}\n").as_bytes());
@@ -119,11 +122,13 @@ impl SearchAcc {
     }
 }
 
-/// A speculative verdict without the `SearchStats` its report embeds.
-fn sans_stats<I, E>(outcome: &Result<SlinReport<I>, E>) -> Result<(usize, &SlinWitness<I>), &E> {
-    outcome
-        .as_ref()
-        .map(|r| (r.interpretations_checked, &r.witness))
+/// A speculative verdict as its digests render it: the witness beside the
+/// number of init interpretations the monolithic check enumerated, or the
+/// error.
+fn with_interpretations<I, E>(
+    v: &Verdict<SlinWitness<I>, E>,
+) -> Result<(usize, &SlinWitness<I>), &E> {
+    v.outcome.as_ref().map(|w| (v.stats.interpretations, w))
 }
 
 #[test]
@@ -228,7 +233,7 @@ fn first_solution_consensus_slin() {
             .threads(1)
             .build()
             .check(&t);
-        acc.add(&v.stats, &sans_stats(&v.outcome));
+        acc.add(&v.stats, &with_interpretations(&v));
     }
     acc.assert(
         SearchPin {
@@ -270,7 +275,7 @@ fn first_solution_faulty_phase_corpus() {
             .threads(1)
             .build()
             .check(&t);
-        acc.add(&v.stats, &sans_stats(&v.outcome));
+        acc.add(&v.stats, &with_interpretations(&v));
     }
     acc.assert(
         SearchPin {

@@ -10,7 +10,7 @@ use slin_core::invariants;
 use slin_core::lin::{witness_is_valid, LinChecker};
 use slin_core::ops;
 use slin_core::session::{Checker, Strategy as SessionStrategy, Verdict};
-use slin_core::slin::{SlinChecker, SlinError, SlinReport};
+use slin_core::slin::{SlinChecker, SlinError, SlinWitness};
 use slin_core::ObjAction;
 use slin_trace::{Action, ClientId, PhaseId, Trace};
 
@@ -23,7 +23,7 @@ fn monolithic_at(
     (m, n): (u32, u32),
     threads: usize,
     t: &Trace<CA>,
-) -> Verdict<SlinReport<ConsInput>, SlinError> {
+) -> Verdict<SlinWitness<ConsInput>, SlinError> {
     let chk = SlinChecker::owned(
         Consensus,
         ConsensusInit::new(),
@@ -205,13 +205,24 @@ proptest! {
     }
 
     /// Successful checks aggregate engine stats over exactly the enumerated
-    /// interpretations, identically on both execution paths.
+    /// interpretations — the product of the per-init candidate counts of
+    /// the relation — identically on both execution paths.
     #[test]
     fn slin_stats_cover_all_interpretations(t in phase_trace()) {
-        if let Ok(report) = monolithic_at((1, 2), 1, &t).outcome {
-            prop_assert_eq!(report.stats.interpretations, report.interpretations_checked);
-            let par = monolithic_at((1, 2), 4, &t).outcome.expect("parity with sequential");
-            prop_assert_eq!(par.stats, report.stats);
+        for (m, n) in [(1u32, 2u32), (2, 3)] {
+            let proj = project_phase::<Consensus, Value>(&t, PhaseId::new(m), PhaseId::new(n));
+            let seq = monolithic_at((m, n), 1, &proj);
+            if seq.is_ok() {
+                let ctx = CandidateContext::new(proj.iter().map(|a| *a.input()).collect());
+                let combos: usize = ops::switches::<Consensus, Value>(&proj, PhaseId::new(m))
+                    .iter()
+                    .map(|init| ConsensusInit::new().candidates(&init.value, &ctx).len())
+                    .product();
+                prop_assert_eq!(seq.stats.interpretations, combos, "phase ({}, {})", m, n);
+                let par = monolithic_at((m, n), 4, &proj);
+                prop_assert!(par.is_ok(), "parity with sequential");
+                prop_assert_eq!(par.stats, seq.stats);
+            }
         }
     }
 

@@ -1,5 +1,5 @@
 //! `slin-obs`: the observability spine of the speculative-linearizability
-//! stack — a sharded metrics [`Registry`], ring-buffered span tracing with a
+//! stack — a metrics [`Registry`], ring-buffered span tracing with a
 //! Chrome trace-event / Perfetto exporter ([`TraceBuffer`]), and the
 //! [`Observer`] seam the engine, streaming monitor, and ingestion daemon
 //! report through.

@@ -1,7 +1,7 @@
-//! Sharded metrics registry with Prometheus-style exposition and a
-//! versioned JSON snapshot.
+//! Metrics registry with Prometheus-style exposition and a versioned JSON
+//! snapshot.
 //!
-//! Registration (name + label resolution) takes a shard lock once; the
+//! Registration (name + label resolution) takes the registry lock once; the
 //! returned [`Counter`] / [`Gauge`] / [`Histogram`] handles are plain `Arc`s
 //! over atomics, so the hot path is a relaxed atomic RMW with no locking.
 //! Handles for a given `(name, labels)` pair are shared: registering the same
@@ -11,10 +11,6 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use crate::hist::{bucket_bounds, LogHistogram, BUCKETS};
-
-/// Number of registry shards; series are spread by a name hash so concurrent
-/// registrations rarely contend on the same lock.
-const SHARDS: usize = 16;
 
 /// Monotonically increasing counter handle.
 #[derive(Clone, Debug, Default)]
@@ -95,25 +91,15 @@ enum Series {
 /// A fully-qualified series key: metric name plus sorted label pairs.
 type Key = (&'static str, Vec<(&'static str, String)>);
 
-/// Sharded registry of named metric series.
+/// Registry of named metric series.
 ///
 /// Series names are `&'static str` by design: instrumentation sites resolve
-/// their handles once (at observer installation) and pay only atomic
-/// increments afterwards.
+/// their handles once (at observer installation, or when a daemon creates a
+/// tenant) and pay only atomic increments afterwards, so the one lock is
+/// taken only to register and to render.
 #[derive(Default)]
 pub struct Registry {
-    shards: [Mutex<BTreeMap<Key, Series>>; SHARDS],
-}
-
-fn shard_of(name: &str) -> usize {
-    // FNV-1a over the name; labels of one metric land in one shard so
-    // exposition can render a metric family from a single lock.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    (h as usize) % SHARDS
+    series: Mutex<BTreeMap<Key, Series>>,
 }
 
 fn sorted_labels(labels: &[(&'static str, String)]) -> Vec<(&'static str, String)> {
@@ -128,18 +114,25 @@ impl Registry {
         Self::default()
     }
 
+    /// The series `name{labels}`, created by `new` if absent.
+    fn resolve(
+        &self,
+        name: &'static str,
+        labels: &[(&'static str, String)],
+        new: fn() -> Series,
+    ) -> Series {
+        let key = (name, sorted_labels(labels));
+        let mut series = self.series.lock().expect("registry");
+        series.entry(key).or_insert_with(new).clone()
+    }
+
     /// Resolves (or creates) the counter `name{labels}`.
     ///
     /// # Panics
     /// If the series was previously registered with a different kind.
     pub fn counter(&self, name: &'static str, labels: &[(&'static str, String)]) -> Counter {
-        let key = (name, sorted_labels(labels));
-        let mut shard = self.shards[shard_of(name)].lock().expect("registry shard");
-        match shard
-            .entry(key)
-            .or_insert_with(|| Series::Counter(Counter::default()))
-        {
-            Series::Counter(c) => c.clone(),
+        match self.resolve(name, labels, || Series::Counter(Counter::default())) {
+            Series::Counter(c) => c,
             _ => panic!("metric {name} already registered with a different kind"),
         }
     }
@@ -149,13 +142,8 @@ impl Registry {
     /// # Panics
     /// If the series was previously registered with a different kind.
     pub fn gauge(&self, name: &'static str, labels: &[(&'static str, String)]) -> Gauge {
-        let key = (name, sorted_labels(labels));
-        let mut shard = self.shards[shard_of(name)].lock().expect("registry shard");
-        match shard
-            .entry(key)
-            .or_insert_with(|| Series::Gauge(Gauge::default()))
-        {
-            Series::Gauge(g) => g.clone(),
+        match self.resolve(name, labels, || Series::Gauge(Gauge::default())) {
+            Series::Gauge(g) => g,
             _ => panic!("metric {name} already registered with a different kind"),
         }
     }
@@ -165,26 +153,16 @@ impl Registry {
     /// # Panics
     /// If the series was previously registered with a different kind.
     pub fn histogram(&self, name: &'static str, labels: &[(&'static str, String)]) -> Histogram {
-        let key = (name, sorted_labels(labels));
-        let mut shard = self.shards[shard_of(name)].lock().expect("registry shard");
-        match shard
-            .entry(key)
-            .or_insert_with(|| Series::Histogram(Histogram::default()))
-        {
-            Series::Histogram(h) => h.clone(),
+        match self.resolve(name, labels, || Series::Histogram(Histogram::default())) {
+            Series::Histogram(h) => h,
             _ => panic!("metric {name} already registered with a different kind"),
         }
     }
 
-    /// All series merged across shards, sorted by name then labels.
+    /// A copy of every series handle, sorted by name then labels: rendering
+    /// reads the atomics without holding the lock.
     fn collect(&self) -> BTreeMap<Key, Series> {
-        let mut all = BTreeMap::new();
-        for shard in &self.shards {
-            for (k, v) in shard.lock().expect("registry shard").iter() {
-                all.insert(k.clone(), v.clone());
-            }
-        }
-        all
+        self.series.lock().expect("registry").clone()
     }
 
     /// Renders the registry as a Prometheus text-format exposition page.

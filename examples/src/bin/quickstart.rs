@@ -15,7 +15,7 @@ use slin_core::classical::ClassicalChecker;
 use slin_core::compose::{check_composition, CompositionOutcome};
 use slin_core::initrel::ConsensusInit;
 use slin_core::lin::LinChecker;
-use slin_core::session::{Checker, Strategy, StrategyUsed};
+use slin_core::session::{Checker, Strategy};
 use slin_trace::{Action, ClientId, PhaseId, Trace};
 
 fn main() {
@@ -61,10 +61,9 @@ fn main() {
         live.ingest(a.clone());
     }
     let streamed = live.check(&Trace::new());
-    assert_eq!(streamed.strategy, StrategyUsed::Streaming);
     assert_eq!(
-        streamed.outcome.expect("streamed verdict").full_history(),
-        w.full_history(),
+        streamed.outcome,
+        Ok(w),
         "streaming report is byte-identical to the batch witness"
     );
     println!("  streaming session agrees, event by event ✓");

@@ -28,7 +28,7 @@ use slin_analysis::{
 };
 use slin_core::initrel::{CandidateContext, ExactInit, InitRelation};
 use slin_core::lin::LinChecker;
-use slin_core::session::{Checker, Strategy, StrategyUsed};
+use slin_core::session::{Checker, Strategy};
 use slin_core::slin::SlinChecker;
 use slin_trace::PhaseId;
 
@@ -123,7 +123,7 @@ fn bogus_counter_rejection_replays_as_a_checker_divergence() {
         .build::<()>()
         .check(&trace);
     assert!(mono.is_ok(), "replay must be monolithically linearizable");
-    assert_eq!(mono.strategy, StrategyUsed::Monolithic);
+    assert_eq!(mono.partition, None);
 
     let split = Checker::builder(LinChecker::owned(Counter))
         .partitioner(BogusCounterPartitioner)
@@ -133,7 +133,7 @@ fn bogus_counter_rejection_replays_as_a_checker_divergence() {
         !split.is_ok(),
         "partitioned checking under the unsound partitioner must diverge"
     );
-    assert_eq!(split.strategy, StrategyUsed::Partitioned);
+    assert!(split.partition.is_some());
 }
 
 /// Every negative fixture — one per coupled ADT family — is rejected

@@ -45,7 +45,7 @@ use slin_core::gen::{
 use slin_core::initrel::ExactInit;
 use slin_core::lin::LinChecker;
 use slin_core::session::{Checker, Session, Strategy};
-use slin_core::slin::{SlinChecker, SlinReport, SlinWitness};
+use slin_core::slin::SlinChecker;
 use slin_core::stream::MonitorStatus;
 use slin_core::ObjAction;
 use slin_obs::{Obs, StackObserver};
@@ -166,7 +166,7 @@ where
         let part = part_session.check(&t);
         let report = part.partition.expect("partitioned strategy reports");
         row.mono_nodes += mono.stats.nodes;
-        row.part_nodes += report.stats.nodes;
+        row.part_nodes += part.stats.nodes;
         row.partitions = row.partitions.max(report.partitions);
         row.remerged += report.remerged as usize;
         row.agrees &= part.outcome == mono.outcome;
@@ -256,13 +256,6 @@ const B10: [PhasePin; 6] = [
 
 const PHASE_SEEDS: [u64; 4] = [0, 1, 2, 3];
 
-/// A speculative verdict without the work counters its report embeds:
-/// witnesses and errors must be byte-identical, the counters differ by
-/// design.
-fn witness_of<I, E>(outcome: &Result<SlinReport<I>, E>) -> Result<&SlinWitness<I>, &E> {
-    outcome.as_ref().map(|r| &r.witness)
-}
-
 /// The monolithic speculative checker against the certified keyed batch
 /// session and the certified keyed sharded stream, over generated phase
 /// traces (init and abort switches included), summed over [`PHASE_SEEDS`].
@@ -294,10 +287,10 @@ fn phase_row(scenario: &'static str, cert: &SwitchCert, base: PhaseConfig) -> Ph
         let part = part_session.check(&t);
         let report = part.partition.expect("certified sessions partition");
         row.mono_nodes += mono.stats.nodes;
-        row.part_nodes += report.stats.nodes;
+        row.part_nodes += part.stats.nodes;
         row.partitions = row.partitions.max(report.partitions);
         row.fallbacks += report.fallback.is_some() as usize;
-        row.batch_agrees &= witness_of(&part.outcome) == witness_of(&mono.outcome);
+        row.batch_agrees &= part.outcome == mono.outcome;
         let mut mon = keyed()
             .strategy(Strategy::Streaming { window: None })
             .build::<Vec<KvInput>>();
@@ -306,7 +299,7 @@ fn phase_row(scenario: &'static str, cert: &SwitchCert, base: PhaseConfig) -> Ph
         }
         let streamed = mon.report().expect("born streaming");
         row.fallbacks += streamed.fallback.is_some() as usize;
-        row.stream_agrees &= witness_of(&streamed.verdict) == witness_of(&mono.outcome);
+        row.stream_agrees &= streamed.verdict == mono.outcome;
     }
     row
 }
@@ -412,7 +405,10 @@ fn b14_the_keyed_merge_at_a_thousand_commits_agrees_and_stays_linear() {
         .build::<Vec<KvInput>>()
         .check(&t);
     let report = part.partition.expect("certified sessions partition");
-    let witness = witness_of(&part.outcome).expect("the generator's clean traces check");
+    let witness = part
+        .outcome
+        .as_ref()
+        .expect("the generator's clean traces check");
     let chain = &witness.commit_histories;
     let histories = |hs: &[(usize, Vec<KvInput>)]| hs.iter().map(|(_, h)| h.len()).sum::<usize>();
     let row = MergePin {
@@ -420,10 +416,9 @@ fn b14_the_keyed_merge_at_a_thousand_commits_agrees_and_stays_linear() {
         commits: chain.cuts().len(),
         partitions: report.partitions,
         remerged: report.remerged,
-        agrees: format!("{:?}", witness_of(&part.outcome))
-            == format!("{:?}", witness_of(&mono.outcome)),
+        agrees: part.outcome == mono.outcome,
         mono_nodes: mono.stats.nodes,
-        part_nodes: report.stats.nodes,
+        part_nodes: part.stats.nodes,
         witness_entries: chain.history().len()
             + chain.cuts().len()
             + histories(&witness.init_histories)
