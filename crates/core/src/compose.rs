@@ -19,10 +19,10 @@
 use crate::engine::{SearchBudget, SearchStats};
 use crate::initrel::InitRelation;
 use crate::lin::LinChecker;
-use crate::model::ConsistencyModel;
+use crate::partition;
 use crate::slin::{SlinChecker, SlinError};
 use crate::ObjAction;
-use slin_adt::Adt;
+use slin_adt::{Adt, IdentityPartitioner};
 use slin_trace::prop::Signature;
 use slin_trace::{PhaseId, PhaseSignature, Trace};
 
@@ -201,26 +201,29 @@ where
     let mut stats = SearchStats::default();
     let mut phases = Vec::new();
     let mut failures = Vec::new();
+    let (none, budget) = (
+        None::<&IdentityPartitioner>,
+        SearchBudget::DEFAULT_MAX_NODES,
+    );
     for k in first..=last {
         let (m, n) = (PhaseId::new(k), PhaseId::new(k + 1));
         let proj = project_phase::<T, R::Value>(t, m, n);
-        let (verdict, phase_stats) = SlinChecker::owned(adt.clone(), rinit.clone(), m, n)
-            .check_monolithic(&proj, SearchBudget::DEFAULT_MAX_NODES, 0);
-        stats.absorb(&phase_stats);
+        let model = SlinChecker::owned(adt.clone(), rinit.clone(), m, n);
+        let verdict = partition::check(&model, none, &proj, budget, 0);
+        stats.absorb(&verdict.stats);
         phases.push((k, k + 1, verdict.is_ok()));
-        if let Err(error) = verdict {
+        if let Err(error) = verdict.outcome {
             failures.push((k, k + 1, error));
         }
     }
     let obj = project_object::<T, R::Value>(t);
-    let (lin_verdict, lin_stats) =
-        LinChecker::owned(adt.clone()).check_monolithic(&obj, SearchBudget::DEFAULT_MAX_NODES, 0);
-    stats.absorb(&lin_stats);
+    let lin = partition::check(&LinChecker::owned(adt.clone()), none, &obj, budget, 0);
+    stats.absorb(&lin.stats);
     PhaseChainVerification {
         phases,
         failures,
-        object_linearizable: lin_verdict.is_ok(),
-        object_error: lin_verdict.err(),
+        object_linearizable: lin.is_ok(),
+        object_error: lin.outcome.err(),
         stats,
     }
 }
@@ -229,6 +232,7 @@ where
 mod tests {
     use super::*;
     use crate::initrel::ConsensusInit;
+    use crate::session::Verdict;
     use slin_adt::{ConsInput, ConsOutput, Consensus, Value};
     use slin_trace::{Action, ClientId};
 
@@ -367,19 +371,23 @@ mod tests {
         let t = misbehaving_run();
         let v = verify_phase_chain(&Consensus, ConsensusInit::new(), &t, 1, 2);
         let mut expected = SearchStats::default();
+        let none = None::<&IdentityPartitioner>;
         for k in 1..=2 {
             let (m, n) = (ph(k), ph(k + 1));
-            let (verdict, stats) = SlinChecker::owned(Consensus, ConsensusInit::new(), m, n)
-                .check_monolithic(
-                    &project_phase::<Consensus, Value>(&t, m, n),
-                    SearchBudget::DEFAULT_MAX_NODES,
-                    0,
-                );
-            assert_eq!(verdict.is_ok(), k != 1);
+            let Verdict { outcome, stats, .. } = partition::check(
+                &SlinChecker::owned(Consensus, ConsensusInit::new(), m, n),
+                none,
+                &project_phase::<Consensus, Value>(&t, m, n),
+                SearchBudget::DEFAULT_MAX_NODES,
+                0,
+            );
+            assert_eq!(outcome.is_ok(), k != 1);
             assert!(k != 1 || stats.nodes > 0, "the refuted phase searched");
             expected.absorb(&stats);
         }
-        let (_, stats) = LinChecker::owned(Consensus).check_monolithic(
+        let Verdict { stats, .. } = partition::check(
+            &LinChecker::owned(Consensus),
+            none,
             &project_object::<Consensus, Value>(&t),
             SearchBudget::DEFAULT_MAX_NODES,
             0,

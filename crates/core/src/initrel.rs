@@ -38,15 +38,21 @@ pub struct CandidateContext<I> {
 
 impl<I: Clone + Eq> CandidateContext<I> {
     /// Builds a context from the distinct inputs of a trace (first
-    /// occurrence order, duplicates removed).
-    pub fn new(inputs: Vec<I>) -> Self {
-        let mut distinct: Vec<I> = Vec::new();
-        for i in inputs {
-            if !distinct.contains(&i) {
-                distinct.push(i);
-            }
+    /// occurrence order, duplicates removed — the order the default
+    /// [`InitRelation::extensions`] enumerates in), in O(n log n).
+    pub fn new(inputs: Vec<I>) -> Self
+    where
+        I: Ord,
+    {
+        // The positions sorted by input, then by position: each run of
+        // equal inputs starts at the input's first occurrence.
+        let mut first: Vec<usize> = (0..inputs.len()).collect();
+        first.sort_unstable_by(|&a, &b| inputs[a].cmp(&inputs[b]).then(a.cmp(&b)));
+        first.dedup_by(|later, run| inputs[*later] == inputs[*run]);
+        first.sort_unstable();
+        CandidateContext {
+            inputs: first.into_iter().map(|at| inputs[at].clone()).collect(),
         }
-        CandidateContext { inputs: distinct }
     }
 
     /// The distinct inputs observed in the trace.
@@ -355,5 +361,24 @@ mod tests {
     fn candidate_context_dedups() {
         let ctx = CandidateContext::new(vec![1u8, 1, 2]);
         assert_eq!(ctx.inputs(), &[1, 2]);
+    }
+
+    proptest::proptest! {
+        /// The sort-based dedup against the quadratic reading it replaced,
+        /// on inputs with repeats: the distinct inputs, first occurrences
+        /// in trace order.
+        #[test]
+        fn candidate_context_keeps_first_occurrences(
+            inputs in proptest::collection::vec(0..6u8, 0..40),
+        ) {
+            let mut quadratic: Vec<u8> = Vec::new();
+            for &i in &inputs {
+                if !quadratic.contains(&i) {
+                    quadratic.push(i);
+                }
+            }
+            let ctx = CandidateContext::new(inputs);
+            proptest::prop_assert_eq!(ctx.inputs(), quadratic.as_slice());
+        }
     }
 }

@@ -19,12 +19,12 @@
 //! alternates "append an extra input" and "commit a response" moves; see
 //! [`crate::engine`] for the search itself.
 
-use crate::engine::{Chain, EngineError, Refuted, SearchBudget, SearchStats};
+use crate::engine::{Chain, EngineError, Refuted, SearchBudget};
 use crate::model::{self, ConsistencyModel, Problem, Projection};
 use crate::partition;
 use crate::stream::MonitorStatus;
 use crate::{ops, ObjAction};
-use slin_adt::{Adt, Partitioner};
+use slin_adt::{Adt, IdentityPartitioner, Partitioner};
 use slin_trace::wf::{self, Invalid, WellFormednessError};
 use slin_trace::{PersistentMultiset, PhaseId, Trace};
 use std::error::Error;
@@ -203,10 +203,13 @@ where
     /// the search gave up.
     pub fn check<V>(&self, t: &Trace<ObjAction<T, V>>) -> Result<LinWitness<T::Input>, LinError>
     where
-        V: Clone + PartialEq,
+        T: Sync,
+        T::Input: Send + Sync,
+        T::Output: Sync,
+        V: Clone + PartialEq + Sync,
     {
-        self.check_monolithic(t, SearchBudget::DEFAULT_MAX_NODES, 0)
-            .0
+        let none = None::<&IdentityPartitioner>;
+        partition::check(self, none, t, SearchBudget::DEFAULT_MAX_NODES, 0).outcome
     }
 }
 
@@ -218,7 +221,7 @@ where
 fn definition_10<'m, T: Adt<Input: Ord>, V>(t: &Trace<ObjAction<T, V>>) -> Problem<'m, T, ()> {
     let bounds: Rc<[_]> = ops::input_multisets::<T, V>(t).into();
     Problem {
-        commits: ops::commits::<T, V>(t).into(),
+        commits: ops::commits::<T, V>(t),
         pool: model::pool_of(bounds.last()),
         bounds,
         seed: Vec::new(),
@@ -228,9 +231,10 @@ fn definition_10<'m, T: Adt<Input: Ord>, V>(t: &Trace<ObjAction<T, V>>) -> Probl
 
 impl<T, V> ConsistencyModel<V> for LinChecker<T>
 where
-    T: Adt,
-    T::Input: Ord,
-    V: Clone + PartialEq,
+    T: Adt + Sync,
+    T::Input: Ord + Send + Sync,
+    T::Output: Sync,
+    V: Clone + PartialEq + Sync,
 {
     type Adt = T;
     type Witness = LinWitness<T::Input>;
@@ -245,26 +249,6 @@ where
         None
     }
 
-    /// The signature gate, well-formedness, and one engine search under a
-    /// node `budget`: nothing to spread over threads.
-    fn check_monolithic(
-        &self,
-        t: &Trace<ObjAction<T, V>>,
-        budget: usize,
-        _threads: usize,
-    ) -> (Result<LinWitness<T::Input>, LinError>, SearchStats) {
-        if let Err(invalid) = wf::validate(t, None) {
-            return (Err(invalid.into()), SearchStats::default());
-        }
-        let (found, stats) = definition_10(t).search(&*self.adt, budget);
-        let verdict = match found {
-            Ok(Some((chain, ()))) => Ok(LinWitness { assignments: chain }),
-            Ok(None) => Err(Refuted.into()),
-            Err(e) => Err(e.into()),
-        };
-        (verdict, stats)
-    }
-
     fn status_of_error(e: &LinError) -> MonitorStatus {
         match e {
             LinError::NotLinearizable => MonitorStatus::Violation,
@@ -274,28 +258,36 @@ where
         }
     }
 
-    /// The plain per-key projection: a class sub-trace's Definition 10 is
-    /// the class projection of the whole trace's. No certificate names a
-    /// relation of this model, so a trace with a switch action never
-    /// decomposes and is never asked.
-    fn project<P: Partitioner<T>>(
-        &self,
-        partitioner: &P,
-        t: &Trace<ObjAction<T, V>>,
-    ) -> Projection<'_, T, (), LinError> {
-        let keys = match partition::class_keys(partitioner, false, t) {
-            Ok(keys) if keys.len() > 1 => keys,
-            other => {
+    /// The signature gate and well-formedness, then Definition 10 whole —
+    /// one interpretation — or, along a partitioner, per key: a class
+    /// sub-trace's Definition 10 is the class projection of the whole
+    /// trace's. No certificate names a relation of this model, so a trace
+    /// with a switch action never decomposes and is never given one.
+    fn project<'a, P: Partitioner<T>>(
+        &'a self,
+        partitioner: Option<&P>,
+        t: &'a Trace<ObjAction<T, V>>,
+    ) -> Projection<'a, T, (), LinError> {
+        let keys = partitioner.map(|p| (p, partition::class_keys(p, false, t)));
+        let fallback = keys.as_ref().and_then(|(_, k)| k.as_ref().err().copied());
+        // Rejection indices are the whole trace's: validate it whole.
+        if let Err(invalid) = wf::validate(t, None) {
+            return Projection::Rejected {
+                error: invalid.into(),
+                fallback,
+            };
+        }
+        let (partitioner, keys) = match keys {
+            Some((p, Ok(keys))) if keys.len() > 1 => (p, keys),
+            keys => {
                 return Projection::Whole {
-                    partitions: other.as_ref().map_or(1, Vec::len),
-                    fallback: other.err(),
+                    partitions: keys.and_then(|(_, k)| k.ok()).map_or(1, |k| k.len()),
+                    fallback,
+                    interpretations: 1,
+                    interpretation: Box::new(|_| (definition_10(t), Box::new(|| Refuted.into()))),
                 }
             }
         };
-        // Rejection indices must be the monolithic ones: validate whole.
-        if let Err(invalid) = wf::validate(t, None) {
-            return Projection::Rejected(invalid.into());
-        }
         let whole = definition_10(t);
         let classes = whole.classes(
             keys.len(),

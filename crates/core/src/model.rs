@@ -21,25 +21,28 @@
 //! Searching is not a model's business because it does not depend on the
 //! model: `Problem::search` is the one way a problem meets the
 //! [`crate::engine`] (its [`LeafFn`] is the engine's leaf oracle, handed
-//! through as it is), and `ClosedCheck::check` in [`crate::partition`] is
-//! the one routine that checks a closed trace — it decides whether the
-//! check decomposes, searches a projection's classes in key order up to
-//! the first that fails, merges the class chains into the monolithic first
-//! witness and re-derives it whole when the merge cannot predict it, or
-//! checks the trace whole — for both models, for a session's closed traces
-//! and for the streaming monitor's re-checks of its record alike (a single
-//! checking judgment over many consistency models, as refinement-based
-//! frameworks present it). What is left model-specific is
-//! [`ConsistencyModel::check_monolithic`] — speculative linearizability
-//! quantifies over *every* init interpretation there — and how the model's
-//! errors read as a rolling status ([`ConsistencyModel::status_of_error`]).
-//! A verdict the streaming monitor derives from its shard windows is the
-//! engine's own outcome; it becomes the model's error through the three
-//! conversions the [`ConsistencyModel::Error`] bound names — from the
-//! validator's [`Invalid`], from an [`EngineError`], and from a
-//! [`Refuted`] search, the one refutation each model states. Limits are
-//! not a model's business either: the [`crate::session`] owns the search
-//! budget and the thread bound and passes them to each check.
+//! through as it is), and `partition::check` in [`crate::partition`] is
+//! the one routine that searches what a model states — for both models,
+//! for a session's closed traces and for the streaming monitor's
+//! re-checks of its record alike (a single checking judgment over many
+//! consistency models, as refinement-based frameworks present it). It
+//! searches a projection's classes in key order up to the first that
+//! fails, merges the class chains into the monolithic first witness and
+//! re-derives it whole when the merge cannot predict it; or it searches a
+//! trace checked whole once per interpretation — speculative
+//! linearizability quantifies over *every* init interpretation, a finite
+//! list of problems [`ConsistencyModel::project`] states one at a time.
+//! What is left model-specific is the statement, the witness, and how the
+//! model's errors read as a rolling status
+//! ([`ConsistencyModel::status_of_error`]). A verdict the streaming
+//! monitor derives from its shard windows is the engine's own outcome; it
+//! becomes the model's error through the three conversions the
+//! [`ConsistencyModel::Error`] bound names — from the validator's
+//! [`Invalid`], from an [`EngineError`], and from a [`Refuted`] search,
+//! the one refutation each model states. Limits are not a model's business
+//! either: the [`crate::session`] owns the search budget and the thread
+//! bound and hands them to the routine, so no model method receives
+//! either.
 //!
 //! # Model ownership
 //!
@@ -50,9 +53,7 @@
 //! transient use, clone it for consumers that outlive the borrow (the
 //! monitor's shard table).
 
-use crate::engine::{
-    Chain, CheckerEngine, EngineError, Found, Refuted, SearchBudget, SearchSeed, SearchStats,
-};
+use crate::engine::{Chain, CheckerEngine, EngineError, Found, Refuted, SearchBudget, SearchSeed};
 use crate::ops::Commit;
 use crate::partition::FallbackReason;
 use crate::stream::MonitorStatus;
@@ -60,7 +61,6 @@ use crate::ObjAction;
 use slin_adt::{Adt, Partitioner};
 use slin_trace::wf::Invalid;
 use slin_trace::{PersistentMultiset, PhaseId, Trace};
-use std::borrow::Cow;
 use std::fmt::Debug;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -71,7 +71,7 @@ use std::sync::Arc;
 /// per independence class. Commit indices are trace indices in both.
 pub struct Problem<'m, T: Adt, L> {
     /// The commits to place, ascending in trace index.
-    pub commits: Cow<'m, [Commit<T>]>,
+    pub commits: Vec<Commit<T>>,
     /// The validity bound at every trace index, monotone along the
     /// commits. A projection's class problems share the whole problem's.
     pub bounds: Rc<[PersistentMultiset<T::Input>]>,
@@ -155,7 +155,7 @@ where
             .map(|k| {
                 let (seed, leaf) = state(k);
                 Problem {
-                    commits: Cow::Owned(bucket(&self.commits, &commit_class, k)),
+                    commits: bucket(&self.commits, &commit_class, k),
                     bounds: Rc::clone(&self.bounds),
                     pool: bucket(&self.pool, &pool_class, k),
                     seed,
@@ -177,21 +177,31 @@ pub(crate) fn pool_of<I: Clone + Ord>(bound: Option<&PersistentMultiset<I>>) -> 
     pool
 }
 
-/// A model's answer to "what is there to search along this partitioner".
+/// A model's statement of what there is to search in a trace.
 pub enum Projection<'m, T: Adt, L, E> {
-    /// Nothing to decompose — the trace holds fewer than two classes, or
-    /// `fallback` says why it does not decompose: check it whole
-    /// ([`ConsistencyModel::check_monolithic`], which also validates it).
+    /// The trace is outside the model's signature or well-formedness
+    /// discipline, or past the interpretation cap: the rejection.
+    Rejected {
+        /// The model's error.
+        error: E,
+        /// Why the trace does not decompose, when its classes said so
+        /// before it was validated.
+        fallback: Option<FallbackReason>,
+    },
+    /// The validated trace, checked whole: it must hold under each of its
+    /// `interpretations` (1 for plain linearizability; one per combination
+    /// of init-action candidates for the speculative one), stated one at a
+    /// time, on demand and on any thread, by `interpretation`.
     Whole {
         /// Classes found (0 for an empty trace, 1 otherwise).
         partitions: usize,
         /// Why the trace does not decompose, if it should have.
         fallback: Option<FallbackReason>,
+        /// How many interpretations there are: at least 1.
+        interpretations: usize,
+        /// The `k`-th interpretation's problem and refutation.
+        interpretation: Interpretation<'m, T, L, E>,
     },
-    /// The trace is outside the model's signature or well-formedness
-    /// discipline: the rejection, byte-identical to
-    /// [`ConsistencyModel::check_monolithic`]'s.
-    Rejected(E),
     /// The validated trace's one interpretation, whole and per class.
     Classes {
         /// The whole problem: the merge replays the class chains against
@@ -201,13 +211,17 @@ pub enum Projection<'m, T: Adt, L, E> {
         /// The class problems, in ascending key order: projections of the
         /// whole one (`Problem::classes`), over its bounds.
         classes: Vec<Problem<'m, T, ()>>,
-        /// What an exhausted search space means under this interpretation
-        /// — a class without a chain refutes the whole problem too. Built
-        /// on demand: rendering an interpretation is not free, and most
-        /// checks pass.
+        /// What an exhausted search space means — a class without a chain
+        /// refutes the whole problem too. Built on demand: rendering an
+        /// interpretation is not free, and most checks pass.
         refuted: Box<dyn Fn() -> E + 'm>,
     },
 }
+
+/// [`Projection::Whole`]'s statement of the `k`-th interpretation: its
+/// problem, and what an exhausted search space means under it.
+pub(crate) type Interpretation<'m, T, L, E> =
+    Box<dyn Fn(usize) -> (Problem<'m, T, L>, Box<dyn Fn() -> E + 'm>) + Sync + 'm>;
 
 /// A consistency criterion decided by the shared chain-search engine.
 ///
@@ -217,30 +231,37 @@ pub enum Projection<'m, T: Adt, L, E> {
 /// value type). Implementations: [`crate::lin::LinChecker`] and
 /// [`crate::slin::SlinChecker`].
 ///
-/// The contract every implementation upholds: the first chain of a
-/// projection's whole problem, wrapped by
-/// [`ConsistencyModel::witness`], **is** the verdict of
-/// [`ConsistencyModel::check_monolithic`]; and every class problem is a
-/// projection of the whole one, so that a class without a chain refutes it
-/// and the engine-order replay of the class chains reconstructs its first
-/// chain (see [`crate::partition`] for why the merge is exact).
+/// The contract every implementation upholds: a trace is validated once,
+/// by [`ConsistencyModel::project`], and stated whole or per class; the
+/// whole problem beside a projection's classes is the problem its one
+/// interpretation states whole, so that its first chain, wrapped by
+/// [`ConsistencyModel::witness`], is the verdict of checking the trace
+/// whole; and every class problem is a projection of the whole one, so
+/// that a class without a chain refutes it and the engine-order replay of
+/// the class chains reconstructs its first chain (see [`crate::partition`]
+/// for why the merge is exact). No method takes a node budget or a thread
+/// bound: `partition::check` searches what a model states, under the
+/// session's.
+///
+/// The `Send` and `Sync` bounds let the interpretations of a trace checked
+/// whole be stated and searched on several threads.
 pub trait ConsistencyModel<V>: Sized {
     /// The abstract data type whose outputs the criterion must explain.
-    type Adt: Adt;
+    type Adt: Adt<Input: Send> + Sync;
     /// The witness of a successful check ([`crate::lin::LinWitness`] /
     /// [`crate::slin::SlinWitness`]): the proof alone, the work it took
-    /// being the verdict's [`SearchStats`].
+    /// being the verdict's [`SearchStats`](crate::engine::SearchStats).
     type Witness: Clone + PartialEq + Debug;
     /// Why a check failed (`LinError` / `SlinError`): a trace outside the
     /// model's signature or well-formedness discipline, a tripped budget,
     /// or a refuted search — the last one without an init interpretation
     /// to name, as a shard window holds no switch action.
-    type Error: Clone + PartialEq + Debug + From<Invalid> + From<EngineError> + From<Refuted>;
+    type Error: Clone + PartialEq + Debug + Send + From<Invalid> + From<EngineError> + From<Refuted>;
     /// What the leaf oracle of the model's problems yields beside the
     /// chain (nothing for plain linearizability; the init and abort
     /// interpretations for the speculative one). The default is the leaf
     /// of a problem without switch actions.
-    type Leaf: Default;
+    type Leaf: Default + Send;
 
     /// The checked ADT, behind the handle long-lived consumers clone.
     fn adt(&self) -> &Arc<Self::Adt>;
@@ -259,35 +280,28 @@ pub trait ConsistencyModel<V>: Sized {
         None
     }
 
-    /// The canonical monolithic check (validation included), with the
-    /// engine counters of the search: each search under a node `budget`,
-    /// independent searches spread over at most `threads` threads
-    /// (0 = one per core).
-    fn check_monolithic(
-        &self,
-        t: &Trace<ObjAction<Self::Adt, V>>,
-        budget: usize,
-        threads: usize,
-    ) -> (Result<Self::Witness, Self::Error>, SearchStats);
-
     /// Maps a batch-check failure onto the rolling [`MonitorStatus`] (the
     /// streaming monitor resolves [`MonitorStatus::Deferred`] with it).
     fn status_of_error(e: &Self::Error) -> MonitorStatus;
 
-    /// States what there is to search in `t` along `partitioner`,
-    /// validating `t` against the model's signature and well-formedness
-    /// discipline whenever the answer is [`Projection::Classes`].
+    /// States what there is to search in `t`, validating it against the
+    /// model's signature and well-formedness discipline (once: every answer
+    /// but a rejection is of a validated trace). Without a `partitioner`
+    /// the answer is [`Projection::Rejected`] or [`Projection::Whole`];
+    /// along one, [`Projection::Classes`] where the trace decomposes into
+    /// two or more classes, and [`Projection::Whole`] — with the
+    /// [`FallbackReason`], if it should have — where it does not.
     ///
-    /// Asked only of a trace that decomposes (`partition::decomposes`), so
-    /// any switch action in `t` is covered by a verified
-    /// switch-independence certificate and may be classified per class (by
-    /// pending input and by the class projection of its value's
+    /// Given a partitioner only where a check decomposes
+    /// (`partition::decomposes`), so any switch action in `t` is covered by
+    /// a verified switch-independence certificate and may be classified per
+    /// class (by pending input and by the class projection of its value's
     /// interpretation).
-    fn project<P: Partitioner<Self::Adt>>(
-        &self,
-        partitioner: &P,
-        t: &Trace<ObjAction<Self::Adt, V>>,
-    ) -> Projection<'_, Self::Adt, Self::Leaf, Self::Error>;
+    fn project<'a, P: Partitioner<Self::Adt>>(
+        &'a self,
+        partitioner: Option<&P>,
+        t: &'a Trace<ObjAction<Self::Adt, V>>,
+    ) -> Projection<'a, Self::Adt, Self::Leaf, Self::Error>;
 
     /// Wraps a found chain and its leaf witness into the model's witness.
     fn witness(chain: Chain<<Self::Adt as Adt>::Input>, leaf: Self::Leaf) -> Self::Witness;

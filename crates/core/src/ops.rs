@@ -49,8 +49,6 @@ pub fn input_multisets<T: Adt, V>(t: &Trace<ObjAction<T, V>>) -> Vec<PersistentM
 pub struct Commit<T: Adt> {
     /// Position of the response in the trace (0-based).
     pub index: usize,
-    /// The client responding.
-    pub client: ClientId,
     /// The input being answered (the required last element of the commit
     /// history).
     pub input: T::Input,
@@ -64,7 +62,6 @@ impl<T: Adt> Clone for Commit<T> {
     fn clone(&self) -> Self {
         Commit {
             index: self.index,
-            client: self.client,
             input: self.input.clone(),
             output: self.output.clone(),
         }
@@ -76,14 +73,8 @@ pub fn commits<T: Adt, V>(t: &Trace<ObjAction<T, V>>) -> Vec<Commit<T>> {
     t.iter()
         .enumerate()
         .filter_map(|(index, a)| match a {
-            Action::Respond {
-                client,
-                input,
-                output,
-                ..
-            } => Some(Commit {
+            Action::Respond { input, output, .. } => Some(Commit {
                 index,
-                client: *client,
                 input: input.clone(),
                 output: output.clone(),
             }),
@@ -98,8 +89,6 @@ pub fn commits<T: Adt, V>(t: &Trace<ObjAction<T, V>>) -> Vec<Commit<T>> {
 pub struct SwitchEvent<I, V> {
     /// Position of the switch in the trace (0-based).
     pub index: usize,
-    /// The switching client.
-    pub client: ClientId,
     /// The pending input carried by the switch.
     pub input: I,
     /// The switch value.
@@ -115,13 +104,12 @@ pub fn switches<T: Adt, V: Clone>(
         .enumerate()
         .filter_map(|(index, a)| match a {
             Action::Switch {
-                client,
                 phase,
                 input,
                 value,
+                ..
             } if *phase == label => Some(SwitchEvent {
                 index,
-                client: *client,
                 input: input.clone(),
                 value: value.clone(),
             }),

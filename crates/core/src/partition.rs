@@ -3,13 +3,17 @@
 //!
 //! Every closed-trace check — a batch [`crate::session::Session::check`]
 //! and the streaming monitor's re-check of its record alike — is one call
-//! of `ClosedCheck::check`: it asks whether the check decomposes, runs the
-//! partitioned or the whole check, and reports one engine search to the
-//! observer under its caller's site name (`"session.check"`,
-//! `"monitor.report"`). `ClosedCheck` is what a session configures once
-//! and its monitor takes over: the model, the partitioner, the switch
-//! certificate's verdict, the node budget, the thread bound and the
-//! observer.
+//! of `ClosedCheck::check`: it asks whether the check decomposes, runs
+//! `check` — the one search routine, which searches whatever a
+//! [`ConsistencyModel`] states, per class or whole — and reports one
+//! engine search to the observer under its caller's site name
+//! (`"session.check"`, `"monitor.report"`). The checkers' own `check` and
+//! the composition checks run the same routine with no partitioner.
+//! `ClosedCheck` is what a session configures once and its monitor takes
+//! over: the model, the partitioner, the switch certificate's verdict, the
+//! node budget, the thread bound and the observer. No model sees the last
+//! two: `check` spends the budget per search and the thread bound on the
+//! init interpretations of a trace checked whole ([`fan_out`]).
 //!
 //! A [`Partitioner`] classifies every input of a trace into an independence
 //! class. Whether a check decomposes along it is one rule,
@@ -26,15 +30,15 @@
 //! classifies every action by its input; the speculative checker also
 //! classifies switch actions, by pending input. ([`split_trace`] and
 //! [`split_trace_keyed`] cut the trace itself into the same classes.)
-//! `partition::check` — what `ClosedCheck::check` runs where the check
-//! decomposes — runs the class searches one after another on the
-//! calling thread, in key order and no further than the first class that
-//! fails (it decides the verdict), and **merges the class chains back into
-//! the exact witness the monolithic search would have produced**
-//! (`merge_partition_chains`). The classes are searched only to be merged
-//! back in engine order, and a second thread never paid for them: at ≈990
-//! commits over 8 keys the class searches are about a fifth of the check,
-//! and forcing them onto two threads read 1.07x the one-thread time.
+//! Where the check decomposes, `partition::check` runs the class searches
+//! one after another on the calling thread, in key order and no further
+//! than the first class that fails (it decides the verdict), and **merges
+//! the class chains back into the exact witness the monolithic search
+//! would have produced** (`merge_partition_chains`). The classes are
+//! searched only to be merged back in engine order, and a second thread
+//! never paid for them: at ≈990 commits over 8 keys the class searches are
+//! about a fifth of the check, and forcing them onto two threads read
+//! 1.07x the one-thread time.
 //!
 //! On a clean trace the decomposition is pure overhead — the class
 //! searches together expand the monolithic search's nodes — so what the
@@ -90,19 +94,21 @@
 //! ([`PartitionReport::remerged`] reports the event).
 //!
 //! Traces with **uncertified switch actions** do not decompose, so they
-//! never reach the projection. Traces with any input the partitioner
+//! are stated without a partitioner. Traces with any input the partitioner
 //! declines to classify, and certified ones whose switch values do not
-//! project per class, are checked whole (monolithic checking);
-//! [`PartitionReport::fallback`] says which.
+//! project per class, are stated whole all the same — validated once, by
+//! the one projection that says why ([`PartitionReport::fallback`]) — and
+//! checked whole by the same routine.
 
 use crate::engine::{Chain, SearchStats};
-use crate::model::{ConsistencyModel, Projection};
+use crate::model::{ConsistencyModel, Interpretation, Projection};
 use crate::session::Verdict;
 use crate::stream::MonitorStatus;
 use crate::ObjAction;
 use slin_adt::{Adt, Partitioner};
 use slin_obs::{EngineSearchEvent, Obs};
 use slin_trace::{Action, PersistentMultiset, Trace};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Why a trace went monolithic: the reason a model's projection answered
 /// [`Projection::Whole`] for a trace it was asked to decompose, surfaced through
@@ -310,8 +316,8 @@ const FAN_OUT_MIN_OFFLOAD: usize = 512;
 /// Runs `run` over every unit of `units` — `(weight, item)` pairs — and
 /// returns the results in unit order, plus whether any work left the
 /// calling thread. The one thread fan-out point of the checking pipeline,
-/// for the work in it that is independent: the speculative checker's
-/// init-interpretation searches and the daemon's lanes.
+/// for the work in it that is independent: the init-interpretation
+/// searches of a trace `check` searches whole, and the daemon's lanes.
 ///
 /// `threads` is an **upper bound**: a scoped spawn + join costs 16–70 µs
 /// per thread on the reference box, so the common case — a few dozen
@@ -393,18 +399,6 @@ where
     (results, true)
 }
 
-/// The thread count a configured `threads` stands for (0 = one per
-/// available core).
-pub(crate) fn resolve_threads(configured: usize) -> usize {
-    if configured > 0 {
-        configured
-    } else {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    }
-}
-
 /// What every closed-trace check reads, configured once: by a batch
 /// [`crate::session::Session`], and by the streaming monitor, which takes
 /// the session's over on the upgrade to streaming.
@@ -417,16 +411,16 @@ pub(crate) struct ClosedCheck<M, P> {
     pub(crate) keyed: bool,
     /// The node budget of every search.
     pub(crate) budget: usize,
-    /// The thread bound of every interpretation enumeration.
+    /// The thread bound of every interpretation enumeration (0 = one per
+    /// core).
     pub(crate) threads: usize,
     pub(crate) obs: Obs,
 }
 
 impl<M, P> ClosedCheck<M, P> {
-    /// Checks the closed trace `t`: per class along `partitioner` where the
-    /// check [`decomposes`] ([`check`], the partition report beside the
-    /// verdict), whole otherwise ([`ConsistencyModel::check_monolithic`]) —
-    /// and reports the check to the observer as one engine search under
+    /// Checks the closed trace `t` ([`check`]): per class along
+    /// `partitioner` where the check [`decomposes`], whole otherwise — and
+    /// reports the check to the observer as one engine search under
     /// `site`. `None` for the partitioner checks `t` whole.
     pub(crate) fn check<V>(
         &self,
@@ -440,17 +434,8 @@ impl<M, P> ClosedCheck<M, P> {
         P: Partitioner<M::Adt>,
     {
         let t0 = self.obs.t0();
-        let verdict = match decomposes(partitioner, self.keyed, t) {
-            Some(p) => check(&self.model, p, t, self.budget, self.threads),
-            None => {
-                let (outcome, stats) = self.model.check_monolithic(t, self.budget, self.threads);
-                Verdict {
-                    outcome,
-                    stats,
-                    partition: None,
-                }
-            }
-        };
+        let partitioner = decomposes(partitioner, self.keyed, t);
+        let verdict = check(&self.model, partitioner, t, self.budget, self.threads);
         self.obs.engine_search(EngineSearchEvent {
             site,
             nodes: verdict.stats.nodes as u64,
@@ -479,8 +464,7 @@ fn budget_tripped<M: ConsistencyModel<V>, V>(
 /// (Theorem 2 plus the partitioner contract) or `switch_certified` — a
 /// verified switch-independence certificate (`slin-cert/v2`) covers the
 /// session's `(adt, partitioner, rinit)`. Returns the partitioner to
-/// decompose along ([`check`]); where it says no, the caller checks `t`
-/// whole ([`ConsistencyModel::check_monolithic`]).
+/// decompose along, or `None` to check `t` whole: [`check`] takes either.
 pub(crate) fn decomposes<'p, I, O, V, P>(
     partitioner: Option<&'p P>,
     switch_certified: bool,
@@ -489,30 +473,32 @@ pub(crate) fn decomposes<'p, I, O, V, P>(
     partitioner.filter(|_| switch_certified || !t.iter().any(|a| a.is_switch()))
 }
 
-/// P-compositional checking of a closed trace that [`decomposes`] — what
-/// `ClosedCheck::check` runs for a session and for the streaming monitor's
-/// re-check of its record alike, for every [`ConsistencyModel`]: a
-/// verdict with its partition report.
+/// The one search routine: checks a closed trace `t` for every
+/// [`ConsistencyModel`] — for `ClosedCheck::check`, along the partitioner
+/// where the check [`decomposes`] (a verdict with its partition report),
+/// and for the checkers' own `check` and the composition checks, without
+/// one. Asks the model what there is to search
+/// ([`ConsistencyModel::project`], which validates `t`), then:
 ///
-/// Asks the model what there is to search along `partitioner`
-/// ([`ConsistencyModel::project`]), then: searches the classes in key
-/// order, absorbing their counters, and stops at the first failing one,
-/// which decides (a refutation or a budget trip alike, so a tripped class
-/// under-claims rather than searching again); else merges the class chains in
-/// engine order against the whole problem's bounds from its seed,
-/// re-discharges the whole problem's leaf on the merged chain, and searches
-/// the whole problem once when either cannot predict the monolithic first
-/// witness ([`PartitionReport::remerged`]). A trace the model checks whole
-/// goes to [`ConsistencyModel::check_monolithic`] with `budget` and
-/// `threads`.
+/// * a rejection is the verdict, with zero stats: no search ran;
+/// * classes are searched in key order, their counters absorbed, up to
+///   the first failing one, which decides (a refutation or a budget trip
+///   alike, so a tripped class under-claims rather than searching again);
+///   else their chains are merged in engine order against the whole
+///   problem's bounds from its seed, its leaf is re-discharged on the
+///   merged chain, and the whole problem is searched once when either
+///   cannot predict the monolithic first witness
+///   ([`PartitionReport::remerged`]);
+/// * a trace stated whole is searched once per interpretation
+///   (`every_interpretation`).
 ///
-/// Verdicts and witnesses are byte-identical to
-/// [`ConsistencyModel::check_monolithic`] (see the [module docs](self) for
-/// the argument). The search node `budget` applies per class, so a trace
-/// the monolithic search gives up on may well be decided here.
+/// Verdicts and witnesses are byte-identical whichever way a trace is
+/// stated (see the [module docs](self) for the argument). The node
+/// `budget` applies per search, so a trace the whole search gives up on
+/// may well be decided per class.
 pub(crate) fn check<V, M, P>(
     model: &M,
-    partitioner: &P,
+    partitioner: Option<&P>,
     t: &Trace<ObjAction<M::Adt, V>>,
     budget: usize,
     threads: usize,
@@ -522,23 +508,35 @@ where
     <M::Adt as Adt>::Input: Ord,
     P: Partitioner<M::Adt>,
 {
-    let unmerged = |partitions, fallback| PartitionReport {
-        partitions,
-        fallback,
-        remerged: false,
+    let verdict = |outcome, stats, partitions, fallback, remerged| Verdict {
+        outcome,
+        stats,
+        partition: partitioner.map(|_| PartitionReport {
+            partitions,
+            fallback,
+            remerged,
+        }),
     };
+    let adt = &**model.adt();
     let (whole, mut classes, refuted) = match model.project(partitioner, t) {
-        Projection::Rejected(e) => {
-            return partitioned(Err(e), SearchStats::default(), unmerged(1, None))
+        Projection::Rejected { error, fallback } => {
+            return verdict(Err(error), SearchStats::default(), 1, fallback, false)
         }
-        // The whole check validates internally, so no projection
-        // validates a trace it does not decompose.
         Projection::Whole {
             partitions,
             fallback,
+            interpretations,
+            interpretation,
         } => {
-            let (outcome, stats) = model.check_monolithic(t, budget, threads);
-            return partitioned(outcome, stats, unmerged(partitions, fallback));
+            let (outcome, stats) = every_interpretation::<V, M>(
+                adt,
+                t,
+                interpretations,
+                &interpretation,
+                budget,
+                threads,
+            );
+            return verdict(outcome, stats, partitions, fallback, false);
         }
         Projection::Classes {
             whole,
@@ -547,7 +545,6 @@ where
         } => (whole, classes, refuted),
     };
 
-    let adt = &**model.adt();
     let mut stats = SearchStats::default();
     let mut parts = Vec::with_capacity(classes.len());
     for class in &mut classes {
@@ -563,9 +560,8 @@ where
             Err(e) => e.into(),
         };
         // The first failing class decides: no class after it is searched.
-        return partitioned(Err(e), stats, unmerged(classes.len(), None));
+        return verdict(Err(e), stats, classes.len(), None, false);
     }
-    let mut report = unmerged(classes.len(), None);
     let merged = merge_partition_chains(
         &whole.bounds,
         parts,
@@ -580,6 +576,7 @@ where
         let leaf = (whole.leaf)(longest)?;
         Some((chain, leaf))
     });
+    let remerged = merged.is_none();
     let found = match merged {
         Some(found) => Ok(Some(found)),
         None => {
@@ -589,7 +586,6 @@ where
             // class chains, so search for it (the verdict — every class
             // passing — is already decided).
             let (found, rerun_stats) = whole.search(adt, budget);
-            report.remerged = true;
             stats.absorb(&rerun_stats);
             found
         }
@@ -599,20 +595,77 @@ where
         Ok(None) => Err(refuted()),
         Err(e) => Err(e.into()),
     };
-    partitioned(outcome, stats, report)
+    verdict(outcome, stats, classes.len(), None, remerged)
 }
 
-/// A partitioned check's verdict.
-fn partitioned<W, E>(
-    outcome: Result<W, E>,
-    stats: SearchStats,
-    report: PartitionReport,
-) -> Verdict<W, E> {
-    Verdict {
-        outcome,
-        stats,
-        partition: Some(report),
+/// Searches the `count` interpretations of a trace stated whole, each
+/// stated where it is searched, through [`fan_out`] on at most `threads`
+/// threads (0 = one per core; on the calling thread alone while the
+/// searches are small). A shared watermark of the earliest abnormal
+/// interpretation lets later ones be skipped — they cannot influence the
+/// verdict — and the verdict is resolved by minimum index, so it is
+/// byte-identical at every thread count. On `Ok` the stats absorb every
+/// interpretation's search; on a refutation or a budget trip they are the
+/// **earliest abnormal interpretation's own** — the deterministic
+/// refutation cost (absorbing the partial successes of racing workers
+/// would not reproduce).
+fn every_interpretation<V, M>(
+    adt: &M::Adt,
+    t: &Trace<ObjAction<M::Adt, V>>,
+    count: usize,
+    interpretation: &Interpretation<'_, M::Adt, M::Leaf, M::Error>,
+    budget: usize,
+    threads: usize,
+) -> (Result<M::Witness, M::Error>, SearchStats)
+where
+    M: ConsistencyModel<V>,
+    <M::Adt as Adt>::Input: Ord,
+{
+    let threads = match (count, threads) {
+        (1, _) => 1,
+        (_, 0) => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        _ => threads,
+    };
+    // Each interpretation weighs the commits it searches, the trace's
+    // responses; on one thread nothing is weighed.
+    let commits = match threads {
+        1 => 0,
+        _ => t.iter().filter(|a| a.is_respond()).count(),
+    };
+    let best_abnormal = AtomicUsize::new(usize::MAX);
+    let units = (0..count).map(|idx| (commits, idx)).collect();
+    let (outcomes, _) = fan_out(units, threads, &|idx: usize| {
+        if idx > best_abnormal.load(Ordering::Relaxed) {
+            return None;
+        }
+        let (problem, refuted) = interpretation(idx);
+        let (found, stats) = problem.search(adt, budget);
+        let found = match found {
+            // Only interpretation 0's witness is ever reported.
+            Ok(Some(w)) => Ok((idx == 0).then_some(w)),
+            Ok(None) => Err(refuted()),
+            Err(e) => Err(e.into()),
+        };
+        if found.is_err() {
+            best_abnormal.fetch_min(idx, Ordering::Relaxed);
+        }
+        Some((found, stats))
+    });
+    let mut stats = SearchStats::default();
+    let mut witness = None;
+    // Index order: the first error met is the earliest abnormal one
+    // (every skipped index lies beyond it).
+    for (found, s) in outcomes.into_iter().flatten() {
+        match found {
+            Ok(w) => {
+                stats.absorb(&s);
+                witness = witness.or(w);
+            }
+            Err(e) => return (Err(e), s),
+        }
     }
+    let (chain, leaf) = witness.expect("interpretation 0 was checked");
+    (Ok(M::witness(chain, leaf)), stats)
 }
 
 /// One partition of a merge: its class chain, the length of the seed
@@ -1094,19 +1147,15 @@ mod tests {
                     })
                     .collect(),
             );
-            let by_lin = check(&lin, &KvKeyPartitioner, t, BUDGET, 0);
-            let by_slin = check(&slin, &KvKeyPartitioner, &phase_t, BUDGET, 0);
+            let by_lin = check(&lin, Some(&KvKeyPartitioner), t, BUDGET, 0);
+            let by_slin = check(&slin, Some(&KvKeyPartitioner), &phase_t, BUDGET, 0);
             assert_eq!(by_lin.partition, by_slin.partition, "{t:?}");
             assert_eq!(by_lin.stats, by_slin.stats, "{t:?}");
             let report = by_lin.partition.expect("a partitioned check");
             assert_eq!(report.fallback, None);
             assert!(report.partitions > 1);
             remerged += report.remerged as usize;
-            assert_eq!(
-                by_lin.outcome,
-                lin.check_monolithic(t, BUDGET, 0).0,
-                "{t:?}"
-            );
+            assert_eq!(by_lin.outcome, lin.check(t), "{t:?}");
             match (by_lin.outcome, by_slin.outcome) {
                 (Ok(w), Ok(r)) => {
                     accepted += 1;
@@ -1139,16 +1188,16 @@ mod tests {
             Action::respond(c(2), ph(), KvInput::Put(2, 6), KvOutput::Ack),
         ]);
         let lin = LinChecker::owned(KvStore);
-        let Projection::Classes { classes, .. } = lin.project(&KvKeyPartitioner, &t) else {
+        let Projection::Classes { classes, .. } = lin.project(Some(&KvKeyPartitioner), &t) else {
             panic!("two keys decompose");
         };
         let (first, first_stats) = classes[0].search(&KvStore, BUDGET);
         assert!(matches!(first, Ok(None)), "the first class refutes");
         let (second, second_stats) = classes[1].search(&KvStore, BUDGET);
         assert!(matches!(second, Ok(Some(_))) && second_stats.nodes > 0);
-        let got = check(&lin, &KvKeyPartitioner, &t, BUDGET, 0);
+        let got = check(&lin, Some(&KvKeyPartitioner), &t, BUDGET, 0);
         assert_eq!(got.outcome, Err(LinError::NotLinearizable));
-        assert_eq!(got.outcome, lin.check_monolithic(&t, BUDGET, 0).0);
+        assert_eq!(got.outcome, lin.check(&t));
         assert_eq!(got.partition.map(|r| r.partitions), Some(2));
         assert_eq!(got.stats, first_stats);
         assert_eq!(got.stats.interpretations, 1);
@@ -1162,7 +1211,8 @@ mod tests {
     where
         M: ConsistencyModel<V, Adt = KvStore>,
     {
-        let Projection::Classes { whole, classes, .. } = model.project(&KvKeyPartitioner, t) else {
+        let Projection::Classes { whole, classes, .. } = model.project(Some(&KvKeyPartitioner), t)
+        else {
             return false;
         };
         let key = |i: &KvInput| KvKeyPartitioner.key_of(i).expect("kv inputs are keyed");
@@ -1589,7 +1639,8 @@ mod tests {
     where
         M: ConsistencyModel<V, Adt = KvStore>,
     {
-        let Projection::Classes { whole, classes, .. } = model.project(&KvKeyPartitioner, t) else {
+        let Projection::Classes { whole, classes, .. } = model.project(Some(&KvKeyPartitioner), t)
+        else {
             return None;
         };
         let parts = classes
@@ -1761,25 +1812,79 @@ mod tests {
         ])
     }
 
-    /// The keyed check of `t` under `rinit` answers whole for `reason`, and
-    /// its verdict is the monolithic one byte for byte.
+    /// `rinit`, counting the values it is asked for the candidates of.
+    struct Counted<R> {
+        rinit: R,
+        asked: std::sync::Arc<AtomicUsize>,
+    }
+
+    impl<R: crate::initrel::InitRelation<KvInput>> crate::initrel::InitRelation<KvInput>
+        for Counted<R>
+    {
+        type Value = R::Value;
+
+        fn contains(&self, value: &R::Value, history: &[KvInput]) -> bool {
+            self.rinit.contains(value, history)
+        }
+
+        fn candidates(
+            &self,
+            value: &R::Value,
+            ctx: &crate::initrel::CandidateContext<KvInput>,
+        ) -> Vec<Vec<KvInput>> {
+            self.asked.fetch_add(1, Ordering::Relaxed);
+            self.rinit.candidates(value, ctx)
+        }
+
+        fn extensions(
+            &self,
+            value: &R::Value,
+            prefix: &[KvInput],
+            ctx: &crate::initrel::CandidateContext<KvInput>,
+        ) -> Vec<Vec<KvInput>> {
+            self.rinit.extensions(value, prefix, ctx)
+        }
+
+        fn projects_like(
+            &self,
+            value: &R::Value,
+            history: &[KvInput],
+            same_class: &dyn Fn(&KvInput, &KvInput) -> bool,
+        ) -> Option<bool> {
+            self.rinit.projects_like(value, history, same_class)
+        }
+    }
+
+    /// The keyed check of `t` under `rinit` answers whole for `reason`,
+    /// states the trace once — each init action's value is asked for its
+    /// candidates once — and its verdict is the whole check's byte for
+    /// byte.
     fn checked_whole<R>(rinit: R, t: &Trace<PA>, reason: FallbackReason)
     where
         R: crate::initrel::InitRelation<KvInput, Value = Vec<KvInput>> + Sync,
     {
+        let asked = std::sync::Arc::new(AtomicUsize::new(0));
+        let rinit = Counted {
+            rinit,
+            asked: std::sync::Arc::clone(&asked),
+        };
         let model =
             crate::slin::SlinChecker::owned(KvStore, rinit, PhaseId::new(2), PhaseId::new(3));
-        let projection = model.project(&KvKeyPartitioner, t);
-        assert!(
-            matches!(projection, Projection::Whole { partitions: 1, fallback: Some(r) } if r == reason),
-            "expected a whole check for {reason:?}"
-        );
-        let verdict = check(&model, &KvKeyPartitioner, t, BUDGET, 1);
+        let verdict = check(&model, Some(&KvKeyPartitioner), t, BUDGET, 1);
+        let inits = t.iter().filter(|a| a.is_switch()).count();
+        assert_eq!(asked.load(Ordering::Relaxed), inits, "values asked");
         let report = verdict.partition.as_ref().expect("a keyed check reports");
         assert_eq!((report.partitions, report.fallback), (1, Some(reason)));
-        let (outcome, stats) = model.check_monolithic(t, BUDGET, 1);
-        assert_eq!(format!("{:?}", verdict.outcome), format!("{outcome:?}"));
-        assert_eq!((verdict.outcome, verdict.stats), (outcome, stats));
+        let whole = check(&model, None::<&KvKeyPartitioner>, t, BUDGET, 1);
+        assert_eq!(whole.partition, None);
+        assert_eq!(
+            format!("{:?}", verdict.outcome),
+            format!("{:?}", whole.outcome)
+        );
+        assert_eq!(
+            (verdict.outcome, verdict.stats),
+            (whole.outcome, whole.stats)
+        );
     }
 
     #[test]
@@ -1819,7 +1924,7 @@ mod tests {
             PhaseId::new(2),
             PhaseId::new(3),
         );
-        let report = check(&model, &KvKeyPartitioner, &t, BUDGET, 1)
+        let report = check(&model, Some(&KvKeyPartitioner), &t, BUDGET, 1)
             .partition
             .expect("keyed");
         assert_eq!((report.partitions, report.fallback), (2, None));

@@ -187,14 +187,16 @@ impl<M, P> SessionBuilder<M, P> {
         self
     }
 
-    /// Bounds the threads a speculative check may enumerate its init
-    /// interpretations on (default 0 = one per core, 1 = sequential) — an
-    /// **upper bound**, the calling thread included: the interpretation
-    /// searches leave the calling thread only when there is enough of them
-    /// to repay a thread spawn ([`crate::partition::fan_out`]). Nothing else
-    /// a session runs is spread over threads, so a plain-linearizability
-    /// session never spawns. Verdicts, witnesses and [`SearchStats`] do not
-    /// depend on it.
+    /// Bounds the threads the search routine may spread the init
+    /// interpretations of a trace checked whole over (default 0 = one per
+    /// core, 1 = sequential) — an **upper bound**, the calling thread
+    /// included: the interpretation searches leave the calling thread only
+    /// when there is enough of them to repay a thread spawn
+    /// ([`crate::partition::fan_out`]). The bound is the session's, handed
+    /// to the routine, never to the model. Nothing else a session runs is
+    /// spread over threads, so a plain-linearizability session — one
+    /// interpretation per trace — never spawns. Verdicts, witnesses and
+    /// [`SearchStats`] do not depend on it.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self

@@ -19,41 +19,40 @@
 //! * **Abort-Order** — every commit history is a prefix of every abort
 //!   history.
 //!
-//! [`SlinChecker`] decides the quantifier alternation by enumerating the
-//! finite candidate interpretations provided by the [`InitRelation`]
-//! (exact for the Section 6 singleton relation, bounded-adversarial for the
-//! consensus mapping) and running, for each, the same
-//! [`crate::engine`] chain search as the plain
-//! linearizability checker — seeded with the longest common prefix of the
-//! init histories and extended with abort feasibility at the leaves.
+//! [`SlinChecker`] decides the quantifier alternation by stating, for each
+//! of the finite candidate interpretations provided by the
+//! [`InitRelation`] (exact for the Section 6 singleton relation,
+//! bounded-adversarial for the consensus mapping), the same
+//! [`crate::engine`] chain-search problem as the plain linearizability
+//! checker — seeded with the longest common prefix of the init histories
+//! and extended with abort feasibility at the leaves.
 //!
-//! Because the init interpretations are **independent** (the universal
-//! quantifier of Definition 19 factors over them), the monolithic check
-//! may enumerate them **in parallel**: across at most the thread bound a
-//! [`crate::session`] passes in, and only when there is enough search to
-//! repay spawning threads ([`partition::fan_out`]). Verdicts are
+//! The model states those problems and searches none of them: the init
+//! interpretations are **independent** (the universal quantifier of
+//! Definition 19 factors over them), so `partition::check` — the one
+//! search routine — enumerates them, in parallel when there is enough
+//! search to repay spawning threads ([`partition::fan_out`], within the
+//! thread bound a [`crate::session`] passes it). Verdicts are
 //! deterministic and identical at every thread count: on failure, the
 //! *earliest* interpretation in enumeration order wins — the same one a
 //! single-threaded enumeration (a session built with `.threads(1)`)
 //! reports.
 
-use crate::engine::{Chain, EngineError, Found, Refuted, SearchBudget, SearchStats};
+use crate::engine::{Chain, EngineError, Refuted, SearchBudget};
 use crate::initrel::{CandidateContext, InitRelation};
 use crate::model::{self, ConsistencyModel, Problem, Projection};
 use crate::ops::{self, Commit, SwitchEvent};
 use crate::partition::{self, FallbackReason};
 use crate::stream::MonitorStatus;
 use crate::ObjAction;
-use slin_adt::{Adt, Partitioner};
+use slin_adt::{Adt, IdentityPartitioner, Partitioner};
 use slin_trace::seq;
 use slin_trace::wf::{self, Invalid, WellFormednessError};
 use slin_trace::{PersistentMultiset, PhaseId, Trace};
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Cap on the number of init interpretations enumerated.
@@ -149,8 +148,9 @@ impl From<Refuted> for SlinError {
 /// The outcome of a successful check: the witness of Definition 19 for the
 /// first init interpretation `finit` enumerated — that interpretation, and
 /// the commit chain `g` and abort histories `fabort` the search found for
-/// it. The work the check took is the verdict's ([`SearchStats`] beside
-/// the outcome), not the witness's.
+/// it. The work the check took is the verdict's
+/// ([`SearchStats`](crate::engine::SearchStats) beside the outcome), not
+/// the witness's.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlinWitness<I> {
     /// The interpretation of each init action: `(trace index, history)`.
@@ -216,7 +216,7 @@ where
     }
 
     /// Checks `(m, n)`-speculative linearizability of the trace under the
-    /// default search budget, enumerating interpretations on up to one
+    /// default search budget, searching its interpretations on up to one
     /// thread per core. The search budget and the thread bound are
     /// [`crate::session`] configuration.
     ///
@@ -237,8 +237,8 @@ where
         R: Sync,
         R::Value: Sync,
     {
-        self.check_monolithic(t, SearchBudget::DEFAULT_MAX_NODES, 0)
-            .0
+        let none = None::<&IdentityPartitioner>;
+        partition::check(self, none, t, SearchBudget::DEFAULT_MAX_NODES, 0).outcome
     }
 
     /// Validates the trace against the phase signature and well-formedness,
@@ -426,21 +426,21 @@ where
     R::Value: Clone + PartialEq + Sync,
 {
     /// Definitions 26–31 for one fixed `finit`, as a search problem over
-    /// `commits`: histories draw from the valid inputs `vi`, the longest
-    /// common prefix of the init histories seeds the chain (Init-Order),
-    /// and the leaf grafts the ∃ `fabort` side onto the chain search —
-    /// abort interpretations are found once the longest commit history is
-    /// known, among the members of `rinit(v)` extending it (or the LCP when
-    /// nothing commits). The leaf witness is `finit` and that `fabort`.
+    /// `commits`: histories draw from the valid inputs `vi`, `lcp` — the
+    /// longest common prefix of the init histories — seeds the chain
+    /// (Init-Order), and the leaf grafts the ∃ `fabort` side onto the chain
+    /// search — abort interpretations are found once the longest commit
+    /// history is known, among the members of `rinit(v)` extending it (or
+    /// the LCP when nothing commits). The leaf witness is `finit` and that
+    /// `fabort`.
     fn interpretation<'p>(
         &'p self,
         prep: &Prepared<T, R::Value>,
         finit: Arc<Histories<T::Input>>,
+        lcp: Vec<T::Input>,
         vi: Rc<[PersistentMultiset<T::Input>]>,
-        commits: Cow<'p, [Commit<T>]>,
+        commits: Vec<Commit<T>>,
     ) -> Problem<'p, T, Interpretations<T::Input>> {
-        let lcp: Vec<T::Input> =
-            seq::longest_common_prefix(finit.iter().map(|(_, h)| h.as_slice()));
         let constrain_init_order = !finit.is_empty();
         let aborts: Vec<AbortEvent<T::Input, R::Value>> = prep
             .aborts
@@ -477,76 +477,33 @@ where
         }
     }
 
-    /// Decides the existential part of Definition 19 for one fixed `finit`.
-    fn check_one_interpretation(
+    /// The validated trace stated whole: Definition 19's "for every
+    /// `finit`" as its `combos` problems, the `k`-th stated (and its
+    /// refutation naming that `finit`) only when the search asks for it.
+    fn whole(
         &self,
-        prep: &Prepared<T, R::Value>,
-        finit: &[(usize, &Vec<T::Input>)],
-        budget: usize,
-    ) -> Found<T::Input, Interpretations<T::Input>> {
-        let vi = self.valid_inputs(prep, finit);
-        let owned = Arc::new(finit.iter().map(|(i, h)| (*i, (*h).clone())).collect());
-        self.interpretation(prep, owned, vi, Cow::Borrowed(&prep.commits))
-            .search(&self.adt, budget)
-    }
-
-    /// The enumeration loop: interpretation indices `0..combos` through
-    /// [`partition::fan_out`] (at most `threads` threads; on the calling
-    /// thread alone while the searches are small). A shared
-    /// watermark of the earliest abnormal index lets later indices be
-    /// skipped — they cannot influence the verdict — and the verdict is
-    /// resolved by minimum index, so it is byte-identical at every thread
-    /// count.
-    ///
-    /// The second tuple element is the stats surface of
-    /// `check_monolithic`: on `Ok` the counters absorbed over every
-    /// enumerated interpretation; on a refutation or budget trip it is the
-    /// **earliest abnormal interpretation's own** search counters — the
-    /// deterministic refutation cost (absorbing the partial successes of
-    /// racing workers would not reproduce).
-    fn run_interpretations(
-        &self,
-        prep: &Prepared<T, R::Value>,
-        budget: usize,
-        threads: usize,
-    ) -> (Result<SlinWitness<T::Input>, SlinError>, SearchStats) {
-        let best_abnormal = AtomicUsize::new(usize::MAX);
-        // Every interpretation searches the same commits.
-        let units = (0..prep.combos)
-            .map(|idx| (prep.commits.len(), idx))
-            .collect();
-        let (outcomes, _) = partition::fan_out(units, threads, &|idx: usize| {
-            if idx > best_abnormal.load(Ordering::Relaxed) {
-                return None;
-            }
-            let finit = self.finit_at(prep, idx);
-            let (found, stats) = self.check_one_interpretation(prep, &finit, budget);
-            let found = match found {
-                // Only interpretation 0's witness is ever reported.
-                Ok(Some(w)) => Ok((idx == 0).then_some(w)),
-                Ok(None) => Err(Self::fail_error(&finit)),
-                Err(e) => Err(e.into()),
-            };
-            if found.is_err() {
-                best_abnormal.fetch_min(idx, Ordering::Relaxed);
-            }
-            Some((found, stats))
-        });
-        let mut stats = SearchStats::default();
-        let mut witness = None;
-        // Index order: the first error met is the earliest abnormal one
-        // (every skipped index lies beyond it).
-        for (found, s) in outcomes.into_iter().flatten() {
-            match found {
-                Ok(w) => {
-                    stats.absorb(&s);
-                    witness = witness.or(w);
-                }
-                Err(e) => return (Err(e), s),
-            }
+        prep: Prepared<T, R::Value>,
+        partitions: usize,
+        fallback: Option<FallbackReason>,
+    ) -> Projection<'_, T, Interpretations<T::Input>, SlinError> {
+        Projection::Whole {
+            partitions,
+            fallback,
+            interpretations: prep.combos,
+            interpretation: Box::new(move |idx| {
+                let finit = self.finit_at(&prep, idx);
+                let vi = self.valid_inputs(&prep, &finit);
+                let lcp = seq::longest_common_prefix(finit.iter().map(|(_, h)| h.as_slice()));
+                let finit: Arc<Histories<T::Input>> =
+                    Arc::new(finit.iter().map(|(i, h)| (*i, (*h).clone())).collect());
+                let named = Arc::clone(&finit);
+                let commits = prep.commits.clone();
+                (
+                    self.interpretation(&prep, finit, lcp, vi, commits),
+                    Box::new(move || Self::fail_error(&named)),
+                )
+            }),
         }
-        let (chain, leaf) = witness.expect("combos >= 1: interpretation 0 was checked");
-        (Ok(Self::witness(chain, leaf)), stats)
     }
 }
 
@@ -575,31 +532,6 @@ where
         Some(slin_analysis::short_type_name::<R>())
     }
 
-    /// [`SlinChecker::check`] under a node `budget` per interpretation and
-    /// at most `threads` enumeration threads (0 = one per core), also
-    /// reporting [`SearchStats`] on **both** sides of the verdict:
-    /// [`SlinError`] carries no counters, but the refutation cost is
-    /// reported alongside. On `Ok` the stats absorb every enumerated
-    /// interpretation's search (`interpretations` counts them); on a
-    /// refutation they are the counters of the earliest failing
-    /// interpretation's (exhaustive) search — the cost of proving no chain
-    /// exists, deterministic and byte-identical between the sequential and
-    /// parallel paths — and on a budget trip those of the search that
-    /// tripped. Structural rejections (ill-formed traces,
-    /// interpretation-space blowups) report zero stats: no search ran.
-    fn check_monolithic(
-        &self,
-        t: &Trace<ObjAction<T, R::Value>>,
-        budget: usize,
-        threads: usize,
-    ) -> (Result<SlinWitness<T::Input>, SlinError>, SearchStats) {
-        let prep = match self.prepare(t) {
-            Ok(prep) => prep,
-            Err(e) => return (Err(e), SearchStats::default()),
-        };
-        self.run_interpretations(&prep, budget, partition::resolve_threads(threads))
-    }
-
     fn status_of_error(e: &SlinError) -> MonitorStatus {
         match e {
             SlinError::NotSpeculativelyLinearizable { .. } => MonitorStatus::Violation,
@@ -610,29 +542,32 @@ where
         }
     }
 
-    /// The keyed projection: commits, pending inputs **and switch-value
-    /// interpretations** classified per independence class. Each class
-    /// problem is a projection of the whole one — the commits on its
-    /// inputs and the class projection of the pool, over the whole bounds
-    /// `vi` — seeded with the class projection of the init LCP and judged
-    /// at its leaves by the class projections of the global abort
-    /// conditions (so they hold whenever the global leaf does, and a class
-    /// without a chain refutes the trace). The LCP and the abort histories
-    /// are projected onto every class in one counting sort, which the
-    /// seeds and the leaves read; the per-trace discharge projects
-    /// nothing: the relation answers obligation (a) per value
-    /// ([`InitRelation::projects_like`]), obligation (b) reads the init
-    /// histories past their LCP, and every class's abort draw is decided
-    /// in one pass over each abort history. A switch-free trace is the
-    /// same projection with nothing to interpret — Theorem 2 at the level
-    /// of the problem: it states what [`crate::lin::LinChecker`] states.
+    /// The phase signature and well-formedness, and the interpretation
+    /// space (validated once): the trace whole — one problem per init
+    /// interpretation — or, along a partitioner, the keyed projection:
+    /// commits, pending inputs **and switch-value interpretations**
+    /// classified per independence class. Each class problem is a
+    /// projection of the whole one — the commits on its inputs and the
+    /// class projection of the pool, over the whole bounds `vi` — seeded
+    /// with the class projection of the init LCP and judged at its leaves
+    /// by the class projections of the global abort conditions (so they
+    /// hold whenever the global leaf does, and a class without a chain
+    /// refutes the trace). The LCP and the abort histories are projected
+    /// onto every class in one counting sort, which the seeds and the
+    /// leaves read; the per-trace discharge projects nothing: the relation
+    /// answers obligation (a) per value ([`InitRelation::projects_like`]),
+    /// obligation (b) reads the init histories past their LCP, and every
+    /// class's abort draw is decided in one pass over each abort history. A
+    /// switch-free trace is the same projection with nothing to interpret —
+    /// Theorem 2 at the level of the problem: it states what
+    /// [`crate::lin::LinChecker`] states.
     ///
     /// Classifying a switch action is sound when a switch-independence
     /// certificate (`slin-cert/v2`) covers `(adt, partitioner, rinit)`;
     /// `partition::decomposes` asks for one before any trace with a switch
-    /// action gets here. The residual per-trace conditions the certificate
-    /// cannot see answer [`Projection::Whole`] with the matching
-    /// [`FallbackReason`]:
+    /// action gets a partitioner here. The residual per-trace conditions
+    /// the certificate cannot see answer [`Projection::Whole`] with the
+    /// matching [`FallbackReason`]:
     ///
     /// * an un-keyed relation (no [`InitRelation::projects_like`]), or more
     ///   than one candidate interpretation per switch (a relation with
@@ -643,153 +578,151 @@ where
     /// * a switch value the relation projects unlike its history, or a
     ///   forced common prefix that does not decompose per class —
     ///   [`FallbackReason::CrossBoundCoupled`].
-    fn project<P: Partitioner<T>>(
-        &self,
-        partitioner: &P,
-        t: &Trace<ObjAction<T, R::Value>>,
-    ) -> Projection<'_, T, Self::Leaf, SlinError> {
-        let whole = |reason| Projection::Whole {
-            partitions: 1,
-            fallback: Some(reason),
-        };
-        let mut keys = match partition::class_keys(partitioner, true, t) {
-            Ok(keys) => keys,
-            Err(reason) => return whole(reason),
+    fn project<'a, P: Partitioner<T>>(
+        &'a self,
+        partitioner: Option<&P>,
+        t: &'a Trace<ObjAction<T, R::Value>>,
+    ) -> Projection<'a, T, Self::Leaf, SlinError> {
+        let keys = partitioner.map(|p| (p, partition::class_keys(p, true, t)));
+        let fallback = keys.as_ref().and_then(|(_, k)| k.as_ref().err().copied());
+        // Rejection errors and indices are the whole trace's: validate it
+        // whole.
+        let mut prep = match self.prepare(t) {
+            Ok(prep) => prep,
+            Err(error) => return Projection::Rejected { error, fallback },
         };
         // A switch-free trace has nothing to interpret, so its actions'
         // keys are its classes; with switch actions the count waits for the
         // classes only an interpretation element belongs to.
-        if keys.len() <= 1 && !t.iter().any(|a| a.is_switch()) {
-            return Projection::Whole {
-                partitions: keys.len(),
-                fallback: None,
-            };
-        }
-        // Rejection errors and indices must be the monolithic ones:
-        // validate whole.
-        let mut prep = match self.prepare(t) {
-            Ok(prep) => prep,
-            Err(e) => return Projection::Rejected(e),
+        let (partitioner, mut keys) = match keys {
+            Some((p, Ok(keys))) if keys.len() > 1 || t.iter().any(|a| a.is_switch()) => (p, keys),
+            keys => {
+                let partitions = keys.and_then(|(_, k)| k.ok()).map_or(1, |k| k.len());
+                return self.whole(prep, partitions, fallback);
+            }
         };
-        if prep.combos != 1 {
-            return whole(FallbackReason::SwitchUncertified);
-        }
-        // The single interpretation: each init action's only candidate
-        // (an init action without one vouches for nothing), with the
-        // value it interprets.
-        let (init_values, interpretation): (Vec<&R::Value>, Histories<T::Input>) = prep
-            .inits
-            .iter()
-            .zip(std::mem::take(&mut prep.per_init))
-            .filter_map(|(s, cands)| Some((&s.value, (s.index, cands.into_iter().next()?))))
-            .unzip();
-        let interpretation = Arc::new(interpretation);
-        let commits = std::mem::take(&mut prep.commits);
-        let finit: Vec<(usize, &Vec<T::Input>)> =
-            interpretation.iter().map(|(i, h)| (*i, h)).collect();
-        // Every abort value must interpret uniquely too, and every switch
-        // value must project per class as its history does (the keyed init
-        // relation, obligation (a)): an un-keyed relation answers now, a
-        // disagreement once the inputs are classified.
-        let mut abort_hists: Vec<Vec<T::Input>> = Vec::with_capacity(prep.aborts.len());
-        for s in &prep.aborts {
-            let mut cands = self.rinit.candidates(&s.value, &prep.ctx);
-            if cands.len() != 1 {
-                return whole(FallbackReason::SwitchUncertified);
+        // Every exit of this block is a reason to check the trace whole;
+        // the projection returns from inside it.
+        let reason = 'classes: {
+            if prep.combos != 1 {
+                break 'classes FallbackReason::SwitchUncertified;
             }
-            abort_hists.push(cands.pop().expect("length checked"));
-        }
-        let same_class =
-            |a: &T::Input, b: &T::Input| partitioner.key_of(a) == partitioner.key_of(b);
-        let switch_hists = init_values
-            .iter()
-            .copied()
-            .zip(finit.iter().map(|(_, h)| h.as_slice()))
-            .chain(
-                prep.aborts
-                    .iter()
-                    .map(|s| &s.value)
-                    .zip(abort_hists.iter().map(Vec::as_slice)),
-            );
-        let mut projects = true;
-        for (value, hist) in switch_hists {
-            match self.rinit.projects_like(value, hist, &same_class) {
-                Some(agrees) => projects &= agrees,
-                None => return whole(FallbackReason::SwitchUncertified),
+            // The single interpretation: each init action's only candidate
+            // (an init action without one vouches for nothing).
+            let finit = self.finit_at(&prep, 0);
+            // Every abort value must interpret uniquely too, and every
+            // switch value must project per class as its history does (the
+            // keyed init relation, obligation (a)): an un-keyed relation
+            // answers now, a disagreement once the inputs are classified.
+            let mut abort_hists: Vec<Vec<T::Input>> = Vec::with_capacity(prep.aborts.len());
+            for s in &prep.aborts {
+                let mut cands = self.rinit.candidates(&s.value, &prep.ctx);
+                if cands.len() != 1 {
+                    break 'classes FallbackReason::SwitchUncertified;
+                }
+                abort_hists.push(cands.pop().expect("length checked"));
             }
-        }
-        // The classes: the actions', plus those only an interpretation
-        // element belongs to (no action, hence nothing to commit — but a
-        // leaf to judge). An element the partitioner declines collapses
-        // the projection.
-        let interpreted = finit
-            .iter()
-            .flat_map(|(_, h)| h.iter())
-            .chain(abort_hists.iter().flatten());
-        for i in interpreted {
-            let Some(k) = partitioner.key_of(i) else {
-                return whole(FallbackReason::UnclassifiableInput);
-            };
-            if let Err(at) = keys.binary_search(&k) {
-                keys.insert(at, k);
+            let same_class =
+                |a: &T::Input, b: &T::Input| partitioner.key_of(a) == partitioner.key_of(b);
+            let init_values = prep.inits.iter().zip(&prep.per_init);
+            let switch_hists = init_values
+                .filter_map(|(s, cands)| Some((&s.value, cands.first()?.as_slice())))
+                .chain(
+                    prep.aborts
+                        .iter()
+                        .map(|s| &s.value)
+                        .zip(abort_hists.iter().map(Vec::as_slice)),
+                );
+            let mut projects = true;
+            for (value, hist) in switch_hists {
+                match self.rinit.projects_like(value, hist, &same_class) {
+                    Some(agrees) => projects &= agrees,
+                    None => break 'classes FallbackReason::SwitchUncertified,
+                }
             }
-        }
-        let count = keys.len();
-        let class_of = |i: &T::Input| partition::class_of(partitioner, &keys, i);
-
-        let vi = self.valid_inputs(&prep, &finit);
-        let whole_problem =
-            self.interpretation(&prep, Arc::clone(&interpretation), vi, Cow::Owned(commits));
-        // Per-trace discharge of the decomposition the certificate vouches
-        // for in general: the relation's own projection must agree with
-        // history projection (obligation (a), asked above), and the forced
-        // common prefix must project per class (obligation (b) on this
-        // trace's values).
-        let inits = finit.iter().map(|(_, h)| h.as_slice());
-        if !(projects && lcp_projects(whole_problem.seed.len(), inits, count, class_of)) {
-            return whole(FallbackReason::CrossBoundCoupled);
-        }
-        // Row 0 the LCP, then the abort histories.
-        let rows = std::iter::once(whole_problem.seed.as_slice())
-            .chain(abort_hists.iter().map(Vec::as_slice));
-        let proj = Rc::new(ClassProjections::new(rows, count, class_of));
-        let aborts = 1..1 + abort_hists.len();
-
-        // The class leaf asks each global abort's class projection to
-        // extend the class's longest commit history and LCP and to draw
-        // from the valid inputs at the abort — whose class-`k` counts are
-        // the class's.
-        let constrain_init_order = !finit.is_empty();
-        // The draw reads no chain — only each abort's class projection, its
-        // pending input when the class owns it and the valid inputs at the
-        // abort — so it is decided here, for every class at once: an input
-        // belongs to one class, which its count in the whole history (or
-        // the pending input's) alone can fail.
-        let mut draws = vec![true; count];
-        for (s, h) in prep.aborts.iter().zip(&abort_hists) {
-            for e in overdrawn(h, &s.input, &whole_problem.bounds[s.index]) {
-                draws[class_of(e)] = false;
-            }
-        }
-        let classes = whole_problem.classes(count, class_of, |k| {
-            let draws = draws[k];
-            let seed = proj.get(0, k).to_vec();
-            let (proj, aborts) = (Rc::clone(&proj), aborts.clone());
-            let leaf = move |longest: &[T::Input]| {
-                let class_lcp = proj.get(0, k);
-                let extends = |cand: &[T::Input]| {
-                    seq::is_prefix(longest, cand)
-                        && (!constrain_init_order || seq::is_prefix(class_lcp, cand))
+            // The classes: the actions', plus those only an interpretation
+            // element belongs to (no action, hence nothing to commit — but a
+            // leaf to judge). An element the partitioner declines collapses
+            // the projection.
+            let interpreted = finit
+                .iter()
+                .flat_map(|(_, h)| h.iter())
+                .chain(abort_hists.iter().flatten());
+            for i in interpreted {
+                let Some(k) = partitioner.key_of(i) else {
+                    break 'classes FallbackReason::UnclassifiableInput;
                 };
-                (draws && aborts.clone().all(|r| extends(proj.get(r, k)))).then_some(())
+                if let Err(at) = keys.binary_search(&k) {
+                    keys.insert(at, k);
+                }
+            }
+            let count = keys.len();
+            let class_of = |i: &T::Input| partition::class_of(partitioner, &keys, i);
+            // Per-trace discharge of the decomposition the certificate
+            // vouches for in general: the relation's own projection must
+            // agree with history projection (obligation (a), asked above),
+            // and the forced common prefix must project per class
+            // (obligation (b) on this trace's values).
+            let inits = finit.iter().map(|(_, h)| h.as_slice());
+            let lcp = seq::longest_common_prefix(inits.clone());
+            if !(projects && lcp_projects(lcp.len(), inits, count, class_of)) {
+                break 'classes FallbackReason::CrossBoundCoupled;
+            }
+            let vi = self.valid_inputs(&prep, &finit);
+            // The interpretation, moved out of the candidates.
+            let interpretation: Arc<Histories<T::Input>> = Arc::new(
+                prep.inits
+                    .iter()
+                    .zip(std::mem::take(&mut prep.per_init))
+                    .filter_map(|(s, cands)| Some((s.index, cands.into_iter().next()?)))
+                    .collect(),
+            );
+            let commits = std::mem::take(&mut prep.commits);
+            let whole_problem =
+                self.interpretation(&prep, Arc::clone(&interpretation), lcp, vi, commits);
+            // Row 0 the LCP, then the abort histories.
+            let rows = std::iter::once(whole_problem.seed.as_slice())
+                .chain(abort_hists.iter().map(Vec::as_slice));
+            let proj = Rc::new(ClassProjections::new(rows, count, class_of));
+            let aborts = 1..1 + abort_hists.len();
+
+            // The class leaf asks each global abort's class projection to
+            // extend the class's longest commit history and LCP and to draw
+            // from the valid inputs at the abort — whose class-`k` counts
+            // are the class's.
+            let constrain_init_order = !interpretation.is_empty();
+            // The draw reads no chain — only each abort's class projection,
+            // its pending input when the class owns it and the valid inputs
+            // at the abort — so it is decided here, for every class at
+            // once: an input belongs to one class, which its count in the
+            // whole history (or the pending input's) alone can fail.
+            let mut draws = vec![true; count];
+            for (s, h) in prep.aborts.iter().zip(&abort_hists) {
+                for e in overdrawn(h, &s.input, &whole_problem.bounds[s.index]) {
+                    draws[class_of(e)] = false;
+                }
+            }
+            let classes = whole_problem.classes(count, class_of, |k| {
+                let draws = draws[k];
+                let seed = proj.get(0, k).to_vec();
+                let (proj, aborts) = (Rc::clone(&proj), aborts.clone());
+                let leaf = move |longest: &[T::Input]| {
+                    let class_lcp = proj.get(0, k);
+                    let extends = |cand: &[T::Input]| {
+                        seq::is_prefix(longest, cand)
+                            && (!constrain_init_order || seq::is_prefix(class_lcp, cand))
+                    };
+                    (draws && aborts.clone().all(|r| extends(proj.get(r, k)))).then_some(())
+                };
+                (seed, Box::new(leaf))
+            });
+            return Projection::Classes {
+                refuted: Box::new(move || Self::fail_error(&interpretation)),
+                whole: whole_problem,
+                classes,
             };
-            (seed, Box::new(leaf))
-        });
-        Projection::Classes {
-            refuted: Box::new(move || Self::fail_error(&interpretation)),
-            whole: whole_problem,
-            classes,
-        }
+        };
+        self.whole(prep, 1, Some(reason))
     }
 
     fn witness(
@@ -804,8 +737,8 @@ where
     }
 }
 
-/// The validated trace summary and interpretation space shared by the
-/// sequential and parallel enumeration paths.
+/// The validated trace summary and interpretation space every problem of
+/// a projection is stated from.
 struct Prepared<T: Adt, V> {
     t_len: usize,
     commits: Vec<Commit<T>>,
@@ -991,6 +924,7 @@ fn elem_counts<I: Ord>(h: &[I]) -> Vec<(&I, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::SearchStats;
     use crate::initrel::{ConsensusInit, ExactInit};
     use slin_adt::{ConsInput, ConsOutput, Consensus, Universal, Value};
     use slin_trace::{Action, ClientId};
@@ -999,6 +933,18 @@ mod tests {
     type CA = ObjAction<Consensus, CV>;
 
     const BUDGET: usize = SearchBudget::DEFAULT_MAX_NODES;
+
+    /// `t` checked whole — no partitioner — under `budget`, on at most
+    /// `threads` threads: the outcome and its work.
+    fn monolithic(
+        chk: &SlinChecker<Consensus, ConsensusInit>,
+        t: &Trace<CA>,
+        budget: usize,
+        threads: usize,
+    ) -> (Result<SlinWitness<ConsInput>, SlinError>, SearchStats) {
+        let verdict = partition::check(chk, None::<&IdentityPartitioner>, t, budget, threads);
+        (verdict.outcome, verdict.stats)
+    }
 
     fn c(n: u32) -> ClientId {
         ClientId::new(n)
@@ -1037,7 +983,7 @@ mod tests {
             Action::respond(c(1), ph(1), p(1), d(1)),
             Action::switch(c(2), ph(2), p(2), Value::new(1)),
         ]);
-        let (witness, stats) = quorum_checker().check_monolithic(&t, BUDGET, 0);
+        let (witness, stats) = monolithic(&quorum_checker(), &t, BUDGET, 0);
         assert!(stats.interpretations >= 1);
         // The abort history starts with the decided value and extends the
         // commit history [p(1)].
@@ -1106,7 +1052,7 @@ mod tests {
             Action::respond(c(1), ph(2), p(1), d(5)),
             Action::respond(c(2), ph(2), p(2), d(5)),
         ]);
-        let (witness, stats) = backup_checker().check_monolithic(&t, BUDGET, 0);
+        let (witness, stats) = monolithic(&backup_checker(), &t, BUDGET, 0);
         assert!(witness.is_ok());
         // The adversary can pick [p(5), x] for both init actions, so more
         // than one interpretation is enumerated.
@@ -1325,8 +1271,8 @@ mod tests {
         for t in &traces {
             for (m, n) in [(1, 2), (2, 3)] {
                 let chk = SlinChecker::owned(Consensus, ConsensusInit::new(), ph(m), ph(n));
-                let par = chk.check_monolithic(t, BUDGET, 4);
-                let seq = chk.check_monolithic(t, BUDGET, 1);
+                let par = monolithic(&chk, t, BUDGET, 4);
+                let seq = monolithic(&chk, t, BUDGET, 1);
                 assert_eq!(par, seq, "phase ({m}, {n}) on {t:?}");
                 assert_eq!(format!("{par:?}"), format!("{seq:?}"));
             }
@@ -1361,10 +1307,10 @@ mod tests {
             assert!(prep.combos > 1);
             let units = vec![(prep.commits.len(), ()); prep.combos];
             assert!(partition::fan_out(units, 2, &|()| ()).1);
-            let seq = backup_checker().check_monolithic(&t, BUDGET, 1);
+            let seq = monolithic(&backup_checker(), &t, BUDGET, 1);
             assert_eq!(seq.0.is_ok(), ok);
             for threads in [2, 4] {
-                let par = backup_checker().check_monolithic(&t, BUDGET, threads);
+                let par = monolithic(&backup_checker(), &t, BUDGET, threads);
                 assert_eq!(par, seq, "{threads} threads");
             }
         }
@@ -1380,7 +1326,7 @@ mod tests {
             Action::respond(c(1), ph(2), p(1), d(5)),
             Action::respond(c(2), ph(2), p(2), d(5)),
         ]);
-        let at = |threads| backup_checker().check_monolithic(&t, BUDGET, threads);
+        let at = |threads| monolithic(&backup_checker(), &t, BUDGET, threads);
         let ((par, par_stats), seq) = (at(3), at(1));
         assert!(par.is_ok());
         assert_eq!((par, par_stats), seq);
@@ -1396,7 +1342,7 @@ mod tests {
             Action::respond(c(1), ph(1), p(1), d(1)),
             Action::respond(c(2), ph(1), p(2), d(1)),
         ]);
-        let at = |threads| quorum_checker().check_monolithic(&t, 1, threads).0;
+        let at = |threads| monolithic(&quorum_checker(), &t, 1, threads).0;
         match at(1) {
             Err(SlinError::BudgetExhausted { nodes }) => assert!(nodes > 0),
             other => panic!("expected budget exhaustion, got {other:?}"),

@@ -591,16 +591,10 @@ where
                 next_ms.insert(input.clone());
                 self.pending += 1;
             }
-            Action::Respond {
-                client,
-                input,
-                output,
-                ..
-            } => {
+            Action::Respond { input, output, .. } => {
                 self.pending = self.pending.saturating_sub(1);
                 self.commits.push(Commit {
                     index: window_index,
-                    client: *client,
                     input: input.clone(),
                     output: output.clone(),
                 });

@@ -86,9 +86,11 @@ fn linearizable_by_definition<T: Adt>(adt: &T, t: &Trace<ObjAction<T, ()>>) -> b
 
 /// The kernel's batch verdict on `t`, checked against the definition and
 /// against the classical checker (see the module docs).
-fn batch_verdict<T: Adt + Clone>(adt: &T, t: &Trace<ObjAction<T, ()>>) -> bool
+fn batch_verdict<T>(adt: &T, t: &Trace<ObjAction<T, ()>>) -> bool
 where
-    T::Input: Ord,
+    T: Adt + Clone + Sync,
+    T::Input: Ord + Send + Sync,
+    T::Output: Sync,
 {
     let kernel = LinChecker::owned(adt.clone()).check(t).is_ok();
     assert_eq!(
@@ -231,8 +233,9 @@ fn stream_session<T, P>(
     gc: GcPolicy,
 ) -> Session<LinChecker<T>, (), P>
 where
-    T: Adt,
-    T::Input: Ord,
+    T: Adt + Sync,
+    T::Input: Ord + Send + Sync,
+    T::Output: Sync,
     P: Partitioner<T>,
 {
     Checker::builder(LinChecker::owned(adt))

@@ -68,8 +68,9 @@ fn assert_lin_session_parity<T, P>(
     ctx: &MultiKeyConfig,
 ) -> Result<(), TestCaseError>
 where
-    T: Adt + Clone,
-    T::Input: Ord,
+    T: Adt + Clone + Sync,
+    T::Input: Ord + Send + Sync,
+    T::Output: Sync,
     P: Partitioner<T> + Copy,
 {
     let builder = || Checker::builder(LinChecker::owned(adt.clone())).threads(4);

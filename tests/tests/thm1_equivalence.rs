@@ -27,9 +27,11 @@ use slin_core::ObjAction;
 use slin_trace::{Action, ClientId, PhaseId, Trace};
 
 /// Both checkers agree exactly (used on unique-input traces).
-fn agree<T: Adt + Clone>(adt: &T, t: &Trace<ObjAction<T, ()>>) -> bool
+fn agree<T>(adt: &T, t: &Trace<ObjAction<T, ()>>) -> bool
 where
-    T::Input: Ord,
+    T: Adt + Clone + Sync,
+    T::Input: Ord + Send + Sync,
+    T::Output: Sync,
 {
     let new_def = LinChecker::owned(adt.clone()).check(t);
     let classical = ClassicalChecker::new(adt).check(t);
@@ -43,9 +45,11 @@ where
 
 /// classical-linearizable ⇒ new-definition-linearizable (holds even with
 /// repeated events).
-fn classical_implies_new<T: Adt + Clone>(adt: &T, t: &Trace<ObjAction<T, ()>>) -> bool
+fn classical_implies_new<T>(adt: &T, t: &Trace<ObjAction<T, ()>>) -> bool
 where
-    T::Input: Ord,
+    T: Adt + Clone + Sync,
+    T::Input: Ord + Send + Sync,
+    T::Output: Sync,
 {
     match ClassicalChecker::new(adt).check(t) {
         Ok(()) => LinChecker::owned(adt.clone()).check(t).is_ok(),
