@@ -297,8 +297,8 @@ pub struct SearchStats {
     /// Searches aggregated into these counters (1 per engine search): one
     /// per init interpretation searched by a monolithic check (1 for plain
     /// linearizability); one per class search, plus one for a remerge,
-    /// by a partitioned check; one per shard seed tried, plus one for a
-    /// product re-derivation, by a window report.
+    /// by a partitioned check; one per shard seed tried by a window
+    /// report.
     pub interpretations: usize,
 }
 

@@ -93,6 +93,12 @@
 //! the price of the reconstruction speedup on such traces
 //! ([`PartitionReport::remerged`] reports the event).
 //!
+//! Only a batch check needs the monolithic witness. A bounded-window
+//! stream report past a retirement, whose witness is window-relative
+//! anyway, joins its shard chains without replaying the engine: it
+//! interleaves them in floor order, which keeps every commit inside its
+//! bound and never bails (`stream::monitor`).
+//!
 //! Traces with **uncertified switch actions** do not decompose, so they
 //! are stated without a partitioner. Traces with any input the partitioner
 //! declines to classify, and certified ones whose switch values do not
@@ -562,20 +568,15 @@ where
         // The first failing class decides: no class after it is searched.
         return verdict(Err(e), stats, classes.len(), None, false);
     }
-    let merged = merge_partition_chains(
-        &whole.bounds,
-        parts,
-        whole.seed.clone(),
-        PersistentMultiset::new(),
-    )
-    .and_then(|chain| {
-        let longest = chain
-            .cuts()
-            .last()
-            .map_or(&whole.seed[..], |_| chain.history());
-        let leaf = (whole.leaf)(longest)?;
-        Some((chain, leaf))
-    });
+    let merged =
+        merge_partition_chains(&whole.bounds, parts, whole.seed.clone()).and_then(|chain| {
+            let longest = chain
+                .cuts()
+                .last()
+                .map_or(&whole.seed[..], |_| chain.history());
+            let leaf = (whole.leaf)(longest)?;
+            Some((chain, leaf))
+        });
     let remerged = merged.is_none();
     let found = match merged {
         Some(found) => Ok(Some(found)),
@@ -739,17 +740,13 @@ impl<'c, I: Clone + Ord + std::hash::Hash> Queue<'c, I> {
 /// one state in which the monolithic first witness may deviate from every
 /// per-partition witness, so the caller must re-derive it monolithically.
 ///
-/// The merged history extends `seed`, and the consumed-input counts start
-/// at the seed's elements plus `retained`: [`check`] passes the whole
-/// problem's seed and nothing retained; the monitor passes no history and
-/// its garbage-collected prefix summary, whose inputs count against the
-/// bounds but whose history is dropped. Each placed commit is a cut of the
+/// The merged history extends `seed` (the whole problem's), whose
+/// elements count against the bounds. Each placed commit is a cut of the
 /// one merged history: no history is copied.
 pub(crate) fn merge_partition_chains<I: Clone + Ord + std::hash::Hash>(
     bounds: &[PersistentMultiset<I>],
     parts: Vec<Part<I>>,
     seed: Vec<I>,
-    retained: PersistentMultiset<I>,
 ) -> Option<Chain<I>> {
     // The original indices of all remaining commits, across every chain,
     // descending: the last is the floor, and placing it pops.
@@ -765,22 +762,18 @@ pub(crate) fn merge_partition_chains<I: Clone + Ord + std::hash::Hash>(
         "bounds must be monotone along the merged commit indices"
     );
 
-    // Sized for every step, seed input and retained input: the rows and
-    // the history grow without reallocating.
+    // Sized for every step and seed input: the rows and the history grow
+    // without reallocating.
     let steps: usize = parts
         .iter()
         .map(|(chain, seed_len, _)| chain.history().len().saturating_sub(*seed_len))
         .sum();
-    let inputs = steps + seed.len() + retained.distinct_len();
+    let inputs = steps + seed.len();
     let mut tallies = Tallies {
         bounds,
         rows: Vec::with_capacity(inputs),
         by_input: Vec::with_capacity(inputs),
     };
-    for (input, n) in retained.iter() {
-        let row = tallies.row_of(input);
-        tallies.rows[row].used += n;
-    }
     for input in &seed {
         let row = tallies.row_of(input);
         tallies.rows[row].used += 1;
@@ -1073,8 +1066,7 @@ mod tests {
         let pa = part(vec!["a"], vec![(2, 1)], &["a"]);
         let pb = part(vec!["b"], vec![(1, 1)], &["b"]);
         let chain =
-            merge_partition_chains(&bounds, vec![pa, pb], vec!["s"], PersistentMultiset::new())
-                .expect("no head blocked");
+            merge_partition_chains(&bounds, vec![pa, pb], vec!["s"]).expect("no head blocked");
         // [(1, [s, b]), (2, [s, b, a])]
         assert_eq!(chain, Chain::new(vec!["s", "b", "a"], vec![(1, 2), (2, 3)]));
     }
@@ -1384,9 +1376,7 @@ mod tests {
         // commit 5 (b).
         let pa = part(vec!["a", "y", "a"], vec![(3, 1), (7, 3)], &["a", "y", "a"]);
         let pb = part(vec!["b", "x", "b"], vec![(1, 1), (5, 3)], &["b", "x", "b"]);
-        let chain =
-            merge_partition_chains(&bounds, vec![pa, pb], vec![], PersistentMultiset::new())
-                .expect("no head blocked");
+        let chain = merge_partition_chains(&bounds, vec![pa, pb], vec![]).expect("no head blocked");
         let picks: Vec<usize> = chain.iter().map(|(i, _)| i).collect();
         // Commits by ascending index (1 then 3); at the all-extras node the
         // smaller extra x goes first, which unblocks commit 5 before y.
@@ -1410,10 +1400,7 @@ mod tests {
         // Extra a0, commit 3 (a); extra b0, commit 1 (b).
         let pa = part(vec!["a0", "a"], vec![(3, 2)], &["a0", "a"]);
         let pb = part(vec!["b0", "b"], vec![(1, 2)], &["b0", "b"]);
-        assert_eq!(
-            merge_partition_chains(&bounds, vec![pa, pb], vec![], PersistentMultiset::new()),
-            None
-        );
+        assert_eq!(merge_partition_chains(&bounds, vec![pa, pb], vec![]), None);
     }
 
     #[test]
@@ -1432,8 +1419,7 @@ mod tests {
         let pa = part(vec!["a0", "a"], vec![(3, 2)], &["a0", "a"]);
         let pb = part(vec!["b"], vec![(1, 1)], &["b"]);
         let chain =
-            merge_partition_chains(&bounds, vec![pa, pb], vec![], PersistentMultiset::new())
-                .expect("commit clears block");
+            merge_partition_chains(&bounds, vec![pa, pb], vec![]).expect("commit clears block");
         let picks: Vec<usize> = chain.iter().map(|(i, _)| i).collect();
         assert_eq!(picks, vec![1, 3]);
         assert_eq!(chain.history(), ["b", "a0", "a"]);
@@ -1452,9 +1438,7 @@ mod tests {
         // Commit 0 (a), extra x, commit 4 (a); commit 1 (b).
         let pa = part(vec!["a", "x", "a"], vec![(0, 1), (4, 3)], &["a", "x", "a"]);
         let pb = part(vec!["b"], vec![(1, 1)], &["b", "b0"]);
-        let chain =
-            merge_partition_chains(&bounds, vec![pa, pb], vec![], PersistentMultiset::new())
-                .expect("no head blocked");
+        let chain = merge_partition_chains(&bounds, vec![pa, pb], vec![]).expect("no head blocked");
         let picks: Vec<usize> = chain.iter().map(|(i, _)| i).collect();
         assert_eq!(picks, vec![0, 1, 4]);
         // After both early commits, the extras node consumes b0 < x, then
@@ -1614,18 +1598,13 @@ mod tests {
 
     /// `merge_partition_chains` and [`merge_by_scan`] on the same inputs,
     /// the reference seeded with what the merge counts itself: the seed's
-    /// elements plus `retained`.
+    /// elements.
     fn both_merges<I: Clone + Ord + std::hash::Hash>(
         (bounds, parts, seed): MergeInputs<I>,
-        retained: PersistentMultiset<I>,
     ) -> (Option<Chain<I>>, Option<Chain<I>>) {
-        let mut seed_used = retained.clone();
-        seed_used.extend(seed.iter().cloned());
+        let seed_used = seed.iter().cloned().collect();
         let by_scan = merge_by_scan(&bounds, parts.clone(), seed.clone(), seed_used);
-        (
-            merge_partition_chains(&bounds, parts, seed, retained),
-            by_scan,
-        )
+        (merge_partition_chains(&bounds, parts, seed), by_scan)
     }
 
     /// What [`check`] hands the merge for `t`: the whole problem's bounds
@@ -1687,7 +1666,7 @@ mod tests {
         let (total, phase) = (sets.len(), sets.len() - switch_free);
         let mut bailed = 0;
         for set in sets {
-            let (got, want) = both_merges(set, PersistentMultiset::new());
+            let (got, want) = both_merges(set);
             assert_eq!(got, want);
             bailed += got.is_none() as usize;
         }
@@ -1697,8 +1676,7 @@ mod tests {
 
     /// The floor rule against the scan on random monotone bounds: class
     /// chains whose commits come in any index order, heads the bounds
-    /// block, pools with leftovers beyond their chain's steps, a seed and a
-    /// retained prefix summary.
+    /// block, pools with leftovers beyond their chain's steps, and a seed.
     #[test]
     fn merge_equals_the_scan_on_random_monotone_bounds() {
         use proptest::prelude::*;
@@ -1706,20 +1684,17 @@ mod tests {
         // A chain ends at its last commit: steps after it are only pooled.
         let steps = prop::collection::vec((0..3usize, 0..4u8, 0..3u8, 0..64u8), 1..12);
         // Per commit index: the inputs its bound adds to the one before
-        // (the first to the seed and the retained summary).
+        // (the first to the seed).
         let growth = prop::collection::vec(prop::collection::vec(0..4u8, 1..6), 13usize);
         let extras = prop::collection::vec(prop::collection::vec(0..4u8, 0..4), 3usize);
-        let seeds = (
-            prop::collection::vec(0..4u8, 0..3),
-            prop::collection::vec(0..4u8, 0..3),
-        );
+        let seeds = prop::collection::vec(0..4u8, 0..3);
         let mut merged = 0;
         TestRunner::new(ProptestConfig::with_cases(4000)).run_cases(
             "merge_equals_the_scan_on_random_monotone_bounds",
             |rng| {
                 let steps = steps.new_value(rng);
                 let (growth, extras) = (growth.new_value(rng), extras.new_value(rng));
-                let (seed, retained) = seeds.new_value(rng);
+                let seed = seeds.new_value(rng);
                 let mut keys: Vec<(u8, usize)> = steps
                     .iter()
                     .enumerate()
@@ -1740,8 +1715,7 @@ mod tests {
                 for (pool, more) in pools.iter_mut().zip(extras) {
                     pool.extend(more);
                 }
-                let mut bound: PersistentMultiset<u8> =
-                    seed.iter().chain(&retained).copied().collect();
+                let mut bound: PersistentMultiset<u8> = seed.iter().copied().collect();
                 let bounds = growth[..=keys.len()]
                     .iter()
                     .map(|more| {
@@ -1754,8 +1728,7 @@ mod tests {
                     .zip(&pools)
                     .map(|((h, c), p)| (Chain::new(h, c), 0, crate::model::pool_of(Some(p))))
                     .collect();
-                let retained = retained.into_iter().collect();
-                let (got, want) = both_merges((bounds, parts, seed), retained);
+                let (got, want) = both_merges((bounds, parts, seed));
                 merged += got.is_some() as usize;
                 prop_assert_eq!(got, want);
                 Ok(())

@@ -106,18 +106,22 @@
 //!   good;
 //! * an **identity collapse** (an input the partitioner declines) — one
 //!   identity shard replays every event *before* the triggering one, once;
-//! * a **report** — with an unbounded window the batch check of the
-//!   stream; with a bounded one after retirement the batch check of the
-//!   record, byte-identical to the unbounded session's and flagged
+//! * a **report** — the batch check of the stream wherever it is at hand:
+//!   the record, or the shard windows before anything retires (always,
+//!   with an unbounded window). After a retirement the batch check of the
+//!   record is byte-identical to the unbounded session's and flagged
 //!   [`MonitorReport::reconstructed`].
 //!
 //! A report first asks the validator, which has seen every event: past a
 //! plain-linearizability switch the shards are quiet and the windows are
-//! not the stream, and the batch check validates first too. Without the
-//! record a bounded-window report searches the windows instead
-//! (window-relative, flagged [`MonitorReport::prefix_committed`]), and its
-//! verdict is the engine's own outcome, converted into the model's error
-//! like a batch search's. A switch or collapse that needs the record after
+//! not the stream, and the batch check validates first too. Past a
+//! retirement with no record a bounded-window report searches each
+//! shard's window from its seeds instead (window-relative, flagged
+//! [`MonitorReport::prefix_committed`]): the first failing shard decides,
+//! as the engine's own outcome converted into the model's error like a
+//! batch search's, and otherwise the shard chains are interleaved, least
+//! floor first — inputs of distinct classes commute, so the interleave
+//! keeps every commit inside its validity bound without a search. A switch or collapse that needs the record after
 //! it was dropped under-claims exactly as a lossy shard does —
 //! [`MonitorStatus::Unknown`] for good, and a report that the budget ran
 //! out at zero nodes — while the validator still decides
@@ -251,10 +255,12 @@ pub struct ShardSummary {
     /// the live-state component of the memory proxy.
     pub live_configs: usize,
     /// Distinct persistent-multiset nodes currently reachable from the
-    /// monitor (pointer-deduplicated across structure sharing) — the
-    /// retained-memory proxy for the bound snapshots. A node is a bucket
-    /// of up to 32 entries or a 16-way branch, so a multiset of at most 32
-    /// distinct elements counts as one.
+    /// shards (pointer-deduplicated across structure sharing) — the
+    /// retained-memory proxy for each shard's bound snapshots and its
+    /// configurations' consumed inputs and completions; the monitor keeps
+    /// no snapshots of its own. A node is a bucket of up to 32 entries or a
+    /// 16-way branch, so a multiset of at most 32 distinct elements counts
+    /// as one.
     pub multiset_nodes: usize,
     /// Events currently retained in shard windows (not yet retired).
     pub window_events: usize,
@@ -267,8 +273,9 @@ pub struct ShardSummary {
 /// The monitor's full forensic report.
 ///
 /// `W`/`E` are the wrapped model's witness and error types; with an
-/// unbounded window `verdict` is byte-identical to that model's batch
-/// check on the closed trace.
+/// unbounded window, before any retirement, or re-checked on the record,
+/// `verdict` is byte-identical to that model's batch check on the closed
+/// trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MonitorReport<W, E> {
     /// The verdict (witness or error) for the retained trace.
@@ -282,9 +289,10 @@ pub struct MonitorReport<W, E> {
     /// re-check of the record was made whole; `None` when the stream's
     /// checks decomposed end to end — mirrors `PartitionReport::fallback`.
     pub fallback: Option<FallbackReason>,
-    /// Whether the final witness needed a monolithic re-derivation
-    /// (cross-partition bound coupling) — mirrors
-    /// `PartitionReport::remerged`.
+    /// Whether the re-check of the stream needed a monolithic
+    /// re-derivation of its witness (cross-partition bound coupling): the
+    /// re-check's `PartitionReport::remerged`. A window report past a
+    /// retirement interleaves its shard chains and never sets it.
     pub remerged: bool,
     /// Whether bounded-window GC retired a prefix: the verdict is
     /// window-relative — unless `reconstructed` is also set.

@@ -10,26 +10,33 @@
 //! holds the session's [`ClosedCheck`] — model, partitioner, certificate,
 //! budget, threads and observer — and re-checks its record through
 //! [`ClosedCheck::check`], the routine a batch session runs. What a switch
-//! action *means* comes from [`ConsistencyModel::phase_bounds`]. A window
-//! report's outcome is the engine's own — a merged chain, a refutation or
-//! a budget trip — and becomes the model's verdict as a batch search's
-//! does: the chain wrapped by [`ConsistencyModel::witness`], the failure
-//! converted into the model's error.
+//! action *means* comes from [`ConsistencyModel::phase_bounds`].
+//!
+//! A report re-checks the stream wherever it is at hand — the record, or
+//! the shard windows before anything retires — so it is the batch check's
+//! by construction. Past a retirement with no record each shard searches
+//! its own window, and the report joins the shard chains without a search:
+//! inputs of distinct classes commute (the [`Partitioner`] contract), so
+//! per-class chains compose (Herlihy and Wing's locality, read on
+//! Definition 10), and placing them least floor first keeps every commit
+//! inside its validity bound (`interleave`). The outcome — the interleaved
+//! chain, a refutation or a budget trip — becomes the model's verdict as a
+//! batch search's does: the chain wrapped by
+//! [`ConsistencyModel::witness`], the failure converted into the model's
+//! error.
 
 use super::shard::{ShardConfig, ShardState, ShardStatus};
 use super::{GcPolicy, IngestOutcome, MonitorReport, MonitorStatus, ShardSummary};
-use crate::engine::{
-    Chain, CheckerEngine, EngineError, Refuted, SearchBudget, SearchSeed, SearchStats,
-};
+use crate::engine::{Chain, EngineError, Refuted, SearchStats};
 use crate::model::ConsistencyModel;
-use crate::ops;
-use crate::partition::{merge_partition_chains, ClosedCheck, FallbackReason};
+use crate::partition::{ClosedCheck, FallbackReason};
 use crate::ObjAction;
 use slin_adt::{Adt, Partitioner};
 use slin_trace::wf::Validator;
-use slin_trace::{Action, PersistentMultiset, Trace};
+use slin_trace::Trace;
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, HashSet};
 use std::sync::Arc;
 
 /// A stream of actions on `T`: the record, or the shard windows merged.
@@ -38,28 +45,10 @@ type Stream<T, V> = Trace<ObjAction<T, V>>;
 /// A report cached per stream version (`events` at computation time).
 type CachedReport<W, E> = Option<(usize, MonitorReport<W, E>)>;
 
-/// A window report's engine outcome — the merged commit chain in global
-/// indices, `None` when refuted, or the budget trip — with the absorbed
-/// stats and whether a monolithic re-derivation ran.
-type WindowVerdict<I> = (Result<Option<Chain<I>>, EngineError>, SearchStats, bool);
-
 /// What a claim nothing can back reads as: a budget trip at zero nodes —
 /// after a lossy cut, or where a rebuild needed the record after it was
 /// dropped (module docs, "The record").
 const UNPROVABLE: EngineError = EngineError::BudgetExhausted { nodes: 0 };
-
-/// One shard's window witness in a multi-shard window report.
-struct ShardChain<'a, T: Adt, V, K> {
-    key: &'a Option<K>,
-    shard: &'a ShardState<T, V>,
-    /// The index of the seed the chain extends.
-    seed: usize,
-    /// The chain, in window indices.
-    chain: Chain<T::Input>,
-    /// The window indices of the commits the seed's symbolic completions
-    /// absorbed (absent from the chain).
-    absorbed: Vec<usize>,
-}
 
 /// Online monitor for any [`ConsistencyModel`] over a live stream of actions.
 /// See the [module docs](crate::stream) for the architecture and the
@@ -105,12 +94,6 @@ where
     /// the tally, so the rolling verdict is O(1) however many keys there are.
     violated: usize,
     exhausted: usize,
-    /// All inputs invoked so far (any shard) — the global extra pool.
-    invoked: PersistentMultiset<<M::Adt as Adt>::Input>,
-    /// Global validity-bound snapshot per commit index (window mode only;
-    /// trimmed as prefixes retire). Persistent: one snapshot is an O(1)
-    /// structure-sharing clone of `invoked`, not an O(alphabet) deep copy.
-    commit_bounds: BTreeMap<usize, PersistentMultiset<<M::Adt as Adt>::Input>>,
     /// Whether any shard has retired a prefix (reports become
     /// window-relative unless they read the record).
     prefix_committed: bool,
@@ -157,8 +140,6 @@ where
             wf: Validator::new(phase_bounds),
             violated: 0,
             exhausted: 0,
-            invoked: PersistentMultiset::new(),
-            commit_bounds: BTreeMap::new(),
             prefix_committed: false,
             fallback: None,
             cached: None,
@@ -252,15 +233,6 @@ where
         let index = self.events;
         self.events += 1;
         self.wf.observe(action);
-        match action {
-            Action::Invoke { input, .. } => self.invoked.insert(input.clone()),
-            Action::Respond { .. } => {
-                if self.window.is_some() {
-                    self.commit_bounds.insert(index, self.invoked.clone());
-                }
-            }
-            Action::Switch { .. } => {}
-        }
         if let Some(record) = &mut self.record {
             record.push(action.clone());
         }
@@ -273,8 +245,7 @@ where
     fn stream_so_far(&self) -> Option<Cow<'_, Stream<M::Adt, V>>> {
         match &self.record {
             Some(record) => Some(Cow::Borrowed(record)),
-            None => (!self.prefix_committed)
-                .then(|| Cow::Owned(self.window_events().into_iter().map(|(_, a)| a).collect())),
+            None => (!self.prefix_committed).then(|| Cow::Owned(self.window_events())),
         }
     }
 
@@ -313,14 +284,11 @@ where
                 self.prefix_committed = true;
                 if self.record.is_some() {
                     if shard.counters.retired_windows <= self.gc.archive_windows {
-                        self.closed.obs.archive_window(retired.len() as u64);
+                        self.closed.obs.archive_window(retired as u64);
                     } else {
                         self.record = None;
                         self.closed.obs.archive_eviction();
                     }
-                }
-                for idx in retired {
-                    self.commit_bounds.remove(&idx);
                 }
             }
         }
@@ -371,14 +339,14 @@ where
 
     /// The retained window events of every shard, merged back into global
     /// stream order.
-    fn window_events(&self) -> Vec<(usize, ObjAction<M::Adt, V>)> {
+    fn window_events(&self) -> Stream<M::Adt, V> {
         let mut all: Vec<(usize, ObjAction<M::Adt, V>)> = self
             .shards
             .values()
             .flat_map(|s| s.index_map.iter().copied().zip(s.sub.iter().cloned()))
             .collect();
         all.sort_by_key(|(i, _)| *i);
-        all
+        all.into_iter().map(|(_, a)| a).collect()
     }
 
     /// O(1) rolling status: the validator's verdict and the shard tally
@@ -446,10 +414,6 @@ where
         if self.record.is_some() {
             out.archived_events = out.retired_events;
         }
-        self.invoked.mark_nodes(&mut nodes);
-        for bound in self.commit_bounds.values() {
-            bound.mark_nodes(&mut nodes);
-        }
         out.multiset_nodes = nodes.len();
         out
     }
@@ -469,12 +433,13 @@ where
         }
     }
 
-    /// The full forensic report. With an unbounded window this is
-    /// **byte-identical** to the model's batch check on the closed trace
-    /// (witness included); with a bounded window it is window-relative
-    /// (see the [module docs](crate::stream)) and flagged by
-    /// [`MonitorReport::prefix_committed`] — unless it re-checked the
-    /// record ([`MonitorReport::reconstructed`]).
+    /// The full forensic report. Wherever the stream is at hand — an
+    /// unbounded window, a bounded one before anything retires, or the
+    /// record — this is **byte-identical** to the model's batch check on the
+    /// closed trace (witness included); past a retirement with no record it
+    /// is window-relative (see the [module docs](crate::stream)), flagged
+    /// by [`MonitorReport::prefix_committed`] without
+    /// [`MonitorReport::reconstructed`].
     pub(crate) fn report(&mut self) -> MonitorReport<M::Witness, M::Error> {
         self.current_report().clone()
     }
@@ -516,16 +481,16 @@ where
             // as a lossy shard does.
             return report(Err(UNPROVABLE.into()));
         }
-        // The whole stream is re-checked where it is at hand: always with
-        // an unbounded window (its windows are the stream), for a deferred
-        // verdict (the record), and after a retirement while the record is
-        // kept. Otherwise a bounded window searches its windows.
-        let whole = self.window.is_none() || deferred || self.prefix_committed;
-        if let Some(stream) = whole.then(|| self.stream_so_far()).flatten() {
-            // The batch path's own routine (observed there; window-mode
-            // reports are observed per shard by `ShardState::window_search`).
-            // After a retirement the verdict (witness included) is the
-            // unbounded session's all the same: it is reconstructed.
+        // The stream is re-checked wherever it is at hand: the record, or
+        // the shard windows before anything retires — always with an
+        // unbounded window, and for a deferred verdict, which keeps the
+        // record. Past a retirement with no record, the shard windows are
+        // searched instead.
+        if let Some(stream) = self.stream_so_far() {
+            // The batch path's own routine (observed there; window reports
+            // are observed per shard by `ShardState::window_search`). After
+            // a retirement the verdict (witness included) is the unbounded
+            // session's all the same: it is reconstructed.
             if self.prefix_committed {
                 self.closed.obs.archive_reconstruction();
             }
@@ -540,210 +505,98 @@ where
                 ..base
             };
         }
-        let (found, stats, remerged) = self.window_verdict();
-        let verdict = match found {
-            // A window holds no switch action: the default leaf.
-            Ok(Some(chain)) => Ok(M::witness(chain, Default::default())),
-            Ok(None) => Err(Refuted.into()),
-            Err(e) => Err(e.into()),
-        };
+        let (verdict, stats) = self.window_verdict();
         MonitorReport {
-            remerged,
             stats,
             ..report(verdict)
         }
     }
 
-    /// The window-relative search + merge of a bounded-window report that
-    /// does not read the record: the merged commit chain in *global*
-    /// indices, or the first failing shard's engine outcome.
-    fn window_verdict(&self) -> WindowVerdict<<M::Adt as Adt>::Input> {
+    /// The window-relative verdict of a report past a retirement with no
+    /// record: every shard's window searched from its seeds, the first
+    /// failing shard deciding, the stats absorbed over every shard, and the
+    /// shard chains interleaved in global indices.
+    fn window_verdict(&self) -> (Result<M::Witness, M::Error>, SearchStats) {
         let mut stats = SearchStats::default();
-        let mut chains: Vec<ShardChain<'_, M::Adt, V, P::Key>> = Vec::new();
-        let mut failure: Option<Result<Option<Chain<_>>, EngineError>> = None;
-        for (key, shard) in self.shards.iter() {
-            let (result, shard_stats) = shard.window_search();
+        let mut chains = Vec::with_capacity(self.shards.len());
+        let mut failure: Option<M::Error> = None;
+        for shard in self.shards.values() {
+            let (found, shard_stats) = shard.window_search();
             stats.absorb(&shard_stats);
-            match result {
-                Ok(Some((seed, chain, absorbed))) => chains.push(ShardChain {
-                    key,
-                    shard,
-                    seed,
-                    chain,
-                    absorbed,
-                }),
+            let error = match found {
+                Ok(Some((chain, ()))) => {
+                    chains.push(chain.map_indices(|w| shard.index_map[w]));
+                    continue;
+                }
                 // After a lossy epoch cut, an exhausted search space
                 // proves nothing: the dropped summary configurations may
                 // have completed.
-                Ok(None) => {
-                    failure.get_or_insert(if shard.lossy() {
-                        Err(UNPROVABLE)
-                    } else {
-                        Ok(None)
-                    });
-                }
-                Err(e) => {
-                    failure.get_or_insert(Err(e));
-                }
-            }
-        }
-        if let Some(failed) = failure {
-            return (failed, stats, false);
-        }
-        if chains.len() <= 1 {
-            let merged = chains
-                .pop()
-                .map(|c| c.chain.map_indices(|w| c.shard.index_map[w]))
-                .unwrap_or_default();
-            return (Ok(Some(merged)), stats, false);
-        }
-
-        // Rank-compact the global commit indices (ascending: they are a
-        // `BTreeMap`'s keys) so the merge machinery can index bounds
-        // densely (memory stays O(window)).
-        let commit_indices: Vec<usize> = self.commit_bounds.keys().copied().collect();
-        let bounds_by_rank: Vec<_> = commit_indices
-            .iter()
-            .map(|i| self.commit_bounds[i].clone())
-            .collect();
-        let mut parts = Vec::with_capacity(chains.len());
-        let mut seed_used = PersistentMultiset::new();
-        for c in &mut chains {
-            let rank = |w: usize| {
-                let global = c.shard.index_map[w];
-                commit_indices
-                    .binary_search(&global)
-                    .expect("a window commit has a bound")
+                Ok(None) if shard.lossy() => UNPROVABLE.into(),
+                Ok(None) => Refuted.into(),
+                Err(e) => e.into(),
             };
-            // A shard seed holds no history (retirement drops it): the
-            // chain's steps start at 0, and what the seed consumed counts
-            // as retained.
-            parts.push((
-                std::mem::take(&mut c.chain).map_indices(rank),
-                0,
-                c.shard.pool().iter().map(|(i, n)| (i.clone(), n)).collect(),
-            ));
-            seed_used = seed_used.sum(&c.shard.seed(c.seed).used);
+            failure.get_or_insert(error);
         }
-        if let Some(chain) =
-            merge_partition_chains(&bounds_by_rank, parts, Vec::new(), seed_used.clone())
-        {
-            let merged = chain.map_indices(|rank| commit_indices[rank]);
-            return (Ok(Some(merged)), stats, false);
-        }
-
-        // Merge bailed (cross-bound coupling): re-derive monolithically
-        // over the combined window. The retired prefixes have no histories
-        // left, so the monolithic state is assembled as a *product* over
-        // the shard keys (sound exactly because multi-shard mode implies
-        // every input classifies — the Partitioner product contract).
-        // Fixing each shard to the seed its own window_search picked is
-        // complete, not a guess: inputs of distinct shards are disjoint,
-        // so interleaving the per-shard chains in global commit order
-        // satisfies every (monotone, per-input) bound the shards already
-        // satisfied locally — a completion from exactly these seeds is
-        // guaranteed to exist, and the engine's exhaustive search finds
-        // one (only a budget trip, reported as such, can stop it).
-        let product = ProductAdt {
-            adt: &**self.closed.model.adt(),
-            partitioner: self
-                .closed
-                .partitioner
-                .as_ref()
-                .expect("multi-shard mode has a partitioner"),
+        let verdict = match failure {
+            Some(error) => Err(error),
+            // A window holds no switch action: the default leaf.
+            None => Ok(M::witness(interleave(&chains), Default::default())),
         };
-        let mut state = BTreeMap::new();
-        let mut absorbed_globals: HashSet<usize> = HashSet::new();
-        for c in &chains {
-            let key = c
-                .key
-                .as_ref()
-                .expect("multi-shard mode classifies every input");
-            state.insert(key.clone(), c.shard.seed(c.seed).state.clone());
-            // A commit absorbed by the chosen seed's symbolic completions
-            // is already explained (and its input already consumed) by
-            // that seed's state — the product search must not place it
-            // again.
-            for &w in &c.absorbed {
-                absorbed_globals.insert(c.shard.index_map[w]);
+        (verdict, stats)
+    }
+}
+
+/// Joins chains over pairwise disjoint inputs (one per shard, in global
+/// trace indices) into one chain of the whole stream. A chain's *floor* is
+/// the least trace index among its unplaced commits; the chain with the
+/// least floor places its inputs up to its next commit. Every input so
+/// placed is in the history of the commit at its chain's floor, hence in
+/// that commit's validity bound, and that floor is at most the index of
+/// every commit still unplaced in any chain: bounds grow along the trace,
+/// so every commit's history stays inside its own bound. Each commit's
+/// output is its chain's, since inputs of distinct classes commute.
+fn interleave<I: Clone>(chains: &[Chain<I>]) -> Chain<I> {
+    // Per chain, the floor from each of its cuts on: a suffix minimum.
+    let floors: Vec<Vec<usize>> = chains
+        .iter()
+        .map(|chain| {
+            let mut floors: Vec<usize> = chain.cuts().iter().map(|&(i, _)| i).collect();
+            for j in (1..floors.len()).rev() {
+                floors[j - 1] = floors[j - 1].min(floors[j]);
             }
+            floors
+        })
+        .collect();
+    // `(floor, chain, its next cut)`, least floor first; floors of distinct
+    // chains are distinct trace indices.
+    let mut next: BinaryHeap<Reverse<(usize, usize, usize)>> = (floors.iter().enumerate())
+        .filter_map(|(k, f)| Some(Reverse((*f.first()?, k, 0))))
+        .collect();
+    let mut history = Vec::with_capacity(chains.iter().map(|c| c.history().len()).sum());
+    let mut cuts = Vec::with_capacity(floors.iter().map(Vec::len).sum());
+    while let Some(Reverse((_, k, j))) = next.pop() {
+        let chain = &chains[k];
+        let from = j.checked_sub(1).map_or(0, |p| chain.cuts()[p].1);
+        let (index, len) = chain.cuts()[j];
+        history.extend_from_slice(&chain.history()[from..len]);
+        cuts.push((index, history.len()));
+        if let Some(&floor) = floors[k].get(j + 1) {
+            next.push(Reverse((floor, k, j + 1)));
         }
-        let (globals, trace): (Vec<usize>, Stream<M::Adt, V>) =
-            self.window_events().into_iter().unzip();
-        let mut commits = ops::commits::<ProductAdt<'_, M::Adt, P>, V>(&trace);
-        commits.retain(|c| !absorbed_globals.contains(&globals[c.index]));
-        let empty = PersistentMultiset::new();
-        let bounds: Vec<_> = (0..=trace.len())
-            .map(|p| {
-                if p < trace.len() && trace[p].is_respond() {
-                    self.commit_bounds[&globals[p]].clone()
-                } else {
-                    empty.clone()
-                }
-            })
-            .collect();
-        let engine = CheckerEngine::new(
-            &product,
-            &commits,
-            &bounds,
-            self.invoked.iter(),
-            SearchBudget::new(self.closed.budget),
-        );
-        let seed = SearchSeed::<ProductAdt<'_, M::Adt, P>> {
-            history: Vec::new(),
-            state,
-            used: seed_used,
-        };
-        let (found, product_stats) = engine.first_solution(seed, &|_| Some(()));
-        stats.absorb(&product_stats);
-        let merged = found.map(|f| f.map(|(chain, ())| chain.map_indices(|p| globals[p])));
-        (merged, stats, true)
     }
-}
-
-/// The product ADT over shard keys: routes every input to its class's
-/// component state. Sound exactly where it is used — multi-shard merges,
-/// where the [`Partitioner`] contract makes the monitored ADT a product
-/// over the keys it emits.
-struct ProductAdt<'a, T, P> {
-    adt: &'a T,
-    partitioner: &'a P,
-}
-
-impl<T: Adt, P: Partitioner<T>> Adt for ProductAdt<'_, T, P> {
-    type Input = T::Input;
-    type Output = T::Output;
-    type State = BTreeMap<P::Key, T::State>;
-
-    fn initial(&self) -> Self::State {
-        BTreeMap::new()
-    }
-
-    fn apply(&self, state: &Self::State, input: &Self::Input) -> (Self::State, Self::Output) {
-        let key = self
-            .partitioner
-            .key_of(input)
-            .expect("multi-shard mode classifies every input");
-        let component = state
-            .get(&key)
-            .cloned()
-            .unwrap_or_else(|| self.adt.initial());
-        let (next, out) = self.adt.apply(&component, input);
-        let mut map = state.clone();
-        map.insert(key, next);
-        (map, out)
-    }
+    Chain::new(history, cuts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::SearchBudget;
     use crate::initrel::ExactInit;
     use crate::lin::LinChecker;
     use crate::slin::SlinChecker;
     use slin_adt::{KvInput, KvKeyPartitioner, KvOutput, KvStore};
     use slin_obs::Obs;
-    use slin_trace::{ClientId, PhaseId};
+    use slin_trace::{Action, ClientId, PhaseId};
 
     /// A monitor over `model`, sharded per key, with the given window and
     /// archival depth.
@@ -826,5 +679,65 @@ mod tests {
             archived.ingest(a);
             assert_eq!(archived.record.as_ref(), Some(&so_far));
         }
+    }
+
+    /// The floor-order interleave of per-class chains is a witness of the
+    /// whole trace: the classes the plain checker states for switch-free
+    /// multi-key and hostile traces, each searched alone, then
+    /// interleaved. Validity, not equality — the interleave need not be
+    /// the chain the monolithic search finds first, and often is not.
+    #[test]
+    fn interleaved_class_chains_are_a_witness_of_the_whole_trace() {
+        use crate::gen::{random_hostile_kv_trace, random_multikey_kv_trace};
+        use crate::gen::{HostileConfig, MultiKeyConfig};
+        use crate::lin::witness_is_valid;
+        use crate::model::Projection;
+        let lin = LinChecker::owned(KvStore);
+        let mut traces = Vec::new();
+        for keys in 2..=5 {
+            for seed in 0..40 {
+                traces.push(random_multikey_kv_trace(&MultiKeyConfig {
+                    clients: 3,
+                    steps: 48,
+                    keys,
+                    skew: 0.4,
+                    contention: 0.3,
+                    error_prob: 0.0,
+                    seed,
+                }));
+                traces.push(random_hostile_kv_trace(&HostileConfig {
+                    clients: 3,
+                    steps: 60,
+                    keys,
+                    never_frac: 0.1,
+                    seed,
+                    ..HostileConfig::default()
+                }));
+            }
+        }
+        let (mut interleaved, mut differ) = (0, 0);
+        for t in &traces {
+            let Projection::Classes { classes, .. } = lin.project(Some(&KvKeyPartitioner), t)
+            else {
+                continue;
+            };
+            let chains: Option<Vec<_>> = classes
+                .iter()
+                .map(|class| {
+                    let (found, _) = class.search(&KvStore, SearchBudget::DEFAULT_MAX_NODES);
+                    found.ok()?.map(|(chain, ())| chain)
+                })
+                .collect();
+            let Some(chains) = chains else {
+                continue;
+            };
+            let witness =
+                <LinChecker<KvStore> as ConsistencyModel<()>>::witness(interleave(&chains), ());
+            assert!(witness_is_valid(&KvStore, t, &witness), "{t:?}");
+            interleaved += 1;
+            differ += usize::from(lin.check(t).as_ref() != Ok(&witness));
+        }
+        assert!(interleaved >= 300, "only {interleaved} traces interleaved");
+        assert!(differ > 0, "every interleave was the first witness");
     }
 }

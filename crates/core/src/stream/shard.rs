@@ -154,8 +154,9 @@
 //! outgrows the cap proves nothing and leaves the checkpoint where it was.
 //! The frontier a fallback refills is the first `frontier_cap` checkpoint
 //! configurations, completions included, so a straggler's later response is
-//! absorbed in O(1) instead of falling back again. The final report still
-//! searches the whole window from the seeds: witnesses do not move.
+//! absorbed in O(1) instead of falling back again. A report past a
+//! retirement still searches the whole window from the seeds: witnesses do
+//! not move.
 //!
 //! Unlike a seed, a checkpoint configuration keeps its window-relative
 //! history, so histories mean what they mean from the seeds. Extras are
@@ -198,7 +199,7 @@
 
 use super::GcPolicy;
 use crate::engine::{
-    Chain, CheckerEngine, EngineError, HashIndex, KeyHasher, LeafUsed, Search, SearchBudget,
+    CheckerEngine, EngineError, Found, HashIndex, KeyHasher, LeafUsed, Search, SearchBudget,
     SearchSeed, SearchStats, Visitor,
 };
 use crate::ops::Commit;
@@ -371,28 +372,26 @@ impl<T: Adt> Distinct<T> {
 /// Greedy absorption of window commits into a seed's symbolic
 /// completions: the earliest commit matching each completion is dropped
 /// (its commit entry is the pre-cut extra). Returns the remaining commit
-/// list (the window's own when there is nothing to absorb into), the
-/// unconsumed completions, and the *window* indices of the absorbed commits.
+/// list (the window's own when there is nothing to absorb into) and the
+/// unconsumed completions.
 fn absorb_commits<'c, T: Adt>(
     commits: &'c [Commit<T>],
     sym: &SymSet<T>,
-) -> (Cow<'c, [Commit<T>]>, SymSet<T>, Vec<usize>) {
+) -> (Cow<'c, [Commit<T>]>, SymSet<T>) {
     if sym.is_empty() {
-        return (Cow::Borrowed(commits), sym.clone(), Vec::new());
+        return (Cow::Borrowed(commits), sym.clone());
     }
     let mut sym = sym.clone();
     let mut kept = Vec::with_capacity(commits.len());
-    let mut absorbed = Vec::new();
     for c in commits {
         let pair = (c.input.clone(), c.output.clone());
         if sym.count(&pair) > 0 {
             sym.remove(&pair);
-            absorbed.push(c.index);
         } else {
             kept.push(c.clone());
         }
     }
-    (Cow::Owned(kept), sym, absorbed)
+    (Cow::Owned(kept), sym)
 }
 
 /// One search of an enumeration: the commits to place (window indices) and
@@ -575,7 +574,7 @@ where
     }
 
     /// The shard's total input pool (base plus window invocations).
-    pub(crate) fn pool(&self) -> &PersistentMultiset<T::Input> {
+    fn pool(&self) -> &PersistentMultiset<T::Input> {
         self.input_ms.last().expect("input_ms is never empty")
     }
 
@@ -807,7 +806,7 @@ where
         let problems: Vec<Problem<'_, T>> = configs
             .iter()
             .map(|cfg| {
-                let (commits, sym, _) = absorb_commits(commits, &cfg.sym);
+                let (commits, sym) = absorb_commits(commits, &cfg.sym);
                 let seed = &cfg.seed;
                 Problem { commits, seed, sym }
             })
@@ -930,25 +929,20 @@ where
         }
     }
 
-    /// One full engine run over the retained window for the monitor's
-    /// final report: seeds are tried in order and the first one admitting
-    /// a completion wins (deterministic). Returns the winning seed's
-    /// index, its chain, and the *window* indices of the commits its
-    /// symbolic completions absorbed (absent from the chain).
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn window_search(
-        &self,
-    ) -> (
-        Result<Option<(usize, Chain<T::Input>, Vec<usize>)>, EngineError>,
-        SearchStats,
-    ) {
+    /// One full engine run over the retained window for a monitor report
+    /// past a retirement with no record: seeds are tried in order and the
+    /// first one admitting a completion wins (deterministic). Its chain is
+    /// window-relative twice over: in window indices, and its history
+    /// starts at the seed's, which retirement emptied; the commits the
+    /// seed's symbolic completions absorb are absent from it.
+    pub(crate) fn window_search(&self) -> Found<T::Input, ()> {
         let mut stats = SearchStats::default();
         let t0 = self.cfg.obs.t0();
         let mut budget_error: Option<EngineError> = None;
         // A tripped search's counters are absorbed like any other's: the
         // report's `stats.nodes` is never below the error's `nodes`.
-        for (k, shard_seed) in self.seeds.iter().enumerate() {
-            let (kept, _, absorbed) = absorb_commits(&self.commits, &shard_seed.sym);
+        for shard_seed in &self.seeds {
+            let (kept, _) = absorb_commits(&self.commits, &shard_seed.sym);
             let engine = CheckerEngine::new(
                 &*self.adt,
                 &kept,
@@ -959,9 +953,9 @@ where
             let (found, seed_stats) = engine.first_solution(shard_seed.seed.clone(), &|_| Some(()));
             stats.absorb(&seed_stats);
             match found {
-                Ok(Some((chain, ()))) => {
+                Ok(Some(found)) => {
                     self.report_window_search(&stats, false, t0);
-                    return (Ok(Some((k, chain, absorbed))), stats);
+                    return (Ok(Some(found)), stats);
                 }
                 Ok(None) => {}
                 Err(e) => {
@@ -992,12 +986,6 @@ where
         });
     }
 
-    /// The seed the reported window chain extends (see
-    /// [`ShardState::window_search`]).
-    pub(crate) fn seed(&self, index: usize) -> &SearchSeed<T> {
-        &self.seeds[index].seed
-    }
-
     /// Bounded-window GC (see the module docs): when the retained window
     /// has grown past `window` events, enumerate the window's **complete**
     /// terminal-configuration set — from the checkpoint, so only over the
@@ -1015,8 +1003,8 @@ where
     /// the cut *due*: it is retried on every later commit — a drained
     /// response shrinks the completion space — rather than stalling GC
     /// until the next window multiple while per-event cost balloons.
-    /// Returns the global indices of the retired events.
-    pub(crate) fn maybe_retire(&mut self, window: usize) -> Option<Vec<usize>> {
+    /// Returns how many events retired.
+    pub(crate) fn maybe_retire(&mut self, window: usize) -> Option<usize> {
         if self.sub.len() < window || self.status != ShardStatus::Ok {
             return None;
         }
@@ -1099,14 +1087,15 @@ where
 
     /// Retires the current window: drops its events, collapses the bound
     /// snapshots into the base, and installs `summary` (when given) as the
-    /// new seed set. Returns the retired global indices.
-    fn retire_window(&mut self, summary: Option<Vec<FrontierCfg<T>>>) -> Vec<usize> {
-        self.counters.retired_events += self.sub.len();
+    /// new seed set. Returns how many events retired.
+    fn retire_window(&mut self, summary: Option<Vec<FrontierCfg<T>>>) -> usize {
+        let retired = self.sub.len();
+        self.counters.retired_events += retired;
         self.counters.retired_windows += 1;
         if self.pending > 0 {
             self.counters.epoch_cuts += 1;
         }
-        let retired = std::mem::take(&mut self.index_map);
+        self.index_map.clear();
         self.cut_due = false;
         self.cut_blocked = false;
         self.sub = Trace::new();

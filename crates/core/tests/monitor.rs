@@ -205,24 +205,28 @@ fn violations_are_still_caught_after_gc() {
     assert!(mon.report().unwrap().verdict.is_err());
 }
 
-/// A stream whose class chains cannot be merged: both keys open with a put
-/// that never responds, read by a get, and key 1's put is invoked only
-/// after key 2's get commits, so key 1's first step is cross-blocked with
-/// no commit to hide behind (`partition.rs`'s cross-blocked trace). The
-/// report re-derives the witness whole at either window: a bounded window
-/// keeps no record and searches its shard windows as one product state, an
-/// unbounded one re-checks its record through the batch routine. Both read
-/// the monolithic batch verdict.
-#[test]
-fn a_cross_blocked_stream_remerges_at_either_window() {
-    let t: Trace<ObjAction<KvStore, ()>> = Trace::from_actions(vec![
+/// Both keys open with a put that never responds, read by a get, and key
+/// 1's put is invoked only after key 2's get commits, so key 1's first
+/// step is cross-blocked with no commit to hide behind (`partition.rs`'s
+/// cross-blocked trace).
+fn cross_blocked_tail() -> Vec<ObjAction<KvStore, ()>> {
+    vec![
         Action::invoke(c(2), ph(), KvInput::Put(2, 9)),
         Action::invoke(c(4), ph(), KvInput::Get(2)),
         Action::respond(c(4), ph(), KvInput::Get(2), KvOutput::Found(Some(9))),
         Action::invoke(c(1), ph(), KvInput::Put(1, 7)),
         Action::invoke(c(3), ph(), KvInput::Get(1)),
         Action::respond(c(3), ph(), KvInput::Get(1), KvOutput::Found(Some(7))),
-    ]);
+    ]
+}
+
+/// A stream whose class chains cannot be merged (`cross_blocked_tail`).
+/// Before anything retires the report re-checks the stream through the
+/// batch routine at either window — the shard windows are the stream — so
+/// it re-derives the witness whole and reads the monolithic batch verdict.
+#[test]
+fn a_cross_blocked_stream_remerges_at_either_window() {
+    let t = Trace::from_actions(cross_blocked_tail());
     let batch = LinChecker::owned(KvStore).check(&t);
     assert!(batch.is_ok());
     for window in [Some(64), None] {
@@ -445,20 +449,13 @@ fn quiescent_two_key_prefix(rounds: u64) -> Vec<ObjAction<KvStore, ()>> {
 }
 
 /// The cross-blocked stream after a quiescent prefix both shards retire:
-/// with no record kept, the window report re-derives its witness as one
-/// product search from the seeds the retirements left — the product path
-/// past a retirement.
+/// with no record kept, the window report searches each shard's window
+/// from the seeds its retirement left and interleaves the shard chains —
+/// no merge to bail, so nothing remerges.
 #[test]
-fn a_cross_blocked_stream_remerges_after_both_shards_retire() {
+fn a_cross_blocked_stream_interleaves_after_both_shards_retire() {
     let mut actions = quiescent_two_key_prefix(4);
-    actions.extend([
-        Action::invoke(c(2), ph(), KvInput::Put(2, 9)),
-        Action::invoke(c(4), ph(), KvInput::Get(2)),
-        Action::respond(c(4), ph(), KvInput::Get(2), KvOutput::Found(Some(9))),
-        Action::invoke(c(1), ph(), KvInput::Put(1, 7)),
-        Action::invoke(c(3), ph(), KvInput::Get(1)),
-        Action::respond(c(3), ph(), KvInput::Get(1), KvOutput::Found(Some(7))),
-    ]);
+    actions.extend(cross_blocked_tail());
     let t = Trace::from_actions(actions);
     assert!(LinChecker::owned(KvStore).check(&t).is_ok());
     let mut mon = kv_window_monitor(4);
@@ -466,11 +463,48 @@ fn a_cross_blocked_stream_remerges_after_both_shards_retire() {
         mon.ingest(a.clone());
     }
     let report = mon.report().unwrap();
-    assert!(report.remerged && report.prefix_committed, "{report:?}");
+    assert!(report.prefix_committed && !report.remerged, "{report:?}");
     assert!(!report.reconstructed);
     assert_eq!(report.shard.archived_events, 0, "archive_windows = 0");
     assert!(report.verdict.is_ok(), "{report:?}");
     assert_eq!(report.shards, 2);
+}
+
+/// One shard retires past a commit another still holds: key 1's put
+/// commits first, then four quiescent puts on key 2 fill a window of 8 and
+/// retire, while key 1's two events stay in its window; the cross-blocked
+/// tail follows. The stream is linearizable and every status says so; so
+/// must the window report. Key 2's retired puts were invoked after key
+/// 1's held commit responded, so no witness may count them against that
+/// commit's bound: its chain has the least floor, and the interleave
+/// places it first.
+#[test]
+fn a_report_past_one_shards_retirement_keeps_the_held_commit_first() {
+    let put = KvInput::Put(1, 1);
+    let mut actions = vec![
+        Action::invoke(c(1), ph(), put),
+        Action::respond(c(1), ph(), put, KvOutput::Ack),
+    ];
+    for round in 0..4 {
+        let put = KvInput::Put(2, 100 + round);
+        actions.push(Action::invoke(c(1), ph(), put));
+        actions.push(Action::respond(c(1), ph(), put, KvOutput::Ack));
+    }
+    actions.extend(cross_blocked_tail());
+    let t = Trace::from_actions(actions);
+    assert!(LinChecker::owned(KvStore).check(&t).is_ok());
+    let mut mon = kv_window_monitor(8);
+    for a in t.iter() {
+        let out = mon.ingest(a.clone());
+        assert_eq!(out.status, MonitorStatus::Ok);
+    }
+    assert_eq!(mon.status(), Some(MonitorStatus::Ok));
+    let report = mon.report().unwrap();
+    assert!(
+        report.prefix_committed && !report.reconstructed,
+        "{report:?}"
+    );
+    assert!(report.verdict.is_ok(), "{report:?}");
 }
 
 /// Records every engine search a session reports.

@@ -353,7 +353,9 @@ proptest! {
 
     /// Epoch-GC'd monitors keep exact (window-relative) verdicts on
     /// never-quiescent streams: the rolling status agrees with the batch
-    /// checker on the same closed trace, violation for violation.
+    /// checker on the same closed trace, violation for violation, and so
+    /// does the report's verdict — past a retirement too, where it
+    /// interleaves the shard chains.
     #[test]
     fn hostile_stream_status_matches_batch(cfg in hostile_configs()) {
         let t = random_hostile_kv_trace(&cfg);
@@ -367,6 +369,8 @@ proptest! {
             Ok(_) => prop_assert_eq!(status, MonitorStatus::Ok, "cfg {:?}", cfg),
             Err(_) => prop_assert_eq!(status, MonitorStatus::Violation, "cfg {:?}", cfg),
         }
+        let report = mon.report().unwrap();
+        prop_assert_eq!(report.verdict.is_ok(), batch.is_ok(), "cfg {:?}: {:?}", cfg, report);
     }
 }
 
@@ -786,21 +790,29 @@ impl slin_obs::Observer for Searches {
 
 /// A window-mode report whose search trips its budget still says what the
 /// search cost: `stats.nodes` covers the nodes the error names, and so
-/// does the `shard.window_search` event the observer is handed.
+/// does the `shard.window_search` event the observer is handed. Window
+/// reports run past a retirement with no record, so each stream opens
+/// with a quiescent put that a window of 2 retires.
 #[test]
 fn a_tripped_window_search_keeps_its_counters() {
     let mut tripped = 0;
-    for seed in 0..40u64 {
+    let put = KvInput::Put(1, 0);
+    let c = ClientId::new(9);
+    let opening = [
+        Action::invoke(c, PhaseId::FIRST, put),
+        Action::respond(c, PhaseId::FIRST, put, KvOutput::Ack),
+    ];
+    for seed in 0..80u64 {
         let t = single_key_stragglers(3, 0.0, seed);
         for budget in [2, 4, 8, 16] {
             let seen = std::sync::Arc::new(Searches::default());
             let mut mon: Session<_, (), _> = Checker::builder(LinChecker::owned(KvStore))
                 .partitioner(KvKeyPartitioner)
-                .strategy(SessionStrategy::Streaming { window: Some(64) })
+                .strategy(SessionStrategy::Streaming { window: Some(2) })
                 .budget(budget)
                 .observer(slin_obs::Obs::new(seen.clone()))
                 .build();
-            for a in t.iter() {
+            for a in opening.iter().chain(t.iter()) {
                 mon.ingest(a.clone());
             }
             let report = mon.report().expect("born streaming");
@@ -808,6 +820,10 @@ fn a_tripped_window_search_keeps_its_counters() {
                 continue;
             };
             tripped += 1;
+            assert!(
+                report.prefix_committed && !report.reconstructed,
+                "seed {seed}, budget {budget}: {report:?}"
+            );
             assert!(nodes > 0, "seed {seed}, budget {budget}");
             assert!(
                 report.stats.nodes >= nodes,
@@ -826,7 +842,7 @@ fn a_tripped_window_search_keeps_its_counters() {
             );
         }
     }
-    assert!(tripped >= 100, "only {tripped} of 160 reports tripped");
+    assert!(tripped >= 100, "only {tripped} of 320 reports tripped");
 }
 
 /// `epoch_force` with `frontier_cap = 3`: cuts retire truncated summaries.

@@ -538,14 +538,14 @@ struct HostilePin {
 
 #[rustfmt::skip]
 const B6H: [HostilePin; 8] = [
-    HostilePin { family: "zipf-delay", window: 8, events: 3360, ok: true, retired_events: 3336, epoch_cuts: 278, lossy_cuts: 0, search_nodes: 14881, peak_live_configs: 35, peak_multiset_nodes: 73, peak_window_events: 11 },
-    HostilePin { family: "zipf-delay", window: 12, events: 3360, ok: true, retired_events: 3336, epoch_cuts: 186, lossy_cuts: 0, search_nodes: 17319, peak_live_configs: 34, peak_multiset_nodes: 57, peak_window_events: 20 },
-    HostilePin { family: "zipf-delay", window: 16, events: 3360, ok: true, retired_events: 3296, epoch_cuts: 145, lossy_cuts: 0, search_nodes: 17867, peak_live_configs: 41, peak_multiset_nodes: 66, peak_window_events: 27 },
-    HostilePin { family: "zipf-delay", window: 24, events: 3360, ok: true, retired_events: 3288, epoch_cuts: 86, lossy_cuts: 0, search_nodes: 18748, peak_live_configs: 32, peak_multiset_nodes: 67, peak_window_events: 40 },
-    HostilePin { family: "stragglers", window: 8, events: 3389, ok: true, retired_events: 3376, epoch_cuts: 368, lossy_cuts: 0, search_nodes: 44854, peak_live_configs: 63, peak_multiset_nodes: 104, peak_window_events: 6 },
-    HostilePin { family: "stragglers", window: 12, events: 3389, ok: true, retired_events: 3372, epoch_cuts: 238, lossy_cuts: 0, search_nodes: 58835, peak_live_configs: 54, peak_multiset_nodes: 101, peak_window_events: 11 },
-    HostilePin { family: "stragglers", window: 16, events: 3389, ok: true, retired_events: 3360, epoch_cuts: 180, lossy_cuts: 0, search_nodes: 70215, peak_live_configs: 52, peak_multiset_nodes: 74, peak_window_events: 14 },
-    HostilePin { family: "stragglers", window: 24, events: 3389, ok: true, retired_events: 3360, epoch_cuts: 122, lossy_cuts: 0, search_nodes: 101127, peak_live_configs: 47, peak_multiset_nodes: 101, peak_window_events: 16 },
+    HostilePin { family: "zipf-delay", window: 8, events: 3360, ok: true, retired_events: 3336, epoch_cuts: 278, lossy_cuts: 0, search_nodes: 14881, peak_live_configs: 35, peak_multiset_nodes: 69, peak_window_events: 11 },
+    HostilePin { family: "zipf-delay", window: 12, events: 3360, ok: true, retired_events: 3336, epoch_cuts: 186, lossy_cuts: 0, search_nodes: 17319, peak_live_configs: 34, peak_multiset_nodes: 53, peak_window_events: 20 },
+    HostilePin { family: "zipf-delay", window: 16, events: 3360, ok: true, retired_events: 3296, epoch_cuts: 145, lossy_cuts: 0, search_nodes: 17867, peak_live_configs: 41, peak_multiset_nodes: 59, peak_window_events: 27 },
+    HostilePin { family: "zipf-delay", window: 24, events: 3360, ok: true, retired_events: 3288, epoch_cuts: 86, lossy_cuts: 0, search_nodes: 18748, peak_live_configs: 32, peak_multiset_nodes: 55, peak_window_events: 40 },
+    HostilePin { family: "stragglers", window: 8, events: 3389, ok: true, retired_events: 3376, epoch_cuts: 368, lossy_cuts: 0, search_nodes: 44854, peak_live_configs: 63, peak_multiset_nodes: 101, peak_window_events: 6 },
+    HostilePin { family: "stragglers", window: 12, events: 3389, ok: true, retired_events: 3372, epoch_cuts: 238, lossy_cuts: 0, search_nodes: 58835, peak_live_configs: 54, peak_multiset_nodes: 97, peak_window_events: 11 },
+    HostilePin { family: "stragglers", window: 16, events: 3389, ok: true, retired_events: 3360, epoch_cuts: 180, lossy_cuts: 0, search_nodes: 70215, peak_live_configs: 52, peak_multiset_nodes: 68, peak_window_events: 14 },
+    HostilePin { family: "stragglers", window: 24, events: 3389, ok: true, retired_events: 3360, epoch_cuts: 122, lossy_cuts: 0, search_nodes: 101127, peak_live_configs: 47, peak_multiset_nodes: 97, peak_window_events: 16 },
 ];
 
 /// Exact epoch cuts re-enumerate the retained window at each cut, so
