@@ -50,9 +50,9 @@
 //!
 //! * **Floor.** `used ⊆ bounds[c.index]` for every remaining commit `c`: a
 //!   history only grows, and committing `c` needs it inside `c`'s bound.
-//!   Bounds are monotone along the commits (the contract of
-//!   `CheckerEngine::new`), so the earliest remaining commit — the
-//!   *floor* — carries the tightest one.
+//!   Bounds only grow along the trace: they are one cumulative count
+//!   table, [`crate::ops::Bounds`], which states no other kind. So the
+//!   earliest remaining commit — the *floor* — carries the tightest one.
 //! * **Hall count.** For every input `e`, with `c₁ < … < c_m` the remaining
 //!   commits on `e` in trace order: `used(e) + j ≤ bounds[c_j.index](e)`
 //!   for every `j`. Whichever of `c₁..c_j` is committed last is committed
@@ -70,7 +70,7 @@
 //! memo key, no ADT step: an extra that would starve a later commit is
 //! never offered. The counters live in a per-engine table built once
 //! (inputs grouped into dense class ids, each commit's own
-//! `bounds[c.index](c.input)`, the sorted extras list).
+//! `bounds.count(c.index, c.input)`, the sorted extras list).
 //!
 //! **The counters are the search's `used`.** Validity never asks which
 //! occurrence was consumed, only how many of each input, so inside a search
@@ -138,7 +138,7 @@
 //! and means constant-factor work on the search is done — and proven —
 //! once.
 
-use crate::ops::Commit;
+use crate::ops::{Bounds, Commit};
 use slin_adt::Adt;
 use slin_trace::PersistentMultiset;
 use std::cell::RefCell;
@@ -461,16 +461,17 @@ impl<T: Adt> SearchSeed<T> {
 pub(crate) struct CheckerEngine<'s, T: Adt> {
     adt: &'s T,
     commits: &'s [Commit<T>],
-    /// Per-trace-index multiset bound on the inputs a history reaching that
-    /// index may consume (`elems(inputs(t, i))` for `lin`, `vi` for `slin`).
-    bounds: &'s [PersistentMultiset<T::Input>],
+    /// The bound, at every trace index, on the inputs a history reaching
+    /// that index may consume (`elems(inputs(t, i))` for `lin`, `vi` for
+    /// `slin`).
+    bounds: &'s Bounds<T::Input>,
     /// Every input a move can consume — the commits' inputs and the pool
     /// bounding the extras — with its pool multiplicity, sorted by input:
     /// positions are the dense **class ids** of the feasibility prune, and
     /// extras are offered in this order.
     classes: Vec<(T::Input, usize)>,
     /// Per commit `c`: the class of its input, and
-    /// `bounds[c.index].count(c.input)` — how many occurrences of its own
+    /// `bounds.count(c.index, c.input)` — how many occurrences of its own
     /// input a history committing it may hold.
     commit_classes: Vec<(usize, usize)>,
     /// The node budget of [`CheckerEngine::first_solution`]. A [`Search`] driven
@@ -618,15 +619,14 @@ where
     /// lists every input a history may consume with its multiplicity, each
     /// input once, in any order: a multiset's walk or a sorted slice.
     ///
-    /// `commits` must ascend in trace index and `bounds` must be monotone
-    /// along them (`bounds[c.index] ⊆ bounds[c'.index]` for `c` before
-    /// `c'`), as the cumulative bounds of Definitions 10 and 26 are; the
+    /// `commits` must ascend in trace index (debug builds assert it). The
     /// feasibility prune reads "the tightest bound among the remaining
-    /// commits" off the earliest one. Debug builds assert it.
+    /// commits" off the earliest one, which is right because a count table
+    /// is cumulative: its bounds only grow along the trace.
     pub(crate) fn new<'p>(
         adt: &'s T,
         commits: &'s [Commit<T>],
-        bounds: &'s [PersistentMultiset<T::Input>],
+        bounds: &'s Bounds<T::Input>,
         pool: impl IntoIterator<Item = (&'p T::Input, usize)>,
         budget: SearchBudget,
     ) -> Self
@@ -634,11 +634,8 @@ where
         T::Input: 'p,
     {
         debug_assert!(
-            commits
-                .windows(2)
-                .all(|w| w[0].index < w[1].index
-                    && bounds[w[0].index].is_subset_of(&bounds[w[1].index])),
-            "commits must ascend in trace index with monotone bounds along them"
+            commits.windows(2).all(|w| w[0].index < w[1].index),
+            "commits must ascend in trace index"
         );
         // Classes: pool inputs with their multiplicity, commit inputs the
         // pool lacks with none. Sorting puts the pool's entry first.
@@ -655,7 +652,7 @@ where
                 let class = classes
                     .binary_search_by(|(e, _)| e.cmp(&c.input))
                     .expect("every commit input is a class");
-                (class, bounds[c.index].count(&c.input))
+                (class, bounds.count(c.index, &c.input))
             })
             .collect();
         CheckerEngine {
@@ -815,7 +812,8 @@ impl HashIndex {
         self.older.len()
     }
 
-    fn clear(&mut self) {
+    /// Empties the index, keeping its capacity.
+    pub(crate) fn clear(&mut self) {
         self.heads.clear();
         self.older.clear();
     }
@@ -891,7 +889,7 @@ impl Default for ClassCount {
 /// capacity.
 pub(crate) struct Search<'e, 's, T: Adt, G> {
     engine: &'e CheckerEngine<'s, T>,
-    /// `bounds[commits[p].index].count(class e's input)` at
+    /// `bounds.count(commits[p].index, class e's input)` at
     /// `[p * classes.len() + e]`, looked up on first use (`usize::MAX`: not
     /// yet); grown to cover commit `p` when it first becomes the earliest
     /// remaining one.
@@ -1020,7 +1018,7 @@ where
         let Some(first) = eng.commits.first() else {
             return true;
         };
-        let mut feasible = used.is_subset_of(&eng.bounds[first.index]);
+        let mut feasible = eng.bounds.covers(first.index, used);
         for &(e, own_bound) in &eng.commit_classes {
             let class = &mut self.counts[e];
             class.rank += 1;
@@ -1043,7 +1041,9 @@ where
                 .resize((floor + 1) * eng.classes.len(), usize::MAX);
         }
         if self.floor_counts[at] == usize::MAX {
-            self.floor_counts[at] = eng.bounds[eng.commits[floor].index].count(&eng.classes[e].0);
+            self.floor_counts[at] = eng
+                .bounds
+                .count(eng.commits[floor].index, &eng.classes[e].0);
         }
         self.counts[e].used < self.floor_counts[at]
     }
@@ -1400,13 +1400,12 @@ mod tests {
     fn engine_finds_the_chain_and_reports_stats() {
         let t = sample();
         let commits = ops::commits::<Consensus, ()>(&t);
-        let bounds = ops::input_multisets::<Consensus, ()>(&t);
-        let pool = bounds.last().cloned().unwrap();
+        let bounds = ops::input_bounds::<Consensus, ()>(&t);
         let engine = CheckerEngine::new(
             &Consensus,
             &commits,
             &bounds,
-            pool.iter(),
+            bounds.pool(),
             SearchBudget::default(),
         );
         let (found, stats) = engine.first_solution(SearchSeed::initial(&Consensus), &|_| Some(()));
@@ -1421,13 +1420,12 @@ mod tests {
     fn leaf_veto_forces_exhaustion() {
         let t = sample();
         let commits = ops::commits::<Consensus, ()>(&t);
-        let bounds = ops::input_multisets::<Consensus, ()>(&t);
-        let pool = bounds.last().cloned().unwrap();
+        let bounds = ops::input_bounds::<Consensus, ()>(&t);
         let engine = CheckerEngine::new(
             &Consensus,
             &commits,
             &bounds,
-            pool.iter(),
+            bounds.pool(),
             SearchBudget::default(),
         );
         let (found, stats) =
@@ -1440,13 +1438,12 @@ mod tests {
     fn budget_exhaustion_carries_the_node_count() {
         let t = sample();
         let commits = ops::commits::<Consensus, ()>(&t);
-        let bounds = ops::input_multisets::<Consensus, ()>(&t);
-        let pool = bounds.last().cloned().unwrap();
+        let bounds = ops::input_bounds::<Consensus, ()>(&t);
         let engine = CheckerEngine::new(
             &Consensus,
             &commits,
             &bounds,
-            pool.iter(),
+            bounds.pool(),
             SearchBudget::new(1),
         );
         let (found, stats) = engine.first_solution(SearchSeed::initial(&Consensus), &|_| Some(()));
@@ -1491,13 +1488,12 @@ mod tests {
     fn kv_lin_search(actions: Vec<KA>, veto: bool) -> (Option<(Chain<KvInput>, ())>, SearchStats) {
         let t: Trace<KA> = Trace::from_actions(actions);
         let commits = ops::commits::<KvStore, ()>(&t);
-        let bounds = ops::input_multisets::<KvStore, ()>(&t);
-        let pool = bounds.last().cloned().unwrap();
+        let bounds = ops::input_bounds::<KvStore, ()>(&t);
         let (found, stats) = CheckerEngine::new(
             &KvStore,
             &commits,
             &bounds,
-            pool.iter(),
+            bounds.pool(),
             SearchBudget::default(),
         )
         .first_solution(SearchSeed::initial(&KvStore), &|_| (!veto).then_some(()));
@@ -1552,28 +1548,6 @@ mod tests {
         );
         let (chain, ()) = found.expect("the pending put explains the read");
         assert_eq!(chain, Chain::new(vec![put, get], vec![(2, 2)]));
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "monotone bounds")]
-    fn bounds_that_shrink_along_the_commits_are_refused() {
-        // The prune reads the tightest remaining bound off the earliest
-        // remaining commit, which is only right for monotone bounds: a
-        // slice whose later bound lacks an input the earlier one has is a
-        // caller bug, caught in debug builds.
-        let t = sample();
-        let commits = ops::commits::<Consensus, ()>(&t);
-        let mut bounds = ops::input_multisets::<Consensus, ()>(&t);
-        let pool = bounds.last().cloned().unwrap();
-        bounds[commits[1].index] = PersistentMultiset::new();
-        let _ = CheckerEngine::new(
-            &Consensus,
-            &commits,
-            &bounds,
-            pool.iter(),
-            SearchBudget::default(),
-        );
     }
 
     /// A chain renders and compares as the `(trace index, commit history)`
@@ -1647,13 +1621,12 @@ mod tests {
         }
         let t: Trace<CA> = Trace::from_actions(actions);
         let commits = ops::commits::<Consensus, ()>(&t);
-        let bounds = ops::input_multisets::<Consensus, ()>(&t);
-        let pool = bounds.last().cloned().unwrap();
+        let bounds = ops::input_bounds::<Consensus, ()>(&t);
         let engine = CheckerEngine::new(
             &Consensus,
             &commits,
             &bounds,
-            pool.iter(),
+            bounds.pool(),
             SearchBudget::default(),
         );
         let (found, _) = engine.first_solution(SearchSeed::initial(&Consensus), &|_| Some(()));
@@ -1695,16 +1668,13 @@ mod tests {
         ]);
         let commits = ops::commits::<Consensus, ()>(&t);
         // Allow the seeded occurrence of p(2) plus the trace's own inputs.
-        let mut bounds = ops::input_multisets::<Consensus, ()>(&t);
-        for b in &mut bounds {
-            b.insert(ConsInput::propose(2));
-        }
-        let pool = bounds.last().cloned().unwrap();
+        let mut bounds = ops::input_bounds::<Consensus, ()>(&t);
+        bounds.add(0, &ConsInput::propose(2));
         let engine = CheckerEngine::new(
             &Consensus,
             &commits,
             &bounds,
-            pool.iter(),
+            bounds.pool(),
             SearchBudget::default(),
         );
         let seed = SearchSeed::from_history(&Consensus, vec![ConsInput::propose(2)]);
@@ -1812,13 +1782,12 @@ mod tests {
     /// is not vacuous — the memo entries, memo hits and leaves among it.
     fn three_searches(t: &Trace<KA>) -> (String, [usize; 3]) {
         let commits = ops::commits::<KvStore, ()>(t);
-        let bounds = ops::input_multisets::<KvStore, ()>(t);
-        let pool = bounds.last().cloned().unwrap();
+        let bounds = ops::input_bounds::<KvStore, ()>(t);
         let engine = CheckerEngine::new(
             &KvStore,
             &commits,
             &bounds,
-            pool.iter(),
+            bounds.pool(),
             SearchBudget::default(),
         );
         let seed = || SearchSeed::initial(&KvStore);
@@ -1984,16 +1953,15 @@ mod tests {
             .enumerate()
             {
                 let commits = ops::commits::<KvStore, ()>(trace);
-                let bounds: Vec<_> = ops::input_multisets::<KvStore, ()>(trace)
-                    .iter()
-                    .map(|m| base.sum(m))
-                    .collect();
-                let pool = bounds.last().cloned().unwrap();
+                let mut bounds = ops::input_bounds::<KvStore, ()>(trace);
+                for (e, n) in base.iter() {
+                    (0..n).for_each(|_| bounds.add(0, e));
+                }
                 let engine = CheckerEngine::new(
                     &KvStore,
                     &commits,
                     &bounds,
-                    pool.iter(),
+                    bounds.pool(),
                     SearchBudget::default(),
                 );
                 let mut visitor = UsedIsElems {
@@ -2040,10 +2008,9 @@ mod tests {
     /// thread's scratch.
     fn accepted_and_vetoed(t: &Trace<KA>, max_nodes: usize) -> [Found<KvInput, ()>; 2] {
         let commits = ops::commits::<KvStore, ()>(t);
-        let bounds = ops::input_multisets::<KvStore, ()>(t);
-        let pool = bounds.last().cloned().unwrap();
+        let bounds = ops::input_bounds::<KvStore, ()>(t);
         let budget = SearchBudget::new(max_nodes);
-        let engine = CheckerEngine::new(&KvStore, &commits, &bounds, pool.iter(), budget);
+        let engine = CheckerEngine::new(&KvStore, &commits, &bounds, bounds.pool(), budget);
         [true, false].map(|accept| {
             engine.first_solution(SearchSeed::initial(&KvStore), &|_| accept.then_some(()))
         })

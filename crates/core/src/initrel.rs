@@ -28,36 +28,46 @@
 use slin_adt::consensus::{ConsInput, Value};
 use std::fmt::Debug;
 use std::hash::Hash;
+use std::sync::OnceLock;
 
 /// Context available when enumerating candidate interpretations: the inputs
 /// occurring in the trace under scrutiny.
+///
+/// The distinct inputs are computed on the first call of
+/// [`CandidateContext::inputs`], not at construction: a relation whose
+/// candidates ignore the context ([`ExactInit`]) never pays for them.
 #[derive(Debug, Clone, Default)]
 pub struct CandidateContext<I> {
-    inputs: Vec<I>,
+    /// The trace's inputs, as given.
+    given: Vec<I>,
+    /// `given`'s distinct inputs, once asked for.
+    distinct: OnceLock<Vec<I>>,
 }
 
-impl<I: Clone + Eq> CandidateContext<I> {
-    /// Builds a context from the distinct inputs of a trace (first
-    /// occurrence order, duplicates removed — the order the default
-    /// [`InitRelation::extensions`] enumerates in), in O(n log n).
-    pub fn new(inputs: Vec<I>) -> Self
-    where
-        I: Ord,
-    {
-        // The positions sorted by input, then by position: each run of
-        // equal inputs starts at the input's first occurrence.
-        let mut first: Vec<usize> = (0..inputs.len()).collect();
-        first.sort_unstable_by(|&a, &b| inputs[a].cmp(&inputs[b]).then(a.cmp(&b)));
-        first.dedup_by(|later, run| inputs[*later] == inputs[*run]);
-        first.sort_unstable();
+impl<I: Clone + Ord> CandidateContext<I> {
+    /// A context over a trace's inputs, in trace order (duplicates
+    /// allowed).
+    pub fn new(inputs: Vec<I>) -> Self {
         CandidateContext {
-            inputs: first.into_iter().map(|at| inputs[at].clone()).collect(),
+            given: inputs,
+            distinct: OnceLock::new(),
         }
     }
 
-    /// The distinct inputs observed in the trace.
+    /// The distinct inputs observed in the trace, in first-occurrence order
+    /// (the order the default [`InitRelation::extensions`] enumerates in),
+    /// computed on the first call in O(n log n).
     pub fn inputs(&self) -> &[I] {
-        &self.inputs
+        self.distinct.get_or_init(|| {
+            let inputs = &self.given;
+            // The positions sorted by input, then by position: each run of
+            // equal inputs starts at the input's first occurrence.
+            let mut first: Vec<usize> = (0..inputs.len()).collect();
+            first.sort_unstable_by(|&a, &b| inputs[a].cmp(&inputs[b]).then(a.cmp(&b)));
+            first.dedup_by(|later, run| inputs[*later] == inputs[*run]);
+            first.sort_unstable();
+            first.into_iter().map(|at| inputs[at].clone()).collect()
+        })
     }
 }
 
@@ -90,7 +100,7 @@ pub trait InitRelation<I> {
         ctx: &CandidateContext<I>,
     ) -> Vec<Vec<I>>
     where
-        I: Clone + Eq,
+        I: Clone + Ord,
     {
         let mut out: Vec<Vec<I>> = self
             .candidates(value, ctx)

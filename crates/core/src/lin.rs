@@ -219,10 +219,10 @@ where
 /// *is* a linearization function — the leaf oracle is trivial (speculative
 /// checking grafts abort feasibility there).
 fn definition_10<'m, T: Adt<Input: Ord>, V>(t: &Trace<ObjAction<T, V>>) -> Problem<'m, T, ()> {
-    let bounds: Rc<[_]> = ops::input_multisets::<T, V>(t).into();
+    let bounds = Rc::new(ops::input_bounds::<T, V>(t));
     Problem {
         commits: ops::commits::<T, V>(t),
-        pool: model::pool_of(bounds.last()),
+        pool: model::pool_of(&bounds),
         bounds,
         seed: Vec::new(),
         leaf: Box::new(|_| Some(())),

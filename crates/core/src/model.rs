@@ -54,13 +54,13 @@
 //! monitor's shard table).
 
 use crate::engine::{Chain, CheckerEngine, EngineError, Found, Refuted, SearchBudget, SearchSeed};
-use crate::ops::Commit;
+use crate::ops::{Bounds, Commit};
 use crate::partition::FallbackReason;
 use crate::stream::MonitorStatus;
 use crate::ObjAction;
 use slin_adt::{Adt, Partitioner};
 use slin_trace::wf::Invalid;
-use slin_trace::{PersistentMultiset, PhaseId, Trace};
+use slin_trace::{PhaseId, Trace};
 use std::fmt::Debug;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -72,9 +72,9 @@ use std::sync::Arc;
 pub struct Problem<'m, T: Adt, L> {
     /// The commits to place, ascending in trace index.
     pub commits: Vec<Commit<T>>,
-    /// The validity bound at every trace index, monotone along the
-    /// commits. A projection's class problems share the whole problem's.
-    pub bounds: Rc<[PersistentMultiset<T::Input>]>,
+    /// The validity bound at every trace index, one cumulative count
+    /// table. A projection's class problems share the whole problem's.
+    pub bounds: Rc<Bounds<T::Input>>,
     /// Every input a history may consume, with its multiplicity, ascending
     /// by input: the last bound's entries (`pool_of`), or their class's.
     pub pool: Vec<(T::Input, usize)>,
@@ -166,15 +166,10 @@ where
     }
 }
 
-/// A whole problem's pool: the entries of `bound`, the last validity
-/// bound, ascending by input.
-pub(crate) fn pool_of<I: Clone + Ord>(bound: Option<&PersistentMultiset<I>>) -> Vec<(I, usize)> {
-    let Some(bound) = bound else {
-        return Vec::new();
-    };
-    let mut pool: Vec<(I, usize)> = bound.iter().map(|(i, n)| (i.clone(), n)).collect();
-    pool.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    pool
+/// A whole problem's pool: the entries of the last validity bound,
+/// ascending by input.
+pub(crate) fn pool_of<I: Clone>(bounds: &Bounds<I>) -> Vec<(I, usize)> {
+    bounds.pool().map(|(i, n)| (i.clone(), n)).collect()
 }
 
 /// A model's statement of what there is to search in a trace.

@@ -8,6 +8,7 @@
 use crate::ObjAction;
 use slin_adt::Adt;
 use slin_trace::{Action, ClientId, PersistentMultiset, PhaseId, Trace};
+use std::collections::BTreeMap;
 
 /// The sequence of previous inputs `inputs(t, i)`: all inputs *invoked*
 /// strictly before index `i` (0-based), in trace order.
@@ -25,12 +26,9 @@ pub fn inputs_before<T: Adt, V>(t: &Trace<ObjAction<T, V>>, i: usize) -> Vec<T::
 }
 
 /// For every index `i`, the multiset of inputs invoked strictly before `i`
-/// (the `elems(inputs(t, i))` of Definition 10), computed incrementally.
-///
-/// The snapshots are [`PersistentMultiset`]s sharing structure with their
-/// neighbours, so materialising all `n + 1` of them costs O(n) — pushing
-/// one more snapshot is an O(1) clone plus an O(log alphabet) insert, not
-/// an O(alphabet) deep copy.
+/// (the `elems(inputs(t, i))` of Definition 10), one snapshot per index:
+/// the definition as written, kept as the reference the checkers' count
+/// table ([`Bounds`]) is tested against.
 pub fn input_multisets<T: Adt, V>(t: &Trace<ObjAction<T, V>>) -> Vec<PersistentMultiset<T::Input>> {
     let mut out = Vec::with_capacity(t.len() + 1);
     let mut cur: PersistentMultiset<T::Input> = PersistentMultiset::new();
@@ -42,6 +40,96 @@ pub fn input_multisets<T: Adt, V>(t: &Trace<ObjAction<T, V>>) -> Vec<PersistentM
         out.push(cur.clone());
     }
     out
+}
+
+/// Definition 10's validity bounds of `t` as one count table: an
+/// invocation at index `j` is an occurrence of its input in every bound
+/// from `j + 1` on.
+pub(crate) fn input_bounds<T: Adt<Input: Ord>, V>(t: &Trace<ObjAction<T, V>>) -> Bounds<T::Input> {
+    let mut bounds = Bounds::new();
+    for (j, a) in t.iter().enumerate() {
+        if let Action::Invoke { input, .. } = a {
+            bounds.add(j + 1, input);
+        }
+    }
+    bounds
+}
+
+/// The validity bounds of a trace (Definitions 10 and 26), one cumulative
+/// count table: the bound at trace index `i` holds `count(i, e)`
+/// occurrences of each input `e`.
+///
+/// Both definitions' bounds are prefix-cumulative — an occurrence, once
+/// valid, stays valid at every later index — so the table keeps, per
+/// input, a base count (the occurrences valid everywhere, such as those a
+/// streaming window retired) and the ascending indices from which its
+/// other occurrences are valid. One table answers every index; nothing is
+/// copied per index, and the bounds are monotone by construction.
+#[derive(Debug, Clone)]
+pub struct Bounds<I> {
+    /// One row per input met: a lookup or a new input is O(log alphabet).
+    rows: BTreeMap<I, Row>,
+}
+
+#[derive(Debug, Clone, Default)]
+struct Row {
+    /// Occurrences valid at every index.
+    base: usize,
+    /// Per further occurrence, the first index whose bound holds it,
+    /// ascending.
+    from: Vec<usize>,
+}
+
+impl<I> Bounds<I> {
+    /// The table of empty bounds.
+    pub(crate) fn new() -> Self {
+        Bounds {
+            rows: BTreeMap::new(),
+        }
+    }
+
+    /// Every input of the last bound — every input a history may consume —
+    /// with its multiplicity, ascending by input.
+    pub(crate) fn pool(&self) -> impl Iterator<Item = (&I, usize)> + '_ {
+        self.rows.iter().map(|(e, r)| (e, r.base + r.from.len()))
+    }
+
+    /// Folds every occurrence into the base: the bound at every index is
+    /// now the last one. A streaming window's retirement, after which its
+    /// indices start again at 0. Keeps every row's capacity.
+    pub(crate) fn collapse(&mut self) {
+        for row in self.rows.values_mut() {
+            row.base += row.from.len();
+            row.from.clear();
+        }
+    }
+}
+
+impl<I: Ord> Bounds<I> {
+    /// One more occurrence of `e` in the bound at every index from `from`
+    /// on.
+    pub(crate) fn add(&mut self, from: usize, e: &I)
+    where
+        I: Clone,
+    {
+        let from_list = match self.rows.get_mut(e) {
+            Some(row) => &mut row.from,
+            None => &mut self.rows.entry(e.clone()).or_default().from,
+        };
+        // The checkers add occurrences in index order: this is a push.
+        let slot = from_list.partition_point(|&f| f <= from);
+        from_list.insert(slot, from);
+    }
+
+    /// How many occurrences of `e` the bound at index `i` holds.
+    pub(crate) fn count(&self, i: usize, e: &I) -> usize {
+        (self.rows.get(e)).map_or(0, |row| row.base + row.from.partition_point(|&f| f <= i))
+    }
+
+    /// Whether `used` lies inside the bound at index `i`.
+    pub(crate) fn covers(&self, i: usize, used: &PersistentMultiset<I>) -> bool {
+        used.iter().all(|(e, n)| n <= self.count(i, e))
+    }
 }
 
 /// A commit index of a trace: a response event (Definition 8 / 22).
@@ -216,6 +304,74 @@ mod tests {
         assert_eq!(ms[0].len(), 0);
         assert_eq!(ms[2].len(), 2);
         assert_eq!(ms[4].len(), 2);
+    }
+
+    /// The count table against the snapshots it replaced, count by count:
+    /// at every index of random traces — single- and multi-key, with and
+    /// without switch actions — for every input a snapshot or the table
+    /// holds; and collapsed, every index reads the last snapshot.
+    #[test]
+    fn the_count_table_counts_what_the_snapshots_hold() {
+        use crate::gen::{random_multikey_kv_trace, random_phase_kv_trace};
+        use crate::gen::{MultiKeyConfig, PhaseConfig};
+        use proptest::prelude::*;
+        use slin_adt::KvStore;
+        fn agree<Vs>(t: &Trace<ObjAction<KvStore, Vs>>) -> Result<usize, TestCaseError> {
+            let snapshots = input_multisets::<KvStore, Vs>(t);
+            let mut table = input_bounds::<KvStore, Vs>(t);
+            for (i, snapshot) in snapshots.iter().enumerate() {
+                let inputs = snapshot
+                    .iter()
+                    .map(|(e, _)| e)
+                    .chain(table.pool().map(|(e, _)| e));
+                for e in inputs {
+                    prop_assert_eq!(table.count(i, e), snapshot.count(e), "{:?} at {}", e, i);
+                }
+                prop_assert!(table.covers(i, snapshot));
+            }
+            let last = snapshots
+                .last()
+                .expect("one snapshot per index and one more");
+            let pool: Vec<_> = table.pool().map(|(e, n)| (*e, n)).collect();
+            prop_assert!(pool.windows(2).all(|w| w[0].0 < w[1].0));
+            prop_assert!(pool.iter().all(|(e, n)| last.count(e) == *n));
+            prop_assert_eq!(pool.iter().map(|(_, n)| n).sum::<usize>(), last.len());
+            table.collapse();
+            for (e, n) in last.iter() {
+                prop_assert_eq!((table.count(0, e), table.count(t.len(), e)), (n, n));
+            }
+            Ok(last.len())
+        }
+        let mut invocations = 0;
+        let config = (1..5u32, 0..80usize, 1..4u32, any::<u64>(), prop::bool::ANY);
+        TestRunner::new(ProptestConfig::with_cases(400)).run_cases(
+            "the_count_table_counts_what_the_snapshots_hold",
+            |rng| {
+                let (clients, steps, keys, seed, phased) = config.new_value(rng);
+                invocations += if phased {
+                    agree(&random_phase_kv_trace(&PhaseConfig {
+                        clients,
+                        steps,
+                        keys,
+                        seed,
+                        ..PhaseConfig::default()
+                    }))
+                } else {
+                    agree(&random_multikey_kv_trace(&MultiKeyConfig {
+                        clients,
+                        steps,
+                        keys,
+                        seed,
+                        ..MultiKeyConfig::default()
+                    }))
+                }?;
+                Ok(())
+            },
+        );
+        assert!(
+            invocations > 5_000,
+            "a vacuous corpus: {invocations} invocations"
+        );
     }
 
     #[test]

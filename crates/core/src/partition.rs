@@ -108,12 +108,13 @@
 
 use crate::engine::{Chain, SearchStats};
 use crate::model::{ConsistencyModel, Interpretation, Projection};
+use crate::ops::Bounds;
 use crate::session::Verdict;
 use crate::stream::MonitorStatus;
 use crate::ObjAction;
 use slin_adt::{Adt, Partitioner};
 use slin_obs::{EngineSearchEvent, Obs};
-use slin_trace::{Action, PersistentMultiset, Trace};
+use slin_trace::{Action, Trace};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Why a trace went monolithic: the reason a model's projection answered
@@ -685,7 +686,7 @@ struct Queue<'c, I> {
     row: Option<usize>,
 }
 
-impl<'c, I: Clone + Ord + std::hash::Hash> Queue<'c, I> {
+impl<'c, I: Clone + Ord> Queue<'c, I> {
     /// The steps of `chain` past its first `pos` inputs, the seed's.
     fn new(chain: &'c Chain<I>, pos: usize, tallies: &mut Tallies<'_, I>) -> Self {
         let mut q = Queue {
@@ -724,9 +725,8 @@ impl<'c, I: Clone + Ord + std::hash::Hash> Queue<'c, I> {
 /// * a step is viable only if consuming its input keeps the merged
 ///   consumed inputs inside the bound of every remaining commit (`bounds`
 ///   are the full trace's) — read off the earliest remaining commit, the
-///   *floor*, so `bounds` must be monotone along the commit indices the
-///   chains carry (`bounds[i] ⊆ bounds[j]` for `i < j`; debug builds
-///   assert it);
+///   *floor*, which carries the tightest one: a count table's bounds only
+///   grow along the trace;
 /// * at every extras node, the **leftover pool inputs of partitions whose
 ///   chain is placed** compete with the heads: the engine greedily
 ///   consumes them (no-ops for every remaining commit) whenever they sort
@@ -743,8 +743,8 @@ impl<'c, I: Clone + Ord + std::hash::Hash> Queue<'c, I> {
 /// The merged history extends `seed` (the whole problem's), whose
 /// elements count against the bounds. Each placed commit is a cut of the
 /// one merged history: no history is copied.
-pub(crate) fn merge_partition_chains<I: Clone + Ord + std::hash::Hash>(
-    bounds: &[PersistentMultiset<I>],
+pub(crate) fn merge_partition_chains<I: Clone + Ord>(
+    bounds: &Bounds<I>,
     parts: Vec<Part<I>>,
     seed: Vec<I>,
 ) -> Option<Chain<I>> {
@@ -755,12 +755,6 @@ pub(crate) fn merge_partition_chains<I: Clone + Ord + std::hash::Hash>(
         .flat_map(|(chain, _, _)| chain.cuts().iter().map(|&(i, _)| i))
         .collect();
     remaining.sort_unstable_by(|a, b| b.cmp(a));
-    debug_assert!(
-        remaining
-            .windows(2)
-            .all(|w| bounds[w[1]].is_subset_of(&bounds[w[0]])),
-        "bounds must be monotone along the merged commit indices"
-    );
 
     // Sized for every step and seed input: the rows and the history grow
     // without reallocating.
@@ -896,7 +890,7 @@ pub(crate) fn merge_partition_chains<I: Clone + Ord + std::hash::Hash>(
 /// index, so the merge holds each queue head's; a binary search over the
 /// rows in input order finds an input's (no input is hashed).
 struct Tallies<'b, I> {
-    bounds: &'b [PersistentMultiset<I>],
+    bounds: &'b Bounds<I>,
     rows: Vec<Tally<I>>,
     /// The rows' indices, ascending by input.
     by_input: Vec<usize>,
@@ -907,11 +901,11 @@ struct Tally<I> {
     used: usize,
     /// The floor `bound` was read at (`usize::MAX`: not read yet).
     floor: usize,
-    /// `bounds[floor].count(input)`: 0 until read.
+    /// `bounds.count(floor, input)`: 0 until read.
     bound: usize,
 }
 
-impl<I: Clone + Ord + std::hash::Hash> Tallies<'_, I> {
+impl<I: Clone + Ord> Tallies<'_, I> {
     /// The row of `input`, added with nothing consumed if it has none.
     fn row_of(&mut self, input: &I) -> usize {
         let rows = &self.rows;
@@ -954,7 +948,7 @@ impl<I: Clone + Ord + std::hash::Hash> Tallies<'_, I> {
         };
         let tally = &mut self.rows[row];
         if tally.used >= tally.bound && tally.floor != floor {
-            tally.bound = self.bounds[floor].count(&tally.input);
+            tally.bound = self.bounds.count(floor, &tally.input);
             tally.floor = floor;
         }
         tally.used < tally.bound
@@ -965,6 +959,7 @@ impl<I: Clone + Ord + std::hash::Hash> Tallies<'_, I> {
 mod tests {
     use super::*;
     use slin_adt::{IdentityPartitioner, KvInput, KvKeyPartitioner, KvOutput, KvStore};
+    use slin_trace::PersistentMultiset;
     use slin_trace::{Action, ClientId, PhaseId};
     use std::collections::VecDeque;
     use std::thread::ThreadId;
@@ -973,9 +968,22 @@ mod tests {
 
     const BUDGET: usize = crate::engine::SearchBudget::DEFAULT_MAX_NODES;
 
+    /// The count table whose bound at every index holds `base`, plus
+    /// each `(from, input)` occurrence from index `from` on.
+    fn table<I: Clone + Ord>(base: &[I], from: &[(usize, I)]) -> Bounds<I> {
+        let mut bounds = Bounds::new();
+        for e in base {
+            bounds.add(0, e);
+        }
+        for (at, e) in from {
+            bounds.add(*at, e);
+        }
+        bounds
+    }
+
     /// A merge pool: `items` counted, ascending.
-    fn pool<I: Clone + Ord + std::hash::Hash>(items: &[I]) -> Vec<(I, usize)> {
-        crate::model::pool_of(Some(&PersistentMultiset::elems(items)))
+    fn pool<I: Clone + Ord>(items: &[I]) -> Vec<(I, usize)> {
+        crate::model::pool_of(&table(items, &[]))
     }
 
     /// A merge part: the class chain cutting `history` at `cuts`, grown
@@ -1062,7 +1070,7 @@ mod tests {
     fn merge_grows_its_histories_from_the_seed() {
         // The seed's inputs are consumed before the first step and lead
         // every merged history.
-        let bounds = vec![PersistentMultiset::elems(&["s", "a", "b"]); 3];
+        let bounds = table(&["s", "a", "b"], &[]);
         let pa = part(vec!["a"], vec![(2, 1)], &["a"]);
         let pb = part(vec!["b"], vec![(1, 1)], &["b"]);
         let chain =
@@ -1366,12 +1374,7 @@ mod tests {
     #[test]
     fn merge_prefers_commits_by_index_then_extras_by_input() {
         // Bounds admit two occurrences of everything everywhere.
-        let mut everything = PersistentMultiset::new();
-        for x in ["a", "b", "x", "y"] {
-            everything.insert(x);
-            everything.insert(x);
-        }
-        let bounds = vec![everything; 8];
+        let bounds = table(&["a", "a", "b", "b", "x", "x", "y", "y"], &[]);
         // Commit 3 (a), extra y, commit 7 (a); commit 1 (b), extra x,
         // commit 5 (b).
         let pa = part(vec!["a", "y", "a"], vec![(3, 1), (7, 3)], &["a", "y", "a"]);
@@ -1390,13 +1393,8 @@ mod tests {
         // commit head is viable behind it: the monolithic engine could
         // interleave extras outside every partition witness, so the merge
         // must refuse to guess.
-        let mut b1 = PersistentMultiset::new();
-        b1.insert("b");
-        let mut all = PersistentMultiset::new();
-        for x in ["a0", "a", "b", "b0"] {
-            all.insert(x);
-        }
-        let bounds = vec![b1.clone(), b1, all.clone(), all.clone(), all];
+        // `{b}` at indices 0 and 1, `{a0, a, b, b0}` from 2 on.
+        let bounds = table(&["b"], &[(2, "a0"), (2, "a"), (2, "b0")]);
         // Extra a0, commit 3 (a); extra b0, commit 1 (b).
         let pa = part(vec!["a0", "a"], vec![(3, 2)], &["a0", "a"]);
         let pb = part(vec!["b0", "b"], vec![(1, 2)], &["b0", "b"]);
@@ -1408,13 +1406,8 @@ mod tests {
         // Partition A's head extra escapes commit 1's bound, but B's
         // commit 1 itself is viable: move 1 fires first, clearing the
         // block — no bail, and the commit order matches the engine's.
-        let mut b1 = PersistentMultiset::new();
-        b1.insert("b");
-        let mut all = PersistentMultiset::new();
-        for x in ["a0", "a", "b"] {
-            all.insert(x);
-        }
-        let bounds = vec![b1.clone(), b1, all.clone(), all];
+        // `{b}` at indices 0 and 1, `{a0, a, b}` from 2 on.
+        let bounds = table(&["b"], &[(2, "a0"), (2, "a")]);
         // Extra a0, commit 3 (a); commit 1 (b).
         let pa = part(vec!["a0", "a"], vec![(3, 2)], &["a0", "a"]);
         let pb = part(vec!["b"], vec![(1, 1)], &["b"]);
@@ -1430,11 +1423,7 @@ mod tests {
         // Partition B finishes at commit 1 with a leftover pool input "b0"
         // that sorts below partition A's needed extra "x": the engine
         // consumes the harmless leftover first, so the merge must too.
-        let mut all = PersistentMultiset::new();
-        for x in ["a", "a", "b", "b0", "x"] {
-            all.insert(x);
-        }
-        let bounds = vec![all.clone(); 5];
+        let bounds = table(&["a", "a", "b", "b0", "x"], &[]);
         // Commit 0 (a), extra x, commit 4 (a); commit 1 (b).
         let pa = part(vec!["a", "x", "a"], vec![(0, 1), (4, 3)], &["a", "x", "a"]);
         let pb = part(vec!["b"], vec![(1, 1)], &["b", "b0"]);
@@ -1453,7 +1442,7 @@ mod tests {
     /// extra) read off its chain's commit histories up front — kept as the
     /// reference `merge_partition_chains` is tested against.
     fn merge_by_scan<I: Clone + Ord + std::hash::Hash>(
-        bounds: &[PersistentMultiset<I>],
+        bounds: &Bounds<I>,
         parts: Vec<Part<I>>,
         seed: Vec<I>,
         seed_used: PersistentMultiset<I>,
@@ -1493,7 +1482,7 @@ mod tests {
             remaining
                 .iter()
                 .filter(|(idx, _)| Some(*idx) != except)
-                .all(|(idx, _)| used.count(input) < bounds[*idx].count(input))
+                .all(|(idx, _)| used.count(input) < bounds.count(*idx, input))
         };
 
         loop {
@@ -1506,7 +1495,7 @@ mod tests {
                 match q.front() {
                     Some(&(Some(idx), ref input)) => {
                         any_head = true;
-                        if used.count(input) >= bounds[idx].count(input)
+                        if used.count(input) >= bounds.count(idx, input)
                             || !viable(&used, input, Some(idx), &remaining)
                         {
                             any_blocked = true;
@@ -1594,7 +1583,7 @@ mod tests {
 
     /// The merge's bounds, class chains with their seed lengths and pools,
     /// and seed.
-    type MergeInputs<I> = (Vec<PersistentMultiset<I>>, Vec<Part<I>>, Vec<I>);
+    type MergeInputs<I> = (Bounds<I>, Vec<Part<I>>, Vec<I>);
 
     /// `merge_partition_chains` and [`merge_by_scan`] on the same inputs,
     /// the reference seeded with what the merge counts itself: the seed's
@@ -1629,7 +1618,7 @@ mod tests {
                 Some((chain, class.seed.len(), class.pool.clone()))
             })
             .collect::<Option<_>>()?;
-        Some((whole.bounds.to_vec(), parts, whole.seed))
+        Some(((*whole.bounds).clone(), parts, whole.seed))
     }
 
     /// The floor rule against the scan on every class-queue set [`check`]
@@ -1715,18 +1704,18 @@ mod tests {
                 for (pool, more) in pools.iter_mut().zip(extras) {
                     pool.extend(more);
                 }
-                let mut bound: PersistentMultiset<u8> = seed.iter().copied().collect();
-                let bounds = growth[..=keys.len()]
-                    .iter()
-                    .map(|more| {
-                        bound.extend(more.iter().copied());
-                        bound.clone()
-                    })
+                let growth = growth[..=keys.len()].iter().enumerate();
+                let from: Vec<(usize, u8)> = growth
+                    .flat_map(|(at, more)| more.iter().map(move |&e| (at, e)))
                     .collect();
+                let bounds = table(&seed, &from);
                 let chains = histories.into_iter().zip(cuts);
                 let parts = chains
                     .zip(&pools)
-                    .map(|((h, c), p)| (Chain::new(h, c), 0, crate::model::pool_of(Some(p))))
+                    .map(|((h, c), p)| {
+                        let items: Vec<u8> = p.iter().flat_map(|(&e, n)| vec![e; n]).collect();
+                        (Chain::new(h, c), 0, pool(&items))
+                    })
                     .collect();
                 let (got, want) = both_merges((bounds, parts, seed));
                 merged += got.is_some() as usize;

@@ -41,14 +41,14 @@
 use crate::engine::{Chain, EngineError, Refuted, SearchBudget};
 use crate::initrel::{CandidateContext, InitRelation};
 use crate::model::{self, ConsistencyModel, Problem, Projection};
-use crate::ops::{self, Commit, SwitchEvent};
+use crate::ops::{self, Bounds, Commit, SwitchEvent};
 use crate::partition::{self, FallbackReason};
 use crate::stream::MonitorStatus;
 use crate::ObjAction;
 use slin_adt::{Adt, IdentityPartitioner, Partitioner};
 use slin_trace::seq;
 use slin_trace::wf::{self, Invalid, WellFormednessError};
-use slin_trace::{PersistentMultiset, PhaseId, Trace};
+use slin_trace::{PhaseId, Trace};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
@@ -321,8 +321,9 @@ where
     }
 
     /// The *valid inputs* `vi(m, t, finit, i)` (Definition 26) at every
-    /// trace index `0..=t_len`, built in one pass — the bounds of the whole
-    /// problem and, read in place, of every class problem.
+    /// trace index `0..=t_len`, as one count table built in one pass — the
+    /// bounds of the whole problem and, read in place, of every class
+    /// problem.
     ///
     /// By the definitions, `vi(i) = ivi(i) ⊎ elems(inputs(t, i))` with
     /// `ivi(i)` (Definition 25) the inputs vouched for by init actions
@@ -337,83 +338,45 @@ where
     /// Every term is prefix-monotone, so `vi(i + 1)` is `vi(i)` plus what
     /// action `i` contributes: its input if it is an invocation; if it is
     /// an interpreted init action, its pending input and whatever its
-    /// history raises the running ∪ by. A snapshot is an O(1) clone.
+    /// history raises the running ∪ by — occurrences valid from `i + 1` on.
     ///
     /// Each contribution is of one input, so under the partitioner contract
     /// it lands in exactly one independence class, and `vi(i)` holds every
     /// class's projected bound count for count: a class problem reads these
     /// bounds at its own inputs and needs no projection of its own.
-    /// `valid_inputs_by_definition` (the two whole-multiset sums per index,
-    /// read off the definitions) is the test oracle.
+    /// `tests::valid_inputs_by_definition` (the two whole-multiset sums per
+    /// index, read off the definitions) is the test oracle.
     fn valid_inputs(
         &self,
         prep: &Prepared<T, R::Value>,
         finit: &[(usize, &Vec<T::Input>)],
-    ) -> Rc<[PersistentMultiset<T::Input>]> {
-        let mut vi = PersistentMultiset::new();
-        // The running ∪ of the interpretation histories' elements: counts
-        // only, nothing reads a snapshot of it.
+    ) -> Rc<Bounds<T::Input>> {
+        let mut vi = Bounds::new();
+        // The running ∪ of the interpretation histories' elements.
         let mut hist_elems: BTreeMap<&T::Input, usize> = BTreeMap::new();
         let mut invoked = prep.invoked.iter().peekable();
         let mut inits = prep.inits.iter().peekable();
         let mut interpreted = finit.iter().peekable();
-        (0..=prep.t_len)
-            .map(|i| {
-                let before = vi.clone();
-                if let Some((_, input)) = invoked.next_if(|(j, _)| *j == i) {
-                    vi.insert(input.clone());
-                }
-                // An init action whose value has no candidate
-                // interpretation is absent from `finit` and vouches for
-                // nothing.
-                let init = inits.next_if(|s| s.index == i);
-                let hist = interpreted.next_if(|(j, _)| *j == i);
-                if let (Some(init), Some((_, hist))) = (init, hist) {
-                    vi.insert(init.input.clone());
-                    for (input, n) in elem_counts(hist) {
-                        let had = hist_elems.entry(input).or_insert(0);
-                        if n > *had {
-                            vi.add(input.clone(), n - *had);
-                            *had = n;
-                        }
-                    }
-                }
-                before
-            })
-            .collect()
-    }
-
-    /// Definitions 25–26 as written — the reference `valid_inputs` is
-    /// tested against: `ivi` by one ∪ and one ⊎ per init action, `vi` by a
-    /// whole-multiset ⊎ per trace index.
-    #[cfg(test)]
-    fn valid_inputs_by_definition(
-        &self,
-        t: &Trace<ObjAction<T, R::Value>>,
-        prep: &Prepared<T, R::Value>,
-        finit: &[(usize, &Vec<T::Input>)],
-    ) -> Vec<PersistentMultiset<T::Input>> {
-        let mut ivi: Vec<PersistentMultiset<T::Input>> = Vec::with_capacity(prep.t_len + 1);
-        let mut hist_elems: PersistentMultiset<T::Input> = PersistentMultiset::new();
-        let mut pending_sum: PersistentMultiset<T::Input> = PersistentMultiset::new();
-        ivi.push(PersistentMultiset::new());
         for i in 0..prep.t_len {
-            if let Some((_, h)) = finit.iter().find(|(j, _)| *j == i) {
-                let init_input = prep
-                    .inits
-                    .iter()
-                    .find(|s| s.index == i)
-                    .map(|s| s.input.clone())
-                    .expect("finit indices come from inits");
-                hist_elems = hist_elems.union_max(&PersistentMultiset::elems(h));
-                pending_sum.insert(init_input);
+            if let Some((_, input)) = invoked.next_if(|(j, _)| *j == i) {
+                vi.add(i + 1, input);
             }
-            ivi.push(hist_elems.sum(&pending_sum));
+            // An init action whose value has no candidate interpretation is
+            // absent from `finit` and vouches for nothing.
+            let init = inits.next_if(|s| s.index == i);
+            let hist = interpreted.next_if(|(j, _)| *j == i);
+            if let (Some(init), Some((_, hist))) = (init, hist) {
+                vi.add(i + 1, &init.input);
+                for (input, n) in elem_counts(hist) {
+                    let had = hist_elems.entry(input).or_insert(0);
+                    for _ in *had..n {
+                        vi.add(i + 1, input);
+                    }
+                    *had = (*had).max(n);
+                }
+            }
         }
-        ivi.iter()
-            .zip(ops::input_multisets::<T, R::Value>(t).iter())
-            .map(|(a, b)| a.sum(b))
-            .collect()
+        Rc::new(vi)
     }
 }
 
@@ -438,27 +401,21 @@ where
         prep: &Prepared<T, R::Value>,
         finit: Arc<Histories<T::Input>>,
         lcp: Vec<T::Input>,
-        vi: Rc<[PersistentMultiset<T::Input>]>,
+        vi: Rc<Bounds<T::Input>>,
         commits: Vec<Commit<T>>,
     ) -> Problem<'p, T, Interpretations<T::Input>> {
         let constrain_init_order = !finit.is_empty();
         let aborts: Vec<AbortEvent<T::Input, R::Value>> = prep
             .aborts
             .iter()
-            .map(|s| {
-                (
-                    s.index,
-                    s.input.clone(),
-                    s.value.clone(),
-                    vi[s.index].clone(),
-                )
-            })
+            .map(|s| (s.index, s.input.clone(), s.value.clone()))
             .collect();
         let ctx = Arc::clone(&prep.ctx);
         let seed = lcp.clone();
+        let valid = Rc::clone(&vi);
         Problem {
             commits,
-            pool: model::pool_of(vi.last()),
+            pool: model::pool_of(&vi),
             bounds: vi,
             seed,
             leaf: Box::new(move |longest| {
@@ -467,6 +424,7 @@ where
                 };
                 aborts_feasible::<T, R::Value>(
                     &aborts,
+                    &valid,
                     longest,
                     &lcp,
                     constrain_init_order,
@@ -698,7 +656,7 @@ where
             // whole history (or the pending input's) alone can fail.
             let mut draws = vec![true; count];
             for (s, h) in prep.aborts.iter().zip(&abort_hists) {
-                for e in overdrawn(h, &s.input, &whole_problem.bounds[s.index]) {
+                for e in overdrawn(h, &s.input, &whole_problem.bounds, s.index) {
                     draws[class_of(e)] = false;
                 }
             }
@@ -761,15 +719,15 @@ type Histories<I> = Vec<(usize, Vec<I>)>;
 type Interpretations<I> = (Histories<I>, Histories<I>);
 
 /// An abort action for the leaf: `(trace index, pending input, switch
-/// value, valid inputs at the index)`.
-type AbortEvent<I, V> = (usize, I, V, PersistentMultiset<I>);
+/// value)`.
+type AbortEvent<I, V> = (usize, I, V);
 
 /// Enumerator of `rinit` members extending a prefix (the ∃ `fabort` side).
 type ExtendFn<'a, I, V> = dyn Fn(&V, &[I]) -> Vec<Vec<I>> + 'a;
 
 /// Leaf check: every abort event needs an interpretation that extends
 /// the longest commit history (Abort-Order), extends the init LCP
-/// (Init-Order), and draws from the valid inputs at its index
+/// (Init-Order), and draws from the valid inputs `vi` at its index
 /// (Definition 28).
 ///
 /// Definition 31 demands a *strict* prefix; we require strictness only
@@ -781,16 +739,17 @@ type ExtendFn<'a, I, V> = dyn Fn(&V, &[I]) -> Vec<Vec<I>> + 'a;
 /// prefix reasoning on abort histories.
 fn aborts_feasible<T: Adt<Input: Ord>, V>(
     abort_events: &[AbortEvent<T::Input, V>],
+    vi: &Bounds<T::Input>,
     longest_commit: &[T::Input],
     lcp: &[T::Input],
     constrain_init_order: bool,
     extend: &ExtendFn<'_, T::Input, V>,
 ) -> Option<Histories<T::Input>> {
     let mut chosen = Vec::with_capacity(abort_events.len());
-    for (index, input, value, valid) in abort_events {
+    for (index, input, value) in abort_events {
         let cands = extend(value, longest_commit);
         let ok = cands.into_iter().find(|a| {
-            (!constrain_init_order || seq::is_prefix(lcp, a)) && draws_within(a, input, valid)
+            (!constrain_init_order || seq::is_prefix(lcp, a)) && draws_within(a, input, vi, *index)
         });
         match ok {
             Some(a) => chosen.push((*index, a)),
@@ -800,27 +759,27 @@ fn aborts_feasible<T: Adt<Input: Ord>, V>(
     Some(chosen)
 }
 
-/// `elems(h) ∪ {pending} ⊆ bound` — an abort history, with its action's
-/// pending input, draws from the valid inputs (Definition 28).
-fn draws_within<I: Ord + std::hash::Hash>(
-    h: &[I],
-    pending: &I,
-    bound: &PersistentMultiset<I>,
-) -> bool {
-    overdrawn(h, pending, bound).next().is_none()
+/// `elems(h) ∪ {pending} ⊆ vi[at]` — an abort history, with its action's
+/// pending input, draws from the valid inputs at the abort's index `at`
+/// (Definition 28).
+fn draws_within<I: Ord>(h: &[I], pending: &I, vi: &Bounds<I>, at: usize) -> bool {
+    overdrawn(h, pending, vi, at).next().is_none()
 }
 
 /// The inputs that break [`draws_within`], by counting: the ∪ asks the
-/// bound for each element's multiplicity in `h`, ascending, and last for
-/// the pending input's, at least once.
-fn overdrawn<'a, I: Ord + std::hash::Hash>(
+/// bound at `at` for each element's multiplicity in `h`, ascending, and
+/// last for the pending input's, at least once.
+fn overdrawn<'a, I: Ord>(
     h: &'a [I],
     pending: &'a I,
-    bound: &'a PersistentMultiset<I>,
+    vi: &'a Bounds<I>,
+    at: usize,
 ) -> impl Iterator<Item = &'a I> {
     let own = h.iter().filter(|&e| e == pending).count().max(1);
     let counts = elem_counts(h).into_iter().chain([(pending, own)]);
-    counts.filter(|&(e, n)| n > bound.count(e)).map(|(e, _)| e)
+    counts
+        .filter(move |&(e, n)| n > vi.count(at, e))
+        .map(|(e, _)| e)
 }
 
 /// Histories projected onto every class, in one pass: row `r`'s class-`k`
@@ -927,7 +886,7 @@ mod tests {
     use crate::engine::SearchStats;
     use crate::initrel::{ConsensusInit, ExactInit};
     use slin_adt::{ConsInput, ConsOutput, Consensus, Universal, Value};
-    use slin_trace::{Action, ClientId};
+    use slin_trace::{Action, ClientId, PersistentMultiset};
 
     type CV = Value;
     type CA = ObjAction<Consensus, CV>;
@@ -1136,8 +1095,41 @@ mod tests {
         assert!(checker.check(&t).is_err());
     }
 
+    /// Definitions 25–26 as written — the reference `valid_inputs` is
+    /// tested against: `ivi` by one ∪ and one ⊎ per init action, `vi` by a
+    /// whole-multiset ⊎ per trace index.
+    fn valid_inputs_by_definition<T: Adt, V>(
+        t: &Trace<ObjAction<T, V>>,
+        prep: &Prepared<T, V>,
+        finit: &[(usize, &Vec<T::Input>)],
+    ) -> Vec<PersistentMultiset<T::Input>> {
+        let mut ivi: Vec<PersistentMultiset<T::Input>> = Vec::with_capacity(prep.t_len + 1);
+        let mut hist_elems: PersistentMultiset<T::Input> = PersistentMultiset::new();
+        let mut pending_sum: PersistentMultiset<T::Input> = PersistentMultiset::new();
+        ivi.push(PersistentMultiset::new());
+        for i in 0..prep.t_len {
+            if let Some((_, h)) = finit.iter().find(|(j, _)| *j == i) {
+                let init_input = prep
+                    .inits
+                    .iter()
+                    .find(|s| s.index == i)
+                    .map(|s| s.input.clone())
+                    .expect("finit indices come from inits");
+                hist_elems = hist_elems.union_max(&PersistentMultiset::elems(h));
+                pending_sum.insert(init_input);
+            }
+            ivi.push(hist_elems.sum(&pending_sum));
+        }
+        ivi.iter()
+            .zip(ops::input_multisets::<T, V>(t).iter())
+            .map(|(a, b)| a.sum(b))
+            .collect()
+    }
+
     /// The one-pass `valid_inputs` against Definitions 25–26 as written:
-    /// equal at every trace index under every interpretation.
+    /// equal at every trace index under every interpretation, count by
+    /// count — every input of the definition's multiset, and every input
+    /// the table holds.
     fn assert_valid_inputs_match_the_definition<T, R>(
         chk: &SlinChecker<T, R>,
         t: &Trace<ObjAction<T, R::Value>>,
@@ -1149,9 +1141,22 @@ mod tests {
         let prep = chk.prepare(t).expect("the corpus is well-formed");
         for idx in 0..prep.combos {
             let finit = chk.finit_at(&prep, idx);
-            let want = chk.valid_inputs_by_definition(t, &prep, &finit);
+            let want = valid_inputs_by_definition(t, &prep, &finit);
             let got = chk.valid_inputs(&prep, &finit);
-            assert_eq!(*got, want, "interpretation {idx} of {t:?}");
+            assert_eq!(want.len(), t.len() + 1);
+            for (i, want) in want.iter().enumerate() {
+                let inputs = want
+                    .iter()
+                    .map(|(e, _)| e)
+                    .chain(got.pool().map(|(e, _)| e));
+                for e in inputs {
+                    assert_eq!(
+                        got.count(i, e),
+                        want.count(e),
+                        "{e:?} at {i}, interpretation {idx} of {t:?}"
+                    );
+                }
+            }
         }
     }
 
@@ -1200,7 +1205,7 @@ mod tests {
         let prep = chk.prepare(&collision).unwrap();
         assert!(prep.combos > 1, "adversarial interpretations enumerated");
         let vi = chk.valid_inputs(&prep, &chk.finit_at(&prep, 0));
-        let counts: Vec<usize> = vi.iter().map(|ms| ms.count(&p(5))).collect();
+        let counts: Vec<usize> = (0..=collision.len()).map(|i| vi.count(i, &p(5))).collect();
         // Init at 0: history p(5) + pending p(5); invoke at 2; init at 3:
         // the ∪ is already covered, only the pending input is added.
         assert_eq!(counts, [0, 2, 2, 3, 4, 4]);
@@ -1228,11 +1233,15 @@ mod tests {
             pending in 0..5u8,
             bound in proptest::collection::vec(0..4u8, 0..9),
         ) {
+            let mut table = Bounds::new();
+            for e in &bound {
+                table.add(0, e);
+            }
             let bound: PersistentMultiset<u8> = bound.into_iter().collect();
             let by_algebra = PersistentMultiset::elems(&h)
                 .union_max(&PersistentMultiset::elems(&[pending]))
                 .is_subset_of(&bound);
-            proptest::prop_assert_eq!(draws_within(&h, &pending, &bound), by_algebra);
+            proptest::prop_assert_eq!(draws_within(&h, &pending, &table, 0), by_algebra);
         }
     }
 

@@ -256,11 +256,11 @@ pub struct ShardSummary {
     pub live_configs: usize,
     /// Distinct persistent-multiset nodes currently reachable from the
     /// shards (pointer-deduplicated across structure sharing) — the
-    /// retained-memory proxy for each shard's bound snapshots and its
-    /// configurations' consumed inputs and completions; the monitor keeps
-    /// no snapshots of its own. A node is a bucket of up to 32 entries or a
-    /// 16-way branch, so a multiset of at most 32 distinct elements counts
-    /// as one.
+    /// retained-memory proxy for the configurations' consumed inputs and
+    /// completions. Bounds are not counted: a shard's are a count table of
+    /// integers, not multisets, and the monitor keeps none of its own. A
+    /// node is a bucket of up to 32 entries or a 16-way branch, so a
+    /// multiset of at most 32 distinct elements counts as one.
     pub multiset_nodes: usize,
     /// Events currently retained in shard windows (not yet retired).
     pub window_events: usize,

@@ -9,9 +9,13 @@
 //! growing prefix:
 //!
 //! * an **invocation** only widens future validity bounds, so every
-//!   frontier configuration stays complete — O(1) (the cumulative bound
-//!   snapshot is a [`PersistentMultiset`], so "snapshot per index" is one
-//!   O(1) structure-sharing clone, not an O(alphabet) deep copy);
+//!   frontier configuration stays complete. It records one occurrence in
+//!   the shard's count table ([`crate::ops::Bounds`]: per input, a base
+//!   count and the window indices its occurrences arrive at, which answers
+//!   the bound at every window index): a lookup and a push into a buffer
+//!   that keeps its capacity — no bound is copied per index, and the window
+//!   buffers (events, global indices, commits) are cleared, not dropped, at
+//!   a retirement, so they grow to a window's events once;
 //! * a **response** (a new commit) either is **absorbed** by a matching
 //!   symbolic straggler completion recorded by an earlier epoch cut or
 //!   fallback (see below) or extends each configuration *at the tail* of
@@ -48,8 +52,16 @@
 //! outlive the enumeration on its thread's free list, so the next one
 //! starts with their capacity; a `KvStore` state is one shared slice that a
 //! read or a no-op write does not copy ([`slin_adt::KvState`]); and the
-//! frontier's direct-commit pass tests one count, building `used` and the
-//! history only for a configuration whose output matched. On the
+//! frontier's direct-commit pass tests one count, building `used` only for
+//! a configuration whose output matched and *moving* that configuration
+//! into its successor — history and completions taken, not copied — into
+//! a result set it reuses from commit to commit. A calm event neither
+//! searches nor falls back, so it allocates little beyond what its
+//! successor configurations' states and consumed inputs need: 1.7
+//! allocations per event in release on the calm stream of
+//! `tests/tests/alloc_gate.rs`, window retirements included, where a
+//! per-index bound snapshot, a copied history and fresh window buffers
+//! made it 5.9. On the
 //! `stream-hotkey` benchmark workload an event's whole wall divided by its
 //! search nodes is ≈360 ns (≈810 when every node path-copied a multiset and cloned its
 //! memo key), on `stream-stragglers` ≈580 (≈1 090) — at the 10.1 and 6.4
@@ -202,7 +214,7 @@ use crate::engine::{
     CheckerEngine, EngineError, Found, HashIndex, KeyHasher, LeafUsed, Search, SearchBudget,
     SearchSeed, SearchStats, Visitor,
 };
-use crate::ops::Commit;
+use crate::ops::{Bounds, Commit};
 use crate::ObjAction;
 use slin_adt::Adt;
 use slin_obs::{CutOutcome, GcCutEvent, Obs, ShardIngestEvent};
@@ -367,6 +379,12 @@ impl<T: Adt> Distinct<T> {
         self.index.push(hash);
         self.configs.push(cfg);
     }
+
+    /// Empties the set, keeping its capacity.
+    fn clear(&mut self) {
+        self.configs.clear();
+        self.index.clear();
+    }
 }
 
 /// Greedy absorption of window commits into a seed's symbolic
@@ -446,11 +464,11 @@ pub(crate) struct ShardState<T: Adt, V> {
     pub sub: Trace<ObjAction<T, V>>,
     /// Global stream index of each window action.
     pub index_map: Vec<usize>,
-    /// Cumulative input multisets per window index (length `sub.len() + 1`),
-    /// every entry including the retired base inputs. Persistent:
-    /// structure-sharing snapshots, O(1) to take, O(window + alphabet)
-    /// retained nodes in total.
-    input_ms: Vec<PersistentMultiset<T::Input>>,
+    /// The validity bounds at every window index, one count table: an
+    /// invocation at window index `j` is an occurrence from `j + 1` on, and
+    /// the retired windows' occurrences are its base. O(window + alphabet)
+    /// integers; a retirement collapses it in place.
+    bounds: Bounds<T::Input>,
     /// Window commits; `Commit::index` is the *window* sub-trace index.
     commits: Vec<Commit<T>>,
     /// The retained summary of the retired prefix: the complete set of
@@ -463,6 +481,10 @@ pub(crate) struct ShardState<T: Adt, V> {
     /// retirement; the seeds are not copied.
     checkpoint: Option<Checkpoint<T>>,
     frontier: Vec<FrontierCfg<T>>,
+    /// The direct-commit pass's result set, reused from commit to commit:
+    /// the pass fills it, the frontier and its configurations swap, and
+    /// the old frontier is dropped in it.
+    next: Distinct<T>,
     status: ShardStatus,
     /// Invocations (ever) still awaiting a response. Unlike the window
     /// machinery this is *not* reset at a cut: quiescence means every
@@ -505,9 +527,10 @@ where
             cfg,
             sub: Trace::new(),
             index_map: Vec::new(),
-            input_ms: vec![PersistentMultiset::new()],
+            bounds: Bounds::new(),
             commits: Vec::new(),
             frontier: seeds.clone(),
+            next: Distinct::new(),
             seeds,
             checkpoint: None,
             status: ShardStatus::Ok,
@@ -561,9 +584,6 @@ where
     /// `seen` (pointer-deduplicated): the structure-sharing-aware memory
     /// proxy behind [`super::ShardSummary::multiset_nodes`].
     pub(crate) fn mark_multiset_nodes(&self, seen: &mut HashSet<usize>) {
-        for m in &self.input_ms {
-            m.mark_nodes(seen);
-        }
         let retained = (self.frontier.iter())
             .chain(&self.seeds)
             .chain(self.checkpoint_configs());
@@ -573,21 +593,15 @@ where
         }
     }
 
-    /// The shard's total input pool (base plus window invocations).
-    fn pool(&self) -> &PersistentMultiset<T::Input> {
-        self.input_ms.last().expect("input_ms is never empty")
-    }
-
     /// Ingests the next action of this shard's class. Returns
     /// `(frontier length after the event, whether a fallback re-search ran)`.
     pub(crate) fn ingest(&mut self, action: ObjAction<T, V>, global_index: usize) -> (usize, bool) {
         let t0 = self.cfg.obs.t0();
         let window_index = self.sub.len();
-        let mut next_ms = self.input_ms.last().expect("nonempty").clone();
         let mut fell_back = false;
         match &action {
             Action::Invoke { input, .. } => {
-                next_ms.insert(input.clone());
+                self.bounds.add(window_index + 1, input);
                 self.pending += 1;
             }
             Action::Respond { input, output, .. } => {
@@ -603,7 +617,6 @@ where
         }
         self.sub.push(action);
         self.index_map.push(global_index);
-        self.input_ms.push(next_ms);
 
         if self.sub[window_index].is_respond() && self.status != ShardStatus::Violated {
             fell_back = self.commit_arrived(window_index);
@@ -635,19 +648,23 @@ where
         self.counters.extension_searches += 1;
         let commit = self.commits.last().expect("just pushed").clone();
         debug_assert_eq!(commit.index, window_index);
-        let bound = &self.input_ms[window_index];
-        let bound_count = bound.count(&commit.input);
+        let bound_count = self.bounds.count(window_index, &commit.input);
         let pair = (commit.input.clone(), commit.output.clone());
+        let cap = self.cfg.gc.frontier_cap;
 
-        let mut next: Distinct<T> = Distinct::new();
-        let mut exhausted = false;
         // Pass 1 — the cheap cases, O(frontier): a configuration holding a
         // matching symbolic completion *absorbs* the response (the extra a
         // cut or a fallback recorded is its commit entry; history, state
         // and consumed inputs are untouched), and independently the
-        // response may commit directly at the configuration's tail.
+        // response may commit directly at the configuration's tail. A
+        // configuration *moves* into its direct-commit successor — its
+        // history and completions are taken, not copied: a pass that keeps
+        // anything replaces the frontier and never reads it again, and one
+        // that keeps nothing took nothing.
+        let next = &mut self.next;
+        next.clear();
         let mut absorbed_any = false;
-        for cfg in &self.frontier {
+        for cfg in &mut self.frontier {
             if cfg.sym.count(&pair) > 0 {
                 absorbed_any = true;
                 let mut sym2 = cfg.sym.clone();
@@ -657,7 +674,7 @@ where
                     let seed = cfg.seed.clone();
                     next.push(hash, FrontierCfg { seed, sym: sym2 });
                 }
-                if next.configs.len() >= self.cfg.gc.frontier_cap {
+                if next.configs.len() >= cap {
                     break;
                 }
             }
@@ -670,7 +687,7 @@ where
                 {
                     let mut with_commit = cfg.seed.used.clone();
                     with_commit.insert(commit.input.clone());
-                    with_commit.is_subset_of(bound)
+                    self.bounds.covers(window_index, &with_commit)
                 },
                 "a frontier configuration's consumed inputs left the bounds"
             );
@@ -681,59 +698,55 @@ where
                     used.insert(commit.input.clone());
                     let (hash, held) = next.probe(&state, &used, &cfg.sym);
                     if !held {
-                        let mut history = cfg.seed.history.clone();
+                        let mut history = std::mem::take(&mut cfg.seed.history);
                         history.push(commit.input.clone());
                         let seed = SearchSeed {
                             history,
                             state,
                             used,
                         };
-                        let sym = cfg.sym.clone();
+                        let sym = std::mem::take(&mut cfg.sym);
                         next.push(hash, FrontierCfg { seed, sym });
                     }
                 }
             }
-            if next.configs.len() >= self.cfg.gc.frontier_cap {
+            if next.configs.len() >= cap {
                 break;
             }
-        }
-        let mut next = next.configs;
-        // Pass 2 — only when neither cheap case survives: interleave
-        // extras from the pool before the commit. This is the enumeration
-        // over the one-commit problem, seeded from each configuration, all
-        // of them sharing the bounded extension budget.
-        if next.is_empty() {
-            let problems: Vec<Problem<'_, T>> = self
-                .frontier
-                .iter()
-                .map(|cfg| Problem {
-                    commits: Cow::Borrowed(std::slice::from_ref(&commit)),
-                    seed: &cfg.seed,
-                    sym: cfg.sym.clone(),
-                })
-                .collect();
-            let pass = self.enumerate(
-                &problems,
-                self.cfg.gc.frontier_cap,
-                false,
-                Some(EXTENSION_BUDGET),
-            );
-            self.counters.search_nodes += pass.stats.nodes;
-            exhausted = pass.budget_tripped;
-            next = pass.configs;
-        } else {
-            sort_frontier(&mut next);
-            next.truncate(self.cfg.gc.frontier_cap);
         }
         if absorbed_any {
             self.cfg.obs.gc_absorption();
         }
-
-        if next.is_empty() || exhausted {
+        if !next.configs.is_empty() {
+            sort_frontier(&mut next.configs);
+            next.configs.truncate(cap);
+            std::mem::swap(&mut self.frontier, &mut next.configs);
+            // The old frontier, some of it moved out: dropped now, its
+            // buffer kept for the next commit.
+            next.clear();
+            self.status = ShardStatus::Ok;
+            return false;
+        }
+        // Pass 2 — only when neither cheap case survives: interleave
+        // extras from the pool before the commit. This is the enumeration
+        // over the one-commit problem, seeded from each configuration, all
+        // of them sharing the bounded extension budget.
+        let problems: Vec<Problem<'_, T>> = self
+            .frontier
+            .iter()
+            .map(|cfg| Problem {
+                commits: Cow::Borrowed(std::slice::from_ref(&commit)),
+                seed: &cfg.seed,
+                sym: cfg.sym.clone(),
+            })
+            .collect();
+        let pass = self.enumerate(&problems, cap, false, Some(EXTENSION_BUDGET));
+        self.counters.search_nodes += pass.stats.nodes;
+        if pass.configs.is_empty() || pass.budget_tripped {
             self.fallback_research();
             return true;
         }
-        self.frontier = next;
+        self.frontier = pass.configs;
         self.status = ShardStatus::Ok;
         false
     }
@@ -800,7 +813,7 @@ where
             };
         };
         debug_assert!(
-            (configs.iter()).all(|cfg| cfg.seed.used.is_subset_of(&self.input_ms[next.index])),
+            (configs.iter()).all(|cfg| self.bounds.covers(next.index, &cfg.seed.used)),
             "a checkpoint configuration's consumed inputs left the bounds"
         );
         let problems: Vec<Problem<'_, T>> = configs
@@ -852,8 +865,8 @@ where
             let engine = CheckerEngine::new(
                 &*self.adt,
                 &group[0].commits,
-                &self.input_ms,
-                self.pool().iter(),
+                &self.bounds,
+                self.bounds.pool(),
                 SearchBudget::new(self.cfg.budget),
             );
             let mut search = Search::new(&engine);
@@ -946,8 +959,8 @@ where
             let engine = CheckerEngine::new(
                 &*self.adt,
                 &kept,
-                &self.input_ms,
-                self.pool().iter(),
+                &self.bounds,
+                self.bounds.pool(),
                 SearchBudget::new(self.cfg.budget),
             );
             let (found, seed_stats) = engine.first_solution(shard_seed.seed.clone(), &|_| Some(()));
@@ -1027,8 +1040,8 @@ where
         }
         if self.commits.is_empty() {
             // An invocation-only window: the frontier never moved, so the
-            // seeds already summarise it — only the cumulative bound
-            // snapshots collapse into the base.
+            // seeds already summarise it — only the bounds collapse into
+            // their base.
             let t0 = self.cfg.obs.t0();
             let window_events = self.sub.len() as u64;
             let retired = self.retire_window(None);
@@ -1085,9 +1098,10 @@ where
         None
     }
 
-    /// Retires the current window: drops its events, collapses the bound
-    /// snapshots into the base, and installs `summary` (when given) as the
-    /// new seed set. Returns how many events retired.
+    /// Retires the current window: drops its events (the window buffers
+    /// keep their capacity), collapses the bounds into their base, and
+    /// installs `summary` (when given) as the new seed set. Returns how
+    /// many events retired.
     fn retire_window(&mut self, summary: Option<Vec<FrontierCfg<T>>>) -> usize {
         let retired = self.sub.len();
         self.counters.retired_events += retired;
@@ -1098,22 +1112,24 @@ where
         self.index_map.clear();
         self.cut_due = false;
         self.cut_blocked = false;
-        self.sub = Trace::new();
+        let mut sub = std::mem::take(&mut self.sub).into_inner();
+        sub.clear();
+        self.sub = Trace::from_actions(sub);
         self.commits.clear();
         // The next enumeration starts at the (new) seeds.
         self.checkpoint = None;
-        let base = self.input_ms.pop().expect("nonempty");
-        self.input_ms = vec![base];
-        if let Some(configs) = summary {
-            // Retired histories are dropped (memory stays
+        self.bounds.collapse();
+        if let Some(mut configs) = summary {
+            // Retired histories are emptied (memory stays
             // O(window + alphabet)); the seeds keep only the state, the
             // consumed-input multiset and the symbolic completions, which
-            // is all the engine's moves and bounds consult.
-            self.seeds = configs;
-            for cfg in &mut self.seeds {
-                cfg.seed.history = Vec::new();
+            // is all the engine's moves and bounds consult. The frontier's
+            // histories keep their capacity for the next window's commits.
+            for cfg in &mut configs {
+                cfg.seed.history.clear();
             }
-            self.frontier = self.seeds.clone();
+            self.seeds = configs.clone();
+            self.frontier = configs;
         }
         retired
     }

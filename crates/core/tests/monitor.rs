@@ -434,6 +434,37 @@ fn a_zero_window_retires_as_a_window_of_one() {
     }
 }
 
+/// A window no stream reaches (`usize::MAX`, "effectively unbounded")
+/// streams exactly as no window: nothing retires, every prefix's status
+/// and the report match, and no shard reserves room for a window's events
+/// up front (a reservation of `usize::MAX` events overflows at the first
+/// event).
+#[test]
+fn a_window_no_stream_reaches_streams_as_no_window() {
+    let t = random_multikey_kv_trace(&MultiKeyConfig {
+        keys: 3,
+        clients: 3,
+        steps: 60,
+        error_prob: 0.2,
+        seed: 7,
+        ..Default::default()
+    });
+    let mut huge: KvStream = Checker::builder(LinChecker::owned(KvStore))
+        .partitioner(KvKeyPartitioner)
+        .strategy(Strategy::Streaming { window: None })
+        .window(usize::MAX)
+        .build();
+    let mut none = kv_monitor();
+    for a in t.iter() {
+        assert_eq!(huge.ingest(a.clone()).status, none.ingest(a.clone()).status);
+    }
+    let (huge, none) = (huge.report().unwrap(), none.report().unwrap());
+    assert_eq!(huge.shard.retired_events, 0);
+    assert_eq!(huge.shard, none.shard);
+    assert_eq!(huge.verdict, none.verdict);
+    assert_eq!(huge.verdict, LinChecker::owned(KvStore).check(&t));
+}
+
 /// Two keys written in turn by one client, `rounds` puts each: quiescent
 /// after every response.
 fn quiescent_two_key_prefix(rounds: u64) -> Vec<ObjAction<KvStore, ()>> {

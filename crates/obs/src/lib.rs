@@ -404,15 +404,18 @@ impl StackObserver {
         self.tracer.as_ref().map(|t| t.chrome_trace_json())
     }
 
-    fn span(
+    /// Records a span when a tracer is installed and the event was timed.
+    /// The arguments come as an array and become the span's `Vec` only
+    /// here: a metrics-only observer allocates nothing per event.
+    fn span<const N: usize>(
         &self,
         name: &'static str,
         cat: &'static str,
         t0: Option<Instant>,
-        args: Vec<(&'static str, u64)>,
+        args: [(&'static str, u64); N],
     ) {
         if let (Some(tracer), Some(t0)) = (&self.tracer, t0) {
-            tracer.record(name, cat, t0, args);
+            tracer.record(name, cat, t0, args.to_vec());
         }
     }
 }
@@ -433,7 +436,7 @@ impl Observer for StackObserver {
             "engine.search",
             "engine",
             ev.t0,
-            vec![
+            [
                 ("site", site_code(ev.site)),
                 ("nodes", ev.nodes),
                 ("memo_hits", ev.memo_hits),
@@ -452,7 +455,7 @@ impl Observer for StackObserver {
             "monitor.ingest",
             "monitor",
             ev.t0,
-            vec![
+            [
                 ("index", ev.index),
                 ("frontier_len", ev.frontier_len),
                 ("fell_back", ev.fell_back as u64),
@@ -474,7 +477,7 @@ impl Observer for StackObserver {
             "gc.cut",
             "monitor",
             ev.t0,
-            vec![
+            [
                 ("outcome", ev.outcome as u64),
                 ("window_events", ev.window_events),
             ],
@@ -506,7 +509,7 @@ impl Observer for StackObserver {
             "daemon.lane_pump",
             "daemon",
             ev.t0,
-            vec![
+            [
                 ("lane", ev.lane),
                 ("drained", ev.drained),
                 ("queue_depth", ev.queue_depth),

@@ -579,10 +579,19 @@ struct Step {
     lossy_cut: bool,
 }
 
+/// The rolling status a report's verdict reads as.
+fn status_of<M: ConsistencyModel<V>, V>(verdict: &Result<M::Witness, M::Error>) -> MonitorStatus {
+    verdict
+        .as_ref()
+        .err()
+        .map_or(MonitorStatus::Ok, M::status_of_error)
+}
+
 /// Streams `t` through a windowed session and checks the rolling status
-/// against the single-threaded `Strategy::Monolithic` reference **at every
-/// prefix**: equal in exact mode; with a tripped budget or after a lossy
-/// cut the session may answer `Unknown`, but what it does claim is true.
+/// and the report's verdict against the single-threaded
+/// `Strategy::Monolithic` reference **at every prefix**: equal in exact
+/// mode; with a tripped budget or after a lossy cut the session may answer
+/// `Unknown`, but what it does claim is true.
 fn drive_against_reference(
     t: &Trace<ObjAction<KvStore, ()>>,
     window: usize,
@@ -613,11 +622,19 @@ fn drive_against_reference(
         window_commits += usize::from(a.is_respond());
         let out = mon.ingest(a.clone());
         let holds = reference.check(&prefix).outcome.is_ok();
-        match out.status {
-            MonitorStatus::Ok => assert!(holds, "over-claim at event {}", out.index),
-            MonitorStatus::Violation => assert!(!holds, "false alarm at event {}", out.index),
-            MonitorStatus::Unknown => assert!(!exact, "exact mode gave up at {}", out.index),
-            other => panic!("{other:?} on a well-formed switch-free stream"),
+        let report = mon.report().expect("streaming");
+        let reported = status_of::<LinChecker<KvStore>, ()>(&report.verdict);
+        for (claim, what) in [(out.status, "status"), (reported, "report")] {
+            match claim {
+                MonitorStatus::Ok => assert!(holds, "{what} over-claims at event {}", out.index),
+                MonitorStatus::Violation => {
+                    assert!(!holds, "{what} false alarm at event {}", out.index)
+                }
+                MonitorStatus::Unknown => {
+                    assert!(!exact, "exact mode's {what} gave up at {}", out.index)
+                }
+                other => panic!("{what} {other:?} on a well-formed switch-free stream"),
+            }
         }
         let after = mon.shard_summary().expect("streaming");
         let retired = after.retired_events > before.retired_events;
@@ -668,6 +685,37 @@ fn single_key_hot(clients: u32, error_prob: f64, seed: u64) -> Trace<ObjAction<K
         error_prob,
         seed,
     })
+}
+
+/// Calm streams — four keys, two or three clients, clean and perturbed —
+/// checked against the reference at every prefix, status and report
+/// alike, under a window that retires often and one that retires seldom.
+#[test]
+fn calm_streams_claim_only_what_the_reference_holds() {
+    let (mut retired, mut violated) = (0, 0);
+    for seed in 0..6 {
+        for (clients, error_prob) in [(2, 0.0), (3, 0.0), (3, 0.1)] {
+            let t = random_multikey_kv_trace(&MultiKeyConfig {
+                clients,
+                steps: 90,
+                keys: 4,
+                skew: 0.6,
+                contention: 0.0,
+                error_prob,
+                seed,
+            });
+            for window in [8, 32] {
+                let steps = drive_against_reference(&t, window, GcPolicy::default(), None);
+                retired += steps.iter().filter(|s| s.retired).count();
+                violated +=
+                    usize::from((steps.iter()).any(|s| s.out.status == MonitorStatus::Violation));
+            }
+        }
+    }
+    assert!(
+        retired > 50 && violated > 2,
+        "{retired} retirements, {violated} violated"
+    );
 }
 
 /// A window falls back twice and is then cut at an epoch boundary: the
@@ -1050,11 +1098,24 @@ fn a_bounded_speculative_stream_never_over_claims() {
                             }
                             mon.ingest(a.clone());
                             let got = mon.status().expect("streaming");
+                            let report = mon.report().expect("streaming");
+                            let reported =
+                                status_of::<SlinChecker<KvStore, ExactInit>, _>(&report.verdict);
                             if archive > 0 {
                                 assert_eq!(got, want[i], "{case}: event {i}");
-                            } else if got != want[i] {
-                                assert_eq!(got, MonitorStatus::Unknown, "{case}: event {i}");
-                                unknown += 1;
+                                assert_eq!(reported, want[i], "{case}: report at event {i}");
+                            } else {
+                                if got != want[i] {
+                                    assert_eq!(got, MonitorStatus::Unknown, "{case}: event {i}");
+                                    unknown += 1;
+                                }
+                                if reported != want[i] {
+                                    assert_eq!(
+                                        reported,
+                                        MonitorStatus::Unknown,
+                                        "{case}: report at event {i}"
+                                    );
+                                }
                             }
                         }
                         cases += 1;
