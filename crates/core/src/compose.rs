@@ -18,7 +18,7 @@
 
 use crate::engine::{SearchBudget, SearchStats};
 use crate::initrel::InitRelation;
-use crate::lin::LinChecker;
+use crate::lin::{LinChecker, LinError};
 use crate::partition;
 use crate::slin::{SlinChecker, SlinError};
 use crate::ObjAction;
@@ -136,20 +136,16 @@ where
 /// traces.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseChainVerification {
-    /// Per phase `(m, n, verdict)`: whether the `(m, n)` projection is
-    /// `(m, n)`-speculatively linearizable.
-    pub phases: Vec<(u32, u32, bool)>,
-    /// The checker error behind every failed phase, `(m, n, error)` —
-    /// distinguishing genuine violations
+    /// Per phase `(m, n, result)`: whether the `(m, n)` projection is
+    /// `(m, n)`-speculatively linearizable, and the checker error when it
+    /// is not — distinguishing genuine violations
     /// ([`SlinError::NotSpeculativelyLinearizable`]) from resource limits
     /// ([`SlinError::BudgetExhausted`],
     /// [`SlinError::TooManyInterpretations`]).
-    pub failures: Vec<(u32, u32, SlinError)>,
+    pub phases: Vec<(u32, u32, Result<(), SlinError>)>,
     /// Whether the object projection satisfies the paper's definition of
-    /// linearizability.
-    pub object_linearizable: bool,
-    /// The object-projection checker error when it failed.
-    pub object_error: Option<crate::lin::LinError>,
+    /// linearizability, and the checker error when it does not.
+    pub object: Result<(), LinError>,
     /// Engine counters aggregated over every check performed.
     pub stats: SearchStats,
 }
@@ -157,7 +153,7 @@ pub struct PhaseChainVerification {
 impl PhaseChainVerification {
     /// Whether every phase and the object projection passed.
     pub fn all_ok(&self) -> bool {
-        self.object_linearizable && self.phases.iter().all(|&(_, _, ok)| ok)
+        self.object.is_ok() && self.phases.iter().all(|(_, _, r)| r.is_ok())
     }
 }
 
@@ -200,7 +196,6 @@ where
     assert!(first <= last, "phase chain requires first <= last");
     let mut stats = SearchStats::default();
     let mut phases = Vec::new();
-    let mut failures = Vec::new();
     let (none, budget) = (
         None::<&IdentityPartitioner>,
         SearchBudget::DEFAULT_MAX_NODES,
@@ -211,19 +206,14 @@ where
         let model = SlinChecker::owned(adt.clone(), rinit.clone(), m, n);
         let verdict = partition::check(&model, none, &proj, budget, 0);
         stats.absorb(&verdict.stats);
-        phases.push((k, k + 1, verdict.is_ok()));
-        if let Err(error) = verdict.outcome {
-            failures.push((k, k + 1, error));
-        }
+        phases.push((k, k + 1, verdict.outcome.map(drop)));
     }
     let obj = project_object::<T, R::Value>(t);
     let lin = partition::check(&LinChecker::owned(adt.clone()), none, &obj, budget, 0);
     stats.absorb(&lin.stats);
     PhaseChainVerification {
         phases,
-        failures,
-        object_linearizable: lin.is_ok(),
-        object_error: lin.outcome.err(),
+        object: lin.outcome.map(drop),
         stats,
     }
 }
@@ -333,8 +323,8 @@ mod tests {
     #[test]
     fn verify_phase_chain_reports_per_phase_verdicts_and_stats() {
         let v = verify_phase_chain(&Consensus, ConsensusInit::new(), &two_phase_run(), 1, 2);
-        assert_eq!(v.phases, vec![(1, 2, true), (2, 3, true)]);
-        assert!(v.object_linearizable);
+        assert_eq!(v.phases, vec![(1, 2, Ok(())), (2, 3, Ok(()))]);
+        assert!(v.object.is_ok());
         assert!(v.all_ok());
         assert!(v.stats.nodes > 0);
         assert!(v.stats.interpretations >= 2, "{:?}", v.stats);
@@ -354,13 +344,15 @@ mod tests {
     #[test]
     fn verify_phase_chain_flags_the_misbehaving_phase() {
         let v = verify_phase_chain(&Consensus, ConsensusInit::new(), &misbehaving_run(), 1, 2);
-        assert_eq!(v.phases[0], (1, 2, false));
-        assert!(v.object_linearizable);
+        assert!(v.object.is_ok());
         assert!(!v.all_ok());
         // A genuine violation is recorded as such, not as a resource limit.
         assert!(matches!(
-            v.failures.as_slice(),
-            [(1, 2, SlinError::NotSpeculativelyLinearizable { .. })]
+            v.phases.as_slice(),
+            [
+                (1, 2, Err(SlinError::NotSpeculativelyLinearizable { .. })),
+                (2, 3, Ok(()))
+            ]
         ));
     }
 
@@ -412,14 +404,14 @@ mod tests {
         actions.push(Action::switch(c(2), ph(2), p(2), Value::new(2)));
         let t = Trace::from_actions(actions);
         let v = verify_phase_chain(&Consensus, ConsensusInit::new(), &t, 1, 1);
-        assert!(!v.all_ok() && v.object_linearizable);
+        assert!(!v.all_ok() && v.object.is_ok());
         assert!(
             matches!(
-                v.failures.as_slice(),
-                [(1, 2, SlinError::BudgetExhausted { .. })]
+                v.phases.as_slice(),
+                [(1, 2, Err(SlinError::BudgetExhausted { .. }))]
             ),
             "{:?}",
-            v.failures
+            v.phases
         );
     }
 

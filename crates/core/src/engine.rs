@@ -277,9 +277,9 @@ impl Default for SearchBudget {
 /// Counters reported by every search, successful or not.
 ///
 /// Frontends aggregate these over every search a check runs, beside the
-/// verdict ([`crate::session::Verdict::stats`],
-/// [`crate::stream::MonitorReport::stats`]), never inside a witness; the
-/// benchmark harness prints them as the checker-practicality rows.
+/// verdict ([`crate::session::Verdict::stats`], which a stream report
+/// carries too), never inside a witness; the benchmark harness prints them
+/// as the checker-practicality rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SearchStats {
     /// Search nodes expanded (budget unit).

@@ -56,7 +56,7 @@
 //!     live.ingest(a.clone());
 //! }
 //! let streamed = live.check(&Trace::new()); // drain + report
-//! assert_eq!(streamed.outcome, verdict.outcome);
+//! assert_eq!(streamed, verdict); // the whole verdict, stats included
 //! ```
 
 use crate::engine::{SearchBudget, SearchStats};
@@ -100,20 +100,24 @@ pub struct Verdict<W, E> {
     /// its work, which no witness repeats.
     pub stats: SearchStats,
     /// Partition accounting, when the partitioned path ran (what
-    /// [`Strategy::Auto`] resolved to: `None` for a monolithic or a
-    /// streaming check).
+    /// [`Strategy::Auto`] resolved to: `None` for a monolithic check) —
+    /// for a streaming check, its report's ([`MonitorReport::verdict`]).
     pub partition: Option<PartitionReport>,
+}
+
+/// A verdict equals a bare outcome — a checker's direct `check` — when its
+/// outcome does: the stats and the partition report are the work, not the
+/// answer.
+impl<W: PartialEq, E: PartialEq> PartialEq<Result<W, E>> for Verdict<W, E> {
+    fn eq(&self, outcome: &Result<W, E>) -> bool {
+        self.outcome == *outcome
+    }
 }
 
 impl<W, E> Verdict<W, E> {
     /// Whether the trace satisfies the model's criterion.
     pub fn is_ok(&self) -> bool {
         self.outcome.is_ok()
-    }
-
-    /// The witness, when the check succeeded.
-    pub fn witness(&self) -> Option<&W> {
-        self.outcome.as_ref().ok()
     }
 }
 
@@ -419,12 +423,7 @@ where
                 for action in t.iter() {
                     monitor.ingest(action.clone());
                 }
-                let report = monitor.report();
-                Verdict {
-                    outcome: report.verdict,
-                    stats: report.stats,
-                    partition: None,
-                }
+                monitor.report().verdict
             }
             Mode::Transitioning => unreachable!("transient mode is never observable"),
         }

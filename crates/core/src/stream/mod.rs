@@ -51,7 +51,8 @@
 //!     assert_eq!(outcome.status, MonitorStatus::Ok); // rolling, exact
 //! }
 //! let report = session.report().expect("born streaming");
-//! assert!(report.verdict.is_ok()); // identical to the batch checker
+//! let batch = Checker::builder(LinChecker::owned(KvStore)).partitioner(KvKeyPartitioner);
+//! assert_eq!(report.verdict, batch.build().check(&trace)); // stats included
 //! ```
 //!
 //! # Architecture
@@ -76,10 +77,11 @@
 //!   configuration summary: verdicts stay exact, witnesses become
 //!   window-relative, memory stays O(window · alphabet).
 //! * **Batch-identical reports** — with the default unbounded window,
-//!   [`crate::session::Session::report`] is byte-identical (verdict *and*
-//!   witness) to the model's batch check on the closed trace; the
-//!   `streaming_differential` suite in `tests/` pins this over the
-//!   multi-key generators.
+//!   [`crate::session::Session::report`] carries the batch session's
+//!   [`Verdict`] on the closed trace unchanged (outcome, witness, stats
+//!   and partition report), because it re-checks the stream through the
+//!   same routine; the `streaming_differential` suite in `tests/` pins
+//!   this over the multi-key generators.
 //!
 //! # The record
 //!
@@ -108,7 +110,8 @@
 //!   identity shard replays every event *before* the triggering one, once;
 //! * a **report** — the batch check of the stream wherever it is at hand:
 //!   the record, or the shard windows before anything retires (always,
-//!   with an unbounded window). After a retirement the batch check of the
+//!   with an unbounded window); the report carries that check's
+//!   [`Verdict`] as it is. After a retirement the batch check of the
 //!   record is byte-identical to the unbounded session's and flagged
 //!   [`MonitorReport::reconstructed`].
 //!
@@ -137,8 +140,8 @@ mod shard;
 
 pub(crate) use monitor::Monitor;
 
-use crate::engine::SearchStats;
 use crate::partition::FallbackReason;
+use crate::session::Verdict;
 
 /// The garbage-collection/retirement policy of a streaming session: set on
 /// [`crate::session::SessionBuilder::gc_policy`] and reused verbatim as the
@@ -270,30 +273,28 @@ pub struct ShardSummary {
     pub archived_events: usize,
 }
 
-/// The monitor's full forensic report.
-///
-/// `W`/`E` are the wrapped model's witness and error types; with an
-/// unbounded window, before any retirement, or re-checked on the record,
-/// `verdict` is byte-identical to that model's batch check on the closed
-/// trace.
+/// The monitor's full forensic report: the model's [`Verdict`] on the
+/// stream (`W`/`E` are the model's witness and error types), plus where
+/// the stream stands.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MonitorReport<W, E> {
-    /// The verdict (witness or error) for the retained trace.
-    pub verdict: Result<W, E>,
+    /// With an unbounded window, before any retirement, or re-checked on
+    /// the record: the session routine's batch check of the closed trace,
+    /// unchanged. Its `partition` is the routine's, so it need not count
+    /// the live shards: an uncertified switch is re-checked whole (`None`)
+    /// while the shards it froze stay, a certified one also counts classes
+    /// only events past the switch touch, and an identity collapse is one
+    /// shard and one partition. A window report past a retirement states
+    /// the live shards, the routing reason, never remerged.
+    pub verdict: Verdict<W, E>,
     /// Events ingested.
     pub events: usize,
-    /// Live shards.
-    pub shards: usize,
-    /// Why identity routing engaged (unclassifiable input, or a switch
-    /// action without a switch-independence certificate), or why the
-    /// re-check of the record was made whole; `None` when the stream's
-    /// checks decomposed end to end — mirrors `PartitionReport::fallback`.
+    /// Where the stream stands: why identity routing engaged
+    /// (unclassifiable input), or a switch action without a
+    /// switch-independence certificate — the state
+    /// [`crate::session::Session::fallback`] reads. Why a re-check went
+    /// whole is the verdict's own `partition.fallback`.
     pub fallback: Option<FallbackReason>,
-    /// Whether the re-check of the stream needed a monolithic
-    /// re-derivation of its witness (cross-partition bound coupling): the
-    /// re-check's `PartitionReport::remerged`. A window report past a
-    /// retirement interleaves its shard chains and never sets it.
-    pub remerged: bool,
     /// Whether bounded-window GC retired a prefix: the verdict is
     /// window-relative — unless `reconstructed` is also set.
     pub prefix_committed: bool,
@@ -301,8 +302,6 @@ pub struct MonitorReport<W, E> {
     /// `prefix_committed` this verdict (witness included) is byte-identical
     /// to an unGC'd monitor's batch report on the closed trace.
     pub reconstructed: bool,
-    /// Engine counters absorbed over the report derivation.
-    pub stats: SearchStats,
     /// Aggregated shard-machinery counters.
     pub shard: ShardSummary,
 }

@@ -29,7 +29,8 @@ use super::shard::{ShardConfig, ShardState, ShardStatus};
 use super::{GcPolicy, IngestOutcome, MonitorReport, MonitorStatus, ShardSummary};
 use crate::engine::{Chain, EngineError, Refuted, SearchStats};
 use crate::model::ConsistencyModel;
-use crate::partition::{ClosedCheck, FallbackReason};
+use crate::partition::{ClosedCheck, FallbackReason, PartitionReport};
+use crate::session::Verdict;
 use crate::ObjAction;
 use slin_adt::{Adt, Partitioner};
 use slin_trace::wf::Validator;
@@ -178,10 +179,9 @@ where
 
     /// Why this stream left the per-key fast path, or `None` while it is
     /// on it. Cheap (field reads — nothing is computed), so it can be
-    /// polled per metrics tick; [`MonitorReport::fallback`] is the
-    /// report-time view of the same state, plus whatever the re-check of
-    /// the record finds. An uncertified stream counts as fallen back from
-    /// its first switch action on (the verdict defers to monolithic
+    /// polled per metrics tick; [`MonitorReport::fallback`] is the same
+    /// state at report time. An uncertified stream counts as fallen back
+    /// from its first switch action on (the verdict defers to monolithic
     /// re-checks).
     pub(crate) fn fallback(&self) -> Option<FallbackReason> {
         self.fallback.or_else(|| {
@@ -427,7 +427,7 @@ where
         if quick != MonitorStatus::Deferred {
             return quick;
         }
-        match &self.current_report().verdict {
+        match &self.current_report().verdict.outcome {
             Ok(_) => MonitorStatus::Ok,
             Err(e) => M::status_of_error(e),
         }
@@ -458,28 +458,24 @@ where
         let report = |verdict| MonitorReport {
             verdict,
             events: self.events,
-            shards: self.shards.len(),
             fallback: self.fallback(),
-            remerged: false,
             prefix_committed: self.prefix_committed,
             reconstructed: false,
-            stats: SearchStats::default(),
             shard: self.shard_summary(),
         };
         // Batch precedence (signature, well-formedness, search): the first
         // two read off the validator the batch checkers fold, which has
         // seen the whole stream — past a plain-linearizability switch the
         // windows have not. A deferred verdict re-checks the record, which
-        // validates it the same way.
-        if !deferred || self.lost {
-            if let Err(invalid) = self.wf.check() {
-                return report(Err(invalid.into()));
-            }
-        }
-        if self.lost {
-            // The rebuild needed the record and it was gone: under-claim,
-            // as a lossy shard does.
-            return report(Err(UNPROVABLE.into()));
+        // validates it the same way. A rebuild that needed the record after
+        // it was gone under-claims, as a lossy shard does. Neither answer
+        // searched: one partition, as the routine's rejection states.
+        let unsearched = match self.wf.check() {
+            Err(invalid) if !deferred || self.lost => Some(invalid.into()),
+            _ => self.lost.then(|| UNPROVABLE.into()),
+        };
+        if let Some(error) = unsearched {
+            return report(self.routed(Err(error), SearchStats::default(), 1));
         }
         // The stream is re-checked wherever it is at hand: the record, or
         // the shard windows before anything retires — always with an
@@ -495,20 +491,34 @@ where
                 self.closed.obs.archive_reconstruction();
             }
             let partitioner = self.closed.partitioner.as_ref();
-            let checked = self.closed.check(partitioner, &stream, "monitor.report");
-            let base = report(checked.outcome);
             return MonitorReport {
-                fallback: base.fallback.or(checked.partition.and_then(|r| r.fallback)),
-                remerged: checked.partition.is_some_and(|r| r.remerged),
                 reconstructed: self.prefix_committed,
-                stats: checked.stats,
-                ..base
+                ..report(self.closed.check(partitioner, &stream, "monitor.report"))
             };
         }
-        let (verdict, stats) = self.window_verdict();
-        MonitorReport {
+        report(self.window_verdict())
+    }
+
+    /// A verdict the routine did not derive (a validator rejection, a lost
+    /// record, a window search past a retirement) with the partition report
+    /// it would state: `decomposes`'s rule on the validator's switches,
+    /// `partitions` classes, the routing reason, never remerged.
+    fn routed(
+        &self,
+        outcome: Result<M::Witness, M::Error>,
+        stats: SearchStats,
+        partitions: usize,
+    ) -> Verdict<M::Witness, M::Error> {
+        let decomposes = self.closed.keyed || self.wf.first_switch().is_none();
+        let partitioner = self.closed.partitioner.as_ref().filter(|_| decomposes);
+        Verdict {
+            outcome,
             stats,
-            ..report(verdict)
+            partition: partitioner.map(|_| PartitionReport {
+                partitions,
+                fallback: self.fallback,
+                remerged: false,
+            }),
         }
     }
 
@@ -516,7 +526,7 @@ where
     /// record: every shard's window searched from its seeds, the first
     /// failing shard deciding, the stats absorbed over every shard, and the
     /// shard chains interleaved in global indices.
-    fn window_verdict(&self) -> (Result<M::Witness, M::Error>, SearchStats) {
+    fn window_verdict(&self) -> Verdict<M::Witness, M::Error> {
         let mut stats = SearchStats::default();
         let mut chains = Vec::with_capacity(self.shards.len());
         let mut failure: Option<M::Error> = None;
@@ -537,12 +547,12 @@ where
             };
             failure.get_or_insert(error);
         }
-        let verdict = match failure {
+        let outcome = match failure {
             Some(error) => Err(error),
             // A window holds no switch action: the default leaf.
             None => Ok(M::witness(interleave(&chains), Default::default())),
         };
-        (verdict, stats)
+        self.routed(outcome, stats, self.shards.len())
     }
 }
 

@@ -369,7 +369,10 @@ fn assert_stream(
     }
     let report = mon.report().expect("born streaming");
     let mut verdict = FNV_SEED;
-    fnv(&mut verdict, format!("{:?}", report.verdict).as_bytes());
+    fnv(
+        &mut verdict,
+        format!("{:?}", report.verdict.outcome).as_bytes(),
+    );
     let shard = report.shard;
     let got = StreamPin {
         statuses,

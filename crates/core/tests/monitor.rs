@@ -98,9 +98,12 @@ fn report_is_byte_identical_to_batch_check() {
             }
             let report = mon.report().unwrap();
             let batch = chk.check(&t);
-            assert_eq!(report.verdict, batch, "seed {seed} error {error_prob}");
+            assert_eq!(
+                report.verdict.outcome, batch,
+                "seed {seed} error {error_prob}"
+            );
             assert_eq!(report.events, t.len());
-            if let Ok(w) = &report.verdict {
+            if let Ok(w) = &report.verdict.outcome {
                 assert!(witness_is_valid(&KvStore, &t, w));
             }
         }
@@ -120,9 +123,9 @@ fn identity_partitioner_collapses_to_one_shard_and_stays_exact() {
         mon.ingest(a.clone());
     }
     let report = mon.report().unwrap();
-    assert_eq!(report.shards, 1);
+    assert_eq!(report.verdict.partition.map(|p| p.partitions), Some(1));
     assert!(report.fallback.is_some());
-    assert_eq!(report.verdict, LinChecker::owned(KvStore).check(&t));
+    assert_eq!(report.verdict.outcome, LinChecker::owned(KvStore).check(&t));
 }
 
 #[test]
@@ -132,7 +135,7 @@ fn switch_action_decides_the_lin_verdict() {
     let out = mon.ingest(Action::switch(c(1), PhaseId::new(2), KvInput::Put(1, 5), 0));
     assert_eq!(out.status, MonitorStatus::SwitchSeen);
     assert_eq!(
-        mon.report().unwrap().verdict,
+        mon.report().unwrap().verdict.outcome,
         Err(LinError::SwitchAction { index: 1 })
     );
 }
@@ -150,7 +153,7 @@ fn ill_formed_stream_matches_batch_error() {
     }
     assert_eq!(mon.status(), Some(MonitorStatus::IllFormed));
     assert_eq!(
-        mon.report().unwrap().verdict,
+        mon.report().unwrap().verdict.outcome,
         LinChecker::owned(KvStore).check(&t)
     );
 }
@@ -202,7 +205,7 @@ fn violations_are_still_caught_after_gc() {
         KvOutput::Found(None), // must see 20 (or at least *some* write)
     ));
     assert_eq!(out.status, MonitorStatus::Violation);
-    assert!(mon.report().unwrap().verdict.is_err());
+    assert!(mon.report().unwrap().verdict.outcome.is_err());
 }
 
 /// Both keys open with a put that never responds, read by a get, and key
@@ -235,10 +238,11 @@ fn a_cross_blocked_stream_remerges_at_either_window() {
             mon.ingest(a.clone());
         }
         let report = mon.report().unwrap();
-        assert!(report.remerged, "window {window:?}");
+        let partition = report.verdict.partition.expect("partitioned");
+        assert!(partition.remerged, "window {window:?}");
         assert!(!report.prefix_committed, "window {window:?}");
-        assert_eq!(report.shards, 2, "window {window:?}");
-        assert_eq!(report.verdict, batch, "window {window:?}");
+        assert_eq!(partition.partitions, 2, "window {window:?}");
+        assert_eq!(report.verdict.outcome, batch, "window {window:?}");
     }
 }
 
@@ -285,7 +289,7 @@ fn slin_monitor_matches_partitioned_checker_on_switch_free_streams() {
             .partitioner(KvKeyPartitioner)
             .build()
             .check(&t);
-        assert_eq!(report.verdict, batch.outcome, "seed {seed}");
+        assert_eq!(report.verdict, batch, "seed {seed}");
     }
 }
 
@@ -324,7 +328,7 @@ fn slin_monitor_goes_speculative_on_switches_and_stays_exact() {
             batch.is_ok(),
             "{t:?}"
         );
-        assert_eq!(mon.report().unwrap().verdict, batch, "{t:?}");
+        assert_eq!(mon.report().unwrap().verdict.outcome, batch, "{t:?}");
     }
 }
 
@@ -352,7 +356,7 @@ fn more_than_64_commits_stream_and_check() {
     let report = mon.report().unwrap();
     let batch = LinChecker::owned(KvStore).check(&t);
     assert!(batch.is_ok(), "batch path must accept > 64 commits now");
-    assert_eq!(report.verdict, batch);
+    assert_eq!(report.verdict.outcome, batch);
 }
 
 /// A frontier cap of 0 reads as 1: a linearizable stream is `Ok` at every
@@ -462,7 +466,7 @@ fn a_window_no_stream_reaches_streams_as_no_window() {
     assert_eq!(huge.shard.retired_events, 0);
     assert_eq!(huge.shard, none.shard);
     assert_eq!(huge.verdict, none.verdict);
-    assert_eq!(huge.verdict, LinChecker::owned(KvStore).check(&t));
+    assert_eq!(huge.verdict.outcome, LinChecker::owned(KvStore).check(&t));
 }
 
 /// Two keys written in turn by one client, `rounds` puts each: quiescent
@@ -494,11 +498,12 @@ fn a_cross_blocked_stream_interleaves_after_both_shards_retire() {
         mon.ingest(a.clone());
     }
     let report = mon.report().unwrap();
-    assert!(report.prefix_committed && !report.remerged, "{report:?}");
+    let partition = report.verdict.partition.expect("partitioned");
+    assert!(report.prefix_committed && !partition.remerged, "{report:?}");
     assert!(!report.reconstructed);
     assert_eq!(report.shard.archived_events, 0, "archive_windows = 0");
     assert!(report.verdict.is_ok(), "{report:?}");
-    assert_eq!(report.shards, 2);
+    assert_eq!(partition.partitions, 2);
 }
 
 /// One shard retires past a commit another still holds: key 1's put
@@ -578,12 +583,15 @@ fn a_reconstructed_report_under_a_tripped_budget_is_one_observed_search() {
         "{report:?}"
     );
     assert!(
-        matches!(report.verdict, Err(LinError::BudgetExhausted { .. })),
+        matches!(
+            report.verdict.outcome,
+            Err(LinError::BudgetExhausted { .. })
+        ),
         "{report:?}"
     );
     let evs = seen.0.lock().unwrap()[before..].to_vec();
     assert_eq!(evs.len(), 1, "{evs:?}");
     assert_eq!(evs[0].site, "monitor.report");
     assert!(evs[0].budget_exhausted);
-    assert_eq!(evs[0].nodes, report.stats.nodes as u64);
+    assert_eq!(evs[0].nodes, report.verdict.stats.nodes as u64);
 }

@@ -162,9 +162,9 @@ mod tests {
             let out = run_concurrent(&Workload::concurrent(threads));
             let conc = out.verify();
             assert_eq!(conc.phases.len(), 2);
-            assert!(conc.object_linearizable, "round {round}: {conc:?}");
-            assert_eq!(conc.phases[1], (2, 3, true), "round {round}: {conc:?}");
-            if !conc.phases[0].2 {
+            assert!(conc.object.is_ok(), "round {round}: {conc:?}");
+            assert_eq!(conc.phases[1], (2, 3, Ok(())), "round {round}: {conc:?}");
+            if conc.phases[0].2.is_err() {
                 let t12 =
                     project_phase::<Consensus, Value>(&out.trace, PhaseId::new(1), PhaseId::new(2));
                 assert!(invariants::has_late_decide(&t12), "round {round}: {t12:?}");
@@ -197,17 +197,10 @@ mod tests {
         let t12 = project_phase::<Consensus, Value>(&t, ph1, ph2);
         assert!(invariants::has_late_decide(&t12));
         let v = verify_phase_chain(&Consensus, ConsensusInit::new(), &t, 1, 2);
-        assert_eq!(v.phases, [(1, 2, false), (2, 3, true)]);
-        assert_eq!(
-            v.failures,
-            [(
-                1,
-                2,
-                SlinError::NotSpeculativelyLinearizable {
-                    interpretation: Vec::new()
-                }
-            )]
-        );
-        assert!(v.object_linearizable);
+        let refuted = SlinError::NotSpeculativelyLinearizable {
+            interpretation: Vec::new(),
+        };
+        assert_eq!(v.phases, [(1, 2, Err(refuted)), (2, 3, Ok(()))]);
+        assert!(v.object.is_ok());
     }
 }

@@ -103,9 +103,11 @@ fn main() {
     // The harness drives the shared CheckerEngine over every phase (in
     // parallel across init interpretations) and reports search statistics.
     let v = crash.verify(1);
+    let phases: Vec<_> = v.phases.iter().map(|(m, n, r)| (m, n, r.is_ok())).collect();
     println!(
         "phases: {:?}  object linearizable: {}",
-        v.phases, v.object_linearizable
+        phases,
+        v.object.is_ok()
     );
     println!(
         "engine: {} interpretations, {} nodes, {} memo entries",

@@ -109,11 +109,11 @@ fn keyed_batch_is_byte_identical_to_monolithic_on_phase_traces() {
 }
 
 /// Streaming across switches: a keyed monitor re-checks its record per
-/// class past the first switch and reports byte-identically to the batch
-/// check, with no fallback engaged.
+/// class past the first switch and reports, at every prefix, the keyed
+/// batch session's whole verdict — witness, stats and partition report —
+/// with no fallback engaged.
 #[test]
 fn keyed_streaming_across_switches_matches_batch() {
-    let chk = phase_checker();
     let cert = switch_cert();
     for error_prob in [0.0, 0.5] {
         for seed in 0..6u64 {
@@ -124,22 +124,28 @@ fn keyed_streaming_across_switches_matches_batch() {
             };
             let t = random_phase_kv_trace(&cfg);
             let mut mon = keyed_stream(&cert, Obs::noop());
+            let mut prefix = slin_trace::Trace::new();
             for a in t.iter() {
                 mon.ingest(a.clone());
-            }
-            let report = mon.report().unwrap();
-            let batch = chk.check(&t);
-            assert_eq!(report.verdict, batch, "seed {seed} error {error_prob}");
-            assert_eq!(
-                format!("{:?}", report.verdict),
-                format!("{batch:?}"),
-                "streamed witness bytes must match: seed {seed} error {error_prob}"
-            );
-            if error_prob == 0.0 {
+                prefix.push(a.clone());
+                let report = mon.report().unwrap();
+                let batch = keyed_check(0, &cert, &prefix);
+                let at = prefix.len();
                 assert_eq!(
-                    report.fallback, None,
-                    "keyed stream must stay sharded across switches: seed {seed}"
+                    report.verdict, batch,
+                    "seed {seed} error {error_prob} prefix {at}"
                 );
+                assert_eq!(
+                    format!("{:?}", report.verdict),
+                    format!("{batch:?}"),
+                    "streamed witness bytes must match: seed {seed} error {error_prob} prefix {at}"
+                );
+                if error_prob == 0.0 {
+                    assert_eq!(
+                        report.fallback, None,
+                        "keyed stream must stay sharded across switches: seed {seed} prefix {at}"
+                    );
+                }
             }
         }
     }
@@ -176,7 +182,7 @@ fn a_keyed_stream_feeds_no_shard_after_its_first_switch() {
         assert_eq!(summary.extension_searches, at_switch, "seed {seed}");
         let report = mon.report().unwrap();
         let batch = chk.check(&t);
-        assert_eq!(report.verdict, batch, "seed {seed}");
+        assert_eq!(report.verdict.outcome, batch, "seed {seed}");
     }
     assert!(
         responds_after_switch > 0,
@@ -220,10 +226,9 @@ fn polled_status_and_report_share_one_keyed_search() {
             let evs = seen.0.lock().unwrap()[before..].to_vec();
             assert_eq!(evs.len(), 1, "seed {seed} error {error_prob}: {evs:?}");
             assert_eq!(evs[0].site, "monitor.report");
-            assert_eq!(evs[0].nodes, report.stats.nodes as u64);
-            let keyed = keyed_check(0, &cert, &t);
-            assert_eq!(report.stats.nodes, keyed.stats.nodes);
-            let want = match &report.verdict {
+            assert_eq!(evs[0].nodes, report.verdict.stats.nodes as u64);
+            assert_eq!(report.verdict, keyed_check(0, &cert, &t));
+            let want = match &report.verdict.outcome {
                 Ok(_) => MonitorStatus::Ok,
                 Err(e) => <PhaseChecker as ConsistencyModel<Vec<KvInput>>>::status_of_error(e),
             };
@@ -233,7 +238,8 @@ fn polled_status_and_report_share_one_keyed_search() {
 }
 
 /// Without the certificate the same stream is re-checked whole from its
-/// first switch on — the fallback reason the keyed mode removes.
+/// first switch on — the fallback reason the keyed mode removes. At every
+/// prefix the report is the unkeyed batch session's whole verdict.
 #[test]
 fn unkeyed_streaming_falls_back_on_the_first_switch() {
     let chk = phase_checker();
@@ -242,15 +248,29 @@ fn unkeyed_streaming_falls_back_on_the_first_switch() {
         .partitioner(KvKeyPartitioner)
         .strategy(Strategy::Streaming { window: None })
         .build();
+    let mut batch = Checker::builder(chk).partitioner(KvKeyPartitioner).build();
+    let mut prefix = slin_trace::Trace::new();
     for a in t.iter() {
         mon.ingest(a.clone());
+        prefix.push(a.clone());
+        let report = mon.report().unwrap();
+        let switched = prefix.iter().any(|a| a.is_switch());
+        let at = prefix.len();
+        assert_eq!(
+            report.fallback.is_some(),
+            switched,
+            "uncertified switches must fall back: prefix {at}"
+        );
+        assert_eq!(
+            report.verdict,
+            batch.check(&prefix),
+            "fallback is still exact: prefix {at}"
+        );
     }
-    let report = mon.report().unwrap();
     assert!(
-        report.fallback.is_some(),
-        "uncertified switches must fall back"
+        mon.report().unwrap().fallback.is_some(),
+        "the corpus crosses phases"
     );
-    assert_eq!(report.verdict, chk.check(&t), "fallback is still exact");
 }
 
 /// The session facade end to end: installing the analyzer's switch

@@ -120,9 +120,9 @@ proptest! {
         }
         let report = mon.report().unwrap();
         let batch = LinChecker::owned(KvStore).check(&t);
-        prop_assert_eq!(&report.verdict, &batch, "cfg {:?}", cfg);
-        prop_assert_eq!(format!("{:?}", report.verdict), format!("{batch:?}"));
-        if let Ok(w) = &report.verdict {
+        prop_assert_eq!(&report.verdict.outcome, &batch, "cfg {:?}", cfg);
+        prop_assert_eq!(format!("{:?}", report.verdict.outcome), format!("{batch:?}"));
+        if let Ok(w) = &report.verdict.outcome {
             prop_assert!(witness_is_valid(&KvStore, &t, w), "cfg {:?}", cfg);
         }
     }
@@ -140,7 +140,7 @@ proptest! {
             mon.ingest(a.clone());
         }
         prop_assert_eq!(
-            mon.report().unwrap().verdict,
+            mon.report().unwrap().verdict.outcome,
             LinChecker::owned(Set).check(&t),
             "cfg {:?}", cfg
         );
@@ -159,7 +159,7 @@ proptest! {
             mon.ingest(a.clone());
         }
         prop_assert_eq!(
-            mon.report().unwrap().verdict,
+            mon.report().unwrap().verdict.outcome,
             LinChecker::owned(RegisterArray).check(&t),
             "cfg {:?}", cfg
         );
@@ -173,7 +173,7 @@ proptest! {
             mon.ingest(a.clone());
         }
         prop_assert_eq!(
-            mon.report().unwrap().verdict,
+            mon.report().unwrap().verdict.outcome,
             LinChecker::owned(CounterVector).check(&t),
             "cfg {:?}", cfg
         );
@@ -200,8 +200,8 @@ proptest! {
             .partitioner(KvKeyPartitioner)
             .build()
             .check(&t);
-        prop_assert_eq!(&report.verdict, &partitioned.outcome, "cfg {:?}", cfg);
-        prop_assert_eq!(&report.verdict, &chk.check(&t), "cfg {:?}", cfg);
+        prop_assert_eq!(&report.verdict, &partitioned, "cfg {:?}", cfg);
+        prop_assert_eq!(&report.verdict.outcome, &chk.check(&t), "cfg {:?}", cfg);
     }
 }
 
@@ -264,7 +264,7 @@ proptest! {
         for a in t.iter() {
             mon.ingest(a.clone());
         }
-        prop_assert_eq!(mon.report().unwrap().verdict, chk.check(&t), "{:?}", t);
+        prop_assert_eq!(mon.report().unwrap().verdict.outcome, chk.check(&t), "{:?}", t);
     }
 }
 
@@ -284,8 +284,8 @@ proptest! {
         }
         let report = mon.report().unwrap();
         let batch = LinChecker::owned(KvStore).check(&t);
-        prop_assert_eq!(&report.verdict, &batch, "cfg {:?} ({commits} commits)", cfg);
-        if let Ok(w) = &report.verdict {
+        prop_assert_eq!(&report.verdict.outcome, &batch, "cfg {:?} ({commits} commits)", cfg);
+        if let Ok(w) = &report.verdict.outcome {
             prop_assert!(witness_is_valid(&KvStore, &t, w));
         }
     }
@@ -314,7 +314,7 @@ fn big_streams_do_exceed_64_commits() {
     for a in t.iter() {
         mon.ingest(a.clone());
     }
-    assert_eq!(mon.report().unwrap().verdict, batch);
+    assert_eq!(mon.report().unwrap().verdict.outcome, batch);
 }
 
 // ---- hostile never-quiescent streams (epoch GC differential) ----
@@ -510,7 +510,7 @@ fn impossible_late_straggler_response_is_still_a_violation() {
         KvOutput::Found(None), // impossible: the key was never absent
     ));
     assert_eq!(out.status, MonitorStatus::Violation);
-    assert!(mon.report().unwrap().verdict.is_err());
+    assert!(mon.report().unwrap().verdict.outcome.is_err());
 }
 
 /// Two stragglers on **one** input pending across the same epoch cuts: the
@@ -623,7 +623,7 @@ fn drive_against_reference(
         let out = mon.ingest(a.clone());
         let holds = reference.check(&prefix).outcome.is_ok();
         let report = mon.report().expect("streaming");
-        let reported = status_of::<LinChecker<KvStore>, ()>(&report.verdict);
+        let reported = status_of::<LinChecker<KvStore>, ()>(&report.verdict.outcome);
         for (claim, what) in [(out.status, "status"), (reported, "report")] {
             match claim {
                 MonitorStatus::Ok => assert!(holds, "{what} over-claims at event {}", out.index),
@@ -864,7 +864,8 @@ fn a_tripped_window_search_keeps_its_counters() {
                 mon.ingest(a.clone());
             }
             let report = mon.report().expect("born streaming");
-            let Err(slin_core::lin::LinError::BudgetExhausted { nodes }) = report.verdict else {
+            let Err(slin_core::lin::LinError::BudgetExhausted { nodes }) = report.verdict.outcome
+            else {
                 continue;
             };
             tripped += 1;
@@ -874,10 +875,10 @@ fn a_tripped_window_search_keeps_its_counters() {
             );
             assert!(nodes > 0, "seed {seed}, budget {budget}");
             assert!(
-                report.stats.nodes >= nodes,
+                report.verdict.stats.nodes >= nodes,
                 "seed {seed}, budget {budget}: the error names {nodes} nodes, the report's \
                  stats {}",
-                report.stats.nodes
+                report.verdict.stats.nodes
             );
             let searches = seen.0.lock().expect("no panic holds it");
             let last = searches
@@ -947,7 +948,7 @@ fn perturbed_big_streams_match_batch() {
             mon.ingest(a.clone());
         }
         assert_eq!(
-            mon.report().unwrap().verdict,
+            mon.report().unwrap().verdict.outcome,
             LinChecker::owned(KvStore).check(&t),
             "seed {seed}"
         );
@@ -1005,7 +1006,7 @@ fn an_identity_collapse_replays_each_event_once() {
     }
     let report = mon.report().unwrap();
     assert_eq!(
-        report.verdict,
+        report.verdict.outcome,
         Err(slin_core::lin::LinError::NotLinearizable)
     );
     assert!(report.fallback.is_some());
@@ -1046,7 +1047,7 @@ fn close_with_abort(t: &Trace<ObjAction<KvStore, ()>>) -> Vec<ObjAction<KvStore,
     for a in &actions {
         oracle.ingest(a.clone());
     }
-    let value = match oracle.report().expect("born streaming").verdict {
+    let value = match oracle.report().expect("born streaming").verdict.outcome {
         Ok(witness) => witness.commit_histories.history().to_vec(),
         Err(_) => Vec::new(),
     };
@@ -1099,8 +1100,9 @@ fn a_bounded_speculative_stream_never_over_claims() {
                             mon.ingest(a.clone());
                             let got = mon.status().expect("streaming");
                             let report = mon.report().expect("streaming");
-                            let reported =
-                                status_of::<SlinChecker<KvStore, ExactInit>, _>(&report.verdict);
+                            let reported = status_of::<SlinChecker<KvStore, ExactInit>, _>(
+                                &report.verdict.outcome,
+                            );
                             if archive > 0 {
                                 assert_eq!(got, want[i], "{case}: event {i}");
                                 assert_eq!(reported, want[i], "{case}: report at event {i}");
@@ -1138,8 +1140,8 @@ fn a_bounded_speculative_stream_never_over_claims() {
 /// stream from the shard windows — except past a switch, where the shards
 /// go quiet and the validator answers, as the batch check validates
 /// first. At every prefix of a stream that meets a switch and of one that
-/// turns ill-formed, the report is the batch check's: verdict, witness
-/// and stats.
+/// turns ill-formed, the report is the batch session's whole verdict:
+/// outcome, witness, stats and partition report.
 #[test]
 fn an_unbounded_lin_stream_reports_the_batch_check_past_a_switch_or_ill_formedness() {
     use slin_core::lin::LinError;
@@ -1177,10 +1179,9 @@ fn an_unbounded_lin_stream_reports_the_batch_check_past_a_switch_or_ill_formedne
             mon.ingest(a);
             let report = mon.report().expect("born streaming");
             let expect = batch.check(&prefix);
-            assert_eq!(report.verdict, expect.outcome, "prefix {}", prefix.len());
-            assert_eq!(report.stats, expect.stats, "prefix {}", prefix.len());
+            assert_eq!(report.verdict, expect, "prefix {}", prefix.len());
         }
-        let verdict = mon.report().expect("born streaming").verdict;
+        let verdict = mon.report().expect("born streaming").verdict.outcome;
         if switches {
             assert_eq!(verdict, Err(LinError::SwitchAction { index: 5 }));
         } else {

@@ -95,7 +95,7 @@ proptest! {
             "cfg {:?}", cfg
         );
         prop_assert_eq!(
-            format!("{:?}", got.verdict),
+            format!("{:?}", got.verdict.outcome),
             format!("{:?}", LinChecker::owned(KvStore).check(&t)),
             "cfg {:?}", cfg
         );
@@ -234,7 +234,7 @@ fn violation_after_gc_reconstructs_full_forensics() {
     let want = oracle.report().unwrap();
     assert!(got.prefix_committed, "GC never retired — widen the run");
     assert!(got.reconstructed);
-    assert!(got.verdict.is_err());
+    assert!(got.verdict.outcome.is_err());
     assert_eq!(
         format!("{:?}", got.verdict),
         format!("{:?}", want.verdict),
@@ -243,7 +243,7 @@ fn violation_after_gc_reconstructs_full_forensics() {
     // And the plain GC monitor genuinely lost the early history: its
     // window-relative report has no access to the retired events.
     let degraded = plain.report().unwrap();
-    assert!(degraded.verdict.is_err());
+    assert!(degraded.verdict.outcome.is_err());
     assert_eq!(degraded.shard.archived_events, 0);
 }
 
@@ -310,10 +310,10 @@ fn deep_archive_reconstructs_inside_its_event_bound() {
         assert!(report.verdict.is_ok(), "seed {seed}");
         assert!(report.reconstructed, "seed {seed}");
         let archived = report.shard.archived_events;
+        let shards = report.verdict.partition.map_or(0, |p| p.partitions);
         assert!(
-            0 < archived && archived <= report.shards * 4096 * 8,
-            "seed {seed}: {archived} events archived over {} shards",
-            report.shards
+            0 < archived && archived <= shards * 4096 * 8,
+            "seed {seed}: {archived} events archived over {shards} shards"
         );
     }
 }
@@ -410,7 +410,7 @@ fn a_switch_after_retirement_reads_the_record_or_under_claims() {
             if depth == 0 {
                 assert_eq!(status, MonitorStatus::Unknown, "window {window}");
                 assert_eq!(
-                    got.verdict,
+                    got.verdict.outcome,
                     Err(SlinError::BudgetExhausted { nodes: 0 }),
                     "window {window}"
                 );
@@ -501,7 +501,10 @@ fn a_collapse_after_retirement_reads_the_record_or_under_claims() {
             assert!(report.prefix_committed && report.fallback.is_some());
             if depth == 0 {
                 assert_eq!(last, MonitorStatus::Unknown, "window {window}");
-                assert_eq!(report.verdict, Err(LinError::BudgetExhausted { nodes: 0 }));
+                assert_eq!(
+                    report.verdict.outcome,
+                    Err(LinError::BudgetExhausted { nodes: 0 })
+                );
             } else {
                 assert_eq!(last, MonitorStatus::Ok, "window {window}, archive {depth}");
                 assert!(report.verdict.is_ok(), "window {window}, archive {depth}");

@@ -299,7 +299,7 @@ fn phase_row(scenario: &'static str, cert: &SwitchCert, base: PhaseConfig) -> Ph
         }
         let streamed = mon.report().expect("born streaming");
         row.fallbacks += streamed.fallback.is_some() as usize;
-        row.stream_agrees &= streamed.verdict == mono.outcome;
+        row.stream_agrees &= streamed.verdict.outcome == mono.outcome;
     }
     row
 }
@@ -505,7 +505,8 @@ fn b6_streams_stay_linearizable_and_report_load_shape() {
             }
             let report = mon.report().expect("born streaming");
             row.events += t.len();
-            row.shards = row.shards.max(report.shards);
+            let partitions = report.verdict.partition.map_or(0, |p| p.partitions);
+            row.shards = row.shards.max(partitions);
             row.retired_events += report.shard.retired_events;
             row.fallback_searches += report.shard.fallback_searches;
         }
