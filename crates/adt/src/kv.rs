@@ -69,25 +69,44 @@ impl KvStore {
     }
 }
 
-/// A [`KvStore`] state: the bindings, sorted by key, in one shared slice —
-/// or none at all for the empty map, so the initial state allocates
-/// nothing.
+/// A [`KvStore`] state: the bindings, sorted by key — none for the empty
+/// map, one stored inline, and two or more in one shared slice.
 ///
 /// A search replays the store at every node, and most steps do not change
 /// the map: a `get`, a `put` of the value already bound, a `delete` of an
-/// absent key. Those return their input state with a reference-count bump,
-/// as does every clone (a seed, a frontier configuration, a memo entry); a
-/// step that changes the map builds one new slice. Equality and hashing
-/// are by content — there is one representation per map — and `Hash` and
-/// `Debug` read exactly as a `BTreeMap<u32, u64>` of the same bindings
-/// (`{k: v, …}`), which certificates and witness messages print.
+/// absent key. Those return their input state, as does every clone (a
+/// seed, a frontier configuration, a memo entry). A per-key shard, or a
+/// class search of a keyed check, never holds more than one binding, so
+/// there a step, a clone and a drop copy a few words and touch no
+/// allocator and no reference count; only a map of two or more bindings
+/// lives in a slice, which a clone shares and a changing step rebuilds.
+/// Equality and hashing are by content — there is one representation per
+/// map — and `Hash` and `Debug` read exactly as a `BTreeMap<u32, u64>` of
+/// the same bindings (`{k: v, …}`), which certificates and witness
+/// messages print.
 #[derive(Clone, Default, PartialEq, Eq)]
-pub struct KvState(Option<Arc<[(u32, u64)]>>);
+pub struct KvState(Bindings);
+
+/// The three shapes of a map; a map has exactly one of them.
+#[derive(Clone, Default, PartialEq, Eq)]
+enum Bindings {
+    /// No binding: the initial state.
+    #[default]
+    Empty,
+    /// Exactly one binding, inline.
+    One([(u32, u64); 1]),
+    /// Two or more bindings, ascending by key.
+    Many(Arc<[(u32, u64)]>),
+}
 
 impl KvState {
     /// The bindings in ascending key order.
     fn bindings(&self) -> &[(u32, u64)] {
-        self.0.as_deref().unwrap_or_default()
+        match &self.0 {
+            Bindings::Empty => &[],
+            Bindings::One(one) => one,
+            Bindings::Many(many) => many,
+        }
     }
 
     /// Where `key` is bound, or where it would be.
@@ -100,13 +119,14 @@ impl KvState {
         Some(self.bindings()[self.find(key).ok()?].1)
     }
 
-    /// Whether `a` and `b` are one state, not merely equal ones: the same
-    /// slice, or both empty (what a step that leaves the map alone
-    /// returns).
+    /// Whether no copy was made between `a` and `b` — what a step that
+    /// leaves the map alone returns: the same slice, or both inline (empty
+    /// or one binding) and equal, since an inline map is its own copy.
     pub fn ptr_eq(a: &KvState, b: &KvState) -> bool {
         match (&a.0, &b.0) {
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            (a, b) => a.is_none() && b.is_none(),
+            (Bindings::Many(a), Bindings::Many(b)) => Arc::ptr_eq(a, b),
+            (Bindings::Many(_), _) | (_, Bindings::Many(_)) => false,
+            (a, b) => a == b,
         }
     }
 
@@ -129,18 +149,18 @@ impl KvState {
         }
     }
 
-    /// `before`, then `mid`, then `after`, in one allocation (none when
-    /// empty: the one representation of the empty map).
+    /// `before`, then `mid`, then `after`, in the one shape their count
+    /// takes: empty and one binding allocate nothing, more is one slice.
     fn spliced(before: &[(u32, u64)], mid: Option<(u32, u64)>, after: &[(u32, u64)]) -> KvState {
-        if before.is_empty() && mid.is_none() && after.is_empty() {
-            return KvState::default();
-        }
-        let joined = before
-            .iter()
-            .copied()
+        let mut joined = (before.iter().copied())
             .chain(mid)
             .chain(after.iter().copied());
-        KvState(Some(joined.collect()))
+        let shape = match before.len() + usize::from(mid.is_some()) + after.len() {
+            0 => Bindings::Empty,
+            1 => Bindings::One([joined.next().expect("one binding")]),
+            _ => Bindings::Many(joined.collect()),
+        };
+        KvState(shape)
     }
 }
 

@@ -201,7 +201,13 @@ impl CommitMask {
     /// The mask with bit `k` cleared (the child node's remaining set).
     pub(crate) fn without(&self, k: usize) -> Self {
         let mut out = self.clone();
-        match &mut out {
+        out.remove(k);
+        out
+    }
+
+    /// Clears bit `k` in place.
+    pub(crate) fn remove(&mut self, k: usize) {
+        match self {
             CommitMask::Small(w) => {
                 debug_assert!(k < 64, "bit outside a small mask");
                 *w &= !(1 << k);
@@ -212,7 +218,6 @@ impl CommitMask {
                 }
             }
         }
-        out
     }
 
     /// Number of set bits.
@@ -665,9 +670,10 @@ where
         }
     }
 
-    /// Runs the search from `seed` and stops at the first solution. The
-    /// `leaf` oracle is consulted with the chain's longest history (the
-    /// seed's when nothing commits) whenever every commit has been placed;
+    /// Runs the search from `seed`, placing the commits of `start` (see
+    /// [`Search::run`]), and stops at the first solution. The `leaf`
+    /// oracle is consulted with the chain's longest history (the seed's
+    /// when nothing commits) whenever every commit has been placed;
     /// returning `None` vetoes the leaf and the search backtracks. It is
     /// subject to the soundness contract of [`crate::model::LeafFn`]. The
     /// outcome is `Some((chain, leaf_witness))`, or `None` when the search
@@ -678,6 +684,7 @@ where
     pub(crate) fn first_solution<W>(
         &self,
         seed: SearchSeed<T>,
+        start: CommitMask,
         leaf: &dyn Fn(&[T::Input]) -> Option<W>,
     ) -> Found<T::Input, W> {
         let mut first = FirstSolution {
@@ -686,7 +693,8 @@ where
             cuts: Vec::new(),
             found: None,
         };
-        let (flow, stats) = Search::new(self).run(&seed, (), &mut first, self.budget.max_nodes);
+        let max_nodes = self.budget.max_nodes;
+        let (flow, stats) = Search::new(self).run(&seed, start, (), &mut first, max_nodes);
         (flow.map(|_| first.found), stats)
     }
 }
@@ -952,13 +960,21 @@ where
     }
 
     /// The kernel's entry point: searches from `seed` (carrying `tag`)
-    /// under `visitor`, expanding at most `max_nodes` nodes. Returns
-    /// whether the visitor stopped the search (`Break`) or the space below
-    /// the seed was exhausted (`Continue`) — or the budget error — and the
-    /// counters either way.
+    /// under `visitor`, expanding at most `max_nodes` nodes, for chains
+    /// placing the commits of `start` — positions in the engine's commit
+    /// list, ascending like it; a caller that places every commit passes
+    /// [`CommitMask::full`]. The commits outside `start` play no part: no
+    /// move, no bound, no memo counter reads them, so a run over a mask is
+    /// the run over an engine built on the masked commits alone, and the
+    /// runs of one enumeration whose seeds place different sub-lists (a
+    /// seed's symbolic completions absorb some commits) share one engine.
+    /// Returns whether the visitor stopped the search (`Break`) or the
+    /// space below the seed was exhausted (`Continue`) — or the budget
+    /// error — and the counters either way.
     pub(crate) fn run<V: Visitor<T, Tag = G>>(
         &mut self,
         seed: &SearchSeed<T>,
+        start: CommitMask,
         tag: G,
         visitor: &mut V,
         max_nodes: usize,
@@ -984,7 +1000,8 @@ where
         self.spare
             .extend((0..self.counts.len()).filter(|&e| self.counts[e].used < eng.classes[e].1));
         self.live.clear();
-        self.live.extend(eng.commit_classes.iter().map(|&(e, _)| e));
+        self.live
+            .extend(start.iter().map(|k| eng.commit_classes[k].0));
         self.live.extend(&self.spare);
         self.live.sort_unstable();
         self.live.dedup();
@@ -992,7 +1009,7 @@ where
         self.memo.index.clear();
         self.memo.entries.clear();
         self.memo.counts.clear();
-        if !self.seed_feasible(&seed.used) {
+        if !self.seed_feasible(&seed.used, &start) {
             self.stats.pruned = 1;
             return (Ok(ControlFlow::Continue(())), self.stats);
         }
@@ -1003,29 +1020,29 @@ where
         self.leaf_used
             .counts
             .extend(self.live.iter().map(|&e| self.counts[e].used));
-        let remaining = CommitMask::full(eng.commits.len());
-        let flow = self.dfs(visitor, seed.state.clone(), tag, remaining);
+        let flow = self.dfs(visitor, seed.state.clone(), tag, start);
         self.stats.memo_entries = self.memo.index.len();
         (flow, self.stats)
     }
 
     /// The feasibility conditions at the seed, which every admitted child
     /// then preserves (module docs, "Feasibility prune"): the consumed
-    /// inputs fit the tightest remaining bound, and no class is already too
-    /// consumed for its commits' own bounds.
-    fn seed_feasible(&mut self, used: &PersistentMultiset<T::Input>) -> bool {
+    /// inputs fit the tightest bound among the commits of `start`, and no
+    /// class is already too consumed for those commits' own bounds.
+    fn seed_feasible(&mut self, used: &PersistentMultiset<T::Input>, start: &CommitMask) -> bool {
         let eng = self.engine;
-        let Some(first) = eng.commits.first() else {
+        let Some(first) = start.iter().next() else {
             return true;
         };
-        let mut feasible = eng.bounds.covers(first.index, used);
-        for &(e, own_bound) in &eng.commit_classes {
+        let mut feasible = eng.bounds.covers(eng.commits[first].index, used);
+        for k in start.iter() {
+            let (e, own_bound) = eng.commit_classes[k];
             let class = &mut self.counts[e];
             class.rank += 1;
             feasible &= class.used + class.rank <= own_bound;
         }
-        for &(e, _) in &eng.commit_classes {
-            self.counts[e].rank = 0;
+        for k in start.iter() {
+            self.counts[eng.commit_classes[k].0].rank = 0;
         }
         feasible
     }
@@ -1408,7 +1425,11 @@ mod tests {
             bounds.pool(),
             SearchBudget::default(),
         );
-        let (found, stats) = engine.first_solution(SearchSeed::initial(&Consensus), &|_| Some(()));
+        let (found, stats) = engine.first_solution(
+            SearchSeed::initial(&Consensus),
+            CommitMask::full(commits.len()),
+            &|_| Some(()),
+        );
         let (chain, ()) = found.unwrap().expect("linearizable");
         assert_eq!(chain.cuts().len(), 2);
         assert!(stats.nodes > 0);
@@ -1428,8 +1449,11 @@ mod tests {
             bounds.pool(),
             SearchBudget::default(),
         );
-        let (found, stats) =
-            engine.first_solution(SearchSeed::initial(&Consensus), &|_| None::<()>);
+        let (found, stats) = engine.first_solution(
+            SearchSeed::initial(&Consensus),
+            CommitMask::full(commits.len()),
+            &|_| None::<()>,
+        );
         assert!(found.unwrap().is_none());
         assert!(stats.leaf_checks >= 1, "leaves were reached and vetoed");
     }
@@ -1446,7 +1470,11 @@ mod tests {
             bounds.pool(),
             SearchBudget::new(1),
         );
-        let (found, stats) = engine.first_solution(SearchSeed::initial(&Consensus), &|_| Some(()));
+        let (found, stats) = engine.first_solution(
+            SearchSeed::initial(&Consensus),
+            CommitMask::full(commits.len()),
+            &|_| Some(()),
+        );
         assert_eq!(found, Err(EngineError::BudgetExhausted { nodes: 2 }));
         assert_eq!(stats.nodes, 2, "the tripped search reports its work");
     }
@@ -1496,7 +1524,11 @@ mod tests {
             bounds.pool(),
             SearchBudget::default(),
         )
-        .first_solution(SearchSeed::initial(&KvStore), &|_| (!veto).then_some(()));
+        .first_solution(
+            SearchSeed::initial(&KvStore),
+            CommitMask::full(commits.len()),
+            &|_| (!veto).then_some(()),
+        );
         (found.unwrap(), stats)
     }
 
@@ -1629,7 +1661,11 @@ mod tests {
             bounds.pool(),
             SearchBudget::default(),
         );
-        let (found, _) = engine.first_solution(SearchSeed::initial(&Consensus), &|_| Some(()));
+        let (found, _) = engine.first_solution(
+            SearchSeed::initial(&Consensus),
+            CommitMask::full(commits.len()),
+            &|_| Some(()),
+        );
         let (chain, ()) = found.unwrap().expect("70 chained decisions linearize");
         assert_eq!(chain.cuts().len(), 70);
         assert_eq!(chain.history().len(), 70);
@@ -1678,7 +1714,8 @@ mod tests {
             SearchBudget::default(),
         );
         let seed = SearchSeed::from_history(&Consensus, vec![ConsInput::propose(2)]);
-        let (found, _) = engine.first_solution(seed, &|_| Some(()));
+        let (found, _) =
+            engine.first_solution(seed, CommitMask::full(commits.len()), &|_| Some(()));
         let (chain, ()) = found.unwrap().expect("explained by the seeded history");
         assert_eq!(
             chain.iter().next().expect("one commit").1,
@@ -1791,11 +1828,18 @@ mod tests {
             SearchBudget::default(),
         );
         let seed = || SearchSeed::initial(&KvStore);
-        let first = engine.first_solution(seed(), &|_| Some(()));
-        let (vetoed, veto_stats) = engine.first_solution(seed(), &|_| None::<()>);
+        let first = engine.first_solution(seed(), CommitMask::full(commits.len()), &|_| Some(()));
+        let (vetoed, veto_stats) =
+            engine.first_solution(seed(), CommitMask::full(commits.len()), &|_| None::<()>);
         assert_eq!(vetoed, Ok(None));
         let mut all = AllLeaves::default();
-        let (flow, stats) = Search::new(&engine).run(&seed(), Pairs::new(), &mut all, 20_000);
+        let (flow, stats) = Search::new(&engine).run(
+            &seed(),
+            CommitMask::full(commits.len()),
+            Pairs::new(),
+            &mut all,
+            20_000,
+        );
         let traffic = [
             veto_stats.memo_entries + stats.memo_entries,
             veto_stats.memo_hits + stats.memo_hits,
@@ -1865,6 +1909,79 @@ mod tests {
             let (seeded, constant) = under_both_hashes(check);
             assert_eq!(seeded, constant, "phase seed {seed}");
         }
+    }
+
+    /// A run from a start mask is the run over an engine built on the
+    /// masked commits alone — the same leaves in the same order, the same
+    /// counters, the same outcome — for masks dropping one commit, every
+    /// other one, or a pseudo-random subset; and one `Search` over the
+    /// whole list serves mask after mask (its floor table shared) as the
+    /// shard's enumerations use it.
+    #[test]
+    fn a_masked_run_is_the_run_over_the_masked_commits() {
+        let mut leaves = 0;
+        for seed in 0..6 {
+            for t in [hotkey_trace(28, seed), straggler_trace(36, seed)] {
+                let commits = ops::commits::<KvStore, ()>(&t);
+                let bounds = ops::input_bounds::<KvStore, ()>(&t);
+                let n = commits.len();
+                let engine = CheckerEngine::new(
+                    &KvStore,
+                    &commits,
+                    &bounds,
+                    bounds.pool(),
+                    SearchBudget::default(),
+                );
+                let mut shared = Search::new(&engine);
+                let masks = [
+                    CommitMask::full(n),
+                    CommitMask::full(n).without(0),
+                    CommitMask::full(n).without(n / 2),
+                    (0..n / 2).fold(CommitMask::full(n), |m, k| m.without(k)),
+                    (0..n)
+                        .step_by(2)
+                        .fold(CommitMask::full(n), |m, k| m.without(k)),
+                    (0..n)
+                        .filter(|k| (k * 7 + seed as usize).is_multiple_of(3))
+                        .fold(CommitMask::full(n), |m, k| m.without(k)),
+                ];
+                // The empty seed, and seeds that consumed the first commits'
+                // inputs, as a checkpoint configuration has.
+                let seeds = [
+                    SearchSeed::initial(&KvStore),
+                    SearchSeed::from_history(&KvStore, vec![commits[0].input]),
+                    SearchSeed::from_history(&KvStore, vec![commits[0].input, commits[1].input]),
+                ];
+                for (mask, seed) in masks
+                    .into_iter()
+                    .flat_map(|m| seeds.iter().map(move |s| (m.clone(), s)))
+                {
+                    let kept: Vec<_> = mask.iter().map(|k| commits[k].clone()).collect();
+                    let alone = CheckerEngine::new(
+                        &KvStore,
+                        &kept,
+                        &bounds,
+                        bounds.pool(),
+                        SearchBudget::default(),
+                    );
+                    let (mut masked, mut whole) = (AllLeaves::default(), AllLeaves::default());
+                    let masked_run = shared.run(seed, mask, Pairs::new(), &mut masked, 20_000);
+                    let whole_run = Search::new(&alone).run(
+                        seed,
+                        CommitMask::full(kept.len()),
+                        Pairs::new(),
+                        &mut whole,
+                        20_000,
+                    );
+                    assert_eq!(
+                        format!("{:?}", (masked_run, &masked.0)),
+                        format!("{:?}", (whole_run, &whole.0))
+                    );
+                    leaves += masked.0.len();
+                }
+            }
+        }
+        assert!(leaves > 100, "a vacuous corpus: {leaves} leaves");
     }
 
     /// Asserts at every leaf that the multiset [`LeafUsed::get`] builds is
@@ -1970,7 +2087,13 @@ mod tests {
                     leaves: 0,
                     handed_out_again: 0,
                 };
-                let (flow, _) = Search::new(&engine).run(&seed, (), &mut visitor, 50_000);
+                let (flow, _) = Search::new(&engine).run(
+                    &seed,
+                    CommitMask::full(commits.len()),
+                    (),
+                    &mut visitor,
+                    50_000,
+                );
                 assert_eq!(flow, Ok(ControlFlow::Continue(())));
                 // (The checker's linearization of the prefix need not be
                 // the generator's: some suffixes have no leaf.)
@@ -2012,7 +2135,11 @@ mod tests {
         let budget = SearchBudget::new(max_nodes);
         let engine = CheckerEngine::new(&KvStore, &commits, &bounds, bounds.pool(), budget);
         [true, false].map(|accept| {
-            engine.first_solution(SearchSeed::initial(&KvStore), &|_| accept.then_some(()))
+            engine.first_solution(
+                SearchSeed::initial(&KvStore),
+                CommitMask::full(commits.len()),
+                &|_| accept.then_some(()),
+            )
         })
     }
 

@@ -53,7 +53,9 @@
 //! transient use, clone it for consumers that outlive the borrow (the
 //! monitor's shard table).
 
-use crate::engine::{Chain, CheckerEngine, EngineError, Found, Refuted, SearchBudget, SearchSeed};
+use crate::engine::{
+    Chain, CheckerEngine, CommitMask, EngineError, Found, Refuted, SearchBudget, SearchSeed,
+};
 use crate::ops::{Bounds, Commit};
 use crate::partition::FallbackReason;
 use crate::stream::MonitorStatus;
@@ -124,6 +126,7 @@ where
         );
         engine.first_solution(
             SearchSeed::from_history(adt, self.seed.clone()),
+            CommitMask::full(self.commits.len()),
             &*self.leaf,
         )
     }

@@ -47,21 +47,28 @@
 //!
 //! A node, in turn, costs integers, and seldom an allocation: inside a
 //! search the consumed inputs are per-class counters and the memo is probed
-//! by reference (see [`crate::engine`], "The memo"); one class table serves
-//! every seed of an enumeration, and the kernel's type-independent buffers
-//! outlive the enumeration on its thread's free list, so the next one
-//! starts with their capacity; a `KvStore` state is one shared slice that a
-//! read or a no-op write does not copy ([`slin_adt::KvState`]); and the
-//! frontier's direct-commit pass tests one count, building `used` only for
-//! a configuration whose output matched and *moving* that configuration
-//! into its successor — history and completions taken, not copied — into
-//! a result set it reuses from commit to commit. A calm event neither
-//! searches nor falls back, so it allocates little beyond what its
-//! successor configurations' states and consumed inputs need: 1.7
-//! allocations per event in release on the calm stream of
-//! `tests/tests/alloc_gate.rs`, window retirements included, where a
-//! per-index bound snapshot, a copied history and fresh window buffers
-//! made it 5.9. On the
+//! by reference (see [`crate::engine`], "The memo"); an enumeration builds
+//! **one engine** — one class table — and one `Search` for all its seeds,
+//! each run starting from the mask of the commits its seed still places
+//! (a seed's completions absorb some; no commit list is copied), and the
+//! kernel's type-independent buffers outlive the enumeration on its
+//! thread's free list, so the next one starts with their capacity; the
+//! collector's hash index is the shard's one result set, cleared, not
+//! dropped, between enumerations; a `KvStore` state holds one binding —
+//! all a per-key shard ever has — inline, so a step, a clone or a drop of
+//! it allocates nothing and touches no reference count
+//! ([`slin_adt::KvState`]); and the frontier's direct-commit pass tests one
+//! count, building `used` only for a configuration whose output matched
+//! and *moving* that configuration into its successor — history and
+//! completions taken, not copied — into that result set. A calm event
+//! neither searches nor falls back, so it allocates little beyond what its
+//! successor configurations' consumed inputs need: 1.25 allocations per
+//! event in release on the calm stream of `tests/tests/alloc_gate.rs`,
+//! window retirements included (1.68 with a slice per one-binding state;
+//! 5.9 with a per-index bound snapshot, a copied history and fresh window
+//! buffers). A hot-key event there makes 3.42 — 5.75 with a slice per
+//! one-binding state and an engine per group of seeds placing the same
+//! commits. On the
 //! `stream-hotkey` benchmark workload an event's whole wall divided by its
 //! search nodes is ≈360 ns (≈810 when every node path-copied a multiset and cloned its
 //! memo key), on `stream-stragglers` ≈580 (≈1 090) — at the 10.1 and 6.4
@@ -140,11 +147,12 @@
 //!
 //! Re-searches from a seed carrying symbolic completions first absorb
 //! greedily: the earliest window commit matching each completion is
-//! dropped from the commit list (complete — a witness committing such a
-//! commit in-window converts into one absorbing it, with the identical
+//! dropped from the seed's start mask (complete — a witness committing such
+//! a commit in-window converts into one absorbing it, with the identical
 //! terminal key, and absorbing the *earliest* match is optimal because
 //! later matches have larger bounds). The batch engine then runs unchanged
-//! on the filtered commit list.
+//! on the masked commits: a run from a mask is the run over the masked
+//! commits alone (see `Search::run`).
 //!
 //! ## The checkpoint: every complete enumeration is a cut that retires nothing
 //!
@@ -211,15 +219,14 @@
 
 use super::GcPolicy;
 use crate::engine::{
-    CheckerEngine, EngineError, Found, HashIndex, KeyHasher, LeafUsed, Search, SearchBudget,
-    SearchSeed, SearchStats, Visitor,
+    CheckerEngine, CommitMask, EngineError, Found, HashIndex, KeyHasher, LeafUsed, Search,
+    SearchBudget, SearchSeed, SearchStats, Visitor,
 };
 use crate::ops::{Bounds, Commit};
 use crate::ObjAction;
 use slin_adt::Adt;
 use slin_obs::{CutOutcome, GcCutEvent, Obs, ShardIngestEvent};
 use slin_trace::{Action, PersistentMultiset, Trace};
-use std::borrow::Cow;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
@@ -350,14 +357,17 @@ struct Distinct<T: Adt> {
     index: HashIndex,
 }
 
-impl<T: Adt> Distinct<T> {
-    fn new() -> Self {
+// Manual impl: the derive would demand `T: Default`.
+impl<T: Adt> Default for Distinct<T> {
+    fn default() -> Self {
         Distinct {
             configs: Vec::new(),
             index: HashIndex::default(),
         }
     }
+}
 
+impl<T: Adt> Distinct<T> {
     /// The key's hash, and whether a configuration with that key is held.
     fn probe(
         &self,
@@ -388,34 +398,28 @@ impl<T: Adt> Distinct<T> {
 }
 
 /// Greedy absorption of window commits into a seed's symbolic
-/// completions: the earliest commit matching each completion is dropped
-/// (its commit entry is the pre-cut extra). Returns the remaining commit
-/// list (the window's own when there is nothing to absorb into) and the
-/// unconsumed completions.
-fn absorb_commits<'c, T: Adt>(
-    commits: &'c [Commit<T>],
-    sym: &SymSet<T>,
-) -> (Cow<'c, [Commit<T>]>, SymSet<T>) {
-    if sym.is_empty() {
-        return (Cow::Borrowed(commits), sym.clone());
-    }
+/// completions: the earliest commit matching each completion is absorbed
+/// (its commit entry is the pre-cut extra). Returns the commits left to
+/// place, as a mask over `commits` (all of them when there is nothing to
+/// absorb into), and the unconsumed completions.
+fn absorb_commits<T: Adt>(commits: &[Commit<T>], sym: &SymSet<T>) -> (CommitMask, SymSet<T>) {
+    let mut start = CommitMask::full(commits.len());
     let mut sym = sym.clone();
-    let mut kept = Vec::with_capacity(commits.len());
-    for c in commits {
-        let pair = (c.input.clone(), c.output.clone());
-        if sym.count(&pair) > 0 {
-            sym.remove(&pair);
-        } else {
-            kept.push(c.clone());
+    for (k, c) in commits.iter().enumerate() {
+        if sym.is_empty() {
+            break;
+        }
+        if sym.remove(&(c.input.clone(), c.output.clone())) {
+            start.remove(k);
         }
     }
-    (Cow::Owned(kept), sym)
+    (start, sym)
 }
 
-/// One search of an enumeration: the commits to place (window indices) and
-/// the configuration to start from.
+/// One search of an enumeration: the configuration to start from, and the
+/// commits it places — a mask over the enumeration's one commit list.
 struct Problem<'a, T: Adt> {
-    commits: Cow<'a, [Commit<T>]>,
+    start: CommitMask,
     seed: &'a SearchSeed<T>,
     sym: SymSet<T>,
 }
@@ -481,9 +485,11 @@ pub(crate) struct ShardState<T: Adt, V> {
     /// retirement; the seeds are not copied.
     checkpoint: Option<Checkpoint<T>>,
     frontier: Vec<FrontierCfg<T>>,
-    /// The direct-commit pass's result set, reused from commit to commit:
-    /// the pass fills it, the frontier and its configurations swap, and
-    /// the old frontier is dropped in it.
+    /// The shard's one result set, reused from commit to commit and from
+    /// enumeration to enumeration. The direct-commit pass fills it, the
+    /// frontier and its configurations swap, and the old frontier is
+    /// dropped in it; an enumeration collects into it and moves the
+    /// configurations out. Either way its hash index keeps its capacity.
     next: Distinct<T>,
     status: ShardStatus,
     /// Invocations (ever) still awaiting a response. Unlike the window
@@ -530,7 +536,7 @@ where
             bounds: Bounds::new(),
             commits: Vec::new(),
             frontier: seeds.clone(),
-            next: Distinct::new(),
+            next: Distinct::default(),
             seeds,
             checkpoint: None,
             status: ShardStatus::Ok,
@@ -731,16 +737,22 @@ where
         // extras from the pool before the commit. This is the enumeration
         // over the one-commit problem, seeded from each configuration, all
         // of them sharing the bounded extension budget.
-        let problems: Vec<Problem<'_, T>> = self
-            .frontier
-            .iter()
-            .map(|cfg| Problem {
-                commits: Cow::Borrowed(std::slice::from_ref(&commit)),
-                seed: &cfg.seed,
-                sym: cfg.sym.clone(),
-            })
-            .collect();
-        let pass = self.enumerate(&problems, cap, false, Some(EXTENSION_BUDGET));
+        let mut found = std::mem::take(&mut self.next);
+        let problems = self.frontier.iter().map(|cfg| Problem {
+            start: CommitMask::full(1),
+            seed: &cfg.seed,
+            sym: cfg.sym.clone(),
+        });
+        let commits = std::slice::from_ref(&commit);
+        let pass = self.enumerate(
+            commits,
+            problems,
+            cap,
+            false,
+            Some(EXTENSION_BUDGET),
+            &mut found,
+        );
+        self.next = found;
         self.counters.search_nodes += pass.stats.nodes;
         if pass.configs.is_empty() || pass.budget_tripped {
             self.fallback_research();
@@ -778,8 +790,11 @@ where
     /// it are searched. Counts the work; see [`ShardState::enumerate`] for
     /// the budget.
     fn enumerate_window(&mut self, shared_budget: Option<usize>) -> Enumeration<T> {
+        let mut collected = std::mem::take(&mut self.next);
         let (mark, configs) = self.checkpoint();
-        let found = self.enumerate_from(mark, configs, self.summary_cap() + 1, shared_budget);
+        let cap = self.summary_cap() + 1;
+        let found = self.enumerate_from(mark, configs, cap, shared_budget, &mut collected);
+        self.next = collected;
         self.counters.enumerated_commits += self.commits.len() - mark;
         self.counters.search_nodes += found.stats.nodes;
         found
@@ -796,13 +811,15 @@ where
     /// rest of the window, each one's symbolic completions greedily
     /// absorbing first. A problem whose commits are all accounted for is
     /// its own leaf, so with nothing past `mark` the configurations come
-    /// back as they are and no engine is built.
+    /// back as they are and no engine is built. `found` collects (see
+    /// [`ShardState::enumerate`]).
     fn enumerate_from(
         &self,
         mark: usize,
         configs: &[FrontierCfg<T>],
         cap: usize,
         shared_budget: Option<usize>,
+        found: &mut Distinct<T>,
     ) -> Enumeration<T> {
         let commits = &self.commits[mark..];
         let Some(next) = commits.first() else {
@@ -816,75 +833,84 @@ where
             (configs.iter()).all(|cfg| self.bounds.covers(next.index, &cfg.seed.used)),
             "a checkpoint configuration's consumed inputs left the bounds"
         );
-        let problems: Vec<Problem<'_, T>> = configs
-            .iter()
-            .map(|cfg| {
-                let (commits, sym) = absorb_commits(commits, &cfg.sym);
-                let seed = &cfg.seed;
-                Problem { commits, seed, sym }
-            })
-            .collect();
-        self.enumerate(&problems, cap, true, shared_budget)
+        let problems = configs.iter().map(|cfg| {
+            let (start, sym) = absorb_commits(commits, &cfg.sym);
+            let seed = &cfg.seed;
+            Problem { start, seed, sym }
+        });
+        self.enumerate(commits, problems, cap, true, shared_budget, found)
+    }
+
+    /// The engine over `commits` — the window's, or a slice of them — with
+    /// the window's bounds and pool: what every search of one enumeration,
+    /// or of one window search, runs on.
+    fn engine<'e>(&'e self, commits: &'e [Commit<T>]) -> CheckerEngine<'e, T> {
+        let budget = SearchBudget::new(self.cfg.budget);
+        CheckerEngine::new(
+            &*self.adt,
+            commits,
+            &self.bounds,
+            self.bounds.pool(),
+            budget,
+        )
     }
 
     /// Drives the kernel's enumeration over `problems`, collecting the
     /// distinct terminal configurations, deduplicated on the memo key
-    /// across problems, up to `cap` of them, in frontier order. Consecutive
-    /// problems over the same commits — all of them, unless a seed's
-    /// completions absorbed some — share one engine (one class table) and
-    /// one [`Search`] (the floor table, every buffer). With
-    /// `record_extras`, every interleaved extra is recorded as a symbolic
-    /// completion in its configuration (epoch-cut mode). `shared_budget`
-    /// `Some(n)` caps the *total* nodes across all problems (retirement,
-    /// tail extension); `None` gives each problem the full fallback budget
-    /// (the verdict path, the engine's per-run unit).
-    fn enumerate(
+    /// across problems, up to `cap` of them, in frontier order. Every
+    /// problem places a sub-list of `commits` — all of them, unless a
+    /// seed's completions absorbed some — so one engine (one class table)
+    /// and one [`Search`] (the floor table, every buffer) serve them all,
+    /// each run starting from its problem's mask. `found` is the shard's
+    /// one collector: its index is cleared, not dropped, from enumeration
+    /// to enumeration, and the configurations move out into the result.
+    /// With `record_extras`, every interleaved extra is recorded as a
+    /// symbolic completion in its configuration (epoch-cut mode).
+    /// `shared_budget` `Some(n)` caps the *total* nodes across all problems
+    /// (retirement, tail extension); `None` gives each problem the full
+    /// fallback budget (the verdict path, the engine's per-run unit).
+    fn enumerate<'p>(
         &self,
-        problems: &[Problem<'_, T>],
+        commits: &[Commit<T>],
+        problems: impl IntoIterator<Item = Problem<'p, T>>,
         cap: usize,
         record_extras: bool,
         shared_budget: Option<usize>,
-    ) -> Enumeration<T> {
+        found: &mut Distinct<T>,
+    ) -> Enumeration<T>
+    where
+        T: 'p,
+    {
+        found.clear();
         let mut collect = Collect {
             record_extras,
             cap,
-            found: Distinct::new(),
+            found,
         };
         let mut budget_tripped = false;
         let mut stats = SearchStats::default();
-        // Every list is a sub-list of one window's commits: equal indices
-        // are equal commits.
-        let same_commits = |a: &Problem<'_, T>, b: &Problem<'_, T>| {
-            a.commits.len() == b.commits.len()
-                && a.commits
-                    .iter()
-                    .zip(&*b.commits)
-                    .all(|(x, y)| x.index == y.index)
-        };
-        'problems: for group in problems.chunk_by(same_commits) {
-            let engine = CheckerEngine::new(
-                &*self.adt,
-                &group[0].commits,
-                &self.bounds,
-                self.bounds.pool(),
-                SearchBudget::new(self.cfg.budget),
+        let engine = self.engine(commits);
+        let mut search = Search::new(&engine);
+        for problem in problems {
+            let max_nodes = match shared_budget {
+                Some(total) => total.saturating_sub(stats.nodes),
+                None => self.cfg.budget,
+            };
+            let (flow, run_stats) = search.run(
+                problem.seed,
+                problem.start,
+                problem.sym,
+                &mut collect,
+                max_nodes,
             );
-            let mut search = Search::new(&engine);
-            for problem in group {
-                let max_nodes = match shared_budget {
-                    Some(total) => total.saturating_sub(stats.nodes),
-                    None => self.cfg.budget,
-                };
-                let (flow, run_stats) =
-                    search.run(problem.seed, problem.sym.clone(), &mut collect, max_nodes);
-                budget_tripped |= flow.is_err();
-                stats.absorb(&run_stats);
-                if collect.found.configs.len() >= cap {
-                    break 'problems;
-                }
+            budget_tripped |= flow.is_err();
+            stats.absorb(&run_stats);
+            if collect.found.configs.len() >= cap {
+                break;
             }
         }
-        let mut configs = collect.found.configs;
+        let mut configs = std::mem::take(&mut collect.found.configs);
+        collect.found.clear();
         sort_frontier(&mut configs);
         Enumeration {
             configs,
@@ -952,18 +978,15 @@ where
         let mut stats = SearchStats::default();
         let t0 = self.cfg.obs.t0();
         let mut budget_error: Option<EngineError> = None;
-        // A tripped search's counters are absorbed like any other's: the
-        // report's `stats.nodes` is never below the error's `nodes`.
+        // One engine serves every seed: a seed places the commits its
+        // completions leave. A tripped search's counters are absorbed like
+        // any other's: the report's `stats.nodes` is never below the
+        // error's `nodes`.
+        let engine = self.engine(&self.commits);
         for shard_seed in &self.seeds {
-            let (kept, _) = absorb_commits(&self.commits, &shard_seed.sym);
-            let engine = CheckerEngine::new(
-                &*self.adt,
-                &kept,
-                &self.bounds,
-                self.bounds.pool(),
-                SearchBudget::new(self.cfg.budget),
-            );
-            let (found, seed_stats) = engine.first_solution(shard_seed.seed.clone(), &|_| Some(()));
+            let (start, _) = absorb_commits(&self.commits, &shard_seed.sym);
+            let seed = shard_seed.seed.clone();
+            let (found, seed_stats) = engine.first_solution(seed, start, &|_| Some(()));
             stats.absorb(&seed_stats);
             match found {
                 Ok(Some(found)) => {
@@ -1140,16 +1163,16 @@ where
 /// configuration, in search order, until `cap` of them are held. Its tag is
 /// the configuration's symbolic completions — see
 /// [`Visitor::Tag`] for why they must ride in the memo key.
-struct Collect<T: Adt> {
+struct Collect<'f, T: Adt> {
     /// Epoch-cut mode: record every interleaved extra, with the output the
     /// ADT produced for it, as a symbolic completion. In-window searches
     /// carry `sym` through unchanged.
     record_extras: bool,
     cap: usize,
-    found: Distinct<T>,
+    found: &'f mut Distinct<T>,
 }
 
-impl<T: Adt> Visitor<T> for Collect<T> {
+impl<T: Adt> Visitor<T> for Collect<'_, T> {
     type Tag = SymSet<T>;
 
     fn extra(&mut self, sym: &SymSet<T>, input: &T::Input, output: T::Output) -> SymSet<T> {
@@ -1248,8 +1271,9 @@ mod tests {
     /// checkpoint is the seeds, else whether the subset is strict.
     fn check_checkpoint(shard: &Shard) -> Option<bool> {
         let at = shard.checkpoint.as_ref()?;
-        let from_mark = shard.enumerate_from(at.mark, &at.configs, usize::MAX, None);
-        let from_seeds = shard.enumerate_from(0, &shard.seeds, usize::MAX, None);
+        let found = &mut Distinct::default();
+        let from_mark = shard.enumerate_from(at.mark, &at.configs, usize::MAX, None, found);
+        let from_seeds = shard.enumerate_from(0, &shard.seeds, usize::MAX, None, found);
         assert!(!from_mark.budget_tripped && !from_seeds.budget_tripped);
         let (from_mark, from_seeds) = (from_mark.configs, from_seeds.configs);
         assert_eq!(from_mark.is_empty(), from_seeds.is_empty());
