@@ -90,11 +90,30 @@
 //! `Visitor::Tag` for what that asks of a visitor). A node owns its state,
 //! tag and remaining set (children get fresh ones), so the key is never
 //! assembled: it is **hashed once, by reference** — the mask, `State:
-//! Hash`, the live classes' counters, `Tag: Hash` — the table is probed
+//! Hash`, every class's counter, `Tag: Hash` — the table is probed
 //! with that `u64`, a candidate is compared **in full** (exactness is a
 //! soundness property: a false hit is a false violation), and a node that
 //! turns out dead **moves** its parts in under the same hash, with a
 //! snapshot of the counters in a shared arena. No clone, one hash per node.
+//!
+//! **The memo spans a `Search`'s runs.** An enumeration runs all its seeds
+//! through one `Search`, and `Search::run` does not clear the memo: a run
+//! does not search again below a node an earlier seed's run buried. That
+//! is exact because the key counts every class of the engine, not only
+//! those one run can move. A node's children depend only on `(remaining,
+//! state, every class's count, tag)`: a class outside one seed's spare pool
+//! has `used ≥ pool` at every node below that seed, so it never offers an
+//! extra, whichever run reaches the node; and a seed consumes pool inputs
+//! only, so the counters are its whole `used`. For the shard's collector,
+//! which deduplicates its results on `(state, used, tag)`, a buried node's
+//! leaves are already collected, so sharing skips only duplicates: the same
+//! configurations, in the same order, the cap reached at the same point.
+//! A stop-at-first search builds one `Search` per call
+//! (`CheckerEngine::first_solution`), so a leaf oracle never sees another
+//! run's memo. Seeds whose completions differ converge on the same nodes
+//! after a commit or two: on the traced seed-21 hostile benchmark streams,
+//! sharing the memo took the search nodes per event from 5.18 to 3.08
+//! (`stream-hotkey`) and from 5.51 to 3.32 (`stream-stragglers`).
 //!
 //! The hash is a folded-multiply function (`KeyHasher`), not SipHash —
 //! SipHash was a sixth of a node — started from a seed drawn once per
@@ -102,15 +121,18 @@
 //! never consults the memo, so every output is the same under any hash
 //! function (a unit test substitutes a constant). What a hostile tenant
 //! could buy by defeating it is time, and only so much: a probe compares at
-//! most the entries of its own search's memo, which are fewer than the
-//! nodes expanded, which the budget bounds.
+//! most the entries of its own `Search`'s memo, which are fewer than the
+//! nodes its runs expanded, each run bounded by its budget.
 //!
-//! **Leaf-order invariance.** Only leafless subtrees are removed and no
-//! move is reordered, so the sequence of leaves the visitor sees is exactly
-//! that of the unpruned tree: first witnesses, enumeration order, the point
+//! **Leaf-order invariance.** Within a run, only leafless subtrees are
+//! removed and no move is reordered, so the sequence of leaves the visitor
+//! sees is exactly that of the unpruned tree (across the runs of one
+//! `Search`, what the memo removes is leaves whose keys an earlier run
+//! already saw): first witnesses, enumeration order, the point
 //! a capped enumeration stops at, and every verdict are unchanged for all
-//! callers; only `nodes` and `memo_*` fall
-//! ([`SearchStats::pruned`] counts the rejected moves), and budgets trip
+//! callers; only `nodes`, `memo_*` and, on a shared `Search`,
+//! `leaf_checks` fall ([`SearchStats::pruned`] counts the rejected moves),
+//! and budgets trip
 //! less often. `crates/core/tests/kernel_pins.rs` pins both halves;
 //! `crates/core/tests/prune_soundness.rs` checks the prune exhaustively at
 //! small scope against a brute-force reading of Definition 10.
@@ -289,7 +311,8 @@ impl Default for SearchBudget {
 pub struct SearchStats {
     /// Search nodes expanded (budget unit).
     pub nodes: usize,
-    /// Distinct dead states memoised.
+    /// Distinct dead states memoised — by this search: runs sharing one
+    /// memo each count the entries they added.
     pub memo_entries: usize,
     /// Searches cut short by a memo hit.
     pub memo_hits: usize,
@@ -535,12 +558,11 @@ pub(crate) trait Visitor<T: Adt> {
 pub(crate) struct LeafUsed<'a, T: Adt> {
     cache: &'a mut UsedCache<T>,
     classes: &'a [(T::Input, usize)],
-    live: &'a [usize],
     counts: &'a [ClassCount],
 }
 
 /// The multiset [`LeafUsed::get`] built last (the seed's, before the first
-/// leaf), with the live-class counters it stands for.
+/// leaf), with the per-class counters it stands for.
 struct UsedCache<T: Adt> {
     used: PersistentMultiset<T::Input>,
     counts: Vec<usize>,
@@ -556,8 +578,9 @@ impl<T: Adt> LeafUsed<'_, T> {
     /// trie nodes).
     pub(crate) fn get(self) -> PersistentMultiset<T::Input> {
         let cache = self.cache;
-        for (have, &e) in cache.counts.iter_mut().zip(self.live) {
-            let (input, want) = (&self.classes[e].0, self.counts[e].used);
+        let classes = self.classes.iter().zip(self.counts);
+        for (have, ((input, _), count)) in cache.counts.iter_mut().zip(classes) {
+            let want = count.used;
             if want > *have {
                 cache.used.add(input.clone(), want - *have);
             }
@@ -836,17 +859,17 @@ impl HashIndex {
     }
 }
 
-/// The dead-end memo of one search: `(remaining commits, ADT state,
-/// consumed inputs, visitor tag)` of every subtree explored to the end
-/// without the visitor stopping (see [`Visitor::Tag`] for the tag). A node
-/// hashes its key once, by reference, probes with it, and — when it turns
-/// out dead — *moves* the parts it owns in under the same hash; consumed
-/// inputs are the counters of the search's live classes, snapshotted into
-/// one shared arena.
+/// The dead-end memo of one [`Search`], over all its runs: `(remaining
+/// commits, ADT state, consumed inputs, visitor tag)` of every subtree
+/// explored to the end without the visitor stopping (see [`Visitor::Tag`]
+/// for the tag). A node hashes its key once, by reference, probes with it,
+/// and — when it turns out dead — *moves* the parts it owns in under the
+/// same hash; consumed inputs are the counters of every class of the
+/// engine, snapshotted into one shared arena.
 struct Memo<T: Adt, G> {
     index: HashIndex,
     entries: Vec<(CommitMask, T::State, G)>,
-    /// Entry `i`'s live-class counters at `[i * live.len()..][..live.len()]`.
+    /// Entry `i`'s counters at `[i * classes.len()..][..classes.len()]`.
     counts: Vec<usize>,
 }
 
@@ -887,14 +910,14 @@ impl Default for ClassCount {
 
 /// The kernel over one engine: [`Search::run`] is one search, and the
 /// searches of one enumeration run through one `Search` so that they share
-/// what does not depend on the seed — the floor table. Every buffer is
-/// reused from run to run; the memo's *entries* are per run, its contents
-/// and the floor table per `Search`. The buffers that do not depend on the
-/// ADT or the visitor — all but the history, the memo's entries and the
-/// leaf's multiset — also outlive the `Search`: it takes them from its
-/// thread's free list and gives them back when dropped ([`Scratch`]), so
-/// the next search on the thread, over any engine, starts with their
-/// capacity.
+/// what does not depend on the seed — the floor table and the dead-end
+/// memo (module docs, "The memo"): a run does not search again below a
+/// node an earlier run buried. Every buffer is reused from run to run.
+/// The buffers that do not depend on the ADT or the visitor — all but the
+/// history, the memo's entries and the leaf's multiset — also outlive the
+/// `Search`: it takes them from its thread's free list and gives them back
+/// when dropped ([`Scratch`]), so the next search on the thread, over any
+/// engine, starts with their capacity.
 pub(crate) struct Search<'e, 's, T: Adt, G> {
     engine: &'e CheckerEngine<'s, T>,
     /// `bounds.count(commits[p].index, class e's input)` at
@@ -908,10 +931,6 @@ pub(crate) struct Search<'e, 's, T: Adt, G> {
     counts: Vec<ClassCount>,
     /// The classes that had a spare pool occurrence at the seed, ascending.
     spare: Vec<usize>,
-    /// The classes a move of this run can add to — the commits' and
-    /// `spare` — ascending: a node's memo key costs these, not the pool's
-    /// whole alphabet.
-    live: Vec<usize>,
     /// The admitted children of every node on the current path, innermost
     /// last (a stack: a node truncates back to its own start).
     moves: Vec<Move>,
@@ -931,7 +950,6 @@ where
             floor_counts,
             counts,
             spare,
-            live,
             moves,
             memo_index,
             memo_counts,
@@ -944,7 +962,6 @@ where
             stats: SearchStats::default(),
             counts,
             spare,
-            live,
             moves,
             hist: Vec::new(),
             memo: Memo {
@@ -968,9 +985,12 @@ where
     /// the run over an engine built on the masked commits alone, and the
     /// runs of one enumeration whose seeds place different sub-lists (a
     /// seed's symbolic completions absorb some commits) share one engine.
-    /// Returns whether the visitor stopped the search (`Break`) or the
-    /// space below the seed was exhausted (`Continue`) — or the budget
-    /// error — and the counters either way.
+    /// A run skips every node an earlier run of this `Search` buried, so
+    /// its `nodes` are at most those of the same run on a fresh `Search`,
+    /// and its `memo_entries` count the entries it added. Returns whether
+    /// the visitor stopped the search (`Break`) or the space below the
+    /// seed was exhausted (`Continue`) — or the budget error — and the
+    /// counters either way.
     pub(crate) fn run<V: Visitor<T, Tag = G>>(
         &mut self,
         seed: &SearchSeed<T>,
@@ -990,7 +1010,9 @@ where
         for (e, n) in seed.used.iter() {
             // A seed input no move can add keeps its count for the whole
             // search: `seed_feasible` checks it once.
-            if let Ok(class) = eng.classes.binary_search_by(|(c, _)| c.cmp(e)) {
+            let class = eng.classes.binary_search_by(|(c, _)| c.cmp(e));
+            debug_assert!(class.is_ok(), "a seed consumes pool inputs only");
+            if let Ok(class) = class {
                 self.counts[class].used = n;
             }
         }
@@ -999,16 +1021,8 @@ where
         self.spare.clear();
         self.spare
             .extend((0..self.counts.len()).filter(|&e| self.counts[e].used < eng.classes[e].1));
-        self.live.clear();
-        self.live
-            .extend(start.iter().map(|k| eng.commit_classes[k].0));
-        self.live.extend(&self.spare);
-        self.live.sort_unstable();
-        self.live.dedup();
         self.moves.clear();
-        self.memo.index.clear();
-        self.memo.entries.clear();
-        self.memo.counts.clear();
+        let buried = self.memo.index.len();
         if !self.seed_feasible(&seed.used, &start) {
             self.stats.pruned = 1;
             return (Ok(ControlFlow::Continue(())), self.stats);
@@ -1019,9 +1033,9 @@ where
         self.leaf_used.counts.clear();
         self.leaf_used
             .counts
-            .extend(self.live.iter().map(|&e| self.counts[e].used));
+            .extend(self.counts.iter().map(|c| c.used));
         let flow = self.dfs(visitor, seed.state.clone(), tag, start);
-        self.stats.memo_entries = self.memo.index.len();
+        self.stats.memo_entries = self.memo.index.len() - buried;
         (flow, self.stats)
     }
 
@@ -1109,9 +1123,10 @@ where
         }
     }
 
-    /// The current path's consumed inputs, as the memo keys them.
-    fn live_counts(&self) -> impl Iterator<Item = usize> + '_ {
-        self.live.iter().map(|&e| self.counts[e].used)
+    /// The current path's consumed inputs, as the memo keys them: one
+    /// count per class.
+    fn used_counts(&self) -> impl Iterator<Item = usize> + '_ {
+        self.counts.iter().map(|c| c.used)
     }
 
     /// Counts a node against the budget and probes the memo with its key,
@@ -1132,17 +1147,17 @@ where
         }
         let mut hasher = KeyHasher::new();
         (remaining, state, tag).hash(&mut hasher);
-        self.live_counts().for_each(|n| hasher.write_usize(n));
+        self.used_counts().for_each(|n| hasher.write_usize(n));
         let hash = hasher.finish();
         let memo = &self.memo;
-        let stride = self.live.len();
+        let stride = self.counts.len();
         let is_it = |i: usize| {
             let (remaining_i, state_i, tag_i) = &memo.entries[i];
             remaining_i == remaining
                 && state_i == state
                 && tag_i == tag
                 && self
-                    .live_counts()
+                    .used_counts()
                     .eq(memo.counts[i * stride..][..stride].iter().copied())
         };
         if memo.index.contains(hash, is_it) {
@@ -1157,9 +1172,7 @@ where
     /// [`Search::enter`] probed with.
     fn bury(&mut self, hash: u64, remaining: CommitMask, state: T::State, tag: G) {
         self.memo.index.push(hash);
-        self.memo
-            .counts
-            .extend(self.live.iter().map(|&e| self.counts[e].used));
+        self.memo.counts.extend(self.counts.iter().map(|c| c.used));
         self.memo.entries.push((remaining, state, tag));
     }
 
@@ -1226,7 +1239,6 @@ where
         let used = LeafUsed {
             cache: &mut self.leaf_used,
             classes: &self.engine.classes,
-            live: &self.live,
             counts: &self.counts,
         };
         visitor.leaf(&self.hist, state, used, tag)
@@ -1295,7 +1307,6 @@ struct Scratch {
     floor_counts: Vec<usize>,
     counts: Vec<ClassCount>,
     spare: Vec<usize>,
-    live: Vec<usize>,
     moves: Vec<Move>,
     memo_index: HashIndex,
     memo_counts: Vec<usize>,
@@ -1321,7 +1332,6 @@ impl Scratch {
         for buffer in [
             &mut self.floor_counts,
             &mut self.spare,
-            &mut self.live,
             &mut self.memo_counts,
             &mut self.leaf_counts,
         ] {
@@ -1349,7 +1359,6 @@ impl<T: Adt, G> Drop for Search<'_, '_, T, G> {
             floor_counts: mem::take(&mut self.floor_counts),
             counts: mem::take(&mut self.counts),
             spare: mem::take(&mut self.spare),
-            live: mem::take(&mut self.live),
             moves: mem::take(&mut self.moves),
             memo_index: mem::take(&mut self.memo.index),
             memo_counts: mem::take(&mut self.memo.counts),
@@ -1911,15 +1920,28 @@ mod tests {
         }
     }
 
-    /// A run from a start mask is the run over an engine built on the
-    /// masked commits alone — the same leaves in the same order, the same
-    /// counters, the same outcome — for masks dropping one commit, every
-    /// other one, or a pseudo-random subset; and one `Search` over the
-    /// whole list serves mask after mask (its floor table shared) as the
-    /// shard's enumerations use it.
+    /// The leaves of `runs` in order, each key `(state, used, tag)` at its
+    /// first arrival: what a collector deduplicating on the memo's leaf key
+    /// keeps.
+    fn first_arrivals(runs: &[Vec<Leaf>]) -> Vec<&Leaf> {
+        let mut seen = HashSet::new();
+        (runs.iter().flatten())
+            .filter(|(_, state, used, tag)| seen.insert((state, used, tag)))
+            .collect()
+    }
+
+    /// A run from a start mask, on a fresh `Search`, is the run over an
+    /// engine built on the masked commits alone — the same leaves in the
+    /// same order, the same counters, the same outcome — for masks dropping
+    /// one commit, every other one, or a pseudo-random subset. Run mask
+    /// after mask on one shared `Search` over the whole list, as the
+    /// shard's enumerations run their seeds, each run skips what an earlier
+    /// one buried: the same outcome with at most the fresh run's nodes, and
+    /// the same leaves at their first arrival, histories and order
+    /// included.
     #[test]
     fn a_masked_run_is_the_run_over_the_masked_commits() {
-        let mut leaves = 0;
+        let (mut leaves, mut skipped) = (0, 0);
         for seed in 0..6 {
             for t in [hotkey_trace(28, seed), straggler_trace(36, seed)] {
                 let commits = ops::commits::<KvStore, ()>(&t);
@@ -1933,6 +1955,7 @@ mod tests {
                     SearchBudget::default(),
                 );
                 let mut shared = Search::new(&engine);
+                let (mut fresh_leaves, mut shared_leaves) = (Vec::new(), Vec::new());
                 let masks = [
                     CommitMask::full(n),
                     CommitMask::full(n).without(0),
@@ -1965,7 +1988,13 @@ mod tests {
                         SearchBudget::default(),
                     );
                     let (mut masked, mut whole) = (AllLeaves::default(), AllLeaves::default());
-                    let masked_run = shared.run(seed, mask, Pairs::new(), &mut masked, 20_000);
+                    let masked_run = Search::new(&engine).run(
+                        seed,
+                        mask.clone(),
+                        Pairs::new(),
+                        &mut masked,
+                        20_000,
+                    );
                     let whole_run = Search::new(&alone).run(
                         seed,
                         CommitMask::full(kept.len()),
@@ -1974,14 +2003,26 @@ mod tests {
                         20_000,
                     );
                     assert_eq!(
-                        format!("{:?}", (masked_run, &masked.0)),
+                        format!("{:?}", (&masked_run, &masked.0)),
                         format!("{:?}", (whole_run, &whole.0))
                     );
+                    let mut on_shared = AllLeaves::default();
+                    let shared_run = shared.run(seed, mask, Pairs::new(), &mut on_shared, 20_000);
+                    assert_eq!(shared_run.0, masked_run.0);
+                    assert!(shared_run.1.nodes <= masked_run.1.nodes);
+                    skipped += masked_run.1.nodes - shared_run.1.nodes;
                     leaves += masked.0.len();
+                    fresh_leaves.push(masked.0);
+                    shared_leaves.push(on_shared.0);
                 }
+                assert_eq!(
+                    first_arrivals(&fresh_leaves),
+                    first_arrivals(&shared_leaves)
+                );
             }
         }
         assert!(leaves > 100, "a vacuous corpus: {leaves} leaves");
+        assert!(skipped > 100, "the shared memo skipped {skipped} nodes");
     }
 
     /// Asserts at every leaf that the multiset [`LeafUsed::get`] builds is
@@ -2114,7 +2155,6 @@ mod tests {
             scratch.floor_counts.capacity(),
             scratch.counts.capacity(),
             scratch.spare.capacity(),
-            scratch.live.capacity(),
             scratch.moves.capacity(),
             index.heads.capacity(),
             index.older.capacity(),

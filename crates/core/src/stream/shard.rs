@@ -40,16 +40,19 @@
 //! kernel's feasibility prune cuts before descending (see
 //! [`crate::engine`]): an enumeration here visits the configurations it
 //! returns and little else. On the B6h sweep pinned in `work_pins.rs`, per
-//! ingested event: 5–6 search nodes on zipf-delay streams and 13–30 on
-//! stragglers across `w = 8..24` (44–313 and 108–824 with the bound-only
-//! prune); a cut whose complete summary is 1–10 configurations costs tens
-//! of nodes, not thousands.
+//! ingested event: 3.1–3.5 search nodes on zipf-delay streams and 8.4–11.4
+//! on stragglers across `w = 8..24` (4.4–5.6 and 13–30 while each seed of
+//! an enumeration had a memo of its own; 44–313 and 108–824 with the
+//! bound-only prune); a cut whose complete summary is 1–10 configurations
+//! costs tens of nodes, not thousands.
 //!
 //! A node, in turn, costs integers, and seldom an allocation: inside a
 //! search the consumed inputs are per-class counters and the memo is probed
 //! by reference (see [`crate::engine`], "The memo"); an enumeration builds
-//! **one engine** — one class table — and one `Search` for all its seeds,
-//! each run starting from the mask of the commits its seed still places
+//! **one engine** — one class table — and one `Search` — one dead-end
+//! memo — for all its seeds, so no seed searches again below a node an
+//! earlier seed buried, each run starting from the mask of the commits its
+//! seed still places
 //! (a seed's completions absorb some; no commit list is copied), and the
 //! kernel's type-independent buffers outlive the enumeration on its
 //! thread's free list, so the next one starts with their capacity; the
@@ -66,9 +69,9 @@
 //! event in release on the calm stream of `tests/tests/alloc_gate.rs`,
 //! window retirements included (1.68 with a slice per one-binding state;
 //! 5.9 with a per-index bound snapshot, a copied history and fresh window
-//! buffers). A hot-key event there makes 3.42 — 5.75 with a slice per
-//! one-binding state and an engine per group of seeds placing the same
-//! commits. On the
+//! buffers). A hot-key event there makes 2.74 — 3.42 with a memo per
+//! seed, 5.75 with a slice per one-binding state and an engine per group
+//! of seeds placing the same commits. On the
 //! `stream-hotkey` benchmark workload an event's whole wall divided by its
 //! search nodes is ≈360 ns (≈810 when every node path-copied a multiset and cloned its
 //! memo key), on `stream-stragglers` ≈580 (≈1 090) — at the 10.1 and 6.4
@@ -97,7 +100,13 @@
 //! searches only the commits since the last complete enumeration (see "The
 //! checkpoint" below), so a commit is enumerated once — it was 1.8 times on
 //! the hot-key workload and 1.3 on the stragglers — at a steady ≈10 nodes
-//! per enumerated commit whatever the depth.
+//! per enumerated commit whatever the depth. What each seed of one
+//! enumeration spent again on nodes an earlier seed had searched went once
+//! the seeds shared one memo: traced seed 21, 5.18 → 3.08 nodes per event
+//! on `stream-hotkey` and 5.51 → 3.32 on `stream-stragglers`, at the same
+//! cuts and fallbacks, and ≈698 k → ≈867 k and ≈605 k → ≈780 k events/s
+//! (medians of 5 and 10 alternating 15 s pairs, seeds 11–15 and 11–20,
+//! on a 2-vCPU box).
 //!
 //! Tail extension is *sound* (a surviving configuration is a witness) but
 //! deliberately not complete: the first monolithic witness of the longer
@@ -189,7 +198,7 @@
 //!
 //! **One corner, inherited from greedy absorption.** Enumerating a window
 //! from a checkpoint and from the seeds gives the same key set almost
-//! always (7 119 of 7 124 windows in this file's test sweep; the other five
+//! always (7 871 of 7 877 windows in this file's test sweep; the other six
 //! on faulty four-client streams). Where they differ, the from-checkpoint
 //! set is a strict subset, missing only configurations in which a response
 //! that a recorded extra absorbs was instead committed at the chain's
@@ -355,6 +364,9 @@ impl<T: Adt> FrontierCfg<T> {
 struct Distinct<T: Adt> {
     configs: Vec<FrontierCfg<T>>,
     index: HashIndex,
+    /// [`Distinct::sort`]'s buffer: the configurations beside their
+    /// ranks, empty between sorts.
+    ranked: Vec<((usize, u64), FrontierCfg<T>)>,
 }
 
 // Manual impl: the derive would demand `T: Default`.
@@ -363,6 +375,7 @@ impl<T: Adt> Default for Distinct<T> {
         Distinct {
             configs: Vec::new(),
             index: HashIndex::default(),
+            ranked: Vec::new(),
         }
     }
 }
@@ -395,6 +408,28 @@ impl<T: Adt> Distinct<T> {
         self.configs.clear();
         self.index.clear();
     }
+
+    /// Puts the configurations in frontier order: lexicographic by
+    /// history, then by [`FrontierCfg::sym_rank`] (absorption preserves
+    /// histories, so histories alone do not discriminate); a stable sort.
+    /// A rank hashes every completion, so a sort computes it at most once
+    /// per configuration, and not at all unless two histories tie.
+    fn sort(&mut self)
+    where
+        T::Input: Ord,
+    {
+        let configs = &mut self.configs;
+        configs.sort_by(|a, b| a.seed.history.cmp(&b.seed.history));
+        if !(configs.windows(2)).any(|w| w[0].seed.history == w[1].seed.history) {
+            return;
+        }
+        let ranked = configs.drain(..).map(|cfg| (cfg.sym_rank(), cfg));
+        self.ranked.extend(ranked);
+        self.ranked.sort_by(|(rank_a, a), (rank_b, b)| {
+            (a.seed.history.cmp(&b.seed.history)).then_with(|| rank_a.cmp(rank_b))
+        });
+        configs.extend(self.ranked.drain(..).map(|(_, cfg)| cfg));
+    }
 }
 
 /// Greedy absorption of window commits into a seed's symbolic
@@ -422,18 +457,6 @@ struct Problem<'a, T: Adt> {
     start: CommitMask,
     seed: &'a SearchSeed<T>,
     sym: SymSet<T>,
-}
-
-/// Deterministic frontier order: lexicographic by history, then by the
-/// symbolic-completion rank (absorption preserves histories, so histories
-/// alone do not discriminate).
-fn sort_frontier<T: Adt>(configs: &mut [FrontierCfg<T>])
-where
-    T::Input: Ord,
-{
-    configs.sort_by(|a, b| {
-        (a.seed.history.cmp(&b.seed.history)).then_with(|| a.sym_rank().cmp(&b.sym_rank()))
-    });
 }
 
 /// What one [`ShardState::enumerate`] call found.
@@ -724,7 +747,7 @@ where
             self.cfg.obs.gc_absorption();
         }
         if !next.configs.is_empty() {
-            sort_frontier(&mut next.configs);
+            next.sort();
             next.configs.truncate(cap);
             std::mem::swap(&mut self.frontier, &mut next.configs);
             // The old frontier, some of it moved out: dropped now, its
@@ -794,6 +817,8 @@ where
         let (mark, configs) = self.checkpoint();
         let cap = self.summary_cap() + 1;
         let found = self.enumerate_from(mark, configs, cap, shared_budget, &mut collected);
+        #[cfg(test)]
+        tests::against_fresh_searches(self, mark, configs, cap, shared_budget, &found);
         self.next = collected;
         self.counters.enumerated_commits += self.commits.len() - mark;
         self.counters.search_nodes += found.stats.nodes;
@@ -909,9 +934,9 @@ where
                 break;
             }
         }
-        let mut configs = std::mem::take(&mut collect.found.configs);
+        collect.found.sort();
+        let configs = std::mem::take(&mut collect.found.configs);
         collect.found.clear();
-        sort_frontier(&mut configs);
         Enumeration {
             configs,
             budget_tripped,
@@ -1220,6 +1245,7 @@ mod tests {
     };
     use slin_adt::{KvInput, KvOutput, KvStore};
     use slin_trace::{ClientId, PhaseId};
+    use std::cell::Cell;
 
     type Shard = ShardState<KvStore, ()>;
     type Cfg = FrontierCfg<KvStore>;
@@ -1292,12 +1318,10 @@ mod tests {
         Some(from_mark.len() < from_seeds.len())
     }
 
-    /// Over hot-key and straggler streams, clean and faulty: wherever a
-    /// checkpoint is in play — after the fallback that took it, at every
-    /// event until the cut that starts from it — [`check_checkpoint`] holds.
-    /// Returns `(checks with a checkpoint in play, strict subsets)`.
-    fn sweep(clients: u32, error_prob: f64) -> (usize, usize) {
-        let (mut checked, mut strict) = (0, 0);
+    /// Streams the corpus of hot-key and straggler streams, clean or faulty,
+    /// through a shard per window size, handing `after_event` the shard
+    /// after every event.
+    fn sweep(clients: u32, error_prob: f64, mut after_event: impl FnMut(&Shard)) {
         for seed in 0..8 {
             let hotkey = random_multikey_kv_trace(&MultiKeyConfig {
                 clients,
@@ -1325,24 +1349,29 @@ mod tests {
                     let mut shard = shard(GcPolicy::default());
                     for (i, a) in t.iter().enumerate() {
                         shard.ingest(a.clone(), i);
-                        if let Some(is_strict) = check_checkpoint(&shard) {
-                            checked += 1;
-                            strict += usize::from(is_strict);
-                        }
+                        after_event(&shard);
                         shard.maybe_retire(window);
                     }
                 }
             }
         }
-        (checked, strict)
     }
 
+    /// Over the corpus: wherever a checkpoint is in play — after the
+    /// fallback that took it, at every event until the cut that starts from
+    /// it — [`check_checkpoint`] holds.
     #[test]
     fn a_checkpoint_enumerates_what_the_seeds_do() {
         let mut total = (0, 0);
         for clients in [3, 4] {
             for error_prob in [0.0, 0.15] {
-                let (checked, strict) = sweep(clients, error_prob);
+                let (mut checked, mut strict) = (0, 0);
+                sweep(clients, error_prob, |shard| {
+                    if let Some(is_strict) = check_checkpoint(shard) {
+                        checked += 1;
+                        strict += usize::from(is_strict);
+                    }
+                });
                 println!(
                     "clients {clients} error_prob {error_prob}: {checked} windows checked \
                      with a checkpoint in play, {strict} strict subsets"
@@ -1354,6 +1383,102 @@ mod tests {
         let (checked, strict) = total;
         println!("total: {strict} strict subsets of {checked}");
         assert!(strict * 50 <= checked, "strict subsets are the rare corner");
+    }
+
+    thread_local! {
+        /// While on, [`against_fresh_searches`] checks every fallback and
+        /// cut enumeration on this thread, counting the enumerations it
+        /// checked and the nodes the shared memo saved them.
+        static FRESH_ORACLE: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
+    }
+
+    /// With [`FRESH_ORACLE`] on: enumerates the window again as
+    /// [`ShardState::enumerate_window`] just did (`shared` is what it
+    /// found), but with one fresh [`Search`] per problem, so no run sees
+    /// another's memo, and asserts that sharing one memo changed nothing
+    /// but the work — the same configurations (history, state, consumed
+    /// inputs, completions) in the same order, the same budget trip, and
+    /// at most the fresh searches' nodes.
+    pub(super) fn against_fresh_searches<T, V>(
+        shard: &ShardState<T, V>,
+        mark: usize,
+        configs: &[FrontierCfg<T>],
+        cap: usize,
+        shared_budget: Option<usize>,
+        shared: &Enumeration<T>,
+    ) where
+        T: Adt,
+        T::Input: Ord,
+        V: Clone + PartialEq,
+    {
+        let Some((checked, saved)) = FRESH_ORACLE.with(Cell::get) else {
+            return;
+        };
+        let commits = &shard.commits[mark..];
+        if commits.is_empty() {
+            return;
+        }
+        let engine = shard.engine(commits);
+        let found = &mut Distinct::default();
+        let mut collect = Collect {
+            record_extras: true,
+            cap,
+            found,
+        };
+        let (mut budget_tripped, mut nodes) = (false, 0);
+        for cfg in configs {
+            let (start, sym) = absorb_commits(commits, &cfg.sym);
+            let max_nodes =
+                shared_budget.map_or(shard.cfg.budget, |total| total.saturating_sub(nodes));
+            let (flow, stats) =
+                Search::new(&engine).run(&cfg.seed, start, sym, &mut collect, max_nodes);
+            budget_tripped |= flow.is_err();
+            nodes += stats.nodes;
+            if collect.found.configs.len() >= cap {
+                break;
+            }
+        }
+        collect.found.sort();
+        let fresh = &collect.found.configs;
+        assert_eq!(
+            shared.budget_tripped, budget_tripped,
+            "the budget trip moved"
+        );
+        assert_eq!(
+            shared.configs.len(),
+            fresh.len(),
+            "the configurations moved"
+        );
+        for (at, (a, b)) in shared.configs.iter().zip(fresh).enumerate() {
+            assert!(
+                a.seed.history == b.seed.history
+                    && a.seed.state == b.seed.state
+                    && a.seed.used == b.seed.used
+                    && a.sym == b.sym,
+                "configuration {at} of {} moved",
+                fresh.len()
+            );
+        }
+        assert!(shared.stats.nodes <= nodes, "the shared memo added work");
+        let saved = saved + (nodes - shared.stats.nodes);
+        FRESH_ORACLE.with(|on| on.set(Some((checked + 1, saved))));
+    }
+
+    /// Over the corpus, every fallback and cut enumeration — its problems'
+    /// runs sharing one `Search`, and so one memo — finds exactly what one
+    /// fresh `Search` per problem finds ([`against_fresh_searches`]).
+    #[test]
+    fn an_enumeration_sharing_one_memo_finds_what_fresh_searches_do() {
+        FRESH_ORACLE.with(|on| on.set(Some((0, 0))));
+        for clients in [3, 4] {
+            for error_prob in [0.0, 0.15] {
+                sweep(clients, error_prob, |_| {});
+            }
+        }
+        let (checked, saved) = FRESH_ORACLE.with(|on| on.take()).expect("still on");
+        println!("{checked} window enumerations checked; the shared memo saved {saved} nodes");
+        assert!(checked > 1000, "the corpus enumerates too few windows");
+        assert!(saved > 0, "the shared memo saved nothing");
     }
 
     /// The one shape in which a checkpoint loses a key. A fallback leaves a

@@ -453,7 +453,7 @@ fn stream_hotkey_w32() {
             outcomes: 9_137_139_651_640_129_359,
         },
         StreamWork {
-            search_nodes: 693,
+            search_nodes: 343,
             pre_prune_nodes: 67_293,
             enumerated_commits: 63,
         },
@@ -479,7 +479,7 @@ fn stream_hostile_stragglers_w16() {
             outcomes: 2_112_269_631_722_492_934,
         },
         StreamWork {
-            search_nodes: 757,
+            search_nodes: 598,
             pre_prune_nodes: 21_677,
             enumerated_commits: 135,
         },
@@ -535,7 +535,7 @@ fn tail_extension_reaches_a_tiny_frontier_cap() {
             outcomes: 2_051_157_658_121_734_384,
         },
         StreamWork {
-            search_nodes: 164,
+            search_nodes: 151,
             pre_prune_nodes: 6_508,
             enumerated_commits: 28,
         },

@@ -87,16 +87,18 @@ const WARM_UP: usize = 1_000;
 /// buffers rebuilt at every retirement it made 5.90 and 6.41.
 const CEILING: f64 = if cfg!(debug_assertions) { 1.88 } else { 1.37 };
 
-/// The most allocations a hot-key event may make, on average: 3.42
-/// measured in release and 4.20 in debug, plus a 0.13 margin. A hot-key
+/// The most allocations a hot-key event may make, on average: 2.74
+/// measured in release and 3.53 in debug, plus a 0.13 margin. A hot-key
 /// event searches — tail extensions, fallback re-searches, epoch cuts — so
 /// it allocates for what an enumeration keeps: its configurations'
-/// histories, consumed inputs and completions. While a one-binding
-/// `KvState` was a fresh shared slice per changing step, and an
+/// histories, consumed inputs and completions. While each seed of an
+/// enumeration searched again what an earlier seed had searched (a memo
+/// per run, not per enumeration) an event made 3.42 and 4.20; while a
+/// one-binding `KvState` was a fresh shared slice per changing step, and an
 /// enumeration built an engine per group of seeds placing the same commits
-/// (copying the list of every seed whose completions absorbed one), an
-/// event made 5.75 and 6.53.
-const HOT_CEILING: f64 = if cfg!(debug_assertions) { 4.33 } else { 3.55 };
+/// (copying the list of every seed whose completions absorbed one), 5.75
+/// and 6.53.
+const HOT_CEILING: f64 = if cfg!(debug_assertions) { 3.66 } else { 2.87 };
 
 /// Streams `actions` through a streaming session with a window of 32
 /// events and returns the allocations per event after the first
