@@ -68,18 +68,47 @@
 //! too. So the seed is checked once, each child costs a few integer
 //! comparisons on per-class counters, and a dead child costs no node, no
 //! memo key, no ADT step: an extra that would starve a later commit is
-//! never offered. The counters live in a per-engine table built once
-//! (inputs grouped into dense class ids, each commit's own
-//! `bounds.count(c.index, c.input)`, the sorted extras list).
+//! never offered. The counters live in a per-engine class table (inputs
+//! grouped into dense class ids, sorted by input, each with its pool
+//! multiplicity; each commit's class and own `bounds.count(c.index,
+//! c.input)`): a batch problem's engine builds it once, and a streaming
+//! shard's engines borrow the shard's — the rows of its
+//! [`crate::ops::Bounds`], which the shard keeps from window to window,
+//! with each commit's class and own bound recorded when the commit arrives.
 //!
 //! **The counters are the search's `used`.** Validity never asks which
-//! occurrence was consumed, only how many of each input, so inside a search
-//! the consumed-input multiset *is* those integers — `+= 1` going down,
-//! `-= 1` coming back — over the classes a move can add to; whatever else
-//! the seed consumed never changes. A [`PersistentMultiset`] is built only
-//! where one leaves the kernel: at a leaf, if the visitor asks
-//! (`LeafUsed::get`; stop-at-first never does), from the one handed out
-//! last by the difference of the counters.
+//! occurrence was consumed, only how many of each input, so the
+//! consumed-input multiset *is* one integer per class — `+= 1` going down,
+//! `-= 1` coming back — and that is how it lives everywhere: a seed carries
+//! it as a count table over the engine's classes (`Used`), a run copies
+//! those counts in, a leaf hands them out as a table (`LeafUsed::get`;
+//! stop-at-first never asks), the same table as the last leaf's while the
+//! counts have not moved, and a shard's configurations keep those tables
+//! from the frontier through the next search and back. A shard's direct
+//! commit reads its class's count and bumps it, in place when no other
+//! configuration holds the table. When a shard meets a new input, its class
+//! table gains a row and every table it retains gains a zero count there.
+//!
+//! A count table is O(α) per configuration, α the width of the class
+//! table, where a multiset was O(distinct inputs consumed). Inside a search
+//! that adds nothing: the memo key already counts every class of the
+//! engine at every node (below), so a node is O(α) either way. Outside one
+//! it does add: a shard's direct commit hashes and compares a
+//! configuration's table whole, and copies it when it is shared — O(α),
+//! where a multiset's insert was O(log α) — and an input's first arrival
+//! widens every table the shard retains, O(retained configurations · α).
+//! So what a streamed event costs grows with the width of its shard's class
+//! table, and the shard keeps that width to what it may still consume: a
+//! retirement drops every class that nothing the shard retains can consume
+//! any more and that the retiring window did not invoke, so the table holds
+//! the inputs of the retained window and of the last retired one, and the
+//! pending ones — not every input the shard ever met (see
+//! `stream/shard.rs`, "What a search costs"). That is a handful on streams
+//! that draw from a small alphabet (the benchmark's workloads write four
+//! values per key, so a per-key shard meets about six inputs), and about
+//! two windows' inputs on a stream whose every put writes a new value.
+//! Under an unbounded window nothing retires, and α grows with the
+//! stream's distinct inputs as the retained window itself does.
 //!
 //! # The memo
 //!
@@ -162,16 +191,16 @@
 
 use crate::ops::{Bounds, Commit};
 use slin_adt::Adt;
-use slin_trace::PersistentMultiset;
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::hash_map::RandomState;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::mem;
-use std::ops::ControlFlow;
-use std::sync::OnceLock;
+use std::ops::{ControlFlow, Deref};
+use std::sync::{Arc, OnceLock};
 
 /// A set of commit indices, one bit per commit.
 ///
@@ -436,17 +465,122 @@ impl<I: fmt::Debug> fmt::Debug for Chain<I> {
 /// done on every side of the verdict.
 pub(crate) type Found<I, W> = (Result<Option<(Chain<I>, W)>, EngineError>, SearchStats);
 
+/// Consumed inputs as a **count table**: one count per class of an
+/// engine's class table, in class order (module docs, "The counters are
+/// the search's `used`"). Validity never asks which occurrence was
+/// consumed, only how many of each input, so this is the whole multiset.
+///
+/// A table is shared: a clone is a reference count, and a leaf hands out
+/// the table it handed out last while its counts have not moved. A table
+/// with no class allocates nothing. Equality and hashing read the counts.
+#[derive(Clone, Default)]
+pub(crate) struct Used(Option<Arc<[usize]>>);
+
+impl Used {
+    /// The table holding `counts`, one per class; a table of no class
+    /// allocates nothing.
+    fn of(counts: impl ExactSizeIterator<Item = usize>) -> Self {
+        Used((counts.len() > 0).then(|| counts.collect()))
+    }
+
+    /// One more occurrence of class `class`: in place when nothing else
+    /// holds the table, else in a copy.
+    pub(crate) fn bump(&mut self, class: usize) {
+        match self.0.as_mut().and_then(Arc::get_mut) {
+            Some(counts) => counts[class] += 1,
+            None => {
+                let counts = self.iter().enumerate();
+                *self = Used::of(counts.map(|(c, &n)| n + usize::from(c == class)));
+            }
+        }
+    }
+
+    /// This table with a class of no occurrence inserted at `at` — a class
+    /// table that met a new input: the classes from `at` on move up one.
+    pub(crate) fn widened(&self, at: usize) -> Self {
+        let counts = (0..self.len() + 1).map(|c| {
+            if c < at {
+                self[c]
+            } else if c == at {
+                0
+            } else {
+                self[c - 1]
+            }
+        });
+        Used::of(counts)
+    }
+
+    /// This table without the classes `spent` marks — a class table that
+    /// dropped them: the classes after each move down. A table of its own
+    /// even when no class is left, so that tables shared before stay
+    /// shared and tables apart stay apart.
+    pub(crate) fn without(&self, spent: &[bool]) -> Self {
+        let kept = self.iter().zip(spent).filter(|(_, &spent)| !spent);
+        Used(Some(kept.map(|(&n, _)| n).collect()))
+    }
+
+    /// The table's address: equal for two `Used` exactly when they are
+    /// this very table (0 for every table of no class that allocated
+    /// nothing).
+    pub(crate) fn addr(&self) -> usize {
+        self.0
+            .as_ref()
+            .map_or(0, |counts| Arc::as_ptr(counts).cast::<usize>() as usize)
+    }
+
+    /// Records the table's one node into `seen` (pointer-deduplicated) —
+    /// the memory proxy a shard reports, in which a table is one node and
+    /// one that consumed nothing, like an empty multiset, is none. With
+    /// `consumed_dropped`, every table has consumed occurrences of classes
+    /// its class table dropped since, and counts as one.
+    pub(crate) fn mark_node(&self, seen: &mut HashSet<usize>, consumed_dropped: bool) {
+        if let Some(counts) = &self.0 {
+            if consumed_dropped || counts.iter().any(|&n| n > 0) {
+                seen.insert(self.addr());
+            }
+        }
+    }
+}
+
+impl Deref for Used {
+    type Target = [usize];
+
+    fn deref(&self) -> &[usize] {
+        self.0.as_deref().unwrap_or(&[])
+    }
+}
+
+impl PartialEq for Used {
+    fn eq(&self, other: &Used) -> bool {
+        self.addr() == other.addr() || **self == **other
+    }
+}
+
+impl Eq for Used {}
+
+impl Hash for Used {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (**self).hash(state);
+    }
+}
+
+impl fmt::Debug for Used {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// Where the search starts: a (possibly non-empty) history prefix with its
-/// replayed ADT state and consumed-input multiset.
+/// replayed ADT state and consumed-input count table.
 #[derive(Debug)]
 pub(crate) struct SearchSeed<T: Adt> {
     /// The history every chain element must extend.
     pub(crate) history: Vec<T::Input>,
     /// The ADT state reached by `history`.
     pub(crate) state: T::State,
-    /// The multiset of inputs consumed by `history` (persistent: cloning a
-    /// seed is O(1)).
-    pub(crate) used: PersistentMultiset<T::Input>,
+    /// The inputs consumed by `history`, counted over the engine's classes
+    /// (shared: cloning a seed copies no count).
+    pub(crate) used: Used,
 }
 
 // Manual impl: the derive would demand `T: Clone`, but only the input and
@@ -461,27 +595,22 @@ impl<T: Adt> Clone for SearchSeed<T> {
     }
 }
 
-impl<T: Adt> SearchSeed<T> {
-    /// The empty seed: initial state, empty history.
-    pub(crate) fn initial(adt: &T) -> Self {
-        SearchSeed {
-            history: Vec::new(),
-            state: adt.initial(),
-            used: PersistentMultiset::new(),
-        }
-    }
-
-    /// Seeds the search with `history` (replayed from the initial state) —
-    /// how the speculative checker plants the init-interpretation LCP.
-    pub(crate) fn from_history(adt: &T, history: Vec<T::Input>) -> Self {
-        let state = adt.run(&history);
-        let used = PersistentMultiset::elems(&history);
-        SearchSeed {
-            history,
-            state,
-            used,
-        }
-    }
+/// An engine's class table (module docs, "Feasibility prune"): every input
+/// a move can consume, sorted, each with its pool multiplicity.
+///
+/// Two representations, because a batch problem's table is not a
+/// [`Bounds`]' rows: [`CheckerEngine::new`] takes its pool from the caller —
+/// a projection's class bucket, a merge's pool, a test's — with the
+/// caller's multiplicities, and gives a commit's input the pool lacks a
+/// class with none, whether or not the bounds hold a row for it. A shard's
+/// table is exactly its bounds' rows, so its engines build nothing.
+enum Classes<I> {
+    /// A batch problem's, built with its engine: the pool's inputs, and the
+    /// commits' inputs the pool lacks with none.
+    Built(Vec<(I, usize)>),
+    /// A shard's: the rows of its count table, which has met every input of
+    /// its window and of the windows it retired.
+    Rows,
 }
 
 /// The shared chain-search engine. See the module docs for the search it
@@ -495,13 +624,15 @@ pub(crate) struct CheckerEngine<'s, T: Adt> {
     bounds: &'s Bounds<T::Input>,
     /// Every input a move can consume — the commits' inputs and the pool
     /// bounding the extras — with its pool multiplicity, sorted by input:
-    /// positions are the dense **class ids** of the feasibility prune, and
-    /// extras are offered in this order.
-    classes: Vec<(T::Input, usize)>,
+    /// positions are the dense **class ids** of the feasibility prune, of
+    /// every count table the engine reads or hands out, and extras are
+    /// offered in this order.
+    classes: Classes<T::Input>,
     /// Per commit `c`: the class of its input, and
     /// `bounds.count(c.index, c.input)` — how many occurrences of its own
-    /// input a history committing it may hold.
-    commit_classes: Vec<(usize, usize)>,
+    /// input a history committing it may hold. A shard records both when
+    /// the commit arrives, and its engines borrow them.
+    commit_classes: Cow<'s, [(usize, usize)]>,
     /// The node budget of [`CheckerEngine::first_solution`]. A [`Search`] driven
     /// directly takes its budget per run.
     budget: SearchBudget,
@@ -541,56 +672,42 @@ pub(crate) trait Visitor<T: Adt> {
     fn uncommit(&mut self) {}
 
     /// Every commit is placed. `Break` stops the whole search; `Continue`
-    /// backtracks for the next leaf. `used` builds the consumed-input
-    /// multiset only if asked ([`LeafUsed::get`]).
+    /// backtracks for the next leaf. `used` hands out the consumed-input
+    /// count table only if asked ([`LeafUsed::get`]).
     fn leaf(
         &mut self,
         hist: &[T::Input],
         state: T::State,
-        used: LeafUsed<'_, T>,
+        used: LeafUsed<'_>,
         tag: Self::Tag,
     ) -> ControlFlow<()>;
 }
 
-/// The consumed-input multiset at a leaf, not yet built. Inside a search
-/// `used` is one integer per class ([`ClassCount::used`]); a multiset
-/// exists only where one leaves the kernel.
-pub(crate) struct LeafUsed<'a, T: Adt> {
-    cache: &'a mut UsedCache<T>,
-    classes: &'a [(T::Input, usize)],
+/// The consumed-input count table at a leaf, not yet handed out. Inside a
+/// search `used` is one integer per class ([`ClassCount::used`]); a table
+/// is made only where one leaves the kernel.
+pub(crate) struct LeafUsed<'a> {
+    last: &'a mut Used,
     counts: &'a [ClassCount],
 }
 
-/// The multiset [`LeafUsed::get`] built last (the seed's, before the first
-/// leaf), with the per-class counters it stands for.
-struct UsedCache<T: Adt> {
-    used: PersistentMultiset<T::Input>,
-    counts: Vec<usize>,
-}
-
-impl<T: Adt> LeafUsed<'_, T> {
-    /// `seed.used ⊎ elems(hist[seed.history.len()..])`, built from the
-    /// multiset handed out last by the difference of the counters. The
-    /// leaves of one enumeration differ mostly in order, not in what they
-    /// consumed: where the counters have not moved this is an O(1) clone,
-    /// and what two leaves hold in common they share (the configurations a
-    /// shard retains are these multisets; its memory proxy counts their
-    /// trie nodes).
-    pub(crate) fn get(self) -> PersistentMultiset<T::Input> {
-        let cache = self.cache;
-        let classes = self.classes.iter().zip(self.counts);
-        for (have, ((input, _), count)) in cache.counts.iter_mut().zip(classes) {
-            let want = count.used;
-            if want > *have {
-                cache.used.add(input.clone(), want - *have);
+impl LeafUsed<'_> {
+    /// `seed.used ⊎ elems(hist[seed.history.len()..])` as a table: the one
+    /// handed out last (the seed's, before the first leaf) when the
+    /// counters have not moved — the leaves of one enumeration differ
+    /// mostly in order, not in what they consumed, and the configurations a
+    /// shard retains share these tables (its memory proxy counts them) —
+    /// else that table overwritten in place if nothing else holds it, else
+    /// a new one.
+    pub(crate) fn get(self) -> Used {
+        let counts = self.counts.iter().map(|c| c.used);
+        if !self.last.iter().copied().eq(counts.clone()) {
+            match self.last.0.as_mut().and_then(Arc::get_mut) {
+                Some(last) => last.iter_mut().zip(counts).for_each(|(n, used)| *n = used),
+                None => *self.last = Used::of(counts),
             }
-            for _ in want..*have {
-                let held = cache.used.remove(input);
-                debug_assert!(held, "the cache holds what its counters say");
-            }
-            *have = want;
         }
-        cache.used.clone()
+        self.last.clone()
     }
 }
 
@@ -618,13 +735,7 @@ impl<T: Adt, W> Visitor<T> for FirstSolution<'_, T::Input, W> {
         self.cuts.pop();
     }
 
-    fn leaf(
-        &mut self,
-        hist: &[T::Input],
-        _: T::State,
-        _: LeafUsed<'_, T>,
-        (): (),
-    ) -> ControlFlow<()> {
+    fn leaf(&mut self, hist: &[T::Input], _: T::State, _: LeafUsed<'_>, (): ()) -> ControlFlow<()> {
         // A commit's history extends the seed: `len` is past it, or 0.
         let len = self.cuts.last().map_or(0, |c| c.1);
         match (self.leaf)(&hist[..len.max(self.seed_len)]) {
@@ -642,10 +753,11 @@ impl<'s, T: Adt> CheckerEngine<'s, T>
 where
     T::Input: Ord,
 {
-    /// Creates an engine over the given commits and validity bounds. Any
-    /// commit count is accepted ([`CommitMask`] has no ceiling). `pool`
-    /// lists every input a history may consume with its multiplicity, each
-    /// input once, in any order: a multiset's walk or a sorted slice.
+    /// Creates an engine over the given commits and validity bounds, with a
+    /// class table of its own. Any commit count is accepted
+    /// ([`CommitMask`] has no ceiling). `pool` lists every input a history
+    /// may consume with its multiplicity, each input once, in any order: a
+    /// multiset's walk or a sorted slice.
     ///
     /// `commits` must ascend in trace index (debug builds assert it). The
     /// feasibility prune reads "the tightest bound among the remaining
@@ -687,9 +799,94 @@ where
             adt,
             commits,
             bounds,
-            classes,
-            commit_classes,
+            classes: Classes::Built(classes),
+            commit_classes: Cow::Owned(commit_classes),
             budget,
+        }
+    }
+
+    /// Creates an engine whose class table is the rows of `bounds` — a
+    /// shard's, which has met every input its commits and seeds hold — so
+    /// that nothing is built: `commit_classes` gives each commit's class
+    /// and own bound (see [`CheckerEngine::new`] for the rest).
+    pub(crate) fn on_rows(
+        adt: &'s T,
+        commits: &'s [Commit<T>],
+        commit_classes: &'s [(usize, usize)],
+        bounds: &'s Bounds<T::Input>,
+        budget: SearchBudget,
+    ) -> Self {
+        debug_assert!(
+            commits.len() == commit_classes.len()
+                && commits.windows(2).all(|w| w[0].index < w[1].index)
+                && (commits.iter().zip(commit_classes)).all(|(c, &(class, own))| {
+                    bounds.class(&c.input) == Some(class) && bounds.count(c.index, &c.input) == own
+                }),
+            "commits ascend in trace index, each with its own class and bound"
+        );
+        CheckerEngine {
+            adt,
+            commits,
+            bounds,
+            classes: Classes::Rows,
+            commit_classes: Cow::Borrowed(commit_classes),
+            budget,
+        }
+    }
+
+    /// How many classes the engine's table has.
+    fn classes(&self) -> usize {
+        match &self.classes {
+            Classes::Built(classes) => classes.len(),
+            Classes::Rows => self.bounds.classes(),
+        }
+    }
+
+    /// The input of class `e`.
+    fn input(&self, e: usize) -> &T::Input {
+        match &self.classes {
+            Classes::Built(classes) => &classes[e].0,
+            Classes::Rows => self.bounds.input(e),
+        }
+    }
+
+    /// How many occurrences of class `e`'s input the pool holds.
+    fn pool(&self, e: usize) -> usize {
+        match &self.classes {
+            Classes::Built(classes) => classes[e].1,
+            Classes::Rows => self.bounds.pool_of(e),
+        }
+    }
+
+    /// How many occurrences of class `e`'s input the bound at trace index
+    /// `i` holds.
+    fn bound(&self, i: usize, e: usize) -> usize {
+        match &self.classes {
+            Classes::Built(classes) => self.bounds.count(i, &classes[e].0),
+            Classes::Rows => self.bounds.class_count(i, e),
+        }
+    }
+
+    /// The seed `history` replayed from the initial state, its consumed
+    /// inputs counted over this engine's classes — how the speculative
+    /// checker plants the init-interpretation LCP. A seed consumes pool
+    /// inputs only (debug builds assert it).
+    pub(crate) fn seed(&self, history: Vec<T::Input>) -> SearchSeed<T> {
+        let mut used = Used::of(std::iter::repeat_n(0, self.classes()));
+        for e in &history {
+            let class = match &self.classes {
+                Classes::Built(classes) => classes.binary_search_by(|(c, _)| c.cmp(e)).ok(),
+                Classes::Rows => self.bounds.class(e),
+            };
+            debug_assert!(class.is_some(), "a seed consumes pool inputs only");
+            if let Some(class) = class {
+                used.bump(class);
+            }
+        }
+        SearchSeed {
+            state: self.adt.run(&history),
+            history,
+            used,
         }
     }
 
@@ -913,11 +1110,14 @@ impl Default for ClassCount {
 /// what does not depend on the seed — the floor table and the dead-end
 /// memo (module docs, "The memo"): a run does not search again below a
 /// node an earlier run buried. Every buffer is reused from run to run.
-/// The buffers that do not depend on the ADT or the visitor — all but the
-/// history, the memo's entries and the leaf's multiset — also outlive the
-/// `Search`: it takes them from its thread's free list and gives them back
-/// when dropped ([`Scratch`]), so the next search on the thread, over any
-/// engine, starts with their capacity.
+/// The buffers that do not depend on the ADT or the visitor outlive the
+/// `Search` too: it takes them from its thread's free list and gives them
+/// back when dropped ([`Scratch`]), so the next search on the thread, over
+/// any engine, starts with their capacity. The two that hold the ADT's or
+/// the visitor's types — the history and the memo's entries
+/// ([`SearchBuffers`]) — a caller running many searches of one kind keeps
+/// between them ([`Search::with_buffers`], [`Search::into_buffers`]): a
+/// streaming monitor keeps one set for all its shards.
 pub(crate) struct Search<'e, 's, T: Adt, G> {
     engine: &'e CheckerEngine<'s, T>,
     /// `bounds.count(commits[p].index, class e's input)` at
@@ -937,7 +1137,30 @@ pub(crate) struct Search<'e, 's, T: Adt, G> {
     /// The current path's history, seed included.
     hist: Vec<T::Input>,
     memo: Memo<T, G>,
-    leaf_used: UsedCache<T>,
+    /// The count table the last leaf handed out ([`LeafUsed`]); the seed's
+    /// at the start of a run.
+    leaf_used: Used,
+}
+
+/// The buffers a [`Search`] grows that hold the ADT's or the visitor's
+/// types: the path's history and the memo's entries. A caller that runs
+/// many searches of one kind hands them from each `Search` to the next
+/// ([`Search::with_buffers`], [`Search::into_buffers`]); what it keeps is
+/// their capacity — at most [`SCRATCH_KEEP`] elements each — never their
+/// contents.
+pub(crate) struct SearchBuffers<T: Adt, G> {
+    hist: Vec<T::Input>,
+    memo: Vec<(CommitMask, T::State, G)>,
+}
+
+// Manual impl: the derive would demand `T: Default` and `G: Default`.
+impl<T: Adt, G> Default for SearchBuffers<T, G> {
+    fn default() -> Self {
+        SearchBuffers {
+            hist: Vec::new(),
+            memo: Vec::new(),
+        }
+    }
 }
 
 impl<'e, 's, T: Adt, G: Clone + Eq + Hash> Search<'e, 's, T, G>
@@ -946,6 +1169,15 @@ where
 {
     /// A search over `engine`, on buffers from this thread's free list.
     pub(crate) fn new(engine: &'e CheckerEngine<'s, T>) -> Self {
+        Search::with_buffers(engine, SearchBuffers::default())
+    }
+
+    /// A search over `engine` growing `buffers`, and the rest from this
+    /// thread's free list.
+    pub(crate) fn with_buffers(
+        engine: &'e CheckerEngine<'s, T>,
+        buffers: SearchBuffers<T, G>,
+    ) -> Self {
         let Scratch {
             floor_counts,
             counts,
@@ -953,7 +1185,6 @@ where
             moves,
             memo_index,
             memo_counts,
-            leaf_counts,
         } = Scratch::take();
         Search {
             engine,
@@ -963,17 +1194,27 @@ where
             counts,
             spare,
             moves,
-            hist: Vec::new(),
+            hist: buffers.hist,
             memo: Memo {
                 index: memo_index,
-                entries: Vec::new(),
+                entries: buffers.memo,
                 counts: memo_counts,
             },
-            leaf_used: UsedCache {
-                used: PersistentMultiset::new(),
-                counts: leaf_counts,
-            },
+            leaf_used: Used::default(),
         }
+    }
+
+    /// Ends the search, handing back its typed buffers emptied — the memo's
+    /// contents are this `Search`'s alone — or, where one outgrew
+    /// [`SCRATCH_KEEP`], a new one.
+    pub(crate) fn into_buffers(mut self) -> SearchBuffers<T, G> {
+        let mut buffers = SearchBuffers {
+            hist: mem::take(&mut self.hist),
+            memo: mem::take(&mut self.memo.entries),
+        };
+        recycle(&mut buffers.hist);
+        recycle(&mut buffers.memo);
+        buffers
     }
 
     /// The kernel's entry point: searches from `seed` (carrying `tag`)
@@ -1005,35 +1246,32 @@ where
             interpretations: 1,
             ..SearchStats::default()
         };
+        debug_assert_eq!(
+            seed.used.len(),
+            eng.classes(),
+            "a seed's table counts the engine's classes"
+        );
         self.counts.clear();
-        self.counts.resize(eng.classes.len(), ClassCount::default());
-        for (e, n) in seed.used.iter() {
-            // A seed input no move can add keeps its count for the whole
-            // search: `seed_feasible` checks it once.
-            let class = eng.classes.binary_search_by(|(c, _)| c.cmp(e));
-            debug_assert!(class.is_ok(), "a seed consumes pool inputs only");
-            if let Ok(class) = class {
-                self.counts[class].used = n;
-            }
-        }
+        let seed_counts = seed.used.iter().map(|&used| ClassCount {
+            used,
+            ..ClassCount::default()
+        });
+        self.counts.extend(seed_counts);
+        self.counts.resize(eng.classes(), ClassCount::default());
         // Consumption only grows: a class with no spare pool occurrence at
         // the seed never offers an extra.
         self.spare.clear();
         self.spare
-            .extend((0..self.counts.len()).filter(|&e| self.counts[e].used < eng.classes[e].1));
+            .extend((0..self.counts.len()).filter(|&e| self.counts[e].used < eng.pool(e)));
         self.moves.clear();
         let buried = self.memo.index.len();
-        if !self.seed_feasible(&seed.used, &start) {
+        if !self.seed_feasible(&start) {
             self.stats.pruned = 1;
             return (Ok(ControlFlow::Continue(())), self.stats);
         }
         self.hist.clear();
         self.hist.extend_from_slice(&seed.history);
-        self.leaf_used.used = seed.used.clone();
-        self.leaf_used.counts.clear();
-        self.leaf_used
-            .counts
-            .extend(self.counts.iter().map(|c| c.used));
+        self.leaf_used = seed.used.clone();
         let flow = self.dfs(visitor, seed.state.clone(), tag, start);
         self.stats.memo_entries = self.memo.index.len() - buried;
         (flow, self.stats)
@@ -1041,14 +1279,19 @@ where
 
     /// The feasibility conditions at the seed, which every admitted child
     /// then preserves (module docs, "Feasibility prune"): the consumed
-    /// inputs fit the tightest bound among the commits of `start`, and no
-    /// class is already too consumed for those commits' own bounds.
-    fn seed_feasible(&mut self, used: &PersistentMultiset<T::Input>, start: &CommitMask) -> bool {
+    /// inputs fit the tightest bound among the commits of `start` — read
+    /// through the floor table — and no class is already too consumed for
+    /// those commits' own bounds.
+    fn seed_feasible(&mut self, start: &CommitMask) -> bool {
         let eng = self.engine;
         let Some(first) = start.iter().next() else {
             return true;
         };
-        let mut feasible = eng.bounds.covers(eng.commits[first].index, used);
+        let mut feasible = true;
+        for e in 0..self.counts.len() {
+            let used = self.counts[e].used;
+            feasible &= used == 0 || used <= self.floor_count(first, e);
+        }
         for k in start.iter() {
             let (e, own_bound) = eng.commit_classes[k];
             let class = &mut self.counts[e];
@@ -1061,22 +1304,26 @@ where
         feasible
     }
 
+    /// How many occurrences of class `e` the bound of commit `floor` holds,
+    /// looked up once per search.
+    fn floor_count(&mut self, floor: usize, e: usize) -> usize {
+        let eng = self.engine;
+        let at = floor * self.counts.len() + e;
+        if self.floor_counts.len() <= at {
+            self.floor_counts
+                .resize((floor + 1) * self.counts.len(), usize::MAX);
+        }
+        if self.floor_counts[at] == usize::MAX {
+            self.floor_counts[at] = eng.bound(eng.commits[floor].index, e);
+        }
+        self.floor_counts[at]
+    }
+
     /// Whether one more occurrence of class `e` still fits the bound of
     /// commit `floor`, the earliest remaining one (the tightest, by
     /// monotonicity).
     fn fits_floor(&mut self, floor: usize, e: usize) -> bool {
-        let eng = self.engine;
-        let at = floor * eng.classes.len() + e;
-        if self.floor_counts.len() <= at {
-            self.floor_counts
-                .resize((floor + 1) * eng.classes.len(), usize::MAX);
-        }
-        if self.floor_counts[at] == usize::MAX {
-            self.floor_counts[at] = eng
-                .bounds
-                .count(eng.commits[floor].index, &eng.classes[e].0);
-        }
-        self.counts[e].used < self.floor_counts[at]
+        self.counts[e].used < self.floor_count(floor, e)
     }
 
     /// Queues the children of the current node that pass the feasibility
@@ -1105,7 +1352,7 @@ where
         }
         for at in 0..self.spare.len() {
             let e = self.spare[at];
-            if self.counts[e].used >= eng.classes[e].1 {
+            if self.counts[e].used >= eng.pool(e) {
                 continue;
             }
             // An extra takes an occurrence from under every remaining
@@ -1204,7 +1451,7 @@ where
             }
             // Move 2: interleave an extra input from the pool.
             Move::Extra(e) => {
-                let input = &eng.classes[e].0;
+                let input = eng.input(e);
                 let (state2, out) = eng.adt.apply(state, input);
                 let tag2 = visitor.extra(tag, input, out);
                 self.counts[e].used += 1;
@@ -1237,8 +1484,7 @@ where
     ) -> ControlFlow<()> {
         self.stats.leaf_checks += 1;
         let used = LeafUsed {
-            cache: &mut self.leaf_used,
-            classes: &self.engine.classes,
+            last: &mut self.leaf_used,
             counts: &self.counts,
         };
         visitor.leaf(&self.hist, state, used, tag)
@@ -1294,10 +1540,10 @@ const SCRATCH_KEEP: usize = 4096;
 
 /// The buffers a [`Search`] grows that do not depend on the ADT or the
 /// visitor: the floor table, the per-class counters, the move stack, the
-/// memo's hash index and counter arena, the leaf cache's counters. A
-/// `Search` takes one set from its thread's free list and gives it back,
-/// cleared but with its capacity, when dropped — so a search allocates
-/// these only where one before it on the thread did not grow them as far.
+/// memo's hash index and counter arena. A `Search` takes one set from its
+/// thread's free list and gives it back, cleared but with its capacity,
+/// when dropped — so a search allocates these only where one before it on
+/// the thread did not grow them as far.
 /// A set is made only when the list is empty, so the list never holds more
 /// sets than the thread had searches alive at once (one, unless a leaf or
 /// visitor searches too), each buffer at most [`SCRATCH_KEEP`] elements;
@@ -1310,7 +1556,6 @@ struct Scratch {
     moves: Vec<Move>,
     memo_index: HashIndex,
     memo_counts: Vec<usize>,
-    leaf_counts: Vec<usize>,
 }
 
 thread_local! {
@@ -1333,7 +1578,6 @@ impl Scratch {
             &mut self.floor_counts,
             &mut self.spare,
             &mut self.memo_counts,
-            &mut self.leaf_counts,
         ] {
             recycle(buffer);
         }
@@ -1362,7 +1606,6 @@ impl<T: Adt, G> Drop for Search<'_, '_, T, G> {
             moves: mem::take(&mut self.moves),
             memo_index: mem::take(&mut self.memo.index),
             memo_counts: mem::take(&mut self.memo.counts),
-            leaf_counts: mem::take(&mut self.leaf_used.counts),
         }
         .give_back();
     }
@@ -1382,9 +1625,8 @@ mod tests {
     use crate::slin::SlinChecker;
     use crate::ObjAction;
     use slin_adt::{ConsInput, ConsOutput, Consensus, KvInput, KvOutput, KvStore};
-    use slin_trace::{Action, ClientId, PhaseId, Trace};
+    use slin_trace::{Action, ClientId, PersistentMultiset, PhaseId, Trace};
     use std::cell::Cell;
-    use std::collections::HashSet;
 
     thread_local! {
         /// Makes [`KeyHasher::finish`] return 0 on this thread: every key
@@ -1435,7 +1677,7 @@ mod tests {
             SearchBudget::default(),
         );
         let (found, stats) = engine.first_solution(
-            SearchSeed::initial(&Consensus),
+            engine.seed(Vec::new()),
             CommitMask::full(commits.len()),
             &|_| Some(()),
         );
@@ -1459,7 +1701,7 @@ mod tests {
             SearchBudget::default(),
         );
         let (found, stats) = engine.first_solution(
-            SearchSeed::initial(&Consensus),
+            engine.seed(Vec::new()),
             CommitMask::full(commits.len()),
             &|_| None::<()>,
         );
@@ -1480,7 +1722,7 @@ mod tests {
             SearchBudget::new(1),
         );
         let (found, stats) = engine.first_solution(
-            SearchSeed::initial(&Consensus),
+            engine.seed(Vec::new()),
             CommitMask::full(commits.len()),
             &|_| Some(()),
         );
@@ -1526,15 +1768,15 @@ mod tests {
         let t: Trace<KA> = Trace::from_actions(actions);
         let commits = ops::commits::<KvStore, ()>(&t);
         let bounds = ops::input_bounds::<KvStore, ()>(&t);
-        let (found, stats) = CheckerEngine::new(
+        let engine = CheckerEngine::new(
             &KvStore,
             &commits,
             &bounds,
             bounds.pool(),
             SearchBudget::default(),
-        )
-        .first_solution(
-            SearchSeed::initial(&KvStore),
+        );
+        let (found, stats) = engine.first_solution(
+            engine.seed(Vec::new()),
             CommitMask::full(commits.len()),
             &|_| (!veto).then_some(()),
         );
@@ -1671,7 +1913,7 @@ mod tests {
             SearchBudget::default(),
         );
         let (found, _) = engine.first_solution(
-            SearchSeed::initial(&Consensus),
+            engine.seed(Vec::new()),
             CommitMask::full(commits.len()),
             &|_| Some(()),
         );
@@ -1722,7 +1964,7 @@ mod tests {
             bounds.pool(),
             SearchBudget::default(),
         );
-        let seed = SearchSeed::from_history(&Consensus, vec![ConsInput::propose(2)]);
+        let seed = engine.seed(vec![ConsInput::propose(2)]);
         let (found, _) =
             engine.first_solution(seed, CommitMask::full(commits.len()), &|_| Some(()));
         let (chain, ()) = found.unwrap().expect("explained by the seeded history");
@@ -1789,12 +2031,7 @@ mod tests {
     }
 
     type Pairs = PersistentMultiset<(KvInput, KvOutput)>;
-    type Leaf = (
-        Vec<KvInput>,
-        <KvStore as Adt>::State,
-        PersistentMultiset<KvInput>,
-        Pairs,
-    );
+    type Leaf = (Vec<KvInput>, <KvStore as Adt>::State, Used, Pairs);
 
     /// Enumerates every leaf; like the shard's collector in epoch-cut mode,
     /// its tag is the multiset of interleaved extras with their outputs.
@@ -1814,7 +2051,7 @@ mod tests {
             &mut self,
             hist: &[KvInput],
             state: <KvStore as Adt>::State,
-            used: LeafUsed<'_, KvStore>,
+            used: LeafUsed<'_>,
             tag: Pairs,
         ) -> ControlFlow<()> {
             self.0.push((hist.to_vec(), state, used.get(), tag));
@@ -1836,7 +2073,7 @@ mod tests {
             bounds.pool(),
             SearchBudget::default(),
         );
-        let seed = || SearchSeed::initial(&KvStore);
+        let seed = || engine.seed(Vec::new());
         let first = engine.first_solution(seed(), CommitMask::full(commits.len()), &|_| Some(()));
         let (vetoed, veto_stats) =
             engine.first_solution(seed(), CommitMask::full(commits.len()), &|_| None::<()>);
@@ -1971,9 +2208,9 @@ mod tests {
                 // The empty seed, and seeds that consumed the first commits'
                 // inputs, as a checkpoint configuration has.
                 let seeds = [
-                    SearchSeed::initial(&KvStore),
-                    SearchSeed::from_history(&KvStore, vec![commits[0].input]),
-                    SearchSeed::from_history(&KvStore, vec![commits[0].input, commits[1].input]),
+                    engine.seed(Vec::new()),
+                    engine.seed(vec![commits[0].input]),
+                    engine.seed(vec![commits[0].input, commits[1].input]),
                 ];
                 for (mask, seed) in masks
                     .into_iter()
@@ -2025,13 +2262,15 @@ mod tests {
         assert!(skipped > 100, "the shared memo skipped {skipped} nodes");
     }
 
-    /// Asserts at every leaf that the multiset [`LeafUsed::get`] builds is
-    /// the seed's plus what the history consumed since.
+    /// Asserts at every leaf that the table [`LeafUsed::get`] hands out is
+    /// the seed's plus what the history consumed since, counted over the
+    /// engine's classes.
     struct UsedIsElems<'a> {
+        engine: &'a CheckerEngine<'a, KvStore>,
         seed: &'a SearchSeed<KvStore>,
-        last: Option<PersistentMultiset<KvInput>>,
+        last: Option<Used>,
         leaves: usize,
-        /// Leaves whose multiset was the previous leaf's, structure and all.
+        /// Leaves whose table was the previous leaf's, the very table.
         handed_out_again: usize,
     }
 
@@ -2044,20 +2283,19 @@ mod tests {
             &mut self,
             hist: &[KvInput],
             _: <KvStore as Adt>::State,
-            used: LeafUsed<'_, KvStore>,
+            used: LeafUsed<'_>,
             (): (),
         ) -> ControlFlow<()> {
             let used = used.get();
-            let since_seed = PersistentMultiset::elems(&hist[self.seed.history.len()..]);
-            assert_eq!(used, self.seed.used.sum(&since_seed), "at {hist:?}");
+            let suffix = hist[self.seed.history.len()..].to_vec();
+            let since_seed = self.engine.seed(suffix).used;
+            let seed_and_since: Vec<usize> = (self.seed.used.iter().zip(since_seed.iter()))
+                .map(|(a, b)| a + b)
+                .collect();
+            assert_eq!(*used, seed_and_since[..], "at {hist:?}");
             if let Some(last) = self.last.replace(used.clone()) {
                 if last == used {
-                    // Equal counters: the same trie, not an equal one.
-                    let (mut nodes, mut both) = (HashSet::new(), HashSet::new());
-                    last.mark_nodes(&mut nodes);
-                    last.mark_nodes(&mut both);
-                    used.mark_nodes(&mut both);
-                    assert_eq!(nodes, both);
+                    assert_eq!(last.addr(), used.addr(), "equal counters: the same table");
                     self.handed_out_again += 1;
                 }
             }
@@ -2096,16 +2334,10 @@ mod tests {
             let consumed = PersistentMultiset::elems(&prefix_history);
             let mut base = consumed.clone();
             base.insert(straggler);
-            let after_cut = SearchSeed {
-                history: Vec::new(),
-                state: KvStore.run(&prefix_history),
-                used: consumed.clone(),
-            };
-            let from_history = SearchSeed::from_history(&KvStore, prefix_history.clone());
-            for (kind, (seed, trace, base)) in [
-                (SearchSeed::initial(&KvStore), &t, PersistentMultiset::new()),
-                (from_history, &suffix, consumed),
-                (after_cut, &suffix, base),
+            for (kind, (trace, base)) in [
+                (&t, PersistentMultiset::new()),
+                (&suffix, consumed),
+                (&suffix, base),
             ]
             .into_iter()
             .enumerate()
@@ -2122,7 +2354,16 @@ mod tests {
                     bounds.pool(),
                     SearchBudget::default(),
                 );
+                let seed = match kind {
+                    0 => engine.seed(Vec::new()),
+                    1 => engine.seed(prefix_history.clone()),
+                    _ => SearchSeed {
+                        history: Vec::new(),
+                        ..engine.seed(prefix_history.clone())
+                    },
+                };
                 let mut visitor = UsedIsElems {
+                    engine: &engine,
                     seed: &seed,
                     last: None,
                     leaves: 0,
@@ -2159,7 +2400,6 @@ mod tests {
             index.heads.capacity(),
             index.older.capacity(),
             scratch.memo_counts.capacity(),
-            scratch.leaf_counts.capacity(),
         ]
         .into_iter()
         .max()
@@ -2176,7 +2416,7 @@ mod tests {
         let engine = CheckerEngine::new(&KvStore, &commits, &bounds, bounds.pool(), budget);
         [true, false].map(|accept| {
             engine.first_solution(
-                SearchSeed::initial(&KvStore),
+                engine.seed(Vec::new()),
                 CommitMask::full(commits.len()),
                 &|_| accept.then_some(()),
             )

@@ -53,9 +53,7 @@
 //! transient use, clone it for consumers that outlive the borrow (the
 //! monitor's shard table).
 
-use crate::engine::{
-    Chain, CheckerEngine, CommitMask, EngineError, Found, Refuted, SearchBudget, SearchSeed,
-};
+use crate::engine::{Chain, CheckerEngine, CommitMask, EngineError, Found, Refuted, SearchBudget};
 use crate::ops::{Bounds, Commit};
 use crate::partition::FallbackReason;
 use crate::stream::MonitorStatus;
@@ -125,7 +123,7 @@ where
             SearchBudget::new(budget),
         );
         engine.first_solution(
-            SearchSeed::from_history(adt, self.seed.clone()),
+            engine.seed(self.seed.clone()),
             CommitMask::full(self.commits.len()),
             &*self.leaf,
         )

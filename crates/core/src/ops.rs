@@ -8,7 +8,6 @@
 use crate::ObjAction;
 use slin_adt::Adt;
 use slin_trace::{Action, ClientId, PersistentMultiset, PhaseId, Trace};
-use std::collections::BTreeMap;
 
 /// The sequence of previous inputs `inputs(t, i)`: all inputs *invoked*
 /// strictly before index `i` (0-based), in trace order.
@@ -65,10 +64,17 @@ pub(crate) fn input_bounds<T: Adt<Input: Ord>, V>(t: &Trace<ObjAction<T, V>>) ->
 /// streaming window retired) and the ascending indices from which its
 /// other occurrences are valid. One table answers every index; nothing is
 /// copied per index, and the bounds are monotone by construction.
+///
+/// Its rows are sorted by input, and a row's position is its input's
+/// **class**: a streaming shard's class table is these rows, so its search
+/// engines, its consumed-input count tables and its commits all index them
+/// (see [`crate::engine`]). A shard drops the rows nothing it retains can
+/// consume any more when it retires a window; nothing else removes one.
 #[derive(Debug, Clone)]
 pub struct Bounds<I> {
-    /// One row per input met: a lookup or a new input is O(log alphabet).
-    rows: BTreeMap<I, Row>,
+    /// One row per input met, ascending by input: a lookup is a binary
+    /// search, a new input an insertion.
+    rows: Vec<(I, Row)>,
 }
 
 #[derive(Debug, Clone, Default)]
@@ -80,25 +86,86 @@ struct Row {
     from: Vec<usize>,
 }
 
+impl Row {
+    /// Occurrences the bound at index `i` holds.
+    fn count(&self, i: usize) -> usize {
+        self.base + self.from.partition_point(|&f| f <= i)
+    }
+
+    /// Occurrences the last bound holds.
+    fn total(&self) -> usize {
+        self.base + self.from.len()
+    }
+}
+
 impl<I> Bounds<I> {
     /// The table of empty bounds.
     pub(crate) fn new() -> Self {
-        Bounds {
-            rows: BTreeMap::new(),
-        }
+        Bounds { rows: Vec::new() }
     }
 
     /// Every input of the last bound — every input a history may consume —
     /// with its multiplicity, ascending by input.
     pub(crate) fn pool(&self) -> impl Iterator<Item = (&I, usize)> + '_ {
-        self.rows.iter().map(|(e, r)| (e, r.base + r.from.len()))
+        self.rows.iter().map(|(e, r)| (e, r.total()))
+    }
+
+    /// How many classes (rows) the table has.
+    pub(crate) fn classes(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// The input of class `class`.
+    pub(crate) fn input(&self, class: usize) -> &I {
+        &self.rows[class].0
+    }
+
+    /// How many occurrences of class `class`'s input the last bound holds.
+    pub(crate) fn pool_of(&self, class: usize) -> usize {
+        self.rows[class].1.total()
+    }
+
+    /// How many occurrences of class `class`'s input the bound at index `i`
+    /// holds.
+    pub(crate) fn class_count(&self, i: usize, class: usize) -> usize {
+        self.rows[class].1.count(i)
+    }
+
+    /// Whether consumed inputs counted per class of this table lie inside
+    /// the bound at index `i`.
+    pub(crate) fn covers(&self, i: usize, used: &[usize]) -> bool {
+        used.len() == self.rows.len()
+            && (used.iter().enumerate()).all(|(class, &n)| n <= self.class_count(i, class))
+    }
+
+    /// One more occurrence of class `class`'s input in the bound at every
+    /// index from `from` on.
+    pub(crate) fn add_at(&mut self, class: usize, from: usize) {
+        let from_list = &mut self.rows[class].1.from;
+        // The checkers add occurrences in index order: this is a push.
+        let slot = from_list.partition_point(|&f| f <= from);
+        from_list.insert(slot, from);
+    }
+
+    /// Whether class `class` gained an occurrence since the last
+    /// [`Bounds::collapse`] (or since the table was made).
+    pub(crate) fn added_since_collapse(&self, class: usize) -> bool {
+        !self.rows[class].1.from.is_empty()
+    }
+
+    /// Drops the rows `spent` marks, one flag per class: the classes after
+    /// each move down.
+    pub(crate) fn drop_classes(&mut self, spent: &[bool]) {
+        let mut spent = spent.iter();
+        self.rows
+            .retain(|_| !spent.next().expect("one flag per class"));
     }
 
     /// Folds every occurrence into the base: the bound at every index is
     /// now the last one. A streaming window's retirement, after which its
-    /// indices start again at 0. Keeps every row's capacity.
+    /// indices start again at 0. Keeps every row and its capacity.
     pub(crate) fn collapse(&mut self) {
-        for row in self.rows.values_mut() {
+        for (_, row) in &mut self.rows {
             row.base += row.from.len();
             row.from.clear();
         }
@@ -106,29 +173,38 @@ impl<I> Bounds<I> {
 }
 
 impl<I: Ord> Bounds<I> {
+    /// The class of `e`, if the table has met it.
+    pub(crate) fn class(&self, e: &I) -> Option<usize> {
+        self.rows.binary_search_by(|(r, _)| r.cmp(e)).ok()
+    }
+
+    /// The class of `e`: `Ok` when the table has met it; else a new row
+    /// with no occurrence, `Err(class)` — and every class from `class` on
+    /// has moved up one.
+    pub(crate) fn insert_class(&mut self, e: &I) -> Result<usize, usize>
+    where
+        I: Clone,
+    {
+        let found = self.rows.binary_search_by(|(r, _)| r.cmp(e));
+        if let Err(at) = found {
+            self.rows.insert(at, (e.clone(), Row::default()));
+        }
+        found
+    }
+
     /// One more occurrence of `e` in the bound at every index from `from`
     /// on.
     pub(crate) fn add(&mut self, from: usize, e: &I)
     where
         I: Clone,
     {
-        let from_list = match self.rows.get_mut(e) {
-            Some(row) => &mut row.from,
-            None => &mut self.rows.entry(e.clone()).or_default().from,
-        };
-        // The checkers add occurrences in index order: this is a push.
-        let slot = from_list.partition_point(|&f| f <= from);
-        from_list.insert(slot, from);
+        let class = self.insert_class(e).unwrap_or_else(|at| at);
+        self.add_at(class, from);
     }
 
     /// How many occurrences of `e` the bound at index `i` holds.
     pub(crate) fn count(&self, i: usize, e: &I) -> usize {
-        (self.rows.get(e)).map_or(0, |row| row.base + row.from.partition_point(|&f| f <= i))
-    }
-
-    /// Whether `used` lies inside the bound at index `i`.
-    pub(crate) fn covers(&self, i: usize, used: &PersistentMultiset<I>) -> bool {
-        used.iter().all(|(e, n)| n <= self.count(i, e))
+        self.class(e).map_or(0, |class| self.class_count(i, class))
     }
 }
 
@@ -327,7 +403,10 @@ mod tests {
                 for e in inputs {
                     prop_assert_eq!(table.count(i, e), snapshot.count(e), "{:?} at {}", e, i);
                 }
-                prop_assert!(table.covers(i, snapshot));
+                let used: Vec<usize> = (0..table.classes())
+                    .map(|class| snapshot.count(table.input(class)))
+                    .collect();
+                prop_assert!(table.covers(i, &used));
             }
             let last = snapshots
                 .last()

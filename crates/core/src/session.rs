@@ -314,11 +314,11 @@ impl<M, P> SessionBuilder<M, P> {
         V: Clone + PartialEq,
         P: Partitioner<M::Adt>,
     {
-        let adt_name = short_type_name::<M::Adt>();
         // Switch actions decompose only under a verified
         // switch-independence certificate naming this exact
         // `(ADT, partitioner, init relation)` triple.
         let keyed = if let Some(cert) = &self.switch_cert {
+            let adt_name = short_type_name::<M::Adt>();
             if cert.adt != adt_name {
                 return Err(CertError::AdtMismatch {
                     expected: adt_name.to_string(),

@@ -25,7 +25,7 @@
 //! [`ConsistencyModel::witness`], the failure converted into the model's
 //! error.
 
-use super::shard::{ShardConfig, ShardState, ShardStatus};
+use super::shard::{ShardBuffers, ShardConfig, ShardState, ShardStatus};
 use super::{GcPolicy, IngestOutcome, MonitorReport, MonitorStatus, ShardSummary};
 use crate::engine::{Chain, EngineError, Refuted, SearchStats};
 use crate::model::ConsistencyModel;
@@ -74,6 +74,9 @@ where
     /// Shards by class key; the identity shard (engaged by unclassifiable
     /// inputs) lives under `None` and is always alone.
     shards: BTreeMap<Option<P::Key>, ShardState<M::Adt, V>>,
+    /// The typed buffers of every shard's searches: shards run one at a
+    /// time, so one set serves them all.
+    buffers: ShardBuffers<M::Adt>,
     /// Stream length so far (the next action's global index).
     events: usize,
     /// The one record of the stream — every event so far, complete or
@@ -135,6 +138,7 @@ where
             // of 0, so a never-quiescent shard would keep every event.
             window: window.map(|w| w.max(1)),
             shards: BTreeMap::new(),
+            buffers: ShardBuffers::default(),
             events: 0,
             record: keep.then(Trace::new),
             lost: false,
@@ -278,9 +282,9 @@ where
             .entry(key)
             .or_insert_with(|| Self::new_shard(&self.closed, self.gc));
         let before = shard.status();
-        let out = shard.ingest(action, index);
+        let out = shard.ingest(action, index, &mut self.buffers);
         if let Some(window) = self.window {
-            if let Some(retired) = shard.maybe_retire(window) {
+            if let Some(retired) = shard.maybe_retire(window, &mut self.buffers) {
                 self.prefix_committed = true;
                 if self.record.is_some() {
                     if shard.counters.retired_windows <= self.gc.archive_windows {
@@ -323,7 +327,7 @@ where
         };
         let mut identity = Self::new_shard(&self.closed, self.gc);
         for (i, a) in stream.into_iter().enumerate() {
-            identity.ingest(a, i);
+            identity.ingest(a, i, &mut self.buffers);
         }
         // The retired windows stay the identity shard's: the archive depth
         // counts them as the per-key shards did.

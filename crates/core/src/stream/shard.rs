@@ -27,7 +27,7 @@
 //! epoch-cut summary — is the chain-search kernel of [`crate::engine`]
 //! driven by one enumeration visitor (`Collect`): it gathers the distinct
 //! terminal configurations, deduplicated on the kernel's own memo key
-//! (reached ADT state, consumed-input multiset, remaining symbolic
+//! (reached ADT state, consumed-input count table, remaining symbolic
 //! completions) so interchangeable configurations never crowd the
 //! frontier. Tail extension is that enumeration over the one-commit
 //! problem, seeded from each frontier configuration.
@@ -49,29 +49,44 @@
 //! A node, in turn, costs integers, and seldom an allocation: inside a
 //! search the consumed inputs are per-class counters and the memo is probed
 //! by reference (see [`crate::engine`], "The memo"); an enumeration builds
-//! **one engine** — one class table — and one `Search` — one dead-end
-//! memo — for all its seeds, so no seed searches again below a node an
-//! earlier seed buried, each run starting from the mask of the commits its
-//! seed still places
-//! (a seed's completions absorb some; no commit list is copied), and the
-//! kernel's type-independent buffers outlive the enumeration on its
-//! thread's free list, so the next one starts with their capacity; the
-//! collector's hash index is the shard's one result set, cleared, not
-//! dropped, between enumerations; a `KvStore` state holds one binding —
-//! all a per-key shard ever has — inline, so a step, a clone or a drop of
-//! it allocates nothing and touches no reference count
-//! ([`slin_adt::KvState`]); and the frontier's direct-commit pass tests one
-//! count, building `used` only for a configuration whose output matched
-//! and *moving* that configuration into its successor — history and
-//! completions taken, not copied — into that result set. A calm event
-//! neither searches nor falls back, so it allocates little beyond what its
-//! successor configurations' consumed inputs need: 1.25 allocations per
-//! event in release on the calm stream of `tests/tests/alloc_gate.rs`,
-//! window retirements included (1.68 with a slice per one-binding state;
-//! 5.9 with a per-index bound snapshot, a copied history and fresh window
-//! buffers). A hot-key event there makes 2.74 — 3.42 with a memo per
-//! seed, 5.75 with a slice per one-binding state and an engine per group
-//! of seeds placing the same commits. On the
+//! **one engine** and one `Search` — one dead-end memo — for all its seeds,
+//! so no seed searches again below a node an earlier seed buried, each run
+//! starting from the mask of the commits its seed still places (a seed's
+//! completions absorb some; no commit list is copied); the engine builds
+//! nothing: its class table is the shard's own — the rows of the shard's
+//! count table, the inputs the shard may still consume (below) — and each
+//! commit's class
+//! and own bound were recorded when it arrived; the kernel's
+//! type-independent buffers outlive the enumeration on its thread's free
+//! list, and the typed ones (the history, the memo's entries) go from each
+//! enumeration's `Search` to the next — one set per monitor, whose shards
+//! run one at a time — so the next one starts with their capacity; the
+//! collector's hash index is the shard's
+//! one result set, cleared, not dropped, between enumerations; a `KvStore`
+//! state holds one binding — all a per-key shard ever has — inline, so a
+//! step, a clone or a drop of it allocates nothing and touches no
+//! reference count ([`slin_adt::KvState`]); a configuration's consumed
+//! inputs are a count table over the shard's classes, from the frontier
+//! through the kernel and back — a run copies a seed's counts in, and a
+//! leaf hands out the table it handed out last while the counts have not
+//! moved; and the frontier's direct-commit pass reads one count by index,
+//! bumps it for a configuration whose output matched — in place, unless
+//! another configuration holds the table — and *moves* that configuration
+//! into its successor — history and completions taken, not copied — into
+//! that result set. A calm event neither searches nor falls back, so it
+//! allocates little: 0.33 allocations per event in release on the calm
+//! stream of `tests/tests/alloc_gate.rs`, window retirements included, and
+//! the spent classes they drop (below) and meet again (0.28 while a shard
+//! kept every input it met; 0.56 with a history and memo entries grown
+//! from empty per enumeration;
+//! 1.25 with consumed inputs as persistent multisets, path-copied by every
+//! direct commit; 1.68 with a slice per one-binding state; 5.9 with a
+//! per-index bound snapshot, a copied history and fresh window buffers). A
+//! hot-key event there makes 1.44 (1.36 keeping every input) — 1.88 with
+//! a history and memo entries
+//! grown from empty, 2.74 with multisets built at every leaf, 3.42 with a
+//! memo per seed, 5.75 with a slice per one-binding state and an engine
+//! per group of seeds placing the same commits. On the
 //! `stream-hotkey` benchmark workload an event's whole wall divided by its
 //! search nodes is ≈360 ns (≈810 when every node path-copied a multiset and cloned its
 //! memo key), on `stream-stragglers` ≈580 (≈1 090) — at the 10.1 and 6.4
@@ -86,8 +101,9 @@
 //! and the quotient from ≈550 to ≈465 and from ≈615 to ≈520 (medians of
 //! three alternating untraced pairs at seed 21; the box read slower than
 //! at the figures before, so compare within a pair). Section timers on a
-//! scratch copy (timer cost subtracted; indicative) put three quarters of a
-//! hot-key event inside the kernel — queueing the admitted moves 37 %, the
+//! scratch copy (timer cost subtracted; indicative), while consumed inputs
+//! were multisets, put three quarters of a hot-key event inside the
+//! kernel — queueing the admitted moves 37 %, the
 //! ADT step and the child's state 25 %, leaves (`used` as a multiset, the
 //! dedup probe, a survivor's history) 15 %, hashing and probing the memo
 //! 12 %, filling it 11 % — and the rest around it: the class table, built
@@ -106,7 +122,29 @@
 //! on `stream-hotkey` and 5.51 → 3.32 on `stream-stragglers`, at the same
 //! cuts and fallbacks, and ≈698 k → ≈867 k and ≈605 k → ≈780 k events/s
 //! (medians of 5 and 10 alternating 15 s pairs, seeds 11–15 and 11–20,
-//! on a 2-vCPU box).
+//! on a 2-vCPU box). Keeping consumed inputs as count tables over the
+//! shard's class table, and the searches' typed buffers, moved no node and
+//! took ≈858 k → ≈1 031 k and ≈680 k → ≈837 k events/s (medians of 22 and
+//! 6 alternating 15 s pairs, seeds 31–50 with 37 and 38 twice, and 31–36;
+//! same box).
+//!
+//! **The class table's width.** A count table has one count per class, so
+//! a direct commit's hash and compare of a table, a shared table's copy and
+//! the widening at an input's first arrival are O(α) in the width α of the
+//! shard's class table. A shard keeps α to about what it may still consume
+//! ([`ShardState::drop_spent_classes`]): at a retirement, a class the
+//! retiring window did not invoke and whose every occurrence every retained
+//! configuration has consumed is *spent*, and when spent classes are at
+//! least half the table they leave it — its rows and every retained table,
+//! shared tables staying shared. Taking a spent class's pool off its bound
+//! and off every count moves no comparison the kernel or the direct-commit
+//! pass makes, so verdicts, configurations, search nodes and the memory
+//! proxy are what a shard keeping every class finds (tested against one).
+//! The table then holds the inputs of the retained window and about twice
+//! those of the last retired one, and the pending ones: on the benchmark's
+//! streams, whose puts draw from four values, a per-key shard's handful;
+//! on a stream whose every put writes a new value, a few dozen where a
+//! shard keeping every class would hold one per put.
 //!
 //! Tail extension is *sound* (a surviving configuration is a witness) but
 //! deliberately not complete: the first monolithic witness of the longer
@@ -229,15 +267,16 @@
 use super::GcPolicy;
 use crate::engine::{
     CheckerEngine, CommitMask, EngineError, Found, HashIndex, KeyHasher, LeafUsed, Search,
-    SearchBudget, SearchSeed, SearchStats, Visitor,
+    SearchBudget, SearchBuffers, SearchSeed, SearchStats, Used, Visitor,
 };
 use crate::ops::{Bounds, Commit};
 use crate::ObjAction;
 use slin_adt::Adt;
 use slin_obs::{CutOutcome, GcCutEvent, Obs, ShardIngestEvent};
 use slin_trace::{Action, PersistentMultiset, Trace};
+use std::cmp::Ordering;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::ops::ControlFlow;
 use std::sync::Arc;
@@ -246,6 +285,13 @@ use std::sync::Arc;
 /// a configuration interleaved as extras before an epoch cut, available to
 /// absorb matching post-cut responses.
 type SymSet<T> = PersistentMultiset<(<T as Adt>::Input, <T as Adt>::Output)>;
+
+/// The typed buffers of a shard's searches (the history, the memo's
+/// entries), handed to each enumeration's `Search` and taken back, so the
+/// next one starts with their capacity. A monitor keeps one for all its
+/// shards — they run one at a time — so what it retains grows with the
+/// monitors, not with the shards.
+pub(crate) type ShardBuffers<T> = SearchBuffers<T, SymSet<T>>;
 
 /// Node budget of one frontier tail-extension pass, and the unit the
 /// opportunistic retirement slice is a multiple of (see
@@ -307,8 +353,9 @@ pub(crate) struct ShardCounters {
 
 /// One complete chain-search configuration: where a search may resume —
 /// the terminal history of a witness chain for everything committed so far
-/// (window-relative) with its replayed ADT state and consumed-input
-/// multiset — plus the remaining symbolic completions. Frontier entries
+/// (window-relative) with its replayed ADT state and consumed-input count
+/// table over the shard's classes — plus the remaining symbolic
+/// completions. Frontier entries
 /// and the retained seeds (the summary of the retired prefix, histories
 /// dropped) are both configurations.
 #[derive(Debug)]
@@ -356,11 +403,11 @@ impl<T: Adt> FrontierCfg<T> {
 
 /// The distinct configurations gathered so far, in arrival order,
 /// deduplicated on the frontier's memo key — reached ADT state,
-/// consumed-input multiset, remaining symbolic completions: two
+/// consumed-input count table, remaining symbolic completions: two
 /// configurations agreeing on it are interchangeable for every future
-/// event. Probed with the parts by reference (persistent multisets hash
-/// through their cached commutative fingerprint); nothing is cloned for a
-/// duplicate.
+/// event. Probed with the parts by reference (the completions' persistent
+/// multiset hashes through its cached commutative fingerprint); nothing is
+/// cloned for a duplicate.
 struct Distinct<T: Adt> {
     configs: Vec<FrontierCfg<T>>,
     index: HashIndex,
@@ -382,12 +429,7 @@ impl<T: Adt> Default for Distinct<T> {
 
 impl<T: Adt> Distinct<T> {
     /// The key's hash, and whether a configuration with that key is held.
-    fn probe(
-        &self,
-        state: &T::State,
-        used: &PersistentMultiset<T::Input>,
-        sym: &SymSet<T>,
-    ) -> (u64, bool) {
+    fn probe(&self, state: &T::State, used: &Used, sym: &SymSet<T>) -> (u64, bool) {
         let hash = KeyHasher::hash_of((state, used, sym));
         let is_it = |i: usize| {
             let held = &self.configs[i];
@@ -413,14 +455,30 @@ impl<T: Adt> Distinct<T> {
     /// history, then by [`FrontierCfg::sym_rank`] (absorption preserves
     /// histories, so histories alone do not discriminate); a stable sort.
     /// A rank hashes every completion, so a sort computes it at most once
-    /// per configuration, and not at all unless two histories tie.
+    /// per configuration, and not at all unless two histories tie. Input
+    /// already in history order — what the direct-commit pass almost
+    /// always hands over — costs one pass, which finds the ties too.
     fn sort(&mut self)
     where
         T::Input: Ord,
     {
         let configs = &mut self.configs;
-        configs.sort_by(|a, b| a.seed.history.cmp(&b.seed.history));
-        if !(configs.windows(2)).any(|w| w[0].seed.history == w[1].seed.history) {
+        let (mut ordered, mut tied) = (true, false);
+        for w in configs.windows(2) {
+            match w[0].seed.history.cmp(&w[1].seed.history) {
+                Ordering::Less => {}
+                Ordering::Equal => tied = true,
+                Ordering::Greater => {
+                    ordered = false;
+                    break;
+                }
+            }
+        }
+        if !ordered {
+            configs.sort_by(|a, b| a.seed.history.cmp(&b.seed.history));
+            tied = (configs.windows(2)).any(|w| w[0].seed.history == w[1].seed.history);
+        }
+        if !tied {
             return;
         }
         let ranked = configs.drain(..).map(|cfg| (cfg.sym_rank(), cfg));
@@ -450,6 +508,10 @@ fn absorb_commits<T: Adt>(commits: &[Commit<T>], sym: &SymSet<T>) -> (CommitMask
     }
     (start, sym)
 }
+
+/// What a shard's enumerations reuse from one to the next: the result set
+/// they collect into and the typed buffers of their searches.
+type Reuse<'r, T> = (&'r mut Distinct<T>, &'r mut ShardBuffers<T>);
 
 /// One search of an enumeration: the configuration to start from, and the
 /// commits it places — a mask over the enumeration's one commit list.
@@ -494,10 +556,16 @@ pub(crate) struct ShardState<T: Adt, V> {
     /// The validity bounds at every window index, one count table: an
     /// invocation at window index `j` is an occurrence from `j + 1` on, and
     /// the retired windows' occurrences are its base. O(window + alphabet)
-    /// integers; a retirement collapses it in place.
+    /// integers; a retirement collapses it in place. Its rows are the
+    /// shard's one class table: every input the shard has met, sorted, the
+    /// classes of every configuration's count table and of every engine.
     bounds: Bounds<T::Input>,
     /// Window commits; `Commit::index` is the *window* sub-trace index.
     commits: Vec<Commit<T>>,
+    /// Per window commit, as it arrived: its input's class in `bounds` and
+    /// its own bound, `bounds.count(index, input)` — what the engines read
+    /// (see [`CheckerEngine::on_rows`]).
+    commit_classes: Vec<(usize, usize)>,
     /// The retained summary of the retired prefix: the complete set of
     /// terminal configurations at the last retirement cut (one empty seed
     /// before any retirement). Seed histories are always empty — the
@@ -522,6 +590,12 @@ pub(crate) struct ShardState<T: Adt, V> {
     /// Whether a forced lossy epoch cut happened: "no completion found"
     /// can no longer prove a violation (see module docs).
     lossy: bool,
+    /// Whether a retirement dropped a class with occurrences (see
+    /// [`ShardState::drop_spent_classes`]): every retained configuration
+    /// had consumed them all, so every table since has consumed something
+    /// even where it now counts nothing — and the memory proxy counts it,
+    /// as it counted a multiset holding those occurrences.
+    consumed_dropped: bool,
     /// An epoch boundary passed without a successful cut: keep trying
     /// later (the damping policy below) instead of letting the window
     /// grow untouched to the next multiple.
@@ -547,8 +621,15 @@ where
 {
     /// A fresh shard: one seed, the ADT's initial configuration.
     pub(crate) fn new(adt: Arc<T>, cfg: ShardConfig) -> Self {
+        // The initial configuration, over a class table that has met no
+        // input yet.
+        let seed = SearchSeed {
+            history: Vec::new(),
+            state: adt.initial(),
+            used: Used::default(),
+        };
         let seeds = vec![FrontierCfg {
-            seed: SearchSeed::initial(&*adt),
+            seed,
             sym: PersistentMultiset::new(),
         }];
         ShardState {
@@ -558,6 +639,7 @@ where
             index_map: Vec::new(),
             bounds: Bounds::new(),
             commits: Vec::new(),
+            commit_classes: Vec::new(),
             frontier: seeds.clone(),
             next: Distinct::default(),
             seeds,
@@ -565,6 +647,7 @@ where
             status: ShardStatus::Ok,
             pending: 0,
             lossy: false,
+            consumed_dropped: false,
             cut_due: false,
             cut_blocked: false,
             blocked_pending: 0,
@@ -609,32 +692,136 @@ where
         self.frontier.len() + self.seeds.len() + self.checkpoint_configs().len()
     }
 
-    /// Marks every persistent-multiset node reachable from this shard in
-    /// `seen` (pointer-deduplicated): the structure-sharing-aware memory
-    /// proxy behind [`super::ShardSummary::multiset_nodes`].
-    pub(crate) fn mark_multiset_nodes(&self, seen: &mut HashSet<usize>) {
-        let retained = (self.frontier.iter())
+    /// The retained configurations: frontier, seeds, checkpoint.
+    fn retained(&self) -> impl Iterator<Item = &FrontierCfg<T>> {
+        (self.frontier.iter())
             .chain(&self.seeds)
-            .chain(self.checkpoint_configs());
-        for cfg in retained {
-            cfg.seed.used.mark_nodes(seen);
+            .chain(self.checkpoint_configs())
+    }
+
+    /// Marks every count table and persistent-multiset node reachable from
+    /// this shard in `seen` (pointer-deduplicated; a table is one node):
+    /// the structure-sharing-aware memory proxy behind
+    /// [`super::ShardSummary::multiset_nodes`].
+    pub(crate) fn mark_multiset_nodes(&self, seen: &mut HashSet<usize>) {
+        for cfg in self.retained() {
+            cfg.seed.used.mark_node(seen, self.consumed_dropped);
             cfg.sym.mark_nodes(seen);
         }
     }
 
-    /// Ingests the next action of this shard's class. Returns
-    /// `(frontier length after the event, whether a fallback re-search ran)`.
-    pub(crate) fn ingest(&mut self, action: ObjAction<T, V>, global_index: usize) -> (usize, bool) {
+    /// `input`'s class in the shard's class table: a new row when the shard
+    /// has not met `input`, and then every retained table widened.
+    fn class_of(&mut self, input: &T::Input) -> usize {
+        match self.bounds.insert_class(input) {
+            Ok(class) => class,
+            Err(class) => {
+                self.widen(class);
+                class
+            }
+        }
+    }
+
+    /// The class table gained a row at `at`: every retained configuration's
+    /// table gains a zero count there, and every window commit's class from
+    /// `at` on moves up one.
+    fn widen(&mut self, at: usize) {
+        self.remap_tables(|used| used.widened(at));
+        for (class, _) in &mut self.commit_classes {
+            *class += usize::from(*class >= at);
+        }
+    }
+
+    /// Replaces every retained configuration's count table with `remap` of
+    /// it, once per table: configurations that shared a table share its
+    /// replacement, so the memory proxy does not move. The result set holds
+    /// no configuration between events, and a search's tables are its own.
+    fn remap_tables(&mut self, remap: impl Fn(&Used) -> Used) {
+        // By address; each old table stays alive in the map until the end,
+        // so no replacement can take the address of one not yet replaced.
+        let mut done: HashMap<usize, (Used, Used)> = HashMap::new();
+        let retained = (self.frontier.iter_mut())
+            .chain(&mut self.seeds)
+            .chain(self.checkpoint.iter_mut().flat_map(|c| &mut c.configs));
+        for cfg in retained {
+            let used = &mut cfg.seed.used;
+            let (_, new) = (done.entry(used.addr())).or_insert_with(|| (used.clone(), remap(used)));
+            *used = new.clone();
+        }
+    }
+
+    /// Whether class `class` is spent: the window being retired invoked
+    /// nothing of it, and every retained configuration has consumed all its
+    /// occurrences.
+    fn spent(&self, class: usize) -> bool {
+        let pool = self.bounds.pool_of(class);
+        !self.bounds.added_since_collapse(class)
+            && self.retained().all(|cfg| cfg.seed.used[class] == pool)
+    }
+
+    /// Drops the spent classes from the class table and from every retained
+    /// table, at a retirement, before the bounds collapse, when they are at
+    /// least half of it: what keeps the table about as wide as the inputs a
+    /// shard may still consume, not as every input it ever met (module
+    /// docs, "What a search costs").
+    ///
+    /// Exact: a spent class's bound at every later index is its pool plus
+    /// what is invoked later, and every configuration holds `pool` of it,
+    /// so each comparison the kernel and the direct-commit pass make on it —
+    /// `used + j ≤ bound`, `used < pool` — reads the same with `pool`
+    /// taken off both sides: the class starts again at none, as a new row
+    /// when its input is next met. Dedup keys stay one-to-one and nothing
+    /// orders by them, so every verdict, configuration and node count is
+    /// the same.
+    ///
+    /// Cheap where the alphabet is small and recurs, as on every benchmark
+    /// stream: a class the retiring window invoked is kept, and nothing is
+    /// dropped unless the spent classes are at least half the table — a
+    /// drop then at least halves it, so its O(retained tables · α) is paid
+    /// for by the first arrivals it undoes, and an input that skips a window
+    /// is seldom dropped only to be met again.
+    fn drop_spent_classes(&mut self) {
+        let classes = self.bounds.classes();
+        let spent = (0..classes).filter(|&class| self.spent(class)).count();
+        if spent == 0 || 2 * spent < classes {
+            return;
+        }
+        #[cfg(test)]
+        if tests::KEEP_SPENT.with(std::cell::Cell::get) {
+            return;
+        }
+        let spent: Vec<bool> = (0..classes).map(|class| self.spent(class)).collect();
+        self.consumed_dropped |=
+            (0..classes).any(|class| spent[class] && self.bounds.pool_of(class) > 0);
+        self.bounds.drop_classes(&spent);
+        self.remap_tables(|used| used.without(&spent));
+    }
+
+    /// Ingests the next action of this shard's class; a search it runs
+    /// grows `buffers`. Returns `(frontier length after the event, whether
+    /// a fallback re-search ran)`.
+    pub(crate) fn ingest(
+        &mut self,
+        action: ObjAction<T, V>,
+        global_index: usize,
+        buffers: &mut ShardBuffers<T>,
+    ) -> (usize, bool) {
         let t0 = self.cfg.obs.t0();
         let window_index = self.sub.len();
         let mut fell_back = false;
         match &action {
             Action::Invoke { input, .. } => {
-                self.bounds.add(window_index + 1, input);
+                let class = self.class_of(input);
+                self.bounds.add_at(class, window_index + 1);
                 self.pending += 1;
             }
             Action::Respond { input, output, .. } => {
                 self.pending = self.pending.saturating_sub(1);
+                // A response to an input the shard never saw invoked (an
+                // ill-formed stream) gets a class with no occurrence.
+                let class = self.class_of(input);
+                let own_bound = self.bounds.class_count(window_index, class);
+                self.commit_classes.push((class, own_bound));
                 self.commits.push(Commit {
                     index: window_index,
                     input: input.clone(),
@@ -648,7 +835,7 @@ where
         self.index_map.push(global_index);
 
         if self.sub[window_index].is_respond() && self.status != ShardStatus::Violated {
-            fell_back = self.commit_arrived(window_index);
+            fell_back = self.commit_arrived(window_index, buffers);
         }
         self.counters.frontier_peak = self.counters.frontier_peak.max(self.frontier.len());
         self.cfg.obs.shard_ingest(ShardIngestEvent {
@@ -663,13 +850,13 @@ where
     /// Extends the frontier past the commit at `window_index`; falls back
     /// to a bounded re-search when tail extension prunes the frontier
     /// empty. Returns whether the fallback ran.
-    fn commit_arrived(&mut self, window_index: usize) -> bool {
+    fn commit_arrived(&mut self, window_index: usize, buffers: &mut ShardBuffers<T>) -> bool {
         if self.status == ShardStatus::BudgetExhausted {
             // A previous re-search ran out of budget: retrying on every
             // commit would sink unbounded time into an intractable window.
             // Re-attempt only at quiescent points.
             if self.pending == 0 {
-                self.fallback_research();
+                self.fallback_research(buffers);
                 return true;
             }
             return false;
@@ -677,7 +864,7 @@ where
         self.counters.extension_searches += 1;
         let commit = self.commits.last().expect("just pushed").clone();
         debug_assert_eq!(commit.index, window_index);
-        let bound_count = self.bounds.count(window_index, &commit.input);
+        let (class, own_bound) = *self.commit_classes.last().expect("pushed with the commit");
         let pair = (commit.input.clone(), commit.output.clone());
         let cap = self.cfg.gc.frontier_cap;
 
@@ -689,7 +876,8 @@ where
         // configuration *moves* into its direct-commit successor — its
         // history and completions are taken, not copied: a pass that keeps
         // anything replaces the frontier and never reads it again, and one
-        // that keeps nothing took nothing.
+        // that keeps nothing took nothing. So its count table takes the
+        // commit in place, unless another configuration holds it too.
         let next = &mut self.next;
         next.clear();
         let mut absorbed_any = false;
@@ -710,12 +898,12 @@ where
             // A frontier configuration's consumed inputs are inside every
             // later bound (bounds only grow along the stream), so one more
             // occurrence of the commit's input fits iff that input does.
-            let fits = cfg.seed.used.count(&commit.input) < bound_count;
+            let fits = cfg.seed.used[class] < own_bound;
             debug_assert_eq!(
                 fits,
                 {
-                    let mut with_commit = cfg.seed.used.clone();
-                    with_commit.insert(commit.input.clone());
+                    let mut with_commit = cfg.seed.used.to_vec();
+                    with_commit[class] += 1;
                     self.bounds.covers(window_index, &with_commit)
                 },
                 "a frontier configuration's consumed inputs left the bounds"
@@ -723,16 +911,15 @@ where
             if fits {
                 let (state, output) = self.adt.apply(&cfg.seed.state, &commit.input);
                 if output == commit.output {
-                    let mut used = cfg.seed.used.clone();
-                    used.insert(commit.input.clone());
-                    let (hash, held) = next.probe(&state, &used, &cfg.sym);
+                    cfg.seed.used.bump(class);
+                    let (hash, held) = next.probe(&state, &cfg.seed.used, &cfg.sym);
                     if !held {
                         let mut history = std::mem::take(&mut cfg.seed.history);
                         history.push(commit.input.clone());
                         let seed = SearchSeed {
                             history,
                             state,
-                            used,
+                            used: cfg.seed.used.clone(),
                         };
                         let sym = std::mem::take(&mut cfg.sym);
                         next.push(hash, FrontierCfg { seed, sym });
@@ -766,19 +953,18 @@ where
             seed: &cfg.seed,
             sym: cfg.sym.clone(),
         });
-        let commits = std::slice::from_ref(&commit);
         let pass = self.enumerate(
-            commits,
+            self.commits.len() - 1,
             problems,
             cap,
             false,
             Some(EXTENSION_BUDGET),
-            &mut found,
+            (&mut found, buffers),
         );
         self.next = found;
         self.counters.search_nodes += pass.stats.nodes;
         if pass.configs.is_empty() || pass.budget_tripped {
-            self.fallback_research();
+            self.fallback_research(buffers);
             return true;
         }
         self.frontier = pass.configs;
@@ -812,11 +998,16 @@ where
     /// retained window, starting from the checkpoint: only the commits past
     /// it are searched. Counts the work; see [`ShardState::enumerate`] for
     /// the budget.
-    fn enumerate_window(&mut self, shared_budget: Option<usize>) -> Enumeration<T> {
+    fn enumerate_window(
+        &mut self,
+        shared_budget: Option<usize>,
+        buffers: &mut ShardBuffers<T>,
+    ) -> Enumeration<T> {
         let mut collected = std::mem::take(&mut self.next);
         let (mark, configs) = self.checkpoint();
         let cap = self.summary_cap() + 1;
-        let found = self.enumerate_from(mark, configs, cap, shared_budget, &mut collected);
+        let reuse = (&mut collected, &mut *buffers);
+        let found = self.enumerate_from(mark, configs, cap, shared_budget, reuse);
         #[cfg(test)]
         tests::against_fresh_searches(self, mark, configs, cap, shared_budget, &found);
         self.next = collected;
@@ -836,15 +1027,15 @@ where
     /// rest of the window, each one's symbolic completions greedily
     /// absorbing first. A problem whose commits are all accounted for is
     /// its own leaf, so with nothing past `mark` the configurations come
-    /// back as they are and no engine is built. `found` collects (see
-    /// [`ShardState::enumerate`]).
+    /// back as they are and no engine is built. `reuse` is what the
+    /// enumeration collects into and grows (see [`ShardState::enumerate`]).
     fn enumerate_from(
         &self,
         mark: usize,
         configs: &[FrontierCfg<T>],
         cap: usize,
         shared_budget: Option<usize>,
-        found: &mut Distinct<T>,
+        reuse: Reuse<'_, T>,
     ) -> Enumeration<T> {
         let commits = &self.commits[mark..];
         let Some(next) = commits.first() else {
@@ -863,32 +1054,33 @@ where
             let seed = &cfg.seed;
             Problem { start, seed, sym }
         });
-        self.enumerate(commits, problems, cap, true, shared_budget, found)
+        self.enumerate(mark, problems, cap, true, shared_budget, reuse)
     }
 
-    /// The engine over `commits` — the window's, or a slice of them — with
-    /// the window's bounds and pool: what every search of one enumeration,
-    /// or of one window search, runs on.
-    fn engine<'e>(&'e self, commits: &'e [Commit<T>]) -> CheckerEngine<'e, T> {
-        let budget = SearchBudget::new(self.cfg.budget);
-        CheckerEngine::new(
+    /// The engine over the window's commits from the `from`-th on, on the
+    /// shard's class table and bounds: what every search of one
+    /// enumeration, or of one window search, runs on. Nothing is built.
+    fn engine(&self, from: usize) -> CheckerEngine<'_, T> {
+        CheckerEngine::on_rows(
             &*self.adt,
-            commits,
+            &self.commits[from..],
+            &self.commit_classes[from..],
             &self.bounds,
-            self.bounds.pool(),
-            budget,
+            SearchBudget::new(self.cfg.budget),
         )
     }
 
     /// Drives the kernel's enumeration over `problems`, collecting the
     /// distinct terminal configurations, deduplicated on the memo key
     /// across problems, up to `cap` of them, in frontier order. Every
-    /// problem places a sub-list of `commits` — all of them, unless a
-    /// seed's completions absorbed some — so one engine (one class table)
-    /// and one [`Search`] (the floor table, every buffer) serve them all,
-    /// each run starting from its problem's mask. `found` is the shard's
-    /// one collector: its index is cleared, not dropped, from enumeration
-    /// to enumeration, and the configurations move out into the result.
+    /// problem places a sub-list of the window's commits from the `from`-th
+    /// on — all of them, unless a seed's completions absorbed some — so one
+    /// engine (on the shard's class table) and one [`Search`] (the floor
+    /// table, every buffer) serve them all, each run starting from its
+    /// problem's mask. `reuse` is the shard's one collector, whose index is
+    /// cleared, not dropped, from enumeration to enumeration while the
+    /// configurations move out into the result, and the search's typed
+    /// buffers, handed to the `Search` and taken back.
     /// With `record_extras`, every interleaved extra is recorded as a
     /// symbolic completion in its configuration (epoch-cut mode).
     /// `shared_budget` `Some(n)` caps the *total* nodes across all problems
@@ -896,12 +1088,12 @@ where
     /// fallback budget (the verdict path, the engine's per-run unit).
     fn enumerate<'p>(
         &self,
-        commits: &[Commit<T>],
+        from: usize,
         problems: impl IntoIterator<Item = Problem<'p, T>>,
         cap: usize,
         record_extras: bool,
         shared_budget: Option<usize>,
-        found: &mut Distinct<T>,
+        (found, buffers): Reuse<'_, T>,
     ) -> Enumeration<T>
     where
         T: 'p,
@@ -914,8 +1106,8 @@ where
         };
         let mut budget_tripped = false;
         let mut stats = SearchStats::default();
-        let engine = self.engine(commits);
-        let mut search = Search::new(&engine);
+        let engine = self.engine(from);
+        let mut search = Search::with_buffers(&engine, std::mem::take(buffers));
         for problem in problems {
             let max_nodes = match shared_budget {
                 Some(total) => total.saturating_sub(stats.nodes),
@@ -934,6 +1126,7 @@ where
                 break;
             }
         }
+        *buffers = search.into_buffers();
         collect.found.sort();
         let configs = std::mem::take(&mut collect.found.configs);
         collect.found.clear();
@@ -951,11 +1144,11 @@ where
     /// cut does, so when it completes it is the next checkpoint; recorded
     /// extras let the refilled frontier absorb a straggler's later response
     /// instead of falling back again.
-    fn fallback_research(&mut self) {
+    fn fallback_research(&mut self, buffers: &mut ShardBuffers<T>) {
         self.counters.fallback_searches += 1;
         let t0 = self.cfg.obs.t0();
         // Verdict-deciding: every configuration gets the full budget.
-        let found = self.enumerate_window(None);
+        let found = self.enumerate_window(None, buffers);
         let complete = self.is_complete(&found);
         let Enumeration {
             configs,
@@ -1007,7 +1200,7 @@ where
         // completions leave. A tripped search's counters are absorbed like
         // any other's: the report's `stats.nodes` is never below the
         // error's `nodes`.
-        let engine = self.engine(&self.commits);
+        let engine = self.engine(0);
         for shard_seed in &self.seeds {
             let (start, _) = absorb_commits(&self.commits, &shard_seed.sym);
             let seed = shard_seed.seed.clone();
@@ -1065,7 +1258,11 @@ where
     /// response shrinks the completion space — rather than stalling GC
     /// until the next window multiple while per-event cost balloons.
     /// Returns how many events retired.
-    pub(crate) fn maybe_retire(&mut self, window: usize) -> Option<usize> {
+    pub(crate) fn maybe_retire(
+        &mut self,
+        window: usize,
+        buffers: &mut ShardBuffers<T>,
+    ) -> Option<usize> {
         if self.sub.len() < window || self.status != ShardStatus::Ok {
             return None;
         }
@@ -1109,7 +1306,7 @@ where
         } else {
             Some(self.retire_budget())
         };
-        let found = self.enumerate_window(shared);
+        let found = self.enumerate_window(shared, buffers);
         let window_events = self.sub.len() as u64;
         if self.is_complete(&found) && !found.configs.is_empty() {
             let retired = self.retire_window(Some(found.configs));
@@ -1164,13 +1361,13 @@ where
         sub.clear();
         self.sub = Trace::from_actions(sub);
         self.commits.clear();
+        self.commit_classes.clear();
         // The next enumeration starts at the (new) seeds.
         self.checkpoint = None;
-        self.bounds.collapse();
         if let Some(mut configs) = summary {
             // Retired histories are emptied (memory stays
             // O(window + alphabet)); the seeds keep only the state, the
-            // consumed-input multiset and the symbolic completions, which
+            // consumed-input count table and the symbolic completions, which
             // is all the engine's moves and bounds consult. The frontier's
             // histories keep their capacity for the next window's commits.
             for cfg in &mut configs {
@@ -1179,6 +1376,8 @@ where
             self.seeds = configs.clone();
             self.frontier = configs;
         }
+        self.drop_spent_classes();
+        self.bounds.collapse();
         retired
     }
 }
@@ -1212,7 +1411,7 @@ impl<T: Adt> Visitor<T> for Collect<'_, T> {
         &mut self,
         hist: &[T::Input],
         state: T::State,
-        used: LeafUsed<'_, T>,
+        used: LeafUsed<'_>,
         sym: SymSet<T>,
     ) -> ControlFlow<()> {
         // Deduplicated *before* counting toward the cap — commuting chains
@@ -1249,6 +1448,7 @@ mod tests {
 
     type Shard = ShardState<KvStore, ()>;
     type Cfg = FrontierCfg<KvStore>;
+    type KvEvent = ObjAction<KvStore, ()>;
 
     fn shard(gc: GcPolicy) -> Shard {
         let cfg = ShardConfig {
@@ -1266,13 +1466,16 @@ mod tests {
     /// Whether `longer` is `shorter` followed by recorded extras and nothing
     /// else (none, if the keys are equal) — *trailing* extras, which no
     /// enumeration emits (an extra goes before a commit) and the next
-    /// commit's extras re-create. Histories are not compared.
-    fn trails(shorter: &Cfg, longer: &Cfg) -> bool {
-        if shorter.seed.used.len() == longer.seed.used.len() {
+    /// commit's extras re-create. Histories are not compared; `classes`
+    /// is the shard's class table.
+    fn trails(classes: &Bounds<KvInput>, shorter: &Cfg, longer: &Cfg) -> bool {
+        let consumed = |cfg: &Cfg| cfg.seed.used.iter().sum::<usize>();
+        if consumed(shorter) == consumed(longer) {
             return same_key(shorter, longer);
         }
-        longer.seed.used.iter().any(|(e, n)| {
-            shorter.seed.used.count(e) < n && {
+        (0..longer.seed.used.len()).any(|class| {
+            shorter.seed.used[class] < longer.seed.used[class] && {
+                let e = classes.input(class);
                 let (state, out) = KvStore.apply(&shorter.seed.state, e);
                 let mut next = FrontierCfg {
                     seed: SearchSeed {
@@ -1282,9 +1485,9 @@ mod tests {
                     },
                     sym: shorter.sym.clone(),
                 };
-                next.seed.used.insert(*e);
+                next.seed.used.bump(class);
                 next.sym.insert((*e, out));
-                trails(&next, longer)
+                trails(classes, &next, longer)
             }
         })
     }
@@ -1297,9 +1500,10 @@ mod tests {
     /// checkpoint is the seeds, else whether the subset is strict.
     fn check_checkpoint(shard: &Shard) -> Option<bool> {
         let at = shard.checkpoint.as_ref()?;
-        let found = &mut Distinct::default();
-        let from_mark = shard.enumerate_from(at.mark, &at.configs, usize::MAX, None, found);
-        let from_seeds = shard.enumerate_from(0, &shard.seeds, usize::MAX, None, found);
+        let (found, buffers) = (&mut Distinct::default(), &mut ShardBuffers::default());
+        let from_mark =
+            shard.enumerate_from(at.mark, &at.configs, usize::MAX, None, (found, buffers));
+        let from_seeds = shard.enumerate_from(0, &shard.seeds, usize::MAX, None, (found, buffers));
         assert!(!from_mark.budget_tripped && !from_seeds.budget_tripped);
         let (from_mark, from_seeds) = (from_mark.configs, from_seeds.configs);
         assert_eq!(from_mark.is_empty(), from_seeds.is_empty());
@@ -1311,7 +1515,7 @@ mod tests {
         }
         for cfg in &from_seeds {
             assert!(
-                from_mark.iter().any(|m| trails(m, cfg)),
+                from_mark.iter().any(|m| trails(&shard.bounds, m, cfg)),
                 "the checkpoint loses more than trailing extras: {cfg:?}"
             );
         }
@@ -1347,10 +1551,11 @@ mod tests {
             for t in [hotkey, stragglers] {
                 for window in [8, 16, 32] {
                     let mut shard = shard(GcPolicy::default());
+                    let buffers = &mut ShardBuffers::default();
                     for (i, a) in t.iter().enumerate() {
-                        shard.ingest(a.clone(), i);
+                        shard.ingest(a.clone(), i, buffers);
                         after_event(&shard);
-                        shard.maybe_retire(window);
+                        shard.maybe_retire(window, buffers);
                     }
                 }
             }
@@ -1390,6 +1595,10 @@ mod tests {
         /// cut enumeration on this thread, counting the enumerations it
         /// checked and the nodes the shared memo saved them.
         static FRESH_ORACLE: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
+
+        /// While on, [`ShardState::drop_spent_classes`] drops nothing on
+        /// this thread: the shard a dropping one is compared against.
+        pub(super) static KEEP_SPENT: Cell<bool> = const { Cell::new(false) };
     }
 
     /// With [`FRESH_ORACLE`] on: enumerates the window again as
@@ -1418,7 +1627,7 @@ mod tests {
         if commits.is_empty() {
             return;
         }
-        let engine = shard.engine(commits);
+        let engine = shard.engine(mark);
         let found = &mut Distinct::default();
         let mut collect = Collect {
             record_extras: true,
@@ -1481,6 +1690,282 @@ mod tests {
         assert!(saved > 0, "the shared memo saved nothing");
     }
 
+    /// The shard's class table grows as inputs arrive: an input first
+    /// invoked mid-window, or only after a retirement, gets a row, and
+    /// every retained table (frontier, seeds, checkpoint) widens. Over
+    /// hot-key and straggler streams, clean and faulty, each event is fed
+    /// to that shard and to one that met every input of the stream before
+    /// the first event: after every event each retained table equals the
+    /// table the other shard built at full width from the start, read over
+    /// the classes met so far (and counts nothing else), the rest of every
+    /// configuration is equal, in order; and the statuses, the memory
+    /// proxy (so widening kept shared tables shared) and the search nodes
+    /// are the same. Both shards keep every class: whether a retirement
+    /// drops the spent ones depends on the table's width, which is what
+    /// differs here (dropping is checked against keeping in
+    /// `dropping_spent_classes_changes_nothing_but_the_tables`).
+    #[test]
+    fn a_growing_class_table_widens_every_retained_table() {
+        KEEP_SPENT.with(|keep| keep.set(true));
+        let (mut mid_window, mut after_retirement) = (0, 0);
+        for seed in 0..6 {
+            for error_prob in [0.0, 0.15] {
+                let hotkey = random_multikey_kv_trace(&MultiKeyConfig {
+                    clients: 3,
+                    steps: 120,
+                    keys: 1,
+                    skew: 0.0,
+                    contention: 0.0,
+                    error_prob,
+                    seed,
+                });
+                let stragglers = random_hostile_kv_trace(&HostileConfig {
+                    clients: 3,
+                    steps: 120,
+                    keys: 1,
+                    skew: 0.7,
+                    never_frac: 0.01,
+                    stuck_applies: true,
+                    delay_zipf: 1.3,
+                    max_delay: 12,
+                    error_prob,
+                    seed,
+                });
+                for t in [hotkey, stragglers] {
+                    for window in [8, 16] {
+                        let mut growing = shard(GcPolicy::default());
+                        let mut known = shard(GcPolicy::default());
+                        for a in t.iter() {
+                            known.class_of(a.input());
+                        }
+                        // One monitor's shards share one set of buffers.
+                        let buffers = &mut ShardBuffers::default();
+                        for (i, a) in t.iter().enumerate() {
+                            let met = growing.bounds.classes();
+                            let outcome = growing.ingest(a.clone(), i, buffers);
+                            assert_eq!(outcome, known.ingest(a.clone(), i, buffers));
+                            if growing.bounds.classes() > met {
+                                mid_window += usize::from(growing.sub.len() > 1);
+                                after_retirement +=
+                                    usize::from(growing.counters.retired_windows > 0);
+                            }
+                            assert_eq!(growing.status(), known.status());
+                            assert_widened_from_the_start(&growing, &known);
+                            assert_eq!(
+                                growing.maybe_retire(window, buffers),
+                                known.maybe_retire(window, buffers)
+                            );
+                            assert_widened_from_the_start(&growing, &known);
+                        }
+                        assert_eq!(growing.counters, known.counters);
+                    }
+                }
+            }
+        }
+        KEEP_SPENT.with(|keep| keep.set(false));
+        println!("{mid_window} first arrivals mid-window, {after_retirement} after a retirement");
+        assert!(
+            mid_window > 10 && after_retirement > 10,
+            "{mid_window} first arrivals mid-window, {after_retirement} after a retirement"
+        );
+    }
+
+    /// How many nodes the shard's memory proxy counts.
+    fn nodes(s: &Shard) -> usize {
+        let mut seen = HashSet::new();
+        s.mark_multiset_nodes(&mut seen);
+        seen.len()
+    }
+
+    /// `growing`'s retained configurations are `known`'s, in order, each
+    /// count table read over the classes `growing` has met; and the two
+    /// mark as many nodes.
+    fn assert_widened_from_the_start(growing: &Shard, known: &Shard) {
+        let (grown, full): (Vec<_>, Vec<_>) =
+            (growing.retained().collect(), known.retained().collect());
+        assert_eq!(grown.len(), full.len());
+        for (g, k) in grown.iter().zip(&full) {
+            assert!(g.seed.history == k.seed.history && g.seed.state == k.seed.state);
+            assert_eq!(g.sym, k.sym);
+            assert_eq!(g.seed.used.len(), growing.bounds.classes());
+            let fresh: Vec<usize> = (0..growing.bounds.classes())
+                .map(|class| {
+                    let input = growing.bounds.input(class);
+                    k.seed.used[known.bounds.class(input).expect("met from the start")]
+                })
+                .collect();
+            assert_eq!(*g.seed.used, fresh[..]);
+            assert_eq!(
+                g.seed.used.iter().sum::<usize>(),
+                k.seed.used.iter().sum::<usize>(),
+                "the table met from the start counts an input not yet met"
+            );
+        }
+        assert_eq!(nodes(growing), nodes(known));
+    }
+
+    /// A single-key stream of `clients` clients in which every put writes a
+    /// value no put wrote before — an input the shard has never met — and
+    /// the rest are gets; with `straggle`, client 1's first operation is
+    /// never answered, so the shard never quiesces. Linearizable: an
+    /// operation takes effect at its response.
+    fn fresh_values(clients: u32, steps: usize, straggle: bool, seed: u64) -> Vec<KvEvent> {
+        let ph = PhaseId::FIRST;
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut draw = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        let (mut state, mut fresh) = (KvStore.initial(), 0);
+        let mut pending: Vec<Option<KvInput>> = vec![None; clients as usize];
+        let mut events = Vec::new();
+        for _ in 0..steps {
+            let c = draw(u64::from(clients)) as usize;
+            let client = ClientId::new(c as u32 + 1);
+            match pending[c] {
+                None => {
+                    let input = if draw(2) == 0 {
+                        fresh += 1;
+                        KvInput::Put(1, fresh)
+                    } else {
+                        KvInput::Get(1)
+                    };
+                    pending[c] = Some(input);
+                    events.push(Action::invoke(client, ph, input));
+                }
+                Some(_) if straggle && c == 0 => {}
+                Some(input) => {
+                    let (next, output) = KvStore.apply(&state, &input);
+                    state = next;
+                    pending[c] = None;
+                    events.push(Action::respond(client, ph, input, output));
+                }
+            }
+        }
+        events
+    }
+
+    /// Dropping spent classes at a retirement changes nothing but the count
+    /// tables, and keeps the class table as wide as the inputs the shard
+    /// may still consume. Over streams whose every put is a fresh input
+    /// (3 and 4 clients, with and without a straggler) and the hot-key and
+    /// straggler streams, clean and faulty, each event is fed to a shard
+    /// that drops them and to one that keeps every class: the outcomes,
+    /// statuses, counters (search nodes included) and memory proxy are the
+    /// same; the retained configurations are the same, in order, but for
+    /// their tables, which leave the same spare occurrences (pool minus
+    /// consumed) of every input the keeping shard has met. The dropping
+    /// shard's class table never holds more than the inputs of its retained
+    /// window and twice those of the last one it retired, its pending inputs
+    /// and `get(1)` — a few dozen on the fresh-value streams, where the
+    /// keeping shard's grows with the stream.
+    #[test]
+    fn dropping_spent_classes_changes_nothing_but_the_tables() {
+        let mut streams = Vec::new();
+        for seed in 0..2 {
+            for (clients, straggle) in [(3, false), (3, true), (4, false), (4, true)] {
+                streams.push((true, fresh_values(clients, 400, straggle, seed)));
+            }
+            for error_prob in [0.0, 0.15] {
+                let hotkey = random_multikey_kv_trace(&MultiKeyConfig {
+                    clients: 3,
+                    steps: 120,
+                    keys: 1,
+                    skew: 0.0,
+                    contention: 0.0,
+                    error_prob,
+                    seed,
+                });
+                let stragglers = random_hostile_kv_trace(&HostileConfig {
+                    clients: 3,
+                    steps: 120,
+                    keys: 1,
+                    skew: 0.7,
+                    never_frac: 0.01,
+                    stuck_applies: true,
+                    delay_zipf: 1.3,
+                    max_delay: 12,
+                    error_prob,
+                    seed,
+                });
+                streams.push((false, hotkey.iter().cloned().collect()));
+                streams.push((false, stragglers.iter().cloned().collect()));
+            }
+        }
+        let (mut dropped, mut widest, mut kept) = (0, 0, 0);
+        for (fresh, t) in &streams {
+            for window in [8, 16] {
+                let (mut dropping, mut keeping) =
+                    (shard(GcPolicy::default()), shard(GcPolicy::default()));
+                let buffers = &mut ShardBuffers::default();
+                let mut last_retired = 0;
+                for (i, a) in t.iter().enumerate() {
+                    let outcome = dropping.ingest(a.clone(), i, buffers);
+                    let met = dropping.bounds.classes();
+                    let retired = dropping.maybe_retire(window, buffers);
+                    dropped += met - dropping.bounds.classes();
+                    KEEP_SPENT.with(|keep| keep.set(true));
+                    assert_eq!(outcome, keeping.ingest(a.clone(), i, buffers));
+                    assert_eq!(retired, keeping.maybe_retire(window, buffers));
+                    KEEP_SPENT.with(|keep| keep.set(false));
+                    assert_eq!(dropping.status(), keeping.status());
+                    assert_same_but_tables(&dropping, &keeping);
+                    if let Some(retired) = retired {
+                        last_retired = retired;
+                    }
+                    // The inputs of the retained window, and twice those of
+                    // the last retired one, the pending ones (at most one
+                    // per client, and no stream here has more than four)
+                    // and `get(1)`: a retirement that drops nothing leaves
+                    // fewer spent classes than kept ones.
+                    let bound = dropping.sub.len() + 2 * (last_retired + 4 + 1);
+                    assert!(
+                        dropping.bounds.classes() <= bound,
+                        "wider than the inputs it may consume"
+                    );
+                    if *fresh {
+                        widest = widest.max(dropping.bounds.classes());
+                    }
+                }
+                assert_eq!(dropping.counters, keeping.counters);
+                if *fresh {
+                    kept = kept.max(keeping.bounds.classes());
+                }
+            }
+        }
+        println!(
+            "{dropped} classes dropped; on the fresh-value streams the widest table held \
+             {widest} classes, where a keeping shard met up to {kept} inputs"
+        );
+        assert!(dropped > 1000, "too few classes dropped: {dropped}");
+        assert!(widest * 4 < kept, "{widest} classes, {kept} inputs met");
+    }
+
+    /// `dropping`'s retained configurations are `keeping`'s, in order, but
+    /// for their count tables, which leave the same spare occurrences of
+    /// every input `keeping` has met (none of a class `dropping` dropped);
+    /// and the two mark as many nodes.
+    fn assert_same_but_tables(dropping: &Shard, keeping: &Shard) {
+        let (ds, ks): (Vec<_>, Vec<_>) =
+            (dropping.retained().collect(), keeping.retained().collect());
+        assert_eq!(ds.len(), ks.len());
+        let (d_rows, k_rows) = (&dropping.bounds, &keeping.bounds);
+        for (d, k) in ds.iter().zip(&ks) {
+            assert!(d.seed.history == k.seed.history && d.seed.state == k.seed.state);
+            assert_eq!(d.sym, k.sym);
+            assert_eq!(d.seed.used.len(), d_rows.classes());
+            for class in 0..k_rows.classes() {
+                let spare = k_rows.pool_of(class) - k.seed.used[class];
+                let kept = d_rows.class(k_rows.input(class));
+                let d_spare = kept.map_or(0, |c| d_rows.pool_of(c) - d.seed.used[c]);
+                assert_eq!(d_spare, spare, "the spare {:?} moved", k_rows.input(class));
+            }
+        }
+        assert_eq!(nodes(dropping), nodes(keeping));
+    }
+
     /// The one shape in which a checkpoint loses a key. A fallback leaves a
     /// checkpoint whose only configuration holds the recorded extra
     /// `(del(1), ok)` — client 3's pending delete, which the `get = ∅`
@@ -1498,9 +1983,10 @@ mod tests {
         let (put, get, del) = (KvInput::Put(1, 1), KvInput::Get(1), KvInput::Delete(1));
         let (absent, found) = (KvOutput::Found(None), KvOutput::Found(Some(1)));
         let mut shard = shard(GcPolicy::default());
-        let feed = |shard: &mut Shard, a: ObjAction<KvStore, ()>| {
+        let buffers = &mut ShardBuffers::default();
+        let mut feed = |shard: &mut Shard, a: KvEvent| {
             let at = shard.sub.len();
-            shard.ingest(a, at).1
+            shard.ingest(a, at, buffers).1
         };
         feed(&mut shard, Action::invoke(c(1), ph, put));
         feed(&mut shard, Action::respond(c(1), ph, put, KvOutput::Ack));
@@ -1526,7 +2012,8 @@ mod tests {
         assert_eq!(check_checkpoint(&shard), Some(true), "the trailing extra");
         // The frontier's direct-commit pass does commit at the tail: the
         // lost configuration is a live witness, only not a future seed.
-        let lost = |cfg: &Cfg| cfg.seed.used.count(&del) == 2 && cfg.sym == recorded;
+        let del_class = shard.bounds.class(&del).expect("invoked");
+        let lost = |cfg: &Cfg| cfg.seed.used[del_class] == 2 && cfg.sym == recorded;
         assert!(shard.frontier.iter().any(lost));
 
         // One commit later the extra is interleaved before it: same keys.

@@ -79,26 +79,33 @@ type KvEvent = ObjAction<KvStore, ()>;
 const WARM_UP: usize = 1_000;
 
 /// The most allocations a steady-state calm event may make, on average:
-/// 1.25 measured in release and 1.76 in debug, whose `debug_assert!`s
-/// build multisets of their own, plus the 0.12 margin the ceiling has
-/// always had. While a one-binding `KvState` was a shared slice of its own
-/// an event made 1.68 and 2.18 (ceilings 1.8 and 2.3); with a bound
+/// 0.33 measured in release and 0.84 in debug, whose `debug_assert!`s
+/// build tables of their own, plus the 0.12 margin the ceiling has always
+/// had; about 0.05 of it is a retirement dropping spent classes from every
+/// retained count table and an input's return widening them again. While
+/// a configuration's consumed inputs were a persistent multiset,
+/// which every direct commit path-copied, an event made 1.25 and 1.76
+/// (ceilings 1.37 and 1.88); while a one-binding `KvState` was a shared
+/// slice of its own, 1.68 and 2.18 (ceilings 1.8 and 2.3); with a bound
 /// snapshot per event, a copied history per direct commit and window
-/// buffers rebuilt at every retirement it made 5.90 and 6.41.
-const CEILING: f64 = if cfg!(debug_assertions) { 1.88 } else { 1.37 };
+/// buffers rebuilt at every retirement, 5.90 and 6.41.
+const CEILING: f64 = if cfg!(debug_assertions) { 0.96 } else { 0.45 };
 
-/// The most allocations a hot-key event may make, on average: 2.74
-/// measured in release and 3.53 in debug, plus a 0.13 margin. A hot-key
+/// The most allocations a hot-key event may make, on average: 1.44
+/// measured in release and 2.22 in debug, plus a 0.13 margin. A hot-key
 /// event searches — tail extensions, fallback re-searches, epoch cuts — so
 /// it allocates for what an enumeration keeps: its configurations'
-/// histories, consumed inputs and completions. While each seed of an
-/// enumeration searched again what an earlier seed had searched (a memo
-/// per run, not per enumeration) an event made 3.42 and 4.20; while a
-/// one-binding `KvState` was a fresh shared slice per changing step, and an
-/// enumeration built an engine per group of seeds placing the same commits
-/// (copying the list of every seed whose completions absorbed one), 5.75
-/// and 6.53.
-const HOT_CEILING: f64 = if cfg!(debug_assertions) { 3.66 } else { 2.87 };
+/// histories, consumed inputs and completions. While consumed inputs were
+/// persistent multisets, built at every leaf and path-copied by every
+/// direct commit, and each enumeration's search grew its history and memo
+/// entries from empty, an event made 2.74 and 3.53 (ceilings 2.87 and
+/// 3.66); while each seed of an enumeration searched again what an earlier
+/// seed had searched (a memo per run, not per enumeration), 3.42 and 4.20;
+/// while a one-binding `KvState` was a fresh shared slice per changing
+/// step, and an enumeration built an engine per group of seeds placing the
+/// same commits (copying the list of every seed whose completions absorbed
+/// one), 5.75 and 6.53.
+const HOT_CEILING: f64 = if cfg!(debug_assertions) { 2.35 } else { 1.57 };
 
 /// Streams `actions` through a streaming session with a window of 32
 /// events and returns the allocations per event after the first
