@@ -69,12 +69,14 @@
 //! comparisons on per-class counters, and a dead child costs no node, no
 //! memo key, no ADT step: an extra that would starve a later commit is
 //! never offered. The counters live in a per-engine class table (inputs
-//! grouped into dense class ids, sorted by input, each with its pool
-//! multiplicity; each commit's class and own `bounds.count(c.index,
-//! c.input)`): a batch problem's engine builds it once, and a streaming
+//! grouped into dense class ids, each with its pool multiplicity; each
+//! commit's class and own `bounds.count(c.index, c.input)`): a batch
+//! problem's engine builds it once, sorted by input, and a streaming
 //! shard's engines borrow the shard's — the rows of its
-//! [`crate::ops::Bounds`], which the shard keeps from window to window,
-//! with each commit's class and own bound recorded when the commit arrives.
+//! [`crate::ops::Bounds`], in the order the shard met their inputs, which
+//! the shard keeps from window to window, with each commit's class and own
+//! bound recorded when the commit arrives. Either way extras are offered
+//! in input order.
 //!
 //! **The counters are the search's `used`.** Validity never asks which
 //! occurrence was consumed, only how many of each input, so the
@@ -87,28 +89,27 @@
 //! from the frontier through the next search and back. A shard's direct
 //! commit reads its class's count and bumps it, in place when no other
 //! configuration holds the table. When a shard meets a new input, its class
-//! table gains a row and every table it retains gains a zero count there.
+//! table gains a row at the end, and no table it retains changes: a table
+//! counts the classes up to the last one it was made or bumped with, and
+//! none of a class past its end.
 //!
-//! A count table is O(α) per configuration, α the width of the class
-//! table, where a multiset was O(distinct inputs consumed). Inside a search
-//! that adds nothing: the memo key already counts every class of the
-//! engine at every node (below), so a node is O(α) either way. Outside one
-//! it does add: a shard's direct commit hashes and compares a
-//! configuration's table whole, and copies it when it is shared — O(α),
-//! where a multiset's insert was O(log α) — and an input's first arrival
-//! widens every table the shard retains, O(retained configurations · α).
-//! So what a streamed event costs grows with the width of its shard's class
-//! table, and the shard keeps that width to what it may still consume: a
-//! retirement drops every class that nothing the shard retains can consume
-//! any more and that the retiring window did not invoke, so the table holds
-//! the inputs of the retained window and of the last retired one, and the
-//! pending ones — not every input the shard ever met (see
-//! `stream/shard.rs`, "What a search costs"). That is a handful on streams
-//! that draw from a small alphabet (the benchmark's workloads write four
-//! values per key, so a per-key shard meets about six inputs), and about
-//! two windows' inputs on a stream whose every put writes a new value.
-//! Under an unbounded window nothing retires, and α grows with the
-//! stream's distinct inputs as the retained window itself does.
+//! **Wide alphabets.** A count table is O(α) per configuration at most, α
+//! the width of the class table, where a multiset was O(distinct inputs
+//! consumed). Inside a search that adds nothing: the memo key already
+//! counts every class of the engine at every node (below), so a node is
+//! O(α) either way. Outside one a table costs O(α) only where it is made
+//! or copied — a leaf's new table, a direct commit on a table another
+//! configuration holds — and otherwise O(1): a first arrival changes no
+//! table, a table keeps its hash up to date as it is bumped, equality
+//! compares counts only where the hashes agree, and a bump past a table's
+//! end takes room the table keeps for that. What does grow with α is every
+//! search (its set-up and its memo keys), so a shard keeps α to about what
+//! it may still consume: a retirement drops the classes nothing it retains
+//! can consume any more and the retiring window did not invoke, when they
+//! are at least half the table (see `stream/shard.rs`, "The class table's
+//! width"). Under an unbounded window nothing retires and α grows with the
+//! stream's distinct inputs — as the retained window does, which a
+//! fallback searches whole.
 //!
 //! # The memo
 //!
@@ -466,48 +467,89 @@ impl<I: fmt::Debug> fmt::Debug for Chain<I> {
 pub(crate) type Found<I, W> = (Result<Option<(Chain<I>, W)>, EngineError>, SearchStats);
 
 /// Consumed inputs as a **count table**: one count per class of an
-/// engine's class table, in class order (module docs, "The counters are
-/// the search's `used`"). Validity never asks which occurrence was
-/// consumed, only how many of each input, so this is the whole multiset.
+/// engine's class table, in class order, up to the last class it was made
+/// or bumped with — a class past its end counts none (module docs, "The
+/// counters are the search's `used`"). Validity never asks which
+/// occurrence was consumed, only how many of each input, so this is the
+/// whole multiset.
 ///
 /// A table is shared: a clone is a reference count, and a leaf hands out
 /// the table it handed out last while its counts have not moved. A table
-/// with no class allocates nothing. Equality and hashing read the counts.
+/// with no class allocates nothing. A table keeps the hash of its counts up
+/// to date as it is bumped, so hashing one is O(1) however many classes it
+/// counts, and equality compares counts only where the hashes agree; a
+/// bump past its end takes room the table keeps for that — as much again
+/// as it counts — so a table that keeps meeting new inputs grows in
+/// amortised O(1) while nothing else holds it.
 #[derive(Clone, Default)]
 pub(crate) struct Used(Option<Arc<[usize]>>);
+
+/// A table's slots: its hash and its length, then its counts, then its
+/// room, all zero.
+const HASH: usize = 0;
+const LEN: usize = 1;
+const HEAD: usize = 2;
+
+/// What class `class` holding `n` adds to a table's hash (wrapping): none
+/// when `n` is 0, so a zero count and a class past the end hash alike.
+fn term(class: usize, n: usize) -> usize {
+    if n == 0 {
+        0
+    } else {
+        KeyHasher::hash_of((class, n)) as usize
+    }
+}
+
+/// The hash of a table holding `counts`.
+fn hash_of_counts(counts: impl Iterator<Item = usize>) -> usize {
+    (counts.enumerate()).fold(0, |hash, (class, n)| hash.wrapping_add(term(class, n)))
+}
 
 impl Used {
     /// The table holding `counts`, one per class; a table of no class
     /// allocates nothing.
-    fn of(counts: impl ExactSizeIterator<Item = usize>) -> Self {
-        Used((counts.len() > 0).then(|| counts.collect()))
+    pub(crate) fn of(counts: impl ExactSizeIterator<Item = usize> + Clone) -> Self {
+        if counts.len() == 0 {
+            return Used(None);
+        }
+        Used::with_room(counts, 0)
+    }
+
+    /// A table of its own holding `counts`, with room for `room` classes
+    /// more.
+    fn with_room(counts: impl ExactSizeIterator<Item = usize> + Clone, room: usize) -> Self {
+        let head = [hash_of_counts(counts.clone()), counts.len()];
+        let slots = head
+            .into_iter()
+            .chain(counts)
+            .chain(std::iter::repeat_n(0, room));
+        Used(Some(slots.collect()))
+    }
+
+    /// How many occurrences of class `class` the table counts.
+    pub(crate) fn count(&self, class: usize) -> usize {
+        (**self).get(class).copied().unwrap_or(0)
     }
 
     /// One more occurrence of class `class`: in place when nothing else
-    /// holds the table, else in a copy.
+    /// holds the table and it has the room, else in a copy — with room for
+    /// as many classes again when `class` is past its end.
     pub(crate) fn bump(&mut self, class: usize) {
-        match self.0.as_mut().and_then(Arc::get_mut) {
-            Some(counts) => counts[class] += 1,
-            None => {
-                let counts = self.iter().enumerate();
-                *self = Used::of(counts.map(|(c, &n)| n + usize::from(c == class)));
+        if let Some(slots) = self.0.as_mut().and_then(Arc::get_mut) {
+            if HEAD + class < slots.len() {
+                let n = slots[HEAD + class];
+                let hash = slots[HASH].wrapping_sub(term(class, n));
+                slots[HASH] = hash.wrapping_add(term(class, n + 1));
+                slots[HEAD + class] = n + 1;
+                slots[LEN] = slots[LEN].max(class + 1);
+                return;
             }
         }
-    }
-
-    /// This table with a class of no occurrence inserted at `at` — a class
-    /// table that met a new input: the classes from `at` on move up one.
-    pub(crate) fn widened(&self, at: usize) -> Self {
-        let counts = (0..self.len() + 1).map(|c| {
-            if c < at {
-                self[c]
-            } else if c == at {
-                0
-            } else {
-                self[c - 1]
-            }
-        });
-        Used::of(counts)
+        let len = self.len().max(class + 1);
+        let room = if class < self.len() { 0 } else { len };
+        let counts = (0..len).map(|c| self.count(c) + usize::from(c == class));
+        let bumped = Used::with_room(counts, room);
+        *self = bumped;
     }
 
     /// This table without the classes `spent` marks — a class table that
@@ -515,8 +557,16 @@ impl Used {
     /// even when no class is left, so that tables shared before stay
     /// shared and tables apart stay apart.
     pub(crate) fn without(&self, spent: &[bool]) -> Self {
-        let kept = self.iter().zip(spent).filter(|(_, &spent)| !spent);
-        Used(Some(kept.map(|(&n, _)| n).collect()))
+        let kept: Vec<usize> = (self.iter().zip(spent))
+            .filter(|(_, &spent)| !spent)
+            .map(|(&n, _)| n)
+            .collect();
+        Used::with_room(kept.into_iter(), 0)
+    }
+
+    /// The table's hash, kept up to date by [`Used::bump`].
+    fn hash_value(&self) -> usize {
+        self.0.as_ref().map_or(0, |slots| slots[HASH])
     }
 
     /// The table's address: equal for two `Used` exactly when they are
@@ -525,7 +575,7 @@ impl Used {
     pub(crate) fn addr(&self) -> usize {
         self.0
             .as_ref()
-            .map_or(0, |counts| Arc::as_ptr(counts).cast::<usize>() as usize)
+            .map_or(0, |slots| Arc::as_ptr(slots).cast::<usize>() as usize)
     }
 
     /// Records the table's one node into `seen` (pointer-deduplicated) —
@@ -534,25 +584,37 @@ impl Used {
     /// `consumed_dropped`, every table has consumed occurrences of classes
     /// its class table dropped since, and counts as one.
     pub(crate) fn mark_node(&self, seen: &mut HashSet<usize>, consumed_dropped: bool) {
-        if let Some(counts) = &self.0 {
-            if consumed_dropped || counts.iter().any(|&n| n > 0) {
-                seen.insert(self.addr());
-            }
+        if self.0.is_some() && (consumed_dropped || self.iter().any(|&n| n > 0)) {
+            seen.insert(self.addr());
         }
     }
+}
+
+/// `counts` without its trailing zeros: what two tables must agree on.
+fn trimmed(counts: &[usize]) -> &[usize] {
+    let end = counts
+        .iter()
+        .rposition(|&n| n > 0)
+        .map_or(0, |last| last + 1);
+    &counts[..end]
 }
 
 impl Deref for Used {
     type Target = [usize];
 
+    /// The counts, up to the table's end.
     fn deref(&self) -> &[usize] {
-        self.0.as_deref().unwrap_or(&[])
+        match &self.0 {
+            Some(slots) => &slots[HEAD..HEAD + slots[LEN]],
+            None => &[],
+        }
     }
 }
 
 impl PartialEq for Used {
     fn eq(&self, other: &Used) -> bool {
-        self.addr() == other.addr() || **self == **other
+        self.addr() == other.addr()
+            || (self.hash_value() == other.hash_value() && trimmed(self) == trimmed(other))
     }
 }
 
@@ -560,7 +622,7 @@ impl Eq for Used {}
 
 impl Hash for Used {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        (**self).hash(state);
+        state.write_usize(self.hash_value());
     }
 }
 
@@ -596,7 +658,8 @@ impl<T: Adt> Clone for SearchSeed<T> {
 }
 
 /// An engine's class table (module docs, "Feasibility prune"): every input
-/// a move can consume, sorted, each with its pool multiplicity.
+/// a move can consume, each with its pool multiplicity — a batch engine's
+/// sorted by input, a shard's in the order the shard met them.
 ///
 /// Two representations, because a batch problem's table is not a
 /// [`Bounds`]' rows: [`CheckerEngine::new`] takes its pool from the caller —
@@ -623,10 +686,10 @@ pub(crate) struct CheckerEngine<'s, T: Adt> {
     /// `slin`).
     bounds: &'s Bounds<T::Input>,
     /// Every input a move can consume — the commits' inputs and the pool
-    /// bounding the extras — with its pool multiplicity, sorted by input:
-    /// positions are the dense **class ids** of the feasibility prune, of
-    /// every count table the engine reads or hands out, and extras are
-    /// offered in this order.
+    /// bounding the extras — with its pool multiplicity: positions are the
+    /// dense **class ids** of the feasibility prune and of every count
+    /// table the engine reads or hands out. Extras are offered in input
+    /// order (`CheckerEngine::spare`).
     classes: Classes<T::Input>,
     /// Per commit `c`: the class of its input, and
     /// `bounds.count(c.index, c.input)` — how many occurrences of its own
@@ -701,10 +764,18 @@ impl LeafUsed<'_> {
     /// a new one.
     pub(crate) fn get(self) -> Used {
         let counts = self.counts.iter().map(|c| c.used);
-        if !self.last.iter().copied().eq(counts.clone()) {
+        // A table never counts a class its engine lacks: it reads these
+        // counts iff it agrees on every class of the engine.
+        debug_assert!(self.last.len() <= counts.len());
+        if !(counts.clone().enumerate()).all(|(class, n)| self.last.count(class) == n) {
             match self.last.0.as_mut().and_then(Arc::get_mut) {
-                Some(last) => last.iter_mut().zip(counts).for_each(|(n, used)| *n = used),
-                None => *self.last = Used::of(counts),
+                Some(slots) if slots.len() >= HEAD + counts.len() => {
+                    slots[HEAD..].fill(0);
+                    (slots[HEAD..].iter_mut().zip(counts.clone())).for_each(|(n, used)| *n = used);
+                    slots[LEN] = counts.len();
+                    slots[HASH] = hash_of_counts(counts);
+                }
+                _ => *self.last = Used::of(counts),
             }
         }
         self.last.clone()
@@ -864,6 +935,18 @@ where
         match &self.classes {
             Classes::Built(classes) => self.bounds.count(i, &classes[e].0),
             Classes::Rows => self.bounds.class_count(i, e),
+        }
+    }
+
+    /// Fills `spare` with the classes whose pool has an occurrence `counts`
+    /// has not consumed, ascending by input: the extras a run offers, in
+    /// the order it offers them.
+    fn spare(&self, counts: &[ClassCount], spare: &mut Vec<usize>) {
+        spare.clear();
+        let has_spare = |e: &usize| counts[*e].used < self.pool(*e);
+        match &self.classes {
+            Classes::Built(classes) => spare.extend((0..classes.len()).filter(has_spare)),
+            Classes::Rows => spare.extend(self.bounds.by_input().filter(has_spare)),
         }
     }
 
@@ -1129,7 +1212,8 @@ pub(crate) struct Search<'e, 's, T: Adt, G> {
     stats: SearchStats,
     /// Per class (see [`CheckerEngine::classes`]).
     counts: Vec<ClassCount>,
-    /// The classes that had a spare pool occurrence at the seed, ascending.
+    /// The classes that had a spare pool occurrence at the seed, ascending
+    /// by input.
     spare: Vec<usize>,
     /// The admitted children of every node on the current path, innermost
     /// last (a stack: a node truncates back to its own start).
@@ -1246,9 +1330,8 @@ where
             interpretations: 1,
             ..SearchStats::default()
         };
-        debug_assert_eq!(
-            seed.used.len(),
-            eng.classes(),
+        debug_assert!(
+            seed.used.len() <= eng.classes(),
             "a seed's table counts the engine's classes"
         );
         self.counts.clear();
@@ -1260,9 +1343,7 @@ where
         self.counts.resize(eng.classes(), ClassCount::default());
         // Consumption only grows: a class with no spare pool occurrence at
         // the seed never offers an extra.
-        self.spare.clear();
-        self.spare
-            .extend((0..self.counts.len()).filter(|&e| self.counts[e].used < eng.pool(e)));
+        eng.spare(&self.counts, &mut self.spare);
         self.moves.clear();
         let buried = self.memo.index.len();
         if !self.seed_feasible(&start) {

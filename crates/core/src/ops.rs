@@ -8,6 +8,7 @@
 use crate::ObjAction;
 use slin_adt::Adt;
 use slin_trace::{Action, ClientId, PersistentMultiset, PhaseId, Trace};
+use std::collections::BTreeMap;
 
 /// The sequence of previous inputs `inputs(t, i)`: all inputs *invoked*
 /// strictly before index `i` (0-based), in trace order.
@@ -65,16 +66,20 @@ pub(crate) fn input_bounds<T: Adt<Input: Ord>, V>(t: &Trace<ObjAction<T, V>>) ->
 /// other occurrences are valid. One table answers every index; nothing is
 /// copied per index, and the bounds are monotone by construction.
 ///
-/// Its rows are sorted by input, and a row's position is its input's
-/// **class**: a streaming shard's class table is these rows, so its search
-/// engines, its consumed-input count tables and its commits all index them
-/// (see [`crate::engine`]). A shard drops the rows nothing it retains can
-/// consume any more when it retires a window; nothing else removes one.
+/// Its rows are in the order their inputs were met, and a row's position
+/// is its input's **class**: a streaming shard's class table is these
+/// rows, so its search engines, its consumed-input count tables and its
+/// commits all index them (see [`crate::engine`]). A new input is a row at
+/// the end, so no class moves. A shard drops the rows nothing it retains
+/// can consume any more when it retires a window; nothing else removes
+/// one.
 #[derive(Debug, Clone)]
 pub struct Bounds<I> {
-    /// One row per input met, ascending by input: a lookup is a binary
-    /// search, a new input an insertion.
+    /// One row per input met, in the order met.
     rows: Vec<(I, Row)>,
+    /// Every row's class by its input: a lookup or an insertion in
+    /// O(log α), and the classes in input order.
+    index: BTreeMap<I, usize>,
 }
 
 #[derive(Debug, Clone, Default)]
@@ -101,13 +106,21 @@ impl Row {
 impl<I> Bounds<I> {
     /// The table of empty bounds.
     pub(crate) fn new() -> Self {
-        Bounds { rows: Vec::new() }
+        Bounds {
+            rows: Vec::new(),
+            index: BTreeMap::new(),
+        }
     }
 
     /// Every input of the last bound — every input a history may consume —
     /// with its multiplicity, ascending by input.
     pub(crate) fn pool(&self) -> impl Iterator<Item = (&I, usize)> + '_ {
-        self.rows.iter().map(|(e, r)| (e, r.total()))
+        (self.index.iter()).map(|(e, &class)| (e, self.rows[class].1.total()))
+    }
+
+    /// Every class, ascending by its input.
+    pub(crate) fn by_input(&self) -> impl Iterator<Item = usize> + '_ {
+        self.index.values().copied()
     }
 
     /// How many classes (rows) the table has.
@@ -131,10 +144,10 @@ impl<I> Bounds<I> {
         self.rows[class].1.count(i)
     }
 
-    /// Whether consumed inputs counted per class of this table lie inside
-    /// the bound at index `i`.
+    /// Whether consumed inputs counted per class of this table — none of a
+    /// class past the end of `used` — lie inside the bound at index `i`.
     pub(crate) fn covers(&self, i: usize, used: &[usize]) -> bool {
-        used.len() == self.rows.len()
+        used.len() <= self.rows.len()
             && (used.iter().enumerate()).all(|(class, &n)| n <= self.class_count(i, class))
     }
 
@@ -153,14 +166,6 @@ impl<I> Bounds<I> {
         !self.rows[class].1.from.is_empty()
     }
 
-    /// Drops the rows `spent` marks, one flag per class: the classes after
-    /// each move down.
-    pub(crate) fn drop_classes(&mut self, spent: &[bool]) {
-        let mut spent = spent.iter();
-        self.rows
-            .retain(|_| !spent.next().expect("one flag per class"));
-    }
-
     /// Folds every occurrence into the base: the bound at every index is
     /// now the last one. A streaming window's retirement, after which its
     /// indices start again at 0. Keeps every row and its capacity.
@@ -175,21 +180,22 @@ impl<I> Bounds<I> {
 impl<I: Ord> Bounds<I> {
     /// The class of `e`, if the table has met it.
     pub(crate) fn class(&self, e: &I) -> Option<usize> {
-        self.rows.binary_search_by(|(r, _)| r.cmp(e)).ok()
+        self.index.get(e).copied()
     }
 
-    /// The class of `e`: `Ok` when the table has met it; else a new row
-    /// with no occurrence, `Err(class)` — and every class from `class` on
-    /// has moved up one.
-    pub(crate) fn insert_class(&mut self, e: &I) -> Result<usize, usize>
+    /// The class of `e`: a new row with no occurrence, at the end, when the
+    /// table has not met it.
+    pub(crate) fn insert_class(&mut self, e: &I) -> usize
     where
         I: Clone,
     {
-        let found = self.rows.binary_search_by(|(r, _)| r.cmp(e));
-        if let Err(at) = found {
-            self.rows.insert(at, (e.clone(), Row::default()));
+        if let Some(&class) = self.index.get(e) {
+            return class;
         }
-        found
+        let class = self.rows.len();
+        self.rows.push((e.clone(), Row::default()));
+        self.index.insert(e.clone(), class);
+        class
     }
 
     /// One more occurrence of `e` in the bound at every index from `from`
@@ -198,13 +204,35 @@ impl<I: Ord> Bounds<I> {
     where
         I: Clone,
     {
-        let class = self.insert_class(e).unwrap_or_else(|at| at);
+        let class = self.insert_class(e);
         self.add_at(class, from);
     }
 
     /// How many occurrences of `e` the bound at index `i` holds.
     pub(crate) fn count(&self, i: usize, e: &I) -> usize {
         self.class(e).map_or(0, |class| self.class_count(i, class))
+    }
+
+    /// Drops the rows `spent` marks, one flag per class: the classes after
+    /// each move down, in the order they were.
+    pub(crate) fn drop_classes(&mut self, spent: &[bool]) {
+        let mut kept = 0;
+        let moved: Vec<Option<usize>> = (spent.iter())
+            .map(|&spent| {
+                kept += usize::from(!spent);
+                (!spent).then(|| kept - 1)
+            })
+            .collect();
+        let mut spent = spent.iter();
+        self.rows
+            .retain(|_| !spent.next().expect("one flag per class"));
+        self.index.retain(|_, class| match moved[*class] {
+            Some(to) => {
+                *class = to;
+                true
+            }
+            None => false,
+        });
     }
 }
 

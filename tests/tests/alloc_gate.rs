@@ -79,20 +79,21 @@ type KvEvent = ObjAction<KvStore, ()>;
 const WARM_UP: usize = 1_000;
 
 /// The most allocations a steady-state calm event may make, on average:
-/// 0.33 measured in release and 0.84 in debug, whose `debug_assert!`s
+/// 0.31 measured in release and 0.82 in debug, whose `debug_assert!`s
 /// build tables of their own, plus the 0.12 margin the ceiling has always
-/// had; about 0.05 of it is a retirement dropping spent classes from every
-/// retained count table and an input's return widening them again. While
+/// had; about 0.03 of it is a retirement dropping spent classes from every
+/// retained count table, and the copies a table makes when its input comes
+/// back. While
 /// a configuration's consumed inputs were a persistent multiset,
 /// which every direct commit path-copied, an event made 1.25 and 1.76
 /// (ceilings 1.37 and 1.88); while a one-binding `KvState` was a shared
 /// slice of its own, 1.68 and 2.18 (ceilings 1.8 and 2.3); with a bound
 /// snapshot per event, a copied history per direct commit and window
 /// buffers rebuilt at every retirement, 5.90 and 6.41.
-const CEILING: f64 = if cfg!(debug_assertions) { 0.96 } else { 0.45 };
+const CEILING: f64 = if cfg!(debug_assertions) { 0.94 } else { 0.43 };
 
-/// The most allocations a hot-key event may make, on average: 1.44
-/// measured in release and 2.22 in debug, plus a 0.13 margin. A hot-key
+/// The most allocations a hot-key event may make, on average: 1.40
+/// measured in release and 2.19 in debug, plus a 0.13 margin. A hot-key
 /// event searches — tail extensions, fallback re-searches, epoch cuts — so
 /// it allocates for what an enumeration keeps: its configurations'
 /// histories, consumed inputs and completions. While consumed inputs were
@@ -105,7 +106,7 @@ const CEILING: f64 = if cfg!(debug_assertions) { 0.96 } else { 0.45 };
 /// step, and an enumeration built an engine per group of seeds placing the
 /// same commits (copying the list of every seed whose completions absorbed
 /// one), 5.75 and 6.53.
-const HOT_CEILING: f64 = if cfg!(debug_assertions) { 2.35 } else { 1.57 };
+const HOT_CEILING: f64 = if cfg!(debug_assertions) { 2.32 } else { 1.53 };
 
 /// Streams `actions` through a streaming session with a window of 32
 /// events and returns the allocations per event after the first
