@@ -1168,7 +1168,7 @@ struct ClassCount {
     /// Occurrences consumed on the current path. Over the classes a move
     /// can add to this **is** the search's `used` (the seed's other inputs
     /// never change): what the prune tests, what the memo keys on, and what
-    /// [`LeafUsed`] turns back into a multiset.
+    /// [`LeafUsed`] hands out as a count table.
     used: usize,
     /// Scratch of one node's walk over `remaining`, reset before the node
     /// recurses: remaining commits on the class seen so far, and the least

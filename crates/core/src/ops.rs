@@ -28,7 +28,9 @@ pub fn inputs_before<T: Adt, V>(t: &Trace<ObjAction<T, V>>, i: usize) -> Vec<T::
 /// For every index `i`, the multiset of inputs invoked strictly before `i`
 /// (the `elems(inputs(t, i))` of Definition 10), one snapshot per index:
 /// the definition as written, kept as the reference the checkers' count
-/// table ([`Bounds`]) is tested against.
+/// table ([`Bounds`]) is tested against. Each invocation copies the
+/// snapshot before it, so a trace costs O(α) per invoke, α its distinct
+/// inputs: a test oracle's price, not a checker's.
 pub fn input_multisets<T: Adt, V>(t: &Trace<ObjAction<T, V>>) -> Vec<PersistentMultiset<T::Input>> {
     let mut out = Vec::with_capacity(t.len() + 1);
     let mut cur: PersistentMultiset<T::Input> = PersistentMultiset::new();

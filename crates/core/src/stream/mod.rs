@@ -257,13 +257,14 @@ pub struct ShardSummary {
     /// Currently retained configurations (frontiers, seeds, checkpoints) —
     /// the live-state component of the memory proxy.
     pub live_configs: usize,
-    /// Distinct persistent-multiset nodes currently reachable from the
-    /// shards (pointer-deduplicated across structure sharing) — the
-    /// retained-memory proxy for the configurations' consumed inputs and
-    /// completions. Bounds are not counted: a shard's are a count table of
-    /// integers, not multisets, and the monitor keeps none of its own. A
-    /// node is a bucket of up to 32 entries or a 16-way branch, so a
-    /// multiset of at most 32 distinct elements counts as one.
+    /// Distinct allocations the retained configurations hold for their
+    /// consumed inputs (count tables) and symbolic completions (persistent
+    /// multisets), deduplicated by pointer across structure sharing. Each
+    /// table and each non-empty completion set is one allocation and counts
+    /// as one whatever its width, so this counts what is retained, not how
+    /// large it is: a table that counts 10 000 classes is still one.
+    /// Bounds are not counted: a shard's are one count table of integers,
+    /// and the monitor keeps none of its own.
     pub multiset_nodes: usize,
     /// Events currently retained in shard windows (not yet retired).
     pub window_events: usize,

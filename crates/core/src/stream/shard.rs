@@ -708,9 +708,9 @@ where
             .chain(self.checkpoint_configs())
     }
 
-    /// Marks every count table and persistent-multiset node reachable from
-    /// this shard in `seen` (pointer-deduplicated; a table is one node):
-    /// the structure-sharing-aware memory proxy behind
+    /// Marks the allocation of every count table and completion set the
+    /// retained configurations hold in `seen` (pointer-deduplicated; each
+    /// is one allocation, whatever its width): the memory proxy behind
     /// [`super::ShardSummary::multiset_nodes`].
     pub(crate) fn mark_multiset_nodes(&self, seen: &mut HashSet<usize>) {
         for cfg in self.retained() {

@@ -3,43 +3,30 @@
 //! [`PersistentMultiset`] exposes the same multiset algebra as
 //! [`crate::Multiset`] — `union_max` (`∪`, pointwise max), `sum` (`⊎`,
 //! pointwise addition), `is_subset_of` (`⊆`), `count`, `elems` — but its
-//! versions share structure through [`Arc`]. Cloning is O(1) and inserting
-//! or removing one occurrence copies only the nodes on the path to the
-//! touched bucket, so a *sequence* of cumulative snapshots (one per trace
-//! index, the checkers' validity bounds) costs O(n) total instead of
-//! O(n · alphabet).
+//! versions share structure through [`Arc`]: cloning is O(1), and a clone
+//! never sees another version's inserts or removals.
 //!
 //! **Layout.** Every element has a *key*: its 64-bit hash with the nibbles
-//! reversed, so that the hash's least significant nibble leads. A node is
-//! one `Arc<[Cell]>` allocation of one of two kinds:
-//!
-//! * a **bucket**: up to 32 entries `(key, element, multiplicity)` sorted
-//!   by key, equal keys in insertion order;
-//! * a **branch**: 16 child slots, one per value of the key's nibble at the
-//!   node's level, each with the number of distinct elements under it.
-//!
-//! A bucket splits into a branch only when it grows past 32 entries (a
-//! bucket whose key nibbles are all used up holds equal keys only and
-//! never splits). So a multiset of at most 32 distinct elements is one
-//! node, and a larger one is a 16-way trie of buckets.
+//! reversed, so that the hash's least significant nibble leads. A non-empty
+//! multiset is one `Arc<[Entry]>` allocation of entries `(key, element,
+//! multiplicity)`, one per distinct element, sorted by key, equal keys in
+//! insertion order. The empty multiset allocates nothing.
 //!
 //! **What the operations cost**, for `d` distinct elements:
 //!
-//! * `count`: one hash, O(log₁₆ d) branch steps, a binary search in one
-//!   bucket;
-//! * `insert` / `remove`: one allocation per node on the path — one in all
-//!   for a multiset of at most 32 distinct elements; a split adds one
-//!   branch and at most 16 buckets;
+//! * `count`: one hash and a binary search;
+//! * `insert` / `remove`: one hash, a binary search and one allocation of
+//!   the `d` (or `d ± 1`) entries — O(d), which the checkers' completion
+//!   sets (a handful of distinct pairs) never notice;
 //! * `collect` (and [`PersistentMultiset::elems`]) over `n` elements: one
-//!   hash each, one stable sort by key, and every node allocated once,
-//!   plus one scratch vector — the same nodes `n` inserts leave, where
-//!   those copy a bucket per insert. A single element is one allocation
-//!   either way;
-//! * `is_subset_of`: one merge of the two key-ordered walks, no hashing;
+//!   hash each, one stable sort by key, one scratch vector and the one
+//!   node. A single element is one allocation;
+//! * `is_subset_of`: one merge of the two key-ordered entry lists, no
+//!   hashing;
 //! * `==`: the length, distinct count and fingerprint first, then a
-//!   lockstep walk of both multisets; it decides pointwise (one lookup per
-//!   element) only when the walks differ, which for equal multisets means
-//!   equal keys stored in a different insertion order;
+//!   lockstep walk of both entry lists; it decides pointwise (one lookup
+//!   per element) only when the walks differ, which for equal multisets
+//!   means equal keys stored in a different insertion order;
 //! * clone and `Hash`: O(1).
 //!
 //! Two properties matter to the checker engines, and neither depends on
@@ -61,16 +48,14 @@
 //! seed, finished by the `splitmix64` finalizer the fingerprint uses. It is
 //! fixed-key, so keys, fingerprints and iteration order are the same in
 //! every run and process; a change to it re-pins the one order a test pins
-//! (`the_iteration_order_of_a_small_set_is_pinned` in `tests/proptests.rs`)
-//! and may move [`PersistentMultiset::mark_nodes`] counts; when it last
-//! changed, no other pinned count moved (the streaming frontier breaks its
-//! ties on a fingerprint of its own for that reason). Being fixed-key, it
-//! is no defence against an input built to collide, and needs none:
-//! elements with equal 64-bit hashes share a key and sit in one run of
-//! their bucket, in insertion order, which a bucket of equal keys never
-//! splits. All such an input buys is a linear scan of that run where a
-//! lookup, an insert or an equality test meets it — never a deeper trie, a
-//! wrong count or an aliased multiset.
+//! (`the_iteration_order_of_a_small_set_is_pinned` in `tests/proptests.rs`);
+//! when it last changed, no other pinned count moved (the streaming
+//! frontier breaks its ties on a fingerprint of its own for that reason).
+//! Being fixed-key, it is no defence against an input built to collide,
+//! and needs none: elements with equal 64-bit hashes share a key and sit in
+//! one run of equal keys, in insertion order. All such an input buys is a
+//! linear scan of that run where a lookup, an insert or an equality test
+//! meets it — never a wrong count or an aliased multiset.
 //!
 //! The key order is the order of a 16-way hash trie addressed by the
 //! hash's nibbles least significant first, with a collision bucket of
@@ -80,22 +65,13 @@
 //! order are all its own. Whatever sorts, hashes or walks multisets — the
 //! frontier's tie-break reads the `Hash` output — sees the same values on
 //! either layout; only [`PersistentMultiset::mark_nodes`], which counts
-//! nodes, tells them apart.
+//! allocations, tells them apart.
 
 use std::collections::HashSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::sync::Arc;
-
-/// Key bits consumed per branch level; 16-way branching.
-const BITS: u32 = 4;
-const FANOUT: usize = 1 << BITS;
-/// Levels before the 64-bit key is used up: a bucket this deep holds equal
-/// keys only.
-const MAX_LEVEL: u32 = 64 / BITS;
-/// Entries a bucket holds before it splits.
-const BUCKET: usize = 32;
 
 /// The stable per-element hash the multiset is ordered by.
 fn elem_hash<E: Hash>(e: &E) -> u64 {
@@ -166,13 +142,6 @@ fn order_key(hash: u64) -> u64 {
     ((b & 0x0F0F_0F0F_0F0F_0F0F) << 4) | ((b >> 4) & 0x0F0F_0F0F_0F0F_0F0F)
 }
 
-/// The slot a key takes in a branch at `level`: its `level`-th nibble from
-/// the top.
-fn nibble(key: u64, level: u32) -> usize {
-    debug_assert!(level < MAX_LEVEL, "a bucket of equal keys never splits");
-    ((key >> (64 - BITS * (level + 1))) & (FANOUT as u64 - 1)) as usize
-}
-
 /// `splitmix64` finalizer: decorrelates the commutative fingerprint terms.
 fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -191,9 +160,7 @@ fn term(hash: u64, count: usize) -> u64 {
     }
 }
 
-/// A bucket or a branch; never empty.
-type Node<E> = Arc<[Cell<E>]>;
-
+/// One distinct element and its multiplicity.
 #[derive(Clone)]
 struct Entry<E> {
     key: u64,
@@ -201,108 +168,38 @@ struct Entry<E> {
     count: usize,
 }
 
-#[derive(Clone)]
-enum Cell<E> {
-    /// One distinct element of a bucket.
-    Entry(Entry<E>),
-    /// One slot of a branch: the subtree under this nibble and the number
-    /// of distinct elements in it.
-    Child {
-        distinct: usize,
-        node: Option<Node<E>>,
-    },
-}
-
-impl<E> Cell<E> {
-    fn entry(&self) -> &Entry<E> {
-        match self {
-            Cell::Entry(entry) => entry,
-            Cell::Child { .. } => unreachable!("a bucket holds entries only"),
-        }
-    }
-}
-
-fn is_bucket<E>(node: &[Cell<E>]) -> bool {
-    matches!(node[0], Cell::Entry(_))
-}
-
-/// The number of distinct elements under `node`.
-fn distinct<E>(node: &[Cell<E>]) -> usize {
-    // A branch is exactly `FANOUT` cells: any other length is a bucket's,
-    // read off the pointer without touching the node.
-    if node.len() != FANOUT || is_bucket(node) {
-        return node.len();
-    }
-    let under = |cell: &Cell<E>| match cell {
-        Cell::Child { distinct: n, .. } => *n,
-        Cell::Entry(_) => 0,
-    };
-    node.iter().map(under).sum()
-}
-
-/// The cells of a bucket whose key is `key`.
-fn run<E>(bucket: &[Cell<E>], key: u64) -> Range<usize> {
-    let lo = bucket.partition_point(|c| c.entry().key < key);
-    let len = bucket[lo..]
-        .iter()
-        .take_while(|c| c.entry().key == key)
-        .count();
+/// The entries whose key is `key`.
+fn run<E>(entries: &[Entry<E>], key: u64) -> Range<usize> {
+    let lo = entries.partition_point(|x| x.key < key);
+    let len = entries[lo..].iter().take_while(|x| x.key == key).count();
     lo..lo + len
 }
 
-/// The multiplicity under `node` of `e`, whose key is `key`.
-fn find<E: Eq>(mut node: &[Cell<E>], key: u64, e: &E) -> usize {
-    let mut level = 0;
-    while !is_bucket(node) {
-        match &node[nibble(key, level)] {
-            Cell::Child {
-                node: Some(child), ..
-            } => node = child,
-            _ => return 0,
-        }
-        level += 1;
-    }
-    node[run(node, key)]
+/// The multiplicity in `entries` of `e`, whose key is `key`.
+fn find<E: Eq>(entries: &[Entry<E>], key: u64, e: &E) -> usize {
+    entries[run(entries, key)]
         .iter()
-        .map(Cell::entry)
         .find(|x| x.elem == *e)
         .map_or(0, |x| x.count)
 }
 
-/// A copy of `node` with `node[range]` replaced by `with`, in one
+/// A copy of `entries` with `entries[range]` replaced by `with`, in one
 /// allocation. Indexed rather than chained: `Arc` collects a map over a
 /// range into its one allocation in a tight loop.
-fn splice<E: Clone>(node: &[Cell<E>], range: Range<usize>, mut with: Option<Cell<E>>) -> Node<E> {
+fn splice<E: Clone>(
+    entries: &[Entry<E>],
+    range: Range<usize>,
+    mut with: Option<Entry<E>>,
+) -> Arc<[Entry<E>]> {
     let added = usize::from(with.is_some());
-    (0..node.len() - range.len() + added)
+    (0..entries.len() - range.len() + added)
         .map(|i| {
             if i < range.start {
-                node[i].clone()
-            } else if let Some(cell) = with.take() {
-                cell
+                entries[i].clone()
+            } else if let Some(x) = with.take() {
+                x
             } else {
-                node[i - added + range.len()].clone()
-            }
-        })
-        .collect()
-}
-
-/// `cells`, sorted and sharing every key nibble above `level`, as a node:
-/// themselves while they fit one bucket (or have no nibble left to split
-/// on), else a branch on the level's nibble.
-fn bucket<E: Clone>(cells: Node<E>, level: u32) -> Node<E> {
-    if cells.len() <= BUCKET || level >= MAX_LEVEL {
-        return cells;
-    }
-    let mut rest = &cells[..];
-    (0..FANOUT)
-        .map(|slot| {
-            let (here, tail) =
-                rest.split_at(rest.partition_point(|c| nibble(c.entry().key, level) == slot));
-            rest = tail;
-            Cell::Child {
-                distinct: here.len(),
-                node: (!here.is_empty()).then(|| bucket(here.into(), level + 1)),
+                entries[i - added + range.len()].clone()
             }
         })
         .collect()
@@ -318,7 +215,7 @@ fn bucket<E: Clone>(cells: Node<E>, level: u32) -> Node<E> {
 /// use slin_trace::PersistentMultiset;
 ///
 /// let a: PersistentMultiset<&str> = ["x", "x", "y"].into_iter().collect();
-/// let snapshot = a.clone(); // O(1): shares every node
+/// let snapshot = a.clone(); // O(1): shares the one node
 /// let mut b = a.clone();
 /// b.insert("y");
 /// assert_eq!(a.count(&"x"), 2);
@@ -327,7 +224,8 @@ fn bucket<E: Clone>(cells: Node<E>, level: u32) -> Node<E> {
 /// assert!(a.is_subset_of(&b));
 /// ```
 pub struct PersistentMultiset<E> {
-    root: Option<Node<E>>,
+    /// The entries; `None` when empty, never an empty slice.
+    root: Option<Arc<[Entry<E>]>>,
     len: usize,
     fingerprint: u64,
 }
@@ -358,6 +256,11 @@ impl<E> PersistentMultiset<E> {
         }
     }
 
+    /// The entries in key order.
+    fn entries(&self) -> &[Entry<E>] {
+        self.root.as_deref().unwrap_or_default()
+    }
+
     /// Total number of element occurrences.
     pub fn len(&self) -> usize {
         self.len
@@ -370,49 +273,23 @@ impl<E> PersistentMultiset<E> {
 
     /// Number of *distinct* elements.
     pub fn distinct_len(&self) -> usize {
-        self.root.as_deref().map_or(0, distinct)
+        self.entries().len()
     }
 
     /// Iterates over `(element, multiplicity)` pairs in key (hash) order —
     /// deterministic for a given element set, independent of insertion
     /// order.
     pub fn iter(&self) -> Iter<'_, E> {
-        let mut stack: [&[Cell<E>]; DEPTH] = [&[]; DEPTH];
-        let depth = match &self.root {
-            Some(root) => {
-                stack[0] = root;
-                1
-            }
-            None => 0,
-        };
-        Iter {
-            stack,
-            depth,
-            left: self.distinct_len(),
-        }
+        Iter(self.entries().iter())
     }
 
-    /// Records the address of every node (bucket or branch) reachable from
-    /// this multiset into `seen`, skipping already-visited (shared)
-    /// subtrees. The resulting set size is the structure-sharing-aware
-    /// memory proxy the streaming monitor reports: nodes shared between
-    /// retained snapshots are counted once.
+    /// Records the address of this multiset's one allocation, if any, into
+    /// `seen`. The resulting set size is the structure-sharing-aware memory
+    /// proxy the streaming monitor reports: an allocation shared between
+    /// retained versions is counted once.
     pub fn mark_nodes(&self, seen: &mut HashSet<usize>) {
-        fn walk<E>(node: &Node<E>, seen: &mut HashSet<usize>) {
-            if !seen.insert(Arc::as_ptr(node).cast::<Cell<E>>() as usize) {
-                return;
-            }
-            for cell in node.iter() {
-                if let Cell::Child {
-                    node: Some(child), ..
-                } = cell
-                {
-                    walk(child, seen);
-                }
-            }
-        }
         if let Some(root) = &self.root {
-            walk(root, seen);
+            seen.insert(Arc::as_ptr(root).cast::<Entry<E>>() as usize);
         }
     }
 }
@@ -445,37 +322,30 @@ impl<E: Eq + Hash> PersistentMultiset<E> {
         if self.len > other.len {
             return false;
         }
-        let theirs_root = match (&self.root, &other.root) {
-            (None, _) => return true,
-            (Some(a), Some(b)) if Arc::ptr_eq(a, b) => return true,
-            (Some(_), None) => return false,
-            (Some(_), Some(b)) => b,
-        };
-        // Both walks ascend by key: advance `other`'s past every smaller
-        // key, and read a multiplicity where the keys meet.
-        let mut theirs = other.iter();
-        let mut at = theirs.next_entry();
-        let mut mine = self.iter();
-        while let Some(x) = mine.next_entry() {
-            while at.is_some_and(|y| y.key < x.key) {
-                at = theirs.next_entry();
+        let (mine, theirs) = (self.entries(), other.entries());
+        if std::ptr::eq(mine, theirs) {
+            return true;
+        }
+        // Both lists ascend by key: advance past every smaller key of
+        // `theirs`, and read a multiplicity where the keys meet.
+        let mut at = 0;
+        mine.iter().all(|x| {
+            while theirs.get(at).is_some_and(|y| y.key < x.key) {
+                at += 1;
             }
-            let have = match at {
+            let have = match theirs.get(at) {
                 Some(y) if y.key == x.key && y.elem == x.elem => y.count,
                 // Another element of an equal hash: look it up.
-                Some(y) if y.key == x.key => find(theirs_root, x.key, &x.elem),
+                Some(y) if y.key == x.key => find(theirs, x.key, &x.elem),
                 _ => 0,
             };
-            if x.count > have {
-                return false;
-            }
-        }
-        true
+            x.count <= have
+        })
     }
 }
 
 impl<E: Eq + Hash + Clone> PersistentMultiset<E> {
-    /// Inserts one occurrence of `e`. One allocation per node on the path.
+    /// Inserts one occurrence of `e`. One allocation.
     pub fn insert(&mut self, e: E) {
         self.add(e, 1);
     }
@@ -486,7 +356,27 @@ impl<E: Eq + Hash + Clone> PersistentMultiset<E> {
             return;
         }
         let hash = elem_hash(&e);
-        let (root, old_count) = insert_node(self.root.as_ref(), 0, order_key(hash), e, n);
+        let key = order_key(hash);
+        let entries = self.entries();
+        let run = run(entries, key);
+        let (root, old_count) = match run.clone().find(|&i| entries[i].elem == e) {
+            Some(i) => {
+                let old = &entries[i];
+                let bumped = Entry {
+                    count: old.count + n,
+                    ..old.clone()
+                };
+                (splice(entries, i..i + 1, Some(bumped)), old.count)
+            }
+            None => {
+                let fresh = Entry {
+                    key,
+                    elem: e,
+                    count: n,
+                };
+                (splice(entries, run.end..run.end, Some(fresh)), 0)
+            }
+        };
         self.root = Some(root);
         self.len += n;
         self.fingerprint = self
@@ -498,13 +388,17 @@ impl<E: Eq + Hash + Clone> PersistentMultiset<E> {
     /// Removes one occurrence of `e`; returns `false` if `e` was absent.
     pub fn remove(&mut self, e: &E) -> bool {
         let hash = elem_hash(e);
-        let Some(root) = self.root.as_ref() else {
+        let entries = self.entries();
+        let Some(i) = run(entries, order_key(hash)).find(|&i| entries[i].elem == *e) else {
             return false;
         };
-        let Some((new_root, old_count)) = remove_node(root, 0, order_key(hash), e) else {
-            return false;
-        };
-        self.root = new_root;
+        let old = &entries[i];
+        let old_count = old.count;
+        let left = (old_count > 1).then(|| Entry {
+            count: old_count - 1,
+            ..old.clone()
+        });
+        self.root = (entries.len() > 1 || left.is_some()).then(|| splice(entries, i..i + 1, left));
         self.len -= 1;
         self.fingerprint = self
             .fingerprint
@@ -535,138 +429,18 @@ impl<E: Eq + Hash + Clone> PersistentMultiset<E> {
     }
 }
 
-/// Path-copying insert: returns the new node and the element's previous
-/// multiplicity.
-fn insert_node<E: Eq + Clone>(
-    node: Option<&Node<E>>,
-    level: u32,
-    key: u64,
-    e: E,
-    n: usize,
-) -> (Node<E>, usize) {
-    let entry = |elem, count| Cell::Entry(Entry { key, elem, count });
-    let Some(node) = node else {
-        return (Arc::new([entry(e, n)]), 0);
-    };
-    if !is_bucket(node) {
-        let slot = nibble(key, level);
-        let Cell::Child {
-            distinct: under,
-            node: child,
-        } = &node[slot]
-        else {
-            unreachable!("a branch holds children only")
-        };
-        let (child, prev) = insert_node(child.as_ref(), level + 1, key, e, n);
-        let child = Cell::Child {
-            distinct: under + usize::from(prev == 0),
-            node: Some(child),
-        };
-        return (splice(node, slot..slot + 1, Some(child)), prev);
-    }
-    let run = run(node, key);
-    if let Some(i) = run.clone().find(|&i| node[i].entry().elem == e) {
-        let old = node[i].entry();
-        let bumped = Entry {
-            count: old.count + n,
-            ..old.clone()
-        };
-        return (splice(node, i..i + 1, Some(Cell::Entry(bumped))), old.count);
-    }
-    let grown = splice(node, run.end..run.end, Some(entry(e, n)));
-    (bucket(grown, level), 0)
-}
-
-/// Path-copying removal of one occurrence: `None` when the element is
-/// absent, otherwise the new node (or `None` when it emptied) plus the
-/// previous multiplicity.
-fn remove_node<E: Eq + Clone>(
-    node: &Node<E>,
-    level: u32,
-    key: u64,
-    e: &E,
-) -> Option<(Option<Node<E>>, usize)> {
-    if !is_bucket(node) {
-        let slot = nibble(key, level);
-        let Cell::Child {
-            distinct: under,
-            node: Some(child),
-        } = &node[slot]
-        else {
-            return None;
-        };
-        let (child, prev) = remove_node(child, level + 1, key, e)?;
-        let gone = usize::from(prev == 1);
-        let next = (distinct(node) > gone).then(|| {
-            let child = Cell::Child {
-                distinct: under - gone,
-                node: child,
-            };
-            splice(node, slot..slot + 1, Some(child))
-        });
-        return Some((next, prev));
-    }
-    let i = run(node, key).find(|&i| node[i].entry().elem == *e)?;
-    let old = node[i].entry();
-    let left = (old.count > 1).then(|| {
-        Cell::Entry(Entry {
-            count: old.count - 1,
-            ..old.clone()
-        })
-    });
-    let next = (node.len() > 1 || left.is_some()).then(|| splice(node, i..i + 1, left));
-    Some((next, old.count))
-}
-
-/// Nodes on the longest root-to-bucket path: a branch at every level, then
-/// a bucket of equal keys.
-const DEPTH: usize = MAX_LEVEL as usize + 1;
-
 /// Iterator over `(&element, multiplicity)` pairs in key order.
-pub struct Iter<'a, E> {
-    /// The unvisited cells of each node on the current path.
-    stack: [&'a [Cell<E>]; DEPTH],
-    depth: usize,
-    /// Entries not yet visited.
-    left: usize,
-}
-
-impl<'a, E> Iter<'a, E> {
-    fn next_entry(&mut self) -> Option<&'a Entry<E>> {
-        while let Some(top) = self.depth.checked_sub(1) {
-            let cells: &'a [Cell<E>] = self.stack[top];
-            let Some((cell, rest)) = cells.split_first() else {
-                self.depth = top;
-                continue;
-            };
-            self.stack[top] = rest;
-            match cell {
-                Cell::Entry(entry) => {
-                    self.left -= 1;
-                    return Some(entry);
-                }
-                Cell::Child {
-                    node: Some(child), ..
-                } => {
-                    self.stack[self.depth] = child;
-                    self.depth += 1;
-                }
-                Cell::Child { node: None, .. } => {}
-            }
-        }
-        None
-    }
-}
+pub struct Iter<'a, E>(std::slice::Iter<'a, Entry<E>>);
 
 impl<'a, E> Iterator for Iter<'a, E> {
     type Item = (&'a E, usize);
 
     fn next(&mut self) -> Option<Self::Item> {
-        self.next_entry().map(|x| (&x.elem, x.count))
+        self.0.next().map(|x| (&x.elem, x.count))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.left, Some(self.left))
+        self.0.size_hint()
     }
 }
 
@@ -680,24 +454,17 @@ impl<E: Eq + Hash> PartialEq for PersistentMultiset<E> {
         {
             return false;
         }
-        match (&self.root, &other.root) {
-            (None, None) => return true,
-            (Some(a), Some(b)) if Arc::ptr_eq(a, b) => return true,
-            _ => {}
-        }
-        let (mut mine, mut theirs) = (self.iter(), other.iter());
-        loop {
-            match (mine.next_entry(), theirs.next_entry()) {
-                (None, None) => return true,
-                (Some(x), Some(y)) if x.key == y.key && x.count == y.count && x.elem == y.elem => {}
-                _ => break,
-            }
-        }
-        // The walks differ: equal hashes stored in another order, or a
-        // fingerprint collision. The fingerprint is a fast filter, not a
-        // proof: verify pointwise so a collision can never alias two
-        // multisets.
-        self.iter().all(|(e, c)| other.count(e) == c)
+        let (mine, theirs) = (self.entries(), other.entries());
+        std::ptr::eq(mine, theirs)
+            || mine
+                .iter()
+                .zip(theirs)
+                .all(|(x, y)| x.key == y.key && x.count == y.count && x.elem == y.elem)
+            // The walks differ: equal hashes stored in another order, or a
+            // fingerprint collision. The fingerprint is a fast filter, not
+            // a proof: verify pointwise so a collision can never alias two
+            // multisets.
+            || mine.iter().all(|x| find(theirs, x.key, &x.elem) == x.count)
     }
 }
 
@@ -711,10 +478,9 @@ impl<E> Hash for PersistentMultiset<E> {
     }
 }
 
-/// The multiset `insert`ing the elements in turn builds, node for node,
-/// in one pass: one hash per element, one stable sort by key, and the
-/// nodes allocated once each. A single element is one allocation; more
-/// are one scratch vector besides.
+/// The multiset `insert`ing the elements in turn builds, in one pass: one
+/// hash per element, one stable sort by key, and the node allocated once.
+/// A single element is one allocation; more are one scratch vector besides.
 impl<E: Eq + Hash + Clone> FromIterator<E> for PersistentMultiset<E> {
     fn from_iter<I: IntoIterator<Item = E>>(iter: I) -> Self {
         let mut elems = iter.into_iter();
@@ -728,46 +494,42 @@ impl<E: Eq + Hash + Clone> FromIterator<E> for PersistentMultiset<E> {
         };
         let entry = |elem| {
             let key = order_key(elem_hash(&elem));
-            Cell::Entry(Entry {
+            Entry {
                 key,
                 elem,
                 count: 1,
-            })
+            }
         };
-        let mut cells = Vec::with_capacity(2 + elems.size_hint().0);
-        cells.extend([first, second].into_iter().chain(elems).map(entry));
-        // Stable: equal keys stay in arrival order, as `insert_node` keeps
-        // them.
-        cells.sort_by_key(|c| c.entry().key);
+        let mut entries = Vec::with_capacity(2 + elems.size_hint().0);
+        entries.extend([first, second].into_iter().chain(elems).map(entry));
+        // Stable: equal keys stay in arrival order, as `add` keeps them.
+        entries.sort_by_key(|x| x.key);
         // Count equal elements into their first occurrence, which a search
-        // of its equal-key run finds: `cells[..kept]` are the merged
+        // of its equal-key run finds: `entries[..kept]` are the merged
         // entries.
-        m.len = cells.len();
+        m.len = entries.len();
         let mut kept = 0;
         let mut run = 0;
-        for i in 0..cells.len() {
-            let (merged, rest) = cells.split_at_mut(i);
-            let x = rest[0].entry();
-            if kept == 0 || merged[kept - 1].entry().key != x.key {
+        for i in 0..entries.len() {
+            let (merged, rest) = entries.split_at_mut(i);
+            let x = &rest[0];
+            if kept == 0 || merged[kept - 1].key != x.key {
                 run = kept;
             }
-            match merged[run..kept]
-                .iter_mut()
-                .find(|c| c.entry().elem == x.elem)
-            {
-                Some(Cell::Entry(first)) => first.count += 1,
-                _ => {
-                    cells.swap(kept, i);
+            match merged[run..kept].iter_mut().find(|y| y.elem == x.elem) {
+                Some(first) => first.count += 1,
+                None => {
+                    entries.swap(kept, i);
                     kept += 1;
                 }
             }
         }
-        cells.truncate(kept);
-        m.fingerprint = cells.iter().map(Cell::entry).fold(0, |sum, x| {
+        entries.truncate(kept);
+        m.fingerprint = entries.iter().fold(0, |sum, x| {
             // `order_key` reverses nibbles: applied twice, it is the hash.
             sum.wrapping_add(term(order_key(x.key), x.count))
         });
-        m.root = Some(bucket(cells.into(), 0));
+        m.root = Some(entries.into());
         m
     }
 }
@@ -786,7 +548,7 @@ impl<E: Eq + Hash + fmt::Debug> fmt::Debug for PersistentMultiset<E> {
     }
 }
 
-/// The hash trie the buckets replaced, kept verbatim (less the algebra
+/// The hash trie the sorted node replaced, kept verbatim (less the algebra
 /// built on its primitives) as the oracle for order, `Hash` and every
 /// query: a 16-way branch per nibble of the hash, least significant first,
 /// and a leaf per full hash.
@@ -1203,7 +965,7 @@ mod tests {
         assert!(!m.contains(&4));
         assert!(!m.remove(&4));
         assert!(m.is_empty());
-        assert!(m.root.is_none(), "empty trie drops every node");
+        assert!(m.root.is_none(), "an empty multiset holds no node");
     }
 
     #[test]
@@ -1238,17 +1000,41 @@ mod tests {
         let alone = seen.len();
         snapshot.mark_nodes(&mut seen);
         assert_eq!(seen.len(), alone, "a full clone adds zero nodes");
-        b.mark_nodes(&mut seen);
-        assert!(
-            seen.len() < alone * 2,
-            "a one-element delta shares most of the trie"
-        );
+    }
+
+    #[test]
+    fn every_size_is_one_allocation_and_a_clone_stays_put() {
+        for distinct in [1u64, 32, 33, 2000] {
+            let built: PersistentMultiset<u64> = (0..distinct).chain([0, 0]).collect();
+            let mut inserted = PersistentMultiset::new();
+            for i in (0..distinct).chain([0, 0]) {
+                inserted.insert(i);
+            }
+            for m in [&built, &inserted] {
+                let mut seen = HashSet::from([usize::MAX]);
+                m.mark_nodes(&mut seen);
+                assert_eq!(seen.len(), 2, "{distinct} distinct: one address");
+            }
+            let counts = |m: &PersistentMultiset<u64>| -> Vec<usize> {
+                (0..distinct + 8).map(|i| m.count(&i)).collect()
+            };
+            let walk = |m: &PersistentMultiset<u64>| -> Vec<(u64, usize)> {
+                m.iter().map(|(e, n)| (*e, n)).collect()
+            };
+            let before = (counts(&built), hash_of(&built), walk(&built));
+            let mut fork = built.clone();
+            fork.insert(distinct / 2);
+            fork.insert(distinct + 7);
+            assert!(fork.remove(&0));
+            assert_eq!((counts(&built), hash_of(&built), walk(&built)), before);
+            assert_eq!(built, inserted);
+        }
     }
 
     #[test]
     fn snapshots_share_sublinearly() {
-        // The tentpole memory shape: n cumulative snapshots of an n-element
-        // build hold O(n log n) unique nodes, not O(n²).
+        // n cumulative snapshots of an n-element build hold one node each,
+        // not one per element.
         let mut cur: PersistentMultiset<u32> = PersistentMultiset::new();
         let mut snaps = Vec::new();
         for i in 0..256u32 {
@@ -1278,8 +1064,8 @@ mod tests {
 
     #[test]
     fn deep_collisions_fall_into_buckets() {
-        // Force many elements through the trie; with only 16 slots per
-        // level the test exercises splits at several depths.
+        // Two thousand distinct elements in one node, each with its own
+        // multiplicity.
         let mut m: PersistentMultiset<u64> = PersistentMultiset::new();
         for i in 0..2000u64 {
             m.add(i, (i as usize % 3) + 1);
@@ -1296,55 +1082,6 @@ mod tests {
         // distinct count is read off the root. A fifth word showed as
         // session set-up time on the streaming benchmarks.
         assert_eq!(std::mem::size_of::<PersistentMultiset<u64>>(), 32);
-    }
-
-    /// Branches on the longest path from `node` to a bucket.
-    fn depth<E>(node: &[Cell<E>]) -> usize {
-        node.iter()
-            .map(|cell| match cell {
-                Cell::Child {
-                    node: Some(child), ..
-                } => 1 + depth(child),
-                _ => 0,
-            })
-            .max()
-            .unwrap_or(0)
-    }
-
-    #[test]
-    fn an_insert_copies_one_path() {
-        // From 128 distinct elements up: re-inserting a present element or
-        // adding a new one to a bucket with room copies the nodes on one
-        // root-to-bucket path (a new bucket in an empty slot included),
-        // never a sibling. A split adds one branch and at most 16 buckets.
-        let mut m: PersistentMultiset<u64> = (0..128).collect();
-        let (mut paths, mut splits) = (0, 0);
-        for i in 0..2048u64 {
-            let e = if i % 2 == 0 { mix(i) % 128 } else { 128 + i };
-            let mut before = HashSet::new();
-            m.mark_nodes(&mut before);
-            m.insert(e);
-            let mut after = HashSet::new();
-            m.mark_nodes(&mut after);
-            let fresh = after.difference(&before).count();
-            let root = m.root.as_deref().expect("non-empty");
-            if after.len() <= before.len() + 1 {
-                assert!(
-                    fresh <= depth(root) + 1,
-                    "{fresh} new nodes at depth {}",
-                    depth(root)
-                );
-                paths += 1;
-            } else {
-                assert!(fresh <= depth(root) + FANOUT, "a split made {fresh} nodes");
-                splits += 1;
-            }
-        }
-        assert!(m.distinct_len() >= 1024 && depth(m.root.as_deref().expect("non-empty")) >= 2);
-        assert!(
-            paths > 0 && splits > 0,
-            "{paths} path copies, {splits} splits"
-        );
     }
 
     /// An element whose hash is its `class` alone: members of one class
@@ -1407,7 +1144,6 @@ mod tests {
     /// against the trie.
     #[test]
     fn buckets_agree_with_the_trie_oracle() {
-        let mut deepest = 0;
         let mut state = 0u64;
         let mut draw = |bound: usize| {
             state += 1;
@@ -1446,33 +1182,15 @@ mod tests {
                 let (m0, o0) = &history[draw(history.len())];
                 agree(&m, &o, m0, o0, &alphabet);
                 history.push((m.clone(), o.clone()));
-                deepest = deepest.max(m.root.as_deref().map_or(0, depth));
             }
         }
-        assert!(deepest >= 2, "buckets split at {deepest} levels only");
-    }
-
-    /// The nodes of `m`, as a shape: each node's cells, an entry as its
-    /// element's id and count, a child slot as its distinct count.
-    fn shape(node: &[Cell<Clash>]) -> Vec<String> {
-        let mut out = vec![format!("{}", node.len())];
-        for cell in node {
-            match cell {
-                Cell::Entry(x) => out.push(format!("e{}x{}", x.elem.id, x.count)),
-                Cell::Child { distinct, node } => {
-                    out.push(format!("c{distinct}"));
-                    out.extend(node.as_deref().map(shape).unwrap_or_default());
-                }
-            }
-        }
-        out
     }
 
     /// `collect` against `add` in turn and the trie: random `(element,
-    /// count)` lists over alphabets of 1–300 elements, past 32 distinct
-    /// (branches), with equal-hash classes (equal-key runs) and zero
-    /// counts, collected as each element repeated its count. The one-pass
-    /// build is the same multiset and the same node layout.
+    /// count)` lists over alphabets of 1–300 elements, past 32 distinct,
+    /// with equal-hash classes (equal-key runs) and zero counts, collected
+    /// as each element repeated its count. The one-pass build is the same
+    /// multiset.
     #[test]
     fn one_pass_builds_agree_with_the_insert_build_and_the_trie_oracle() {
         let mut state = 1 << 40;
@@ -1480,7 +1198,7 @@ mod tests {
             state += 1;
             (mix(state) % bound as u64) as usize
         };
-        let (mut branched, mut runs, mut zeros) = (0, 0, 0);
+        let (mut wide, mut runs, mut zeros) = (0, 0, 0);
         for case in 0..48u64 {
             let per_class = [1, 1, 2, 3, 8][draw(5)];
             let alphabet: Vec<Clash> = (0..1 + draw(300))
@@ -1507,19 +1225,11 @@ mod tests {
                 one_pass.iter().collect::<Vec<_>>(),
                 inserted.iter().collect::<Vec<_>>()
             );
-            assert_eq!(
-                one_pass.root.as_deref().map(shape),
-                inserted.root.as_deref().map(shape),
-                "case {case}: the node layout of the insert build"
-            );
-            branched += usize::from(one_pass.root.as_deref().is_some_and(|r| !is_bucket(r)));
+            wide += usize::from(one_pass.distinct_len() > 32);
             runs += usize::from(per_class > 1 && one_pass.distinct_len() > 1);
             zeros += pairs.iter().filter(|(_, n)| *n == 0).count();
         }
-        assert!(
-            branched > 0 && runs > 0 && zeros > 0,
-            "{branched} {runs} {zeros}"
-        );
+        assert!(wide > 0 && runs > 0 && zeros > 0, "{wide} {runs} {zeros}");
     }
 
     #[test]

@@ -422,10 +422,10 @@ proptest! {
 // ---- persistent multiset ≡ multiset (differential laws) ----
 //
 // `PersistentMultiset` must be observationally equal to the reference
-// `Multiset` under arbitrary operation interleavings: the checkers thread
-// the persistent form through bound snapshots, memo keys, and frontier
-// `used` sets purely for its O(1) clone and structure sharing — never for
-// different semantics.
+// `Multiset` under arbitrary operation interleavings: a streaming shard
+// keeps each configuration's symbolic completions in the persistent form,
+// and the test oracles build validity snapshots with it, purely for its
+// O(1) clone — never for different semantics.
 
 /// One step of a random multiset program.
 #[derive(Debug, Clone)]
@@ -574,9 +574,8 @@ impl std::hash::Hash for Clash {
     }
 }
 
-/// `(element, count)` lists over up to 160 distinct elements (past the 32
-/// a bucket holds, so the build makes branches), in equal-hash classes of
-/// `per_class` (equal-key runs), with zero counts.
+/// `(element, count)` lists over up to 160 distinct elements, in
+/// equal-hash classes of `per_class` (equal-key runs), with zero counts.
 fn clash_pairs() -> impl Strategy<Value = Vec<(Clash, usize)>> {
     let raw = prop::collection::vec((0..u16::MAX, 0..3usize), 0..240);
     (1..5u16, 1..160u16, raw).prop_map(|(per_class, alphabet, raw)| {
