@@ -83,8 +83,9 @@ use std::hash::Hash;
 /// so `output` returns `None` for the empty history.
 ///
 /// Implementations must be deterministic: `apply` is a pure function of the
-/// state and input.
-pub trait Adt {
+/// state and input. An ADT is an owned type (`'static`): a checker's search
+/// keeps its buffers between searches on a per-thread list filed by type.
+pub trait Adt: 'static {
     /// The input (invocation) alphabet `I_T`.
     type Input: Clone + Eq + Hash + Debug;
     /// The output (response) alphabet `O_T`.

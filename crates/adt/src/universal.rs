@@ -43,7 +43,7 @@ impl<I> Default for Universal<I> {
     }
 }
 
-impl<I: Clone + Eq + Hash + Debug> Adt for Universal<I> {
+impl<I: Clone + Eq + Hash + Debug + 'static> Adt for Universal<I> {
     type Input = I;
     type Output = UniversalOutput<I>;
     type State = Vec<I>;

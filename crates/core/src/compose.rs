@@ -16,7 +16,7 @@
 //! phase `(m, n)` *are* the init actions of phase `(n, o)`: both phases see
 //! the same switch events labelled `n`.
 
-use crate::engine::{SearchBudget, SearchStats};
+use crate::engine::{SearchStats, DEFAULT_MAX_NODES};
 use crate::initrel::InitRelation;
 use crate::lin::{LinChecker, LinError};
 use crate::partition;
@@ -196,10 +196,7 @@ where
     assert!(first <= last, "phase chain requires first <= last");
     let mut stats = SearchStats::default();
     let mut phases = Vec::new();
-    let (none, budget) = (
-        None::<&IdentityPartitioner>,
-        SearchBudget::DEFAULT_MAX_NODES,
-    );
+    let (none, budget) = (None::<&IdentityPartitioner>, DEFAULT_MAX_NODES);
     for k in first..=last {
         let (m, n) = (PhaseId::new(k), PhaseId::new(k + 1));
         let proj = project_phase::<T, R::Value>(t, m, n);
@@ -370,7 +367,7 @@ mod tests {
                 &SlinChecker::owned(Consensus, ConsensusInit::new(), m, n),
                 none,
                 &project_phase::<Consensus, Value>(&t, m, n),
-                SearchBudget::DEFAULT_MAX_NODES,
+                DEFAULT_MAX_NODES,
                 0,
             );
             assert_eq!(outcome.is_ok(), k != 1);
@@ -381,7 +378,7 @@ mod tests {
             &LinChecker::owned(Consensus),
             none,
             &project_object::<Consensus, Value>(&t),
-            SearchBudget::DEFAULT_MAX_NODES,
+            DEFAULT_MAX_NODES,
             0,
         );
         expected.absorb(&stats);

@@ -17,7 +17,7 @@
 //!
 //! There is exactly one recursion implementing that search (`Search::dfs`).
 //! It owns, once, everything a chain search needs: node counting and the
-//! [`SearchBudget`] trip, the dead-end memo on `(remaining commits, ADT
+//! budget trip, the dead-end memo on `(remaining commits, ADT
 //! state, consumed inputs, visitor tag)` (below), the feasibility prune
 //! (below), the commit move, the sorted extra-input move, and the
 //! [`SearchStats`] it returns on **both** sides of the verdict. What
@@ -192,6 +192,7 @@
 
 use crate::ops::{Bounds, Commit};
 use slin_adt::Adt;
+use std::any::Any;
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::hash_map::RandomState;
@@ -199,8 +200,7 @@ use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
-use std::mem;
-use std::ops::{ControlFlow, Deref};
+use std::ops::{ControlFlow, Deref, DerefMut};
 use std::sync::{Arc, OnceLock};
 
 /// A set of commit indices, one bit per commit.
@@ -308,28 +308,10 @@ fn full_word(n: usize) -> u64 {
     }
 }
 
-/// Explicit resource bounds on one chain search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SearchBudget {
-    /// Maximum number of expanded search nodes before the engine gives up.
-    pub max_nodes: usize,
-}
-
-impl SearchBudget {
-    /// The default node budget (matches the checkers' historical default).
-    pub const DEFAULT_MAX_NODES: usize = 2_000_000;
-
-    /// A budget of `max_nodes` expanded nodes.
-    pub fn new(max_nodes: usize) -> Self {
-        SearchBudget { max_nodes }
-    }
-}
-
-impl Default for SearchBudget {
-    fn default() -> Self {
-        SearchBudget::new(SearchBudget::DEFAULT_MAX_NODES)
-    }
-}
+/// The node budget of a search whose caller sets none: a session's
+/// default ([`crate::session::SessionBuilder::budget`]), and the budget of
+/// the checkers' own `check` and of [`crate::compose`]'s phase checks.
+pub const DEFAULT_MAX_NODES: usize = 2_000_000;
 
 /// Counters reported by every search, successful or not.
 ///
@@ -375,7 +357,8 @@ impl SearchStats {
 /// Why the engine abandoned a search without a verdict.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
-    /// The search expanded more nodes than [`SearchBudget::max_nodes`];
+    /// The search expanded more nodes than its budget (`max_nodes`, per
+    /// search: [`DEFAULT_MAX_NODES`] unless the session sets another);
     /// carries the node count at the point of giving up.
     BudgetExhausted {
         /// Nodes expanded when the budget tripped.
@@ -696,9 +679,6 @@ pub(crate) struct CheckerEngine<'s, T: Adt> {
     /// input a history committing it may hold. A shard records both when
     /// the commit arrives, and its engines borrow them.
     commit_classes: Cow<'s, [(usize, usize)]>,
-    /// The node budget of [`CheckerEngine::first_solution`]. A [`Search`] driven
-    /// directly takes its budget per run.
-    budget: SearchBudget,
 }
 
 /// What distinguishes one use of the kernel from another (see the module
@@ -839,7 +819,6 @@ where
         commits: &'s [Commit<T>],
         bounds: &'s Bounds<T::Input>,
         pool: impl IntoIterator<Item = (&'p T::Input, usize)>,
-        budget: SearchBudget,
     ) -> Self
     where
         T::Input: 'p,
@@ -872,7 +851,6 @@ where
             bounds,
             classes: Classes::Built(classes),
             commit_classes: Cow::Owned(commit_classes),
-            budget,
         }
     }
 
@@ -885,7 +863,6 @@ where
         commits: &'s [Commit<T>],
         commit_classes: &'s [(usize, usize)],
         bounds: &'s Bounds<T::Input>,
-        budget: SearchBudget,
     ) -> Self {
         debug_assert!(
             commits.len() == commit_classes.len()
@@ -901,7 +878,6 @@ where
             bounds,
             classes: Classes::Rows,
             commit_classes: Cow::Borrowed(commit_classes),
-            budget,
         }
     }
 
@@ -973,15 +949,16 @@ where
         }
     }
 
-    /// Runs the search from `seed`, placing the commits of `start` (see
-    /// [`Search::run`]), and stops at the first solution. The `leaf`
+    /// Runs the search from `seed`, placing the commits of `start` and
+    /// expanding at most `max_nodes` nodes (see [`Search::run`]), and stops
+    /// at the first solution. The `leaf`
     /// oracle is consulted with the chain's longest history (the seed's
     /// when nothing commits) whenever every commit has been placed;
     /// returning `None` vetoes the leaf and the search backtracks. It is
     /// subject to the soundness contract of [`crate::model::LeafFn`]. The
     /// outcome is `Some((chain, leaf_witness))`, or `None` when the search
     /// space is exhausted, or [`EngineError::BudgetExhausted`] when more
-    /// than [`SearchBudget::max_nodes`] nodes are expanded — with the
+    /// than `max_nodes` nodes are expanded — with the
     /// counters beside it on every side of the verdict: a budget-exhausted
     /// search reports the work it did.
     pub(crate) fn first_solution<W>(
@@ -989,6 +966,7 @@ where
         seed: SearchSeed<T>,
         start: CommitMask,
         leaf: &dyn Fn(&[T::Input]) -> Option<W>,
+        max_nodes: usize,
     ) -> Found<T::Input, W> {
         let mut first = FirstSolution {
             leaf,
@@ -996,7 +974,6 @@ where
             cuts: Vec::new(),
             found: None,
         };
-        let max_nodes = self.budget.max_nodes;
         let (flow, stats) = Search::new(self).run(&seed, start, (), &mut first, max_nodes);
         (flow.map(|_| first.found), stats)
     }
@@ -1153,7 +1130,7 @@ struct Memo<T: Adt, G> {
     counts: Vec<usize>,
 }
 
-/// A child the feasibility prune admits, queued on [`Search::moves`].
+/// A child the feasibility prune admits, queued on [`SearchBuffers::moves`].
 #[derive(Clone, Copy)]
 enum Move {
     /// Commit the response at this position of the commit list.
@@ -1192,24 +1169,34 @@ impl Default for ClassCount {
 /// searches of one enumeration run through one `Search` so that they share
 /// what does not depend on the seed — the floor table and the dead-end
 /// memo (module docs, "The memo"): a run does not search again below a
-/// node an earlier run buried. Every buffer is reused from run to run.
-/// The buffers that do not depend on the ADT or the visitor outlive the
-/// `Search` too: it takes them from its thread's free list and gives them
-/// back when dropped ([`Scratch`]), so the next search on the thread, over
-/// any engine, starts with their capacity. The two that hold the ADT's or
-/// the visitor's types — the history and the memo's entries
-/// ([`SearchBuffers`]) — a caller running many searches of one kind keeps
-/// between them ([`Search::with_buffers`], [`Search::into_buffers`]): a
-/// streaming monitor keeps one set for all its shards.
-pub(crate) struct Search<'e, 's, T: Adt, G> {
+/// node an earlier run buried. Every buffer it grows ([`SearchBuffers`])
+/// is reused from run to run and outlives the `Search` on its thread's
+/// free list, so the next search on the thread with the same ADT and
+/// visitor tag — a shard's next enumeration, a batch check's next class
+/// search, a window report's next seed — starts with their capacity,
+/// whatever its engine. What it inherits is capacity, never contents: a
+/// stop-at-first search ([`CheckerEngine::first_solution`]) builds one
+/// `Search` per call, so a leaf oracle sees no other search's memo.
+pub(crate) struct Search<'e, 's, T: Adt, G: 'static> {
     engine: &'e CheckerEngine<'s, T>,
+    max_nodes: usize,
+    stats: SearchStats,
+    /// The count table the last leaf handed out ([`LeafUsed`]); the seed's
+    /// at the start of a run.
+    leaf_used: Used,
+    buffers: Lease<T, G>,
+}
+
+/// Every buffer a [`Search`] grows. A set holds the ADT's and the visitor
+/// tag's types, so its thread's free list files it by type: a `Search`
+/// takes the set of its `(T, G)`, and gives it back, cleared but with its
+/// capacity, when dropped ([`Lease`]).
+struct SearchBuffers<T: Adt, G> {
     /// `bounds.count(commits[p].index, class e's input)` at
     /// `[p * classes.len() + e]`, looked up on first use (`usize::MAX`: not
     /// yet); grown to cover commit `p` when it first becomes the earliest
     /// remaining one.
     floor_counts: Vec<usize>,
-    max_nodes: usize,
-    stats: SearchStats,
     /// Per class (see [`CheckerEngine::classes`]).
     counts: Vec<ClassCount>,
     /// The classes that had a spare pool occurrence at the seed, ascending
@@ -1221,84 +1208,40 @@ pub(crate) struct Search<'e, 's, T: Adt, G> {
     /// The current path's history, seed included.
     hist: Vec<T::Input>,
     memo: Memo<T, G>,
-    /// The count table the last leaf handed out ([`LeafUsed`]); the seed's
-    /// at the start of a run.
-    leaf_used: Used,
-}
-
-/// The buffers a [`Search`] grows that hold the ADT's or the visitor's
-/// types: the path's history and the memo's entries. A caller that runs
-/// many searches of one kind hands them from each `Search` to the next
-/// ([`Search::with_buffers`], [`Search::into_buffers`]); what it keeps is
-/// their capacity — at most [`SCRATCH_KEEP`] elements each — never their
-/// contents.
-pub(crate) struct SearchBuffers<T: Adt, G> {
-    hist: Vec<T::Input>,
-    memo: Vec<(CommitMask, T::State, G)>,
 }
 
 // Manual impl: the derive would demand `T: Default` and `G: Default`.
 impl<T: Adt, G> Default for SearchBuffers<T, G> {
     fn default() -> Self {
         SearchBuffers {
+            floor_counts: Vec::new(),
+            counts: Vec::new(),
+            spare: Vec::new(),
+            moves: Vec::new(),
             hist: Vec::new(),
-            memo: Vec::new(),
+            memo: Memo {
+                index: HashIndex::default(),
+                entries: Vec::new(),
+                counts: Vec::new(),
+            },
         }
     }
 }
 
-impl<'e, 's, T: Adt, G: Clone + Eq + Hash> Search<'e, 's, T, G>
+impl<'e, 's, T: Adt, G: Clone + Eq + Hash + 'static> Search<'e, 's, T, G>
 where
     T::Input: Ord,
 {
-    /// A search over `engine`, on buffers from this thread's free list.
-    pub(crate) fn new(engine: &'e CheckerEngine<'s, T>) -> Self {
-        Search::with_buffers(engine, SearchBuffers::default())
-    }
-
-    /// A search over `engine` growing `buffers`, and the rest from this
+    /// A search over `engine`, on the buffers of its type from this
     /// thread's free list.
-    pub(crate) fn with_buffers(
-        engine: &'e CheckerEngine<'s, T>,
-        buffers: SearchBuffers<T, G>,
-    ) -> Self {
-        let Scratch {
-            floor_counts,
-            counts,
-            spare,
-            moves,
-            memo_index,
-            memo_counts,
-        } = Scratch::take();
+    pub(crate) fn new(engine: &'e CheckerEngine<'s, T>) -> Self {
         Search {
             engine,
-            floor_counts,
             max_nodes: 0,
             stats: SearchStats::default(),
-            counts,
-            spare,
-            moves,
-            hist: buffers.hist,
-            memo: Memo {
-                index: memo_index,
-                entries: buffers.memo,
-                counts: memo_counts,
-            },
             leaf_used: Used::default(),
+            buffers: Lease::take(),
         }
-    }
-
-    /// Ends the search, handing back its typed buffers emptied — the memo's
-    /// contents are this `Search`'s alone — or, where one outgrew
-    /// [`SCRATCH_KEEP`], a new one.
-    pub(crate) fn into_buffers(mut self) -> SearchBuffers<T, G> {
-        let mut buffers = SearchBuffers {
-            hist: mem::take(&mut self.hist),
-            memo: mem::take(&mut self.memo.entries),
-        };
-        recycle(&mut buffers.hist);
-        recycle(&mut buffers.memo);
-        buffers
     }
 
     /// The kernel's entry point: searches from `seed` (carrying `tag`)
@@ -1334,27 +1277,28 @@ where
             seed.used.len() <= eng.classes(),
             "a seed's table counts the engine's classes"
         );
-        self.counts.clear();
+        let buffers = &mut *self.buffers;
+        buffers.counts.clear();
         let seed_counts = seed.used.iter().map(|&used| ClassCount {
             used,
             ..ClassCount::default()
         });
-        self.counts.extend(seed_counts);
-        self.counts.resize(eng.classes(), ClassCount::default());
+        buffers.counts.extend(seed_counts);
+        buffers.counts.resize(eng.classes(), ClassCount::default());
         // Consumption only grows: a class with no spare pool occurrence at
         // the seed never offers an extra.
-        eng.spare(&self.counts, &mut self.spare);
-        self.moves.clear();
-        let buried = self.memo.index.len();
+        eng.spare(&buffers.counts, &mut buffers.spare);
+        buffers.moves.clear();
+        let buried = buffers.memo.index.len();
         if !self.seed_feasible(&start) {
             self.stats.pruned = 1;
             return (Ok(ControlFlow::Continue(())), self.stats);
         }
-        self.hist.clear();
-        self.hist.extend_from_slice(&seed.history);
+        self.buffers.hist.clear();
+        self.buffers.hist.extend_from_slice(&seed.history);
         self.leaf_used = seed.used.clone();
         let flow = self.dfs(visitor, seed.state.clone(), tag, start);
-        self.stats.memo_entries = self.memo.index.len() - buried;
+        self.stats.memo_entries = self.buffers.memo.index.len() - buried;
         (flow, self.stats)
     }
 
@@ -1369,18 +1313,18 @@ where
             return true;
         };
         let mut feasible = true;
-        for e in 0..self.counts.len() {
-            let used = self.counts[e].used;
+        for e in 0..self.buffers.counts.len() {
+            let used = self.buffers.counts[e].used;
             feasible &= used == 0 || used <= self.floor_count(first, e);
         }
         for k in start.iter() {
             let (e, own_bound) = eng.commit_classes[k];
-            let class = &mut self.counts[e];
+            let class = &mut self.buffers.counts[e];
             class.rank += 1;
             feasible &= class.used + class.rank <= own_bound;
         }
         for k in start.iter() {
-            self.counts[eng.commit_classes[k].0].rank = 0;
+            self.buffers.counts[eng.commit_classes[k].0].rank = 0;
         }
         feasible
     }
@@ -1389,22 +1333,24 @@ where
     /// looked up once per search.
     fn floor_count(&mut self, floor: usize, e: usize) -> usize {
         let eng = self.engine;
-        let at = floor * self.counts.len() + e;
-        if self.floor_counts.len() <= at {
-            self.floor_counts
-                .resize((floor + 1) * self.counts.len(), usize::MAX);
+        let stride = self.buffers.counts.len();
+        let at = floor * stride + e;
+        if self.buffers.floor_counts.len() <= at {
+            self.buffers
+                .floor_counts
+                .resize((floor + 1) * stride, usize::MAX);
         }
-        if self.floor_counts[at] == usize::MAX {
-            self.floor_counts[at] = eng.bound(eng.commits[floor].index, e);
+        if self.buffers.floor_counts[at] == usize::MAX {
+            self.buffers.floor_counts[at] = eng.bound(eng.commits[floor].index, e);
         }
-        self.floor_counts[at]
+        self.buffers.floor_counts[at]
     }
 
     /// Whether one more occurrence of class `e` still fits the bound of
     /// commit `floor`, the earliest remaining one (the tightest, by
     /// monotonicity).
     fn fits_floor(&mut self, floor: usize, e: usize) -> bool {
-        self.counts[e].used < self.floor_count(floor, e)
+        self.buffers.counts[e].used < self.floor_count(floor, e)
     }
 
     /// Queues the children of the current node that pass the feasibility
@@ -1420,32 +1366,32 @@ where
             let (e, own_bound) = eng.commit_classes[k];
             // Committing `k` takes an occurrence from under the earlier
             // remaining commits on its input, and from under the floor.
-            if self.counts[e].slack > 0 && (k == floor || self.fits_floor(floor, e)) {
-                self.moves.push(Move::Commit(k));
+            if self.buffers.counts[e].slack > 0 && (k == floor || self.fits_floor(floor, e)) {
+                self.buffers.moves.push(Move::Commit(k));
             } else {
                 self.stats.pruned += 1;
             }
-            let class = &mut self.counts[e];
+            let class = &mut self.buffers.counts[e];
             class.rank += 1;
             class.slack = class
                 .slack
                 .min(own_bound.saturating_sub(class.rank + class.used));
         }
-        for at in 0..self.spare.len() {
-            let e = self.spare[at];
-            if self.counts[e].used >= eng.pool(e) {
+        for at in 0..self.buffers.spare.len() {
+            let e = self.buffers.spare[at];
+            if self.buffers.counts[e].used >= eng.pool(e) {
                 continue;
             }
             // An extra takes an occurrence from under every remaining
             // commit on its input, and from under the floor.
-            if self.counts[e].slack > 0 && self.fits_floor(floor, e) {
-                self.moves.push(Move::Extra(e));
+            if self.buffers.counts[e].slack > 0 && self.fits_floor(floor, e) {
+                self.buffers.moves.push(Move::Extra(e));
             } else {
                 self.stats.pruned += 1;
             }
         }
         for k in remaining.iter() {
-            let class = &mut self.counts[eng.commit_classes[k].0];
+            let class = &mut self.buffers.counts[eng.commit_classes[k].0];
             class.rank = 0;
             class.slack = usize::MAX;
         }
@@ -1454,7 +1400,7 @@ where
     /// The current path's consumed inputs, as the memo keys them: one
     /// count per class.
     fn used_counts(&self) -> impl Iterator<Item = usize> + '_ {
-        self.counts.iter().map(|c| c.used)
+        self.buffers.counts.iter().map(|c| c.used)
     }
 
     /// Counts a node against the budget and probes the memo with its key,
@@ -1477,8 +1423,8 @@ where
         (remaining, state, tag).hash(&mut hasher);
         self.used_counts().for_each(|n| hasher.write_usize(n));
         let hash = hasher.finish();
-        let memo = &self.memo;
-        let stride = self.counts.len();
+        let memo = &self.buffers.memo;
+        let stride = self.buffers.counts.len();
         let is_it = |i: usize| {
             let (remaining_i, state_i, tag_i) = &memo.entries[i];
             remaining_i == remaining
@@ -1499,9 +1445,10 @@ where
     /// The node owns its key: the parts move in, under the hash
     /// [`Search::enter`] probed with.
     fn bury(&mut self, hash: u64, remaining: CommitMask, state: T::State, tag: G) {
-        self.memo.index.push(hash);
-        self.memo.counts.extend(self.counts.iter().map(|c| c.used));
-        self.memo.entries.push((remaining, state, tag));
+        let SearchBuffers { counts, memo, .. } = &mut *self.buffers;
+        memo.index.push(hash);
+        memo.counts.extend(counts.iter().map(|c| c.used));
+        memo.entries.push((remaining, state, tag));
     }
 
     /// Takes the move queued at `at` from the node `(state, tag,
@@ -1516,7 +1463,7 @@ where
         remaining: &CommitMask,
     ) -> Option<(T::State, G, CommitMask)> {
         let eng = self.engine;
-        match self.moves[at] {
+        match self.buffers.moves[at] {
             // Move 1: commit one of the remaining responses next on the
             // chain. The prune already vouches for its validity bound.
             Move::Commit(k) => {
@@ -1525,9 +1472,9 @@ where
                 if out != c.output {
                     return None;
                 }
-                self.counts[eng.commit_classes[k].0].used += 1;
-                self.hist.push(c.input.clone());
-                visitor.commit(c.index, self.hist.len());
+                self.buffers.counts[eng.commit_classes[k].0].used += 1;
+                self.buffers.hist.push(c.input.clone());
+                visitor.commit(c.index, self.buffers.hist.len());
                 Some((state2, tag.clone(), remaining.without(k)))
             }
             // Move 2: interleave an extra input from the pool.
@@ -1535,8 +1482,8 @@ where
                 let input = eng.input(e);
                 let (state2, out) = eng.adt.apply(state, input);
                 let tag2 = visitor.extra(tag, input, out);
-                self.counts[e].used += 1;
-                self.hist.push(input.clone());
+                self.buffers.counts[e].used += 1;
+                self.buffers.hist.push(input.clone());
                 Some((state2, tag2, remaining.clone()))
             }
         }
@@ -1545,15 +1492,15 @@ where
     /// Backtracks over the move queued at `at`, undoing
     /// [`Search::descend`].
     fn ascend<V: Visitor<T, Tag = G>>(&mut self, visitor: &mut V, at: usize) {
-        let e = match self.moves[at] {
+        let e = match self.buffers.moves[at] {
             Move::Commit(k) => {
                 visitor.uncommit();
                 self.engine.commit_classes[k].0
             }
             Move::Extra(e) => e,
         };
-        self.hist.pop();
-        self.counts[e].used -= 1;
+        self.buffers.hist.pop();
+        self.buffers.counts[e].used -= 1;
     }
 
     /// Every commit is placed: hands the visitor the leaf.
@@ -1566,9 +1513,9 @@ where
         self.stats.leaf_checks += 1;
         let used = LeafUsed {
             last: &mut self.leaf_used,
-            counts: &self.counts,
+            counts: &self.buffers.counts,
         };
-        visitor.leaf(&self.hist, state, used, tag)
+        visitor.leaf(&self.buffers.hist, state, used, tag)
     }
 
     /// The one recursion. Everything that does not recurse lives in the
@@ -1591,9 +1538,9 @@ where
         // statistic, is a pure function of the inputs, not of hash-map
         // iteration order (the parallel/sequential parity of the
         // speculative checker depends on this).
-        let start = self.moves.len();
+        let start = self.buffers.moves.len();
         self.admit_moves(&remaining);
-        for at in start..self.moves.len() {
+        for at in start..self.buffers.moves.len() {
             let Some((state2, tag2, remaining2)) =
                 self.descend(visitor, at, &state, &tag, &remaining)
             else {
@@ -1605,7 +1552,7 @@ where
             }
             self.ascend(visitor, at);
         }
-        self.moves.truncate(start);
+        self.buffers.moves.truncate(start);
         self.bury(hash, remaining, state, tag);
         Ok(ControlFlow::Continue(()))
     }
@@ -1619,53 +1566,66 @@ where
 /// its cost is small beside its nodes.
 const SCRATCH_KEEP: usize = 4096;
 
-/// The buffers a [`Search`] grows that do not depend on the ADT or the
-/// visitor: the floor table, the per-class counters, the move stack, the
-/// memo's hash index and counter arena. A `Search` takes one set from its
-/// thread's free list and gives it back, cleared but with its capacity,
-/// when dropped — so a search allocates these only where one before it on
-/// the thread did not grow them as far.
-/// A set is made only when the list is empty, so the list never holds more
-/// sets than the thread had searches alive at once (one, unless a leaf or
-/// visitor searches too), each buffer at most [`SCRATCH_KEEP`] elements;
-/// and a buffer is freed on the thread that allocated it.
-#[derive(Default)]
-struct Scratch {
-    floor_counts: Vec<usize>,
-    counts: Vec<ClassCount>,
-    spare: Vec<usize>,
-    moves: Vec<Move>,
-    memo_index: HashIndex,
-    memo_counts: Vec<usize>,
-}
-
 thread_local! {
-    /// This thread's free [`Scratch`] sets.
-    static FREE_SCRATCH: RefCell<Vec<Scratch>> = const { RefCell::new(Vec::new()) };
+    /// This thread's free [`SearchBuffers`] sets, boxed, of any types. A
+    /// set is made only when the list has none of its type, so the list
+    /// never holds more sets of one type than the thread had searches of
+    /// that type alive at once (one, unless a leaf or visitor searches
+    /// too); and a buffer is freed on the thread that allocated it.
+    static FREE_BUFFERS: RefCell<Vec<Box<dyn Any>>> = const { RefCell::new(Vec::new()) };
 }
 
-impl Scratch {
-    /// A set from this thread's free list, or a new one.
-    fn take() -> Scratch {
-        FREE_SCRATCH
-            .with(|free| free.borrow_mut().pop())
-            .unwrap_or_default()
-    }
+/// A [`Search`]'s buffers, taken from its thread's free list — the box
+/// and all, so a take allocates nothing — and given back when dropped.
+/// `None` only while it is dropped.
+struct Lease<T: Adt, G: 'static>(Option<Box<SearchBuffers<T, G>>>);
 
+impl<T: Adt, G: 'static> Lease<T, G> {
+    /// The set of type `SearchBuffers<T, G>` from this thread's free list,
+    /// or a new one.
+    fn take() -> Self {
+        let free = FREE_BUFFERS.with(|free| {
+            let mut free = free.borrow_mut();
+            let at = free
+                .iter()
+                .position(|set| set.is::<SearchBuffers<T, G>>())?;
+            free.swap_remove(at).downcast().ok()
+        });
+        Lease(Some(free.unwrap_or_default()))
+    }
+}
+
+impl<T: Adt, G: 'static> Deref for Lease<T, G> {
+    type Target = SearchBuffers<T, G>;
+
+    fn deref(&self) -> &Self::Target {
+        self.0.as_deref().expect("leased until dropped")
+    }
+}
+
+impl<T: Adt, G: 'static> DerefMut for Lease<T, G> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        self.0.as_deref_mut().expect("leased until dropped")
+    }
+}
+
+impl<T: Adt, G: 'static> Drop for Lease<T, G> {
     /// Clears every buffer, drops those above [`SCRATCH_KEEP`], and puts
     /// the set on this thread's free list (unless the thread is exiting).
-    fn give_back(mut self) {
-        for buffer in [
-            &mut self.floor_counts,
-            &mut self.spare,
-            &mut self.memo_counts,
-        ] {
-            recycle(buffer);
-        }
-        recycle(&mut self.counts);
-        recycle(&mut self.moves);
-        self.memo_index.recycle();
-        let _ = FREE_SCRATCH.try_with(|free| free.borrow_mut().push(self));
+    /// The memo's contents are one `Search`'s alone.
+    fn drop(&mut self) {
+        let Some(mut set) = self.0.take() else {
+            return;
+        };
+        recycle(&mut set.floor_counts);
+        recycle(&mut set.counts);
+        recycle(&mut set.spare);
+        recycle(&mut set.moves);
+        recycle(&mut set.hist);
+        recycle(&mut set.memo.entries);
+        recycle(&mut set.memo.counts);
+        set.memo.index.recycle();
+        let _ = FREE_BUFFERS.try_with(|free| free.borrow_mut().push(set));
     }
 }
 
@@ -1676,20 +1636,6 @@ fn recycle<E>(buffer: &mut Vec<E>) {
         *buffer = Vec::new();
     }
     buffer.clear();
-}
-
-impl<T: Adt, G> Drop for Search<'_, '_, T, G> {
-    fn drop(&mut self) {
-        Scratch {
-            floor_counts: mem::take(&mut self.floor_counts),
-            counts: mem::take(&mut self.counts),
-            spare: mem::take(&mut self.spare),
-            moves: mem::take(&mut self.moves),
-            memo_index: mem::take(&mut self.memo.index),
-            memo_counts: mem::take(&mut self.memo.counts),
-        }
-        .give_back();
-    }
 }
 
 #[cfg(test)]
@@ -1750,17 +1696,12 @@ mod tests {
         let t = sample();
         let commits = ops::commits::<Consensus, ()>(&t);
         let bounds = ops::input_bounds::<Consensus, ()>(&t);
-        let engine = CheckerEngine::new(
-            &Consensus,
-            &commits,
-            &bounds,
-            bounds.pool(),
-            SearchBudget::default(),
-        );
+        let engine = CheckerEngine::new(&Consensus, &commits, &bounds, bounds.pool());
         let (found, stats) = engine.first_solution(
             engine.seed(Vec::new()),
             CommitMask::full(commits.len()),
             &|_| Some(()),
+            DEFAULT_MAX_NODES,
         );
         let (chain, ()) = found.unwrap().expect("linearizable");
         assert_eq!(chain.cuts().len(), 2);
@@ -1774,17 +1715,12 @@ mod tests {
         let t = sample();
         let commits = ops::commits::<Consensus, ()>(&t);
         let bounds = ops::input_bounds::<Consensus, ()>(&t);
-        let engine = CheckerEngine::new(
-            &Consensus,
-            &commits,
-            &bounds,
-            bounds.pool(),
-            SearchBudget::default(),
-        );
+        let engine = CheckerEngine::new(&Consensus, &commits, &bounds, bounds.pool());
         let (found, stats) = engine.first_solution(
             engine.seed(Vec::new()),
             CommitMask::full(commits.len()),
             &|_| None::<()>,
+            DEFAULT_MAX_NODES,
         );
         assert!(found.unwrap().is_none());
         assert!(stats.leaf_checks >= 1, "leaves were reached and vetoed");
@@ -1795,17 +1731,12 @@ mod tests {
         let t = sample();
         let commits = ops::commits::<Consensus, ()>(&t);
         let bounds = ops::input_bounds::<Consensus, ()>(&t);
-        let engine = CheckerEngine::new(
-            &Consensus,
-            &commits,
-            &bounds,
-            bounds.pool(),
-            SearchBudget::new(1),
-        );
+        let engine = CheckerEngine::new(&Consensus, &commits, &bounds, bounds.pool());
         let (found, stats) = engine.first_solution(
             engine.seed(Vec::new()),
             CommitMask::full(commits.len()),
             &|_| Some(()),
+            1,
         );
         assert_eq!(found, Err(EngineError::BudgetExhausted { nodes: 2 }));
         assert_eq!(stats.nodes, 2, "the tripped search reports its work");
@@ -1849,17 +1780,12 @@ mod tests {
         let t: Trace<KA> = Trace::from_actions(actions);
         let commits = ops::commits::<KvStore, ()>(&t);
         let bounds = ops::input_bounds::<KvStore, ()>(&t);
-        let engine = CheckerEngine::new(
-            &KvStore,
-            &commits,
-            &bounds,
-            bounds.pool(),
-            SearchBudget::default(),
-        );
+        let engine = CheckerEngine::new(&KvStore, &commits, &bounds, bounds.pool());
         let (found, stats) = engine.first_solution(
             engine.seed(Vec::new()),
             CommitMask::full(commits.len()),
             &|_| (!veto).then_some(()),
+            DEFAULT_MAX_NODES,
         );
         (found.unwrap(), stats)
     }
@@ -1986,17 +1912,12 @@ mod tests {
         let t: Trace<CA> = Trace::from_actions(actions);
         let commits = ops::commits::<Consensus, ()>(&t);
         let bounds = ops::input_bounds::<Consensus, ()>(&t);
-        let engine = CheckerEngine::new(
-            &Consensus,
-            &commits,
-            &bounds,
-            bounds.pool(),
-            SearchBudget::default(),
-        );
+        let engine = CheckerEngine::new(&Consensus, &commits, &bounds, bounds.pool());
         let (found, _) = engine.first_solution(
             engine.seed(Vec::new()),
             CommitMask::full(commits.len()),
             &|_| Some(()),
+            DEFAULT_MAX_NODES,
         );
         let (chain, ()) = found.unwrap().expect("70 chained decisions linearize");
         assert_eq!(chain.cuts().len(), 70);
@@ -2038,16 +1959,14 @@ mod tests {
         // Allow the seeded occurrence of p(2) plus the trace's own inputs.
         let mut bounds = ops::input_bounds::<Consensus, ()>(&t);
         bounds.add(0, &ConsInput::propose(2));
-        let engine = CheckerEngine::new(
-            &Consensus,
-            &commits,
-            &bounds,
-            bounds.pool(),
-            SearchBudget::default(),
-        );
+        let engine = CheckerEngine::new(&Consensus, &commits, &bounds, bounds.pool());
         let seed = engine.seed(vec![ConsInput::propose(2)]);
-        let (found, _) =
-            engine.first_solution(seed, CommitMask::full(commits.len()), &|_| Some(()));
+        let (found, _) = engine.first_solution(
+            seed,
+            CommitMask::full(commits.len()),
+            &|_| Some(()),
+            DEFAULT_MAX_NODES,
+        );
         let (chain, ()) = found.unwrap().expect("explained by the seeded history");
         assert_eq!(
             chain.iter().next().expect("one commit").1,
@@ -2147,17 +2066,20 @@ mod tests {
     fn three_searches(t: &Trace<KA>) -> (String, [usize; 3]) {
         let commits = ops::commits::<KvStore, ()>(t);
         let bounds = ops::input_bounds::<KvStore, ()>(t);
-        let engine = CheckerEngine::new(
-            &KvStore,
-            &commits,
-            &bounds,
-            bounds.pool(),
-            SearchBudget::default(),
-        );
+        let engine = CheckerEngine::new(&KvStore, &commits, &bounds, bounds.pool());
         let seed = || engine.seed(Vec::new());
-        let first = engine.first_solution(seed(), CommitMask::full(commits.len()), &|_| Some(()));
-        let (vetoed, veto_stats) =
-            engine.first_solution(seed(), CommitMask::full(commits.len()), &|_| None::<()>);
+        let first = engine.first_solution(
+            seed(),
+            CommitMask::full(commits.len()),
+            &|_| Some(()),
+            DEFAULT_MAX_NODES,
+        );
+        let (vetoed, veto_stats) = engine.first_solution(
+            seed(),
+            CommitMask::full(commits.len()),
+            &|_| None::<()>,
+            DEFAULT_MAX_NODES,
+        );
         assert_eq!(vetoed, Ok(None));
         let mut all = AllLeaves::default();
         let (flow, stats) = Search::new(&engine).run(
@@ -2265,13 +2187,7 @@ mod tests {
                 let commits = ops::commits::<KvStore, ()>(&t);
                 let bounds = ops::input_bounds::<KvStore, ()>(&t);
                 let n = commits.len();
-                let engine = CheckerEngine::new(
-                    &KvStore,
-                    &commits,
-                    &bounds,
-                    bounds.pool(),
-                    SearchBudget::default(),
-                );
+                let engine = CheckerEngine::new(&KvStore, &commits, &bounds, bounds.pool());
                 let mut shared = Search::new(&engine);
                 let (mut fresh_leaves, mut shared_leaves) = (Vec::new(), Vec::new());
                 let masks = [
@@ -2298,13 +2214,7 @@ mod tests {
                     .flat_map(|m| seeds.iter().map(move |s| (m.clone(), s)))
                 {
                     let kept: Vec<_> = mask.iter().map(|k| commits[k].clone()).collect();
-                    let alone = CheckerEngine::new(
-                        &KvStore,
-                        &kept,
-                        &bounds,
-                        bounds.pool(),
-                        SearchBudget::default(),
-                    );
+                    let alone = CheckerEngine::new(&KvStore, &kept, &bounds, bounds.pool());
                     let (mut masked, mut whole) = (AllLeaves::default(), AllLeaves::default());
                     let masked_run = Search::new(&engine).run(
                         seed,
@@ -2428,13 +2338,7 @@ mod tests {
                 for (e, n) in base.iter() {
                     (0..n).for_each(|_| bounds.add(0, e));
                 }
-                let engine = CheckerEngine::new(
-                    &KvStore,
-                    &commits,
-                    &bounds,
-                    bounds.pool(),
-                    SearchBudget::default(),
-                );
+                let engine = CheckerEngine::new(&KvStore, &commits, &bounds, bounds.pool());
                 let seed = match kind {
                     0 => engine.seed(Vec::new()),
                     1 => engine.seed(prefix_history.clone()),
@@ -2470,38 +2374,59 @@ mod tests {
         );
     }
 
-    /// The most elements any buffer of `scratch` holds room for.
-    fn largest(scratch: &Scratch) -> usize {
-        let index = &scratch.memo_index;
+    /// The most elements any buffer of `set` holds room for.
+    fn largest<G>(set: &SearchBuffers<KvStore, G>) -> usize {
+        let memo = &set.memo;
         [
-            scratch.floor_counts.capacity(),
-            scratch.counts.capacity(),
-            scratch.spare.capacity(),
-            scratch.moves.capacity(),
-            index.heads.capacity(),
-            index.older.capacity(),
-            scratch.memo_counts.capacity(),
+            set.floor_counts.capacity(),
+            set.counts.capacity(),
+            set.spare.capacity(),
+            set.moves.capacity(),
+            set.hist.capacity(),
+            memo.index.heads.capacity(),
+            memo.index.older.capacity(),
+            memo.entries.capacity(),
+            memo.counts.capacity(),
         ]
         .into_iter()
         .max()
         .unwrap_or(0)
     }
 
+    /// `look` at this thread's free list.
+    fn free_list<R>(look: impl FnOnce(&[Box<dyn Any>]) -> R) -> R {
+        FREE_BUFFERS.with(|free| look(&free.borrow()))
+    }
+
     /// `t`'s plain-linearizability problem under `max_nodes`, searched to
-    /// the first solution and with every leaf vetoed, on the calling
-    /// thread's scratch.
-    fn accepted_and_vetoed(t: &Trace<KA>, max_nodes: usize) -> [Found<KvInput, ()>; 2] {
+    /// the first solution, or with every leaf vetoed, on the calling
+    /// thread's free list.
+    fn lin_search(t: &Trace<KA>, max_nodes: usize, accept: bool) -> Found<KvInput, ()> {
         let commits = ops::commits::<KvStore, ()>(t);
         let bounds = ops::input_bounds::<KvStore, ()>(t);
-        let budget = SearchBudget::new(max_nodes);
-        let engine = CheckerEngine::new(&KvStore, &commits, &bounds, bounds.pool(), budget);
-        [true, false].map(|accept| {
-            engine.first_solution(
-                engine.seed(Vec::new()),
-                CommitMask::full(commits.len()),
-                &|_| accept.then_some(()),
-            )
-        })
+        let engine = CheckerEngine::new(&KvStore, &commits, &bounds, bounds.pool());
+        let seed = engine.seed(Vec::new());
+        let full = CommitMask::full(commits.len());
+        engine.first_solution(seed, full, &|_| accept.then_some(()), max_nodes)
+    }
+
+    /// [`lin_search`] accepting, then vetoing.
+    fn accepted_and_vetoed(t: &Trace<KA>, max_nodes: usize) -> [Found<KvInput, ()>; 2] {
+        [true, false].map(|accept| lin_search(t, max_nodes, accept))
+    }
+
+    /// `t`'s plain-linearizability problem enumerated leaf by leaf, under a
+    /// visitor whose tag is not stop-at-first's `()`.
+    fn every_leaf(t: &Trace<KA>) -> SearchStats {
+        let commits = ops::commits::<KvStore, ()>(t);
+        let bounds = ops::input_bounds::<KvStore, ()>(t);
+        let engine = CheckerEngine::new(&KvStore, &commits, &bounds, bounds.pool());
+        let seed = engine.seed(Vec::new());
+        let full = CommitMask::full(commits.len());
+        let mut all = AllLeaves::default();
+        Search::new(&engine)
+            .run(&seed, full, Pairs::new(), &mut all, 50_000)
+            .1
     }
 
     /// `run` on a thread of its own: a free list of its own, empty.
@@ -2526,27 +2451,58 @@ mod tests {
             seed: 4,
         });
         let small = straggler_trace(60, 3);
-        let fresh = on_a_new_thread(|| accepted_and_vetoed(&small, 50_000));
+        let fresh = on_a_new_thread(|| (every_leaf(&small), accepted_and_vetoed(&small, 50_000)));
         let recycled = on_a_new_thread(|| {
             // Another engine's larger search, tripped mid-tree, leaves its
             // buffers — the floor table of another commit list included —
-            // on this thread's free list.
+            // on this thread's free list; a search under another tag type
+            // leaves a set of its own beside them.
             let [_, (tripped, stats)] = accepted_and_vetoed(&large, 3_000);
             assert!(tripped.is_err() && stats.memo_entries > 1_000, "{stats:?}");
-            accepted_and_vetoed(&small, 50_000)
+            let recycled = (every_leaf(&small), accepted_and_vetoed(&small, 50_000));
+            free_list(|free| {
+                assert_eq!(free.len(), 2, "one set per type");
+                assert!(free
+                    .iter()
+                    .any(|set| set.is::<SearchBuffers<KvStore, ()>>()));
+                assert!(free
+                    .iter()
+                    .any(|set| set.is::<SearchBuffers<KvStore, Pairs>>()));
+            });
+            recycled
         });
-        assert!(fresh[0].0.as_ref().is_ok_and(Option::is_some), "{fresh:?}");
-        assert!(fresh[1].1.nodes > 100, "a vacuous tree: {fresh:?}");
+        assert!(fresh.0.leaf_checks > 1, "a vacuous enumeration: {fresh:?}");
+        let [accepted, vetoed] = &fresh.1;
+        assert!(accepted.0.as_ref().is_ok_and(Option::is_some), "{fresh:?}");
+        assert!(vetoed.1.nodes > 100, "a vacuous tree: {fresh:?}");
         assert_eq!(fresh, recycled);
+
+        // A fresh thread's first search grows its memo no further than the
+        // dead ends it buries: nothing is sized up front.
+        on_a_new_thread(|| {
+            let (_, stats) = lin_search(&small, 50_000, false);
+            let room = stats.memo_entries.next_power_of_two().max(4);
+            free_list(|free| {
+                let set = free[0].downcast_ref::<SearchBuffers<KvStore, ()>>();
+                let memo = &set.expect("the search's set").memo;
+                assert!(
+                    memo.entries.capacity() <= room && memo.index.older.capacity() <= room,
+                    "{} dead ends, room for {} and {}",
+                    stats.memo_entries,
+                    memo.entries.capacity(),
+                    memo.index.older.capacity()
+                );
+            });
+        });
 
         // A memo past the bound goes back to the allocator, not the list.
         on_a_new_thread(|| {
             let [_, (_, stats)] = accepted_and_vetoed(&large, 30_000);
             assert!(stats.memo_entries > SCRATCH_KEEP, "{stats:?}");
-            FREE_SCRATCH.with(|free| {
-                let free = free.borrow();
+            free_list(|free| {
                 assert_eq!(free.len(), 1, "one search alive at a time, one set");
-                assert!(largest(&free[0]) <= SCRATCH_KEEP);
+                let set = free[0].downcast_ref::<SearchBuffers<KvStore, ()>>();
+                assert!(largest(set.expect("the searches' set")) <= SCRATCH_KEEP);
             });
         });
     }

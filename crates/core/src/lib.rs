@@ -4,8 +4,9 @@
 //! *Speculative Linearizability* (Guerraoui, Kuncak, Losa — PLDI 2012):
 //!
 //! * [`engine`] — the **shared chain-search engine** both checkers are
-//!   thin frontends over: one backtracking search with explicit
-//!   [`engine::SearchBudget`]s and [`engine::SearchStats`];
+//!   thin frontends over: one backtracking search under a node budget
+//!   ([`engine::DEFAULT_MAX_NODES`] unless the session sets another),
+//!   reporting [`engine::SearchStats`];
 //! * [`lin`] — the paper's **new definition of linearizability**
 //!   (Section 4, Definitions 5–15), decided by a backtracking search for a
 //!   *linearization function* `g` mapping commit indices to histories;
@@ -85,7 +86,7 @@ pub mod slin;
 pub mod stream;
 
 pub use classical::ClassicalChecker;
-pub use engine::{EngineError, SearchBudget, SearchStats};
+pub use engine::{EngineError, SearchStats, DEFAULT_MAX_NODES};
 pub use initrel::{ConsensusInit, ExactInit, InitRelation};
 pub use lin::{LinChecker, LinError, LinWitness};
 pub use model::ConsistencyModel;

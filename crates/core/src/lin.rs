@@ -19,7 +19,7 @@
 //! alternates "append an extra input" and "commit a response" moves; see
 //! [`crate::engine`] for the search itself.
 
-use crate::engine::{Chain, EngineError, Refuted, SearchBudget};
+use crate::engine::{Chain, EngineError, Refuted, DEFAULT_MAX_NODES};
 use crate::model::{self, ConsistencyModel, Problem, Projection};
 use crate::partition;
 use crate::stream::MonitorStatus;
@@ -209,7 +209,7 @@ where
         V: Clone + PartialEq + Sync,
     {
         let none = None::<&IdentityPartitioner>;
-        partition::check(self, none, t, SearchBudget::DEFAULT_MAX_NODES, 0).outcome
+        partition::check(self, none, t, DEFAULT_MAX_NODES, 0).outcome
     }
 }
 

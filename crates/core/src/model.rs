@@ -53,7 +53,7 @@
 //! transient use, clone it for consumers that outlive the borrow (the
 //! monitor's shard table).
 
-use crate::engine::{Chain, CheckerEngine, CommitMask, EngineError, Found, Refuted, SearchBudget};
+use crate::engine::{Chain, CheckerEngine, CommitMask, EngineError, Found, Refuted};
 use crate::ops::{Bounds, Commit};
 use crate::partition::FallbackReason;
 use crate::stream::MonitorStatus;
@@ -120,12 +120,12 @@ where
             &self.commits,
             &self.bounds,
             self.pool.iter().map(|(i, n)| (i, *n)),
-            SearchBudget::new(budget),
         );
         engine.first_solution(
             engine.seed(self.seed.clone()),
             CommitMask::full(self.commits.len()),
             &*self.leaf,
+            budget,
         )
     }
 

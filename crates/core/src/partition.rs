@@ -966,7 +966,7 @@ mod tests {
 
     type KA = ObjAction<KvStore, ()>;
 
-    const BUDGET: usize = crate::engine::SearchBudget::DEFAULT_MAX_NODES;
+    const BUDGET: usize = crate::engine::DEFAULT_MAX_NODES;
 
     /// The count table whose bound at every index holds `base`, plus
     /// each `(from, input)` occurrence from index `from` on.

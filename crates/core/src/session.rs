@@ -59,7 +59,7 @@
 //! assert_eq!(streamed, verdict); // the whole verdict, stats included
 //! ```
 
-use crate::engine::{SearchBudget, SearchStats};
+use crate::engine::{SearchStats, DEFAULT_MAX_NODES};
 use crate::model::ConsistencyModel;
 use crate::partition::{ClosedCheck, FallbackReason, PartitionReport};
 use crate::stream::{GcPolicy, IngestOutcome, Monitor, MonitorReport, MonitorStatus, ShardSummary};
@@ -155,7 +155,7 @@ impl<M> Checker<M> {
             model,
             partitioner: None,
             strategy: Strategy::Auto,
-            budget: SearchBudget::DEFAULT_MAX_NODES,
+            budget: DEFAULT_MAX_NODES,
             threads: 0,
             window: None,
             gc: GcPolicy::default(),
@@ -185,7 +185,7 @@ pub struct SessionBuilder<M, P> {
 impl<M, P> SessionBuilder<M, P> {
     /// Sets the search node budget of every search this session runs —
     /// per class, per init interpretation, per streaming fallback
-    /// (default [`SearchBudget::DEFAULT_MAX_NODES`]).
+    /// (default [`DEFAULT_MAX_NODES`]).
     pub fn budget(mut self, budget: usize) -> Self {
         self.budget = budget;
         self

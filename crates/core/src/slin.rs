@@ -38,7 +38,7 @@
 //! single-threaded enumeration (a session built with `.threads(1)`)
 //! reports.
 
-use crate::engine::{Chain, EngineError, Refuted, SearchBudget};
+use crate::engine::{Chain, EngineError, Refuted, DEFAULT_MAX_NODES};
 use crate::initrel::{CandidateContext, InitRelation};
 use crate::model::{self, ConsistencyModel, Problem, Projection};
 use crate::ops::{self, Bounds, Commit, SwitchEvent};
@@ -238,7 +238,7 @@ where
         R::Value: Sync,
     {
         let none = None::<&IdentityPartitioner>;
-        partition::check(self, none, t, SearchBudget::DEFAULT_MAX_NODES, 0).outcome
+        partition::check(self, none, t, DEFAULT_MAX_NODES, 0).outcome
     }
 
     /// Validates the trace against the phase signature and well-formedness,
@@ -891,7 +891,7 @@ mod tests {
     type CV = Value;
     type CA = ObjAction<Consensus, CV>;
 
-    const BUDGET: usize = SearchBudget::DEFAULT_MAX_NODES;
+    const BUDGET: usize = DEFAULT_MAX_NODES;
 
     /// `t` checked whole — no partitioner — under `budget`, on at most
     /// `threads` threads: the outcome and its work.

@@ -25,7 +25,7 @@
 //! [`ConsistencyModel::witness`], the failure converted into the model's
 //! error.
 
-use super::shard::{ShardBuffers, ShardConfig, ShardState, ShardStatus};
+use super::shard::{ShardConfig, ShardState, ShardStatus};
 use super::{GcPolicy, IngestOutcome, MonitorReport, MonitorStatus, ShardSummary};
 use crate::engine::{Chain, EngineError, Refuted, SearchStats};
 use crate::model::ConsistencyModel;
@@ -74,9 +74,6 @@ where
     /// Shards by class key; the identity shard (engaged by unclassifiable
     /// inputs) lives under `None` and is always alone.
     shards: BTreeMap<Option<P::Key>, ShardState<M::Adt, V>>,
-    /// The typed buffers of every shard's searches: shards run one at a
-    /// time, so one set serves them all.
-    buffers: ShardBuffers<M::Adt>,
     /// Stream length so far (the next action's global index).
     events: usize,
     /// The one record of the stream — every event so far, complete or
@@ -138,7 +135,6 @@ where
             // of 0, so a never-quiescent shard would keep every event.
             window: window.map(|w| w.max(1)),
             shards: BTreeMap::new(),
-            buffers: ShardBuffers::default(),
             events: 0,
             record: keep.then(Trace::new),
             lost: false,
@@ -282,9 +278,9 @@ where
             .entry(key)
             .or_insert_with(|| Self::new_shard(&self.closed, self.gc));
         let before = shard.status();
-        let out = shard.ingest(action, index, &mut self.buffers);
+        let out = shard.ingest(action, index);
         if let Some(window) = self.window {
-            if let Some(retired) = shard.maybe_retire(window, &mut self.buffers) {
+            if let Some(retired) = shard.maybe_retire(window) {
                 self.prefix_committed = true;
                 if self.record.is_some() {
                     if shard.counters.retired_windows <= self.gc.archive_windows {
@@ -327,7 +323,7 @@ where
         };
         let mut identity = Self::new_shard(&self.closed, self.gc);
         for (i, a) in stream.into_iter().enumerate() {
-            identity.ingest(a, i, &mut self.buffers);
+            identity.ingest(a, i);
         }
         // The retired windows stay the identity shard's: the archive depth
         // counts them as the per-key shards did.
@@ -604,7 +600,7 @@ fn interleave<I: Clone>(chains: &[Chain<I>]) -> Chain<I> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::SearchBudget;
+    use crate::engine::DEFAULT_MAX_NODES;
     use crate::initrel::ExactInit;
     use crate::lin::LinChecker;
     use crate::slin::SlinChecker;
@@ -627,7 +623,7 @@ mod tests {
             model,
             partitioner: Some(KvKeyPartitioner),
             keyed: false,
-            budget: SearchBudget::DEFAULT_MAX_NODES,
+            budget: DEFAULT_MAX_NODES,
             threads: 1,
             obs: Obs::noop(),
         };
@@ -738,7 +734,7 @@ mod tests {
             let chains: Option<Vec<_>> = classes
                 .iter()
                 .map(|class| {
-                    let (found, _) = class.search(&KvStore, SearchBudget::DEFAULT_MAX_NODES);
+                    let (found, _) = class.search(&KvStore, DEFAULT_MAX_NODES);
                     found.ok()?.map(|(chain, ())| chain)
                 })
                 .collect();

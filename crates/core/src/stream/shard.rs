@@ -56,13 +56,13 @@
 //! nothing: its class table is the shard's own — the rows of the shard's
 //! count table, the inputs the shard may still consume (below) — and each
 //! commit's class
-//! and own bound were recorded when it arrived; the kernel's
-//! type-independent buffers outlive the enumeration on its thread's free
-//! list, and the typed ones (the history, the memo's entries) go from each
-//! enumeration's `Search` to the next — one set per monitor, whose shards
-//! run one at a time — so the next one starts with their capacity; the
-//! collector's hash index is the shard's
-//! one result set, cleared, not dropped, between enumerations; a `KvStore`
+//! and own bound were recorded when it arrived; every buffer the
+//! enumeration's `Search` grows — the history and the memo's entries
+//! included — outlives it on its thread's free list, one set per ADT and
+//! visitor tag, so the next enumeration on the thread, of any shard of any
+//! monitor, starts with their capacity; the collector's hash index is the
+//! shard's one result set, cleared, not dropped, between enumerations; a
+//! `KvStore`
 //! state holds one binding — all a per-key shard ever has — inline, so a
 //! step, a clone or a drop of it allocates nothing and touches no
 //! reference count ([`slin_adt::KvState`]); a configuration's consumed
@@ -276,7 +276,7 @@
 use super::GcPolicy;
 use crate::engine::{
     CheckerEngine, CommitMask, EngineError, Found, HashIndex, KeyHasher, LeafUsed, Search,
-    SearchBudget, SearchBuffers, SearchSeed, SearchStats, Used, Visitor,
+    SearchSeed, SearchStats, Used, Visitor,
 };
 use crate::ops::{Bounds, Commit};
 use crate::ObjAction;
@@ -294,13 +294,6 @@ use std::sync::Arc;
 /// a configuration interleaved as extras before an epoch cut, available to
 /// absorb matching post-cut responses.
 type SymSet<T> = PersistentMultiset<(<T as Adt>::Input, <T as Adt>::Output)>;
-
-/// The typed buffers of a shard's searches (the history, the memo's
-/// entries), handed to each enumeration's `Search` and taken back, so the
-/// next one starts with their capacity. A monitor keeps one for all its
-/// shards — they run one at a time — so what it retains grows with the
-/// monitors, not with the shards.
-pub(crate) type ShardBuffers<T> = SearchBuffers<T, SymSet<T>>;
 
 /// Node budget of one frontier tail-extension pass, and the unit the
 /// opportunistic retirement slice is a multiple of (see
@@ -517,10 +510,6 @@ fn absorb_commits<T: Adt>(commits: &[Commit<T>], sym: &SymSet<T>) -> (CommitMask
     }
     (start, sym)
 }
-
-/// What a shard's enumerations reuse from one to the next: the result set
-/// they collect into and the typed buffers of their searches.
-type Reuse<'r, T> = (&'r mut Distinct<T>, &'r mut ShardBuffers<T>);
 
 /// One search of an enumeration: the configuration to start from, and the
 /// commits it places — a mask over the enumeration's one commit list.
@@ -793,15 +782,9 @@ where
         self.remap_tables(|used| used.without(&spent));
     }
 
-    /// Ingests the next action of this shard's class; a search it runs
-    /// grows `buffers`. Returns `(frontier length after the event, whether
-    /// a fallback re-search ran)`.
-    pub(crate) fn ingest(
-        &mut self,
-        action: ObjAction<T, V>,
-        global_index: usize,
-        buffers: &mut ShardBuffers<T>,
-    ) -> (usize, bool) {
+    /// Ingests the next action of this shard's class. Returns `(frontier
+    /// length after the event, whether a fallback re-search ran)`.
+    pub(crate) fn ingest(&mut self, action: ObjAction<T, V>, global_index: usize) -> (usize, bool) {
         let t0 = self.cfg.obs.t0();
         let window_index = self.sub.len();
         let mut fell_back = false;
@@ -831,7 +814,7 @@ where
         self.index_map.push(global_index);
 
         if self.sub[window_index].is_respond() && self.status != ShardStatus::Violated {
-            fell_back = self.commit_arrived(window_index, buffers);
+            fell_back = self.commit_arrived(window_index);
         }
         self.counters.frontier_peak = self.counters.frontier_peak.max(self.frontier.len());
         self.cfg.obs.shard_ingest(ShardIngestEvent {
@@ -846,13 +829,13 @@ where
     /// Extends the frontier past the commit at `window_index`; falls back
     /// to a bounded re-search when tail extension prunes the frontier
     /// empty. Returns whether the fallback ran.
-    fn commit_arrived(&mut self, window_index: usize, buffers: &mut ShardBuffers<T>) -> bool {
+    fn commit_arrived(&mut self, window_index: usize) -> bool {
         if self.status == ShardStatus::BudgetExhausted {
             // A previous re-search ran out of budget: retrying on every
             // commit would sink unbounded time into an intractable window.
             // Re-attempt only at quiescent points.
             if self.pending == 0 {
-                self.fallback_research(buffers);
+                self.fallback_research();
                 return true;
             }
             return false;
@@ -956,12 +939,12 @@ where
             cap,
             false,
             Some(EXTENSION_BUDGET),
-            (&mut found, buffers),
+            &mut found,
         );
         self.next = found;
         self.counters.search_nodes += pass.stats.nodes;
         if pass.configs.is_empty() || pass.budget_tripped {
-            self.fallback_research(buffers);
+            self.fallback_research();
             return true;
         }
         self.frontier = pass.configs;
@@ -995,16 +978,11 @@ where
     /// retained window, starting from the checkpoint: only the commits past
     /// it are searched. Counts the work; see [`ShardState::enumerate`] for
     /// the budget.
-    fn enumerate_window(
-        &mut self,
-        shared_budget: Option<usize>,
-        buffers: &mut ShardBuffers<T>,
-    ) -> Enumeration<T> {
+    fn enumerate_window(&mut self, shared_budget: Option<usize>) -> Enumeration<T> {
         let mut collected = std::mem::take(&mut self.next);
         let (mark, configs) = self.checkpoint();
         let cap = self.summary_cap() + 1;
-        let reuse = (&mut collected, &mut *buffers);
-        let found = self.enumerate_from(mark, configs, cap, shared_budget, reuse);
+        let found = self.enumerate_from(mark, configs, cap, shared_budget, &mut collected);
         #[cfg(test)]
         tests::against_fresh_searches(self, mark, configs, cap, shared_budget, &found);
         self.next = collected;
@@ -1024,15 +1002,15 @@ where
     /// rest of the window, each one's symbolic completions greedily
     /// absorbing first. A problem whose commits are all accounted for is
     /// its own leaf, so with nothing past `mark` the configurations come
-    /// back as they are and no engine is built. `reuse` is what the
-    /// enumeration collects into and grows (see [`ShardState::enumerate`]).
+    /// back as they are and no engine is built. `found` is what the
+    /// enumeration collects into (see [`ShardState::enumerate`]).
     fn enumerate_from(
         &self,
         mark: usize,
         configs: &[FrontierCfg<T>],
         cap: usize,
         shared_budget: Option<usize>,
-        reuse: Reuse<'_, T>,
+        found: &mut Distinct<T>,
     ) -> Enumeration<T> {
         let commits = &self.commits[mark..];
         let Some(next) = commits.first() else {
@@ -1051,7 +1029,7 @@ where
             let seed = &cfg.seed;
             Problem { start, seed, sym }
         });
-        self.enumerate(mark, problems, cap, true, shared_budget, reuse)
+        self.enumerate(mark, problems, cap, true, shared_budget, found)
     }
 
     /// The engine over the window's commits from the `from`-th on, on the
@@ -1063,7 +1041,6 @@ where
             &self.commits[from..],
             &self.commit_classes[from..],
             &self.bounds,
-            SearchBudget::new(self.cfg.budget),
         )
     }
 
@@ -1074,10 +1051,9 @@ where
     /// on — all of them, unless a seed's completions absorbed some — so one
     /// engine (on the shard's class table) and one [`Search`] (the floor
     /// table, every buffer) serve them all, each run starting from its
-    /// problem's mask. `reuse` is the shard's one collector, whose index is
+    /// problem's mask. `found` is the shard's one collector, whose index is
     /// cleared, not dropped, from enumeration to enumeration while the
-    /// configurations move out into the result, and the search's typed
-    /// buffers, handed to the `Search` and taken back.
+    /// configurations move out into the result.
     /// With `record_extras`, every interleaved extra is recorded as a
     /// symbolic completion in its configuration (epoch-cut mode).
     /// `shared_budget` `Some(n)` caps the *total* nodes across all problems
@@ -1090,7 +1066,7 @@ where
         cap: usize,
         record_extras: bool,
         shared_budget: Option<usize>,
-        (found, buffers): Reuse<'_, T>,
+        found: &mut Distinct<T>,
     ) -> Enumeration<T>
     where
         T: 'p,
@@ -1104,7 +1080,7 @@ where
         let mut budget_tripped = false;
         let mut stats = SearchStats::default();
         let engine = self.engine(from);
-        let mut search = Search::with_buffers(&engine, std::mem::take(buffers));
+        let mut search = Search::new(&engine);
         for problem in problems {
             let max_nodes = match shared_budget {
                 Some(total) => total.saturating_sub(stats.nodes),
@@ -1123,7 +1099,6 @@ where
                 break;
             }
         }
-        *buffers = search.into_buffers();
         collect.found.sort();
         let configs = std::mem::take(&mut collect.found.configs);
         collect.found.clear();
@@ -1141,11 +1116,11 @@ where
     /// cut does, so when it completes it is the next checkpoint; recorded
     /// extras let the refilled frontier absorb a straggler's later response
     /// instead of falling back again.
-    fn fallback_research(&mut self, buffers: &mut ShardBuffers<T>) {
+    fn fallback_research(&mut self) {
         self.counters.fallback_searches += 1;
         let t0 = self.cfg.obs.t0();
         // Verdict-deciding: every configuration gets the full budget.
-        let found = self.enumerate_window(None, buffers);
+        let found = self.enumerate_window(None);
         let complete = self.is_complete(&found);
         let Enumeration {
             configs,
@@ -1201,7 +1176,8 @@ where
         for shard_seed in &self.seeds {
             let (start, _) = absorb_commits(&self.commits, &shard_seed.sym);
             let seed = shard_seed.seed.clone();
-            let (found, seed_stats) = engine.first_solution(seed, start, &|_| Some(()));
+            let (found, seed_stats) =
+                engine.first_solution(seed, start, &|_| Some(()), self.cfg.budget);
             stats.absorb(&seed_stats);
             match found {
                 Ok(Some(found)) => {
@@ -1255,11 +1231,7 @@ where
     /// response shrinks the completion space — rather than stalling GC
     /// until the next window multiple while per-event cost balloons.
     /// Returns how many events retired.
-    pub(crate) fn maybe_retire(
-        &mut self,
-        window: usize,
-        buffers: &mut ShardBuffers<T>,
-    ) -> Option<usize> {
+    pub(crate) fn maybe_retire(&mut self, window: usize) -> Option<usize> {
         if self.sub.len() < window || self.status != ShardStatus::Ok {
             return None;
         }
@@ -1303,7 +1275,7 @@ where
         } else {
             Some(self.retire_budget())
         };
-        let found = self.enumerate_window(shared, buffers);
+        let found = self.enumerate_window(shared);
         let window_events = self.sub.len() as u64;
         if self.is_complete(&found) && !found.configs.is_empty() {
             let retired = self.retire_window(Some(found.configs));
@@ -1449,7 +1421,7 @@ mod tests {
 
     fn shard(gc: GcPolicy) -> Shard {
         let cfg = ShardConfig {
-            budget: SearchBudget::DEFAULT_MAX_NODES,
+            budget: crate::engine::DEFAULT_MAX_NODES,
             gc,
             obs: Obs::noop(),
         };
@@ -1497,10 +1469,9 @@ mod tests {
     /// checkpoint is the seeds, else whether the subset is strict.
     fn check_checkpoint(shard: &Shard) -> Option<bool> {
         let at = shard.checkpoint.as_ref()?;
-        let (found, buffers) = (&mut Distinct::default(), &mut ShardBuffers::default());
-        let from_mark =
-            shard.enumerate_from(at.mark, &at.configs, usize::MAX, None, (found, buffers));
-        let from_seeds = shard.enumerate_from(0, &shard.seeds, usize::MAX, None, (found, buffers));
+        let found = &mut Distinct::default();
+        let from_mark = shard.enumerate_from(at.mark, &at.configs, usize::MAX, None, found);
+        let from_seeds = shard.enumerate_from(0, &shard.seeds, usize::MAX, None, found);
         assert!(!from_mark.budget_tripped && !from_seeds.budget_tripped);
         let (from_mark, from_seeds) = (from_mark.configs, from_seeds.configs);
         assert_eq!(from_mark.is_empty(), from_seeds.is_empty());
@@ -1548,11 +1519,10 @@ mod tests {
             for t in [hotkey, stragglers] {
                 for window in [8, 16, 32] {
                     let mut shard = shard(GcPolicy::default());
-                    let buffers = &mut ShardBuffers::default();
                     for (i, a) in t.iter().enumerate() {
-                        shard.ingest(a.clone(), i, buffers);
+                        shard.ingest(a.clone(), i);
                         after_event(&shard);
-                        shard.maybe_retire(window, buffers);
+                        shard.maybe_retire(window);
                     }
                 }
             }
@@ -1735,12 +1705,10 @@ mod tests {
                         for a in t.iter() {
                             known.class_of(a.input());
                         }
-                        // One monitor's shards share one set of buffers.
-                        let buffers = &mut ShardBuffers::default();
                         for (i, a) in t.iter().enumerate() {
                             let met = growing.bounds.classes();
-                            let outcome = growing.ingest(a.clone(), i, buffers);
-                            assert_eq!(outcome, known.ingest(a.clone(), i, buffers));
+                            let outcome = growing.ingest(a.clone(), i);
+                            assert_eq!(outcome, known.ingest(a.clone(), i));
                             if growing.bounds.classes() > met {
                                 mid_window += usize::from(growing.sub.len() > 1);
                                 after_retirement +=
@@ -1748,10 +1716,7 @@ mod tests {
                             }
                             assert_eq!(growing.status(), known.status());
                             assert_read_as_if_met_first(&growing, &known);
-                            assert_eq!(
-                                growing.maybe_retire(window, buffers),
-                                known.maybe_retire(window, buffers)
-                            );
+                            assert_eq!(growing.maybe_retire(window), known.maybe_retire(window));
                             assert_read_as_if_met_first(&growing, &known);
                         }
                         assert_eq!(growing.counters, known.counters);
@@ -1908,16 +1873,15 @@ mod tests {
             for window in [8, 16] {
                 let (mut dropping, mut keeping) =
                     (shard(GcPolicy::default()), shard(GcPolicy::default()));
-                let buffers = &mut ShardBuffers::default();
                 let mut last_retired = 0;
                 for (i, a) in t.iter().enumerate() {
-                    let outcome = dropping.ingest(a.clone(), i, buffers);
+                    let outcome = dropping.ingest(a.clone(), i);
                     let met = dropping.bounds.classes();
-                    let retired = dropping.maybe_retire(window, buffers);
+                    let retired = dropping.maybe_retire(window);
                     dropped += met - dropping.bounds.classes();
                     KEEP_SPENT.with(|keep| keep.set(true));
-                    assert_eq!(outcome, keeping.ingest(a.clone(), i, buffers));
-                    assert_eq!(retired, keeping.maybe_retire(window, buffers));
+                    assert_eq!(outcome, keeping.ingest(a.clone(), i));
+                    assert_eq!(retired, keeping.maybe_retire(window));
                     KEEP_SPENT.with(|keep| keep.set(false));
                     assert_eq!(dropping.status(), keeping.status());
                     assert_same_but_tables(&dropping, &keeping);
@@ -1992,10 +1956,9 @@ mod tests {
         let (put, get, del) = (KvInput::Put(1, 1), KvInput::Get(1), KvInput::Delete(1));
         let (absent, found) = (KvOutput::Found(None), KvOutput::Found(Some(1)));
         let mut shard = shard(GcPolicy::default());
-        let buffers = &mut ShardBuffers::default();
-        let mut feed = |shard: &mut Shard, a: KvEvent| {
+        let feed = |shard: &mut Shard, a: KvEvent| {
             let at = shard.sub.len();
-            shard.ingest(a, at, buffers).1
+            shard.ingest(a, at).1
         };
         feed(&mut shard, Action::invoke(c(1), ph, put));
         feed(&mut shard, Action::respond(c(1), ph, put, KvOutput::Ack));

@@ -1,4 +1,5 @@
-//! Allocation gate: what a streamed event costs the allocator.
+//! Allocation gate: what a streamed or batch-checked event costs the
+//! allocator.
 //!
 //! On a calm stream — four keys, no faults, a bounded window — an event
 //! neither searches nor falls back: an invocation records one occurrence in
@@ -10,18 +11,30 @@
 //! occasional window retirement. On a hot-key stream — three clients on one key — every event
 //! lands in one shard, which searches: what an event allocates there is
 //! what its enumerations keep, since the key's one binding is an inline
-//! `KvState` and an enumeration builds one engine. This binary counts both
-//! with a counting global allocator and pins a ceiling on each stream's
-//! allocations per ingested event, after a warm-up that creates the shards
-//! and grows their buffers to the window.
+//! `KvState` and an enumeration builds one engine. A batch check of a
+//! keyed phase trace — the speculative checker, split by key under the
+//! switch certificate — states its problem, projects a class problem per
+//! key and searches each one to its first chain; the searches' buffers
+//! stay on the thread's free list from one check to the next, so what a
+//! check allocates is what it builds and keeps around them. This binary
+//! counts all three with a counting global allocator and
+//! pins a ceiling on each one's allocations per event, after a warm-up
+//! that creates the shards and grows their buffers to the window, or
+//! grows the searches' buffers.
 //!
 //! It is its own test binary with one test, so no other test allocates
 //! while it counts. CI runs it in both build profiles.
 
 use slin_adt::{KvKeyPartitioner, KvStore};
-use slin_core::gen::{random_multikey_kv_trace, MultiKeyConfig};
+use slin_analysis::{certify_switch, AnalyzeConfig};
+use slin_core::gen::{
+    phase_trace_bounds, random_multikey_kv_trace, random_phase_kv_trace, MultiKeyConfig,
+    PhaseConfig,
+};
+use slin_core::initrel::ExactInit;
 use slin_core::lin::LinChecker;
 use slin_core::session::{Checker, Strategy};
+use slin_core::slin::SlinChecker;
 use slin_core::stream::MonitorStatus;
 use slin_core::ObjAction;
 use slin_obs::{Obs, StackObserver};
@@ -108,6 +121,17 @@ const CEILING: f64 = if cfg!(debug_assertions) { 0.94 } else { 0.43 };
 /// one), 5.75 and 6.53.
 const HOT_CEILING: f64 = if cfg!(debug_assertions) { 2.32 } else { 1.53 };
 
+/// The most allocations an event of a keyed batch check may make, on
+/// average: 5.89 measured (154.2 per check), in both profiles alike, plus
+/// a 0.12 margin. While each
+/// class search grew its history and memo entries from empty, an event
+/// made 6.09 (159.5 per check).
+const BATCH_CEILING: f64 = 6.01;
+
+/// Phase traces checked before counting starts, and counted.
+const BATCH_WARM_UP: u64 = 50;
+const BATCH_COUNTED: u64 = 200;
+
 /// Streams `actions` through a streaming session with a window of 32
 /// events and returns the allocations per event after the first
 /// [`WARM_UP`]. The stream must stay linearizable and retire more than half
@@ -146,9 +170,57 @@ fn allocations_per_event(actions: &[KvEvent], name: &str) -> f64 {
     per_event
 }
 
+/// Checks clean phase traces of four clients and four keys — the shape of
+/// the benchmark's `batch-clean` workload — through one keyed batch session
+/// on one thread, and returns the allocations per event of the checks
+/// after the first [`BATCH_WARM_UP`]. Every check must pass.
+fn batch_allocations_per_event() -> f64 {
+    let cert = certify_switch(&KvStore, &KvKeyPartitioner, &AnalyzeConfig::default())
+        .expect("the shipped kv partitioner is switch-independent under ExactInit");
+    let (m, n) = phase_trace_bounds();
+    let mut session = Checker::builder(SlinChecker::owned(KvStore, ExactInit::new(), m, n))
+        .partitioner(KvKeyPartitioner)
+        .switch_certified(&cert)
+        .expect("the certificate names KvKeyPartitioner")
+        .threads(1)
+        .build();
+    let traces: Vec<_> = (0..BATCH_WARM_UP + BATCH_COUNTED)
+        .map(|seed| {
+            random_phase_kv_trace(&PhaseConfig {
+                clients: 4,
+                steps: 36,
+                keys: 4,
+                skew: 0.3,
+                prefix_ops: 4,
+                aborts: 2,
+                error_prob: 0.0,
+                seed,
+            })
+        })
+        .collect();
+    let (warm, counted) = traces.split_at(BATCH_WARM_UP as usize);
+    for t in warm {
+        assert!(session.check(t).outcome.is_ok());
+    }
+    let events: usize = counted.iter().map(|t| t.len()).sum();
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for t in counted {
+        assert!(session.check(t).outcome.is_ok());
+    }
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let per_event = allocs as f64 / events as f64;
+    let per_check = allocs as f64 / counted.len() as f64;
+    println!(
+        "batch: {allocs} allocations over {events} events: {per_event:.3} per event, \
+         {per_check:.1} per check"
+    );
+    per_event
+}
+
 /// One test, so that nothing else allocates while it counts: the calm
-/// stream (two clients, four keys), then the hot-key one (three clients,
-/// one key — every event in one shard, which searches).
+/// stream (two clients, four keys), the hot-key one (three clients, one
+/// key — every event in one shard, which searches), then the keyed batch
+/// checks.
 #[test]
 fn a_calm_streamed_event_allocates_below_the_ceiling() {
     let calm = random_multikey_kv_trace(&MultiKeyConfig {
@@ -181,5 +253,11 @@ fn a_calm_streamed_event_allocates_below_the_ceiling() {
     assert!(
         per_event <= HOT_CEILING,
         "{per_event:.3} allocations per hot-key event, above the ceiling {HOT_CEILING}"
+    );
+
+    let per_event = batch_allocations_per_event();
+    assert!(
+        per_event <= BATCH_CEILING,
+        "{per_event:.3} allocations per batch-checked event, above the ceiling {BATCH_CEILING}"
     );
 }
